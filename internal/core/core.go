@@ -455,7 +455,7 @@ type Optimizer struct {
 	// collection goroutine: a private path generator plus the per-link
 	// scratch alternativesFor needs, grown on demand up to
 	// Options.Workers. collectors[0] shares the optimizer's generator
-	// (its lowest-delay cache serves initAllocation).
+	// (and so the memo initAllocation's lowest-delay searches filled).
 	collectors []*collector
 
 	// workers are the persistent trial evaluators, one arena + bundle

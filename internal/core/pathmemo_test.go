@@ -1,0 +1,96 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"fubar/internal/flowmodel"
+	"fubar/internal/pathgen"
+	"fubar/internal/topology"
+	"fubar/internal/traffic"
+	"fubar/internal/unit"
+)
+
+// TestPathMemoExactOnHEOptimization replays the request stream of a full
+// HE-31 optimization — at every step, the §2.4 trio for every routed
+// aggregate under that step's congestion state, a superset of what the
+// step itself asks — against one generator that lives for the whole run
+// and against a generator built for each single request. The memo must
+// never change an answer.
+func TestPathMemoExactOnHEOptimization(t *testing.T) {
+	// scenario.HEBenchInstance's recipe (scenario imports core).
+	topo, err := topology.HurricaneElectric(6 * unit.Mbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := traffic.DefaultGenConfig(5)
+	cfg.RealTimeFlows = [2]int{2, 10}
+	cfg.BulkFlows = [2]int{1, 4}
+	cfg.IncludeSelfPairs = false
+	full, err := traffic.Generate(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := full.Subset(func(a traffic.Aggregate) bool { return a.ID%5 == 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := flowmodel.New(topo, mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	newCollector := func() *collector {
+		gen, err := pathgen.New(topo, pathgen.Policy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &collector{
+			gen:       gen,
+			congUsed:  make([]bool, topo.NumLinks()),
+			usedStamp: make([]uint32, topo.NumLinks()),
+		}
+	}
+	long := newCollector()
+	var o *Optimizer
+	requests, steps := 0, 0
+	o, err = New(model, Options{Workers: 1, Trace: func(s Snapshot) {
+		steps++
+		congested := model.CongestedByOversubscription(s.Result)
+		for _, l := range congested {
+			o.congAll[l] = true
+		}
+		for ai := range o.aggs {
+			st := &o.aggs[ai]
+			if st.self {
+				continue
+			}
+			requests++
+			got := o.alternativesFor(long, ai, st, congested)
+			want := o.alternativesFor(newCollector(), ai, st, congested)
+			if len(got) != len(want) {
+				t.Fatalf("step %d aggregate %d: %d alternatives, fresh generator %d", s.Step, ai, len(got), len(want))
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) || got[i].Weight != want[i].Weight {
+					t.Fatalf("step %d aggregate %d alternative %d: %v (w=%v), fresh generator %v (w=%v)",
+						s.Step, ai, i, got[i].Edges, got[i].Weight, want[i].Edges, want[i].Weight)
+				}
+			}
+		}
+		for _, l := range congested {
+			o.congAll[l] = false
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := o.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Steps < 20 || requests < 2000 {
+		t.Fatalf("stream too short to mean anything: %d steps, %d requests", sol.Steps, requests)
+	}
+	t.Logf("%d snapshots, %d requests (3 searches each)", steps, requests)
+}

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Constraints restricts the paths a search may return. The zero value means
 // "no restriction".
@@ -27,9 +24,53 @@ func (c Constraints) nodeExcluded(n NodeID) bool {
 	return c.ExcludeNodes != nil && int(n) < len(c.ExcludeNodes) && c.ExcludeNodes[n]
 }
 
+// Searcher is the shortest-path kernel: it owns the scratch every search
+// needs, so a warm Searcher allocates nothing per search but the returned
+// edge list. The zero value is ready to use and adapts to graphs of any
+// size. A Searcher is not safe for concurrent use; give each goroutine
+// its own.
+type Searcher struct {
+	// epoch stamps the node states the current search has written;
+	// bumping it invalidates them all without an O(nodes) reset.
+	epoch uint32
+	nodes []nodeState
+	heap  minHeap
+
+	// Hop-bounded search only (see boundedPath).
+	labels         []hopLabel
+	frontier, next []frontierItem
+}
+
+// nodeState is one node's tentative distance, hop count and predecessor
+// edge, valid only while seen equals the Searcher's epoch.
+type nodeState struct {
+	dist float64
+	prev EdgeID
+	hops int32
+	seen uint32
+}
+
+// begin starts a new search over a graph with n nodes.
+func (s *Searcher) begin(n int) {
+	if len(s.nodes) < n {
+		s.nodes = make([]nodeState, n)
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		for i := range s.nodes {
+			s.nodes[i].seen = 0
+		}
+		s.epoch = 1
+	}
+	s.heap = s.heap[:0]
+}
+
 // ShortestPath returns the minimum-weight path from src to dst subject to
 // the constraints, and whether one exists. src==dst yields the empty path.
-func ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
+// With MaxHops > 0 it is the minimum-weight path among those within the
+// hop bound. The returned edge list is freshly allocated.
+func (s *Searcher) ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
 	if src == dst {
 		return Path{}, true
 	}
@@ -37,68 +78,29 @@ func ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
 	if int(src) < 0 || int(src) >= n || int(dst) < 0 || int(dst) >= n {
 		return Path{}, false
 	}
-
-	dist := make([]float64, n)
-	hops := make([]int, n)
-	prev := make([]EdgeID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
+	if cons.MaxHops > 0 {
+		return s.boundedPath(g, src, dst, cons)
 	}
-	dist[src] = 0
-
-	pq := &nodeHeap{items: []heapItem{{node: src, dist: 0}}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		v := it.node
-		if done[v] || it.dist > dist[v] {
-			continue
-		}
-		done[v] = true
-		if v == dst {
-			break
-		}
-		if cons.MaxHops > 0 && hops[v] >= cons.MaxHops {
-			continue
-		}
-		for _, id := range g.OutEdges(v) {
-			if cons.edgeExcluded(id) {
-				continue
-			}
-			e := g.Edge(id)
-			if e.To != dst && cons.nodeExcluded(e.To) {
-				continue
-			}
-			nd := dist[v] + e.Weight
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				hops[e.To] = hops[v] + 1
-				prev[e.To] = id
-				heap.Push(pq, heapItem{node: e.To, dist: nd})
-			}
-		}
-	}
-
-	if math.IsInf(dist[dst], 1) {
+	s.dijkstra(g, src, dst, cons)
+	end := &s.nodes[dst]
+	if end.seen != s.epoch {
 		return Path{}, false
 	}
 	// Reconstruct by walking predecessors.
-	count := hops[dst]
-	edges := make([]EdgeID, count)
+	edges := make([]EdgeID, end.hops)
 	at := dst
-	for i := count - 1; i >= 0; i-- {
-		id := prev[at]
+	for i := len(edges) - 1; i >= 0; i-- {
+		id := s.nodes[at].prev
 		edges[i] = id
 		at = g.Edge(id).From
 	}
-	return Path{Edges: edges, Weight: dist[dst]}, true
+	return Path{Edges: edges, Weight: end.dist}, true
 }
 
-// ShortestPathTree computes minimum distances from src to every node
-// (ignoring constraints' MaxHops reconstruction subtleties; used for
+// ShortestPathTree computes minimum distances from src to every node,
+// honoring the edge and node exclusions (MaxHops is ignored; used for
 // heuristics and validation). Unreachable nodes have +Inf distance.
-func ShortestPathTree(g *Graph, src NodeID, cons Constraints) []float64 {
+func (s *Searcher) ShortestPathTree(g *Graph, src NodeID, cons Constraints) []float64 {
 	n := g.NumNodes()
 	dist := make([]float64, n)
 	for i := range dist {
@@ -107,46 +109,205 @@ func ShortestPathTree(g *Graph, src NodeID, cons Constraints) []float64 {
 	if int(src) < 0 || int(src) >= n {
 		return dist
 	}
-	dist[src] = 0
-	pq := &nodeHeap{items: []heapItem{{node: src, dist: 0}}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		if it.dist > dist[it.node] {
-			continue
-		}
-		for _, id := range g.OutEdges(it.node) {
-			if cons.edgeExcluded(id) {
-				continue
-			}
-			e := g.Edge(id)
-			if cons.nodeExcluded(e.To) {
-				continue
-			}
-			nd := it.dist + e.Weight
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				heap.Push(pq, heapItem{node: e.To, dist: nd})
-			}
+	s.dijkstra(g, src, -1, cons)
+	for i := range dist {
+		if st := &s.nodes[i]; st.seen == s.epoch {
+			dist[i] = st.dist
 		}
 	}
 	return dist
 }
 
-type heapItem struct {
-	node NodeID
-	dist float64
+// dijkstra settles nodes in distance order from src until dst is settled
+// (dst < 0: until every reachable node is), leaving the result in the
+// epoch-stamped node states. Ties pop in container/heap order, which is
+// what keeps every path identical to the boxed-heap search this replaced.
+func (s *Searcher) dijkstra(g *Graph, src, dst NodeID, cons Constraints) {
+	s.begin(g.NumNodes())
+	s.nodes[src] = nodeState{prev: -1, seen: s.epoch}
+	s.heap.push(heapItem{id: int32(src)})
+	for len(s.heap) > 0 {
+		it := s.heap.pop()
+		v := NodeID(it.id)
+		// A node is pushed only on a strict improvement, so every entry
+		// but its latest is stale.
+		if it.dist > s.nodes[v].dist {
+			continue
+		}
+		if v == dst {
+			return
+		}
+		hops := s.nodes[v].hops + 1
+		for _, id := range g.out[v] {
+			if cons.edgeExcluded(id) {
+				continue
+			}
+			e := &g.edges[id]
+			if e.To != dst && cons.nodeExcluded(e.To) {
+				continue
+			}
+			nd := it.dist + e.Weight
+			to := &s.nodes[e.To]
+			if to.seen != s.epoch || nd < to.dist {
+				*to = nodeState{dist: nd, prev: id, hops: hops, seen: s.epoch}
+				s.heap.push(heapItem{dist: nd, id: int32(e.To)})
+			}
+		}
+	}
 }
 
-type nodeHeap struct{ items []heapItem }
+// hopLabel records one strict improvement of a node's distance during a
+// hop-bounded search: the edge that produced it and the label of the
+// edge's tail it extended (-1 at the source). nodeState.prev indexes a
+// node's latest label, nodeState.hops the layer that wrote it.
+type hopLabel struct {
+	edge   EdgeID
+	parent int32
+}
 
-func (h *nodeHeap) Len() int           { return len(h.items) }
-func (h *nodeHeap) Less(i, j int) bool { return h.items[i].dist < h.items[j].dist }
-func (h *nodeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *nodeHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+// frontierItem snapshots a node improved in one layer — its distance and
+// label as of that layer — so the next layer extends exactly those
+// values even while it lowers the node's state further.
+type frontierItem struct {
+	node  NodeID
+	label int32
+	dist  float64
+}
+
+// boundedPath finds the minimum-weight path of at most cons.MaxHops edges
+// by layered relaxation: layer h extends the nodes layer h-1 improved, so
+// after it every node holds its best distance over walks of at most h
+// edges, in O(MaxHops·E) overall. Settling on distance alone — what an
+// unlayered Dijkstra does — loses a heavier route with fewer hops the
+// moment a lighter, longer one reaches the same node. Only strict
+// improvements are recorded, which makes the result loop-free (weights
+// are non-negative, so re-entering a node never improves it) and breaks
+// ties toward fewer hops.
+func (s *Searcher) boundedPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
+	s.begin(g.NumNodes())
+	s.labels = s.labels[:0]
+	s.nodes[src] = nodeState{prev: -1, seen: s.epoch}
+	frontier := append(s.frontier[:0], frontierItem{node: src, label: -1})
+	next := s.next[:0]
+	end := &s.nodes[dst]
+	for h := int32(1); int(h) <= cons.MaxHops && len(frontier) > 0; h++ {
+		for _, f := range frontier {
+			for _, id := range g.out[f.node] {
+				if cons.edgeExcluded(id) {
+					continue
+				}
+				e := &g.edges[id]
+				if e.To != dst && cons.nodeExcluded(e.To) {
+					continue
+				}
+				nd := f.dist + e.Weight
+				// Nothing at or beyond dst's distance can still improve it.
+				if end.seen == s.epoch && nd >= end.dist {
+					continue
+				}
+				to := &s.nodes[e.To]
+				seen := to.seen == s.epoch
+				if seen && nd >= to.dist {
+					continue
+				}
+				if seen && to.hops == h {
+					// Second improvement within this layer: nothing refers
+					// to the layer's label yet, so overwrite it.
+					s.labels[to.prev] = hopLabel{edge: id, parent: f.label}
+					to.dist = nd
+					continue
+				}
+				*to = nodeState{dist: nd, prev: EdgeID(len(s.labels)), hops: h, seen: s.epoch}
+				s.labels = append(s.labels, hopLabel{edge: id, parent: f.label})
+				if e.To != dst {
+					next = append(next, frontierItem{node: e.To})
+				}
+			}
+		}
+		for i := range next {
+			st := &s.nodes[next[i].node]
+			next[i].label, next[i].dist = int32(st.prev), st.dist
+		}
+		frontier, next = next, frontier[:0]
+	}
+	s.frontier, s.next = frontier[:0], next[:0]
+	if end.seen != s.epoch {
+		return Path{}, false
+	}
+	count := 0
+	for l := int32(end.prev); l >= 0; l = s.labels[l].parent {
+		count++
+	}
+	edges := make([]EdgeID, count)
+	for l := int32(end.prev); l >= 0; l = s.labels[l].parent {
+		count--
+		edges[count] = s.labels[l].edge
+	}
+	return Path{Edges: edges, Weight: end.dist}, true
+}
+
+// ShortestPath is Searcher.ShortestPath on a throwaway Searcher: the
+// convenience form for one-off searches. Code that searches repeatedly
+// should own a Searcher and reuse it.
+func ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
+	var s Searcher
+	return s.ShortestPath(g, src, dst, cons)
+}
+
+// ShortestPathTree is Searcher.ShortestPathTree on a throwaway Searcher.
+func ShortestPathTree(g *Graph, src NodeID, cons Constraints) []float64 {
+	var s Searcher
+	return s.ShortestPathTree(g, src, cons)
+}
+
+// heapItem is a min-heap entry: a node (Dijkstra) or candidate index
+// (Yen) keyed by its distance.
+type heapItem struct {
+	dist float64
+	id   int32
+}
+
+// minHeap is a binary min-heap on dist. push and pop make exactly the
+// comparisons and moves container/heap's up and down make under
+// Less(i, j) = dist[i] < dist[j], so equal keys leave in the same order
+// they would there — without boxing every entry into an interface.
+type minHeap []heapItem
+
+func (h *minHeap) push(it heapItem) {
+	a := append(*h, it)
+	j := len(a) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !(it.dist < a[i].dist) {
+			break
+		}
+		a[j] = a[i]
+		j = i
+	}
+	a[j] = it
+	*h = a
+}
+
+func (h *minHeap) pop() heapItem {
+	a := *h
+	n := len(a) - 1
+	top, it := a[0], a[n]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && a[r].dist < a[j].dist {
+			j = r
+		}
+		if !(a[j].dist < it.dist) {
+			break
+		}
+		a[i] = a[j]
+		i = j
+	}
+	a[i] = it
+	*h = a[:n]
+	return top
 }

@@ -5,7 +5,9 @@
 // paths can index plain slices instead of hashing map keys. Edge weights are
 // one-way delays; every shortest-path routine below minimizes total weight
 // and supports excluding arbitrary edge and node sets, which is how the
-// §2.4 "avoid congested links" alternatives are produced.
+// §2.4 "avoid congested links" alternatives are produced. The routines are
+// methods of Searcher, a reusable kernel that owns its scratch; the free
+// functions of the same names serve one-off callers.
 package graph
 
 import (

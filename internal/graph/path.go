@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Path is a loop-free directed walk expressed as an edge sequence, with the
@@ -57,16 +57,17 @@ func (p Path) Equal(q Path) bool {
 }
 
 // Key returns a compact string usable as a map key identifying the edge
-// sequence.
+// sequence: the decimal edge IDs joined by commas.
 func (p Path) Key() string {
-	var b strings.Builder
+	var buf [64]byte // keeps typical paths to the one string allocation
+	b := buf[:0]
 	for i, e := range p.Edges {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", e)
+		b = strconv.AppendInt(b, int64(e), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Validate checks that the edge sequence is contiguous from src to dst and

@@ -1,25 +1,32 @@
 package graph
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
+
+// KShortestPaths is Searcher.KShortestPaths on a throwaway Searcher.
+func KShortestPaths(g *Graph, src, dst NodeID, k int, cons Constraints) []Path {
+	var s Searcher
+	return s.KShortestPaths(g, src, dst, k, cons)
+}
 
 // KShortestPaths returns up to k loop-free paths from src to dst in
 // non-decreasing weight order using Yen's algorithm, subject to the given
 // base constraints. It returns fewer than k paths when the graph does not
 // contain that many distinct loop-free paths.
-func KShortestPaths(g *Graph, src, dst NodeID, k int, cons Constraints) []Path {
+func (s *Searcher) KShortestPaths(g *Graph, src, dst NodeID, k int, cons Constraints) []Path {
 	if k <= 0 || src == dst {
 		return nil
 	}
-	first, ok := ShortestPath(g, src, dst, cons)
+	first, ok := s.ShortestPath(g, src, dst, cons)
 	if !ok {
 		return nil
 	}
 	result := []Path{first}
 	seen := map[string]bool{first.Key(): true}
-	candidates := &pathHeap{}
+	// candidates orders the spur paths found so far by weight; an entry's
+	// id indexes found. It is a heap of its own: the spur searches below
+	// reuse s.heap.
+	var candidates minHeap
+	var found []Path
 
 	excludeEdges := make([]bool, g.NumEdges())
 	excludeNodes := make([]bool, g.NumNodes())
@@ -73,7 +80,7 @@ func KShortestPaths(g *Graph, src, dst NodeID, k int, cons Constraints) []Path {
 				}
 				spurCons.MaxHops = remaining
 			}
-			spur, ok := ShortestPath(g, spurNode, dst, spurCons)
+			spur, ok := s.ShortestPath(g, spurNode, dst, spurCons)
 			if !ok {
 				continue
 			}
@@ -84,14 +91,14 @@ func KShortestPaths(g *Graph, src, dst NodeID, k int, cons Constraints) []Path {
 			key := total.Key()
 			if !seen[key] {
 				seen[key] = true
-				heap.Push(candidates, total)
+				candidates.push(heapItem{dist: total.Weight, id: int32(len(found))})
+				found = append(found, total)
 			}
 		}
-		if candidates.Len() == 0 {
+		if len(candidates) == 0 {
 			break
 		}
-		next := heap.Pop(candidates).(Path)
-		result = append(result, next)
+		result = append(result, found[candidates.pop().id])
 	}
 	// Yen yields sorted output by construction, but candidate ties can
 	// interleave; normalize deterministically by (weight, key).
@@ -122,18 +129,4 @@ func pathWeight(g *Graph, edges []EdgeID) float64 {
 		w += g.Edge(id).Weight
 	}
 	return w
-}
-
-type pathHeap struct{ items []Path }
-
-func (h *pathHeap) Len() int           { return len(h.items) }
-func (h *pathHeap) Less(i, j int) bool { return h.items[i].Weight < h.items[j].Weight }
-func (h *pathHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *pathHeap) Push(x interface{}) { h.items = append(h.items, x.(Path)) }
-func (h *pathHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

@@ -72,7 +72,8 @@ type LSPDB struct {
 	events   []Event
 
 	// scratch for CSPF
-	avoid []bool
+	avoid    []bool
+	searcher graph.Searcher
 }
 
 // NewDB builds an empty database over a topology.
@@ -146,7 +147,7 @@ func (db *LSPDB) CSPF(ingress, egress topology.NodeID, bw unit.Bandwidth, p Prio
 	for l := range db.avoid {
 		db.avoid[l] = float64(db.topo.Capacity(topology.LinkID(l)))-db.reserved[p][l] < float64(bw)-admitEps
 	}
-	return graph.ShortestPath(db.topo.Graph(), ingress, egress, graph.Constraints{ExcludeEdges: db.avoid})
+	return db.searcher.ShortestPath(db.topo.Graph(), ingress, egress, graph.Constraints{ExcludeEdges: db.avoid})
 }
 
 // Admit signals a new LSP. When Path is empty, CSPF chooses it.

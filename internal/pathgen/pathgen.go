@@ -18,6 +18,7 @@ package pathgen
 
 import (
 	"fmt"
+	"slices"
 
 	"fubar/internal/graph"
 	"fubar/internal/topology"
@@ -55,20 +56,41 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 	return mask
 }
 
-// Generator produces policy-compliant paths over one topology. It caches
-// lowest-delay paths (they never change) and reuses exclusion scratch
-// space. Not safe for concurrent use.
+// Generator produces policy-compliant paths over one topology. It owns a
+// graph.Searcher and memoises every constrained search it answers under
+// the exact key (src, dst, exclusion set), so asking again — as
+// consecutive optimizer steps relieving the same link do — costs a map
+// lookup. A hit returns precisely what the search would compute: the
+// topology and policy are fixed for the generator's life and the key
+// holds the whole exclusion set, not a digest of it.
+//
+// Returned paths share their Edges with the memo and with every other
+// caller handed the same answer; treat them as read-only. The memo lives
+// and dies with the generator. Not safe for concurrent use: give each
+// goroutine its own.
 type Generator struct {
 	topo   *topology.Topology
 	policy Policy
+	// forbidden lists the policy's forbidden links in ascending order.
+	forbidden []graph.EdgeID
 
-	lowest  map[pairKey]cachedPath
-	exclude []bool // scratch merged exclusion set
+	searcher graph.Searcher
+	memo     map[memoKey]memoPath
+	// sets interns exclusion sets: fingerprint → IDs of the sets with that
+	// fingerprint, each an index into setLinks (ascending link lists).
+	sets     map[uint64][]int32
+	setLinks [][]graph.EdgeID
+
+	links   []graph.EdgeID // scratch: the exclusion set being looked up
+	exclude []bool         // scratch mask for the searcher; all false between searches
 }
 
-type pairKey struct{ src, dst graph.NodeID }
+type memoKey struct {
+	src, dst graph.NodeID
+	set      int32
+}
 
-type cachedPath struct {
+type memoPath struct {
 	path graph.Path
 	ok   bool
 }
@@ -87,46 +109,116 @@ func New(topo *topology.Topology, policy Policy) (*Generator, error) {
 	if len(policy.ForbiddenLinks) > topo.NumLinks() {
 		return nil, fmt.Errorf("pathgen: ForbiddenLinks longer than link count")
 	}
-	return &Generator{
+	g := &Generator{
 		topo:    topo,
 		policy:  policy,
-		lowest:  make(map[pairKey]cachedPath),
+		memo:    make(map[memoKey]memoPath),
+		sets:    make(map[uint64][]int32),
 		exclude: make([]bool, topo.NumLinks()),
-	}, nil
+	}
+	for i, bad := range policy.ForbiddenLinks {
+		if bad {
+			g.forbidden = append(g.forbidden, graph.EdgeID(i))
+		}
+	}
+	return g, nil
 }
 
 // Topology returns the generator's topology.
 func (g *Generator) Topology() *topology.Topology { return g.topo }
 
 // LowestDelay returns the lowest-delay policy-compliant path between two
-// nodes, caching the result. src==dst yields the empty path.
+// nodes. src==dst yields the empty path.
 func (g *Generator) LowestDelay(src, dst graph.NodeID) (graph.Path, bool) {
-	key := pairKey{src, dst}
-	if c, ok := g.lowest[key]; ok {
-		return c.path, c.ok
-	}
-	p, ok := g.search(src, dst, nil)
-	g.lowest[key] = cachedPath{path: p, ok: ok}
-	return p, ok
+	return g.Avoiding(src, dst, nil)
 }
 
 // Avoiding returns the lowest-delay policy-compliant path that avoids the
-// marked links. A nil avoid set is equivalent to LowestDelay (uncached).
+// marked links. A nil avoid set is equivalent to LowestDelay.
 func (g *Generator) Avoiding(src, dst graph.NodeID, avoid []bool) (graph.Path, bool) {
-	return g.search(src, dst, avoid)
+	if len(avoid) > len(g.exclude) {
+		avoid = avoid[:len(g.exclude)]
+	}
+	// Merge the mask with the (ascending) forbidden list.
+	links, forb := g.links[:0], g.forbidden
+	for i, bad := range avoid {
+		if len(forb) > 0 && int(forb[0]) == i {
+			bad, forb = true, forb[1:]
+		}
+		if bad {
+			links = append(links, graph.EdgeID(i))
+		}
+	}
+	g.links = append(links, forb...)
+	return g.lookup(src, dst)
 }
 
 // AvoidingLink returns the lowest-delay policy-compliant path avoiding a
 // single link.
 func (g *Generator) AvoidingLink(src, dst graph.NodeID, link graph.EdgeID) (graph.Path, bool) {
-	for i := range g.exclude {
-		g.exclude[i] = false
-	}
-	g.applyPolicy()
+	g.links = append(g.links[:0], g.forbidden...)
 	if int(link) >= 0 && int(link) < len(g.exclude) {
-		g.exclude[link] = true
+		if at, found := slices.BinarySearch(g.links, link); !found {
+			g.links = slices.Insert(g.links, at, link)
+		}
 	}
-	return g.constrainedSearch(src, dst)
+	return g.lookup(src, dst)
+}
+
+// lookup answers (src, dst) under the exclusion set in g.links from the
+// memo, running and recording the search on a miss.
+func (g *Generator) lookup(src, dst graph.NodeID) (graph.Path, bool) {
+	key := memoKey{src: src, dst: dst, set: g.intern(fingerprint(g.links), g.links)}
+	if m, hit := g.memo[key]; hit {
+		return m.path, m.ok
+	}
+	g.mark(g.links, true)
+	p, ok := g.searcher.ShortestPath(g.topo.Graph(), src, dst, g.constraints())
+	g.mark(g.links, false)
+	if ok && g.policy.MaxDelay > 0 && g.topo.PathDelay(p) > g.policy.MaxDelay {
+		p, ok = graph.Path{}, false
+	}
+	g.memo[key] = memoPath{path: p, ok: ok}
+	return p, ok
+}
+
+// intern returns the ID of the exclusion set links (ascending link IDs),
+// registering a copy on first sight. The fingerprint only narrows the
+// candidates; a set is matched by comparing its links, so two sets never
+// share an ID and a memo key identifies its exclusion set exactly.
+func (g *Generator) intern(fp uint64, links []graph.EdgeID) int32 {
+	ids := g.sets[fp]
+	for _, id := range ids {
+		if slices.Equal(g.setLinks[id], links) {
+			return id
+		}
+	}
+	id := int32(len(g.setLinks))
+	g.setLinks = append(g.setLinks, append([]graph.EdgeID(nil), links...))
+	g.sets[fp] = append(ids, id)
+	return id
+}
+
+// fingerprint is FNV-1a over the link IDs.
+func fingerprint(links []graph.EdgeID) uint64 {
+	h := uint64(14695981039346656037)
+	for _, l := range links {
+		h = (h ^ uint64(uint32(l))) * 1099511628211
+	}
+	return h
+}
+
+// mark sets the links' entries of the searcher's exclusion mask, which is
+// all false between searches.
+func (g *Generator) mark(links []graph.EdgeID, excluded bool) {
+	for _, l := range links {
+		g.exclude[l] = excluded
+	}
+}
+
+// constraints is the policy plus the current exclusion mask.
+func (g *Generator) constraints() graph.Constraints {
+	return graph.Constraints{ExcludeEdges: g.exclude, MaxHops: g.policy.MaxHops}
 }
 
 // Alternatives is the §2.4 trio. Each member may be absent (Has* false)
@@ -172,60 +264,18 @@ type Request struct {
 // congested aggregate.
 func (g *Generator) Alternatives(req Request) Alternatives {
 	var out Alternatives
-	out.Global, out.HasGlobal = g.search(req.Src, req.Dst, req.CongestedAll)
-	out.Local, out.HasLocal = g.search(req.Src, req.Dst, req.CongestedUsed)
+	out.Global, out.HasGlobal = g.Avoiding(req.Src, req.Dst, req.CongestedAll)
+	out.Local, out.HasLocal = g.Avoiding(req.Src, req.Dst, req.CongestedUsed)
 	out.LinkLocal, out.HasLinkLocal = g.AvoidingLink(req.Src, req.Dst, req.MostCongested)
 	return out
-}
-
-// search runs a constrained Dijkstra merging the policy's forbidden links
-// with the given avoid set.
-func (g *Generator) search(src, dst graph.NodeID, avoid []bool) (graph.Path, bool) {
-	for i := range g.exclude {
-		g.exclude[i] = false
-	}
-	g.applyPolicy()
-	for i, bad := range avoid {
-		if bad && i < len(g.exclude) {
-			g.exclude[i] = true
-		}
-	}
-	return g.constrainedSearch(src, dst)
-}
-
-func (g *Generator) applyPolicy() {
-	for i, bad := range g.policy.ForbiddenLinks {
-		if bad {
-			g.exclude[i] = true
-		}
-	}
-}
-
-func (g *Generator) constrainedSearch(src, dst graph.NodeID) (graph.Path, bool) {
-	p, ok := graph.ShortestPath(g.topo.Graph(), src, dst, graph.Constraints{
-		ExcludeEdges: g.exclude,
-		MaxHops:      g.policy.MaxHops,
-	})
-	if !ok {
-		return graph.Path{}, false
-	}
-	if g.policy.MaxDelay > 0 && g.topo.PathDelay(p) > g.policy.MaxDelay {
-		return graph.Path{}, false
-	}
-	return p, true
 }
 
 // KLowestDelay returns up to k policy-compliant paths in increasing delay
 // order (used by ablations and as a CSPF-style baseline input).
 func (g *Generator) KLowestDelay(src, dst graph.NodeID, k int) []graph.Path {
-	for i := range g.exclude {
-		g.exclude[i] = false
-	}
-	g.applyPolicy()
-	paths := graph.KShortestPaths(g.topo.Graph(), src, dst, k, graph.Constraints{
-		ExcludeEdges: g.exclude,
-		MaxHops:      g.policy.MaxHops,
-	})
+	g.mark(g.forbidden, true)
+	paths := g.searcher.KShortestPaths(g.topo.Graph(), src, dst, k, g.constraints())
+	g.mark(g.forbidden, false)
 	if g.policy.MaxDelay <= 0 {
 		return paths
 	}

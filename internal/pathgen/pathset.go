@@ -5,16 +5,17 @@ import "fubar/internal/graph"
 // PathSet is the ordered, de-duplicated set of candidate paths for one
 // aggregate (§2.4: the set starts with the lowest-delay path and grows by
 // three alternatives per iteration, typically ending at ten to fifteen).
+// Membership is a linear scan: at that size it beats hashing a key built
+// from the edge list, and it allocates nothing.
 type PathSet struct {
 	paths []graph.Path
-	index map[string]int
 	limit int
 }
 
 // NewPathSet returns an empty set. limit bounds the number of stored
 // paths (0 = unbounded); once full, Add refuses new paths.
 func NewPathSet(limit int) *PathSet {
-	return &PathSet{index: make(map[string]int), limit: limit}
+	return &PathSet{limit: limit}
 }
 
 // Len reports the number of stored paths.
@@ -28,15 +29,14 @@ func (s *PathSet) Paths() []graph.Path { return s.paths }
 func (s *PathSet) Path(i int) graph.Path { return s.paths[i] }
 
 // Contains reports whether an equal path is already stored.
-func (s *PathSet) Contains(p graph.Path) bool {
-	_, ok := s.index[p.Key()]
-	return ok
-}
+func (s *PathSet) Contains(p graph.Path) bool { return s.IndexOf(p) >= 0 }
 
 // IndexOf returns the position of an equal stored path, or -1.
 func (s *PathSet) IndexOf(p graph.Path) int {
-	if i, ok := s.index[p.Key()]; ok {
-		return i
+	for i, q := range s.paths {
+		if q.Equal(p) {
+			return i
+		}
 	}
 	return -1
 }
@@ -44,14 +44,9 @@ func (s *PathSet) IndexOf(p graph.Path) int {
 // Add inserts the path if it is not already present and the limit allows,
 // reporting whether it was inserted.
 func (s *PathSet) Add(p graph.Path) bool {
-	key := p.Key()
-	if _, ok := s.index[key]; ok {
+	if s.Contains(p) || (s.limit > 0 && len(s.paths) >= s.limit) {
 		return false
 	}
-	if s.limit > 0 && len(s.paths) >= s.limit {
-		return false
-	}
-	s.index[key] = len(s.paths)
 	s.paths = append(s.paths, p)
 	return true
 }

@@ -146,12 +146,13 @@ func (s *Sim) Install(bundles []flowmodel.Bundle) error {
 // state of the network before FUBAR runs.
 func (s *Sim) InstallShortestPaths() error {
 	var bundles []flowmodel.Bundle
+	var searcher graph.Searcher // one scratch for every aggregate's search
 	for _, a := range s.truth.Aggregates() {
 		if a.IsSelfPair() {
 			bundles = append(bundles, flowmodel.Bundle{Agg: a.ID, Flows: a.Flows})
 			continue
 		}
-		p, ok := graph.ShortestPath(s.topo.Graph(), a.Src, a.Dst, graph.Constraints{})
+		p, ok := searcher.ShortestPath(s.topo.Graph(), a.Src, a.Dst, graph.Constraints{})
 		if !ok {
 			return fmt.Errorf("sdnsim: no path for aggregate %d", a.ID)
 		}
