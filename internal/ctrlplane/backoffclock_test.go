@@ -8,21 +8,25 @@ import (
 )
 
 // fakeClock drives a ManagedAgent's connect loop one redial round at a
-// time: After blocks until the test receives the round's delay from
-// delays (so the loop can't outrun the test), then fires immediately and
-// advances the fake wall clock by the full delay.
+// time, in two phases: After hands the round's delay to the test on
+// delays, then stays parked until the test sends on release, and only
+// then fires and advances the fake wall clock by the full delay. Between
+// the two the loop is provably asleep, so the test can change what the
+// next round will see without racing its dial.
 type fakeClock struct {
-	mu     sync.Mutex
-	t      time.Time
-	delays chan time.Duration
-	quit   chan struct{}
+	mu      sync.Mutex
+	t       time.Time
+	delays  chan time.Duration
+	release chan struct{}
+	quit    chan struct{}
 }
 
 func newFakeClock() *fakeClock {
 	return &fakeClock{
-		t:      time.Unix(1_700_000_000, 0),
-		delays: make(chan time.Duration),
-		quit:   make(chan struct{}),
+		t:       time.Unix(1_700_000_000, 0),
+		delays:  make(chan time.Duration),
+		release: make(chan struct{}),
+		quit:    make(chan struct{}),
 	}
 }
 
@@ -35,6 +39,10 @@ func (c *fakeClock) Now() time.Time {
 func (c *fakeClock) After(d time.Duration) <-chan time.Time {
 	select {
 	case c.delays <- d:
+	case <-c.quit:
+	}
+	select {
+	case <-c.release:
 	case <-c.quit:
 	}
 	c.mu.Lock()
@@ -112,6 +120,13 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 			return 0
 		}
 	}
+	release := func() {
+		select {
+		case clk.release <- struct{}{}:
+		case <-time.After(5 * time.Second):
+			t.Fatal("connect loop is not parked in its backoff sleep")
+		}
+	}
 
 	// Six failed rounds walk the full schedule: 8, 16, 32, 64, 64, 64 ms
 	// pre-jitter, each delay in [b/2, b] and equal to the replayed rng.
@@ -128,15 +143,19 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 		if bounds *= 2; bounds > max {
 			bounds = max
 		}
+		if i < 5 {
+			release()
+		}
 	}
 
-	// Point the directory at a live controller before releasing the
-	// sixth sleep's round, so the next dial succeeds.
+	// The loop is parked in its sixth sleep: point the directory at a
+	// live controller, then release it, so the next dial succeeds.
 	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 	dir.set(ctrl.Addr().String())
+	release()
 	waitCond(t, "agent connected", func() bool { return ma.Connects() == 1 })
 
 	// Kill the controller: the serve loop returns, and the redial
@@ -150,6 +169,7 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 		if got != want {
 			t.Fatalf("post-reset round %d: delay %v, want %v (backoff did not reset to base)", i, got, want)
 		}
+		release()
 	}
 	if ma.Redials() < 9 {
 		t.Fatalf("counted %d redial rounds, want at least 9", ma.Redials())

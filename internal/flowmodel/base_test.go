@@ -1,0 +1,173 @@
+package flowmodel
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// requireBase asserts the whole capture contract on a Base that claims to
+// capture list: its derived arrays (orderPos, aggTerm) equal a
+// recomputation from the arrays they index, and every field equals what a
+// fresh EvaluateBase of the list captures, bit for bit.
+func requireBase(t *testing.T, tag string, m *Model, got *Base, list []Bundle) {
+	t.Helper()
+	if len(got.orderPos) != len(list) {
+		t.Fatalf("%s: orderPos has %d entries for %d bundles", tag, len(got.orderPos), len(list))
+	}
+	ranked := 0
+	for _, r := range got.orderPos {
+		if r >= 0 {
+			ranked++
+		}
+	}
+	if ranked != len(got.order) {
+		t.Fatalf("%s: %d bundles hold a rank, order has %d events", tag, ranked, len(got.order))
+	}
+	for rank, k := range got.order {
+		if got.orderPos[uint32(k)] != int32(rank) {
+			t.Fatalf("%s: orderPos[%d] = %d, want rank %d", tag, uint32(k), got.orderPos[uint32(k)], rank)
+		}
+	}
+	if len(got.aggTerm) != len(got.aggUtil) {
+		t.Fatalf("%s: %d aggTerm entries for %d aggregates", tag, len(got.aggTerm), len(got.aggUtil))
+	}
+	for a, u := range got.aggUtil {
+		if math.Float64bits(got.aggTerm[a]) != math.Float64bits(m.networkTerm(a, u)) {
+			t.Fatalf("%s: aggTerm[%d] = %v, want %v", tag, a, got.aggTerm[a], m.networkTerm(a, u))
+		}
+	}
+
+	var want Base
+	m.NewEval().EvaluateBase(list, &want)
+	same := func(field string, ok bool) {
+		t.Helper()
+		if !ok {
+			t.Fatalf("%s: %s differs from a fresh capture", tag, field)
+		}
+	}
+	same("bundles", slices.EqualFunc(got.bundles, want.bundles, func(a, b Bundle) bool {
+		return a.Agg == b.Agg && a.Flows == b.Flows && a.Delay == b.Delay && slices.Equal(a.Edges, b.Edges)
+	}))
+	same("rate", slices.Equal(got.rate, want.rate))
+	same("sat", slices.Equal(got.sat, want.sat))
+	same("byDemand", slices.Equal(got.byDemand, want.byDemand))
+	same("weight", slices.Equal(got.weight, want.weight))
+	same("demand", slices.Equal(got.demand, want.demand))
+	same("tDemand", slices.Equal(got.tDemand, want.tDemand))
+	same("order", slices.Equal(got.order, want.order))
+	same("orderPos", slices.Equal(got.orderPos, want.orderPos))
+	same("linkBun", slices.EqualFunc(got.linkBun, want.linkBun, slices.Equal[[]int32]))
+	same("aggBun", slices.EqualFunc(got.aggBun, want.aggBun, slices.Equal[[]int32]))
+	same("linkLoad", slices.Equal(got.linkLoad, want.linkLoad))
+	same("linkDem", slices.Equal(got.linkDem, want.linkDem))
+	same("isCong", slices.Equal(got.isCong, want.isCong))
+	same("binding", slices.Equal(got.binding, want.binding))
+	same("aggUtil", slices.Equal(got.aggUtil, want.aggUtil))
+	same("aggTerm", slices.Equal(got.aggTerm, want.aggTerm))
+	same("netUtility", got.netUtility == want.netUtility)
+}
+
+// relayout re-lays a bundle list the way consecutive optimizer steps do:
+// inert zero-flow placeholders leave and fresh ones arrive, every active
+// bundle keeps its relative order. Returns the new list and, per new
+// entry, the old index it came from (-1: fresh) — RemapBase's input.
+func relayout(rng *rand.Rand, old []Bundle) ([]Bundle, []int) {
+	var list []Bundle
+	var oldIdx []int
+	for i, b := range old {
+		if len(b.Edges) > 0 && rng.Intn(6) == 0 {
+			ph := b
+			ph.Flows = 0
+			list = append(list, ph)
+			oldIdx = append(oldIdx, -1)
+		}
+		if b.Flows == 0 && len(b.Edges) > 0 && rng.Intn(3) == 0 {
+			continue // drop an inert placeholder
+		}
+		list = append(list, b)
+		oldIdx = append(oldIdx, i)
+	}
+	return list, oldIdx
+}
+
+// TestBaseStaysCaptured walks one persistent Base through random
+// interleavings of the three operations that write it — a fresh capture,
+// a committed move folded in by CommitDelta, a re-layout by RemapBase —
+// and after every one holds it to requireBase: the derived arrays the
+// per-candidate path trusts (orderPos, aggTerm) are current, and the base
+// is the capture a full evaluation of its list would produce.
+func TestBaseStaysCaptured(t *testing.T) {
+	var commits, patches, remaps int
+	for seed := int64(1); seed <= 12; seed++ {
+		m, list, _ := deltaInstance(t, seed)
+		rng := rand.New(rand.NewSource(seed * 7919))
+		arena := m.NewEval()
+		base, alt := new(Base), new(Base)
+		arena.EvaluateBase(list, base)
+		requireBase(t, "capture", m, base, list)
+		for op := 0; op < 60; op++ {
+			switch rng.Intn(8) {
+			case 0:
+				arena.EvaluateBase(list, base)
+				requireBase(t, "recapture", m, base, list)
+			case 1, 2:
+				next, oldIdx := relayout(rng, list)
+				if !arena.RemapBase(base, alt, next, oldIdx) {
+					t.Fatalf("seed %d op %d: RemapBase refused a placeholder-only re-layout", seed, op)
+				}
+				base, alt, list = alt, base, next
+				remaps++
+				requireBase(t, "remap", m, base, list)
+			default:
+				cand := append([]Bundle(nil), list...)
+				changed := perturb(rng, cand)
+				if changed == nil {
+					continue
+				}
+				// Scoring the move first, as a step does, must leave
+				// nothing behind that skews the commit.
+				arena.EvaluateDeltaUtility(base, cand, changed)
+				_, patched := arena.CommitDelta(base, cand, changed)
+				list = cand
+				commits++
+				if patched {
+					patches++
+				}
+				requireBase(t, "commit", m, base, list)
+			}
+		}
+	}
+	if patches < 100 || remaps < 50 {
+		t.Fatalf("walk too shallow: %d commits (%d patched in place), %d remaps", commits, patches, remaps)
+	}
+}
+
+// A warm arena scores a candidate without allocating: every scratch the
+// delta path touches — marks, worklists, the rank bitset, the crosser
+// merge buffers — is sized on first use and reused.
+func TestEvaluateDeltaUtilityAllocatesNothing(t *testing.T) {
+	m, list := heLikeInstance(t)
+	arena := m.NewEval()
+	var base Base
+	arena.EvaluateBase(list, &base)
+	moves := moveCandidates(list, 32, 3)
+	cand := append([]Bundle(nil), list...)
+	score := func() {
+		for _, mv := range moves {
+			n := 1 + cand[mv[0]].Flows/2
+			cand[mv[0]].Flows -= n
+			cand[mv[1]].Flows += n
+			if _, fellBack := arena.EvaluateDeltaUtility(&base, cand, mv[:]); fellBack {
+				t.Fatal("in-contract candidate fell back to a full evaluation")
+			}
+			cand[mv[0]].Flows += n
+			cand[mv[1]].Flows -= n
+		}
+	}
+	score() // warm every scratch
+	if avg := testing.AllocsPerRun(20, score); avg != 0 {
+		t.Errorf("%.2f allocations per %d warm EvaluateDeltaUtility calls, want 0", avg, len(moves))
+	}
+}

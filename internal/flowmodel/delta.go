@@ -60,6 +60,7 @@ package flowmodel
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"fubar/internal/graph"
@@ -79,9 +80,12 @@ type Base struct {
 	weight  []float64
 	demand  []float64
 	tDemand []float64
-	// order is the base's sorted demand-event list; a delta fill filters
-	// it down to the affected set instead of re-sorting.
+	// order is the base's sorted demand-event list; a delta fill picks the
+	// affected set's events out of it instead of re-sorting. orderPos is
+	// its inverse — bundle → rank in order, -1 for bundles without an
+	// event — so the pick costs the affected set, not the list.
 	order    []uint64
+	orderPos []int32
 	linkBun  [][]int32 // per link: active crossing bundles, index order
 	aggBun   [][]int32 // per aggregate: its bundle indices, index order
 	linkLoad []float64
@@ -92,8 +96,12 @@ type Base struct {
 	// They are the only conduits the affected-set fixpoint propagates
 	// through eagerly; every other link is excluded optimistically and
 	// verified by the final-load check.
-	binding    []bool
-	aggUtil    []float64 // post-division per-aggregate utilities
+	binding []bool
+	aggUtil []float64 // post-division per-aggregate utilities
+	// aggTerm caches every aggregate's term of the network-utility fold
+	// (Model.networkTerm of aggUtil), so scoring a candidate re-derives
+	// only the terms of the aggregates it dirtied.
+	aggTerm    []float64
 	netUtility float64
 }
 
@@ -176,7 +184,7 @@ type deltaScratch struct {
 	linkMark  []uint32  // per link: in the sub-problem
 	tchMark   []uint32  // per link: touched (load recompute only)
 	aggMark   []uint32  // per aggregate: utility recompute needed
-	affected  []int32   // affected bundle indices (sorted before each fill)
+	affected  []int32   // affected bundle indices, discovery order
 	subLinks  []int32   // sub-problem links, discovery order (worklist)
 	touched   []int32   // touched slack links
 	dirtyAggs []int32   // aggregates needing utility recompute
@@ -184,7 +192,8 @@ type deltaScratch struct {
 	tsMark    []uint32  // per link: touched-seed (demand+load recompute)
 	seedLinks []int32   // seed links, discovery order
 	tchSeed   []int32   // touched-seed links
-	chCross   []int32   // scratch: changed bundles crossing one link
+	chCross   []int32   // scratch: changedCrossers' result
+	rankBits  []uint64  // bitset over base.order ranks; all zero between uses
 	lbScratch []int32   // scratch: crosser-list merge buffer (patchBase)
 	wDelta    []float64 // per seed link: crossing-weight change of the move
 	dDelta    []float64 // per seed link: crossing-demand change of the move
@@ -197,6 +206,7 @@ func (d *deltaScratch) grow(nB, nL, nA int) {
 		d.eagerMark = make([]uint32, nB)
 		// Fresh zeroed arrays are consistent with any epoch except 0,
 		// which bump() skips.
+		d.rankBits = make([]uint64, (nB+63)/64)
 	}
 	d.bunMark = d.bunMark[:nB]
 	d.chMark = d.chMark[:nB]
@@ -259,10 +269,15 @@ func (e *Eval) captureState(bundles []Bundle, res *Result, base *Base) {
 	base.demand = append(base.demand[:0], e.demand[:len(bundles)]...)
 	base.tDemand = append(base.tDemand[:0], e.tDemand[:len(bundles)]...)
 	base.order = append(base.order[:0], e.order...)
+	base.indexOrder()
 	base.linkLoad = append(base.linkLoad[:0], res.LinkLoad...)
 	base.linkDem = append(base.linkDem[:0], res.LinkDemand...)
 	base.isCong = append(base.isCong[:0], res.IsCongested...)
 	base.aggUtil = append(base.aggUtil[:0], res.AggUtility...)
+	base.aggTerm = resizeF(base.aggTerm, len(base.aggUtil))
+	for a, u := range base.aggUtil {
+		base.aggTerm[a] = e.m.networkTerm(a, u)
+	}
 	base.netUtility = res.NetworkUtility
 	nL := len(res.LinkLoad)
 	if cap(base.linkBun) < nL {
@@ -480,30 +495,16 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 			return fallback()
 		}
 
-		// Canonical (bundle index) order for all per-link accumulations.
-		slices.Sort(d.affected)
-
-		// Sub-problem link reset + participation stamp: freezeBundle and
-		// setupBundle ignore links outside the stamp, so affected
-		// bundles' slack links keep their base bookkeeping untouched.
-		e.bumpLinkEpoch()
-		for _, l := range d.subLinks {
-			e.linkW[l] = 0
-			e.linkFrozen[l] = 0
-			e.linkBun[l] = e.linkBun[l][:0]
-			e.linkIn[l] = e.linkEpoch
-			res.LinkDemand[l] = 0
-			res.IsCongested[l] = false
-		}
-
+		// Per-bundle fill parameters, in no particular order: nothing here
+		// accumulates. Changed bundles compute theirs; the rest splice the
+		// base's (bit-identical by definition) and flag their demand event
+		// by its rank in the base's order.
 		active := 0
 		for _, i := range d.affected {
 			if d.chMark[i] == d.epoch {
-				active += e.setupBundle(bundles, int(i), res)
+				active += e.setupParams(bundles, int(i), res)
 				continue
 			}
-			// Unchanged bundle: splice the base's cached fill parameters
-			// instead of recomputing them (bit-identical by definition).
 			w := base.weight[i]
 			e.weight[i] = w
 			e.demand[i] = base.demand[i]
@@ -525,24 +526,63 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 			res.BundleSatisfied[i] = false
 			e.frozen[i] = false
 			active++
-			dem := e.demand[i]
-			for _, eid := range bundles[i].Edges {
-				if e.linkIn[eid] != e.linkEpoch {
-					continue // outside the sub-problem
-				}
-				e.linkW[eid] += w
-				e.linkBun[eid] = append(e.linkBun[eid], i)
-				res.LinkDemand[eid] += dem
-			}
+			rank := base.orderPos[i]
+			d.rankBits[rank>>6] |= 1 << (rank & 63)
 		}
-		// Demand events: filter the base's sorted order down to the
-		// active unchanged affected bundles, then merge in the (few)
-		// changed ones — same keys, same relative order as a fresh sort.
+
+		// Per-link accumulation, in canonical (bundle index) order. Every
+		// active crosser of a sub-problem link is affected (the closure
+		// property), so the link's candidate crossers are the base's
+		// ascending list with the changed bundles' membership adjusted —
+		// walking it adds the same weights and demands, in the same order,
+		// as a pass over the sorted affected set would. The stamp is what
+		// lets freezeBundle leave affected bundles' slack links alone.
+		e.bumpLinkEpoch()
+		for _, l := range d.subLinks {
+			var ch []int32 // changed bundles crossing l: seed links only
+			if d.seedMark[l] == d.epoch {
+				ch = e.changedCrossers(bundles, l, changed)
+			}
+			var w, dem float64
+			lb := e.linkBun[l][:0]
+			add := func(bi int32, bw, bd float64) {
+				w += bw
+				dem += bd
+				lb = append(lb, bi)
+			}
+			k := 0
+			for _, bi := range base.linkBun[l] {
+				if d.chMark[bi] == d.epoch {
+					continue // old membership; merged back below if still crossing
+				}
+				for ; k < len(ch) && ch[k] < bi; k++ {
+					add(ch[k], e.weight[ch[k]], e.demand[ch[k]])
+				}
+				add(bi, base.weight[bi], base.demand[bi])
+			}
+			for ; k < len(ch); k++ {
+				add(ch[k], e.weight[ch[k]], e.demand[ch[k]])
+			}
+			e.linkW[l] = w
+			e.linkFrozen[l] = 0
+			e.linkBun[l] = lb
+			e.linkIn[l] = e.linkEpoch
+			res.LinkDemand[l] = dem
+			res.IsCongested[l] = false
+		}
+
+		// Demand events: the flagged ranks, ascending, are the base's
+		// sorted order restricted to the active unchanged affected bundles;
+		// then merge in the (few) changed ones — same keys, same relative
+		// order as a fresh sort.
 		e.order = e.order[:0]
-		for _, k := range base.order {
-			i := uint32(k)
-			if d.bunMark[i] == d.epoch && d.chMark[i] != d.epoch {
-				e.order = append(e.order, k)
+		for wi, word := range d.rankBits[:(len(base.order)+63)/64] {
+			if word == 0 {
+				continue
+			}
+			d.rankBits[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				e.order = append(e.order, base.order[wi<<6|bits.TrailingZeros64(word)])
 			}
 		}
 		for _, ci := range changed {
@@ -715,6 +755,25 @@ func (d *deltaScratch) propagate(base *Base, edges []graph.EdgeID) {
 	}
 }
 
+// changedCrossers lists the changed bundles that actively cross link l in
+// the candidate list, ascending and without duplicates (changed may name
+// an index twice): what a seed link's crosser list gains over the base's
+// once the changed bundles' old memberships are dropped. Valid once the
+// changed bundles' fill parameters are set up; the result is scratch,
+// overwritten by the next call.
+func (e *Eval) changedCrossers(bundles []Bundle, l int32, changed []int) []int32 {
+	ch := e.delta.chCross[:0]
+	for _, ci := range changed {
+		if e.weight[ci] > 0 && slices.Contains(bundles[ci].Edges, graph.EdgeID(l)) {
+			ch = append(ch, int32(ci))
+		}
+	}
+	slices.Sort(ch)
+	ch = slices.Compact(ch)
+	e.delta.chCross = ch
+	return ch
+}
+
 // touchedSeedFix recomputes a touched-seed link's demand and load over
 // the candidate's crossing set — the base's active crossers with the
 // changed bundles' membership adjusted — in bundle-index order, matching
@@ -722,23 +781,7 @@ func (d *deltaScratch) propagate(base *Base, edges []graph.EdgeID) {
 // load for the caller's capacity check.
 func (e *Eval) touchedSeedFix(base *Base, bundles []Bundle, l int32, changed []int, res *Result) float64 {
 	d := &e.delta
-	// The (few) changed bundles that actively cross l in the new list,
-	// ascending.
-	ch := d.chCross[:0]
-	for _, ci := range changed {
-		if activeWeight(e.m, bundles[ci]) <= 0 {
-			continue
-		}
-		for _, eid := range bundles[ci].Edges {
-			if int32(eid) == l {
-				ch = append(ch, int32(ci))
-				break
-			}
-		}
-	}
-	slices.Sort(ch)
-	ch = slices.Compact(ch) // changed may list an index twice
-	d.chCross = ch
+	ch := e.changedCrossers(bundles, l, changed)
 	var dem, load float64
 	k := 0
 	take := func(bi int32) {
@@ -772,8 +815,8 @@ func (e *Eval) touchedSeedFix(base *Base, bundles []Bundle, l int32, changed []i
 // utilities for every other aggregate, then re-folds the network total
 // over every aggregate in index order — the same accumulation the full
 // path performs, so the result is bit-identical. It reads rates via
-// deltaRate and folds non-dirty aggregates from the base's utilities, so
-// it is valid in utility-only mode too (where res was never spliced);
+// deltaRate and folds non-dirty aggregates from the base's cached terms,
+// so it is valid in utility-only mode too (where res was never spliced);
 // in full-result mode the base values equal the spliced res values, so
 // both modes fold the identical numbers.
 func (e *Eval) deltaUtility(base *Base, bundles []Bundle, changed []int, res *Result) {
@@ -810,14 +853,12 @@ func (e *Eval) deltaUtility(base *Base, bundles []Bundle, changed []int, res *Re
 		}
 		res.AggUtility[a] = sum
 	}
-	nA := m.mat.NumAggregates()
 	var total float64
-	for i := 0; i < nA; i++ {
-		u := base.aggUtil[i]
-		if d.aggMark[i] == d.epoch {
-			u = res.AggUtility[i]
+	for a, term := range base.aggTerm {
+		if d.aggMark[a] == d.epoch {
+			term = m.networkTerm(a, res.AggUtility[a])
 		}
-		total += u * m.aggWeight[i] * float64(m.aggFlows[i])
+		total += term
 	}
 	if m.totalWeight > 0 {
 		res.NetworkUtility = total / m.totalWeight

@@ -11,20 +11,14 @@ import (
 )
 
 // heLikeInstance builds a HE-31-shaped congested instance with a dense
-// allocation (every aggregate's flows split across its 3 lowest-delay
-// paths, some entries zero) — the list shape core's trial-move engine
-// evaluates.
+// allocation — the list shape core's trial-move engine evaluates.
 func heLikeInstance(tb testing.TB) (*Model, []Bundle) {
 	tb.Helper()
 	topo, err := topology.HurricaneElectric(6 * unit.Mbps)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := traffic.DefaultGenConfig(5)
-	cfg.RealTimeFlows = [2]int{2, 10}
-	cfg.BulkFlows = [2]int{1, 4}
-	cfg.IncludeSelfPairs = false
-	full, err := traffic.Generate(topo, cfg)
+	full, err := traffic.Generate(topo, benchGenConfig(5))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -32,6 +26,38 @@ func heLikeInstance(tb testing.TB) (*Model, []Bundle) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return denseAllocation(tb, topo, mat)
+}
+
+// scaleSInstance is the scale-s preset (internal/scenario, which this
+// package cannot import): a 100-node Waxman topology under 1500 sparse
+// aggregates, ≈8× heLikeInstance's bundle list. What a candidate perturbs
+// does not grow with the list, so neither should the cost of scoring it.
+func scaleSInstance(tb testing.TB) (*Model, []Bundle) {
+	tb.Helper()
+	topo, err := topology.Waxman(100, 0.25, 0.15, 16*unit.Mbps, 50*unit.Millisecond, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mat, err := traffic.Sparse(topo, benchGenConfig(2), 1500)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return denseAllocation(tb, topo, mat)
+}
+
+func benchGenConfig(seed int64) traffic.GenConfig {
+	cfg := traffic.DefaultGenConfig(seed)
+	cfg.RealTimeFlows = [2]int{2, 10}
+	cfg.BulkFlows = [2]int{1, 4}
+	cfg.IncludeSelfPairs = false
+	return cfg
+}
+
+// denseAllocation splits every aggregate's flows across its 3
+// lowest-delay paths, some entries zero.
+func denseAllocation(tb testing.TB, topo *topology.Topology, mat *traffic.Matrix) (*Model, []Bundle) {
+	tb.Helper()
 	m, err := New(topo, mat)
 	if err != nil {
 		tb.Fatal(err)
@@ -120,37 +146,51 @@ func BenchmarkEvaluateFullCandidate(b *testing.B) {
 }
 
 // BenchmarkEvaluateDeltaCandidate is the same candidates through the
-// incremental path against a captured base.
+// incremental path against a captured base: with the full Result
+// (EvaluateDelta, what a commit pays) and scored only
+// (EvaluateDeltaUtility, what every candidate pays), on the HE-like list
+// and on the ≈8× longer scale-s one. A per-candidate term proportional to
+// the list, not to affected-frac × list, shows as the utility rows'
+// ns/affected-bundle growing with the instance.
 func BenchmarkEvaluateDeltaCandidate(b *testing.B) {
-	m, bundles := heLikeInstance(b)
-	moves := moveCandidates(bundles, 256, 3)
-	arena := m.NewEval()
-	var base Base
-	m.NewEval().EvaluateBase(bundles, &base)
-	buf := append([]Bundle(nil), bundles...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mv := moves[i%len(moves)]
-		n := 1 + buf[mv[0]].Flows/2
-		buf[mv[0]].Flows -= n
-		buf[mv[1]].Flows += n
-		changed := [2]int{mv[0], mv[1]}
-		if changed[0] > changed[1] {
-			changed[0], changed[1] = changed[1], changed[0]
+	for _, inst := range []struct {
+		name  string
+		build func(testing.TB) (*Model, []Bundle)
+	}{{"he", heLikeInstance}, {"scale-s", scaleSInstance}} {
+		m, bundles := inst.build(b)
+		moves := moveCandidates(bundles, 256, 3)
+		var base Base
+		m.NewEval().EvaluateBase(bundles, &base)
+		for _, utilityOnly := range []bool{false, true} {
+			name := inst.name + "/result"
+			if utilityOnly {
+				name = inst.name + "/utility"
+			}
+			b.Run(name, func(b *testing.B) {
+				arena := m.NewEval()
+				buf := append([]Bundle(nil), bundles...)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					mv := moves[i%len(moves)]
+					n := 1 + buf[mv[0]].Flows/2
+					buf[mv[0]].Flows -= n
+					buf[mv[1]].Flows += n
+					changed := [2]int{min(mv[0], mv[1]), max(mv[0], mv[1])}
+					if utilityOnly {
+						arena.EvaluateDeltaUtility(&base, buf, changed[:])
+					} else {
+						arena.EvaluateDelta(&base, buf, changed[:])
+					}
+					buf[mv[0]].Flows += n
+					buf[mv[1]].Flows -= n
+				}
+				st := arena.DeltaStats()
+				b.ReportMetric(float64(len(bundles)), "bundles")
+				b.ReportMetric(float64(st.Fallbacks)/float64(st.Calls), "fallback-frac")
+				b.ReportMetric(float64(st.AffectedBundles)/float64(max(1, st.ListBundles)), "affected-frac")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(1, st.AffectedBundles)), "ns/affected-bundle")
+			})
 		}
-		arena.EvaluateDelta(&base, buf, changed[:])
-		buf[mv[0]].Flows += n
-		buf[mv[1]].Flows -= n
 	}
-	st := arena.DeltaStats()
-	b.ReportMetric(float64(st.Fallbacks)/float64(st.Calls), "fallback-frac")
-	b.ReportMetric(float64(st.AffectedBundles)/float64(max64(1, st.ListBundles)), "affected-frac")
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

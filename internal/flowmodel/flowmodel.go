@@ -310,10 +310,26 @@ func (e *Eval) Evaluate(bundles []Bundle) *Result {
 }
 
 // setupBundle initializes bundle i's filling parameters and accumulates
-// its weight and demand onto the stamped links it crosses. Returns 1 when
-// the bundle enters the filling as active, 0 when it freezes immediately
-// (self-pair, empty, or zero-demand placeholder).
+// its weight and demand onto the links it crosses. Returns 1 when the
+// bundle enters the filling as active, 0 when it freezes immediately.
 func (e *Eval) setupBundle(bundles []Bundle, i int, res *Result) int {
+	if e.setupParams(bundles, i, res) == 0 {
+		return 0
+	}
+	w, d := e.weight[i], e.demand[i]
+	for _, eid := range bundles[i].Edges {
+		e.linkW[eid] += w
+		e.linkBun[eid] = append(e.linkBun[eid], int32(i))
+		res.LinkDemand[eid] += d
+	}
+	return 1
+}
+
+// setupParams initializes bundle i's filling parameters and rate, touching
+// no link (the delta path accumulates links on its own, per link). Returns
+// 1 when the bundle enters the filling as active, 0 when it freezes
+// immediately (self-pair, empty, or zero-demand placeholder).
+func (e *Eval) setupParams(bundles []Bundle, i int, res *Result) int {
 	b := bundles[i]
 	d := e.m.demandPer[b.Agg] * float64(b.Flows)
 	e.demand[i] = d
@@ -333,14 +349,6 @@ func (e *Eval) setupBundle(bundles []Bundle, i int, res *Result) int {
 	e.weight[i] = w
 	e.tDemand[i] = d / w
 	e.frozen[i] = false
-	for _, eid := range b.Edges {
-		if e.linkIn[eid] != e.linkEpoch {
-			continue // outside the delta sub-problem
-		}
-		e.linkW[eid] += w
-		e.linkBun[eid] = append(e.linkBun[eid], int32(i))
-		res.LinkDemand[eid] += d
-	}
 	return 1
 }
 
@@ -531,17 +539,26 @@ func (e *Eval) computeUtility(bundles []Bundle, res *Result) {
 	}
 	var total float64
 	for i := 0; i < nA; i++ {
-		f := float64(m.aggFlows[i])
-		if f > 0 {
+		if f := float64(m.aggFlows[i]); f > 0 {
 			res.AggUtility[i] /= f
 		}
-		total += res.AggUtility[i] * m.aggWeight[i] * f
+		total += m.networkTerm(i, res.AggUtility[i])
 	}
 	if m.totalWeight > 0 {
 		res.NetworkUtility = total / m.totalWeight
 	} else {
 		res.NetworkUtility = 0
 	}
+}
+
+// networkTerm returns aggregate a's term of the network-utility fold for
+// a given aggregate utility: utility × weight × flows. The full path sums
+// these directly and a Base caches them (Base.aggTerm), so the product
+// must round the same way wherever it is taken: the explicit conversion
+// keeps a compiler that fuses multiply-adds from folding it into the
+// caller's running sum.
+func (m *Model) networkTerm(a int, util float64) float64 {
+	return float64(util * m.aggWeight[a] * float64(m.aggFlows[a]))
 }
 
 // utilityTerm returns one bundle's flow-weighted utility contribution:

@@ -75,6 +75,7 @@ func (e *Eval) patchBase(base *Base, bundles []Bundle, changed []int, res *Resul
 			base.order = slices.Insert(base.order, at, k)
 		}
 	}
+	base.indexOrder()
 
 	// Per-bundle state. Rates and satisfaction come wholesale from the
 	// result (it holds full arrays, spliced plus re-solved); freeze modes
@@ -97,6 +98,9 @@ func (e *Eval) patchBase(base *Base, bundles []Bundle, changed []int, res *Resul
 	base.linkDem = append(base.linkDem[:0], res.LinkDemand...)
 	base.isCong = append(base.isCong[:0], res.IsCongested...)
 	base.aggUtil = append(base.aggUtil[:0], res.AggUtility...)
+	for _, a := range d.dirtyAggs {
+		base.aggTerm[a] = m.networkTerm(int(a), res.AggUtility[a])
+	}
 	base.netUtility = res.NetworkUtility
 
 	// Crosser lists: sub-problem links were rebuilt complete by the fill
@@ -133,22 +137,7 @@ func (e *Eval) patchBase(base *Base, bundles []Bundle, changed []int, res *Resul
 // moved on or off.
 func (e *Eval) mergeChangedCrossers(base *Base, bundles []Bundle, l int32, changed []int) {
 	d := &e.delta
-	ch := d.chCross[:0]
-	for _, ci := range changed {
-		if activeWeight(e.m, bundles[ci]) <= 0 {
-			continue
-		}
-		for _, eid := range bundles[ci].Edges {
-			if int32(eid) == l {
-				ch = append(ch, int32(ci))
-				break
-			}
-		}
-	}
-	slices.Sort(ch)
-	ch = slices.Compact(ch)
-	d.chCross = ch
-
+	ch := e.changedCrossers(bundles, l, changed)
 	buf := d.lbScratch[:0]
 	k := 0
 	for _, bi := range base.linkBun[l] {
@@ -253,6 +242,7 @@ func (e *Eval) RemapBase(src, dst *Base, bundles []Bundle, oldIdx []int) bool {
 		}
 		dst.order = append(dst.order, k&^uint64(math.MaxUint32)|uint64(uint32(j)))
 	}
+	dst.indexOrder()
 
 	// Per-link state: loads, demands, congestion and bindings are
 	// layout-independent; crosser lists (active bundles only, index
@@ -262,6 +252,7 @@ func (e *Eval) RemapBase(src, dst *Base, bundles []Bundle, oldIdx []int) bool {
 	dst.isCong = append(dst.isCong[:0], src.isCong...)
 	dst.binding = append(dst.binding[:0], src.binding...)
 	dst.aggUtil = append(dst.aggUtil[:0], src.aggUtil...)
+	dst.aggTerm = append(dst.aggTerm[:0], src.aggTerm...)
 	dst.netUtility = src.netUtility
 	nL := len(src.linkBun)
 	if cap(dst.linkBun) < nL {
@@ -292,6 +283,23 @@ func (e *Eval) RemapBase(src, dst *Base, bundles []Bundle, oldIdx []int) bool {
 		dst.aggBun[b.Agg] = append(dst.aggBun[b.Agg], int32(i))
 	}
 	return true
+}
+
+// indexOrder rebuilds orderPos, the inverse of order, for the captured
+// list: every writer of order calls it, once per capture, commit or
+// remap — O(bundles), never per candidate.
+func (b *Base) indexOrder() {
+	n := len(b.bundles)
+	if cap(b.orderPos) < n {
+		b.orderPos = make([]int32, n)
+	}
+	b.orderPos = b.orderPos[:n]
+	for i := range b.orderPos {
+		b.orderPos[i] = -1
+	}
+	for rank, k := range b.order {
+		b.orderPos[uint32(k)] = int32(rank)
+	}
 }
 
 // NetworkUtility returns the captured network utility of the base's

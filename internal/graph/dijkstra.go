@@ -1,7 +1,5 @@
 package graph
 
-import "math"
-
 // Constraints restricts the paths a search may return. The zero value means
 // "no restriction".
 type Constraints struct {
@@ -97,25 +95,72 @@ func (s *Searcher) ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Pa
 	return Path{Edges: edges, Weight: end.dist}, true
 }
 
-// ShortestPathTree computes minimum distances from src to every node,
-// honoring the edge and node exclusions (MaxHops is ignored; used for
-// heuristics and validation). Unreachable nodes have +Inf distance.
-func (s *Searcher) ShortestPathTree(g *Graph, src NodeID, cons Constraints) []float64 {
+// Tree is a shortest-path tree rooted at one source: for every node, the
+// edge it is entered by on its minimum-weight path from the source. Four
+// bytes a node is all it keeps — a path's hop count and weight come back
+// from the walk that rebuilds it. A Tree is immutable and independent of
+// the Searcher that built it.
+type Tree struct {
+	src NodeID
+	// prev[v] is the edge entering v, or -1 at the source and at nodes the
+	// search did not reach.
+	prev []int32
+}
+
+// ShortestPathTree settles every node reachable from src under the edge
+// and node exclusions (MaxHops is ignored) and returns the predecessor
+// tree. It is the search ShortestPath runs, minus the early exit at a
+// destination, so one tree answers every destination the way its own
+// search would (see Tree.Path).
+func (s *Searcher) ShortestPathTree(g *Graph, src NodeID, cons Constraints) Tree {
 	n := g.NumNodes()
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
+	t := Tree{src: src}
 	if int(src) < 0 || int(src) >= n {
-		return dist
+		return t
 	}
 	s.dijkstra(g, src, -1, cons)
-	for i := range dist {
+	t.prev = make([]int32, n)
+	for i := range t.prev {
+		t.prev[i] = -1
 		if st := &s.nodes[i]; st.seen == s.epoch {
-			dist[i] = st.dist
+			t.prev[i] = int32(st.prev)
 		}
 	}
-	return dist
+	return t
+}
+
+// Path returns the tree's path to dst and whether dst is reachable;
+// dst equal to the source yields the empty path. It is ShortestPath's
+// answer for the same source and constraints bit for bit, edges and
+// Weight, for every dst outside ExcludeNodes (a search admits its own
+// destination; a tree has none to admit). Both searches pop the same
+// sequence until dst settles, and nothing later can rewrite a settled
+// node or its ancestors: only a strictly smaller distance replaces a
+// predecessor, and every later pop is at least as far. Weight is summed
+// from the source outward, the additions the search made to reach dst.
+// The returned edge list is freshly allocated.
+func (t Tree) Path(g *Graph, dst NodeID) (Path, bool) {
+	if dst == t.src {
+		return Path{}, true
+	}
+	if int(dst) < 0 || int(dst) >= len(t.prev) || t.prev[dst] < 0 {
+		return Path{}, false
+	}
+	hops := 0
+	for at := dst; at != t.src; at = g.edges[t.prev[at]].From {
+		hops++
+	}
+	edges := make([]EdgeID, hops)
+	for at, i := dst, hops-1; i >= 0; i-- {
+		id := EdgeID(t.prev[at])
+		edges[i] = id
+		at = g.edges[id].From
+	}
+	var w float64
+	for _, id := range edges {
+		w += g.edges[id].Weight
+	}
+	return Path{Edges: edges, Weight: w}, true
 }
 
 // dijkstra settles nodes in distance order from src until dst is settled
@@ -255,7 +300,7 @@ func ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
 }
 
 // ShortestPathTree is Searcher.ShortestPathTree on a throwaway Searcher.
-func ShortestPathTree(g *Graph, src NodeID, cons Constraints) []float64 {
+func ShortestPathTree(g *Graph, src NodeID, cons Constraints) Tree {
 	var s Searcher
 	return s.ShortestPathTree(g, src, cons)
 }

@@ -207,12 +207,22 @@ func TestShortestPathMaxHops(t *testing.T) {
 
 func TestShortestPathTree(t *testing.T) {
 	g := diamond(t)
-	dist := ShortestPathTree(g, 0, Constraints{})
+	tree := ShortestPathTree(g, 0, Constraints{})
 	want := []float64{0, 1, 2, 2}
 	for i, w := range want {
-		if dist[i] != w {
-			t.Errorf("dist[%d] = %v, want %v", i, dist[i], w)
+		p, ok := tree.Path(g, NodeID(i))
+		if !ok || p.Weight != w {
+			t.Errorf("path to %d: weight %v ok=%v, want %v", i, p.Weight, ok, w)
 		}
+		if err := p.Validate(g, 0, NodeID(i)); i != 0 && err != nil {
+			t.Errorf("path to %d: %v", i, err)
+		}
+	}
+	if _, ok := ShortestPathTree(g, 3, Constraints{}).Path(g, 0); ok {
+		t.Error("node 0 is unreachable from the sink")
+	}
+	if _, ok := ShortestPathTree(g, 99, Constraints{}).Path(g, 0); ok {
+		t.Error("a tree from a node outside the graph reaches nothing")
 	}
 }
 
@@ -319,9 +329,9 @@ func TestShortestPathProperty(t *testing.T) {
 		if err := p.Validate(g, src, dst); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		dist := ShortestPathTree(g, src, Constraints{})
-		if diff := p.Weight - dist[dst]; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("trial %d: path weight %v != tree distance %v", trial, p.Weight, dist[dst])
+		tp, ok := ShortestPathTree(g, src, Constraints{}).Path(g, dst)
+		if !ok || tp.Weight != p.Weight || !tp.Equal(p) {
+			t.Fatalf("trial %d: tree path %v (%v) != searched path %v (%v)", trial, tp.Edges, tp.Weight, p.Edges, p.Weight)
 		}
 	}
 }

@@ -161,29 +161,49 @@ func TestSearcherMatchesHeapOracle(t *testing.T) {
 	}
 }
 
-// ShortestPathTree must agree with per-destination searches under the
-// same exclusions, on a Searcher that has just answered other queries.
-func TestSearcherTreeMatchesPaths(t *testing.T) {
+// One tree must answer every destination exactly as that destination's
+// own early-exit search does — same edges, same Weight bits — on rings,
+// tie-heavy chorded graphs with zero-weight edges, and under excluded edge
+// and node sets, from a Searcher that has just answered other queries. An
+// excluded node is the one documented difference: a search admits its own
+// destination, a tree does not reach it.
+func TestTreeMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var s Searcher
-	for trial := 0; trial < 40; trial++ {
-		n := 4 + rng.Intn(30)
-		g := tieGraph(rng, n, n, 4)
-		cons := Constraints{ExcludeEdges: randomMask(rng, g.NumEdges(), 0.2)}
+	var s, ref Searcher
+	pairs := 0
+	for trial := 0; trial < 120; trial++ {
+		n := 3 + rng.Intn(40)
+		chords := rng.Intn(2 * n) // 0 chords: a pure ring
+		g := tieGraph(rng, n, chords, rng.Intn(4))
+		var cons Constraints
+		switch trial % 3 {
+		case 1:
+			cons.ExcludeEdges = randomMask(rng, g.NumEdges(), 0.2)
+		case 2:
+			cons.ExcludeEdges = randomMask(rng, g.NumEdges()/2, 0.3) // short mask
+			cons.ExcludeNodes = randomMask(rng, n, 0.1)
+		}
 		src := NodeID(rng.Intn(n))
-		dist := s.ShortestPathTree(g, src, cons)
-		for dst := 0; dst < n; dst++ {
-			p, ok := oracleShortestPath(g, src, NodeID(dst), cons)
-			if !ok {
-				if !math.IsInf(dist[dst], 1) {
-					t.Fatalf("trial %d: node %d unreachable but dist %v", trial, dst, dist[dst])
+		s.ShortestPath(g, NodeID(rng.Intn(n)), src, cons) // dirty the scratch
+		tree := s.ShortestPathTree(g, src, cons)
+		for dst := NodeID(0); int(dst) < n; dst++ {
+			got, gotOK := tree.Path(g, dst)
+			if dst != src && cons.nodeExcluded(dst) {
+				if gotOK {
+					t.Fatalf("trial %d: tree reaches excluded node %d", trial, dst)
 				}
 				continue
 			}
-			if dist[dst] != p.Weight {
-				t.Fatalf("trial %d: dist[%d] = %v, path weight %v", trial, dst, dist[dst], p.Weight)
+			want, wantOK := ref.ShortestPath(g, src, dst, cons)
+			pairs++
+			if gotOK != wantOK || math.Float64bits(got.Weight) != math.Float64bits(want.Weight) || !got.Equal(want) {
+				t.Fatalf("trial %d (%d->%d, n=%d): tree %v %v ok=%v, search %v %v ok=%v",
+					trial, src, dst, n, got.Edges, got.Weight, gotOK, want.Edges, want.Weight, wantOK)
 			}
 		}
+	}
+	if pairs < 2000 {
+		t.Fatalf("only %d pairs", pairs)
 	}
 }
 

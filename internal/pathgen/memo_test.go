@@ -1,6 +1,8 @@
 package pathgen
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -51,7 +53,13 @@ func TestInternVerifiesLinksNotFingerprint(t *testing.T) {
 // Memo exactness: a generator that has answered thousands of requests —
 // slowly drifting congestion masks, so most requests repeat an earlier
 // key, as consecutive optimizer steps do — must answer each exactly as a
-// generator built for that one request does, under every policy knob.
+// generator built for that one request does (whose one miss is a plain
+// early-exit search), under every policy knob and whatever miss count
+// grows a (src, exclusion set) pair's tree: first, second, the shipped
+// one, never. The requests are an optimisation's: every aggregate's
+// lowest-delay path first, then the alternatives trio for all of them
+// under each step's congestion — many destinations per source, which is
+// what the trees answer.
 func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 	topo := heTopo(t)
 	nL, nN := topo.NumLinks(), topo.NumNodes()
@@ -60,57 +68,74 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 		"forbidden": {ForbiddenLinks: ForbidLinks(topo, 3, 11, 40)},
 		"bounded":   {MaxHops: 5, MaxDelay: 60 * unit.Millisecond, ForbiddenLinks: ForbidLinks(topo, 8)[:20]},
 	}
+	const steps = 60
 	for name, policy := range policies {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(17))
-			long, err := New(topo, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all := make([]bool, nL)
-			used := make([]bool, nL)
-			for i := 0; i < 6; i++ {
-				all[rng.Intn(nL)] = true
-			}
-			pairs := make([][2]graph.NodeID, 12)
-			for i := range pairs {
-				pairs[i] = [2]graph.NodeID{graph.NodeID(rng.Intn(nN)), graph.NodeID(rng.Intn(nN))}
-			}
-			for step := 0; step < 400; step++ {
-				if step%4 == 0 { // the congestion set drifts by one link
-					l := rng.Intn(nL)
-					all[l] = !all[l]
+		for _, treeAfter := range []int32{1, 2, treeAfterMisses, math.MaxInt32} {
+			t.Run(fmt.Sprintf("%s/tree-after-%d", name, treeAfter), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(17))
+				long, err := New(topo, policy)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, pr := range pairs {
-					most := graph.EdgeID(-1)
-					for l := range used {
-						used[l] = all[l] && (l+int(pr[0]))%3 == 0
-						if used[l] && most < 0 {
-							most = graph.EdgeID(l)
-						}
-					}
-					req := Request{Src: pr[0], Dst: pr[1], CongestedAll: all, CongestedUsed: used, MostCongested: most}
-					fresh, err := New(topo, policy)
+				long.treeAfter = treeAfter
+				fresh := func() *Generator {
+					g, err := New(topo, policy)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, want := long.Alternatives(req), fresh.Alternatives(req)
-					if !sameAnswer(got.Global, got.HasGlobal, want.Global, want.HasGlobal) ||
-						!sameAnswer(got.Local, got.HasLocal, want.Local, want.HasLocal) ||
-						!sameAnswer(got.LinkLocal, got.HasLinkLocal, want.LinkLocal, want.HasLinkLocal) {
-						t.Fatalf("step %d %v: long-lived generator %+v, fresh %+v", step, pr, got, want)
-					}
-					p, ok := long.LowestDelay(pr[0], pr[1])
-					q, qok := fresh.LowestDelay(pr[0], pr[1])
-					if !sameAnswer(p, ok, q, qok) {
-						t.Fatalf("step %d %v: lowest delay %v/%v, fresh %v/%v", step, pr, p, ok, q, qok)
+					return g
+				}
+				// 12 ingresses × 9 egresses, some pairs drawn twice.
+				var pairs [][2]graph.NodeID
+				for i := 0; i < 12; i++ {
+					src := graph.NodeID(rng.Intn(nN))
+					for j := 0; j < 9; j++ {
+						pairs = append(pairs, [2]graph.NodeID{src, graph.NodeID(rng.Intn(nN))})
 					}
 				}
-			}
-			if sets, keys := len(long.setLinks), len(long.memo); keys >= 400*len(pairs) || sets >= keys {
-				t.Errorf("memo did not dedupe: %d sets, %d keys for %d requests", sets, keys, 400*len(pairs)*4)
-			}
-		})
+				for _, pr := range pairs {
+					p, ok := long.LowestDelay(pr[0], pr[1])
+					q, qok := fresh().LowestDelay(pr[0], pr[1])
+					if !sameAnswer(p, ok, q, qok) {
+						t.Fatalf("%v: lowest delay %v/%v, fresh %v/%v", pr, p, ok, q, qok)
+					}
+				}
+				all := make([]bool, nL)
+				used := make([]bool, nL)
+				for i := 0; i < 6; i++ {
+					all[rng.Intn(nL)] = true
+				}
+				for step := 0; step < steps; step++ {
+					if step%4 == 0 { // the congestion set drifts by one link
+						l := rng.Intn(nL)
+						all[l] = !all[l]
+					}
+					for _, pr := range pairs {
+						most := graph.EdgeID(-1)
+						for l := range used {
+							used[l] = all[l] && (l+int(pr[0]))%3 == 0
+							if used[l] && most < 0 {
+								most = graph.EdgeID(l)
+							}
+						}
+						req := Request{Src: pr[0], Dst: pr[1], CongestedAll: all, CongestedUsed: used, MostCongested: most}
+						got, want := long.Alternatives(req), fresh().Alternatives(req)
+						if !sameAnswer(got.Global, got.HasGlobal, want.Global, want.HasGlobal) ||
+							!sameAnswer(got.Local, got.HasLocal, want.Local, want.HasLocal) ||
+							!sameAnswer(got.LinkLocal, got.HasLinkLocal, want.LinkLocal, want.HasLinkLocal) {
+							t.Fatalf("step %d %v: long-lived generator %+v, fresh %+v", step, pr, got, want)
+						}
+					}
+				}
+				if sets, keys := len(long.setLinks), len(long.memo); keys >= steps*len(pairs) || sets >= keys {
+					t.Errorf("memo did not dedupe: %d sets, %d keys for %d requests", sets, keys, steps*len(pairs)*3)
+				}
+				grows := treeAfter != math.MaxInt32 && policy.MaxHops == 0
+				if trees := len(long.trees); grows != (trees > 0) || trees > len(long.sources) {
+					t.Errorf("%d trees over %d (src, set) pairs; trees expected: %v", trees, len(long.sources), grows)
+				}
+			})
+		}
 	}
 }
 

@@ -64,9 +64,17 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 // topology and policy are fixed for the generator's life and the key
 // holds the whole exclusion set, not a digest of it.
 //
+// Misses that share (src, exclusion set) and differ only in dst — the
+// aggregates of one ingress, asked about in turn — repeat one search up
+// to different exits. Once a pair has missed treeAfterMisses times the
+// generator runs that search to the end instead, keeps the predecessor
+// tree, and rebuilds every later destination's path from it; a tree path
+// is the search's path edge for edge (graph.Tree.Path), so the memo stays
+// exact. A hop bound needs the layered search, which has no tree.
+//
 // Returned paths share their Edges with the memo and with every other
-// caller handed the same answer; treat them as read-only. The memo lives
-// and dies with the generator. Not safe for concurrent use: give each
+// caller handed the same answer; treat them as read-only. Memo and trees
+// live and die with the generator. Not safe for concurrent use: give each
 // goroutine its own.
 type Generator struct {
 	topo   *topology.Topology
@@ -76,6 +84,11 @@ type Generator struct {
 
 	searcher graph.Searcher
 	memo     map[memoKey]memoPath
+	// sources holds, per (src, exclusion set), the misses seen so far
+	// while below treeAfter, then treeAfter plus an index into trees.
+	sources   map[sourceKey]int32
+	trees     []graph.Tree
+	treeAfter int32 // treeAfterMisses; a field so tests can vary it
 	// sets interns exclusion sets: fingerprint → IDs of the sets with that
 	// fingerprint, each an index into setLinks (ascending link lists).
 	sets     map[uint64][]int32
@@ -95,6 +108,19 @@ type memoPath struct {
 	ok   bool
 }
 
+type sourceKey struct {
+	src graph.NodeID
+	set int32
+}
+
+// treeAfterMisses is the miss under one (src, exclusion set) that builds
+// the pair's tree. A tree costs about two early-exit searches, and half of
+// all pairs are asked about once: on a scale-s optimisation (100 nodes,
+// 1500 aggregates) 18.0k of 36.6k pairs miss once, 6.5k twice, and the
+// tail sits at 10–20 misses. Building on the second miss cost the 31-node
+// HE replay 5% in trees nobody used; the fourth did not.
+const treeAfterMisses = 4
+
 // New builds a generator for the topology under the policy.
 func New(topo *topology.Topology, policy Policy) (*Generator, error) {
 	if topo == nil {
@@ -113,8 +139,11 @@ func New(topo *topology.Topology, policy Policy) (*Generator, error) {
 		topo:    topo,
 		policy:  policy,
 		memo:    make(map[memoKey]memoPath),
+		sources: make(map[sourceKey]int32),
 		sets:    make(map[uint64][]int32),
 		exclude: make([]bool, topo.NumLinks()),
+
+		treeAfter: treeAfterMisses,
 	}
 	for i, bad := range policy.ForbiddenLinks {
 		if bad {
@@ -172,13 +201,44 @@ func (g *Generator) lookup(src, dst graph.NodeID) (graph.Path, bool) {
 	if m, hit := g.memo[key]; hit {
 		return m.path, m.ok
 	}
-	g.mark(g.links, true)
-	p, ok := g.searcher.ShortestPath(g.topo.Graph(), src, dst, g.constraints())
-	g.mark(g.links, false)
+	p, ok := g.search(key)
 	if ok && g.policy.MaxDelay > 0 && g.topo.PathDelay(p) > g.policy.MaxDelay {
 		p, ok = graph.Path{}, false
 	}
 	g.memo[key] = memoPath{path: p, ok: ok}
+	return p, ok
+}
+
+// search answers a memo miss: from the (src, exclusion set) pair's tree
+// once the pair has missed treeAfter times, by an early-exit search until
+// then — and always under a hop bound, which a tree cannot honor.
+func (g *Generator) search(key memoKey) (graph.Path, bool) {
+	if g.policy.MaxHops > 0 || key.src == key.dst {
+		return g.searchTo(key)
+	}
+	gr := g.topo.Graph()
+	source := sourceKey{src: key.src, set: key.set}
+	n := g.sources[source]
+	switch {
+	case n >= g.treeAfter:
+		return g.trees[n-g.treeAfter].Path(gr, key.dst)
+	case n+1 < g.treeAfter:
+		g.sources[source] = n + 1
+		return g.searchTo(key)
+	}
+	g.mark(g.links, true)
+	tree := g.searcher.ShortestPathTree(gr, key.src, g.constraints())
+	g.mark(g.links, false)
+	g.sources[source] = g.treeAfter + int32(len(g.trees))
+	g.trees = append(g.trees, tree)
+	return tree.Path(gr, key.dst)
+}
+
+// searchTo runs the early-exit search for key under g.links.
+func (g *Generator) searchTo(key memoKey) (graph.Path, bool) {
+	g.mark(g.links, true)
+	p, ok := g.searcher.ShortestPath(g.topo.Graph(), key.src, key.dst, g.constraints())
+	g.mark(g.links, false)
 	return p, ok
 }
 

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
@@ -201,13 +200,14 @@ func TestHurricaneElectricShape(t *testing.T) {
 	g := topo.Graph()
 	var maxDelay unit.Delay
 	for src := 0; src < topo.NumNodes(); src++ {
-		dist := graph.ShortestPathTree(g, graph.NodeID(src), graph.Constraints{})
-		for dst, d := range dist {
-			if math.IsInf(d, 1) {
+		tree := graph.ShortestPathTree(g, graph.NodeID(src), graph.Constraints{})
+		for dst := 0; dst < topo.NumNodes(); dst++ {
+			p, ok := tree.Path(g, graph.NodeID(dst))
+			if !ok {
 				t.Fatalf("no path %s -> %s", topo.NodeName(graph.NodeID(src)), topo.NodeName(graph.NodeID(dst)))
 			}
-			if unit.Delay(d) > maxDelay {
-				maxDelay = unit.Delay(d)
+			if unit.Delay(p.Weight) > maxDelay {
+				maxDelay = unit.Delay(p.Weight)
 			}
 		}
 	}
