@@ -252,6 +252,54 @@ func BenchmarkPathGenAlternatives(b *testing.B) {
 	})
 }
 
+// BenchmarkColdOptimizeScaleS is benchmark/'s cold-scale-s operation under
+// go test: one cold Session.Optimize, fresh session included, on the
+// scale-s Waxman topology (seed 1) over eight fixed 1500-aggregate
+// matrices in turn, at WithWorkers(1). Besides time it reports what one
+// operation asked of the layers below — candidates scored, path searches
+// run (early-exit and tree-building alike) and lookups a donor answered.
+// The counts are exact per matrix, so at -benchtime 8x (or a multiple)
+// they compare across commits where the times cannot.
+func BenchmarkColdOptimizeScaleS(b *testing.B) {
+	preset, err := ScalePresetByName("scale-s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := preset.Topology(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mats := make([]*Matrix, 8)
+	for i := range mats {
+		cfg := DefaultGenConfig(int64(i + 1))
+		cfg.RealTimeFlows = [2]int{2, 10}
+		cfg.BulkFlows = [2]int{1, 4}
+		cfg.IncludeSelfPairs = false
+		if mats[i], err = SparseTraffic(topo, cfg, preset.Aggregates); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var candidates, searches, donated int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := NewSession(topo, mats[i%len(mats)], WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sol, err := s.Optimize(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		candidates += sol.Delta.Calls
+		searches += sol.Paths.Searches + sol.Paths.TreesBuilt
+		donated += sol.Paths.Donated
+	}
+	b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
+	b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
+	b.ReportMetric(float64(donated)/float64(b.N), "donated/op")
+}
+
 // BenchmarkBaselineShortestPath measures the shortest-path reference.
 func BenchmarkBaselineShortestPath(b *testing.B) {
 	m := benchModel(b)

@@ -81,7 +81,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
+	httpSrv.Addr = *listen
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("fubard listening", "addr", *listen, "max_workers", srv.MaxWorkers())
@@ -103,4 +104,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fubard: %v\n", err)
 	}
 	logger.Info("fubard stopped")
+}
+
+// newHTTPServer wraps the daemon's handler in a server that gives up on a
+// peer which opens a connection and never finishes its request headers, or
+// holds a keep-alive connection idle. There is deliberately no write
+// timeout: a replay streams epochs for as long as it runs.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }

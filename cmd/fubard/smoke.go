@@ -47,7 +47,7 @@ func runSmoke(srv *fubar.DaemonServer, logger *slog.Logger) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	go func() { _ = httpSrv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 	logger.Info("smoke daemon up", "addr", base)

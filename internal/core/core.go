@@ -332,6 +332,10 @@ type Solution struct {
 	// Base counts how each step's delta base was obtained — the
 	// persistent-base bookkeeping. All zero under DeltaOff.
 	Base BaseStats
+	// Paths counts how the run's path lookups were answered — memo,
+	// donor, tree or search — summed over the collection shards'
+	// generators.
+	Paths pathgen.Stats
 	// FinalBase, set only when Options.KeepFinalBase is true and a base
 	// was built, hands the run's persistent delta Base to the caller
 	// (detached — the optimizer forgets it, so a later run cannot clobber
@@ -445,10 +449,10 @@ type Optimizer struct {
 	scoreUtil bool
 
 	// scratch
-	// congAll is set from the congested-link list before collection and
-	// unset from the same list afterwards, so its cost scales with the
-	// congestion set, not the topology. Collection workers only read it.
-	congAll []bool
+	// congAsc is the step's congested links in ascending order — the form
+	// the path generator keys exclusion sets by — sorted once per
+	// collection; collection workers only read it.
+	congAsc []graph.EdgeID
 	cands   []candidate
 
 	// collectors are the persistent candidate-collection shards, one per
@@ -470,10 +474,12 @@ type Optimizer struct {
 	// tm/tracer are the live-metrics handles built from
 	// Options.Telemetry (nil when telemetry is off); pubDelta is the
 	// portion of the workers' cumulative DeltaStats already folded into
-	// the registry, so each step publishes only the diff.
+	// the registry, so each step publishes only the diff; pubPaths
+	// likewise for the generators' lookup counters.
 	tm       *telemetry.CoreMetrics
 	tracer   *telemetry.Tracer
 	pubDelta flowmodel.DeltaStats
+	pubPaths pathgen.Stats
 }
 
 // worker is one candidate evaluator: a private flowmodel arena plus the
@@ -493,15 +499,17 @@ type worker struct {
 // crossingPaths and alternativesFor mutate per aggregate.
 type collector struct {
 	gen *pathgen.Generator
-	// congUsed is set from the congested ∩ used links before a pathgen
-	// call and unset afterwards.
-	congUsed []bool
 	// usedStamp[e] == usedEpoch marks links the current aggregate uses;
 	// bumping the epoch invalidates all marks without an O(numLinks)
 	// clear.
 	usedStamp []uint32
 	usedEpoch uint32
-	crossBuf  []int
+	// congUsed is the current aggregate's congested ∩ used links,
+	// ascending; alts its de-duplicated alternatives. Both are valid until
+	// the next alternativesFor.
+	congUsed []graph.EdgeID
+	alts     []graph.Path
+	crossBuf []int
 	// cands accumulates this shard's candidates; chunkEnd[k] is the end
 	// offset of the shard's k-th owned chunk, in claim order, so the
 	// index-ordered merge can interleave shards back into global
@@ -520,13 +528,11 @@ func New(model *flowmodel.Model, opts Options) (*Optimizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	nL := model.Topology().NumLinks()
 	o := &Optimizer{
-		model:   model,
-		gen:     gen,
-		mat:     model.Matrix(),
-		opts:    opts,
-		congAll: make([]bool, nL),
+		model: model,
+		gen:   gen,
+		mat:   model.Matrix(),
+		opts:  opts,
 	}
 	if opts.Telemetry != nil {
 		o.tm = opts.Telemetry.Core()
@@ -548,18 +554,23 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 		ctx = context.Background()
 	}
 	start := time.Now()
+	// Run restarts from scratch, including when a Session reuses this
+	// optimizer: the persistent base is stale and the per-run counters
+	// must not accumulate across calls (the generators' memos may).
+	o.gen.ResetStats()
+	for _, col := range o.collectors {
+		col.gen.ResetStats()
+	}
 	if err := o.initAllocation(); err != nil {
 		return nil, err
 	}
-	// Run restarts from scratch, including when a Session reuses this
-	// optimizer: the persistent base is stale and the per-run counters
-	// must not accumulate across calls.
 	o.baseLive = false
 	o.baseStats = BaseStats{}
 	for _, w := range o.workers {
 		w.eval.ResetDeltaStats()
 	}
 	o.pubDelta = flowmodel.DeltaStats{}
+	o.pubPaths = pathgen.Stats{}
 	if o.tm != nil {
 		o.tm.Runs.Inc()
 	}
@@ -702,6 +713,7 @@ loop:
 		sol.Delta.Add(w.eval.DeltaStats())
 	}
 	sol.Base = o.baseStats
+	sol.Paths = o.pathStats()
 	if o.opts.KeepFinalBase && o.base != nil && o.baseReuseEnabled() {
 		sol.FinalBase = o.base
 		sol.FinalBaseSpare = o.altBase
@@ -1228,9 +1240,8 @@ const collectChunk = 16
 // the path-set cap behave identically too.
 func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeID, fraction float64) []candidate {
 	o.cands = o.cands[:0]
-	for _, l := range congested {
-		o.congAll[l] = true
-	}
+	o.congAsc = append(o.congAsc[:0], congested...)
+	slices.Sort(o.congAsc)
 	nChunks := (len(o.aggs) + collectChunk - 1) / collectChunk
 	nw := o.opts.Workers
 	if nw > nChunks {
@@ -1281,16 +1292,13 @@ func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeI
 			o.tm.CollectMergeSeconds.Observe(time.Since(mergeStart).Seconds())
 		}
 	}
-	for _, l := range congested {
-		o.congAll[l] = false
-	}
 	return o.cands
 }
 
 // collectRange enumerates candidates for aggregates [lo, hi) into the
 // collector's list. Mutations are confined to the aggregates being
 // enumerated (path-set growth) and the collector's own scratch; shared
-// optimizer state — congAll, the matrix, the options — is read-only, so
+// optimizer state — congAsc, the matrix, the options — is read-only, so
 // disjoint ranges may run concurrently.
 func (o *Optimizer) collectRange(col *collector, lo, hi int, link graph.EdgeID, congested []graph.EdgeID, fraction float64) {
 	for ai := lo; ai < hi; ai++ {
@@ -1357,7 +1365,6 @@ func (o *Optimizer) growCollectors(n int) {
 		}
 		o.collectors = append(o.collectors, &collector{
 			gen:       gen,
-			congUsed:  make([]bool, nL),
 			usedStamp: make([]uint32, nL),
 		})
 	}
@@ -1567,8 +1574,9 @@ func (col *collector) crossingPaths(st *aggState, link graph.EdgeID) []int {
 }
 
 // alternativesFor computes the §2.4 trio for an aggregate given the
-// current congestion set, on the given collection shard's generator and
-// scratch.
+// current congestion set (by decreasing oversubscription; o.congAsc holds
+// the same links ascending), on the given collection shard's generator
+// and scratch. The result is the collector's, valid until its next call.
 func (o *Optimizer) alternativesFor(col *collector, ai int, st *aggState, congested []graph.EdgeID) []graph.Path {
 	// Mark the links the aggregate currently uses: a fresh epoch
 	// invalidates the previous aggregate's marks, so the cost scales with
@@ -1586,41 +1594,36 @@ func (o *Optimizer) alternativesFor(col *collector, ai int, st *aggState, conges
 			col.usedStamp[e] = col.usedEpoch
 		}
 	}
-	// congUsed = congested ∩ used; find the most oversubscribed used link
-	// (the list is already sorted by oversubscription). The marks are
-	// unset from the same list after the pathgen call.
+	// The most oversubscribed used link is the first used one in
+	// oversubscription order; congested ∩ used comes off the ascending list
+	// already in the order the generator wants.
 	most := graph.EdgeID(-1)
 	for _, l := range congested {
 		if col.usedStamp[l] == col.usedEpoch {
-			col.congUsed[l] = true
-			if most < 0 {
-				most = l
-			}
+			most = l
+			break
+		}
+	}
+	col.congUsed = col.congUsed[:0]
+	for _, l := range o.congAsc {
+		if col.usedStamp[l] == col.usedEpoch {
+			col.congUsed = append(col.congUsed, l)
 		}
 	}
 	agg := o.mat.Aggregate(traffic.AggregateID(ai))
-	req := pathgen.Request{
-		Src: agg.Src, Dst: agg.Dst,
-		CongestedAll:  o.congAll,
-		CongestedUsed: col.congUsed,
-		MostCongested: most,
-	}
-	alts := col.gen.Alternatives(req)
-	for _, l := range congested {
-		col.congUsed[l] = false
-	}
+	alts := col.gen.AlternativesAvoiding(agg.Src, agg.Dst, o.congAsc, col.congUsed, most)
 
-	var paths []graph.Path
+	col.alts = col.alts[:0]
 	add := func(p graph.Path, ok bool) {
 		if !ok {
 			return
 		}
-		for _, q := range paths {
+		for _, q := range col.alts {
 			if q.Equal(p) {
 				return
 			}
 		}
-		paths = append(paths, p)
+		col.alts = append(col.alts, p)
 	}
 	switch o.opts.AltMode {
 	case AltGlobalOnly:
@@ -1634,7 +1637,7 @@ func (o *Optimizer) alternativesFor(col *collector, ai int, st *aggState, conges
 		add(alts.Local, alts.HasLocal)
 		add(alts.LinkLocal, alts.HasLinkLocal)
 	}
-	return paths
+	return col.alts
 }
 
 // moveSize computes N (Listing 2 line 3): whole bundles for small
@@ -1672,8 +1675,8 @@ func (o *Optimizer) trace(s Snapshot) {
 }
 
 // publishDeltaStats folds the workers' cumulative incremental-evaluation
-// counters into the live registry, adding only the growth since the
-// previous publish. Called once per committed step and once at run end;
+// counters and the generators' lookup counters into the live registry,
+// adding only the growth since the previous publish. Called once per committed step and once at run end;
 // only reads worker state, so it never perturbs the move sequence.
 func (o *Optimizer) publishDeltaStats() {
 	var s flowmodel.DeltaStats
@@ -1685,6 +1688,25 @@ func (o *Optimizer) publishDeltaStats() {
 	o.tm.DeltaFallbacks.Add(s.Fallbacks - o.pubDelta.Fallbacks)
 	o.tm.DeltaExpansions.Add(s.Expansions - o.pubDelta.Expansions)
 	o.pubDelta = s
+	p := o.pathStats()
+	o.tm.PathMemoHits.Add(p.MemoHits - o.pubPaths.MemoHits)
+	o.tm.PathDonated.Add(p.Donated - o.pubPaths.Donated)
+	o.tm.PathTreeAnswers.Add(p.TreeAnswers - o.pubPaths.TreeAnswers)
+	o.tm.PathSearches.Add(p.Searches - o.pubPaths.Searches)
+	o.tm.PathTreesBuilt.Add(p.TreesBuilt - o.pubPaths.TreesBuilt)
+	o.pubPaths = p
+}
+
+// pathStats sums the lookup counters of the run's generators: the
+// optimizer's own, which collection shard 0 shares, and the other shards'.
+func (o *Optimizer) pathStats() pathgen.Stats {
+	s := o.gen.Stats()
+	for _, col := range o.collectors {
+		if col.gen != o.gen {
+			s.Add(col.gen.Stats())
+		}
+	}
+	return s
 }
 
 // Run is the package-level convenience: build an optimizer over model with

@@ -1,6 +1,10 @@
 package core
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"fubar/internal/pathgen"
+)
 
 // SolutionSummary is the JSON shape of a Solution: the headline numbers
 // downstream tooling consumes, without the bundle list or the full model
@@ -19,6 +23,7 @@ type SolutionSummary struct {
 	Bundles           int                 `json:"bundles"`
 	Delta             flowmodelDeltaStats `json:"delta"`
 	Base              BaseStats           `json:"base"`
+	Paths             pathgen.Stats       `json:"paths"`
 }
 
 // flowmodelDeltaStats mirrors flowmodel.DeltaStats with JSON tags (the
@@ -50,7 +55,8 @@ func (s *Solution) Summary() SolutionSummary {
 			AffectedBundles: s.Delta.AffectedBundles,
 			ListBundles:     s.Delta.ListBundles,
 		},
-		Base: s.Base,
+		Base:  s.Base,
+		Paths: s.Paths,
 	}
 }
 

@@ -60,3 +60,55 @@ func TestTraceObserverSingleGoroutine(t *testing.T) {
 		t.Errorf("final observed utility %v != solution utility %v", lastUtility, sol.Utility)
 	}
 }
+
+// TestPathStatsPublished pins the path-lookup counters: Solution.Paths
+// accounts for every lookup of the run whatever the shard count, the
+// registry's fubar_pathgen_lookups_total family ends the run equal to it,
+// a second run on the same optimizer counts afresh over the warm memo,
+// and none of it changes the solution.
+func TestPathStatsPublished(t *testing.T) {
+	topo, mat := congestedInstance(t, 5)
+	plain, _ := runWithOptions(t, topo, mat, Options{Workers: 1, MaxSteps: 15})
+	for _, workers := range []int{1, 4} {
+		model, err := flowmodel.New(topo, mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := telemetry.New()
+		o, err := New(model, Options{Workers: workers, MaxSteps: 15, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := o.Run(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Utility != plain.Utility || sol.Steps != plain.Steps {
+			t.Errorf("workers=%d: instrumented run reached %v in %d steps, plain run %v in %d",
+				workers, sol.Utility, sol.Steps, plain.Utility, plain.Steps)
+		}
+		p := sol.Paths
+		if p.Lookups == 0 || p.Lookups != p.MemoHits+p.Donated+p.TreeAnswers+p.Searches {
+			t.Errorf("workers=%d: lookups do not add up: %+v", workers, p)
+		}
+		if p.Lookups != plain.Paths.Lookups {
+			t.Errorf("workers=%d: %d lookups, the serial run made %d", workers, p.Lookups, plain.Paths.Lookups)
+		}
+		counters := tel.Snapshot().Counters
+		for result, want := range map[string]int64{"memo": p.MemoHits, "donor": p.Donated, "tree": p.TreeAnswers, "search": p.Searches} {
+			if got := counters[`fubar_pathgen_lookups_total{result="`+result+`"}`]; got != want {
+				t.Errorf("workers=%d: registry counts %d %s lookups, solution %d", workers, got, result, want)
+			}
+		}
+		if got := counters["fubar_pathgen_trees_built_total"]; got != p.TreesBuilt {
+			t.Errorf("workers=%d: registry counts %d trees, solution %d", workers, got, p.TreesBuilt)
+		}
+		again, err := o.Run(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := again.Paths; a.Lookups != p.Lookups || a.MemoHits <= p.MemoHits {
+			t.Errorf("workers=%d: rerun over the warm memo counted %+v, first run %+v", workers, a, p)
+		}
+	}
+}

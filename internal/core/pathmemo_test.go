@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"fubar/internal/flowmodel"
@@ -45,11 +46,7 @@ func TestPathMemoExactOnHEOptimization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &collector{
-			gen:       gen,
-			congUsed:  make([]bool, topo.NumLinks()),
-			usedStamp: make([]uint32, topo.NumLinks()),
-		}
+		return &collector{gen: gen, usedStamp: make([]uint32, topo.NumLinks())}
 	}
 	long := newCollector()
 	var o *Optimizer
@@ -57,16 +54,15 @@ func TestPathMemoExactOnHEOptimization(t *testing.T) {
 	o, err = New(model, Options{Workers: 1, Trace: func(s Snapshot) {
 		steps++
 		congested := model.CongestedByOversubscription(s.Result)
-		for _, l := range congested {
-			o.congAll[l] = true
-		}
+		o.congAsc = append(o.congAsc[:0], congested...)
+		slices.Sort(o.congAsc)
 		for ai := range o.aggs {
 			st := &o.aggs[ai]
 			if st.self {
 				continue
 			}
 			requests++
-			got := o.alternativesFor(long, ai, st, congested)
+			got := slices.Clone(o.alternativesFor(long, ai, st, congested))
 			want := o.alternativesFor(newCollector(), ai, st, congested)
 			if len(got) != len(want) {
 				t.Fatalf("step %d aggregate %d: %d alternatives, fresh generator %d", s.Step, ai, len(got), len(want))
@@ -77,9 +73,6 @@ func TestPathMemoExactOnHEOptimization(t *testing.T) {
 						s.Step, ai, i, got[i].Edges, got[i].Weight, want[i].Edges, want[i].Weight)
 				}
 			}
-		}
-		for _, l := range congested {
-			o.congAll[l] = false
 		}
 	}})
 	if err != nil {

@@ -31,7 +31,7 @@
 // Both halves of that rule are optimistic, and both are verified:
 //
 //   - The fill loop aborts the moment a link event reaches a bundle the
-//     closure treated lazily (e.guardLazy); that bundle is promoted to
+//     closure treated lazily (e.subFill); that bundle is promoted to
 //     eager and the sub-problem re-runs wider.
 //
 //   - In the water-filling every bundle's instantaneous rate is
@@ -197,7 +197,23 @@ type deltaScratch struct {
 	lbScratch []int32   // scratch: crosser-list merge buffer (patchBase)
 	wDelta    []float64 // per seed link: crossing-weight change of the move
 	dDelta    []float64 // per seed link: crossing-demand change of the move
+
+	// The sub-problem's (bundle, link) incidences, rebuilt by every
+	// accumulation pass: incHead[i] indexes the head of affected bundle
+	// i's chain in inc (-1: none).
+	incHead []int32
+	inc     []incidence
+
+	// movedMark[l] == movedEpoch marks links crossed by a bundle whose
+	// rate the current solve moved off its base rate; every other touched
+	// link still carries its base load. Bumped per load check.
+	movedMark  []uint32
+	movedEpoch uint32
 }
+
+// incidence is one sub-problem link an affected bundle crosses, and the
+// index of the bundle's next one (-1: last).
+type incidence struct{ link, next int32 }
 
 func (d *deltaScratch) grow(nB, nL, nA int) {
 	if cap(d.bunMark) < nB {
@@ -207,10 +223,12 @@ func (d *deltaScratch) grow(nB, nL, nA int) {
 		// Fresh zeroed arrays are consistent with any epoch except 0,
 		// which bump() skips.
 		d.rankBits = make([]uint64, (nB+63)/64)
+		d.incHead = make([]int32, nB)
 	}
 	d.bunMark = d.bunMark[:nB]
 	d.chMark = d.chMark[:nB]
 	d.eagerMark = d.eagerMark[:nB]
+	d.incHead = d.incHead[:nB]
 	if d.linkMark == nil {
 		d.linkMark = make([]uint32, nL)
 		d.tchMark = make([]uint32, nL)
@@ -219,6 +237,7 @@ func (d *deltaScratch) grow(nB, nL, nA int) {
 		d.tsMark = make([]uint32, nL)
 		d.wDelta = make([]float64, nL)
 		d.dDelta = make([]float64, nL)
+		d.movedMark = make([]uint32, nL)
 	}
 }
 
@@ -244,6 +263,21 @@ func (d *deltaScratch) bump() {
 	d.dirtyAggs = d.dirtyAggs[:0]
 	d.seedLinks = d.seedLinks[:0]
 	d.tchSeed = d.tchSeed[:0]
+}
+
+// markMoved stamps, afresh, every link crossed by an affected bundle whose
+// solved rate differs from its base rate. The epoch may wrap unguarded: a
+// stale stamp it then aliases costs one needless re-sum, never a wrong
+// load.
+func (d *deltaScratch) markMoved(base *Base, bundles []Bundle, res *Result) {
+	d.movedEpoch++
+	for _, i := range d.affected {
+		if res.BundleRate[i] != base.rate[i] {
+			for _, eid := range bundles[i].Edges {
+				d.movedMark[eid] = d.movedEpoch
+			}
+		}
+	}
 }
 
 // EvaluateBase runs a full Evaluate over the bundle list and captures the
@@ -501,6 +535,7 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 		// by its rank in the base's order.
 		active := 0
 		for _, i := range d.affected {
+			d.incHead[i] = -1
 			if d.chMark[i] == d.epoch {
 				active += e.setupParams(bundles, int(i), res)
 				continue
@@ -535,9 +570,10 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 		// property), so the link's candidate crossers are the base's
 		// ascending list with the changed bundles' membership adjusted —
 		// walking it adds the same weights and demands, in the same order,
-		// as a pass over the sorted affected set would. The stamp is what
-		// lets freezeBundle leave affected bundles' slack links alone.
-		e.bumpLinkEpoch()
+		// as a pass over the sorted affected set would. Each crossing is
+		// also chained onto its bundle, which is what lets freezeBundle
+		// leave affected bundles' slack links alone.
+		d.inc = d.inc[:0]
 		for _, l := range d.subLinks {
 			var ch []int32 // changed bundles crossing l: seed links only
 			if d.seedMark[l] == d.epoch {
@@ -549,6 +585,8 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 				w += bw
 				dem += bd
 				lb = append(lb, bi)
+				d.inc = append(d.inc, incidence{link: l, next: d.incHead[bi]})
+				d.incHead[bi] = int32(len(d.inc) - 1)
 			}
 			k := 0
 			for _, bi := range base.linkBun[l] {
@@ -566,7 +604,6 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 			e.linkW[l] = w
 			e.linkFrozen[l] = 0
 			e.linkBun[l] = lb
-			e.linkIn[l] = e.linkEpoch
 			res.LinkDemand[l] = dem
 			res.IsCongested[l] = false
 		}
@@ -599,9 +636,9 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 				e.events.update(l, (m.capacity[l]-e.linkFrozen[l])/e.linkW[l])
 			}
 		}
-		e.guardLazy = true
+		e.subFill = true
 		abortLink := e.fill(bundles, active, res)
-		e.guardLazy = false
+		e.subFill = false
 		if abortLink >= 0 {
 			// Optimistic closure missed: the aborting link truncates
 			// bundles assumed to stay demand-frozen. Promote every lazy
@@ -624,15 +661,24 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 		// non-decreasing over a fill, so a touched link whose recomputed
 		// final load stays under capacity provably never saturated —
 		// excluding it was exact. One that reached capacity is promoted
-		// into the sub-problem and the solve re-runs. Touched-seed links
-		// get the same check over their adjusted crossing set, which also
-		// rewrites their demand bookkeeping.
+		// into the sub-problem and the solve re-runs. A touched link none
+		// of whose crossers moved off its base rate needs no sum: its
+		// crossers are the base's (no changed bundle crosses a touched
+		// link), and the same rates added in the same order are the base's
+		// load. Touched-seed links get the same check over their adjusted
+		// crossing set, which also rewrites their demand bookkeeping.
 		promoted := false
+		if len(d.touched) > 0 {
+			d.markMoved(base, bundles, res)
+		}
 		for _, l := range d.touched {
 			if d.linkMark[l] == d.epoch {
 				continue // already promoted into the sub-problem
 			}
-			load := e.deltaLinkLoad(res, base, base.linkBun[l], m.capacity[l])
+			load := base.linkLoad[l]
+			if d.movedMark[l] == d.movedEpoch {
+				load = e.deltaLinkLoad(res, base, base.linkBun[l], m.capacity[l])
+			}
 			res.LinkLoad[l] = load
 			if load >= m.capacity[l]*(1-bindingSlack) {
 				d.addSubLink(l)

@@ -1,7 +1,9 @@
 package flowmodel
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fubar/internal/graph"
@@ -418,5 +420,91 @@ func TestDeltaUtilityStats(t *testing.T) {
 	sum.Add(s)
 	if sum.UtilityOnlyCalls != 2*s.UtilityOnlyCalls || sum.UtilityOnlyExpansions != 2*s.UtilityOnlyExpansions {
 		t.Fatalf("Add dropped utility-only counters: %+v", sum)
+	}
+}
+
+// The delta fill walks, per frozen bundle, the sub-problem links recorded
+// for it instead of its path, and the load check re-sums only touched
+// links a moved rate crosses. Both must leave every result — full and
+// utility-only — bit-identical to Evaluate through the cases that stress
+// them: solves that abort or promote a link and re-run wider (every re-run
+// rebuilds the incidences and restamps the moved links), a changed bundle
+// re-routed so that it leaves some sub-problem links and joins others, and
+// the moved-link stamp wrapping over stale marks mid-run.
+func TestDeltaSubProblemWalk(t *testing.T) {
+	var evals, crossings, skipped, resummed, wraps int
+	var stats DeltaStats
+	for seed := int64(1); seed <= 40; seed++ {
+		m, bundles, paths := deltaInstance(t, seed)
+		rng := rand.New(rand.NewSource(seed * 7919))
+		baseArena, arena, fullArena := m.NewEval(), m.NewEval(), m.NewEval()
+		var base Base
+		baseArena.EvaluateBase(bundles, &base)
+		// A few load checks from now the stamp wraps, unguarded, over stale
+		// marks that alias the epochs after it: those links are re-summed
+		// for nothing, and no result may show it.
+		d := &arena.delta
+		d.grow(len(bundles), m.topo.NumLinks(), m.mat.NumAggregates())
+		d.movedEpoch = math.MaxUint32 - 2
+		for l := range d.movedMark {
+			d.movedMark[l] = uint32(1 + l%3)
+		}
+		for move := 0; move < 40; move++ {
+			cand := append([]Bundle(nil), bundles...)
+			var changed []int
+			if i := rng.Intn(len(cand)); move%3 == 0 && cand[i].Flows > 0 && len(paths[i]) > 1 {
+				// Re-route one bundle over another of its aggregate's paths.
+				cand[i] = NewBundle(m.topo, cand[i].Agg, cand[i].Flows, paths[i][rng.Intn(len(paths[i]))])
+				changed = []int{i}
+			} else if changed = perturb(rng, cand); changed == nil {
+				break
+			}
+			want := fullArena.Evaluate(cand)
+			if got, _ := arena.EvaluateDeltaUtility(&base, cand, changed); got != want.NetworkUtility {
+				t.Fatalf("seed %d move %d: utility-only %v != full %v", seed, move, got, want.NetworkUtility)
+			}
+			fallbacks := arena.DeltaStats().Fallbacks
+			requireIdentical(t, "delta vs full", want, arena.EvaluateDelta(&base, cand, changed))
+			evals++
+			// What the solve exercised, read off its scratch (which after a
+			// fallback describes no solve).
+			if arena.DeltaStats().Fallbacks == fallbacks {
+				for _, ci := range changed {
+					for _, eid := range bundles[ci].Edges {
+						if d.linkMark[eid] == d.epoch && !slices.Contains(cand[ci].Edges, eid) {
+							crossings++ // left a sub-problem link
+						}
+					}
+					for _, eid := range cand[ci].Edges {
+						if d.linkMark[eid] == d.epoch && !slices.Contains(bundles[ci].Edges, eid) {
+							crossings++ // joined one
+						}
+					}
+				}
+				for _, l := range d.touched {
+					switch {
+					case d.linkMark[l] == d.epoch: // promoted
+					case d.movedMark[l] == d.movedEpoch:
+						resummed++
+					default:
+						skipped++
+					}
+				}
+			}
+			if move%2 == 0 {
+				bundles = cand
+				baseArena.EvaluateBase(bundles, &base)
+			}
+		}
+		if d.movedEpoch < math.MaxUint32-2 {
+			wraps++
+		}
+		stats.Add(arena.DeltaStats())
+	}
+	t.Logf("%d evaluations, %d fallbacks, %d expansions; changed bundles left or joined %d sub-problem links; "+
+		"touched links: %d kept their base load, %d re-summed; the stamp wrapped on %d instances",
+		evals, stats.Fallbacks, stats.Expansions, crossings, skipped, resummed, wraps)
+	if evals < 1000 || stats.Expansions < 50 || crossings < 50 || skipped < 100 || resummed < 100 || wraps < 10 {
+		t.Fatal("thin coverage")
 	}
 }

@@ -169,19 +169,15 @@ type Eval struct {
 	linkFrozen []float64
 	linkBun    [][]int32 // per link: bundles crossing it
 	events     linkHeap  // pending link-saturation events
-	// linkIn stamps the links participating in the current fill (all
-	// crossed links for a full Evaluate, the affected sub-problem for
-	// EvaluateDelta); freezeBundle ignores edges outside the stamp so a
-	// delta fill never reads another fill's stale per-link scratch.
-	linkIn    []uint32
-	linkEpoch uint32
 	// stallClears counts residual-float-weight stall-guard activations
 	// (the linkW-dust branch of the fill loop), for tests.
 	stallClears int64
-	// guardLazy arms the fill loop's optimistic-closure guard: freezing a
+	// subFill marks the running fill as a delta sub-problem: freezing a
 	// lazily-treated bundle at a link event aborts the fill so the delta
-	// path can widen the sub-problem and re-run.
-	guardLazy bool
+	// path can widen the sub-problem and re-run, and freezeBundle releases
+	// a bundle from the sub-problem links recorded for it (delta.incHead),
+	// not from its path's, most of which hold another fill's scratch.
+	subFill bool
 
 	delta deltaScratch
 	stats DeltaStats
@@ -239,7 +235,6 @@ func (m *Model) NewEval() *Eval {
 		linkW:      make([]float64, nL),
 		linkFrozen: make([]float64, nL),
 		linkBun:    make([][]int32, nL),
-		linkIn:     make([]uint32, nL),
 	}
 	e.events.init(nL)
 	e.res.LinkLoad = make([]float64, nL)
@@ -268,12 +263,10 @@ func (e *Eval) Evaluate(bundles []Bundle) *Result {
 	res.BundleRate = res.BundleRate[:nB]
 	res.BundleSatisfied = res.BundleSatisfied[:nB]
 
-	e.bumpLinkEpoch()
 	for i := 0; i < nL; i++ {
 		e.linkW[i] = 0
 		e.linkFrozen[i] = 0
 		e.linkBun[i] = e.linkBun[i][:0]
-		e.linkIn[i] = e.linkEpoch
 		res.LinkLoad[i] = 0
 		res.LinkDemand[i] = 0
 		res.IsCongested[i] = false
@@ -373,7 +366,7 @@ func (e *Eval) buildDemandOrder() {
 // bundle froze. Demand events come from e.order; saturation events from
 // the e.events heap. Both full and delta evaluations share this loop —
 // only the set of participating bundles and links differs. When
-// e.guardLazy is armed and a link event is about to freeze a bundle the
+// e.subFill is set and a link event is about to freeze a bundle the
 // delta closure treated lazily, the fill aborts and returns that link so
 // the caller can widen the sub-problem; otherwise returns -1.
 func (e *Eval) fill(bundles []Bundle, active int, res *Result) int32 {
@@ -410,7 +403,7 @@ func (e *Eval) fill(bundles []Bundle, active int, res *Result) int32 {
 				if e.frozen[bi] {
 					continue
 				}
-				if e.guardLazy && e.delta.eagerMark[bi] != e.delta.epoch {
+				if e.subFill && e.delta.eagerMark[bi] != e.delta.epoch {
 					// Optimistic closure missed: a link event reached a
 					// bundle assumed to stay demand-frozen. Abort so the
 					// delta path can promote it and re-solve wider.
@@ -459,26 +452,39 @@ func (e *Eval) fill(bundles []Bundle, active int, res *Result) int32 {
 }
 
 // freezeBundle fixes bundle i at the given rate and removes its weight
-// from its links, rescheduling their saturation events.
+// from the links it fills — its path's in a full fill, the sub-problem's
+// share of them in a delta fill — rescheduling their saturation events.
+// Visit order is immaterial: each link's arithmetic is its own, and the
+// event heap's order is total, so the next peek depends only on the keys.
 func (e *Eval) freezeBundle(bundles []Bundle, i int, rate float64, satisfied bool, res *Result) {
 	e.frozen[i] = true
 	res.BundleRate[i] = rate
 	res.BundleSatisfied[i] = satisfied
 	w := e.weight[i]
+	if e.subFill {
+		d := &e.delta
+		for k := d.incHead[i]; k >= 0; k = d.inc[k].next {
+			e.release(d.inc[k].link, w, rate)
+		}
+		return
+	}
 	for _, eid := range bundles[i].Edges {
-		if e.linkIn[eid] != e.linkEpoch {
-			continue // outside the delta sub-problem
-		}
-		e.linkW[eid] -= w
-		if e.linkW[eid] < 0 {
-			e.linkW[eid] = 0
-		}
-		e.linkFrozen[eid] += rate
-		if e.linkW[eid] > 0 {
-			e.events.update(int32(eid), (e.m.capacity[eid]-e.linkFrozen[eid])/e.linkW[eid])
-		} else {
-			e.events.remove(int32(eid))
-		}
+		e.release(int32(eid), w, rate)
+	}
+}
+
+// release takes a bundle frozen at rate out of link l's filling weight
+// and reschedules the link's saturation event.
+func (e *Eval) release(l int32, w, rate float64) {
+	e.linkW[l] -= w
+	if e.linkW[l] < 0 {
+		e.linkW[l] = 0
+	}
+	e.linkFrozen[l] += rate
+	if e.linkW[l] > 0 {
+		e.events.update(l, (e.m.capacity[l]-e.linkFrozen[l])/e.linkW[l])
+	} else {
+		e.events.remove(l)
 	}
 }
 
@@ -505,15 +511,6 @@ func (e *Eval) rebuildCongested(res *Result) {
 		if res.IsCongested[l] {
 			res.Congested = append(res.Congested, graph.EdgeID(l))
 		}
-	}
-}
-
-// bumpLinkEpoch starts a new link-participation stamp generation.
-func (e *Eval) bumpLinkEpoch() {
-	e.linkEpoch++
-	if e.linkEpoch == 0 { // wrapped: old stamps would alias the new epoch
-		clear(e.linkIn)
-		e.linkEpoch = 1
 	}
 }
 

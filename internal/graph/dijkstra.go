@@ -1,5 +1,7 @@
 package graph
 
+import "math"
+
 // Constraints restricts the paths a search may return. The zero value means
 // "no restriction".
 type Constraints struct {
@@ -40,12 +42,15 @@ type Searcher struct {
 }
 
 // nodeState is one node's tentative distance, hop count and predecessor
-// edge, valid only while seen equals the Searcher's epoch.
+// edge, valid only while seen equals the Searcher's epoch. tied records
+// that the node's shortest path has a rival: a relaxation over another
+// edge reached the same distance.
 type nodeState struct {
 	dist float64
 	prev EdgeID
 	hops int32
 	seen uint32
+	tied bool
 }
 
 // begin starts a new search over a graph with n nodes.
@@ -69,42 +74,62 @@ func (s *Searcher) begin(n int) {
 // With MaxHops > 0 it is the minimum-weight path among those within the
 // hop bound. The returned edge list is freshly allocated.
 func (s *Searcher) ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
+	p, _, ok := s.ShortestPathUnique(g, src, dst, cons)
+	return p, ok
+}
+
+// ShortestPathUnique is ShortestPath plus a proof of uniqueness: unique
+// reports that no node on the path was tied. Then the same search over any
+// subgraph that still holds the path returns it again, edge for edge and
+// Weight bit for bit: removing edges only raises distances (weights are
+// non-negative and float addition is monotone), so an edge that ties a
+// path node there tied it here, where every node as near as dst was
+// settled and relaxed (see dijkstra). With zero weights a tie may be a
+// detour round a zero-weight cycle, so false can be a missed proof; true
+// is never a wrong one. A hop-bounded answer carries none (the layered
+// search keeps no such record), nor does the empty path.
+func (s *Searcher) ShortestPathUnique(g *Graph, src, dst NodeID, cons Constraints) (p Path, unique, ok bool) {
 	if src == dst {
-		return Path{}, true
+		return Path{}, false, true
 	}
 	n := g.NumNodes()
 	if int(src) < 0 || int(src) >= n || int(dst) < 0 || int(dst) >= n {
-		return Path{}, false
+		return Path{}, false, false
 	}
 	if cons.MaxHops > 0 {
-		return s.boundedPath(g, src, dst, cons)
+		p, ok = s.boundedPath(g, src, dst, cons)
+		return p, false, ok
 	}
 	s.dijkstra(g, src, dst, cons)
 	end := &s.nodes[dst]
 	if end.seen != s.epoch {
-		return Path{}, false
+		return Path{}, false, false
 	}
 	// Reconstruct by walking predecessors.
 	edges := make([]EdgeID, end.hops)
+	unique = true
 	at := dst
 	for i := len(edges) - 1; i >= 0; i-- {
-		id := s.nodes[at].prev
-		edges[i] = id
-		at = g.Edge(id).From
+		st := &s.nodes[at]
+		unique = unique && !st.tied
+		edges[i] = st.prev
+		at = g.edges[st.prev].From
 	}
-	return Path{Edges: edges, Weight: end.dist}, true
+	return Path{Edges: edges, Weight: end.dist}, unique, true
 }
 
 // Tree is a shortest-path tree rooted at one source: for every node, the
 // edge it is entered by on its minimum-weight path from the source. Four
-// bytes a node is all it keeps — a path's hop count and weight come back
-// from the walk that rebuilds it. A Tree is immutable and independent of
-// the Searcher that built it.
+// bytes a node, plus the search's tie flag, is all it keeps — a path's hop
+// count and weight come back from the walk that rebuilds it. A Tree is
+// immutable and independent of the Searcher that built it.
 type Tree struct {
 	src NodeID
 	// prev[v] is the edge entering v, or -1 at the source and at nodes the
 	// search did not reach.
 	prev []int32
+	// tied[v] is the search's nodeState.tied for v.
+	tied []bool
 }
 
 // ShortestPathTree settles every node reachable from src under the edge
@@ -120,10 +145,12 @@ func (s *Searcher) ShortestPathTree(g *Graph, src NodeID, cons Constraints) Tree
 	}
 	s.dijkstra(g, src, -1, cons)
 	t.prev = make([]int32, n)
+	t.tied = make([]bool, n)
 	for i := range t.prev {
 		t.prev[i] = -1
 		if st := &s.nodes[i]; st.seen == s.epoch {
 			t.prev[i] = int32(st.prev)
+			t.tied[i] = st.tied
 		}
 	}
 	return t
@@ -140,14 +167,24 @@ func (s *Searcher) ShortestPathTree(g *Graph, src NodeID, cons Constraints) Tree
 // from the source outward, the additions the search made to reach dst.
 // The returned edge list is freshly allocated.
 func (t Tree) Path(g *Graph, dst NodeID) (Path, bool) {
+	p, _, ok := t.PathUnique(g, dst)
+	return p, ok
+}
+
+// PathUnique is Path plus ShortestPathUnique's proof, read off the tie
+// flags the tree kept — the flags the early-exit search raises on the
+// path's nodes, whenever every edge lengthens its path.
+func (t Tree) PathUnique(g *Graph, dst NodeID) (p Path, unique, ok bool) {
 	if dst == t.src {
-		return Path{}, true
+		return Path{}, false, true
 	}
 	if int(dst) < 0 || int(dst) >= len(t.prev) || t.prev[dst] < 0 {
-		return Path{}, false
+		return Path{}, false, false
 	}
 	hops := 0
+	unique = true
 	for at := dst; at != t.src; at = g.edges[t.prev[at]].From {
+		unique = unique && !t.tied[at]
 		hops++
 	}
 	edges := make([]EdgeID, hops)
@@ -160,18 +197,23 @@ func (t Tree) Path(g *Graph, dst NodeID) (Path, bool) {
 	for _, id := range edges {
 		w += g.edges[id].Weight
 	}
-	return Path{Edges: edges, Weight: w}, true
+	return Path{Edges: edges, Weight: w}, unique, true
 }
 
 // dijkstra settles nodes in distance order from src until dst is settled
 // (dst < 0: until every reachable node is), leaving the result in the
 // epoch-stamped node states. Ties pop in container/heap order, which is
 // what keeps every path identical to the boxed-heap search this replaced.
+// Once dst settles the search still settles whatever else sits at exactly
+// dst's distance — usually nothing — so that every edge able to tie a node
+// of dst's path has been relaxed and the tie flags on that path are final;
+// none of it can rewrite a settled node.
 func (s *Searcher) dijkstra(g *Graph, src, dst NodeID, cons Constraints) {
 	s.begin(g.NumNodes())
 	s.nodes[src] = nodeState{prev: -1, seen: s.epoch}
 	s.heap.push(heapItem{id: int32(src)})
-	for len(s.heap) > 0 {
+	limit := math.Inf(1)
+	for len(s.heap) > 0 && s.heap[0].dist <= limit {
 		it := s.heap.pop()
 		v := NodeID(it.id)
 		// A node is pushed only on a strict improvement, so every entry
@@ -180,7 +222,8 @@ func (s *Searcher) dijkstra(g *Graph, src, dst NodeID, cons Constraints) {
 			continue
 		}
 		if v == dst {
-			return
+			limit = it.dist
+			continue
 		}
 		hops := s.nodes[v].hops + 1
 		for _, id := range g.out[v] {
@@ -196,6 +239,8 @@ func (s *Searcher) dijkstra(g *Graph, src, dst NodeID, cons Constraints) {
 			if to.seen != s.epoch || nd < to.dist {
 				*to = nodeState{dist: nd, prev: id, hops: hops, seen: s.epoch}
 				s.heap.push(heapItem{dist: nd, id: int32(e.To)})
+			} else if nd == to.dist {
+				to.tied = true
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fubar/internal/graph"
@@ -50,98 +51,187 @@ func TestInternVerifiesLinksNotFingerprint(t *testing.T) {
 	}
 }
 
-// Memo exactness: a generator that has answered thousands of requests —
-// slowly drifting congestion masks, so most requests repeat an earlier
-// key, as consecutive optimizer steps do — must answer each exactly as a
-// generator built for that one request does (whose one miss is a plain
-// early-exit search), under every policy knob and whatever miss count
-// grows a (src, exclusion set) pair's tree: first, second, the shipped
-// one, never. The requests are an optimisation's: every aggregate's
-// lowest-delay path first, then the alternatives trio for all of them
-// under each step's congestion — many destinations per source, which is
-// what the trees answer.
-func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
-	topo := heTopo(t)
-	nL, nN := topo.NumLinks(), topo.NumNodes()
-	policies := map[string]Policy{
-		"open":      {},
-		"forbidden": {ForbiddenLinks: ForbidLinks(topo, 3, 11, 40)},
-		"bounded":   {MaxHops: 5, MaxDelay: 60 * unit.Millisecond, ForbiddenLinks: ForbidLinks(topo, 8)[:20]},
+// minimumPaths counts, by enumerating every loop-free path from src to
+// dst that avoids the links, how many have the least delay (summed from
+// the source outward). It shares nothing with graph.Searcher.
+func minimumPaths(topo *topology.Topology, src, dst graph.NodeID, avoid []graph.EdgeID) int {
+	gr := topo.Graph()
+	best, count := math.Inf(1), 0
+	onPath := make([]bool, topo.NumNodes())
+	var walk func(at graph.NodeID, w float64)
+	walk = func(at graph.NodeID, w float64) {
+		if at == dst {
+			switch {
+			case w < best:
+				best, count = w, 1
+			case w == best:
+				count++
+			}
+			return
+		}
+		onPath[at] = true
+		for _, id := range gr.OutEdges(at) {
+			if e := gr.Edge(id); !onPath[e.To] && !slices.Contains(avoid, id) {
+				walk(e.To, w+e.Weight)
+			}
+		}
+		onPath[at] = false
 	}
-	const steps = 60
-	for name, policy := range policies {
-		for _, treeAfter := range []int32{1, 2, treeAfterMisses, math.MaxInt32} {
-			t.Run(fmt.Sprintf("%s/tree-after-%d", name, treeAfter), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(17))
-				long, err := New(topo, policy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				long.treeAfter = treeAfter
-				fresh := func() *Generator {
-					g, err := New(topo, policy)
+	walk(src, 0)
+	return count
+}
+
+// Memo and donor exactness: a generator that has answered thousands of
+// requests — slowly drifting congestion masks, so most requests repeat an
+// earlier key, as consecutive optimizer steps do — must answer each
+// exactly as a generator built for that one request does: one whose every
+// lookup misses, has no narrower answer but its own trio's to draw on, and
+// searches. That holds under every policy knob, whatever miss count grows
+// a (src, exclusion set) pair's tree (first, second, the shipped one,
+// never), and on every kind of topology: real delays (HE-31, Waxman),
+// where donors answer many lookups, and equal delays (the 6-node ring, a
+// unit grid), where most paths are tied and a donor must stand back
+// rather than hand over whichever of two equal paths it happened to hold.
+// The requests are an optimisation's: every aggregate's lowest-delay path
+// first, then the alternatives trio for all of them under each step's
+// congestion — many destinations per source, which is what the trees
+// answer. Every fifth request breaks the nesting the trio usually has —
+// its used set holds a link its all set lacks — so a donor that assumed
+// nesting instead of checking it would answer the wrong problem.
+func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
+	waxman, err := topology.Waxman(40, 0.25, 0.2, 100*unit.Mbps, 50*unit.Millisecond, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := topology.Ring(6, 0, 100*unit.Mbps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := topology.Grid(4, 4, 100*unit.Mbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		topo *topology.Topology
+		tied bool // equal delays: small enough to enumerate, too
+	}{{"he31", heTopo(t), false}, {"waxman", waxman, false}, {"ring", ring, true}, {"grid", grid, true}} {
+		topo := tc.topo
+		nL, nN := topo.NumLinks(), topo.NumNodes()
+		link := func(i int) topology.LinkID { return topology.LinkID(i % nL) }
+		policies := map[string]Policy{
+			"open":      {},
+			"forbidden": {ForbiddenLinks: ForbidLinks(topo, link(3), link(11), link(40))},
+			"bounded":   {MaxHops: 5, MaxDelay: 60 * unit.Millisecond, ForbiddenLinks: ForbidLinks(topo, link(8))[:nL/2]},
+		}
+		const steps = 60
+		for name, policy := range policies {
+			for _, treeAfter := range []int32{1, 2, treeAfterMisses, noTrees} {
+				t.Run(fmt.Sprintf("%s/%s/tree-after-%d", tc.name, name, treeAfter), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(17))
+					long, err := New(topo, policy)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return g
-				}
-				// 12 ingresses × 9 egresses, some pairs drawn twice.
-				var pairs [][2]graph.NodeID
-				for i := 0; i < 12; i++ {
-					src := graph.NodeID(rng.Intn(nN))
-					for j := 0; j < 9; j++ {
-						pairs = append(pairs, [2]graph.NodeID{src, graph.NodeID(rng.Intn(nN))})
+					long.treeAfter = treeAfter
+					fresh := func() *Generator {
+						g, err := New(topo, policy)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return g
 					}
-				}
-				for _, pr := range pairs {
-					p, ok := long.LowestDelay(pr[0], pr[1])
-					q, qok := fresh().LowestDelay(pr[0], pr[1])
-					if !sameAnswer(p, ok, q, qok) {
-						t.Fatalf("%v: lowest delay %v/%v, fresh %v/%v", pr, p, ok, q, qok)
-					}
-				}
-				all := make([]bool, nL)
-				used := make([]bool, nL)
-				for i := 0; i < 6; i++ {
-					all[rng.Intn(nL)] = true
-				}
-				for step := 0; step < steps; step++ {
-					if step%4 == 0 { // the congestion set drifts by one link
-						l := rng.Intn(nL)
-						all[l] = !all[l]
+					// 12 ingresses × 9 egresses, some pairs drawn twice.
+					var pairs [][2]graph.NodeID
+					for i := 0; i < 12; i++ {
+						src := graph.NodeID(rng.Intn(nN))
+						for j := 0; j < 9; j++ {
+							pairs = append(pairs, [2]graph.NodeID{src, graph.NodeID(rng.Intn(nN))})
+						}
 					}
 					for _, pr := range pairs {
-						most := graph.EdgeID(-1)
-						for l := range used {
-							used[l] = all[l] && (l+int(pr[0]))%3 == 0
-							if used[l] && most < 0 {
-								most = graph.EdgeID(l)
-							}
-						}
-						req := Request{Src: pr[0], Dst: pr[1], CongestedAll: all, CongestedUsed: used, MostCongested: most}
-						got, want := long.Alternatives(req), fresh().Alternatives(req)
-						if !sameAnswer(got.Global, got.HasGlobal, want.Global, want.HasGlobal) ||
-							!sameAnswer(got.Local, got.HasLocal, want.Local, want.HasLocal) ||
-							!sameAnswer(got.LinkLocal, got.HasLinkLocal, want.LinkLocal, want.HasLinkLocal) {
-							t.Fatalf("step %d %v: long-lived generator %+v, fresh %+v", step, pr, got, want)
+						p, ok := long.LowestDelay(pr[0], pr[1])
+						q, qok := fresh().LowestDelay(pr[0], pr[1])
+						if !sameAnswer(p, ok, q, qok) {
+							t.Fatalf("%v: lowest delay %v/%v, fresh %v/%v", pr, p, ok, q, qok)
 						}
 					}
-				}
-				if sets, keys := len(long.setLinks), len(long.memo); keys >= steps*len(pairs) || sets >= keys {
-					t.Errorf("memo did not dedupe: %d sets, %d keys for %d requests", sets, keys, steps*len(pairs)*3)
-				}
-				grows := treeAfter != math.MaxInt32 && policy.MaxHops == 0
-				if trees := len(long.trees); grows != (trees > 0) || trees > len(long.sources) {
-					t.Errorf("%d trees over %d (src, set) pairs; trees expected: %v", trees, len(long.sources), grows)
-				}
-			})
+					all := make([]bool, nL)
+					used := make([]bool, nL)
+					for i := 0; i < min(6, nL/3); i++ {
+						all[rng.Intn(nL)] = true
+					}
+					for step := 0; step < steps; step++ {
+						if step%4 == 0 { // the congestion set drifts by one link
+							l := rng.Intn(nL)
+							all[l] = !all[l]
+						}
+						for pi, pr := range pairs {
+							most := graph.EdgeID(-1)
+							for l := range used {
+								used[l] = all[l] && (l+int(pr[0]))%3 == 0
+								if used[l] && most < 0 {
+									most = graph.EdgeID(l)
+								}
+							}
+							if (step+pi)%5 == 0 {
+								used[slices.Index(all, false)] = true // used ⊄ all
+							}
+							req := Request{Src: pr[0], Dst: pr[1], CongestedAll: all, CongestedUsed: used, MostCongested: most}
+							got, want := long.Alternatives(req), fresh().Alternatives(req)
+							if !sameAnswer(got.Global, got.HasGlobal, want.Global, want.HasGlobal) ||
+								!sameAnswer(got.Local, got.HasLocal, want.Local, want.HasLocal) ||
+								!sameAnswer(got.LinkLocal, got.HasLinkLocal, want.LinkLocal, want.HasLinkLocal) {
+								t.Fatalf("step %d %v: long-lived generator %+v, fresh %+v", step, pr, got, want)
+							}
+						}
+					}
+					if sets, keys := len(long.setLinks), len(long.memo); keys >= steps*len(pairs) || sets >= keys {
+						t.Errorf("memo did not dedupe: %d sets, %d keys for %d requests", sets, keys, steps*len(pairs)*3)
+					}
+					grows := treeAfter != noTrees && policy.MaxHops == 0
+					if trees := len(long.trees); grows != (trees > 0) || trees > len(long.sources) {
+						t.Errorf("%d trees over %d (src, set) pairs; trees expected: %v", trees, len(long.sources), grows)
+					}
+					st := long.Stats()
+					if st.Lookups != st.MemoHits+st.Donated+st.TreeAnswers+st.Searches || st.TreesBuilt != int64(len(long.trees)) {
+						t.Errorf("counters do not add up: %+v with %d trees", st, len(long.trees))
+					}
+					if policy.MaxHops == 0 && st.Donated == 0 {
+						t.Errorf("no lookup was answered by a donor: %+v", st)
+					}
+					// Only a path that nothing ties may ever be handed on:
+					// on the equal-delay topologies, count the minimum
+					// paths behind every answer that carries the proof.
+					proofs := 0
+					for key, a := range long.memo {
+						if !a.unique {
+							continue
+						}
+						proofs++
+						if policy.MaxHops > 0 {
+							t.Fatalf("%v: a hop-bounded answer claims uniqueness", key)
+						}
+						if !tc.tied {
+							continue
+						}
+						if n := minimumPaths(topo, key.src, key.dst, long.setLinks[key.set]); n != 1 {
+							t.Fatalf("%v avoiding %v: answer %v marked unique, %d paths tie for the minimum",
+								key, long.setLinks[key.set], a.path.Edges, n)
+						}
+					}
+					if policy.MaxHops == 0 && proofs == 0 {
+						t.Error("no answer carries a uniqueness proof")
+					}
+				})
+			}
 		}
 	}
 }
 
 // An avoid mask longer or shorter than the link count, and policy links
 // beyond a short mask, land in the same exclusion set as the full mask.
-func TestAvoidingMaskLengths(t *testing.T) {
+func TestMaskLengths(t *testing.T) {
 	topo := heTopo(t)
 	nL := topo.NumLinks()
 	policy := Policy{ForbiddenLinks: ForbidLinks(topo, topology.LinkID(nL-1))}
@@ -153,14 +243,18 @@ func TestAvoidingMaskLengths(t *testing.T) {
 	full[2] = true
 	short := full[:5]
 	long := append(append([]bool(nil), full...), true, true)
-	want, wantOK := g.Avoiding(0, 9, full)
+	avoiding := func(mask []bool) (graph.Path, bool) {
+		alts := g.Alternatives(Request{Src: 0, Dst: 9, CongestedAll: mask, MostCongested: -1})
+		return alts.Global, alts.HasGlobal
+	}
+	want, wantOK := avoiding(full)
 	for name, mask := range map[string][]bool{"short": short, "long": long} {
-		if p, ok := g.Avoiding(0, 9, mask); !sameAnswer(p, ok, want, wantOK) {
+		if p, ok := avoiding(mask); !sameAnswer(p, ok, want, wantOK) {
 			t.Errorf("%s mask: %v/%v, full mask %v/%v", name, p.Edges, ok, want.Edges, wantOK)
 		}
 	}
-	if len(g.setLinks) != 1 {
-		t.Errorf("equivalent masks interned %d sets, want 1", len(g.setLinks))
+	if len(g.setLinks) != 2 { // the policy's own set and the mask's
+		t.Errorf("equivalent masks interned %d sets, want 2", len(g.setLinks))
 	}
 	for _, e := range want.Edges {
 		if e == 2 || policy.ForbiddenLinks[e] {

@@ -18,6 +18,7 @@ package pathgen
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"fubar/internal/graph"
@@ -64,13 +65,17 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 // topology and policy are fixed for the generator's life and the key
 // holds the whole exclusion set, not a digest of it.
 //
-// Misses that share (src, exclusion set) and differ only in dst — the
-// aggregates of one ingress, asked about in turn — repeat one search up
-// to different exits. Once a pair has missed treeAfterMisses times the
-// generator runs that search to the end instead, keeps the predecessor
-// tree, and rebuilds every later destination's path from it; a tree path
-// is the search's path edge for edge (graph.Tree.Path), so the memo stays
-// exact. A hop bound needs the layered search, which has no tree.
+// A miss is answered, in order of cost, by a donor, a tree or a search.
+// The §2.4 trio's exclusion sets are nested — link-local ⊆ local ⊆ global
+// — so Alternatives asks narrowest first and offers each answer to the
+// next lookup (see donate). Misses that share (src, exclusion set) and
+// differ only in dst — the aggregates of one ingress, asked about in turn
+// — repeat one search up to different exits: once a pair has missed
+// treeAfter times the generator runs that search to the end instead, keeps
+// the predecessor tree, and rebuilds every later destination's path from
+// it; a tree path is the search's path edge for edge (graph.Tree.Path), so
+// the memo stays exact. A hop bound needs the layered search, which has
+// neither a tree nor a uniqueness proof to donate.
 //
 // Returned paths share their Edges with the memo and with every other
 // caller handed the same answer; treat them as read-only. Memo and trees
@@ -79,13 +84,14 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 type Generator struct {
 	topo   *topology.Topology
 	policy Policy
-	// forbidden lists the policy's forbidden links in ascending order.
+	// forbidden lists the policy's forbidden links in ascending order; it
+	// is exclusion set 0, what LowestDelay searches under.
 	forbidden []graph.EdgeID
 
 	searcher graph.Searcher
-	memo     map[memoKey]memoPath
-	// sources holds, per (src, exclusion set), the misses seen so far
-	// while below treeAfter, then treeAfter plus an index into trees.
+	memo     map[memoKey]answer
+	// sources holds, per (src, exclusion set), the misses seen so far, or
+	// ^i once trees[i] is the pair's tree.
 	sources   map[sourceKey]int32
 	trees     []graph.Tree
 	treeAfter int32 // treeAfterMisses; a field so tests can vary it
@@ -93,9 +99,11 @@ type Generator struct {
 	// fingerprint, each an index into setLinks (ascending link lists).
 	sets     map[uint64][]int32
 	setLinks [][]graph.EdgeID
+	stats    Stats
 
-	links   []graph.EdgeID // scratch: the exclusion set being looked up
-	exclude []bool         // scratch mask for the searcher; all false between searches
+	links     []graph.EdgeID // scratch: a link list merged with forbidden
+	all, used []graph.EdgeID // scratch: a Request's masks as link lists
+	exclude   []bool         // scratch mask for the searcher; all false between searches
 }
 
 type memoKey struct {
@@ -103,9 +111,13 @@ type memoKey struct {
 	set      int32
 }
 
-type memoPath struct {
-	path graph.Path
-	ok   bool
+// answer is one memoised lookup: the path, whether there is one, and
+// whether it came with graph.Searcher's proof that nothing ties it —
+// which is what lets it answer a wider exclusion set too (see donate).
+type answer struct {
+	path   graph.Path
+	ok     bool
+	unique bool
 }
 
 type sourceKey struct {
@@ -113,13 +125,49 @@ type sourceKey struct {
 	set int32
 }
 
+// Stats counts how a generator answered its lookups: Lookups is the sum of
+// the four ways, TreesBuilt the full searches behind TreeAnswers.
+type Stats struct {
+	Lookups     int64 `json:"lookups"`
+	MemoHits    int64 `json:"memo_hits"`
+	Donated     int64 `json:"donated"`
+	TreeAnswers int64 `json:"tree_answers"`
+	Searches    int64 `json:"searches"`
+	TreesBuilt  int64 `json:"trees_built"`
+}
+
+// Add accumulates other into s.
+func (s *Stats) Add(other Stats) {
+	s.Lookups += other.Lookups
+	s.MemoHits += other.MemoHits
+	s.Donated += other.Donated
+	s.TreeAnswers += other.TreeAnswers
+	s.Searches += other.Searches
+	s.TreesBuilt += other.TreesBuilt
+}
+
+// Stats returns the generator's cumulative lookup counters.
+func (g *Generator) Stats() Stats { return g.stats }
+
+// ResetStats zeroes the counters (memo and trees stay): a generator that
+// outlives an optimization run resets them per run.
+func (g *Generator) ResetStats() { g.stats = Stats{} }
+
 // treeAfterMisses is the miss under one (src, exclusion set) that builds
-// the pair's tree. A tree costs about two early-exit searches, and half of
-// all pairs are asked about once: on a scale-s optimisation (100 nodes,
-// 1500 aggregates) 18.0k of 36.6k pairs miss once, 6.5k twice, and the
-// tail sits at 10–20 misses. Building on the second miss cost the 31-node
-// HE replay 5% in trees nobody used; the fourth did not.
-const treeAfterMisses = 4
+// the pair's tree; a tree costs about two early-exit searches. Set 0 does
+// not wait: an optimisation opens by asking it for every aggregate of
+// every ingress, so its trees are always used — on a scale-s run (100
+// nodes, 1500 aggregates) 100 trees answer 1390 lookups, and waiting cost
+// 300 searches that bought nothing. The congestion sets are the opposite
+// case. Once the donors have answered, such a run leaves about 380 misses
+// to 200 (src, set) pairs: 120 pairs miss once, 40 twice, and the 23 that
+// miss four times or more account for 135 of the misses. Building on the
+// second miss cost the 31-node HE replay 5% in trees nobody used; the
+// fourth did not. noTrees switches trees off altogether (tests).
+const (
+	treeAfterMisses = 4
+	noTrees         = math.MaxInt32
+)
 
 // New builds a generator for the topology under the policy.
 func New(topo *topology.Topology, policy Policy) (*Generator, error) {
@@ -138,7 +186,7 @@ func New(topo *topology.Topology, policy Policy) (*Generator, error) {
 	g := &Generator{
 		topo:    topo,
 		policy:  policy,
-		memo:    make(map[memoKey]memoPath),
+		memo:    make(map[memoKey]answer),
 		sources: make(map[sourceKey]int32),
 		sets:    make(map[uint64][]int32),
 		exclude: make([]bool, topo.NumLinks()),
@@ -150,6 +198,7 @@ func New(topo *topology.Topology, policy Policy) (*Generator, error) {
 			g.forbidden = append(g.forbidden, graph.EdgeID(i))
 		}
 	}
+	g.intern(fingerprint(g.forbidden), g.forbidden) // set 0
 	return g, nil
 }
 
@@ -159,87 +208,136 @@ func (g *Generator) Topology() *topology.Topology { return g.topo }
 // LowestDelay returns the lowest-delay policy-compliant path between two
 // nodes. src==dst yields the empty path.
 func (g *Generator) LowestDelay(src, dst graph.NodeID) (graph.Path, bool) {
-	return g.Avoiding(src, dst, nil)
+	a := g.lookup(src, dst, 0, answer{}, -1)
+	return a.path, a.ok
 }
 
-// Avoiding returns the lowest-delay policy-compliant path that avoids the
-// marked links. A nil avoid set is equivalent to LowestDelay.
-func (g *Generator) Avoiding(src, dst graph.NodeID, avoid []bool) (graph.Path, bool) {
-	if len(avoid) > len(g.exclude) {
-		avoid = avoid[:len(g.exclude)]
+// lookup answers (src, dst) under exclusion set `set` from the memo; a
+// miss takes the donor — the answer to the same pair under set donorSet,
+// -1 for none — where donate allows, and a tree or a search otherwise.
+func (g *Generator) lookup(src, dst graph.NodeID, set int32, donor answer, donorSet int32) answer {
+	g.stats.Lookups++
+	key := memoKey{src: src, dst: dst, set: set}
+	if a, hit := g.memo[key]; hit {
+		g.stats.MemoHits++
+		return a
 	}
-	// Merge the mask with the (ascending) forbidden list.
-	links, forb := g.links[:0], g.forbidden
-	for i, bad := range avoid {
-		if len(forb) > 0 && int(forb[0]) == i {
-			bad, forb = true, forb[1:]
+	a, donated := donor, donorSet >= 0 && g.donate(donor, donorSet, set)
+	if donated {
+		g.stats.Donated++
+	} else {
+		a = g.search(key)
+	}
+	g.memo[key] = a
+	return a
+}
+
+// donate reports whether the answer to a pair under exclusion set from is
+// also the pair's answer under set to, so that no search need run. It must
+// be the answer to a narrower problem: from ⊆ to, checked, not assumed.
+// Then "no path" is final — excluding more links creates no path, and
+// lengthens none past a MaxDelay it already broke — and a path stands if
+// it avoids the wider set and carries the searcher's proof of uniqueness
+// (graph.Searcher.ShortestPathUnique): the wider search runs on a subgraph
+// that still holds it. A tied path is refused, because which of two equal
+// paths a search returns depends on what else it relaxed.
+func (g *Generator) donate(a answer, from, to int32) bool {
+	if a.ok && !a.unique {
+		return false
+	}
+	wider := g.setLinks[to]
+	if !subset(g.setLinks[from], wider) {
+		return false
+	}
+	for _, e := range a.path.Edges {
+		if _, hit := slices.BinarySearch(wider, e); hit {
+			return false
 		}
-		if bad {
-			links = append(links, graph.EdgeID(i))
+	}
+	return true
+}
+
+// subset reports whether every link of a is in b; both ascend.
+func subset(a, b []graph.EdgeID) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	for _, l := range a {
+		at, found := slices.BinarySearch(b, l)
+		if !found {
+			return false
 		}
+		b = b[at+1:]
 	}
-	g.links = append(links, forb...)
-	return g.lookup(src, dst)
+	return true
 }
 
-// AvoidingLink returns the lowest-delay policy-compliant path avoiding a
-// single link.
-func (g *Generator) AvoidingLink(src, dst graph.NodeID, link graph.EdgeID) (graph.Path, bool) {
-	g.links = append(g.links[:0], g.forbidden...)
-	if int(link) >= 0 && int(link) < len(g.exclude) {
-		if at, found := slices.BinarySearch(g.links, link); !found {
-			g.links = slices.Insert(g.links, at, link)
-		}
-	}
-	return g.lookup(src, dst)
-}
-
-// lookup answers (src, dst) under the exclusion set in g.links from the
-// memo, running and recording the search on a miss.
-func (g *Generator) lookup(src, dst graph.NodeID) (graph.Path, bool) {
-	key := memoKey{src: src, dst: dst, set: g.intern(fingerprint(g.links), g.links)}
-	if m, hit := g.memo[key]; hit {
-		return m.path, m.ok
-	}
-	p, ok := g.search(key)
-	if ok && g.policy.MaxDelay > 0 && g.topo.PathDelay(p) > g.policy.MaxDelay {
-		p, ok = graph.Path{}, false
-	}
-	g.memo[key] = memoPath{path: p, ok: ok}
-	return p, ok
-}
-
-// search answers a memo miss: from the (src, exclusion set) pair's tree
-// once the pair has missed treeAfter times, by an early-exit search until
-// then — and always under a hop bound, which a tree cannot honor.
-func (g *Generator) search(key memoKey) (graph.Path, bool) {
-	if g.policy.MaxHops > 0 || key.src == key.dst {
-		return g.searchTo(key)
-	}
+// search answers a memo miss without a donor: from the (src, exclusion
+// set) pair's tree once it has one, by an early-exit search until then.
+func (g *Generator) search(key memoKey) answer {
 	gr := g.topo.Graph()
+	var a answer
+	if tree := g.tree(key); tree != nil {
+		g.stats.TreeAnswers++
+		a.path, a.unique, a.ok = tree.PathUnique(gr, key.dst)
+	} else {
+		g.stats.Searches++
+		links := g.setLinks[key.set]
+		g.mark(links, true)
+		a.path, a.unique, a.ok = g.searcher.ShortestPathUnique(gr, key.src, key.dst, g.constraints())
+		g.mark(links, false)
+	}
+	if a.ok && g.policy.MaxDelay > 0 && g.topo.PathDelay(a.path) > g.policy.MaxDelay {
+		a = answer{}
+	}
+	return a
+}
+
+// tree returns the shortest-path tree of key's (src, exclusion set) pair,
+// building it on the miss that is due to, or nil while the pair is still
+// counting misses — and always under a hop bound, which a tree cannot
+// honor.
+func (g *Generator) tree(key memoKey) *graph.Tree {
+	if g.policy.MaxHops > 0 || key.src == key.dst || g.treeAfter == noTrees {
+		return nil
+	}
 	source := sourceKey{src: key.src, set: key.set}
 	n := g.sources[source]
-	switch {
-	case n >= g.treeAfter:
-		return g.trees[n-g.treeAfter].Path(gr, key.dst)
-	case n+1 < g.treeAfter:
-		g.sources[source] = n + 1
-		return g.searchTo(key)
+	if n < 0 {
+		return &g.trees[^n]
 	}
-	g.mark(g.links, true)
-	tree := g.searcher.ShortestPathTree(gr, key.src, g.constraints())
-	g.mark(g.links, false)
-	g.sources[source] = g.treeAfter + int32(len(g.trees))
+	if n+1 < g.treeAfter && key.set != 0 {
+		g.sources[source] = n + 1
+		return nil
+	}
+	links := g.setLinks[key.set]
+	g.mark(links, true)
+	tree := g.searcher.ShortestPathTree(g.topo.Graph(), key.src, g.constraints())
+	g.mark(links, false)
+	g.stats.TreesBuilt++
+	g.sources[source] = ^int32(len(g.trees))
 	g.trees = append(g.trees, tree)
-	return tree.Path(gr, key.dst)
+	return &g.trees[len(g.trees)-1]
 }
 
-// searchTo runs the early-exit search for key under g.links.
-func (g *Generator) searchTo(key memoKey) (graph.Path, bool) {
-	g.mark(g.links, true)
-	p, ok := g.searcher.ShortestPath(g.topo.Graph(), key.src, key.dst, g.constraints())
-	g.mark(g.links, false)
-	return p, ok
+// internWith returns the ID of the exclusion set links ∪ forbidden; links
+// ascends, holds no duplicate and names only links of the topology.
+func (g *Generator) internWith(links []graph.EdgeID) int32 {
+	if len(g.forbidden) == 0 {
+		return g.intern(fingerprint(links), links)
+	}
+	merged, forb := g.links[:0], g.forbidden
+	for _, l := range links {
+		for len(forb) > 0 && forb[0] < l {
+			merged, forb = append(merged, forb[0]), forb[1:]
+		}
+		if len(forb) > 0 && forb[0] == l {
+			forb = forb[1:]
+		}
+		merged = append(merged, l)
+	}
+	g.links = append(merged, forb...)
+	return g.intern(fingerprint(g.links), g.links)
 }
 
 // intern returns the ID of the exclusion set links (ascending link IDs),
@@ -292,21 +390,6 @@ type Alternatives struct {
 	HasLinkLocal bool
 }
 
-// Paths lists the present alternatives, global first.
-func (a Alternatives) Paths() []graph.Path {
-	out := make([]graph.Path, 0, 3)
-	if a.HasGlobal {
-		out = append(out, a.Global)
-	}
-	if a.HasLocal {
-		out = append(out, a.Local)
-	}
-	if a.HasLinkLocal {
-		out = append(out, a.LinkLocal)
-	}
-	return out
-}
-
 // Request describes one congested aggregate's situation.
 type Request struct {
 	Src, Dst graph.NodeID
@@ -321,13 +404,47 @@ type Request struct {
 }
 
 // Alternatives computes the global / local / link-local trio for a
-// congested aggregate.
+// congested aggregate: AlternativesAvoiding over the masks' link lists.
 func (g *Generator) Alternatives(req Request) Alternatives {
-	var out Alternatives
-	out.Global, out.HasGlobal = g.Avoiding(req.Src, req.Dst, req.CongestedAll)
-	out.Local, out.HasLocal = g.Avoiding(req.Src, req.Dst, req.CongestedUsed)
-	out.LinkLocal, out.HasLinkLocal = g.AvoidingLink(req.Src, req.Dst, req.MostCongested)
+	g.all = g.maskLinks(g.all[:0], req.CongestedAll)
+	g.used = g.maskLinks(g.used[:0], req.CongestedUsed)
+	return g.AlternativesAvoiding(req.Src, req.Dst, g.all, g.used, req.MostCongested)
+}
+
+// maskLinks appends the topology's links the mask marks, ascending.
+func (g *Generator) maskLinks(out []graph.EdgeID, mask []bool) []graph.EdgeID {
+	if len(mask) > len(g.exclude) {
+		mask = mask[:len(g.exclude)]
+	}
+	for i, bad := range mask {
+		if bad {
+			out = append(out, graph.EdgeID(i))
+		}
+	}
 	return out
+}
+
+// AlternativesAvoiding is Alternatives with the congested links given as
+// lists — all of them, and those the aggregate uses — each ascending,
+// without duplicates and naming only links of the topology; most outside
+// the topology means no link. The trio is asked narrowest set first, each
+// answer offered to the next, wider lookup as its donor; nothing here
+// assumes the sets really nest (donate checks).
+func (g *Generator) AlternativesAvoiding(src, dst graph.NodeID, all, used []graph.EdgeID, most graph.EdgeID) Alternatives {
+	var one []graph.EdgeID
+	if int(most) >= 0 && int(most) < len(g.exclude) {
+		one = []graph.EdgeID{most}
+	}
+	linkSet := g.internWith(one)
+	link := g.lookup(src, dst, linkSet, answer{}, -1)
+	localSet := g.internWith(used)
+	local := g.lookup(src, dst, localSet, link, linkSet)
+	global := g.lookup(src, dst, g.internWith(all), local, localSet)
+	return Alternatives{
+		Global: global.path, HasGlobal: global.ok,
+		Local: local.path, HasLocal: local.ok,
+		LinkLocal: link.path, HasLinkLocal: link.ok,
+	}
 }
 
 // KLowestDelay returns up to k policy-compliant paths in increasing delay

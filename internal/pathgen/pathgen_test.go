@@ -130,9 +130,6 @@ func TestAlternativesTrio(t *testing.T) {
 	if topo.PathDelay(alts.Local) < topo.PathDelay(alts.LinkLocal) {
 		t.Error("local should not be faster than link-local")
 	}
-	if got := len(alts.Paths()); got != 3 {
-		t.Errorf("Paths() = %d entries, want 3", got)
-	}
 }
 
 func TestAlternativesWhenGlobalImpossible(t *testing.T) {
@@ -156,9 +153,6 @@ func TestAlternativesWhenGlobalImpossible(t *testing.T) {
 	}
 	if !alts.HasLinkLocal {
 		t.Error("link-local must exist (only one link avoided)")
-	}
-	if got := len(alts.Paths()); got != 1 {
-		t.Errorf("Paths() = %d entries, want 1", got)
 	}
 }
 
@@ -216,20 +210,22 @@ func TestPolicyMaxDelay(t *testing.T) {
 	// Avoid A->B: cheapest compliant would be 40ms, above ceiling.
 	avoid := make([]bool, topo.NumLinks())
 	avoid[linkID(t, topo, "A", "B")] = true
-	if _, ok := g.Avoiding(a, d, avoid); ok {
+	if alts := g.Alternatives(Request{Src: a, Dst: d, CongestedAll: avoid, MostCongested: -1}); alts.HasGlobal {
 		t.Error("40ms path accepted above 30ms ceiling")
 	}
 }
 
-func TestAvoidingLinkOutOfRange(t *testing.T) {
+func TestMostCongestedOutOfRange(t *testing.T) {
 	topo := fourSquare(t)
 	g, _ := New(topo, Policy{})
 	a, d := nodeID(t, topo, "A"), nodeID(t, topo, "D")
 	// A bogus link id must not panic and must return the unconstrained
 	// lowest-delay path.
-	p, ok := g.AvoidingLink(a, d, graph.EdgeID(-1))
-	if !ok || topo.PathDelay(p) != 20*unit.Millisecond {
-		t.Errorf("AvoidingLink(-1) = %v ok=%v", p, ok)
+	for _, most := range []graph.EdgeID{-1, graph.EdgeID(topo.NumLinks())} {
+		alts := g.Alternatives(Request{Src: a, Dst: d, MostCongested: most})
+		if !alts.HasLinkLocal || topo.PathDelay(alts.LinkLocal) != 20*unit.Millisecond {
+			t.Errorf("link-local avoiding link %d = %v ok=%v", most, alts.LinkLocal, alts.HasLinkLocal)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -230,10 +231,16 @@ func (r *Registry) Snapshot() Snapshot {
 func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	family := ""
 	for _, name := range r.order {
 		if c, ok := r.counts[name]; ok {
-			if err := promHeader(w, name, c.help, "counter"); err != nil {
-				return err
+			// A counter's name may end in a label set; the counters of one
+			// family, registered in a row, share one header.
+			if f, _, _ := strings.Cut(name, "{"); f != family {
+				family = f
+				if err := promHeader(w, f, c.help, "counter"); err != nil {
+					return err
+				}
 			}
 			if _, err := fmt.Fprintf(w, "%s %d\n", name, c.Value()); err != nil {
 				return err

@@ -52,6 +52,13 @@ type CoreMetrics struct {
 	UtilityOnlyCalls *Counter
 	DeltaFallbacks   *Counter
 	DeltaExpansions  *Counter
+
+	// Path lookups by how they were answered, and the trees built.
+	PathMemoHits    *Counter
+	PathDonated     *Counter
+	PathTreeAnswers *Counter
+	PathSearches    *Counter
+	PathTreesBuilt  *Counter
 }
 
 // Core builds (idempotently) the core-subsystem handles. Returns nil
@@ -75,8 +82,15 @@ func (t *Telemetry) Core() *CoreMetrics {
 		UtilityOnlyCalls:    r.Counter("fubar_eval_utility_only_calls_total", "Utility-only incremental evaluations."),
 		DeltaFallbacks:      r.Counter("fubar_eval_delta_fallbacks_total", "Delta evaluations that fell back to a full recompute."),
 		DeltaExpansions:     r.Counter("fubar_eval_delta_expansions_total", "Delta evaluations whose affected set expanded."),
+		PathMemoHits:        r.Counter(`fubar_pathgen_lookups_total{result="memo"}`, pathLookupsHelp),
+		PathDonated:         r.Counter(`fubar_pathgen_lookups_total{result="donor"}`, pathLookupsHelp),
+		PathTreeAnswers:     r.Counter(`fubar_pathgen_lookups_total{result="tree"}`, pathLookupsHelp),
+		PathSearches:        r.Counter(`fubar_pathgen_lookups_total{result="search"}`, pathLookupsHelp),
+		PathTreesBuilt:      r.Counter("fubar_pathgen_trees_built_total", "Shortest-path trees built to answer path lookups."),
 	}
 }
+
+const pathLookupsHelp = "Path lookups, by what answered them: the memo, a narrower set's donated answer, a shortest-path tree, or a search."
 
 // ScenarioMetrics are the scenario-epoch metrics.
 type ScenarioMetrics struct {

@@ -74,6 +74,9 @@ func TestWritePromExposition(t *testing.T) {
 	h.Observe(0.1)
 	h.Observe(1)
 	h.Observe(100)
+	// Counters of one family, told apart by a label: one header.
+	r.Counter(`fubar_d_total{result="hit"}`, "a family").Add(2)
+	r.Counter(`fubar_d_total{result="miss"}`, "a family").Add(5)
 
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {
@@ -89,6 +92,7 @@ func TestWritePromExposition(t *testing.T) {
 		"fubar_c_seconds_bucket{le=\"+Inf\"} 3\n",
 		"fubar_c_seconds_sum 101.1\n",
 		"fubar_c_seconds_count 3\n",
+		"# HELP fubar_d_total a family\n# TYPE fubar_d_total counter\nfubar_d_total{result=\"hit\"} 2\nfubar_d_total{result=\"miss\"} 5\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
