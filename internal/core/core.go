@@ -35,13 +35,13 @@
 // evaluates the committed allocation once (flowmodel.Eval.EvaluateBase on
 // the optimizer's base arena) and every candidate runs
 // flowmodel.Eval.EvaluateDelta against that shared read-only base: only
-// the sub-problem the move actually perturbs is re-filled, with automatic
-// fallback to a full evaluation when the affected set is large. Scoring
-// uses the utility-only delta mode by default (EvaluateDeltaUtility —
-// no Result finalization; see Options.DisableUtilityScoring), while the
-// committed move always gets a full result. Delta results are
-// bit-identical to full evaluations of the same list, so DeltaAuto and
-// DeltaOff commit the exact same move sequence at any worker count.
+// the sub-problem the move actually perturbs is re-filled, whatever share
+// of the list that is. Scoring uses the utility-only delta mode by default
+// (EvaluateDeltaUtility — no Result finalization; see
+// Options.DisableUtilityScoring), while the committed move always gets a
+// full result. Delta results are bit-identical to full evaluations of the
+// same list, so DeltaAuto and DeltaOff commit the exact same move sequence
+// at any worker count.
 package core
 
 import (
@@ -102,9 +102,8 @@ type DeltaMode uint8
 
 // Candidate-evaluation strategies.
 const (
-	// DeltaAuto (default): evaluate candidates incrementally against a
-	// per-step base snapshot, falling back to full evaluations when a
-	// move's affected set is too large to pay off. Bit-identical results
+	// DeltaAuto (default): evaluate every candidate incrementally against
+	// a base snapshot of the committed allocation. Bit-identical results
 	// to DeltaOff, usually much faster.
 	DeltaAuto DeltaMode = iota
 	// DeltaOff: every candidate runs a full water-filling (the pre-delta
@@ -364,7 +363,7 @@ type BaseStats struct {
 	Skips int `json:"skips"`
 	// Rebases counts committed moves folded into the base in place;
 	// Recaptures counts commits whose delta fell back to a full
-	// evaluation (oversized affected set).
+	// evaluation (a contract violation: none in a correct run).
 	Rebases    int `json:"rebases"`
 	Recaptures int `json:"recaptures"`
 	// FinalFromBase counts final-allocation evaluations materialized
@@ -430,14 +429,6 @@ type Optimizer struct {
 	// candAgg marks the aggregates of the current step's candidates while
 	// buildStepBundles runs (cleared after).
 	candAgg []bool
-	// deltaOff latches once DeltaAuto's running statistics show the
-	// instance's affected components are too large for incremental
-	// evaluation to pay; the rest of the run uses full evaluations. The
-	// statistics are sums over the step's candidate set — identical at
-	// any worker count — so the latch is deterministic, and candidate
-	// utilities are bit-identical either way, so it never changes the
-	// committed sequence.
-	deltaOff bool
 
 	// denseGen counts buildStepBundles calls; workers compare it against
 	// their syncGen to decide whether their persistent trial buffer still
@@ -581,7 +572,7 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	// paying its own EvaluateBase — so a run's capture count is the
 	// initial evaluation itself, nothing more.
 	var res *flowmodel.Result
-	if o.baseReuseEnabled() && o.opts.DeltaEval == DeltaAuto && !o.deltaOff {
+	if o.baseReuseEnabled() && o.opts.DeltaEval == DeltaAuto {
 		o.ensureBase()
 		res = o.baseEval.EvaluateBase(o.buildPositiveLayout(), o.base)
 		o.baseStats.Captures++
@@ -1051,7 +1042,7 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 	// candidate.)
 	const deltaMinCandidates = 3
 	reuse := o.baseReuseEnabled()
-	useDelta := o.opts.DeltaEval == DeltaAuto && !o.deltaOff &&
+	useDelta := o.opts.DeltaEval == DeltaAuto &&
 		(len(cands) >= deltaMinCandidates || (reuse && o.baseLive))
 	if useDelta || o.probe != nil {
 		// Incremental: evaluate the committed state once (over the step's
@@ -1064,7 +1055,6 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		dense := o.buildStepBundles(cands)
 		o.prepareBase(dense, reuse)
 		o.evaluateCandidates(cands, dense, o.base)
-		o.maybeLatchDeltaOff()
 	} else {
 		// Full evaluations: per-candidate positive lists, patched one
 		// aggregate segment at a time. Zero-flow placeholders are
@@ -1506,45 +1496,6 @@ func (o *Optimizer) patchCandidateSparse(w *worker, c *candidate, committed []fl
 	buf = append(buf, committed[segB:]...)
 	w.buf = buf
 	return buf
-}
-
-// deltaMinCalls and deltaOffWorkFrac govern the DeltaAuto self-disable:
-// once enough candidates have been delta-evaluated, estimate the
-// incremental path's work as a fraction of full evaluations — affected
-// fraction scaled by the expansion re-run rate, plus the fallback rate —
-// and latch it off for the rest of the run when the estimate says the
-// instance's components are too coupled to profit.
-const (
-	deltaMinCalls    = 256
-	deltaOffWorkFrac = 0.5
-)
-
-// maybeLatchDeltaOff inspects the cumulative worker statistics after a
-// delta-evaluated step and latches o.deltaOff when incremental
-// evaluation is not paying — including the degenerate case where every
-// call falls back because the instance is one tightly coupled component.
-// Sums over the candidate set are identical at any worker count, so the
-// latch point is deterministic.
-func (o *Optimizer) maybeLatchDeltaOff() {
-	if o.probe != nil {
-		return // instrumented runs always measure the delta path
-	}
-	var s flowmodel.DeltaStats
-	for _, w := range o.workers {
-		s.Add(w.eval.DeltaStats())
-	}
-	if s.Calls < deltaMinCalls {
-		return
-	}
-	var affected float64
-	if s.ListBundles > 0 {
-		affected = float64(s.AffectedBundles) / float64(s.ListBundles)
-	}
-	expand := float64(s.Expansions) / float64(s.Calls)
-	fallback := float64(s.Fallbacks) / float64(s.Calls)
-	if affected*(1+expand)+fallback > deltaOffWorkFrac {
-		o.deltaOff = true
-	}
 }
 
 // growWorkers ensures at least n evaluator workers exist.

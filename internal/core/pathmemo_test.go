@@ -5,11 +5,7 @@ import (
 	"slices"
 	"testing"
 
-	"fubar/internal/flowmodel"
 	"fubar/internal/pathgen"
-	"fubar/internal/topology"
-	"fubar/internal/traffic"
-	"fubar/internal/unit"
 )
 
 // TestPathMemoExactOnHEOptimization replays the request stream of a full
@@ -19,27 +15,8 @@ import (
 // and against a generator built for each single request. The memo must
 // never change an answer.
 func TestPathMemoExactOnHEOptimization(t *testing.T) {
-	// scenario.HEBenchInstance's recipe (scenario imports core).
-	topo, err := topology.HurricaneElectric(6 * unit.Mbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := traffic.DefaultGenConfig(5)
-	cfg.RealTimeFlows = [2]int{2, 10}
-	cfg.BulkFlows = [2]int{1, 4}
-	cfg.IncludeSelfPairs = false
-	full, err := traffic.Generate(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := full.Subset(func(a traffic.Aggregate) bool { return a.ID%5 == 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := flowmodel.New(topo, mat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := heBenchModel(t, 5)
+	topo := model.Topology()
 
 	newCollector := func() *collector {
 		gen, err := pathgen.New(topo, pathgen.Policy{})
@@ -51,7 +28,7 @@ func TestPathMemoExactOnHEOptimization(t *testing.T) {
 	long := newCollector()
 	var o *Optimizer
 	requests, steps := 0, 0
-	o, err = New(model, Options{Workers: 1, Trace: func(s Snapshot) {
+	o, err := New(model, Options{Workers: 1, Trace: func(s Snapshot) {
 		steps++
 		congested := model.CongestedByOversubscription(s.Result)
 		o.congAsc = append(o.congAsc[:0], congested...)

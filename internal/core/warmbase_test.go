@@ -12,9 +12,8 @@ import (
 )
 
 // mildInstance builds a lightly loaded ring (the scenario matrix's
-// shape) where the delta machinery stays engaged end to end: no
-// deltaOff latch, so runs finish with the base live and the final
-// result materialized from it.
+// shape): a handful of steps, every one scored incrementally, the run
+// finishing with the base live and the final result materialized from it.
 func mildInstance(t *testing.T) *flowmodel.Model {
 	t.Helper()
 	topo, err := topology.Ring(6, 3, 600*unit.Kbps, 1)
@@ -118,11 +117,9 @@ func TestWarmBaseAdoptionBitIdentical(t *testing.T) {
 // TestEpochWarmSingleCapture pins the evaluation-count win of the
 // epoch-warm design: a default delta run's initial evaluation IS the
 // base capture, so the whole run pays exactly one EvaluateBase-style
-// capture (no per-step re-capture). On instances where the delta path
-// stays engaged the final result is materialized from the live base
-// too; where the deltaOff latch fires mid-run the base legitimately
-// stales and the final falls back to a full evaluation — never more
-// than one materialization either way.
+// capture (no per-step re-capture). Every step is scored against that
+// base and every commit folded into it, so it is live at the end and the
+// final result is materialized from it — at most once.
 func TestEpochWarmSingleCapture(t *testing.T) {
 	fromBase := 0
 	for seed := int64(1); seed <= 8; seed++ {
@@ -169,5 +166,76 @@ func TestDisableBaseReuseKeepsNoFinalBase(t *testing.T) {
 	}
 	if sol.Base.FinalFromBase != 0 {
 		t.Fatalf("reuse-off run claims base-materialized finals: %+v", sol.Base)
+	}
+}
+
+// heBenchModel is internal/scenario's HEBenchInstance (which this package
+// cannot import): HE-31 at 6 Mbps under every fifth aggregate of the §3
+// workload — tightly coupled enough that a third of its candidates affect
+// more than half the bundle list.
+func heBenchModel(t *testing.T, seed int64) *flowmodel.Model {
+	t.Helper()
+	topo, err := topology.HurricaneElectric(6 * unit.Mbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := traffic.DefaultGenConfig(seed)
+	cfg.RealTimeFlows = [2]int{2, 10}
+	cfg.BulkFlows = [2]int{1, 4}
+	cfg.IncludeSelfPairs = false
+	full, err := traffic.Generate(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := full.Subset(func(a traffic.Aggregate) bool { return a.ID%5 == 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := flowmodel.New(topo, mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestRunWarmIndependentOfHistory pins that a run owes nothing to the runs
+// its optimizer made before: run k of one long-lived optimizer — the shape
+// a Session and a daemon tenant keep — equals a fresh optimizer's warm run
+// from the same bundles, in solution and in how it got there. (A run-long
+// "delta is not paying" latch that Run never cleared used to leave every
+// run after the first coupled one on full evaluations with no base.)
+func TestRunWarmIndependentOfHistory(t *testing.T) {
+	for _, seed := range []int64{1, 3} {
+		kept, err := New(heBenchModel(t, seed), Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var from []flowmodel.Bundle
+		for k := 1; k <= 3; k++ {
+			got, err := kept.RunWarm(context.Background(), from)
+			if err != nil {
+				t.Fatalf("seed %d run %d: %v", seed, k, err)
+			}
+			fresh, err := New(heBenchModel(t, seed), Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.RunWarm(context.Background(), from)
+			if err != nil {
+				t.Fatalf("seed %d run %d (fresh): %v", seed, k, err)
+			}
+			if got.Utility != want.Utility || got.Steps != want.Steps || !reflect.DeepEqual(got.Bundles, want.Bundles) {
+				t.Fatalf("seed %d run %d: solution depends on history: utility %v vs %v, steps %d vs %d",
+					seed, k, got.Utility, want.Utility, got.Steps, want.Steps)
+			}
+			if got.Delta != want.Delta || got.Base != want.Base {
+				t.Fatalf("seed %d run %d: evaluation path depends on history:\n kept  %+v %+v\n fresh %+v %+v",
+					seed, k, got.Delta, got.Base, want.Delta, want.Base)
+			}
+			if got.Delta.Calls == 0 || got.Delta.Fallbacks != 0 || got.Base.FinalFromBase != 1 {
+				t.Errorf("seed %d run %d: not scored incrementally end to end: %+v %+v", seed, k, got.Delta, got.Base)
+			}
+			from = got.Bundles
+		}
 	}
 }

@@ -53,9 +53,11 @@
 // full evaluation restricted to the affected component. Unaffected
 // bundles keep their base rates; untouched links keep their base loads.
 //
-// When the affected set grows past half the bundle list the delta solve
-// cannot win, so EvaluateDelta falls back to a full Evaluate — results
-// are bit-identical either way, only the cost differs.
+// The solve runs at every affected fraction, the whole list included: set-up
+// and fill cost what the affected set touches, so a delta that re-solves
+// everything costs about a full Evaluate and anything smaller costs less.
+// EvaluateDelta runs a full Evaluate only when the call breaks its
+// contract (no base, a list the base does not describe).
 package flowmodel
 
 import (
@@ -113,8 +115,9 @@ func (b *Base) NumBundles() int { return len(b.bundles) }
 type DeltaStats struct {
 	// Calls is the number of EvaluateDelta invocations.
 	Calls int64
-	// Fallbacks counts calls that ran a full Evaluate instead: oversized
-	// affected set, list mismatch against the base, or no base.
+	// Fallbacks counts calls that ran a full Evaluate instead because they
+	// broke the contract: no base, a list of another length, a changed
+	// index out of range or naming a bundle of another aggregate.
 	Fallbacks int64
 	// Expansions counts optimistic-closure retries: a lazily-treated
 	// bundle got truncated by the candidate, forcing a wider re-solve.
@@ -154,11 +157,6 @@ func (e *Eval) DeltaStats() DeltaStats { return e.stats }
 // reused across optimization runs resets them per run so each run's
 // statistics stand alone.
 func (e *Eval) ResetDeltaStats() { e.stats = DeltaStats{} }
-
-// deltaMaxAffectedFrac is the fallback threshold: when more than this
-// fraction of the bundle list is affected, a delta solve re-does most of
-// the work with extra bookkeeping on top, so run the full evaluation.
-const deltaMaxAffectedFrac = 0.5
 
 // bindingSlack is the relative margin under capacity at which a link
 // counts as filled: a load within float dust of capacity could fire a
@@ -346,9 +344,11 @@ func (e *Eval) captureState(bundles []Bundle, res *Result, base *Base) {
 // aggregate (Flows, Edges and Delay may differ freely). changed lists the
 // indices that may differ and may safely over-approximate. The result —
 // rates, satisfaction, link loads and demands, congested set, utilities —
-// is bit-identical to Evaluate(bundles); only the work is smaller. Falls
-// back to a full Evaluate when the affected set exceeds half the list,
-// the contract cannot be validated cheaply, or base was never captured.
+// is bit-identical to Evaluate(bundles), however much of the list the move
+// affects; only the work is smaller. A call that breaks the contract where
+// that is cheap to see — base never captured, another list length, a
+// changed index out of range or of another aggregate — runs a full
+// Evaluate instead.
 func (e *Eval) EvaluateDelta(base *Base, bundles []Bundle, changed []int) *Result {
 	res, _ := e.evaluateDelta(base, bundles, changed, false)
 	return res
@@ -524,9 +524,6 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 				d.eagerMark[bi] = d.epoch
 				d.propagate(base, bundles[bi].Edges)
 			}
-		}
-		if float64(len(d.affected)) > deltaMaxAffectedFrac*float64(nB) {
-			return fallback()
 		}
 
 		// Per-bundle fill parameters, in no particular order: nothing here

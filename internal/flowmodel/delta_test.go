@@ -221,9 +221,11 @@ func TestDeltaStackedMoves(t *testing.T) {
 	}
 }
 
-// TestDeltaFallbacks pins the fallback conditions: no base, length
-// mismatch, out-of-range changed index, aggregate swap. All must still
-// return correct (full-evaluation) results.
+// TestDeltaFallbacks pins the fallback conditions, which are contract
+// violations only — no base, length mismatch, out-of-range changed index,
+// aggregate swap; how much of the list a move affects is not one (see
+// TestDeltaMatchesFullWhenMostOfTheListIsAffected). All must still return
+// correct (full-evaluation) results.
 func TestDeltaFallbacks(t *testing.T) {
 	m, bundles, _ := deltaInstance(t, 7)
 	arena := m.NewEval()
@@ -250,6 +252,92 @@ func TestDeltaFallbacks(t *testing.T) {
 	res := arena.EvaluateDelta(&base, swapped, []int{0})
 	if res.NetworkUtility != m.NewEval().Evaluate(swapped).NetworkUtility {
 		t.Fatalf("aggregate-swap fallback returned a wrong result")
+	}
+}
+
+// TestDeltaMatchesFullWhenMostOfTheListIsAffected covers the calls no
+// cost guard turns away any more: tenant-ring and HE-crisis lists, from
+// their own load up to an overload where every link binds, scored on
+// congestion-relieving and random moves. Whatever share of the list the
+// closure covers and however often the solve is widened and re-run,
+// EvaluateDelta, EvaluateDeltaUtility and CommitDelta must equal a full
+// Evaluate bit for bit without falling back — and the test counts that
+// closures past half the list (on both topologies), closures of the whole
+// list and calls re-run three times or more all occurred.
+func TestDeltaMatchesFullWhenMostOfTheListIsAffected(t *testing.T) {
+	var overHalf [2]int // calls affecting more than half the list: ring, HE crisis
+	whole, rerun3, calls := 0, 0, 0
+	for _, c := range []struct {
+		name         string
+		ring         bool
+		load         float64
+		placeholders bool
+	}{
+		{"ring", true, 1, true}, {"ring x2", true, 2, false}, {"ring x5", true, 5, false}, {"ring x10", true, 10, false},
+		{"he-crisis x1", false, 1, true}, {"he-crisis x1.3", false, 1.3, true}, {"he-crisis x2", false, 2, false}, {"he-crisis x3", false, 3, false},
+	} {
+		build, topoIdx := heCrisisList, 1
+		if c.ring {
+			build, topoIdx = ringTenantList, 0
+		}
+		m, bundles := build(t, c.load, c.placeholders)
+		var base Base
+		capture, full, delta, score := m.NewEval(), m.NewEval(), m.NewEval(), m.NewEval()
+		capture.EvaluateBase(bundles, &base)
+		moves := append(relievingMoves(m, bundles, 400), moveCandidates(bundles, 64, 5)...)
+		cand := append([]Bundle(nil), bundles...)
+		for _, mv := range moves {
+			for _, n := range []int{1 + cand[mv[0]].Flows/2, cand[mv[0]].Flows} {
+				cand[mv[0]].Flows -= n
+				cand[mv[1]].Flows += n
+				changed := []int{min(mv[0], mv[1]), max(mv[0], mv[1])}
+				want := full.Evaluate(cand)
+				before := delta.DeltaStats()
+				requireIdentical(t, c.name+": delta", want, delta.EvaluateDelta(&base, cand, changed))
+				after := delta.DeltaStats()
+				if u, fellBack := score.EvaluateDeltaUtility(&base, cand, changed); u != want.NetworkUtility || fellBack {
+					t.Fatalf("%s: utility-only %v (fell back: %v), full %v", c.name, u, fellBack, want.NetworkUtility)
+				}
+				calls++
+				affected, reruns := after.AffectedBundles-before.AffectedBundles, after.Expansions-before.Expansions
+				hit := false
+				if 2*affected > int64(len(cand)) {
+					hit = true
+					overHalf[topoIdx]++
+				}
+				if affected == int64(len(cand)) {
+					whole++
+				}
+				if reruns >= 3 {
+					hit = true
+					rerun3++
+				}
+				if hit {
+					// Fold the move into a fresh copy of the capture: the
+					// patch must leave what capturing the list afresh would.
+					var folded Base
+					capture.EvaluateBase(bundles, &folded)
+					res, patched := capture.CommitDelta(&folded, cand, changed)
+					if !patched {
+						t.Fatalf("%s: CommitDelta fell back to a recapture", c.name)
+					}
+					requireIdentical(t, c.name+": commit", full.Evaluate(cand), res)
+					requireBase(t, c.name+": commit", m, &folded, cand)
+				}
+				cand[mv[0]].Flows += n
+				cand[mv[1]].Flows -= n
+			}
+		}
+		for _, arena := range []*Eval{capture, delta, score} {
+			if st := arena.DeltaStats(); st.Fallbacks != 0 {
+				t.Fatalf("%s: %d of %d delta calls fell back", c.name, st.Fallbacks, st.Calls)
+			}
+		}
+	}
+	t.Logf("%d calls: %d (ring) + %d (HE crisis) affected more than half the list, %d all of it, %d re-ran three times or more",
+		calls, overHalf[0], overHalf[1], whole, rerun3)
+	if overHalf[0] == 0 || overHalf[1] == 0 || whole == 0 || rerun3 == 0 {
+		t.Fatal("a case this test exists for did not occur")
 	}
 }
 
@@ -312,6 +400,7 @@ func FuzzEvaluateDelta(f *testing.F) {
 	f.Add(int64(1), int64(1), uint8(3))
 	f.Add(int64(7), int64(99), uint8(10))
 	f.Add(int64(23), int64(5), uint8(1))
+	f.Add(int64(1), int64(2), uint8(15)) // closures past 60% of the list, one widened by a re-run
 	f.Fuzz(func(t *testing.T, instSeed, moveSeed int64, moves uint8) {
 		if instSeed <= 0 || instSeed > 1<<20 {
 			t.Skip()

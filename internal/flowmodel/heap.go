@@ -9,18 +9,35 @@ import "math"
 // processes simultaneous saturations in the same deterministic order the
 // old linear rescan did: earliest time first, lowest link index on ties.
 //
-// pos[l] is l's position in heap, or -1 while l has no pending event;
-// updates are O(log n) sift operations instead of the previous O(nL)
-// minDirty rescan, which dominated fills on large topologies.
+// Re-keying is lazy. Freezing a bundle at time t ≤ T moves a crossed
+// link's saturation time T = (cap − frozen)/W later (or leaves it), and a
+// link is typically re-keyed several times before it is next the minimum —
+// if it ever is. So update records the new time in time[l] and, when it is
+// not below the key the heap is ordered by, sifts nothing: key[l] stays a
+// lower bound of time[l], exact for every link not re-keyed since its last
+// sift. peek settles the top — raises its key to its time and sifts it
+// down — until the top is exact. Every other link's time is at least its
+// key, and its key is not before the top's, so an exact top is the true
+// minimum under the same (time, index) order: peek returns what an eagerly
+// re-keyed heap would, event for event. A new time below the key (float
+// dust, or frozen load overshooting capacity) is applied at once.
+//
+// pos[l] is l's position in heap, or -1 while l has no pending event.
 type linkHeap struct {
 	time []float64 // per-link saturation time; valid while pos[l] >= 0
-	heap []int32   // heap of link indices ordered by (time, index)
+	key  []float64 // per-link heap key: <= time[l], equal unless a re-key is deferred
+	heap []int32   // heap of link indices ordered by (key, index)
 	pos  []int32   // heap position per link; -1 = no pending event
+
+	// deferred counts re-keys left for peek to settle, eager those that
+	// lowered a key and were sifted at once (read by tests only).
+	deferred, eager int64
 }
 
 // init sizes the heap for nL links with no pending events.
 func (h *linkHeap) init(nL int) {
 	h.time = make([]float64, nL)
+	h.key = make([]float64, nL)
 	h.pos = make([]int32, nL)
 	for i := range h.pos {
 		h.pos[i] = -1
@@ -38,7 +55,7 @@ func (h *linkHeap) reset() {
 }
 
 func (h *linkHeap) less(a, b int32) bool {
-	ta, tb := h.time[a], h.time[b]
+	ta, tb := h.key[a], h.key[b]
 	if ta != tb {
 		return ta < tb
 	}
@@ -83,8 +100,9 @@ func (h *linkHeap) down(i int) bool {
 	return i > start
 }
 
-// update inserts link l at saturation time t, or repositions it if it
-// already has a pending event. t = +Inf removes the event instead (the
+// update inserts link l at saturation time t, or re-keys it if it already
+// has a pending event: at once when t is below its heap key, otherwise
+// when it next reaches the top. t = +Inf removes the event instead (the
 // link can no longer saturate).
 func (h *linkHeap) update(l int32, t float64) {
 	if math.IsInf(t, 1) {
@@ -93,14 +111,18 @@ func (h *linkHeap) update(l int32, t float64) {
 	}
 	h.time[l] = t
 	p := h.pos[l]
-	if p < 0 {
+	switch {
+	case p < 0:
+		h.key[l] = t
 		h.pos[l] = int32(len(h.heap))
 		h.heap = append(h.heap, l)
 		h.up(len(h.heap) - 1)
-		return
-	}
-	if !h.down(int(p)) {
+	case t < h.key[l]:
+		h.key[l] = t
 		h.up(int(p))
+		h.eager++
+	case t > h.key[l]:
+		h.deferred++
 	}
 }
 
@@ -124,11 +146,16 @@ func (h *linkHeap) remove(l int32) {
 }
 
 // peek returns the earliest pending event as (link, time), or (-1, +Inf)
-// when no link can saturate.
+// when no link can saturate, settling deferred re-keys on the way.
 func (h *linkHeap) peek() (int32, float64) {
-	if len(h.heap) == 0 {
-		return -1, math.Inf(1)
+	for len(h.heap) > 0 {
+		l := h.heap[0]
+		if t := h.time[l]; t > h.key[l] {
+			h.key[l] = t
+			h.down(0)
+			continue
+		}
+		return l, h.time[l]
 	}
-	l := h.heap[0]
-	return l, h.time[l]
+	return -1, math.Inf(1)
 }
