@@ -16,6 +16,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"iter"
+	"runtime"
 	"testing"
 	"time"
 
@@ -32,6 +34,7 @@ import (
 	"fubar/internal/mpls"
 	"fubar/internal/netsim"
 	"fubar/internal/pathgen"
+	"fubar/internal/scenario"
 	"fubar/internal/sdnsim"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
@@ -298,6 +301,96 @@ func BenchmarkColdOptimizeScaleS(b *testing.B) {
 	b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
 	b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
 	b.ReportMetric(float64(donated)/float64(b.N), "donated/op")
+}
+
+// BenchmarkReplayEpoch is benchmark/'s two replay operations under go test:
+// one warm epoch of an open-loop crisis replay on the HE-31 benchmark
+// instance (replay-he-crisis) and of a closed-loop soak replay on the
+// 6-node ring at three controller replicas (closedloop-ring-soak), both at
+// WithWorkers(1) over fixed timelines. An epoch is warm when its replay
+// already ran one: epoch 0 of every timeline — a cold optimization on a
+// fresh optimizer — is replayed but neither timed nor counted. Besides
+// time it reports what one warm epoch allocated and how many path searches
+// (early-exit and tree-building alike) it ran: what a per-epoch rebuild of
+// the optimizer, its path memo or its arenas would bring back. At a fixed
+// -benchtime the open loop's allocs and searches are exact per commit and
+// its bytes repeat to well under a percent (map buckets); the closed loop's
+// carry its control plane's goroutines too.
+func BenchmarkReplayEpoch(b *testing.B) {
+	for _, leg := range []struct {
+		name     string
+		epochs   int // per timeline
+		instance func() (*Topology, *Matrix, error)
+		opts     []SessionOption
+		replay   func(*Session, int64) iter.Seq2[EpochRecord, error]
+	}{
+		{"he-crisis", 8, func() (*Topology, *Matrix, error) { return scenario.HEBenchInstance(5) }, nil,
+			func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
+				return s.Replay(context.Background(), CrisisScenario(seed, 8, 1.3, 3))
+			}},
+		{"ring-soak", 200, func() (*Topology, *Matrix, error) {
+			topo, err := RingTopology(6, 3, 600*Kbps, 1)
+			if err != nil {
+				return nil, nil, err
+			}
+			cfg := DefaultGenConfig(7)
+			cfg.RealTimeFlows = [2]int{1, 4}
+			cfg.BulkFlows = [2]int{1, 3}
+			mat, err := GenerateTraffic(topo, cfg)
+			return topo, mat, err
+		}, []SessionOption{WithReplicas(3)},
+			func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
+				return s.ReplayClosedLoop(context.Background(), SoakScenario(seed, 200, 5))
+			}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			topo, mat, err := leg.instance()
+			if err != nil {
+				b.Fatal(err)
+			}
+			tel := NewTelemetry()
+			s, err := NewSession(topo, mat, append(leg.opts, WithWorkers(1), WithTelemetry(tel))...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			searches := func() int64 {
+				c := tel.Snapshot().Counters
+				return c[`fubar_pathgen_lookups_total{result="search"}`] + c["fubar_pathgen_trees_built_total"]
+			}
+			var before, after runtime.MemStats
+			var bytes, mallocs uint64
+			var found, mark int64
+			epochs := 0
+			b.StopTimer()
+			for seed := int64(1); epochs < b.N; seed++ {
+				for er, err := range leg.replay(s, seed) {
+					if err != nil {
+						b.Fatal(err)
+					}
+					if er.Epoch > 0 {
+						b.StopTimer()
+						runtime.ReadMemStats(&after)
+						bytes += after.TotalAlloc - before.TotalAlloc
+						mallocs += after.Mallocs - before.Mallocs
+						found += searches() - mark
+						epochs++
+					}
+					if epochs == b.N {
+						break
+					}
+					if er.Epoch < leg.epochs-1 {
+						mark = searches()
+						runtime.ReadMemStats(&before)
+						b.StartTimer()
+					}
+				}
+			}
+			b.ReportMetric(float64(bytes)/float64(epochs), "B/epoch")
+			b.ReportMetric(float64(mallocs)/float64(epochs), "allocs/epoch")
+			b.ReportMetric(float64(found)/float64(epochs), "searches/epoch")
+		})
+	}
 }
 
 // BenchmarkBaselineShortestPath measures the shortest-path reference.

@@ -197,23 +197,6 @@ type Options struct {
 	// policy-compliant, so non-compliant warm-start paths can only
 	// drain.
 	InitialBundles []flowmodel.Bundle
-	// KeepFinalBase exports the run's persistent delta Base in
-	// Solution.FinalBase. The base is detached from the optimizer — a
-	// later run on the same optimizer starts a fresh one — so the caller
-	// owns it outright; hand it back to a later run via WarmBase to
-	// recycle its storage. No effect under DisableBaseReuse or when the
-	// run never built a base.
-	KeepFinalBase bool
-	// WarmBase and WarmBaseSpare donate recycled Base storage (typically
-	// a previous run's Solution.FinalBase / FinalBaseSpare) for this
-	// run's persistent base and its remap double-buffer. Contents are
-	// treated as stale and overwritten by the run's first capture; only
-	// the backing arrays are reused, which keeps the per-epoch base
-	// allocation of a long replay O(1) instead of O(epochs). The
-	// optimizer takes ownership; the caller must not touch them
-	// afterward.
-	WarmBase      *flowmodel.Base
-	WarmBaseSpare *flowmodel.Base
 	// Trace, if set, receives a snapshot after the initial evaluation and
 	// after every committed move. Snapshots share the optimizer's result
 	// storage: copy anything retained beyond the callback. Trace is
@@ -335,18 +318,6 @@ type Solution struct {
 	// donor, tree or search — summed over the collection shards'
 	// generators.
 	Paths pathgen.Stats
-	// FinalBase, set only when Options.KeepFinalBase is true and a base
-	// was built, hands the run's persistent delta Base to the caller
-	// (detached — the optimizer forgets it, so a later run cannot clobber
-	// it). When the run ended with the base live its contents capture
-	// Bundles exactly (FinalBase.NetworkUtility() == Utility); either way
-	// the object is valid recycled storage for Options.WarmBase.
-	// FinalBaseSpare is the remap double-buffer's other half, exported
-	// alongside so a replay recycles the whole pair: feed it back via
-	// Options.WarmBaseSpare and a million-epoch soak allocates exactly
-	// two Base objects total.
-	FinalBase      *flowmodel.Base
-	FinalBaseSpare *flowmodel.Base
 }
 
 // BaseStats counts how the per-step delta base snapshots were produced.
@@ -382,7 +353,8 @@ type aggState struct {
 }
 
 // Optimizer runs FUBAR on one topology + traffic matrix. Construct with
-// New; call Run once per instance (Run restarts from scratch each call).
+// New; every Run restarts from scratch, and Rebind moves the optimizer —
+// generators, arenas, base pair and scratch — to the next instance.
 type Optimizer struct {
 	model *flowmodel.Model
 	gen   *pathgen.Generator
@@ -514,22 +486,63 @@ func New(model *flowmodel.Model, opts Options) (*Optimizer, error) {
 	if model == nil {
 		return nil, fmt.Errorf("core: nil model")
 	}
-	opts = opts.withDefaults()
 	gen, err := pathgen.New(model.Topology(), opts.Policy)
 	if err != nil {
 		return nil, err
 	}
-	o := &Optimizer{
-		model: model,
-		gen:   gen,
-		mat:   model.Matrix(),
-		opts:  opts,
+	o := &Optimizer{gen: gen}
+	if err := o.Rebind(model, opts); err != nil {
+		return nil, err
 	}
+	return o, nil
+}
+
+// Rebind points the optimizer at another instance — the next epoch of a
+// replay, whose links failed or recovered and whose matrix moved — keeping
+// what New and the runs since built: the path generators with their memos
+// and trees (pathgen.Generator.Retarget), the worker and base arenas
+// (flowmodel.Eval.Rebind), the base pair and every scratch list. The next
+// Run starts from the new model exactly as a fresh optimizer's would: none
+// of what is kept carries a result across — a memo answer is its search's
+// answer, and a run rewrites its arenas and re-captures its base before it
+// reads them. On error the optimizer is left bound as it was.
+func (o *Optimizer) Rebind(model *flowmodel.Model, opts Options) error {
+	if model == nil {
+		return fmt.Errorf("core: nil model")
+	}
+	opts = opts.withDefaults()
+	topo, mat := model.Topology(), model.Matrix()
+	// What outlives a run must not grow with the number of runs: past a
+	// path set's worth of entries per aggregate, a generator starts over.
+	keep := mat.NumAggregates() * opts.MaxPathsPerAggregate
+	if err := o.gen.Retarget(topo, opts.Policy); err != nil {
+		return err
+	}
+	o.gen.Trim(keep)
+	for _, col := range o.collectors {
+		if col.gen != o.gen {
+			// Retarget validated this exact topology and policy just above.
+			_ = col.gen.Retarget(topo, opts.Policy)
+			col.gen.Trim(keep)
+		}
+		if len(col.usedStamp) != topo.NumLinks() {
+			col.usedStamp = make([]uint32, topo.NumLinks())
+		}
+	}
+	for _, w := range o.workers {
+		w.eval.Rebind(model)
+	}
+	if o.baseEval != nil {
+		o.baseEval.Rebind(model)
+	}
+	o.baseLive = false
+	o.model, o.mat, o.opts = model, mat, opts
+	o.tm, o.tracer = nil, nil
 	if opts.Telemetry != nil {
 		o.tm = opts.Telemetry.Core()
 		o.tracer = opts.Telemetry.Tracer
 	}
-	return o, nil
+	return nil
 }
 
 // Run executes Listing 1 and returns the solution. The context is
@@ -574,7 +587,7 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	var res *flowmodel.Result
 	if o.baseReuseEnabled() && o.opts.DeltaEval == DeltaAuto {
 		o.ensureBase()
-		res = o.baseEval.EvaluateBase(o.buildPositiveLayout(), o.base)
+		res = o.baseEval.EvaluateBase(o.buildStepBundles(nil), o.base)
 		o.baseStats.Captures++
 		o.baseLive = true
 		o.saveBaseLayout()
@@ -705,13 +718,6 @@ loop:
 	}
 	sol.Base = o.baseStats
 	sol.Paths = o.pathStats()
-	if o.opts.KeepFinalBase && o.base != nil && o.baseReuseEnabled() {
-		sol.FinalBase = o.base
-		sol.FinalBaseSpare = o.altBase
-		o.base = nil
-		o.altBase = nil
-		o.baseLive = false
-	}
 	var totalPaths int
 	nonSelf := 0
 	for _, a := range o.aggs {
@@ -862,7 +868,9 @@ func (o *Optimizer) buildBundles() []flowmodel.Bundle {
 // thus every evaluation over it) near the sparse committed size.
 // Zero-flow placeholders are inert in the traffic model (no weight, no
 // demand, no link contributions), so the list evaluates to exactly the
-// same utility as buildBundles'.
+// same utility as buildBundles'. With no candidates it is the positive
+// list itself — content-identical to buildBundles' — in the dense scratch,
+// the placeholder-free layout that seeds or receives a base remap.
 func (o *Optimizer) buildStepBundles(cands []candidate) []flowmodel.Bundle {
 	if cap(o.candAgg) < len(o.aggs) {
 		o.candAgg = make([]bool, len(o.aggs))
@@ -909,47 +917,6 @@ func (o *Optimizer) buildStepBundles(cands []candidate) []flowmodel.Bundle {
 	return o.denseBuf
 }
 
-// buildPositiveLayout assembles the committed allocation's positive
-// bundle list — content-identical to buildBundles' — into the dense
-// scratch (denseBuf/denseSeg/densePath), so the layout can seed or
-// receive a base remap: the positive list is the placeholder-free
-// special case of a step layout.
-func (o *Optimizer) buildPositiveLayout() []flowmodel.Bundle {
-	o.denseBuf = o.denseBuf[:0]
-	o.densePath = o.densePath[:0]
-	if cap(o.denseSeg) < len(o.aggs)+1 {
-		o.denseSeg = make([]int, len(o.aggs)+1)
-	}
-	o.denseSeg = o.denseSeg[:len(o.aggs)+1]
-	for i := range o.aggs {
-		o.denseSeg[i] = len(o.denseBuf)
-		st := &o.aggs[i]
-		if st.self {
-			o.denseBuf = append(o.denseBuf, flowmodel.Bundle{
-				Agg: traffic.AggregateID(i), Flows: st.total,
-			})
-			o.densePath = append(o.densePath, -1)
-			continue
-		}
-		for pi, f := range st.flows {
-			if f <= 0 {
-				continue
-			}
-			o.denseBuf = append(o.denseBuf, flowmodel.Bundle{
-				Agg:   traffic.AggregateID(i),
-				Flows: f,
-				Edges: st.set.Path(pi).Edges,
-				Delay: st.delays[pi],
-			})
-			o.densePath = append(o.densePath, pi)
-		}
-	}
-	o.denseSeg[len(o.aggs)] = len(o.denseBuf)
-	// A new dense list invalidates every worker's synced trial buffer.
-	o.denseGen++
-	return o.denseBuf
-}
-
 func (o *Optimizer) evaluate() *flowmodel.Result {
 	return o.model.Evaluate(o.buildBundles())
 }
@@ -964,7 +931,7 @@ func (o *Optimizer) evaluate() *flowmodel.Result {
 // bit-identical by the CommitDelta/RemapBase contract.
 func (o *Optimizer) finalResult() *flowmodel.Result {
 	if o.baseLive && o.baseReuseEnabled() {
-		dense := o.buildPositiveLayout()
+		dense := o.buildStepBundles(nil)
 		if slices.Equal(o.basePath, o.densePath) && slices.Equal(o.baseSeg, o.denseSeg) {
 			o.baseStats.FinalFromBase++
 			return o.baseEval.ResultFromBase(o.base)
@@ -1122,28 +1089,13 @@ func (o *Optimizer) prepareBase(dense []flowmodel.Bundle, reuse bool) {
 	}
 }
 
-// ensureBase lazily constructs the delta-base machinery, adopting
-// Options.WarmBase (recycled storage, typically a previous run's
-// Solution.FinalBase) for the snapshot when provided: its contents are
-// stale and overwritten by the next capture — only the backing arrays
-// are reused.
+// ensureBase lazily constructs the delta-base machinery: the base arena and
+// the remap double-buffer pair, which then live as long as the optimizer —
+// every run's first capture overwrites whatever the last one left.
 func (o *Optimizer) ensureBase() {
 	if o.baseEval == nil {
 		o.baseEval = o.model.NewEval()
-	}
-	if o.base == nil {
-		if o.opts.WarmBase != nil {
-			o.base, o.opts.WarmBase = o.opts.WarmBase, nil
-		} else {
-			o.base = &flowmodel.Base{}
-		}
-	}
-	if o.altBase == nil {
-		if o.opts.WarmBaseSpare != nil {
-			o.altBase, o.opts.WarmBaseSpare = o.opts.WarmBaseSpare, nil
-		} else {
-			o.altBase = &flowmodel.Base{}
-		}
+		o.base, o.altBase = &flowmodel.Base{}, &flowmodel.Base{}
 	}
 }
 

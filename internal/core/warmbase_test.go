@@ -34,83 +34,41 @@ func mildInstance(t *testing.T) *flowmodel.Model {
 	return m
 }
 
-// TestKeepFinalBaseExports pins the Base export contract: a run asked to
-// keep its base hands back both halves of the double-buffer pair as
-// distinct objects, the live half capturing the final allocation
-// exactly (FinalBase.NetworkUtility() == Solution.Utility), and the
-// optimizer forgets them — a rerun on the same optimizer must build a
-// fresh pair rather than clobber the exported one.
-func TestKeepFinalBaseExports(t *testing.T) {
-	m := mildInstance(t)
-	o, err := New(m, Options{Workers: 1, KeepFinalBase: true})
+// TestOptimizerKeepsItsBasePair pins where the persistent base lives now
+// that no run exports it: an optimizer builds its double-buffer pair once
+// and every later run — on the same instance or after a Rebind — captures
+// into those two objects, the live half describing the run's final
+// allocation exactly.
+func TestOptimizerKeepsItsBasePair(t *testing.T) {
+	o, err := New(mildInstance(t), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := o.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.FinalBase == nil || sol.FinalBaseSpare == nil {
-		t.Fatalf("base pair not exported: (%p, %p)", sol.FinalBase, sol.FinalBaseSpare)
-	}
-	if sol.FinalBase == sol.FinalBaseSpare {
-		t.Fatal("exported pair collapsed to one object")
-	}
-	if sol.Base.FinalFromBase != 1 {
-		t.Fatalf("mild instance did not end base-live: %+v", sol.Base)
-	}
-	if got := sol.FinalBase.NetworkUtility(); got != sol.Utility {
-		t.Fatalf("FinalBase utility %v != solution utility %v", got, sol.Utility)
-	}
-	again, err := o.RunWarm(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.FinalBase == sol.FinalBase || again.FinalBaseSpare == sol.FinalBaseSpare {
-		t.Fatal("rerun reused an exported base — caller does not own it outright")
-	}
-	if got := again.FinalBase.NetworkUtility(); got != again.Utility {
-		t.Fatalf("rerun FinalBase utility %v != solution utility %v", got, again.Utility)
-	}
-}
-
-// TestWarmBaseAdoptionBitIdentical proves recycled Base storage is pure
-// storage: a run seeded with another instance's exported (and now stale)
-// pair must produce the bit-identical solution to a run that allocates
-// fresh, and must hand the very same pair of objects back out.
-func TestWarmBaseAdoptionBitIdentical(t *testing.T) {
-	// Donor run on a different seed, so the donated contents are wrong
-	// for the instance under test in every dimension.
-	_, _, donor := propInstance(t, 7)
-	donorSol, err := Run(context.Background(), donor, Options{Workers: 1, KeepFinalBase: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, m1 := propInstance(t, 3)
-	fresh, err := Run(context.Background(), m1, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, m2 := propInstance(t, 3)
-	warm, err := Run(context.Background(), m2, Options{
-		Workers:       1,
-		KeepFinalBase: true,
-		WarmBase:      donorSol.FinalBase,
-		WarmBaseSpare: donorSol.FinalBaseSpare,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Utility != fresh.Utility || warm.Steps != fresh.Steps ||
-		!reflect.DeepEqual(warm.Bundles, fresh.Bundles) {
-		t.Fatalf("warm-storage run diverged from fresh run: utility %v vs %v, steps %d vs %d",
-			warm.Utility, fresh.Utility, warm.Steps, fresh.Steps)
-	}
-	recycled := (warm.FinalBase == donorSol.FinalBase && warm.FinalBaseSpare == donorSol.FinalBaseSpare) ||
-		(warm.FinalBase == donorSol.FinalBaseSpare && warm.FinalBaseSpare == donorSol.FinalBase)
-	if !recycled {
-		t.Fatalf("adopted pair not handed back: donated (%p,%p), got (%p,%p)",
-			donorSol.FinalBase, donorSol.FinalBaseSpare, warm.FinalBase, warm.FinalBaseSpare)
+	var pair [2]*flowmodel.Base
+	for run := 0; run < 3; run++ {
+		if run == 2 {
+			if err := o.Rebind(mildInstance(t), Options{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sol, err := o.RunWarm(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.base == nil || o.altBase == nil || o.base == o.altBase {
+			t.Fatalf("run %d: base pair (%p, %p) is not two objects", run, o.base, o.altBase)
+		}
+		if sol.Base.FinalFromBase != 1 {
+			t.Fatalf("run %d: mild instance did not end base-live: %+v", run, sol.Base)
+		}
+		if got := o.base.NetworkUtility(); got != sol.Utility {
+			t.Fatalf("run %d: live base utility %v != solution utility %v", run, got, sol.Utility)
+		}
+		if run == 0 {
+			pair = [2]*flowmodel.Base{o.base, o.altBase}
+		} else if now := [2]*flowmodel.Base{o.base, o.altBase}; now != pair && now != [2]*flowmodel.Base{pair[1], pair[0]} {
+			t.Fatalf("run %d: base pair changed %v -> %v — storage not kept", run, pair, now)
+		}
 	}
 }
 
@@ -153,19 +111,17 @@ func TestEpochWarmSingleCapture(t *testing.T) {
 	}
 }
 
-// TestDisableBaseReuseKeepsNoFinalBase checks KeepFinalBase is inert
-// when the run never builds a persistent base.
-func TestDisableBaseReuseKeepsNoFinalBase(t *testing.T) {
+// TestDisableBaseReuseKeepsNoBaseLive checks a run that captures a fresh
+// base every step never carries one: nothing remapped, folded or
+// materialized from it.
+func TestDisableBaseReuseKeepsNoBaseLive(t *testing.T) {
 	_, _, m := propInstance(t, 4)
-	sol, err := Run(context.Background(), m, Options{Workers: 1, KeepFinalBase: true, DisableBaseReuse: true})
+	sol, err := Run(context.Background(), m, Options{Workers: 1, DisableBaseReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.FinalBase != nil || sol.FinalBaseSpare != nil {
-		t.Fatalf("DisableBaseReuse run still exported a base pair (%p, %p)", sol.FinalBase, sol.FinalBaseSpare)
-	}
-	if sol.Base.FinalFromBase != 0 {
-		t.Fatalf("reuse-off run claims base-materialized finals: %+v", sol.Base)
+	if b := sol.Base; b.Captures == 0 || b.Remaps+b.Skips+b.Rebases+b.FinalFromBase != 0 {
+		t.Fatalf("reuse-off run reused a base: %+v", b)
 	}
 }
 
@@ -203,10 +159,18 @@ func heBenchModel(t *testing.T, seed int64) *flowmodel.Model {
 // a Session and a daemon tenant keep — equals a fresh optimizer's warm run
 // from the same bundles, in solution and in how it got there. (A run-long
 // "delta is not paying" latch that Run never cleared used to leave every
-// run after the first coupled one on full evaluations with no base.)
+// run after the first coupled one on full evaluations with no base.) The
+// same optimizer is then re-bound to the next seed's instance — the shape a
+// replay keeps — where its history is another matrix's altogether.
 func TestRunWarmIndependentOfHistory(t *testing.T) {
+	var kept *Optimizer
 	for _, seed := range []int64{1, 3} {
-		kept, err := New(heBenchModel(t, seed), Options{Workers: 1})
+		var err error
+		if kept == nil {
+			kept, err = New(heBenchModel(t, seed), Options{Workers: 1})
+		} else {
+			err = kept.Rebind(heBenchModel(t, seed), Options{Workers: 1})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,12 +59,27 @@ func (s RepairStats) Zero() bool { return s == RepairStats{} }
 func RepairWarmStart(topo *topology.Topology, mat *traffic.Matrix, bundles []flowmodel.Bundle,
 	policy pathgen.Policy, maxPaths int) ([]flowmodel.Bundle, RepairStats, error) {
 
-	if maxPaths <= 0 {
-		maxPaths = Options{}.withDefaults().MaxPathsPerAggregate
-	}
 	gen, err := pathgen.New(topo, policy)
 	if err != nil {
 		return nil, RepairStats{}, err
+	}
+	return repairWarmStart(gen, topo, mat, bundles, policy, maxPaths)
+}
+
+// RepairWarmStart is the package function on the instance the optimizer is
+// bound to, asking the optimizer's own path generator — what a replay
+// calls between Rebind and RunWarm, so the lowest-delay paths the repair
+// looks up are the ones the run's first step finds memoised.
+func (o *Optimizer) RepairWarmStart(bundles []flowmodel.Bundle) ([]flowmodel.Bundle, RepairStats, error) {
+	return repairWarmStart(o.gen, o.model.Topology(), o.mat, bundles, o.opts.Policy, o.opts.MaxPathsPerAggregate)
+}
+
+// repairWarmStart repairs against gen, a generator over topo and policy.
+func repairWarmStart(gen *pathgen.Generator, topo *topology.Topology, mat *traffic.Matrix, bundles []flowmodel.Bundle,
+	policy pathgen.Policy, maxPaths int) ([]flowmodel.Bundle, RepairStats, error) {
+
+	if maxPaths <= 0 {
+		maxPaths = Options{}.withDefaults().MaxPathsPerAggregate
 	}
 
 	type keptPath struct {

@@ -213,30 +213,28 @@ type deltaScratch struct {
 // index of the bundle's next one (-1: last).
 type incidence struct{ link, next int32 }
 
+// grow sizes the marks for a list of nB bundles over nL links and nA
+// aggregates. A re-allocated array is zeroed, which is consistent with any
+// epoch except 0, which bump() skips; one that shrinks and regrows within
+// its capacity holds only stamps of earlier epochs.
 func (d *deltaScratch) grow(nB, nL, nA int) {
-	if cap(d.bunMark) < nB {
-		d.bunMark = make([]uint32, nB)
-		d.chMark = make([]uint32, nB)
-		d.eagerMark = make([]uint32, nB)
-		// Fresh zeroed arrays are consistent with any epoch except 0,
-		// which bump() skips.
-		d.rankBits = make([]uint64, (nB+63)/64)
-		d.incHead = make([]int32, nB)
-	}
-	d.bunMark = d.bunMark[:nB]
-	d.chMark = d.chMark[:nB]
-	d.eagerMark = d.eagerMark[:nB]
-	d.incHead = d.incHead[:nB]
-	if d.linkMark == nil {
+	d.bunMark = resize(d.bunMark, nB)
+	d.chMark = resize(d.chMark, nB)
+	d.eagerMark = resize(d.eagerMark, nB)
+	d.incHead = resize(d.incHead, nB)
+	d.rankBits = resize(d.rankBits, (nB+63)/64)
+	if len(d.linkMark) != nL {
 		d.linkMark = make([]uint32, nL)
 		d.tchMark = make([]uint32, nL)
-		d.aggMark = make([]uint32, nA)
 		d.seedMark = make([]uint32, nL)
 		d.tsMark = make([]uint32, nL)
 		d.wDelta = make([]float64, nL)
 		d.dDelta = make([]float64, nL)
 		d.movedMark = make([]uint32, nL)
 	}
+	// The aggregate count follows the matrix an arena is re-bound to
+	// (Eval.Rebind), which changes under a live arena.
+	d.aggMark = resize(d.aggMark, nA)
 }
 
 func (d *deltaScratch) bump() {
@@ -250,7 +248,7 @@ func (d *deltaScratch) bump() {
 		clear(d.eagerMark[:cap(d.eagerMark)])
 		clear(d.linkMark)
 		clear(d.tchMark)
-		clear(d.aggMark)
+		clear(d.aggMark[:cap(d.aggMark)])
 		clear(d.seedMark)
 		clear(d.tsMark)
 		d.epoch = 1
@@ -306,7 +304,7 @@ func (e *Eval) captureState(bundles []Bundle, res *Result, base *Base) {
 	base.linkDem = append(base.linkDem[:0], res.LinkDemand...)
 	base.isCong = append(base.isCong[:0], res.IsCongested...)
 	base.aggUtil = append(base.aggUtil[:0], res.AggUtility...)
-	base.aggTerm = resizeF(base.aggTerm, len(base.aggUtil))
+	base.aggTerm = resize(base.aggTerm, len(base.aggUtil))
 	for a, u := range base.aggUtil {
 		base.aggTerm[a] = e.m.networkTerm(a, u)
 	}

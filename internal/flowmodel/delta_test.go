@@ -36,6 +36,14 @@ func deltaInstance(tb testing.TB, seed int64) (*Model, []Bundle, [][]graph.Path)
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
+	bundles, paths := denseList(tb, rng, m)
+	return m, bundles, paths
+}
+
+// denseList draws deltaInstance's bundle list for a model.
+func denseList(tb testing.TB, rng *rand.Rand, m *Model) ([]Bundle, [][]graph.Path) {
+	tb.Helper()
+	topo, mat := m.Topology(), m.Matrix()
 	gen, err := pathgen.New(topo, pathgen.Policy{})
 	if err != nil {
 		tb.Fatalf("pathgen.New: %v", err)
@@ -65,7 +73,7 @@ func deltaInstance(tb testing.TB, seed int64) (*Model, []Bundle, [][]graph.Path)
 			left -= n
 		}
 	}
-	return m, bundles, paths
+	return bundles, paths
 }
 
 // perturb applies a random optimizer-shaped move to the list: shift some

@@ -33,10 +33,10 @@
 package flowmodel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"fubar/internal/graph"
 	"fubar/internal/topology"
@@ -141,9 +141,9 @@ type Model struct {
 	aggWeight   []float64
 	totalWeight float64 // sum of weight*flows over all aggregates
 
-	// def is the arena backing the Model.Evaluate shim. It carries the
-	// Model's only mutable state; concurrent callers must use NewEval
-	// arenas instead of sharing it.
+	// def is the arena backing the Model.Evaluate shim, built by its first
+	// call. It carries the Model's only mutable state; concurrent callers
+	// must use NewEval arenas instead of sharing it.
 	def *Eval
 }
 
@@ -214,7 +214,6 @@ func New(topo *topology.Topology, mat *traffic.Matrix) (*Model, error) {
 		m.aggWeight[i] = a.Weight
 		m.totalWeight += a.Weight * float64(a.Flows)
 	}
-	m.def = m.NewEval()
 	return m, nil
 }
 
@@ -249,7 +248,26 @@ func (m *Model) NewEval() *Eval {
 // the same Model). Not safe for concurrent use — concurrent evaluators
 // must each own an arena from NewEval.
 func (m *Model) Evaluate(bundles []Bundle) *Result {
+	if m.def == nil {
+		m.def = m.NewEval()
+	}
 	return m.def.Evaluate(bundles)
+}
+
+// Rebind re-points the arena at another model, keeping its storage: a
+// long-lived optimizer meets a new Model every epoch, over the same links
+// and a matrix that may have gained or lost aggregates. Nothing an
+// evaluation reads survives the switch — every evaluation rewrites its
+// per-bundle and per-link state, the delta marks are epoch-stamped — so the
+// arena evaluates exactly as a fresh one would. A model over another link
+// count gets fresh storage.
+func (e *Eval) Rebind(m *Model) {
+	if m.topo.NumLinks() != len(e.linkW) {
+		*e = *m.NewEval()
+		return
+	}
+	e.m = m
+	e.res.AggUtility = resize(e.res.AggUtility, m.mat.NumAggregates())
 }
 
 // Evaluate runs the water-filling over the bundle set and returns the
@@ -595,23 +613,17 @@ func (e *Eval) computeUtilization(res *Result) {
 	}
 }
 
-// grow resizes the per-bundle scratch slices.
+// grow resizes the per-bundle scratch slices (contents dropped when one
+// re-allocates: every evaluation writes what it reads).
 func (e *Eval) grow(nB int) {
-	if cap(e.weight) < nB {
-		e.weight = make([]float64, nB)
-		e.demand = make([]float64, nB)
-		e.tDemand = make([]float64, nB)
-		e.frozen = make([]bool, nB)
-		e.byDemand = make([]bool, nB)
-		e.res.BundleRate = make([]float64, nB)
-		e.res.BundleSatisfied = make([]bool, nB)
-		e.order = make([]uint64, 0, nB)
-	}
-	e.weight = e.weight[:nB]
-	e.demand = e.demand[:nB]
-	e.tDemand = e.tDemand[:nB]
-	e.frozen = e.frozen[:nB]
-	e.byDemand = e.byDemand[:nB]
+	e.weight = resize(e.weight, nB)
+	e.demand = resize(e.demand, nB)
+	e.tDemand = resize(e.tDemand, nB)
+	e.frozen = resize(e.frozen, nB)
+	e.byDemand = resize(e.byDemand, nB)
+	e.res.BundleRate = resize(e.res.BundleRate, nB)
+	e.res.BundleSatisfied = resize(e.res.BundleSatisfied, nB)
+	e.order = resize(e.order, nB)[:0]
 }
 
 // Oversubscription returns demand/capacity for a link in the last result.
@@ -627,13 +639,11 @@ func (m *Model) Oversubscription(res *Result, l graph.EdgeID) float64 {
 // slice is freshly allocated.
 func (m *Model) CongestedByOversubscription(res *Result) []graph.EdgeID {
 	out := append([]graph.EdgeID(nil), res.Congested...)
-	sort.Slice(out, func(i, j int) bool {
-		oi := m.Oversubscription(res, out[i])
-		oj := m.Oversubscription(res, out[j])
-		if oi != oj {
-			return oi > oj
+	slices.SortFunc(out, func(a, b graph.EdgeID) int {
+		if c := cmp.Compare(m.Oversubscription(res, b), m.Oversubscription(res, a)); c != 0 {
+			return c
 		}
-		return out[i] < out[j] // deterministic tie-break
+		return cmp.Compare(a, b) // deterministic tie-break
 	})
 	return out
 }

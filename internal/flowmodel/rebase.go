@@ -171,10 +171,8 @@ func (e *Eval) RemapBase(src, dst *Base, bundles []Bundle, oldIdx []int) bool {
 	if len(oldIdx) != nNew || src == dst {
 		return false
 	}
-	if cap(e.remapInv) < nOld {
-		e.remapInv = make([]int32, nOld)
-	}
-	inv := e.remapInv[:nOld]
+	e.remapInv = resize(e.remapInv, nOld)
+	inv := e.remapInv
 	for k := range inv {
 		inv[k] = -1
 	}
@@ -208,12 +206,12 @@ func (e *Eval) RemapBase(src, dst *Base, bundles []Bundle, oldIdx []int) bool {
 	// Per-bundle arrays, placeholder defaults matching setupBundle's
 	// inert case (rate 0, satisfied, demand-frozen, zero weight).
 	dst.bundles = append(dst.bundles[:0], bundles...)
-	dst.rate = resizeF(dst.rate, nNew)
-	dst.sat = resizeB(dst.sat, nNew)
-	dst.byDemand = resizeB(dst.byDemand, nNew)
-	dst.weight = resizeF(dst.weight, nNew)
-	dst.demand = resizeF(dst.demand, nNew)
-	dst.tDemand = resizeF(dst.tDemand, nNew)
+	dst.rate = resize(dst.rate, nNew)
+	dst.sat = resize(dst.sat, nNew)
+	dst.byDemand = resize(dst.byDemand, nNew)
+	dst.weight = resize(dst.weight, nNew)
+	dst.demand = resize(dst.demand, nNew)
+	dst.tDemand = resize(dst.tDemand, nNew)
 	for j, oi := range oldIdx {
 		if oi < 0 {
 			dst.rate[j] = 0
@@ -289,11 +287,7 @@ func (e *Eval) RemapBase(src, dst *Base, bundles []Bundle, oldIdx []int) bool {
 // list: every writer of order calls it, once per capture, commit or
 // remap — O(bundles), never per candidate.
 func (b *Base) indexOrder() {
-	n := len(b.bundles)
-	if cap(b.orderPos) < n {
-		b.orderPos = make([]int32, n)
-	}
-	b.orderPos = b.orderPos[:n]
+	b.orderPos = resize(b.orderPos, len(b.bundles))
 	for i := range b.orderPos {
 		b.orderPos[i] = -1
 	}
@@ -331,16 +325,16 @@ func (e *Eval) ResultFromBase(base *Base) *Result {
 	return res
 }
 
-func resizeF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
+// growCap is the capacity a scratch array gets when it must hold n
+// entries: a quarter over, so a bundle list that gains a few placeholders a
+// step re-allocates every few dozen steps, not every one.
+func growCap(n int) int { return n + n/4 }
 
-func resizeB(s []bool, n int) []bool {
+// resize returns s with length n, re-allocating (contents dropped) only
+// when its capacity falls short.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n, growCap(n))
 	}
 	return s[:n]
 }

@@ -61,9 +61,11 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 // graph.Searcher and memoises every constrained search it answers under
 // the exact key (src, dst, exclusion set), so asking again — as
 // consecutive optimizer steps relieving the same link do — costs a map
-// lookup. A hit returns precisely what the search would compute: the
-// topology and policy are fixed for the generator's life and the key
-// holds the whole exclusion set, not a digest of it.
+// lookup. A hit returns precisely what the search would compute: the key
+// holds the whole exclusion set, the policy's forbidden links included and
+// not a digest of it, and everything else a search depends on — the graph,
+// the hop bound, the delay ceiling — is fixed for as long as the memo lives
+// (Retarget drops it when one of them changes).
 //
 // A miss is answered, in order of cost, by a donor, a tree or a search.
 // The §2.4 trio's exclusion sets are nested — link-local ⊆ local ⊆ global
@@ -79,14 +81,15 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 //
 // Returned paths share their Edges with the memo and with every other
 // caller handed the same answer; treat them as read-only. Memo and trees
-// live and die with the generator. Not safe for concurrent use: give each
-// goroutine its own.
+// live until a Retarget or Trim drops them. Not safe for concurrent use:
+// give each goroutine its own.
 type Generator struct {
 	topo   *topology.Topology
 	policy Policy
-	// forbidden lists the policy's forbidden links in ascending order; it
-	// is exclusion set 0, what LowestDelay searches under.
+	// forbidden lists the policy's forbidden links in ascending order;
+	// forbidSet is its exclusion set, what LowestDelay searches under.
 	forbidden []graph.EdgeID
+	forbidSet int32
 
 	searcher graph.Searcher
 	memo     map[memoKey]answer
@@ -154,11 +157,11 @@ func (g *Generator) Stats() Stats { return g.stats }
 func (g *Generator) ResetStats() { g.stats = Stats{} }
 
 // treeAfterMisses is the miss under one (src, exclusion set) that builds
-// the pair's tree; a tree costs about two early-exit searches. Set 0 does
-// not wait: an optimisation opens by asking it for every aggregate of
-// every ingress, so its trees are always used — on a scale-s run (100
-// nodes, 1500 aggregates) 100 trees answer 1390 lookups, and waiting cost
-// 300 searches that bought nothing. The congestion sets are the opposite
+// the pair's tree; a tree costs about two early-exit searches. The
+// forbidden-only set does not wait: an optimisation opens by asking it for
+// every aggregate of every ingress, so its trees are always used — on a
+// scale-s run (100 nodes, 1500 aggregates) 100 trees answer 1390 lookups,
+// and waiting cost 300 searches that bought nothing. The congestion sets are the opposite
 // case. Once the donors have answered, such a run leaves about 380 misses
 // to 200 (src, set) pairs: 120 pairs miss once, 40 twice, and the 23 that
 // miss four times or more account for 135 of the misses. Building on the
@@ -171,35 +174,79 @@ const (
 
 // New builds a generator for the topology under the policy.
 func New(topo *topology.Topology, policy Policy) (*Generator, error) {
-	if topo == nil {
-		return nil, fmt.Errorf("pathgen: nil topology")
-	}
-	if policy.MaxHops < 0 {
-		return nil, fmt.Errorf("pathgen: negative MaxHops %d", policy.MaxHops)
-	}
-	if policy.MaxDelay < 0 {
-		return nil, fmt.Errorf("pathgen: negative MaxDelay %v", policy.MaxDelay)
-	}
-	if len(policy.ForbiddenLinks) > topo.NumLinks() {
-		return nil, fmt.Errorf("pathgen: ForbiddenLinks longer than link count")
-	}
 	g := &Generator{
-		topo:    topo,
-		policy:  policy,
 		memo:    make(map[memoKey]answer),
 		sources: make(map[sourceKey]int32),
 		sets:    make(map[uint64][]int32),
-		exclude: make([]bool, topo.NumLinks()),
 
 		treeAfter: treeAfterMisses,
 	}
+	if err := g.Retarget(topo, policy); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Retarget points the generator at another topology and policy — what a
+// long-lived optimizer does when an epoch fails a link or scales a capacity.
+// Memo and trees survive when the topology shares the generator's graph
+// (topology.Topology.WithCapacities and its kin carry it over) and MaxHops
+// and MaxDelay are unchanged: every kept answer is keyed by its search's
+// full exclusion set, forbidden links included, over that very graph, so a
+// new forbidden mask only changes which set LowestDelay asks about.
+// Anything else flushes. On error the generator is left as it was.
+func (g *Generator) Retarget(topo *topology.Topology, policy Policy) error {
+	if topo == nil {
+		return fmt.Errorf("pathgen: nil topology")
+	}
+	if policy.MaxHops < 0 {
+		return fmt.Errorf("pathgen: negative MaxHops %d", policy.MaxHops)
+	}
+	if policy.MaxDelay < 0 {
+		return fmt.Errorf("pathgen: negative MaxDelay %v", policy.MaxDelay)
+	}
+	if len(policy.ForbiddenLinks) > topo.NumLinks() {
+		return fmt.Errorf("pathgen: ForbiddenLinks longer than link count")
+	}
+	keep := g.topo != nil && topo.Graph() == g.topo.Graph() &&
+		policy.MaxHops == g.policy.MaxHops && policy.MaxDelay == g.policy.MaxDelay
+	g.topo, g.policy = topo, policy
+	g.forbidden = g.forbidden[:0]
 	for i, bad := range policy.ForbiddenLinks {
 		if bad {
 			g.forbidden = append(g.forbidden, graph.EdgeID(i))
 		}
 	}
-	g.intern(fingerprint(g.forbidden), g.forbidden) // set 0
-	return g, nil
+	if keep {
+		g.forbidSet = g.intern(fingerprint(g.forbidden), g.forbidden)
+	} else {
+		g.exclude = make([]bool, topo.NumLinks())
+		g.flush()
+	}
+	return nil
+}
+
+// Entries counts what the generator holds on to: memoised answers,
+// interned exclusion sets and trees.
+func (g *Generator) Entries() int { return len(g.memo) + len(g.setLinks) + len(g.trees) }
+
+// Trim drops memo, trees and interned sets once they number more than max,
+// so a generator that outlives a million epochs does not grow with them.
+// It costs later lookups their searches and changes no answer.
+func (g *Generator) Trim(max int) {
+	if g.Entries() > max {
+		g.flush()
+	}
+}
+
+// flush forgets every answer, tree and exclusion set but the policy's own.
+func (g *Generator) flush() {
+	clear(g.memo)
+	clear(g.sources)
+	clear(g.sets)
+	g.trees = g.trees[:0]
+	g.setLinks = g.setLinks[:0]
+	g.forbidSet = g.intern(fingerprint(g.forbidden), g.forbidden)
 }
 
 // Topology returns the generator's topology.
@@ -208,7 +255,7 @@ func (g *Generator) Topology() *topology.Topology { return g.topo }
 // LowestDelay returns the lowest-delay policy-compliant path between two
 // nodes. src==dst yields the empty path.
 func (g *Generator) LowestDelay(src, dst graph.NodeID) (graph.Path, bool) {
-	a := g.lookup(src, dst, 0, answer{}, -1)
+	a := g.lookup(src, dst, g.forbidSet, answer{}, -1)
 	return a.path, a.ok
 }
 
@@ -306,7 +353,7 @@ func (g *Generator) tree(key memoKey) *graph.Tree {
 	if n < 0 {
 		return &g.trees[^n]
 	}
-	if n+1 < g.treeAfter && key.set != 0 {
+	if n+1 < g.treeAfter && key.set != g.forbidSet {
 		g.sources[source] = n + 1
 		return nil
 	}

@@ -437,6 +437,10 @@ func (l *closedLoop) runEpoch(ctx context.Context, epoch int, events []string) (
 	if err != nil {
 		return nil, err
 	}
+	opt, err := l.en.optimizer(trueModel, inst.opts)
+	if err != nil {
+		return nil, err
+	}
 	er := l.en.newEpochResult(epoch, events, inst)
 	er.Failovers = preSettle.Failovers
 	er.ResyncFlowMods = preSettle.ResyncFlowMods
@@ -445,12 +449,12 @@ func (l *closedLoop) runEpoch(ctx context.Context, epoch int, events []string) (
 	// nothing installed: repairing an empty allocation yields the
 	// all-on-lowest-delay placement, the state of a network before FUBAR
 	// runs — and the loop's first wire install.
-	repaired, err := l.en.repairInstalled(inst, er)
+	repaired, err := l.en.repairInstalled(opt, inst, er)
 	if err != nil {
 		return nil, err
 	}
 	if repaired == nil {
-		repaired, _, err = core.RepairWarmStart(inst.topo, inst.mat, nil, inst.opts.Policy, inst.opts.MaxPathsPerAggregate)
+		repaired, _, err = opt.RepairWarmStart(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -503,32 +507,25 @@ func (l *closedLoop) runEpoch(ctx context.Context, epoch int, events []string) (
 	// Budgeted re-optimization of the estimated matrix, warm-started
 	// from the repaired install. The budget is a context deadline under
 	// the replay's context, so an outer cancellation or deadline still
-	// wins.
-	coreOpts := inst.opts
+	// wins. The stale evaluation above stays: it runs on the true matrix,
+	// which the optimizer (driven by the estimated one) never sees.
+	if opt, err = l.en.optimizer(estModel, inst.opts); err != nil {
+		return nil, err
+	}
 	runCtx := ctx
 	if l.opts.EpochBudget > 0 {
 		var cancel context.CancelFunc
 		runCtx, cancel = context.WithTimeout(ctx, l.opts.EpochBudget)
 		defer cancel()
 	}
+	var initial []flowmodel.Bundle
 	if !l.opts.ColdStart && epoch > 0 {
-		coreOpts.InitialBundles = repaired
+		initial = repaired
 		er.WarmStart = true
 	}
-	// Recycle one delta-Base's storage across epochs (see
-	// engine.recycleBase); the closed loop's stale evaluation stays —
-	// it runs on the true matrix, which the optimizer (driven by the
-	// estimated matrix) never sees.
-	coreOpts.KeepFinalBase = true
-	coreOpts.WarmBase, l.en.recycleBase = l.en.recycleBase, nil
-	coreOpts.WarmBaseSpare, l.en.recycleSpare = l.en.recycleSpare, nil
-	sol, err := core.Run(runCtx, estModel, coreOpts)
+	sol, err := opt.RunWarm(runCtx, initial)
 	if err != nil {
 		return nil, err
-	}
-	if sol.FinalBase != nil {
-		l.en.recycleBase = sol.FinalBase
-		l.en.recycleSpare = sol.FinalBaseSpare
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err // the replay itself was cancelled or timed out

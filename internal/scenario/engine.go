@@ -66,15 +66,10 @@ type engine struct {
 
 	installed []keyedBundle
 
-	// recycleBase/recycleSpare carry one flowmodel.Base double-buffer
-	// pair's storage across epoch boundaries: each epoch's optimizer
-	// adopts the pair (core.Options.WarmBase/WarmBaseSpare), re-captures
-	// it as its initial evaluation, and hands it back
-	// (Solution.FinalBase/FinalBaseSpare) — two Base objects for the
-	// whole replay, so a million-epoch soak allocates base storage once,
-	// not per epoch.
-	recycleBase  *flowmodel.Base
-	recycleSpare *flowmodel.Base
+	// opt is the replay's one optimizer, re-bound to each epoch's model
+	// (see optimizer): its path memo, arenas and base pair are built once
+	// for the whole replay, not once per epoch.
+	opt *core.Optimizer
 
 	// tm/tracer are the scenario-level live-metrics handles derived from
 	// Options.Core.Telemetry (nil when telemetry is off). The core-level
@@ -724,11 +719,27 @@ func (en *engine) newEpochResult(epoch int, events []string, inst *epochInstance
 	}
 }
 
+// optimizer returns the replay's optimizer bound to model under opts: built
+// by the first epoch, re-bound by every later one. A fresh optimizer per
+// epoch (core.Run) produces the identical replay and is what the tests
+// compare against.
+func (en *engine) optimizer(model *flowmodel.Model, opts core.Options) (*core.Optimizer, error) {
+	if en.opt != nil {
+		return en.opt, en.opt.Rebind(model, opts)
+	}
+	opt, err := core.New(model, opts)
+	if err != nil {
+		return nil, err
+	}
+	en.opt = opt
+	return opt, nil
+}
+
 // repairInstalled remaps the carried installed allocation onto the epoch
-// instance via the stable keys (departed aggregates drop here) and
-// repairs it into a valid warm start, recording the repair stats on er.
-// Returns nil when nothing is installed yet (epoch 0).
-func (en *engine) repairInstalled(inst *epochInstance, er *EpochResult) ([]flowmodel.Bundle, error) {
+// instance opt is bound to via the stable keys (departed aggregates drop
+// here) and repairs it into a valid warm start, recording the repair stats
+// on er. Returns nil when nothing is installed yet (epoch 0).
+func (en *engine) repairInstalled(opt *core.Optimizer, inst *epochInstance, er *EpochResult) ([]flowmodel.Bundle, error) {
 	if len(en.installed) == 0 {
 		return nil, nil
 	}
@@ -745,7 +756,7 @@ func (en *engine) repairInstalled(inst *epochInstance, er *EpochResult) ([]flowm
 		}
 		remapped = append(remapped, flowmodel.Bundle{Agg: id, Flows: kb.flows, Edges: kb.edges})
 	}
-	repaired, stats, err := core.RepairWarmStart(inst.topo, inst.mat, remapped, inst.opts.Policy, inst.opts.MaxPathsPerAggregate)
+	repaired, stats, err := opt.RepairWarmStart(remapped)
 	if err != nil {
 		return nil, err
 	}
@@ -793,12 +804,16 @@ func (en *engine) optimizeEpoch(ctx context.Context, epoch int, events []string)
 	if err != nil {
 		return nil, err
 	}
-	er := en.newEpochResult(epoch, events, inst)
-	coreOpts := inst.opts
-	repaired, err := en.repairInstalled(inst, er)
+	opt, err := en.optimizer(model, inst.opts)
 	if err != nil {
 		return nil, err
 	}
+	er := en.newEpochResult(epoch, events, inst)
+	repaired, err := en.repairInstalled(opt, inst, er)
+	if err != nil {
+		return nil, err
+	}
+	var initial []flowmodel.Bundle
 	if repaired != nil {
 		if en.opts.ColdStart {
 			// A cold run discards the repaired allocation, so its stale
@@ -808,13 +823,10 @@ func (en *engine) optimizeEpoch(ctx context.Context, epoch int, events []string)
 			// Warm runs skip the explicit stale evaluation: the optimizer's
 			// initial evaluation IS the repaired allocation (the warm
 			// start), read back below as Solution.InitialUtility.
-			coreOpts.InitialBundles = repaired
+			initial = repaired
 			er.WarmStart = true
 		}
 	}
-	coreOpts.KeepFinalBase = true
-	coreOpts.WarmBase, en.recycleBase = en.recycleBase, nil
-	coreOpts.WarmBaseSpare, en.recycleSpare = en.recycleSpare, nil
 
 	runCtx := ctx
 	if en.opts.Budget > 0 {
@@ -822,16 +834,12 @@ func (en *engine) optimizeEpoch(ctx context.Context, epoch int, events []string)
 		runCtx, cancel = context.WithTimeout(ctx, en.opts.Budget)
 		defer cancel()
 	}
-	sol, err := core.Run(runCtx, model, coreOpts)
+	sol, err := opt.RunWarm(runCtx, initial)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err // the replay itself was cancelled or timed out
-	}
-	if sol.FinalBase != nil {
-		en.recycleBase = sol.FinalBase
-		en.recycleSpare = sol.FinalBaseSpare
 	}
 	er.DeadlineMiss = sol.Stop == core.StopDeadline
 	if repaired == nil || er.WarmStart {
