@@ -259,7 +259,8 @@ func BenchmarkPathGenAlternatives(b *testing.B) {
 // go test: one cold Session.Optimize, fresh session included, on the
 // scale-s Waxman topology (seed 1) over eight fixed 1500-aggregate
 // matrices in turn, at WithWorkers(1). Besides time it reports what one
-// operation asked of the layers below — candidates scored, path searches
+// operation asked of the layers below — candidates scored, bundles skipped
+// because a failed step of the same pass had refuted them, path searches
 // run (early-exit and tree-building alike) and lookups a donor answered.
 // The counts are exact per matrix, so at -benchtime 8x (or a multiple)
 // they compare across commits where the times cannot.
@@ -282,7 +283,7 @@ func BenchmarkColdOptimizeScaleS(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var candidates, searches, donated int64
+	var candidates, refuted, searches, donated int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -295,10 +296,12 @@ func BenchmarkColdOptimizeScaleS(b *testing.B) {
 			b.Fatal(err)
 		}
 		candidates += sol.Delta.Calls
+		refuted += int64(sol.RefutedBundles)
 		searches += sol.Paths.Searches + sol.Paths.TreesBuilt
 		donated += sol.Paths.Donated
 	}
 	b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
+	b.ReportMetric(float64(refuted)/float64(b.N), "refuted/op")
 	b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
 	b.ReportMetric(float64(donated)/float64(b.N), "donated/op")
 }
@@ -311,11 +314,13 @@ func BenchmarkColdOptimizeScaleS(b *testing.B) {
 // already ran one: epoch 0 of every timeline — a cold optimization on a
 // fresh optimizer — is replayed but neither timed nor counted. Besides
 // time it reports what one warm epoch allocated and how many path searches
-// (early-exit and tree-building alike) it ran: what a per-epoch rebuild of
-// the optimizer, its path memo or its arenas would bring back. At a fixed
-// -benchtime the open loop's allocs and searches are exact per commit and
-// its bytes repeat to well under a percent (map buckets); the closed loop's
-// carry its control plane's goroutines too.
+// (early-exit and tree-building alike) it ran — what a per-epoch rebuild of
+// the optimizer, its path memo or its arenas would bring back — and how
+// many candidates it collected and how many bundles it skipped as refuted
+// by an earlier link of their pass. At a fixed -benchtime the open loop's
+// allocs, searches, candidates and refuted are exact per commit and its
+// bytes repeat to well under a percent (map buckets); the closed loop's
+// allocations carry its control plane's goroutines too.
 func BenchmarkReplayEpoch(b *testing.B) {
 	for _, leg := range []struct {
 		name     string
@@ -354,13 +359,19 @@ func BenchmarkReplayEpoch(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			searches := func() int64 {
+			// counts reads what the warm epochs are charged per epoch:
+			// searches, candidates collected, bundles refuted.
+			counts := func() [3]int64 {
 				c := tel.Snapshot().Counters
-				return c[`fubar_pathgen_lookups_total{result="search"}`] + c["fubar_pathgen_trees_built_total"]
+				return [3]int64{
+					c[`fubar_pathgen_lookups_total{result="search"}`] + c["fubar_pathgen_trees_built_total"],
+					c["fubar_core_candidates_collected_total"],
+					c["fubar_core_refuted_bundles_total"],
+				}
 			}
 			var before, after runtime.MemStats
 			var bytes, mallocs uint64
-			var found, mark int64
+			var found, mark [3]int64
 			epochs := 0
 			b.StopTimer()
 			for seed := int64(1); epochs < b.N; seed++ {
@@ -373,14 +384,16 @@ func BenchmarkReplayEpoch(b *testing.B) {
 						runtime.ReadMemStats(&after)
 						bytes += after.TotalAlloc - before.TotalAlloc
 						mallocs += after.Mallocs - before.Mallocs
-						found += searches() - mark
+						for i, n := range counts() {
+							found[i] += n - mark[i]
+						}
 						epochs++
 					}
 					if epochs == b.N {
 						break
 					}
 					if er.Epoch < leg.epochs-1 {
-						mark = searches()
+						mark = counts()
 						runtime.ReadMemStats(&before)
 						b.StartTimer()
 					}
@@ -388,7 +401,9 @@ func BenchmarkReplayEpoch(b *testing.B) {
 			}
 			b.ReportMetric(float64(bytes)/float64(epochs), "B/epoch")
 			b.ReportMetric(float64(mallocs)/float64(epochs), "allocs/epoch")
-			b.ReportMetric(float64(found)/float64(epochs), "searches/epoch")
+			b.ReportMetric(float64(found[0])/float64(epochs), "searches/epoch")
+			b.ReportMetric(float64(found[1])/float64(epochs), "candidates/epoch")
+			b.ReportMetric(float64(found[2])/float64(epochs), "refuted/epoch")
 		})
 	}
 }

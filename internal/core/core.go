@@ -63,6 +63,11 @@ import (
 	"fubar/internal/unit"
 )
 
+// refutationOff is the differential oracle for the failed-step rule (see
+// Run): an optimizer bound while it is set enumerates and scores refuted
+// bundles as before the rule existed. Only tests set it (export_test.go).
+var refutationOff atomic.Bool
+
 // defaultMinGain is the default minimum utility gain considered progress.
 // Gains below it are water-filling noise: committing them lets the greedy
 // crawl forever at +1e-9 per move without visibly changing the solution.
@@ -239,7 +244,8 @@ type Snapshot struct {
 	Step int
 	// Elapsed is wall-clock time since Run started.
 	Elapsed time.Duration
-	// Escalation is the current escalation level (0 = base move size).
+	// Escalation is the escalation level the reported move was committed
+	// at (0 = base move size; always 0 for the initial snapshot).
 	Escalation int
 	// Result is the model evaluation of the current allocation. Shared
 	// storage — valid only during the callback.
@@ -318,6 +324,11 @@ type Solution struct {
 	// donor, tree or search — summed over the collection shards'
 	// generators.
 	Paths pathgen.Stats
+	// RefutedBundles counts the (step, bundle) pairs collection did not
+	// enumerate because the bundle also crosses a link whose step already
+	// failed in the same pass (see Run). 0 on a run that never fails a
+	// step; identical at any worker count.
+	RefutedBundles int
 }
 
 // BaseStats counts how the per-step delta base snapshots were produced.
@@ -418,6 +429,29 @@ type Optimizer struct {
 	congAsc []graph.EdgeID
 	cands   []candidate
 
+	// refutedStamp[l] == passEpoch marks link l as one whose step failed in
+	// the current pass: every candidate of every positive-flow bundle
+	// crossing it scored at most uInit + MinGain against the allocation the
+	// pass still holds (see Run). One stamp per link, no per-candidate
+	// storage; bumping the epoch per pass invalidates all of them without an
+	// O(numLinks) clear. Written by Run between steps only, so collection
+	// shards read it freely. refutedAny says whether the pass has stamped a
+	// link yet — the first step of every pass skips the check entirely.
+	refutedStamp []uint32
+	passEpoch    uint32
+	refutedAny   bool
+	// skipRefuted is false only under the test-only differential oracle
+	// (refutationOff), which enumerates and scores refuted bundles as
+	// before the rule existed; afterScoring, when a test sets it, sees
+	// every step's scored candidates and the utility one must exceed to be
+	// selected — on an oracle optimizer, the refuted bundles' among them.
+	skipRefuted  bool
+	afterScoring func(cands []candidate, bound float64)
+	// candidates and refutedBundles are the run's totals of candidates
+	// collected and of bundles skipped as refuted.
+	candidates     int
+	refutedBundles int
+
 	// collectors are the persistent candidate-collection shards, one per
 	// collection goroutine: a private path generator plus the per-link
 	// scratch alternativesFor needs, grown on demand up to
@@ -473,6 +507,9 @@ type collector struct {
 	congUsed []graph.EdgeID
 	alts     []graph.Path
 	crossBuf []int
+	// refuted counts the crossing bundles this shard skipped as refuted in
+	// the current collection.
+	refuted int
 	// cands accumulates this shard's candidates; chunkEnd[k] is the end
 	// offset of the shard's k-th owned chunk, in claim order, so the
 	// index-ordered merge can interleave shards back into global
@@ -535,6 +572,10 @@ func (o *Optimizer) Rebind(model *flowmodel.Model, opts Options) error {
 	if o.baseEval != nil {
 		o.baseEval.Rebind(model)
 	}
+	if len(o.refutedStamp) != topo.NumLinks() {
+		o.refutedStamp = make([]uint32, topo.NumLinks())
+	}
+	o.skipRefuted = !refutationOff.Load()
 	o.baseLive = false
 	o.model, o.mat, o.opts = model, mat, opts
 	o.tm, o.tracer = nil, nil
@@ -575,6 +616,7 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	}
 	o.pubDelta = flowmodel.DeltaStats{}
 	o.pubPaths = pathgen.Stats{}
+	o.candidates, o.refutedBundles = 0, 0
 	if o.tm != nil {
 		o.tm.Runs.Inc()
 	}
@@ -642,12 +684,34 @@ loop:
 		}
 		// Listing 1 lines 4-9: walk congested links by oversubscription;
 		// the first link whose step() makes progress ends the pass.
+		//
+		// A failed step is a proof: every candidate of every positive-flow
+		// bundle crossing its link scored at most uCur + MinGain. Until the
+		// pass ends, the committed allocation, links, fraction, every path
+		// set's membership (the failed step added what could be added) and
+		// every generator answer stay what that step saw, and a bundle's
+		// candidates do not depend on which of its links is being stepped —
+		// so a later link of the pass skips the bundles that also cross a
+		// failed one (crossingPaths). They could only lose again: the
+		// committed move, and so the whole Solution, is the one the full
+		// enumeration picks. The proof needs that a pass ends at its first
+		// commit: a step that ran after a commit in the same pass would
+		// read stamps proved against an allocation that has moved. The
+		// epoch bump below drops the stamps when fraction or the allocation
+		// changes.
 		progress := false
 		var committed *flowmodel.Result
 		var stepStart time.Time
 		if o.tm != nil {
 			stepStart = time.Now()
 		}
+		passCands, passRefuted := o.candidates, o.refutedBundles
+		o.passEpoch++
+		if o.passEpoch == 0 { // epoch wrapped: old stamps would alias it
+			clear(o.refutedStamp)
+			o.passEpoch = 1
+		}
+		o.refutedAny = false
 		for _, link := range links {
 			if stop = ctxStop(); stop != 0 {
 				break loop
@@ -656,9 +720,12 @@ loop:
 				progress, committed = true, cres
 				break
 			}
+			o.refutedStamp[link] = o.passEpoch
+			o.refutedAny = true
 		}
 		if progress {
 			steps++
+			committedAt := escLevel
 			fraction = o.opts.MoveFraction // de-escalate on progress
 			escLevel = 0
 			if committed != nil {
@@ -670,13 +737,18 @@ loop:
 			}
 			uCur = res.NetworkUtility
 			links = o.model.CongestedByOversubscription(res)
-			o.trace(Snapshot{Step: steps, Elapsed: time.Since(start), Escalation: escLevel, Result: res})
+			o.trace(Snapshot{Step: steps, Elapsed: time.Since(start), Escalation: committedAt, Result: res})
 			if o.tm != nil {
 				o.tm.Steps.Inc()
 				o.tm.StepSeconds.Observe(time.Since(stepStart).Seconds())
 				o.publishDeltaStats()
+				// candidates and refuted are the committing pass's, failed
+				// links included — what the span's wall time paid for.
 				o.tracer.Emit("core.step", stepStart, map[string]any{
 					"step": steps, "utility": uCur, "congested": len(links),
+					"escalation": committedAt,
+					"candidates": o.candidates - passCands,
+					"refuted":    o.refutedBundles - passRefuted,
 				})
 			}
 			continue
@@ -712,6 +784,7 @@ loop:
 		Escalations:    escal,
 		Elapsed:        time.Since(start),
 		Stop:           stop,
+		RefutedBundles: o.refutedBundles,
 	}
 	for _, w := range o.workers {
 		sol.Delta.Add(w.eval.DeltaStats())
@@ -991,9 +1064,12 @@ type candidate struct {
 // improve-by-MinGain rule the serial mutate-evaluate-revert loop used, so
 // any worker count commits the identical move.
 func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.EdgeID, fraction float64) (bool, *flowmodel.Result) {
-	cands := o.collectCandidates(link, congested, fraction)
+	cands, refuted := o.collectCandidates(link, congested, fraction)
+	o.candidates += len(cands)
+	o.refutedBundles += refuted
 	if o.tm != nil {
 		o.tm.CandidatesCollected.Add(int64(len(cands)))
+		o.tm.RefutedBundles.Add(int64(refuted))
 	}
 	if len(cands) == 0 {
 		return false, nil
@@ -1030,6 +1106,9 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		o.evaluateCandidates(cands, o.buildBundles(), nil)
 	}
 
+	if o.afterScoring != nil {
+		o.afterScoring(cands, uInit+o.opts.MinGain)
+	}
 	bestU := uInit
 	bestIdx := -1
 	for i := range cands {
@@ -1180,7 +1259,7 @@ const collectChunk = 16
 // aggregate's path set here (with zero flows — path sets only grow,
 // §2.4), exactly as the serial trial loop did, so enumeration order and
 // the path-set cap behave identically too.
-func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeID, fraction float64) []candidate {
+func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeID, fraction float64) (cands []candidate, refuted int) {
 	o.cands = o.cands[:0]
 	o.congAsc = append(o.congAsc[:0], congested...)
 	slices.Sort(o.congAsc)
@@ -1234,7 +1313,11 @@ func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeI
 			o.tm.CollectMergeSeconds.Observe(time.Since(mergeStart).Seconds())
 		}
 	}
-	return o.cands
+	for _, col := range o.collectors { // shards that sat this step out hold 0
+		refuted += col.refuted
+		col.refuted = 0
+	}
+	return o.cands, refuted
 }
 
 // collectRange enumerates candidates for aggregates [lo, hi) into the
@@ -1248,8 +1331,9 @@ func (o *Optimizer) collectRange(col *collector, lo, hi int, link graph.EdgeID, 
 		if st.self {
 			continue
 		}
-		// Find this aggregate's bundles crossing the link.
-		crossing := col.crossingPaths(st, link)
+		// Find this aggregate's bundles crossing the link that no earlier
+		// link of the pass refuted; with none left, no path is looked up.
+		crossing := o.crossingPaths(col, st, link)
 		if len(crossing) == 0 {
 			continue
 		}
@@ -1460,26 +1544,48 @@ func (o *Optimizer) growWorkers(n int) {
 	}
 }
 
-// crossingPaths returns the path indices of st whose path uses the link
-// and currently carries flows. The returned slice is the collector's
-// scratch, valid until the next call.
-func (col *collector) crossingPaths(st *aggState, link graph.EdgeID) []int {
+// crossingPaths returns the path indices of st whose path uses the link,
+// currently carries flows and is not refuted — bundles a failed step of
+// this pass already scored are counted on the collector and left out. The
+// returned slice is the collector's scratch, valid until the next call.
+func (o *Optimizer) crossingPaths(col *collector, st *aggState, link graph.EdgeID) []int {
 	col.crossBuf = col.crossBuf[:0]
 	for pi, f := range st.flows {
 		if f <= 0 {
 			continue
 		}
-		if st.set.Path(pi).Contains(link) {
-			col.crossBuf = append(col.crossBuf, pi)
+		p := st.set.Path(pi)
+		if !p.Contains(link) {
+			continue
 		}
+		if o.refutedAny && o.skipRefuted && o.refuted(p) {
+			col.refuted++
+			continue
+		}
+		col.crossBuf = append(col.crossBuf, pi)
 	}
 	return col.crossBuf
+}
+
+// refuted reports whether the path crosses a link whose step failed in the
+// current pass.
+func (o *Optimizer) refuted(p graph.Path) bool {
+	for _, e := range p.Edges {
+		if o.refutedStamp[e] == o.passEpoch {
+			return true
+		}
+	}
+	return false
 }
 
 // alternativesFor computes the §2.4 trio for an aggregate given the
 // current congestion set (by decreasing oversubscription; o.congAsc holds
 // the same links ascending), on the given collection shard's generator
 // and scratch. The result is the collector's, valid until its next call.
+//
+// It must not depend on the link being stepped: Run's pass loop skips a
+// bundle at one link because its candidates lost at another, which holds
+// only while the aggregate's alternatives are the same at both.
 func (o *Optimizer) alternativesFor(col *collector, ai int, st *aggState, congested []graph.EdgeID) []graph.Path {
 	// Mark the links the aggregate currently uses: a fresh epoch
 	// invalidates the previous aggregate's marks, so the cost scales with
@@ -1545,7 +1651,8 @@ func (o *Optimizer) alternativesFor(col *collector, ai int, st *aggState, conges
 
 // moveSize computes N (Listing 2 line 3): whole bundles for small
 // aggregates, a fraction of the aggregate otherwise, never more than the
-// source bundle holds.
+// source bundle holds. Like alternativesFor, it must not depend on the
+// link being stepped.
 func (o *Optimizer) moveSize(aggFlows, bundleFlows int, fraction float64) int {
 	if bundleFlows <= 0 {
 		return 0

@@ -24,6 +24,7 @@ type SolutionSummary struct {
 	Delta             flowmodelDeltaStats `json:"delta"`
 	Base              BaseStats           `json:"base"`
 	Paths             pathgen.Stats       `json:"paths"`
+	RefutedBundles    int                 `json:"refuted_bundles"`
 }
 
 // flowmodelDeltaStats mirrors flowmodel.DeltaStats with JSON tags (the
@@ -55,8 +56,9 @@ func (s *Solution) Summary() SolutionSummary {
 			AffectedBundles: s.Delta.AffectedBundles,
 			ListBundles:     s.Delta.ListBundles,
 		},
-		Base:  s.Base,
-		Paths: s.Paths,
+		Base:           s.Base,
+		Paths:          s.Paths,
+		RefutedBundles: s.RefutedBundles,
 	}
 }
 

@@ -62,7 +62,7 @@ func BenchmarkStepCandidates(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cands := o.collectCandidates(links[0], congested, o.opts.MoveFraction)
+					cands, _ := o.collectCandidates(links[0], congested, o.opts.MoveFraction)
 					if len(cands) == 0 {
 						b.Fatal("no candidates collected")
 					}

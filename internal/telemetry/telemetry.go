@@ -43,6 +43,7 @@ type CoreMetrics struct {
 	Steps               *Counter
 	Escalations         *Counter
 	CandidatesCollected *Counter
+	RefutedBundles      *Counter
 	CandidatesEvaluated *Counter
 	TrialResyncs        *Counter
 	CollectMergeSeconds *Histogram
@@ -72,8 +73,9 @@ func (t *Telemetry) Core() *CoreMetrics {
 	return &CoreMetrics{
 		Runs:                r.Counter("fubar_core_runs_total", "Optimizer runs started."),
 		Steps:               r.Counter("fubar_core_steps_total", "Committed optimization moves."),
-		Escalations:         r.Counter("fubar_core_escalations_total", "Steps that escalated past the first candidate tier."),
+		Escalations:         r.Counter("fubar_core_escalations_total", "Move-size escalations: local optima at which no candidate improved utility and the optimizer retried with a larger move."),
 		CandidatesCollected: r.Counter("fubar_core_candidates_collected_total", "Candidate moves produced by sharded collection."),
+		RefutedBundles:      r.Counter("fubar_core_refuted_bundles_total", "Bundles collection did not enumerate because a failed step earlier in the same pass had already scored their candidates."),
 		CandidatesEvaluated: r.Counter("fubar_core_candidates_evaluated_total", "Candidate moves scored by workers."),
 		TrialResyncs:        r.Counter("fubar_core_trial_resyncs_total", "Worker trial buffers resynced to a new dense generation."),
 		CollectMergeSeconds: r.Histogram("fubar_core_collect_merge_seconds", "Wall time of the index-ordered candidate shard merge.", SecondsBuckets),

@@ -20,7 +20,8 @@ import (
 //
 // "node" lines are optional — "link" lines create nodes implicitly — but
 // allow declaring isolated naming up front. The "topology" line names the
-// result and must appear at most once, before any node/link lines.
+// result and must appear at most once, before any node/link lines. A line
+// longer than bufio.Scanner's 64 KiB token limit is an error.
 func Parse(r io.Reader) (*Topology, error) {
 	sc := bufio.NewScanner(r)
 	var b *Builder
@@ -83,7 +84,11 @@ func Parse(r io.Reader) (*Topology, error) {
 }
 
 // Write serializes the topology in the format accepted by Parse. Links are
-// written once per bidirectional pair.
+// written once per bidirectional pair, sorted by endpoint names, so link IDs
+// do not survive a round trip; capacities and delays are written to three
+// decimals of the unit they print in, so Parse(Write(t)) rounds them to that
+// resolution once and is exact from then on (FuzzParse). A capacity under
+// 0.0005 kbps is written as "0kbps", which Parse refuses.
 func Write(w io.Writer, t *Topology) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "topology %s\n", t.Name())

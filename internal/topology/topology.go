@@ -364,10 +364,11 @@ func (b *Builder) Build() (*Topology, error) {
 		t.index[k] = v
 	}
 	for _, s := range b.specs {
-		if s.capacity <= 0 {
+		// Negated so that NaN, which fails every comparison, is refused too.
+		if !(s.capacity > 0) {
 			return nil, fmt.Errorf("topology: link %s-%s capacity must be positive, got %v", s.a, s.b, s.capacity)
 		}
-		if s.delay < 0 {
+		if !(s.delay >= 0) {
 			return nil, fmt.Errorf("topology: link %s-%s delay must be non-negative, got %v", s.a, s.b, s.delay)
 		}
 		from, to := t.index[s.a], t.index[s.b]

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -68,6 +69,17 @@ func TestBuildRejectsBadLinks(t *testing.T) {
 	b3.AddLink("A", "A", 10*unit.Mbps, 1)
 	if _, err := b3.Build(); err == nil {
 		t.Error("self-link accepted")
+	}
+	nan := unit.Bandwidth(math.NaN())
+	b4 := NewBuilder("bad4")
+	b4.AddLink("A", "B", nan, 1)
+	if _, err := b4.Build(); err == nil {
+		t.Error("NaN capacity accepted")
+	}
+	b5 := NewBuilder("bad5")
+	b5.AddLink("A", "B", 10*unit.Mbps, unit.Delay(math.NaN()))
+	if _, err := b5.Build(); err == nil {
+		t.Error("NaN delay accepted")
 	}
 }
 

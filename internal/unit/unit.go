@@ -79,7 +79,12 @@ func ParseBandwidth(s string) (Bandwidth, error) {
 	if v < 0 {
 		return 0, fmt.Errorf("unit: negative bandwidth %q", s)
 	}
-	return Bandwidth(v) * mult, nil
+	// ParseFloat accepts "nan" and "inf", and the multiplier can overflow.
+	b := Bandwidth(v) * mult
+	if math.IsNaN(float64(b)) || math.IsInf(float64(b), 0) {
+		return 0, fmt.Errorf("unit: bandwidth %q is not a finite number", s)
+	}
+	return b, nil
 }
 
 // Delay is a one-way propagation delay in milliseconds.
@@ -136,7 +141,11 @@ func ParseDelay(s string) (Delay, error) {
 	if v < 0 {
 		return 0, fmt.Errorf("unit: negative delay %q", s)
 	}
-	return Delay(v) * mult, nil
+	d := Delay(v) * mult
+	if math.IsNaN(float64(d)) || math.IsInf(float64(d), 0) {
+		return 0, fmt.Errorf("unit: delay %q is not a finite number", s)
+	}
+	return d, nil
 }
 
 // trimFloat formats v with up to three decimals, trimming trailing zeros.

@@ -67,7 +67,7 @@ func TestParseBandwidth(t *testing.T) {
 }
 
 func TestParseBandwidthErrors(t *testing.T) {
-	for _, in := range []string{"", "abc", "-5Mbps", "Mbps", "12qps"} {
+	for _, in := range []string{"", "abc", "-5Mbps", "Mbps", "12qps", "nan", "NaNMbps", "inf", "+InfGbps", "1e305Gbps"} {
 		if _, err := ParseBandwidth(in); err == nil {
 			t.Errorf("ParseBandwidth(%q) succeeded, want error", in)
 		}
@@ -146,7 +146,7 @@ func TestParseDelay(t *testing.T) {
 }
 
 func TestParseDelayErrors(t *testing.T) {
-	for _, in := range []string{"", "fast", "-1ms", "ms"} {
+	for _, in := range []string{"", "fast", "-1ms", "ms", "nan", "nanms", "infs", "1e308s"} {
 		if _, err := ParseDelay(in); err == nil {
 			t.Errorf("ParseDelay(%q) succeeded, want error", in)
 		}
