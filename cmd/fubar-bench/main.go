@@ -8,7 +8,8 @@
 //	fubar-bench -exp fig7 -runs 100 # repeatability with a custom run count
 //
 // Each experiment prints the paper-figure analogue as ASCII tables/charts
-// plus the headline numbers recorded in EXPERIMENTS.md.
+// plus its headline numbers. Per-layer performance numbers are not this
+// command's: benchmark/ measures them.
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -52,40 +52,129 @@ import (
 // binary exits cleanly instead of dying mid-epoch.
 var benchCtx = context.Background()
 
-// benchTel is the live telemetry registry behind -listen, nil without
-// the flag.
-var benchTel *telemetry.Telemetry
+// benchFlags holds the parsed flags the experiments read, plus the
+// optimizer options derived from them.
+type benchFlags struct {
+	seed     int64
+	runs     int
+	csv      bool
+	opts     core.Options
+	scenario string
+	epochs   int
+	scenOut  string
+	ctrlOut  string
+	budget   time.Duration
+	soakN    int
+	soakP    int
+	soakOut  string
+	soakBase string
+}
+
+// experiments is every -exp name, in the order -exp all runs them.
+// Explicit experiments write a record file in the working directory, which
+// a figure-reproduction run never asked for, so "all" leaves them out.
+var experiments = []struct {
+	name, title string
+	explicit    bool
+	run         func(f *benchFlags) error
+}{
+	{"fig1", "fig1+2: utility function shapes", false, func(*benchFlags) error { return fig12() }},
+	{"fig3", "fig3: provisioned run (100 Mbps)", false, func(f *benchFlags) error {
+		return timeSeriesExperiment(experiment.Provisioned(f.seed), f.opts, f.csv)
+	}},
+	{"fig4", "fig4: underprovisioned run (75 Mbps)", false, func(f *benchFlags) error {
+		return timeSeriesExperiment(experiment.Underprovisioned(f.seed), f.opts, f.csv)
+	}},
+	{"fig5", "fig5: underprovisioned, large flows prioritized", false, func(f *benchFlags) error {
+		return timeSeriesExperiment(experiment.Prioritized(f.seed), f.opts, f.csv)
+	}},
+	{"fig6", "fig6: delay CDF, relaxed delay", false, func(f *benchFlags) error { return fig6(f.seed, f.opts) }},
+	{"fig7", "fig7: repeatability CDF", false, func(f *benchFlags) error { return fig7(f.seed, f.runs, f.opts) }},
+	{"queues", "queues: queueing before/after (§3 avoiding congestion)", false, func(f *benchFlags) error { return queues(f.seed, f.opts) }},
+	{"runtime", "runtime: running-time table", false, func(f *benchFlags) error { return runtimeTable(f.seed, f.opts) }},
+	{"ablation", "ablation: path trio and escalation", false, func(f *benchFlags) error { return ablation(f.seed, f.opts) }},
+	{"anneal", "anneal: FUBAR vs naive simulated annealing (§2.5)", false, func(f *benchFlags) error { return annealCompare(f.seed) }},
+	{"validate", "validate: analytic model vs dynamic AIMD simulation (§2.3)", false, func(f *benchFlags) error { return validate(f.seed) }},
+	{"dqueues", "dqueues: simulated drop-tail queues, SP vs FUBAR (§3)", false, func(f *benchFlags) error { return dynamicQueues(f.seed) }},
+	{"mpls", "mpls: allocation as reserved MPLS-TE tunnels (§5)", false, func(f *benchFlags) error { return mplsSync(f.seed) }},
+	{"failover", "failover: link failure and warm-start recovery", false, func(f *benchFlags) error { return failover(f.seed) }},
+	{"scenario", "scenario: time-varying replay, warm vs cold re-optimization", true, func(f *benchFlags) error {
+		return scenarioBench(f.scenario, f.seed, f.epochs, f.scenOut)
+	}},
+	{"ctrlloop", "ctrlloop: closed-loop scenario replay over the control plane", true, func(f *benchFlags) error {
+		return ctrlloopBench(f.scenario, f.seed, f.epochs, f.budget, f.ctrlOut)
+	}},
+	{"soak", "soak: million-epoch streaming replay, O(1) memory", true, func(f *benchFlags) error {
+		return soakBench(f.seed, f.soakN, f.soakP, f.soakOut, f.soakBase)
+	}},
+}
+
+// experimentNames lists the -exp names that are, or are not, explicit-only.
+func experimentNames(explicit bool) []string {
+	var names []string
+	for _, e := range experiments {
+		if e.explicit == explicit {
+			names = append(names, e.name)
+		}
+	}
+	return names
+}
+
+// selectExperiments resolves an -exp value to indices into experiments:
+// "all" is every non-explicit one, anything else must be a listed name.
+func selectExperiments(exp string) ([]int, error) {
+	var picked []int
+	for i, e := range experiments {
+		if e.name == exp || (exp == "all" && !e.explicit) {
+			picked = append(picked, i)
+		}
+	}
+	if len(picked) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q: want all, %s, or explicitly %s", exp,
+			strings.Join(experimentNames(false), ", "), strings.Join(experimentNames(true), ", "))
+	}
+	return picked, nil
+}
+
+// newHTTPServer wraps the telemetry handler in a server that gives up on a
+// peer which never finishes its request headers or holds a keep-alive
+// connection idle (cmd/fubard's bounds). No write timeout: /trace streams.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
 
 func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment: fig1|fig3|fig4|fig5|fig6|fig7|queues|runtime|ablation|anneal|validate|dqueues|mpls|failover|all, or corebench/scenario/evalbench/ctrlloop/scale/obs/soak (explicit only; write -bench-out/-scenario-out/-eval-out/-ctrlloop-out/-scale-out/-obs-out/-soak-out)")
-		seed     = flag.Int64("seed", 1, "base random seed")
-		runs     = flag.Int("runs", 100, "number of runs for fig7")
-		deadline = flag.Duration("deadline", 10*time.Minute, "per-run optimization deadline")
-		csv      = flag.Bool("csv", false, "emit CSV after each chart")
-		workers  = flag.Int("workers", 0, "parallel candidate evaluators per step (0 = GOMAXPROCS)")
-		benchOut = flag.String("bench-out", "BENCH_core.json", "output file for the corebench speedup record")
-		scenName = flag.String("scenario", "diurnal", "canned scenario for -exp scenario/ctrlloop: "+strings.Join(scenario.Names(), "|"))
-		epochs   = flag.Int("epochs", 20, "scenario replay epoch count")
-		scenOut  = flag.String("scenario-out", "BENCH_scenario.json", "output file for the scenario replay record")
-		evalOut  = flag.String("eval-out", "BENCH_eval.json", "output file for the evalbench record")
-		evalInst = flag.String("eval-instance", "he", "evalbench instance: he (thinned HE-31) or ring (small CI smoke)")
-		ctrlOut  = flag.String("ctrlloop-out", "BENCH_ctrlloop.json", "output file for the ctrlloop record")
-		budget   = flag.Duration("budget", 250*time.Millisecond, "ctrlloop per-epoch optimization deadline for the budgeted run")
-		scaleSet = flag.String("scale-presets", "scale-xs,scale-s,scale-m", "comma-separated scale presets for -exp scale ("+strings.Join(scenario.ScalePresetNames(), "|")+")")
-		scaleWk  = flag.String("scale-workers", "1,2,4", "comma-separated worker counts for -exp scale")
-		scaleN   = flag.Int("scale-steps", 30, "per-run committed-move cap for -exp scale")
-		scaleOut = flag.String("scale-out", "BENCH_scale.json", "output file for the scale record")
-		obsOut   = flag.String("obs-out", "BENCH_obs.json", "output file for the obs (telemetry overhead) record")
-		soakN    = flag.Int("soak-epochs", 1_000_000, "plain-replay epoch count for -exp soak (the closed-loop leg runs a tenth of it)")
-		soakP    = flag.Int("soak-period", 25, "soak timeline event period in epochs")
-		soakOut  = flag.String("soak-out", "BENCH_soak.json", "output file for the soak record")
-		soakBase = flag.String("soak-baseline", "", "baseline soak record to diff against: the run fails on any deterministic-envelope regression (trajectory divergence, heap-bound or wire-ledger flags)")
-		listen   = flag.String("listen", "", "serve live telemetry on this address: Prometheus /metrics, /debug/pprof/, JSONL /trace")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
+	var bf benchFlags
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experimentNames(false), "|")+"|all, or "+
+		strings.Join(experimentNames(true), "|")+" (explicit only; they write -scenario-out/-ctrlloop-out/-soak-out)")
+	flag.Int64Var(&bf.seed, "seed", 1, "base random seed")
+	flag.IntVar(&bf.runs, "runs", 100, "number of runs for fig7")
+	flag.DurationVar(&bf.opts.Deadline, "deadline", 10*time.Minute, "per-run optimization deadline")
+	flag.BoolVar(&bf.csv, "csv", false, "emit CSV after each chart")
+	flag.IntVar(&bf.opts.Workers, "workers", 0, "parallel candidate evaluators per step (0 = GOMAXPROCS)")
+	flag.StringVar(&bf.scenario, "scenario", "diurnal", "canned scenario for -exp scenario/ctrlloop: "+strings.Join(scenario.Names(), "|"))
+	flag.IntVar(&bf.epochs, "epochs", 20, "scenario replay epoch count")
+	flag.StringVar(&bf.scenOut, "scenario-out", "BENCH_scenario.json", "output file for the scenario replay record")
+	flag.StringVar(&bf.ctrlOut, "ctrlloop-out", "BENCH_ctrlloop.json", "output file for the ctrlloop record")
+	flag.DurationVar(&bf.budget, "budget", 250*time.Millisecond, "ctrlloop per-epoch optimization deadline for the budgeted run")
+	flag.IntVar(&bf.soakN, "soak-epochs", 1_000_000, "plain-replay epoch count for -exp soak (the closed-loop leg runs a tenth of it)")
+	flag.IntVar(&bf.soakP, "soak-period", 25, "soak timeline event period in epochs")
+	flag.StringVar(&bf.soakOut, "soak-out", "BENCH_soak.json", "output file for the soak record")
+	flag.StringVar(&bf.soakBase, "soak-baseline", "", "baseline soak record to diff against: the run fails on any deterministic-envelope regression (trajectory divergence, heap-bound or wire-ledger flags)")
+	listen := flag.String("listen", "", "serve live telemetry on this address: Prometheus /metrics, /debug/pprof/, JSONL /trace")
+	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	picked, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fubar-bench:", err)
+		os.Exit(2)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -118,129 +207,40 @@ func main() {
 	defer stop()
 	benchCtx = ctx
 
-	opts := core.Options{Deadline: *deadline, Workers: *workers}
 	if *listen != "" {
-		benchTel = telemetry.New()
+		tel := telemetry.New()
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "listen:", err)
 			os.Exit(1)
 		}
-		srv := &http.Server{Handler: telemetry.Handler(benchTel)}
+		srv := newHTTPServer(telemetry.Handler(tel))
 		fmt.Fprintf(os.Stderr, "telemetry: http://%s/ (metrics, trace, debug/pprof)\n", ln.Addr())
 		go srv.Serve(ln)
 		defer srv.Close()
 		// Experiments driven by the shared option set report live; the
-		// explicit-only benches build their own options, except the obs
-		// bench's scrape phase, which adopts this registry so the
-		// -listen endpoint shows the run it verifies.
-		opts.Telemetry = benchTel
+		// explicit-only ones build their own options.
+		bf.opts.Telemetry = tel
 	}
-	run := func(name string, f func() error) {
-		fmt.Printf("\n================ %s ================\n", name)
+	for _, i := range picked {
+		e := experiments[i]
+		fmt.Printf("\n================ %s ================\n", e.title)
 		start := time.Now()
-		err := f()
+		err := e.run(&bf)
 		// A cancelled context is terminal whatever the experiment
 		// returned: optimizer-level cancellation surfaces as truncated
 		// (StopCancelled) solutions with a nil error, and any figures or
 		// records derived from them are garbage — never continue to the
 		// next experiment or exit 0.
 		if benchCtx.Err() != nil || errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "%s: interrupted\n", name)
+			fmt.Fprintf(os.Stderr, "%s: interrupted\n", e.title)
 			os.Exit(130)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.title, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s done in %v]\n", name, time.Since(start).Truncate(time.Millisecond))
-	}
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if want("fig1") {
-		run("fig1+2: utility function shapes", func() error { return fig12() })
-	}
-	if want("fig3") {
-		run("fig3: provisioned run (100 Mbps)", func() error {
-			return timeSeriesExperiment(experiment.Provisioned(*seed), opts, *csv)
-		})
-	}
-	if want("fig4") {
-		run("fig4: underprovisioned run (75 Mbps)", func() error {
-			return timeSeriesExperiment(experiment.Underprovisioned(*seed), opts, *csv)
-		})
-	}
-	if want("fig5") {
-		run("fig5: underprovisioned, large flows prioritized", func() error {
-			return timeSeriesExperiment(experiment.Prioritized(*seed), opts, *csv)
-		})
-	}
-	if want("fig6") {
-		run("fig6: delay CDF, relaxed delay", func() error { return fig6(*seed, opts) })
-	}
-	if want("fig7") {
-		run("fig7: repeatability CDF", func() error { return fig7(*seed, *runs, opts) })
-	}
-	if want("queues") {
-		run("queues: queueing before/after (§3 avoiding congestion)", func() error { return queues(*seed, opts) })
-	}
-	if want("runtime") {
-		run("runtime: running-time table", func() error { return runtimeTable(*seed, opts) })
-	}
-	if want("ablation") {
-		run("ablation: path trio and escalation", func() error { return ablation(*seed, opts) })
-	}
-	if want("anneal") {
-		run("anneal: FUBAR vs naive simulated annealing (§2.5)", func() error { return annealCompare(*seed) })
-	}
-	if want("validate") {
-		run("validate: analytic model vs dynamic AIMD simulation (§2.3)", func() error { return validate(*seed) })
-	}
-	if want("dqueues") {
-		run("dqueues: simulated drop-tail queues, SP vs FUBAR (§3)", func() error { return dynamicQueues(*seed) })
-	}
-	if want("mpls") {
-		run("mpls: allocation as reserved MPLS-TE tunnels (§5)", func() error { return mplsSync(*seed) })
-	}
-	if want("failover") {
-		run("failover: link failure and warm-start recovery", func() error { return failover(*seed) })
-	}
-	// corebench and scenario are explicit-only (not part of "all"): they
-	// write files in the working directory, which a figure-reproduction
-	// run never asked for.
-	if *exp == "corebench" {
-		run("corebench: parallel candidate-evaluation speedup", func() error { return coreBench(*seed, *workers, *deadline, *benchOut) })
-	}
-	if *exp == "scenario" {
-		run("scenario: time-varying replay, warm vs cold re-optimization", func() error {
-			return scenarioBench(*scenName, *seed, *epochs, *scenOut)
-		})
-	}
-	if *exp == "evalbench" {
-		run("evalbench: incremental vs full candidate evaluation", func() error {
-			return evalBench(*evalInst, *seed, *evalOut)
-		})
-	}
-	if *exp == "ctrlloop" {
-		run("ctrlloop: closed-loop scenario replay over the control plane", func() error {
-			return ctrlloopBench(*scenName, *seed, *epochs, *budget, *ctrlOut)
-		})
-	}
-	if *exp == "scale" {
-		run("scale: step-pipeline scaling on large Waxman instances", func() error {
-			return scaleBench(*scaleSet, *scaleWk, *seed, *scaleN, *scaleOut)
-		})
-	}
-	if *exp == "obs" {
-		run("obs: telemetry overhead and live-scrape verification", func() error {
-			return obsBench(*seed, max(1, *workers), *scaleN, *obsOut)
-		})
-	}
-	if *exp == "soak" {
-		run("soak: million-epoch streaming replay, O(1) memory", func() error {
-			return soakBench(*seed, *soakN, *soakP, *soakOut, *soakBase)
-		})
+		fmt.Printf("[%s done in %v]\n", e.title, time.Since(start).Truncate(time.Millisecond))
 	}
 }
 
@@ -520,229 +520,6 @@ func ctrlloopBench(name string, seed int64, epochs int, budget time.Duration, ou
 	return nil
 }
 
-// evalBenchRecord is the JSON record `-exp evalbench` writes: paired
-// per-candidate timing medians for the full, incremental (full-Result
-// delta) and utility-only delta evaluation strategies over one real
-// optimization run, the differential verdict, and the end-to-end on/off
-// comparison. The delta counters are split per mode (full-Result vs
-// utility-only) so each mode's fallback and expansion behavior — and
-// therefore the utility-only savings — is attributable.
-type evalBenchRecord struct {
-	Benchmark         string  `json:"benchmark"`
-	Instance          string  `json:"instance"`
-	Topology          string  `json:"topology"`
-	Aggregates        int     `json:"aggregates"`
-	DenseBundles      int     `json:"dense_bundles"`
-	Seed              int64   `json:"seed"`
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	NumCPU            int     `json:"num_cpu"`
-	Workers           int     `json:"workers"`
-	Candidates        int     `json:"candidates"`
-	Identical         bool    `json:"identical"`
-	MedianFullNs      int64   `json:"median_full_ns"`
-	MedianDeltaNs     int64   `json:"median_delta_ns"`
-	MedianUtilNs      int64   `json:"median_util_ns"`
-	MedianSpeedup     float64 `json:"median_speedup"`
-	MeanSpeedup       float64 `json:"mean_speedup"`
-	MedianUtilSpeedup float64 `json:"median_util_speedup"`
-	DeltaCalls        int64   `json:"delta_calls"`
-	DeltaFallbacks    int64   `json:"delta_fallbacks"`
-	DeltaExpansions   int64   `json:"delta_expansions"`
-	// Per-mode split: delta_* above are totals over both incremental
-	// modes; the full_* / util_* pairs below separate the full-Result
-	// calls from the utility-only scoring calls.
-	FullModeCalls      int64   `json:"full_mode_calls"`
-	FullModeFallbacks  int64   `json:"full_mode_fallbacks"`
-	FullModeExpansions int64   `json:"full_mode_expansions"`
-	UtilModeCalls      int64   `json:"util_mode_calls"`
-	UtilModeFallbacks  int64   `json:"util_mode_fallbacks"`
-	UtilModeExpansions int64   `json:"util_mode_expansions"`
-	AffectedFrac       float64 `json:"affected_frac"`
-	RunFullNs          int64   `json:"run_full_best_ns"`
-	RunDeltaNs         int64   `json:"run_delta_best_ns"`
-	RunSpeedup         float64 `json:"run_speedup"`
-	// Persistent-base comparison: the same instance end to end with
-	// per-step base captures (the pre-session behavior) vs the
-	// session-persistent base that is patched on commit and remapped
-	// across step layouts. BaseStats records how the persistent run
-	// obtained each step's base.
-	RunCaptureNs     int64          `json:"run_capture_best_ns"`
-	BaseReuseSpeedup float64        `json:"base_reuse_speedup"`
-	BaseStats        core.BaseStats `json:"base_stats"`
-	CaptureBaseStats core.BaseStats `json:"capture_base_stats"`
-	Steps            int            `json:"steps"`
-	Utility          float64        `json:"utility"`
-	Deterministic    bool           `json:"deterministic"`
-}
-
-// evalBench times every candidate of one real optimization both ways
-// (core.RunCandidateBench — the differential doubles as a correctness
-// assertion), then measures the optimizer end to end with DeltaEval on
-// vs off at Workers=1, and writes the record to outPath. The speedup is
-// single-core algorithmic, so it is meaningful even on a 1-CPU host.
-func evalBench(instance string, seed int64, outPath string) error {
-	var topo *topology.Topology
-	var mat *traffic.Matrix
-	var err error
-	switch instance {
-	case "he":
-		topo, mat, err = scenario.HEBenchInstance(seed + 4)
-	case "ring":
-		topo, mat, err = benchInstance(seed)
-	default:
-		err = fmt.Errorf("evalbench: unknown instance %q (want he or ring)", instance)
-	}
-	if err != nil {
-		return err
-	}
-	model, err := flowmodel.New(topo, mat)
-	if err != nil {
-		return err
-	}
-	cb, err := core.RunCandidateBench(model, core.Options{})
-	if err != nil {
-		return err
-	}
-	if !cb.Identical {
-		return fmt.Errorf("evalbench: delta utilities diverged from full evaluations")
-	}
-
-	// End to end at Workers=1, best of 3, three strategies: full
-	// per-candidate evaluations, incremental with per-step base captures
-	// (the pre-session behavior), and incremental with the persistent
-	// base (patched on commit, remapped across layouts).
-	const rounds = 3
-	measure := func(opts core.Options) (time.Duration, *core.Solution, error) {
-		var best time.Duration
-		var sol *core.Solution
-		opts.Workers = 1
-		for i := 0; i < rounds; i++ {
-			m, err := flowmodel.New(topo, mat)
-			if err != nil {
-				return 0, nil, err
-			}
-			start := time.Now()
-			s, err := core.Run(benchCtx, m, opts)
-			if err != nil {
-				return 0, nil, err
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-			sol = s
-		}
-		return best, sol, nil
-	}
-	deltaT, deltaSol, err := measure(core.Options{DeltaEval: core.DeltaAuto})
-	if err != nil {
-		return err
-	}
-	captureT, captureSol, err := measure(core.Options{DeltaEval: core.DeltaAuto, DisableBaseReuse: true})
-	if err != nil {
-		return err
-	}
-	fullT, fullSol, err := measure(core.Options{DeltaEval: core.DeltaOff})
-	if err != nil {
-		return err
-	}
-	det := deltaSol.Steps == fullSol.Steps && deltaSol.Utility == fullSol.Utility &&
-		reflect.DeepEqual(deltaSol.Bundles, fullSol.Bundles) &&
-		deltaSol.Steps == captureSol.Steps && deltaSol.Utility == captureSol.Utility &&
-		reflect.DeepEqual(deltaSol.Bundles, captureSol.Bundles)
-
-	st := cb.Delta
-	affected := 0.0
-	if st.ListBundles > 0 {
-		affected = float64(st.AffectedBundles) / float64(st.ListBundles)
-	}
-	dense := 0
-	// ListBundles accumulates only for non-fallback calls; divide by the
-	// same population.
-	if n := st.Calls - st.Fallbacks; n > 0 {
-		dense = int(st.ListBundles / n)
-	}
-	rec := evalBenchRecord{
-		Benchmark:          "flowmodel: incremental (delta) vs full candidate evaluation",
-		Instance:           instance,
-		Topology:           topo.Summary(),
-		Aggregates:         mat.NumAggregates(),
-		DenseBundles:       dense,
-		Seed:               seed,
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		NumCPU:             runtime.NumCPU(),
-		Workers:            cb.Workers,
-		Candidates:         cb.Candidates(),
-		Identical:          cb.Identical,
-		MedianFullNs:       cb.MedianFullNs(),
-		MedianDeltaNs:      cb.MedianDeltaNs(),
-		MedianUtilNs:       cb.MedianUtilNs(),
-		MedianSpeedup:      cb.MedianSpeedup(),
-		MeanSpeedup:        cb.MeanSpeedup(),
-		MedianUtilSpeedup:  cb.MedianUtilSpeedup(),
-		DeltaCalls:         st.Calls,
-		DeltaFallbacks:     st.Fallbacks,
-		DeltaExpansions:    st.Expansions,
-		FullModeCalls:      st.Calls - st.UtilityOnlyCalls,
-		FullModeFallbacks:  st.Fallbacks - st.UtilityOnlyFallbacks,
-		FullModeExpansions: st.Expansions - st.UtilityOnlyExpansions,
-		UtilModeCalls:      st.UtilityOnlyCalls,
-		UtilModeFallbacks:  st.UtilityOnlyFallbacks,
-		UtilModeExpansions: st.UtilityOnlyExpansions,
-		AffectedFrac:       affected,
-		RunFullNs:          fullT.Nanoseconds(),
-		RunDeltaNs:         deltaT.Nanoseconds(),
-		RunSpeedup:         float64(fullT) / float64(deltaT),
-		RunCaptureNs:       captureT.Nanoseconds(),
-		BaseReuseSpeedup:   float64(captureT) / float64(deltaT),
-		BaseStats:          deltaSol.Base,
-		CaptureBaseStats:   captureSol.Base,
-		Steps:              deltaSol.Steps,
-		Utility:            deltaSol.Utility,
-		Deterministic:      det,
-	}
-	t := report.NewTable("incremental candidate evaluation", "metric", "value")
-	t.AddRow("instance", fmt.Sprintf("%s (%d aggregates, %d dense bundles)", instance, rec.Aggregates, rec.DenseBundles))
-	t.AddRow("candidates timed", rec.Candidates)
-	// Table duration cells truncate to milliseconds; these are µs-scale.
-	t.AddRow("median full eval", time.Duration(rec.MedianFullNs).String())
-	t.AddRow("median delta eval", time.Duration(rec.MedianDeltaNs).String())
-	t.AddRow("median utility-only eval", time.Duration(rec.MedianUtilNs).String())
-	t.AddRow("median speedup", fmt.Sprintf("%.2fx", rec.MedianSpeedup))
-	t.AddRow("mean speedup", fmt.Sprintf("%.2fx", rec.MeanSpeedup))
-	t.AddRow("median speedup (utility-only)", fmt.Sprintf("%.2fx", rec.MedianUtilSpeedup))
-	t.AddRow("affected fraction", fmt.Sprintf("%.3f", rec.AffectedFrac))
-	t.AddRow("fallbacks / expansions (full-result mode)",
-		fmt.Sprintf("%d / %d of %d", rec.FullModeFallbacks, rec.FullModeExpansions, rec.FullModeCalls))
-	t.AddRow("fallbacks / expansions (utility-only mode)",
-		fmt.Sprintf("%d / %d of %d", rec.UtilModeFallbacks, rec.UtilModeExpansions, rec.UtilModeCalls))
-	t.AddRow("run (persistent base, Workers=1)", deltaT.Truncate(time.Microsecond))
-	t.AddRow("run (per-step capture, Workers=1)", captureT.Truncate(time.Microsecond))
-	t.AddRow("run (delta off, Workers=1)", fullT.Truncate(time.Microsecond))
-	t.AddRow("run speedup (vs delta off)", fmt.Sprintf("%.2fx", rec.RunSpeedup))
-	t.AddRow("base-reuse speedup (vs per-step capture)", fmt.Sprintf("%.2fx", rec.BaseReuseSpeedup))
-	t.AddRow("base captures/remaps/skips/rebases", fmt.Sprintf("%d / %d / %d / %d (capture mode: %d captures)",
-		rec.BaseStats.Captures, rec.BaseStats.Remaps, rec.BaseStats.Skips, rec.BaseStats.Rebases, rec.CaptureBaseStats.Captures))
-	t.AddRow("bit-identical candidates", rec.Identical)
-	t.AddRow("identical solutions on/off", det)
-	t.AddRow("GOMAXPROCS", rec.GOMAXPROCS)
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("evalbench record written to %s\n", outPath)
-	if !det {
-		return fmt.Errorf("evalbench: persistent-base, per-step-capture and DeltaOff runs diverged (steps %d / %d / %d)",
-			deltaSol.Steps, captureSol.Steps, fullSol.Steps)
-	}
-	return nil
-}
-
 // scenarioBenchRecord is the JSON time-series record `-exp scenario`
 // writes: the scenario's full warm-start epoch table plus the warm/cold
 // totals and the worker-count determinism check.
@@ -845,120 +622,6 @@ func scenarioBench(name string, seed int64, epochs int, outPath string) error {
 	if !det {
 		return fmt.Errorf("scenario: epoch tables diverged between Workers=1 and Workers=4")
 	}
-	return nil
-}
-
-// coreBenchRecord is the JSON speedup record corebench writes: the same
-// congested instance optimized serially and with a 4-worker candidate
-// pool, asserting identical solutions and recording the wall-clock ratio.
-type coreBenchRecord struct {
-	Benchmark       string  `json:"benchmark"`
-	Topology        string  `json:"topology"`
-	Aggregates      int     `json:"aggregates"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	NumCPU          int     `json:"num_cpu"`
-	Runs            int     `json:"runs_per_setting"`
-	WorkersSerial   int     `json:"workers_serial"`
-	WorkersParallel int     `json:"workers_parallel"`
-	SerialNs        int64   `json:"serial_best_ns"`
-	ParallelNs      int64   `json:"parallel_best_ns"`
-	Speedup         float64 `json:"speedup"`
-	Utility         float64 `json:"utility"`
-	Steps           int     `json:"steps"`
-	Deterministic   bool    `json:"deterministic"`
-	Note            string  `json:"note,omitempty"`
-}
-
-// coreBench measures the optimizer end to end at Workers=1 vs a parallel
-// worker count (4, or -workers when larger) on the bundled evaluation
-// instance (trial evaluations dominate its runtime) and writes the
-// speedup record to outPath.
-func coreBench(seed int64, workers int, deadline time.Duration, outPath string) error {
-	topo, mat, err := benchInstance(seed)
-	if err != nil {
-		return err
-	}
-	workersParallel := 4
-	if workers > workersParallel {
-		workersParallel = workers
-	}
-	const rounds = 3
-	measure := func(workers int) (time.Duration, *core.Solution, error) {
-		best := time.Duration(0)
-		var sol *core.Solution
-		for i := 0; i < rounds; i++ {
-			model, err := flowmodel.New(topo, mat)
-			if err != nil {
-				return 0, nil, err
-			}
-			start := time.Now()
-			s, err := core.Run(benchCtx, model, core.Options{Workers: workers, Deadline: deadline})
-			if err != nil {
-				return 0, nil, err
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-			sol = s
-		}
-		return best, sol, nil
-	}
-	serialT, serialSol, err := measure(1)
-	if err != nil {
-		return err
-	}
-	parallelT, parallelSol, err := measure(workersParallel)
-	if err != nil {
-		return err
-	}
-	det := serialSol.Steps == parallelSol.Steps && serialSol.Utility == parallelSol.Utility &&
-		reflect.DeepEqual(serialSol.Bundles, parallelSol.Bundles)
-	rec := coreBenchRecord{
-		Benchmark:       "core optimizer: parallel trial-move evaluation",
-		Topology:        topo.Summary(),
-		Aggregates:      mat.NumAggregates(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		NumCPU:          runtime.NumCPU(),
-		Runs:            rounds,
-		WorkersSerial:   1,
-		WorkersParallel: workersParallel,
-		SerialNs:        serialT.Nanoseconds(),
-		ParallelNs:      parallelT.Nanoseconds(),
-		Speedup:         float64(serialT) / float64(parallelT),
-		Utility:         parallelSol.Utility,
-		Steps:           parallelSol.Steps,
-		Deterministic:   det,
-	}
-	// GOMAXPROCS, not NumCPU, caps goroutine parallelism (they differ
-	// under cgroup quotas or an explicit GOMAXPROCS override).
-	if rec.GOMAXPROCS < rec.WorkersParallel {
-		rec.Note = fmt.Sprintf("GOMAXPROCS=%d; worker-pool speedup is capped at the schedulable core count", rec.GOMAXPROCS)
-	}
-	if !det {
-		hint := ""
-		if deadline > 0 {
-			hint = " (a wall-clock -deadline that truncates the runs makes them legitimately diverge)"
-		}
-		return fmt.Errorf("corebench: Workers=1 and Workers=%d diverged (steps %d vs %d, utility %v vs %v)%s",
-			workersParallel, serialSol.Steps, parallelSol.Steps, serialSol.Utility, parallelSol.Utility, hint)
-	}
-	t := report.NewTable("core candidate-evaluation speedup", "metric", "value")
-	t.AddRow("serial (Workers=1)", serialT.Truncate(time.Microsecond))
-	t.AddRow(fmt.Sprintf("parallel (Workers=%d)", workersParallel), parallelT.Truncate(time.Microsecond))
-	t.AddRow("speedup", fmt.Sprintf("%.2fx", rec.Speedup))
-	t.AddRow("identical solutions", det)
-	t.AddRow("GOMAXPROCS", rec.GOMAXPROCS)
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("speedup record written to %s\n", outPath)
 	return nil
 }
 

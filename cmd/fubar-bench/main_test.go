@@ -1,8 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
+	"strings"
 	"testing"
 )
 
@@ -49,31 +48,45 @@ func TestBenchInstance(t *testing.T) {
 	}
 }
 
-// TestCoreBenchRecord runs the corebench experiment into a temp file and
-// checks the speedup record parses and certifies determinism.
-func TestCoreBenchRecord(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+// TestSelectExperiments pins the -exp lookup main dispatches on: a typo and
+// each retired perf mode are errors (main exits 2 on them) that name the
+// valid experiments, "all" leaves out the explicit-only ones, and every
+// listed name selects exactly itself.
+func TestSelectExperiments(t *testing.T) {
+	for _, bad := range []string{"fig33", "", "corebench", "evalbench", "scale", "obs"} {
+		picked, err := selectExperiments(bad)
+		if err == nil {
+			t.Errorf("-exp %q selected %v, want an error", bad, picked)
+		} else if !strings.Contains(err.Error(), "fig3") || !strings.Contains(err.Error(), "soak") {
+			t.Errorf("-exp %q: error does not list the valid names: %v", bad, err)
+		}
 	}
-	out := t.TempDir() + "/BENCH_core.json"
-	if err := coreBench(1, 0, 0, out); err != nil {
-		t.Fatalf("coreBench: %v", err)
-	}
-	data, err := os.ReadFile(out)
+	all, err := selectExperiments("all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec coreBenchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("record does not parse: %v", err)
+	if want := len(experimentNames(false)); len(all) != want {
+		t.Errorf("all selected %d experiments, want the %d non-explicit ones", len(all), want)
 	}
-	if !rec.Deterministic {
-		t.Error("record must certify Workers=1 == Workers=4 solutions")
+	for _, i := range all {
+		if experiments[i].explicit {
+			t.Errorf("all selected explicit-only %q", experiments[i].name)
+		}
 	}
-	if rec.SerialNs <= 0 || rec.ParallelNs <= 0 || rec.Speedup <= 0 {
-		t.Errorf("degenerate timings: %+v", rec)
+	for i, e := range experiments {
+		picked, err := selectExperiments(e.name)
+		if err != nil || len(picked) != 1 || picked[0] != i {
+			t.Errorf("-exp %s selected %v (%v), want [%d]", e.name, picked, err, i)
+		}
 	}
-	if rec.Steps == 0 {
-		t.Error("bench instance committed no moves")
+}
+
+// TestTelemetryServerBounded pins the -listen server's header and idle
+// bounds: without them a peer that never finishes its headers holds a
+// connection for the life of the run.
+func TestTelemetryServerBounded(t *testing.T) {
+	srv := newHTTPServer(nil)
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("telemetry server unbounded: header %v, idle %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
 	}
 }

@@ -47,8 +47,8 @@ func TestGenerateBadInputs(t *testing.T) {
 // comment lines carry everything needed to regenerate the benchmark
 // instance (preset name, seed, sizes, Waxman parameters and the
 // ScaleInstance call), and the first directive names the topology. A
-// change here silently breaks the reproducibility of published
-// BENCH_scale.json records.
+// change here silently breaks the reproducibility of benchmark/'s
+// cold-scale-* records.
 func TestGeneratePresetGolden(t *testing.T) {
 	var sb strings.Builder
 	if err := generatePreset(&sb, "scale-xs", 1); err != nil {

@@ -112,9 +112,9 @@
 // serves it live (Prometheus text /metrics, /debug/pprof/, JSONL
 // /trace — the CLIs expose it via -listen). Telemetry never changes
 // optimizer behavior: instrumented runs are bit-identical, and the
-// measured overhead is recorded by `fubar-bench -exp obs`
-// (BENCH_obs.json). Observer callbacks run on the goroutine that
-// called the session method, never on a worker.
+// measured overhead is benchmark/'s trace.overhead_frac. Observer
+// callbacks run on the goroutine that called the session method, never
+// on a worker.
 //
 // # Cancellation and deadlines
 //
@@ -168,8 +168,8 @@
 // steps are index remaps (ModelEval.RemapBase), so steady-state
 // optimization runs no per-step full evaluations at all — Solution.Base
 // counts captures vs remaps vs rebases, and Solution.Delta the
-// candidate-level counters (see `fubar-bench -exp evalbench` /
-// BENCH_eval.json). The same arena anatomy powers parallel annealing
+// candidate-level counters (benchmark/'s flowmodel.* metrics time the
+// same calls per candidate). The same arena anatomy powers parallel annealing
 // restarts: AnnealRestarts fans best-of-n seed-indexed restarts across
 // workers with per-restart arenas, worker-count-invariant.
 //
@@ -257,5 +257,5 @@
 // examples/daemon-client for a full client walkthrough.
 //
 // See DESIGN.md for the system inventory (including the Session
-// lifecycle) and EXPERIMENTS.md for the paper-versus-measured record.
+// lifecycle).
 package fubar

@@ -31,17 +31,17 @@
 //
 // # Incremental candidate evaluation
 //
-// With Options.DeltaEval left at DeltaAuto (the default), each step
-// evaluates the committed allocation once (flowmodel.Eval.EvaluateBase on
-// the optimizer's base arena) and every candidate runs
-// flowmodel.Eval.EvaluateDelta against that shared read-only base: only
-// the sub-problem the move actually perturbs is re-filled, whatever share
-// of the list that is. Scoring uses the utility-only delta mode by default
-// (EvaluateDeltaUtility — no Result finalization; see
-// Options.DisableUtilityScoring), while the committed move always gets a
-// full result. Delta results are bit-identical to full evaluations of the
-// same list, so DeltaAuto and DeltaOff commit the exact same move sequence
-// at any worker count.
+// With Options.DeltaEval left at DeltaAuto (the default), a run evaluates
+// the committed allocation in full once (flowmodel.Eval.EvaluateBase on the
+// optimizer's base arena), keeps that base current across steps (CommitDelta
+// on a commit, RemapBase on a layout change), and scores every candidate
+// against the shared read-only base: only the sub-problem the move actually
+// perturbs is re-filled, whatever share of the list that is. Scoring needs
+// one float per candidate, so it uses the utility-only delta mode
+// (EvaluateDeltaUtility — no Result finalization), while the committed move
+// always gets a full result. Delta results are bit-identical to full
+// evaluations of the same list, so DeltaAuto and DeltaOff — the differential
+// oracle — commit the exact same move sequence at any worker count.
 package core
 
 import (
@@ -111,8 +111,8 @@ const (
 	// a base snapshot of the committed allocation. Bit-identical results
 	// to DeltaOff, usually much faster.
 	DeltaAuto DeltaMode = iota
-	// DeltaOff: every candidate runs a full water-filling (the pre-delta
-	// behavior; also useful for benchmarking the incremental path).
+	// DeltaOff: every candidate runs a full water-filling — the
+	// differential oracle the incremental path is tested against.
 	DeltaOff
 )
 
@@ -164,34 +164,15 @@ type Options struct {
 	// AltMode restricts the alternative trio (ablation only).
 	AltMode AltMode
 	// DeltaEval selects how candidate moves are evaluated. The zero
-	// value, DeltaAuto, evaluates each candidate incrementally against a
-	// per-step base snapshot — exact (bit-identical to full evaluation)
-	// but proportional to the move's affected sub-problem instead of the
-	// whole network. DeltaOff restores full per-candidate evaluations.
+	// value, DeltaAuto, evaluates each candidate incrementally against
+	// the run's persistent base snapshot — exact (bit-identical to full
+	// evaluation) but proportional to the move's affected sub-problem
+	// instead of the whole network. DeltaOff runs full per-candidate
+	// evaluations.
 	DeltaEval DeltaMode
 	// DisableEscalation turns off §2.5 escalation (ablation only): the
 	// optimizer then terminates at the first local optimum.
 	DisableEscalation bool
-	// DisableBaseReuse restores the pre-session behavior of capturing a
-	// fresh delta base every step (benchmarking knob: it isolates the
-	// cost of per-step base captures against the persistent patched
-	// base). Committed solutions are bit-identical either way.
-	DisableBaseReuse bool
-	// DisableUtilityScoring makes candidate scoring use full-Result
-	// incremental evaluations (flowmodel.Eval.EvaluateDelta) instead of
-	// the default utility-only scoring (EvaluateDeltaUtility), which
-	// skips Result finalization — link-load summation, congested-list
-	// rebuild, per-bundle rate materialization — for the thousands of
-	// candidates per step that only need a single float compared.
-	// Scoring utilities are bit-identical either way; this knob only
-	// re-creates the older, slower path for benchmarking.
-	DisableUtilityScoring bool
-	// DisableTrialReuse makes each candidate evaluation copy the step's
-	// committed dense list into the worker's buffer before patching it —
-	// the O(bundles)-per-candidate behavior patch-and-revert replaced.
-	// Benchmarking knob; committed solutions are bit-identical either
-	// way.
-	DisableTrialReuse bool
 	// InitialBundles warm-starts the optimizer from an existing
 	// allocation instead of Listing 1 line 1's all-on-lowest-delay
 	// placement — the incremental re-optimization an offline controller
@@ -314,8 +295,9 @@ type Solution struct {
 	// PathsPerAggregate is the mean path-set size at termination.
 	PathsPerAggregate float64
 	// Delta aggregates the incremental-evaluation counters of every
-	// worker arena: calls, fallbacks and affected-set sizes. All zero
-	// when Options.DeltaEval is DeltaOff.
+	// worker arena: calls, expansions and affected-set sizes (Fallbacks
+	// counts contract violations: 0 in a correct run). All zero when
+	// Options.DeltaEval is DeltaOff.
 	Delta flowmodel.DeltaStats
 	// Base counts how each step's delta base was obtained — the
 	// persistent-base bookkeeping. All zero under DeltaOff.
@@ -391,17 +373,15 @@ type Optimizer struct {
 	densePath []int
 	// baseEval owns the delta-base machinery; base is the captured
 	// snapshot the candidate deltas splice from, read-only while workers
-	// run, and altBase is the remap double-buffer. The base persists
-	// across steps: committed moves are folded in with CommitDelta and
-	// layout changes handled by RemapBase, so a step only pays a full
-	// base evaluation when reuse is impossible (first step, fallback, or
-	// a full-path commit staled it).
+	// run, and altBase is the remap double-buffer. Under DeltaAuto the base
+	// captures the committed allocation from Run's initial evaluation to
+	// its last step, over the layout basePath/baseSeg describe: committed
+	// moves are folded in with CommitDelta and layout changes handled by
+	// RemapBase, so a step pays a full base evaluation only when RemapBase
+	// refuses.
 	baseEval *flowmodel.Eval
 	base     *flowmodel.Base
 	altBase  *flowmodel.Base
-	// baseLive marks base as capturing the current committed allocation
-	// over the layout described by basePath/baseSeg.
-	baseLive bool
 	basePath []int
 	baseSeg  []int
 	// oldIdxBuf is the remap-translation scratch; commitBuf holds the
@@ -418,9 +398,6 @@ type Optimizer struct {
 	// mirrors the committed dense list (patch-and-revert) or must resync
 	// with one full copy for the step.
 	denseGen uint64
-	// scoreUtil selects utility-only candidate scoring for the current
-	// step's delta evaluations (set by step from the options).
-	scoreUtil bool
 
 	// scratch
 	// congAsc is the step's congested links in ascending order — the form
@@ -463,9 +440,9 @@ type Optimizer struct {
 	// buffer each, grown on demand up to Options.Workers.
 	workers []*worker
 
-	// probe, when set (RunCandidateBench), replaces the candidate
-	// evaluation call so instrumentation can time/verify both evaluation
-	// strategies on the exact trial lists the optimizer produces.
+	// probe, when set (RunCandidateBench), replaces the candidate scoring
+	// call so instrumentation can time/verify the evaluation strategies on
+	// the exact trial lists and base the optimizer produces.
 	probe func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base) float64
 
 	// tm/tracer are the live-metrics handles built from
@@ -576,7 +553,6 @@ func (o *Optimizer) Rebind(model *flowmodel.Model, opts Options) error {
 		o.refutedStamp = make([]uint32, topo.NumLinks())
 	}
 	o.skipRefuted = !refutationOff.Load()
-	o.baseLive = false
 	o.model, o.mat, o.opts = model, mat, opts
 	o.tm, o.tracer = nil, nil
 	if opts.Telemetry != nil {
@@ -600,8 +576,9 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	}
 	start := time.Now()
 	// Run restarts from scratch, including when a Session reuses this
-	// optimizer: the persistent base is stale and the per-run counters
-	// must not accumulate across calls (the generators' memos may).
+	// optimizer: the initial evaluation re-captures the base, and the
+	// per-run counters must not accumulate across calls (the generators'
+	// memos may).
 	o.gen.ResetStats()
 	for _, col := range o.collectors {
 		col.gen.ResetStats()
@@ -609,7 +586,6 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	if err := o.initAllocation(); err != nil {
 		return nil, err
 	}
-	o.baseLive = false
 	o.baseStats = BaseStats{}
 	for _, w := range o.workers {
 		w.eval.ResetDeltaStats()
@@ -620,19 +596,15 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	if o.tm != nil {
 		o.tm.Runs.Inc()
 	}
-	// The initial evaluation doubles as the first base capture when the
-	// persistent-base machinery is on: EvaluateBase returns exactly what
-	// Evaluate would (the capture is a copy-out, not different math), and
-	// the first step then carries it over by index remap instead of
-	// paying its own EvaluateBase — so a run's capture count is the
-	// initial evaluation itself, nothing more.
+	// Under DeltaAuto the initial evaluation doubles as the base capture:
+	// EvaluateBase returns exactly what Evaluate would (the capture is a
+	// copy-out, not different math), and the first step then carries it
+	// over by index remap instead of paying its own EvaluateBase — so a
+	// run's capture count is the initial evaluation itself, nothing more.
 	var res *flowmodel.Result
-	if o.baseReuseEnabled() && o.opts.DeltaEval == DeltaAuto {
+	if o.opts.DeltaEval == DeltaAuto {
 		o.ensureBase()
-		res = o.baseEval.EvaluateBase(o.buildStepBundles(nil), o.base)
-		o.baseStats.Captures++
-		o.baseLive = true
-		o.saveBaseLayout()
+		res = o.captureBase(o.buildStepBundles(nil))
 	} else {
 		res = o.evaluate()
 	}
@@ -994,27 +966,20 @@ func (o *Optimizer) evaluate() *flowmodel.Result {
 	return o.model.Evaluate(o.buildBundles())
 }
 
-// finalResult produces the final allocation's evaluation. With a live
-// base, the positive list is a monotonic sub-layout of the base's (every
+// finalResult produces the final allocation's evaluation. Under DeltaAuto
+// the positive list is a monotonic sub-layout of the base's (every
 // positive entry is captured; entries dropped relative to the base are
 // inert zero-flow placeholders), so the capture remaps onto it and the
 // Result materializes from the base with no water-filling at all.
-// Otherwise — base machinery off, base staled by a full-path commit, or
-// the remap refused — the classic full evaluation runs. Both paths are
-// bit-identical by the CommitDelta/RemapBase contract.
+// Otherwise — DeltaOff, or the remap refused — the full evaluation runs.
+// Both paths are bit-identical by the CommitDelta/RemapBase contract.
 func (o *Optimizer) finalResult() *flowmodel.Result {
-	if o.baseLive && o.baseReuseEnabled() {
+	if o.opts.DeltaEval == DeltaAuto {
 		dense := o.buildStepBundles(nil)
-		if slices.Equal(o.basePath, o.densePath) && slices.Equal(o.baseSeg, o.denseSeg) {
+		if o.baseLayoutCurrent() || o.remapBase(dense) {
 			o.baseStats.FinalFromBase++
 			return o.baseEval.ResultFromBase(o.base)
 		}
-		if o.remapBase(dense) {
-			o.saveBaseLayout()
-			o.baseStats.FinalFromBase++
-			return o.baseEval.ResultFromBase(o.base)
-		}
-		o.baseLive = false
 	}
 	return o.evaluate()
 }
@@ -1055,8 +1020,8 @@ type candidate struct {
 // the model's default arena overwrites. Returns whether progress was
 // made.
 //
-// Under DeltaAuto the committed dense list is evaluated once on the base
-// arena and every candidate is an incremental delta against that shared
+// Under DeltaAuto the persistent base is carried onto the step's dense
+// list and every candidate is an incremental delta against that shared
 // snapshot; under DeltaOff each candidate is a full evaluation of the
 // same patched list. Both produce bit-identical candidate utilities.
 //
@@ -1074,29 +1039,15 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 	if len(cands) == 0 {
 		return false, nil
 	}
-	// A fresh base snapshot costs one full evaluation plus its capture;
-	// a step with fewer candidates than that buys cannot amortize it, so
-	// tiny steps take the full-evaluation path — unless a live base can
-	// be carried over for the cost of an index remap. The guard depends
-	// only on the candidate count and the (deterministic) base history,
-	// keeping the choice deterministic, and both strategies are
-	// bit-identical, so the committed sequence is unaffected. (probe
-	// runs always take the delta path: they measure both strategies per
-	// candidate.)
-	const deltaMinCandidates = 3
-	reuse := o.baseReuseEnabled()
-	useDelta := o.opts.DeltaEval == DeltaAuto &&
-		(len(cands) >= deltaMinCandidates || (reuse && o.baseLive))
-	if useDelta || o.probe != nil {
-		// Incremental: evaluate the committed state once (over the step's
-		// semi-dense list, so every candidate is a two-index patch of it)
-		// and delta-evaluate each candidate against that shared snapshot.
-		// Scoring only needs the utility, so by default each delta runs in
-		// utility-only mode; the committed move's full result comes from
-		// rebase (or the pass loop's evaluate), never from scoring.
-		o.scoreUtil = !o.opts.DisableUtilityScoring
+	delta := o.opts.DeltaEval == DeltaAuto
+	if delta {
+		// Incremental: carry the base onto the step's semi-dense list (so
+		// every candidate is a two-index patch of it) and delta-evaluate
+		// each candidate against that shared snapshot. Scoring only needs
+		// the utility; the committed move's full result comes from rebase,
+		// never from scoring.
 		dense := o.buildStepBundles(cands)
-		o.prepareBase(dense, reuse)
+		o.prepareBase(dense)
 		o.evaluateCandidates(cands, dense, o.base)
 	} else {
 		// Full evaluations: per-candidate positive lists, patched one
@@ -1121,51 +1072,44 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		return false, nil
 	}
 	o.commit(cands[bestIdx])
-	if useDelta && reuse {
-		// Fold the committed move into the live base and hand the
-		// committed allocation's evaluation to the pass loop — no
-		// post-commit full evaluation, no next-step recapture.
+	if delta {
+		// Fold the committed move into the base and hand the committed
+		// allocation's evaluation to the pass loop — no post-commit full
+		// evaluation, no next-step recapture.
 		return true, o.rebase(cands[bestIdx])
 	}
-	// The allocation moved without the base: whatever it captured is
-	// stale now.
-	o.baseLive = false
 	return true, nil
 }
 
-// baseReuseEnabled reports whether the persistent-base machinery is on:
-// it is the default for DeltaAuto, disabled by the benchmarking knob and
-// for instrumented (probe) runs, which measure per-candidate strategies
-// against a per-step capture.
-func (o *Optimizer) baseReuseEnabled() bool {
-	return !o.opts.DisableBaseReuse && o.probe == nil
+// prepareBase carries o.base, which captures the committed allocation,
+// onto the dense list just built by buildStepBundles: untouched when the
+// layout is identical (escalation retries), index-remapped when only the
+// placeholder population changed, and only failing that re-captured by a
+// full EvaluateBase.
+func (o *Optimizer) prepareBase(dense []flowmodel.Bundle) {
+	switch {
+	case o.baseLayoutCurrent():
+		o.baseStats.Skips++
+	case o.remapBase(dense):
+		o.baseStats.Remaps++
+	default:
+		o.captureBase(dense)
+	}
 }
 
-// prepareBase makes o.base capture the committed allocation over the
-// dense list just built by buildStepBundles. With reuse enabled and a
-// live base the capture is carried over — untouched when the layout is
-// identical (escalation retries), index-remapped when only the
-// placeholder population changed — and only failing that (or with reuse
-// off) does a full EvaluateBase run.
-func (o *Optimizer) prepareBase(dense []flowmodel.Bundle, reuse bool) {
-	o.ensureBase()
-	if reuse && o.baseLive {
-		if slices.Equal(o.basePath, o.densePath) && slices.Equal(o.baseSeg, o.denseSeg) {
-			o.baseStats.Skips++
-			return
-		}
-		if ok := o.remapBase(dense); ok {
-			o.baseStats.Remaps++
-			o.saveBaseLayout()
-			return
-		}
-	}
-	o.baseEval.EvaluateBase(dense, o.base)
+// captureBase evaluates the dense list in full on the base arena and
+// captures the outcome, layout included, into o.base.
+func (o *Optimizer) captureBase(dense []flowmodel.Bundle) *flowmodel.Result {
+	res := o.baseEval.EvaluateBase(dense, o.base)
 	o.baseStats.Captures++
-	o.baseLive = reuse
-	if reuse {
-		o.saveBaseLayout()
-	}
+	o.saveBaseLayout()
+	return res
+}
+
+// baseLayoutCurrent reports whether the base already captures the layout
+// buildStepBundles last produced.
+func (o *Optimizer) baseLayoutCurrent() bool {
+	return slices.Equal(o.basePath, o.densePath) && slices.Equal(o.baseSeg, o.denseSeg)
 }
 
 // ensureBase lazily constructs the delta-base machinery: the base arena and
@@ -1178,11 +1122,11 @@ func (o *Optimizer) ensureBase() {
 	}
 }
 
-// remapBase translates the live base onto the current dense layout. The
-// mapping is derived per aggregate by merging the old and new segments
-// on path-set index (both are ascending subsets of the same path set);
-// entries present on one side only must be inert placeholders, which
-// RemapBase verifies.
+// remapBase translates the base onto the current dense layout and records
+// it as the base's. The mapping is derived per aggregate by merging the old
+// and new segments on path-set index (both are ascending subsets of the
+// same path set); entries present on one side only must be inert
+// placeholders, which RemapBase verifies.
 func (o *Optimizer) remapBase(dense []flowmodel.Bundle) bool {
 	if cap(o.oldIdxBuf) < len(dense) {
 		o.oldIdxBuf = make([]int, len(dense))
@@ -1206,16 +1150,17 @@ func (o *Optimizer) remapBase(dense []flowmodel.Bundle) bool {
 		return false
 	}
 	o.base, o.altBase = o.altBase, o.base
+	o.saveBaseLayout()
 	return true
 }
 
-// saveBaseLayout records the dense layout the live base captures.
+// saveBaseLayout records the dense layout the base captures.
 func (o *Optimizer) saveBaseLayout() {
 	o.basePath = append(o.basePath[:0], o.densePath...)
 	o.baseSeg = append(o.baseSeg[:0], o.denseSeg...)
 }
 
-// rebase folds the just-committed candidate into the live base: the
+// rebase folds the just-committed candidate into the base: the
 // committed allocation is the step's dense list with the move's two-entry
 // flow patch, so one incremental evaluation both produces the committed
 // result (returned, on the base arena — valid until the arena's next
@@ -1237,7 +1182,6 @@ func (o *Optimizer) rebase(c candidate) *flowmodel.Result {
 	} else {
 		o.baseStats.Recaptures++
 	}
-	o.baseLive = true
 	return res
 }
 
@@ -1442,8 +1386,8 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, committed []flowmodel.
 // With a base snapshot the trial list is the worker's persistent copy of
 // the semi-dense committed list with the (from, to, n) flow patch at two
 // fixed indices — the delta's changed set — and the evaluation is
-// incremental (utility-only by default: scoring needs one float, not a
-// finalized Result). The patch is reverted after the evaluation, so the
+// incremental (utility-only: scoring needs one float, not a finalized
+// Result). The patch is reverted after the evaluation, so the
 // buffer mirrors the committed list again for the worker's next
 // candidate. Without a base the trial list is the positive committed
 // list with the moving aggregate's segment rebuilt under the patch, run
@@ -1456,13 +1400,10 @@ func (o *Optimizer) evalCandidate(w *worker, c *candidate, committed []flowmodel
 	}
 	buf := o.patchCandidate(w, c, committed)
 	var u float64
-	switch {
-	case o.probe != nil:
+	if o.probe != nil {
 		u = o.probe(w, buf, w.changed[:], base)
-	case o.scoreUtil:
+	} else {
 		u, _ = w.eval.EvaluateDeltaUtility(base, buf, w.changed[:])
-	default:
-		u = w.eval.EvaluateDelta(base, buf, w.changed[:]).NetworkUtility
 	}
 	o.revertCandidate(w, c)
 	return u
@@ -1473,11 +1414,11 @@ func (o *Optimizer) evalCandidate(w *worker, c *candidate, committed []flowmodel
 // patch — and records the two patched indices in w.changed (ascending).
 // The buffer persists across candidates: it is copied from the dense
 // list only when stale for this step (first candidate after a
-// buildStepBundles, or with DisableTrialReuse every time); otherwise the
-// patch writes exactly two entries of a list revertCandidate restored to
-// the committed layout after the previous candidate.
+// buildStepBundles); otherwise the patch writes exactly two entries of a
+// list revertCandidate restored to the committed layout after the previous
+// candidate.
 func (o *Optimizer) patchCandidate(w *worker, c *candidate, dense []flowmodel.Bundle) []flowmodel.Bundle {
-	if o.opts.DisableTrialReuse || w.syncGen != o.denseGen {
+	if w.syncGen != o.denseGen {
 		w.buf = append(w.buf[:0], dense...)
 		w.syncGen = o.denseGen
 		if o.tm != nil {

@@ -45,41 +45,8 @@ type CandidateBenchResult struct {
 // Candidates returns the number of timed candidate evaluations.
 func (r *CandidateBenchResult) Candidates() int { return len(r.FullNs) }
 
-// MedianSpeedup is the headline number: median full time over median
-// delta time.
-func (r *CandidateBenchResult) MedianSpeedup() float64 {
-	mf, md := medianNs(r.FullNs), medianNs(r.DeltaNs)
-	if md <= 0 {
-		return 0
-	}
-	return float64(mf) / float64(md)
-}
-
-// MeanSpeedup is total full time over total delta time.
-func (r *CandidateBenchResult) MeanSpeedup() float64 {
-	var f, d int64
-	for i := range r.FullNs {
-		f += r.FullNs[i]
-		d += r.DeltaNs[i]
-	}
-	if d <= 0 {
-		return 0
-	}
-	return float64(f) / float64(d)
-}
-
-// MedianUtilSpeedup is median full time over median utility-only time —
-// the scoring path the optimizer actually runs per candidate.
-func (r *CandidateBenchResult) MedianUtilSpeedup() float64 {
-	mf, mu := medianNs(r.FullNs), medianNs(r.UtilNs)
-	if mu <= 0 {
-		return 0
-	}
-	return float64(mf) / float64(mu)
-}
-
-// MedianFullNs, MedianDeltaNs and MedianUtilNs expose the three medians.
-func (r *CandidateBenchResult) MedianFullNs() int64  { return medianNs(r.FullNs) }
+// MedianDeltaNs and MedianUtilNs are the medians of the two incremental
+// strategies' per-candidate times.
 func (r *CandidateBenchResult) MedianDeltaNs() int64 { return medianNs(r.DeltaNs) }
 func (r *CandidateBenchResult) MedianUtilNs() int64  { return medianNs(r.UtilNs) }
 
@@ -96,8 +63,10 @@ func medianNs(ns []int64) int64 {
 // evaluated three ways — a full water-filling on a separate arena, a
 // full-Result incremental delta, and a utility-only delta (the latter
 // driving the run) — timing each and asserting all three agree bit for
-// bit. Workers is forced to benchWorkers (recorded in the result) so the
-// timings don't contend for the CPU.
+// bit. Only the scoring call is replaced: the run keeps its persistent
+// base like any other, so the differential also covers remapped and
+// rebased bases. Workers is forced to benchWorkers (recorded in the
+// result) so the timings don't contend for the CPU.
 func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchResult, error) {
 	opts.Workers = benchWorkers
 	opts.DeltaEval = DeltaAuto

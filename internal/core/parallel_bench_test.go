@@ -59,6 +59,11 @@ func BenchmarkStepCandidates(b *testing.B) {
 			b.Run(fmt.Sprintf("delta=%s/workers=%d", delta, workers), func(b *testing.B) {
 				o, u, congested, links := benchOptimizer(b, workers)
 				o.opts.DeltaEval = delta
+				if delta == DeltaAuto {
+					// Run's initial evaluation is the base capture.
+					o.ensureBase()
+					o.captureBase(o.buildStepBundles(nil))
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -67,11 +72,11 @@ func BenchmarkStepCandidates(b *testing.B) {
 						b.Fatal("no candidates collected")
 					}
 					// Mirror step(): the delta path patches the semi-dense
-					// list against a base snapshot, the full path patches
-					// per-candidate positive lists.
+					// list against the carried-over base, the full path
+					// patches per-candidate positive lists.
 					if delta == DeltaAuto {
 						dense := o.buildStepBundles(cands)
-						o.prepareBase(dense, false)
+						o.prepareBase(dense)
 						o.evaluateCandidates(cands, dense, o.base)
 					} else {
 						o.evaluateCandidates(cands, o.buildBundles(), nil)
@@ -90,7 +95,7 @@ func BenchmarkStepCandidates(b *testing.B) {
 }
 
 // BenchmarkRunWorkers measures a whole optimization end to end at several
-// worker counts (what cmd/fubar-bench -exp corebench records).
+// worker counts (benchmark/ records the same ratio as core.workers1_ratio).
 func BenchmarkRunWorkers(b *testing.B) {
 	topo, err := topology.Ring(10, 6, 1500*unit.Kbps, 1)
 	if err != nil {

@@ -134,7 +134,7 @@ func TestDeltaEvalDeterminism(t *testing.T) {
 // TestCandidateBenchDifferential replays a real optimization with every
 // candidate evaluated through all three strategies (core.RunCandidateBench),
 // asserting bit-identical utilities across well over 1000 recorded
-// optimizer candidates.
+// optimizer candidates, scored against the run's persistent base.
 func TestCandidateBenchDifferential(t *testing.T) {
 	topo, mat := congestedInstance(t, 1)
 	model, err := flowmodel.New(topo, mat)
@@ -166,6 +166,12 @@ func TestCandidateBenchDifferential(t *testing.T) {
 	if len(r.UtilNs) != r.Candidates() {
 		t.Fatalf("utility timings %d != candidates %d", len(r.UtilNs), r.Candidates())
 	}
+	// The probe replaces only the scoring call: the run keeps its
+	// persistent base, so the three-way check above ran against remapped
+	// and rebased bases, not a fresh capture per step.
+	if b := r.Solution.Base; b.Captures != 1 || b.Rebases == 0 {
+		t.Fatalf("bench run did not keep the persistent base: %+v", b)
+	}
 }
 
 // TestWorkersRace exercises the parallel trial-move engine with more
@@ -192,5 +198,24 @@ func TestWorkersDefault(t *testing.T) {
 	o = Options{Workers: 3}.withDefaults()
 	if o.Workers != 3 {
 		t.Errorf("Workers = %d, want 3", o.Workers)
+	}
+}
+
+// TestOptionsFieldSet pins the exported field set of Options: every field
+// is a configuration the tests and the benchmark must cover, so adding one
+// is an edit to this list too.
+func TestOptionsFieldSet(t *testing.T) {
+	want := []string{
+		"Policy", "MoveFraction", "SmallAggregateFlows", "EscalationFactor",
+		"MaxPathsPerAggregate", "MinGain", "MaxSteps", "Workers", "Deadline",
+		"AltMode", "DeltaEval", "DisableEscalation", "InitialBundles", "Trace",
+		"Telemetry",
+	}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		got = append(got, f.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Options fields:\n got  %v\n want %v", got, want)
 	}
 }

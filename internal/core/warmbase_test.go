@@ -111,20 +111,6 @@ func TestEpochWarmSingleCapture(t *testing.T) {
 	}
 }
 
-// TestDisableBaseReuseKeepsNoBaseLive checks a run that captures a fresh
-// base every step never carries one: nothing remapped, folded or
-// materialized from it.
-func TestDisableBaseReuseKeepsNoBaseLive(t *testing.T) {
-	_, _, m := propInstance(t, 4)
-	sol, err := Run(context.Background(), m, Options{Workers: 1, DisableBaseReuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := sol.Base; b.Captures == 0 || b.Remaps+b.Skips+b.Rebases+b.FinalFromBase != 0 {
-		t.Fatalf("reuse-off run reused a base: %+v", b)
-	}
-}
-
 // heBenchModel is internal/scenario's HEBenchInstance (which this package
 // cannot import): HE-31 at 6 Mbps under every fifth aggregate of the §3
 // workload — tightly coupled enough that a third of its candidates affect

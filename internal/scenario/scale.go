@@ -95,8 +95,7 @@ func (p ScalePreset) Instance(seed int64) (*topology.Topology, *traffic.Matrix, 
 }
 
 // ScaleInstance resolves a preset by name and generates its instance —
-// the one-call form shared by `fubar-bench -exp scale` and the scaling
-// tests.
+// the one-call form the daemon, benchmark/ and the scaling tests share.
 func ScaleInstance(name string, seed int64) (*topology.Topology, *traffic.Matrix, error) {
 	p, err := ScalePresetByName(name)
 	if err != nil {

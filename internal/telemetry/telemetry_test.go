@@ -103,6 +103,32 @@ func TestWritePromExposition(t *testing.T) {
 	}
 }
 
+// TestHACountersExposedAtZero pins that the HA control-plane counters are
+// in the exposition, at zero, from the moment a control plane takes its
+// handles — a dashboard watching for a failover can rely on them existing
+// before the first incident — and that the exposition parses.
+func TestHACountersExposedAtZero(t *testing.T) {
+	tel := New()
+	tel.Ctrlplane()
+	var b strings.Builder
+	if err := tel.Registry.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, name := range []string{
+		"fubar_ctrlplane_failovers_total",
+		"fubar_ctrlplane_rpc_retries_total",
+		"fubar_ctrlplane_expired_rules_total",
+	} {
+		if !strings.Contains(out, "# TYPE "+name+" counter\n"+name+" 0\n") {
+			t.Errorf("exposition lacks %s at zero:\n%s", name, out)
+		}
+	}
+	if err := CheckExposition(out); err != nil {
+		t.Fatalf("exposition fails CheckExposition: %v", err)
+	}
+}
+
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("fubar_conc_total", "")
