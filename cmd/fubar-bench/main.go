@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -136,17 +135,6 @@ func selectExperiments(exp string) ([]int, error) {
 	return picked, nil
 }
 
-// newHTTPServer wraps the telemetry handler in a server that gives up on a
-// peer which never finishes its request headers or holds a keep-alive
-// connection idle (cmd/fubard's bounds). No write timeout: /trace streams.
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
-
 func main() {
 	var bf benchFlags
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(experimentNames(false), "|")+"|all, or "+
@@ -214,7 +202,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "listen:", err)
 			os.Exit(1)
 		}
-		srv := newHTTPServer(telemetry.Handler(tel))
+		srv := telemetry.NewServer(telemetry.Handler(tel))
 		fmt.Fprintf(os.Stderr, "telemetry: http://%s/ (metrics, trace, debug/pprof)\n", ln.Addr())
 		go srv.Serve(ln)
 		defer srv.Close()
@@ -346,21 +334,21 @@ func ctrlloopBench(name string, seed int64, epochs int, budget time.Duration, ou
 	if err != nil {
 		return err
 	}
-	warm1, err := scenario.RunClosedLoop(benchCtx, topo, mat, sc, scenario.ClosedLoopOptions{Core: core.Options{Workers: 1}})
+	warm1, err := replay(topo, mat, sc, true, scenario.Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		return err
 	}
-	warm4, err := scenario.RunClosedLoop(benchCtx, topo, mat, sc, scenario.ClosedLoopOptions{Core: core.Options{Workers: 4}})
+	warm4, err := replay(topo, mat, sc, true, scenario.Options{Core: core.Options{Workers: 4}})
 	if err != nil {
 		return err
 	}
 	det := warm1.Equivalent(warm4)
-	cold, err := scenario.RunClosedLoop(benchCtx, topo, mat, sc, scenario.ClosedLoopOptions{ColdStart: true, Core: core.Options{Workers: 1}})
+	cold, err := replay(topo, mat, sc, true, scenario.Options{ColdStart: true, Core: core.Options{Workers: 1}})
 	if err != nil {
 		return err
 	}
-	budgeted, err := scenario.RunClosedLoop(benchCtx, topo, mat, sc, scenario.ClosedLoopOptions{
-		Core: core.Options{Workers: 1}, EpochBudget: budget,
+	budgeted, err := replay(topo, mat, sc, true, scenario.Options{
+		Core: core.Options{Workers: 1}, Budget: budget,
 	})
 	if err != nil {
 		return err
@@ -375,16 +363,16 @@ func ctrlloopBench(name string, seed int64, epochs int, budget time.Duration, ou
 		haEpochs = epochs
 	}
 	haSc := scenario.ControllerKillStorm(seed, haEpochs, 3)
-	ha1, err := scenario.RunClosedLoop(benchCtx, topo, mat, haSc, scenario.ClosedLoopOptions{Core: core.Options{Workers: 1}, Replicas: 3})
+	ha1, err := replay(topo, mat, haSc, true, scenario.Options{Core: core.Options{Workers: 1}, Replicas: 3})
 	if err != nil {
 		return err
 	}
-	ha4, err := scenario.RunClosedLoop(benchCtx, topo, mat, haSc, scenario.ClosedLoopOptions{Core: core.Options{Workers: 4}, Replicas: 3})
+	ha4, err := replay(topo, mat, haSc, true, scenario.Options{Core: core.Options{Workers: 4}, Replicas: 3})
 	if err != nil {
 		return err
 	}
 	haDet := ha1.Equivalent(ha4)
-	haSolo, err := scenario.RunClosedLoop(benchCtx, topo, mat, haSc, scenario.ClosedLoopOptions{Core: core.Options{Workers: 1}})
+	haSolo, err := replay(topo, mat, haSc, true, scenario.Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		return err
 	}
@@ -406,7 +394,7 @@ func ctrlloopBench(name string, seed int64, epochs int, budget time.Duration, ou
 		if err != nil {
 			return err
 		}
-		fres, err := scenario.RunClosedLoop(benchCtx, trajTopo, trajMat, fsc, scenario.ClosedLoopOptions{Core: core.Options{Workers: 1}})
+		fres, err := replay(trajTopo, trajMat, fsc, true, scenario.Options{Core: core.Options{Workers: 1}})
 		if err != nil {
 			return err
 		}
@@ -542,6 +530,20 @@ type scenarioBenchRecord struct {
 	Warm            *scenario.Result `json:"warm"`
 }
 
+// replay collects one replay of sc under benchCtx: open loop, or closed
+// over a control plane of its own that lives for the replay.
+func replay(topo *topology.Topology, mat *traffic.Matrix, sc scenario.Scenario, closedLoop bool, opts scenario.Options) (*scenario.Result, error) {
+	var cp *scenario.ControlPlane
+	if closedLoop {
+		var err error
+		if cp, err = scenario.NewControlPlane(topo, mat, opts); err != nil {
+			return nil, err
+		}
+		defer cp.Close()
+	}
+	return scenario.Run(topo, sc, opts, closedLoop, scenario.Stream(benchCtx, cp, topo, mat, sc, opts))
+}
+
 // scenarioBench replays a canned scenario on the Hurricane Electric
 // instance three ways — warm-started at one and at four candidate
 // workers (checking the epoch tables are identical) and cold-started —
@@ -558,7 +560,7 @@ func scenarioBench(name string, seed int64, epochs int, outPath string) error {
 	}
 	measure := func(opts scenario.Options) (*scenario.Result, time.Duration, error) {
 		start := time.Now()
-		r, err := scenario.Run(benchCtx, topo, mat, sc, opts)
+		r, err := replay(topo, mat, sc, false, opts)
 		return r, time.Since(start), err
 	}
 	warm1, warmT, err := measure(scenario.Options{Core: core.Options{Workers: 1}})

@@ -80,13 +80,3 @@ func TestSelectExperiments(t *testing.T) {
 		}
 	}
 }
-
-// TestTelemetryServerBounded pins the -listen server's header and idle
-// bounds: without them a peer that never finishes its headers holds a
-// connection for the life of the run.
-func TestTelemetryServerBounded(t *testing.T) {
-	srv := newHTTPServer(nil)
-	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
-		t.Fatalf("telemetry server unbounded: header %v, idle %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
-	}
-}

@@ -19,8 +19,8 @@ import (
 // soak timeline streamed through the plain replay (and a tenth of it
 // through the full closed loop), with forced-GC heap watermarks sampled
 // along the way and asserted flat — the O(1)-in-epochs memory contract
-// of Stream/StreamClosedLoop at soak scale — plus the replay's utility
-// trajectory, downsampled to a fixed point budget.
+// of Stream, open loop and closed, at soak scale — plus the replay's
+// utility trajectory, downsampled to a fixed point budget.
 type soakBenchRecord struct {
 	Benchmark           string              `json:"benchmark"`
 	Scenario            string              `json:"scenario"`
@@ -118,7 +118,7 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string) err
 	var plainSamples []uint64
 	n := 0
 	start := time.Now()
-	for er, err := range scenario.Stream(benchCtx, topo, mat, sc, scenario.Options{Core: core.Options{Workers: 2}}) {
+	for er, err := range scenario.Stream(benchCtx, nil, topo, mat, sc, scenario.Options{Core: core.Options{Workers: 2}}) {
 		if err != nil {
 			return err
 		}
@@ -144,7 +144,13 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string) err
 	reconciled := true
 	n = 0
 	start = time.Now()
-	for er, err := range scenario.StreamClosedLoop(benchCtx, topo, mat, clSc, scenario.ClosedLoopOptions{Core: core.Options{Workers: 2}}) {
+	clOpts := scenario.Options{Core: core.Options{Workers: 2}}
+	cp, err := scenario.NewControlPlane(topo, mat, clOpts)
+	if err != nil {
+		return err
+	}
+	defer cp.Close()
+	for er, err := range scenario.Stream(benchCtx, cp, topo, mat, clSc, clOpts) {
 		if err != nil {
 			return err
 		}

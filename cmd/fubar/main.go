@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -48,6 +47,7 @@ import (
 
 	"fubar"
 	"fubar/internal/report"
+	"fubar/internal/telemetry"
 )
 
 func main() {
@@ -159,7 +159,7 @@ func run(ctx context.Context, rc runConfig) error {
 		if err != nil {
 			return err
 		}
-		srv := &http.Server{Handler: fubar.TelemetryHandler(tel)}
+		srv := telemetry.NewServer(fubar.TelemetryHandler(tel))
 		fmt.Fprintf(os.Stderr, "telemetry: http://%s/ (metrics, trace, debug/pprof)\n", ln.Addr())
 		go srv.Serve(ln)
 		defer srv.Close()

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"fubar"
+	"fubar/internal/telemetry"
 )
 
 func main() {
@@ -81,7 +82,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := newHTTPServer(srv.Handler())
+	httpSrv := telemetry.NewServer(srv.Handler())
 	httpSrv.Addr = *listen
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
@@ -104,16 +105,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fubard: %v\n", err)
 	}
 	logger.Info("fubard stopped")
-}
-
-// newHTTPServer wraps the daemon's handler in a server that gives up on a
-// peer which opens a connection and never finishes its request headers, or
-// holds a keep-alive connection idle. There is deliberately no write
-// timeout: a replay streams epochs for as long as it runs.
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 }

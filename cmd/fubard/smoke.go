@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fubar"
+	"fubar/internal/telemetry"
 )
 
 // smokeTopology is the tiny instance the self check optimizes: a
@@ -47,7 +48,7 @@ func runSmoke(srv *fubar.DaemonServer, logger *slog.Logger) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := newHTTPServer(srv.Handler())
+	httpSrv := telemetry.NewServer(srv.Handler())
 	go func() { _ = httpSrv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 	logger.Info("smoke daemon up", "addr", base)

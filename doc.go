@@ -23,12 +23,13 @@
 //	fmt.Printf("utility %.3f (shortest-path %.3f)\n", sol.Utility, sol.InitialUtility)
 //
 // Sessions are configured with functional options — WithWorkers,
-// WithPolicy, WithDeltaEval, WithBudget, WithObserver, WithColdStart,
-// WithOptions — and expose the optimizer (Optimize), the annealing
-// comparator (Anneal, AnnealRestarts) and scenario replays. A second
-// Optimize call warm-starts from the previous solution: re-optimizing
-// an unchanged instance is a cheap no-op, exactly the idempotence a
-// periodic controller wants.
+// WithBudget, WithObserver, WithColdStart, WithLogger, WithTelemetry,
+// and WithOptions for every other optimizer knob (path policy included)
+// — and expose the optimizer (Optimize), the annealing comparator
+// (Anneal, AnnealRestarts) and scenario replays. A second Optimize call
+// warm-starts from the previous solution: re-optimizing an unchanged
+// instance is a cheap no-op, exactly the idempotence a periodic
+// controller wants.
 //
 // Replays stream. Session.Replay and Session.ReplayClosedLoop return
 // iter.Seq2[EpochRecord, error]: epochs arrive one at a time as they
@@ -38,64 +39,39 @@
 // ReplayAll / ReplayClosedLoopAll collect the stream into a
 // ScenarioResult when the whole table is wanted at once.
 //
-// # Migration from the free functions
+// # What else is here
 //
-// The original free functions remain as deprecated shims over the same
-// internals, so existing callers compile unchanged:
+// The Session is the one front door; there are no free-function forms of
+// its methods. Logging is structured log/slog: WithLogger(l) receives
+// every progress and diagnostic record the session emits — Optimize
+// completions, closed-loop epoch lines, controller and agent diagnostics
+// — with the data as slog fields (epoch, steps, utility, wire_flowmods,
+// …) rather than pre-formatted text.
 //
-//	old free function              session replacement
-//	-----------------              -------------------
-//	Optimize(topo, mat, opts)      NewSession(topo, mat, WithOptions(opts)); s.Optimize(ctx)
-//	OptimizeModel(model, opts)     s.Optimize(ctx)            (the session owns the model)
-//	Anneal(model, aopts)           s.Anneal(ctx, aopts)
-//	AnnealRestarts(model, a, n, w) s.AnnealRestarts(ctx, a, n) (w = WithWorkers)
-//	ReplayScenario(...)            s.Replay(ctx, sc) / s.ReplayAll(ctx, sc)
-//	ReplayScenarioClosedLoop(...)  s.ReplayClosedLoop(ctx, sc) / s.ReplayClosedLoopAll(ctx, sc)
-//	Options.Deadline / EpochBudget ctx deadline, or WithBudget(d) per run/epoch
-//	Options.Trace                  WithObserver(fn)
-//	ScenarioOptions.ColdStart      WithColdStart()
-//	WithLogf(fn)                   WithLogger(l) — see the next table
-//
-// Logging moved from printf-style sinks to structured log/slog.
-// WithLogger(l *slog.Logger) receives every progress and diagnostic
-// record the session emits — Optimize completions, closed-loop epoch
-// lines, controller and agent diagnostics — with the data as slog
-// fields (epoch, steps, utility, wire_flowmods, …) rather than
-// pre-formatted text. WithLogf remains as a deprecated shim: it wraps
-// the printf sink in a handler that renders each record as one
-// "msg key=value ..." line, so existing callers keep compiling and
-// keep getting one line per record, but a real handler
-// (slog.NewTextHandler, slog.NewJSONHandler) is strictly more capable:
-//
-//	old printf plumbing            structured replacement
-//	-------------------            ----------------------
-//	WithLogf(log.Printf)           WithLogger(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-//	ControllerConfig.Logf          ControllerConfig.Logger
-//	SwitchAgentConfig.Logf         SwitchAgentConfig.Logger
-//	ControlLoopConfig.Logf         ControlLoopConfig.Logger
-//
-// The facade also re-exports the substrate the shims and examples use:
+// Besides the Session the package re-exports what cmd/, examples/ and
+// benchmark/ build instances and deployments from — and nothing else: an
+// exported func, var or const that none of them names is not API (a test
+// pins this), and everything behind the facade is reachable in-module as
+// internal/<package>:
 //
 //   - topologies (the Hurricane Electric 31-POP substitute, generators,
 //     a text format): HurricaneElectric, RingTopology, ParseTopology, …
-//   - traffic matrices (§3 workload): GenerateTraffic, DefaultGenConfig
-//   - utility functions (§2.2, Figs 1–2): RealTime, Bulk, LargeFile
-//   - the TCP-like traffic model (§2.3): NewModel, NewEval
-//   - baselines (§3): ShortestPathRouting, UpperBound, ECMP, GreedyCSPF
-//   - the full evaluation (§3, Figs 3–7): RunExperiment, Repeatability
+//   - traffic matrices (§3 workload): GenerateTraffic, DefaultGenConfig,
+//     SparseTraffic, NewMatrix
+//   - baselines (§3): ShortestPathRouting, UpperBound
+//   - the §3 evaluation configurations (Figs 3–6): Provisioned,
+//     Underprovisioned, Prioritized, RelaxedDelay, ExperimentInstance
 //   - scenario construction: DiurnalScenario, FailureStormScenario,
-//     FlashCrowdScenario, MaintenanceScenario, SRLGOutageScenario,
-//     ControllerKillStormScenario, ScenarioByName (ScenarioNames lists
-//     the canned names)
+//     CrisisScenario, SoakScenario, ScenarioByName (ScenarioNames lists
+//     the canned names), and the large-instance presets
+//     (ScalePresetByName, ScaleInstance)
 //   - the SDN measurement substrate (§2.1–2.2): NewSim, NewEstimator
 //   - traffic classification (§1): NewClassifier
-//   - dynamic model validation and queue measurement: SimulateDynamics,
-//     ValidateModel
+//   - dynamic model validation: SimulateDynamics, ValidateModel
 //   - the online SDN control plane over TCP (§5): ListenController,
-//     DialSwitch, RunControlLoopContext; HA deployment: NewReplicaSet,
-//     NewManagedSwitchAgent, WithReplicas, WithRuleLease
-//   - the MPLS-TE deployment substrate (§5): NewLSPDB, SyncToMPLS,
-//     PlanMBBTransition
+//     DialSwitch, NewFabric, RunControlLoopContext; HA deployment:
+//     WithReplicas, WithRuleLease
+//   - the MPLS-TE deployment substrate (§5): NewLSPDB, SyncToMPLS
 //   - the telemetry substrate: NewTelemetry, WithTelemetry,
 //     Session.Metrics, TelemetryHandler (live Prometheus /metrics,
 //     /debug/pprof/, JSONL /trace), ProgressObserver, CheckExposition
@@ -151,8 +127,8 @@
 // # Incremental evaluation
 //
 // Each candidate move perturbs one aggregate, so by default the
-// optimizer evaluates candidates incrementally (WithDeltaEval, default
-// DeltaAuto): the committed allocation is captured once as a base
+// optimizer evaluates candidates incrementally: the committed
+// allocation is captured once as a base
 // (ModelEval.EvaluateBase) and each candidate re-solves only the
 // affected sub-problem against it (ModelEval.EvaluateDelta) — the
 // fixpoint of links whose crossing bundles changed, propagated through
@@ -160,8 +136,10 @@
 // demand-frozen bundles and slack links verified by an in-fill guard
 // and a monotone-load check. Delta results are bit-identical to full
 // evaluations (rates, loads, congested set, utilities), so the
-// committed move sequence is the same with DeltaEval on or off at any
-// worker count; only the cost changes.
+// committed move sequence is the same as under full evaluation at any
+// worker count; only the cost changes. Full evaluation per candidate is
+// not a mode an operator can pick: it survives as the differential
+// oracle of the internal test suites (core.Options.DeltaEval).
 //
 // The base itself persists across steps: a committed move is folded
 // into it in place (ModelEval.CommitDelta) and layout changes between
@@ -181,9 +159,9 @@
 // per-aggregate churn, aggregate arrival/departure, link failure and
 // recovery, capacity changes, correlated SRLG failures, maintenance
 // windows) replayed in discrete epochs. Each epoch re-optimizes
-// warm-started from the previous epoch's installed bundles —
-// RepairWarmStart first remaps, drops and rescales bundles that the
-// epoch's events invalidated, so a warm start never fails validation —
+// warm-started from the previous epoch's installed bundles — a repair
+// pass first remaps, drops and rescales bundles that the epoch's events
+// invalidated, so a warm start never fails validation —
 // and records the stale allocation's utility, the re-optimized utility,
 // the optimizer's effort, and the routing churn (paths changed, flows
 // moved, flow-table operations) a controller would push. Replays are
@@ -201,8 +179,8 @@
 // matrix from them (§2.1–2.2), re-optimizes warm-started under the
 // WithBudget per-epoch timeout (overruns publish the best-so-far
 // solution and record a deadline miss), prices the transition
-// make-before-break (PlanMBBTransition: transient double-reservation
-// headroom, teardown counts), and installs the new allocation
+// make-before-break (transient double-reservation headroom, teardown
+// counts), and installs the new allocation
 // differentially — only switches whose table changed receive a
 // FlowMod. Per-epoch FlowMods are therefore counted wire messages,
 // cross-checked against the switches' own ack ledger, not bundle-diff
@@ -216,9 +194,9 @@
 //
 // WithReplicas(n) runs the closed-loop controller as a replica set:
 // switch ownership shards across seats by rendezvous hashing, installs
-// fan out and merge, and ControllerFail/ControllerRecover scenario
-// events (ControllerKillStormScenario, canned name "ctrlstorm") kill
-// and re-seat replicas at epoch boundaries. Orphaned switches re-home
+// fan out and merge, and controller-fail / controller-recover scenario
+// events (canned name "ctrlstorm") kill and re-seat replicas at epoch
+// boundaries. Orphaned switches re-home
 // onto survivors, which push their cached rule tables back as verified
 // resyncs; election-epoch fencing stops deposed seats from rolling a
 // switch back, and every resync is reconciled against the switches'

@@ -13,6 +13,7 @@ import (
 	"fubar/internal/baseline"
 	"fubar/internal/core"
 	"fubar/internal/experiment"
+	"fubar/internal/flowmodel"
 	"fubar/internal/metrics"
 	"fubar/internal/pathgen"
 	"fubar/internal/topology"
@@ -257,7 +258,7 @@ func TestShapeBaselineConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := NewModel(topo, mat)
+	model, err := flowmodel.New(topo, mat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestShapeSelfPairNeutrality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewModel(topo, with)
+	m, err := flowmodel.New(topo, with)
 	if err != nil {
 		t.Fatal(err)
 	}

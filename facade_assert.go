@@ -12,7 +12,6 @@ import (
 	"fubar/internal/measure"
 	"fubar/internal/metrics"
 	"fubar/internal/mpls"
-	"fubar/internal/netsim"
 	"fubar/internal/scenario"
 	"fubar/internal/sdnsim"
 	"fubar/internal/topology"
@@ -34,7 +33,6 @@ var (
 	_ unit.Delay     = Delay(0)
 
 	_ topology.Topology = Topology{}
-	_ topology.Builder  = TopologyBuilder{}
 	_ topology.NodeID   = NodeID(0)
 	_ topology.LinkID   = LinkID(0)
 	_ topology.Link     = Link{}
@@ -57,31 +55,24 @@ var (
 	_ flowmodel.Base       = ModelBase{}
 	_ flowmodel.DeltaStats = DeltaStats{}
 
-	_ core.Options     = Options{}
-	_ core.Solution    = Solution{}
-	_ core.Snapshot    = Snapshot{}
-	_ core.StopReason  = StopReason(0)
-	_ core.AltMode     = AltMode(0)
-	_ core.DeltaMode   = DeltaMode(0)
-	_ core.BaseStats   = BaseStats{}
-	_ core.RepairStats = RepairStats{}
+	_ core.Options    = Options{}
+	_ core.Solution   = Solution{}
+	_ core.Snapshot   = Snapshot{}
+	_ core.StopReason = StopReason(0)
+	_ core.AltMode    = AltMode(0)
+	_ core.BaseStats  = BaseStats{}
 
 	_ baseline.Outcome          = BaselineOutcome{}
 	_ baseline.UpperBoundResult = UpperBoundResult{}
 
-	_ experiment.Config              = ExperimentConfig{}
-	_ experiment.RunResult           = ExperimentResult{}
-	_ experiment.RepeatabilityResult = RepeatabilityResult{}
-	_ experiment.FailoverResult      = FailoverOutcome{}
+	_ experiment.Config = ExperimentConfig{}
 
-	_ scenario.Scenario          = Scenario{}
-	_ scenario.Event             = ScenarioEvent{}
-	_ scenario.EventKind         = ScenarioEventKind(0)
-	_ scenario.Options           = ScenarioOptions{}
-	_ scenario.Result            = ScenarioResult{}
-	_ scenario.EpochResult       = EpochRecord{}
-	_ scenario.ClosedLoopOptions = ClosedLoopOptions{}
-	_ scenario.InstallRecord     = InstallRecord{}
+	_ scenario.Scenario      = Scenario{}
+	_ scenario.Event         = ScenarioEvent{}
+	_ scenario.EventKind     = ScenarioEventKind(0)
+	_ scenario.Result        = ScenarioResult{}
+	_ scenario.EpochResult   = EpochRecord{}
+	_ scenario.InstallRecord = InstallRecord{}
 
 	_ sdnsim.Sim           = Sim{}
 	_ sdnsim.Config        = SimConfig{}
@@ -89,12 +80,7 @@ var (
 	_ measure.Estimator    = Estimator{}
 	_ measure.AggregateKey = AggregateKey{}
 
-	_ netsim.Config = QueueConfig{}
-	_ netsim.Result = QueueResult{}
-
-	_ metrics.Series  = Series{}
-	_ metrics.CDF     = CDF{}
-	_ metrics.Summary = SummaryStats{}
+	_ metrics.CDF = CDF{}
 
 	_ anneal.Options        = AnnealOptions{}
 	_ anneal.Solution       = AnnealSolution{}
@@ -117,18 +103,12 @@ var (
 	_ ctrlplane.LoopConfig       = ControlLoopConfig{}
 	_ ctrlplane.LoopResult       = ControlLoopResult{}
 	_ ctrlplane.RetryPolicy      = RetryPolicy{}
-	_ ctrlplane.ReplicaSet       = ReplicaSet{}
-	_ ctrlplane.HAStats          = HAStats{}
-	_ ctrlplane.ManagedAgent     = ManagedSwitchAgent{}
-	_ ctrlplane.StaticDirectory  = StaticDirectory{}
 	_ ctrlplane.FailPolicy       = FailPolicy(0)
 
-	_ mpls.LSPDB           = LSPDB{}
-	_ mpls.LSP             = LSP{}
-	_ mpls.SyncStats       = LSPSyncStats{}
-	_ mpls.Priority        = LSPPriority(0)
-	_ mpls.ReservedPath    = MBBReservedPath{}
-	_ mpls.TransitionStats = MBBTransitionStats{}
+	_ mpls.LSPDB     = LSPDB{}
+	_ mpls.LSP       = LSP{}
+	_ mpls.SyncStats = LSPSyncStats{}
+	_ mpls.Priority  = LSPPriority(0)
 )
 
 // Constant-value assertions: indexing a one-element array with the
@@ -142,31 +122,9 @@ var (
 	_ = [1]struct{}{}[StopDeadline-core.StopDeadline]
 	_ = [1]struct{}{}[StopCancelled-core.StopCancelled]
 
-	_ = [1]struct{}{}[AltAll-core.AltAll]
-	_ = [1]struct{}{}[AltGlobalOnly-core.AltGlobalOnly]
-	_ = [1]struct{}{}[AltLocalOnly-core.AltLocalOnly]
-	_ = [1]struct{}{}[AltLinkLocalOnly-core.AltLinkLocalOnly]
-
-	_ = [1]struct{}{}[DeltaAuto-core.DeltaAuto]
-	_ = [1]struct{}{}[DeltaOff-core.DeltaOff]
-
 	_ = [1]struct{}{}[ClassRealTime-utility.ClassRealTime]
 	_ = [1]struct{}{}[ClassBulk-utility.ClassBulk]
 	_ = [1]struct{}{}[ClassLargeFile-utility.ClassLargeFile]
-
-	_ = [1]struct{}{}[EventDemandScale-scenario.DemandScale]
-	_ = [1]struct{}{}[EventDemandChurn-scenario.DemandChurn]
-	_ = [1]struct{}{}[EventAggregateArrive-scenario.AggregateArrive]
-	_ = [1]struct{}{}[EventAggregateDepart-scenario.AggregateDepart]
-	_ = [1]struct{}{}[EventLinkFail-scenario.LinkFail]
-	_ = [1]struct{}{}[EventLinkRecover-scenario.LinkRecover]
-	_ = [1]struct{}{}[EventCapacityScale-scenario.CapacityScale]
-	_ = [1]struct{}{}[EventSRLGFail-scenario.SRLGFail]
-	_ = [1]struct{}{}[EventSRLGRecover-scenario.SRLGRecover]
-	_ = [1]struct{}{}[EventMaintenanceStart-scenario.MaintenanceStart]
-	_ = [1]struct{}{}[EventMaintenanceEnd-scenario.MaintenanceEnd]
-	_ = [1]struct{}{}[EventControllerFail-scenario.ControllerFail]
-	_ = [1]struct{}{}[EventControllerRecover-scenario.ControllerRecover]
 
 	_ = [1]struct{}{}[FailStatic-ctrlplane.FailStatic]
 	_ = [1]struct{}{}[FailClosed-ctrlplane.FailClosed]

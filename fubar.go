@@ -17,7 +17,6 @@ import (
 	"fubar/internal/measure"
 	"fubar/internal/metrics"
 	"fubar/internal/mpls"
-	"fubar/internal/netsim"
 	"fubar/internal/pathgen"
 	"fubar/internal/scenario"
 	"fubar/internal/sdnsim"
@@ -56,8 +55,6 @@ type (
 	// Topology is a POP-level network: named nodes joined by
 	// bidirectional capacity+delay links.
 	Topology = topology.Topology
-	// TopologyBuilder accumulates nodes and links.
-	TopologyBuilder = topology.Builder
 	// NodeID identifies a topology node.
 	NodeID = topology.NodeID
 	// LinkID identifies a directed link.
@@ -71,9 +68,6 @@ type (
 	// Path is an edge sequence through the topology's graph.
 	Path = graph.Path
 )
-
-// NewTopology starts building a named topology.
-func NewTopology(name string) *TopologyBuilder { return topology.NewBuilder(name) }
 
 // HurricaneElectric builds the 31-POP / 56-link substitute for Hurricane
 // Electric's 2014 core (§3) with a uniform link capacity.
@@ -151,28 +145,11 @@ const (
 	ClassLargeFile = utility.ClassLargeFile
 )
 
-// RealTime returns the Figure 1 interactive utility function.
-func RealTime() UtilityFunction { return utility.RealTime() }
-
-// Bulk returns the Figure 2 bulk-transfer utility function.
-func Bulk() UtilityFunction { return utility.Bulk() }
-
-// LargeFile returns the §3 large-transfer function with the given peak.
-func LargeFile(peak Bandwidth) UtilityFunction { return utility.LargeFile(peak) }
-
-// NewCurve builds a piecewise-linear component curve.
-func NewCurve(pts ...CurvePoint) (Curve, error) { return utility.NewCurve(pts...) }
-
-// NewUtilityFunction composes bandwidth and delay components.
-func NewUtilityFunction(name string, bandwidth, delay Curve) (UtilityFunction, error) {
-	return utility.NewFunction(name, bandwidth, delay)
-}
-
 // Model.
 type (
-	// Model evaluates the §2.3 TCP-like traffic model. It is immutable
-	// after NewModel; concurrent evaluators each take a ModelEval arena
-	// via Model.NewEval.
+	// Model evaluates the §2.3 TCP-like traffic model (a Session builds
+	// and keeps one: Session.Model). It is immutable once built;
+	// concurrent evaluators each take a ModelEval arena via Model.NewEval.
 	Model = flowmodel.Model
 	// ModelEval is a reusable evaluation arena; one goroutine per arena
 	// may Evaluate concurrently over a shared Model.
@@ -182,14 +159,6 @@ type (
 	// ModelResult is one model evaluation.
 	ModelResult = flowmodel.Result
 )
-
-// NewModel builds a traffic model over a topology and matrix.
-func NewModel(topo *Topology, mat *Matrix) (*Model, error) { return flowmodel.New(topo, mat) }
-
-// NewBundle builds a bundle over a path, precomputing its delay.
-func NewBundle(topo *Topology, agg AggregateID, flows int, path Path) Bundle {
-	return flowmodel.NewBundle(topo, agg, flows, path)
-}
 
 // Optimizer.
 type (
@@ -205,9 +174,6 @@ type (
 	Policy = pathgen.Policy
 	// AltMode restricts the alternative-path trio (ablations).
 	AltMode = core.AltMode
-	// DeltaMode selects the candidate-evaluation strategy
-	// (Options.DeltaEval).
-	DeltaMode = core.DeltaMode
 	// DeltaStats counts incremental-evaluation activity
 	// (Solution.Delta).
 	DeltaStats = flowmodel.DeltaStats
@@ -232,68 +198,6 @@ const (
 	StopCancelled = core.StopCancelled
 )
 
-// Alternative-path modes.
-const (
-	AltAll           = core.AltAll
-	AltGlobalOnly    = core.AltGlobalOnly
-	AltLocalOnly     = core.AltLocalOnly
-	AltLinkLocalOnly = core.AltLinkLocalOnly
-)
-
-// Candidate-evaluation strategies (Options.DeltaEval).
-const (
-	// DeltaAuto (default) evaluates candidate moves incrementally against
-	// a per-step base snapshot — bit-identical to full evaluation, cost
-	// proportional to the move's affected sub-problem.
-	DeltaAuto = core.DeltaAuto
-	// DeltaOff runs a full water-filling per candidate.
-	DeltaOff = core.DeltaOff
-)
-
-// Warm-start repair.
-type (
-	// RepairStats summarizes what a warm-start repair changed.
-	RepairStats = core.RepairStats
-)
-
-// RepairWarmStart makes an installed allocation a valid warm start for a
-// new (topology, matrix) instance after demand or topology events:
-// bundles on forbidden or vanished links are dropped and their flows
-// rehomed, per-aggregate totals are rescaled to the new matrix, and
-// uncovered aggregates fall back to their lowest-delay compliant path.
-// maxPaths must match the consuming run's Options.MaxPathsPerAggregate
-// (0 = default).
-func RepairWarmStart(topo *Topology, mat *Matrix, bundles []Bundle, policy Policy, maxPaths int) ([]Bundle, RepairStats, error) {
-	return core.RepairWarmStart(topo, mat, bundles, policy, maxPaths)
-}
-
-// ForbidLinks builds a Policy.ForbiddenLinks mask marking each given
-// physical link in both directions.
-func ForbidLinks(topo *Topology, links ...LinkID) []bool {
-	return pathgen.ForbidLinks(topo, links...)
-}
-
-// Optimize runs FUBAR end to end on a topology and matrix.
-//
-// Deprecated: build a Session and call its Optimize — the session keeps
-// the model, arenas and warm state alive across calls and takes a
-// context. This shim runs a throwaway Session under context.Background.
-func Optimize(topo *Topology, mat *Matrix, opts Options) (*Solution, error) {
-	s, err := NewSession(topo, mat, WithOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return s.Optimize(context.Background())
-}
-
-// OptimizeModel runs FUBAR on a prepared model (reuses model storage).
-//
-// Deprecated: use Session.Optimize; a Session prepares and keeps the
-// model itself.
-func OptimizeModel(model *Model, opts Options) (*Solution, error) {
-	return core.Run(context.Background(), model, opts)
-}
-
 // Baselines.
 type (
 	// BaselineOutcome is a baseline allocation plus its evaluation.
@@ -312,25 +216,10 @@ func UpperBound(topo *Topology, mat *Matrix, policy Policy) (*UpperBoundResult, 
 	return baseline.UpperBound(topo, mat, policy)
 }
 
-// ECMP splits flows across equal-lowest-delay paths (RFC 2992 style).
-func ECMP(model *Model, policy Policy, maxPaths int) (*BaselineOutcome, error) {
-	return baseline.ECMP(model, policy, maxPaths)
-}
-
-// GreedyCSPF is the min-max-utilization CSPF-style comparator.
-func GreedyCSPF(model *Model, policy Policy, k int) (*BaselineOutcome, error) {
-	return baseline.GreedyCSPF(model, policy, k)
-}
-
 // Experiments.
 type (
 	// ExperimentConfig describes one §3 evaluation run.
 	ExperimentConfig = experiment.Config
-	// ExperimentResult carries the series and distributions a figure
-	// plots.
-	ExperimentResult = experiment.RunResult
-	// RepeatabilityResult is Fig 7's distribution data.
-	RepeatabilityResult = experiment.RepeatabilityResult
 )
 
 // Provisioned returns Fig 3's configuration (100 Mbps links).
@@ -345,29 +234,10 @@ func Prioritized(seed int64) ExperimentConfig { return experiment.Prioritized(se
 // RelaxedDelay returns Fig 6's configuration (small-flow delay doubled).
 func RelaxedDelay(seed int64) ExperimentConfig { return experiment.RelaxedDelay(seed) }
 
-// RunExperiment executes a configured evaluation run.
-func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
-	return experiment.Run(context.Background(), cfg)
-}
-
-// RunExperimentContext executes a configured evaluation run under ctx
-// (cancellation and deadlines reach the optimizer at candidate-batch
-// granularity).
-func RunExperimentContext(ctx context.Context, cfg ExperimentConfig) (*ExperimentResult, error) {
-	return experiment.Run(ctx, cfg)
-}
-
 // ExperimentInstance materializes a configuration's topology and traffic
 // matrix without optimizing — e.g. as epoch 0 of a scenario replay.
 func ExperimentInstance(cfg ExperimentConfig) (*Topology, *Matrix, error) {
 	return experiment.Instance(cfg)
-}
-
-// Repeatability reruns a configuration across consecutive seeds (Fig 7),
-// parallelized across Options.Workers with per-run arenas; the
-// distributions are identical at any worker count.
-func Repeatability(base ExperimentConfig, runs int) (*RepeatabilityResult, error) {
-	return experiment.Repeatability(context.Background(), base, runs)
 }
 
 // Scenario replay (time-varying traffic and topology through repeated
@@ -380,37 +250,14 @@ type (
 	ScenarioEvent = scenario.Event
 	// ScenarioEventKind enumerates the event types.
 	ScenarioEventKind = scenario.EventKind
-	// ScenarioOptions tunes a replay.
-	ScenarioOptions = scenario.Options
 	// ScenarioResult is a completed replay (one EpochRecord per epoch).
 	ScenarioResult = scenario.Result
 	// EpochRecord is one epoch of a replay: stale vs re-optimized
 	// utility, optimizer effort and routing churn.
 	EpochRecord = scenario.EpochResult
-)
-
-// Scenario event kinds.
-const (
-	EventDemandScale      = scenario.DemandScale
-	EventDemandChurn      = scenario.DemandChurn
-	EventAggregateArrive  = scenario.AggregateArrive
-	EventAggregateDepart  = scenario.AggregateDepart
-	EventLinkFail         = scenario.LinkFail
-	EventLinkRecover      = scenario.LinkRecover
-	EventCapacityScale    = scenario.CapacityScale
-	EventSRLGFail         = scenario.SRLGFail
-	EventSRLGRecover      = scenario.SRLGRecover
-	EventMaintenanceStart = scenario.MaintenanceStart
-	EventMaintenanceEnd   = scenario.MaintenanceEnd
-	// EventControllerFail kills one controller replica seat
-	// (ScenarioEvent.Replica) at the epoch boundary; survivors take over
-	// its switches and resync their rule tables. A deterministic no-op
-	// when the seat doesn't exist or is the last one live, so one
-	// scenario replays against control planes of any replica count.
-	EventControllerFail = scenario.ControllerFail
-	// EventControllerRecover re-seats a previously failed replica; a
-	// no-op when the seat is live or absent.
-	EventControllerRecover = scenario.ControllerRecover
+	// InstallRecord is one wire allocation push of a closed-loop replay
+	// (EpochRecord.Installs, ScenarioResult.Installs).
+	InstallRecord = scenario.InstallRecord
 )
 
 // DiurnalScenario traces a day of demand: a sinusoid between
@@ -426,53 +273,11 @@ func FailureStormScenario(seed int64, epochs, failures int) Scenario {
 	return scenario.FailureStorm(seed, epochs, failures)
 }
 
-// FlashCrowdScenario spikes demand (plus a burst of new aggregates) a
-// quarter into the timeline and decays it back.
-func FlashCrowdScenario(seed int64, epochs int, spike float64, arrivals int) Scenario {
-	return scenario.FlashCrowd(seed, epochs, spike, arrivals)
-}
-
-// MaintenanceScenario drains a random link for a planned window in the
-// middle of the timeline and returns it to service.
-func MaintenanceScenario(seed int64, epochs int) Scenario {
-	return scenario.Maintenance(seed, epochs)
-}
-
-// SRLGOutageScenario fails a random shared-risk group declared on the
-// topology (Topology.WithSRLGs) and later recovers it.
-func SRLGOutageScenario(seed int64, epochs int) Scenario {
-	return scenario.SRLGOutage(seed, epochs)
-}
-
-// ControllerKillStormScenario kills and re-seats controller replicas
-// round-robin across the timeline (seat indices within [0, seats))
-// while mild demand churn keeps every epoch moving — the HA episode
-// comparing 1-replica and N-replica control planes under the same
-// events.
-func ControllerKillStormScenario(seed int64, epochs, seats int) Scenario {
-	return scenario.ControllerKillStorm(seed, epochs, seats)
-}
-
-// ComposeScenarios merges sub-timelines into one scenario: the union of
-// every sub-scenario's events in a stable epoch order, truncated to the
-// composite's epoch count, replayed under the composite's seed (the
-// sub-scenarios' own seeds are ignored).
-func ComposeScenarios(name string, seed int64, epochs int, subs ...Scenario) Scenario {
-	return scenario.Compose(name, seed, epochs, subs...)
-}
-
 // CrisisScenario is the worst-day composite: a flash crowd breaks out
 // while a shared-risk group is down and a maintenance window is
 // draining yet another link.
 func CrisisScenario(seed int64, epochs int, spike float64, arrivals int) Scenario {
 	return scenario.Crisis(seed, epochs, spike, arrivals)
-}
-
-// DiurnalKillStormScenario is the availability composite: the diurnal
-// demand curve with controller replicas being killed and re-seated all
-// day.
-func DiurnalKillStormScenario(seed int64, epochs, seats int) Scenario {
-	return scenario.DiurnalKillStorm(seed, epochs, seats)
 }
 
 // SoakScenario builds a sparse long-horizon timeline sized for soak
@@ -493,22 +298,7 @@ type (
 	// TrajectoryPoint is one downsampled bucket — means for utilities,
 	// sums for effort and churn counters.
 	TrajectoryPoint = scenario.TrajectoryPoint
-	// TrajectoryRecorder folds an epoch stream into a fixed number of
-	// buckets as it goes: O(points) memory regardless of replay length.
-	TrajectoryRecorder = scenario.TrajectoryRecorder
 )
-
-// NewTrajectoryRecorder sizes a streaming recorder for a replay of the
-// given epoch count downsampled to at most points buckets.
-func NewTrajectoryRecorder(family string, epochs, points int) *TrajectoryRecorder {
-	return scenario.NewTrajectoryRecorder(family, epochs, points)
-}
-
-// SampleScenarioTrajectory downsamples a collected replay result into a
-// trajectory of at most points buckets.
-func SampleScenarioTrajectory(family string, res *ScenarioResult, points int) Trajectory {
-	return scenario.SampleTrajectory(family, res, points)
-}
 
 // ScenarioByName resolves a canned scenario (see ScenarioNames) with
 // its default shape for the epoch count; an unknown name's error
@@ -526,9 +316,6 @@ func ScenarioNames() []string { return scenario.Names() }
 // count), used to benchmark the optimizer 10-100x beyond the HE-31
 // evaluation instance.
 type ScalePreset = scenario.ScalePreset
-
-// ScalePresets lists the large-instance presets smallest first.
-func ScalePresets() []ScalePreset { return scenario.ScalePresets() }
 
 // ScalePresetNames lists the preset names (scale-xs .. scale-l) in
 // registry order, for help text.
@@ -550,51 +337,6 @@ func ScaleInstance(name string, seed int64) (*Topology, *Matrix, error) {
 // product, sizing the instance by aggregate count.
 func SparseTraffic(topo *Topology, cfg GenConfig, aggregates int) (*Matrix, error) {
 	return traffic.Sparse(topo, cfg, aggregates)
-}
-
-// ReplayScenario replays a scenario over the start instance: each epoch
-// applies its events, repairs the installed allocation into a valid warm
-// start, re-optimizes, and records utility, effort and churn. Replays
-// are deterministic per seed at any worker count.
-//
-// Deprecated: use Session.Replay (streaming, context-aware) or
-// Session.ReplayAll for the collected table.
-func ReplayScenario(topo *Topology, mat *Matrix, sc Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
-	return scenario.Run(context.Background(), topo, mat, sc, opts)
-}
-
-// ReplayScenarioSeeds replays a scenario once per seed across
-// ScenarioOptions.Workers goroutines, results ordered by seed index.
-func ReplayScenarioSeeds(topo *Topology, mat *Matrix, sc Scenario, seeds []int64, opts ScenarioOptions) ([]*ScenarioResult, error) {
-	return scenario.RunSeeds(context.Background(), topo, mat, sc, seeds, opts)
-}
-
-// Closed-loop replay (scenario timelines driving the control plane end
-// to end).
-type (
-	// ClosedLoopOptions tunes a closed-loop replay: simulated network,
-	// TCP control plane, counter-based estimation, deadline-budgeted
-	// re-optimization, differential wire installs.
-	ClosedLoopOptions = scenario.ClosedLoopOptions
-	// InstallRecord is one wire allocation push of a closed-loop replay.
-	InstallRecord = scenario.InstallRecord
-)
-
-// ReplayScenarioClosedLoop replays a scenario with the control plane in
-// the loop: per epoch the events hit a simulated SDN network
-// (internal/sdnsim), switch agents report counters over the TCP
-// protocol, the controller estimates the traffic matrix, re-optimizes
-// warm-started under the per-epoch deadline budget, prices the
-// transition make-before-break, and installs the new allocation
-// differentially over the wire — so per-epoch FlowMods are counted
-// messages acked by the switches, not bundle-diff estimates. With no
-// EpochBudget the replay is deterministic per seed at any worker count.
-//
-// Deprecated: use Session.ReplayClosedLoop (streaming, context-aware,
-// control plane kept across calls) or Session.ReplayClosedLoopAll for
-// the collected table.
-func ReplayScenarioClosedLoop(topo *Topology, mat *Matrix, sc Scenario, opts ClosedLoopOptions) (*ScenarioResult, error) {
-	return scenario.RunClosedLoop(context.Background(), topo, mat, sc, opts)
 }
 
 // SDN measurement substrate.
@@ -622,40 +364,14 @@ func NewEstimator(keys []AggregateKey) *Estimator { return measure.NewEstimator(
 // EstimatorKeys extracts estimator keys from a matrix.
 func EstimatorKeys(mat *Matrix) []AggregateKey { return measure.KeysFromMatrix(mat) }
 
-// Queueing validation (§3 "Avoiding congestion").
-type (
-	// QueueConfig tunes the M/M/1-style queue estimate.
-	QueueConfig = netsim.Config
-	// QueueResult reports per-link and per-flow queueing estimates.
-	QueueResult = netsim.Result
-)
-
-// EvaluateQueues estimates queueing delay under an allocation.
-func EvaluateQueues(topo *Topology, model *Model, bundles []Bundle, cfg QueueConfig) (*QueueResult, error) {
-	return netsim.Evaluate(topo, model, bundles, cfg)
-}
-
-// CompareQueues reports how much less the second allocation queues than
-// the first (ratio > 1 means improvement).
-func CompareQueues(topo *Topology, model *Model, before, after []Bundle, cfg QueueConfig) (float64, *QueueResult, *QueueResult, error) {
-	return netsim.Compare(topo, model, before, after, cfg)
-}
-
 // Metrics.
 type (
-	// Series is an append-only time series.
-	Series = metrics.Series
 	// CDF is an empirical distribution.
 	CDF = metrics.CDF
-	// SummaryStats holds descriptive statistics.
-	SummaryStats = metrics.Summary
 )
 
 // NewCDF builds an empirical CDF from values.
 func NewCDF(values []float64) *CDF { return metrics.NewCDF(values) }
-
-// Summarize computes descriptive statistics.
-func Summarize(values []float64) SummaryStats { return metrics.Summarize(values) }
 
 // Simulated annealing comparator (§2.5 "Escaping local optima").
 type (
@@ -667,23 +383,6 @@ type (
 	// AnnealRestartsResult is a parallel best-of-n restarts outcome.
 	AnnealRestartsResult = anneal.RestartsResult
 )
-
-// Anneal runs the naive simulated-annealing allocator on a model.
-//
-// Deprecated: use Session.Anneal, which shares the session's model and
-// takes a context.
-func Anneal(model *Model, opts AnnealOptions) (*AnnealSolution, error) {
-	return anneal.Run(context.Background(), model, opts)
-}
-
-// AnnealRestarts runs n independent annealing restarts (seeds
-// opts.Seed..opts.Seed+n-1) across up to workers goroutines, each on a
-// private evaluation arena, and returns the per-seed solutions plus the
-// best. Results are identical at any worker count.
-// Deprecated: use Session.AnnealRestarts.
-func AnnealRestarts(model *Model, opts AnnealOptions, n, workers int) (*AnnealRestartsResult, error) {
-	return anneal.RunRestarts(context.Background(), model, opts, n, workers)
-}
 
 // Traffic classification (§1 "crude heuristics supplemented by operator
 // knowledge").
@@ -754,25 +453,6 @@ type (
 	// RetryPolicy bounds controller→switch RPC retries: attempts,
 	// exponential backoff base and cap.
 	RetryPolicy = ctrlplane.RetryPolicy
-	// ReplicaSet is a set of controller replicas sharing install state:
-	// switch ownership shards across live seats by rendezvous hashing,
-	// installs fan out and merge, and a failed seat's switches re-home
-	// onto survivors, which resync their rule tables from the shared
-	// cache.
-	ReplicaSet = ctrlplane.ReplicaSet
-	// HAStats snapshots a replica set's cumulative high-availability
-	// counters (failovers, RPC retries, verified resyncs).
-	HAStats = ctrlplane.HAStats
-	// ManagedSwitchAgent is a fail-safe switch agent: it homes onto the
-	// first reachable controller in its dial order, reconnects with
-	// jittered exponential backoff, and applies its FailPolicy when the
-	// rule lease expires with no controller reachable.
-	ManagedSwitchAgent = ctrlplane.ManagedAgent
-	// DialDirectory tells a managed agent which controller addresses to
-	// try, in order, for its datapath ID.
-	DialDirectory = ctrlplane.DialDirectory
-	// StaticDirectory is a fixed-address DialDirectory.
-	StaticDirectory = ctrlplane.StaticDirectory
 	// FailPolicy is what an orphaned agent does with its installed rule
 	// table when the lease expires.
 	FailPolicy = ctrlplane.FailPolicy
@@ -784,23 +464,6 @@ const (
 	FailStatic = ctrlplane.FailStatic
 	// FailClosed wipes the table: no forwarding without a controller.
 	FailClosed = ctrlplane.FailClosed
-)
-
-// Control-plane error sentinels, matched with errors.Is.
-var (
-	// ErrClosed: the controller or replica set was shut down.
-	ErrClosed = ctrlplane.ErrClosed
-	// ErrSwitchDead: the switch connection was lost mid-request
-	// (retryable — the agent will re-home and re-register).
-	ErrSwitchDead = ctrlplane.ErrSwitchDead
-	// ErrNoSuchSwitch: no registered switch has the datapath ID.
-	ErrNoSuchSwitch = ctrlplane.ErrNoSuchSwitch
-	// ErrTimeout: a request exhausted its per-attempt deadline
-	// (retryable).
-	ErrTimeout = ctrlplane.ErrTimeout
-	// ErrStaleEpoch: a deposed replica's FlowMod was fenced off by an
-	// agent that has seen a newer election epoch.
-	ErrStaleEpoch = ctrlplane.ErrStaleEpoch
 )
 
 // ListenController starts a controller on addr.
@@ -815,28 +478,6 @@ func DialSwitch(addr string, datapathID uint32, nodeName string, dp Datapath, cf
 
 // NewFabric wraps an SDN simulator as per-switch datapaths.
 func NewFabric(sim *Sim) *Fabric { return ctrlplane.NewFabric(sim) }
-
-// NewReplicaSet starts n controller replicas on loopback listeners
-// sharing install state. cfg applies to every replica (Retry defaults
-// to 3 attempts).
-func NewReplicaSet(n int, cfg ControllerConfig) (*ReplicaSet, error) {
-	return ctrlplane.NewReplicaSet(n, cfg)
-}
-
-// NewManagedSwitchAgent starts a fail-safe switch agent that keeps
-// itself homed on the first reachable controller in dir's dial order
-// for its datapath ID (a *ReplicaSet is a DialDirectory).
-func NewManagedSwitchAgent(datapathID uint32, nodeName string, dp Datapath, dir DialDirectory, cfg SwitchAgentConfig) (*ManagedSwitchAgent, error) {
-	return ctrlplane.NewManagedAgent(datapathID, nodeName, dp, dir, cfg)
-}
-
-// RunControlLoop drives the closed measurement/optimization cycle.
-//
-// Deprecated: use RunControlLoopContext, which threads a context into
-// every optimization.
-func RunControlLoop(ctrl *Controller, topo *Topology, keys []AggregateKey, cfg ControlLoopConfig, advance func() error) (*ControlLoopResult, error) {
-	return ctrlplane.RunLoop(context.Background(), ctrl, topo, keys, cfg, advance)
-}
 
 // RunControlLoopContext drives the closed measurement/optimization
 // cycle under ctx: cancellation returns the partial result with the
@@ -860,22 +501,6 @@ type (
 
 // NewLSPDB builds an empty MPLS-TE database over a topology.
 func NewLSPDB(topo *Topology) (*LSPDB, error) { return mpls.NewDB(topo) }
-
-// Make-before-break transition planning.
-type (
-	// MBBReservedPath is one keyed (aggregate, path) reservation.
-	MBBReservedPath = mpls.ReservedPath
-	// MBBTransitionStats prices a make-before-break move: transient
-	// double-reservation headroom, setup and teardown counts.
-	MBBTransitionStats = mpls.TransitionStats
-)
-
-// PlanMBBTransition computes the transient cost of moving one installed
-// allocation to another make-before-break (shared-explicit per key) —
-// the closed-loop replay's per-epoch churn pricing.
-func PlanMBBTransition(topo *Topology, old, next []MBBReservedPath) MBBTransitionStats {
-	return mpls.PlanTransition(topo, old, next)
-}
 
 // SyncToMPLS reconciles an LSP database with a FUBAR allocation,
 // reserving each bundle's predicted rate and moving existing tunnels
@@ -911,16 +536,3 @@ func TelemetryHandler(t *Telemetry) http.Handler { return telemetry.Handler(t) }
 // returning the first violation. Scrape checks in CI and the fubard
 // smoke use it.
 func CheckExposition(body string) error { return telemetry.CheckExposition(body) }
-
-// Failure recovery.
-type (
-	// FailoverOutcome captures a link-failure episode: healthy,
-	// degraded-stale, and warm-start recovered utilities.
-	FailoverOutcome = experiment.FailoverResult
-)
-
-// Failover optimizes, fails the hottest link, and re-optimizes around
-// it warm-started from the installed allocation.
-func Failover(topo *Topology, mat *Matrix, opts Options) (*FailoverOutcome, error) {
-	return experiment.Failover(context.Background(), topo, mat, opts)
-}

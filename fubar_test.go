@@ -1,14 +1,39 @@
 package fubar
 
 // Facade tests: exercise the public API end to end the way a downstream
-// user would, without touching internal packages.
+// user would. Where the facade leaves a step to the internal packages (it
+// re-exports only what cmd/, examples/ and benchmark/ import), the test
+// takes that step through the internal package.
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
+
+	"fubar/internal/core"
+	"fubar/internal/experiment"
+	"fubar/internal/metrics"
+	"fubar/internal/pathgen"
+	"fubar/internal/scenario"
+	"fubar/internal/topology"
+	"fubar/internal/utility"
 )
+
+// optimizeOnce runs one cold optimization through a throwaway Session.
+func optimizeOnce(t *testing.T, topo *Topology, mat *Matrix) *Solution {
+	t.Helper()
+	s, err := NewSession(topo, mat)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	sol, err := s.Optimize(context.Background())
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	return sol
+}
 
 func TestFacadeUnits(t *testing.T) {
 	b, err := ParseBandwidth("2.5Mbps")
@@ -50,7 +75,7 @@ func TestFacadeTopologyBuilders(t *testing.T) {
 	}
 
 	// Custom build + round trip through the text format.
-	tb := NewTopology("custom")
+	tb := topology.NewBuilder("custom")
 	tb.AddLink("X", "Y", 10*Mbps, 3*Millisecond)
 	topo, err := tb.Build()
 	if err != nil {
@@ -69,34 +94,6 @@ func TestFacadeTopologyBuilders(t *testing.T) {
 	}
 }
 
-func TestFacadeUtilityFunctions(t *testing.T) {
-	rt := RealTime()
-	if rt.PeakBandwidth() != 50*Kbps {
-		t.Errorf("RealTime peak = %v", rt.PeakBandwidth())
-	}
-	if u := Bulk().Eval(200*Kbps, 50*Millisecond); u != 1 {
-		t.Errorf("Bulk at peak = %v", u)
-	}
-	if LargeFile(2*Mbps).PeakBandwidth() != 2*Mbps {
-		t.Error("LargeFile peak wrong")
-	}
-	curve, err := NewCurve(CurvePoint{X: 0, Y: 0}, CurvePoint{X: 100, Y: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delay, err := NewCurve(CurvePoint{X: 0, Y: 1}, CurvePoint{X: 500, Y: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn, err := NewUtilityFunction("custom", curve, delay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fn.Eval(50*Kbps, 250*Millisecond); got != 0.25 {
-		t.Errorf("custom Eval = %v, want 0.25", got)
-	}
-}
-
 func TestFacadeOptimizeEndToEnd(t *testing.T) {
 	topo, err := RingTopology(8, 4, 2*Mbps, 5)
 	if err != nil {
@@ -111,9 +108,11 @@ func TestFacadeOptimizeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var traced int
-	sol, err := Optimize(topo, mat, Options{
-		Trace: func(s Snapshot) { traced++ },
-	})
+	s, err := NewSession(topo, mat, WithObserver(func(Snapshot) { traced++ }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := s.Optimize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,23 +128,13 @@ func TestFacadeOptimizeEndToEnd(t *testing.T) {
 		t.Errorf("unknown stop reason %v", sol.Stop)
 	}
 
-	// Baselines through the facade.
-	model, err := NewModel(topo, mat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := ShortestPathRouting(model, Policy{})
+	// Baselines through the facade, on the session's own model.
+	sp, err := ShortestPathRouting(s.Model(), Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Utility != sol.InitialUtility {
 		t.Errorf("facade SP %v != solution initial %v", sp.Utility, sol.InitialUtility)
-	}
-	if _, err := ECMP(model, Policy{}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := GreedyCSPF(model, Policy{}, 4); err != nil {
-		t.Fatal(err)
 	}
 	ub, err := UpperBound(topo, mat, Policy{})
 	if err != nil {
@@ -166,7 +155,7 @@ func TestFacadeExperiment(t *testing.T) {
 	tc.BulkFlows = [2]int{1, 4}
 	tc.LargeFlows = [2]int{1, 2}
 	cfg := ExperimentConfig{Topology: topo, Seed: 9, Traffic: &tc}
-	r, err := RunExperiment(cfg)
+	r, err := experiment.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +169,7 @@ func TestFacadeExperiment(t *testing.T) {
 	if cdf.Quantile(0.5) <= 0 {
 		t.Error("nonpositive median delay")
 	}
-	s := Summarize(r.FlowDelayMs)
+	s := metrics.Summarize(r.FlowDelayMs)
 	if s.N != len(r.FlowDelayMs) {
 		t.Error("summary count mismatch")
 	}
@@ -237,10 +226,7 @@ func TestFacadeSDNLoop(t *testing.T) {
 		t.Errorf("estimated %d aggregates, truth has %d",
 			estMat.NumAggregates(), truth.NumAggregates())
 	}
-	sol, err := Optimize(topo, estMat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := optimizeOnce(t, topo, estMat)
 	if err := sim.Install(sol.Bundles); err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +236,14 @@ func TestFacadeSDNLoop(t *testing.T) {
 }
 
 func TestFacadeNewMatrixAndBundle(t *testing.T) {
-	tb := NewTopology("two")
+	tb := topology.NewBuilder("two")
 	tb.AddLink("A", "B", 10*Mbps, 5*Millisecond)
 	topo, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mat, err := NewMatrix(topo, []Aggregate{
-		{Src: 0, Dst: 1, Class: ClassBulk, Flows: 3, Fn: Bulk()},
+		{Src: 0, Dst: 1, Class: ClassBulk, Flows: 3, Fn: utility.Bulk()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,10 +251,7 @@ func TestFacadeNewMatrixAndBundle(t *testing.T) {
 	if mat.TotalFlows() != 3 {
 		t.Error("TotalFlows")
 	}
-	sol, err := Optimize(topo, mat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := optimizeOnce(t, topo, mat)
 	if sol.Utility != 1 {
 		t.Errorf("trivial instance utility = %v", sol.Utility)
 	}
@@ -297,11 +280,11 @@ func testRingInstance(t *testing.T, seed int64) (*Topology, *Matrix) {
 
 func TestFacadeAnneal(t *testing.T) {
 	topo, mat := testRingInstance(t, 9)
-	model, err := NewModel(topo, mat)
+	s, err := NewSession(topo, mat)
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
+		t.Fatalf("NewSession: %v", err)
 	}
-	sol, err := Anneal(model, AnnealOptions{Seed: 9, MaxIterations: 3000})
+	sol, err := s.Anneal(context.Background(), AnnealOptions{Seed: 9, MaxIterations: 3000})
 	if err != nil {
 		t.Fatalf("Anneal: %v", err)
 	}
@@ -329,14 +312,7 @@ func TestFacadeClassifier(t *testing.T) {
 
 func TestFacadeDynamicsAndValidation(t *testing.T) {
 	topo, mat := testRingInstance(t, 13)
-	model, err := NewModel(topo, mat)
-	if err != nil {
-		t.Fatalf("NewModel: %v", err)
-	}
-	sol, err := OptimizeModel(model, Options{})
-	if err != nil {
-		t.Fatalf("OptimizeModel: %v", err)
-	}
+	sol := optimizeOnce(t, topo, mat)
 	sim, err := SimulateDynamics(topo, mat, sol.Bundles, DynConfig{DurationMs: 10000})
 	if err != nil {
 		t.Fatalf("SimulateDynamics: %v", err)
@@ -383,11 +359,11 @@ func TestFacadeControlPlane(t *testing.T) {
 	if err := ctrl.WaitForSwitches(topo.NumNodes(), 5*time.Second); err != nil {
 		t.Fatalf("WaitForSwitches: %v", err)
 	}
-	res, err := RunControlLoop(ctrl, topo, EstimatorKeys(mat), ControlLoopConfig{
+	res, err := RunControlLoopContext(context.Background(), ctrl, topo, EstimatorKeys(mat), ControlLoopConfig{
 		Epochs: 3, OptimizeEvery: 3,
 	}, fabric.RunEpoch)
 	if err != nil {
-		t.Fatalf("RunControlLoop: %v", err)
+		t.Fatalf("RunControlLoopContext: %v", err)
 	}
 	if res.Installs != 1 || res.Epochs != 3 {
 		t.Fatalf("loop result wrong: %+v", res)
@@ -396,10 +372,7 @@ func TestFacadeControlPlane(t *testing.T) {
 
 func TestFacadeMPLS(t *testing.T) {
 	topo, mat := testRingInstance(t, 21)
-	sol, err := Optimize(topo, mat, Options{})
-	if err != nil {
-		t.Fatalf("Optimize: %v", err)
-	}
+	sol := optimizeOnce(t, topo, mat)
 	db, err := NewLSPDB(topo)
 	if err != nil {
 		t.Fatalf("NewLSPDB: %v", err)
@@ -421,26 +394,16 @@ func TestFacadeMPLS(t *testing.T) {
 	}
 }
 
-func TestFacadeFailover(t *testing.T) {
-	topo, mat := testRingInstance(t, 25)
-	res, err := Failover(topo, mat, Options{})
-	if err != nil {
-		t.Fatalf("Failover: %v", err)
-	}
-	// Recovery improves on the repaired (installable) stale state; the
-	// pre-repair Degraded number black-holes stranded flows, so it can
-	// sit on either side of Stale and is not asserted against it.
-	if !(res.Degraded < res.Healthy && res.Recovered >= res.Stale) {
-		t.Fatalf("failover shape wrong: %+v", res)
-	}
-}
-
 func TestFacadeScenarioReplay(t *testing.T) {
 	topo, mat := testRingInstance(t, 31)
-	sc := DiurnalScenario(3, 4, 0.3, 0.1)
-	res, err := ReplayScenario(topo, mat, sc, ScenarioOptions{})
+	s, err := NewSession(topo, mat)
 	if err != nil {
-		t.Fatalf("ReplayScenario: %v", err)
+		t.Fatalf("NewSession: %v", err)
+	}
+	sc := DiurnalScenario(3, 4, 0.3, 0.1)
+	res, err := s.ReplayAll(context.Background(), sc)
+	if err != nil {
+		t.Fatalf("ReplayAll: %v", err)
 	}
 	if len(res.Epochs) != 4 || res.TotalSteps() == 0 {
 		t.Fatalf("replay shape wrong: %+v", res)
@@ -450,36 +413,28 @@ func TestFacadeScenarioReplay(t *testing.T) {
 			t.Fatalf("epoch %d lost utility: %+v", i, e)
 		}
 	}
-	// Hand-written timeline through the facade event constants.
+	// Hand-written timeline (the event kinds are internal/scenario's).
 	custom := Scenario{
 		Name: "facade-events", Seed: 1, Epochs: 3,
 		Events: []ScenarioEvent{
-			{Epoch: 1, Kind: EventLinkFail, Link: 0},
-			{Epoch: 2, Kind: EventLinkRecover, Link: 0},
+			{Epoch: 1, Kind: scenario.LinkFail, Link: 0},
+			{Epoch: 2, Kind: scenario.LinkRecover, Link: 0},
 		},
 	}
-	cres, err := ReplayScenario(topo, mat, custom, ScenarioOptions{})
+	cres, err := s.ReplayAll(context.Background(), custom)
 	if err != nil {
 		t.Fatalf("custom replay: %v", err)
 	}
 	if cres.Epochs[1].FailedLinks != 1 || cres.Epochs[2].FailedLinks != 0 {
 		t.Fatalf("failure timeline not reflected: %+v", cres.Epochs)
 	}
-	// Seed fan-out through the facade.
-	many, err := ReplayScenarioSeeds(topo, mat, sc, []int64{5, 6}, ScenarioOptions{Workers: 2})
-	if err != nil {
-		t.Fatalf("ReplayScenarioSeeds: %v", err)
-	}
-	if len(many) != 2 || many[0].Seed != 5 || many[1].Seed != 6 {
-		t.Fatalf("seed fan-out wrong: %+v", many)
-	}
-	// Warm-start repair exposed directly.
-	sol, err := Optimize(topo, mat, Options{})
+	// Warm-start repair of a session solution around a forbidden link.
+	sol, err := s.Optimize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	forb := ForbidLinks(topo, 0)
-	repaired, _, err := RepairWarmStart(topo, mat, sol.Bundles, Policy{ForbiddenLinks: forb}, 0)
+	forb := pathgen.ForbidLinks(topo, 0)
+	repaired, _, err := core.RepairWarmStart(topo, mat, sol.Bundles, Policy{ForbiddenLinks: forb}, 0)
 	if err != nil {
 		t.Fatalf("RepairWarmStart: %v", err)
 	}

@@ -10,9 +10,7 @@ import (
 )
 
 // benchWorkers is the worker count RunCandidateBench forces so the paired
-// timings don't contend for the CPU. It is recorded explicitly in the
-// result (CandidateBenchResult.Workers) so downstream JSON records report
-// what actually ran, not the caller's option.
+// timings don't contend for the CPU.
 const benchWorkers = 1
 
 // CandidateBenchResult is RunCandidateBench's record: the paired
@@ -32,13 +30,7 @@ type CandidateBenchResult struct {
 	// Identical reports whether every candidate's three utilities matched
 	// exactly.
 	Identical bool
-	// Workers is the worker count the bench actually ran with (forced to
-	// benchWorkers regardless of the caller's Options.Workers).
-	Workers int
-	// Delta is the run's incremental-evaluation counters, including the
-	// utility-only subsets (UtilityOnlyCalls/Fallbacks/Expansions) so the
-	// two incremental modes' fallback and expansion behavior can be told
-	// apart.
+	// Delta is the run's incremental-evaluation counters.
 	Delta flowmodel.DeltaStats
 }
 
@@ -65,8 +57,8 @@ func medianNs(ns []int64) int64 {
 // driving the run) — timing each and asserting all three agree bit for
 // bit. Only the scoring call is replaced: the run keeps its persistent
 // base like any other, so the differential also covers remapped and
-// rebased bases. Workers is forced to benchWorkers (recorded in the
-// result) so the timings don't contend for the CPU.
+// rebased bases. Workers is forced to benchWorkers so the timings don't
+// contend for the CPU.
 func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchResult, error) {
 	opts.Workers = benchWorkers
 	opts.DeltaEval = DeltaAuto
@@ -74,7 +66,7 @@ func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchRes
 	if err != nil {
 		return nil, err
 	}
-	r := &CandidateBenchResult{Identical: true, Workers: benchWorkers}
+	r := &CandidateBenchResult{Identical: true}
 	full := model.NewEval()
 	o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base) float64 {
 		// Rotate the measurement order per candidate: whichever path runs

@@ -160,9 +160,6 @@ func TestCandidateBenchDifferential(t *testing.T) {
 	if r.Delta.UtilityOnlyCalls != int64(r.Candidates()) {
 		t.Fatalf("utility-only delta calls %d != candidates %d", r.Delta.UtilityOnlyCalls, r.Candidates())
 	}
-	if r.Workers != 1 {
-		t.Fatalf("recorded Workers = %d, want the forced 1", r.Workers)
-	}
 	if len(r.UtilNs) != r.Candidates() {
 		t.Fatalf("utility timings %d != candidates %d", len(r.UtilNs), r.Candidates())
 	}

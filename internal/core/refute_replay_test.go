@@ -86,15 +86,17 @@ func TestRefutationMatchesFullEnumerationReplay(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/workers-%d/delta-%v", lg.name, workers, mode), func(t *testing.T) {
 					coreOpts := core.Options{Workers: workers, DeltaEval: mode}
 					replay := func() *scenario.Result {
-						var res *scenario.Result
-						var err error
+						opts := scenario.Options{Core: coreOpts, Replicas: 3, ColdStart: lg.cold}
+						var cp *scenario.ControlPlane
 						if lg.closed {
-							res, err = scenario.RunClosedLoop(context.Background(), lg.topo, lg.mat, lg.sc,
-								scenario.ClosedLoopOptions{Core: coreOpts, Replicas: 3, ColdStart: lg.cold})
-						} else {
-							res, err = scenario.Run(context.Background(), lg.topo, lg.mat, lg.sc,
-								scenario.Options{Core: coreOpts, ColdStart: lg.cold})
+							var err error
+							if cp, err = scenario.NewControlPlane(lg.topo, lg.mat, opts); err != nil {
+								t.Fatal(err)
+							}
+							defer cp.Close()
 						}
+						res, err := scenario.Run(lg.topo, lg.sc, opts, lg.closed,
+							scenario.Stream(context.Background(), cp, lg.topo, lg.mat, lg.sc, opts))
 						if err != nil {
 							t.Fatal(err)
 						}

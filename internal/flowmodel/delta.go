@@ -128,13 +128,8 @@ type DeltaStats struct {
 	// ListBundles accumulates the candidate list lengths of non-fallback
 	// calls, for computing the mean affected fraction.
 	ListBundles int64
-	// UtilityOnlyCalls counts the EvaluateDeltaUtility subset of Calls;
-	// UtilityOnlyFallbacks and UtilityOnlyExpansions are the corresponding
-	// subsets of Fallbacks and Expansions, so full-result and scoring-only
-	// activity can be told apart when attributing savings.
-	UtilityOnlyCalls      int64
-	UtilityOnlyFallbacks  int64
-	UtilityOnlyExpansions int64
+	// UtilityOnlyCalls counts the EvaluateDeltaUtility subset of Calls.
+	UtilityOnlyCalls int64
 }
 
 // Add accumulates other into s.
@@ -145,8 +140,6 @@ func (s *DeltaStats) Add(other DeltaStats) {
 	s.AffectedBundles += other.AffectedBundles
 	s.ListBundles += other.ListBundles
 	s.UtilityOnlyCalls += other.UtilityOnlyCalls
-	s.UtilityOnlyFallbacks += other.UtilityOnlyFallbacks
-	s.UtilityOnlyExpansions += other.UtilityOnlyExpansions
 }
 
 // DeltaStats returns the arena's cumulative incremental-evaluation
@@ -383,9 +376,6 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 	}
 	fallback := func() (*Result, bool) {
 		e.stats.Fallbacks++
-		if utilityOnly {
-			e.stats.UtilityOnlyFallbacks++
-		}
 		return e.Evaluate(bundles), true
 	}
 	nB := len(bundles)
@@ -649,7 +639,7 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 					d.propagate(base, bundles[bi].Edges)
 				}
 			}
-			e.noteExpansion(utilityOnly)
+			e.stats.Expansions++
 			continue
 		}
 		// Load-check the optimistically excluded links: link load is
@@ -692,7 +682,7 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 		if !promoted {
 			break
 		}
-		e.noteExpansion(utilityOnly)
+		e.stats.Expansions++
 	}
 	e.stats.AffectedBundles += int64(len(d.affected))
 	e.stats.ListBundles += int64(nB)
@@ -713,15 +703,6 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 		e.computeUtilization(res)
 	}
 	return res, false
-}
-
-// noteExpansion counts one optimistic-closure retry, attributed to the
-// calling mode.
-func (e *Eval) noteExpansion(utilityOnly bool) {
-	e.stats.Expansions++
-	if utilityOnly {
-		e.stats.UtilityOnlyExpansions++
-	}
 }
 
 // deltaRate reads a bundle's candidate rate: affected bundles' rates are

@@ -509,14 +509,14 @@ func TestDeltaUtilityStats(t *testing.T) {
 	if s.Calls != 3 || s.UtilityOnlyCalls != 2 {
 		t.Fatalf("calls %d / utility-only %d, want 3 / 2", s.Calls, s.UtilityOnlyCalls)
 	}
-	if s.Fallbacks != 1 || s.UtilityOnlyFallbacks != 1 {
-		t.Fatalf("fallbacks %d / utility-only %d, want 1 / 1", s.Fallbacks, s.UtilityOnlyFallbacks)
+	if s.Fallbacks != 1 {
+		t.Fatalf("fallbacks %d, want 1", s.Fallbacks)
 	}
 	var sum DeltaStats
 	sum.Add(s)
 	sum.Add(s)
-	if sum.UtilityOnlyCalls != 2*s.UtilityOnlyCalls || sum.UtilityOnlyExpansions != 2*s.UtilityOnlyExpansions {
-		t.Fatalf("Add dropped utility-only counters: %+v", sum)
+	if sum.UtilityOnlyCalls != 2*s.UtilityOnlyCalls || sum.Fallbacks != 2*s.Fallbacks {
+		t.Fatalf("Add dropped counters: %+v", sum)
 	}
 }
 

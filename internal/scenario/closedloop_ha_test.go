@@ -28,7 +28,7 @@ func TestClosedLoopHAKillStormDeterminism(t *testing.T) {
 		{1, core.DeltaOff},
 		{4, core.DeltaOff},
 	} {
-		res, err := RunClosedLoop(context.Background(), topo, mat, sc, ClosedLoopOptions{
+		res, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
 			Core:     core.Options{Workers: cfg.workers, DeltaEval: cfg.delta},
 			Replicas: 3,
 		})
@@ -80,13 +80,13 @@ func TestClosedLoopHAKillStormDeterminism(t *testing.T) {
 func TestClosedLoopHANoopOnSingleReplica(t *testing.T) {
 	topo, mat := ringInstance(t, 13)
 	sc := ControllerKillStorm(29, 4, 3)
-	a, err := RunClosedLoop(context.Background(), topo, mat, sc, ClosedLoopOptions{
+	a, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
 		Core: core.Options{Workers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunClosedLoop(context.Background(), topo, mat, sc, ClosedLoopOptions{
+	b, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
 		Core: core.Options{Workers: 4},
 	})
 	if err != nil {

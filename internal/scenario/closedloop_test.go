@@ -47,11 +47,11 @@ func TestClosedLoopDeterminism(t *testing.T) {
 		{1, core.DeltaAuto, true},
 		{4, core.DeltaAuto, true},
 	} {
-		opts := ClosedLoopOptions{Core: core.Options{Workers: cfg.workers, DeltaEval: cfg.delta}}
+		opts := Options{Core: core.Options{Workers: cfg.workers, DeltaEval: cfg.delta}}
 		if cfg.telemetry {
 			opts.Core.Telemetry = telemetry.New()
 		}
-		res, err := RunClosedLoop(context.Background(), topo, mat, sc, opts)
+		res, err := runClosedLoop(context.Background(), topo, mat, sc, opts)
 		if err != nil {
 			t.Fatalf("Workers=%d DeltaEval=%v telemetry=%v: %v", cfg.workers, cfg.delta, cfg.telemetry, err)
 		}
@@ -82,7 +82,7 @@ func TestClosedLoopCountsWireFlowMods(t *testing.T) {
 		Name: "quiet-then-fail", Seed: 3, Epochs: 4,
 		Events: []Event{{Epoch: 2, Kind: LinkFail, Link: 0}},
 	}
-	res, err := RunClosedLoop(context.Background(), topo, mat, sc, ClosedLoopOptions{
+	res, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
 		Core:         core.Options{Workers: 1},
 		DemandJitter: -1, // freeze true demand: epochs 1 and 3 are quiescent
 	})
@@ -133,9 +133,9 @@ func TestClosedLoopCountsWireFlowMods(t *testing.T) {
 func TestClosedLoopDeadlineBudget(t *testing.T) {
 	topo, mat := ringInstance(t, 7)
 	sc := Diurnal(9, 3, 0.3, 0)
-	res, err := RunClosedLoop(context.Background(), topo, mat, sc, ClosedLoopOptions{
-		Core:        core.Options{Workers: 1},
-		EpochBudget: time.Nanosecond,
+	res, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
+		Core:   core.Options{Workers: 1},
+		Budget: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,9 +160,9 @@ func TestClosedLoopDeadlineBudget(t *testing.T) {
 		}
 	}
 	// A generous budget misses nothing.
-	res2, err := RunClosedLoop(context.Background(), topo, mat, sc, ClosedLoopOptions{
-		Core:        core.Options{Workers: 1},
-		EpochBudget: time.Hour,
+	res2, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
+		Core:   core.Options{Workers: 1},
+		Budget: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestClosedLoopSRLGAndMaintenance(t *testing.T) {
 			{Epoch: 4, Kind: MaintenanceEnd, Link: -1},
 		},
 	}
-	res, err := RunClosedLoop(context.Background(), topo, mat, sc, ClosedLoopOptions{Core: core.Options{Workers: 1}})
+	res, err := runClosedLoop(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +253,11 @@ func TestScenarioSRLGEventsPlainReplay(t *testing.T) {
 			{Epoch: 4, Kind: MaintenanceEnd, Link: -1},
 		},
 	}
-	a, err := Run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 1}})
+	a, err := run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 2}})
+	b, err := run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +277,12 @@ func TestScenarioSRLGEventsPlainReplay(t *testing.T) {
 	// Undeclared groups are a validation error; a topology without SRLGs
 	// turns random SRLG events into no-ops.
 	bad := Scenario{Epochs: 1, Events: []Event{{Kind: SRLGFail, Group: "nope"}}}
-	if _, err := Run(context.Background(), topo, mat, bad, Options{}); err == nil {
+	if _, err := run(context.Background(), topo, mat, bad, Options{}); err == nil {
 		t.Error("undeclared SRLG accepted")
 	}
 	plainTopo, plainMat := ringInstance(t, 15)
 	noop := Scenario{Name: "noop", Seed: 1, Epochs: 2, Events: []Event{{Epoch: 1, Kind: SRLGFail}}}
-	rn, err := Run(context.Background(), plainTopo, plainMat, noop, Options{Core: core.Options{Workers: 1}})
+	rn, err := run(context.Background(), plainTopo, plainMat, noop, Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"strconv"
 	"time"
 
 	"fubar/internal/core"
 	"fubar/internal/flowmodel"
-	"fubar/internal/par"
 	"fubar/internal/pathgen"
 	"fubar/internal/telemetry"
 	"fubar/internal/topology"
@@ -59,10 +57,11 @@ type engine struct {
 	opts     Options
 	arrivals traffic.GenConfig
 
-	// faults receives ControllerFail / ControllerRecover events. Only a
-	// closed-loop replay wires one in (its ControlPlane); plain replays
-	// record the events as no-ops.
-	faults FaultInjector
+	// cl is the closed loop's half of the epoch: its stages run around the
+	// shared skeleton (see runEpoch) and ControllerFail / ControllerRecover
+	// events act on its control plane. nil in an open-loop replay, which
+	// skips the stages and records those events as no-ops.
+	cl *closedLoop
 
 	installed []keyedBundle
 
@@ -79,8 +78,8 @@ type engine struct {
 }
 
 // newEngine validates the instance and scenario and builds the replay
-// state shared by Run and RunClosedLoop.
-func newEngine(topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) (*engine, error) {
+// state; a non-nil cp puts that control plane in the loop.
+func newEngine(cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) (*engine, error) {
 	if topo == nil || mat == nil {
 		return nil, fmt.Errorf("scenario: nil topology or matrix")
 	}
@@ -125,6 +124,12 @@ func newEngine(topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts O
 	if t := opts.Core.Telemetry; t != nil {
 		en.tm = t.Scenario()
 		en.tracer = t.Tracer
+	}
+	if cp != nil {
+		if cp.rs == nil {
+			return nil, fmt.Errorf("scenario: closed control plane")
+		}
+		en.cl = &closedLoop{cp: cp, opts: opts.withDefaults(), seed: sc.Seed, cm: opts.Core.Telemetry.Ctrlplane()}
 	}
 	for i := 0; i < nL; i++ {
 		l := topo.Link(topology.LinkID(i))
@@ -189,20 +194,58 @@ func (en *engine) applyEpochEvents(byEpoch *timeline, epoch int, rng *rand.Rand)
 	return events, nil
 }
 
+// perEpoch, when set, runs on the engine before each epoch of every replay.
+// Nothing outside export_test.go sets it: it is how the tests express the
+// differential oracle "a fresh optimizer every epoch" over this one loop.
+var perEpoch func(*engine)
+
 // Stream replays the scenario over the start instance, yielding one
 // EpochResult per epoch as it completes — million-epoch timelines run in
 // O(1) memory, with the caller free to stop consuming at any point. The
-// base matrix must be bound to the base topology. Replays are
-// deterministic for a given (scenario, seed) at any worker count; only
-// EpochResult.Elapsed varies. Cancelling ctx stops the stream at the
-// next epoch (or candidate-batch) boundary with a final yielded error;
-// the epochs already yielded stand.
-func Stream(ctx context.Context, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) iter.Seq2[EpochResult, error] {
+// base matrix must be bound to the base topology.
+//
+// With a nil cp the replay is open loop: each epoch applies its events,
+// repairs the installed allocation onto the epoch instance and
+// re-optimizes it. With a control plane (NewControlPlane; the caller owns
+// and closes it) the same epoch runs the full deployment cycle:
+//
+//  1. the events are applied — ControllerFail / ControllerRecover act on
+//     cp — any failover they caused is settled against the switches' ack
+//     ledger, and the epoch's ground-truth instance is materialized;
+//  2. the previously installed allocation is repaired onto it
+//     (core.RepairWarmStart) and the repair pushed over the wire — the
+//     immediate failover reaction that keeps the network forwarding;
+//  3. the measurement loop advances the simulated network
+//     (internal/sdnsim) MeasureEpochs epochs, polls per-switch counters
+//     over the control protocol, and folds them into a traffic-matrix
+//     estimate (internal/measure);
+//  4. the *estimated* matrix is re-optimized warm-started from the
+//     repaired allocation under the per-epoch Budget, recording a
+//     deadline miss when the budget truncates;
+//  5. the transition is priced make-before-break (mpls.PlanTransition:
+//     transient double-reservation headroom, teardown counts) and the new
+//     allocation pushed differentially — only switches whose rule table
+//     changed receive a FlowMod, and every message and ack is counted and
+//     checked against the environment's own ledger;
+//  6. one more simulated epoch records the ground-truth utility the
+//     installed allocation actually achieves.
+//
+// The wire FlowMod counts are real message counts, not bundle-diff
+// estimates; each epoch's install records ride on EpochResult.Installs.
+//
+// With no Budget a replay is deterministic for a given (scenario, seed)
+// at any Core.Workers count and either DeltaEval mode; only
+// EpochResult.Elapsed varies. A control plane carries its switch tables
+// from one replay into the next, so the first repair push over a reused
+// one differs exactly as real re-used hardware would. Cancelling ctx stops
+// the stream at the next epoch (or candidate-batch) boundary with a final
+// yielded error; the epochs already yielded stand.
+func Stream(ctx context.Context, cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) iter.Seq2[EpochResult, error] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	return func(yield func(EpochResult, error) bool) {
-		en, err := newEngine(topo, mat, sc, opts)
+		en, err := newEngine(cp, topo, mat, sc, opts)
 		if err != nil {
 			yield(EpochResult{}, err)
 			return
@@ -219,7 +262,10 @@ func Stream(ctx context.Context, topo *topology.Topology, mat *traffic.Matrix, s
 				yield(EpochResult{}, err)
 				return
 			}
-			er, err := en.optimizeEpoch(ctx, epoch, events)
+			if perEpoch != nil {
+				perEpoch(en)
+			}
+			er, err := en.runEpoch(ctx, epoch, events)
 			if err != nil {
 				yield(EpochResult{}, fmt.Errorf("scenario: epoch %d: %w", epoch, err))
 				return
@@ -229,88 +275,6 @@ func Stream(ctx context.Context, topo *topology.Topology, mat *traffic.Matrix, s
 			}
 		}
 	}
-}
-
-// Run replays the scenario over the start instance and returns the
-// collected epoch table — Stream buffered into a Result for callers that
-// want the whole replay at once. A cancelled ctx surfaces as an error
-// (the partial table is discarded; stream with Stream to keep it).
-func Run(ctx context.Context, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) (*Result, error) {
-	res := &Result{Name: sc.Name, Seed: sc.Seed, ColdStart: opts.ColdStart}
-	if topo != nil {
-		res.Topology = topo.Summary()
-	}
-	return collectEpochs(res, Stream(ctx, topo, mat, sc, opts))
-}
-
-// collectEpochs drains a replay stream into res, folding per-epoch
-// install records into the result-level sequence log.
-func collectEpochs(res *Result, seq iter.Seq2[EpochResult, error]) (*Result, error) {
-	for er, err := range seq {
-		if err != nil {
-			return nil, err
-		}
-		res.Epochs = append(res.Epochs, er)
-		res.Installs = append(res.Installs, er.Installs...)
-	}
-	return res, nil
-}
-
-// RunSeeds replays the scenario once per seed (each run uses the
-// scenario with its Seed replaced), fanning the independent runs across
-// Options.Workers goroutines. Each run owns its engine, models and
-// arenas. When Core.Workers is left default, the worker budget is split
-// between the fan-out and within-run candidate evaluation (few seeds on
-// many cores still parallelize inside each replay); an explicit
-// Core.Workers is honored as-is. Results are ordered by seed index
-// regardless of completion order.
-func RunSeeds(ctx context.Context, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, seeds []int64, opts Options) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("scenario: no seeds")
-	}
-	if topo == nil || mat == nil {
-		return nil, fmt.Errorf("scenario: nil topology or matrix")
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	width := workers
-	if width > len(seeds) {
-		width = len(seeds)
-	}
-	runOpts := opts
-	if runOpts.Core.Workers <= 0 {
-		runOpts.Core.Workers = workers / width // >= 1
-	}
-	out := make([]*Result, len(seeds))
-	errs := make([]error, len(seeds))
-	par.ForEach(len(seeds), width, func(i int) {
-		s := sc
-		s.Seed = seeds[i]
-		out[i], errs[i] = Run(ctx, topo, mat, s, runOpts)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("scenario: seed %d: %w", seeds[i], err)
-		}
-	}
-	return out, nil
-}
-
-// FaultInjector receives controller fault events during a replay. A
-// closed-loop ControlPlane implements it; both methods return a human
-// description for the epoch's event log and must be deterministic no-ops
-// (description, nil) when the target cannot be acted on — scenarios are
-// replayed against control planes of any replica count.
-type FaultInjector interface {
-	// FailController kills the controller replica in the given seat.
-	FailController(replica int) (string, error)
-	// RecoverController re-seats a previously failed replica.
-	RecoverController(replica int) (string, error)
 }
 
 // apply mutates the engine state for one event and describes it.
@@ -483,16 +447,16 @@ func (en *engine) apply(e Event, rng *rand.Rand) (string, error) {
 		return fmt.Sprintf("maintenance-end %s", en.base.LinkName(id)), nil
 
 	case ControllerFail:
-		if en.faults == nil {
+		if en.cl == nil {
 			return fmt.Sprintf("controller-fail %d (no control plane)", e.Replica), nil
 		}
-		return en.faults.FailController(e.Replica)
+		return en.cl.cp.FailController(e.Replica), nil
 
 	case ControllerRecover:
-		if en.faults == nil {
+		if en.cl == nil {
 			return fmt.Sprintf("controller-recover %d (no control plane)", e.Replica), nil
 		}
-		return en.faults.RecoverController(e.Replica)
+		return en.cl.cp.RecoverController(e.Replica), nil
 	}
 	return "", fmt.Errorf("unknown event kind %d", uint8(e.Kind))
 }
@@ -706,19 +670,6 @@ func (en *engine) materialize() (*epochInstance, error) {
 	return &epochInstance{topo: topoE, mat: matE, keys: keys, opts: coreOpts}, nil
 }
 
-// newEpochResult starts the epoch row from the materialized instance.
-func (en *engine) newEpochResult(epoch int, events []string, inst *epochInstance) *EpochResult {
-	return &EpochResult{
-		Epoch:            epoch,
-		Events:           events,
-		Aggregates:       inst.mat.NumAggregates(),
-		Flows:            inst.mat.TotalFlows(),
-		DemandKbps:       float64(inst.mat.TotalDemand()),
-		FailedLinks:      len(en.failedOrder),
-		MaintenanceLinks: len(en.maintOrder),
-	}
-}
-
 // optimizer returns the replay's optimizer bound to model under opts: built
 // by the first epoch, re-bound by every later one. A fresh optimizer per
 // epoch (core.Run) produces the identical replay and is what the tests
@@ -787,19 +738,43 @@ func (en *engine) recordChurn(er *EpochResult, inst *epochInstance, bundles []fl
 	en.installed = next
 }
 
-// optimizeEpoch materializes the epoch instance, repairs and applies the
-// warm start, re-optimizes under ctx, and records the epoch row. A
+// runEpoch is the one epoch of every replay: materialize the epoch
+// instance, repair the carried allocation onto it, re-optimize under the
+// budget, record the row. With a control plane in the loop the closed
+// loop's stages run around that skeleton — failover settle before it,
+// repair push and measurement between repair and re-optimization (which
+// then runs on the estimated matrix), transition pricing, install and
+// ground-truth settle after it; without one they are skipped outright. A
 // cancelled context aborts the epoch (its partial optimization is
 // discarded) and surfaces the context's error.
-func (en *engine) optimizeEpoch(ctx context.Context, epoch int, events []string) (*EpochResult, error) {
+func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*EpochResult, error) {
 	var epochStart time.Time
 	if en.tm != nil {
 		epochStart = time.Now()
+	}
+	cl := en.cl
+	er := &EpochResult{Epoch: epoch, Events: events}
+	if cl != nil {
+		// The epoch's events (just applied) may have killed or recovered
+		// controller replicas: settle the failover before touching the
+		// environment, while the fabric still holds the ground truth the
+		// cached tables were installed under — the resync pushes must
+		// validate against it.
+		if err := cl.settle(ctx, er); err != nil {
+			return nil, err
+		}
 	}
 	inst, err := en.materialize()
 	if err != nil {
 		return nil, err
 	}
+	er.Aggregates = inst.mat.NumAggregates()
+	er.Flows = inst.mat.TotalFlows()
+	er.DemandKbps = float64(inst.mat.TotalDemand())
+	er.FailedLinks = len(en.failedOrder)
+	er.MaintenanceLinks = len(en.maintOrder)
+	// model is the epoch's ground truth: what an open loop optimizes, and
+	// what a closed loop only ever sees through counters.
 	model, err := flowmodel.New(inst.topo, inst.mat)
 	if err != nil {
 		return nil, err
@@ -808,26 +783,49 @@ func (en *engine) optimizeEpoch(ctx context.Context, epoch int, events []string)
 	if err != nil {
 		return nil, err
 	}
-	er := en.newEpochResult(epoch, events, inst)
 	repaired, err := en.repairInstalled(opt, inst, er)
 	if err != nil {
 		return nil, err
 	}
-	var initial []flowmodel.Bundle
-	if repaired != nil {
-		if en.opts.ColdStart {
-			// A cold run discards the repaired allocation, so its stale
-			// utility must be evaluated explicitly.
-			er.StaleUtility = model.Evaluate(repaired).NetworkUtility
-		} else {
-			// Warm runs skip the explicit stale evaluation: the optimizer's
-			// initial evaluation IS the repaired allocation (the warm
-			// start), read back below as Solution.InitialUtility.
-			initial = repaired
-			er.WarmStart = true
+	carried := repaired != nil
+	warm := carried && !en.opts.ColdStart
+	coldCarried := carried && en.opts.ColdStart
+	var oldRates []float64
+	if cl != nil {
+		if !carried {
+			// Nothing installed yet: repairing an empty allocation yields
+			// the all-on-lowest-delay placement, the state of a network
+			// before FUBAR runs — and the loop's first wire install.
+			if repaired, _, err = opt.RepairWarmStart(nil); err != nil {
+				return nil, err
+			}
 		}
+		if oldRates, err = cl.pushRepair(ctx, epoch, inst, model, repaired, er); err != nil {
+			return nil, err
+		}
+		estModel, err := cl.estimate(ctx, inst, er)
+		if err != nil {
+			return nil, err
+		}
+		// The stale evaluation pushRepair made stays: it ran on the true
+		// matrix, which the optimizer, driven by the estimate from here
+		// on, never sees.
+		if opt, err = en.optimizer(estModel, inst.opts); err != nil {
+			return nil, err
+		}
+	} else if coldCarried {
+		// A cold run discards the repaired allocation, so its stale
+		// utility must be evaluated explicitly.
+		er.StaleUtility = model.Evaluate(repaired).NetworkUtility
+	}
+	var initial []flowmodel.Bundle
+	if warm {
+		initial = repaired
+		er.WarmStart = true
 	}
 
+	// The budget is a context deadline under the replay's context, so an
+	// outer cancellation or deadline still wins.
 	runCtx := ctx
 	if en.opts.Budget > 0 {
 		var cancel context.CancelFunc
@@ -841,16 +839,26 @@ func (en *engine) optimizeEpoch(ctx context.Context, epoch int, events []string)
 	if err := ctx.Err(); err != nil {
 		return nil, err // the replay itself was cancelled or timed out
 	}
-	er.DeadlineMiss = sol.Stop == core.StopDeadline
-	if repaired == nil || er.WarmStart {
+	if cl == nil && !coldCarried {
+		// No explicit stale evaluation was needed: the optimizer's initial
+		// evaluation IS the stale allocation (the warm start, or epoch 0's
+		// shortest-path placement).
 		er.StaleUtility = sol.InitialUtility
 	}
+	er.DeadlineMiss = sol.Stop == core.StopDeadline
 	er.Utility = sol.Utility
 	er.Steps = sol.Steps
 	er.Escalations = sol.Escalations
 	er.Stop = sol.Stop
 	er.StopReason = sol.Stop.String()
 	er.Elapsed = sol.Elapsed
+	if cl != nil {
+		if err := cl.publish(ctx, epoch, inst, repaired, oldRates, sol, er); err != nil {
+			return nil, err
+		}
+	}
+	// Estimated churn (bundle-list diff; a closed loop also has the counted
+	// wire mods to compare it with), and carry the installed state forward.
 	en.recordChurn(er, inst, sol.Bundles)
 	en.recordEpochMetrics(er, epochStart)
 	return er, nil

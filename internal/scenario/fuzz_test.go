@@ -139,7 +139,7 @@ func FuzzScenarioApply(f *testing.F) {
 			events = append(events, e)
 		}
 		sc := Scenario{Name: "fuzz", Seed: seed, Epochs: epochs, Events: events}
-		en, err := newEngine(topo, mat, sc, Options{})
+		en, err := newEngine(nil, topo, mat, sc, Options{})
 		if err != nil {
 			return // engine rejected the timeline up front: fine
 		}

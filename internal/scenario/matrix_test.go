@@ -118,13 +118,13 @@ func TestScenarioMatrix(t *testing.T) {
 				}
 				var ref *Result
 				for _, workers := range workerCounts {
-					opts := ClosedLoopOptions{
-						Core:        core.Options{Workers: workers, DeltaEval: c.delta},
-						ColdStart:   c.cold,
-						Replicas:    c.replicas,
-						EpochBudget: c.budget,
+					opts := Options{
+						Core:      core.Options{Workers: workers, DeltaEval: c.delta},
+						ColdStart: c.cold,
+						Replicas:  c.replicas,
+						Budget:    c.budget,
 					}
-					res, err := RunClosedLoop(ctx, topo, mat, sc, opts)
+					res, err := runClosedLoop(ctx, topo, mat, sc, opts)
 					if err != nil {
 						t.Fatalf("Workers=%d: %v", workers, err)
 					}
@@ -158,11 +158,11 @@ func TestEpochWarmBaseBitIdentity(t *testing.T) {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
 		t.Run("plain/"+name, func(t *testing.T) {
-			warm, err := Run(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2}})
+			warm, err := run(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := Run(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2, DeltaEval: core.DeltaOff}})
+			full, err := run(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2, DeltaEval: core.DeltaOff}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,11 +171,11 @@ func TestEpochWarmBaseBitIdentity(t *testing.T) {
 			}
 		})
 		t.Run("closedloop/"+name, func(t *testing.T) {
-			warm, err := RunClosedLoop(ctx, topo, mat, sc, ClosedLoopOptions{Core: core.Options{Workers: 2}})
+			warm, err := runClosedLoop(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := RunClosedLoop(ctx, topo, mat, sc, ClosedLoopOptions{Core: core.Options{Workers: 2, DeltaEval: core.DeltaOff}})
+			full, err := runClosedLoop(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2, DeltaEval: core.DeltaOff}})
 			if err != nil {
 				t.Fatal(err)
 			}

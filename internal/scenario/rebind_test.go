@@ -3,8 +3,8 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,47 +12,6 @@ import (
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 )
-
-// rebuiltReplay replays sc epoch by epoch the way Stream and
-// StreamClosedLoopOn do, except that every epoch starts with the engine
-// holding no optimizer, so it builds a fresh one — generators, arenas, base
-// pair, scratch — as each epoch's core.Run used to. It is the oracle the
-// kept optimizer is compared against: nothing an epoch computes may depend
-// on what the optimizer did in the epochs before.
-func rebuiltReplay(topo *topology.Topology, mat *traffic.Matrix, sc Scenario, coreOpts core.Options, closed bool) (*Result, error) {
-	ctx := context.Background()
-	en, err := newEngine(topo, mat, sc, Options{Core: coreOpts})
-	if err != nil {
-		return nil, err
-	}
-	runEpoch := en.optimizeEpoch
-	if closed {
-		opts := ClosedLoopOptions{Core: coreOpts, Replicas: 3}.withDefaults()
-		cp, err := NewControlPlaneCfg(topo, mat, opts.SimEpoch, opts.Logger, ControlPlaneConfig{Replicas: opts.Replicas})
-		if err != nil {
-			return nil, err
-		}
-		defer cp.Close()
-		en.faults = cp
-		runEpoch = (&closedLoop{en: en, opts: opts, cp: cp, seed: sc.Seed}).runEpoch
-	}
-	res := &Result{Name: sc.Name, Seed: sc.Seed, ClosedLoop: closed}
-	tl := en.timeline()
-	for epoch := 0; epoch < sc.Epochs; epoch++ {
-		events, err := en.applyEpochEvents(tl, epoch, rand.New(rand.NewSource(epochSeed(sc.Seed, epoch))))
-		if err != nil {
-			return nil, err
-		}
-		en.opt = nil
-		er, err := runEpoch(ctx, epoch, events)
-		if err != nil {
-			return nil, fmt.Errorf("epoch %d: %w", epoch, err)
-		}
-		res.Epochs = append(res.Epochs, *er)
-		res.Installs = append(res.Installs, er.Installs...)
-	}
-	return res, nil
-}
 
 // replayPastLedgerRace runs a replay, and runs it again when it died of the
 // known control-plane ledger race (ROADMAP "Fix the controller-kill-storm
@@ -120,16 +79,16 @@ func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/workers-%d/delta-%v", lg.name, workers, mode), func(t *testing.T) {
 					coreOpts := core.Options{Workers: workers, DeltaEval: mode}
-					kept := replayPastLedgerRace(t, func() (*Result, error) {
+					replay := func() (*Result, error) {
 						if lg.closed {
-							return RunClosedLoop(context.Background(), lg.topo, lg.mat, lg.sc,
-								ClosedLoopOptions{Core: coreOpts, Replicas: 3})
+							return runClosedLoop(context.Background(), lg.topo, lg.mat, lg.sc,
+								Options{Core: coreOpts, Replicas: 3})
 						}
-						return Run(context.Background(), lg.topo, lg.mat, lg.sc, Options{Core: coreOpts})
-					})
-					rebuilt := replayPastLedgerRace(t, func() (*Result, error) {
-						return rebuiltReplay(lg.topo, lg.mat, lg.sc, coreOpts, lg.closed)
-					})
+						return run(context.Background(), lg.topo, lg.mat, lg.sc, Options{Core: coreOpts})
+					}
+					kept := replayPastLedgerRace(t, replay)
+					var rebuilt *Result
+					withFreshOptimizerPerEpoch(func() { rebuilt = replayPastLedgerRace(t, replay) })
 					if !kept.Equivalent(rebuilt) {
 						for i := range kept.Epochs {
 							a, b := kept.Epochs[i], rebuilt.Epochs[i]
@@ -153,6 +112,47 @@ func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 	}
 }
 
+// TestOpenAndClosedLoopShareTheTimeline pins what one epoch loop buys: the
+// timeline cursor, the per-epoch RNG and materialize are the same code in
+// both modes, so an open-loop and a closed-loop replay of one (scenario,
+// seed) apply the same events and optimize the same instances — only what
+// happens around the optimizer differs.
+func TestOpenAndClosedLoopShareTheTimeline(t *testing.T) {
+	topo, mat := matrixInstance(t)
+	for _, name := range []string{"crisis", "diurnal", "flashcrowd"} {
+		t.Run(name, func(t *testing.T) {
+			sc, err := ByName(name, 23, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Core: core.Options{Workers: 1}}
+			open, err := run(context.Background(), topo, mat, sc, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			closed, err := runClosedLoop(context.Background(), topo, mat, sc, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := 0
+			for i, o := range open.Epochs {
+				c := closed.Epochs[i]
+				if !slices.Equal(o.Events, c.Events) {
+					t.Errorf("epoch %d events: open %q, closed %q", i, o.Events, c.Events)
+				}
+				if o.Aggregates != c.Aggregates || o.Flows != c.Flows || o.DemandKbps != c.DemandKbps ||
+					o.FailedLinks != c.FailedLinks || o.MaintenanceLinks != c.MaintenanceLinks {
+					t.Errorf("epoch %d instance: open %+v, closed %+v", i, o, c)
+				}
+				events += len(o.Events)
+			}
+			if events == 0 {
+				t.Error("timeline applied no event; the comparison proves little")
+			}
+		})
+	}
+}
+
 // TestWarmEpochAllocationCeiling keeps the per-epoch rebuild from creeping
 // back: a warm epoch of benchmark/'s HE-31 crisis replay at Workers 1
 // allocates ≈0.45 MB on the engine's kept optimizer and ≈0.95 MB when the
@@ -170,7 +170,7 @@ func TestWarmEpochAllocationCeiling(t *testing.T) {
 	for seed := int64(41); seed < 44; seed++ {
 		sc := Crisis(seed, 8, 1.3, 3)
 		var before, after runtime.MemStats
-		for er, err := range Stream(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 1}}) {
+		for er, err := range Stream(context.Background(), nil, topo, mat, sc, Options{Core: core.Options{Workers: 1}}) {
 			if err != nil {
 				t.Fatal(err)
 			}

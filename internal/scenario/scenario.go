@@ -17,17 +17,20 @@
 //
 // All randomness inside a replay derives from a per-epoch RNG seeded by
 // mixing the scenario seed with the epoch index, so a scenario replays
-// bit-identically for a given seed at any Options.Workers or
-// Options.Core.Workers count (wall-clock fields aside).
+// bit-identically for a given seed at any Options.Core.Workers count
+// (wall-clock fields aside).
 package scenario
 
 import (
 	"fmt"
+	"iter"
+	"log/slog"
 	"math"
 	"reflect"
 	"time"
 
 	"fubar/internal/core"
+	"fubar/internal/ctrlplane"
 	"fubar/internal/graph"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
@@ -206,7 +209,8 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// Options tunes a replay. The zero value is usable.
+// Options tunes a replay, open loop or closed, and the control plane a
+// closed one runs over. The zero value is usable.
 type Options struct {
 	// Core configures each epoch's optimizer run. InitialBundles and
 	// Policy.ForbiddenLinks are managed by the engine (warm start and
@@ -214,24 +218,73 @@ type Options struct {
 	Core core.Options
 	// ColdStart disables warm starting: every epoch optimizes from the
 	// shortest-path placement. The stale-allocation utility is still
-	// recorded, so cold and warm replays stay comparable.
+	// recorded, so cold and warm replays stay comparable, and a closed
+	// loop still pushes the repair (the environment always needs a valid
+	// routing).
 	ColdStart bool
-	// Budget bounds each epoch's re-optimization wall time as a
-	// per-epoch context.WithTimeout under the replay's context; a
-	// truncated epoch publishes its best-so-far solution and records
-	// DeadlineMiss. 0 means unbounded. A real budget makes replays
-	// machine-dependent (see core.Options.Deadline).
+	// Budget bounds each epoch's re-optimization wall time — the paper's
+	// "re-optimize within the measurement interval" — as a per-epoch
+	// context.WithTimeout under the replay's context; a truncated epoch
+	// publishes its best-so-far solution and records DeadlineMiss (the
+	// cost of the early publish is Utility vs StaleUtility, and on the
+	// simulated network TrueUtility vs StaleTrueUtility). 0 means
+	// unbounded. A real budget makes replays machine-dependent (see
+	// core.Options.Deadline); leave it 0 when checking determinism.
 	Budget time.Duration
 	// Arrivals is the class mix AggregateArrive events draw from; the
 	// zero value means traffic.DefaultGenConfig, and anything else is
 	// validated up front (its Seed field is ignored — the per-epoch RNG
 	// drives the draws).
 	Arrivals traffic.GenConfig
-	// Workers bounds the RunSeeds fan-out (default GOMAXPROCS). A
-	// single Run is inherently sequential — every epoch warm-starts
-	// from the previous one — so within a run only Core.Workers
-	// parallelism applies.
-	Workers int
+
+	// The fields below are read by NewControlPlane and by replays handed
+	// the control plane it built; an open-loop replay ignores them.
+
+	// MeasureEpochs is how many simulator measurement epochs are polled
+	// and folded into the traffic-matrix estimate before each
+	// re-optimization (default 2).
+	MeasureEpochs int
+	// SimEpoch is the simulated measurement interval, advertised to the
+	// switch agents in the handshake (default 10s; scales byte counters
+	// only).
+	SimEpoch time.Duration
+	// DemandJitter is the simulator's per-epoch true-demand variation,
+	// invisible to the controller except through counters (default 0.1;
+	// negative disables). Deterministic per seed.
+	DemandJitter float64
+	// Replicas is the controller replica count (default 1). Switch
+	// ownership shards across replicas by rendezvous hashing, installs
+	// fan out and merge, and ControllerFail events need at least 2 to
+	// have any effect.
+	Replicas int
+	// RuleLease is the rule hard-timeout advertised to the switch
+	// agents; an agent orphaned past it applies LeasePolicy to its
+	// table. 0 disables the lease.
+	RuleLease time.Duration
+	// LeasePolicy selects fail-static (keep the stale table; default) or
+	// fail-closed (wipe it) at lease expiry.
+	LeasePolicy ctrlplane.FailPolicy
+	// Logger receives structured progress records (one per closed-loop
+	// epoch, with epoch/utility/wiremods fields) and the control plane's
+	// diagnostics; nil discards them.
+	Logger *slog.Logger
+}
+
+// withDefaults fills the control-plane defaults.
+func (o Options) withDefaults() Options {
+	if o.MeasureEpochs <= 0 {
+		o.MeasureEpochs = 2
+	}
+	if o.SimEpoch <= 0 {
+		o.SimEpoch = 10 * time.Second
+	}
+	if o.Replicas <= 0 {
+		o.Replicas = 1
+	}
+	if o.Logger == nil {
+		o.Logger = slog.New(slog.DiscardHandler)
+	}
+	return o
 }
 
 // EpochResult is one epoch of a replay. Two replays of the same scenario
@@ -291,7 +344,7 @@ type EpochResult struct {
 	// Epoch 0 reports the full initial installation.
 	//
 	// In a plain replay these are *estimates* derived by diffing bundle
-	// lists; a closed-loop replay (RunClosedLoop) additionally counts the
+	// lists; a closed-loop replay additionally counts the
 	// FlowMod messages actually exchanged with switches in WireFlowMods,
 	// which can differ: the wire protocol replaces whole per-switch
 	// tables, so one message covers every changed pair at that ingress,
@@ -300,7 +353,7 @@ type EpochResult struct {
 	FlowsMoved   int `json:"flows_moved"`
 	FlowMods     int `json:"flow_mods"`
 
-	// Closed-loop fields, populated only by RunClosedLoop (all zero in
+	// Closed-loop fields, populated only with a control plane in the loop (all zero in
 	// plain replays):
 	//
 	//   WireFlowMods — FlowMod messages actually written to switch
@@ -357,7 +410,7 @@ type Result struct {
 	// ColdStart records whether warm starting was disabled.
 	ColdStart bool `json:"cold_start"`
 	// ClosedLoop records whether the replay drove the control plane end
-	// to end (RunClosedLoop) rather than the bare optimizer.
+	// to end rather than the bare optimizer.
 	ClosedLoop bool `json:"closed_loop,omitempty"`
 	// Epochs holds one entry per epoch in order.
 	Epochs []EpochResult `json:"epochs"`
@@ -383,6 +436,26 @@ type InstallRecord struct {
 	FlowMods int `json:"flow_mods"`
 	Rules    int `json:"rules"`
 	Acks     int `json:"acks"`
+}
+
+// Run drains a replay stream (Stream of sc over topo under opts, with
+// a control plane in the loop or not) into its Result, folding per-epoch
+// install records into the result-level sequence log. A stream that ends
+// in an error — a cancelled ctx included — surfaces it and discards the
+// partial table; range over the stream to keep it.
+func Run(topo *topology.Topology, sc Scenario, opts Options, closedLoop bool, seq iter.Seq2[EpochResult, error]) (*Result, error) {
+	res := &Result{Name: sc.Name, Seed: sc.Seed, ColdStart: opts.ColdStart, ClosedLoop: closedLoop}
+	if topo != nil {
+		res.Topology = topo.Summary()
+	}
+	for er, err := range seq {
+		if err != nil {
+			return nil, err
+		}
+		res.Epochs = append(res.Epochs, er)
+		res.Installs = append(res.Installs, er.Installs...)
+	}
+	return res, nil
 }
 
 // TotalSteps sums committed optimizer moves over all epochs.

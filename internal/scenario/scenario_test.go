@@ -48,18 +48,18 @@ func TestDiurnalHEReplay(t *testing.T) {
 	topo, mat := heInstance(t)
 	sc := Diurnal(7, 20, 0.4, 0.1)
 
-	warm1, err := Run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 1}})
+	warm1, err := run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		t.Fatalf("warm Workers=1: %v", err)
 	}
-	warm4, err := Run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 4}})
+	warm4, err := run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 4}})
 	if err != nil {
 		t.Fatalf("warm Workers=4: %v", err)
 	}
 	if !warm1.Equivalent(warm4) {
 		t.Fatalf("epoch tables differ across worker counts:\n w1=%+v\n w4=%+v", warm1.Epochs, warm4.Epochs)
 	}
-	cold, err := Run(context.Background(), topo, mat, sc, Options{ColdStart: true, Core: core.Options{Workers: 1}})
+	cold, err := run(context.Background(), topo, mat, sc, Options{ColdStart: true, Core: core.Options{Workers: 1}})
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -91,11 +91,11 @@ func TestReplayDeterminismSmall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := Run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 1}})
+		a, err := run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 1}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b, err := Run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 2}})
+		b, err := run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 2}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -110,7 +110,7 @@ func TestReplayDeterminismSmall(t *testing.T) {
 // the previous epoch's utility (self-pairs included in the stale eval).
 func TestQuiescentEpochIsFree(t *testing.T) {
 	topo, mat := ringInstance(t, 5)
-	res, err := Run(context.Background(), topo, mat, Scenario{Name: "quiet", Seed: 1, Epochs: 3}, Options{Core: core.Options{Workers: 1}})
+	res, err := run(context.Background(), topo, mat, Scenario{Name: "quiet", Seed: 1, Epochs: 3}, Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestExplicitFailureEpisode(t *testing.T) {
 			{Epoch: 3, Kind: LinkRecover, Link: 0},
 		},
 	}
-	res, err := Run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 1}})
+	res, err := run(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,43 +157,6 @@ func TestExplicitFailureEpisode(t *testing.T) {
 	}
 	if res.Epochs[3].Utility < res.Epochs[2].Utility {
 		t.Errorf("recovery lowered utility: %.4f -> %.4f", res.Epochs[2].Utility, res.Epochs[3].Utility)
-	}
-}
-
-// TestRunSeeds: the fan-out returns results ordered by seed index,
-// identical at any worker count, and distinct seeds genuinely differ.
-func TestRunSeeds(t *testing.T) {
-	topo, mat := ringInstance(t, 9)
-	sc := Diurnal(0, 4, 0.3, 0.2)
-	seeds := []int64{10, 20, 30}
-	serial, err := RunSeeds(context.Background(), topo, mat, sc, seeds, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSeeds(context.Background(), topo, mat, sc, seeds, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(seeds) || len(parallel) != len(seeds) {
-		t.Fatalf("lengths: %d / %d, want %d", len(serial), len(parallel), len(seeds))
-	}
-	differ := false
-	for i := range seeds {
-		if serial[i].Seed != seeds[i] {
-			t.Errorf("result %d has seed %d, want %d", i, serial[i].Seed, seeds[i])
-		}
-		if !serial[i].Equivalent(parallel[i]) {
-			t.Errorf("seed %d: tables differ across fan-out widths", seeds[i])
-		}
-		if i > 0 && !serial[i].Equivalent(serial[0]) {
-			differ = true
-		}
-	}
-	if !differ {
-		t.Error("all seeds produced identical replays (suspicious: churn should differ)")
-	}
-	if _, err := RunSeeds(context.Background(), topo, mat, sc, nil, Options{}); err == nil {
-		t.Error("empty seed list accepted")
 	}
 }
 
@@ -218,7 +181,7 @@ func TestScenarioValidate(t *testing.T) {
 	}
 	topo, mat := ringInstance(t, 1)
 	bad := Scenario{Epochs: 1, Events: []Event{{Kind: LinkFail, Link: topology.LinkID(topo.NumLinks())}}}
-	if _, err := Run(context.Background(), topo, mat, bad, Options{}); err == nil {
+	if _, err := run(context.Background(), topo, mat, bad, Options{}); err == nil {
 		t.Error("out-of-range link accepted")
 	}
 }

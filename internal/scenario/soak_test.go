@@ -56,7 +56,7 @@ func TestSoakStreamBoundedMemory(t *testing.T) {
 	interval := epochs / 8
 	var samples []uint64
 	n := 0
-	for er, err := range Stream(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 2}}) {
+	for er, err := range Stream(context.Background(), nil, topo, mat, sc, Options{Core: core.Options{Workers: 2}}) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestSoakStreamBoundedMemory(t *testing.T) {
 
 // TestSoakClosedLoopBoundedMemory is the closed-loop variant: the full
 // control plane (fabric, measurement, wire installs) rides a long soak
-// timeline with a flat heap watermark, proving StreamClosedLoop holds
+// timeline with a flat heap watermark, proving a closed-loop Stream holds
 // the same O(1) contract while also keeping its wire ledger reconciled
 // every epoch.
 func TestSoakClosedLoopBoundedMemory(t *testing.T) {
@@ -89,7 +89,7 @@ func TestSoakClosedLoopBoundedMemory(t *testing.T) {
 	interval := epochs / 8
 	var samples []uint64
 	n := 0
-	for er, err := range StreamClosedLoop(context.Background(), topo, mat, sc, ClosedLoopOptions{Core: core.Options{Workers: 2}}) {
+	for er, err := range streamClosedLoop(context.Background(), topo, mat, sc, Options{Core: core.Options{Workers: 2}}) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestSoakClosedLoopBoundedMemory(t *testing.T) {
 func TestSoakRecyclesOneBase(t *testing.T) {
 	topo, mat := matrixInstance(t)
 	sc := Soak(9, 200, 10)
-	en, err := newEngine(topo, mat, sc, Options{Core: core.Options{Workers: 1}})
+	en, err := newEngine(nil, topo, mat, sc, Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSoakRecyclesOneBase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := en.optimizeEpoch(context.Background(), epoch, events); err != nil {
+		if _, err := en.runEpoch(context.Background(), epoch, events); err != nil {
 			t.Fatal(err)
 		}
 		if en.opt == nil {

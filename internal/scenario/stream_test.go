@@ -36,12 +36,12 @@ func streamInstance(t *testing.T) (*topology.Topology, *traffic.Matrix) {
 func TestStreamMatchesRun(t *testing.T) {
 	topo, mat := streamInstance(t)
 	sc := Diurnal(5, 6, 0.4, 0.15)
-	ref, err := Run(context.Background(), topo, mat, sc, Options{Core: coreOpts1()})
+	ref, err := run(context.Background(), topo, mat, sc, Options{Core: coreOpts1()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []EpochResult
-	for er, err := range Stream(context.Background(), topo, mat, sc, Options{Core: coreOpts1()}) {
+	for er, err := range Stream(context.Background(), nil, topo, mat, sc, Options{Core: coreOpts1()}) {
 		if err != nil {
 			t.Fatalf("stream: %v", err)
 		}
@@ -66,7 +66,7 @@ func TestStreamCancel(t *testing.T) {
 	defer cancel()
 	var done int
 	var final error
-	for er, err := range Stream(ctx, topo, mat, sc, Options{Core: coreOpts1()}) {
+	for er, err := range Stream(ctx, nil, topo, mat, sc, Options{Core: coreOpts1()}) {
 		if err != nil {
 			final = err
 			continue
@@ -90,7 +90,7 @@ func TestStreamEarlyBreak(t *testing.T) {
 	topo, mat := streamInstance(t)
 	sc := Diurnal(5, 8, 0.4, 0.15)
 	n := 0
-	for _, err := range Stream(context.Background(), topo, mat, sc, Options{Core: coreOpts1()}) {
+	for _, err := range Stream(context.Background(), nil, topo, mat, sc, Options{Core: coreOpts1()}) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func coreOpts1() core.Options {
 func TestPlainReplayBudget(t *testing.T) {
 	topo, mat := streamInstance(t)
 	sc := Diurnal(5, 3, 0.4, 0)
-	res, err := Run(context.Background(), topo, mat, sc, Options{Core: coreOpts1(), Budget: time.Nanosecond})
+	res, err := run(context.Background(), topo, mat, sc, Options{Core: coreOpts1(), Budget: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPlainReplayBudget(t *testing.T) {
 		}
 	}
 	// Without a budget the replay is unaffected and never records a miss.
-	free, err := Run(context.Background(), topo, mat, sc, Options{Core: coreOpts1()})
+	free, err := run(context.Background(), topo, mat, sc, Options{Core: coreOpts1()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestTableGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunClosedLoop(context.Background(), topo, mat, sc, ClosedLoopOptions{
+	res, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
 		Core: core.Options{Workers: 1},
 	})
 	if err != nil {

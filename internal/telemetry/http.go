@@ -4,7 +4,20 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
+
+// NewServer wraps h in the server every command listens with: it gives up
+// on a peer which opens a connection and never finishes its request
+// headers, or holds a keep-alive connection idle. There is deliberately no
+// write timeout: /trace and a daemon replay stream for as long as they run.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
 
 // MetricsHandler serves one registry's Prometheus text exposition — the
 // per-registry building block. The daemon mounts one per tenant (each

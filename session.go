@@ -11,8 +11,6 @@ import (
 	"fubar/internal/core"
 	"fubar/internal/flowmodel"
 	"fubar/internal/scenario"
-	"fubar/internal/telemetry"
-	"fubar/internal/traffic"
 )
 
 // Session is the library's long-lived, context-first handle for one
@@ -49,20 +47,12 @@ type Session struct {
 	traj  *scenario.TrajectoryRecorder
 }
 
-// sessionConfig is the assembled option state.
+// sessionConfig is the assembled option state: the one replay options
+// struct the With* options write into directly and every replay (and the
+// control plane) is handed as is, plus what only the session reads.
 type sessionConfig struct {
-	core          core.Options
-	cold          bool
-	arrivals      traffic.GenConfig
-	budget        time.Duration
-	measureEpochs int
-	simEpoch      time.Duration
-	demandJitter  float64
-	replicas      int
-	ruleLease     time.Duration
-	leasePolicy   FailPolicy
-	logger        *slog.Logger
-	trajPoints    int
+	scenario.Options
+	trajPoints int
 }
 
 // SessionOption configures a Session at construction
@@ -73,19 +63,7 @@ type SessionOption func(*sessionConfig)
 // optimization step, each with a private evaluation arena (default
 // GOMAXPROCS). Any value commits the identical move sequence.
 func WithWorkers(n int) SessionOption {
-	return func(c *sessionConfig) { c.core.Workers = n }
-}
-
-// WithPolicy constrains generated paths (§2.4 "policy compliant").
-func WithPolicy(p Policy) SessionOption {
-	return func(c *sessionConfig) { c.core.Policy = p }
-}
-
-// WithDeltaEval selects the candidate-evaluation strategy (default
-// DeltaAuto: exact incremental evaluation with a session-persistent
-// base).
-func WithDeltaEval(m DeltaMode) SessionOption {
-	return func(c *sessionConfig) { c.core.DeltaEval = m }
+	return func(c *sessionConfig) { c.Core.Workers = n }
 }
 
 // WithBudget bounds each optimization's wall-clock time: every Optimize
@@ -95,7 +73,7 @@ func WithDeltaEval(m DeltaMode) SessionOption {
 // (DeadlineMiss on closed-loop epochs). Wall-clock budgets make runs
 // machine-dependent; leave unset when checking determinism.
 func WithBudget(d time.Duration) SessionOption {
-	return func(c *sessionConfig) { c.budget = d }
+	return func(c *sessionConfig) { c.Budget = d }
 }
 
 // WithObserver registers a progress callback invoked after the initial
@@ -108,7 +86,7 @@ func WithBudget(d time.Duration) SessionOption {
 // write caller state without synchronization. A race test pins this
 // contract.
 func WithObserver(fn func(Snapshot)) SessionOption {
-	return func(c *sessionConfig) { c.core.Trace = fn }
+	return func(c *sessionConfig) { c.Core.Trace = fn }
 }
 
 // ProgressObserver adapts a structured logger into a WithObserver
@@ -138,33 +116,14 @@ func ProgressObserver(l *slog.Logger, every int) func(Snapshot) {
 // hatch for tuning knobs without a dedicated option. Later options
 // still apply on top.
 func WithOptions(opts Options) SessionOption {
-	return func(c *sessionConfig) { c.core = opts }
+	return func(c *sessionConfig) { c.Core = opts }
 }
 
 // WithColdStart makes replays re-optimize every epoch from the
 // shortest-path placement instead of warm-starting from the installed
 // allocation, and makes Optimize ignore the previous solution.
 func WithColdStart() SessionOption {
-	return func(c *sessionConfig) { c.cold = true }
-}
-
-// WithArrivals sets the class mix AggregateArrive scenario events draw
-// from (default: the paper's §3 mix).
-func WithArrivals(cfg GenConfig) SessionOption {
-	return func(c *sessionConfig) { c.arrivals = cfg }
-}
-
-// WithMeasurement tunes the closed-loop measurement plane: how many
-// simulator epochs are polled into the traffic-matrix estimate before
-// each re-optimization (default 2), the simulated measurement interval
-// (default 10s), and the per-epoch true-demand jitter invisible to the
-// controller except through counters (default 0.1; negative disables).
-func WithMeasurement(measureEpochs int, simEpoch time.Duration, demandJitter float64) SessionOption {
-	return func(c *sessionConfig) {
-		c.measureEpochs = measureEpochs
-		c.simEpoch = simEpoch
-		c.demandJitter = demandJitter
-	}
+	return func(c *sessionConfig) { c.ColdStart = true }
 }
 
 // WithReplicas sets the controller replica count of the closed-loop
@@ -175,7 +134,7 @@ func WithMeasurement(measureEpochs int, simEpoch time.Duration, demandJitter flo
 // into deterministic no-ops. Takes effect when ReplayClosedLoop builds
 // the control plane on first use.
 func WithReplicas(n int) SessionOption {
-	return func(c *sessionConfig) { c.replicas = n }
+	return func(c *sessionConfig) { c.Replicas = n }
 }
 
 // WithRuleLease arms the switch agents' fail-safe: an agent that loses
@@ -185,7 +144,7 @@ func WithReplicas(n int) SessionOption {
 // lease. Takes effect when ReplayClosedLoop builds the control plane on
 // first use.
 func WithRuleLease(d time.Duration, policy FailPolicy) SessionOption {
-	return func(c *sessionConfig) { c.ruleLease = d; c.leasePolicy = policy }
+	return func(c *sessionConfig) { c.RuleLease = d; c.LeasePolicy = policy }
 }
 
 // WithTrajectory makes the session record a downsampled Trajectory of
@@ -205,18 +164,7 @@ func WithTrajectory(points int) SessionOption {
 // rather than pre-formatted text, so handlers can route them to stderr
 // or JSON sinks without interleaving with -json output on stdout.
 func WithLogger(l *slog.Logger) SessionOption {
-	return func(c *sessionConfig) { c.logger = l }
-}
-
-// WithLogf directs the session's progress lines to a printf-style
-// sink.
-//
-// Deprecated: use WithLogger. WithLogf wraps fn in a slog handler that
-// renders each record as "msg key=value ..." and forwards it in a
-// single fn call; structured handlers (slog.NewJSONHandler, …) are
-// strictly more capable.
-func WithLogf(fn func(string, ...any)) SessionOption {
-	return func(c *sessionConfig) { c.logger = telemetry.LogfLogger(fn) }
+	return func(c *sessionConfig) { c.Logger = l }
 }
 
 // WithTelemetry attaches a metrics registry and tracer to the session:
@@ -227,7 +175,7 @@ func WithLogf(fn func(string, ...any)) SessionOption {
 // are bit-identical with and without it — and disabled (nil) telemetry
 // costs nothing on the hot path.
 func WithTelemetry(t *Telemetry) SessionOption {
-	return func(c *sessionConfig) { c.core.Telemetry = t }
+	return func(c *sessionConfig) { c.Core.Telemetry = t }
 }
 
 // NewSession builds the session state — traffic model, path generator,
@@ -240,15 +188,15 @@ func NewSession(topo *Topology, mat *Matrix, opts ...SessionOption) (*Session, e
 	for _, o := range opts {
 		o(&s.cfg)
 	}
-	if s.cfg.logger == nil {
-		s.cfg.logger = slog.New(slog.DiscardHandler)
+	if s.cfg.Logger == nil {
+		s.cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	model, err := flowmodel.New(topo, mat)
 	if err != nil {
 		return nil, err
 	}
 	s.model = model
-	opt, err := core.New(model, s.cfg.core)
+	opt, err := core.New(model, s.cfg.Core)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +224,7 @@ func (s *Session) Last() *Solution { return s.last }
 // JSON-marshalable value, safe to retain. Without WithTelemetry it is
 // empty.
 func (s *Session) Metrics() MetricsSnapshot {
-	return s.cfg.core.Telemetry.Snapshot()
+	return s.cfg.Core.Telemetry.Snapshot()
 }
 
 // Reset drops the session's warm state: the next Optimize starts from
@@ -299,8 +247,8 @@ func (s *Session) withBudget(ctx context.Context) (context.Context, context.Canc
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.cfg.budget > 0 {
-		return context.WithTimeout(ctx, s.cfg.budget)
+	if s.cfg.Budget > 0 {
+		return context.WithTimeout(ctx, s.cfg.Budget)
 	}
 	return ctx, func() {}
 }
@@ -317,8 +265,8 @@ func (s *Session) withBudget(ctx context.Context) (context.Context, context.Canc
 func (s *Session) Optimize(ctx context.Context) (*Solution, error) {
 	ctx, cancel := s.withBudget(ctx)
 	defer cancel()
-	initial := s.cfg.core.InitialBundles
-	if s.last != nil && !s.cfg.cold {
+	initial := s.cfg.Core.InitialBundles
+	if s.last != nil && !s.cfg.ColdStart {
 		initial = s.last.Bundles
 	}
 	sol, err := s.opt.RunWarm(ctx, initial)
@@ -326,7 +274,7 @@ func (s *Session) Optimize(ctx context.Context) (*Solution, error) {
 		return nil, err
 	}
 	s.last = sol
-	s.cfg.logger.Info("optimize: done",
+	s.cfg.Logger.Info("optimize: done",
 		"utility", sol.Utility, "steps", sol.Steps, "stop", sol.Stop.String())
 	return sol, nil
 }
@@ -342,17 +290,7 @@ func (s *Session) Anneal(ctx context.Context, opts AnnealOptions) (*AnnealSoluti
 // opts.Seed..opts.Seed+n-1) across the session's worker budget, each on
 // a private arena; results are identical at any worker count.
 func (s *Session) AnnealRestarts(ctx context.Context, opts AnnealOptions, n int) (*AnnealRestartsResult, error) {
-	return anneal.RunRestarts(ctx, s.model, opts, n, s.cfg.core.Workers)
-}
-
-// scenOpts assembles the replay options from the session config.
-func (s *Session) scenOpts() scenario.Options {
-	return scenario.Options{
-		Core:      s.cfg.core,
-		ColdStart: s.cfg.cold,
-		Arrivals:  s.cfg.arrivals,
-		Budget:    s.cfg.budget,
-	}
+	return anneal.RunRestarts(ctx, s.model, opts, n, s.cfg.Core.Workers)
 }
 
 // Replay replays a scenario timeline over the session instance through
@@ -362,7 +300,7 @@ func (s *Session) scenOpts() scenario.Options {
 // Cancelling ctx ends the stream at the next epoch or candidate-batch
 // boundary with a final yielded error; epochs already yielded stand.
 func (s *Session) Replay(ctx context.Context, sc Scenario) iter.Seq2[EpochRecord, error] {
-	return s.recordTrajectory(sc, scenario.Stream(ctx, s.topo, s.mat, sc, s.scenOpts()))
+	return s.recordTrajectory(sc, scenario.Stream(ctx, nil, s.topo, s.mat, sc, s.cfg.Options))
 }
 
 // recordTrajectory wraps a replay stream with the session's trajectory
@@ -402,8 +340,7 @@ func (s *Session) Trajectory() Trajectory {
 // ReplayAll is Replay collected into a ScenarioResult for callers that
 // want the whole epoch table at once (tables, JSON records).
 func (s *Session) ReplayAll(ctx context.Context, sc Scenario) (*ScenarioResult, error) {
-	res := &ScenarioResult{Name: sc.Name, Seed: sc.Seed, Topology: s.topo.Summary(), ColdStart: s.cfg.cold}
-	return collectEpochs(res, s.Replay(ctx, sc))
+	return scenario.Run(s.topo, sc, s.cfg.Options, false, s.Replay(ctx, sc))
 }
 
 // ReplayClosedLoop replays a scenario with the SDN control plane in the
@@ -416,49 +353,18 @@ func (s *Session) ReplayAll(ctx context.Context, sc Scenario) (*ScenarioResult, 
 // would. Close releases it.
 func (s *Session) ReplayClosedLoop(ctx context.Context, sc Scenario) iter.Seq2[EpochRecord, error] {
 	if s.cp == nil {
-		cp, err := scenario.NewControlPlaneCfg(s.topo, s.mat, s.cfg.simEpoch, s.cfg.logger, scenario.ControlPlaneConfig{
-			Replicas:    s.cfg.replicas,
-			RuleLease:   s.cfg.ruleLease,
-			LeasePolicy: s.cfg.leasePolicy,
-		})
+		cp, err := scenario.NewControlPlane(s.topo, s.mat, s.cfg.Options)
 		if err != nil {
 			return func(yield func(EpochRecord, error) bool) { yield(EpochRecord{}, err) }
 		}
 		s.cp = cp
 	}
-	opts := scenario.ClosedLoopOptions{
-		Core:          s.cfg.core,
-		ColdStart:     s.cfg.cold,
-		Arrivals:      s.cfg.arrivals,
-		EpochBudget:   s.cfg.budget,
-		MeasureEpochs: s.cfg.measureEpochs,
-		SimEpoch:      s.cfg.simEpoch,
-		DemandJitter:  s.cfg.demandJitter,
-		Logger:        s.cfg.logger,
-	}
-	return s.recordTrajectory(sc, scenario.StreamClosedLoopOn(ctx, s.cp, s.topo, s.mat, sc, opts))
+	return s.recordTrajectory(sc, scenario.Stream(ctx, s.cp, s.topo, s.mat, sc, s.cfg.Options))
 }
 
 // ReplayClosedLoopAll is ReplayClosedLoop collected into a
 // ScenarioResult, with the install sequence folded into
 // ScenarioResult.Installs.
 func (s *Session) ReplayClosedLoopAll(ctx context.Context, sc Scenario) (*ScenarioResult, error) {
-	res := &ScenarioResult{
-		Name: sc.Name, Seed: sc.Seed, Topology: s.topo.Summary(),
-		ColdStart: s.cfg.cold, ClosedLoop: true,
-	}
-	return collectEpochs(res, s.ReplayClosedLoop(ctx, sc))
-}
-
-// collectEpochs drains a replay stream into res, folding per-epoch
-// install records into the result-level sequence log.
-func collectEpochs(res *ScenarioResult, seq iter.Seq2[EpochRecord, error]) (*ScenarioResult, error) {
-	for er, err := range seq {
-		if err != nil {
-			return nil, err
-		}
-		res.Epochs = append(res.Epochs, er)
-		res.Installs = append(res.Installs, er.Installs...)
-	}
-	return res, nil
+	return scenario.Run(s.topo, sc, s.cfg.Options, true, s.ReplayClosedLoop(ctx, sc))
 }

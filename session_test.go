@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"fubar"
+	"fubar/internal/core"
+	"fubar/internal/scenario"
 )
 
 func sessionInstance(t *testing.T) (*fubar.Topology, *fubar.Matrix) {
@@ -26,16 +28,16 @@ func sessionInstance(t *testing.T) (*fubar.Topology, *fubar.Matrix) {
 }
 
 // TestSessionOptimizeMatchesFreeFunction proves the Session path commits
-// the exact solution of the deprecated free-function path, and that a
-// second Optimize warm-starts from the first (the long-lived-controller
-// idempotence the Session exists for).
+// the exact solution of the optimizer's own free function (core.Run on the
+// same model), and that a second Optimize warm-starts from the first (the
+// long-lived-controller idempotence the Session exists for).
 func TestSessionOptimizeMatchesFreeFunction(t *testing.T) {
 	topo, mat := sessionInstance(t)
-	old, err := fubar.Optimize(topo, mat, fubar.Options{Workers: 1})
+	s, err := fubar.NewSession(topo, mat, fubar.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := fubar.NewSession(topo, mat, fubar.WithWorkers(1))
+	old, err := core.Run(context.Background(), s.Model(), core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +65,12 @@ func TestSessionOptimizeMatchesFreeFunction(t *testing.T) {
 }
 
 // TestSessionReplayStreamsAndMatches proves Session.Replay yields the
-// epochs ReplayScenario returns, epoch by epoch.
+// epochs the scenario layer's own stream produces, epoch by epoch.
 func TestSessionReplayStreamsAndMatches(t *testing.T) {
 	topo, mat := sessionInstance(t)
 	day := fubar.DiurnalScenario(7, 5, 0.4, 0.15)
-	old, err := fubar.ReplayScenario(topo, mat, day, fubar.ScenarioOptions{Core: fubar.Options{Workers: 1}})
+	opts := scenario.Options{Core: core.Options{Workers: 1}}
+	old, err := scenario.Run(topo, day, opts, false, scenario.Stream(context.Background(), nil, topo, mat, day, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestSessionReplayStreamsAndMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equivalent(old) {
-		t.Fatalf("session replay diverged from ReplayScenario:\n new=%+v\n old=%+v", got.Epochs, old.Epochs)
+		t.Fatalf("session replay diverged from scenario.Stream:\n new=%+v\n old=%+v", got.Epochs, old.Epochs)
 	}
 }
 
@@ -89,25 +92,28 @@ func closedLoopScenario(seed int64) fubar.Scenario {
 	return fubar.Scenario{
 		Name: "mixed", Seed: seed, Epochs: 4,
 		Events: []fubar.ScenarioEvent{
-			{Epoch: 0, Kind: fubar.EventDemandScale, Factor: 0.9},
-			{Epoch: 1, Kind: fubar.EventLinkFail, Link: 0},
-			{Epoch: 2, Kind: fubar.EventDemandScale, Factor: 1.2},
-			{Epoch: 3, Kind: fubar.EventLinkRecover, Link: 0},
+			{Epoch: 0, Kind: scenario.DemandScale, Factor: 0.9},
+			{Epoch: 1, Kind: scenario.LinkFail, Link: 0},
+			{Epoch: 2, Kind: scenario.DemandScale, Factor: 1.2},
+			{Epoch: 3, Kind: scenario.LinkRecover, Link: 0},
 		},
 	}
 }
 
 // TestSessionClosedLoopMatchesFreeFunction is the acceptance check: a
 // same-seed uncancelled Session.ReplayClosedLoop is bit-identical to
-// the deprecated ReplayScenarioClosedLoop output (epoch table and
-// install sequence), while streaming epoch by epoch instead of
-// buffering.
+// the scenario layer's own stream over a control plane of its own (epoch
+// table and install sequence).
 func TestSessionClosedLoopMatchesFreeFunction(t *testing.T) {
 	topo, mat := sessionInstance(t)
 	sc := closedLoopScenario(21)
-	old, err := fubar.ReplayScenarioClosedLoop(topo, mat, sc, fubar.ClosedLoopOptions{
-		Core: fubar.Options{Workers: 1},
-	})
+	opts := scenario.Options{Core: core.Options{Workers: 1}}
+	cp, err := scenario.NewControlPlane(topo, mat, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	old, err := scenario.Run(topo, sc, opts, true, scenario.Stream(context.Background(), cp, topo, mat, sc, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestSessionClosedLoopMatchesFreeFunction(t *testing.T) {
 		old.Epochs[i].Installs = nil
 	}
 	if !got.Equivalent(old) {
-		t.Fatalf("session closed loop diverged from ReplayScenarioClosedLoop:\n new=%+v\n old=%+v\n installs new=%+v old=%+v",
+		t.Fatalf("session closed loop diverged from scenario.Stream:\n new=%+v\n old=%+v\n installs new=%+v old=%+v",
 			got.Epochs, old.Epochs, got.Installs, old.Installs)
 	}
 }

@@ -1,9 +1,12 @@
 package fubar
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
+
+	"fubar/internal/scenario"
 )
 
 // srlgRingInstance is testRingInstance with two shared-risk groups
@@ -64,11 +67,14 @@ func TestFacadeScenarioMatrixAcceptance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ScenarioByName: %v", err)
 			}
-			res, err := ReplayScenarioClosedLoop(topo, mat, sc, ClosedLoopOptions{
-				Core: Options{Workers: 2},
-			})
+			s, err := NewSession(topo, mat, WithWorkers(2))
 			if err != nil {
-				t.Fatalf("ReplayScenarioClosedLoop: %v", err)
+				t.Fatalf("NewSession: %v", err)
+			}
+			defer s.Close()
+			res, err := s.ReplayClosedLoopAll(context.Background(), sc)
+			if err != nil {
+				t.Fatalf("ReplayClosedLoopAll: %v", err)
 			}
 			if len(res.Epochs) != epochs {
 				t.Fatalf("replayed %d epochs, want %d", len(res.Epochs), epochs)
@@ -81,7 +87,7 @@ func TestFacadeScenarioMatrixAcceptance(t *testing.T) {
 					t.Errorf("epoch %d: ground-truth utility %v (black hole?)", e.Epoch, e.TrueUtility)
 				}
 			}
-			tr := SampleScenarioTrajectory(name, res, 2)
+			tr := scenario.SampleTrajectory(name, res, 2)
 			covered := 0
 			for _, p := range tr.Points {
 				covered += p.Epochs
@@ -98,30 +104,34 @@ func TestFacadeScenarioMatrixAcceptance(t *testing.T) {
 
 // TestFacadeSoakScenario checks the long-horizon generator and the
 // composite merge through the facade: a Soak timeline stays sparse
-// (O(epochs/period) events) and replays cleanly, and ComposeScenarios
-// merges sub-timelines in epoch order truncated to the composite
-// horizon.
+// (O(epochs/period) events) and replays cleanly, and scenario.Compose
+// (what the canned composites are built with) merges sub-timelines in
+// epoch order truncated to the composite horizon.
 func TestFacadeSoakScenario(t *testing.T) {
 	topo, mat := srlgRingInstance(t, 31)
 	sc := SoakScenario(3, 200, 10)
 	if len(sc.Events) > 4*200/10 {
 		t.Fatalf("soak timeline not sparse: %d events for 200 epochs at period 10", len(sc.Events))
 	}
-	res, err := ReplayScenario(topo, mat, sc, ScenarioOptions{})
+	s, err := NewSession(topo, mat)
 	if err != nil {
-		t.Fatalf("ReplayScenario: %v", err)
+		t.Fatalf("NewSession: %v", err)
+	}
+	res, err := s.ReplayAll(context.Background(), sc)
+	if err != nil {
+		t.Fatalf("ReplayAll: %v", err)
 	}
 	if len(res.Epochs) != 200 {
 		t.Fatalf("replayed %d epochs, want 200", len(res.Epochs))
 	}
-	tr := SampleScenarioTrajectory("soak", res, 8)
+	tr := scenario.SampleTrajectory("soak", res, 8)
 	if len(tr.Points) != 8 {
 		t.Fatalf("trajectory has %d points, want 8", len(tr.Points))
 	}
 
-	comp := ComposeScenarios("both", 9, 3,
+	comp := scenario.Compose("both", 9, 3,
 		DiurnalScenario(1, 6, 0.3, 0),
-		MaintenanceScenario(2, 3),
+		scenario.Maintenance(2, 3),
 	)
 	if comp.Name != "both" || comp.Epochs != 3 {
 		t.Fatalf("composite shape wrong: %+v", comp)
