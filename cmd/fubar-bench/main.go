@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,7 +37,6 @@ import (
 	"fubar/internal/netsim"
 	"fubar/internal/pathgen"
 	"fubar/internal/report"
-	"fubar/internal/scenario"
 	"fubar/internal/telemetry"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
@@ -58,11 +56,6 @@ type benchFlags struct {
 	runs     int
 	csv      bool
 	opts     core.Options
-	scenario string
-	epochs   int
-	scenOut  string
-	ctrlOut  string
-	budget   time.Duration
 	soakN    int
 	soakP    int
 	soakOut  string
@@ -70,8 +63,8 @@ type benchFlags struct {
 }
 
 // experiments is every -exp name, in the order -exp all runs them.
-// Explicit experiments write a record file in the working directory, which
-// a figure-reproduction run never asked for, so "all" leaves them out.
+// An explicit experiment writes a record file in the working directory,
+// which a figure-reproduction run never asked for, so "all" leaves it out.
 var experiments = []struct {
 	name, title string
 	explicit    bool
@@ -97,14 +90,8 @@ var experiments = []struct {
 	{"dqueues", "dqueues: simulated drop-tail queues, SP vs FUBAR (§3)", false, func(f *benchFlags) error { return dynamicQueues(f.seed) }},
 	{"mpls", "mpls: allocation as reserved MPLS-TE tunnels (§5)", false, func(f *benchFlags) error { return mplsSync(f.seed) }},
 	{"failover", "failover: link failure and warm-start recovery", false, func(f *benchFlags) error { return failover(f.seed) }},
-	{"scenario", "scenario: time-varying replay, warm vs cold re-optimization", true, func(f *benchFlags) error {
-		return scenarioBench(f.scenario, f.seed, f.epochs, f.scenOut)
-	}},
-	{"ctrlloop", "ctrlloop: closed-loop scenario replay over the control plane", true, func(f *benchFlags) error {
-		return ctrlloopBench(f.scenario, f.seed, f.epochs, f.budget, f.ctrlOut)
-	}},
 	{"soak", "soak: million-epoch streaming replay, O(1) memory", true, func(f *benchFlags) error {
-		return soakBench(f.seed, f.soakN, f.soakP, f.soakOut, f.soakBase)
+		return soakBench(f.seed, f.soakN, f.soakP, f.soakOut, f.soakBase, f.opts.Telemetry)
 	}},
 }
 
@@ -135,44 +122,52 @@ func selectExperiments(exp string) ([]int, error) {
 	return picked, nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is main returning its exit code — 0 done, 1 an experiment or set-up
+// failed, 2 bad flags or -exp name, 130 interrupted — so that every defer
+// runs on every way out: a failed or interrupted run still flushes its
+// profiles.
+func run(args []string) int {
 	var bf benchFlags
-	exp := flag.String("exp", "all", "experiment: "+strings.Join(experimentNames(false), "|")+"|all, or "+
-		strings.Join(experimentNames(true), "|")+" (explicit only; they write -scenario-out/-ctrlloop-out/-soak-out)")
-	flag.Int64Var(&bf.seed, "seed", 1, "base random seed")
-	flag.IntVar(&bf.runs, "runs", 100, "number of runs for fig7")
-	flag.DurationVar(&bf.opts.Deadline, "deadline", 10*time.Minute, "per-run optimization deadline")
-	flag.BoolVar(&bf.csv, "csv", false, "emit CSV after each chart")
-	flag.IntVar(&bf.opts.Workers, "workers", 0, "parallel candidate evaluators per step (0 = GOMAXPROCS)")
-	flag.StringVar(&bf.scenario, "scenario", "diurnal", "canned scenario for -exp scenario/ctrlloop: "+strings.Join(scenario.Names(), "|"))
-	flag.IntVar(&bf.epochs, "epochs", 20, "scenario replay epoch count")
-	flag.StringVar(&bf.scenOut, "scenario-out", "BENCH_scenario.json", "output file for the scenario replay record")
-	flag.StringVar(&bf.ctrlOut, "ctrlloop-out", "BENCH_ctrlloop.json", "output file for the ctrlloop record")
-	flag.DurationVar(&bf.budget, "budget", 250*time.Millisecond, "ctrlloop per-epoch optimization deadline for the budgeted run")
-	flag.IntVar(&bf.soakN, "soak-epochs", 1_000_000, "plain-replay epoch count for -exp soak (the closed-loop leg runs a tenth of it)")
-	flag.IntVar(&bf.soakP, "soak-period", 25, "soak timeline event period in epochs")
-	flag.StringVar(&bf.soakOut, "soak-out", "BENCH_soak.json", "output file for the soak record")
-	flag.StringVar(&bf.soakBase, "soak-baseline", "", "baseline soak record to diff against: the run fails on any deterministic-envelope regression (trajectory divergence, heap-bound or wire-ledger flags)")
-	listen := flag.String("listen", "", "serve live telemetry on this address: Prometheus /metrics, /debug/pprof/, JSONL /trace")
-	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProf := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	fs := flag.NewFlagSet("fubar-bench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames(false), "|")+"|all, or "+
+		strings.Join(experimentNames(true), "|")+" (explicit only; it writes -soak-out)")
+	fs.Int64Var(&bf.seed, "seed", 1, "base random seed")
+	fs.IntVar(&bf.runs, "runs", 100, "number of runs for fig7")
+	fs.DurationVar(&bf.opts.Deadline, "deadline", 10*time.Minute, "per-run optimization deadline")
+	fs.BoolVar(&bf.csv, "csv", false, "emit CSV after each chart")
+	fs.IntVar(&bf.opts.Workers, "workers", 0, "parallel candidate evaluators per step (0 = GOMAXPROCS)")
+	fs.IntVar(&bf.soakN, "soak-epochs", 1_000_000, "plain-replay epoch count for -exp soak (the closed-loop leg runs a tenth of it)")
+	fs.IntVar(&bf.soakP, "soak-period", 25, "soak timeline event period in epochs")
+	fs.StringVar(&bf.soakOut, "soak-out", "BENCH_soak.json", "output file for the soak record")
+	fs.StringVar(&bf.soakBase, "soak-baseline", "", "baseline soak record to diff against: the run fails on any deterministic-envelope regression (trajectory divergence, heap-bound or wire-ledger flags)")
+	listen := fs.String("listen", "", "serve live telemetry on this address: Prometheus /metrics, /debug/pprof/, JSONL /trace")
+	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	picked, err := selectExperiments(*exp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fubar-bench:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
+			return 1
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -200,14 +195,12 @@ func main() {
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "listen:", err)
-			os.Exit(1)
+			return 1
 		}
 		srv := telemetry.NewServer(telemetry.Handler(tel))
 		fmt.Fprintf(os.Stderr, "telemetry: http://%s/ (metrics, trace, debug/pprof)\n", ln.Addr())
 		go srv.Serve(ln)
 		defer srv.Close()
-		// Experiments driven by the shared option set report live; the
-		// explicit-only ones build their own options.
 		bf.opts.Telemetry = tel
 	}
 	for _, i := range picked {
@@ -222,409 +215,15 @@ func main() {
 		// next experiment or exit 0.
 		if benchCtx.Err() != nil || errors.Is(err, context.Canceled) {
 			fmt.Fprintf(os.Stderr, "%s: interrupted\n", e.title)
-			os.Exit(130)
+			return 130
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.title, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("[%s done in %v]\n", e.title, time.Since(start).Truncate(time.Millisecond))
 	}
-}
-
-// ctrlloopBenchRecord is the JSON record `-exp ctrlloop` writes: the
-// closed-loop replay's counted wire FlowMods warm vs cold, the
-// worker-count determinism verdict, make-before-break headroom, and the
-// deadline-miss rate of a budgeted run.
-type ctrlloopBenchRecord struct {
-	Benchmark        string         `json:"benchmark"`
-	Scenario         string         `json:"scenario"`
-	Seed             int64          `json:"seed"`
-	Topology         string         `json:"topology"`
-	Aggregates       int            `json:"aggregates"`
-	Epochs           int            `json:"epochs"`
-	GOMAXPROCS       int            `json:"gomaxprocs"`
-	Deterministic    bool           `json:"deterministic"`
-	WarmWireFlowMods int            `json:"warm_wire_flow_mods"`
-	ColdWireFlowMods int            `json:"cold_wire_flow_mods"`
-	WireRatio        float64        `json:"cold_over_warm_wire_flow_mods"`
-	WarmEstFlowMods  int            `json:"warm_estimated_flow_mods"`
-	ColdEstFlowMods  int            `json:"cold_estimated_flow_mods"`
-	WarmTrueUtility  float64        `json:"warm_mean_true_utility"`
-	ColdTrueUtility  float64        `json:"cold_mean_true_utility"`
-	MinMBBHeadroom   float64        `json:"min_mbb_headroom"`
-	BudgetNs         int64          `json:"budget_ns"`
-	DeadlineMissRate float64        `json:"deadline_miss_rate"`
-	BudgetedTrueU    float64        `json:"budgeted_mean_true_utility"`
-	HA               *haBenchRecord `json:"ha"`
-	// Trajectories holds one downsampled closed-loop utility/churn/miss
-	// trajectory per canned scenario family (every scenario.Names()
-	// entry), warm-started at Workers=1 — the per-family soak fingerprint.
-	Trajectories []scenario.Trajectory `json:"trajectories"`
-	Warm         *scenario.Result      `json:"warm"`
-}
-
-// haBenchRecord is the HA family of the ctrlloop record: the canned
-// controller-kill storm replayed over a 3-replica control plane
-// (failovers bite: orphaned switches re-home and get their rule tables
-// resynced) versus the classic single controller (every kill is a
-// deterministic no-op) — same scenario, same seed.
-type haBenchRecord struct {
-	Scenario         string  `json:"scenario"`
-	Epochs           int     `json:"epochs"`
-	Replicas         int     `json:"replicas"`
-	Deterministic    bool    `json:"deterministic"`
-	Failovers        int     `json:"failovers"`
-	ResyncFlowMods   int     `json:"resync_flow_mods"`
-	WireFlowMods     int     `json:"wire_flow_mods"`
-	MeanTrueUtility  float64 `json:"mean_true_utility"`
-	SoloWireFlowMods int     `json:"solo_wire_flow_mods"`
-	SoloTrueUtility  float64 `json:"solo_mean_true_utility"`
-	DeadlineMissRate float64 `json:"deadline_miss_rate"`
-}
-
-func totalFailovers(r *scenario.Result) (failovers, resyncs int) {
-	for _, e := range r.Epochs {
-		failovers += e.Failovers
-		resyncs += e.ResyncFlowMods
-	}
-	return
-}
-
-func meanTrueUtility(r *scenario.Result) float64 {
-	if len(r.Epochs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, e := range r.Epochs {
-		s += e.TrueUtility
-	}
-	return s / float64(len(r.Epochs))
-}
-
-// ctrlloopBench replays a canned scenario on the thinned HE-31 instance
-// with the control plane in the loop, four ways: warm-started at one
-// and at four candidate workers with no budget (checking the epoch
-// tables, counted FlowMods and install sequences are identical),
-// cold-started (every epoch optimizes from scratch — the FlowMod
-// comparison the warm start is buying), and warm-started under a
-// per-epoch optimization deadline (recording the miss rate and the
-// utility cost of publishing best-so-far solutions; wall-clock, so this
-// run is machine-dependent by design).
-func ctrlloopBench(name string, seed int64, epochs int, budget time.Duration, outPath string) error {
-	topo, mat, err := scenario.HEBenchInstance(seed + 4)
-	if err != nil {
-		return err
-	}
-	// Declare two shared-risk conduits so `-scenario srlg` exercises
-	// correlated failures on this instance too.
-	topoS, err := topo.WithSRLGs([]topology.SRLG{
-		{Name: "conduit-0", Links: []topology.LinkID{0, 2}},
-		{Name: "conduit-1", Links: []topology.LinkID{4, 6}},
-	})
-	if err != nil {
-		return err
-	}
-	matS, err := traffic.NewMatrix(topoS, mat.Aggregates())
-	if err != nil {
-		return err
-	}
-	topo, mat = topoS, matS
-	sc, err := scenario.ByName(name, seed, epochs)
-	if err != nil {
-		return err
-	}
-	warm1, err := replay(topo, mat, sc, true, scenario.Options{Core: core.Options{Workers: 1}})
-	if err != nil {
-		return err
-	}
-	warm4, err := replay(topo, mat, sc, true, scenario.Options{Core: core.Options{Workers: 4}})
-	if err != nil {
-		return err
-	}
-	det := warm1.Equivalent(warm4)
-	cold, err := replay(topo, mat, sc, true, scenario.Options{ColdStart: true, Core: core.Options{Workers: 1}})
-	if err != nil {
-		return err
-	}
-	budgeted, err := replay(topo, mat, sc, true, scenario.Options{
-		Core: core.Options{Workers: 1}, Budget: budget,
-	})
-	if err != nil {
-		return err
-	}
-
-	// HA family: the controller-kill storm over a 3-replica control
-	// plane (kills bite, survivors resync the orphans' rule tables)
-	// versus the classic single controller (kills are deterministic
-	// no-ops) — same scenario, same seed.
-	haEpochs := 8
-	if epochs < haEpochs {
-		haEpochs = epochs
-	}
-	haSc := scenario.ControllerKillStorm(seed, haEpochs, 3)
-	ha1, err := replay(topo, mat, haSc, true, scenario.Options{Core: core.Options{Workers: 1}, Replicas: 3})
-	if err != nil {
-		return err
-	}
-	ha4, err := replay(topo, mat, haSc, true, scenario.Options{Core: core.Options{Workers: 4}, Replicas: 3})
-	if err != nil {
-		return err
-	}
-	haDet := ha1.Equivalent(ha4)
-	haSolo, err := replay(topo, mat, haSc, true, scenario.Options{Core: core.Options{Workers: 1}})
-	if err != nil {
-		return err
-	}
-
-	// Per-family trajectories: every canned generator — composites
-	// included — replayed closed loop and downsampled to a fixed point
-	// budget. They run on the soak ring (the scenario-matrix instance),
-	// which is provisioned to survive even the crisis composite's
-	// simultaneous SRLG outage and maintenance window; the thinned HE-31
-	// instance can be partitioned by them.
-	trajTopo, trajMat, err := soakInstance(seed)
-	if err != nil {
-		return err
-	}
-	trajPoints := min(epochs, 10)
-	var trajectories []scenario.Trajectory
-	for _, fam := range scenario.Names() {
-		fsc, err := scenario.ByName(fam, seed, epochs)
-		if err != nil {
-			return err
-		}
-		fres, err := replay(trajTopo, trajMat, fsc, true, scenario.Options{Core: core.Options{Workers: 1}})
-		if err != nil {
-			return err
-		}
-		trajectories = append(trajectories, scenario.SampleTrajectory(fam, fres, trajPoints))
-	}
-
-	if err := warm1.Table().Render(os.Stdout); err != nil {
-		return err
-	}
-	rec := ctrlloopBenchRecord{
-		Benchmark:        "closed-loop scenario replay: counted wire FlowMods, warm vs cold, deadline budgeting",
-		Scenario:         sc.Name,
-		Seed:             seed,
-		Topology:         topo.Summary(),
-		Aggregates:       mat.NumAggregates(),
-		Epochs:           epochs,
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Deterministic:    det,
-		WarmWireFlowMods: warm1.TotalWireFlowMods(),
-		ColdWireFlowMods: cold.TotalWireFlowMods(),
-		WireRatio:        float64(cold.TotalWireFlowMods()) / float64(max(1, warm1.TotalWireFlowMods())),
-		WarmEstFlowMods:  warm1.TotalFlowMods(),
-		ColdEstFlowMods:  cold.TotalFlowMods(),
-		WarmTrueUtility:  meanTrueUtility(warm1),
-		ColdTrueUtility:  meanTrueUtility(cold),
-		MinMBBHeadroom:   warm1.MinMBBHeadroom(),
-		BudgetNs:         budget.Nanoseconds(),
-		DeadlineMissRate: budgeted.DeadlineMissRate(),
-		BudgetedTrueU:    meanTrueUtility(budgeted),
-		Trajectories:     trajectories,
-		Warm:             warm1,
-	}
-	haFailovers, haResyncs := totalFailovers(ha1)
-	rec.HA = &haBenchRecord{
-		Scenario:         haSc.Name,
-		Epochs:           haEpochs,
-		Replicas:         3,
-		Deterministic:    haDet,
-		Failovers:        haFailovers,
-		ResyncFlowMods:   haResyncs,
-		WireFlowMods:     ha1.TotalWireFlowMods(),
-		MeanTrueUtility:  meanTrueUtility(ha1),
-		SoloWireFlowMods: haSolo.TotalWireFlowMods(),
-		SoloTrueUtility:  meanTrueUtility(haSolo),
-		DeadlineMissRate: ha1.DeadlineMissRate(),
-	}
-	t := report.NewTable("closed loop over "+sc.Name, "metric", "warm", "cold")
-	t.AddRow("wire FlowMods (counted)", rec.WarmWireFlowMods, rec.ColdWireFlowMods)
-	t.AddRow("estimated flow mods (diff)", rec.WarmEstFlowMods, rec.ColdEstFlowMods)
-	t.AddRow("mean true utility", fmt.Sprintf("%.4f", rec.WarmTrueUtility), fmt.Sprintf("%.4f", rec.ColdTrueUtility))
-	t.AddRow("optimizer steps", warm1.TotalSteps(), cold.TotalSteps())
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	b := report.NewTable("deadline budgeting ("+budget.String()+"/epoch)", "metric", "value")
-	b.AddRow("deadline-miss rate", fmt.Sprintf("%.0f%%", 100*rec.DeadlineMissRate))
-	b.AddRow("mean true utility (budgeted)", fmt.Sprintf("%.4f", rec.BudgetedTrueU))
-	b.AddRow("min MBB headroom (unbudgeted warm)", fmt.Sprintf("%+.3f", rec.MinMBBHeadroom))
-	if err := b.Render(os.Stdout); err != nil {
-		return err
-	}
-	h := report.NewTable("HA: "+haSc.Name, "metric", "3 replicas", "1 replica")
-	h.AddRow("failovers", rec.HA.Failovers, 0)
-	h.AddRow("resync FlowMods (verified handoffs)", rec.HA.ResyncFlowMods, 0)
-	h.AddRow("wire FlowMods (counted)", rec.HA.WireFlowMods, rec.HA.SoloWireFlowMods)
-	h.AddRow("mean true utility", fmt.Sprintf("%.4f", rec.HA.MeanTrueUtility), fmt.Sprintf("%.4f", rec.HA.SoloTrueUtility))
-	if err := h.Render(os.Stdout); err != nil {
-		return err
-	}
-	f := report.NewTable("per-family trajectories (closed loop, warm)", "family", "final utility", "wiremods", "steps", "miss rate")
-	for _, tr := range trajectories {
-		var wiremods, steps, misses int
-		for _, p := range tr.Points {
-			wiremods += p.WireFlowMods
-			steps += p.Steps
-			misses += p.Misses
-		}
-		finalU := 0.0
-		if n := len(tr.Points); n > 0 {
-			finalU = tr.Points[n-1].Utility
-		}
-		f.AddRow(tr.Family, fmt.Sprintf("%.4f", finalU), wiremods, steps,
-			fmt.Sprintf("%.0f%%", 100*float64(misses)/float64(max(1, tr.Epochs))))
-	}
-	if err := f.Render(os.Stdout); err != nil {
-		return err
-	}
-	detNote := "identical tables + install sequences at 1 and 4 workers"
-	if !det {
-		detNote = "TABLES DIVERGED between 1 and 4 workers"
-	}
-	fmt.Printf("trueU/epoch: %s  (cold pushes %.1fx the wire FlowMods; %s)\n",
-		warm1.UtilitySparkline(), rec.WireRatio, detNote)
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("ctrlloop record written to %s\n", outPath)
-	if !det {
-		return fmt.Errorf("ctrlloop: closed-loop replays diverged between Workers=1 and Workers=4")
-	}
-	if !haDet {
-		return fmt.Errorf("ctrlloop: HA kill-storm replays diverged between Workers=1 and Workers=4")
-	}
-	if haFailovers == 0 {
-		return fmt.Errorf("ctrlloop: HA kill storm caused no failovers on a 3-replica plane")
-	}
-	return nil
-}
-
-// scenarioBenchRecord is the JSON time-series record `-exp scenario`
-// writes: the scenario's full warm-start epoch table plus the warm/cold
-// totals and the worker-count determinism check.
-type scenarioBenchRecord struct {
-	Benchmark       string           `json:"benchmark"`
-	Scenario        string           `json:"scenario"`
-	Seed            int64            `json:"seed"`
-	Topology        string           `json:"topology"`
-	Aggregates      int              `json:"aggregates"`
-	Epochs          int              `json:"epochs"`
-	GOMAXPROCS      int              `json:"gomaxprocs"`
-	Deterministic   bool             `json:"deterministic"`
-	WarmTotalSteps  int              `json:"warm_total_steps"`
-	ColdTotalSteps  int              `json:"cold_total_steps"`
-	StepRatio       float64          `json:"cold_over_warm_steps"`
-	WarmMeanUtility float64          `json:"warm_mean_utility"`
-	ColdMeanUtility float64          `json:"cold_mean_utility"`
-	WarmElapsedNs   int64            `json:"warm_elapsed_ns"`
-	ColdElapsedNs   int64            `json:"cold_elapsed_ns"`
-	Warm            *scenario.Result `json:"warm"`
-}
-
-// replay collects one replay of sc under benchCtx: open loop, or closed
-// over a control plane of its own that lives for the replay.
-func replay(topo *topology.Topology, mat *traffic.Matrix, sc scenario.Scenario, closedLoop bool, opts scenario.Options) (*scenario.Result, error) {
-	var cp *scenario.ControlPlane
-	if closedLoop {
-		var err error
-		if cp, err = scenario.NewControlPlane(topo, mat, opts); err != nil {
-			return nil, err
-		}
-		defer cp.Close()
-	}
-	return scenario.Run(topo, sc, opts, closedLoop, scenario.Stream(benchCtx, cp, topo, mat, sc, opts))
-}
-
-// scenarioBench replays a canned scenario on the Hurricane Electric
-// instance three ways — warm-started at one and at four candidate
-// workers (checking the epoch tables are identical) and cold-started —
-// prints the warm epoch table and the comparison, and writes the
-// time-series record to outPath.
-func scenarioBench(name string, seed int64, epochs int, outPath string) error {
-	topo, mat, err := scenario.HEBenchInstance(seed + 4)
-	if err != nil {
-		return err
-	}
-	sc, err := scenario.ByName(name, seed, epochs)
-	if err != nil {
-		return err
-	}
-	measure := func(opts scenario.Options) (*scenario.Result, time.Duration, error) {
-		start := time.Now()
-		r, err := replay(topo, mat, sc, false, opts)
-		return r, time.Since(start), err
-	}
-	warm1, warmT, err := measure(scenario.Options{Core: core.Options{Workers: 1}})
-	if err != nil {
-		return err
-	}
-	warm4, _, err := measure(scenario.Options{Core: core.Options{Workers: 4}})
-	if err != nil {
-		return err
-	}
-	cold, coldT, err := measure(scenario.Options{ColdStart: true, Core: core.Options{Workers: 1}})
-	if err != nil {
-		return err
-	}
-	det := warm1.Equivalent(warm4)
-	if err := warm1.Table().Render(os.Stdout); err != nil {
-		return err
-	}
-	rec := scenarioBenchRecord{
-		Benchmark:       "scenario replay: warm-started vs cold re-optimization",
-		Scenario:        sc.Name,
-		Seed:            seed,
-		Topology:        topo.Summary(),
-		Aggregates:      mat.NumAggregates(),
-		Epochs:          epochs,
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Deterministic:   det,
-		WarmTotalSteps:  warm1.TotalSteps(),
-		ColdTotalSteps:  cold.TotalSteps(),
-		StepRatio:       float64(cold.TotalSteps()) / float64(max(1, warm1.TotalSteps())),
-		WarmMeanUtility: warm1.MeanUtility(),
-		ColdMeanUtility: cold.MeanUtility(),
-		WarmElapsedNs:   warmT.Nanoseconds(),
-		ColdElapsedNs:   coldT.Nanoseconds(),
-		Warm:            warm1,
-	}
-	t := report.NewTable("warm vs cold over "+sc.Name, "metric", "warm", "cold")
-	t.AddRow("total optimizer steps", rec.WarmTotalSteps, rec.ColdTotalSteps)
-	t.AddRow("mean utility", fmt.Sprintf("%.4f", rec.WarmMeanUtility), fmt.Sprintf("%.4f", rec.ColdMeanUtility))
-	t.AddRow("total flow mods", warm1.TotalFlowMods(), cold.TotalFlowMods())
-	t.AddRow("elapsed", warmT.Truncate(time.Millisecond), coldT.Truncate(time.Millisecond))
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	detNote := "identical tables at 1 and 4 workers"
-	if !det {
-		detNote = "TABLES DIVERGED between 1 and 4 workers"
-	}
-	fmt.Printf("utility/epoch: %s  (cold starts commit %.1fx the steps; %s)\n",
-		warm1.UtilitySparkline(), rec.StepRatio, detNote)
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("scenario record written to %s\n", outPath)
-	// The record is on disk either way; a divergence still fails the run
-	// (and the CI smoke step) loudly.
-	if !det {
-		return fmt.Errorf("scenario: epoch tables diverged between Workers=1 and Workers=4")
-	}
-	return nil
+	return 0
 }
 
 // failover runs a link-failure episode: optimize, kill the hottest

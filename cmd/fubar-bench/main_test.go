@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -48,12 +51,15 @@ func TestBenchInstance(t *testing.T) {
 	}
 }
 
-// TestSelectExperiments pins the -exp lookup main dispatches on: a typo and
-// each retired perf mode are errors (main exits 2 on them) that name the
+// TestSelectExperiments pins the -exp lookup run dispatches on: a typo and
+// each retired mode are errors (run returns 2 on them) that name the
 // valid experiments, "all" leaves out the explicit-only ones, and every
 // listed name selects exactly itself.
 func TestSelectExperiments(t *testing.T) {
-	for _, bad := range []string{"fig33", "", "corebench", "evalbench", "scale", "obs"} {
+	for _, bad := range []string{"fig33", "", "corebench", "evalbench", "scale", "obs", "scenario", "ctrlloop"} {
+		if code := run([]string{"-exp", bad}); code != 2 {
+			t.Errorf("run -exp %q = %d, want exit code 2", bad, code)
+		}
 		picked, err := selectExperiments(bad)
 		if err == nil {
 			t.Errorf("-exp %q selected %v, want an error", bad, picked)
@@ -78,5 +84,25 @@ func TestSelectExperiments(t *testing.T) {
 		if err != nil || len(picked) != 1 || picked[0] != i {
 			t.Errorf("-exp %s selected %v (%v), want [%d]", e.name, picked, err, i)
 		}
+	}
+}
+
+// TestFailedRunFlushesProfile pins that run's defers survive a failing
+// experiment: the exit code is 1 and the CPU profile asked for is on disk,
+// not the empty file an os.Exit inside the experiment loop left behind.
+func TestFailedRunFlushesProfile(t *testing.T) {
+	saved := experiments
+	defer func() { experiments = saved }()
+	failing := experiments[0]
+	failing.name, failing.title = "failing", "failing: always errors"
+	failing.run = func(*benchFlags) error { return errors.New("boom") }
+	experiments = append(experiments[:len(experiments):len(experiments)], failing)
+
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	if code := run([]string{"-exp", "failing", "-cpuprofile", prof}); code != 1 {
+		t.Fatalf("run = %d, want exit code 1", code)
+	}
+	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+		t.Fatalf("CPU profile after a failed run: %v, %v; want a non-empty file", st, err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fubar/internal/core"
 	"fubar/internal/report"
 	"fubar/internal/scenario"
+	"fubar/internal/telemetry"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
@@ -101,8 +102,9 @@ func soakBounded(samples []uint64) bool {
 // million-epoch job; the PR smoke leg runs it with -soak-epochs 50000.
 // With a baselinePath the fresh record is additionally diffed against
 // the checked-in baseline (see soakDiff) and envelope regressions fail
-// the run.
-func soakBench(seed int64, epochs, period int, outPath, baselinePath string) error {
+// the run. With tel (-listen) both legs report live; nil leaves them
+// uninstrumented.
+func soakBench(seed int64, epochs, period int, outPath, baselinePath string, tel *telemetry.Telemetry) error {
 	if epochs < 160 {
 		return fmt.Errorf("soak: need at least 160 epochs, got %d", epochs)
 	}
@@ -111,6 +113,7 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string) err
 		return err
 	}
 	sc := scenario.Soak(seed+5, epochs, period)
+	opts := scenario.Options{Core: core.Options{Workers: 2, Telemetry: tel}}
 
 	const trajPoints = 64
 	plainTraj := scenario.NewTrajectoryRecorder(sc.Name, epochs, trajPoints)
@@ -118,7 +121,7 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string) err
 	var plainSamples []uint64
 	n := 0
 	start := time.Now()
-	for er, err := range scenario.Stream(benchCtx, nil, topo, mat, sc, scenario.Options{Core: core.Options{Workers: 2}}) {
+	for er, err := range scenario.Stream(benchCtx, nil, topo, mat, sc, opts) {
 		if err != nil {
 			return err
 		}
@@ -144,13 +147,12 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string) err
 	reconciled := true
 	n = 0
 	start = time.Now()
-	clOpts := scenario.Options{Core: core.Options{Workers: 2}}
-	cp, err := scenario.NewControlPlane(topo, mat, clOpts)
+	cp, err := scenario.NewControlPlane(topo, mat, opts)
 	if err != nil {
 		return err
 	}
 	defer cp.Close()
-	for er, err := range scenario.Stream(benchCtx, cp, topo, mat, clSc, clOpts) {
+	for er, err := range scenario.Stream(benchCtx, cp, topo, mat, clSc, opts) {
 		if err != nil {
 			return err
 		}

@@ -67,7 +67,7 @@ func main() {
 		epochs      = flag.Int("epochs", 12, "scenario replay epoch count")
 		cold        = flag.Bool("cold", false, "disable warm starts in the scenario replay")
 		ctrlplane   = flag.Bool("ctrlplane", false, "drive the scenario replay through the SDN control plane (simulated switches over TCP, counted wire FlowMods)")
-		budget      = flag.Duration("budget", 0, "per-epoch optimization deadline for -ctrlplane replays (0 = none)")
+		budget      = flag.Duration("budget", 0, "wall-clock bound on each optimization: the single run, or every replay epoch's re-optimization, open loop or -ctrlplane (0 = none)")
 		replicas    = flag.Int("replicas", 1, "controller replica count for -ctrlplane replays (>=2 lets controller-fail events bite; see -scenario ctrlstorm)")
 		lease       = flag.Duration("lease", 0, "switch rule hard-timeout for -ctrlplane replays: an orphaned agent applies -lease-policy after this long without a controller (0 = no lease)")
 		leasePolicy = flag.String("lease-policy", "static", "orphaned-agent lease policy: static (keep forwarding on the stale table) or closed (wipe it)")
@@ -115,6 +115,15 @@ func run(ctx context.Context, rc runConfig) error {
 	cap, err := fubar.ParseBandwidth(rc.capStr)
 	if err != nil {
 		return err
+	}
+	var policy fubar.FailPolicy
+	switch rc.leasePolicy {
+	case "static":
+		policy = fubar.FailStatic
+	case "closed":
+		policy = fubar.FailClosed
+	default:
+		return fmt.Errorf("unknown -lease-policy %q (valid: static, closed)", rc.leasePolicy)
 	}
 	cfg := fubar.ExperimentConfig{
 		Capacity:    cap,
@@ -182,15 +191,6 @@ func run(ctx context.Context, rc runConfig) error {
 		opts = append(opts, fubar.WithReplicas(rc.replicas))
 	}
 	if rc.lease > 0 {
-		var policy fubar.FailPolicy
-		switch rc.leasePolicy {
-		case "static":
-			policy = fubar.FailStatic
-		case "closed":
-			policy = fubar.FailClosed
-		default:
-			return fmt.Errorf("unknown -lease-policy %q (valid: static, closed)", rc.leasePolicy)
-		}
 		opts = append(opts, fubar.WithRuleLease(rc.lease, policy))
 	}
 	s, err := fubar.NewSession(topo, mat, opts...)

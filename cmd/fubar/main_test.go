@@ -24,6 +24,7 @@ func runArgs(topoPath, capStr string, seed int64, largeWeight, delayScale float6
 		verbose: verbose, showPaths: showPaths,
 		scenName: scenName, epochs: epochs, cold: cold,
 		ctrlplane: ctrlplane, budget: budget,
+		leasePolicy: "static", // the flag's default
 	}
 }
 
@@ -91,6 +92,12 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 	if err := run(context.Background(), runArgs("/nonexistent/file.topo", "10Mbps", 1, 1, 1, time.Second, 15, 0, false, false, "", 0, false, false, 0)); err == nil {
 		t.Error("missing topology file accepted")
+	}
+	// A bad -lease-policy is an error even with no -lease to apply it to.
+	rc := runArgs("", "10Mbps", 1, 1, 1, time.Second, 15, 0, false, false, "", 0, false, false, 0)
+	rc.leasePolicy = "bogus"
+	if err := run(context.Background(), rc); err == nil || !strings.Contains(err.Error(), "lease-policy") {
+		t.Errorf("-lease-policy bogus without -lease: err = %v, want it rejected", err)
 	}
 }
 

@@ -166,7 +166,7 @@
 // the optimizer's effort, and the routing churn (paths changed, flows
 // moved, flow-table operations) a controller would push. Replays are
 // deterministic per seed at any worker count. See the
-// examples/scenario-replay walkthrough and `fubar-bench -exp scenario`.
+// examples/scenario-replay walkthrough and `fubar -scenario <name>`.
 //
 // # Closed-loop replay
 //
@@ -187,8 +187,7 @@
 // estimates; EpochRecord keeps both so they can be compared, plus the
 // epoch's install records. With no budget the whole loop is
 // deterministic per seed at any worker count, install sequence
-// included. See `fubar -scenario <name> -ctrlplane` and
-// `fubar-bench -exp ctrlloop` (BENCH_ctrlloop.json).
+// included. See `fubar -scenario <name> -ctrlplane`.
 //
 // # HA control plane
 //

@@ -68,10 +68,24 @@ import (
 // bundles as before the rule existed. Only tests set it (export_test.go).
 var refutationOff atomic.Bool
 
-// defaultMinGain is the default minimum utility gain considered progress.
-// Gains below it are water-filling noise: committing them lets the greedy
-// crawl forever at +1e-9 per move without visibly changing the solution.
-const defaultMinGain = 1e-6
+// The search parameters, which the paper states as design values, not
+// tunables (§2.5).
+const (
+	// moveFraction is the base fraction of a large aggregate's flows moved
+	// per step.
+	moveFraction = 0.25
+	// smallAggregateFlows: aggregates with at most this many flows move in
+	// their entirety (§2.5 "small aggregates are moved in their entirety").
+	smallAggregateFlows = 10
+	// escalationFactor multiplies the move fraction while stuck in a local
+	// optimum (§2.5: the fraction doubles).
+	escalationFactor = 2
+	// minGain is the smallest network-utility improvement that counts as
+	// progress. Gains below it are water-filling noise: committing them lets
+	// the greedy crawl forever at +1e-9 per move without visibly changing
+	// the solution.
+	minGain = 1e-6
+)
 
 // AltMode selects which of the §2.4 alternatives the optimizer may test.
 // The default (AltAll) is the paper's trio; the others exist for the
@@ -129,26 +143,15 @@ func (m DeltaMode) String() string {
 }
 
 // Options tunes the optimizer. The zero value is usable: every field has a
-// sensible default applied by Run.
+// sensible default applied by Run. The §2.5 search parameters (move
+// fraction, small-aggregate threshold, escalation factor, minimum gain) are
+// constants above, not fields.
 type Options struct {
 	// Policy constrains generated paths (§2.4 "policy compliant").
 	Policy pathgen.Policy
-	// MoveFraction is the base fraction of an aggregate's flows moved per
-	// step for large aggregates. Default 0.25.
-	MoveFraction float64
-	// SmallAggregateFlows: aggregates with at most this many flows move
-	// in their entirety (§2.5 "small aggregates are moved in their
-	// entirety"). Default 10.
-	SmallAggregateFlows int
-	// EscalationFactor multiplies the move fraction while stuck in a
-	// local optimum. Default 2.
-	EscalationFactor float64
 	// MaxPathsPerAggregate bounds each aggregate's path set (§2.4 finds
 	// "ten to fifteen" in practice). Default 15.
 	MaxPathsPerAggregate int
-	// MinGain is the smallest network-utility improvement a move must
-	// deliver to count as progress. Default 1e-6.
-	MinGain float64
 	// MaxSteps bounds committed moves; 0 means unbounded.
 	MaxSteps int
 	// Workers is the number of goroutines evaluating candidate moves per
@@ -197,20 +200,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MoveFraction <= 0 {
-		o.MoveFraction = 0.25
-	}
-	if o.SmallAggregateFlows <= 0 {
-		o.SmallAggregateFlows = 10
-	}
-	if o.EscalationFactor <= 1 {
-		o.EscalationFactor = 2
-	}
 	if o.MaxPathsPerAggregate <= 0 {
 		o.MaxPathsPerAggregate = 15
-	}
-	if o.MinGain <= 0 {
-		o.MinGain = defaultMinGain
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -408,7 +399,7 @@ type Optimizer struct {
 
 	// refutedStamp[l] == passEpoch marks link l as one whose step failed in
 	// the current pass: every candidate of every positive-flow bundle
-	// crossing it scored at most uInit + MinGain against the allocation the
+	// crossing it scored at most uInit + minGain against the allocation the
 	// pass still holds (see Run). One stamp per link, no per-candidate
 	// storage; bumping the epoch per pass invalidates all of them without an
 	// O(numLinks) clear. Written by Run between steps only, so collection
@@ -610,7 +601,7 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	}
 	initial := res.NetworkUtility
 	steps, escal := 0, 0
-	fraction := o.opts.MoveFraction
+	fraction := moveFraction
 	escLevel := 0
 	o.trace(Snapshot{Step: 0, Elapsed: time.Since(start), Result: res})
 
@@ -658,7 +649,7 @@ loop:
 		// the first link whose step() makes progress ends the pass.
 		//
 		// A failed step is a proof: every candidate of every positive-flow
-		// bundle crossing its link scored at most uCur + MinGain. Until the
+		// bundle crossing its link scored at most uCur + minGain. Until the
 		// pass ends, the committed allocation, links, fraction, every path
 		// set's membership (the failed step added what could be added) and
 		// every generator answer stay what that step saw, and a bundle's
@@ -698,7 +689,7 @@ loop:
 		if progress {
 			steps++
 			committedAt := escLevel
-			fraction = o.opts.MoveFraction // de-escalate on progress
+			fraction = moveFraction // de-escalate on progress
 			escLevel = 0
 			if committed != nil {
 				// The commit was folded into the persistent base; its
@@ -732,7 +723,7 @@ loop:
 			stop = StopLocalOptimum
 			break loop
 		}
-		fraction *= o.opts.EscalationFactor
+		fraction *= escalationFactor
 		if fraction > 1 {
 			fraction = 1
 		}
@@ -1026,7 +1017,7 @@ type candidate struct {
 // same patched list. Both produce bit-identical candidate utilities.
 //
 // Selection replays the candidates in collection order with the same
-// improve-by-MinGain rule the serial mutate-evaluate-revert loop used, so
+// improve-by-minGain rule the serial mutate-evaluate-revert loop used, so
 // any worker count commits the identical move.
 func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.EdgeID, fraction float64) (bool, *flowmodel.Result) {
 	cands, refuted := o.collectCandidates(link, congested, fraction)
@@ -1058,12 +1049,12 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 	}
 
 	if o.afterScoring != nil {
-		o.afterScoring(cands, uInit+o.opts.MinGain)
+		o.afterScoring(cands, uInit+minGain)
 	}
 	bestU := uInit
 	bestIdx := -1
 	for i := range cands {
-		if cands[i].utility > bestU+o.opts.MinGain {
+		if cands[i].utility > bestU+minGain {
 			bestU = cands[i].utility
 			bestIdx = i
 		}
@@ -1598,7 +1589,7 @@ func (o *Optimizer) moveSize(aggFlows, bundleFlows int, fraction float64) int {
 	if bundleFlows <= 0 {
 		return 0
 	}
-	if aggFlows <= o.opts.SmallAggregateFlows {
+	if aggFlows <= smallAggregateFlows {
 		return bundleFlows
 	}
 	n := int(math.Ceil(fraction * float64(aggFlows)))

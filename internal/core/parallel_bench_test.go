@@ -67,7 +67,7 @@ func BenchmarkStepCandidates(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cands, _ := o.collectCandidates(links[0], congested, o.opts.MoveFraction)
+					cands, _ := o.collectCandidates(links[0], congested, moveFraction)
 					if len(cands) == 0 {
 						b.Fatal("no candidates collected")
 					}
@@ -84,7 +84,7 @@ func BenchmarkStepCandidates(b *testing.B) {
 					// Selection without commit keeps every iteration identical.
 					best := u
 					for j := range cands {
-						if cands[j].utility > best+o.opts.MinGain {
+						if cands[j].utility > best+minGain {
 							best = cands[j].utility
 						}
 					}

@@ -197,22 +197,3 @@ func TestWorkersDefault(t *testing.T) {
 		t.Errorf("Workers = %d, want 3", o.Workers)
 	}
 }
-
-// TestOptionsFieldSet pins the exported field set of Options: every field
-// is a configuration the tests and the benchmark must cover, so adding one
-// is an edit to this list too.
-func TestOptionsFieldSet(t *testing.T) {
-	want := []string{
-		"Policy", "MoveFraction", "SmallAggregateFlows", "EscalationFactor",
-		"MaxPathsPerAggregate", "MinGain", "MaxSteps", "Workers", "Deadline",
-		"AltMode", "DeltaEval", "DisableEscalation", "InitialBundles", "Trace",
-		"Telemetry",
-	}
-	var got []string
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
-		got = append(got, f.Name)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Options fields:\n got  %v\n want %v", got, want)
-	}
-}

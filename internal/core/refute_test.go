@@ -141,7 +141,7 @@ func sparseInstance(t *testing.T, seed int64) *flowmodel.Model {
 // TestRefutedCandidatesNeverBeatTheBound checks the proof itself, not its
 // consequence: on 240 random sparse instances the oracle optimizer
 // enumerates and scores every bundle the rule would have skipped, and each
-// of their candidates scores at most uInit + MinGain — it could not have
+// of their candidates scores at most uInit + minGain — it could not have
 // been selected, nor have moved bestU. The same instances run with the rule
 // on then commit the same solutions, skipping at least the bundles whose
 // candidates the audit saw (a skipped bundle may have had none to score).

@@ -21,6 +21,17 @@ import (
 // RNG stream derived from the same (seed, epoch).
 const simSeedSalt = 0x73696d5f657063 // "sim_epc"
 
+// The closed loop's measurement cadence (§2.1–2.2: the controller
+// re-optimizes on periodically polled switch counters).
+const (
+	// measureEpochs is how many simulator measurement epochs are polled and
+	// folded into the traffic-matrix estimate before each re-optimization.
+	measureEpochs = 2
+	// simEpoch is the simulated measurement interval, advertised to the
+	// switch agents in the handshake (scales byte counters only).
+	simEpoch = 10 * time.Second
+)
+
 // ControlPlane is the persistent half of a closed-loop replay: a
 // controller replica set, one fail-safe switch agent per POP over
 // loopback TCP, and the fabric adapting the simulated network into
@@ -87,7 +98,7 @@ func (cp *ControlPlane) expiries() int64 {
 // per topology node over loopback TCP, agents and controllers logging to
 // opts.Logger. Agents home onto replicas by the set's rendezvous dial
 // order, which shards install load and defines failover succession;
-// opts.SimEpoch is the measurement interval advertised to them in the
+// simEpoch is the measurement interval advertised to them in the
 // handshake, opts.RuleLease and opts.LeasePolicy their fail-safe. The
 // matrix seeds the placeholder simulator the fabric starts against (each
 // replay epoch retargets it). The caller owns the result and closes it.
@@ -100,7 +111,7 @@ func NewControlPlane(topo *topology.Topology, mat *traffic.Matrix, opts Options)
 	fabric := ctrlplane.NewFabric(simBase)
 	rs, err := ctrlplane.NewReplicaSet(opts.Replicas, ctrlplane.ControllerConfig{
 		Name:           "fubar-closedloop",
-		EpochMs:        uint32(opts.SimEpoch / time.Millisecond),
+		EpochMs:        uint32(simEpoch / time.Millisecond),
 		RuleLease:      opts.RuleLease,
 		RequestTimeout: 30 * time.Second,
 		Logger:         opts.Logger,
@@ -258,7 +269,7 @@ func (l *closedLoop) pushRepair(ctx context.Context, epoch int, inst *epochInsta
 	oldRates := append([]float64(nil), staleRes.BundleRate...)
 	sim, err := sdnsim.New(inst.topo, inst.mat, sdnsim.Config{
 		Seed:         epochSeed(l.seed, epoch) ^ simSeedSalt,
-		Epoch:        l.opts.SimEpoch,
+		Epoch:        simEpoch,
 		DemandJitter: l.opts.DemandJitter,
 	})
 	if err != nil {
@@ -273,7 +284,7 @@ func (l *closedLoop) pushRepair(ctx context.Context, epoch int, inst *epochInsta
 // of that estimate — what the controller believes the demand to be.
 func (l *closedLoop) estimate(ctx context.Context, inst *epochInstance, er *EpochResult) (*flowmodel.Model, error) {
 	est := measure.NewEstimator(measure.KeysFromMatrix(inst.mat))
-	for m := 0; m < l.opts.MeasureEpochs; m++ {
+	for m := 0; m < measureEpochs; m++ {
 		if err := l.cp.fabric.RunEpoch(); err != nil {
 			return nil, err
 		}

@@ -28,16 +28,25 @@ func mixedScenario(seed int64) Scenario {
 
 // TestClosedLoopDeterminism extends the worker-invariance suite to the
 // full loop: same seed ⇒ identical epoch table, counted FlowMods and
-// install sequence at Workers ∈ {1, 4} and DeltaEval on/off.
+// install sequence at Workers ∈ {1, 4} and DeltaEval on/off — on the small
+// ring every other closed-loop test replays and, outside -short, at
+// Workers ∈ {1, 4} on the thinned HE-31 instance (31 switches) with two
+// shared-risk conduits declared.
 func TestClosedLoopDeterminism(t *testing.T) {
-	topo, mat := ringInstance(t, 13)
-	sc := mixedScenario(21)
-	var results []*Result
-	for _, cfg := range []struct {
+	type config struct {
 		workers   int
 		delta     core.DeltaMode
 		telemetry bool
-	}{
+	}
+	type input struct {
+		name    string
+		topo    *topology.Topology
+		mat     *traffic.Matrix
+		sc      Scenario
+		configs []config
+	}
+	ringTopo, ringMat := ringInstance(t, 13)
+	inputs := []input{{"ring", ringTopo, ringMat, mixedScenario(21), []config{
 		{1, core.DeltaAuto, false},
 		{4, core.DeltaAuto, false},
 		{1, core.DeltaOff, false},
@@ -46,29 +55,51 @@ func TestClosedLoopDeterminism(t *testing.T) {
 		// epoch table and install sequence (ISSUE 7 acceptance).
 		{1, core.DeltaAuto, true},
 		{4, core.DeltaAuto, true},
-	} {
-		opts := Options{Core: core.Options{Workers: cfg.workers, DeltaEval: cfg.delta}}
-		if cfg.telemetry {
-			opts.Core.Telemetry = telemetry.New()
-		}
-		res, err := runClosedLoop(context.Background(), topo, mat, sc, opts)
+	}}}
+	if !testing.Short() {
+		heTopo, heMat := heInstance(t)
+		heTopo, err := heTopo.WithSRLGs([]topology.SRLG{
+			{Name: "conduit-0", Links: []topology.LinkID{0, 2}},
+			{Name: "conduit-1", Links: []topology.LinkID{4, 6}},
+		})
 		if err != nil {
-			t.Fatalf("Workers=%d DeltaEval=%v telemetry=%v: %v", cfg.workers, cfg.delta, cfg.telemetry, err)
+			t.Fatal(err)
 		}
-		results = append(results, res)
-	}
-	for i, res := range results[1:] {
-		if !results[0].Equivalent(res) {
-			t.Fatalf("config %d diverged from Workers=1/DeltaAuto:\n a=%+v\n b=%+v\n installs a=%+v\n installs b=%+v",
-				i+1, results[0].Epochs, res.Epochs, results[0].Installs, res.Installs)
+		if heMat, err = traffic.NewMatrix(heTopo, heMat.Aggregates()); err != nil {
+			t.Fatal(err)
 		}
+		inputs = append(inputs, input{"he-31", heTopo, heMat, Diurnal(1, 4, 0.4, 0.15), []config{
+			{1, core.DeltaAuto, false},
+			{4, core.DeltaAuto, false},
+		}})
 	}
-	res := results[0]
-	if !res.ClosedLoop {
-		t.Fatal("ClosedLoop flag not set")
-	}
-	if len(res.Installs) != 2*sc.Epochs {
-		t.Fatalf("%d install records, want %d (repair + reopt per epoch)", len(res.Installs), 2*sc.Epochs)
+	for _, in := range inputs {
+		var results []*Result
+		for _, cfg := range in.configs {
+			opts := Options{Core: core.Options{Workers: cfg.workers, DeltaEval: cfg.delta}}
+			if cfg.telemetry {
+				opts.Core.Telemetry = telemetry.New()
+			}
+			res, err := runClosedLoop(context.Background(), in.topo, in.mat, in.sc, opts)
+			if err != nil {
+				t.Fatalf("%s Workers=%d DeltaEval=%v telemetry=%v: %v", in.name, cfg.workers, cfg.delta, cfg.telemetry, err)
+			}
+			results = append(results, res)
+		}
+		for i, res := range results[1:] {
+			if !results[0].Equivalent(res) {
+				t.Fatalf("%s config %d diverged from Workers=1/DeltaAuto:\n a=%+v\n b=%+v\n installs a=%+v\n installs b=%+v",
+					in.name, i+1, results[0].Epochs, res.Epochs, results[0].Installs, res.Installs)
+			}
+		}
+		res := results[0]
+		t.Logf("%s: %d wire FlowMods, min MBB headroom %+.3f", in.name, res.TotalWireFlowMods(), res.MinMBBHeadroom())
+		if !res.ClosedLoop {
+			t.Fatalf("%s: ClosedLoop flag not set", in.name)
+		}
+		if len(res.Installs) != 2*in.sc.Epochs {
+			t.Fatalf("%s: %d install records, want %d (repair + reopt per epoch)", in.name, len(res.Installs), 2*in.sc.Epochs)
+		}
 	}
 }
 

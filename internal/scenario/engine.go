@@ -6,7 +6,6 @@ import (
 	"iter"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strconv"
 	"time"
@@ -114,12 +113,7 @@ func newEngine(cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, s
 		scale:     1,
 		sc:        sc,
 		opts:      opts,
-		arrivals:  opts.Arrivals,
-	}
-	if reflect.DeepEqual(en.arrivals, traffic.GenConfig{}) {
-		en.arrivals = traffic.DefaultGenConfig(sc.Seed)
-	} else if err := en.arrivals.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario: Arrivals config: %w", err)
+		arrivals:  traffic.DefaultGenConfig(sc.Seed),
 	}
 	if t := opts.Core.Telemetry; t != nil {
 		en.tm = t.Scenario()
@@ -216,7 +210,7 @@ var perEpoch func(*engine)
 //     (core.RepairWarmStart) and the repair pushed over the wire — the
 //     immediate failover reaction that keeps the network forwarding;
 //  3. the measurement loop advances the simulated network
-//     (internal/sdnsim) MeasureEpochs epochs, polls per-switch counters
+//     (internal/sdnsim) measureEpochs epochs, polls per-switch counters
 //     over the control protocol, and folds them into a traffic-matrix
 //     estimate (internal/measure);
 //  4. the *estimated* matrix is re-optimized warm-started from the

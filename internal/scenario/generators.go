@@ -12,11 +12,11 @@ import (
 )
 
 // HEBenchInstance is the canonical replay-benchmark instance shared by
-// the acceptance test and `fubar-bench -exp scenario`: the Hurricane
-// Electric 31-POP substitute at 6 Mbps per link with a deterministic
-// every-5th-pair thinning of the §3 workload — HE's spatial structure
-// at a fifth of the optimization cost, so a 20-epoch replay finishes in
-// seconds.
+// the acceptance tests, benchmark/ and the daemon's "hebench" preset: the
+// Hurricane Electric 31-POP substitute at 6 Mbps per link with a
+// deterministic every-5th-pair thinning of the §3 workload — HE's
+// spatial structure at a fifth of the optimization cost, so a 20-epoch
+// replay finishes in seconds.
 func HEBenchInstance(seed int64) (*topology.Topology, *traffic.Matrix, error) {
 	topo, err := topology.HurricaneElectric(6 * unit.Mbps)
 	if err != nil {

@@ -33,7 +33,6 @@ import (
 	"fubar/internal/ctrlplane"
 	"fubar/internal/graph"
 	"fubar/internal/topology"
-	"fubar/internal/traffic"
 )
 
 // EventKind enumerates the timeline event types.
@@ -210,7 +209,10 @@ func (s Scenario) Validate() error {
 }
 
 // Options tunes a replay, open loop or closed, and the control plane a
-// closed one runs over. The zero value is usable.
+// closed one runs over. The zero value is usable. Arriving aggregates
+// always draw from traffic.DefaultGenConfig, and the closed loop's
+// measurement cadence is closedloop.go's measureEpochs and simEpoch:
+// constants, not fields.
 type Options struct {
 	// Core configures each epoch's optimizer run. InitialBundles and
 	// Policy.ForbiddenLinks are managed by the engine (warm start and
@@ -231,23 +233,10 @@ type Options struct {
 	// unbounded. A real budget makes replays machine-dependent (see
 	// core.Options.Deadline); leave it 0 when checking determinism.
 	Budget time.Duration
-	// Arrivals is the class mix AggregateArrive events draw from; the
-	// zero value means traffic.DefaultGenConfig, and anything else is
-	// validated up front (its Seed field is ignored — the per-epoch RNG
-	// drives the draws).
-	Arrivals traffic.GenConfig
 
 	// The fields below are read by NewControlPlane and by replays handed
 	// the control plane it built; an open-loop replay ignores them.
 
-	// MeasureEpochs is how many simulator measurement epochs are polled
-	// and folded into the traffic-matrix estimate before each
-	// re-optimization (default 2).
-	MeasureEpochs int
-	// SimEpoch is the simulated measurement interval, advertised to the
-	// switch agents in the handshake (default 10s; scales byte counters
-	// only).
-	SimEpoch time.Duration
 	// DemandJitter is the simulator's per-epoch true-demand variation,
 	// invisible to the controller except through counters (default 0.1;
 	// negative disables). Deterministic per seed.
@@ -272,12 +261,6 @@ type Options struct {
 
 // withDefaults fills the control-plane defaults.
 func (o Options) withDefaults() Options {
-	if o.MeasureEpochs <= 0 {
-		o.MeasureEpochs = 2
-	}
-	if o.SimEpoch <= 0 {
-		o.SimEpoch = 10 * time.Second
-	}
 	if o.Replicas <= 0 {
 		o.Replicas = 1
 	}

@@ -28,8 +28,8 @@ func ringInstance(t *testing.T, seed int64) (*topology.Topology, *traffic.Matrix
 	return topo, mat
 }
 
-// heInstance is the acceptance instance — the same HEBenchInstance the
-// published BENCH_scenario.json record measures.
+// heInstance is the acceptance instance: HEBenchInstance at the seed
+// DESIGN.md's warm-vs-cold and MBB-headroom findings were measured on.
 func heInstance(t *testing.T) (*topology.Topology, *traffic.Matrix) {
 	t.Helper()
 	topo, mat, err := HEBenchInstance(5)
