@@ -255,23 +255,75 @@ func BenchmarkPathGenAlternatives(b *testing.B) {
 	})
 }
 
-// BenchmarkColdOptimizeScaleS is benchmark/'s cold-scale-s operation under
-// go test: one cold Session.Optimize, fresh session included, on the
-// scale-s Waxman topology (seed 1) over eight fixed 1500-aggregate
-// matrices in turn, at WithWorkers(1). Besides time it reports what one
-// operation asked of the layers below — candidates scored, bundles skipped
-// because a failed step of the same pass had refuted them, path searches
-// run (early-exit and tree-building alike) and lookups a donor answered.
-// The counts are exact per matrix, so at -benchtime 8x (or a multiple)
-// they compare across commits where the times cannot.
-func BenchmarkColdOptimizeScaleS(b *testing.B) {
+// workCounts is what one operation asked of the layers below, exact per
+// commit: path searches run (early-exit and tree-building alike),
+// candidates scored, bundles skipped because a failed step had refuted them
+// — by a link earlier in the same pass, by the escalation level below at an
+// unchanged move size — committed steps and escalations. The two benchmarks
+// below report them per operation; TestWorkCountsPinned compares them with
+// testdata/work_counts.golden over the same operations.
+type workCounts struct {
+	searches, candidates, refutedLink, refutedLevel, steps, escalations int64
+}
+
+func (w *workCounts) add(o workCounts) {
+	w.searches += o.searches
+	w.candidates += o.candidates
+	w.refutedLink += o.refutedLink
+	w.refutedLevel += o.refutedLevel
+	w.steps += o.steps
+	w.escalations += o.escalations
+}
+
+func (w workCounts) sub(o workCounts) workCounts {
+	return workCounts{w.searches - o.searches, w.candidates - o.candidates, w.refutedLink - o.refutedLink,
+		w.refutedLevel - o.refutedLevel, w.steps - o.steps, w.escalations - o.escalations}
+}
+
+// report prints the per-operation counts beside a benchmark's times.
+func (w workCounts) report(b *testing.B, ops int, per string) {
+	b.ReportMetric(float64(w.searches)/float64(ops), "searches/"+per)
+	b.ReportMetric(float64(w.candidates)/float64(ops), "candidates/"+per)
+	b.ReportMetric(float64(w.refutedLink)/float64(ops), "refuted-link/"+per)
+	b.ReportMetric(float64(w.refutedLevel)/float64(ops), "refuted-level/"+per)
+}
+
+// solutionWork reads one optimization's counts off its Solution.
+func solutionWork(sol *Solution) workCounts {
+	return workCounts{
+		searches:     sol.Paths.Searches + sol.Paths.TreesBuilt,
+		candidates:   sol.Delta.Calls,
+		refutedLink:  int64(sol.RefutedBundles - sol.RefutedByLevel),
+		refutedLevel: int64(sol.RefutedByLevel),
+		steps:        int64(sol.Steps),
+		escalations:  int64(sol.Escalations),
+	}
+}
+
+// telemetryWork reads a session's running counts off its telemetry.
+func telemetryWork(tel *Telemetry) workCounts {
+	c := tel.Snapshot().Counters
+	return workCounts{
+		searches:     c[`fubar_pathgen_lookups_total{result="search"}`] + c["fubar_pathgen_trees_built_total"],
+		candidates:   c["fubar_core_candidates_collected_total"],
+		refutedLink:  c[`fubar_core_refuted_bundles_total{rule="link"}`],
+		refutedLevel: c[`fubar_core_refuted_bundles_total{rule="level"}`],
+		steps:        c["fubar_core_steps_total"],
+		escalations:  c["fubar_core_escalations_total"],
+	}
+}
+
+// coldScaleS is benchmark/'s cold-scale-s instance set: the scale-s Waxman
+// topology (seed 1) and eight fixed 1500-aggregate matrices.
+func coldScaleS(tb testing.TB) (*Topology, []*Matrix) {
+	tb.Helper()
 	preset, err := ScalePresetByName("scale-s")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	topo, err := preset.Topology(1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mats := make([]*Matrix, 8)
 	for i := range mats {
@@ -280,130 +332,147 @@ func BenchmarkColdOptimizeScaleS(b *testing.B) {
 		cfg.BulkFlows = [2]int{1, 4}
 		cfg.IncludeSelfPairs = false
 		if mats[i], err = SparseTraffic(topo, cfg, preset.Aggregates); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	var candidates, refuted, searches, donated int64
+	return topo, mats
+}
+
+// coldOptimize is one cold-scale-s operation: a cold Session.Optimize, fresh
+// session included, at WithWorkers(1).
+func coldOptimize(tb testing.TB, topo *Topology, mat *Matrix) *Solution {
+	tb.Helper()
+	s, err := NewSession(topo, mat, WithWorkers(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sol, err := s.Optimize(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sol
+}
+
+// BenchmarkColdOptimizeScaleS is benchmark/'s cold-scale-s operation under
+// go test: coldOptimize over coldScaleS's matrices in turn. Besides time it
+// reports the operation's workCounts and the lookups a donor answered. The
+// counts are exact per matrix, so at -benchtime 8x (or a multiple) they
+// compare across commits where the times cannot.
+func BenchmarkColdOptimizeScaleS(b *testing.B) {
+	topo, mats := coldScaleS(b)
+	var work workCounts
+	var donated int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewSession(topo, mats[i%len(mats)], WithWorkers(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sol, err := s.Optimize(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		candidates += sol.Delta.Calls
-		refuted += int64(sol.RefutedBundles)
-		searches += sol.Paths.Searches + sol.Paths.TreesBuilt
+		sol := coldOptimize(b, topo, mats[i%len(mats)])
+		work.add(solutionWork(sol))
 		donated += sol.Paths.Donated
 	}
-	b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
-	b.ReportMetric(float64(refuted)/float64(b.N), "refuted/op")
-	b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
+	work.report(b, b.N, "op")
 	b.ReportMetric(float64(donated)/float64(b.N), "donated/op")
 }
 
-// BenchmarkReplayEpoch is benchmark/'s two replay operations under go test:
-// one warm epoch of an open-loop crisis replay on the HE-31 benchmark
-// instance (replay-he-crisis) and of a closed-loop soak replay on the
-// 6-node ring at three controller replicas (closedloop-ring-soak), both at
-// WithWorkers(1) over fixed timelines. An epoch is warm when its replay
-// already ran one: epoch 0 of every timeline — a cold optimization on a
-// fresh optimizer — is replayed but neither timed nor counted. Besides
-// time it reports what one warm epoch allocated and how many path searches
-// (early-exit and tree-building alike) it ran — what a per-epoch rebuild of
-// the optimizer, its path memo or its arenas would bring back — and how
-// many candidates it collected and how many bundles it skipped as refuted
-// by an earlier link of their pass. At a fixed -benchtime the open loop's
-// allocs, searches, candidates and refuted are exact per commit and its
-// bytes repeat to well under a percent (map buckets); the closed loop's
+// replayLeg is one of benchmark/'s two replay operations under go test: an
+// open-loop crisis replay on the HE-31 benchmark instance (replay-he-crisis)
+// and a closed-loop soak replay on the 6-node ring at three controller
+// replicas (closedloop-ring-soak), both at WithWorkers(1) over fixed
+// timelines of epochs epochs each.
+type replayLeg struct {
+	name     string
+	epochs   int // per timeline
+	instance func() (*Topology, *Matrix, error)
+	opts     []SessionOption
+	replay   func(*Session, int64) iter.Seq2[EpochRecord, error]
+}
+
+var replayLegs = []replayLeg{
+	{"he-crisis", 8, func() (*Topology, *Matrix, error) { return scenario.HEBenchInstance(5) }, nil,
+		func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
+			return s.Replay(context.Background(), CrisisScenario(seed, 8, 1.3, 3))
+		}},
+	{"ring-soak", 200, func() (*Topology, *Matrix, error) {
+		topo, err := RingTopology(6, 3, 600*Kbps, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		cfg := DefaultGenConfig(7)
+		cfg.RealTimeFlows = [2]int{1, 4}
+		cfg.BulkFlows = [2]int{1, 3}
+		mat, err := GenerateTraffic(topo, cfg)
+		return topo, mat, err
+	}, []SessionOption{WithReplicas(3)},
+		func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
+			return s.ReplayClosedLoop(context.Background(), SoakScenario(seed, 200, 5))
+		}},
+}
+
+// warmEpochs replays the leg's timelines (seeds 1, 2, …) on one telemetered
+// session until n warm epochs have run, calling begin right before each and
+// end right after it with the session's telemetry. An epoch is warm when its
+// replay already ran one: epoch 0 of every timeline — a cold optimization on
+// a fresh optimizer — is replayed but falls outside every begin/end pair.
+func (leg replayLeg) warmEpochs(tb testing.TB, n int, begin, end func(*Telemetry)) {
+	tb.Helper()
+	topo, mat, err := leg.instance()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tel := NewTelemetry()
+	s, err := NewSession(topo, mat, append(leg.opts, WithWorkers(1), WithTelemetry(tel))...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.Close()
+	epochs := 0
+	for seed := int64(1); epochs < n; seed++ {
+		for er, err := range leg.replay(s, seed) {
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if er.Epoch > 0 {
+				end(tel)
+				epochs++
+			}
+			if epochs == n {
+				break
+			}
+			if er.Epoch < leg.epochs-1 {
+				begin(tel)
+			}
+		}
+	}
+}
+
+// BenchmarkReplayEpoch times one warm epoch of each replayLeg. Besides time
+// it reports what the epoch allocated and its workCounts — the searches are
+// what a per-epoch rebuild of the optimizer, its path memo or its arenas
+// would bring back, the candidates and refuted bundles what the pass loop
+// asked flowmodel to score and what it skipped. At a fixed -benchtime the
+// open loop's allocs and work counts are exact per commit and its bytes
+// repeat to well under a percent (map buckets); the closed loop's
 // allocations carry its control plane's goroutines too.
 func BenchmarkReplayEpoch(b *testing.B) {
-	for _, leg := range []struct {
-		name     string
-		epochs   int // per timeline
-		instance func() (*Topology, *Matrix, error)
-		opts     []SessionOption
-		replay   func(*Session, int64) iter.Seq2[EpochRecord, error]
-	}{
-		{"he-crisis", 8, func() (*Topology, *Matrix, error) { return scenario.HEBenchInstance(5) }, nil,
-			func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
-				return s.Replay(context.Background(), CrisisScenario(seed, 8, 1.3, 3))
-			}},
-		{"ring-soak", 200, func() (*Topology, *Matrix, error) {
-			topo, err := RingTopology(6, 3, 600*Kbps, 1)
-			if err != nil {
-				return nil, nil, err
-			}
-			cfg := DefaultGenConfig(7)
-			cfg.RealTimeFlows = [2]int{1, 4}
-			cfg.BulkFlows = [2]int{1, 3}
-			mat, err := GenerateTraffic(topo, cfg)
-			return topo, mat, err
-		}, []SessionOption{WithReplicas(3)},
-			func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
-				return s.ReplayClosedLoop(context.Background(), SoakScenario(seed, 200, 5))
-			}},
-	} {
+	for _, leg := range replayLegs {
 		b.Run(leg.name, func(b *testing.B) {
-			topo, mat, err := leg.instance()
-			if err != nil {
-				b.Fatal(err)
-			}
-			tel := NewTelemetry()
-			s, err := NewSession(topo, mat, append(leg.opts, WithWorkers(1), WithTelemetry(tel))...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			// counts reads what the warm epochs are charged per epoch:
-			// searches, candidates collected, bundles refuted.
-			counts := func() [3]int64 {
-				c := tel.Snapshot().Counters
-				return [3]int64{
-					c[`fubar_pathgen_lookups_total{result="search"}`] + c["fubar_pathgen_trees_built_total"],
-					c["fubar_core_candidates_collected_total"],
-					c["fubar_core_refuted_bundles_total"],
-				}
-			}
 			var before, after runtime.MemStats
 			var bytes, mallocs uint64
-			var found, mark [3]int64
-			epochs := 0
+			var work, mark workCounts
 			b.StopTimer()
-			for seed := int64(1); epochs < b.N; seed++ {
-				for er, err := range leg.replay(s, seed) {
-					if err != nil {
-						b.Fatal(err)
-					}
-					if er.Epoch > 0 {
-						b.StopTimer()
-						runtime.ReadMemStats(&after)
-						bytes += after.TotalAlloc - before.TotalAlloc
-						mallocs += after.Mallocs - before.Mallocs
-						for i, n := range counts() {
-							found[i] += n - mark[i]
-						}
-						epochs++
-					}
-					if epochs == b.N {
-						break
-					}
-					if er.Epoch < leg.epochs-1 {
-						mark = counts()
-						runtime.ReadMemStats(&before)
-						b.StartTimer()
-					}
-				}
-			}
-			b.ReportMetric(float64(bytes)/float64(epochs), "B/epoch")
-			b.ReportMetric(float64(mallocs)/float64(epochs), "allocs/epoch")
-			b.ReportMetric(float64(found[0])/float64(epochs), "searches/epoch")
-			b.ReportMetric(float64(found[1])/float64(epochs), "candidates/epoch")
-			b.ReportMetric(float64(found[2])/float64(epochs), "refuted/epoch")
+			leg.warmEpochs(b, b.N, func(tel *Telemetry) {
+				mark = telemetryWork(tel)
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+			}, func(tel *Telemetry) {
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				bytes += after.TotalAlloc - before.TotalAlloc
+				mallocs += after.Mallocs - before.Mallocs
+				work.add(telemetryWork(tel).sub(mark))
+			})
+			b.ReportMetric(float64(bytes)/float64(b.N), "B/epoch")
+			b.ReportMetric(float64(mallocs)/float64(b.N), "allocs/epoch")
+			work.report(b, b.N, "epoch")
 		})
 	}
 }

@@ -63,9 +63,9 @@ import (
 	"fubar/internal/unit"
 )
 
-// refutationOff is the differential oracle for the failed-step rule (see
+// refutationOff is the differential oracle for both refutation rules (see
 // Run): an optimizer bound while it is set enumerates and scores refuted
-// bundles as before the rule existed. Only tests set it (export_test.go).
+// bundles as before the rules existed. Only tests set it (export_test.go).
 var refutationOff atomic.Bool
 
 // The search parameters, which the paper states as design values, not
@@ -298,10 +298,13 @@ type Solution struct {
 	// generators.
 	Paths pathgen.Stats
 	// RefutedBundles counts the (step, bundle) pairs collection did not
-	// enumerate because the bundle also crosses a link whose step already
-	// failed in the same pass (see Run). 0 on a run that never fails a
-	// step; identical at any worker count.
+	// enumerate because a failed step had already scored the bundle's
+	// candidates (see Run): it also crosses a link whose step failed in the
+	// same pass, or — RefutedByLevel, a share of the total — its move size
+	// is what it was at the escalation level below. 0 on a run that never
+	// fails a step; identical at any worker count.
 	RefutedBundles int
+	RefutedByLevel int
 }
 
 // BaseStats counts how the per-step delta base snapshots were produced.
@@ -408,17 +411,23 @@ type Optimizer struct {
 	refutedStamp []uint32
 	passEpoch    uint32
 	refutedAny   bool
+	// prevFraction is the move fraction of the escalation level below: of
+	// the pass that failed on every congested link with no commit since, 0
+	// when there is none. A bundle whose moveSize is the same at both levels
+	// was scored there as the same candidates (see Run).
+	prevFraction float64
 	// skipRefuted is false only under the test-only differential oracle
 	// (refutationOff), which enumerates and scores refuted bundles as
-	// before the rule existed; afterScoring, when a test sets it, sees
+	// before either rule existed; afterScoring, when a test sets it, sees
 	// every step's scored candidates and the utility one must exceed to be
 	// selected — on an oracle optimizer, the refuted bundles' among them.
 	skipRefuted  bool
 	afterScoring func(cands []candidate, bound float64)
-	// candidates and refutedBundles are the run's totals of candidates
-	// collected and of bundles skipped as refuted.
-	candidates     int
-	refutedBundles int
+	// candidates, refutedLink and refutedLevel are the run's totals of
+	// candidates collected and of bundles skipped as refuted, by either rule.
+	candidates   int
+	refutedLink  int
+	refutedLevel int
 
 	// collectors are the persistent candidate-collection shards, one per
 	// collection goroutine: a private path generator plus the per-link
@@ -475,9 +484,9 @@ type collector struct {
 	congUsed []graph.EdgeID
 	alts     []graph.Path
 	crossBuf []int
-	// refuted counts the crossing bundles this shard skipped as refuted in
-	// the current collection.
-	refuted int
+	// refutedLink and refutedLevel count the crossing bundles this shard
+	// skipped as refuted, by either rule, in the current collection.
+	refutedLink, refutedLevel int
 	// cands accumulates this shard's candidates; chunkEnd[k] is the end
 	// offset of the shard's k-th owned chunk, in claim order, so the
 	// index-ordered merge can interleave shards back into global
@@ -583,7 +592,7 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	}
 	o.pubDelta = flowmodel.DeltaStats{}
 	o.pubPaths = pathgen.Stats{}
-	o.candidates, o.refutedBundles = 0, 0
+	o.candidates, o.refutedLink, o.refutedLevel, o.prevFraction = 0, 0, 0, 0
 	if o.tm != nil {
 		o.tm.Runs.Inc()
 	}
@@ -615,6 +624,9 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	// relies on.
 	uCur := res.NetworkUtility
 	links := o.model.CongestedByOversubscription(res)
+	// stuck marks where the passes since the last commit began: what the
+	// proof of a local optimum is charged, should the run end in one.
+	var stuck workMark
 
 	// ctxStop classifies a Done context; zero means keep running.
 	ctxStop := func() StopReason {
@@ -662,13 +674,21 @@ loop:
 		// read stamps proved against an allocation that has moved. The
 		// epoch bump below drops the stamps when fraction or the allocation
 		// changes.
+		//
+		// A failed pass is a proof too: it scored or refuted every
+		// positive-flow bundle on every congested link. An escalation changes
+		// fraction and nothing else, and fraction reaches a candidate only
+		// through moveSize — so a bundle whose move size is what it was at
+		// prevFraction has the same (agg, from, to, n) candidates, which score
+		// the same bits and lose again: the escalated pass collects only the
+		// bundles whose n grew (crossingPaths). The proof needs prevFraction
+		// zeroed at every commit. DESIGN.md "What a failed step proves".
 		progress := false
 		var committed *flowmodel.Result
-		var stepStart time.Time
-		if o.tm != nil {
-			stepStart = time.Now()
+		pass := o.mark()
+		if escLevel == 0 {
+			stuck = pass
 		}
-		passCands, passRefuted := o.candidates, o.refutedBundles
 		o.passEpoch++
 		if o.passEpoch == 0 { // epoch wrapped: old stamps would alias it
 			clear(o.refutedStamp)
@@ -691,6 +711,7 @@ loop:
 			committedAt := escLevel
 			fraction = moveFraction // de-escalate on progress
 			escLevel = 0
+			o.prevFraction = 0 // the allocation moved: nothing is refuted
 			if committed != nil {
 				// The commit was folded into the persistent base; its
 				// delta result is the committed allocation's evaluation.
@@ -703,15 +724,16 @@ loop:
 			o.trace(Snapshot{Step: steps, Elapsed: time.Since(start), Escalation: committedAt, Result: res})
 			if o.tm != nil {
 				o.tm.Steps.Inc()
-				o.tm.StepSeconds.Observe(time.Since(stepStart).Seconds())
+				o.tm.StepSeconds.Observe(time.Since(pass.at).Seconds())
 				o.publishDeltaStats()
 				// candidates and refuted are the committing pass's, failed
 				// links included — what the span's wall time paid for.
-				o.tracer.Emit("core.step", stepStart, map[string]any{
+				o.tracer.Emit("core.step", pass.at, map[string]any{
 					"step": steps, "utility": uCur, "congested": len(links),
-					"escalation": committedAt,
-					"candidates": o.candidates - passCands,
-					"refuted":    o.refutedBundles - passRefuted,
+					"escalation":    committedAt,
+					"candidates":    o.candidates - pass.cands,
+					"refuted":       o.refutedLink - pass.link + o.refutedLevel - pass.level,
+					"refuted_level": o.refutedLevel - pass.level,
 				})
 			}
 			continue
@@ -723,6 +745,7 @@ loop:
 			stop = StopLocalOptimum
 			break loop
 		}
+		o.prevFraction = fraction
 		fraction *= escalationFactor
 		if fraction > 1 {
 			fraction = 1
@@ -735,6 +758,15 @@ loop:
 	}
 	if o.tm != nil {
 		o.publishDeltaStats() // fold in the final (uncommitted) step's activity
+		if stop == StopLocalOptimum {
+			// The passes that proved the optimum committed nothing, so no
+			// core.step covers them: all of a quiet epoch's optimizer time.
+			o.tm.ProofSeconds.Observe(time.Since(stuck.at).Seconds())
+			o.tracer.Emit("core.proof", stuck.at, map[string]any{
+				"passes": escLevel + 1, "candidates": o.candidates - stuck.cands,
+				"refuted_link": o.refutedLink - stuck.link, "refuted_level": o.refutedLevel - stuck.level,
+			})
+		}
 	}
 
 	final := o.finalResult()
@@ -747,7 +779,8 @@ loop:
 		Escalations:    escal,
 		Elapsed:        time.Since(start),
 		Stop:           stop,
-		RefutedBundles: o.refutedBundles,
+		RefutedBundles: o.refutedLink + o.refutedLevel,
+		RefutedByLevel: o.refutedLevel,
 	}
 	for _, w := range o.workers {
 		sol.Delta.Add(w.eval.DeltaStats())
@@ -990,6 +1023,17 @@ func (o *Optimizer) snapshotBundles() []flowmodel.Bundle {
 	return out
 }
 
+// workMark is a reading of the clock and the run's work counters: the
+// telemetry events report what happened since one.
+type workMark struct {
+	at                 time.Time
+	cands, link, level int
+}
+
+func (o *Optimizer) mark() workMark {
+	return workMark{time.Now(), o.candidates, o.refutedLink, o.refutedLevel}
+}
+
 // candidate describes one trial reallocation discovered by
 // collectCandidates: n flows of aggregate agg from path index from to
 // path index to (already present in the aggregate's path set). utility is
@@ -1020,12 +1064,14 @@ type candidate struct {
 // improve-by-minGain rule the serial mutate-evaluate-revert loop used, so
 // any worker count commits the identical move.
 func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.EdgeID, fraction float64) (bool, *flowmodel.Result) {
-	cands, refuted := o.collectCandidates(link, congested, fraction)
+	cands, byLink, byLevel := o.collectCandidates(link, congested, fraction)
 	o.candidates += len(cands)
-	o.refutedBundles += refuted
+	o.refutedLink += byLink
+	o.refutedLevel += byLevel
 	if o.tm != nil {
 		o.tm.CandidatesCollected.Add(int64(len(cands)))
-		o.tm.RefutedBundles.Add(int64(refuted))
+		o.tm.RefutedByLink.Add(int64(byLink))
+		o.tm.RefutedByLevel.Add(int64(byLevel))
 	}
 	if len(cands) == 0 {
 		return false, nil
@@ -1194,7 +1240,7 @@ const collectChunk = 16
 // aggregate's path set here (with zero flows — path sets only grow,
 // §2.4), exactly as the serial trial loop did, so enumeration order and
 // the path-set cap behave identically too.
-func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeID, fraction float64) (cands []candidate, refuted int) {
+func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeID, fraction float64) (cands []candidate, byLink, byLevel int) {
 	o.cands = o.cands[:0]
 	o.congAsc = append(o.congAsc[:0], congested...)
 	slices.Sort(o.congAsc)
@@ -1249,10 +1295,10 @@ func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeI
 		}
 	}
 	for _, col := range o.collectors { // shards that sat this step out hold 0
-		refuted += col.refuted
-		col.refuted = 0
+		byLink, byLevel = byLink+col.refutedLink, byLevel+col.refutedLevel
+		col.refutedLink, col.refutedLevel = 0, 0
 	}
-	return o.cands, refuted
+	return o.cands, byLink, byLevel
 }
 
 // collectRange enumerates candidates for aggregates [lo, hi) into the
@@ -1266,9 +1312,10 @@ func (o *Optimizer) collectRange(col *collector, lo, hi int, link graph.EdgeID, 
 		if st.self {
 			continue
 		}
-		// Find this aggregate's bundles crossing the link that no earlier
-		// link of the pass refuted; with none left, no path is looked up.
-		crossing := o.crossingPaths(col, st, link)
+		// Find this aggregate's bundles crossing the link that neither an
+		// earlier link of the pass nor the level below refuted; with none
+		// left, no path is looked up.
+		crossing := o.crossingPaths(col, st, link, fraction)
 		if len(crossing) == 0 {
 			continue
 		}
@@ -1278,7 +1325,7 @@ func (o *Optimizer) collectRange(col *collector, lo, hi int, link graph.EdgeID, 
 		}
 		agg := o.mat.Aggregate(traffic.AggregateID(ai))
 		for _, from := range crossing {
-			n := o.moveSize(agg.Flows, st.flows[from], fraction)
+			n := moveSize(agg.Flows, st.flows[from], fraction)
 			if n <= 0 {
 				continue
 			}
@@ -1478,9 +1525,11 @@ func (o *Optimizer) growWorkers(n int) {
 
 // crossingPaths returns the path indices of st whose path uses the link,
 // currently carries flows and is not refuted — bundles a failed step of
-// this pass already scored are counted on the collector and left out. The
-// returned slice is the collector's scratch, valid until the next call.
-func (o *Optimizer) crossingPaths(col *collector, st *aggState, link graph.EdgeID) []int {
+// this pass already scored, and bundles the pass below scored at the move
+// size they still have at fraction, are counted on the collector and left
+// out. The returned slice is the collector's scratch, valid until the next
+// call.
+func (o *Optimizer) crossingPaths(col *collector, st *aggState, link graph.EdgeID, fraction float64) []int {
 	col.crossBuf = col.crossBuf[:0]
 	for pi, f := range st.flows {
 		if f <= 0 {
@@ -1491,7 +1540,11 @@ func (o *Optimizer) crossingPaths(col *collector, st *aggState, link graph.EdgeI
 			continue
 		}
 		if o.refutedAny && o.skipRefuted && o.refuted(p) {
-			col.refuted++
+			col.refutedLink++
+			continue
+		}
+		if o.prevFraction > 0 && o.skipRefuted && moveSize(st.total, f, o.prevFraction) == moveSize(st.total, f, fraction) {
+			col.refutedLevel++
 			continue
 		}
 		col.crossBuf = append(col.crossBuf, pi)
@@ -1583,9 +1636,11 @@ func (o *Optimizer) alternativesFor(col *collector, ai int, st *aggState, conges
 
 // moveSize computes N (Listing 2 line 3): whole bundles for small
 // aggregates, a fraction of the aggregate otherwise, never more than the
-// source bundle holds. Like alternativesFor, it must not depend on the
-// link being stepped.
-func (o *Optimizer) moveSize(aggFlows, bundleFlows int, fraction float64) int {
+// source bundle holds. Both refutation rules need it a pure function of
+// its arguments — like alternativesFor it must not depend on the link being
+// stepped, and crossingPaths re-derives the level below's N from it — and
+// the only way fraction reaches a candidate.
+func moveSize(aggFlows, bundleFlows int, fraction float64) int {
 	if bundleFlows <= 0 {
 		return 0
 	}

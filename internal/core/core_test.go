@@ -392,23 +392,22 @@ func TestAltModes(t *testing.T) {
 }
 
 func TestMoveSize(t *testing.T) {
-	o := &Optimizer{opts: Options{}.withDefaults()}
 	// Small aggregate: whole bundle.
-	if got := o.moveSize(8, 5, 0.25); got != 5 {
+	if got := moveSize(8, 5, 0.25); got != 5 {
 		t.Errorf("small aggregate move = %d, want 5", got)
 	}
 	// Large aggregate: fraction of total, capped by the bundle.
-	if got := o.moveSize(100, 100, 0.25); got != 25 {
+	if got := moveSize(100, 100, 0.25); got != 25 {
 		t.Errorf("large move = %d, want 25", got)
 	}
-	if got := o.moveSize(100, 10, 0.25); got != 10 {
+	if got := moveSize(100, 10, 0.25); got != 10 {
 		t.Errorf("capped move = %d, want 10", got)
 	}
 	// Escalated to 1.0: whole aggregate.
-	if got := o.moveSize(100, 100, 1.0); got != 100 {
+	if got := moveSize(100, 100, 1.0); got != 100 {
 		t.Errorf("escalated move = %d, want 100", got)
 	}
-	if got := o.moveSize(100, 0, 0.5); got != 0 {
+	if got := moveSize(100, 0, 0.5); got != 0 {
 		t.Errorf("empty bundle move = %d, want 0", got)
 	}
 }

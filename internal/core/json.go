@@ -25,6 +25,7 @@ type SolutionSummary struct {
 	Base              BaseStats           `json:"base"`
 	Paths             pathgen.Stats       `json:"paths"`
 	RefutedBundles    int                 `json:"refuted_bundles"`
+	RefutedByLevel    int                 `json:"refuted_by_level"`
 }
 
 // flowmodelDeltaStats mirrors flowmodel.DeltaStats with JSON tags (the
@@ -59,6 +60,7 @@ func (s *Solution) Summary() SolutionSummary {
 		Base:           s.Base,
 		Paths:          s.Paths,
 		RefutedBundles: s.RefutedBundles,
+		RefutedByLevel: s.RefutedByLevel,
 	}
 }
 

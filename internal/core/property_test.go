@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"fubar/internal/baseline"
@@ -31,6 +32,41 @@ func propInstance(t *testing.T, seed int64) (*topology.Topology, *traffic.Matrix
 		t.Fatalf("flowmodel.New: %v", err)
 	}
 	return topo, mat, model
+}
+
+// TestPropertyMoveSize: N depends on nothing but its three arguments (it is a
+// plain function: the level rule re-derives the previous level's N from it
+// instead of storing one), lies between 1 and the bundle for every positive
+// bundle, never shrinks when the fraction grows — so along an escalation
+// ladder a move size that stopped changing between two levels was the same at
+// every level between — and is the whole bundle for a small aggregate at any
+// fraction and for any aggregate at fraction 1.
+func TestPropertyMoveSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		agg := 1 + rng.Intn(4*smallAggregateFlows)
+		if i%4 == 0 {
+			agg = 1 + rng.Intn(2000)
+		}
+		bundle := 1 + rng.Intn(agg)
+		lo, hi := rng.Float64(), rng.Float64()
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if i%2 == 0 { // the ladder the optimizer climbs
+			lo, hi = moveFraction, moveFraction*escalationFactor
+		}
+		nLo, nHi, nAll := moveSize(agg, bundle, lo), moveSize(agg, bundle, hi), moveSize(agg, bundle, 1)
+		if nLo < 1 || nLo > nHi || nHi > nAll || nAll != bundle {
+			t.Fatalf("moveSize(%d, %d, ·) = %d at %v, %d at %v, %d at 1: want 1 <= non-decreasing <= the bundle at 1", agg, bundle, nLo, lo, nHi, hi, nAll)
+		}
+		if agg <= smallAggregateFlows && nLo != bundle {
+			t.Fatalf("moveSize(%d, %d, %v) = %d: a small aggregate's bundle moves whole", agg, bundle, lo, nLo)
+		}
+		if moveSize(agg, 0, lo) != 0 {
+			t.Fatalf("moveSize(%d, 0, %v) != 0", agg, lo)
+		}
+	}
 }
 
 // TestPropertyUtilityMonotoneAcrossSteps verifies the greedy invariant:

@@ -36,11 +36,13 @@ type CoreMetrics struct {
 	Steps               *Counter
 	Escalations         *Counter
 	CandidatesCollected *Counter
-	RefutedBundles      *Counter
+	RefutedByLink       *Counter
+	RefutedByLevel      *Counter
 	CandidatesEvaluated *Counter
 	TrialResyncs        *Counter
 	CollectMergeSeconds *Histogram
 	StepSeconds         *Histogram
+	ProofSeconds        *Histogram
 
 	DeltaCalls       *Counter
 	UtilityOnlyCalls *Counter
@@ -68,11 +70,13 @@ func (t *Telemetry) Core() *CoreMetrics {
 		Steps:               r.Counter("fubar_core_steps_total", "Committed optimization moves."),
 		Escalations:         r.Counter("fubar_core_escalations_total", "Move-size escalations: local optima at which no candidate improved utility and the optimizer retried with a larger move."),
 		CandidatesCollected: r.Counter("fubar_core_candidates_collected_total", "Candidate moves produced by sharded collection."),
-		RefutedBundles:      r.Counter("fubar_core_refuted_bundles_total", "Bundles collection did not enumerate because a failed step earlier in the same pass had already scored their candidates."),
+		RefutedByLink:       r.Counter(`fubar_core_refuted_bundles_total{rule="link"}`, refutedBundlesHelp),
+		RefutedByLevel:      r.Counter(`fubar_core_refuted_bundles_total{rule="level"}`, refutedBundlesHelp),
 		CandidatesEvaluated: r.Counter("fubar_core_candidates_evaluated_total", "Candidate moves scored by workers."),
 		TrialResyncs:        r.Counter("fubar_core_trial_resyncs_total", "Worker trial buffers resynced to a new dense generation."),
 		CollectMergeSeconds: r.Histogram("fubar_core_collect_merge_seconds", "Wall time of the index-ordered candidate shard merge.", SecondsBuckets),
 		StepSeconds:         r.Histogram("fubar_core_step_seconds", "Wall time of one optimizer step.", SecondsBuckets),
+		ProofSeconds:        r.Histogram("fubar_core_proof_seconds", "Wall time of the commit-free passes that ended a run at a local optimum.", SecondsBuckets),
 		DeltaCalls:          r.Counter("fubar_eval_delta_calls_total", "Full-result incremental (delta) evaluations."),
 		UtilityOnlyCalls:    r.Counter("fubar_eval_utility_only_calls_total", "Utility-only incremental evaluations."),
 		DeltaFallbacks:      r.Counter("fubar_eval_delta_fallbacks_total", "Delta evaluations that broke their contract (no base, a list the base does not describe) and ran a full recompute; 0 in a correct run."),
@@ -84,6 +88,8 @@ func (t *Telemetry) Core() *CoreMetrics {
 		PathTreesBuilt:      r.Counter("fubar_pathgen_trees_built_total", "Shortest-path trees built to answer path lookups."),
 	}
 }
+
+const refutedBundlesHelp = "Bundles collection did not enumerate because a failed step had already scored their candidates, by the rule that says so: a link that failed earlier in the same pass, or the escalation level below at an unchanged move size."
 
 const pathLookupsHelp = "Path lookups, by what answered them: the memo, a narrower set's donated answer, a shortest-path tree, or a search."
 

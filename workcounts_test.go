@@ -1,0 +1,59 @@
+package fubar
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
+
+// TestWorkCountsPinned is the CI gate on what is exact about the optimizer's
+// work: it runs the operations BenchmarkReplayEpoch and
+// BenchmarkColdOptimizeScaleS run at CI's bench times — 70 warm epochs of
+// the HE-31 crisis replay, 70 of the closed-loop soak ring, the eight cold
+// scale-s matrices once each — and compares the totals of candidates scored,
+// bundles refuted by link and by level, committed steps, escalations and
+// path searches with testdata/work_counts.golden. Steps and escalations move
+// only if the optimizer walks another trajectory (the determinism tests will
+// say so too); candidates, refuted bundles and searches are what the pass
+// loop asks of flowmodel and pathgen on the way, so a change there is a
+// change in cost that no solution shows. Regenerate with
+// `go test . -run TestWorkCountsPinned -update` and say why in the commit.
+func TestWorkCountsPinned(t *testing.T) {
+	var buf bytes.Buffer
+	row := func(name string, ops int, w workCounts) {
+		fmt.Fprintf(&buf, "%-12s %3d  candidates %6d  refuted_link %5d  refuted_level %5d  steps %5d  escalations %4d  searches %5d\n",
+			name, ops, w.candidates, w.refutedLink, w.refutedLevel, w.steps, w.escalations, w.searches)
+	}
+	for _, leg := range replayLegs {
+		var work, mark workCounts
+		leg.warmEpochs(t, 70,
+			func(tel *Telemetry) { mark = telemetryWork(tel) },
+			func(tel *Telemetry) { work.add(telemetryWork(tel).sub(mark)) })
+		row(leg.name, 70, work)
+	}
+	topo, mats := coldScaleS(t)
+	var cold workCounts
+	for _, mat := range mats {
+		cold.add(solutionWork(coldOptimize(t, topo, mat)))
+	}
+	row("cold-scale-s", len(mats), cold)
+
+	golden := filepath.Join("testdata", "work_counts.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("work counts diverged from %s:\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
+	}
+}
