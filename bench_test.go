@@ -380,6 +380,7 @@ func BenchmarkColdOptimizeScaleS(b *testing.B) {
 // timelines of epochs epochs each.
 type replayLeg struct {
 	name     string
+	closed   bool
 	epochs   int // per timeline
 	instance func() (*Topology, *Matrix, error)
 	opts     []SessionOption
@@ -387,11 +388,11 @@ type replayLeg struct {
 }
 
 var replayLegs = []replayLeg{
-	{"he-crisis", 8, func() (*Topology, *Matrix, error) { return scenario.HEBenchInstance(5) }, nil,
+	{"he-crisis", false, 8, func() (*Topology, *Matrix, error) { return scenario.HEBenchInstance(5) }, nil,
 		func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
 			return s.Replay(context.Background(), CrisisScenario(seed, 8, 1.3, 3))
 		}},
-	{"ring-soak", 200, func() (*Topology, *Matrix, error) {
+	{"ring-soak", true, 200, func() (*Topology, *Matrix, error) {
 		topo, err := RingTopology(6, 3, 600*Kbps, 1)
 		if err != nil {
 			return nil, nil, err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fubar/internal/core"
+	"fubar/internal/flowmodel"
 	"fubar/internal/report"
 	"fubar/internal/scenario"
 	"fubar/internal/telemetry"
@@ -114,6 +115,15 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string, tel
 	}
 	sc := scenario.Soak(seed+5, epochs, period)
 	opts := scenario.Options{Core: core.Options{Workers: 2, Telemetry: tel}}
+	// One optimizer for both legs: a stream only borrows it.
+	model, err := flowmodel.New(topo, mat)
+	if err != nil {
+		return err
+	}
+	opt, err := core.New(model, opts.Core)
+	if err != nil {
+		return err
+	}
 
 	const trajPoints = 64
 	plainTraj := scenario.NewTrajectoryRecorder(sc.Name, epochs, trajPoints)
@@ -121,7 +131,7 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string, tel
 	var plainSamples []uint64
 	n := 0
 	start := time.Now()
-	for er, err := range scenario.Stream(benchCtx, nil, topo, mat, sc, opts) {
+	for er, err := range scenario.Stream(benchCtx, opt, nil, topo, mat, sc, opts) {
 		if err != nil {
 			return err
 		}
@@ -152,7 +162,7 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string, tel
 		return err
 	}
 	defer cp.Close()
-	for er, err := range scenario.Stream(benchCtx, cp, topo, mat, clSc, opts) {
+	for er, err := range scenario.Stream(benchCtx, opt, cp, topo, mat, clSc, opts) {
 		if err != nil {
 			return err
 		}

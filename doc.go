@@ -39,6 +39,16 @@
 // ReplayAll / ReplayClosedLoopAll collect the stream into a
 // ScenarioResult when the whole table is wanted at once.
 //
+// A replay runs on the session's own optimizer, lent for the stream's
+// life and re-bound to each epoch's topology and matrix, so path memo,
+// arenas and scratch outlive the epoch and the replay. Optimize, Replay
+// and ReplayClosedLoop on one Session may be interleaved — an Optimize
+// between two epochs, two streams pulled in turn — and a stream abandoned
+// mid-way or ended by an error leaves nothing to undo: Optimize re-binds
+// the optimizer to the session's instance whenever a replay has borrowed
+// it, and returns what it would had none run. They may not run
+// concurrently; no Session method may.
+//
 // # What else is here
 //
 // The Session is the one front door; there are no free-function forms of

@@ -804,16 +804,23 @@ loop:
 
 // initAllocation puts every aggregate's flows on its lowest-delay path
 // (Listing 1 line 1), or restores the warm-start allocation when
-// Options.InitialBundles is set.
+// Options.InitialBundles is set. The per-aggregate storage — path set, flow
+// split, delays — is the last run's, rewritten from empty: a re-bound
+// optimizer whose matrix moved grows it by the aggregates that are new.
 func (o *Optimizer) initAllocation() error {
 	n := o.mat.NumAggregates()
-	o.aggs = make([]aggState, n)
+	if n > cap(o.aggs) {
+		grown := make([]aggState, n)
+		copy(grown, o.aggs[:cap(o.aggs)])
+		o.aggs = grown
+	}
+	o.aggs = o.aggs[:n]
 	for i := 0; i < n; i++ {
 		a := o.mat.Aggregate(traffic.AggregateID(i))
 		st := &o.aggs[i]
-		st.total = a.Flows
-		if a.IsSelfPair() {
-			st.self = true
+		st.total, st.self = a.Flows, a.IsSelfPair()
+		st.flows, st.delays = st.flows[:0], st.delays[:0]
+		if st.self {
 			continue
 		}
 		p, ok := o.gen.LowestDelay(a.Src, a.Dst)
@@ -821,10 +828,14 @@ func (o *Optimizer) initAllocation() error {
 			return fmt.Errorf("core: no policy-compliant path for aggregate %d (%s->%s)",
 				a.ID, o.model.Topology().NodeName(a.Src), o.model.Topology().NodeName(a.Dst))
 		}
-		st.set = pathgen.NewPathSet(o.opts.MaxPathsPerAggregate)
+		if st.set == nil {
+			st.set = pathgen.NewPathSet(o.opts.MaxPathsPerAggregate)
+		} else {
+			st.set.Reset(o.opts.MaxPathsPerAggregate)
+		}
 		st.set.Add(p)
-		st.flows = []int{a.Flows}
-		st.delays = []unit.Delay{o.model.Topology().PathDelay(p)}
+		st.flows = append(st.flows, a.Flows)
+		st.delays = append(st.delays, o.model.Topology().PathDelay(p))
 	}
 	if o.opts.InitialBundles != nil {
 		return o.applyWarmStart(o.opts.InitialBundles)

@@ -11,3 +11,15 @@ func WithoutRefutation(f func()) {
 	defer refutationOff.Store(false)
 	f()
 }
+
+// PathEntries reports what the optimizer's path generators hold on to
+// (pathgen.Generator.Entries), the largest of them — the count Rebind's
+// Trim bounds. For the external test package, which replays through
+// internal/scenario.
+func (o *Optimizer) PathEntries() int {
+	n := o.gen.Entries()
+	for _, col := range o.collectors {
+		n = max(n, col.gen.Entries())
+	}
+	return n
+}

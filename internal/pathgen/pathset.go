@@ -18,6 +18,13 @@ func NewPathSet(limit int) *PathSet {
 	return &PathSet{limit: limit}
 }
 
+// Reset empties the set under a new limit, keeping its storage: the set an
+// optimizer's next run fills again.
+func (s *PathSet) Reset(limit int) {
+	s.paths = s.paths[:0]
+	s.limit = limit
+}
+
 // Len reports the number of stored paths.
 func (s *PathSet) Len() int { return len(s.paths) }
 

@@ -1,13 +1,13 @@
 package scenario
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"iter"
 	"math"
 	"math/rand"
 	"slices"
-	"strconv"
 	"time"
 
 	"fubar/internal/core"
@@ -62,12 +62,26 @@ type engine struct {
 	// skips the stages and records those events as no-ops.
 	cl *closedLoop
 
-	installed []keyedBundle
+	// installed is the carried allocation in the order the optimizer
+	// published it (the order a repair replays it in); installedSorted the
+	// same entries ordered for the churn diff.
+	installed, installedSorted []keyedBundle
 
-	// opt is the replay's one optimizer, re-bound to each epoch's model
-	// (see optimizer): its path memo, arenas and base pair are built once
-	// for the whole replay, not once per epoch.
+	// opt is the optimizer the stream's owner lent the replay, re-bound to
+	// each epoch's model: its path memo, arenas and base pair outlive the
+	// epoch — and, in a Session's hands, the replay.
 	opt *core.Optimizer
+
+	// Scratch an epoch rewrites from empty rather than re-growing: the
+	// epoch RNG (re-seeded per epoch), materialize's aggregate and key
+	// lists, repairInstalled's key index and remapped list, and the spare
+	// pair recordChurn builds the next installed lists in.
+	rng                *rand.Rand
+	aggBuf             []traffic.Aggregate
+	keyBuf             []int64
+	keyToID            map[int64]traffic.AggregateID
+	remapBuf           []flowmodel.Bundle
+	spare, spareSorted []keyedBundle
 
 	// tm/tracer are the scenario-level live-metrics handles derived from
 	// Options.Core.Telemetry (nil when telemetry is off). The core-level
@@ -77,8 +91,12 @@ type engine struct {
 }
 
 // newEngine validates the instance and scenario and builds the replay
-// state; a non-nil cp puts that control plane in the loop.
-func newEngine(cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) (*engine, error) {
+// state around the borrowed optimizer; a non-nil cp puts that control plane
+// in the loop.
+func newEngine(opt *core.Optimizer, cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) (*engine, error) {
+	if opt == nil {
+		return nil, fmt.Errorf("scenario: nil optimizer")
+	}
 	if topo == nil || mat == nil {
 		return nil, fmt.Errorf("scenario: nil topology or matrix")
 	}
@@ -114,6 +132,9 @@ func newEngine(cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, s
 		sc:        sc,
 		opts:      opts,
 		arrivals:  traffic.DefaultGenConfig(sc.Seed),
+		opt:       opt,
+		rng:       rand.New(rand.NewSource(0)),
+		keyToID:   make(map[int64]traffic.AggregateID, mat.NumAggregates()),
 	}
 	if t := opts.Core.Telemetry; t != nil {
 		en.tm = t.Scenario()
@@ -188,15 +209,22 @@ func (en *engine) applyEpochEvents(byEpoch *timeline, epoch int, rng *rand.Rand)
 	return events, nil
 }
 
-// perEpoch, when set, runs on the engine before each epoch of every replay.
-// Nothing outside export_test.go sets it: it is how the tests express the
-// differential oracle "a fresh optimizer every epoch" over this one loop.
-var perEpoch func(*engine)
+// freshOptimizer, when set, builds the optimizer every epoch of every replay
+// runs on, in place of the one the stream was lent. Nothing outside
+// export_test.go sets it: it is how the tests express the differential
+// oracle "a fresh optimizer every epoch" over this one loop.
+var freshOptimizer func(*flowmodel.Model, core.Options) (*core.Optimizer, error)
 
 // Stream replays the scenario over the start instance, yielding one
 // EpochResult per epoch as it completes — million-epoch timelines run in
 // O(1) memory, with the caller free to stop consuming at any point. The
 // base matrix must be bound to the base topology.
+//
+// The replay runs on opt, which the caller owns and only lends: every epoch
+// re-binds it (core.Optimizer.Rebind) to that epoch's instance under
+// opts.Core and carries nothing in it to the next. So between two pulls the
+// caller may run it elsewhere or lend it to another stream, re-binding it to
+// its own instance first, and an abandoned stream leaves nothing to undo.
 //
 // With a nil cp the replay is open loop: each epoch applies its events,
 // repairs the installed allocation onto the epoch instance and
@@ -234,12 +262,12 @@ var perEpoch func(*engine)
 // one differs exactly as real re-used hardware would. Cancelling ctx stops
 // the stream at the next epoch (or candidate-batch) boundary with a final
 // yielded error; the epochs already yielded stand.
-func Stream(ctx context.Context, cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) iter.Seq2[EpochResult, error] {
+func Stream(ctx context.Context, opt *core.Optimizer, cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) iter.Seq2[EpochResult, error] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	return func(yield func(EpochResult, error) bool) {
-		en, err := newEngine(cp, topo, mat, sc, opts)
+		en, err := newEngine(opt, cp, topo, mat, sc, opts)
 		if err != nil {
 			yield(EpochResult{}, err)
 			return
@@ -250,14 +278,11 @@ func Stream(ctx context.Context, cp *ControlPlane, topo *topology.Topology, mat 
 				yield(EpochResult{}, err)
 				return
 			}
-			rng := rand.New(rand.NewSource(epochSeed(sc.Seed, epoch)))
-			events, err := en.applyEpochEvents(byEpoch, epoch, rng)
+			en.rng.Seed(epochSeed(sc.Seed, epoch))
+			events, err := en.applyEpochEvents(byEpoch, epoch, en.rng)
 			if err != nil {
 				yield(EpochResult{}, err)
 				return
-			}
-			if perEpoch != nil {
-				perEpoch(en)
 			}
 			er, err := en.runEpoch(ctx, epoch, events)
 			if err != nil {
@@ -629,8 +654,7 @@ func (en *engine) materialize() (*epochInstance, error) {
 
 	// Epoch matrix: active aggregates under the demand state, with the
 	// stable key of each dense matrix index recorded for remapping.
-	var aggs []traffic.Aggregate
-	var keys []int64
+	aggs, keys := en.aggBuf[:0], en.keyBuf[:0]
 	for _, a := range en.aggs {
 		if !a.active {
 			continue
@@ -645,6 +669,7 @@ func (en *engine) materialize() (*epochInstance, error) {
 		})
 		keys = append(keys, a.key)
 	}
+	en.aggBuf, en.keyBuf = aggs, keys // NewMatrix copies; keys are read within the epoch only
 	matE, err := traffic.NewMatrix(topoE, aggs)
 	if err != nil {
 		return nil, err
@@ -664,44 +689,29 @@ func (en *engine) materialize() (*epochInstance, error) {
 	return &epochInstance{topo: topoE, mat: matE, keys: keys, opts: coreOpts}, nil
 }
 
-// optimizer returns the replay's optimizer bound to model under opts: built
-// by the first epoch, re-bound by every later one. A fresh optimizer per
-// epoch (core.Run) produces the identical replay and is what the tests
-// compare against.
-func (en *engine) optimizer(model *flowmodel.Model, opts core.Options) (*core.Optimizer, error) {
-	if en.opt != nil {
-		return en.opt, en.opt.Rebind(model, opts)
-	}
-	opt, err := core.New(model, opts)
-	if err != nil {
-		return nil, err
-	}
-	en.opt = opt
-	return opt, nil
-}
-
 // repairInstalled remaps the carried installed allocation onto the epoch
-// instance opt is bound to via the stable keys (departed aggregates drop
+// instance the optimizer is bound to via the stable keys (departed aggregates drop
 // here) and repairs it into a valid warm start, recording the repair stats
 // on er. Returns nil when nothing is installed yet (epoch 0).
-func (en *engine) repairInstalled(opt *core.Optimizer, inst *epochInstance, er *EpochResult) ([]flowmodel.Bundle, error) {
+func (en *engine) repairInstalled(inst *epochInstance, er *EpochResult) ([]flowmodel.Bundle, error) {
 	if len(en.installed) == 0 {
 		return nil, nil
 	}
-	keyToID := make(map[int64]traffic.AggregateID, len(inst.keys))
+	clear(en.keyToID)
 	for i, k := range inst.keys {
-		keyToID[k] = traffic.AggregateID(i)
+		en.keyToID[k] = traffic.AggregateID(i)
 	}
-	var remapped []flowmodel.Bundle
+	remapped := en.remapBuf[:0]
 	for _, kb := range en.installed {
-		id, ok := keyToID[kb.key]
+		id, ok := en.keyToID[kb.key]
 		if !ok {
 			er.RepairDropped++
 			continue
 		}
 		remapped = append(remapped, flowmodel.Bundle{Agg: id, Flows: kb.flows, Edges: kb.edges})
 	}
-	repaired, stats, err := opt.RepairWarmStart(remapped)
+	en.remapBuf = remapped // the repair copies what it keeps
+	repaired, stats, err := en.opt.RepairWarmStart(remapped)
 	if err != nil {
 		return nil, err
 	}
@@ -710,26 +720,23 @@ func (en *engine) repairInstalled(opt *core.Optimizer, inst *epochInstance, er *
 	return repaired, nil
 }
 
-// keyedAllocation converts a bundle list into scenario-keyed installed
-// state, dropping self-pairs (they never hit the flow tables).
-func keyedAllocation(bundles []flowmodel.Bundle, keys []int64) []keyedBundle {
-	next := make([]keyedBundle, 0, len(bundles))
+// recordChurn diffs the new allocation against the carried installed
+// one over (aggregate key, path) pairs — the estimated churn metrics —
+// then carries it forward as the installed state. Self-pairs drop here:
+// they never hit the flow tables.
+func (en *engine) recordChurn(er *EpochResult, inst *epochInstance, bundles []flowmodel.Bundle) {
+	next := en.spare[:0]
 	for _, b := range bundles {
 		if len(b.Edges) == 0 {
 			continue
 		}
-		next = append(next, keyedBundle{key: keys[b.Agg], flows: b.Flows, edges: b.Edges})
+		next = append(next, keyedBundle{key: inst.keys[b.Agg], flows: b.Flows, edges: b.Edges})
 	}
-	return next
-}
-
-// recordChurn diffs the new allocation against the carried installed
-// one over (aggregate key, path) pairs — the estimated churn metrics —
-// then carries it forward as the installed state.
-func (en *engine) recordChurn(er *EpochResult, inst *epochInstance, bundles []flowmodel.Bundle) {
-	next := keyedAllocation(bundles, inst.keys)
-	er.PathsChanged, er.FlowsMoved, er.FlowMods = churn(en.installed, next)
-	en.installed = next
+	sorted := append(en.spareSorted[:0], next...)
+	slices.SortFunc(sorted, compareKeyed)
+	er.PathsChanged, er.FlowsMoved, er.FlowMods = churn(en.installedSorted, sorted)
+	en.spare, en.spareSorted = en.installed, en.installedSorted
+	en.installed, en.installedSorted = next, sorted
 }
 
 // runEpoch is the one epoch of every replay: materialize the epoch
@@ -773,11 +780,16 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 	if err != nil {
 		return nil, err
 	}
-	opt, err := en.optimizer(model, inst.opts)
-	if err != nil {
+	if freshOptimizer != nil {
+		if en.opt, err = freshOptimizer(model, inst.opts); err != nil {
+			return nil, err
+		}
+	}
+	opt := en.opt
+	if err := opt.Rebind(model, inst.opts); err != nil {
 		return nil, err
 	}
-	repaired, err := en.repairInstalled(opt, inst, er)
+	repaired, err := en.repairInstalled(inst, er)
 	if err != nil {
 		return nil, err
 	}
@@ -804,7 +816,7 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 		// The stale evaluation pushRepair made stays: it ran on the true
 		// matrix, which the optimizer, driven by the estimate from here
 		// on, never sees.
-		if opt, err = en.optimizer(estModel, inst.opts); err != nil {
+		if err := opt.Rebind(estModel, inst.opts); err != nil {
 			return nil, err
 		}
 	} else if coldCarried {
@@ -880,20 +892,47 @@ func (en *engine) recordEpochMetrics(er *EpochResult, start time.Time) {
 	})
 }
 
-// churn diffs two installed allocations over (aggregate key, path)
-// pairs. See EpochResult for the metric definitions.
-func churn(prev, next []keyedBundle) (pathsChanged, flowsMoved, flowMods int) {
-	index := func(bs []keyedBundle) map[string]int {
-		m := make(map[string]int, len(bs))
-		for _, b := range bs {
-			k := strconv.FormatInt(b.key, 10) + "|" + pathKey(b.edges)
-			m[k] += b.flows
-		}
-		return m
+// compareKeyed orders installed entries by (aggregate key, path).
+func compareKeyed(a, b keyedBundle) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
 	}
-	old, cur := index(prev), index(next)
-	for k, nf := range cur {
-		of := old[k]
+	return slices.Compare(a.edges, b.edges)
+}
+
+// churn diffs two installed allocations, each sorted by compareKeyed, over
+// (aggregate key, path) pairs, an entry listed more than once counting as
+// the sum of its flows. See EpochResult for the metric definitions.
+func churn(prev, next []keyedBundle) (pathsChanged, flowsMoved, flowMods int) {
+	// run sums the flows of the entries equal to bs[0] and returns the rest.
+	run := func(bs []keyedBundle) (flows int, rest []keyedBundle) {
+		n := 1
+		for flows = bs[0].flows; n < len(bs) && compareKeyed(bs[n], bs[0]) == 0; n++ {
+			flows += bs[n].flows
+		}
+		return flows, bs[n:]
+	}
+	for len(prev) > 0 || len(next) > 0 {
+		// The lesser head is the pair to count: only in prev (c < 0), only
+		// in next (c > 0), or in both.
+		c := -1
+		if len(prev) == 0 {
+			c = 1
+		} else if len(next) > 0 {
+			c = compareKeyed(prev[0], next[0])
+		}
+		var of, nf int
+		if c <= 0 {
+			of, prev = run(prev)
+		}
+		if c >= 0 {
+			nf, next = run(next)
+		}
+		if c < 0 { // torn down
+			pathsChanged++
+			flowMods++
+			continue
+		}
 		if of == 0 {
 			pathsChanged++
 		}
@@ -904,23 +943,5 @@ func churn(prev, next []keyedBundle) (pathsChanged, flowsMoved, flowMods int) {
 			flowsMoved += nf - of
 		}
 	}
-	for k := range old {
-		if _, ok := cur[k]; !ok {
-			pathsChanged++
-			flowMods++
-		}
-	}
 	return
-}
-
-// pathKey renders an edge sequence as a map key.
-func pathKey(edges []topology.LinkID) string {
-	var b []byte
-	for i, e := range edges {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(e), 10)
-	}
-	return string(b)
 }

@@ -107,6 +107,10 @@ func encodeEvents(events []Event, nL, epochs int, groups []string) []byte {
 func FuzzScenarioApply(f *testing.F) {
 	topo, mat := fuzzInstance(f)
 	groups := []string{"", "ga", "gb"}
+	opt, err := newOptimizer(topo, mat, Options{}) // never run: events and materialize only
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), []byte{0, 0, 0, 0, 0, 0})
@@ -139,7 +143,7 @@ func FuzzScenarioApply(f *testing.F) {
 			events = append(events, e)
 		}
 		sc := Scenario{Name: "fuzz", Seed: seed, Epochs: epochs, Events: events}
-		en, err := newEngine(nil, topo, mat, sc, Options{})
+		en, err := newEngine(opt, nil, topo, mat, sc, Options{})
 		if err != nil {
 			return // engine rejected the timeline up front: fine
 		}

@@ -3,12 +3,15 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"iter"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"fubar/internal/core"
+	"fubar/internal/pathgen"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 )
@@ -37,7 +40,8 @@ func replayPastLedgerRace(t *testing.T, replay func() (*Result, error)) *Result 
 // matrix, fail and drain links and shared-risk groups, and kill controller
 // seats mid-replay, open loop and closed, at Workers {1, 4} and DeltaEval
 // {Auto, Off}, the replay — every EpochResult bar Elapsed, and the install
-// sequence — is the one a fresh optimizer per epoch produces.
+// sequence — is the one a fresh optimizer per epoch produces. So are replays
+// run back to back, and two pulled in turn, on one optimizer.
 func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 	ring, ringMat := matrixInstance(t)
 	he, heMat, err := HEBenchInstance(5)
@@ -89,16 +93,7 @@ func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 					kept := replayPastLedgerRace(t, replay)
 					var rebuilt *Result
 					withFreshOptimizerPerEpoch(func() { rebuilt = replayPastLedgerRace(t, replay) })
-					if !kept.Equivalent(rebuilt) {
-						for i := range kept.Epochs {
-							a, b := kept.Epochs[i], rebuilt.Epochs[i]
-							a.Elapsed, b.Elapsed = 0, 0
-							if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
-								t.Fatalf("epoch %d differs:\n kept    %+v\n rebuilt %+v", i, a, b)
-							}
-						}
-						t.Fatalf("install sequences differ:\n kept    %+v\n rebuilt %+v", kept.Installs, rebuilt.Installs)
-					}
+					requireEquivalent(t, "kept", kept, "rebuilt", rebuilt)
 					steps := 0
 					for _, e := range kept.Epochs {
 						steps += e.Steps
@@ -107,6 +102,174 @@ func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 						t.Error("replay committed no move; the comparison proves little")
 					}
 				})
+			}
+		}
+	}
+	// The same gate one level up: the optimizer outlives not the epoch but
+	// the replay, as a Session's does.
+	t.Run("across-replays", lentOptimizerMatchesFreshAcrossReplays)
+	t.Run("alternating-streams", alternatingStreamsShareOneOptimizer)
+}
+
+// requireEquivalent fails the test at the first epoch row (bar Elapsed) or
+// install record two replays of one timeline differ in.
+func requireEquivalent(t *testing.T, aName string, a *Result, bName string, b *Result) {
+	t.Helper()
+	if a.Equivalent(b) {
+		return
+	}
+	for i := range min(len(a.Epochs), len(b.Epochs)) {
+		x, y := a.Epochs[i], b.Epochs[i]
+		x.Elapsed, y.Elapsed = 0, 0
+		if fmt.Sprintf("%+v", x) != fmt.Sprintf("%+v", y) {
+			t.Fatalf("epoch %d differs:\n %s %+v\n %s %+v", i, aName, x, bName, y)
+		}
+	}
+	t.Fatalf("%d vs %d epochs, or install sequences differ:\n %s %+v\n %s %+v",
+		len(a.Epochs), len(b.Epochs), aName, a.Installs, bName, b.Installs)
+}
+
+// lendingReplays is what one owner runs back to back on the optimizer it
+// lends: a crisis that grows the matrix (flash-crowd arrivals) while a
+// shared-risk group and a maintenance window take links out, a diurnal day
+// whose aggregates depart, and a second crisis — each under a policy mask of
+// its own, so consecutive replays, like consecutive epochs, re-bind the
+// optimizer across different forbidden sets and matrices of different sizes.
+func lendingReplays(t *testing.T, topo *topology.Topology, workers int) []struct {
+	sc   Scenario
+	opts Options
+} {
+	t.Helper()
+	crisis, err := ByName("crisis", 23, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diurnal, err := ByName("diurnal", 31, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diurnal.Events = append(diurnal.Events,
+		Event{Epoch: 2, Kind: AggregateDepart, Count: 3},
+		Event{Epoch: 3, Kind: AggregateArrive, Count: 2},
+		Event{Epoch: 5, Kind: AggregateDepart, Count: 4})
+	opts := func(forbidden ...topology.LinkID) Options {
+		o := Options{Core: core.Options{Workers: workers}, Replicas: 3}
+		if len(forbidden) > 0 {
+			o.Core.Policy.ForbiddenLinks = pathgen.ForbidLinks(topo, forbidden...)
+		}
+		return o
+	}
+	return []struct {
+		sc   Scenario
+		opts Options
+	}{
+		{crisis, opts(6)},
+		{diurnal, opts(10)},
+		{Crisis(24, 8, 1.3, 3), opts()},
+	}
+}
+
+// lentOptimizerMatchesFreshAcrossReplays is the gate for an optimizer
+// that outlives its replays, the way a Session's does: lendingReplays run
+// back to back on one optimizer — open loop, and closed over one control
+// plane — yield, epoch for epoch and field for field, what they yield on an
+// optimizer built for each replay, and on one built for each epoch (the
+// withFreshOptimizerPerEpoch oracle). Whatever a replay leaves in the
+// optimizer — memo, trees, arenas, per-aggregate path sets sized for another
+// matrix — the next one must not be able to tell.
+func lentOptimizerMatchesFreshAcrossReplays(t *testing.T) {
+	topo, mat := matrixInstance(t)
+	for _, closed := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("%s/workers-%d", map[bool]string{false: "open", true: "closed"}[closed], workers)
+			t.Run(name, func(t *testing.T) {
+				replays := lendingReplays(t, topo, workers)
+				// sequence runs the replays in order over one control plane
+				// (when closed), on one optimizer or on one per replay.
+				sequence := func(lend bool) []*Result {
+					var cp *ControlPlane
+					if closed {
+						var err error
+						if cp, err = NewControlPlane(topo, mat, replays[0].opts); err != nil {
+							t.Fatal(err)
+						}
+						defer cp.Close()
+					}
+					var opt *core.Optimizer
+					var out []*Result
+					for i, r := range replays {
+						if opt == nil || !lend {
+							var err error
+							if opt, err = newOptimizer(topo, mat, r.opts); err != nil {
+								t.Fatal(err)
+							}
+						}
+						res, err := Run(topo, r.sc, r.opts, closed, Stream(context.Background(), opt, cp, topo, mat, r.sc, r.opts))
+						if err != nil {
+							t.Fatalf("replay %d (%s): %v", i, r.sc.Name, err)
+						}
+						out = append(out, res)
+					}
+					return out
+				}
+				lent, fresh := sequence(true), sequence(false)
+				var rebuilt []*Result
+				withFreshOptimizerPerEpoch(func() { rebuilt = sequence(true) })
+				steps := 0
+				for i := range replays {
+					requireEquivalent(t, "lent", lent[i], "fresh", fresh[i])
+					requireEquivalent(t, "lent", lent[i], "rebuilt", rebuilt[i])
+					lo, hi := lent[i].Epochs[0].Aggregates, lent[i].Epochs[0].Aggregates
+					for _, e := range lent[i].Epochs {
+						lo, hi = min(lo, e.Aggregates), max(hi, e.Aggregates)
+					}
+					if lo == hi {
+						t.Errorf("replay %d (%s) holds %d aggregates throughout: the matrix never moved", i, replays[i].sc.Name, lo)
+					}
+					for _, e := range lent[i].Epochs {
+						steps += e.Steps
+					}
+				}
+				if steps == 0 {
+					t.Error("no replay committed a move; the comparison proves little")
+				}
+			})
+		}
+	}
+}
+
+// alternatingStreamsShareOneOptimizer: two streams lent the same
+// optimizer and pulled in turn, an epoch of one between every two epochs of
+// the other, each yield what they yield alone. Nothing of a stream lives in
+// the optimizer between its epochs, so whoever holds it may lend it again
+// before the first borrower is done.
+func alternatingStreamsShareOneOptimizer(t *testing.T) {
+	topo, mat := matrixInstance(t)
+	replays := lendingReplays(t, topo, 1)[:2]
+	opt, err := newOptimizer(topo, mat, replays[0].opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var alone [2]*Result
+	var next [2]func() (EpochResult, error, bool)
+	for i, r := range replays {
+		if alone[i], err = run(context.Background(), topo, mat, r.sc, r.opts); err != nil {
+			t.Fatal(err)
+		}
+		pull, stop := iter.Pull2(Stream(context.Background(), opt, nil, topo, mat, r.sc, r.opts))
+		defer stop()
+		next[i] = pull
+	}
+	for epoch := 0; epoch < replays[0].sc.Epochs; epoch++ {
+		for i := range replays {
+			er, err, ok := next[i]()
+			if !ok || err != nil {
+				t.Fatalf("stream %d epoch %d: ok=%v err=%v", i, epoch, ok, err)
+			}
+			want := alone[i].Epochs[epoch]
+			er.Elapsed, want.Elapsed = 0, 0
+			if !reflect.DeepEqual(er, want) {
+				t.Fatalf("stream %d epoch %d differs:\n alternated %+v\n alone      %+v", i, epoch, er, want)
 			}
 		}
 	}
@@ -153,15 +316,22 @@ func TestOpenAndClosedLoopShareTheTimeline(t *testing.T) {
 	}
 }
 
-// TestWarmEpochAllocationCeiling keeps the per-epoch rebuild from creeping
-// back: a warm epoch of benchmark/'s HE-31 crisis replay at Workers 1
-// allocates ≈0.45 MB on the engine's kept optimizer and ≈0.95 MB when the
-// optimizer, its path memo and its arenas are built anew each epoch. Bytes
-// allocated are a count, not a time — the same on any machine, a few
-// percent apart between seeds.
+// TestWarmEpochAllocationCeiling keeps the rebuilds from creeping back: a
+// warm epoch of benchmark/'s HE-31 crisis replay at Workers 1 allocates
+// ≈0.14 MB on an optimizer lent from replay to replay with the engine's
+// scratch kept from epoch to epoch, ≈0.21 MB when each replay builds its own
+// optimizer, ≈0.45 MB when every epoch re-grows its lists and maps as well,
+// and ≈0.95 MB when the optimizer, its path memo and its arenas are built
+// anew each epoch. Bytes allocated are a count, not a time — the same on any
+// machine, a few percent apart between seeds.
 func TestWarmEpochAllocationCeiling(t *testing.T) {
-	const ceiling = 650 << 10 // bytes per warm epoch
+	const ceiling = 180 << 10 // bytes per warm epoch
 	topo, mat, err := HEBenchInstance(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Core: core.Options{Workers: 1}}
+	opt, err := newOptimizer(topo, mat, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +340,7 @@ func TestWarmEpochAllocationCeiling(t *testing.T) {
 	for seed := int64(41); seed < 44; seed++ {
 		sc := Crisis(seed, 8, 1.3, 3)
 		var before, after runtime.MemStats
-		for er, err := range Stream(context.Background(), nil, topo, mat, sc, Options{Core: core.Options{Workers: 1}}) {
+		for er, err := range Stream(context.Background(), opt, nil, topo, mat, sc, opts) {
 			if err != nil {
 				t.Fatal(err)
 			}

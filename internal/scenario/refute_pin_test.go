@@ -32,7 +32,7 @@ func TestRefutationKeepsFiring(t *testing.T) {
 		}
 		var cold [3]int64
 		opts := Options{Core: core.Options{Workers: workers, Telemetry: tel}}
-		for er, err := range Stream(context.Background(), nil, topo, mat, Crisis(3, 8, 1.3, 3), opts) {
+		for er, err := range stream(context.Background(), nil, topo, mat, Crisis(3, 8, 1.3, 3), opts) {
 			if err != nil {
 				t.Fatal(err)
 			}

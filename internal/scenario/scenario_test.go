@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"context"
+	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"fubar/internal/core"
@@ -236,5 +239,99 @@ func TestChurnMetric(t *testing.T) {
 	a, b, c := churn(nil, []keyedBundle{{key: 1, flows: 1, edges: p(0)}, {key: 2, flows: 1, edges: p(0)}})
 	if a != 2 || b != 2 || c != 2 {
 		t.Errorf("initial install churn = %d/%d/%d, want 2/2/2", a, b, c)
+	}
+}
+
+// churnByMap is the churn diff as it was before the sort-merge: two maps
+// keyed by the formatted (aggregate key, path). Kept as the oracle of
+// TestChurnMatchesMapOracle.
+func churnByMap(prev, next []keyedBundle) (pathsChanged, flowsMoved, flowMods int) {
+	index := func(bs []keyedBundle) map[string]int {
+		m := make(map[string]int, len(bs))
+		for _, b := range bs {
+			k := strconv.FormatInt(b.key, 10) + "|" + pathKey(b.edges)
+			m[k] += b.flows
+		}
+		return m
+	}
+	old, cur := index(prev), index(next)
+	for k, nf := range cur {
+		of := old[k]
+		if of == 0 {
+			pathsChanged++
+		}
+		if nf != of {
+			flowMods++
+		}
+		if nf > of {
+			flowsMoved += nf - of
+		}
+	}
+	for k := range old {
+		if _, ok := cur[k]; !ok {
+			pathsChanged++
+			flowMods++
+		}
+	}
+	return
+}
+
+// pathKey renders an edge sequence as a map key.
+func pathKey(edges []topology.LinkID) string {
+	var b []byte
+	for i, e := range edges {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(e), 10)
+	}
+	return string(b)
+}
+
+// TestChurnMatchesMapOracle: the sort-merge diff counts what the map diff
+// counted on 2000 random pairs of keyed allocations drawn to collide — few
+// keys, short paths over few links — with entries listed twice, zero-flow
+// entries, and either side empty.
+func TestChurnMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	draw := func() []keyedBundle {
+		var bs []keyedBundle
+		for n := rng.Intn(12); len(bs) < n; {
+			b := keyedBundle{key: int64(rng.Intn(4)), flows: rng.Intn(4)}
+			for hops := rng.Intn(4); len(b.edges) < hops; {
+				b.edges = append(b.edges, graph.EdgeID(rng.Intn(3)))
+			}
+			bs = append(bs, b)
+			if rng.Intn(4) == 0 { // the same (key, path) again, with flows of its own
+				b.flows = rng.Intn(4)
+				bs = append(bs, b)
+			}
+		}
+		return bs
+	}
+	empties, dups, zeros := 0, 0, 0
+	for i := 0; i < 2000; i++ {
+		prev, next := draw(), draw()
+		if len(prev) == 0 || len(next) == 0 {
+			empties++
+		}
+		wantP, wantM, wantF := churnByMap(prev, next)
+		sp, sn := slices.Clone(prev), slices.Clone(next)
+		slices.SortFunc(sp, compareKeyed)
+		slices.SortFunc(sn, compareKeyed)
+		for j := 1; j < len(sn); j++ {
+			if compareKeyed(sn[j-1], sn[j]) == 0 {
+				dups++
+			}
+			if sn[j].flows == 0 {
+				zeros++
+			}
+		}
+		if p, m, f := churn(sp, sn); p != wantP || m != wantM || f != wantF {
+			t.Fatalf("pair %d: churn = %d/%d/%d, map oracle %d/%d/%d\n prev %+v\n next %+v", i, p, m, f, wantP, wantM, wantF, prev, next)
+		}
+	}
+	if empties == 0 || dups == 0 || zeros == 0 {
+		t.Errorf("draws covered %d empty sides, %d duplicate entries, %d zero-flow entries: want all three", empties, dups, zeros)
 	}
 }

@@ -56,7 +56,7 @@ func TestSoakStreamBoundedMemory(t *testing.T) {
 	interval := epochs / 8
 	var samples []uint64
 	n := 0
-	for er, err := range Stream(context.Background(), nil, topo, mat, sc, Options{Core: core.Options{Workers: 2}}) {
+	for er, err := range stream(context.Background(), nil, topo, mat, sc, Options{Core: core.Options{Workers: 2}}) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,19 +111,23 @@ func TestSoakClosedLoopBoundedMemory(t *testing.T) {
 }
 
 // TestSoakRecyclesOneBase pins the storage half of the epoch-warm Base
-// design: across a replay every epoch runs on the engine's one optimizer
-// — which keeps its Base double-buffer pair, arenas and path memo for
-// life (core.TestOptimizerKeepsItsBasePair) — so base storage is
+// design: across a replay every epoch runs on the one optimizer the engine
+// was lent — which keeps its Base double-buffer pair, arenas and path memo
+// for life (core.TestOptimizerKeepsItsBasePair) — so base storage is
 // allocated once for the whole soak, not once per epoch.
 func TestSoakRecyclesOneBase(t *testing.T) {
 	topo, mat := matrixInstance(t)
 	sc := Soak(9, 200, 10)
-	en, err := newEngine(nil, topo, mat, sc, Options{Core: core.Options{Workers: 1}})
+	opts := Options{Core: core.Options{Workers: 1}}
+	first, err := newOptimizer(topo, mat, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	en, err := newEngine(first, nil, topo, mat, sc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tl := en.timeline()
-	var first *core.Optimizer
 	for epoch := 0; epoch < sc.Epochs; epoch++ {
 		rng := rand.New(rand.NewSource(epochSeed(sc.Seed, epoch)))
 		events, err := en.applyEpochEvents(tl, epoch, rng)
@@ -133,12 +137,7 @@ func TestSoakRecyclesOneBase(t *testing.T) {
 		if _, err := en.runEpoch(context.Background(), epoch, events); err != nil {
 			t.Fatal(err)
 		}
-		if en.opt == nil {
-			t.Fatalf("epoch %d: engine kept no optimizer", epoch)
-		}
-		if epoch == 0 {
-			first = en.opt
-		} else if en.opt != first {
+		if en.opt != first {
 			t.Fatalf("epoch %d: optimizer rebuilt (%p -> %p) — storage not recycled", epoch, first, en.opt)
 		}
 	}

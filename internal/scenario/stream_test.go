@@ -41,7 +41,7 @@ func TestStreamMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []EpochResult
-	for er, err := range Stream(context.Background(), nil, topo, mat, sc, Options{Core: coreOpts1()}) {
+	for er, err := range stream(context.Background(), nil, topo, mat, sc, Options{Core: coreOpts1()}) {
 		if err != nil {
 			t.Fatalf("stream: %v", err)
 		}
@@ -66,7 +66,7 @@ func TestStreamCancel(t *testing.T) {
 	defer cancel()
 	var done int
 	var final error
-	for er, err := range Stream(ctx, nil, topo, mat, sc, Options{Core: coreOpts1()}) {
+	for er, err := range stream(ctx, nil, topo, mat, sc, Options{Core: coreOpts1()}) {
 		if err != nil {
 			final = err
 			continue
@@ -90,7 +90,7 @@ func TestStreamEarlyBreak(t *testing.T) {
 	topo, mat := streamInstance(t)
 	sc := Diurnal(5, 8, 0.4, 0.15)
 	n := 0
-	for _, err := range Stream(context.Background(), nil, topo, mat, sc, Options{Core: coreOpts1()}) {
+	for _, err := range stream(context.Background(), nil, topo, mat, sc, Options{Core: coreOpts1()}) {
 		if err != nil {
 			t.Fatal(err)
 		}

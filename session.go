@@ -14,16 +14,25 @@ import (
 )
 
 // Session is the library's long-lived, context-first handle for one
-// (topology, matrix) instance. Optimize and Anneal share the session's
-// traffic model, optimizer (per-worker evaluation arenas, persistent
-// incremental-evaluation base) and last committed solution across
-// calls — the state a real online controller holds between
-// re-optimizations — and closed-loop replays keep the control-plane
-// wiring (switches, install generations, ack ledgers) alive across
-// calls. Replays necessarily materialize fresh per-epoch models (each
-// epoch's topology and matrix differ); what they gain from the session
-// is its configuration, the shared control plane, and the streaming
-// context-first interface.
+// (topology, matrix) instance. It owns one optimizer — path memo and trees,
+// per-worker evaluation arenas, persistent incremental-evaluation base —
+// and everything the session runs, runs on it: Optimize and Anneal share
+// the session's traffic model and last committed solution across calls, the
+// state a real online controller holds between re-optimizations; Replay
+// and ReplayClosedLoop borrow the optimizer, re-binding it to each epoch's
+// topology and matrix, so what it has built outlives the epoch and the
+// replay; and closed-loop replays keep the control-plane wiring (switches,
+// install generations, ack ledgers) alive across calls.
+//
+// The lending contract: Optimize, Replay and ReplayClosedLoop on one
+// Session may be interleaved freely — an Optimize between two epochs of a
+// stream, two streams pulled alternately — and a stream may be abandoned
+// at any epoch, or end in an error, with nothing to undo. Every replay
+// epoch re-binds the optimizer before it reads it, and Optimize re-binds it
+// to the session's own instance whenever a replay has borrowed it since;
+// nothing the optimizer keeps carries a result across a re-bind, so each
+// call returns what it would on a session that ran nothing else (Last and
+// the warm start it feeds are Optimize's alone).
 //
 // Construct with NewSession and functional options; every method takes
 // a context.Context honored at candidate-batch granularity, so
@@ -32,19 +41,24 @@ import (
 // Replays stream epochs through iter.Seq2, so a million-epoch scenario
 // runs in O(1) memory.
 //
-// A Session is not safe for concurrent method calls (within one call it
-// parallelizes across WithWorkers arenas). Close releases the
-// control-plane sockets if any were opened; a Session that never called
-// ReplayClosedLoop holds no resources needing Close.
+// A Session is not safe for concurrent method calls — interleaved is not
+// concurrent: two goroutines may not be inside the session at once, a
+// stream's epoch included (within one call it parallelizes across
+// WithWorkers arenas). Close releases the control-plane sockets if any were
+// opened; a Session that never called ReplayClosedLoop holds no resources
+// needing Close.
 type Session struct {
 	topo  *Topology
 	mat   *Matrix
 	model *Model
 	cfg   sessionConfig
 	opt   *core.Optimizer
-	cp    *scenario.ControlPlane
-	last  *Solution
-	traj  *scenario.TrajectoryRecorder
+	// lent is set while a replay may have left opt bound to an epoch's
+	// instance; Optimize re-binds to the session's own and clears it.
+	lent bool
+	cp   *scenario.ControlPlane
+	last *Solution
+	traj *scenario.TrajectoryRecorder
 }
 
 // sessionConfig is the assembled option state: the one replay options
@@ -265,6 +279,12 @@ func (s *Session) withBudget(ctx context.Context) (context.Context, context.Canc
 func (s *Session) Optimize(ctx context.Context) (*Solution, error) {
 	ctx, cancel := s.withBudget(ctx)
 	defer cancel()
+	if s.lent {
+		if err := s.opt.Rebind(s.model, s.cfg.Core); err != nil {
+			return nil, err
+		}
+		s.lent = false
+	}
 	initial := s.cfg.Core.InitialBundles
 	if s.last != nil && !s.cfg.ColdStart {
 		initial = s.last.Bundles
@@ -300,27 +320,31 @@ func (s *Session) AnnealRestarts(ctx context.Context, opts AnnealOptions, n int)
 // Cancelling ctx ends the stream at the next epoch or candidate-batch
 // boundary with a final yielded error; epochs already yielded stand.
 func (s *Session) Replay(ctx context.Context, sc Scenario) iter.Seq2[EpochRecord, error] {
-	return s.recordTrajectory(sc, scenario.Stream(ctx, nil, s.topo, s.mat, sc, s.cfg.Options))
+	return s.replay(ctx, nil, sc)
 }
 
-// recordTrajectory wraps a replay stream with the session's trajectory
-// recorder (WithTrajectory): each yielded epoch is folded into a fresh
-// per-replay recorder before the caller sees it. Without the option the
-// stream passes through untouched.
-func (s *Session) recordTrajectory(sc Scenario, seq iter.Seq2[EpochRecord, error]) iter.Seq2[EpochRecord, error] {
-	if s.cfg.trajPoints <= 0 {
-		return seq
+// replay streams sc on the session's optimizer, open loop or through cp.
+// The optimizer counts as lent from the moment the stream first runs and
+// again every time it resumes: an Optimize between two epochs re-binds it
+// and the next epoch takes it back. Under WithTrajectory each yielded epoch
+// is folded into a fresh per-replay recorder before the caller sees it.
+func (s *Session) replay(ctx context.Context, cp *scenario.ControlPlane, sc Scenario) iter.Seq2[EpochRecord, error] {
+	seq := scenario.Stream(ctx, s.opt, cp, s.topo, s.mat, sc, s.cfg.Options)
+	var rec *scenario.TrajectoryRecorder
+	if s.cfg.trajPoints > 0 {
+		rec = scenario.NewTrajectoryRecorder(sc.Name, sc.Epochs, s.cfg.trajPoints)
+		s.traj = rec
 	}
-	rec := scenario.NewTrajectoryRecorder(sc.Name, sc.Epochs, s.cfg.trajPoints)
-	s.traj = rec
 	return func(yield func(EpochRecord, error) bool) {
+		s.lent = true
 		for er, err := range seq {
-			if err == nil {
+			if err == nil && rec != nil {
 				rec.Observe(&er)
 			}
 			if !yield(er, err) {
 				return
 			}
+			s.lent = true
 		}
 	}
 }
@@ -359,7 +383,7 @@ func (s *Session) ReplayClosedLoop(ctx context.Context, sc Scenario) iter.Seq2[E
 		}
 		s.cp = cp
 	}
-	return s.recordTrajectory(sc, scenario.Stream(ctx, s.cp, s.topo, s.mat, sc, s.cfg.Options))
+	return s.replay(ctx, s.cp, sc)
 }
 
 // ReplayClosedLoopAll is ReplayClosedLoop collected into a

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -21,27 +23,44 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // only if the optimizer walks another trajectory (the determinism tests will
 // say so too); candidates, refuted bundles and searches are what the pass
 // loop asks of flowmodel and pathgen on the way, so a change there is a
-// change in cost that no solution shows. Regenerate with
-// `go test . -run TestWorkCountsPinned -update` and say why in the commit.
+// change in cost that no solution shows. The open-loop leg's row also
+// carries the heap objects those epochs allocated (runtime.MemStats.Mallocs):
+// exact per commit bar the runtime's own, so the gate is a ceiling — the
+// recorded count plus 5% — where every other column is an equality.
+// Regenerate with `go test . -run TestWorkCountsPinned -update` and say why
+// in the commit.
 func TestWorkCountsPinned(t *testing.T) {
 	var buf bytes.Buffer
-	row := func(name string, ops int, w workCounts) {
-		fmt.Fprintf(&buf, "%-12s %3d  candidates %6d  refuted_link %5d  refuted_level %5d  steps %5d  escalations %4d  searches %5d\n",
-			name, ops, w.candidates, w.refutedLink, w.refutedLevel, w.steps, w.escalations, w.searches)
+	row := func(name string, ops int, w workCounts, tail string) {
+		fmt.Fprintf(&buf, "%-12s %3d  candidates %6d  refuted_link %5d  refuted_level %5d  steps %5d  escalations %4d  searches %5d%s\n",
+			name, ops, w.candidates, w.refutedLink, w.refutedLevel, w.steps, w.escalations, w.searches, tail)
 	}
 	for _, leg := range replayLegs {
 		var work, mark workCounts
+		var before, after runtime.MemStats
+		var mallocs uint64
 		leg.warmEpochs(t, 70,
-			func(tel *Telemetry) { mark = telemetryWork(tel) },
-			func(tel *Telemetry) { work.add(telemetryWork(tel).sub(mark)) })
-		row(leg.name, 70, work)
+			func(tel *Telemetry) {
+				mark = telemetryWork(tel)
+				runtime.ReadMemStats(&before)
+			},
+			func(tel *Telemetry) {
+				runtime.ReadMemStats(&after)
+				mallocs += after.Mallocs - before.Mallocs
+				work.add(telemetryWork(tel).sub(mark))
+			})
+		tail := ""
+		if !leg.closed { // a control plane's goroutines allocate on their own clock
+			tail = fmt.Sprintf("%s%d", mallocsColumn, mallocs)
+		}
+		row(leg.name, 70, work, tail)
 	}
 	topo, mats := coldScaleS(t)
 	var cold workCounts
 	for _, mat := range mats {
 		cold.add(solutionWork(coldOptimize(t, topo, mat)))
 	}
-	row("cold-scale-s", len(mats), cold)
+	row("cold-scale-s", len(mats), cold, "")
 
 	golden := filepath.Join("testdata", "work_counts.golden")
 	if *updateGolden {
@@ -53,7 +72,24 @@ func TestWorkCountsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("work counts diverged from %s:\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
+	gotLines, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	ok := len(gotLines) == len(wantLines)
+	for i := 0; ok && i < len(gotLines); i++ {
+		gotExact, gotMallocs, _ := strings.Cut(gotLines[i], mallocsColumn)
+		wantExact, wantMallocs, _ := strings.Cut(wantLines[i], mallocsColumn)
+		ok = gotExact == wantExact && (gotMallocs == "") == (wantMallocs == "")
+		if ok && gotMallocs != "" {
+			var g, w uint64
+			_, gerr := fmt.Sscan(gotMallocs, &g)
+			_, werr := fmt.Sscan(wantMallocs, &w)
+			ok = gerr == nil && werr == nil && g <= w+w/20
+		}
+	}
+	if !ok {
+		t.Errorf("work counts diverged from %s (mallocs may read up to 5%% over):\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
 	}
 }
+
+// mallocsColumn introduces the one column of work_counts.golden that is a
+// ceiling and not an equality.
+const mallocsColumn = "  mallocs "
