@@ -780,8 +780,12 @@ func BenchmarkWireCodec(b *testing.B) {
 }
 
 // BenchmarkControlPlaneCycle measures one full control cycle over
-// loopback TCP: install an allocation on every switch and collect one
-// round of counters.
+// loopback TCP on a one-seat replica set with one managed agent per POP:
+// install an allocation differentially and collect one round of
+// counters. Iterations alternate the FUBAR allocation and the
+// shortest-path one, so each install rewrites every switch whose table
+// differs between the two (an unchanged table writes no FlowMod);
+// FlowMods/op counts them.
 func BenchmarkControlPlaneCycle(b *testing.B) {
 	topo, mat := ablationInstance(b)
 	sim, err := sdnsim.New(topo, mat, sdnsim.Config{Seed: 1})
@@ -792,27 +796,22 @@ func BenchmarkControlPlaneCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 	fabric := ctrlplane.NewFabric(sim)
-	ctrl, err := ctrlplane.Listen("127.0.0.1:0", ctrlplane.ControllerConfig{})
+	rs, err := ctrlplane.NewReplicaSet(1, ctrlplane.ControllerConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ctrl.Close()
-	agents := make([]*ctrlplane.Agent, 0, topo.NumNodes())
+	defer rs.Close()
 	for n := 0; n < topo.NumNodes(); n++ {
-		agent, err := ctrlplane.Dial(ctrl.Addr().String(), uint32(n), topo.NodeName(topology.NodeID(n)),
-			fabric.Datapath(topology.NodeID(n)), ctrlplane.AgentConfig{})
+		node := topology.NodeID(n)
+		agent, err := ctrlplane.NewManagedAgent(uint32(n), topo.NodeName(node), fabric.Datapath(node), rs, ctrlplane.AgentConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		agents = append(agents, agent)
-		go agent.Serve()
+		defer agent.Close()
 	}
-	defer func() {
-		for _, a := range agents {
-			a.Close()
-		}
-	}()
-	if err := ctrl.WaitForSwitches(topo.NumNodes(), 5*time.Second); err != nil {
+	wctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := rs.WaitForSwitchesCtx(wctx, topo.NumNodes()); err != nil {
 		b.Fatal(err)
 	}
 	model, err := flowmodel.New(topo, mat)
@@ -823,18 +822,27 @@ func BenchmarkControlPlaneCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sp, err := baseline.ShortestPath(model, pathgen.Policy{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	allocations := [2][]flowmodel.Bundle{sol.Bundles, sp.Bundles}
 	if err := fabric.RunEpoch(); err != nil {
 		b.Fatal(err)
 	}
+	flowMods := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ctrl.InstallAllocation(context.Background(), mat, sol.Bundles, uint64(i+1)); err != nil {
+		out, err := rs.InstallAllocationDiff(context.Background(), mat, allocations[i%2], uint64(i+1))
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ctrl.CollectStats(context.Background()); err != nil {
+		flowMods += out.FlowMods
+		if _, err := rs.CollectStats(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(flowMods)/float64(b.N), "FlowMods/op")
 }
 
 // BenchmarkMPLSSync measures converting a FUBAR solution into reserved

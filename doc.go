@@ -78,9 +78,8 @@
 //   - the SDN measurement substrate (§2.1–2.2): NewSim, NewEstimator
 //   - traffic classification (§1): NewClassifier
 //   - dynamic model validation: SimulateDynamics, ValidateModel
-//   - the online SDN control plane over TCP (§5): ListenController,
-//     DialSwitch, NewFabric, RunControlLoopContext; HA deployment:
-//     WithReplicas, WithRuleLease
+//   - the online SDN control plane over TCP (§5): Session.ReplayClosedLoop,
+//     shaped by WithReplicas and WithRuleLease (FailStatic, FailClosed)
 //   - the MPLS-TE deployment substrate (§5): NewLSPDB, SyncToMPLS
 //   - the telemetry substrate: NewTelemetry, WithTelemetry,
 //     Session.Metrics, TelemetryHandler (live Prometheus /metrics,

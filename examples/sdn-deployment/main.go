@@ -1,22 +1,24 @@
-// SDN deployment: a full closed-loop FUBAR deployment over real TCP.
+// SDN deployment: FUBAR behind a highly available online controller
+// (§5 "in conjunction with an online controller"), over real TCP.
 //
-// A controller listens on loopback; one switch agent per POP dials in,
-// fronting a simulated datapath. The control loop then runs the cycle
-// the paper describes: measure the traffic matrix from switch counters
-// (§2.1), infer per-flow demands (§2.2), optimize (§2.4-2.5), and
-// install the allocation back onto the switches — all over the wire
-// protocol, exactly as a production deployment would.
+// Three controller replicas listen on loopback; one fail-safe switch
+// agent per POP homes on a replica by rendezvous order and fronts a
+// simulated datapath. Every epoch runs the cycle the paper describes:
+// measure the traffic matrix from switch counters (§2.1), infer per-flow
+// demands (§2.2), re-optimize warm-started from the installed allocation
+// (§2.4-2.5) and push the result back as differential FlowMods — all over
+// the wire protocol. The ctrlstorm timeline kills and re-seats controller
+// replicas while demand churns: orphaned switches re-home onto the
+// survivors, which resync their rule tables before the epoch's install.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"log/slog"
 	"os"
 	"os/signal"
-	"sync"
-	"time"
+	"strings"
 
 	"fubar"
 )
@@ -40,88 +42,36 @@ func main() {
 	fmt.Println("topology:", topo.Summary())
 	fmt.Println("traffic: ", truth.Summary())
 
-	// The network-under-management: an SDN simulator wrapped as
-	// per-switch datapaths, initially routing everything shortest-path.
-	sim, err := fubar.NewSim(topo, truth, fubar.SimConfig{Seed: 7})
+	// The session builds the control plane — replicas, agents, simulated
+	// fabric — on the first closed-loop replay and keeps it until Close.
+	s, err := fubar.NewSession(topo, truth, fubar.WithReplicas(3))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sim.InstallShortestPaths(); err != nil {
-		log.Fatal(err)
-	}
-	fabric := fubar.NewFabric(sim)
+	defer s.Close()
 
-	// Controller side.
-	ctrl, err := fubar.ListenController("127.0.0.1:0", fubar.ControllerConfig{
-		Name: "fubar-demo", EpochMs: 10000,
-	})
+	storm, err := fubar.ScenarioByName("ctrlstorm", 7, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ctrl.Close()
-	fmt.Println("controller:", ctrl.Addr())
-
-	// One agent per POP connects over TCP.
-	var wg sync.WaitGroup
-	agents := make([]*fubar.SwitchAgent, 0, topo.NumNodes())
-	for n := 0; n < topo.NumNodes(); n++ {
-		node := fubar.NodeID(n)
-		agent, err := fubar.DialSwitch(ctrl.Addr().String(), uint32(n), topo.NodeName(node),
-			fabric.Datapath(node), fubar.SwitchAgentConfig{})
+	fmt.Printf("\n%s, 3 controller replicas:\n", storm.Name)
+	fmt.Println("epoch  flowmods  failovers  resyncs  true utility: stale -> re-optimized")
+	var flowMods, failovers int
+	for er, err := range s.ReplayClosedLoop(ctx, storm) {
 		if err != nil {
-			log.Fatalf("switch %d: %v", n, err)
+			log.Fatal(err)
 		}
-		agents = append(agents, agent)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := agent.Serve(); err != nil {
-				log.Printf("agent serve: %v", err)
+		var ctrlEvents []string
+		for _, ev := range er.Events {
+			if strings.HasPrefix(ev, "controller-") {
+				ctrlEvents = append(ctrlEvents, ev)
 			}
-		}()
-	}
-	defer func() {
-		for _, a := range agents {
-			a.Close()
 		}
-		wg.Wait()
-	}()
-	if err := ctrl.WaitForSwitches(topo.NumNodes(), 5*time.Second); err != nil {
-		log.Fatal(err)
+		fmt.Printf("%5d  %8d  %9d  %7d  %.4f -> %.4f  %s\n",
+			er.Epoch, er.WireFlowMods, er.Failovers, er.ResyncFlowMods,
+			er.StaleTrueUtility, er.TrueUtility, strings.Join(ctrlEvents, "; "))
+		flowMods += er.WireFlowMods
+		failovers += er.Failovers
 	}
-	fmt.Printf("switches:   %d registered\n", len(ctrl.Switches()))
-	if rtt, err := ctrl.Ping(ctx, 0); err == nil {
-		fmt.Printf("control RTT to switch 0: %v\n\n", rtt.Truncate(time.Microsecond))
-	}
-
-	// Baseline epoch under shortest paths.
-	if err := fabric.RunEpoch(); err != nil {
-		log.Fatal(err)
-	}
-	before, _ := fabric.TrueUtility()
-	fmt.Printf("epoch 0 (shortest paths): true utility %.4f\n\n", before)
-
-	// The closed loop: three epochs of measurement per optimization,
-	// nine epochs total, everything over the wire.
-	keys := fubar.EstimatorKeys(truth)
-	res, err := fubar.RunControlLoopContext(ctx, ctrl, topo, keys, fubar.ControlLoopConfig{
-		Epochs:        9,
-		OptimizeEvery: 3,
-		Logger:        slog.New(slog.NewTextHandler(os.Stderr, nil)),
-	}, fabric.RunEpoch)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if err := fabric.RunEpoch(); err != nil {
-		log.Fatal(err)
-	}
-	after, _ := fabric.TrueUtility()
-	fmt.Printf("\nclosed loop: %d epochs observed, %d allocations installed\n",
-		res.Epochs, res.Installs)
-	for i, u := range res.EstimatedUtility {
-		fmt.Printf("  install %d: predicted utility %.4f\n", i+1, u)
-	}
-	fmt.Printf("true utility: %.4f -> %.4f (%+.1f%%)\n",
-		before, after, 100*(after-before)/before)
+	fmt.Printf("\n%d FlowMods on the wire, %d controller failovers ridden out\n", flowMods, failovers)
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // TestExamplesBuildAndRun is the examples smoke step: every directory
-// under examples/ must build, and the two canonical walkthroughs
-// (quickstart and scenario-replay) must run to completion — so an API
-// change can never silently break the documented entry points. Requires
+// under examples/ must build, and the canonical walkthroughs
+// (quickstart, scenario-replay and the control-plane example
+// sdn-deployment) must run to completion — so an API change can never
+// silently break the documented entry points. Requires
 // the go toolchain on PATH (always true for `go test`); skipped under
 // -short.
 func TestExamplesBuildAndRun(t *testing.T) {
@@ -43,7 +44,7 @@ func TestExamplesBuildAndRun(t *testing.T) {
 			t.Fatalf("build %s: %v\n%s", d, err, out)
 		}
 	}
-	for _, name := range []string{"quickstart", "scenario-replay"} {
+	for _, name := range []string{"quickstart", "scenario-replay", "sdn-deployment"} {
 		cmd := exec.Command(filepath.Join(outDir, name))
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("run %s: %v\n%s", name, err, out)

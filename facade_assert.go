@@ -96,14 +96,7 @@ var (
 	_ dsim.Result     = DynResult{}
 	_ dsim.Validation = ModelValidation{}
 
-	_ ctrlplane.Controller       = Controller{}
-	_ ctrlplane.ControllerConfig = ControllerConfig{}
-	_ ctrlplane.Agent            = SwitchAgent{}
-	_ ctrlplane.AgentConfig      = SwitchAgentConfig{}
-	_ ctrlplane.LoopConfig       = ControlLoopConfig{}
-	_ ctrlplane.LoopResult       = ControlLoopResult{}
-	_ ctrlplane.RetryPolicy      = RetryPolicy{}
-	_ ctrlplane.FailPolicy       = FailPolicy(0)
+	_ ctrlplane.FailPolicy = FailPolicy(0)
 
 	_ mpls.LSPDB     = LSPDB{}
 	_ mpls.LSP       = LSP{}

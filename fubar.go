@@ -1,7 +1,6 @@
 package fubar
 
 import (
-	"context"
 	"io"
 	"net/http"
 
@@ -432,31 +431,10 @@ func ValidateModel(bundles []Bundle, res *ModelResult, sim *DynResult) (*ModelVa
 	return dsim.Validate(bundles, res, sim)
 }
 
-// SDN control plane (§5 "in conjunction with an online controller").
-type (
-	// Controller is the online controller switches register with.
-	Controller = ctrlplane.Controller
-	// ControllerConfig tunes the controller.
-	ControllerConfig = ctrlplane.ControllerConfig
-	// SwitchAgent is the switch side of the control protocol.
-	SwitchAgent = ctrlplane.Agent
-	// SwitchAgentConfig tunes an agent.
-	SwitchAgentConfig = ctrlplane.AgentConfig
-	// Datapath is the forwarding element an agent fronts.
-	Datapath = ctrlplane.Datapath
-	// Fabric adapts the SDN simulator into per-switch datapaths.
-	Fabric = ctrlplane.Fabric
-	// ControlLoopConfig tunes the closed measure/optimize/install loop.
-	ControlLoopConfig = ctrlplane.LoopConfig
-	// ControlLoopResult summarizes a closed-loop run.
-	ControlLoopResult = ctrlplane.LoopResult
-	// RetryPolicy bounds controller→switch RPC retries: attempts,
-	// exponential backoff base and cap.
-	RetryPolicy = ctrlplane.RetryPolicy
-	// FailPolicy is what an orphaned agent does with its installed rule
-	// table when the lease expires.
-	FailPolicy = ctrlplane.FailPolicy
-)
+// FailPolicy is what an orphaned switch agent of the closed-loop control
+// plane (§5 "in conjunction with an online controller") does with its
+// installed rule table when the lease expires; see WithRuleLease.
+type FailPolicy = ctrlplane.FailPolicy
 
 // Orphaned-agent lease policies.
 const (
@@ -465,26 +443,6 @@ const (
 	// FailClosed wipes the table: no forwarding without a controller.
 	FailClosed = ctrlplane.FailClosed
 )
-
-// ListenController starts a controller on addr.
-func ListenController(addr string, cfg ControllerConfig) (*Controller, error) {
-	return ctrlplane.Listen(addr, cfg)
-}
-
-// DialSwitch connects a switch agent to the controller.
-func DialSwitch(addr string, datapathID uint32, nodeName string, dp Datapath, cfg SwitchAgentConfig) (*SwitchAgent, error) {
-	return ctrlplane.Dial(addr, datapathID, nodeName, dp, cfg)
-}
-
-// NewFabric wraps an SDN simulator as per-switch datapaths.
-func NewFabric(sim *Sim) *Fabric { return ctrlplane.NewFabric(sim) }
-
-// RunControlLoopContext drives the closed measurement/optimization
-// cycle under ctx: cancellation returns the partial result with the
-// context's error.
-func RunControlLoopContext(ctx context.Context, ctrl *Controller, topo *Topology, keys []AggregateKey, cfg ControlLoopConfig, advance func() error) (*ControlLoopResult, error) {
-	return ctrlplane.RunLoop(ctx, ctrl, topo, keys, cfg, advance)
-}
 
 // MPLS-TE substrate (§5 "SDN or MPLS networks").
 type (

@@ -326,47 +326,36 @@ func TestFacadeDynamicsAndValidation(t *testing.T) {
 	}
 }
 
+// TestFacadeControlPlane drives the control plane the only way the facade
+// offers: a closed-loop replay over a replica set, through a kill storm.
 func TestFacadeControlPlane(t *testing.T) {
 	topo, mat := testRingInstance(t, 17)
-	sim, err := NewSim(topo, mat, SimConfig{Seed: 17})
+	s, err := NewSession(topo, mat, WithReplicas(3))
 	if err != nil {
-		t.Fatalf("NewSim: %v", err)
+		t.Fatalf("NewSession: %v", err)
 	}
-	if err := sim.InstallShortestPaths(); err != nil {
-		t.Fatalf("InstallShortestPaths: %v", err)
-	}
-	fabric := NewFabric(sim)
-	ctrl, err := ListenController("127.0.0.1:0", ControllerConfig{})
+	defer s.Close()
+	storm, err := ScenarioByName("ctrlstorm", 17, 4)
 	if err != nil {
-		t.Fatalf("ListenController: %v", err)
+		t.Fatalf("ScenarioByName: %v", err)
 	}
-	defer ctrl.Close()
-	agents := make([]*SwitchAgent, 0, topo.NumNodes())
-	for n := 0; n < topo.NumNodes(); n++ {
-		a, err := DialSwitch(ctrl.Addr().String(), uint32(n), topo.NodeName(NodeID(n)),
-			fabric.Datapath(NodeID(n)), SwitchAgentConfig{})
+	var epochs, flowMods, failovers int
+	for er, err := range s.ReplayClosedLoop(context.Background(), storm) {
 		if err != nil {
-			t.Fatalf("DialSwitch %d: %v", n, err)
+			t.Fatalf("ReplayClosedLoop: %v", err)
 		}
-		agents = append(agents, a)
-		go a.Serve()
-	}
-	defer func() {
-		for _, a := range agents {
-			a.Close()
+		if er.InstallAcks != er.WireFlowMods {
+			t.Fatalf("epoch %d: %d acks for %d wire FlowMods", er.Epoch, er.InstallAcks, er.WireFlowMods)
 		}
-	}()
-	if err := ctrl.WaitForSwitches(topo.NumNodes(), 5*time.Second); err != nil {
-		t.Fatalf("WaitForSwitches: %v", err)
+		if er.TrueUtility <= 0 {
+			t.Fatalf("epoch %d: true utility %v", er.Epoch, er.TrueUtility)
+		}
+		epochs++
+		flowMods += er.WireFlowMods
+		failovers += er.Failovers
 	}
-	res, err := RunControlLoopContext(context.Background(), ctrl, topo, EstimatorKeys(mat), ControlLoopConfig{
-		Epochs: 3, OptimizeEvery: 3,
-	}, fabric.RunEpoch)
-	if err != nil {
-		t.Fatalf("RunControlLoopContext: %v", err)
-	}
-	if res.Installs != 1 || res.Epochs != 3 {
-		t.Fatalf("loop result wrong: %+v", res)
+	if epochs != 4 || flowMods == 0 || failovers == 0 {
+		t.Fatalf("%d epochs, %d wire FlowMods, %d failovers: want 4, > 0, > 0", epochs, flowMods, failovers)
 	}
 }
 

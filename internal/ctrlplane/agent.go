@@ -83,9 +83,9 @@ func (c AgentConfig) withDefaults() AgentConfig {
 	return c
 }
 
-// Agent is the switch side of the control protocol: it registers with
-// the controller, applies FlowMods to its Datapath and answers stats
-// polls from it.
+// Agent is one controller connection of a ManagedAgent — the switch
+// side of the control protocol: it registers with a controller, applies
+// FlowMods to its Datapath and answers stats polls from it.
 type Agent struct {
 	cfg  AgentConfig
 	id   uint32
@@ -99,7 +99,7 @@ type Agent struct {
 	closed bool
 
 	// epochFloor is the highest election epoch seen on a FlowMod; older
-	// epochs are fenced off with ErrCodeStale. A managed agent shares
+	// epochs are fenced off with ErrCodeStale. The managed agent shares
 	// one floor across reconnects so a deposed replica cannot roll the
 	// table back after a failover.
 	epochFloor *atomic.Uint64
@@ -112,21 +112,11 @@ type Agent struct {
 	LeaseMs uint32
 }
 
-// Dial connects to the controller, performs the handshake and returns a
-// ready agent. Call Serve to process controller messages.
-func Dial(addr string, datapathID uint32, nodeName string, dp Datapath, cfg AgentConfig) (*Agent, error) {
-	return dial(addr, datapathID, nodeName, dp, cfg, nil)
-}
-
-// dial is Dial plus an optional shared epoch floor, which a managed
-// agent threads through every reconnect.
+// dial connects to the controller at addr, performs the handshake and
+// returns a ready agent fencing on epochFloor, which the managed agent
+// threads through every reconnect. Call Serve to process controller
+// messages.
 func dial(addr string, datapathID uint32, nodeName string, dp Datapath, cfg AgentConfig, epochFloor *atomic.Uint64) (*Agent, error) {
-	if dp == nil {
-		return nil, fmt.Errorf("ctrlplane: nil datapath")
-	}
-	if epochFloor == nil {
-		epochFloor = new(atomic.Uint64)
-	}
 	cfg = cfg.withDefaults()
 	conn, err := net.DialTimeout("tcp", addr, cfg.HandshakeTimeout)
 	if err != nil {

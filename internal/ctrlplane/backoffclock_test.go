@@ -150,18 +150,15 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 
 	// The loop is parked in its sixth sleep: point the directory at a
 	// live controller, then release it, so the next dial succeeds.
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	dir.set(ctrl.Addr().String())
+	rs, _ := oneSeat(t, ControllerConfig{})
+	dir.set(rs.DialOrder(id)...)
 	release()
 	waitCond(t, "agent connected", func() bool { return ma.Connects() == 1 })
 
 	// Kill the controller: the serve loop returns, and the redial
 	// schedule must restart at ReconnectBase — with the jitter stream
 	// continuing where it left off, not reseeded.
-	ctrl.Close()
+	rs.Close()
 	backoff = base
 	for i := 0; i < 3; i++ {
 		want := nextWant()

@@ -18,39 +18,20 @@ import (
 	"fubar/internal/traffic"
 )
 
-// RetryPolicy tunes the controller's per-RPC retry loop. Every
-// controller→agent round trip (install, stats, ping) runs under it:
-// transient failures (lost connections, per-attempt timeouts — see
-// retryable) are retried with exponential backoff, re-resolving the
-// switch each attempt so a reconnected agent is picked up; peer errors
-// and unknown switches fail immediately. The zero value retries
-// nothing, which keeps a bare controller fail-fast; the replica set
-// turns retries on for the HA closed loop.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per RPC (1 = no
-	// retries). Default 1.
-	MaxAttempts int
-	// BaseBackoff is the sleep before the first retry; it doubles per
-	// attempt. Default 25ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling. Default 500ms.
-	MaxBackoff time.Duration
-}
+// The retry schedule every controller→agent install and stats round trip
+// runs under (see withRetry). Without retries every failover would
+// surface as a caller-visible error.
+const (
+	// retryAttempts is the total number of attempts per RPC.
+	retryAttempts = 3
+	// retryBaseBackoff is the sleep before the first retry; it doubles
+	// per attempt.
+	retryBaseBackoff = 25 * time.Millisecond
+	// retryMaxBackoff caps the doubling.
+	retryMaxBackoff = 500 * time.Millisecond
+)
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 1
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 25 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 500 * time.Millisecond
-	}
-	return p
-}
-
-// ControllerConfig tunes the controller.
+// ControllerConfig tunes the replica set's controllers.
 type ControllerConfig struct {
 	// Name is advertised in HelloAck. Default "fubar-controller".
 	Name string
@@ -69,9 +50,6 @@ type ControllerConfig struct {
 	// per-attempt deadline, derived from the caller's context when that
 	// is tighter). Default 10s.
 	RequestTimeout time.Duration
-	// Retry is the per-RPC retry policy. The zero value disables
-	// retries.
-	Retry RetryPolicy
 	// Logger receives structured diagnostic records; nil discards them.
 	Logger *slog.Logger
 }
@@ -89,18 +67,10 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
-	c.Retry = c.Retry.withDefaults()
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	return c
-}
-
-// SwitchInfo describes one connected switch.
-type SwitchInfo struct {
-	DatapathID uint32
-	NodeName   string
-	RemoteAddr string
 }
 
 // swConn is the controller's state for one switch connection.
@@ -140,8 +110,8 @@ func (s *signal) broadcast() {
 }
 
 // tableCache is the last-acked rule table per switch — the
-// differential-install state. In a replica set one cache is shared by
-// every replica, which is what lets a survivor diff correctly against
+// differential-install state. One cache is shared by every replica of
+// the set, which is what lets a survivor diff correctly against
 // tables a dead peer pushed, and resync an orphaned switch from the
 // handoff state on re-registration. A missing entry means "unknown or
 // empty table": the next differential install pushes the full table.
@@ -173,8 +143,8 @@ func (tc *tableCache) drop(id uint32) {
 	tc.mu.Unlock()
 }
 
-// haStats are the shared HA counters of a controller (or of a whole
-// replica set, which hands every replica the same instance).
+// haStats are the HA counters of a replica set, which hands every
+// replica the same instance.
 type haStats struct {
 	// retries counts RPC attempts retried after a transient error.
 	retries atomic.Int64
@@ -185,13 +155,12 @@ type haStats struct {
 	resyncInflight atomic.Int64
 }
 
-// Controller is the online controller: it accepts switch registrations,
-// installs FUBAR's computed allocations as per-ingress rule tables, and
-// polls the counters the optimizer's measurement plane (internal/measure)
-// consumes. A standalone controller owns its differential-install cache;
-// controllers inside a ReplicaSet share one (plus the election epoch and
-// HA counters), so any replica can install to — and hand off — any
-// switch.
+// Controller is one seat of a ReplicaSet: it accepts switch
+// registrations, installs FUBAR's computed allocations as per-ingress
+// rule tables on the switches homed on it, and polls the counters the
+// optimizer's measurement plane (internal/measure) consumes. The seats
+// of a set share one differential-install cache, election epoch and HA
+// counters, so any replica can install to — and hand off — any switch.
 type Controller struct {
 	cfg ControllerConfig
 	ln  net.Listener
@@ -209,13 +178,7 @@ type Controller struct {
 	token atomic.Uint64
 }
 
-// Listen starts a controller on addr ("127.0.0.1:0" for an ephemeral
-// test port).
-func Listen(addr string, cfg ControllerConfig) (*Controller, error) {
-	return listen(addr, cfg, newTableCache(), new(atomic.Uint64), &haStats{}, newSignal())
-}
-
-// listen is the shared constructor: a replica set passes the same
+// listen starts a controller on addr; a replica set passes the same
 // cache, epoch, counters and signal to every replica.
 func listen(addr string, cfg ControllerConfig, tables *tableCache, epoch *atomic.Uint64, stats *haStats, notify *signal) (*Controller, error) {
 	cfg = cfg.withDefaults()
@@ -480,17 +443,16 @@ func (c *Controller) request(ctx context.Context, sw *swConn, token uint64, m Me
 	}
 }
 
-// withRetry runs one RPC operation under the retry policy: transient
+// withRetry runs one RPC operation under the retry schedule: transient
 // errors (retryable) are retried with exponential backoff until the
 // attempts run out or the caller's context dies; anything else returns
 // immediately. Operations re-resolve their switch per attempt, so a
 // retry can land on a reconnected agent.
 func (c *Controller) withRetry(ctx context.Context, op func(context.Context) error) error {
-	p := c.cfg.Retry
-	backoff := p.BaseBackoff
+	backoff := retryBaseBackoff
 	for attempt := 1; ; attempt++ {
 		err := op(ctx)
-		if err == nil || attempt >= p.MaxAttempts || !retryable(err) || ctx.Err() != nil {
+		if err == nil || attempt >= retryAttempts || !retryable(err) || ctx.Err() != nil {
 			return err
 		}
 		c.stats.retries.Add(1)
@@ -499,26 +461,10 @@ func (c *Controller) withRetry(ctx context.Context, op func(context.Context) err
 		case <-ctx.Done():
 			return err
 		}
-		if backoff *= 2; backoff > p.MaxBackoff {
-			backoff = p.MaxBackoff
+		if backoff *= 2; backoff > retryMaxBackoff {
+			backoff = retryMaxBackoff
 		}
 	}
-}
-
-// Switches lists connected switches sorted by datapath ID.
-func (c *Controller) Switches() []SwitchInfo {
-	c.mu.Lock()
-	infos := make([]SwitchInfo, 0, len(c.switches))
-	for _, sw := range c.switches {
-		infos = append(infos, SwitchInfo{
-			DatapathID: sw.id,
-			NodeName:   sw.name,
-			RemoteAddr: sw.conn.RemoteAddr().String(),
-		})
-	}
-	c.mu.Unlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].DatapathID < infos[j].DatapathID })
-	return infos
 }
 
 // SwitchCount reports the number of registered switches.
@@ -526,61 +472,6 @@ func (c *Controller) SwitchCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.switches)
-}
-
-// WaitForSwitchesCtx blocks until n switches are registered, the
-// controller closes, or ctx is done. Registration changes are signaled
-// by condition broadcast — no polling.
-func (c *Controller) WaitForSwitchesCtx(ctx context.Context, n int) error {
-	for {
-		ch := c.notify.wait()
-		c.mu.Lock()
-		got, closed := len(c.switches), c.closed
-		c.mu.Unlock()
-		if got >= n {
-			return nil
-		}
-		if closed {
-			return fmt.Errorf("%w: %d/%d switches", ErrClosed, got, n)
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("ctrlplane: %d/%d switches: %w", got, n, ctx.Err())
-		case <-ch:
-		}
-	}
-}
-
-// WaitForSwitches blocks until n switches are registered or the timeout
-// expires.
-func (c *Controller) WaitForSwitches(n int, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return c.WaitForSwitchesCtx(ctx, n)
-}
-
-// Ping measures one switch's control-channel round-trip time.
-func (c *Controller) Ping(ctx context.Context, datapathID uint32) (time.Duration, error) {
-	start := time.Now()
-	err := c.withRetry(ctx, func(ctx context.Context) error {
-		sw, err := c.lookup(datapathID)
-		if err != nil {
-			return err
-		}
-		token := c.nextToken()
-		reply, err := c.request(ctx, sw, token, Echo{Token: token})
-		if err != nil {
-			return err
-		}
-		if _, ok := reply.(EchoReply); !ok {
-			return fmt.Errorf("ctrlplane: ping got %v", reply.Type())
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
 }
 
 // allocationTables converts a bundle allocation into per-switch rule
@@ -636,16 +527,6 @@ func rulesEqual(a, b []Rule) bool {
 	return true
 }
 
-// InstallAllocation pushes a network-wide bundle allocation: each bundle
-// becomes a rule on the switch at its aggregate's ingress POP. Switches
-// holding stale rules for aggregates absent from the allocation receive
-// an empty table. The call blocks until every involved switch acks, and
-// returns the generation number used.
-func (c *Controller) InstallAllocation(ctx context.Context, mat *traffic.Matrix, bundles []flowmodel.Bundle, generation uint64) error {
-	_, err := c.install(ctx, mat, bundles, generation, false, false)
-	return err
-}
-
 // InstallOutcome reports one differential allocation push: how many
 // FlowMod messages actually hit the wire and what came back.
 type InstallOutcome struct {
@@ -671,22 +552,15 @@ func (o *InstallOutcome) merge(other InstallOutcome) {
 	o.Acks += other.Acks
 }
 
-// InstallAllocationDiff pushes an allocation differentially: only
-// switches whose desired rule table differs from the controller's last
-// acked push receive a FlowMod (switch tables are physical state — an
-// unchanged table needs no message). The outcome counts the FlowMod
-// messages actually written and acked, which is how a closed-loop
-// replay measures real install churn rather than estimating it from
-// bundle diffs.
-func (c *Controller) InstallAllocationDiff(ctx context.Context, mat *traffic.Matrix, bundles []flowmodel.Bundle, generation uint64) (InstallOutcome, error) {
-	return c.install(ctx, mat, bundles, generation, true, false)
-}
-
-// install implements both install flavors. allowEmpty tolerates a
-// replica with no registered switches (the replica-set fan-out calls
-// every live replica; shards with nothing to do contribute an empty
-// outcome instead of an error).
-func (c *Controller) install(ctx context.Context, mat *traffic.Matrix, bundles []flowmodel.Bundle, generation uint64, diff, allowEmpty bool) (InstallOutcome, error) {
+// install pushes an allocation differentially to the switches homed on
+// this replica: only switches whose desired rule table differs from the
+// set's last acked push receive a FlowMod (switch tables are physical
+// state — an unchanged table needs no message). The outcome counts the
+// FlowMod messages actually written and acked, which is how a
+// closed-loop replay measures real install churn rather than
+// estimating it from bundle diffs. A replica with no switches (or none
+// needing a new table) contributes an empty outcome.
+func (c *Controller) install(ctx context.Context, mat *traffic.Matrix, bundles []flowmodel.Bundle, generation uint64) (InstallOutcome, error) {
 	perSwitch := allocationTables(mat, bundles)
 
 	c.mu.Lock()
@@ -694,10 +568,8 @@ func (c *Controller) install(ctx context.Context, mat *traffic.Matrix, bundles [
 	targets := make([]*swConn, 0, len(c.switches))
 	ids := make([]uint32, 0, len(c.switches))
 	for _, sw := range c.switches {
-		if diff {
-			if last, ok := c.tables.get(sw.id); ok && rulesEqual(perSwitch[sw.id], last) {
-				continue
-			}
+		if last, ok := c.tables.get(sw.id); ok && rulesEqual(perSwitch[sw.id], last) {
+			continue
 		}
 		targets = append(targets, sw)
 		ids = append(ids, sw.id)
@@ -708,14 +580,8 @@ func (c *Controller) install(ctx context.Context, mat *traffic.Matrix, bundles [
 	if closed {
 		return out, ErrClosed
 	}
-	if total == 0 {
-		if allowEmpty {
-			return out, nil
-		}
-		return out, fmt.Errorf("ctrlplane: no switches connected")
-	}
 	if len(targets) == 0 {
-		return out, nil // every table already current
+		return out, nil // no switches, or every table already current
 	}
 
 	var wg sync.WaitGroup
@@ -765,17 +631,11 @@ func (c *Controller) install(ctx context.Context, mat *traffic.Matrix, bundles [
 	return out, errors.Join(errs...)
 }
 
-// CollectStats polls every connected switch and returns their replies
-// keyed by datapath ID. A switch that fails contributes an error instead
-// of silence.
-func (c *Controller) CollectStats(ctx context.Context) (map[uint32]StatsReply, error) {
-	out, err := c.collectStats(ctx, false)
-	return out, err
-}
-
-// collectStats implements CollectStats; allowEmpty is for the
-// replica-set fan-out (a shard with no switches is not an error).
-func (c *Controller) collectStats(ctx context.Context, allowEmpty bool) (map[uint32]StatsReply, error) {
+// collectStats polls every switch homed on this replica and returns
+// their replies keyed by datapath ID. A switch that fails contributes an
+// error instead of silence; a replica with no switches returns an empty
+// map.
+func (c *Controller) collectStats(ctx context.Context) (map[uint32]StatsReply, error) {
 	c.mu.Lock()
 	closed := c.closed
 	ids := make([]uint32, 0, len(c.switches))
@@ -787,12 +647,6 @@ func (c *Controller) collectStats(ctx context.Context, allowEmpty bool) (map[uin
 	c.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
-	}
-	if len(ids) == 0 {
-		if allowEmpty {
-			return map[uint32]StatsReply{}, nil
-		}
-		return nil, fmt.Errorf("ctrlplane: no switches connected")
 	}
 
 	var wg sync.WaitGroup
@@ -828,10 +682,7 @@ func (c *Controller) collectStats(ctx context.Context, allowEmpty bool) (map[uin
 		}()
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, errors.Join(errs...)
 }
 
 // lookup finds a registered switch.

@@ -3,7 +3,7 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,15 +17,81 @@ import (
 )
 
 // testNet is a small deployment: topology, ground truth, fabric, a
-// controller and one agent per POP, all over loopback TCP.
+// one-seat replica set and one managed agent per POP, all over loopback
+// TCP.
 type testNet struct {
 	topo   *topology.Topology
 	truth  *traffic.Matrix
-	sim    *sdnsim.Sim
 	fabric *Fabric
-	ctrl   *Controller
-	agents []*Agent
-	wg     sync.WaitGroup
+	rs     *ReplicaSet
+	seat   *Controller
+}
+
+// oneSeat starts a one-seat replica set, closed when the test ends, and
+// returns it with its seat.
+func oneSeat(t *testing.T, cfg ControllerConfig) (*ReplicaSet, *Controller) {
+	t.Helper()
+	rs, err := NewReplicaSet(1, cfg)
+	if err != nil {
+		t.Fatalf("NewReplicaSet: %v", err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	return rs, rs.live()[0]
+}
+
+// waitSwitches blocks until n switches are registered across rs.
+func waitSwitches(t *testing.T, rs *ReplicaSet, n int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := rs.WaitForSwitchesCtx(ctx, n); err != nil {
+		t.Fatalf("WaitForSwitchesCtx: %v", err)
+	}
+}
+
+// managedAgent starts a managed agent homing on rs, closed when the test
+// ends (before the set is: cleanups run last-registered first).
+func managedAgent(t *testing.T, rs *ReplicaSet, id uint32, name string, dp Datapath) *ManagedAgent {
+	t.Helper()
+	ma, err := NewManagedAgent(id, name, dp, rs, fastAgentCfg())
+	if err != nil {
+		t.Fatalf("NewManagedAgent %d: %v", id, err)
+	}
+	t.Cleanup(func() { ma.Close() })
+	return ma
+}
+
+// bareAgent dials one Agent connection to addr — what a managed agent
+// does per (re)connect — and serves it in the background. The returned
+// channel yields Serve's result.
+func bareAgent(t *testing.T, addr string, id uint32, name string, dp Datapath) (*Agent, <-chan error) {
+	t.Helper()
+	a, err := dial(addr, id, name, dp, AgentConfig{}, new(atomic.Uint64))
+	if err != nil {
+		t.Fatalf("dial %d: %v", id, err)
+	}
+	t.Cleanup(func() { a.Close() })
+	done := make(chan error, 1)
+	go func() { done <- a.Serve() }()
+	return a, done
+}
+
+// echo round-trips an Echo to switch id through the seat: the
+// control-channel liveness check.
+func echo(t *testing.T, seat *Controller, id uint32) {
+	t.Helper()
+	sw, err := seat.lookup(id)
+	if err != nil {
+		t.Fatalf("lookup %d: %v", id, err)
+	}
+	token := seat.nextToken()
+	reply, err := seat.request(context.Background(), sw, token, Echo{Token: token})
+	if err != nil {
+		t.Fatalf("echo to switch %d: %v", id, err)
+	}
+	if r, ok := reply.(EchoReply); !ok || r.Token != token {
+		t.Fatalf("echo to switch %d: got %#v", id, reply)
+	}
 }
 
 // startNet builds and connects the deployment.
@@ -50,64 +116,30 @@ func startNet(t *testing.T, seed int64) *testNet {
 		t.Fatalf("InstallShortestPaths: %v", err)
 	}
 	fabric := NewFabric(sim)
-
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{RequestTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	n := &testNet{topo: topo, truth: truth, sim: sim, fabric: fabric, ctrl: ctrl}
-	t.Cleanup(func() { n.stop() })
-
+	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 5 * time.Second})
 	for node := 0; node < topo.NumNodes(); node++ {
-		agent, err := Dial(ctrl.Addr().String(), uint32(node), topo.NodeName(topology.NodeID(node)),
-			fabric.Datapath(topology.NodeID(node)), AgentConfig{})
-		if err != nil {
-			t.Fatalf("Dial agent %d: %v", node, err)
-		}
-		n.agents = append(n.agents, agent)
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			if err := agent.Serve(); err != nil {
-				t.Errorf("agent serve: %v", err)
-			}
-		}()
+		id := topology.NodeID(node)
+		managedAgent(t, rs, uint32(node), topo.NodeName(id), fabric.Datapath(id))
 	}
-	if err := ctrl.WaitForSwitches(topo.NumNodes(), 5*time.Second); err != nil {
-		t.Fatalf("WaitForSwitches: %v", err)
-	}
-	return n
-}
-
-func (n *testNet) stop() {
-	n.ctrl.Close()
-	for _, a := range n.agents {
-		a.Close()
-	}
-	n.wg.Wait()
+	waitSwitches(t, rs, topo.NumNodes())
+	return &testNet{topo: topo, truth: truth, fabric: fabric, rs: rs, seat: seat}
 }
 
 func TestHandshakeAndPing(t *testing.T) {
 	n := startNet(t, 1)
-	infos := n.ctrl.Switches()
-	if len(infos) != n.topo.NumNodes() {
-		t.Fatalf("%d switches registered, want %d", len(infos), n.topo.NumNodes())
+	if got := n.rs.SwitchCount(); got != n.topo.NumNodes() {
+		t.Fatalf("%d switches registered, want %d", got, n.topo.NumNodes())
 	}
-	for i, info := range infos {
-		if int(info.DatapathID) != i {
-			t.Fatalf("switch %d has datapath ID %d", i, info.DatapathID)
+	for i := 0; i < n.topo.NumNodes(); i++ {
+		sw, err := n.seat.lookup(uint32(i))
+		if err != nil {
+			t.Fatalf("lookup %d: %v", i, err)
 		}
-		if want := n.topo.NodeName(topology.NodeID(i)); info.NodeName != want {
-			t.Fatalf("switch %d named %q, want %q", i, info.NodeName, want)
+		if want := n.topo.NodeName(topology.NodeID(i)); sw.name != want {
+			t.Fatalf("switch %d named %q, want %q", i, sw.name, want)
 		}
 	}
-	rtt, err := n.ctrl.Ping(context.Background(), 0)
-	if err != nil {
-		t.Fatalf("Ping: %v", err)
-	}
-	if rtt <= 0 || rtt > 5*time.Second {
-		t.Fatalf("implausible control RTT %v", rtt)
-	}
+	echo(t, n.seat, 0)
 }
 
 func TestStatsCollection(t *testing.T) {
@@ -115,7 +147,7 @@ func TestStatsCollection(t *testing.T) {
 	if err := n.fabric.RunEpoch(); err != nil {
 		t.Fatalf("RunEpoch: %v", err)
 	}
-	replies, err := n.ctrl.CollectStats(context.Background())
+	replies, err := n.rs.CollectStats(context.Background())
 	if err != nil {
 		t.Fatalf("CollectStats: %v", err)
 	}
@@ -151,8 +183,8 @@ func TestInstallAllocationReachesFabric(t *testing.T) {
 	if err != nil {
 		t.Fatalf("core.Run: %v", err)
 	}
-	if err := n.ctrl.InstallAllocation(context.Background(), n.truth, sol.Bundles, 1); err != nil {
-		t.Fatalf("InstallAllocation: %v", err)
+	if _, err := n.rs.InstallAllocationDiff(context.Background(), n.truth, sol.Bundles, 1); err != nil {
+		t.Fatalf("InstallAllocationDiff: %v", err)
 	}
 	if got := n.fabric.Installs(); got != 1 {
 		t.Fatalf("fabric saw %d installs, want 1", got)
@@ -171,24 +203,51 @@ func TestInstallAllocationReachesFabric(t *testing.T) {
 	}
 }
 
+// TestClosedLoopImprovesUtility runs the measure → estimate → optimize →
+// install cycle over the wire and checks that the installed allocation
+// lifts the fabric's true utility above shortest-path routing: six
+// measured epochs, re-optimizing on the estimate after every third.
 func TestClosedLoopImprovesUtility(t *testing.T) {
 	n := startNet(t, 4)
+	ctx := context.Background()
 	// Baseline: utility under shortest paths.
 	if err := n.fabric.RunEpoch(); err != nil {
 		t.Fatalf("RunEpoch: %v", err)
 	}
 	spUtility, _ := n.fabric.TrueUtility()
 
-	keys := measure.KeysFromMatrix(n.truth)
-	res, err := RunLoop(context.Background(), n.ctrl, n.topo, keys, LoopConfig{Epochs: 6, OptimizeEvery: 3}, n.fabric.RunEpoch)
-	if err != nil {
-		t.Fatalf("RunLoop: %v", err)
-	}
-	if res.Installs < 2 {
-		t.Fatalf("%d installs, want >= 2", res.Installs)
-	}
-	if res.Epochs != 6 {
-		t.Fatalf("%d epochs, want 6", res.Epochs)
+	est := measure.NewEstimator(measure.KeysFromMatrix(n.truth))
+	installs := 0
+	for epoch := 0; epoch < 6; epoch++ {
+		if err := n.fabric.RunEpoch(); err != nil {
+			t.Fatalf("RunEpoch: %v", err)
+		}
+		replies, err := n.rs.CollectStats(ctx)
+		if err != nil {
+			t.Fatalf("CollectStats epoch %d: %v", epoch, err)
+		}
+		if err := est.Observe(MergeStats(n.topo, replies)); err != nil {
+			t.Fatalf("Observe epoch %d: %v", epoch, err)
+		}
+		if (epoch+1)%3 != 0 {
+			continue
+		}
+		mat, err := est.Matrix(n.topo)
+		if err != nil {
+			t.Fatalf("Matrix: %v", err)
+		}
+		model, err := flowmodel.New(n.topo, mat)
+		if err != nil {
+			t.Fatalf("flowmodel.New: %v", err)
+		}
+		sol, err := core.Run(ctx, model, core.Options{})
+		if err != nil {
+			t.Fatalf("core.Run: %v", err)
+		}
+		installs++
+		if _, err := n.rs.InstallAllocationDiff(ctx, mat, sol.Bundles, uint64(installs)); err != nil {
+			t.Fatalf("InstallAllocationDiff %d: %v", installs, err)
+		}
 	}
 	if err := n.fabric.RunEpoch(); err != nil {
 		t.Fatalf("RunEpoch: %v", err)
@@ -197,7 +256,7 @@ func TestClosedLoopImprovesUtility(t *testing.T) {
 	if finalUtility <= spUtility {
 		t.Fatalf("closed loop did not improve: %.4f <= %.4f", finalUtility, spUtility)
 	}
-	t.Logf("shortest-path %.4f -> closed-loop %.4f (%d installs)", spUtility, finalUtility, res.Installs)
+	t.Logf("shortest-path %.4f -> closed-loop %.4f (%d installs)", spUtility, finalUtility, installs)
 }
 
 func TestInstallRejectsWrongIngress(t *testing.T) {
@@ -212,11 +271,11 @@ func TestInstallRejectsWrongIngress(t *testing.T) {
 		}
 	}
 	wrong := (uint32(bad.Src) + 1) % uint32(n.topo.NumNodes())
-	sw, err := n.ctrl.lookup(wrong)
+	sw, err := n.seat.lookup(wrong)
 	if err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
-	_, err = n.ctrl.request(context.Background(), sw, 42, FlowMod{Generation: 42, Rules: []Rule{
+	_, err = n.seat.request(context.Background(), sw, 42, FlowMod{Generation: 42, Rules: []Rule{
 		{Agg: int32(bad.ID), Flows: uint32(bad.Flows)},
 	}})
 	if err == nil {
@@ -269,74 +328,46 @@ func TestPartialInstallStaysPending(t *testing.T) {
 }
 
 func TestDuplicateRegistrationReplacesOld(t *testing.T) {
-	n := startNet(t, 7)
-	// A second agent for switch 0 displaces the first.
-	agent, err := Dial(n.ctrl.Addr().String(), 0, "dup", n.fabric.Datapath(0), AgentConfig{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
+	rs, seat := oneSeat(t, ControllerConfig{})
+	addr := rs.DialOrder(0)[0]
+	_, firstDone := bareAgent(t, addr, 0, "first", nopDatapath{})
+	waitSwitches(t, rs, 1)
+	// A second agent for switch 0 displaces the first, whose connection
+	// the controller closes.
+	bareAgent(t, addr, 0, "dup", nopDatapath{})
+	select {
+	case <-firstDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("displaced registration still served")
 	}
-	done := make(chan error, 1)
-	go func() { done <- agent.Serve() }()
-	defer agent.Close()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		infos := n.ctrl.Switches()
-		var name string
-		for _, info := range infos {
-			if info.DatapathID == 0 {
-				name = info.NodeName
-			}
-		}
-		if name == "dup" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replacement registration not visible; have %q", name)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if _, err := n.ctrl.Ping(context.Background(), 0); err != nil {
-		t.Fatalf("Ping after replacement: %v", err)
-	}
+	waitCond(t, "replacement registration", func() bool {
+		sw, err := seat.lookup(0)
+		return err == nil && sw.name == "dup"
+	})
+	echo(t, seat, 0)
 }
 
 func TestCollectStatsNoSwitches(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
-	if _, err := ctrl.CollectStats(context.Background()); err == nil {
+	rs, _ := oneSeat(t, ControllerConfig{})
+	if _, err := rs.CollectStats(context.Background()); err == nil {
 		t.Fatal("CollectStats with no switches succeeded")
 	}
-	if err := ctrl.InstallAllocation(context.Background(), nil, nil, 1); err == nil {
-		t.Fatal("InstallAllocation with no switches succeeded")
-	}
-}
-
-func TestPingUnknownSwitch(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
-	if _, err := ctrl.Ping(context.Background(), 99); err == nil {
-		t.Fatal("Ping to unknown switch succeeded")
+	if _, err := rs.InstallAllocationDiff(context.Background(), nil, nil, 1); err == nil {
+		t.Fatal("InstallAllocationDiff with no switches succeeded")
 	}
 }
 
 func TestAgentDialErrors(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", 0, "x", nil, AgentConfig{}); err == nil {
+	rs, seat := oneSeat(t, ControllerConfig{})
+	if _, err := NewManagedAgent(0, "x", nil, rs, AgentConfig{}); err == nil {
 		t.Fatal("nil datapath accepted")
 	}
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
+	if _, err := NewManagedAgent(0, "x", nopDatapath{}, nil, AgentConfig{}); err == nil {
+		t.Fatal("nil dial directory accepted")
 	}
-	addr := ctrl.Addr().String()
-	ctrl.Close()
-	if _, err := Dial(addr, 0, "x", nopDatapath{}, AgentConfig{HandshakeTimeout: 500 * time.Millisecond}); err == nil {
+	addr := rs.DialOrder(0)[0]
+	seat.Close()
+	if _, err := dial(addr, 0, "x", nopDatapath{}, AgentConfig{HandshakeTimeout: 500 * time.Millisecond}, new(atomic.Uint64)); err == nil {
 		t.Fatal("dial to closed controller succeeded")
 	}
 }
@@ -350,34 +381,20 @@ func (nopDatapath) ReadCounters() (CounterBatch, error) {
 }
 
 func TestStatsErrorPropagates(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{RequestTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
-	agent, err := Dial(ctrl.Addr().String(), 0, "n0", nopDatapath{}, AgentConfig{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer agent.Close()
-	go agent.Serve()
-	if err := ctrl.WaitForSwitches(1, 2*time.Second); err != nil {
-		t.Fatalf("WaitForSwitches: %v", err)
-	}
-	if _, err := ctrl.CollectStats(context.Background()); err == nil {
+	rs, _ := oneSeat(t, ControllerConfig{RequestTimeout: 2 * time.Second})
+	managedAgent(t, rs, 0, "n0", nopDatapath{})
+	waitSwitches(t, rs, 1)
+	if _, err := rs.CollectStats(context.Background()); err == nil {
 		t.Fatal("counter failure did not propagate")
 	}
 }
 
 func TestControllerCloseIdempotent(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	if err := ctrl.Close(); err != nil {
+	_, seat := oneSeat(t, ControllerConfig{})
+	if err := seat.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}
-	if err := ctrl.Close(); err != nil {
+	if err := seat.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
 }

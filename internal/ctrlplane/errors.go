@@ -17,9 +17,9 @@ var (
 	// layer re-looks the switch up per attempt.
 	ErrSwitchDead = errors.New("ctrlplane: switch connection lost")
 	// ErrNoSuchSwitch reports that no switch with the requested
-	// datapath ID is registered. Fatal at the single-controller level:
-	// the switch is either gone or homed on another replica, and only
-	// the replica set can tell which.
+	// datapath ID is registered on a replica. Fatal at that replica: the
+	// switch is either gone or homed on another replica, and only the
+	// replica set can tell which.
 	ErrNoSuchSwitch = errors.New("ctrlplane: switch not connected")
 	// ErrTimeout reports a request that ran out of its per-attempt
 	// deadline (ControllerConfig.RequestTimeout, bounded by the

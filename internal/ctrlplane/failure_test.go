@@ -27,29 +27,29 @@ func (d *slowDatapath) ReadCounters() (CounterBatch, error) {
 }
 func (d *slowDatapath) Release() { d.once.Do(func() { close(d.release) }) }
 
+// awaitDeregistered waits for the seat to drop every switch.
+func awaitDeregistered(t *testing.T, seat *Controller) {
+	t.Helper()
+	waitCond(t, "dead switch to deregister", func() bool { return seat.SwitchCount() == 0 })
+}
+
 func TestAgentDeathFailsInFlightRequests(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{RequestTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
+	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 10 * time.Second})
 	dp := newSlowDatapath()
 	defer dp.Release()
-	agent, err := Dial(ctrl.Addr().String(), 3, "victim", dp, AgentConfig{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	go agent.Serve()
-	if err := ctrl.WaitForSwitches(1, 2*time.Second); err != nil {
-		t.Fatalf("WaitForSwitches: %v", err)
-	}
+	agent, _ := bareAgent(t, rs.DialOrder(3)[0], 3, "victim", dp)
+	waitSwitches(t, rs, 1)
 
-	// Kick off a stats collection that will hang in the datapath, then
-	// kill the agent: the pending request must fail promptly with a
+	// Put a stats request on the wire that will hang in the datapath,
+	// then kill the agent: the pending request must fail promptly with a
 	// connection error, not dangle until the timeout.
+	sw, err := seat.lookup(3)
+	if err != nil {
+		t.Fatalf("lookup: %v", err)
+	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := ctrl.CollectStats(context.Background())
+		_, err := seat.request(context.Background(), sw, 1, StatsReq{Token: 1})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the request hit the wire
@@ -68,40 +68,23 @@ func TestAgentDeathFailsInFlightRequests(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pending request not failed after agent death")
 	}
-	// The dead switch must be deregistered.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(ctrl.Switches()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("dead switch still registered: %v", ctrl.Switches())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitDeregistered(t, seat)
 }
 
 func TestRequestTimeout(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{RequestTimeout: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
+	rs, _ := oneSeat(t, ControllerConfig{RequestTimeout: 200 * time.Millisecond})
 	dp := newSlowDatapath()
 	defer dp.Release()
-	agent, err := Dial(ctrl.Addr().String(), 1, "slow", dp, AgentConfig{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer agent.Close()
-	go agent.Serve()
-	if err := ctrl.WaitForSwitches(1, 2*time.Second); err != nil {
-		t.Fatalf("WaitForSwitches: %v", err)
-	}
+	bareAgent(t, rs.DialOrder(1)[0], 1, "slow", dp)
+	waitSwitches(t, rs, 1)
 	start := time.Now()
-	_, err = ctrl.CollectStats(context.Background())
+	_, err := rs.CollectStats(context.Background())
 	if err == nil {
 		t.Fatal("hung datapath did not time out")
 	}
+	// Every attempt times out: 3 × 200ms plus 25ms + 50ms of backoff.
 	if el := time.Since(start); el > 3*time.Second {
-		t.Fatalf("timeout took %v, want ~200ms", el)
+		t.Fatalf("timeout took %v, want ~700ms", el)
 	}
 	if !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("want timeout error, got: %v", err)
@@ -109,11 +92,10 @@ func TestRequestTimeout(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("error not errors.Is(ErrTimeout): %v", err)
 	}
+	if got := rs.Stats().RPCRetries; got != retryAttempts-1 {
+		t.Fatalf("RPCRetries = %d, want %d", got, retryAttempts-1)
+	}
 }
-
-// torchDatapath acks the first install normally; the test tears the
-// connection mid-reply at the wire level instead, so no special
-// datapath is needed beyond nopDatapath.
 
 func TestTornFrameMidInstallMarksSwitchDead(t *testing.T) {
 	// A raw client registers as a switch, then answers an install with a
@@ -121,13 +103,9 @@ func TestTornFrameMidInstallMarksSwitchDead(t *testing.T) {
 	// the switch dead, fail the pending install fast with ErrSwitchDead,
 	// deregister the switch, and leave no goroutine behind (Close's
 	// WaitGroup drain hangs this test if one leaks).
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{RequestTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
+	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 10 * time.Second})
 
-	conn, err := net.Dial("tcp", ctrl.Addr().String())
+	conn, err := net.Dial("tcp", rs.DialOrder(7)[0])
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -139,17 +117,15 @@ func TestTornFrameMidInstallMarksSwitchDead(t *testing.T) {
 	if _, err := ReadMessage(br); err != nil {
 		t.Fatalf("hello ack: %v", err)
 	}
-	if err := ctrl.WaitForSwitches(1, 2*time.Second); err != nil {
-		t.Fatalf("WaitForSwitches: %v", err)
-	}
+	waitSwitches(t, rs, 1)
 
-	sw, err := ctrl.lookup(7)
+	sw, err := seat.lookup(7)
 	if err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := ctrl.request(context.Background(), sw, 99, FlowMod{Generation: 99})
+		_, err := seat.request(context.Background(), sw, 99, FlowMod{Generation: 99})
 		done <- err
 	}()
 
@@ -179,30 +155,20 @@ func TestTornFrameMidInstallMarksSwitchDead(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pending install not failed after torn frame")
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for ctrl.SwitchCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("dead switch still registered: %v", ctrl.Switches())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitDeregistered(t, seat)
 	// Close drains the connection WaitGroup: a leaked read/handle
 	// goroutine turns this into the test's own timeout failure.
-	if err := ctrl.Close(); err != nil {
+	if err := seat.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 }
 
 func TestWaitForSwitchesCtxCancel(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
+	rs, _ := oneSeat(t, ControllerConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = ctrl.WaitForSwitchesCtx(ctx, 1)
+	err := rs.WaitForSwitchesCtx(ctx, 1)
 	if err == nil {
 		t.Fatal("WaitForSwitchesCtx returned without switches")
 	}
@@ -215,15 +181,12 @@ func TestWaitForSwitchesCtxCancel(t *testing.T) {
 }
 
 func TestSentinelClassification(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	if _, err := ctrl.Ping(context.Background(), 42); !errors.Is(err, ErrNoSuchSwitch) {
+	_, seat := oneSeat(t, ControllerConfig{})
+	if _, err := seat.lookup(42); !errors.Is(err, ErrNoSuchSwitch) {
 		t.Fatalf("unknown switch: want ErrNoSuchSwitch, got %v", err)
 	}
-	ctrl.Close()
-	if _, err := ctrl.Ping(context.Background(), 42); !errors.Is(err, ErrClosed) {
+	seat.Close()
+	if _, err := seat.lookup(42); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed controller: want ErrClosed, got %v", err)
 	}
 	if !retryable(ErrSwitchDead) || !retryable(ErrTimeout) {
@@ -235,14 +198,10 @@ func TestSentinelClassification(t *testing.T) {
 }
 
 func TestRogueClientGarbageRejected(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{HandshakeTimeout: 500 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
+	rs, _ := oneSeat(t, ControllerConfig{HandshakeTimeout: 500 * time.Millisecond})
 
 	// Raw TCP client spews garbage instead of a Hello.
-	conn, err := net.Dial("tcp", ctrl.Addr().String())
+	conn, err := net.Dial("tcp", rs.DialOrder(0)[0])
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -256,18 +215,14 @@ func TestRogueClientGarbageRejected(t *testing.T) {
 	if _, err := conn.Read(buf); err == nil {
 		t.Fatal("controller replied to garbage")
 	}
-	if n := len(ctrl.Switches()); n != 0 {
+	if n := rs.SwitchCount(); n != 0 {
 		t.Fatalf("%d switches registered from garbage", n)
 	}
 }
 
 func TestRogueClientHalfFrame(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{HandshakeTimeout: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
-	conn, err := net.Dial("tcp", ctrl.Addr().String())
+	rs, _ := oneSeat(t, ControllerConfig{HandshakeTimeout: 300 * time.Millisecond})
+	conn, err := net.Dial("tcp", rs.DialOrder(0)[0])
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -283,66 +238,31 @@ func TestRogueClientHalfFrame(t *testing.T) {
 	if _, err := conn.Read(buf); err == nil {
 		t.Fatal("controller replied to a half frame")
 	}
-	if n := len(ctrl.Switches()); n != 0 {
+	if n := rs.SwitchCount(); n != 0 {
 		t.Fatalf("%d switches registered from half frame", n)
 	}
 }
 
 func TestAgentReconnectAfterDrop(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
+	rs, seat := oneSeat(t, ControllerConfig{})
+	addr := rs.DialOrder(5)[0]
 
-	first, err := Dial(ctrl.Addr().String(), 5, "pop5", nopDatapath{}, AgentConfig{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	go first.Serve()
-	if err := ctrl.WaitForSwitches(1, 2*time.Second); err != nil {
-		t.Fatalf("WaitForSwitches: %v", err)
-	}
+	first, _ := bareAgent(t, addr, 5, "pop5", nopDatapath{})
+	waitSwitches(t, rs, 1)
 	first.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(ctrl.Switches()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("switch not deregistered after close")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitDeregistered(t, seat)
 
 	// Same datapath ID reconnects and is fully operational.
-	second, err := Dial(ctrl.Addr().String(), 5, "pop5", nopDatapath{}, AgentConfig{})
-	if err != nil {
-		t.Fatalf("re-Dial: %v", err)
-	}
-	defer second.Close()
-	go second.Serve()
-	if err := ctrl.WaitForSwitches(1, 2*time.Second); err != nil {
-		t.Fatalf("WaitForSwitches after reconnect: %v", err)
-	}
-	if _, err := ctrl.Ping(context.Background(), 5); err != nil {
-		t.Fatalf("Ping after reconnect: %v", err)
-	}
+	bareAgent(t, addr, 5, "pop5", nopDatapath{})
+	waitSwitches(t, rs, 1)
+	echo(t, seat, 5)
 }
 
 func TestControllerCloseUnblocksAgents(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	agent, err := Dial(ctrl.Addr().String(), 0, "n0", nopDatapath{}, AgentConfig{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer agent.Close()
-	done := make(chan error, 1)
-	go func() { done <- agent.Serve() }()
-	if err := ctrl.WaitForSwitches(1, 2*time.Second); err != nil {
-		t.Fatalf("WaitForSwitches: %v", err)
-	}
-	if err := ctrl.Close(); err != nil {
+	rs, seat := oneSeat(t, ControllerConfig{})
+	_, done := bareAgent(t, rs.DialOrder(0)[0], 0, "n0", nopDatapath{})
+	waitSwitches(t, rs, 1)
+	if err := seat.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	select {
@@ -358,13 +278,9 @@ func TestControllerCloseUnblocksAgents(t *testing.T) {
 
 func TestEchoFromAgentSide(t *testing.T) {
 	// The controller answers agent-initiated echoes (keepalives).
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
+	rs, _ := oneSeat(t, ControllerConfig{})
 
-	conn, err := net.Dial("tcp", ctrl.Addr().String())
+	conn, err := net.Dial("tcp", rs.DialOrder(9)[0])
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -1,133 +1,13 @@
 package ctrlplane
 
 import (
-	"context"
-	"fmt"
-	"log/slog"
 	"time"
 
-	"fubar/internal/core"
-	"fubar/internal/flowmodel"
 	"fubar/internal/graph"
-	"fubar/internal/measure"
 	"fubar/internal/sdnsim"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 )
-
-// LoopConfig tunes the closed measurement/optimization loop.
-type LoopConfig struct {
-	// Epochs is the total number of measurement epochs to run.
-	Epochs int
-	// OptimizeEvery re-runs FUBAR after this many observed epochs
-	// (default 3: a few epochs of smoothing before trusting estimates).
-	OptimizeEvery int
-	// Optimizer configures the FUBAR core.
-	Optimizer core.Options
-	// Logger receives structured progress records; nil discards them.
-	Logger *slog.Logger
-}
-
-func (c LoopConfig) withDefaults() LoopConfig {
-	if c.Epochs <= 0 {
-		c.Epochs = 9
-	}
-	if c.OptimizeEvery <= 0 {
-		c.OptimizeEvery = 3
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.DiscardHandler)
-	}
-	return c
-}
-
-// LoopResult summarizes a closed-loop run.
-type LoopResult struct {
-	// EstimatedUtility is the model-predicted utility after each
-	// optimization, in order.
-	EstimatedUtility []float64
-	// Installs counts successful allocation pushes.
-	Installs int
-	// Epochs counts observed measurement epochs.
-	Epochs int
-	// FinalMatrix is the last estimated traffic matrix.
-	FinalMatrix *traffic.Matrix
-	// FinalBundles is the last installed allocation.
-	FinalBundles []flowmodel.Bundle
-}
-
-// RunLoop drives the full FUBAR deployment cycle over the control
-// protocol: advance the environment one epoch, poll counters from every
-// switch, fold them into the traffic-matrix estimator, and every
-// OptimizeEvery epochs re-run the optimizer and install the new
-// allocation. advance is the environment's clock: in tests and examples
-// it runs one Fabric epoch; against real hardware it would simply sleep
-// one measurement interval. The context is checked once per measurement
-// epoch and threaded into each optimization: cancellation returns the
-// partial LoopResult with the context's error.
-func RunLoop(ctx context.Context, ctrl *Controller, topo *topology.Topology, keys []measure.AggregateKey, cfg LoopConfig, advance func() error) (*LoopResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctrl == nil || topo == nil {
-		return nil, fmt.Errorf("ctrlplane: nil controller or topology")
-	}
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("ctrlplane: no aggregate keys")
-	}
-	if advance == nil {
-		return nil, fmt.Errorf("ctrlplane: nil advance")
-	}
-	cfg = cfg.withDefaults()
-	est := measure.NewEstimator(keys)
-	res := &LoopResult{}
-	generation := uint64(1)
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		if err := advance(); err != nil {
-			return res, fmt.Errorf("ctrlplane: advance epoch %d: %w", epoch, err)
-		}
-		replies, err := ctrl.CollectStats(ctx)
-		if err != nil {
-			return res, fmt.Errorf("ctrlplane: collect epoch %d: %w", epoch, err)
-		}
-		stats := MergeStats(topo, replies)
-		if err := est.Observe(stats); err != nil {
-			return res, fmt.Errorf("ctrlplane: observe epoch %d: %w", epoch, err)
-		}
-		res.Epochs++
-
-		if (epoch+1)%cfg.OptimizeEvery != 0 {
-			continue
-		}
-		mat, err := est.Matrix(topo)
-		if err != nil {
-			return res, fmt.Errorf("ctrlplane: estimate after epoch %d: %w", epoch, err)
-		}
-		model, err := flowmodel.New(topo, mat)
-		if err != nil {
-			return res, err
-		}
-		sol, err := core.Run(ctx, model, cfg.Optimizer)
-		if err != nil {
-			return res, fmt.Errorf("ctrlplane: optimize after epoch %d: %w", epoch, err)
-		}
-		if err := ctrl.InstallAllocation(ctx, mat, sol.Bundles, generation); err != nil {
-			return res, fmt.Errorf("ctrlplane: install generation %d: %w", generation, err)
-		}
-		generation++
-		res.Installs++
-		res.EstimatedUtility = append(res.EstimatedUtility, sol.Utility)
-		res.FinalMatrix = mat
-		res.FinalBundles = sol.Bundles
-		cfg.Logger.Info("loop: installed allocation", "epoch", epoch, "generation", generation-1,
-			"utility", sol.Utility, "bundles", len(sol.Bundles), "steps", sol.Steps)
-	}
-	return res, nil
-}
 
 // MergeStats folds per-switch stats replies into the single EpochStats
 // view the estimator consumes, reconstructing per-link byte counts from

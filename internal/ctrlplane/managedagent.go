@@ -19,13 +19,6 @@ type DialDirectory interface {
 	DialOrder(datapathID uint32) []string
 }
 
-// StaticDirectory is the trivial DialDirectory: the same fixed address
-// list for every switch.
-type StaticDirectory []string
-
-// DialOrder returns the static list.
-func (d StaticDirectory) DialOrder(uint32) []string { return d }
-
 // failsafeGenerationBase keeps fail-safe wipes out of both the caller
 // generation space and the resync range.
 const failsafeGenerationBase = uint64(3) << 62
@@ -62,9 +55,9 @@ func (g *guardedDatapath) ruleCount() int {
 }
 
 // ManagedAgent is the fail-safe agent: it owns the connect→serve→redial
-// lifecycle that a bare Agent leaves to the caller. It dials the
-// directory's addresses in order, serves until the connection dies,
-// and redials with jittered exponential backoff. While orphaned — no
+// lifecycle of its Agent connections. It dials the directory's addresses
+// in order, serves until the connection dies, and redials with jittered
+// exponential backoff. While orphaned — no
 // controller reachable — it enforces the rule lease: once the lease
 // (controller-advertised, or AgentConfig.RuleLease) elapses without
 // contact, the installed table expires under AgentConfig.FailAction
@@ -105,25 +98,7 @@ type ManagedAgent struct {
 // Close. The datapath keeps whatever table it held before the first
 // successful install.
 func NewManagedAgent(datapathID uint32, nodeName string, dp Datapath, dir DialDirectory, cfg AgentConfig) (*ManagedAgent, error) {
-	if dp == nil {
-		return nil, fmt.Errorf("ctrlplane: nil datapath")
-	}
-	if dir == nil {
-		return nil, fmt.Errorf("ctrlplane: nil dial directory")
-	}
-	ma := &ManagedAgent{
-		cfg:   cfg.withDefaults(),
-		id:    datapathID,
-		name:  nodeName,
-		dir:   dir,
-		dp:    &guardedDatapath{inner: dp},
-		now:   time.Now,
-		after: time.After,
-		done:  make(chan struct{}),
-	}
-	ma.wg.Add(1)
-	go ma.run()
-	return ma, nil
+	return newManagedAgentClock(datapathID, nodeName, dp, dir, cfg, time.Now, time.After)
 }
 
 // newManagedAgentClock is NewManagedAgent with an injected clock, for

@@ -44,7 +44,8 @@ type replicaSlot struct {
 // on it. Killing a replica (Fail) bumps the shared election epoch and
 // lets its orphaned switches re-home onto survivors, which resync their
 // rule tables from the shared cache; Recover seats a fresh controller
-// at the same rank.
+// at the same rank. A one-seat set is the plain single-controller
+// deployment: the set is the only way the package drives switches.
 type ReplicaSet struct {
 	cfg    ControllerConfig
 	tables *tableCache
@@ -59,15 +60,10 @@ type ReplicaSet struct {
 }
 
 // NewReplicaSet listens n controller replicas on loopback ephemeral
-// ports. If cfg leaves the retry policy zero, HA defaults apply
-// (3 attempts) — a replica set without RPC retries would turn every
-// failover into caller-visible errors.
+// ports.
 func NewReplicaSet(n int, cfg ControllerConfig) (*ReplicaSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ctrlplane: replica set needs n >= 1, got %d", n)
-	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry.MaxAttempts = 3
 	}
 	if cfg.Name == "" {
 		cfg.Name = "fubar-controller"
@@ -317,7 +313,7 @@ func (rs *ReplicaSet) QuiesceResyncs(ctx context.Context) error {
 // replica; each pushes only to the switches homed on it, and the
 // outcomes merge into one network-wide count. Per-replica shards with
 // no switches contribute nothing — only a set with no switches at all
-// errors, matching the single-controller contract.
+// errors.
 func (rs *ReplicaSet) InstallAllocationDiff(ctx context.Context, mat *traffic.Matrix, bundles []flowmodel.Bundle, generation uint64) (InstallOutcome, error) {
 	ctrls := rs.live()
 	out := InstallOutcome{Generation: generation}
@@ -333,7 +329,7 @@ func (rs *ReplicaSet) InstallAllocationDiff(ctx context.Context, mat *traffic.Ma
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			o, err := c.install(ctx, mat, bundles, generation, true, true)
+			o, err := c.install(ctx, mat, bundles, generation)
 			mu.Lock()
 			out.merge(o)
 			mu.Unlock()
@@ -367,7 +363,7 @@ func (rs *ReplicaSet) CollectStats(ctx context.Context) (map[uint32]StatsReply, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			replies, err := c.collectStats(ctx, true)
+			replies, err := c.collectStats(ctx)
 			mu.Lock()
 			for id, r := range replies {
 				out[id] = r

@@ -283,29 +283,18 @@ func TestManagedAgentReconnectsWithBackoff(t *testing.T) {
 }
 
 func TestAgentRejectsStaleEpoch(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{RequestTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ctrl.Close()
-	agent, err := Dial(ctrl.Addr().String(), 0, "sw0", &recDatapath{}, AgentConfig{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer agent.Close()
-	go agent.Serve()
-	if err := ctrl.WaitForSwitches(1, 2*time.Second); err != nil {
-		t.Fatalf("WaitForSwitches: %v", err)
-	}
-	sw, err := ctrl.lookup(0)
+	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 2 * time.Second})
+	managedAgent(t, rs, 0, "sw0", &recDatapath{})
+	waitSwitches(t, rs, 1)
+	sw, err := seat.lookup(0)
 	if err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
-	if _, err := ctrl.request(context.Background(), sw, 1, FlowMod{Generation: 1, Epoch: 5}); err != nil {
+	if _, err := seat.request(context.Background(), sw, 1, FlowMod{Generation: 1, Epoch: 5}); err != nil {
 		t.Fatalf("install at epoch 5: %v", err)
 	}
 	// A deposed replica's write (older epoch) must be fenced off.
-	_, err = ctrl.request(context.Background(), sw, 2, FlowMod{Generation: 2, Epoch: 3})
+	_, err = seat.request(context.Background(), sw, 2, FlowMod{Generation: 2, Epoch: 3})
 	if err == nil {
 		t.Fatal("stale-epoch FlowMod accepted")
 	}
@@ -314,7 +303,7 @@ func TestAgentRejectsStaleEpoch(t *testing.T) {
 		t.Fatalf("want ErrCodeStale, got: %v", err)
 	}
 	// Equal epoch is fine (same election term).
-	if _, err := ctrl.request(context.Background(), sw, 3, FlowMod{Generation: 3, Epoch: 5}); err != nil {
+	if _, err := seat.request(context.Background(), sw, 3, FlowMod{Generation: 3, Epoch: 5}); err != nil {
 		t.Fatalf("same-epoch install rejected: %v", err)
 	}
 }
