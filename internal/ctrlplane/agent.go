@@ -97,6 +97,7 @@ type Agent struct {
 
 	mu     sync.Mutex // serializes writes and Close
 	closed bool
+	wbuf   []byte // frame buffer every write reuses, under mu
 
 	// epochFloor is the highest election epoch seen on a FlowMod; older
 	// epochs are fenced off with ErrCodeStale. The managed agent shares
@@ -236,7 +237,9 @@ func (a *Agent) write(m Message) error {
 		return net.ErrClosed
 	}
 	_ = a.conn.SetWriteDeadline(time.Now().Add(a.cfg.WriteTimeout))
-	return WriteMessage(a.conn, m)
+	var err error
+	a.wbuf, err = writeFrame(a.conn, a.wbuf, m)
+	return err
 }
 
 // isClosed reports whether Close was called.
@@ -256,7 +259,7 @@ func (a *Agent) Close() error {
 	}
 	a.closed = true
 	_ = a.conn.SetWriteDeadline(time.Now().Add(time.Second))
-	_ = WriteMessage(a.conn, Bye{})
+	a.wbuf, _ = writeFrame(a.conn, a.wbuf, Bye{})
 	a.mu.Unlock()
 	return a.conn.Close()
 }

@@ -19,8 +19,9 @@ import (
 )
 
 // The retry schedule every controller→agent install and stats round trip
-// runs under (see withRetry). Without retries every failover would
-// surface as a caller-visible error.
+// runs under: per switch for installs (withRetry), as further pipelined
+// passes for a stats round (ReplicaSet.CollectStats). Without retries
+// every failover would surface as a caller-visible error.
 const (
 	// retryAttempts is the total number of attempts per RPC.
 	retryAttempts = 3
@@ -46,9 +47,9 @@ type ControllerConfig struct {
 	// HandshakeTimeout bounds the Hello exchange per connection.
 	// Default 5s.
 	HandshakeTimeout time.Duration
-	// RequestTimeout bounds each install or stats attempt (the
-	// per-attempt deadline, derived from the caller's context when that
-	// is tighter). Default 10s.
+	// RequestTimeout bounds each install attempt and each pass of a
+	// stats round (the per-attempt deadline, derived from the caller's
+	// context when that is tighter). Default 10s.
 	RequestTimeout time.Duration
 	// Logger receives structured diagnostic records; nil discards them.
 	Logger *slog.Logger
@@ -80,10 +81,21 @@ type swConn struct {
 	conn net.Conn
 
 	writeMu sync.Mutex // serializes writes
+	wbuf    []byte     // frame buffer every write reuses, under writeMu
 
 	mu      sync.Mutex
-	pending map[uint64]chan Message
+	pending map[uint64]chan<- reply
 	dead    error
+}
+
+// reply routes one answer to the request that registered its token on
+// conn. msg is nil when the connection died or the request was withdrawn.
+// A token is delivered at most once, so a channel with room for every
+// token registered on it never blocks a sender.
+type reply struct {
+	conn  *swConn
+	token uint64
+	msg   Message
 }
 
 // signal is a broadcast condition: waiters grab the current channel and
@@ -251,11 +263,27 @@ func (c *Controller) handleConn(conn net.Conn) {
 		id:      hello.DatapathID,
 		name:    hello.NodeName,
 		conn:    conn,
-		pending: make(map[uint64]chan Message),
+		pending: make(map[uint64]chan<- reply),
+	}
+	// Verified rule-table handoff: a (re)registering switch whose last
+	// acked table is in the shared cache gets it re-pushed, so a switch
+	// orphaned by a controller failure is made consistent by whichever
+	// replica it re-homes to — and the push is verified by its ack. The
+	// handoff counts as in flight before the switch is visible: a waiter
+	// that sees every switch homed and no handoff in flight (a closed
+	// loop's settle) must never race one still to start.
+	cached, resync := c.tables.get(sw.id)
+	resync = resync && len(cached) > 0
+	if resync {
+		c.stats.resyncInflight.Add(1)
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		if resync {
+			c.stats.resyncInflight.Add(-1)
+			c.notify.broadcast()
+		}
 		conn.Close()
 		return
 	}
@@ -267,12 +295,7 @@ func (c *Controller) handleConn(conn net.Conn) {
 	c.notify.broadcast()
 	c.cfg.Logger.Info("controller: switch registered", "switch", sw.name, "datapath", sw.id, "remote", conn.RemoteAddr().String())
 
-	// Verified rule-table handoff: a (re)registering switch whose last
-	// acked table is in the shared cache gets it re-pushed, so a switch
-	// orphaned by a controller failure is made consistent by whichever
-	// replica it re-homes to — and the push is verified by its ack.
-	if cached, ok := c.tables.get(sw.id); ok && len(cached) > 0 {
-		c.stats.resyncInflight.Add(1)
+	if resync {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
@@ -343,10 +366,7 @@ func (c *Controller) readLoop(sw *swConn, br *bufio.Reader) error {
 				c.cfg.Logger.Warn("controller: switch error", "switch", sw.name, "err", error(m))
 			}
 		case Echo:
-			sw.writeMu.Lock()
-			err := WriteMessage(sw.conn, EchoReply{Token: m.Token})
-			sw.writeMu.Unlock()
-			if err != nil {
+			if err := sw.send(EchoReply{Token: m.Token}, time.Now().Add(c.cfg.RequestTimeout)); err != nil {
 				return err
 			}
 		case Bye:
@@ -357,27 +377,16 @@ func (c *Controller) readLoop(sw *swConn, br *bufio.Reader) error {
 	}
 }
 
-// deliver hands a reply to the waiting request, dropping stragglers.
+// deliver hands a reply to the waiting request, dropping stragglers; a
+// nil m withdraws the token.
 func (s *swConn) deliver(token uint64, m Message) {
 	s.mu.Lock()
 	ch := s.pending[token]
 	delete(s.pending, token)
 	s.mu.Unlock()
 	if ch != nil {
-		ch <- m // buffered: never blocks
+		ch <- reply{conn: s, token: token, msg: m} // buffered: never blocks
 	}
-}
-
-// expect registers a pending token before the request is written.
-func (s *swConn) expect(token uint64) (chan Message, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead != nil {
-		return nil, s.dead
-	}
-	ch := make(chan Message, 1)
-	s.pending[token] = ch
-	return ch, nil
 }
 
 // fail wakes all pending requests with a connection-lost error.
@@ -392,8 +401,56 @@ func (s *swConn) fail(err error) {
 	}
 	for tok, ch := range s.pending {
 		delete(s.pending, tok)
-		ch <- nil
+		ch <- reply{conn: s, token: tok}
 	}
+}
+
+// send writes m as one frame from the connection's buffer, under the
+// write lock and the given write deadline.
+func (s *swConn) send(m Message, deadline time.Time) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	_ = s.conn.SetWriteDeadline(deadline)
+	var err error
+	s.wbuf, err = writeFrame(s.conn, s.wbuf, m)
+	return err
+}
+
+// post registers token to answer on ch, then writes m. A write that fails
+// withdraws the token again.
+func (s *swConn) post(token uint64, m Message, ch chan<- reply, deadline time.Time) error {
+	s.mu.Lock()
+	if s.dead != nil {
+		s.mu.Unlock()
+		return s.dead
+	}
+	s.pending[token] = ch
+	s.mu.Unlock()
+	if err := s.send(m, deadline); err != nil {
+		s.deliver(token, nil)
+		return fmt.Errorf("ctrlplane: write %v to switch %s(%d): %w (%v)", m.Type(), s.name, s.id, ErrSwitchDead, err)
+	}
+	return nil
+}
+
+// answer turns a delivered reply into the request's result: a lost
+// connection is its ErrSwitchDead, and a peer ErrorMsg an error.
+func (s *swConn) answer(m Message) (Message, error) {
+	if m == nil {
+		if dead := s.deadErr(); dead != nil {
+			return nil, dead
+		}
+		return nil, fmt.Errorf("ctrlplane: request cancelled")
+	}
+	if em, isErr := m.(ErrorMsg); isErr {
+		return nil, em
+	}
+	return m, nil
+}
+
+// timedOut is the error of a request whose reply missed its deadline.
+func (s *swConn) timedOut(t MsgType) error {
+	return fmt.Errorf("ctrlplane: %v to switch %s(%d): %w", t, s.name, s.id, ErrTimeout)
 }
 
 // deadErr snapshots the connection's terminal error, if any.
@@ -407,39 +464,22 @@ func (s *swConn) deadErr() error {
 // per-attempt deadline: RequestTimeout layered beneath the caller's
 // context (whichever is tighter wins).
 func (c *Controller) request(ctx context.Context, sw *swConn, token uint64, m Message) (Message, error) {
-	ch, err := sw.expect(token)
-	if err != nil {
-		return nil, err
-	}
 	attemptCtx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer cancel()
 	deadline, _ := attemptCtx.Deadline()
-	sw.writeMu.Lock()
-	_ = sw.conn.SetWriteDeadline(deadline)
-	err = WriteMessage(sw.conn, m)
-	sw.writeMu.Unlock()
-	if err != nil {
-		sw.deliver(token, nil) // unregister
-		return nil, fmt.Errorf("ctrlplane: write %v to switch %s(%d): %w (%v)", m.Type(), sw.name, sw.id, ErrSwitchDead, err)
+	ch := make(chan reply, 1)
+	if err := sw.post(token, m, ch, deadline); err != nil {
+		return nil, err
 	}
 	select {
-	case reply := <-ch:
-		if reply == nil {
-			if dead := sw.deadErr(); dead != nil {
-				return nil, dead
-			}
-			return nil, fmt.Errorf("ctrlplane: request cancelled")
-		}
-		if em, isErr := reply.(ErrorMsg); isErr {
-			return nil, em
-		}
-		return reply, nil
+	case r := <-ch:
+		return sw.answer(r.msg)
 	case <-attemptCtx.Done():
 		sw.deliver(token, nil)
 		if err := ctx.Err(); err != nil {
 			return nil, err // the caller's context won, not the attempt deadline
 		}
-		return nil, fmt.Errorf("ctrlplane: %v to switch %s(%d): %w", m.Type(), sw.name, sw.id, ErrTimeout)
+		return nil, sw.timedOut(m.Type())
 	}
 }
 
@@ -631,58 +671,18 @@ func (c *Controller) install(ctx context.Context, mat *traffic.Matrix, bundles [
 	return out, errors.Join(errs...)
 }
 
-// collectStats polls every switch homed on this replica and returns
-// their replies keyed by datapath ID. A switch that fails contributes an
-// error instead of silence; a replica with no switches returns an empty
-// map.
-func (c *Controller) collectStats(ctx context.Context) (map[uint32]StatsReply, error) {
+// appendStatsTargets appends a stats-round slot for every switch homed
+// on this replica.
+func (c *Controller) appendStatsTargets(ts []statsTarget) ([]statsTarget, error) {
 	c.mu.Lock()
-	closed := c.closed
-	ids := make([]uint32, 0, len(c.switches))
-	names := make(map[uint32]string, len(c.switches))
+	defer c.mu.Unlock()
+	if c.closed {
+		return ts, ErrClosed
+	}
 	for _, sw := range c.switches {
-		ids = append(ids, sw.id)
-		names[sw.id] = sw.name
+		ts = append(ts, statsTarget{c: c, id: sw.id, name: sw.name, open: true})
 	}
-	c.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	out := make(map[uint32]StatsReply, len(ids))
-	errs := make([]error, len(ids))
-	for i, id := range ids {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := c.withRetry(ctx, func(ctx context.Context) error {
-				sw, err := c.lookup(id)
-				if err != nil {
-					return err
-				}
-				token := c.nextToken()
-				reply, err := c.request(ctx, sw, token, StatsReq{Token: token})
-				if err != nil {
-					return err
-				}
-				sr, ok := reply.(StatsReply)
-				if !ok {
-					return fmt.Errorf("got %v, want StatsReply", reply.Type())
-				}
-				mu.Lock()
-				out[id] = sr
-				mu.Unlock()
-				return nil
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("switch %s(%d): %w", names[id], id, err)
-			}
-		}()
-	}
-	wg.Wait()
-	return out, errors.Join(errs...)
+	return ts, nil
 }
 
 // lookup finds a registered switch.
@@ -726,10 +726,7 @@ func (c *Controller) Close() error {
 
 	err := c.ln.Close()
 	for _, sw := range switches {
-		sw.writeMu.Lock()
-		_ = sw.conn.SetWriteDeadline(time.Now().Add(time.Second))
-		_ = WriteMessage(sw.conn, Bye{})
-		sw.writeMu.Unlock()
+		_ = sw.send(Bye{}, time.Now().Add(time.Second))
 		sw.conn.Close()
 	}
 	c.wg.Wait()

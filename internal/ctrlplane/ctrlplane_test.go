@@ -3,6 +3,8 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -97,6 +99,20 @@ func echo(t *testing.T, seat *Controller, id uint32) {
 // startNet builds and connects the deployment.
 func startNet(t *testing.T, seed int64) *testNet {
 	t.Helper()
+	topo, truth, fabric := newTestFabric(t, seed)
+	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 5 * time.Second})
+	for node := 0; node < topo.NumNodes(); node++ {
+		id := topology.NodeID(node)
+		managedAgent(t, rs, uint32(node), topo.NodeName(id), fabric.Datapath(id))
+	}
+	waitSwitches(t, rs, topo.NumNodes())
+	return &testNet{topo: topo, truth: truth, fabric: fabric, rs: rs, seat: seat}
+}
+
+// newTestFabric builds the deployment's network: a 6-node ring, its
+// ground truth, and a fabric over a simulator routing shortest paths.
+func newTestFabric(t *testing.T, seed int64) (*topology.Topology, *traffic.Matrix, *Fabric) {
+	t.Helper()
 	topo, err := topology.Ring(6, 3, 800*unit.Kbps, seed)
 	if err != nil {
 		t.Fatalf("Ring: %v", err)
@@ -115,14 +131,7 @@ func startNet(t *testing.T, seed int64) *testNet {
 	if err := sim.InstallShortestPaths(); err != nil {
 		t.Fatalf("InstallShortestPaths: %v", err)
 	}
-	fabric := NewFabric(sim)
-	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 5 * time.Second})
-	for node := 0; node < topo.NumNodes(); node++ {
-		id := topology.NodeID(node)
-		managedAgent(t, rs, uint32(node), topo.NodeName(id), fabric.Datapath(id))
-	}
-	waitSwitches(t, rs, topo.NumNodes())
-	return &testNet{topo: topo, truth: truth, fabric: fabric, rs: rs, seat: seat}
+	return topo, truth, NewFabric(sim)
 }
 
 func TestHandshakeAndPing(t *testing.T) {
@@ -324,6 +333,50 @@ func TestPartialInstallStaysPending(t *testing.T) {
 	}
 	if got := n.fabric.Installs(); got != 0 {
 		t.Fatalf("partial rule set activated: %d installs", got)
+	}
+}
+
+// TestPartialInstallAllocatesNothing: every per-switch table of an
+// install but the last leaves the fabric's coverage incomplete, and
+// checking that builds nothing; the last one activates the union once,
+// and every table counts as one acked FlowMod.
+func TestPartialInstallAllocatesNothing(t *testing.T) {
+	topo, truth, fabric := newTestFabric(t, 7)
+	model, err := flowmodel.New(topo, truth)
+	if err != nil {
+		t.Fatalf("flowmodel.New: %v", err)
+	}
+	sol, err := core.Run(context.Background(), model, core.Options{})
+	if err != nil {
+		t.Fatalf("core.Run: %v", err)
+	}
+	tables := allocationTables(truth, sol.Bundles)
+	ids := slices.Sorted(maps.Keys(tables))
+	for i, id := range ids {
+		if err := fabric.Datapath(topology.NodeID(id)).InstallRules(uint64(i+1), tables[id]); err != nil {
+			t.Fatalf("InstallRules(switch %d): %v", id, err)
+		}
+		if i == len(ids)-1 {
+			break
+		}
+		if got := fabric.Installs(); got != 0 {
+			t.Fatalf("union activated after %d of %d tables", i+1, len(ids))
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			fabric.mu.Lock()
+			fabric.pending = true
+			_ = fabric.tryActivate()
+			fabric.mu.Unlock()
+		})
+		if allocs != 0 {
+			t.Fatalf("tryActivate on %d of %d tables allocated %.1f objects, want 0", i+1, len(ids), allocs)
+		}
+	}
+	if got := fabric.Installs(); got != 1 {
+		t.Fatalf("%d activations after the last table, want 1", got)
+	}
+	if got := fabric.AckedFlowMods(); got != len(ids) {
+		t.Fatalf("%d acked FlowMods, want %d", got, len(ids))
 	}
 }
 

@@ -2,7 +2,7 @@ package ctrlplane
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,6 +51,7 @@ type Fabric struct {
 	installs  int
 	acked     int
 	pending   bool
+	covered   []int // tryActivate's per-aggregate flow tally, reused
 }
 
 // NewFabric wraps a simulator whose routing will be driven through
@@ -161,25 +162,24 @@ func (f *Fabric) install(node uint32, rules []Rule) error {
 // previous epoch's ground truth (after Retarget) may reference
 // aggregates that no longer exist or sit at the wrong ingress; such a
 // union simply stays pending — the old rules keep forwarding until the
-// controller reconciles them. Called with f.mu held.
+// controller reconciles them. Validity and coverage are checked from the
+// rules before anything is built, so the FlowMods of an install that
+// leave coverage incomplete — all but the last — allocate nothing.
+// Called with f.mu held.
 func (f *Fabric) tryActivate() error {
 	if !f.pending {
 		return nil
 	}
 	nA := f.truth.NumAggregates()
 	nL := f.topo.NumLinks()
-	covered := make([]int, nA)
-	// Walk switches in ID order: the union's bundle order — and thus the
-	// float summation order of every downstream evaluation — must not
-	// depend on map iteration.
-	nodes := make([]uint32, 0, len(f.perSwitch))
-	for node := range f.perSwitch {
-		nodes = append(nodes, node)
+	if cap(f.covered) < nA {
+		f.covered = make([]int, nA)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	var bundles []flowmodel.Bundle
-	for _, node := range nodes {
-		for _, r := range f.perSwitch[node] {
+	covered := f.covered[:nA]
+	clear(covered)
+	total := 0
+	for node, rules := range f.perSwitch {
+		for _, r := range rules {
 			if int(r.Agg) < 0 || int(r.Agg) >= nA {
 				return nil // stale table: stay pending
 			}
@@ -192,12 +192,26 @@ func (f *Fabric) tryActivate() error {
 				}
 			}
 			covered[r.Agg] += int(r.Flows)
-			bundles = append(bundles, ruleToBundle(f.topo, r))
 		}
+		total += len(rules)
 	}
 	for i, c := range covered {
 		if c != f.truth.Aggregate(traffic.AggregateID(i)).Flows {
 			return nil // incomplete: stay pending, keep the old routing
+		}
+	}
+	// Walk switches in ID order: the union's bundle order — and thus the
+	// float summation order of every downstream evaluation — must not
+	// depend on map iteration.
+	nodes := make([]uint32, 0, len(f.perSwitch))
+	for node := range f.perSwitch {
+		nodes = append(nodes, node)
+	}
+	slices.Sort(nodes)
+	bundles := make([]flowmodel.Bundle, 0, total)
+	for _, node := range nodes {
+		for _, r := range f.perSwitch[node] {
+			bundles = append(bundles, ruleToBundle(f.topo, r))
 		}
 	}
 	if err := f.sim.Install(bundles); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,16 +13,25 @@ import (
 )
 
 // slowDatapath blocks ReadCounters until released, to hold a stats
-// request in flight.
+// request in flight. Each call first offers the goroutine count on
+// entered, so a test knows when a request is being held — and how many
+// goroutines the process runs while the controller waits on it.
 type slowDatapath struct {
 	release chan struct{}
 	once    sync.Once
+	entered chan int
 }
 
-func newSlowDatapath() *slowDatapath { return &slowDatapath{release: make(chan struct{})} }
+func newSlowDatapath() *slowDatapath {
+	return &slowDatapath{release: make(chan struct{}), entered: make(chan int, 1)}
+}
 
 func (d *slowDatapath) InstallRules(uint64, []Rule) error { return nil }
 func (d *slowDatapath) ReadCounters() (CounterBatch, error) {
+	select {
+	case d.entered <- runtime.NumGoroutine():
+	default:
+	}
 	<-d.release
 	return CounterBatch{Epoch: 1, Duration: time.Second}, nil
 }

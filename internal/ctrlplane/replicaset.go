@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"fubar/internal/flowmodel"
 	"fubar/internal/traffic"
@@ -65,11 +66,8 @@ func NewReplicaSet(n int, cfg ControllerConfig) (*ReplicaSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ctrlplane: replica set needs n >= 1, got %d", n)
 	}
-	if cfg.Name == "" {
-		cfg.Name = "fubar-controller"
-	}
 	rs := &ReplicaSet{
-		cfg:    cfg,
+		cfg:    cfg.withDefaults(),
 		tables: newTableCache(),
 		epoch:  new(atomic.Uint64),
 		stats:  &haStats{},
@@ -346,33 +344,79 @@ func (rs *ReplicaSet) InstallAllocationDiff(ctx context.Context, mat *traffic.Ma
 	return out, nil
 }
 
-// CollectStats polls every switch across live replicas and merges the
-// replies by datapath ID.
+// statsTarget is one switch's slot in a stats round.
+type statsTarget struct {
+	c    *Controller
+	id   uint32
+	name string
+	// open marks a switch still to be polled: not yet answered, and its
+	// last attempt's error, if any, retryable.
+	open bool
+	err  error // the last attempt's error
+
+	sw    *swConn // connection of the request in flight
+	token uint64  // token of the request in flight; 0 when none
+}
+
+// CollectStats polls every switch across live replicas in one pipelined
+// round and merges the replies by datapath ID. A pass writes one StatsReq
+// to every switch of every live seat back to back, then collects the
+// replies by token under one deadline: RequestTimeout, or the caller's
+// context when that is tighter. Switches whose attempt failed retryably
+// go again together as a further pass after the backoff, on the schedule
+// an install's withRetry runs per switch; the round itself starts no
+// goroutine and arms one timer.
 func (rs *ReplicaSet) CollectStats(ctx context.Context) (map[uint32]StatsReply, error) {
 	ctrls := rs.live()
 	if len(ctrls) == 0 {
 		return nil, ErrClosed
 	}
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs = make([]error, len(ctrls))
+		targets []statsTarget
+		errs    []error
 	)
-	out := make(map[uint32]StatsReply)
-	for i, c := range ctrls {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			replies, err := c.collectStats(ctx)
-			mu.Lock()
-			for id, r := range replies {
-				out[id] = r
-			}
-			mu.Unlock()
-			errs[i] = err
-		}()
+	for _, c := range ctrls {
+		var err error
+		if targets, err = c.appendStatsTargets(targets); err != nil {
+			errs = append(errs, err)
+		}
 	}
-	wg.Wait()
+	out := make(map[uint32]StatsReply, len(targets))
+	// Each token the round registers is answered at most once, so room
+	// for all of them never blocks a connection's read loop.
+	replies := make(chan reply, retryAttempts*len(targets))
+	timeout := rs.cfg.RequestTimeout
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	backoff := retryBaseBackoff
+round:
+	for attempt := 1; ; attempt++ {
+		deadline := time.Now().Add(timeout)
+		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+			deadline = d
+		}
+		retry := statsPass(ctx, targets, replies, timer, deadline, out)
+		if retry == 0 || attempt >= retryAttempts || ctx.Err() != nil {
+			break
+		}
+		rs.stats.retries.Add(int64(retry))
+		// Reset never leaves a stale expiry in timer.C (Go ≥ 1.23 timers).
+		timer.Reset(backoff)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			break round
+		}
+		if backoff *= 2; backoff > retryMaxBackoff {
+			backoff = retryMaxBackoff
+		}
+		timer.Reset(timeout)
+	}
+	for _, t := range targets {
+		if t.err != nil {
+			errs = append(errs, fmt.Errorf("switch %s(%d): %w", t.name, t.id, t.err))
+		}
+	}
 	if err := errors.Join(errs...); err != nil {
 		return out, err
 	}
@@ -380,6 +424,107 @@ func (rs *ReplicaSet) CollectStats(ctx context.Context) (map[uint32]StatsReply, 
 		return out, fmt.Errorf("ctrlplane: no switches connected")
 	}
 	return out, nil
+}
+
+// statsPass is one pass of a stats round: a StatsReq to every open target
+// back to back, then the replies, until every one is in, timer fires or
+// ctx is done. It returns how many targets stay open for another pass.
+func statsPass(ctx context.Context, targets []statsTarget, replies chan reply, timer *time.Timer, deadline time.Time, out map[uint32]StatsReply) int {
+	waiting := 0
+	for i := range targets {
+		t := &targets[i]
+		if !t.open {
+			continue
+		}
+		if err := t.post(replies, deadline); err != nil {
+			t.settle(err)
+			continue
+		}
+		waiting++
+	}
+	for waiting > 0 {
+		select {
+		case r := <-replies:
+			t := inFlight(targets, r)
+			if t == nil {
+				continue // answer to a request an earlier pass gave up on
+			}
+			waiting--
+			t.token = 0
+			msg, err := r.conn.answer(r.msg)
+			if err == nil {
+				if sr, ok := msg.(StatsReply); ok {
+					out[t.id] = sr
+				} else {
+					err = fmt.Errorf("got %v, want StatsReply", msg.Type())
+				}
+			}
+			t.settle(err)
+		case <-timer.C:
+			expire(ctx, targets)
+			waiting = 0
+		case <-ctx.Done():
+			expire(ctx, targets)
+			waiting = 0
+		}
+	}
+	open := 0
+	for _, t := range targets {
+		if t.open {
+			open++
+		}
+	}
+	return open
+}
+
+// post re-resolves the target's switch — the agent may have reconnected —
+// and writes it a StatsReq answering on ch.
+func (t *statsTarget) post(ch chan<- reply, deadline time.Time) error {
+	sw, err := t.c.lookup(t.id)
+	if err != nil {
+		return err
+	}
+	token := t.c.nextToken()
+	if err := sw.post(token, StatsReq{Token: token}, ch, deadline); err != nil {
+		return err
+	}
+	t.sw, t.token = sw, token
+	return nil
+}
+
+// settle records an attempt's outcome: a reply or a final error closes
+// the target, a retryable error leaves it open.
+func (t *statsTarget) settle(err error) {
+	t.err = err
+	t.open = err != nil && retryable(err)
+}
+
+// inFlight finds the target whose request r answers, or nil.
+func inFlight(targets []statsTarget, r reply) *statsTarget {
+	for i := range targets {
+		if t := &targets[i]; t.token == r.token && t.sw == r.conn {
+			return t
+		}
+	}
+	return nil
+}
+
+// expire withdraws every request still in flight when the pass deadline
+// or the caller's context ends the pass.
+func expire(ctx context.Context, targets []statsTarget) {
+	for i := range targets {
+		t := &targets[i]
+		if t.token == 0 {
+			continue
+		}
+		t.sw.deliver(t.token, nil)
+		t.token = 0
+		if err := ctx.Err(); err != nil {
+			t.settle(err) // the caller's context won, not the pass deadline
+		} else {
+			t.settle(t.sw.timedOut(MsgStatsReq))
+		}
+	}
 }
 
 // Close shuts down every live replica.

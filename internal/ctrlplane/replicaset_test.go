@@ -178,6 +178,37 @@ func TestReplicaSetFailoverResyncsOrphans(t *testing.T) {
 	}
 }
 
+// TestReplicaSetResyncCountedBeforeRegistration: a switch re-registering
+// with a cached table has its handoff counted in flight before it is
+// visible, so once every switch is homed and QuiesceResyncs returns — a
+// closed loop's settle — the table has landed. Registration is held on
+// the seat's lock to open the window deterministically.
+func TestReplicaSetResyncCountedBeforeRegistration(t *testing.T) {
+	rs, seat := oneSeat(t, ControllerConfig{})
+	rs.tables.set(3, []Rule{{Agg: 3, Flows: 1}})
+	dp := &recDatapath{}
+	seat.mu.Lock()
+	managedAgent(t, rs, 3, "sw3", dp)
+	deadline := time.Now().Add(2 * time.Second)
+	for rs.stats.resyncInflight.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	inflight, visible := rs.stats.resyncInflight.Load(), len(seat.switches)
+	seat.mu.Unlock()
+	if inflight != 1 || visible != 0 {
+		t.Fatalf("before registration: %d handoffs in flight, %d switches visible; want 1 and 0", inflight, visible)
+	}
+	waitSwitches(t, rs, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := rs.QuiesceResyncs(ctx); err != nil {
+		t.Fatalf("QuiesceResyncs: %v", err)
+	}
+	if got := dp.installCount(); got != 1 {
+		t.Fatalf("settled with %d handoff installs on the switch, want 1", got)
+	}
+}
+
 func TestReplicaSetRefusesFailingLastReplica(t *testing.T) {
 	rs, err := NewReplicaSet(2, ControllerConfig{})
 	if err != nil {

@@ -511,29 +511,40 @@ func (Bye) appendPayload(dst []byte) []byte { return dst }
 
 // --- framing ---
 
-// WriteMessage frames and writes one message. The caller serializes
-// concurrent writers.
+// frameHeaderLen is the size of magic, version, type and length.
+const frameHeaderLen = 8
+
+// writeFrame encodes m's whole frame — header, then payload — into buf's
+// storage and sends it with one Write, so a frame is never split across
+// two write(2) calls. It returns the buffer for the caller to keep: a
+// connection that writes its frames through one buffer allocates nothing
+// per frame once the buffer has grown to its largest.
+func writeFrame(w io.Writer, buf []byte, m Message) ([]byte, error) {
+	buf = appendU16(buf[:0], wireMagic)
+	buf = append(buf, wireVersion, byte(m.Type()))
+	buf = appendU32(buf, 0) // payload length, patched below
+	buf = m.appendPayload(buf)
+	n := len(buf) - frameHeaderLen
+	if n > maxPayload {
+		return buf, fmt.Errorf("ctrlplane: %v payload %d exceeds %d", m.Type(), n, maxPayload)
+	}
+	binary.BigEndian.PutUint32(buf[4:], uint32(n))
+	if _, err := w.Write(buf); err != nil {
+		return buf, fmt.Errorf("ctrlplane: write %v frame: %w", m.Type(), err)
+	}
+	return buf, nil
+}
+
+// WriteMessage frames and writes one message with a single Write. The
+// caller serializes concurrent writers.
 func WriteMessage(w io.Writer, m Message) error {
-	payload := m.appendPayload(make([]byte, 0, 64))
-	if len(payload) > maxPayload {
-		return fmt.Errorf("ctrlplane: %v payload %d exceeds %d", m.Type(), len(payload), maxPayload)
-	}
-	hdr := make([]byte, 0, 8)
-	hdr = appendU16(hdr, wireMagic)
-	hdr = append(hdr, wireVersion, byte(m.Type()))
-	hdr = appendU32(hdr, uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("ctrlplane: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("ctrlplane: write payload: %w", err)
-	}
-	return nil
+	_, err := writeFrame(w, make([]byte, 0, 64), m)
+	return err
 }
 
 // ReadMessage reads and decodes one message.
 func ReadMessage(r *bufio.Reader) (Message, error) {
-	var hdr [8]byte
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for orderly close detection
 	}

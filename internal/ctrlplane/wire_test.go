@@ -4,14 +4,139 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"flag"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
+
+// countingWriter records how many Write calls it receives.
+type countingWriter struct {
+	writes int
+	buf    bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}
+
+// goldenMessages is one value of each of the protocol's ten message
+// types, every field nonzero where the type has one.
+func goldenMessages() []Message {
+	return []Message{
+		Hello{DatapathID: 7, NodeName: "Zürich"},
+		HelloAck{ControllerName: "fubar-controller-2", EpochMs: 10000, LeaseMs: 30000},
+		Echo{Token: 0x0102030405060708},
+		EchoReply{Token: 0x0102030405060708},
+		FlowMod{Generation: resyncGenerationBase | 42, Epoch: 3, Rules: []Rule{
+			{Agg: 0, Flows: 12, Links: []uint32{1, 2, 3}},
+			{Agg: 5, Flows: 1},
+		}},
+		FlowModAck{Generation: resyncGenerationBase | 42, Installed: 2},
+		StatsReq{Token: 99},
+		StatsReply{Token: 99, Epoch: 4, DurationMs: 10000, Counters: []CounterRec{
+			{Agg: 1, Flows: 8, Bytes: 1.5e9, Congested: true, Links: []uint32{0, 4}},
+			{Agg: 2, Bytes: -0.25},
+		}},
+		ErrorMsg{Token: 9, Code: ErrCodeStale, Text: "stale controller epoch 2 < 3"},
+		Bye{},
+	}
+}
+
+// TestWireFramesGolden pins the wire format: each message type frames to
+// exactly the bytes in testdata/frames.golden, so a switch built against
+// an earlier encoder parses every frame, and the whole frame — header and
+// payload — reaches the writer in a single Write call. Regenerate with
+// `go test ./internal/ctrlplane -run TestWireFramesGolden -update` only
+// for a deliberate wire change (which also bumps wireVersion).
+func TestWireFramesGolden(t *testing.T) {
+	var got strings.Builder
+	for _, m := range goldenMessages() {
+		var w countingWriter
+		if err := WriteMessage(&w, m); err != nil {
+			t.Fatalf("WriteMessage(%v): %v", m.Type(), err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%v: frame took %d Write calls, want 1", m.Type(), w.writes)
+		}
+		fmt.Fprintf(&got, "%s %s\n", m.Type(), hex.EncodeToString(w.buf.Bytes()))
+	}
+	const golden = "testdata/frames.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("frames diverged from %s:\n--- got ---\n%s--- want ---\n%s", golden, got.String(), want)
+	}
+}
+
+// discardConn is a net.Conn that drops every write.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// ringFrames are the frames a ring epoch writes most: a stats poll, its
+// reply, and a six-rule table.
+func ringFrames() []Message {
+	links := []uint32{1, 4}
+	mod := FlowMod{Generation: 9, Epoch: 1}
+	reply := StatsReply{Token: 7, Epoch: 2, DurationMs: 10000}
+	for a := int32(0); a < 6; a++ {
+		mod.Rules = append(mod.Rules, Rule{Agg: a, Flows: 3, Links: links})
+		reply.Counters = append(reply.Counters, CounterRec{Agg: a, Flows: 3, Bytes: 1e6, Links: links})
+	}
+	return []Message{StatsReq{Token: 7}, reply, mod}
+}
+
+// TestWarmFrameAllocatesNothing: once its buffer has grown, a frame
+// written by a seat's connection or by an agent allocates nothing.
+func TestWarmFrameAllocatesNothing(t *testing.T) {
+	sw := &swConn{conn: discardConn{}}
+	agent := &Agent{conn: discardConn{}}
+	for _, m := range ringFrames() {
+		if avg := testing.AllocsPerRun(50, func() { _ = sw.send(m, time.Time{}) }); avg != 0 {
+			t.Errorf("seat %v frame: %.1f allocs, want 0", m.Type(), avg)
+		}
+		if avg := testing.AllocsPerRun(50, func() { _ = agent.write(m) }); avg != 0 {
+			t.Errorf("agent %v frame: %.1f allocs, want 0", m.Type(), avg)
+		}
+	}
+}
+
+// BenchmarkWriteFrame times one frame written through a seat's connection
+// buffer (one op is one frame; allocs/op is 0 once the buffer is warm).
+func BenchmarkWriteFrame(b *testing.B) {
+	for _, m := range ringFrames() {
+		b.Run(m.Type().String(), func(b *testing.B) {
+			sw := &swConn{conn: discardConn{}}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := sw.send(m, time.Time{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // roundTrip encodes and re-decodes one message.
 func roundTrip(t *testing.T, m Message) Message {
