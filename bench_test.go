@@ -199,9 +199,13 @@ func BenchmarkTrafficModelHE961(b *testing.B) {
 }
 
 // BenchmarkPathGenAlternatives measures the §2.4 trio generation: "search"
-// on a generator rebuilt before any request repeats, so all three members
-// run the shortest-path kernel; "memo" on a warm generator, where every
-// request is one the generator has answered before.
+// on a generator rebuilt (untimed) before any request repeats, so all three
+// members run the shortest-path kernel — plainly, as the generator holds no
+// tree to steer a search by; "goal-directed" the same on generators whose
+// lowest-delay trees, one rooted at every node, are built before the timer
+// runs, so every search is steered toward its destination; "memo" on a
+// warm generator, where every request is one the generator has answered
+// before. The two search legs report the nodes a request settled.
 func BenchmarkPathGenAlternatives(b *testing.B) {
 	topo, err := topology.HurricaneElectric(100 * unit.Mbps)
 	if err != nil {
@@ -232,16 +236,32 @@ func BenchmarkPathGenAlternatives(b *testing.B) {
 			MostCongested: 14,
 		})
 	}
-	b.Run("search", func(b *testing.B) {
-		b.ReportAllocs()
-		var gen *pathgen.Generator
-		for i := 0; i < b.N; i++ {
-			if i%pairs == 0 {
-				gen = newGen()
+	searches := func(trees bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			var gen *pathgen.Generator
+			var settled int64
+			for i := 0; i < b.N; i++ {
+				if i%pairs == 0 {
+					b.StopTimer()
+					if gen != nil {
+						settled += gen.Stats().Settled
+					}
+					gen = newGen()
+					for v := 0; trees && v < n; v++ {
+						gen.LowestDelay(graph.NodeID(v), graph.NodeID((v+1)%n))
+					}
+					gen.ResetStats()
+					b.StartTimer()
+				}
+				ask(gen, i)
 			}
-			ask(gen, i)
+			settled += gen.Stats().Settled
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 		}
-	})
+	}
+	b.Run("search", searches(false))
+	b.Run("goal-directed", searches(true))
 	b.Run("memo", func(b *testing.B) {
 		gen := newGen()
 		for i := 0; i < pairs; i++ {
@@ -256,18 +276,20 @@ func BenchmarkPathGenAlternatives(b *testing.B) {
 }
 
 // workCounts is what one operation asked of the layers below, exact per
-// commit: path searches run (early-exit and tree-building alike),
-// candidates scored, bundles skipped because a failed step had refuted them
-// — by a link earlier in the same pass, by the escalation level below at an
-// unchanged move size — committed steps and escalations. The two benchmarks
-// below report them per operation; TestWorkCountsPinned compares them with
-// testdata/work_counts.golden over the same operations.
+// commit: path searches run (early-exit and tree-building alike) and the
+// nodes they settled, candidates scored, bundles skipped because a failed
+// step had refuted them — by a link earlier in the same pass, by the
+// escalation level below at an unchanged move size — committed steps and
+// escalations. The two benchmarks below report them per operation;
+// TestWorkCountsPinned compares them with testdata/work_counts.golden over
+// the same operations.
 type workCounts struct {
-	searches, candidates, refutedLink, refutedLevel, steps, escalations int64
+	searches, settled, candidates, refutedLink, refutedLevel, steps, escalations int64
 }
 
 func (w *workCounts) add(o workCounts) {
 	w.searches += o.searches
+	w.settled += o.settled
 	w.candidates += o.candidates
 	w.refutedLink += o.refutedLink
 	w.refutedLevel += o.refutedLevel
@@ -276,13 +298,14 @@ func (w *workCounts) add(o workCounts) {
 }
 
 func (w workCounts) sub(o workCounts) workCounts {
-	return workCounts{w.searches - o.searches, w.candidates - o.candidates, w.refutedLink - o.refutedLink,
-		w.refutedLevel - o.refutedLevel, w.steps - o.steps, w.escalations - o.escalations}
+	return workCounts{w.searches - o.searches, w.settled - o.settled, w.candidates - o.candidates,
+		w.refutedLink - o.refutedLink, w.refutedLevel - o.refutedLevel, w.steps - o.steps, w.escalations - o.escalations}
 }
 
 // report prints the per-operation counts beside a benchmark's times.
 func (w workCounts) report(b *testing.B, ops int, per string) {
 	b.ReportMetric(float64(w.searches)/float64(ops), "searches/"+per)
+	b.ReportMetric(float64(w.settled)/float64(ops), "settled/"+per)
 	b.ReportMetric(float64(w.candidates)/float64(ops), "candidates/"+per)
 	b.ReportMetric(float64(w.refutedLink)/float64(ops), "refuted-link/"+per)
 	b.ReportMetric(float64(w.refutedLevel)/float64(ops), "refuted-level/"+per)
@@ -292,6 +315,7 @@ func (w workCounts) report(b *testing.B, ops int, per string) {
 func solutionWork(sol *Solution) workCounts {
 	return workCounts{
 		searches:     sol.Paths.Searches + sol.Paths.TreesBuilt,
+		settled:      sol.Paths.Settled,
 		candidates:   sol.Delta.Calls,
 		refutedLink:  int64(sol.RefutedBundles - sol.RefutedByLevel),
 		refutedLevel: int64(sol.RefutedByLevel),
@@ -305,6 +329,7 @@ func telemetryWork(tel *Telemetry) workCounts {
 	c := tel.Snapshot().Counters
 	return workCounts{
 		searches:     c[`fubar_pathgen_lookups_total{result="search"}`] + c["fubar_pathgen_trees_built_total"],
+		settled:      c["fubar_pathgen_settled_total"],
 		candidates:   c["fubar_core_candidates_collected_total"],
 		refutedLink:  c[`fubar_core_refuted_bundles_total{rule="link"}`],
 		refutedLevel: c[`fubar_core_refuted_bundles_total{rule="level"}`],

@@ -1702,6 +1702,7 @@ func (o *Optimizer) publishDeltaStats() {
 	o.tm.PathTreeAnswers.Add(p.TreeAnswers - o.pubPaths.TreeAnswers)
 	o.tm.PathSearches.Add(p.Searches - o.pubPaths.Searches)
 	o.tm.PathTreesBuilt.Add(p.TreesBuilt - o.pubPaths.TreesBuilt)
+	o.tm.PathSettled.Add(p.Settled - o.pubPaths.Settled)
 	o.pubPaths = p
 }
 

@@ -63,7 +63,8 @@ func TestTraceObserverSingleGoroutine(t *testing.T) {
 
 // TestPathStatsPublished pins the path-lookup counters: Solution.Paths
 // accounts for every lookup of the run whatever the shard count, the
-// registry's fubar_pathgen_lookups_total family ends the run equal to it,
+// registry's fubar_pathgen_lookups_total family, trees built and nodes
+// settled end the run equal to it,
 // a second run on the same optimizer counts afresh over the warm memo,
 // and none of it changes the solution.
 func TestPathStatsPublished(t *testing.T) {
@@ -102,6 +103,9 @@ func TestPathStatsPublished(t *testing.T) {
 		}
 		if got := counters["fubar_pathgen_trees_built_total"]; got != p.TreesBuilt {
 			t.Errorf("workers=%d: registry counts %d trees, solution %d", workers, got, p.TreesBuilt)
+		}
+		if got := counters["fubar_pathgen_settled_total"]; got != p.Settled || got == 0 {
+			t.Errorf("workers=%d: registry counts %d nodes settled, solution %d", workers, got, p.Settled)
 		}
 		again, err := o.Run(t.Context())
 		if err != nil {

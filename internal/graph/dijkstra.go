@@ -35,16 +35,18 @@ type Searcher struct {
 	epoch uint32
 	nodes []nodeState
 	heap  minHeap
+	// settled counts the non-stale heap pops of every search so far.
+	settled int64
 
 	// Hop-bounded search only (see boundedPath).
 	labels         []hopLabel
 	frontier, next []frontierItem
 }
 
-// nodeState is one node's tentative distance, hop count and predecessor
-// edge, valid only while seen equals the Searcher's epoch. tied records
-// that the node's shortest path has a rival: a relaxation over another
-// edge reached the same distance.
+// nodeState is one node's tentative distance and predecessor edge (and,
+// in a hop-bounded search, hop count), valid only while seen equals the
+// Searcher's epoch. tied records that the node's shortest path has a
+// rival: a relaxation over another edge reached the same distance.
 type nodeState struct {
 	dist float64
 	prev EdgeID
@@ -74,7 +76,7 @@ func (s *Searcher) begin(n int) {
 // With MaxHops > 0 it is the minimum-weight path among those within the
 // hop bound. The returned edge list is freshly allocated.
 func (s *Searcher) ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
-	p, _, ok := s.ShortestPathUnique(g, src, dst, cons)
+	p, _, ok := s.ShortestPathUnique(g, src, dst, cons, nil)
 	return p, ok
 }
 
@@ -88,7 +90,16 @@ func (s *Searcher) ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Pa
 // detour round a zero-weight cycle, so false can be a missed proof; true
 // is never a wrong one. A hop-bounded answer carries none (the layered
 // search keeps no such record), nor does the empty path.
-func (s *Searcher) ShortestPathUnique(g *Graph, src, dst NodeID, cons Constraints) (p Path, unique, ok bool) {
+//
+// A non-nil potential h steers the search toward dst (A*) and changes
+// nothing in the answer. h must be a consistent lower bound on the
+// distance to dst under cons — h[u] <= weight(u→v) + h[v] on every edge,
+// h[dst] = 0, +Inf only where dst is unreachable — up to the rounding
+// dijkstra absorbs. Every edge able to tie a node of the path is then
+// relaxed, as without h, so an untied answer is the plain search's; a
+// tied one is searched again without h, since which of two equal paths a
+// search keeps depends on its pop order.
+func (s *Searcher) ShortestPathUnique(g *Graph, src, dst NodeID, cons Constraints, h []float64) (p Path, unique, ok bool) {
 	if src == dst {
 		return Path{}, false, true
 	}
@@ -100,34 +111,52 @@ func (s *Searcher) ShortestPathUnique(g *Graph, src, dst NodeID, cons Constraint
 		p, ok = s.boundedPath(g, src, dst, cons)
 		return p, false, ok
 	}
-	s.dijkstra(g, src, dst, cons)
-	end := &s.nodes[dst]
-	if end.seen != s.epoch {
+	s.dijkstra(g, src, dst, cons, h)
+	hops, unique, ok := s.trace(g, src, dst)
+	if h != nil && ok && !unique {
+		s.dijkstra(g, src, dst, cons, nil)
+		hops, unique, ok = s.trace(g, src, dst)
+	}
+	if !ok {
 		return Path{}, false, false
 	}
-	// Reconstruct by walking predecessors.
-	edges := make([]EdgeID, end.hops)
-	unique = true
-	at := dst
-	for i := len(edges) - 1; i >= 0; i-- {
-		st := &s.nodes[at]
-		unique = unique && !st.tied
-		edges[i] = st.prev
-		at = g.edges[st.prev].From
+	edges := make([]EdgeID, hops)
+	for at, i := dst, hops-1; i >= 0; i-- {
+		edges[i] = s.nodes[at].prev
+		at = g.edges[edges[i]].From
 	}
-	return Path{Edges: edges, Weight: end.dist}, unique, true
+	return Path{Edges: edges, Weight: s.nodes[dst].dist}, unique, true
 }
 
+// trace walks the last search's predecessors from dst back to src: the
+// path's hop count, and whether no node on it is tied.
+func (s *Searcher) trace(g *Graph, src, dst NodeID) (hops int, unique, ok bool) {
+	if s.nodes[dst].seen != s.epoch {
+		return 0, false, false
+	}
+	unique = true
+	for at := dst; at != src; at = g.edges[s.nodes[at].prev].From {
+		unique = unique && !s.nodes[at].tied
+		hops++
+	}
+	return hops, unique, true
+}
+
+// Settled counts the nodes the Searcher's searches and trees have settled.
+func (s *Searcher) Settled() int64 { return s.settled }
+
 // Tree is a shortest-path tree rooted at one source: for every node, the
-// edge it is entered by on its minimum-weight path from the source. Four
-// bytes a node, plus the search's tie flag, is all it keeps — a path's hop
-// count and weight come back from the walk that rebuilds it. A Tree is
-// immutable and independent of the Searcher that built it.
+// edge it is entered by on its minimum-weight path from the source and that
+// path's weight, plus the search's tie flag — 13 bytes a node. A path's hop
+// count comes back from the walk that rebuilds it. A Tree is immutable and
+// independent of the Searcher that built it.
 type Tree struct {
 	src NodeID
 	// prev[v] is the edge entering v, or -1 at the source and at nodes the
 	// search did not reach.
 	prev []int32
+	// dist[v] is v's distance from the source, +Inf where unreached.
+	dist []float64
 	// tied[v] is the search's nodeState.tied for v.
 	tied []bool
 }
@@ -143,18 +172,22 @@ func (s *Searcher) ShortestPathTree(g *Graph, src NodeID, cons Constraints) Tree
 	if int(src) < 0 || int(src) >= n {
 		return t
 	}
-	s.dijkstra(g, src, -1, cons)
+	s.dijkstra(g, src, -1, cons, nil)
 	t.prev = make([]int32, n)
+	t.dist = make([]float64, n)
 	t.tied = make([]bool, n)
 	for i := range t.prev {
-		t.prev[i] = -1
+		t.prev[i], t.dist[i] = -1, math.Inf(1)
 		if st := &s.nodes[i]; st.seen == s.epoch {
-			t.prev[i] = int32(st.prev)
+			t.prev[i], t.dist[i] = int32(st.prev), st.dist
 			t.tied[i] = st.tied
 		}
 	}
 	return t
 }
+
+// Dist returns the tree's own (read-only) distances from its source.
+func (t Tree) Dist() []float64 { return t.dist }
 
 // Path returns the tree's path to dst and whether dst is reachable;
 // dst equal to the source yields the empty path. It is ShortestPath's
@@ -163,9 +196,9 @@ func (s *Searcher) ShortestPathTree(g *Graph, src NodeID, cons Constraints) Tree
 // destination; a tree has none to admit). Both searches pop the same
 // sequence until dst settles, and nothing later can rewrite a settled
 // node or its ancestors: only a strictly smaller distance replaces a
-// predecessor, and every later pop is at least as far. Weight is summed
-// from the source outward, the additions the search made to reach dst.
-// The returned edge list is freshly allocated.
+// predecessor, and every later pop is at least as far. Weight is the
+// distance the search reached dst at. The returned edge list is freshly
+// allocated.
 func (t Tree) Path(g *Graph, dst NodeID) (Path, bool) {
 	p, _, ok := t.PathUnique(g, dst)
 	return p, ok
@@ -193,11 +226,7 @@ func (t Tree) PathUnique(g *Graph, dst NodeID) (p Path, unique, ok bool) {
 		edges[i] = id
 		at = g.edges[id].From
 	}
-	var w float64
-	for _, id := range edges {
-		w += g.edges[id].Weight
-	}
-	return Path{Edges: edges, Weight: w}, unique, true
+	return Path{Edges: edges, Weight: t.dist[dst]}, unique, true
 }
 
 // dijkstra settles nodes in distance order from src until dst is settled
@@ -207,8 +236,12 @@ func (t Tree) PathUnique(g *Graph, dst NodeID) (p Path, unique, ok bool) {
 // Once dst settles the search still settles whatever else sits at exactly
 // dst's distance — usually nothing — so that every edge able to tie a node
 // of dst's path has been relaxed and the tie flags on that path are final;
-// none of it can rewrite a settled node.
-func (s *Searcher) dijkstra(g *Graph, src, dst NodeID, cons Constraints) {
+// none of it can rewrite a settled node. A potential h keys the heap on
+// distance plus h, skips the nodes h rules out, and settles 1e-9 past dst
+// (relatively): h sums the same weights in another order, so it may miss
+// a lower bound by a few ulps. A node whose distance falls after it
+// settled is settled again.
+func (s *Searcher) dijkstra(g *Graph, src, dst NodeID, cons Constraints, h []float64) {
 	s.begin(g.NumNodes())
 	s.nodes[src] = nodeState{prev: -1, seen: s.epoch}
 	s.heap.push(heapItem{id: int32(src)})
@@ -216,16 +249,23 @@ func (s *Searcher) dijkstra(g *Graph, src, dst NodeID, cons Constraints) {
 	for len(s.heap) > 0 && s.heap[0].dist <= limit {
 		it := s.heap.pop()
 		v := NodeID(it.id)
+		d, key := s.nodes[v].dist, s.nodes[v].dist
+		if h != nil {
+			key += h[v]
+		}
 		// A node is pushed only on a strict improvement, so every entry
 		// but its latest is stale.
-		if it.dist > s.nodes[v].dist {
+		if it.dist > key {
 			continue
 		}
+		s.settled++
 		if v == dst {
 			limit = it.dist
+			if h != nil {
+				limit += limit * 1e-9
+			}
 			continue
 		}
-		hops := s.nodes[v].hops + 1
 		for _, id := range g.out[v] {
 			if cons.edgeExcluded(id) {
 				continue
@@ -234,11 +274,17 @@ func (s *Searcher) dijkstra(g *Graph, src, dst NodeID, cons Constraints) {
 			if e.To != dst && cons.nodeExcluded(e.To) {
 				continue
 			}
-			nd := it.dist + e.Weight
+			nd := d + e.Weight
 			to := &s.nodes[e.To]
 			if to.seen != s.epoch || nd < to.dist {
-				*to = nodeState{dist: nd, prev: id, hops: hops, seen: s.epoch}
-				s.heap.push(heapItem{dist: nd, id: int32(e.To)})
+				key := nd
+				if h != nil {
+					if key += h[e.To]; math.IsInf(key, 1) {
+						continue
+					}
+				}
+				*to = nodeState{dist: nd, prev: id, seen: s.epoch}
+				s.heap.push(heapItem{dist: key, id: int32(e.To)})
 			} else if nd == to.dist {
 				to.tied = true
 			}

@@ -101,7 +101,7 @@ func TestUniqueFlagMatchesBruteForce(t *testing.T) {
 						continue // a tree does not admit an excluded destination
 					}
 					best, count := minimumPaths(g, src, dst, cons)
-					p, unique, ok := s.ShortestPathUnique(g, src, dst, cons)
+					p, unique, ok := s.ShortestPathUnique(g, src, dst, cons, nil)
 					tp, tunique, tok := tree.PathUnique(g, dst)
 					pairs++
 					if ok != (count > 0) || tok != ok {
@@ -167,7 +167,7 @@ func TestUniqueAnswerSurvivesWiderExclusion(t *testing.T) {
 			if dst == src || narrow.nodeExcluded(dst) {
 				continue
 			}
-			p, unique, ok := s.ShortestPathUnique(g, src, dst, narrow)
+			p, unique, ok := s.ShortestPathUnique(g, src, dst, narrow, nil)
 			if q%2 == 1 {
 				p, unique, ok = tree.PathUnique(g, dst)
 			}

@@ -39,24 +39,11 @@ func (s *Searcher) KShortestPaths(g *Graph, src, dst NodeID, k int, cons Constra
 			spurNode := prevNodes[i]
 			rootEdges := prevPath.Edges[:i]
 
-			// Reset the scratch exclusion sets.
-			for j := range excludeEdges {
-				excludeEdges[j] = false
-			}
-			for j := range excludeNodes {
-				excludeNodes[j] = false
-			}
-			// Merge base constraints.
-			for j := range cons.ExcludeEdges {
-				if cons.ExcludeEdges[j] {
-					excludeEdges[j] = true
-				}
-			}
-			for j := range cons.ExcludeNodes {
-				if cons.ExcludeNodes[j] {
-					excludeNodes[j] = true
-				}
-			}
+			// Reset the scratch exclusion sets to the base constraints.
+			clear(excludeEdges)
+			clear(excludeNodes)
+			copy(excludeEdges, cons.ExcludeEdges)
+			copy(excludeNodes, cons.ExcludeNodes)
 			// Remove edges used by previous result paths that share the
 			// same root prefix.
 			for _, p := range result {

@@ -81,23 +81,52 @@ func minimumPaths(topo *topology.Topology, src, dst graph.NodeID, avoid []graph.
 	return count
 }
 
+// oneWayWaxman is a Waxman graph with one more link, one way only: no
+// longer every link has a reverse of equal delay.
+func oneWayWaxman(t *testing.T) *topology.Topology {
+	t.Helper()
+	w, err := topology.Waxman(30, 0.3, 0.2, 100*unit.Mbps, 50*unit.Millisecond, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := topology.NewBuilder("waxman-one-way")
+	for _, l := range w.Links() {
+		if l.Reverse > l.ID {
+			b.AddLink(w.NodeName(l.From), w.NodeName(l.To), l.Capacity, l.Delay)
+		}
+	}
+	b.AddOneWayLink(w.NodeName(0), w.NodeName(17), 100*unit.Mbps, 3*unit.Millisecond)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
 // Memo and donor exactness: a generator that has answered thousands of
 // requests — slowly drifting congestion masks, so most requests repeat an
 // earlier key, as consecutive optimizer steps do — must answer each
 // exactly as a generator built for that one request does: one whose every
-// lookup misses, has no narrower answer but its own trio's to draw on, and
-// searches. That holds under every policy knob, whatever miss count grows
-// a (src, exclusion set) pair's tree (first, second, the shipped one,
-// never), and on every kind of topology: real delays (HE-31, Waxman),
-// where donors answer many lookups, and equal delays (the 6-node ring, a
-// unit grid), where most paths are tied and a donor must stand back
-// rather than hand over whichever of two equal paths it happened to hold.
-// The requests are an optimisation's: every aggregate's lowest-delay path
-// first, then the alternatives trio for all of them under each step's
-// congestion — many destinations per source, which is what the trees
-// answer. Every fifth request breaks the nesting the trio usually has —
-// its used set holds a link its all set lacks — so a donor that assumed
-// nesting instead of checking it would answer the wrong problem.
+// lookup misses, has no narrower answer but its own trio's to draw on, no
+// potential, and searches. That holds under every policy knob, with trees
+// or without, with potentials or without, and on every kind of topology:
+// real delays (HE-31, Waxman), where donors answer many lookups, equal
+// delays (the 6-node ring, a unit grid), where most paths are tied and a
+// donor must stand back rather than hand over whichever of two equal paths
+// it happened to hold, and a Waxman graph with a one-way link. The requests
+// are an optimisation's: every aggregate's lowest-delay path — both ways,
+// so that every destination has a tree — and the alternatives trio for all
+// of them under each step's congestion. tree-after-k puts that lowest-delay
+// sweep, which builds the forbidden-set trees and with them the potentials,
+// before the k-th step (1: first, as an optimisation does), so the memo
+// holds plain answers beside goal-directed ones and donates either; never
+// builds no tree. Every fifth request breaks the nesting the trio usually
+// has — its used set holds a link its all set lacks — so a donor that
+// assumed nesting instead of checking it would answer the wrong problem.
+// The potentials change what a search settles and nothing else: every
+// other counter agrees with and without them, and where no potential is
+// a lower bound — the one-way link, a forbidden set not closed under
+// reversal, a hop bound — or no tree exists, so does Settled.
 func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 	waxman, err := topology.Waxman(40, 0.25, 0.2, 100*unit.Mbps, 50*unit.Millisecond, 3)
 	if err != nil {
@@ -111,34 +140,50 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const never = math.MaxInt32
 	for _, tc := range []struct {
-		name string
-		topo *topology.Topology
-		tied bool // equal delays: small enough to enumerate, too
-	}{{"he31", heTopo(t), false}, {"waxman", waxman, false}, {"ring", ring, true}, {"grid", grid, true}} {
+		name      string
+		topo      *topology.Topology
+		tied      bool // equal delays: small enough to enumerate, too
+		symmetric bool
+	}{
+		{"he31", heTopo(t), false, true}, {"waxman", waxman, false, true}, {"ring", ring, true, true},
+		{"grid", grid, true, true}, {"one-way", oneWayWaxman(t), false, false},
+	} {
 		topo := tc.topo
 		nL, nN := topo.NumLinks(), topo.NumNodes()
 		link := func(i int) topology.LinkID { return topology.LinkID(i % nL) }
-		policies := map[string]Policy{
-			"open":      {},
-			"forbidden": {ForbiddenLinks: ForbidLinks(topo, link(3), link(11), link(40))},
-			"bounded":   {MaxHops: 5, MaxDelay: 60 * unit.Millisecond, ForbiddenLinks: ForbidLinks(topo, link(8))[:nL/2]},
+		oneWay := make([]bool, nL)
+		oneWay[link(9)] = true
+		policies := map[string]struct {
+			policy Policy
+			closed bool // under reversal
+		}{
+			"open":      {Policy{}, true},
+			"forbidden": {Policy{ForbiddenLinks: ForbidLinks(topo, link(3), link(11), link(40))}, true},
+			"half":      {Policy{ForbiddenLinks: oneWay}, false},
+			"bounded":   {Policy{MaxHops: 5, MaxDelay: 60 * unit.Millisecond, ForbiddenLinks: ForbidLinks(topo, link(8))[:nL/2]}, true},
 		}
 		const steps = 60
-		for name, policy := range policies {
-			for _, treeAfter := range []int32{1, 2, treeAfterMisses, noTrees} {
-				t.Run(fmt.Sprintf("%s/%s/tree-after-%d", tc.name, name, treeAfter), func(t *testing.T) {
+		for name, pc := range policies {
+			policy := pc.policy
+			for _, treeAfter := range []int{1, 2, 4, never} {
+				run := func(t *testing.T, noPotentials bool) Stats {
 					rng := rand.New(rand.NewSource(17))
 					long, err := New(topo, policy)
 					if err != nil {
 						t.Fatal(err)
 					}
-					long.treeAfter = treeAfter
+					long.noTrees, long.noPotentials = treeAfter == never, noPotentials
+					if goal := tc.symmetric && pc.closed && policy.MaxHops == 0; long.goal != goal {
+						t.Fatalf("potentials admissible: %v, want %v", long.goal, goal)
+					}
 					fresh := func() *Generator {
 						g, err := New(topo, policy)
 						if err != nil {
 							t.Fatal(err)
 						}
+						g.noPotentials = true
 						return g
 					}
 					// 12 ingresses × 9 egresses, some pairs drawn twice.
@@ -149,11 +194,15 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 							pairs = append(pairs, [2]graph.NodeID{src, graph.NodeID(rng.Intn(nN))})
 						}
 					}
-					for _, pr := range pairs {
-						p, ok := long.LowestDelay(pr[0], pr[1])
-						q, qok := fresh().LowestDelay(pr[0], pr[1])
-						if !sameAnswer(p, ok, q, qok) {
-							t.Fatalf("%v: lowest delay %v/%v, fresh %v/%v", pr, p, ok, q, qok)
+					sweep := func() {
+						for _, pr := range pairs {
+							for _, pr := range [][2]graph.NodeID{pr, {pr[1], pr[0]}} {
+								p, ok := long.LowestDelay(pr[0], pr[1])
+								q, qok := fresh().LowestDelay(pr[0], pr[1])
+								if !sameAnswer(p, ok, q, qok) {
+									t.Fatalf("%v: lowest delay %v/%v, fresh %v/%v", pr, p, ok, q, qok)
+								}
+							}
 						}
 					}
 					all := make([]bool, nL)
@@ -162,6 +211,9 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 						all[rng.Intn(nL)] = true
 					}
 					for step := 0; step < steps; step++ {
+						if step == treeAfter-1 || step == 0 && treeAfter == never {
+							sweep()
+						}
 						if step%4 == 0 { // the congestion set drifts by one link
 							l := rng.Intn(nL)
 							all[l] = !all[l]
@@ -189,9 +241,9 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 					if sets, keys := len(long.setLinks), len(long.memo); keys >= steps*len(pairs) || sets >= keys {
 						t.Errorf("memo did not dedupe: %d sets, %d keys for %d requests", sets, keys, steps*len(pairs)*3)
 					}
-					grows := treeAfter != noTrees && policy.MaxHops == 0
-					if trees := len(long.trees); grows != (trees > 0) || trees > len(long.sources) {
-						t.Errorf("%d trees over %d (src, set) pairs; trees expected: %v", trees, len(long.sources), grows)
+					grows := treeAfter != never && policy.MaxHops == 0
+					if trees := len(long.trees); grows != (trees > 0) || trees != len(long.sources) {
+						t.Errorf("%d trees over %d (src, forbidden set) pairs; trees expected: %v", trees, len(long.sources), grows)
 					}
 					st := long.Stats()
 					if st.Lookups != st.MemoHits+st.Donated+st.TreeAnswers+st.Searches || st.TreesBuilt != int64(len(long.trees)) {
@@ -222,6 +274,20 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 					}
 					if policy.MaxHops == 0 && proofs == 0 {
 						t.Error("no answer carries a uniqueness proof")
+					}
+					return st
+				}
+				t.Run(fmt.Sprintf("%s/%s/tree-after-%d", tc.name, name, treeAfter), func(t *testing.T) {
+					var on, off Stats
+					t.Run("potentials-on", func(t *testing.T) { on = run(t, false) })
+					t.Run("potentials-off", func(t *testing.T) { off = run(t, true) })
+					goal := tc.symmetric && pc.closed && policy.MaxHops == 0 && treeAfter != never
+					if (on.Settled != off.Settled) != goal || on.Settled == 0 && policy.MaxHops == 0 {
+						t.Errorf("settled %d with potentials, %d without; potentials expected: %v", on.Settled, off.Settled, goal)
+					}
+					on.Settled, off.Settled = 0, 0
+					if on != off {
+						t.Errorf("potentials changed how lookups were answered: %+v with, %+v without", on, off)
 					}
 				})
 			}

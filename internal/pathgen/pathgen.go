@@ -18,7 +18,6 @@ package pathgen
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"fubar/internal/graph"
@@ -70,14 +69,12 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 // A miss is answered, in order of cost, by a donor, a tree or a search.
 // The §2.4 trio's exclusion sets are nested — link-local ⊆ local ⊆ global
 // — so Alternatives asks narrowest first and offers each answer to the
-// next lookup (see donate). Misses that share (src, exclusion set) and
-// differ only in dst — the aggregates of one ingress, asked about in turn
-// — repeat one search up to different exits: once a pair has missed
-// treeAfter times the generator runs that search to the end instead, keeps
-// the predecessor tree, and rebuilds every later destination's path from
-// it; a tree path is the search's path edge for edge (graph.Tree.Path), so
-// the memo stays exact. A hop bound needs the layered search, which has
-// neither a tree nor a uniqueness proof to donate.
+// next lookup (see donate). A source's first miss under the forbidden set
+// alone — LowestDelay's — runs the search to the end instead, keeps the
+// tree, and reads every later destination's path off it — the search's
+// path edge for edge (graph.Tree.Path) — and the tree steers every search
+// toward that node (see potential). A hop bound needs the layered search,
+// which has neither a tree nor a uniqueness proof to donate.
 //
 // Returned paths share their Edges with the memo and with every other
 // caller handed the same answer; treat them as read-only. Memo and trees
@@ -90,14 +87,15 @@ type Generator struct {
 	// forbidSet is its exclusion set, what LowestDelay searches under.
 	forbidden []graph.EdgeID
 	forbidSet int32
+	// goal: trees are potentials (see potential). noTrees, noPotentials:
+	// test switches.
+	goal, noTrees, noPotentials bool
 
 	searcher graph.Searcher
 	memo     map[memoKey]answer
-	// sources holds, per (src, exclusion set), the misses seen so far, or
-	// ^i once trees[i] is the pair's tree.
-	sources   map[sourceKey]int32
-	trees     []graph.Tree
-	treeAfter int32 // treeAfterMisses; a field so tests can vary it
+	// sources maps (src, forbidden set) to the index of its tree in trees.
+	sources map[sourceKey]int32
+	trees   []graph.Tree
 	// sets interns exclusion sets: fingerprint → IDs of the sets with that
 	// fingerprint, each an index into setLinks (ascending link lists).
 	sets     map[uint64][]int32
@@ -129,7 +127,8 @@ type sourceKey struct {
 }
 
 // Stats counts how a generator answered its lookups: Lookups is the sum of
-// the four ways, TreesBuilt the full searches behind TreeAnswers.
+// the four ways, TreesBuilt the full searches behind TreeAnswers, Settled
+// the nodes the searches and trees popped.
 type Stats struct {
 	Lookups     int64 `json:"lookups"`
 	MemoHits    int64 `json:"memo_hits"`
@@ -137,6 +136,7 @@ type Stats struct {
 	TreeAnswers int64 `json:"tree_answers"`
 	Searches    int64 `json:"searches"`
 	TreesBuilt  int64 `json:"trees_built"`
+	Settled     int64 `json:"settled"`
 }
 
 // Add accumulates other into s.
@@ -147,6 +147,7 @@ func (s *Stats) Add(other Stats) {
 	s.TreeAnswers += other.TreeAnswers
 	s.Searches += other.Searches
 	s.TreesBuilt += other.TreesBuilt
+	s.Settled += other.Settled
 }
 
 // Stats returns the generator's cumulative lookup counters.
@@ -156,30 +157,12 @@ func (g *Generator) Stats() Stats { return g.stats }
 // outlives an optimization run resets them per run.
 func (g *Generator) ResetStats() { g.stats = Stats{} }
 
-// treeAfterMisses is the miss under one (src, exclusion set) that builds
-// the pair's tree; a tree costs about two early-exit searches. The
-// forbidden-only set does not wait: an optimisation opens by asking it for
-// every aggregate of every ingress, so its trees are always used — on a
-// scale-s run (100 nodes, 1500 aggregates) 100 trees answer 1390 lookups,
-// and waiting cost 300 searches that bought nothing. The congestion sets are the opposite
-// case. Once the donors have answered, such a run leaves about 380 misses
-// to 200 (src, set) pairs: 120 pairs miss once, 40 twice, and the 23 that
-// miss four times or more account for 135 of the misses. Building on the
-// second miss cost the 31-node HE replay 5% in trees nobody used; the
-// fourth did not. noTrees switches trees off altogether (tests).
-const (
-	treeAfterMisses = 4
-	noTrees         = math.MaxInt32
-)
-
 // New builds a generator for the topology under the policy.
 func New(topo *topology.Topology, policy Policy) (*Generator, error) {
 	g := &Generator{
 		memo:    make(map[memoKey]answer),
 		sources: make(map[sourceKey]int32),
 		sets:    make(map[uint64][]int32),
-
-		treeAfter: treeAfterMisses,
 	}
 	if err := g.Retarget(topo, policy); err != nil {
 		return nil, err
@@ -222,6 +205,17 @@ func (g *Generator) Retarget(topo *topology.Topology, policy Policy) error {
 	} else {
 		g.exclude = make([]bool, topo.NumLinks())
 		g.flush()
+	}
+	// No hop bound, every link has a reverse of equal delay, and the
+	// reverse of a forbidden link is forbidden.
+	g.goal = policy.MaxHops == 0
+	for id, gr := 0, topo.Graph(); id < topo.NumLinks() && g.goal; id++ {
+		r := topo.Link(topology.LinkID(id)).Reverse
+		g.goal = r >= 0 && gr.Edge(graph.EdgeID(id)).Weight == gr.Edge(r).Weight
+	}
+	for _, l := range g.forbidden {
+		_, closed := slices.BinarySearch(g.forbidden, topo.Link(l).Reverse)
+		g.goal = g.goal && closed
 	}
 	return nil
 }
@@ -319,11 +313,13 @@ func subset(a, b []graph.EdgeID) bool {
 	return true
 }
 
-// search answers a memo miss without a donor: from the (src, exclusion
-// set) pair's tree once it has one, by an early-exit search until then.
+// search answers a memo miss without a donor: under the forbidden set from
+// the source's tree, under any other set by an early-exit search that
+// dst's tree steers when there is one.
 func (g *Generator) search(key memoKey) answer {
 	gr := g.topo.Graph()
 	var a answer
+	settled := g.searcher.Settled()
 	if tree := g.tree(key); tree != nil {
 		g.stats.TreeAnswers++
 		a.path, a.unique, a.ok = tree.PathUnique(gr, key.dst)
@@ -331,40 +327,49 @@ func (g *Generator) search(key memoKey) answer {
 		g.stats.Searches++
 		links := g.setLinks[key.set]
 		g.mark(links, true)
-		a.path, a.unique, a.ok = g.searcher.ShortestPathUnique(gr, key.src, key.dst, g.constraints())
+		a.path, a.unique, a.ok = g.searcher.ShortestPathUnique(gr, key.src, key.dst, g.constraints(), g.potential(key.dst))
 		g.mark(links, false)
 	}
+	g.stats.Settled += g.searcher.Settled() - settled
 	if a.ok && g.policy.MaxDelay > 0 && g.topo.PathDelay(a.path) > g.policy.MaxDelay {
 		a = answer{}
 	}
 	return a
 }
 
-// tree returns the shortest-path tree of key's (src, exclusion set) pair,
-// building it on the miss that is due to, or nil while the pair is still
-// counting misses — and always under a hop bound, which a tree cannot
-// honor.
+// tree returns key's source's shortest-path tree under the forbidden set,
+// building it on the first miss; nil under any other set, and always under
+// a hop bound, which a tree cannot honor.
 func (g *Generator) tree(key memoKey) *graph.Tree {
-	if g.policy.MaxHops > 0 || key.src == key.dst || g.treeAfter == noTrees {
+	if key.set != g.forbidSet || g.policy.MaxHops > 0 || key.src == key.dst || g.noTrees {
 		return nil
 	}
 	source := sourceKey{src: key.src, set: key.set}
-	n := g.sources[source]
-	if n < 0 {
-		return &g.trees[^n]
+	if i, ok := g.sources[source]; ok {
+		return &g.trees[i]
 	}
-	if n+1 < g.treeAfter && key.set != g.forbidSet {
-		g.sources[source] = n + 1
-		return nil
-	}
-	links := g.setLinks[key.set]
-	g.mark(links, true)
+	g.mark(g.forbidden, true)
 	tree := g.searcher.ShortestPathTree(g.topo.Graph(), key.src, g.constraints())
-	g.mark(links, false)
+	g.mark(g.forbidden, false)
 	g.stats.TreesBuilt++
-	g.sources[source] = ^int32(len(g.trees))
+	g.sources[source] = int32(len(g.trees))
 	g.trees = append(g.trees, tree)
 	return &g.trees[len(g.trees)-1]
+}
+
+// potential returns the distances of dst's forbidden-set tree, if it has
+// one, as a search's potential toward dst: with every link's reverse at
+// equal delay and forbidden with it, dst→v is as far as v→dst avoiding the
+// forbidden links only, a consistent lower bound for every search, since
+// each excludes a superset of them. nil otherwise.
+func (g *Generator) potential(dst graph.NodeID) []float64 {
+	if !g.goal || g.noPotentials {
+		return nil
+	}
+	if i, ok := g.sources[sourceKey{src: dst, set: g.forbidSet}]; ok {
+		return g.trees[i].Dist()
+	}
+	return nil
 }
 
 // internWith returns the ID of the exclusion set links ∪ forbidden; links

@@ -49,12 +49,14 @@ type CoreMetrics struct {
 	DeltaFallbacks   *Counter
 	DeltaExpansions  *Counter
 
-	// Path lookups by how they were answered, and the trees built.
+	// Path lookups by how they were answered, the trees built, and the
+	// nodes searches and trees settled.
 	PathMemoHits    *Counter
 	PathDonated     *Counter
 	PathTreeAnswers *Counter
 	PathSearches    *Counter
 	PathTreesBuilt  *Counter
+	PathSettled     *Counter
 }
 
 // Core builds (idempotently) the core-subsystem handles. Returns nil
@@ -86,6 +88,7 @@ func (t *Telemetry) Core() *CoreMetrics {
 		PathTreeAnswers:     r.Counter(`fubar_pathgen_lookups_total{result="tree"}`, pathLookupsHelp),
 		PathSearches:        r.Counter(`fubar_pathgen_lookups_total{result="search"}`, pathLookupsHelp),
 		PathTreesBuilt:      r.Counter("fubar_pathgen_trees_built_total", "Shortest-path trees built to answer path lookups."),
+		PathSettled:         r.Counter("fubar_pathgen_settled_total", "Nodes settled by path searches and tree builds."),
 	}
 }
 

@@ -18,12 +18,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // BenchmarkColdOptimizeScaleS run at CI's bench times — 70 warm epochs of
 // the HE-31 crisis replay, 70 of the closed-loop soak ring, the eight cold
 // scale-s matrices once each — and compares the totals of candidates scored,
-// bundles refuted by link and by level, committed steps, escalations and
-// path searches with testdata/work_counts.golden. Steps and escalations move
-// only if the optimizer walks another trajectory (the determinism tests will
-// say so too); candidates, refuted bundles and searches are what the pass
-// loop asks of flowmodel and pathgen on the way, so a change there is a
-// change in cost that no solution shows. The open-loop leg's row also
+// bundles refuted by link and by level, committed steps, escalations, path
+// searches and the nodes those searches settled with
+// testdata/work_counts.golden. Steps and escalations move only if the
+// optimizer walks another trajectory (the determinism tests will say so
+// too); candidates, refuted bundles, searches and settled nodes are what
+// the pass loop asks of flowmodel and pathgen on the way, so a change there
+// is a change in cost that no solution shows. The open-loop leg's row also
 // carries the heap objects those epochs allocated (runtime.MemStats.Mallocs):
 // exact per commit bar the runtime's own, so the gate is a ceiling — the
 // recorded count plus 5% — where every other column is an equality.
@@ -32,8 +33,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 func TestWorkCountsPinned(t *testing.T) {
 	var buf bytes.Buffer
 	row := func(name string, ops int, w workCounts, tail string) {
-		fmt.Fprintf(&buf, "%-12s %3d  candidates %6d  refuted_link %5d  refuted_level %5d  steps %5d  escalations %4d  searches %5d%s\n",
-			name, ops, w.candidates, w.refutedLink, w.refutedLevel, w.steps, w.escalations, w.searches, tail)
+		fmt.Fprintf(&buf, "%-12s %3d  candidates %6d  refuted_link %5d  refuted_level %5d  steps %5d  escalations %4d  searches %5d  settled %7d%s\n",
+			name, ops, w.candidates, w.refutedLink, w.refutedLevel, w.steps, w.escalations, w.searches, w.settled, tail)
 	}
 	for _, leg := range replayLegs {
 		var work, mark workCounts
