@@ -37,11 +37,12 @@
 // on a commit, RemapBase on a layout change), and scores every candidate
 // against the shared read-only base: only the sub-problem the move actually
 // perturbs is re-filled, whatever share of the list that is. Scoring needs
-// one float per candidate, so it uses the utility-only delta mode
-// (EvaluateDeltaUtility — no Result finalization), while the committed move
-// always gets a full result. Delta results are bit-identical to full
-// evaluations of the same list, so DeltaAuto and DeltaOff — the differential
-// oracle — commit the exact same move sequence at any worker count.
+// one float per candidate, exact only if it can be selected, so it uses the
+// utility-only delta mode (EvaluateDeltaUtility — no Result finalization,
+// no fold for a certain loser), while the committed move always gets a full
+// result. Delta results are bit-identical to full evaluations of the same
+// list, so DeltaAuto and DeltaOff — the differential oracle — commit the
+// exact same move sequence at any worker count.
 package core
 
 import (
@@ -442,8 +443,9 @@ type Optimizer struct {
 
 	// probe, when set (RunCandidateBench), replaces the candidate scoring
 	// call so instrumentation can time/verify the evaluation strategies on
-	// the exact trial lists and base the optimizer produces.
-	probe func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base) float64
+	// the exact trial lists and base the optimizer produces; bound is the
+	// one the candidate would be scored against.
+	probe func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, bound float64) float64
 
 	// tm/tracer are the live-metrics handles built from
 	// Options.Telemetry (nil when telemetry is off); pubDelta is the
@@ -1096,13 +1098,13 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		// never from scoring.
 		dense := o.buildStepBundles(cands)
 		o.prepareBase(dense)
-		o.evaluateCandidates(cands, dense, o.base)
+		o.evaluateCandidates(cands, dense, o.base, uInit)
 	} else {
 		// Full evaluations: per-candidate positive lists, patched one
 		// aggregate segment at a time. Zero-flow placeholders are
 		// float-inert and only reindex the list monotonically, so both
 		// strategies produce bit-identical candidate utilities.
-		o.evaluateCandidates(cands, o.buildBundles(), nil)
+		o.evaluateCandidates(cands, o.buildBundles(), nil, uInit)
 	}
 
 	if o.afterScoring != nil {
@@ -1395,8 +1397,11 @@ func (o *Optimizer) growCollectors(n int) {
 // base carries its captured evaluation for the delta path, the positive
 // one (o.segStart offsets) when base is nil and every candidate runs a
 // full evaluation. Workers only read committed, base and the aggregate
-// states.
-func (o *Optimizer) evaluateCandidates(cands []candidate, committed []flowmodel.Bundle, base *flowmodel.Base) {
+// states. A score is exact only above its bound (EvaluateDeltaUtility), so
+// no bound may exceed step's selection threshold at its candidate:
+// serially it is that threshold, bestU + minGain; in parallel the first
+// one, uInit + minGain. minGain is compared nowhere but in that loop.
+func (o *Optimizer) evaluateCandidates(cands []candidate, committed []flowmodel.Bundle, base *flowmodel.Base, uInit float64) {
 	if o.tm != nil {
 		o.tm.CandidatesEvaluated.Add(int64(len(cands)))
 	}
@@ -1407,8 +1412,12 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, committed []flowmodel.
 	o.growWorkers(nw)
 	if nw <= 1 {
 		w := o.workers[0]
+		bestU := uInit
 		for i := range cands {
-			cands[i].utility = o.evalCandidate(w, &cands[i], committed, base)
+			cands[i].utility = o.evalCandidate(w, &cands[i], committed, base, bestU+minGain)
+			if cands[i].utility > bestU+minGain {
+				bestU = cands[i].utility
+			}
 		}
 		return
 	}
@@ -1424,7 +1433,7 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, committed []flowmodel.
 				if i >= len(cands) {
 					return
 				}
-				cands[i].utility = o.evalCandidate(w, &cands[i], committed, base)
+				cands[i].utility = o.evalCandidate(w, &cands[i], committed, base, uInit+minGain)
 			}
 		}()
 	}
@@ -1436,23 +1445,23 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, committed []flowmodel.
 // the semi-dense committed list with the (from, to, n) flow patch at two
 // fixed indices — the delta's changed set — and the evaluation is
 // incremental (utility-only: scoring needs one float, not a finalized
-// Result). The patch is reverted after the evaluation, so the
-// buffer mirrors the committed list again for the worker's next
-// candidate. Without a base the trial list is the positive committed
-// list with the moving aggregate's segment rebuilt under the patch, run
-// through a full water-filling. Either way the utility is bit-identical:
-// placeholders are float-inert and only reindex the active bundles
-// monotonically.
-func (o *Optimizer) evalCandidate(w *worker, c *candidate, committed []flowmodel.Bundle, base *flowmodel.Base) float64 {
+// Result, and needs it exact only above bound). The patch is reverted
+// after the evaluation, so the buffer mirrors the committed list again
+// for the worker's next candidate. Without a base the trial list is the
+// positive committed list with the moving aggregate's segment rebuilt
+// under the patch, run through a full water-filling, and the score is
+// exact. Either way a score above bound is bit-identical: placeholders
+// are float-inert and only reindex the active bundles monotonically.
+func (o *Optimizer) evalCandidate(w *worker, c *candidate, committed []flowmodel.Bundle, base *flowmodel.Base, bound float64) float64 {
 	if base == nil {
 		return w.eval.Evaluate(o.patchCandidateSparse(w, c, committed)).NetworkUtility
 	}
 	buf := o.patchCandidate(w, c, committed)
 	var u float64
 	if o.probe != nil {
-		u = o.probe(w, buf, w.changed[:], base)
+		u = o.probe(w, buf, w.changed[:], base, bound)
 	} else {
-		u, _ = w.eval.EvaluateDeltaUtility(base, buf, w.changed[:])
+		u, _ = w.eval.EvaluateDeltaUtility(base, buf, w.changed[:], bound)
 	}
 	o.revertCandidate(w, c)
 	return u

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -53,9 +54,9 @@ func medianNs(ns []int64) int64 {
 
 // RunCandidateBench runs a full optimization with every candidate
 // evaluated three ways — a full water-filling on a separate arena, a
-// full-Result incremental delta, and a utility-only delta (the latter
-// driving the run) — timing each and asserting all three agree bit for
-// bit. Only the scoring call is replaced: the run keeps its persistent
+// full-Result incremental delta, and an exact utility-only delta (bound
+// −Inf; it drives the run) — timing each and asserting all three agree bit
+// for bit. Only the scoring call is replaced: the run keeps its persistent
 // base like any other, so the differential also covers remapped and
 // rebased bases. Workers is forced to benchWorkers so the timings don't
 // contend for the CPU.
@@ -68,7 +69,7 @@ func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchRes
 	}
 	r := &CandidateBenchResult{Identical: true}
 	full := model.NewEval()
-	o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base) float64 {
+	o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, _ float64) float64 {
 		// Rotate the measurement order per candidate: whichever path runs
 		// later sees caches its predecessors warmed, so a fixed order
 		// would systematically bias the comparison.
@@ -86,7 +87,7 @@ func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchRes
 		}
 		runUtil := func() {
 			t := time.Now()
-			uUtil, _ = w.eval.EvaluateDeltaUtility(base, buf, changed)
+			uUtil, _ = w.eval.EvaluateDeltaUtility(base, buf, changed, math.Inf(-1))
 			tUtil = time.Since(t)
 		}
 		switch len(r.FullNs) % 3 {

@@ -77,9 +77,9 @@ func BenchmarkStepCandidates(b *testing.B) {
 					if delta == DeltaAuto {
 						dense := o.buildStepBundles(cands)
 						o.prepareBase(dense)
-						o.evaluateCandidates(cands, dense, o.base)
+						o.evaluateCandidates(cands, dense, o.base, u)
 					} else {
-						o.evaluateCandidates(cands, o.buildBundles(), nil)
+						o.evaluateCandidates(cands, o.buildBundles(), nil, u)
 					}
 					// Selection without commit keeps every iteration identical.
 					best := u

@@ -207,6 +207,10 @@ func TestRefutedCandidatesNeverBeatTheBound(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		})
+		// The proofs are about utilities: the oracle scores every candidate
+		// exactly, where a bounded score may sit anywhere between a losing
+		// candidate's utility and the bound it happened to be scored against.
+		oracle.probe = exactScore
 		var bundles, seen [2]int
 		oracle.afterScoring = func(cands []candidate, bound float64) {
 			last := [2]int{-1, -1} // a bundle's candidates are contiguous

@@ -107,7 +107,7 @@ func TestPatchRevertInvariant(t *testing.T) {
 		}
 		var candidates atomic.Int64
 		var failures atomic.Int64
-		o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base) float64 {
+		o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, bound float64) float64 {
 			candidates.Add(1)
 			fail := func(format string, args ...any) {
 				if failures.Add(1) <= 5 { // cap the error spam
@@ -134,7 +134,7 @@ func TestPatchRevertInvariant(t *testing.T) {
 			if patched != committed {
 				fail("patch does not conserve flows: %d vs %d", patched, committed)
 			}
-			u, _ := w.eval.EvaluateDeltaUtility(base, buf, changed)
+			u, _ := w.eval.EvaluateDeltaUtility(base, buf, changed, bound)
 			return u
 		}
 		sol, err := o.Run(t.Context())

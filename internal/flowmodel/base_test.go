@@ -66,6 +66,8 @@ func requireBase(t *testing.T, tag string, m *Model, got *Base, list []Bundle) {
 	same("binding", slices.Equal(got.binding, want.binding))
 	same("aggUtil", slices.Equal(got.aggUtil, want.aggUtil))
 	same("aggTerm", slices.Equal(got.aggTerm, want.aggTerm))
+	same("total", got.total == want.total)
+	same("absTotal", got.absTotal == want.absTotal)
 	same("netUtility", got.netUtility == want.netUtility)
 }
 
@@ -128,7 +130,7 @@ func TestBaseStaysCaptured(t *testing.T) {
 				}
 				// Scoring the move first, as a step does, must leave
 				// nothing behind that skews the commit.
-				arena.EvaluateDeltaUtility(base, cand, changed)
+				arena.EvaluateDeltaUtility(base, cand, changed, base.NetworkUtility()+1e-6)
 				_, patched := arena.CommitDelta(base, cand, changed)
 				list = cand
 				commits++
@@ -144,9 +146,10 @@ func TestBaseStaysCaptured(t *testing.T) {
 	}
 }
 
-// A warm arena scores a candidate without allocating: every scratch the
-// delta path touches — marks, worklists, the rank bitset, the crosser
-// merge buffers — is sized on first use and reused.
+// A warm arena scores a candidate without allocating, folded or bounded:
+// every scratch the delta path touches — marks, worklists, the rank bitset,
+// the crosser merge buffers, the load check's sums — is sized on first use
+// and reused.
 func TestEvaluateDeltaUtilityAllocatesNothing(t *testing.T) {
 	m, list := heLikeInstance(t)
 	arena := m.NewEval()
@@ -155,11 +158,15 @@ func TestEvaluateDeltaUtilityAllocatesNothing(t *testing.T) {
 	moves := moveCandidates(list, 32, 3)
 	cand := append([]Bundle(nil), list...)
 	score := func() {
-		for _, mv := range moves {
+		for k, mv := range moves {
 			n := 1 + cand[mv[0]].Flows/2
 			cand[mv[0]].Flows -= n
 			cand[mv[1]].Flows += n
-			if _, fellBack := arena.EvaluateDeltaUtility(&base, cand, mv[:]); fellBack {
+			bound := math.Inf(-1)
+			if k%2 == 0 {
+				bound = base.NetworkUtility() + 1e-6
+			}
+			if _, fellBack := arena.EvaluateDeltaUtility(&base, cand, mv[:], bound); fellBack {
 				t.Fatal("in-contract candidate fell back to a full evaluation")
 			}
 			cand[mv[0]].Flows += n

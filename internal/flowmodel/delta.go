@@ -61,6 +61,7 @@
 package flowmodel
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -103,8 +104,12 @@ type Base struct {
 	// aggTerm caches every aggregate's term of the network-utility fold
 	// (Model.networkTerm of aggUtil), so scoring a candidate re-derives
 	// only the terms of the aggregates it dirtied.
-	aggTerm    []float64
-	netUtility float64
+	aggTerm []float64
+	// total is aggTerm's index-order fold (the network utility before its
+	// division by the total weight) and absTotal Σ|aggTerm|: the base half
+	// of a bounded score's interval (deltaUtility).
+	total, absTotal float64
+	netUtility      float64
 }
 
 // NumBundles returns the length of the captured bundle list (0 before the
@@ -186,8 +191,8 @@ type deltaScratch struct {
 	chCross   []int32   // scratch: changedCrossers' result
 	rankBits  []uint64  // bitset over base.order ranks; all zero between uses
 	lbScratch []int32   // scratch: crosser-list merge buffer (patchBase)
-	wDelta    []float64 // per seed link: crossing-weight change of the move
-	dDelta    []float64 // per seed link: crossing-demand change of the move
+	wDelta    []float64 // per seed link: crossing-weight change; then per movedMark link: rate change
+	dDelta    []float64 // per seed link: crossing-demand change; then per movedMark link: Σ|rate change|
 
 	// The sub-problem's (bundle, link) incidences, rebuilt by every
 	// accumulation pass: incHead[i] indexes the head of affected bundle
@@ -195,9 +200,10 @@ type deltaScratch struct {
 	incHead []int32
 	inc     []incidence
 
-	// movedMark[l] == movedEpoch marks links crossed by a bundle whose
-	// rate the current solve moved off its base rate; every other touched
-	// link still carries its base load. Bumped per load check.
+	// movedMark[l] == movedEpoch marks links whose crossers' rates or
+	// membership the current solve changed, and so whose wDelta/dDelta hold
+	// this load check's sums; every other link carries its base load.
+	// Bumped per load check.
 	movedMark  []uint32
 	movedEpoch uint32
 }
@@ -254,19 +260,92 @@ func (d *deltaScratch) bump() {
 	d.tchSeed = d.tchSeed[:0]
 }
 
-// markMoved stamps, afresh, every link crossed by an affected bundle whose
-// solved rate differs from its base rate. The epoch may wrap unguarded: a
-// stale stamp it then aliases costs one needless re-sum, never a wrong
-// load.
-func (d *deltaScratch) markMoved(base *Base, bundles []Bundle, res *Result) {
-	d.movedEpoch++
+// sumMoves starts a load check: it stamps, afresh, every link whose
+// crossers the solve changed and sums the changes onto it. An affected
+// bundle whose rate moved adds new − base rate along its path; a changed
+// bundle takes its base rate off its base path and puts its new rate on
+// its new one. A touched or touched-seed link's candidate load is then its
+// base load plus wDelta, with Σ|change| in dDelta for loadVersus's bound.
+func (e *Eval) sumMoves(base *Base, bundles []Bundle, res *Result) {
+	d := &e.delta
+	d.bumpMoved()
 	for _, i := range d.affected {
-		if res.BundleRate[i] != base.rate[i] {
+		r, r0 := res.BundleRate[i], base.rate[i]
+		switch {
+		case d.chMark[i] == d.epoch:
+			if base.weight[i] > 0 {
+				for _, eid := range base.bundles[i].Edges {
+					d.addMove(eid, -r0, r0)
+				}
+			}
+			if e.weight[i] > 0 {
+				for _, eid := range bundles[i].Edges {
+					d.addMove(eid, r, r)
+				}
+			}
+		case r != r0:
 			for _, eid := range bundles[i].Edges {
-				d.movedMark[eid] = d.movedEpoch
+				d.addMove(eid, r-r0, r+r0)
 			}
 		}
 	}
+}
+
+// bumpMoved starts a load check's stamps, clearing them on a wrap: a stale
+// stamp aliasing the new epoch would pass off old sums as this check's.
+func (d *deltaScratch) bumpMoved() {
+	d.movedEpoch++
+	if d.movedEpoch == 0 {
+		clear(d.movedMark)
+		d.movedEpoch = 1
+	}
+}
+
+// addMove adds one crosser's load change, and its magnitude, to link l's
+// sums, starting them at the link's first change of the check.
+func (d *deltaScratch) addMove(l graph.EdgeID, change, mag float64) {
+	if d.movedMark[l] != d.movedEpoch {
+		d.movedMark[l] = d.movedEpoch
+		d.wDelta[l], d.dDelta[l] = 0, 0
+	}
+	d.wDelta[l] += change
+	d.dDelta[l] += mag
+}
+
+// loadVersus decides whether link l's candidate load reaches thr from base,
+// the exact unclamped fold of its base crossers' rates, and the sums
+// sumMoves stamped on it, without re-summing: 1 if it certainly does, -1 if
+// it certainly does not, 0 if the interval straddles thr. n bounds the
+// link's crossers in either list. An unstamped link's load is base itself.
+func (d *deltaScratch) loadVersus(l int32, base float64, n int, thr float64) int {
+	lo, hi := base, base
+	if d.movedMark[l] == d.movedEpoch {
+		lo, hi = foldInterval(base, d.wDelta[l], base+d.dDelta[l], n)
+	}
+	switch {
+	case lo >= thr:
+		return 1
+	case hi < thr:
+		return -1
+	}
+	return 0
+}
+
+// foldInterval brackets the canonical-order fold F of a candidate's terms
+// without computing it, from total, any fold of the base's terms, and inc,
+// any fold of the changes (each a new term minus the one it replaces, or a
+// term added or dropped). abs is Σ|base term| + Σ(|new| + |old|) over the
+// changes, or a fold of those magnitudes; n bounds the terms of either
+// list, and the changes number at most 2n. A fold of m terms is off its
+// exact sum by at most γₘ·Σ|x| (Higham §4.2, γₘ = mu/(1−mu), u = 2⁻⁵³),
+// so |fl(total+inc) − F| ≤ (4n+1)·u·abs to first order; the slack doubles
+// that, which covers the higher-order terms and abs's own rounding for any
+// n under 10¹³. Rounding is monotone, so with total+inc ± slack straddling
+// F as reals, lo ≤ F ≤ hi — and fl(hi/w) ≥ fl(F/w) for any w > 0.
+func foldInterval(total, inc, abs float64, n int) (lo, hi float64) {
+	mid := total + inc
+	slack := 8 * float64(n+1) * 0x1p-53 * abs
+	return mid - slack, mid + slack
 }
 
 // EvaluateBase runs a full Evaluate over the bundle list and captures the
@@ -301,6 +380,7 @@ func (e *Eval) captureState(bundles []Bundle, res *Result, base *Base) {
 	for a, u := range base.aggUtil {
 		base.aggTerm[a] = e.m.networkTerm(a, u)
 	}
+	base.foldTerms()
 	base.netUtility = res.NetworkUtility
 	nL := len(res.LinkLoad)
 	if cap(base.linkBun) < nL {
@@ -341,7 +421,7 @@ func (e *Eval) captureState(bundles []Bundle, res *Result, base *Base) {
 // changed index out of range or of another aggregate — runs a full
 // Evaluate instead.
 func (e *Eval) EvaluateDelta(base *Base, bundles []Bundle, changed []int) *Result {
-	res, _ := e.evaluateDelta(base, bundles, changed, false)
+	res, _ := e.evaluateDelta(base, bundles, changed, false, math.Inf(-1))
 	return res
 }
 
@@ -349,14 +429,17 @@ func (e *Eval) EvaluateDelta(base *Base, bundles []Bundle, changed []int) *Resul
 // captured base and returns only its NetworkUtility, skipping Result
 // finalization entirely: no base-rate splice into the Result arrays, no
 // per-link load summation, no Congested rebuild, no utilization metrics.
-// The utility is bit-identical to EvaluateDelta(base, bundles,
-// changed).NetworkUtility — both fold the same per-aggregate terms in the
-// same order — at a cost proportional to the affected sub-problem alone.
-// The bool reports whether the call fell back to a full Evaluate (same
-// contract as EvaluateDelta; the utility is exact either way). The
-// arena's Result is left partially written and must not be read.
-func (e *Eval) EvaluateDeltaUtility(base *Base, bundles []Bundle, changed []int) (float64, bool) {
-	res, fellBack := e.evaluateDelta(base, bundles, changed, true)
+// A score that cannot exceed bound is not folded either. With u the
+// utility EvaluateDelta(base, bundles, changed).NetworkUtility: if u >
+// bound the result is u bit for bit; otherwise it lies in [u, bound]. So
+// "result > bound" is "u > bound", and math.Inf(-1) asks for u every time.
+// The cost is proportional to the affected sub-problem alone, plus one
+// index-order fold over the aggregates when the bound cannot decide. The
+// bool reports whether the call fell back to a full Evaluate (same
+// contract as EvaluateDelta; the utility is exact then). The arena's
+// Result is left partially written and must not be read.
+func (e *Eval) EvaluateDeltaUtility(base *Base, bundles []Bundle, changed []int, bound float64) (float64, bool) {
+	res, fellBack := e.evaluateDelta(base, bundles, changed, true, bound)
 	return res.NetworkUtility, fellBack
 }
 
@@ -367,9 +450,9 @@ func (e *Eval) EvaluateDeltaUtility(base *Base, bundles []Bundle, changed []int)
 // base-rate/satisfaction splice, per-link load/demand/congestion copies
 // and finalization are skipped, and reads of unaffected bundles' rates go
 // to the base directly (deltaRate). The affected sub-problem's solve —
-// fill, lazy guard, load checks — is identical in both modes, so the
-// utility is bit-identical.
-func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilityOnly bool) (*Result, bool) {
+// fill, lazy guard, load checks — is identical in both modes; bound is
+// EvaluateDeltaUtility's.
+func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilityOnly bool, bound float64) (*Result, bool) {
 	e.stats.Calls++
 	if utilityOnly {
 		e.stats.UtilityOnlyCalls++
@@ -450,8 +533,7 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 	// saturates earlier, which is exactly what truncates previously
 	// demand-frozen crossers. Promoting those crossers to eager up front
 	// usually saves the verify-expand-rerun cycle; the in-fill guard
-	// still catches the cases this heuristic misses. (wDelta/dDelta are
-	// scratch: reset after use.)
+	// still catches the cases this heuristic misses.
 	for _, l := range d.subLinks {
 		if d.wDelta[l] > 0 {
 			for _, bi := range base.linkBun[l] {
@@ -465,10 +547,6 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 				}
 			}
 		}
-	}
-	for _, l := range d.seedLinks {
-		d.wDelta[l] = 0
-		d.dDelta[l] = 0
 	}
 
 	e.grow(nB)
@@ -643,40 +721,33 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 			continue
 		}
 		// Load-check the optimistically excluded links: link load is
-		// non-decreasing over a fill, so a touched link whose recomputed
-		// final load stays under capacity provably never saturated —
-		// excluding it was exact. One that reached capacity is promoted
-		// into the sub-problem and the solve re-runs. A touched link none
-		// of whose crossers moved off its base rate needs no sum: its
-		// crossers are the base's (no changed bundle crosses a touched
-		// link), and the same rates added in the same order are the base's
-		// load. Touched-seed links get the same check over their adjusted
-		// crossing set, which also rewrites their demand bookkeeping.
+		// non-decreasing over a fill, so a touched link whose final load
+		// stays under capacity provably never saturated — excluding it was
+		// exact. One that reached capacity is promoted into the sub-problem
+		// and the solve re-runs. Touched and touched-seed links do not bind
+		// in the base, so their base loads are exact, unclamped folds, and
+		// a candidate load is decided from the base load plus its crossers'
+		// rate changes (loadVersus). Only a load whose interval straddles
+		// the threshold is re-summed over its crossers in canonical order.
 		promoted := false
-		if len(d.touched) > 0 {
-			d.markMoved(base, bundles, res)
+		if len(d.touched)+len(d.tchSeed) > 0 {
+			e.sumMoves(base, bundles, res)
 		}
-		for _, l := range d.touched {
-			if d.linkMark[l] == d.epoch {
-				continue // already promoted into the sub-problem
-			}
-			load := base.linkLoad[l]
-			if d.movedMark[l] == d.movedEpoch {
-				load = e.deltaLinkLoad(res, base, base.linkBun[l], m.capacity[l])
-			}
-			res.LinkLoad[l] = load
-			if load >= m.capacity[l]*(1-bindingSlack) {
-				d.addSubLink(l)
-				promoted = true
-			}
-		}
-		for _, l := range d.tchSeed {
-			if d.linkMark[l] == d.epoch {
-				continue // already promoted into the sub-problem
-			}
-			if e.touchedSeedFix(base, bundles, l, changed, res) >= m.capacity[l]*(1-bindingSlack) {
-				d.addSubLink(l)
-				promoted = true
+		for _, links := range [2][]int32{d.touched, d.tchSeed} {
+			for _, l := range links {
+				if d.linkMark[l] == d.epoch {
+					continue // already promoted into the sub-problem
+				}
+				thr := m.capacity[l] * (1 - bindingSlack)
+				reaches := d.loadVersus(l, base.linkLoad[l], nB, thr)
+				if reaches == 0 {
+					e.resummed++
+					reaches = cmp.Compare(e.resumTouched(base, bundles, l, changed, res), thr)
+				}
+				if reaches >= 0 {
+					d.addSubLink(l)
+					promoted = true
+				}
 			}
 		}
 		if !promoted {
@@ -687,18 +758,25 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 	e.stats.AffectedBundles += int64(len(d.affected))
 	e.stats.ListBundles += int64(nB)
 
-	// Finalize sub-problem link loads from their rebuilt crosser lists
-	// (touched links were already written by the load check; their base
-	// crosser lists match the candidate's — no changed bundle crosses a
-	// touched link). Utility-only scoring skips all of it: nothing
+	// Finalize the loads in canonical order: sub-problem links from their
+	// rebuilt crosser lists, touched and touched-seed links the last load
+	// check stamped over their candidate crossers; the rest keep the
+	// spliced base values. Utility-only scoring skips all of it: nothing
 	// downstream reads link loads or the congested list.
 	if !utilityOnly {
 		for _, l := range d.subLinks {
 			res.LinkLoad[l] = e.linkLoadOf(res, e.linkBun[l], m.capacity[l])
 		}
+		for _, links := range [2][]int32{d.touched, d.tchSeed} {
+			for _, l := range links {
+				if d.linkMark[l] != d.epoch && d.movedMark[l] == d.movedEpoch {
+					e.resumTouched(base, bundles, l, changed, res)
+				}
+			}
+		}
 		e.rebuildCongested(res)
 	}
-	e.deltaUtility(base, bundles, changed, res)
+	e.deltaUtility(base, bundles, changed, res, bound)
 	if !utilityOnly {
 		e.computeUtilization(res)
 	}
@@ -719,19 +797,6 @@ func (e *Eval) deltaRate(res *Result, base *Base, bi int32) float64 {
 	return base.rate[bi]
 }
 
-// deltaLinkLoad is linkLoadOf over a crosser list that may contain
-// unaffected bundles: same order, same clamp, rates via deltaRate.
-func (e *Eval) deltaLinkLoad(res *Result, base *Base, crossers []int32, capacity float64) float64 {
-	var load float64
-	for _, bi := range crossers {
-		load += e.deltaRate(res, base, bi)
-	}
-	if load > capacity {
-		load = capacity
-	}
-	return load
-}
-
 // activeWeight returns the filling weight (flows/RTT) a bundle
 // contributes to its links, or 0 for inert bundles.
 func activeWeight(m *Model, b Bundle) float64 {
@@ -749,13 +814,14 @@ func (d *deltaScratch) addSubLink(eid int32) {
 	}
 }
 
-// addSeedLink records a link crossed by a changed bundle (idempotent);
-// classification into sub-problem vs touched-seed happens once the
-// demand deltas are complete.
+// addSeedLink records a link crossed by a changed bundle (idempotent) and
+// starts its weight and demand sums; classification into sub-problem vs
+// touched-seed happens once they are complete.
 func (d *deltaScratch) addSeedLink(eid int32) {
 	if d.seedMark[eid] != d.epoch {
 		d.seedMark[eid] = d.epoch
 		d.seedLinks = append(d.seedLinks, eid)
+		d.wDelta[eid], d.dDelta[eid] = 0, 0
 	}
 }
 
@@ -796,14 +862,18 @@ func (e *Eval) changedCrossers(bundles []Bundle, l int32, changed []int) []int32
 	return ch
 }
 
-// touchedSeedFix recomputes a touched-seed link's demand and load over
-// the candidate's crossing set — the base's active crossers with the
-// changed bundles' membership adjusted — in bundle-index order, matching
-// the full evaluation's accumulation bit for bit. Returns the clamped
-// load for the caller's capacity check.
-func (e *Eval) touchedSeedFix(base *Base, bundles []Bundle, l int32, changed []int, res *Result) float64 {
+// resumTouched recomputes a touched or touched-seed link's demand and load
+// over the candidate's crossing set — the base's active crossers with the
+// changed bundles' membership adjusted (a touched link has no changed
+// crossers) — in bundle-index order, matching the full evaluation's
+// accumulation bit for bit: a full Result's finalize, and the load check's
+// when loadVersus cannot decide. Returns the clamped load.
+func (e *Eval) resumTouched(base *Base, bundles []Bundle, l int32, changed []int, res *Result) float64 {
 	d := &e.delta
-	ch := e.changedCrossers(bundles, l, changed)
+	var ch []int32
+	if d.seedMark[l] == d.epoch {
+		ch = e.changedCrossers(bundles, l, changed)
+	}
 	var dem, load float64
 	k := 0
 	take := func(bi int32) {
@@ -834,14 +904,16 @@ func (e *Eval) touchedSeedFix(base *Base, bundles []Bundle, l int32, changed []i
 
 // deltaUtility recomputes utility for the aggregates whose bundles
 // actually changed outcome (or were patched), reusing the base's
-// utilities for every other aggregate, then re-folds the network total
-// over every aggregate in index order — the same accumulation the full
-// path performs, so the result is bit-identical. It reads rates via
-// deltaRate and folds non-dirty aggregates from the base's cached terms,
-// so it is valid in utility-only mode too (where res was never spliced);
-// in full-result mode the base values equal the spliced res values, so
-// both modes fold the identical numbers.
-func (e *Eval) deltaUtility(base *Base, bundles []Bundle, changed []int, res *Result) {
+// utilities for every other aggregate. Unless the base's fold plus the
+// dirty terms' changes bounds the network utility at or under bound (then
+// that upper end is the score), it re-folds the network total over every
+// aggregate in index order — the same accumulation the full path
+// performs, so the result is bit-identical. It reads rates via deltaRate
+// and folds non-dirty aggregates from the base's cached terms, so it is
+// valid in utility-only mode too (where res was never spliced); in
+// full-result mode the base values equal the spliced res values, so both
+// modes fold the identical numbers.
+func (e *Eval) deltaUtility(base *Base, bundles []Bundle, changed []int, res *Result, bound float64) {
 	m := e.m
 	d := &e.delta
 	markAgg := func(a int32) {
@@ -875,6 +947,22 @@ func (e *Eval) deltaUtility(base *Base, bundles []Bundle, changed []int, res *Re
 		}
 		res.AggUtility[a] = sum
 	}
+	if m.totalWeight <= 0 {
+		res.NetworkUtility = 0
+		return
+	}
+	var inc, abs float64
+	for _, a := range d.dirtyAggs {
+		t, t0 := m.networkTerm(int(a), res.AggUtility[a]), base.aggTerm[a]
+		inc += t - t0
+		abs += math.Abs(t) + math.Abs(t0)
+	}
+	_, hi := foldInterval(base.total, inc, base.absTotal+abs, len(base.aggTerm))
+	if u := hi / m.totalWeight; u <= bound {
+		e.bounded++
+		res.NetworkUtility = u
+		return
+	}
 	var total float64
 	for a, term := range base.aggTerm {
 		if d.aggMark[a] == d.epoch {
@@ -882,9 +970,15 @@ func (e *Eval) deltaUtility(base *Base, bundles []Bundle, changed []int, res *Re
 		}
 		total += term
 	}
-	if m.totalWeight > 0 {
-		res.NetworkUtility = total / m.totalWeight
-	} else {
-		res.NetworkUtility = 0
+	res.NetworkUtility = total / m.totalWeight
+}
+
+// foldTerms sets total to aggTerm's index-order fold — computeUtility's
+// and deltaUtility's — and absTotal to Σ|aggTerm|.
+func (b *Base) foldTerms() {
+	b.total, b.absTotal = 0, 0
+	for _, t := range b.aggTerm {
+		b.total += t
+		b.absTotal += math.Abs(t)
 	}
 }

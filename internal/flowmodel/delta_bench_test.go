@@ -301,16 +301,20 @@ func BenchmarkEvaluateFullCandidate(b *testing.B) {
 
 // BenchmarkEvaluateDeltaCandidate is the same candidates through the
 // incremental path against a captured base: with the full Result
-// (EvaluateDelta, what a commit pays) and scored only
-// (EvaluateDeltaUtility, what every candidate pays). The he and scale-s
-// legs score random moves on a list and on one ≈8× longer: a per-candidate
-// term proportional to the list, not to affected-frac × list, shows as the
-// utility rows' ns/affected-bundle growing with the instance. The he-crisis
-// and ring legs score congestion-relieving moves where the delta is at its
-// worst — closures of a quarter of the active bundles widened by re-runs,
-// and a list so short that set-up is most of any evaluation. Every leg
-// also times a full Evaluate of the same patched lists, so "a delta never
-// costs more than a full fill" is the delta/full column staying under 1.
+// (EvaluateDelta, what a commit pays), scored exactly
+// (EvaluateDeltaUtility with bound −Inf, what a winning candidate pays) and
+// scored against the base utility + 1e-6 (bounded, what a losing candidate
+// pays: no fold when the bound settles it; folded-frac says how often it
+// did not). The he and scale-s legs score random moves on a list and on
+// one ≈8× longer: a per-candidate term proportional to the list, not to
+// affected-frac × list, shows as ns/affected-bundle growing with the
+// instance — on the utility rows by the aggregate fold they still pay, on
+// the bounded rows not at all. The he-crisis and ring legs score
+// congestion-relieving moves where the delta is at its worst — closures
+// of a quarter of the active bundles widened by re-runs, and a list so
+// short that set-up is most of any evaluation. Every leg also times a
+// full Evaluate of the same patched lists, so "a delta never costs more
+// than a full fill" is the delta/full column staying under 1.
 func BenchmarkEvaluateDeltaCandidate(b *testing.B) {
 	for _, inst := range []struct {
 		name      string
@@ -324,12 +328,12 @@ func BenchmarkEvaluateDeltaCandidate(b *testing.B) {
 		}
 		var base Base
 		m.NewEval().EvaluateBase(bundles, &base)
-		for _, utilityOnly := range []bool{false, true} {
-			name := inst.name + "/result"
-			if utilityOnly {
-				name = inst.name + "/utility"
+		for _, mode := range []string{"result", "utility", "bounded"} {
+			bound := math.Inf(-1)
+			if mode == "bounded" {
+				bound = base.NetworkUtility() + 1e-6
 			}
-			b.Run(name, func(b *testing.B) {
+			b.Run(inst.name+"/"+mode, func(b *testing.B) {
 				arena := m.NewEval()
 				buf := append([]Bundle(nil), bundles...)
 				// each applies candidate i's patch around eval and reverts it.
@@ -348,10 +352,10 @@ func BenchmarkEvaluateDeltaCandidate(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				each(b.N, func(changed []int) {
-					if utilityOnly {
-						arena.EvaluateDeltaUtility(&base, buf, changed)
-					} else {
+					if mode == "result" {
 						arena.EvaluateDelta(&base, buf, changed)
+					} else {
+						arena.EvaluateDeltaUtility(&base, buf, changed, bound)
 					}
 				})
 				b.StopTimer()
@@ -368,6 +372,9 @@ func BenchmarkEvaluateDeltaCandidate(b *testing.B) {
 				b.ReportMetric(float64(st.Expansions)/float64(st.Calls), "reruns/call")
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(1, st.AffectedBundles)), "ns/affected-bundle")
 				b.ReportMetric(perDelta/perFull, "delta/full")
+				if mode == "bounded" {
+					b.ReportMetric(1-float64(arena.bounded)/float64(st.UtilityOnlyCalls), "folded-frac")
+				}
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package flowmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -303,7 +304,7 @@ func TestDeltaMatchesFullWhenMostOfTheListIsAffected(t *testing.T) {
 				before := delta.DeltaStats()
 				requireIdentical(t, c.name+": delta", want, delta.EvaluateDelta(&base, cand, changed))
 				after := delta.DeltaStats()
-				if u, fellBack := score.EvaluateDeltaUtility(&base, cand, changed); u != want.NetworkUtility || fellBack {
+				if u, fellBack := score.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); u != want.NetworkUtility || fellBack {
 					t.Fatalf("%s: utility-only %v (fell back: %v), full %v", c.name, u, fellBack, want.NetworkUtility)
 				}
 				calls++
@@ -401,15 +402,37 @@ type errString string
 
 func (e errString) Error() string { return string(e) }
 
+// scoringBounds are the bounds the scoring contract is held to for a
+// candidate of exact utility u on a base of utility u0: none, one ulp
+// under u, u, one ulp over, what a losing candidate is scored against in
+// a step, and all of them.
+func scoringBounds(u, u0 float64) [6]float64 {
+	return [6]float64{math.Inf(-1), math.Nextafter(u, math.Inf(-1)), u, math.Nextafter(u, math.Inf(1)), u0 + 1e-6, math.Inf(1)}
+}
+
+// requireScore asserts EvaluateDeltaUtility's return contract, trusting
+// nothing about how the score was reached: above bound it is the exact
+// utility bit for bit; otherwise it lies in [exact, bound].
+func requireScore(t *testing.T, tag string, got, exact, bound float64) {
+	t.Helper()
+	if exact > bound && math.Float64bits(got) != math.Float64bits(exact) {
+		t.Fatalf("%s: exact utility %v beats the bound %v, but the score is %v", tag, exact, bound, got)
+	}
+	if exact <= bound && (got < exact || got > bound) {
+		t.Fatalf("%s: score %v outside [%v, %v] (exact utility, bound)", tag, got, exact, bound)
+	}
+}
+
 // FuzzEvaluateDelta fuzzes the differential contract: arbitrary
 // (instance seed, move seed, move count) triples must keep EvaluateDelta
-// bit-identical to full evaluation.
+// bit-identical to full evaluation, and EvaluateDeltaUtility, against the
+// bound scoringBounds[bound%6], to the scoring contract.
 func FuzzEvaluateDelta(f *testing.F) {
-	f.Add(int64(1), int64(1), uint8(3))
-	f.Add(int64(7), int64(99), uint8(10))
-	f.Add(int64(23), int64(5), uint8(1))
-	f.Add(int64(1), int64(2), uint8(15)) // closures past 60% of the list, one widened by a re-run
-	f.Fuzz(func(t *testing.T, instSeed, moveSeed int64, moves uint8) {
+	f.Add(int64(1), int64(1), uint8(3), uint8(4))
+	f.Add(int64(7), int64(99), uint8(10), uint8(1))
+	f.Add(int64(23), int64(5), uint8(1), uint8(2))
+	f.Add(int64(1), int64(2), uint8(15), uint8(5)) // closures past 60% of the list, one widened by a re-run
+	f.Fuzz(func(t *testing.T, instSeed, moveSeed int64, moves, bound uint8) {
 		if instSeed <= 0 || instSeed > 1<<20 {
 			t.Skip()
 		}
@@ -425,9 +448,12 @@ func FuzzEvaluateDelta(f *testing.F) {
 			if changed == nil {
 				return
 			}
-			want := fullArena.Evaluate(cand)
 			got := deltaArena.EvaluateDelta(&base, cand, changed)
-			requireIdentical(t, "fuzz", want, got)
+			requireIdentical(t, "fuzz", fullArena.Evaluate(cand), got)
+			exact := got.NetworkUtility
+			b := scoringBounds(exact, base.NetworkUtility())[bound%6]
+			score, _ := deltaArena.EvaluateDeltaUtility(&base, cand, changed, b)
+			requireScore(t, "fuzz", score, exact, b)
 			bundles = cand
 			m.NewEval().EvaluateBase(bundles, &base)
 		}
@@ -436,13 +462,16 @@ func FuzzEvaluateDelta(f *testing.F) {
 
 // TestDeltaUtilityDifferential is the scoring-mode differential: across
 // seeded random instances and many random candidate moves,
-// EvaluateDeltaUtility must return the bit-identical NetworkUtility a
-// full Evaluate produces, while the same arena keeps serving full-result
-// EvaluateDelta and CommitDelta calls in between — the interleaving the
-// optimizer's step pipeline performs (score utility-only, commit the
-// winner with a full result).
+// EvaluateDeltaUtility must keep its contract against every bound
+// scoringBounds lists — the bit-identical NetworkUtility a full Evaluate
+// produces when that beats the bound, a value between the two otherwise
+// — while the same arena keeps serving full-result EvaluateDelta and
+// CommitDelta calls in between: the interleaving the optimizer's step
+// pipeline performs (score utility-only, commit the winner with a full
+// result). Both outcomes must occur: scores the bound settled without a
+// fold, and scores a fold made exact although the bound let them lose.
 func TestDeltaUtilityDifferential(t *testing.T) {
-	evals := 0
+	evals, settled, folded := 0, 0, 0
 	for seed := int64(1); seed <= 25; seed++ {
 		m, bundles, _ := deltaInstance(t, seed)
 		rng := rand.New(rand.NewSource(seed * 1319))
@@ -458,9 +487,15 @@ func TestDeltaUtilityDifferential(t *testing.T) {
 				break
 			}
 			want := fullArena.Evaluate(cand).NetworkUtility
-			got, _ := arena.EvaluateDeltaUtility(&base, cand, changed)
-			if got != want {
-				t.Fatalf("seed %d move %d: utility-only %v != full %v", seed, move, got, want)
+			for _, bound := range scoringBounds(want, base.NetworkUtility()) {
+				before := arena.bounded
+				got, _ := arena.EvaluateDeltaUtility(&base, cand, changed, bound)
+				requireScore(t, fmt.Sprintf("seed %d move %d bound %v", seed, move, bound), got, want, bound)
+				if arena.bounded > before {
+					settled++
+				} else if want <= bound {
+					folded++
+				}
 			}
 			evals++
 			// Interleave a full-result delta of the same candidate on the
@@ -474,8 +509,9 @@ func TestDeltaUtilityDifferential(t *testing.T) {
 			}
 		}
 	}
-	if evals < 1000 {
-		t.Fatalf("differential exercised only %d utility-only evaluations, want >= 1000", evals)
+	t.Logf("%d candidates × 6 bounds: %d scores settled by the bound, %d losing scores folded", evals, settled, folded)
+	if evals < 1000 || settled < evals || folded < evals {
+		t.Fatalf("thin coverage: %d candidates, %d settled, %d folded", evals, settled, folded)
 	}
 }
 
@@ -495,10 +531,10 @@ func TestDeltaUtilityStats(t *testing.T) {
 	if changed == nil {
 		t.Fatal("no movable pair")
 	}
-	if _, fellBack := arena.EvaluateDeltaUtility(&base, cand, changed); fellBack {
+	if _, fellBack := arena.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); fellBack {
 		t.Fatal("unexpected fallback on an in-contract candidate")
 	}
-	if u, fellBack := arena.EvaluateDeltaUtility(nil, cand, changed); !fellBack {
+	if u, fellBack := arena.EvaluateDeltaUtility(nil, cand, changed, math.Inf(1)); !fellBack {
 		t.Fatal("nil base must fall back")
 	} else if want := m.NewEval().Evaluate(cand).NetworkUtility; u != want {
 		t.Fatalf("fallback utility %v != full %v", u, want)
@@ -521,13 +557,15 @@ func TestDeltaUtilityStats(t *testing.T) {
 }
 
 // The delta fill walks, per frozen bundle, the sub-problem links recorded
-// for it instead of its path, and the load check re-sums only touched
-// links a moved rate crosses. Both must leave every result — full and
-// utility-only — bit-identical to Evaluate through the cases that stress
-// them: solves that abort or promote a link and re-run wider (every re-run
-// rebuilds the incidences and restamps the moved links), a changed bundle
-// re-routed so that it leaves some sub-problem links and joins others, and
-// the moved-link stamp wrapping over stale marks mid-run.
+// for it instead of its path, and the load check decides a touched link
+// from its base load and its crossers' summed rate changes, stamped per
+// check (a full Result re-sums it afterwards). Both must leave every
+// result — full and utility-only —
+// bit-identical to Evaluate through the cases that stress them: solves
+// that abort or promote a link and re-run wider (every re-run rebuilds
+// the incidences and restamps the moved links), a changed bundle re-routed
+// so that it leaves some sub-problem links and joins others, and the
+// moved-link stamp wrapping over stale marks mid-run.
 func TestDeltaSubProblemWalk(t *testing.T) {
 	var evals, crossings, skipped, resummed, wraps int
 	var stats DeltaStats
@@ -537,14 +575,16 @@ func TestDeltaSubProblemWalk(t *testing.T) {
 		baseArena, arena, fullArena := m.NewEval(), m.NewEval(), m.NewEval()
 		var base Base
 		baseArena.EvaluateBase(bundles, &base)
-		// A few load checks from now the stamp wraps, unguarded, over stale
-		// marks that alias the epochs after it: those links are re-summed
-		// for nothing, and no result may show it.
+		// A few load checks from now the stamp wraps over stale marks that
+		// would alias the epochs after it, and pass off whatever sums they
+		// left as the check's: the wrap clears them, and no result may
+		// show they were there.
 		d := &arena.delta
 		d.grow(len(bundles), m.topo.NumLinks(), m.mat.NumAggregates())
 		d.movedEpoch = math.MaxUint32 - 2
 		for l := range d.movedMark {
 			d.movedMark[l] = uint32(1 + l%3)
+			d.wDelta[l] = -1e9 // a stale sum that would hide any overload
 		}
 		for move := 0; move < 40; move++ {
 			cand := append([]Bundle(nil), bundles...)
@@ -557,7 +597,7 @@ func TestDeltaSubProblemWalk(t *testing.T) {
 				break
 			}
 			want := fullArena.Evaluate(cand)
-			if got, _ := arena.EvaluateDeltaUtility(&base, cand, changed); got != want.NetworkUtility {
+			if got, _ := arena.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); got != want.NetworkUtility {
 				t.Fatalf("seed %d move %d: utility-only %v != full %v", seed, move, got, want.NetworkUtility)
 			}
 			fallbacks := arena.DeltaStats().Fallbacks
@@ -599,7 +639,7 @@ func TestDeltaSubProblemWalk(t *testing.T) {
 		stats.Add(arena.DeltaStats())
 	}
 	t.Logf("%d evaluations, %d fallbacks, %d expansions; changed bundles left or joined %d sub-problem links; "+
-		"touched links: %d kept their base load, %d re-summed; the stamp wrapped on %d instances",
+		"touched links: %d kept their base load, %d a moved rate crosses; the stamp wrapped on %d instances",
 		evals, stats.Fallbacks, stats.Expansions, crossings, skipped, resummed, wraps)
 	if evals < 1000 || stats.Expansions < 50 || crossings < 50 || skipped < 100 || resummed < 100 || wraps < 10 {
 		t.Fatal("thin coverage")

@@ -181,6 +181,9 @@ type Eval struct {
 
 	delta deltaScratch
 	stats DeltaStats
+	// For tests and benchmarks: scores returned from their interval, and
+	// load-check links re-summed because theirs straddled the threshold.
+	bounded, resummed int64
 	// remapInv is RemapBase's old-index → new-index scratch.
 	remapInv []int32
 	res      Result

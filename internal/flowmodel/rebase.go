@@ -38,7 +38,7 @@ import (
 // fell back to a full evaluation and recapture (false — same outcome,
 // full cost). The same contract as EvaluateDelta applies to changed.
 func (e *Eval) CommitDelta(base *Base, bundles []Bundle, changed []int) (*Result, bool) {
-	res, fellBack := e.evaluateDelta(base, bundles, changed, false)
+	res, fellBack := e.evaluateDelta(base, bundles, changed, false, math.Inf(-1))
 	if fellBack {
 		e.captureState(bundles, res, base)
 		return res, false
@@ -101,12 +101,13 @@ func (e *Eval) patchBase(base *Base, bundles []Bundle, changed []int, res *Resul
 	for _, a := range d.dirtyAggs {
 		base.aggTerm[a] = m.networkTerm(int(a), res.AggUtility[a])
 	}
+	base.foldTerms()
 	base.netUtility = res.NetworkUtility
 
 	// Crosser lists: sub-problem links were rebuilt complete by the fill
 	// (the closure property guarantees every active crosser is affected);
 	// touched-seed links may have gained or lost changed crossers and get
-	// the same ascending merge touchedSeedFix used; plain touched links
+	// the same ascending merge resumTouched used; plain touched links
 	// have no changed crossers, so their lists stand. Bindings follow the
 	// new loads on every link whose load could have moved.
 	for _, l := range d.subLinks {
@@ -251,6 +252,7 @@ func (e *Eval) RemapBase(src, dst *Base, bundles []Bundle, oldIdx []int) bool {
 	dst.binding = append(dst.binding[:0], src.binding...)
 	dst.aggUtil = append(dst.aggUtil[:0], src.aggUtil...)
 	dst.aggTerm = append(dst.aggTerm[:0], src.aggTerm...)
+	dst.total, dst.absTotal = src.total, src.absTotal
 	dst.netUtility = src.netUtility
 	nL := len(src.linkBun)
 	if cap(dst.linkBun) < nL {

@@ -2,6 +2,7 @@ package flowmodel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestEvalRebindMatchesFreshArena(t *testing.T) {
 			}
 			want := fresh.Evaluate(cand)
 			requireIdentical(t, tag+" delta", want, kept.EvaluateDelta(&base, cand, changed))
-			if u, fell := kept.EvaluateDeltaUtility(&base, cand, changed); u != want.NetworkUtility || fell {
+			if u, fell := kept.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); u != want.NetworkUtility || fell {
 				t.Fatalf("%s: utility-only %v (fallback %v), full %v", tag, u, fell, want.NetworkUtility)
 			}
 			if k%5 == 0 {

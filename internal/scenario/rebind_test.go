@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"fubar/internal/core"
@@ -15,25 +14,6 @@ import (
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 )
-
-// replayPastLedgerRace runs a replay, and runs it again when it died of the
-// known control-plane ledger race (ROADMAP "Fix the controller-kill-storm
-// ledger race": about one kill-storm replay in 300 aborts with a FlowMod
-// acked after its controller seat was killed). Such an abort says nothing
-// about the optimizer, and a replay that completes is deterministic.
-func replayPastLedgerRace(t *testing.T, replay func() (*Result, error)) *Result {
-	t.Helper()
-	for attempt := 1; ; attempt++ {
-		res, err := replay()
-		if err == nil {
-			return res
-		}
-		if attempt == 5 || !strings.Contains(err.Error(), "switches acked") {
-			t.Fatal(err)
-		}
-		t.Logf("attempt %d hit the control-plane ledger race, replaying: %v", attempt, err)
-	}
-}
 
 // TestKeptOptimizerMatchesPerEpochRebuild is the replay-level gate for the
 // engine keeping one optimizer: on timelines that grow and shrink the
@@ -90,9 +70,15 @@ func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 						}
 						return run(context.Background(), lg.topo, lg.mat, lg.sc, Options{Core: coreOpts})
 					}
-					kept := replayPastLedgerRace(t, replay)
+					kept, err := replay()
+					if err != nil {
+						t.Fatal(err)
+					}
 					var rebuilt *Result
-					withFreshOptimizerPerEpoch(func() { rebuilt = replayPastLedgerRace(t, replay) })
+					withFreshOptimizerPerEpoch(func() { rebuilt, err = replay() })
+					if err != nil {
+						t.Fatal(err)
+					}
 					requireEquivalent(t, "kept", kept, "rebuilt", rebuilt)
 					steps := 0
 					for _, e := range kept.Epochs {
