@@ -150,9 +150,11 @@
 // not a mode an operator can pick: it survives as the differential
 // oracle of the internal test suites (core.Options.DeltaEval).
 //
-// The base itself persists across steps: a committed move is folded
-// into it in place (ModelEval.CommitDelta) and layout changes between
-// steps are index remaps (ModelEval.RemapBase), so steady-state
+// Every evaluation a run makes is of one list, an entry per path-set
+// entry with zero-flow placeholders, and the base persists across steps:
+// a committed move is folded into it in place (ModelEval.CommitDelta),
+// and when collection grows a path set the new placeholders are inserted
+// into it in place (ModelEval.RemapBase), so steady-state
 // optimization runs no per-step full evaluations at all — Solution.Base
 // counts captures vs remaps vs rebases, and Solution.Delta the
 // candidate-level counters (benchmark/'s flowmodel.* metrics time the

@@ -31,18 +31,22 @@
 //
 // # Incremental candidate evaluation
 //
-// With Options.DeltaEval left at DeltaAuto (the default), a run evaluates
-// the committed allocation in full once (flowmodel.Eval.EvaluateBase on the
-// optimizer's base arena), keeps that base current across steps (CommitDelta
-// on a commit, RemapBase on a layout change), and scores every candidate
-// against the shared read-only base: only the sub-problem the move actually
-// perturbs is re-filled, whatever share of the list that is. Scoring needs
-// one float per candidate, exact only if it can be selected, so it uses the
+// A run evaluates one list: one bundle per (aggregate, path-set entry),
+// zero-flow placeholders included, so a candidate is a two-entry flow
+// patch at fixed indices. With Options.DeltaEval left at DeltaAuto (the
+// default), a run evaluates the committed allocation in full once
+// (flowmodel.Eval.EvaluateBase on the optimizer's base arena), keeps that
+// base current across steps (CommitDelta on a commit, RemapBase when
+// collection grows a path set), and scores every candidate against the
+// shared read-only base: only the sub-problem the move actually perturbs is
+// re-filled, whatever share of the list that is. Scoring needs one float
+// per candidate, exact only if it can be selected, so it uses the
 // utility-only delta mode (EvaluateDeltaUtility — no Result finalization,
 // no fold for a certain loser), while the committed move always gets a full
 // result. Delta results are bit-identical to full evaluations of the same
-// list, so DeltaAuto and DeltaOff — the differential oracle — commit the
-// exact same move sequence at any worker count.
+// list, so DeltaAuto and DeltaOff — the differential oracle, a full
+// evaluation of the same patched list — commit the exact same move
+// sequence at any worker count.
 package core
 
 import (
@@ -310,15 +314,17 @@ type Solution struct {
 
 // BaseStats counts how the per-step delta base snapshots were produced.
 // Captures are full evaluations; every other row is base reuse that
-// eliminated one.
+// eliminated one. The base follows the run's one list, whose layout
+// changes only when collection appends a path to a set.
 type BaseStats struct {
 	// Captures counts fresh EvaluateBase runs (full evaluations).
 	Captures int `json:"captures"`
-	// Remaps counts bases carried to a new step's list layout by index
-	// translation alone.
+	// Remaps counts steps that found a path set grown since the base's
+	// layout and inserted the new entries' placeholders into it
+	// (RemapBase), with no evaluation.
 	Remaps int `json:"remaps"`
-	// Skips counts steps whose layout matched the live base exactly
-	// (escalation retries), needing no work at all.
+	// Skips counts steps whose list had the live base's layout — the
+	// common case — needing no work at all.
 	Skips int `json:"skips"`
 	// Rebases counts committed moves folded into the base in place;
 	// Recaptures counts commits whose delta fell back to a full
@@ -327,7 +333,7 @@ type BaseStats struct {
 	Recaptures int `json:"recaptures"`
 	// FinalFromBase counts final-allocation evaluations materialized
 	// from the live base (Eval.ResultFromBase) instead of a fresh full
-	// evaluation — 1 for a run that ended base-live, 0 otherwise.
+	// evaluation: 1 on every DeltaAuto run.
 	FinalFromBase int `json:"final_from_base"`
 }
 
@@ -342,51 +348,36 @@ type aggState struct {
 
 // Optimizer runs FUBAR on one topology + traffic matrix. Construct with
 // New; every Run restarts from scratch, and Rebind moves the optimizer —
-// generators, arenas, base pair and scratch — to the next instance.
+// generators, arenas, base and scratch — to the next instance.
 type Optimizer struct {
 	model *flowmodel.Model
 	gen   *pathgen.Generator
 	mat   *traffic.Matrix
 	opts  Options
 
-	aggs      []aggState
-	bundleBuf []flowmodel.Bundle
-	// segStart[i] is the offset of aggregate i's bundles within the list
-	// buildBundles last produced; full-evaluation trial moves patch one
-	// segment without rebuilding the rest.
-	segStart []int
-	// denseBuf is the trial-move engine's per-step committed list: one
-	// bundle per (aggregate, path-set entry) including zero-flow
-	// placeholders, so every candidate is a two-entry flow patch at a
-	// stable index and all candidates of a step share one list layout.
-	// denseSeg[i] is the offset of aggregate i's segment
-	// (denseSeg[len(aggs)] == len(denseBuf)); densePath[k] is entry k's
-	// path-set index within its aggregate (-1 for self-pairs), which is
-	// what lets a live base be remapped between step layouts.
-	denseBuf  []flowmodel.Bundle
-	denseSeg  []int
-	densePath []int
-	// baseEval owns the delta-base machinery; base is the captured
-	// snapshot the candidate deltas splice from, read-only while workers
-	// run, and altBase is the remap double-buffer. Under DeltaAuto the base
+	aggs []aggState
+	// denseBuf is the run's one bundle list: one bundle per (aggregate,
+	// path-set entry), zero-flow placeholders included, and one per
+	// self-pair. denseSeg[i] is the offset of aggregate i's segment
+	// (denseSeg[len(aggs)] == len(denseBuf)), so entry (i, p) sits at
+	// denseSeg[i]+p and every candidate is a two-entry flow patch at a
+	// stable index.
+	denseBuf []flowmodel.Bundle
+	denseSeg []int
+	// baseEval is the arena of the optimizer's own full evaluations and of
+	// its delta base; base is the captured snapshot the candidate deltas
+	// splice from, read-only while workers run. Under DeltaAuto the base
 	// captures the committed allocation from Run's initial evaluation to
-	// its last step, over the layout basePath/baseSeg describe: committed
-	// moves are folded in with CommitDelta and layout changes handled by
-	// RemapBase, so a step pays a full base evaluation only when RemapBase
-	// refuses.
+	// its last step, over the layout baseSeg describes: committed moves
+	// are folded in with CommitDelta and the paths collection appends are
+	// inserted with RemapBase, so a step pays a full base evaluation only
+	// when RemapBase refuses.
 	baseEval *flowmodel.Eval
 	base     *flowmodel.Base
-	altBase  *flowmodel.Base
-	basePath []int
 	baseSeg  []int
-	// oldIdxBuf is the remap-translation scratch; commitBuf holds the
-	// post-commit patched list handed to CommitDelta.
+	// oldIdxBuf is the remap-translation scratch.
 	oldIdxBuf []int
-	commitBuf []flowmodel.Bundle
 	baseStats BaseStats
-	// candAgg marks the aggregates of the current step's candidates while
-	// buildStepBundles runs (cleared after).
-	candAgg []bool
 
 	// denseGen counts buildStepBundles calls; workers compare it against
 	// their syncGen to decide whether their persistent trial buffer still
@@ -443,8 +434,9 @@ type Optimizer struct {
 
 	// probe, when set (RunCandidateBench), replaces the candidate scoring
 	// call so instrumentation can time/verify the evaluation strategies on
-	// the exact trial lists and base the optimizer produces; bound is the
-	// one the candidate would be scored against.
+	// the exact trial lists and base the optimizer produces (base is nil
+	// under DeltaOff); bound is the one the candidate would be scored
+	// against.
 	probe func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, bound float64) float64
 
 	// tm/tracer are the live-metrics handles built from
@@ -517,7 +509,7 @@ func New(model *flowmodel.Model, opts Options) (*Optimizer, error) {
 // replay, whose links failed or recovered and whose matrix moved — keeping
 // what New and the runs since built: the path generators with their memos
 // and trees (pathgen.Generator.Retarget), the worker and base arenas
-// (flowmodel.Eval.Rebind), the base pair and every scratch list. The next
+// (flowmodel.Eval.Rebind), the base and every scratch list. The next
 // Run starts from the new model exactly as a fresh optimizer's would: none
 // of what is kept carries a result across — a memo answer is its search's
 // answer, and a run rewrites its arenas and re-captures its base before it
@@ -600,15 +592,19 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	}
 	// Under DeltaAuto the initial evaluation doubles as the base capture:
 	// EvaluateBase returns exactly what Evaluate would (the capture is a
-	// copy-out, not different math), and the first step then carries it
-	// over by index remap instead of paying its own EvaluateBase — so a
-	// run's capture count is the initial evaluation itself, nothing more.
+	// copy-out, not different math), and every step then carries it over
+	// instead of paying its own EvaluateBase — so a run's capture count is
+	// the initial evaluation itself, nothing more. The base arena and the
+	// base are built by the first run, and then live as long as the
+	// optimizer: every run's first evaluation overwrites what the last left.
+	if o.baseEval == nil {
+		o.baseEval, o.base = o.model.NewEval(), &flowmodel.Base{}
+	}
 	var res *flowmodel.Result
 	if o.opts.DeltaEval == DeltaAuto {
-		o.ensureBase()
-		res = o.captureBase(o.buildStepBundles(nil))
+		res = o.captureBase(o.buildStepBundles())
 	} else {
-		res = o.evaluate()
+		res = o.baseEval.Evaluate(o.buildStepBundles())
 	}
 	initial := res.NetworkUtility
 	steps, escal := 0, 0
@@ -617,10 +613,10 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	o.trace(Snapshot{Step: 0, Elapsed: time.Since(start), Result: res})
 
 	// Snapshot what the pass loop needs by value: trial evaluations run
-	// on private worker arenas and leave res alone, but the evaluate()
-	// and rebase results here live on arenas the next step reuses, so
-	// res's contents are only meaningful immediately after they are
-	// produced. links is freshly allocated by
+	// on private worker arenas and leave res alone, but res lives on the
+	// base arena, which the next commit reuses, so its contents are only
+	// meaningful immediately after they are produced. links is freshly
+	// allocated by
 	// CongestedByOversubscription, so it cannot alias arena storage, and
 	// its sorted order is what alternativesFor's most-congested pick
 	// relies on.
@@ -685,7 +681,6 @@ loop:
 		// the same bits and lose again: the escalated pass collects only the
 		// bundles whose n grew (crossingPaths). The proof needs prevFraction
 		// zeroed at every commit. DESIGN.md "What a failed step proves".
-		progress := false
 		var committed *flowmodel.Result
 		pass := o.mark()
 		if escLevel == 0 {
@@ -701,26 +696,19 @@ loop:
 			if stop = ctxStop(); stop != 0 {
 				break loop
 			}
-			if ok, cres := o.step(link, uCur, links, fraction); ok {
-				progress, committed = true, cres
+			if committed = o.step(link, uCur, links, fraction); committed != nil {
 				break
 			}
 			o.refutedStamp[link] = o.passEpoch
 			o.refutedAny = true
 		}
-		if progress {
+		if committed != nil {
 			steps++
 			committedAt := escLevel
 			fraction = moveFraction // de-escalate on progress
 			escLevel = 0
 			o.prevFraction = 0 // the allocation moved: nothing is refuted
-			if committed != nil {
-				// The commit was folded into the persistent base; its
-				// delta result is the committed allocation's evaluation.
-				res = committed
-			} else {
-				res = o.evaluate()
-			}
+			res = committed
 			uCur = res.NetworkUtility
 			links = o.model.CongestedByOversubscription(res)
 			o.trace(Snapshot{Step: steps, Elapsed: time.Since(start), Escalation: committedAt, Result: res})
@@ -771,9 +759,10 @@ loop:
 		}
 	}
 
-	final := o.finalResult()
+	final, seg := o.finalResult()
+	bundles := o.compact(final, seg)
 	sol := &Solution{
-		Bundles:        o.snapshotBundles(),
+		Bundles:        bundles,
 		Result:         final.Clone(),
 		Utility:        final.NetworkUtility,
 		InitialUtility: initial,
@@ -903,66 +892,18 @@ func (o *Optimizer) applyWarmStart(bundles []flowmodel.Bundle) error {
 	return nil
 }
 
-// buildBundles assembles the model input from the current allocation —
-// one bundle per (aggregate, path) with positive flows — recording each
-// aggregate's segment offsets in o.segStart (segStart[len(aggs)] ==
-// len(list)) so full-evaluation trial moves can patch a single
-// aggregate's segment without rebuilding the rest.
-func (o *Optimizer) buildBundles() []flowmodel.Bundle {
-	o.bundleBuf = o.bundleBuf[:0]
-	if cap(o.segStart) < len(o.aggs)+1 {
-		o.segStart = make([]int, len(o.aggs)+1)
-	}
-	o.segStart = o.segStart[:len(o.aggs)+1]
-	for i := range o.aggs {
-		o.segStart[i] = len(o.bundleBuf)
-		st := &o.aggs[i]
-		if st.self {
-			o.bundleBuf = append(o.bundleBuf, flowmodel.Bundle{
-				Agg: traffic.AggregateID(i), Flows: st.total,
-			})
-			continue
-		}
-		for pi, f := range st.flows {
-			if f <= 0 {
-				continue
-			}
-			o.bundleBuf = append(o.bundleBuf, flowmodel.Bundle{
-				Agg:   traffic.AggregateID(i),
-				Flows: f,
-				Edges: st.set.Path(pi).Edges,
-				Delay: st.delays[pi],
-			})
-		}
-	}
-	o.segStart[len(o.aggs)] = len(o.bundleBuf)
-	return o.bundleBuf
-}
-
-// buildStepBundles assembles the trial-move engine's committed list for
-// one step, recording each aggregate's segment offset in o.denseSeg.
-// Aggregates that appear in the step's candidates are emitted densely —
-// one bundle per path-set entry, zero-flow paths included — so a
-// candidate move patches the Flows of two entries at fixed indices
-// instead of reshaping the list, which is what lets the delta evaluator
-// map candidate bundles onto base bundles one-to-one. Every other
-// aggregate contributes only its positive bundles, keeping the list (and
-// thus every evaluation over it) near the sparse committed size.
-// Zero-flow placeholders are inert in the traffic model (no weight, no
-// demand, no link contributions), so the list evaluates to exactly the
-// same utility as buildBundles'. With no candidates it is the positive
-// list itself — content-identical to buildBundles' — in the dense scratch,
-// the placeholder-free layout that seeds or receives a base remap.
-func (o *Optimizer) buildStepBundles(cands []candidate) []flowmodel.Bundle {
-	if cap(o.candAgg) < len(o.aggs) {
-		o.candAgg = make([]bool, len(o.aggs))
-	}
-	o.candAgg = o.candAgg[:len(o.aggs)]
-	for i := range cands {
-		o.candAgg[cands[i].agg] = true
-	}
+// buildStepBundles assembles the run's one list from the current
+// allocation — one bundle per (aggregate, path-set entry), zero-flow
+// entries included, and one per self-pair — recording each aggregate's
+// segment offset in o.denseSeg, so entry (a, p) sits at denseSeg[a]+p. A
+// candidate move then patches the Flows of two entries at fixed indices
+// instead of reshaping the list, which is what lets the delta evaluator map
+// candidate bundles onto base bundles one-to-one. Zero-flow placeholders
+// are inert in the traffic model (no weight, no demand, no link
+// contributions) and every sum runs in index order, so the list evaluates
+// to exactly what its positive entries alone would.
+func (o *Optimizer) buildStepBundles() []flowmodel.Bundle {
 	o.denseBuf = o.denseBuf[:0]
-	o.densePath = o.densePath[:0]
 	if cap(o.denseSeg) < len(o.aggs)+1 {
 		o.denseSeg = make([]int, len(o.aggs)+1)
 	}
@@ -974,65 +915,77 @@ func (o *Optimizer) buildStepBundles(cands []candidate) []flowmodel.Bundle {
 			o.denseBuf = append(o.denseBuf, flowmodel.Bundle{
 				Agg: traffic.AggregateID(i), Flows: st.total,
 			})
-			o.densePath = append(o.densePath, -1)
 			continue
 		}
-		for pi := range st.flows {
-			if st.flows[pi] <= 0 && !o.candAgg[i] {
-				continue
-			}
+		for pi, f := range st.flows {
 			o.denseBuf = append(o.denseBuf, flowmodel.Bundle{
 				Agg:   traffic.AggregateID(i),
-				Flows: st.flows[pi],
+				Flows: f,
 				Edges: st.set.Path(pi).Edges,
 				Delay: st.delays[pi],
 			})
-			o.densePath = append(o.densePath, pi)
 		}
 	}
 	o.denseSeg[len(o.aggs)] = len(o.denseBuf)
-	for i := range cands {
-		o.candAgg[cands[i].agg] = false
-	}
 	// A new dense list invalidates every worker's synced trial buffer.
 	o.denseGen++
 	return o.denseBuf
 }
 
-func (o *Optimizer) evaluate() *flowmodel.Result {
-	return o.model.Evaluate(o.buildBundles())
-}
-
-// finalResult produces the final allocation's evaluation. Under DeltaAuto
-// the positive list is a monotonic sub-layout of the base's (every
-// positive entry is captured; entries dropped relative to the base are
-// inert zero-flow placeholders), so the capture remaps onto it and the
-// Result materializes from the base with no water-filling at all.
-// Otherwise — DeltaOff, or the remap refused — the full evaluation runs.
-// Both paths are bit-identical by the CommitDelta/RemapBase contract.
-func (o *Optimizer) finalResult() *flowmodel.Result {
+// finalResult evaluates the final allocation and returns the segment
+// offsets of the list it is laid out over. Under DeltaAuto that is the
+// base's own layout: the base captures the committed allocation — with the
+// placeholders of any path appended after the last commit — so the Result
+// materializes from it with no water-filling at all. Under DeltaOff it is
+// a full evaluation of the dense list on the base arena. Both are
+// bit-identical by the CommitDelta/RemapBase contract.
+func (o *Optimizer) finalResult() (*flowmodel.Result, []int) {
 	if o.opts.DeltaEval == DeltaAuto {
-		dense := o.buildStepBundles(nil)
-		if o.baseLayoutCurrent() || o.remapBase(dense) {
-			o.baseStats.FinalFromBase++
-			return o.baseEval.ResultFromBase(o.base)
-		}
+		o.baseStats.FinalFromBase++
+		return o.baseEval.ResultFromBase(o.base), o.baseSeg
 	}
-	return o.evaluate()
+	return o.baseEval.Evaluate(o.buildStepBundles()), o.denseSeg
 }
 
-// snapshotBundles deep-copies the current allocation.
-func (o *Optimizer) snapshotBundles() []flowmodel.Bundle {
-	src := o.buildBundles()
-	out := make([]flowmodel.Bundle, len(src))
-	for i, b := range src {
-		out[i] = flowmodel.Bundle{
-			Agg:   b.Agg,
-			Flows: b.Flows,
-			Edges: append([]graph.EdgeID(nil), b.Edges...),
-			Delay: b.Delay,
+// compact deep-copies the final allocation — its positive entries and its
+// self-pairs, in list order, at exact capacity — and moves res's per-bundle
+// rates and satisfaction, laid out by seg, onto the same indices, so res
+// is the evaluation of the returned list: placeholders are inert, and
+// dropping them changes no other field.
+func (o *Optimizer) compact(res *flowmodel.Result, seg []int) []flowmodel.Bundle {
+	n := 0
+	for i := range o.aggs {
+		if o.aggs[i].self {
+			n++
+		}
+		for _, f := range o.aggs[i].flows {
+			if f > 0 {
+				n++
+			}
 		}
 	}
+	out := make([]flowmodel.Bundle, 0, n)
+	keep := func(j int, b flowmodel.Bundle) {
+		res.BundleRate[len(out)], res.BundleSatisfied[len(out)] = res.BundleRate[j], res.BundleSatisfied[j]
+		out = append(out, b)
+	}
+	for i := range o.aggs {
+		st := &o.aggs[i]
+		if st.self {
+			keep(seg[i], flowmodel.Bundle{Agg: traffic.AggregateID(i), Flows: st.total})
+		}
+		for pi, f := range st.flows {
+			if f > 0 {
+				keep(seg[i]+pi, flowmodel.Bundle{
+					Agg:   traffic.AggregateID(i),
+					Flows: f,
+					Edges: slices.Clone(st.set.Path(pi).Edges),
+					Delay: st.delays[pi],
+				})
+			}
+		}
+	}
+	res.BundleRate, res.BundleSatisfied = res.BundleRate[:n], res.BundleSatisfied[:n]
 	return out
 }
 
@@ -1064,19 +1017,20 @@ type candidate struct {
 // the worker pool, and commit the best improving move. uInit and
 // congested describe the committed allocation — congested sorted by
 // decreasing oversubscription (alternativesFor's most-congested pick
-// depends on that order) and not aliasing storage a later evaluate() on
-// the model's default arena overwrites. Returns whether progress was
-// made.
+// depends on that order) and not aliasing base-arena storage the commit
+// overwrites. Returns the committed allocation's evaluation (on the base
+// arena, valid until its next use), or nil when no move improved utility.
 //
-// Under DeltaAuto the persistent base is carried onto the step's dense
-// list and every candidate is an incremental delta against that shared
-// snapshot; under DeltaOff each candidate is a full evaluation of the
-// same patched list. Both produce bit-identical candidate utilities.
+// Both modes score the same list, the dense one every candidate patches at
+// two entries. Under DeltaAuto the persistent base is carried onto it and
+// every candidate is an incremental delta against that shared snapshot;
+// under DeltaOff each candidate is a full evaluation of the patched list.
+// Both produce bit-identical candidate utilities.
 //
 // Selection replays the candidates in collection order with the same
 // improve-by-minGain rule the serial mutate-evaluate-revert loop used, so
 // any worker count commits the identical move.
-func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.EdgeID, fraction float64) (bool, *flowmodel.Result) {
+func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.EdgeID, fraction float64) *flowmodel.Result {
 	cands, byLink, byLevel := o.collectCandidates(link, congested, fraction)
 	o.candidates += len(cands)
 	o.refutedLink += byLink
@@ -1087,25 +1041,15 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		o.tm.RefutedByLevel.Add(int64(byLevel))
 	}
 	if len(cands) == 0 {
-		return false, nil
+		return nil
 	}
-	delta := o.opts.DeltaEval == DeltaAuto
-	if delta {
-		// Incremental: carry the base onto the step's semi-dense list (so
-		// every candidate is a two-index patch of it) and delta-evaluate
-		// each candidate against that shared snapshot. Scoring only needs
-		// the utility; the committed move's full result comes from rebase,
-		// never from scoring.
-		dense := o.buildStepBundles(cands)
+	dense := o.buildStepBundles()
+	var base *flowmodel.Base
+	if o.opts.DeltaEval == DeltaAuto {
 		o.prepareBase(dense)
-		o.evaluateCandidates(cands, dense, o.base, uInit)
-	} else {
-		// Full evaluations: per-candidate positive lists, patched one
-		// aggregate segment at a time. Zero-flow placeholders are
-		// float-inert and only reindex the list monotonically, so both
-		// strategies produce bit-identical candidate utilities.
-		o.evaluateCandidates(cands, o.buildBundles(), nil, uInit)
+		base = o.base
 	}
+	o.evaluateCandidates(cands, dense, base, uInit)
 
 	if o.afterScoring != nil {
 		o.afterScoring(cands, uInit+minGain)
@@ -1119,26 +1063,32 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		}
 	}
 	if bestIdx < 0 {
-		return false, nil
+		return nil
 	}
-	o.commit(cands[bestIdx])
-	if delta {
-		// Fold the committed move into the base and hand the committed
-		// allocation's evaluation to the pass loop — no post-commit full
-		// evaluation, no next-step recapture.
-		return true, o.rebase(cands[bestIdx])
+	changed := o.commit(cands[bestIdx])
+	if base == nil {
+		return o.baseEval.Evaluate(o.denseBuf)
 	}
-	return true, nil
+	// Fold the committed move into the base, whose delta result is the
+	// committed allocation's evaluation: no post-commit full evaluation,
+	// no next-step recapture.
+	res, patched := o.baseEval.CommitDelta(o.base, o.denseBuf, changed[:])
+	if patched {
+		o.baseStats.Rebases++
+	} else {
+		o.baseStats.Recaptures++
+	}
+	return res
 }
 
 // prepareBase carries o.base, which captures the committed allocation,
-// onto the dense list just built by buildStepBundles: untouched when the
-// layout is identical (escalation retries), index-remapped when only the
-// placeholder population changed, and only failing that re-captured by a
-// full EvaluateBase.
+// onto the dense list just built by buildStepBundles: untouched when no
+// path set grew since its layout was recorded, given the new entries'
+// placeholders when one did, and only failing that re-captured by a full
+// EvaluateBase.
 func (o *Optimizer) prepareBase(dense []flowmodel.Bundle) {
 	switch {
-	case o.baseLayoutCurrent():
+	case slices.Equal(o.baseSeg, o.denseSeg):
 		o.baseStats.Skips++
 	case o.remapBase(dense):
 		o.baseStats.Remaps++
@@ -1152,87 +1102,31 @@ func (o *Optimizer) prepareBase(dense []flowmodel.Bundle) {
 func (o *Optimizer) captureBase(dense []flowmodel.Bundle) *flowmodel.Result {
 	res := o.baseEval.EvaluateBase(dense, o.base)
 	o.baseStats.Captures++
-	o.saveBaseLayout()
+	o.baseSeg = append(o.baseSeg[:0], o.denseSeg...)
 	return res
 }
 
-// baseLayoutCurrent reports whether the base already captures the layout
-// buildStepBundles last produced.
-func (o *Optimizer) baseLayoutCurrent() bool {
-	return slices.Equal(o.basePath, o.densePath) && slices.Equal(o.baseSeg, o.denseSeg)
-}
-
-// ensureBase lazily constructs the delta-base machinery: the base arena and
-// the remap double-buffer pair, which then live as long as the optimizer —
-// every run's first capture overwrites whatever the last one left.
-func (o *Optimizer) ensureBase() {
-	if o.baseEval == nil {
-		o.baseEval = o.model.NewEval()
-		o.base, o.altBase = &flowmodel.Base{}, &flowmodel.Base{}
-	}
-}
-
-// remapBase translates the base onto the current dense layout and records
-// it as the base's. The mapping is derived per aggregate by merging the old
-// and new segments on path-set index (both are ascending subsets of the
-// same path set); entries present on one side only must be inert
-// placeholders, which RemapBase verifies.
+// remapBase inserts into the base the placeholders of the paths collection
+// appended since its layout was recorded, and records the dense layout as
+// its own. Path sets only grow, so aggregate a's old entry p is new entry
+// p, and every entry beyond its old segment is a new placeholder.
 func (o *Optimizer) remapBase(dense []flowmodel.Bundle) bool {
-	if cap(o.oldIdxBuf) < len(dense) {
-		o.oldIdxBuf = make([]int, len(dense))
-	}
+	o.oldIdxBuf = slices.Grow(o.oldIdxBuf[:0], len(dense))
 	oldIdx := o.oldIdxBuf[:len(dense)]
-	for i := range o.aggs {
-		oi, oEnd := o.baseSeg[i], o.baseSeg[i+1]
-		for ni := o.denseSeg[i]; ni < o.denseSeg[i+1]; ni++ {
-			for oi < oEnd && o.basePath[oi] < o.densePath[ni] {
-				oi++ // dropped old entry; RemapBase verifies it was inert
-			}
-			if oi < oEnd && o.basePath[oi] == o.densePath[ni] {
-				oldIdx[ni] = oi
-				oi++
-			} else {
-				oldIdx[ni] = -1
+	for a := range o.aggs {
+		n := o.baseSeg[a+1] - o.baseSeg[a]
+		for p, j := 0, o.denseSeg[a]; j < o.denseSeg[a+1]; p, j = p+1, j+1 {
+			oldIdx[j] = -1
+			if p < n {
+				oldIdx[j] = o.baseSeg[a] + p
 			}
 		}
 	}
-	if !o.baseEval.RemapBase(o.base, o.altBase, dense, oldIdx) {
+	if !o.baseEval.RemapBase(o.base, dense, oldIdx) {
 		return false
 	}
-	o.base, o.altBase = o.altBase, o.base
-	o.saveBaseLayout()
-	return true
-}
-
-// saveBaseLayout records the dense layout the base captures.
-func (o *Optimizer) saveBaseLayout() {
-	o.basePath = append(o.basePath[:0], o.densePath...)
 	o.baseSeg = append(o.baseSeg[:0], o.denseSeg...)
-}
-
-// rebase folds the just-committed candidate into the base: the
-// committed allocation is the step's dense list with the move's two-entry
-// flow patch, so one incremental evaluation both produces the committed
-// result (returned, on the base arena — valid until the arena's next
-// use) and patches the base to capture it.
-func (o *Optimizer) rebase(c candidate) *flowmodel.Result {
-	buf := append(o.commitBuf[:0], o.denseBuf...)
-	iFrom := o.denseSeg[c.agg] + c.from
-	iTo := o.denseSeg[c.agg] + c.to
-	buf[iFrom].Flows -= c.n
-	buf[iTo].Flows += c.n
-	o.commitBuf = buf
-	if iFrom > iTo {
-		iFrom, iTo = iTo, iFrom
-	}
-	changed := [2]int{iFrom, iTo}
-	res, patched := o.baseEval.CommitDelta(o.base, buf, changed[:])
-	if patched {
-		o.baseStats.Rebases++
-	} else {
-		o.baseStats.Recaptures++
-	}
-	return res
+	return true
 }
 
 // collectChunk is the sharded collection's work granule: contiguous runs
@@ -1392,16 +1286,15 @@ func (o *Optimizer) growCollectors(n int) {
 }
 
 // evaluateCandidates fills each candidate's utility, fanning the work out
-// over up to Options.Workers goroutines. committed is the step's
-// committed bundle list — the semi-dense one (o.denseSeg offsets) when
-// base carries its captured evaluation for the delta path, the positive
-// one (o.segStart offsets) when base is nil and every candidate runs a
-// full evaluation. Workers only read committed, base and the aggregate
-// states. A score is exact only above its bound (EvaluateDeltaUtility), so
-// no bound may exceed step's selection threshold at its candidate:
-// serially it is that threshold, bestU + minGain; in parallel the first
-// one, uInit + minGain. minGain is compared nowhere but in that loop.
-func (o *Optimizer) evaluateCandidates(cands []candidate, committed []flowmodel.Bundle, base *flowmodel.Base, uInit float64) {
+// over up to Options.Workers goroutines. dense is the step's committed list
+// (o.denseSeg offsets); base carries its captured evaluation for the delta
+// path, and is nil when every candidate runs a full evaluation. Workers only
+// read dense, base and the aggregate states. A score is exact only above
+// its bound (EvaluateDeltaUtility), so no bound may exceed step's selection
+// threshold at its candidate: serially it is that threshold, bestU +
+// minGain; in parallel the first one, uInit + minGain. minGain is compared
+// nowhere but in that loop.
+func (o *Optimizer) evaluateCandidates(cands []candidate, dense []flowmodel.Bundle, base *flowmodel.Base, uInit float64) {
 	if o.tm != nil {
 		o.tm.CandidatesEvaluated.Add(int64(len(cands)))
 	}
@@ -1414,7 +1307,7 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, committed []flowmodel.
 		w := o.workers[0]
 		bestU := uInit
 		for i := range cands {
-			cands[i].utility = o.evalCandidate(w, &cands[i], committed, base, bestU+minGain)
+			cands[i].utility = o.evalCandidate(w, &cands[i], dense, base, bestU+minGain)
 			if cands[i].utility > bestU+minGain {
 				bestU = cands[i].utility
 			}
@@ -1433,34 +1326,30 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, committed []flowmodel.
 				if i >= len(cands) {
 					return
 				}
-				cands[i].utility = o.evalCandidate(w, &cands[i], committed, base, uInit+minGain)
+				cands[i].utility = o.evalCandidate(w, &cands[i], dense, base, uInit+minGain)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// evalCandidate evaluates one trial move on the worker's private arena.
-// With a base snapshot the trial list is the worker's persistent copy of
-// the semi-dense committed list with the (from, to, n) flow patch at two
-// fixed indices — the delta's changed set — and the evaluation is
-// incremental (utility-only: scoring needs one float, not a finalized
-// Result, and needs it exact only above bound). The patch is reverted
-// after the evaluation, so the buffer mirrors the committed list again
-// for the worker's next candidate. Without a base the trial list is the
-// positive committed list with the moving aggregate's segment rebuilt
-// under the patch, run through a full water-filling, and the score is
-// exact. Either way a score above bound is bit-identical: placeholders
-// are float-inert and only reindex the active bundles monotonically.
-func (o *Optimizer) evalCandidate(w *worker, c *candidate, committed []flowmodel.Bundle, base *flowmodel.Base, bound float64) float64 {
-	if base == nil {
-		return w.eval.Evaluate(o.patchCandidateSparse(w, c, committed)).NetworkUtility
-	}
-	buf := o.patchCandidate(w, c, committed)
+// evalCandidate scores one trial move on the worker's private arena. The
+// trial list is the worker's persistent copy of the dense list with the
+// (from, to, n) flow patch at two fixed indices — the delta's changed set.
+// With a base the evaluation is incremental and utility-only (scoring needs
+// one float, not a finalized Result, and needs it exact only above bound);
+// without one (DeltaOff) it is a full water-filling, exact at any bound.
+// The patch is reverted after the evaluation, so the buffer mirrors the
+// dense list again for the worker's next candidate.
+func (o *Optimizer) evalCandidate(w *worker, c *candidate, dense []flowmodel.Bundle, base *flowmodel.Base, bound float64) float64 {
+	buf := o.patchCandidate(w, c, dense)
 	var u float64
-	if o.probe != nil {
+	switch {
+	case o.probe != nil:
 		u = o.probe(w, buf, w.changed[:], base, bound)
-	} else {
+	case base == nil:
+		u = w.eval.Evaluate(buf).NetworkUtility
+	default:
 		u, _ = w.eval.EvaluateDeltaUtility(base, buf, w.changed[:], bound)
 	}
 	o.revertCandidate(w, c)
@@ -1468,8 +1357,8 @@ func (o *Optimizer) evalCandidate(w *worker, c *candidate, committed []flowmodel
 }
 
 // patchCandidate assembles the candidate's trial list in the worker's
-// buffer — the semi-dense committed list with the (from, to, n) flow
-// patch — and records the two patched indices in w.changed (ascending).
+// buffer — the dense committed list with the (from, to, n) flow patch —
+// and records the two patched indices in w.changed (ascending).
 // The buffer persists across candidates: it is copied from the dense
 // list only when stale for this step (first candidate after a
 // buildStepBundles); otherwise the patch writes exactly two entries of a
@@ -1501,36 +1390,6 @@ func (o *Optimizer) patchCandidate(w *worker, c *candidate, dense []flowmodel.Bu
 func (o *Optimizer) revertCandidate(w *worker, c *candidate) {
 	w.buf[o.denseSeg[c.agg]+c.from].Flows += c.n
 	w.buf[o.denseSeg[c.agg]+c.to].Flows -= c.n
-}
-
-// patchCandidateSparse assembles the candidate's trial list for a full
-// evaluation: the positive committed list with the moving aggregate's
-// segment rebuilt under the (from, to, n) patch — the same list the
-// serial mutate-evaluate-revert loop used to obtain by mutating state
-// and rebuilding everything.
-func (o *Optimizer) patchCandidateSparse(w *worker, c *candidate, committed []flowmodel.Bundle) []flowmodel.Bundle {
-	st := &o.aggs[c.agg]
-	segA, segB := o.segStart[c.agg], o.segStart[c.agg+1]
-	buf := append(w.buf[:0], committed[:segA]...)
-	for pi, f := range st.flows {
-		if pi == c.from {
-			f -= c.n
-		} else if pi == c.to {
-			f += c.n
-		}
-		if f <= 0 {
-			continue
-		}
-		buf = append(buf, flowmodel.Bundle{
-			Agg:   traffic.AggregateID(c.agg),
-			Flows: f,
-			Edges: st.set.Path(pi).Edges,
-			Delay: st.delays[pi],
-		})
-	}
-	buf = append(buf, committed[segB:]...)
-	w.buf = buf
-	return buf
 }
 
 // growWorkers ensures at least n evaluator workers exist.
@@ -1677,12 +1536,18 @@ func moveSize(aggFlows, bundleFlows int, fraction float64) int {
 	return n
 }
 
-// commit permanently applies a candidate move. Its target path joined the
-// aggregate's path set during collection.
-func (o *Optimizer) commit(c candidate) {
+// commit permanently applies a candidate move, to the aggregate's flow
+// split and to the dense list's two entries, so the list stays the
+// committed allocation's. Its target path joined the aggregate's path set
+// during collection. Returns the two patched indices, ascending.
+func (o *Optimizer) commit(c candidate) [2]int {
 	st := &o.aggs[c.agg]
 	st.flows[c.from] -= c.n
 	st.flows[c.to] += c.n
+	iFrom, iTo := o.denseSeg[c.agg]+c.from, o.denseSeg[c.agg]+c.to
+	o.denseBuf[iFrom].Flows -= c.n
+	o.denseBuf[iTo].Flows += c.n
+	return [2]int{min(iFrom, iTo), max(iFrom, iTo)}
 }
 
 func (o *Optimizer) trace(s Snapshot) {

@@ -39,7 +39,8 @@ func benchOptimizer(b *testing.B, workers int) (*Optimizer, float64, []graph.Edg
 	if err := o.initAllocation(); err != nil {
 		b.Fatal(err)
 	}
-	res := o.evaluate()
+	o.baseEval, o.base = o.model.NewEval(), &flowmodel.Base{}
+	res := o.baseEval.Evaluate(o.buildStepBundles())
 	if len(res.Congested) == 0 {
 		b.Fatal("bench instance is not congested")
 	}
@@ -61,8 +62,7 @@ func BenchmarkStepCandidates(b *testing.B) {
 				o.opts.DeltaEval = delta
 				if delta == DeltaAuto {
 					// Run's initial evaluation is the base capture.
-					o.ensureBase()
-					o.captureBase(o.buildStepBundles(nil))
+					o.captureBase(o.buildStepBundles())
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -71,16 +71,15 @@ func BenchmarkStepCandidates(b *testing.B) {
 					if len(cands) == 0 {
 						b.Fatal("no candidates collected")
 					}
-					// Mirror step(): the delta path patches the semi-dense
-					// list against the carried-over base, the full path
-					// patches per-candidate positive lists.
+					// Mirror step(): both paths patch the dense list, the
+					// delta one against the carried-over base.
+					dense := o.buildStepBundles()
+					var base *flowmodel.Base
 					if delta == DeltaAuto {
-						dense := o.buildStepBundles(cands)
 						o.prepareBase(dense)
-						o.evaluateCandidates(cands, dense, o.base, u)
-					} else {
-						o.evaluateCandidates(cands, o.buildBundles(), nil, u)
+						base = o.base
 					}
+					o.evaluateCandidates(cands, dense, base, u)
 					// Selection without commit keeps every iteration identical.
 					best := u
 					for j := range cands {

@@ -84,7 +84,7 @@ func (e rebindEpoch) model(t *testing.T) *flowmodel.Model {
 // TestRebindMatchesFreshOptimizer: one optimizer re-bound from epoch to
 // epoch repairs, runs and reports exactly as an optimizer built for each
 // epoch alone — bundles, utility, steps, and the Delta and Base counters
-// that say how it got there — whatever its arenas, marks, base pair and
+// that say how it got there — whatever its arenas, marks, base and
 // path memo held before. (A delta scratch sized once per arena used to
 // index past its aggregate marks on the arrivals epoch, and a generator
 // that searched "set 0" for its lowest-delay paths would have kept using

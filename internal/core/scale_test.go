@@ -93,59 +93,74 @@ func TestScaleWorkerDeterminism(t *testing.T) {
 // contract: every candidate's trial buffer equals the step's committed
 // dense layout except at exactly the candidate's two patched indices,
 // with the aggregate's total flow count preserved. Any failed revert
-// leaves a stale entry that the next candidate's comparison catches.
+// leaves a stale entry that the next candidate's comparison catches. Both
+// DeltaEval modes patch and revert the same buffer; DeltaOff hands the
+// probe no base.
 func TestPatchRevertInvariant(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		topo, mat := congestedInstance(t, 5)
-		model, err := flowmodel.New(topo, mat)
-		if err != nil {
-			t.Fatal(err)
+	for _, mode := range []DeltaMode{DeltaAuto, DeltaOff} {
+		for _, workers := range []int{1, 4} {
+			testPatchRevert(t, mode, workers)
 		}
-		o, err := New(model, Options{Workers: workers, MaxSteps: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var candidates atomic.Int64
-		var failures atomic.Int64
-		o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, bound float64) float64 {
-			candidates.Add(1)
-			fail := func(format string, args ...any) {
-				if failures.Add(1) <= 5 { // cap the error spam
-					t.Errorf("workers=%d candidate %d: %s", workers, candidates.Load(), fmt.Sprintf(format, args...))
-				}
+	}
+}
+
+func testPatchRevert(t *testing.T, mode DeltaMode, workers int) {
+	topo, mat := congestedInstance(t, 5)
+	model, err := flowmodel.New(topo, mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := New(model, Options{Workers: workers, MaxSteps: 20, DeltaEval: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := fmt.Sprintf("delta=%s workers=%d", mode, workers)
+	var candidates atomic.Int64
+	var failures atomic.Int64
+	o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, bound float64) float64 {
+		candidates.Add(1)
+		fail := func(format string, args ...any) {
+			if failures.Add(1) <= 5 { // cap the error spam
+				t.Errorf("%s candidate %d: %s", tag, candidates.Load(), fmt.Sprintf(format, args...))
 			}
-			if len(buf) != len(o.denseBuf) {
-				fail("trial buffer length %d != dense layout %d", len(buf), len(o.denseBuf))
-				return 0
-			}
-			if len(changed) != 2 || changed[0] >= changed[1] {
-				fail("changed indices %v, want two ascending", changed)
-			}
-			for i := range buf {
-				if i == changed[0] || i == changed[1] {
-					continue
-				}
-				if !reflect.DeepEqual(buf[i], o.denseBuf[i]) {
-					fail("entry %d differs from committed layout outside the patch (stale revert?)", i)
-				}
-			}
-			patched := buf[changed[0]].Flows + buf[changed[1]].Flows
-			committed := o.denseBuf[changed[0]].Flows + o.denseBuf[changed[1]].Flows
-			if patched != committed {
-				fail("patch does not conserve flows: %d vs %d", patched, committed)
-			}
-			u, _ := w.eval.EvaluateDeltaUtility(base, buf, changed, bound)
-			return u
 		}
-		sol, err := o.Run(t.Context())
-		if err != nil {
-			t.Fatal(err)
+		if (base == nil) != (mode == DeltaOff) {
+			fail("probe got base %p under DeltaEval %s", base, mode)
 		}
-		if sol.Steps == 0 {
-			t.Fatalf("workers=%d: run committed no moves", workers)
+		if len(buf) != len(o.denseBuf) {
+			fail("trial buffer length %d != dense layout %d", len(buf), len(o.denseBuf))
+			return 0
 		}
-		if candidates.Load() < 100 {
-			t.Fatalf("workers=%d: probe saw only %d candidates", workers, candidates.Load())
+		if len(changed) != 2 || changed[0] >= changed[1] {
+			fail("changed indices %v, want two ascending", changed)
 		}
+		for i := range buf {
+			if i == changed[0] || i == changed[1] {
+				continue
+			}
+			if !reflect.DeepEqual(buf[i], o.denseBuf[i]) {
+				fail("entry %d differs from committed layout outside the patch (stale revert?)", i)
+			}
+		}
+		patched := buf[changed[0]].Flows + buf[changed[1]].Flows
+		committed := o.denseBuf[changed[0]].Flows + o.denseBuf[changed[1]].Flows
+		if patched != committed {
+			fail("patch does not conserve flows: %d vs %d", patched, committed)
+		}
+		if base == nil {
+			return w.eval.Evaluate(buf).NetworkUtility
+		}
+		u, _ := w.eval.EvaluateDeltaUtility(base, buf, changed, bound)
+		return u
+	}
+	sol, err := o.Run(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Steps == 0 {
+		t.Fatalf("%s: run committed no moves", tag)
+	}
+	if candidates.Load() < 100 {
+		t.Fatalf("%s: probe saw only %d candidates", tag, candidates.Load())
 	}
 }

@@ -71,42 +71,45 @@ func requireBase(t *testing.T, tag string, m *Model, got *Base, list []Bundle) {
 	same("netUtility", got.netUtility == want.netUtility)
 }
 
-// relayout re-lays a bundle list the way consecutive optimizer steps do:
-// inert zero-flow placeholders leave and fresh ones arrive, every active
-// bundle keeps its relative order. Returns the new list and, per new
-// entry, the old index it came from (-1: fresh) — RemapBase's input.
-func relayout(rng *rand.Rand, old []Bundle) ([]Bundle, []int) {
+// growSets inserts placeholders the way an optimizer's list grows when
+// collection appends a path to a set: inert zero-flow entries at the end
+// of some aggregates' segments, every existing entry kept in order.
+// Returns the new list and, per new entry, the old index it came from (-1:
+// fresh) — RemapBase's input.
+func growSets(rng *rand.Rand, old []Bundle) ([]Bundle, []int) {
 	var list []Bundle
 	var oldIdx []int
 	for i, b := range old {
-		if len(b.Edges) > 0 && rng.Intn(6) == 0 {
+		list = append(list, b)
+		oldIdx = append(oldIdx, i)
+		if len(b.Edges) == 0 || (i+1 < len(old) && old[i+1].Agg == b.Agg) {
+			continue // not the end of a routed aggregate's segment
+		}
+		for n := rng.Intn(6) - 3; n > 0; n-- {
 			ph := b
 			ph.Flows = 0
 			list = append(list, ph)
 			oldIdx = append(oldIdx, -1)
 		}
-		if b.Flows == 0 && len(b.Edges) > 0 && rng.Intn(3) == 0 {
-			continue // drop an inert placeholder
-		}
-		list = append(list, b)
-		oldIdx = append(oldIdx, i)
 	}
 	return list, oldIdx
 }
 
 // TestBaseStaysCaptured walks one persistent Base through random
 // interleavings of the three operations that write it — a fresh capture,
-// a committed move folded in by CommitDelta, a re-layout by RemapBase —
-// and after every one holds it to requireBase: the derived arrays the
-// per-candidate path trusts (orderPos, aggTerm) are current, and the base
-// is the capture a full evaluation of its list would produce.
+// a committed move folded in by CommitDelta, placeholders inserted by
+// RemapBase — and after every one holds it to requireBase: the derived
+// arrays the per-candidate path trusts (orderPos, aggTerm) are current,
+// and the base is the capture a full evaluation of its list would produce.
+// Commits move flows onto earlier insertions, so later ones shift active
+// bundles.
 func TestBaseStaysCaptured(t *testing.T) {
 	var commits, patches, remaps int
 	for seed := int64(1); seed <= 12; seed++ {
 		m, list, _ := deltaInstance(t, seed)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		arena := m.NewEval()
-		base, alt := new(Base), new(Base)
+		base := new(Base)
 		arena.EvaluateBase(list, base)
 		requireBase(t, "capture", m, base, list)
 		for op := 0; op < 60; op++ {
@@ -115,11 +118,11 @@ func TestBaseStaysCaptured(t *testing.T) {
 				arena.EvaluateBase(list, base)
 				requireBase(t, "recapture", m, base, list)
 			case 1, 2:
-				next, oldIdx := relayout(rng, list)
-				if !arena.RemapBase(base, alt, next, oldIdx) {
-					t.Fatalf("seed %d op %d: RemapBase refused a placeholder-only re-layout", seed, op)
+				next, oldIdx := growSets(rng, list)
+				if !arena.RemapBase(base, next, oldIdx) {
+					t.Fatalf("seed %d op %d: RemapBase refused a placeholder insertion", seed, op)
 				}
-				base, alt, list = alt, base, next
+				list = next
 				remaps++
 				requireBase(t, "remap", m, base, list)
 			default:
@@ -143,6 +146,73 @@ func TestBaseStaysCaptured(t *testing.T) {
 	}
 	if patches < 100 || remaps < 50 {
 		t.Fatalf("walk too shallow: %d commits (%d patched in place), %d remaps", commits, patches, remaps)
+	}
+}
+
+// TestRemapBaseRefuses feeds RemapBase every map that is not a placeholder
+// insertion. Each must be refused before anything is written — the base
+// still captures its old list — and one recapture serves again.
+func TestRemapBaseRefuses(t *testing.T) {
+	m, list, _ := deltaInstance(t, 3)
+	pair := -1 // two adjacent entries of one aggregate
+	for j := 0; j+1 < len(list); j++ {
+		if list[j].Agg == list[j+1].Agg {
+			pair = j
+			break
+		}
+	}
+	if pair < 0 || list[pair].Agg == list[len(list)-1].Agg {
+		t.Fatal("instance has no aggregate with two paths before its last")
+	}
+	identity := func() ([]Bundle, []int) {
+		idx := make([]int, len(list))
+		for j := range idx {
+			idx[j] = j
+		}
+		return append([]Bundle(nil), list...), idx
+	}
+	insert := func(b Bundle, oi int) ([]Bundle, []int) {
+		l, idx := identity()
+		return slices.Insert(l, pair+1, b), slices.Insert(idx, pair+1, oi)
+	}
+	cases := map[string]func() ([]Bundle, []int){
+		"wrong length": func() ([]Bundle, []int) {
+			l, idx := identity()
+			return l, idx[1:]
+		},
+		"dropped": func() ([]Bundle, []int) {
+			l, idx := identity()
+			return slices.Delete(l, pair, pair+1), slices.Delete(idx, pair, pair+1)
+		},
+		"reordered": func() ([]Bundle, []int) {
+			l, idx := identity()
+			l[pair], l[pair+1] = l[pair+1], l[pair]
+			idx[pair], idx[pair+1] = idx[pair+1], idx[pair]
+			return l, idx
+		},
+		"duplicated": func() ([]Bundle, []int) { return insert(list[pair], pair) },
+		"fresh with flows": func() ([]Bundle, []int) {
+			b := list[pair]
+			b.Flows = 1
+			return insert(b, -1)
+		},
+		"aggregate mismatch": func() ([]Bundle, []int) {
+			l, idx := identity()
+			l[pair].Agg = list[len(list)-1].Agg
+			return l, idx
+		},
+	}
+	arena := m.NewEval()
+	for name, build := range cases {
+		base := new(Base)
+		arena.EvaluateBase(list, base)
+		next, oldIdx := build()
+		if arena.RemapBase(base, next, oldIdx) {
+			t.Fatalf("%s: RemapBase accepted the map", name)
+		}
+		requireBase(t, name+": refused", m, base, list)
+		arena.EvaluateBase(list, base)
+		requireBase(t, name+": recaptured", m, base, list)
 	}
 }
 

@@ -131,7 +131,10 @@ type DeltaStats struct {
 	// calls; AffectedBundles/(Calls-Fallbacks) is the mean sub-problem.
 	AffectedBundles int64
 	// ListBundles accumulates the candidate list lengths of non-fallback
-	// calls, for computing the mean affected fraction.
+	// calls, for computing the mean affected fraction. An optimizer's list
+	// holds an entry per path-set entry, placeholders included, so the
+	// fraction is of that list: it falls as path sets grow, with no change
+	// in work.
 	ListBundles int64
 	// UtilityOnlyCalls counts the EvaluateDeltaUtility subset of Calls.
 	UtilityOnlyCalls int64
@@ -395,16 +398,21 @@ func (e *Eval) captureState(bundles []Bundle, res *Result, base *Base) {
 		base.linkBun[l] = append(base.linkBun[l][:0], e.linkBun[l]...)
 		base.binding[l] = res.IsCongested[l] || res.LinkLoad[l] >= e.m.capacity[l]*bindingEagerFrac
 	}
-	nA := e.m.mat.NumAggregates()
-	if cap(base.aggBun) < nA {
-		base.aggBun = make([][]int32, nA)
+	base.indexAggs(e.m.mat.NumAggregates())
+}
+
+// indexAggs rebuilds aggBun, each of nA aggregates' bundle indices, from
+// the captured list.
+func (b *Base) indexAggs(nA int) {
+	if cap(b.aggBun) < nA {
+		b.aggBun = make([][]int32, nA)
 	}
-	base.aggBun = base.aggBun[:nA]
-	for a := range base.aggBun {
-		base.aggBun[a] = base.aggBun[a][:0]
+	b.aggBun = b.aggBun[:nA]
+	for a := range b.aggBun {
+		b.aggBun[a] = b.aggBun[a][:0]
 	}
-	for i, b := range bundles {
-		base.aggBun[b.Agg] = append(base.aggBun[b.Agg], int32(i))
+	for i, bd := range b.bundles {
+		b.aggBun[bd.Agg] = append(b.aggBun[bd.Agg], int32(i))
 	}
 }
 

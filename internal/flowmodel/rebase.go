@@ -9,20 +9,18 @@
 //     order, bindings — is patched in place, so the Base now captures the
 //     post-commit allocation without a fresh water-filling.
 //
-//   - RemapBase translates a Base onto a new bundle-list layout holding
-//     the same active bundles in the same relative order. Optimizer steps
-//     densify different aggregates (zero-flow placeholder entries come
-//     and go with the step's candidate set), but placeholders are inert
-//     in the model, so the capture carries over index-remapped, again
-//     without a fresh evaluation.
+//   - RemapBase inserts inert zero-flow placeholders into the Base's
+//     list in place. An optimizer's list holds one entry per path-set
+//     entry, and path sets only grow, so this is the only layout change
+//     it makes: the capture carries over index-shifted, again without a
+//     fresh evaluation.
 //
 // Both operations produce a Base bit-identical to what EvaluateBase
 // would capture for the same list: CommitDelta's patch writes exactly
 // the values the delta fill proved equal to a full evaluation, and
-// RemapBase only moves values between indices. Every structural
-// assumption (monotonic mapping, placeholder inertness, dropped entries
-// being inert) is verified, with a false return directing the caller to
-// a full recapture.
+// RemapBase only moves values between indices. RemapBase verifies the
+// map is an insertion of placeholders before it writes anything; a
+// false return directs the caller to a full recapture.
 package flowmodel
 
 import (
@@ -158,130 +156,69 @@ func (e *Eval) mergeChangedCrossers(base *Base, bundles []Bundle, l int32, chang
 	base.linkBun[l] = append(base.linkBun[l][:0], buf...)
 }
 
-// RemapBase translates src — a capture of some bundle list — into dst, a
-// capture of bundles: a re-layout of the same allocation that holds the
-// same active bundles in the same relative order and differs only in
-// which inert zero-flow placeholder entries are present. oldIdx[j] names
-// the src index holding new entry j, or -1 for a fresh placeholder;
-// src entries left unmapped must themselves be inert. No evaluation
-// runs — values move between indices. Returns false (dst undefined)
-// when the mapping breaks any of those rules; the caller should fall
-// back to EvaluateBase. src and dst must be distinct.
-func (e *Eval) RemapBase(src, dst *Base, bundles []Bundle, oldIdx []int) bool {
-	nNew, nOld := len(bundles), len(src.bundles)
-	if len(oldIdx) != nNew || src == dst {
+// RemapBase re-lays base, a capture of some bundle list, out as a capture
+// of bundles: the same list with inert zero-flow placeholders inserted —
+// what an optimizer's path-set-dense list becomes when a path set grows.
+// oldIdx[j] names the old index of new entry j, or -1 for a fresh
+// placeholder. No evaluation runs: per-bundle values move up to their new
+// indices in place, and crosser lists and demand-event keys are
+// re-indexed, which keeps them sorted. Returns false with base untouched
+// when the map drops, reorders or duplicates an old entry, pairs entries
+// that differ, or gives a fresh entry flows; the caller should then
+// recapture with EvaluateBase.
+func (e *Eval) RemapBase(base *Base, bundles []Bundle, oldIdx []int) bool {
+	nNew, nOld := len(bundles), len(base.bundles)
+	if len(oldIdx) != nNew {
 		return false
 	}
 	e.remapInv = resize(e.remapInv, nOld)
 	inv := e.remapInv
-	for k := range inv {
-		inv[k] = -1
-	}
-	last := -1
+	next := 0 // every old index appears, once and in order
 	for j, oi := range oldIdx {
 		if oi < 0 {
-			// Fresh placeholder: must be inert (zero flows ⇒ zero demand).
-			if bundles[j].Flows > 0 {
+			if bundles[j].Flows != 0 {
 				return false
 			}
 			continue
 		}
-		if oi >= nOld || oi <= last {
-			return false // out of range or non-monotonic mapping
+		if oi != next || oi >= nOld {
+			return false
 		}
-		last = oi
-		ob := &src.bundles[oi]
-		if ob.Agg != bundles[j].Agg || ob.Flows != bundles[j].Flows || len(ob.Edges) != len(bundles[j].Edges) {
+		if ob := &base.bundles[oi]; ob.Agg != bundles[j].Agg || ob.Flows != bundles[j].Flows || len(ob.Edges) != len(bundles[j].Edges) {
 			return false
 		}
 		inv[oi] = int32(j)
+		next++
 	}
-	// Dropped src entries must be inert: no rate, no weight (self-pairs
-	// carry rate at zero weight, so both are checked).
-	for k := 0; k < nOld; k++ {
-		if inv[k] < 0 && (src.weight[k] != 0 || src.rate[k] != 0) {
-			return false
-		}
+	if next != nOld {
+		return false
 	}
 
-	// Per-bundle arrays, placeholder defaults matching setupBundle's
-	// inert case (rate 0, satisfied, demand-frozen, zero weight).
-	dst.bundles = append(dst.bundles[:0], bundles...)
-	dst.rate = resize(dst.rate, nNew)
-	dst.sat = resize(dst.sat, nNew)
-	dst.byDemand = resize(dst.byDemand, nNew)
-	dst.weight = resize(dst.weight, nNew)
-	dst.demand = resize(dst.demand, nNew)
-	dst.tDemand = resize(dst.tDemand, nNew)
-	for j, oi := range oldIdx {
-		if oi < 0 {
-			dst.rate[j] = 0
-			dst.sat[j] = true
-			dst.byDemand[j] = true
-			dst.weight[j] = 0
-			dst.demand[j] = 0
-			dst.tDemand[j] = 0
-			continue
+	// Per-bundle arrays grow in place, filled back to front: every old index
+	// is at or below its new one, so each value is read before its slot is
+	// written. Placeholders take setupParams' inert values.
+	base.rate, base.sat, base.byDemand = extend(base.rate, nNew), extend(base.sat, nNew), extend(base.byDemand, nNew)
+	base.weight, base.demand, base.tDemand = extend(base.weight, nNew), extend(base.demand, nNew), extend(base.tDemand, nNew)
+	for j := nNew - 1; j >= 0; j-- {
+		if oi := oldIdx[j]; oi >= 0 {
+			base.rate[j], base.sat[j], base.byDemand[j] = base.rate[oi], base.sat[oi], base.byDemand[oi]
+			base.weight[j], base.demand[j], base.tDemand[j] = base.weight[oi], base.demand[oi], base.tDemand[oi]
+		} else {
+			base.rate[j], base.sat[j], base.byDemand[j] = 0, true, true
+			base.weight[j], base.demand[j], base.tDemand[j] = 0, 0, 0
 		}
-		dst.rate[j] = src.rate[oi]
-		dst.sat[j] = src.sat[oi]
-		dst.byDemand[j] = src.byDemand[oi]
-		dst.weight[j] = src.weight[oi]
-		dst.demand[j] = src.demand[oi]
-		dst.tDemand[j] = src.tDemand[oi]
 	}
-
-	// Demand-event order: keys carry the bundle index in their low bits;
-	// rewriting indices under a monotonic map keeps the list sorted.
-	dst.order = dst.order[:0]
-	for _, k := range src.order {
-		j := inv[uint32(k)]
-		if j < 0 {
-			return false // an ordered (hence active) entry was dropped
+	base.bundles = append(base.bundles[:0], bundles...)
+	for i, k := range base.order {
+		base.order[i] = k&^uint64(math.MaxUint32) | uint64(uint32(inv[uint32(k)]))
+	}
+	base.indexOrder()
+	for _, lb := range base.linkBun {
+		for i, bi := range lb {
+			lb[i] = inv[bi]
 		}
-		dst.order = append(dst.order, k&^uint64(math.MaxUint32)|uint64(uint32(j)))
 	}
-	dst.indexOrder()
-
-	// Per-link state: loads, demands, congestion and bindings are
-	// layout-independent; crosser lists (active bundles only, index
-	// order) remap monotonically.
-	dst.linkLoad = append(dst.linkLoad[:0], src.linkLoad...)
-	dst.linkDem = append(dst.linkDem[:0], src.linkDem...)
-	dst.isCong = append(dst.isCong[:0], src.isCong...)
-	dst.binding = append(dst.binding[:0], src.binding...)
-	dst.aggUtil = append(dst.aggUtil[:0], src.aggUtil...)
-	dst.aggTerm = append(dst.aggTerm[:0], src.aggTerm...)
-	dst.total, dst.absTotal = src.total, src.absTotal
-	dst.netUtility = src.netUtility
-	nL := len(src.linkBun)
-	if cap(dst.linkBun) < nL {
-		dst.linkBun = make([][]int32, nL)
-	}
-	dst.linkBun = dst.linkBun[:nL]
-	for l := 0; l < nL; l++ {
-		lb := dst.linkBun[l][:0]
-		for _, bi := range src.linkBun[l] {
-			j := inv[bi]
-			if j < 0 {
-				return false // an active crosser was dropped
-			}
-			lb = append(lb, j)
-		}
-		dst.linkBun[l] = lb
-	}
-
-	nA := e.m.mat.NumAggregates()
-	if cap(dst.aggBun) < nA {
-		dst.aggBun = make([][]int32, nA)
-	}
-	dst.aggBun = dst.aggBun[:nA]
-	for a := range dst.aggBun {
-		dst.aggBun[a] = dst.aggBun[a][:0]
-	}
-	for i, b := range bundles {
-		dst.aggBun[b.Agg] = append(dst.aggBun[b.Agg], int32(i))
-	}
+	base.indexAggs(e.m.mat.NumAggregates())
 	return true
 }
 
@@ -331,6 +268,14 @@ func (e *Eval) ResultFromBase(base *Base) *Result {
 // entries: a quarter over, so a bundle list that gains a few placeholders a
 // step re-allocates every few dozen steps, not every one.
 func growCap(n int) int { return n + n/4 }
+
+// extend returns s with length n ≥ len(s), its contents kept.
+func extend[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(make([]T, 0, growCap(n)), s...)
+	}
+	return s[:n]
+}
 
 // resize returns s with length n, re-allocating (contents dropped) only
 // when its capacity falls short.

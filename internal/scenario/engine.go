@@ -68,7 +68,7 @@ type engine struct {
 	installed, installedSorted []keyedBundle
 
 	// opt is the optimizer the stream's owner lent the replay, re-bound to
-	// each epoch's model: its path memo, arenas and base pair outlive the
+	// each epoch's model: its path memo, arenas and base outlive the
 	// epoch — and, in a Session's hands, the replay.
 	opt *core.Optimizer
 

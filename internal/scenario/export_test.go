@@ -57,7 +57,7 @@ func runClosedLoop(ctx context.Context, topo *topology.Topology, mat *traffic.Ma
 }
 
 // withFreshOptimizerPerEpoch runs f with every replay epoch building a
-// fresh optimizer — generators, arenas, base pair, scratch — as each epoch's
+// fresh optimizer — generators, arenas, base, scratch — as each epoch's
 // core.Run used to, in place of the one its stream was lent. It is the
 // oracle the kept optimizer is compared against: nothing an epoch computes
 // may depend on what the optimizer did before, in this replay or any other.

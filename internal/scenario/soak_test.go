@@ -112,8 +112,8 @@ func TestSoakClosedLoopBoundedMemory(t *testing.T) {
 
 // TestSoakRecyclesOneBase pins the storage half of the epoch-warm Base
 // design: across a replay every epoch runs on the one optimizer the engine
-// was lent — which keeps its Base double-buffer pair, arenas and path memo
-// for life (core.TestOptimizerKeepsItsBasePair) — so base storage is
+// was lent — which keeps its Base, arenas and path memo for life
+// (core.TestOptimizerKeepsItsBase) — so base storage is
 // allocated once for the whole soak, not once per epoch.
 func TestSoakRecyclesOneBase(t *testing.T) {
 	topo, mat := matrixInstance(t)
