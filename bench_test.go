@@ -191,10 +191,11 @@ func BenchmarkTrafficModelHE961(b *testing.B) {
 		}
 		bundles = append(bundles, flowmodel.NewBundle(topo, a.ID, a.Flows, p))
 	}
+	arena := m.NewEval()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Evaluate(bundles)
+		arena.Evaluate(bundles)
 	}
 }
 

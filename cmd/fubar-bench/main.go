@@ -287,12 +287,8 @@ func annealCompare(seed int64) error {
 	t.AddRow("shortest path (start)", fmt.Sprintf("%.4f", sol.InitialUtility), 1, "-")
 	t.AddRow("FUBAR", fmt.Sprintf("%.4f", sol.Utility), sol.Steps, time.Since(start).Truncate(time.Millisecond))
 	for _, iters := range []int{3000, 30000, 150000} {
-		m2, err := flowmodel.New(topo, mat)
-		if err != nil {
-			return err
-		}
 		start = time.Now()
-		sa, err := anneal.Run(benchCtx, m2, anneal.Options{Seed: seed, MaxIterations: iters})
+		sa, err := anneal.Run(benchCtx, model, anneal.Options{Seed: seed, MaxIterations: iters})
 		if err != nil {
 			return err
 		}
@@ -314,8 +310,9 @@ func validate(seed int64) error {
 		return err
 	}
 	t := report.NewTable("analytic model vs AIMD simulation", "allocation", "bundles", "correlation", "mean rel err", "max rel err")
+	eval := model.NewEval()
 	addCase := func(name string, bundles []flowmodel.Bundle) error {
-		res := model.Evaluate(bundles).Clone()
+		res := eval.Evaluate(bundles)
 		simRes, err := dsim.Simulate(topo, mat, bundles, dsim.Config{Seed: seed})
 		if err != nil {
 			return err

@@ -116,11 +116,10 @@
 //
 // # Concurrency
 //
-// A traffic Model is immutable after construction; all mutable evaluation
-// scratch lives in Eval arenas obtained from Model.NewEval, so any number
-// of goroutines can evaluate one model concurrently as long as each owns
-// its arena (Model.Evaluate remains a serial convenience over a built-in
-// default arena). The optimizer exploits this: WithWorkers (default
+// A traffic Model is immutable and holds no scratch: every evaluation runs
+// on an Eval arena its caller obtains from Model.NewEval, so any number of
+// goroutines can evaluate one model concurrently as long as each owns its
+// arena. The optimizer exploits this: WithWorkers (default
 // GOMAXPROCS) sets how many goroutines evaluate each step's candidate
 // moves in parallel, each on a private arena. Candidate collection is
 // sharded across the same worker count (per-shard path generators,

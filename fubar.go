@@ -146,9 +146,9 @@ const (
 
 // Model.
 type (
-	// Model evaluates the §2.3 TCP-like traffic model (a Session builds
-	// and keeps one: Session.Model). It is immutable once built;
-	// concurrent evaluators each take a ModelEval arena via Model.NewEval.
+	// Model is the §2.3 TCP-like traffic model (a Session builds and
+	// keeps one: Session.Model). It is immutable and holds no scratch:
+	// evaluate it through a ModelEval arena from Model.NewEval.
 	Model = flowmodel.Model
 	// ModelEval is a reusable evaluation arena; one goroutine per arena
 	// may Evaluate concurrently over a shared Model.

@@ -107,9 +107,8 @@ type aggState struct {
 // Run once; a second Run restarts from scratch with the same options.
 type Annealer struct {
 	model *flowmodel.Model
-	// eval is the annealer's private evaluation arena: annealing runs do
-	// not contend with (or perturb) the model's default arena, so an
-	// annealer and other evaluators can share one Model concurrently.
+	// eval is the annealer's private evaluation arena, so an annealer and
+	// other evaluators can share one Model concurrently.
 	eval *flowmodel.Eval
 	mat  *traffic.Matrix
 	opts Options

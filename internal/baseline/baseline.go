@@ -33,6 +33,12 @@ type Outcome struct {
 	Utility float64
 }
 
+// evaluate runs the model over an allocation on an arena of its own.
+func evaluate(model *flowmodel.Model, bundles []flowmodel.Bundle) *Outcome {
+	res := model.NewEval().Evaluate(bundles)
+	return &Outcome{Bundles: bundles, Result: res.Clone(), Utility: res.NetworkUtility}
+}
+
 // ShortestPath routes every aggregate entirely over its lowest-delay
 // policy-compliant path and evaluates the model — the paper's
 // "shortest path" reference line.
@@ -57,8 +63,7 @@ func ShortestPath(model *flowmodel.Model, policy pathgen.Policy) (*Outcome, erro
 		}
 		bundles = append(bundles, flowmodel.NewBundle(model.Topology(), a.ID, a.Flows, p))
 	}
-	res := model.Evaluate(bundles)
-	return &Outcome{Bundles: bundles, Result: res.Clone(), Utility: res.NetworkUtility}, nil
+	return evaluate(model, bundles), nil
 }
 
 // UpperBoundResult carries the isolation bound.
@@ -197,8 +202,7 @@ func ECMP(model *flowmodel.Model, policy pathgen.Policy, maxPaths int) (*Outcome
 			bundles = append(bundles, flowmodel.NewBundle(topo, a.ID, f, p))
 		}
 	}
-	res := model.Evaluate(bundles)
-	return &Outcome{Bundles: bundles, Result: res.Clone(), Utility: res.NetworkUtility}, nil
+	return evaluate(model, bundles), nil
 }
 
 // GreedyCSPF places aggregates one at a time — largest demand first — on
@@ -259,8 +263,7 @@ func GreedyCSPF(model *flowmodel.Model, policy pathgen.Policy, k int) (*Outcome,
 	}
 	// Restore aggregate order for readability of the bundle list.
 	sort.Slice(bundles, func(i, j int) bool { return bundles[i].Agg < bundles[j].Agg })
-	res := model.Evaluate(bundles)
-	return &Outcome{Bundles: bundles, Result: res.Clone(), Utility: res.NetworkUtility}, nil
+	return evaluate(model, bundles), nil
 }
 
 func worstUtilization(topo *topology.Topology, load []float64, p graph.Path, add float64) float64 {

@@ -64,7 +64,7 @@ func TestRepairWarmStartSRLGCorrelatedFailure(t *testing.T) {
 	// No black hole: the repaired allocation evaluates with every flow
 	// carried at a positive rate.
 	m := mustModel(t, topo, fanAggs(9))
-	res := m.Evaluate(repaired)
+	res := m.NewEval().Evaluate(repaired)
 	for i, rate := range res.BundleRate {
 		if rate <= 0 {
 			t.Fatalf("repaired bundle %d black-holed (rate %v)", i, rate)
@@ -158,7 +158,7 @@ func TestRepairWarmStartMaintenanceRoundTrip(t *testing.T) {
 	// A warm-started re-optimization on the restored topology is free to
 	// use the returned link again and must not lose utility.
 	m := mustModel(t, topo, fanAggs(9))
-	stale := m.Evaluate(restored).NetworkUtility
+	stale := m.NewEval().Evaluate(restored).NetworkUtility
 	sol, err := Run(context.Background(), m, Options{InitialBundles: restored, Workers: 1})
 	if err != nil {
 		t.Fatalf("warm-started Run after maintenance: %v", err)

@@ -91,7 +91,8 @@ func Failover(ctx context.Context, topo *topology.Topology, mat *traffic.Matrix,
 		return nil, err
 	}
 	// The stale allocation still routes over the dead link.
-	res.Degraded = deadModel.Evaluate(sol.Bundles).NetworkUtility
+	deadEval := deadModel.NewEval()
+	res.Degraded = deadEval.Evaluate(sol.Bundles).NetworkUtility
 
 	// Recovery: the next offline cycle knows the link is down.
 	recOpts := opts
@@ -111,7 +112,7 @@ func Failover(ctx context.Context, topo *topology.Topology, mat *traffic.Matrix,
 		return nil, fmt.Errorf("experiment: warm-start repair: %w", err)
 	}
 	res.RepairedFlows = stats.MovedFlows
-	res.Stale = deadModel.Evaluate(repaired).NetworkUtility
+	res.Stale = deadEval.Evaluate(repaired).NetworkUtility
 	recOpts.InitialBundles = repaired
 	start := time.Now()
 	rec, err := core.Run(ctx, deadModel, recOpts)

@@ -1,6 +1,7 @@
 package flowmodel
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -53,20 +54,43 @@ func evalInstance(t *testing.T) (*Model, [][]Bundle) {
 	return m, inputs
 }
 
-// TestEvalMatchesModelEvaluate pins the shim contract: an arena from
-// NewEval returns exactly what Model.Evaluate returns.
-func TestEvalMatchesModelEvaluate(t *testing.T) {
+// TestModelHoldsNoArena pins that a Model carries no evaluation state:
+// it has no Evaluate method and no field that holds an Eval, so any
+// number of goroutines may share one Model, each through its own arena.
+func TestModelHoldsNoArena(t *testing.T) {
+	mt := reflect.TypeOf(&Model{})
+	if _, ok := mt.MethodByName("Evaluate"); ok {
+		t.Error("Model has an Evaluate method; evaluation belongs to an Eval arena")
+	}
+	evalT := reflect.TypeOf(Eval{})
+	st := mt.Elem()
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		ft := f.Type
+		for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
+			ft = ft.Elem()
+		}
+		if ft == evalT {
+			t.Errorf("Model field %s holds an Eval arena (%v)", f.Name, f.Type)
+		}
+	}
+}
+
+// TestFreshArenaMatchesReusedArena checks that an arena built for one
+// evaluation returns exactly what a long-lived arena returns after it
+// has evaluated other inputs, so a caller may choose either.
+func TestFreshArenaMatchesReusedArena(t *testing.T) {
 	m, inputs := evalInstance(t)
-	arena := m.NewEval()
+	reused := m.NewEval()
 	for i, in := range inputs {
-		want := m.Evaluate(in).Clone()
-		got := arena.Evaluate(in)
+		want := reused.Evaluate(in).Clone()
+		got := m.NewEval().Evaluate(in)
 		if got.NetworkUtility != want.NetworkUtility {
-			t.Errorf("input %d: arena utility %v != model utility %v", i, got.NetworkUtility, want.NetworkUtility)
+			t.Errorf("input %d: fresh arena utility %v != reused arena utility %v", i, got.NetworkUtility, want.NetworkUtility)
 		}
 		for b := range want.BundleRate {
 			if got.BundleRate[b] != want.BundleRate[b] {
-				t.Fatalf("input %d bundle %d: arena rate %v != model rate %v", i, b, got.BundleRate[b], want.BundleRate[b])
+				t.Fatalf("input %d bundle %d: fresh arena rate %v != reused arena rate %v", i, b, got.BundleRate[b], want.BundleRate[b])
 			}
 		}
 	}
@@ -77,10 +101,11 @@ func TestEvalMatchesModelEvaluate(t *testing.T) {
 // reference. Under -race this is the arena-safety acceptance test.
 func TestEvalArenasConcurrent(t *testing.T) {
 	m, inputs := evalInstance(t)
-	// Serial reference results.
+	// Serial reference results, from one arena reused across the inputs.
 	want := make([]*Result, len(inputs))
+	ref := m.NewEval()
 	for i, in := range inputs {
-		want[i] = m.Evaluate(in).Clone()
+		want[i] = ref.Evaluate(in).Clone()
 	}
 	const arenas = 8
 	var wg sync.WaitGroup

@@ -20,16 +20,12 @@
 //
 // A Model is immutable after New — topology, matrix, capacities and
 // per-aggregate demand never change — and may be shared freely between
-// goroutines. All mutable evaluation scratch lives in an Eval arena
-// obtained from Model.NewEval. Arenas are independent: any number of
-// goroutines may call Evaluate concurrently as long as each goroutine
-// owns its arena. One Eval must never be used from two goroutines at
-// once, and its Result is overwritten by the arena's next Evaluate call.
-//
-// Model.Evaluate remains as a convenience shim over a single default
-// arena embedded in the Model; callers using it inherit that arena's
-// non-reentrancy — clone a Model result (or use separate arenas) before
-// evaluating again.
+// goroutines. Every evaluation runs on an Eval arena the caller owns,
+// obtained from Model.NewEval (or re-pointed at the Model by Eval.Rebind).
+// Arenas are independent: any number of goroutines may call Evaluate
+// concurrently as long as each goroutine owns its arena. One Eval must
+// never be used from two goroutines at once, and its Result is overwritten
+// by the arena's next Evaluate call.
 package flowmodel
 
 import (
@@ -82,8 +78,9 @@ func (b Bundle) RTT() float64 {
 	return r
 }
 
-// Result holds one model evaluation. Slices are indexed by bundle, link or
-// aggregate ID and are reused across Evaluate calls; callers must copy
+// Result holds one model evaluation. It belongs to the Eval arena that
+// filled it: slices are indexed by bundle, link or aggregate ID and are
+// reused by that arena's next Evaluate call; callers must copy (Clone)
 // anything they keep.
 type Result struct {
 	// BundleRate is the aggregate rate (kbps) each bundle achieves.
@@ -111,9 +108,9 @@ type Result struct {
 }
 
 // Clone deep-copies the result (used when a caller needs to retain one
-// evaluation while the model keeps running).
+// evaluation while its arena keeps running).
 func (r *Result) Clone() *Result {
-	c := &Result{
+	return &Result{
 		BundleRate:          append([]float64(nil), r.BundleRate...),
 		BundleSatisfied:     append([]bool(nil), r.BundleSatisfied...),
 		LinkLoad:            append([]float64(nil), r.LinkLoad...),
@@ -125,12 +122,12 @@ func (r *Result) Clone() *Result {
 		ActualUtilization:   r.ActualUtilization,
 		DemandedUtilization: r.DemandedUtilization,
 	}
-	return c
 }
 
 // Model holds the immutable half of an evaluation: topology, traffic
 // matrix, link capacities and per-aggregate demand. It never changes
-// after New and is safe for concurrent use by any number of Eval arenas.
+// after New, holds no evaluation scratch, and is safe for concurrent use
+// by any number of Eval arenas.
 type Model struct {
 	topo *topology.Topology
 	mat  *traffic.Matrix
@@ -140,11 +137,6 @@ type Model struct {
 	aggFlows    []int
 	aggWeight   []float64
 	totalWeight float64 // sum of weight*flows over all aggregates
-
-	// def is the arena backing the Model.Evaluate shim, built by its first
-	// call. It carries the Model's only mutable state; concurrent callers
-	// must use NewEval arenas instead of sharing it.
-	def *Eval
 }
 
 // Eval is a reusable evaluation arena: all the mutable scratch one
@@ -244,17 +236,6 @@ func (m *Model) NewEval() *Eval {
 	e.res.IsCongested = make([]bool, nL)
 	e.res.AggUtility = make([]float64, nA)
 	return e
-}
-
-// Evaluate runs the water-filling on the Model's default arena and
-// returns its shared Result (valid until the next Evaluate call through
-// the same Model). Not safe for concurrent use — concurrent evaluators
-// must each own an arena from NewEval.
-func (m *Model) Evaluate(bundles []Bundle) *Result {
-	if m.def == nil {
-		m.def = m.NewEval()
-	}
-	return m.def.Evaluate(bundles)
 }
 
 // Rebind re-points the arena at another model, keeping its storage: a

@@ -61,7 +61,7 @@ func TestSingleBundleUncongested(t *testing.T) {
 		t.Fatal(err)
 	}
 	bundles := []Bundle{NewBundle(topo, 0, 10, pathBetween(t, topo, "A", "C"))}
-	res := m.Evaluate(bundles)
+	res := m.NewEval().Evaluate(bundles)
 
 	// Demand = 10 flows x 200 kbps = 2 Mbps, well under 100 Mbps.
 	if got := res.BundleRate[0]; math.Abs(got-2000) > 1e-6 {
@@ -92,7 +92,7 @@ func TestSingleBundleBottlenecked(t *testing.T) {
 	})
 	m, _ := New(topo, mat)
 	bundles := []Bundle{NewBundle(topo, 0, 10, pathBetween(t, topo, "A", "C"))}
-	res := m.Evaluate(bundles)
+	res := m.NewEval().Evaluate(bundles)
 
 	// Demand 2 Mbps > 1 Mbps capacity: rate capped at 1 Mbps.
 	if got := res.BundleRate[0]; math.Abs(got-1000) > 1e-6 {
@@ -132,7 +132,7 @@ func TestRTTProportionalSharing(t *testing.T) {
 		NewBundle(topo, 0, 1, pathBetween(t, topo, "S1", "D")), // RTT 2*(5+5)=20ms
 		NewBundle(topo, 1, 1, pathBetween(t, topo, "S2", "D")), // RTT 2*(45+5)=100ms
 	}
-	res := m.Evaluate(bundles)
+	res := m.NewEval().Evaluate(bundles)
 	r1, r2 := res.BundleRate[0], res.BundleRate[1]
 	if math.Abs(r1+r2-1000) > 1e-6 {
 		t.Fatalf("rates %v + %v != capacity 1000", r1, r2)
@@ -156,7 +156,7 @@ func TestDemandFreezeReleasesCapacity(t *testing.T) {
 		NewBundle(topo, 0, 2, p),
 		NewBundle(topo, 1, 1, p),
 	}
-	res := m.Evaluate(bundles)
+	res := m.NewEval().Evaluate(bundles)
 	// Real-time satisfied at 100 kbps, large flow gets the rest.
 	if !res.BundleSatisfied[0] {
 		t.Error("small bundle not satisfied")
@@ -178,7 +178,7 @@ func TestSelfPairBundle(t *testing.T) {
 		{Src: 0, Dst: 0, Class: utility.ClassBulk, Flows: 50, Fn: utility.Bulk()},
 	})
 	m, _ := New(topo, mat)
-	res := m.Evaluate([]Bundle{{Agg: 0, Flows: 50}})
+	res := m.NewEval().Evaluate([]Bundle{{Agg: 0, Flows: 50}})
 	if res.NetworkUtility != 1 {
 		t.Errorf("self-pair utility = %v, want 1", res.NetworkUtility)
 	}
@@ -203,7 +203,7 @@ func TestDelayKillsRealTimeUtility(t *testing.T) {
 		{Src: 0, Dst: 1, Class: utility.ClassRealTime, Flows: 10, Fn: utility.RealTime()},
 	})
 	m, _ := New(topo, mat)
-	res := m.Evaluate([]Bundle{NewBundle(topo, 0, 10, pathBetween(t, topo, "A", "B"))})
+	res := m.NewEval().Evaluate([]Bundle{NewBundle(topo, 0, 10, pathBetween(t, topo, "A", "B"))})
 	if res.BundleSatisfied[0] != true {
 		t.Error("bandwidth demand unmet on empty network")
 	}
@@ -229,7 +229,7 @@ func TestWeightedNetworkUtility(t *testing.T) {
 		{Src: 0, Dst: 2, Class: utility.ClassRealTime, Flows: 10, Fn: utility.RealTime(), Weight: 1},
 	})
 	m, _ := New(topo, mat)
-	res := m.Evaluate([]Bundle{
+	res := m.NewEval().Evaluate([]Bundle{
 		NewBundle(topo, 0, 10, pathBetween(t, topo, "A", "B")),
 		NewBundle(topo, 1, 10, pathBetween(t, topo, "A", "C")),
 	})
@@ -266,7 +266,7 @@ func TestSplitAggregateUtilityIsFlowWeighted(t *testing.T) {
 	if err := slow.Validate(topo.Graph(), aIdx, bIdx); err != nil {
 		t.Fatal(err)
 	}
-	res := m.Evaluate([]Bundle{
+	res := m.NewEval().Evaluate([]Bundle{
 		NewBundle(topo, 0, 3, fast),
 		NewBundle(topo, 0, 1, slow),
 	})
@@ -295,7 +295,7 @@ func TestSharedLinkFreezesAllCrossers(t *testing.T) {
 		{Src: 0, Dst: 1, Class: utility.ClassLargeFile, Flows: 1, Fn: big},
 	})
 	m, _ := New(topo, mat)
-	res := m.Evaluate([]Bundle{
+	res := m.NewEval().Evaluate([]Bundle{
 		NewBundle(topo, 0, 1, pathBetween(t, topo, "A", "C")),
 		NewBundle(topo, 1, 1, pathBetween(t, topo, "A", "B")),
 	})
@@ -333,7 +333,7 @@ func TestCascadedBottlenecks(t *testing.T) {
 		{Src: 0, Dst: 1, Class: utility.ClassLargeFile, Flows: 1, Fn: big},
 	})
 	m, _ := New(topo, mat)
-	res := m.Evaluate([]Bundle{
+	res := m.NewEval().Evaluate([]Bundle{
 		NewBundle(topo, 0, 1, pathBetween(t, topo, "A", "C")),
 		NewBundle(topo, 1, 1, pathBetween(t, topo, "A", "B")),
 	})
@@ -356,7 +356,7 @@ func TestCongestedByOversubscription(t *testing.T) {
 		{Src: 0, Dst: 2, Class: utility.ClassLargeFile, Flows: 1, Fn: big}, // A->C
 	})
 	m, _ := New(topo, mat)
-	res := m.Evaluate([]Bundle{
+	res := m.NewEval().Evaluate([]Bundle{
 		NewBundle(topo, 0, 1, pathBetween(t, topo, "A", "B")),
 		NewBundle(topo, 1, 1, pathBetween(t, topo, "A", "C")),
 	})
@@ -383,7 +383,7 @@ func TestUtilizationMetrics(t *testing.T) {
 		{Src: 0, Dst: 1, Class: utility.ClassBulk, Flows: 10, Fn: utility.Bulk()}, // 2 Mbps demand on 1 Mbps link
 	})
 	m, _ := New(topo, mat)
-	res := m.Evaluate([]Bundle{NewBundle(topo, 0, 10, pathBetween(t, topo, "A", "B"))})
+	res := m.NewEval().Evaluate([]Bundle{NewBundle(topo, 0, 10, pathBetween(t, topo, "A", "B"))})
 	// One used link: load 1 Mbps / cap 1 Mbps = 1.0; demand 2 Mbps / 1 = 2.
 	if math.Abs(res.ActualUtilization-1) > 1e-9 {
 		t.Errorf("actual utilization = %v, want 1", res.ActualUtilization)
@@ -418,8 +418,9 @@ func TestEvaluateIsRepeatable(t *testing.T) {
 		}
 		bundles = append(bundles, NewBundle(topo, a.ID, a.Flows, p))
 	}
-	r1 := m.Evaluate(bundles).Clone()
-	r2 := m.Evaluate(bundles)
+	arena := m.NewEval()
+	r1 := arena.Evaluate(bundles).Clone()
+	r2 := arena.Evaluate(bundles)
 	if r1.NetworkUtility != r2.NetworkUtility {
 		t.Errorf("utility differs across evaluations: %v vs %v", r1.NetworkUtility, r2.NetworkUtility)
 	}
@@ -475,7 +476,7 @@ func TestModelInvariants(t *testing.T) {
 				bundles = append(bundles, NewBundle(topo, a.ID, a.Flows, paths[0]))
 			}
 		}
-		res := m.Evaluate(bundles)
+		res := m.NewEval().Evaluate(bundles)
 
 		// Capacity respected on every link.
 		for l := 0; l < topo.NumLinks(); l++ {

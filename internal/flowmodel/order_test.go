@@ -52,7 +52,7 @@ func TestEvaluateOrderIndependence(t *testing.T) {
 		}
 	}
 
-	base := m.Evaluate(bundles).Clone()
+	base := m.NewEval().Evaluate(bundles).Clone()
 	baseRates := map[string]float64{}
 	for i, b := range bundles {
 		baseRates[bundleKey(b)] = base.BundleRate[i]
@@ -61,7 +61,7 @@ func TestEvaluateOrderIndependence(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		shuffled := append([]Bundle(nil), bundles...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		res := m.Evaluate(shuffled)
+		res := m.NewEval().Evaluate(shuffled)
 		if math.Abs(res.NetworkUtility-base.NetworkUtility) > 1e-6 {
 			t.Fatalf("trial %d: utility %v != %v under permutation",
 				trial, res.NetworkUtility, base.NetworkUtility)
@@ -116,8 +116,8 @@ func TestEvaluateBundleMergeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := graph.ShortestPath(topo.Graph(), 0, 1, graph.Constraints{})
-	merged := m.Evaluate([]Bundle{NewBundle(topo, 0, 10, p)}).Clone()
-	split := m.Evaluate([]Bundle{
+	merged := m.NewEval().Evaluate([]Bundle{NewBundle(topo, 0, 10, p)}).Clone()
+	split := m.NewEval().Evaluate([]Bundle{
 		NewBundle(topo, 0, 6, p),
 		NewBundle(topo, 0, 4, p),
 	})

@@ -76,7 +76,7 @@ func TestPropertyCapacityRespected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
-		res := model.Evaluate(bundles)
+		res := model.NewEval().Evaluate(bundles)
 		// Link loads reconstructed from bundle rates (the Result's
 		// LinkLoad is clamped; the raw sum must respect capacity too,
 		// within float dust).
@@ -104,7 +104,7 @@ func TestPropertyDemandCap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
-		res := model.Evaluate(bundles)
+		res := model.NewEval().Evaluate(bundles)
 		for i, b := range bundles {
 			demand := float64(mat.Aggregate(b.Agg).DemandPerFlow()) * float64(b.Flows)
 			rate := res.BundleRate[i]
@@ -130,7 +130,7 @@ func TestPropertyUtilityBounded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
-		res := model.Evaluate(bundles)
+		res := model.NewEval().Evaluate(bundles)
 		for a, u := range res.AggUtility {
 			if u < -1e-12 || u > 1+1e-12 {
 				t.Fatalf("seed %d: aggregate %d utility %.9f outside [0,1]", seed, a, u)
@@ -151,7 +151,7 @@ func TestPropertyCapacityMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
-		base := model.Evaluate(bundles).NetworkUtility
+		base := model.NewEval().Evaluate(bundles).NetworkUtility
 
 		// Rebuild the same instance at 2x capacity. Topology generators
 		// are deterministic per seed, so only capacity differs.
@@ -181,7 +181,7 @@ func TestPropertyCapacityMonotonicity(t *testing.T) {
 		for i, b := range bundles {
 			bigBundles[i] = Bundle{Agg: b.Agg, Flows: b.Flows, Edges: b.Edges, Delay: b.Delay}
 		}
-		grown := bigModel.Evaluate(bigBundles).NetworkUtility
+		grown := bigModel.NewEval().Evaluate(bigBundles).NetworkUtility
 		if grown < base-1e-9 {
 			t.Fatalf("seed %d: doubling capacity lowered utility %.6f -> %.6f", seed, base, grown)
 		}
@@ -244,7 +244,7 @@ func TestPropertyRTTFairShare(t *testing.T) {
 			NewBundle(topo, 0, f1, p1),
 			NewBundle(topo, 1, f2, p2),
 		}
-		res := model.Evaluate(bundles)
+		res := model.NewEval().Evaluate(bundles)
 		r1, r2 := res.BundleRate[0], res.BundleRate[1]
 		if r1 <= 0 || r2 <= 0 {
 			return false
@@ -261,14 +261,15 @@ func TestPropertyRTTFairShare(t *testing.T) {
 
 // TestPropertyEvaluateDeterministic checks Evaluate is a pure function
 // of its inputs: same bundles, same result, across repeated calls that
-// reuse the model's scratch state.
+// reuse one arena's scratch state.
 func TestPropertyEvaluateDeterministic(t *testing.T) {
 	topo, mat, bundles := randomInstance(t, 77)
 	model, err := New(topo, mat)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	first := model.Evaluate(bundles).Clone()
+	arena := model.NewEval()
+	first := arena.Evaluate(bundles).Clone()
 	for i := 0; i < 5; i++ {
 		// Interleave evaluations of a perturbed allocation to dirty the
 		// scratch state.
@@ -276,9 +277,9 @@ func TestPropertyEvaluateDeterministic(t *testing.T) {
 		if len(perturbed) > 1 {
 			perturbed = perturbed[:len(perturbed)-1]
 		}
-		model.Evaluate(perturbed)
+		arena.Evaluate(perturbed)
 
-		again := model.Evaluate(bundles)
+		again := arena.Evaluate(bundles)
 		if again.NetworkUtility != first.NetworkUtility {
 			t.Fatalf("iteration %d: utility %.12f != %.12f", i, again.NetworkUtility, first.NetworkUtility)
 		}

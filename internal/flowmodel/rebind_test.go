@@ -70,17 +70,3 @@ func TestEvalRebindMatchesFreshArena(t *testing.T) {
 		}
 	}
 }
-
-// TestModelBuildsDefaultArenaOnFirstUse: a model nobody calls Evaluate on
-// (the closed loop builds two an epoch and evaluates one) carries no arena.
-func TestModelBuildsDefaultArenaOnFirstUse(t *testing.T) {
-	m, list, _ := deltaInstance(t, 2)
-	if m.def != nil {
-		t.Fatal("New built the default arena eagerly")
-	}
-	want := m.NewEval().Evaluate(list).Clone()
-	requireIdentical(t, "first Evaluate", want, m.Evaluate(list))
-	if m.def == nil {
-		t.Fatal("Evaluate left no default arena behind")
-	}
-}

@@ -370,7 +370,7 @@ func TestSyncSolutionInstallsAndReconciles(t *testing.T) {
 		}
 		spBundles = append(spBundles, flowmodel.NewBundle(topo, a.ID, a.Flows, p))
 	}
-	spRes := model.Evaluate(spBundles)
+	spRes := model.NewEval().Evaluate(spBundles)
 	stats3, err := SyncSolution(db, mat, spBundles, spRes.BundleRate, "fubar", 7, 7)
 	if err != nil {
 		t.Fatalf("third SyncSolution: %v", err)

@@ -70,7 +70,7 @@ func Evaluate(topo *topology.Topology, model *flowmodel.Model, bundles []flowmod
 		return nil, fmt.Errorf("netsim: nil topology or model")
 	}
 	cfg = cfg.withDefaults()
-	res := model.Evaluate(bundles)
+	res := model.NewEval().Evaluate(bundles)
 
 	nL := topo.NumLinks()
 	out := &Result{LinkQueueMs: make([]float64, nL)}

@@ -258,12 +258,12 @@ func (l *closedLoop) settle(ctx context.Context, er *EpochResult) error {
 }
 
 // pushRepair is the failover reaction. It evaluates the repaired
-// allocation on the epoch's ground truth — the stale utility, and the
-// rates make-before-break pricing reserves for the old paths, which it
-// returns — stands the epoch's fresh simulated network up under the carried
-// switch tables, and pushes the repair over the wire, restoring a valid
-// routing before anything else.
-func (l *closedLoop) pushRepair(ctx context.Context, epoch int, inst *epochInstance, truth *flowmodel.Model, repaired []flowmodel.Bundle, er *EpochResult) ([]float64, error) {
+// allocation on truth, the epoch's ground-truth arena — the stale utility,
+// and the old paths' rates make-before-break pricing reserves, copied out
+// and returned — stands the epoch's fresh simulated network up under the
+// carried switch tables, and pushes the repair over the wire, restoring a
+// valid routing before anything else.
+func (l *closedLoop) pushRepair(ctx context.Context, epoch int, inst *epochInstance, truth *flowmodel.Eval, repaired []flowmodel.Bundle, er *EpochResult) ([]float64, error) {
 	staleRes := truth.Evaluate(repaired)
 	er.StaleUtility = staleRes.NetworkUtility
 	oldRates := append([]float64(nil), staleRes.BundleRate...)

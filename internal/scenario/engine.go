@@ -72,6 +72,10 @@ type engine struct {
 	// epoch — and, in a Session's hands, the replay.
 	opt *core.Optimizer
 
+	// truth is the replay's ground-truth arena (truthOn); a warm
+	// open-loop epoch never touches it.
+	truth *flowmodel.Eval
+
 	// Scratch an epoch rewrites from empty rather than re-growing: the
 	// epoch RNG (re-seeded per epoch), materialize's aggregate and key
 	// lists, repairInstalled's key index and remapped list, and the spare
@@ -739,6 +743,16 @@ func (en *engine) recordChurn(er *EpochResult, inst *epochInstance, bundles []fl
 	en.installed, en.installedSorted = next, sorted
 }
 
+// truthOn returns the replay's ground-truth arena, built on first use and
+// bound to the epoch's model.
+func (en *engine) truthOn(model *flowmodel.Model) *flowmodel.Eval {
+	if en.truth == nil {
+		en.truth = model.NewEval()
+	}
+	en.truth.Rebind(model)
+	return en.truth
+}
+
 // runEpoch is the one epoch of every replay: materialize the epoch
 // instance, repair the carried allocation onto it, re-optimize under the
 // budget, record the row. With a control plane in the loop the closed
@@ -806,7 +820,7 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 				return nil, err
 			}
 		}
-		if oldRates, err = cl.pushRepair(ctx, epoch, inst, model, repaired, er); err != nil {
+		if oldRates, err = cl.pushRepair(ctx, epoch, inst, en.truthOn(model), repaired, er); err != nil {
 			return nil, err
 		}
 		estModel, err := cl.estimate(ctx, inst, er)
@@ -822,7 +836,7 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 	} else if coldCarried {
 		// A cold run discards the repaired allocation, so its stale
 		// utility must be evaluated explicitly.
-		er.StaleUtility = model.Evaluate(repaired).NetworkUtility
+		er.StaleUtility = en.truthOn(model).Evaluate(repaired).NetworkUtility
 	}
 	var initial []flowmodel.Bundle
 	if warm {

@@ -89,6 +89,7 @@ type Sim struct {
 	rng       *rand.Rand
 	installed []flowmodel.Bundle
 	epoch     int
+	eval      *flowmodel.Eval // every RunEpoch's arena, rebound to its model
 }
 
 // New builds a simulator over a ground-truth matrix. The initial routing
@@ -176,7 +177,11 @@ func (s *Sim) RunEpoch() (*EpochStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := model.Evaluate(s.installed)
+	if s.eval == nil {
+		s.eval = model.NewEval()
+	}
+	s.eval.Rebind(model)
+	res := s.eval.Evaluate(s.installed)
 
 	secs := s.cfg.Epoch.Seconds()
 	stats := &EpochStats{
