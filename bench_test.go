@@ -280,12 +280,14 @@ func BenchmarkPathGenAlternatives(b *testing.B) {
 // commit: path searches run (early-exit and tree-building alike) and the
 // nodes they settled, candidates scored, bundles skipped because a failed
 // step had refuted them — by a link earlier in the same pass, by the
-// escalation level below at an unchanged move size — committed steps and
-// escalations. The two benchmarks below report them per operation;
+// escalation level below at an unchanged move size — committed steps,
+// escalations, and builds of the optimizer's bundle list (one per run plus
+// one per step whose collection appended a path: every other step patches
+// it in place). The two benchmarks below report them per operation;
 // TestWorkCountsPinned compares them with testdata/work_counts.golden over
 // the same operations.
 type workCounts struct {
-	searches, settled, candidates, refutedLink, refutedLevel, steps, escalations int64
+	searches, settled, candidates, refutedLink, refutedLevel, steps, escalations, builds int64
 }
 
 func (w *workCounts) add(o workCounts) {
@@ -296,11 +298,13 @@ func (w *workCounts) add(o workCounts) {
 	w.refutedLevel += o.refutedLevel
 	w.steps += o.steps
 	w.escalations += o.escalations
+	w.builds += o.builds
 }
 
 func (w workCounts) sub(o workCounts) workCounts {
 	return workCounts{w.searches - o.searches, w.settled - o.settled, w.candidates - o.candidates,
-		w.refutedLink - o.refutedLink, w.refutedLevel - o.refutedLevel, w.steps - o.steps, w.escalations - o.escalations}
+		w.refutedLink - o.refutedLink, w.refutedLevel - o.refutedLevel, w.steps - o.steps, w.escalations - o.escalations,
+		w.builds - o.builds}
 }
 
 // report prints the per-operation counts beside a benchmark's times.
@@ -310,6 +314,7 @@ func (w workCounts) report(b *testing.B, ops int, per string) {
 	b.ReportMetric(float64(w.candidates)/float64(ops), "candidates/"+per)
 	b.ReportMetric(float64(w.refutedLink)/float64(ops), "refuted-link/"+per)
 	b.ReportMetric(float64(w.refutedLevel)/float64(ops), "refuted-level/"+per)
+	b.ReportMetric(float64(w.builds)/float64(ops), "builds/"+per)
 }
 
 // solutionWork reads one optimization's counts off its Solution.
@@ -322,6 +327,7 @@ func solutionWork(sol *Solution) workCounts {
 		refutedLevel: int64(sol.RefutedByLevel),
 		steps:        int64(sol.Steps),
 		escalations:  int64(sol.Escalations),
+		builds:       int64(sol.ListBuilds),
 	}
 }
 
@@ -336,6 +342,7 @@ func telemetryWork(tel *Telemetry) workCounts {
 		refutedLevel: c[`fubar_core_refuted_bundles_total{rule="level"}`],
 		steps:        c["fubar_core_steps_total"],
 		escalations:  c["fubar_core_escalations_total"],
+		builds:       c["fubar_core_list_builds_total"],
 	}
 }
 

@@ -17,14 +17,16 @@
 // (aggregate × crossing-bundle × alternative) candidate with a
 // water-filling over all bundles. Both halves of the step pipeline fan
 // out over Options.Workers goroutines (default GOMAXPROCS). Collection
-// shards the per-aggregate §2.4 alternative enumeration in fixed
-// aggregate chunks with an index-ordered merge, so the candidate list is
-// the serial scan's at any worker count. Evaluation then fans the
-// candidates out over workers, each owning a private flowmodel.Eval
-// arena and a persistent trial buffer synced once per step to the dense
-// committed list: a candidate writes its two patched entries, evaluates,
-// and reverts them (patch-and-revert), instead of copying the whole list
-// per candidate. Move selection replays the candidates in collection
+// visits only the aggregates that can have a bundle on the stepped link —
+// under DeltaAuto, the base's crossers of it — and shards their §2.4
+// alternative enumeration in fixed chunks with an index-ordered merge, so
+// the candidate list is the serial scan's at any worker count. Evaluation
+// then fans the candidates out over workers, each owning a private
+// flowmodel.Eval arena and a persistent trial buffer, copied from the dense
+// committed list once per layout and patched with it on every commit: a
+// candidate writes its two patched entries, evaluates, and reverts them
+// (patch-and-revert), instead of copying the whole list per candidate or
+// per step. Move selection replays the candidates in collection
 // order, so the committed move sequence — and thus the whole Solution —
 // is identical for any worker count (unless a wall-clock Options.Deadline
 // truncates the run; see Options.Workers).
@@ -298,6 +300,11 @@ type Solution struct {
 	// Base counts how each step's delta base was obtained — the
 	// persistent-base bookkeeping. All zero under DeltaOff.
 	Base BaseStats
+	// ListBuilds counts how often the run built its bundle list: once for
+	// the initial evaluation, then once per step whose collection appended
+	// a path to a set. Every other step, and every commit, patches the list
+	// in place. Identical at any Workers and DeltaEval.
+	ListBuilds int
 	// Paths counts how the run's path lookups were answered — memo,
 	// donor, tree or search — summed over the collection shards'
 	// generators.
@@ -323,8 +330,10 @@ type BaseStats struct {
 	// layout and inserted the new entries' placeholders into it
 	// (RemapBase), with no evaluation.
 	Remaps int `json:"remaps"`
-	// Skips counts steps whose list had the live base's layout — the
-	// common case — needing no work at all.
+	// Skips counts scored steps whose collection appended no path — the
+	// common case — needing no work at all: the list and the base are the
+	// committed allocation's already, so nothing is rebuilt, copied or
+	// compared.
 	Skips int `json:"skips"`
 	// Rebases counts committed moves folded into the base in place;
 	// Recaptures counts commits whose delta fell back to a full
@@ -356,33 +365,43 @@ type Optimizer struct {
 	opts  Options
 
 	aggs []aggState
+	// inertAggs lists, ascending, the run's routed aggregates whose
+	// per-flow demand is 0: their bundles cross no link in a base (see
+	// walkAggs). Built once per Run; usually empty.
+	inertAggs []int32
 	// denseBuf is the run's one bundle list: one bundle per (aggregate,
 	// path-set entry), zero-flow placeholders included, and one per
 	// self-pair. denseSeg[i] is the offset of aggregate i's segment
 	// (denseSeg[len(aggs)] == len(denseBuf)), so entry (i, p) sits at
 	// denseSeg[i]+p and every candidate is a two-entry flow patch at a
-	// stable index.
+	// stable index. Run's initial evaluation builds it; after that it is
+	// rebuilt only by a step whose collection appended a path, and a
+	// commit patches its two entries in place. prevSeg is the layout the
+	// last rebuild replaced — the base's until prepareBase carries it over.
 	denseBuf []flowmodel.Bundle
 	denseSeg []int
+	prevSeg  []int
+	// listBuilds counts the run's buildStepBundles calls (Solution.ListBuilds).
+	listBuilds int
 	// baseEval is the arena of the optimizer's own full evaluations and of
 	// its delta base; base is the captured snapshot the candidate deltas
 	// splice from, read-only while workers run. Under DeltaAuto the base
 	// captures the committed allocation from Run's initial evaluation to
-	// its last step, over the layout baseSeg describes: committed moves
-	// are folded in with CommitDelta and the paths collection appends are
-	// inserted with RemapBase, so a step pays a full base evaluation only
-	// when RemapBase refuses.
+	// its last step, over denseSeg's layout: committed moves are folded in
+	// with CommitDelta and the paths collection appends are inserted with
+	// RemapBase, so a step pays a full base evaluation only when RemapBase
+	// refuses.
 	baseEval *flowmodel.Eval
 	base     *flowmodel.Base
-	baseSeg  []int
 	// oldIdxBuf is the remap-translation scratch.
 	oldIdxBuf []int
 	baseStats BaseStats
 
-	// denseGen counts buildStepBundles calls; workers compare it against
-	// their syncGen to decide whether their persistent trial buffer still
-	// mirrors the committed dense list (patch-and-revert) or must resync
-	// with one full copy for the step.
+	// denseGen counts buildStepBundles calls — layouts; workers compare it
+	// against their syncGen to decide whether their persistent trial buffer
+	// still mirrors the committed dense list (patch-and-revert; commit
+	// patches synced buffers along with denseBuf) or must resync with one
+	// full copy.
 	denseGen uint64
 
 	// scratch
@@ -391,6 +410,8 @@ type Optimizer struct {
 	// collection; collection workers only read it.
 	congAsc []graph.EdgeID
 	cands   []candidate
+	// walk is the step's aggregates to collect from, ascending (walkAggs).
+	walk []int32
 
 	// refutedStamp[l] == passEpoch marks link l as one whose step failed in
 	// the current pass: every candidate of every positive-flow bundle
@@ -452,9 +473,10 @@ type Optimizer struct {
 
 // worker is one candidate evaluator: a private flowmodel arena plus the
 // scratch it assembles trial bundle lists into. buf persists across
-// candidates: once synced to the step's dense list (syncGen ==
+// candidates and steps: once synced to the dense list's layout (syncGen ==
 // Optimizer.denseGen) every candidate writes its two patched entries,
-// evaluates, and reverts them, instead of re-copying the whole list.
+// evaluates, and reverts them, and every commit patches it like the list,
+// instead of re-copying the whole list.
 type worker struct {
 	eval    *flowmodel.Eval
 	buf     []flowmodel.Bundle
@@ -479,8 +501,10 @@ type collector struct {
 	alts     []graph.Path
 	crossBuf []int
 	// refutedLink and refutedLevel count the crossing bundles this shard
-	// skipped as refuted, by either rule, in the current collection.
+	// skipped as refuted, by either rule, in the current collection; grew
+	// says whether it appended a path to a set, which re-lays the list out.
 	refutedLink, refutedLevel int
+	grew                      bool
 	// cands accumulates this shard's candidates; chunkEnd[k] is the end
 	// offset of the shard's k-th owned chunk, in claim order, so the
 	// index-ordered merge can interleave shards back into global
@@ -587,6 +611,7 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	o.pubDelta = flowmodel.DeltaStats{}
 	o.pubPaths = pathgen.Stats{}
 	o.candidates, o.refutedLink, o.refutedLevel, o.prevFraction = 0, 0, 0, 0
+	o.listBuilds = 0
 	if o.tm != nil {
 		o.tm.Runs.Inc()
 	}
@@ -759,8 +784,8 @@ loop:
 		}
 	}
 
-	final, seg := o.finalResult()
-	bundles := o.compact(final, seg)
+	final := o.finalResult()
+	bundles := o.compact(final)
 	sol := &Solution{
 		Bundles:        bundles,
 		Result:         final.Clone(),
@@ -772,6 +797,7 @@ loop:
 		Stop:           stop,
 		RefutedBundles: o.refutedLink + o.refutedLevel,
 		RefutedByLevel: o.refutedLevel,
+		ListBuilds:     o.listBuilds,
 	}
 	for _, w := range o.workers {
 		sol.Delta.Add(w.eval.DeltaStats())
@@ -806,6 +832,7 @@ func (o *Optimizer) initAllocation() error {
 		o.aggs = grown
 	}
 	o.aggs = o.aggs[:n]
+	o.inertAggs = o.inertAggs[:0]
 	for i := 0; i < n; i++ {
 		a := o.mat.Aggregate(traffic.AggregateID(i))
 		st := &o.aggs[i]
@@ -813,6 +840,9 @@ func (o *Optimizer) initAllocation() error {
 		st.flows, st.delays = st.flows[:0], st.delays[:0]
 		if st.self {
 			continue
+		}
+		if a.DemandPerFlow() == 0 {
+			o.inertAggs = append(o.inertAggs, int32(i))
 		}
 		p, ok := o.gen.LowestDelay(a.Src, a.Dst)
 		if !ok {
@@ -901,9 +931,11 @@ func (o *Optimizer) applyWarmStart(bundles []flowmodel.Bundle) error {
 // candidate bundles onto base bundles one-to-one. Zero-flow placeholders
 // are inert in the traffic model (no weight, no demand, no link
 // contributions) and every sum runs in index order, so the list evaluates
-// to exactly what its positive entries alone would.
+// to exactly what its positive entries alone would. The layout it replaces
+// moves to o.prevSeg, for remapBase.
 func (o *Optimizer) buildStepBundles() []flowmodel.Bundle {
 	o.denseBuf = o.denseBuf[:0]
+	o.prevSeg, o.denseSeg = o.denseSeg, o.prevSeg
 	if cap(o.denseSeg) < len(o.aggs)+1 {
 		o.denseSeg = make([]int, len(o.aggs)+1)
 	}
@@ -927,32 +959,36 @@ func (o *Optimizer) buildStepBundles() []flowmodel.Bundle {
 		}
 	}
 	o.denseSeg[len(o.aggs)] = len(o.denseBuf)
-	// A new dense list invalidates every worker's synced trial buffer.
+	o.listBuilds++
+	if o.tm != nil {
+		o.tm.ListBuilds.Inc()
+	}
+	// A new layout invalidates every worker's synced trial buffer.
 	o.denseGen++
 	return o.denseBuf
 }
 
-// finalResult evaluates the final allocation and returns the segment
-// offsets of the list it is laid out over. Under DeltaAuto that is the
-// base's own layout: the base captures the committed allocation — with the
-// placeholders of any path appended after the last commit — so the Result
-// materializes from it with no water-filling at all. Under DeltaOff it is
-// a full evaluation of the dense list on the base arena. Both are
-// bit-identical by the CommitDelta/RemapBase contract.
-func (o *Optimizer) finalResult() (*flowmodel.Result, []int) {
+// finalResult evaluates the final allocation, the run's list — with the
+// placeholders of any path appended after the last commit. Under DeltaAuto
+// the base captures it, so the Result materializes from the base with no
+// water-filling at all. Under DeltaOff it is a full evaluation of the list
+// on the base arena. Both are bit-identical by the CommitDelta/RemapBase
+// contract.
+func (o *Optimizer) finalResult() *flowmodel.Result {
 	if o.opts.DeltaEval == DeltaAuto {
 		o.baseStats.FinalFromBase++
-		return o.baseEval.ResultFromBase(o.base), o.baseSeg
+		return o.baseEval.ResultFromBase(o.base)
 	}
-	return o.baseEval.Evaluate(o.buildStepBundles()), o.denseSeg
+	return o.baseEval.Evaluate(o.denseBuf)
 }
 
 // compact deep-copies the final allocation — its positive entries and its
 // self-pairs, in list order, at exact capacity — and moves res's per-bundle
-// rates and satisfaction, laid out by seg, onto the same indices, so res
-// is the evaluation of the returned list: placeholders are inert, and
+// rates and satisfaction, laid out by denseSeg, onto the same indices, so
+// res is the evaluation of the returned list: placeholders are inert, and
 // dropping them changes no other field.
-func (o *Optimizer) compact(res *flowmodel.Result, seg []int) []flowmodel.Bundle {
+func (o *Optimizer) compact(res *flowmodel.Result) []flowmodel.Bundle {
+	seg := o.denseSeg
 	n := 0
 	for i := range o.aggs {
 		if o.aggs[i].self {
@@ -1031,7 +1067,7 @@ type candidate struct {
 // improve-by-minGain rule the serial mutate-evaluate-revert loop used, so
 // any worker count commits the identical move.
 func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.EdgeID, fraction float64) *flowmodel.Result {
-	cands, byLink, byLevel := o.collectCandidates(link, congested, fraction)
+	cands, byLink, byLevel, grew := o.collectCandidates(link, congested, fraction)
 	o.candidates += len(cands)
 	o.refutedLink += byLink
 	o.refutedLevel += byLevel
@@ -1041,15 +1077,10 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		o.tm.RefutedByLevel.Add(int64(byLevel))
 	}
 	if len(cands) == 0 {
-		return nil
+		return nil // collection appends a path only beside a candidate
 	}
-	dense := o.buildStepBundles()
-	var base *flowmodel.Base
-	if o.opts.DeltaEval == DeltaAuto {
-		o.prepareBase(dense)
-		base = o.base
-	}
-	o.evaluateCandidates(cands, dense, base, uInit)
+	base := o.prepareBase(grew)
+	o.evaluateCandidates(cands, o.denseBuf, base, uInit)
 
 	if o.afterScoring != nil {
 		o.afterScoring(cands, uInit+minGain)
@@ -1081,77 +1112,83 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 	return res
 }
 
-// prepareBase carries o.base, which captures the committed allocation,
-// onto the dense list just built by buildStepBundles: untouched when no
-// path set grew since its layout was recorded, given the new entries'
-// placeholders when one did, and only failing that re-captured by a full
-// EvaluateBase.
-func (o *Optimizer) prepareBase(dense []flowmodel.Bundle) {
+// prepareBase brings the run's list, and under DeltaAuto the base that
+// captures the committed allocation, onto the layout collection left, and
+// returns the base candidates are scored against (nil under DeltaOff). The
+// layout changed only if collection appended a path (grew): the list is
+// rebuilt and the new entries' placeholders are inserted into the base,
+// which only failing that is re-captured by a full EvaluateBase. Every
+// other step finds both current — a Skip.
+func (o *Optimizer) prepareBase(grew bool) *flowmodel.Base {
+	if grew {
+		o.buildStepBundles()
+	}
+	if o.opts.DeltaEval != DeltaAuto {
+		return nil
+	}
 	switch {
-	case slices.Equal(o.baseSeg, o.denseSeg):
+	case !grew:
 		o.baseStats.Skips++
-	case o.remapBase(dense):
+	case o.remapBase():
 		o.baseStats.Remaps++
 	default:
-		o.captureBase(dense)
+		o.captureBase(o.denseBuf)
 	}
+	return o.base
 }
 
 // captureBase evaluates the dense list in full on the base arena and
-// captures the outcome, layout included, into o.base.
+// captures the outcome into o.base.
 func (o *Optimizer) captureBase(dense []flowmodel.Bundle) *flowmodel.Result {
 	res := o.baseEval.EvaluateBase(dense, o.base)
 	o.baseStats.Captures++
-	o.baseSeg = append(o.baseSeg[:0], o.denseSeg...)
 	return res
 }
 
-// remapBase inserts into the base the placeholders of the paths collection
-// appended since its layout was recorded, and records the dense layout as
-// its own. Path sets only grow, so aggregate a's old entry p is new entry
-// p, and every entry beyond its old segment is a new placeholder.
-func (o *Optimizer) remapBase(dense []flowmodel.Bundle) bool {
-	o.oldIdxBuf = slices.Grow(o.oldIdxBuf[:0], len(dense))
-	oldIdx := o.oldIdxBuf[:len(dense)]
+// remapBase inserts into the base, laid out by prevSeg, the placeholders of
+// the paths collection appended since: path sets only grow, so aggregate
+// a's old entry p is new entry p, and every entry beyond its old segment
+// is a new placeholder.
+func (o *Optimizer) remapBase() bool {
+	o.oldIdxBuf = slices.Grow(o.oldIdxBuf[:0], len(o.denseBuf))
+	oldIdx := o.oldIdxBuf[:len(o.denseBuf)]
 	for a := range o.aggs {
-		n := o.baseSeg[a+1] - o.baseSeg[a]
+		n := o.prevSeg[a+1] - o.prevSeg[a]
 		for p, j := 0, o.denseSeg[a]; j < o.denseSeg[a+1]; p, j = p+1, j+1 {
 			oldIdx[j] = -1
 			if p < n {
-				oldIdx[j] = o.baseSeg[a] + p
+				oldIdx[j] = o.prevSeg[a] + p
 			}
 		}
 	}
-	if !o.baseEval.RemapBase(o.base, dense, oldIdx) {
-		return false
-	}
-	o.baseSeg = append(o.baseSeg[:0], o.denseSeg...)
-	return true
+	return o.baseEval.RemapBase(o.base, o.denseBuf, oldIdx)
 }
 
 // collectChunk is the sharded collection's work granule: contiguous runs
-// of this many aggregates are assigned to collection goroutines round-
-// robin. Small enough to balance skewed instances (most aggregates don't
-// cross the link; the expensive ones cluster), large enough that the
-// merge bookkeeping stays negligible.
+// of this many walked aggregates are assigned to collection goroutines
+// round-robin. Small enough to balance skewed instances (the expensive
+// aggregates cluster), large enough that the merge bookkeeping stays
+// negligible.
 const collectChunk = 16
 
 // collectCandidates enumerates the step's trial moves without evaluating
-// any of them, sharding the per-aggregate enumeration across up to
-// Options.Workers goroutines. Chunks of collectChunk aggregates are
-// assigned to shards statically (chunk c → shard c mod workers) and the
-// shard outputs are merged back in global chunk order, so the candidate
-// list — and every path-set mutation, which only ever touches the
-// aggregate being enumerated — is identical to the serial scan's at any
-// worker count. Genuinely new alternative paths are added to their
-// aggregate's path set here (with zero flows — path sets only grow,
-// §2.4), exactly as the serial trial loop did, so enumeration order and
-// the path-set cap behave identically too.
-func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeID, fraction float64) (cands []candidate, byLink, byLevel int) {
+// any of them, over the aggregates walkAggs lists, sharding the
+// per-aggregate enumeration across up to Options.Workers goroutines.
+// Chunks of collectChunk walked aggregates are assigned to shards
+// statically (chunk c → shard c mod workers) and the shard outputs are
+// merged back in global chunk order, so the candidate list — and every
+// path-set mutation, which only ever touches the aggregate being
+// enumerated — is identical to the serial scan's at any worker count.
+// Genuinely new alternative paths are added to their aggregate's path set
+// here (with zero flows — path sets only grow, §2.4), exactly as the serial
+// trial loop did, so enumeration order and the path-set cap behave
+// identically too; grew reports whether any was.
+func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeID, fraction float64) (cands []candidate, byLink, byLevel int, grew bool) {
 	o.cands = o.cands[:0]
 	o.congAsc = append(o.congAsc[:0], congested...)
 	slices.Sort(o.congAsc)
-	nChunks := (len(o.aggs) + collectChunk - 1) / collectChunk
+	walk := o.walkAggs(link)
+	nChunks := (len(walk) + collectChunk - 1) / collectChunk
 	nw := o.opts.Workers
 	if nw > nChunks {
 		nw = nChunks
@@ -1160,7 +1197,7 @@ func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeI
 		o.growCollectors(1)
 		col := o.collectors[0]
 		col.cands = o.cands
-		o.collectRange(col, 0, len(o.aggs), link, congested, fraction)
+		o.collectAggs(col, walk, link, congested, fraction)
 		o.cands = col.cands
 		col.cands = nil
 	} else {
@@ -1175,8 +1212,8 @@ func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeI
 				defer wg.Done()
 				for c := wi; c < nChunks; c += nw {
 					lo := c * collectChunk
-					hi := min(lo+collectChunk, len(o.aggs))
-					o.collectRange(col, lo, hi, link, congested, fraction)
+					hi := min(lo+collectChunk, len(walk))
+					o.collectAggs(col, walk[lo:hi], link, congested, fraction)
 					col.chunkEnd = append(col.chunkEnd, len(col.cands))
 				}
 			}(wi, col)
@@ -1203,18 +1240,53 @@ func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeI
 	}
 	for _, col := range o.collectors { // shards that sat this step out hold 0
 		byLink, byLevel = byLink+col.refutedLink, byLevel+col.refutedLevel
-		col.refutedLink, col.refutedLevel = 0, 0
+		grew = grew || col.grew
+		col.refutedLink, col.refutedLevel, col.grew = 0, 0, false
 	}
-	return o.cands, byLink, byLevel
+	return o.cands, byLink, byLevel, grew
 }
 
-// collectRange enumerates candidates for aggregates [lo, hi) into the
-// collector's list. Mutations are confined to the aggregates being
-// enumerated (path-set growth) and the collector's own scratch; shared
-// optimizer state — congAsc, the matrix, the options — is read-only, so
-// disjoint ranges may run concurrently.
-func (o *Optimizer) collectRange(col *collector, lo, hi int, link graph.EdgeID, congested []graph.EdgeID, fraction float64) {
-	for ai := lo; ai < hi; ai++ {
+// walkAggs lists, ascending, the aggregates collection visits for link: an
+// ordered superset of those crossingPaths accepts a bundle of. Under
+// DeltaAuto these are the aggregates of the base's active crossers of the
+// link — in the dense layout ascending bundle index is ascending aggregate —
+// merged with the run's routed aggregates whose per-flow demand is 0
+// (inertAggs): their bundles are inert in the fill, so on no crosser list,
+// yet moving one still changes its delay utility. DeltaOff has no base and
+// walks every aggregate: the differential oracle for the walk. The list is
+// the optimizer's scratch, valid until the next call.
+func (o *Optimizer) walkAggs(link graph.EdgeID) []int32 {
+	o.walk = o.walk[:0]
+	if o.opts.DeltaEval != DeltaAuto {
+		for ai := range o.aggs {
+			o.walk = append(o.walk, int32(ai))
+		}
+		return o.walk
+	}
+	k, last := 0, int32(-1)
+	for _, bi := range o.base.Crossers(link) {
+		ai := int32(o.denseBuf[bi].Agg)
+		if ai == last {
+			continue
+		}
+		for ; k < len(o.inertAggs) && o.inertAggs[k] < ai; k++ {
+			o.walk = append(o.walk, o.inertAggs[k])
+		}
+		o.walk = append(o.walk, ai)
+		last = ai
+	}
+	o.walk = append(o.walk, o.inertAggs[k:]...)
+	return o.walk
+}
+
+// collectAggs enumerates candidates for the given aggregates, in order,
+// into the collector's list. Mutations are confined to the aggregates
+// being enumerated (path-set growth) and the collector's own scratch;
+// shared optimizer state — congAsc, the matrix, the options — is
+// read-only, so disjoint lists may run concurrently.
+func (o *Optimizer) collectAggs(col *collector, aggs []int32, link graph.EdgeID, congested []graph.EdgeID, fraction float64) {
+	for _, a := range aggs {
+		ai := int(a)
 		st := &o.aggs[ai]
 		if st.self {
 			continue
@@ -1253,6 +1325,7 @@ func (o *Optimizer) collectRange(col *collector, lo, hi int, link graph.EdgeID, 
 					ti = st.set.Len() - 1
 					st.flows = append(st.flows, 0)
 					st.delays = append(st.delays, o.model.Topology().PathDelay(alt))
+					col.grew = true
 				}
 				col.cands = append(col.cands, candidate{agg: ai, from: from, to: ti, n: n})
 			}
@@ -1359,11 +1432,11 @@ func (o *Optimizer) evalCandidate(w *worker, c *candidate, dense []flowmodel.Bun
 // patchCandidate assembles the candidate's trial list in the worker's
 // buffer — the dense committed list with the (from, to, n) flow patch —
 // and records the two patched indices in w.changed (ascending).
-// The buffer persists across candidates: it is copied from the dense
-// list only when stale for this step (first candidate after a
+// The buffer persists across candidates and steps: it is copied from the
+// dense list only when stale for its layout (first candidate after a
 // buildStepBundles); otherwise the patch writes exactly two entries of a
-// list revertCandidate restored to the committed layout after the previous
-// candidate.
+// list revertCandidate restored, and commit kept, equal to the committed
+// one.
 func (o *Optimizer) patchCandidate(w *worker, c *candidate, dense []flowmodel.Bundle) []flowmodel.Bundle {
 	if w.syncGen != o.denseGen {
 		w.buf = append(w.buf[:0], dense...)
@@ -1538,8 +1611,10 @@ func moveSize(aggFlows, bundleFlows int, fraction float64) int {
 
 // commit permanently applies a candidate move, to the aggregate's flow
 // split and to the dense list's two entries, so the list stays the
-// committed allocation's. Its target path joined the aggregate's path set
-// during collection. Returns the two patched indices, ascending.
+// committed allocation's — and to the same two entries of every worker
+// buffer synced to the list's layout, so those stay its copies and the
+// next step copies nothing. Its target path joined the aggregate's path
+// set during collection. Returns the two patched indices, ascending.
 func (o *Optimizer) commit(c candidate) [2]int {
 	st := &o.aggs[c.agg]
 	st.flows[c.from] -= c.n
@@ -1547,6 +1622,12 @@ func (o *Optimizer) commit(c candidate) [2]int {
 	iFrom, iTo := o.denseSeg[c.agg]+c.from, o.denseSeg[c.agg]+c.to
 	o.denseBuf[iFrom].Flows -= c.n
 	o.denseBuf[iTo].Flows += c.n
+	for _, w := range o.workers {
+		if w.syncGen == o.denseGen {
+			w.buf[iFrom].Flows -= c.n
+			w.buf[iTo].Flows += c.n
+		}
+	}
 	return [2]int{min(iFrom, iTo), max(iFrom, iTo)}
 }
 

@@ -67,19 +67,14 @@ func BenchmarkStepCandidates(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cands, _, _ := o.collectCandidates(links[0], congested, moveFraction)
+					cands, _, _, grew := o.collectCandidates(links[0], congested, moveFraction)
 					if len(cands) == 0 {
 						b.Fatal("no candidates collected")
 					}
 					// Mirror step(): both paths patch the dense list, the
 					// delta one against the carried-over base.
-					dense := o.buildStepBundles()
-					var base *flowmodel.Base
-					if delta == DeltaAuto {
-						o.prepareBase(dense)
-						base = o.base
-					}
-					o.evaluateCandidates(cands, dense, base, u)
+					base := o.prepareBase(grew)
+					o.evaluateCandidates(cands, o.denseBuf, base, u)
 					// Selection without commit keeps every iteration identical.
 					best := u
 					for j := range cands {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
+	"fubar/internal/utility"
 )
 
 // waxmanScaleInstance builds a ~200-node Waxman instance with a sparse
@@ -88,6 +90,78 @@ func TestScaleWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestCollectionVisitsInertCrossers holds the DeltaAuto crosser walk to
+// DeltaOff's scan of every aggregate where a base's crosser lists miss
+// bundles: every 7th aggregate of these instances wants no bandwidth (a flat
+// bandwidth curve, per-flow demand 0), so its bundles are inert in the fill
+// and cross no link of the base, yet they carry flows over congested links
+// and moving them changes their delay utility. Every step's candidate list
+// — aggregate, from, to, move size, in order — must be DeltaOff's at
+// Workers 1 and 4; it is not when walkAggs leaves out the run's zero-demand
+// aggregates.
+func TestCollectionVisitsInertCrossers(t *testing.T) {
+	flat := utility.MustCurve(utility.Point{X: 0, Y: 1})
+	type move struct{ agg, from, to, n int }
+	inert := 0 // zero-demand candidates DeltaOff collected
+	for seed := int64(1); seed <= 6; seed++ {
+		topo, mat := waxmanScaleInstance(t, seed)
+		aggs := mat.Aggregates()
+		for i := 0; i < len(aggs); i += 7 {
+			aggs[i].Fn = utility.MustFunction("flat", flat, aggs[i].Fn.DelayComponent())
+		}
+		mat, err := traffic.NewMatrix(topo, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := flowmodel.New(topo, mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := func(mode DeltaMode, workers int) [][]move {
+			o, err := New(model, Options{Workers: workers, DeltaEval: mode, MaxSteps: 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out [][]move
+			o.afterScoring = func(cands []candidate, _ float64) {
+				ms := make([]move, len(cands))
+				for i, c := range cands {
+					ms[i] = move{c.agg, c.from, c.to, c.n}
+				}
+				out = append(out, ms)
+			}
+			if _, err := o.Run(t.Context()); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		for _, workers := range []int{1, 4} {
+			want := steps(DeltaOff, workers)
+			for _, ms := range want {
+				for _, m := range ms {
+					if m.agg%7 == 0 {
+						inert++
+					}
+				}
+			}
+			got := steps(DeltaAuto, workers)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d workers=%d: %d scored steps under DeltaAuto, %d under DeltaOff", seed, workers, len(got), len(want))
+			}
+			for k := range want {
+				if !slices.Equal(got[k], want[k]) {
+					t.Fatalf("seed %d workers=%d step %d: DeltaAuto collected %d candidates, DeltaOff %d",
+						seed, workers, k, len(got[k]), len(want[k]))
+				}
+			}
+		}
+	}
+	if inert == 0 {
+		t.Fatal("no zero-demand aggregate was ever a candidate: the instances test nothing")
+	}
+	t.Logf("%d zero-demand candidates, each collected under DeltaAuto too", inert)
+}
+
 // TestPatchRevertInvariant drives a real optimization with an
 // instrumented candidate evaluator and asserts the patch-and-revert
 // contract: every candidate's trial buffer equals the step's committed
@@ -95,7 +169,10 @@ func TestScaleWorkerDeterminism(t *testing.T) {
 // with the aggregate's total flow count preserved. Any failed revert
 // leaves a stale entry that the next candidate's comparison catches. Both
 // DeltaEval modes patch and revert the same buffer; DeltaOff hands the
-// probe no base.
+// probe no base. The list and the buffers are maintained, not rebuilt, so
+// after the initial evaluation and every commit the list must equal a
+// fresh build from the aggregates' states, and every worker buffer synced
+// to its layout must equal it entry for entry.
 func TestPatchRevertInvariant(t *testing.T) {
 	for _, mode := range []DeltaMode{DeltaAuto, DeltaOff} {
 		for _, workers := range []int{1, 4} {
@@ -110,11 +187,28 @@ func testPatchRevert(t *testing.T, mode DeltaMode, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(model, Options{Workers: workers, MaxSteps: 20, DeltaEval: mode})
+	tag := fmt.Sprintf("delta=%s workers=%d", mode, workers)
+	var o *Optimizer
+	snapshots, synced := 0, 0
+	trace := func(s Snapshot) {
+		snapshots++
+		if want := freshList(o.aggs); !reflect.DeepEqual(o.denseBuf, want) {
+			t.Fatalf("%s snapshot %d: the maintained list is not a fresh build of the allocation", tag, snapshots)
+		}
+		for wi, w := range o.workers {
+			if w.syncGen != o.denseGen {
+				continue // resyncs with a full copy before its next candidate
+			}
+			synced++
+			if !reflect.DeepEqual(w.buf, o.denseBuf) {
+				t.Fatalf("%s snapshot %d: worker %d's synced buffer differs from the list", tag, snapshots, wi)
+			}
+		}
+	}
+	o, err = New(model, Options{Workers: workers, MaxSteps: 20, DeltaEval: mode, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag := fmt.Sprintf("delta=%s workers=%d", mode, workers)
 	var candidates atomic.Int64
 	var failures atomic.Int64
 	o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, bound float64) float64 {
@@ -163,4 +257,24 @@ func testPatchRevert(t *testing.T, mode DeltaMode, workers int) {
 	if candidates.Load() < 100 {
 		t.Fatalf("%s: probe saw only %d candidates", tag, candidates.Load())
 	}
+	if synced == 0 {
+		t.Fatalf("%s: no worker buffer was still synced at a snapshot; the commit patch went untested", tag)
+	}
+}
+
+// freshList builds, independently of buildStepBundles, the list an
+// allocation is laid out as: per aggregate in order, its self-pair bundle
+// or one bundle per path-set entry, zero-flow placeholders included.
+func freshList(aggs []aggState) []flowmodel.Bundle {
+	var list []flowmodel.Bundle
+	for i, st := range aggs {
+		if st.self {
+			list = append(list, flowmodel.Bundle{Agg: traffic.AggregateID(i), Flows: st.total})
+			continue
+		}
+		for p, f := range st.flows {
+			list = append(list, flowmodel.Bundle{Agg: traffic.AggregateID(i), Flows: f, Edges: st.set.Path(p).Edges, Delay: st.delays[p]})
+		}
+	}
+	return list
 }

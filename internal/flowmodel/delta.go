@@ -116,6 +116,13 @@ type Base struct {
 // first capture).
 func (b *Base) NumBundles() int { return len(b.bundles) }
 
+// Crossers returns the captured list's active crossers of link l, in
+// ascending bundle index: every bundle with flows and a nonzero demand
+// whose path uses l. Inert bundles — zero flows, or an aggregate whose
+// per-flow demand is 0 — cross no link here, whatever their path. The
+// slice is the base's own: read-only, valid until the base is next written.
+func (b *Base) Crossers(l graph.EdgeID) []int32 { return b.linkBun[l] }
+
 // DeltaStats counts an arena's incremental-evaluation activity.
 type DeltaStats struct {
 	// Calls is the number of EvaluateDelta invocations.

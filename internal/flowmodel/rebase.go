@@ -47,23 +47,31 @@ func (e *Eval) CommitDelta(base *Base, bundles []Bundle, changed []int) (*Result
 
 // patchBase folds a just-completed (non-fallback) evaluateDelta outcome
 // into base. The delta scratch (affected set, sub-problem and touched
-// link lists, changed marks) must still describe that call.
+// link lists, changed marks) must still describe that call. The result
+// differs from the base only where the delta wrote — the affected
+// bundles, the sub-problem, touched and touched-seed links, the dirty
+// aggregates — so that is all it writes back: the cost is the delta's,
+// plus the index-order passes of indexOrder and foldTerms.
 func (e *Eval) patchBase(base *Base, bundles []Bundle, changed []int, res *Result) {
 	d := &e.delta
 	m := e.m
 
-	// Demand-event order first (it reads the changed marks but nothing
-	// the patches below overwrite): drop the changed bundles' old keys,
-	// then re-insert the ones still active under their new demand times.
-	// Unchanged affected bundles spliced their base fill parameters, so
-	// their keys are already correct.
-	keep := base.order[:0]
-	for _, k := range base.order {
-		if d.chMark[uint32(k)] != d.epoch {
-			keep = append(keep, k)
+	// Demand-event order first (it reads the base's old fill parameters):
+	// drop the changed bundles' old keys, highest rank first so the lower
+	// ranks orderPos holds stay valid, then re-insert the ones still active
+	// under their new demand times. Unchanged affected bundles spliced
+	// their base fill parameters, so their keys are already correct.
+	for {
+		top := int32(-1)
+		for _, ci := range changed {
+			top = max(top, base.orderPos[ci])
 		}
+		if top < 0 {
+			break
+		}
+		base.orderPos[uint32(base.order[top])] = -1
+		base.order = slices.Delete(base.order, int(top), int(top)+1)
 	}
-	base.order = keep
 	for _, ci := range changed {
 		if e.weight[ci] <= 0 {
 			continue
@@ -75,55 +83,53 @@ func (e *Eval) patchBase(base *Base, bundles []Bundle, changed []int, res *Resul
 	}
 	base.indexOrder()
 
-	// Per-bundle state. Rates and satisfaction come wholesale from the
-	// result (it holds full arrays, spliced plus re-solved); freeze modes
-	// are only valid in the arena for the affected set; fill parameters
-	// only changed for the changed bundles themselves.
-	base.bundles = append(base.bundles[:0], bundles...)
-	base.rate = append(base.rate[:0], res.BundleRate...)
-	base.sat = append(base.sat[:0], res.BundleSatisfied...)
-	for _, i := range d.affected {
-		base.byDemand[i] = e.byDemand[i]
-	}
+	// Per-bundle state. Only the changed bundles differ from the base's
+	// list, and only they computed fill parameters of their own; rates,
+	// satisfaction and freeze modes were re-solved for the affected set.
 	for _, ci := range changed {
+		base.bundles[ci] = bundles[ci]
 		base.weight[ci] = e.weight[ci]
 		base.demand[ci] = e.demand[ci]
 		base.tDemand[ci] = e.tDemand[ci]
 	}
+	for _, i := range d.affected {
+		base.rate[i], base.sat[i], base.byDemand[i] = res.BundleRate[i], res.BundleSatisfied[i], e.byDemand[i]
+	}
 
-	// Per-link and per-aggregate state.
-	base.linkLoad = append(base.linkLoad[:0], res.LinkLoad...)
-	base.linkDem = append(base.linkDem[:0], res.LinkDemand...)
-	base.isCong = append(base.isCong[:0], res.IsCongested...)
-	base.aggUtil = append(base.aggUtil[:0], res.AggUtility...)
+	// Per-aggregate state: only the dirty aggregates were re-derived.
 	for _, a := range d.dirtyAggs {
+		base.aggUtil[a] = res.AggUtility[a]
 		base.aggTerm[a] = m.networkTerm(int(a), res.AggUtility[a])
 	}
 	base.foldTerms()
 	base.netUtility = res.NetworkUtility
 
-	// Crosser lists: sub-problem links were rebuilt complete by the fill
-	// (the closure property guarantees every active crosser is affected);
-	// touched-seed links may have gained or lost changed crossers and get
-	// the same ascending merge resumTouched used; plain touched links
-	// have no changed crossers, so their lists stand. Bindings follow the
-	// new loads on every link whose load could have moved.
+	// Per-link state: loads, demands and congestion moved only on the
+	// sub-problem's links and the touched and touched-seed ones the delta
+	// re-summed. Crosser lists: sub-problem links were rebuilt complete by
+	// the fill (the closure property guarantees every active crosser is
+	// affected); touched-seed links may have gained or lost changed
+	// crossers and get the same ascending merge resumTouched used; plain
+	// touched links have no changed crossers, so their lists stand.
+	// Bindings follow the new loads.
+	setLink := func(l int32) {
+		base.linkLoad[l], base.linkDem[l], base.isCong[l] = res.LinkLoad[l], res.LinkDemand[l], res.IsCongested[l]
+		base.binding[l] = res.IsCongested[l] || res.LinkLoad[l] >= m.capacity[l]*bindingEagerFrac
+	}
 	for _, l := range d.subLinks {
 		base.linkBun[l] = append(base.linkBun[l][:0], e.linkBun[l]...)
-		base.binding[l] = res.IsCongested[l] || res.LinkLoad[l] >= m.capacity[l]*bindingEagerFrac
+		setLink(l)
 	}
 	for _, l := range d.touched {
-		if d.linkMark[l] == d.epoch {
-			continue // promoted into the sub-problem: handled above
+		if d.linkMark[l] != d.epoch { // else promoted: handled above
+			setLink(l)
 		}
-		base.binding[l] = res.IsCongested[l] || res.LinkLoad[l] >= m.capacity[l]*bindingEagerFrac
 	}
 	for _, l := range d.tchSeed {
-		if d.linkMark[l] == d.epoch {
-			continue // promoted into the sub-problem: handled above
+		if d.linkMark[l] != d.epoch {
+			e.mergeChangedCrossers(base, bundles, l, changed)
+			setLink(l)
 		}
-		e.mergeChangedCrossers(base, bundles, l, changed)
-		base.binding[l] = res.IsCongested[l] || res.LinkLoad[l] >= m.capacity[l]*bindingEagerFrac
 	}
 	// aggBun is index → aggregate membership, which changed bundles keep
 	// by the EvaluateDelta contract: nothing to update.

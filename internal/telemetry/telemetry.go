@@ -40,6 +40,7 @@ type CoreMetrics struct {
 	RefutedByLevel      *Counter
 	CandidatesEvaluated *Counter
 	TrialResyncs        *Counter
+	ListBuilds          *Counter
 	CollectMergeSeconds *Histogram
 	StepSeconds         *Histogram
 	ProofSeconds        *Histogram
@@ -75,7 +76,8 @@ func (t *Telemetry) Core() *CoreMetrics {
 		RefutedByLink:       r.Counter(`fubar_core_refuted_bundles_total{rule="link"}`, refutedBundlesHelp),
 		RefutedByLevel:      r.Counter(`fubar_core_refuted_bundles_total{rule="level"}`, refutedBundlesHelp),
 		CandidatesEvaluated: r.Counter("fubar_core_candidates_evaluated_total", "Candidate moves scored by workers."),
-		TrialResyncs:        r.Counter("fubar_core_trial_resyncs_total", "Worker trial buffers resynced to a new dense generation."),
+		TrialResyncs:        r.Counter("fubar_core_trial_resyncs_total", "Worker trial buffers resynced with a full copy of the bundle list; only a layout change (fubar_core_list_builds_total) calls for one, as commits patch synced buffers in place."),
+		ListBuilds:          r.Counter("fubar_core_list_builds_total", "Builds of an optimizer run's bundle list: one per run, plus one per step whose collection appended a path to a set."),
 		CollectMergeSeconds: r.Histogram("fubar_core_collect_merge_seconds", "Wall time of the index-ordered candidate shard merge.", SecondsBuckets),
 		StepSeconds:         r.Histogram("fubar_core_step_seconds", "Wall time of one optimizer step.", SecondsBuckets),
 		ProofSeconds:        r.Histogram("fubar_core_proof_seconds", "Wall time of the commit-free passes that ended a run at a local optimum.", SecondsBuckets),
