@@ -202,8 +202,8 @@
 // # HA control plane
 //
 // WithReplicas(n) runs the closed-loop controller as a replica set:
-// switch ownership shards across seats by rendezvous hashing, installs
-// fan out and merge, and controller-fail / controller-recover scenario
+// switch ownership shards across seats by rendezvous hashing, an install
+// reaches every seat's switches in one round, and controller-fail / controller-recover scenario
 // events (canned name "ctrlstorm") kill and re-seat replicas at epoch
 // boundaries. Orphaned switches re-home
 // onto survivors, which push their cached rule tables back as verified

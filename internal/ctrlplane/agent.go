@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -99,11 +98,9 @@ type Agent struct {
 	closed bool
 	wbuf   []byte // frame buffer every write reuses, under mu
 
-	// epochFloor is the highest election epoch seen on a FlowMod; older
-	// epochs are fenced off with ErrCodeStale. The managed agent shares
-	// one floor across reconnects so a deposed replica cannot roll the
-	// table back after a failover.
-	epochFloor *atomic.Uint64
+	// fence is the FlowMod state the managed agent keeps across
+	// reconnects.
+	fence *flowModFence
 
 	// EpochMs is the measurement epoch the controller advertised in its
 	// HelloAck, for the datapath driver's information.
@@ -113,24 +110,35 @@ type Agent struct {
 	LeaseMs uint32
 }
 
+// flowModFence is what a switch remembers of the FlowMods it was sent,
+// kept across reconnects. floor is the highest election epoch seen; older
+// epochs are fenced off with ErrCodeStale, so a deposed replica cannot
+// roll the table back after a failover. last is the FlowMod last applied:
+// a controller that retries an install re-sends it under the same token,
+// and a copy is acked without being applied twice.
+type flowModFence struct {
+	mu    sync.Mutex
+	floor uint64
+	last  *FlowMod
+}
+
 // dial connects to the controller at addr, performs the handshake and
-// returns a ready agent fencing on epochFloor, which the managed agent
-// threads through every reconnect. Call Serve to process controller
-// messages.
-func dial(addr string, datapathID uint32, nodeName string, dp Datapath, cfg AgentConfig, epochFloor *atomic.Uint64) (*Agent, error) {
+// returns a ready agent on fence, which the managed agent threads through
+// every reconnect. Call Serve to process controller messages.
+func dial(addr string, datapathID uint32, nodeName string, dp Datapath, cfg AgentConfig, fence *flowModFence) (*Agent, error) {
 	cfg = cfg.withDefaults()
 	conn, err := net.DialTimeout("tcp", addr, cfg.HandshakeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: dial %s: %w", addr, err)
 	}
 	a := &Agent{
-		cfg:        cfg,
-		id:         datapathID,
-		name:       nodeName,
-		dp:         dp,
-		conn:       conn,
-		br:         bufio.NewReader(conn),
-		epochFloor: epochFloor,
+		cfg:   cfg,
+		id:    datapathID,
+		name:  nodeName,
+		dp:    dp,
+		conn:  conn,
+		br:    bufio.NewReader(conn),
+		fence: fence,
 	}
 	deadline := time.Now().Add(cfg.HandshakeTimeout)
 	_ = conn.SetDeadline(deadline)
@@ -191,25 +199,34 @@ func (a *Agent) Serve() error {
 // handleFlowMod applies an install and acks or reports failure. Epoch
 // fencing happens first: a FlowMod stamped with an election epoch older
 // than one already seen comes from a deposed replica and is rejected
-// with ErrCodeStale before it can touch the datapath.
+// with ErrCodeStale before it can touch the datapath. A re-sent copy of
+// the FlowMod last applied — same epoch, generation and rules — is acked
+// without applying it again, so a retried install is applied once.
 func (a *Agent) handleFlowMod(m FlowMod) {
-	for {
-		cur := a.epochFloor.Load()
-		if m.Epoch < cur {
-			a.cfg.Logger.Warn("agent: rejected stale-epoch FlowMod",
-				"agent", a.name, "epoch", m.Epoch, "floor", cur)
-			_ = a.write(ErrorMsg{Token: m.Generation, Code: ErrCodeStale,
-				Text: fmt.Sprintf("stale controller epoch %d < %d", m.Epoch, cur)})
+	f := a.fence
+	f.mu.Lock()
+	floor := f.floor
+	if m.Epoch >= floor {
+		f.floor = m.Epoch
+	}
+	last := f.last
+	f.mu.Unlock()
+	if m.Epoch < floor {
+		a.cfg.Logger.Warn("agent: rejected stale-epoch FlowMod",
+			"agent", a.name, "epoch", m.Epoch, "floor", floor)
+		_ = a.write(ErrorMsg{Token: m.Generation, Code: ErrCodeStale,
+			Text: fmt.Sprintf("stale controller epoch %d < %d", m.Epoch, floor)})
+		return
+	}
+	if last == nil || last.Epoch != m.Epoch || last.Generation != m.Generation || !rulesEqual(last.Rules, m.Rules) {
+		if err := a.dp.InstallRules(m.Generation, m.Rules); err != nil {
+			a.cfg.Logger.Warn("agent: install failed", "agent", a.name, "generation", m.Generation, "err", err)
+			_ = a.write(ErrorMsg{Token: m.Generation, Code: ErrCodeInstall, Text: err.Error()})
 			return
 		}
-		if a.epochFloor.CompareAndSwap(cur, m.Epoch) {
-			break
-		}
-	}
-	if err := a.dp.InstallRules(m.Generation, m.Rules); err != nil {
-		a.cfg.Logger.Warn("agent: install failed", "agent", a.name, "generation", m.Generation, "err", err)
-		_ = a.write(ErrorMsg{Token: m.Generation, Code: ErrCodeInstall, Text: err.Error()})
-		return
+		f.mu.Lock()
+		f.last = &m
+		f.mu.Unlock()
 	}
 	_ = a.write(FlowModAck{Generation: m.Generation, Installed: uint32(len(m.Rules))})
 }

@@ -18,10 +18,11 @@ import (
 	"fubar/internal/traffic"
 )
 
-// The retry schedule every controller→agent install and stats round trip
-// runs under: per switch for installs (withRetry), as further pipelined
-// passes for a stats round (ReplicaSet.CollectStats). Without retries
-// every failover would surface as a caller-visible error.
+// The retry schedule of an RPC round (runRound): the switches whose
+// attempt failed retryably go again together as a further pass after the
+// backoff. Stats rounds and installs run it in full; a resync makes one
+// attempt. Without retries every failover would surface as a
+// caller-visible error.
 const (
 	// retryAttempts is the total number of attempts per RPC.
 	retryAttempts = 3
@@ -47,9 +48,9 @@ type ControllerConfig struct {
 	// HandshakeTimeout bounds the Hello exchange per connection.
 	// Default 5s.
 	HandshakeTimeout time.Duration
-	// RequestTimeout bounds each install attempt and each pass of a
-	// stats round (the per-attempt deadline, derived from the caller's
-	// context when that is tighter). Default 10s.
+	// RequestTimeout bounds each pass of an RPC round — a stats poll,
+	// an install or a resync (the per-attempt deadline, derived from the
+	// caller's context when that is tighter). Default 10s.
 	RequestTimeout time.Duration
 	// Logger receives structured diagnostic records; nil discards them.
 	Logger *slog.Logger
@@ -89,9 +90,9 @@ type swConn struct {
 }
 
 // reply routes one answer to the request that registered its token on
-// conn. msg is nil when the connection died or the request was withdrawn.
-// A token is delivered at most once, so a channel with room for every
-// token registered on it never blocks a sender.
+// conn. msg is nil when the connection died. A registration is delivered
+// at most once, so a channel with room for every registration made on it
+// never blocks a sender.
 type reply struct {
 	conn  *swConn
 	token uint64
@@ -324,25 +325,23 @@ func (c *Controller) handleConn(conn net.Conn) {
 // install's pending token on the same connection.
 const resyncGenerationBase = uint64(1) << 62
 
-// resync re-pushes a re-registered switch's cached rule table and
-// verifies the ack. An unverified handoff drops the cache entry: the
-// switch's state is unknown, so the next differential install must
-// push its full table rather than skip it.
+// resync re-pushes a re-registered switch's cached rule table in a
+// one-target, one-attempt round and verifies the ack. An unverified
+// handoff drops the cache entry: the switch's state is unknown, so the
+// next differential install must push its full table rather than skip it.
 func (c *Controller) resync(sw *swConn, rules []Rule) {
 	gen := resyncGenerationBase | c.nextToken()
-	reply, err := c.request(context.Background(), sw, gen, FlowMod{Generation: gen, Epoch: c.epoch.Load(), Rules: rules})
-	if err == nil {
-		if _, ok := reply.(FlowModAck); ok {
-			c.stats.resyncsAcked.Add(1)
-			c.cfg.Logger.Info("controller: switch rule table resynced",
-				"switch", sw.name, "datapath", sw.id, "rules", len(rules))
-			return
-		}
-		err = fmt.Errorf("got %v, want FlowModAck", reply.Type())
+	t := []rpcTarget{{c: c, id: sw.id, name: sw.name, token: gen, want: MsgFlowModAck,
+		req: FlowMod{Generation: gen, Epoch: c.epoch.Load(), Rules: rules}}}
+	if err := runRound(context.Background(), t, 1, c.cfg.RequestTimeout, c.stats); err != nil {
+		c.tables.drop(sw.id)
+		c.cfg.Logger.Warn("controller: rule-table resync failed",
+			"switch", sw.name, "datapath", sw.id, "err", err)
+		return
 	}
-	c.tables.drop(sw.id)
-	c.cfg.Logger.Warn("controller: rule-table resync failed",
-		"switch", sw.name, "datapath", sw.id, "err", err)
+	c.stats.resyncsAcked.Add(1)
+	c.cfg.Logger.Info("controller: switch rule table resynced",
+		"switch", sw.name, "datapath", sw.id, "rules", len(rules))
 }
 
 // readLoop dispatches replies to their pending requests.
@@ -377,8 +376,7 @@ func (c *Controller) readLoop(sw *swConn, br *bufio.Reader) error {
 	}
 }
 
-// deliver hands a reply to the waiting request, dropping stragglers; a
-// nil m withdraws the token.
+// deliver hands a reply to the waiting request, dropping stragglers.
 func (s *swConn) deliver(token uint64, m Message) {
 	s.mu.Lock()
 	ch := s.pending[token]
@@ -416,6 +414,14 @@ func (s *swConn) send(m Message, deadline time.Time) error {
 	return err
 }
 
+// withdraw unregisters a token nobody waits on any more: a reply that
+// arrives for it later is dropped.
+func (s *swConn) withdraw(token uint64) {
+	s.mu.Lock()
+	delete(s.pending, token)
+	s.mu.Unlock()
+}
+
 // post registers token to answer on ch, then writes m. A write that fails
 // withdraws the token again.
 func (s *swConn) post(token uint64, m Message, ch chan<- reply, deadline time.Time) error {
@@ -427,20 +433,18 @@ func (s *swConn) post(token uint64, m Message, ch chan<- reply, deadline time.Ti
 	s.pending[token] = ch
 	s.mu.Unlock()
 	if err := s.send(m, deadline); err != nil {
-		s.deliver(token, nil)
+		s.withdraw(token)
 		return fmt.Errorf("ctrlplane: write %v to switch %s(%d): %w (%v)", m.Type(), s.name, s.id, ErrSwitchDead, err)
 	}
 	return nil
 }
 
 // answer turns a delivered reply into the request's result: a lost
-// connection is its ErrSwitchDead, and a peer ErrorMsg an error.
+// connection (fail delivers nil after marking the switch dead) is its
+// ErrSwitchDead, and a peer ErrorMsg an error.
 func (s *swConn) answer(m Message) (Message, error) {
 	if m == nil {
-		if dead := s.deadErr(); dead != nil {
-			return nil, dead
-		}
-		return nil, fmt.Errorf("ctrlplane: request cancelled")
+		return nil, s.deadErr()
 	}
 	if em, isErr := m.(ErrorMsg); isErr {
 		return nil, em
@@ -458,53 +462,6 @@ func (s *swConn) deadErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dead
-}
-
-// request writes a message and awaits the reply matching token, under a
-// per-attempt deadline: RequestTimeout layered beneath the caller's
-// context (whichever is tighter wins).
-func (c *Controller) request(ctx context.Context, sw *swConn, token uint64, m Message) (Message, error) {
-	attemptCtx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	deadline, _ := attemptCtx.Deadline()
-	ch := make(chan reply, 1)
-	if err := sw.post(token, m, ch, deadline); err != nil {
-		return nil, err
-	}
-	select {
-	case r := <-ch:
-		return sw.answer(r.msg)
-	case <-attemptCtx.Done():
-		sw.deliver(token, nil)
-		if err := ctx.Err(); err != nil {
-			return nil, err // the caller's context won, not the attempt deadline
-		}
-		return nil, sw.timedOut(m.Type())
-	}
-}
-
-// withRetry runs one RPC operation under the retry schedule: transient
-// errors (retryable) are retried with exponential backoff until the
-// attempts run out or the caller's context dies; anything else returns
-// immediately. Operations re-resolve their switch per attempt, so a
-// retry can land on a reconnected agent.
-func (c *Controller) withRetry(ctx context.Context, op func(context.Context) error) error {
-	backoff := retryBaseBackoff
-	for attempt := 1; ; attempt++ {
-		err := op(ctx)
-		if err == nil || attempt >= retryAttempts || !retryable(err) || ctx.Err() != nil {
-			return err
-		}
-		c.stats.retries.Add(1)
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return err
-		}
-		if backoff *= 2; backoff > retryMaxBackoff {
-			backoff = retryMaxBackoff
-		}
-	}
 }
 
 // SwitchCount reports the number of registered switches.
@@ -582,107 +539,6 @@ type InstallOutcome struct {
 	Rules int
 	// Acks is the number of FlowModAck replies received.
 	Acks int
-}
-
-// merge folds another outcome in (replica-set fan-out).
-func (o *InstallOutcome) merge(other InstallOutcome) {
-	o.Targeted += other.Targeted
-	o.FlowMods += other.FlowMods
-	o.Rules += other.Rules
-	o.Acks += other.Acks
-}
-
-// install pushes an allocation differentially to the switches homed on
-// this replica: only switches whose desired rule table differs from the
-// set's last acked push receive a FlowMod (switch tables are physical
-// state — an unchanged table needs no message). The outcome counts the
-// FlowMod messages actually written and acked, which is how a
-// closed-loop replay measures real install churn rather than
-// estimating it from bundle diffs. A replica with no switches (or none
-// needing a new table) contributes an empty outcome.
-func (c *Controller) install(ctx context.Context, mat *traffic.Matrix, bundles []flowmodel.Bundle, generation uint64) (InstallOutcome, error) {
-	perSwitch := allocationTables(mat, bundles)
-
-	c.mu.Lock()
-	closed := c.closed
-	targets := make([]*swConn, 0, len(c.switches))
-	ids := make([]uint32, 0, len(c.switches))
-	for _, sw := range c.switches {
-		if last, ok := c.tables.get(sw.id); ok && rulesEqual(perSwitch[sw.id], last) {
-			continue
-		}
-		targets = append(targets, sw)
-		ids = append(ids, sw.id)
-	}
-	total := len(c.switches)
-	c.mu.Unlock()
-	out := InstallOutcome{Generation: generation, Targeted: total}
-	if closed {
-		return out, ErrClosed
-	}
-	if len(targets) == 0 {
-		return out, nil // no switches, or every table already current
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, len(targets))
-	acked := make([]bool, len(targets))
-	epoch := c.epoch.Load()
-	for i, sw := range targets {
-		rules := perSwitch[sw.id]
-		id := sw.id
-		name := sw.name
-		out.FlowMods++
-		out.Rules += len(rules)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := c.withRetry(ctx, func(ctx context.Context) error {
-				sw, err := c.lookup(id) // re-resolve: the agent may have reconnected
-				if err != nil {
-					return err
-				}
-				reply, err := c.request(ctx, sw, generation, FlowMod{Generation: generation, Epoch: epoch, Rules: rules})
-				if err != nil {
-					return err
-				}
-				if _, ok := reply.(FlowModAck); !ok {
-					return fmt.Errorf("got %v, want FlowModAck", reply.Type())
-				}
-				return nil
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("switch %s(%d): %w", name, id, err)
-				return
-			}
-			acked[i] = true
-		}()
-	}
-	wg.Wait()
-	for i, id := range ids {
-		if acked[i] {
-			out.Acks++
-			c.tables.set(id, perSwitch[id])
-		} else {
-			// Unknown switch state: never skip it on the next diff.
-			c.tables.drop(id)
-		}
-	}
-	return out, errors.Join(errs...)
-}
-
-// appendStatsTargets appends a stats-round slot for every switch homed
-// on this replica.
-func (c *Controller) appendStatsTargets(ts []statsTarget) ([]statsTarget, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ts, ErrClosed
-	}
-	for _, sw := range c.switches {
-		ts = append(ts, statsTarget{c: c, id: sw.id, name: sw.name, open: true})
-	}
-	return ts, nil
 }
 
 // lookup finds a registered switch.

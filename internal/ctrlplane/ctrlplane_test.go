@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,7 +67,7 @@ func managedAgent(t *testing.T, rs *ReplicaSet, id uint32, name string, dp Datap
 // channel yields Serve's result.
 func bareAgent(t *testing.T, addr string, id uint32, name string, dp Datapath) (*Agent, <-chan error) {
 	t.Helper()
-	a, err := dial(addr, id, name, dp, AgentConfig{}, new(atomic.Uint64))
+	a, err := dial(addr, id, name, dp, AgentConfig{}, new(flowModFence))
 	if err != nil {
 		t.Fatalf("dial %d: %v", id, err)
 	}
@@ -78,16 +77,24 @@ func bareAgent(t *testing.T, addr string, id uint32, name string, dp Datapath) (
 	return a, done
 }
 
+// seatRPC sends req, answered by a want reply under token, to switch
+// id through the seat in a one-target, one-attempt RPC round, and returns
+// the reply or the attempt's error.
+func seatRPC(seat *Controller, id uint32, token uint64, req Message, want MsgType) (Message, error) {
+	ts := []rpcTarget{{c: seat, id: id, req: req, token: token, want: want}}
+	runRound(context.Background(), ts, 1, seat.cfg.RequestTimeout, seat.stats)
+	return ts[0].reply, ts[0].err
+}
+
 // echo round-trips an Echo to switch id through the seat: the
 // control-channel liveness check.
 func echo(t *testing.T, seat *Controller, id uint32) {
 	t.Helper()
-	sw, err := seat.lookup(id)
-	if err != nil {
+	if _, err := seat.lookup(id); err != nil {
 		t.Fatalf("lookup %d: %v", id, err)
 	}
 	token := seat.nextToken()
-	reply, err := seat.request(context.Background(), sw, token, Echo{Token: token})
+	reply, err := seatRPC(seat, id, token, Echo{Token: token}, MsgEchoReply)
 	if err != nil {
 		t.Fatalf("echo to switch %d: %v", id, err)
 	}
@@ -280,13 +287,12 @@ func TestInstallRejectsWrongIngress(t *testing.T) {
 		}
 	}
 	wrong := (uint32(bad.Src) + 1) % uint32(n.topo.NumNodes())
-	sw, err := n.seat.lookup(wrong)
-	if err != nil {
+	if _, err := n.seat.lookup(wrong); err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
-	_, err = n.seat.request(context.Background(), sw, 42, FlowMod{Generation: 42, Rules: []Rule{
+	_, err := seatRPC(n.seat, wrong, 42, FlowMod{Generation: 42, Rules: []Rule{
 		{Agg: int32(bad.ID), Flows: uint32(bad.Flows)},
-	}})
+	}}, MsgFlowModAck)
 	if err == nil {
 		t.Fatal("install at wrong ingress succeeded")
 	}
@@ -420,7 +426,7 @@ func TestAgentDialErrors(t *testing.T) {
 	}
 	addr := rs.DialOrder(0)[0]
 	seat.Close()
-	if _, err := dial(addr, 0, "x", nopDatapath{}, AgentConfig{HandshakeTimeout: 500 * time.Millisecond}, new(atomic.Uint64)); err == nil {
+	if _, err := dial(addr, 0, "x", nopDatapath{}, AgentConfig{HandshakeTimeout: 500 * time.Millisecond}, new(flowModFence)); err == nil {
 		t.Fatal("dial to closed controller succeeded")
 	}
 }

@@ -12,29 +12,46 @@ import (
 	"time"
 )
 
-// slowDatapath blocks ReadCounters until released, to hold a stats
-// request in flight. Each call first offers the goroutine count on
-// entered, so a test knows when a request is being held — and how many
-// goroutines the process runs while the controller waits on it.
+// slowDatapath blocks ReadCounters — or InstallRules, when onInstall —
+// until released, to hold a stats or install request in flight; every
+// call then goes on to the wrapped Datapath. Each held call first offers
+// the goroutine count on entered, so a test knows when a request is being
+// held — and how many goroutines the process runs while the controller
+// waits on it.
 type slowDatapath struct {
-	release chan struct{}
-	once    sync.Once
-	entered chan int
+	Datapath
+	onInstall bool
+	release   chan struct{}
+	once      sync.Once
+	entered   chan int
 }
 
-func newSlowDatapath() *slowDatapath {
-	return &slowDatapath{release: make(chan struct{}), entered: make(chan int, 1)}
+func newSlowDatapath(dp Datapath, onInstall bool) *slowDatapath {
+	return &slowDatapath{Datapath: dp, onInstall: onInstall, release: make(chan struct{}), entered: make(chan int, 1)}
 }
 
-func (d *slowDatapath) InstallRules(uint64, []Rule) error { return nil }
-func (d *slowDatapath) ReadCounters() (CounterBatch, error) {
+func (d *slowDatapath) hold() {
 	select {
 	case d.entered <- runtime.NumGoroutine():
 	default:
 	}
 	<-d.release
-	return CounterBatch{Epoch: 1, Duration: time.Second}, nil
 }
+
+func (d *slowDatapath) InstallRules(generation uint64, rules []Rule) error {
+	if d.onInstall {
+		d.hold()
+	}
+	return d.Datapath.InstallRules(generation, rules)
+}
+
+func (d *slowDatapath) ReadCounters() (CounterBatch, error) {
+	if !d.onInstall {
+		d.hold()
+	}
+	return d.Datapath.ReadCounters()
+}
+
 func (d *slowDatapath) Release() { d.once.Do(func() { close(d.release) }) }
 
 // awaitDeregistered waits for the seat to drop every switch.
@@ -45,7 +62,7 @@ func awaitDeregistered(t *testing.T, seat *Controller) {
 
 func TestAgentDeathFailsInFlightRequests(t *testing.T) {
 	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 10 * time.Second})
-	dp := newSlowDatapath()
+	dp := newSlowDatapath(&recDatapath{}, false)
 	defer dp.Release()
 	agent, _ := bareAgent(t, rs.DialOrder(3)[0], 3, "victim", dp)
 	waitSwitches(t, rs, 1)
@@ -53,13 +70,12 @@ func TestAgentDeathFailsInFlightRequests(t *testing.T) {
 	// Put a stats request on the wire that will hang in the datapath,
 	// then kill the agent: the pending request must fail promptly with a
 	// connection error, not dangle until the timeout.
-	sw, err := seat.lookup(3)
-	if err != nil {
+	if _, err := seat.lookup(3); err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := seat.request(context.Background(), sw, 1, StatsReq{Token: 1})
+		_, err := seatRPC(seat, 3, 1, StatsReq{Token: 1}, MsgStatsReply)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the request hit the wire
@@ -83,7 +99,7 @@ func TestAgentDeathFailsInFlightRequests(t *testing.T) {
 
 func TestRequestTimeout(t *testing.T) {
 	rs, _ := oneSeat(t, ControllerConfig{RequestTimeout: 200 * time.Millisecond})
-	dp := newSlowDatapath()
+	dp := newSlowDatapath(&recDatapath{}, false)
 	defer dp.Release()
 	bareAgent(t, rs.DialOrder(1)[0], 1, "slow", dp)
 	waitSwitches(t, rs, 1)
@@ -129,13 +145,12 @@ func TestTornFrameMidInstallMarksSwitchDead(t *testing.T) {
 	}
 	waitSwitches(t, rs, 1)
 
-	sw, err := seat.lookup(7)
-	if err != nil {
+	if _, err := seat.lookup(7); err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := seat.request(context.Background(), sw, 99, FlowMod{Generation: 99})
+		_, err := seatRPC(seat, 7, 99, FlowMod{Generation: 99}, MsgFlowModAck)
 		done <- err
 	}()
 

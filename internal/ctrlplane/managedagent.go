@@ -61,9 +61,10 @@ func (g *guardedDatapath) ruleCount() int {
 // controller reachable — it enforces the rule lease: once the lease
 // (controller-advertised, or AgentConfig.RuleLease) elapses without
 // contact, the installed table expires under AgentConfig.FailAction
-// (fail-static keeps it, fail-closed wipes it). The election-epoch
-// floor persists across reconnects, so a deposed replica can never
-// roll the table back after failover.
+// (fail-static keeps it, fail-closed wipes it). The FlowMod fence — the
+// election-epoch floor and the last FlowMod applied — persists across
+// reconnects, so a deposed replica can never roll the table back after
+// failover, and an install re-sent to a reconnected agent is applied once.
 type ManagedAgent struct {
 	cfg  AgentConfig
 	id   uint32
@@ -71,7 +72,7 @@ type ManagedAgent struct {
 	dir  DialDirectory
 	dp   *guardedDatapath
 
-	epochFloor  atomic.Uint64
+	fence       flowModFence
 	leaseMs     atomic.Uint32 // last controller-advertised lease
 	failsafeGen atomic.Uint64
 
@@ -175,7 +176,7 @@ func (ma *ManagedAgent) dialAny() (*Agent, error) {
 	addrs := ma.dir.DialOrder(ma.id)
 	var firstErr error
 	for _, addr := range addrs {
-		a, err := dial(addr, ma.id, ma.name, ma.dp, ma.cfg, &ma.epochFloor)
+		a, err := dial(addr, ma.id, ma.name, ma.dp, ma.cfg, &ma.fence)
 		if err == nil {
 			ma.leaseMs.Store(a.LeaseMs)
 			return a, nil
@@ -207,6 +208,11 @@ func (ma *ManagedAgent) expireTable() {
 	switch ma.cfg.FailAction {
 	case FailClosed:
 		gen := failsafeGenerationBase | ma.failsafeGen.Add(1)
+		// The wiped table is no longer the last FlowMod's: a re-send of
+		// that FlowMod must be applied again.
+		ma.fence.mu.Lock()
+		ma.fence.last = nil
+		ma.fence.mu.Unlock()
 		if err := ma.dp.InstallRules(gen, nil); err != nil {
 			ma.cfg.Logger.Warn("agent: fail-closed wipe failed", "agent", ma.name, "err", err)
 		}

@@ -19,7 +19,8 @@ type HAStats struct {
 	// Fail.
 	Failovers int64
 	// RPCRetries counts controller→agent RPC attempts retried after a
-	// transient error, summed across replicas.
+	// transient error: one per switch per retried pass of an RPC round
+	// (stats poll or install), summed across replicas.
 	RPCRetries int64
 	// ResyncsAcked counts verified rule-table handoffs: orphaned
 	// switches whose cached table a surviving replica re-pushed and got
@@ -40,13 +41,14 @@ type replicaSlot struct {
 // differential-install cache, election epoch, and HA counters. Switch
 // ownership is sharded deterministically by rendezvous hashing over
 // (seat, datapath ID): the set's DialOrder ranks seats per switch, each
-// agent homes on the first live seat in its order, and installs fan out
-// to every live replica — each of which only reaches the switches homed
-// on it. Killing a replica (Fail) bumps the shared election epoch and
-// lets its orphaned switches re-home onto survivors, which resync their
-// rule tables from the shared cache; Recover seats a fresh controller
-// at the same rank. A one-seat set is the plain single-controller
-// deployment: the set is the only way the package drives switches.
+// agent homes on the first live seat in its order, and an install or
+// stats round writes to every switch homed on a live replica, each over
+// its own seat's connection. Killing a replica (Fail) bumps the shared
+// election epoch and lets its orphaned switches re-home onto survivors,
+// which resync their rule tables from the shared cache; Recover seats a
+// fresh controller at the same rank. A one-seat set is the plain
+// single-controller deployment: the set is the only way the package
+// drives switches.
 type ReplicaSet struct {
 	cfg    ControllerConfig
 	tables *tableCache
@@ -307,34 +309,38 @@ func (rs *ReplicaSet) QuiesceResyncs(ctx context.Context) error {
 	}
 }
 
-// InstallAllocationDiff fans a differential install out to every live
-// replica; each pushes only to the switches homed on it, and the
-// outcomes merge into one network-wide count. Per-replica shards with
-// no switches contribute nothing — only a set with no switches at all
-// errors.
+// InstallAllocationDiff pushes an allocation differentially in one RPC
+// round across every live seat: only switches whose desired rule table
+// differs from the set's last acked push receive a FlowMod, tokened by
+// its generation (switch tables are physical state — an unchanged table
+// needs no message). An acked table becomes the switch's cached one; any
+// other outcome drops the entry, so the next install pushes the full
+// table rather than diff against an unknown one. The outcome counts the
+// FlowMods actually written and acked, which is how a closed-loop replay
+// measures real install churn rather than estimating it from bundle
+// diffs. Only a set with no switches at all errors for want of one.
 func (rs *ReplicaSet) InstallAllocationDiff(ctx context.Context, mat *traffic.Matrix, bundles []flowmodel.Bundle, generation uint64) (InstallOutcome, error) {
-	ctrls := rs.live()
-	out := InstallOutcome{Generation: generation}
-	if len(ctrls) == 0 {
-		return out, ErrClosed
+	perSwitch := allocationTables(mat, bundles)
+	epoch := rs.epoch.Load()
+	targets, homed, errs := rs.targets(MsgFlowModAck, func(_ *Controller, id uint32) (Message, uint64) {
+		if last, ok := rs.tables.get(id); ok && rulesEqual(perSwitch[id], last) {
+			return nil, 0
+		}
+		return FlowMod{Generation: generation, Epoch: epoch, Rules: perSwitch[id]}, generation
+	})
+	if err := runRound(ctx, targets, retryAttempts, rs.cfg.RequestTimeout, rs.stats); err != nil {
+		errs = append(errs, err)
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs = make([]error, len(ctrls))
-	)
-	for i, c := range ctrls {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o, err := c.install(ctx, mat, bundles, generation)
-			mu.Lock()
-			out.merge(o)
-			mu.Unlock()
-			errs[i] = err
-		}()
+	out := InstallOutcome{Generation: generation, Targeted: homed, FlowMods: len(targets)}
+	for _, t := range targets {
+		out.Rules += len(perSwitch[t.id])
+		if t.reply != nil {
+			out.Acks++
+			rs.tables.set(t.id, perSwitch[t.id])
+		} else {
+			rs.tables.drop(t.id)
+		}
 	}
-	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return out, err
 	}
@@ -344,48 +350,94 @@ func (rs *ReplicaSet) InstallAllocationDiff(ctx context.Context, mat *traffic.Ma
 	return out, nil
 }
 
-// statsTarget is one switch's slot in a stats round.
-type statsTarget struct {
-	c    *Controller
-	id   uint32
-	name string
-	// open marks a switch still to be polled: not yet answered, and its
-	// last attempt's error, if any, retryable.
-	open bool
-	err  error // the last attempt's error
-
-	sw    *swConn // connection of the request in flight
-	token uint64  // token of the request in flight; 0 when none
-}
-
-// CollectStats polls every switch across live replicas in one pipelined
-// round and merges the replies by datapath ID. A pass writes one StatsReq
-// to every switch of every live seat back to back, then collects the
-// replies by token under one deadline: RequestTimeout, or the caller's
-// context when that is tighter. Switches whose attempt failed retryably
-// go again together as a further pass after the backoff, on the schedule
-// an install's withRetry runs per switch; the round itself starts no
-// goroutine and arms one timer.
+// CollectStats polls every switch across live replicas in one RPC round
+// and merges the replies by datapath ID.
 func (rs *ReplicaSet) CollectStats(ctx context.Context) (map[uint32]StatsReply, error) {
-	ctrls := rs.live()
-	if len(ctrls) == 0 {
-		return nil, ErrClosed
-	}
-	var (
-		targets []statsTarget
-		errs    []error
-	)
-	for _, c := range ctrls {
-		var err error
-		if targets, err = c.appendStatsTargets(targets); err != nil {
-			errs = append(errs, err)
-		}
+	targets, _, errs := rs.targets(MsgStatsReply, func(c *Controller, _ uint32) (Message, uint64) {
+		token := c.nextToken()
+		return StatsReq{Token: token}, token
+	})
+	if err := runRound(ctx, targets, retryAttempts, rs.cfg.RequestTimeout, rs.stats); err != nil {
+		errs = append(errs, err)
 	}
 	out := make(map[uint32]StatsReply, len(targets))
-	// Each token the round registers is answered at most once, so room
-	// for all of them never blocks a connection's read loop.
-	replies := make(chan reply, retryAttempts*len(targets))
-	timeout := rs.cfg.RequestTimeout
+	for _, t := range targets {
+		if sr, ok := t.reply.(StatsReply); ok {
+			out[t.id] = sr
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return out, err
+	}
+	if len(out) == 0 {
+		return out, fmt.Errorf("ctrlplane: no switches connected")
+	}
+	return out, nil
+}
+
+// targets builds a round's targets across the live seats: one for every
+// homed switch that req gives a request (nil skips it), with the token its
+// reply carries, answered by a want reply. It also reports how many
+// switches are homed, and ErrClosed for a seat found closed.
+func (rs *ReplicaSet) targets(want MsgType, req func(c *Controller, id uint32) (Message, uint64)) (ts []rpcTarget, homed int, errs []error) {
+	ctrls := rs.live()
+	if len(ctrls) == 0 {
+		return nil, 0, []error{ErrClosed}
+	}
+	for _, c := range ctrls {
+		c.mu.Lock()
+		if c.closed {
+			errs = append(errs, ErrClosed)
+		} else {
+			homed += len(c.switches)
+			for _, sw := range c.switches {
+				if m, token := req(c, sw.id); m != nil {
+					ts = append(ts, rpcTarget{c: c, id: sw.id, name: sw.name, req: m, token: token, want: want})
+				}
+			}
+		}
+		c.mu.Unlock()
+	}
+	return ts, homed, errs
+}
+
+// rpcTarget is one switch's slot in an RPC round: the request every
+// attempt writes, the token its reply carries, and the reply type that
+// answers it.
+type rpcTarget struct {
+	c     *Controller
+	id    uint32
+	name  string
+	req   Message
+	token uint64  // a FlowMod's Generation, a StatsReq's or Echo's Token
+	want  MsgType // the reply type that answers req
+
+	reply Message // the answer, once in
+	err   error   // the last attempt's error
+	// open marks a target still to be sent: not yet answered, and its
+	// last attempt's error, if any, retryable.
+	open bool
+	sw   *swConn // connection of the attempt in flight; nil when none
+}
+
+// runRound runs one RPC round over targets: every controller→switch
+// request — stats polls, installs, resyncs — goes through it. A pass
+// writes every open target's request back to back, then collects the
+// replies off one channel, matched by connection and token, under one
+// deadline: timeout, or ctx's when that is tighter. Targets whose attempt
+// failed retryably go again together as a further pass after the
+// backoff, for at most attempts passes; each retried target counts once
+// in stats.retries. A reply, a final error or a dead ctx ends a target's
+// part of the round. The round starts no goroutine and arms one timer.
+// It returns the error of every target left unanswered, naming its
+// switch.
+func runRound(ctx context.Context, targets []rpcTarget, attempts int, timeout time.Duration, stats *haStats) error {
+	for i := range targets {
+		targets[i].open = true
+	}
+	// Each registration of a token is answered at most once, so room for
+	// every attempt of every target never blocks a connection's read loop.
+	replies := make(chan reply, attempts*len(targets))
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	backoff := retryBaseBackoff
@@ -395,11 +447,11 @@ round:
 		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 			deadline = d
 		}
-		retry := statsPass(ctx, targets, replies, timer, deadline, out)
-		if retry == 0 || attempt >= retryAttempts || ctx.Err() != nil {
+		retry := runPass(ctx, targets, replies, timer, deadline)
+		if retry == 0 || attempt >= attempts || ctx.Err() != nil {
 			break
 		}
-		rs.stats.retries.Add(int64(retry))
+		stats.retries.Add(int64(retry))
 		// Reset never leaves a stale expiry in timer.C (Go ≥ 1.23 timers).
 		timer.Reset(backoff)
 		select {
@@ -412,24 +464,19 @@ round:
 		}
 		timer.Reset(timeout)
 	}
+	var errs []error
 	for _, t := range targets {
 		if t.err != nil {
 			errs = append(errs, fmt.Errorf("switch %s(%d): %w", t.name, t.id, t.err))
 		}
 	}
-	if err := errors.Join(errs...); err != nil {
-		return out, err
-	}
-	if len(out) == 0 {
-		return out, fmt.Errorf("ctrlplane: no switches connected")
-	}
-	return out, nil
+	return errors.Join(errs...)
 }
 
-// statsPass is one pass of a stats round: a StatsReq to every open target
-// back to back, then the replies, until every one is in, timer fires or
-// ctx is done. It returns how many targets stay open for another pass.
-func statsPass(ctx context.Context, targets []statsTarget, replies chan reply, timer *time.Timer, deadline time.Time, out map[uint32]StatsReply) int {
+// runPass is one pass of a round: every open target's request back to
+// back, then the replies, until every one is in, timer fires or ctx is
+// done. It returns how many targets stay open for another pass.
+func runPass(ctx context.Context, targets []rpcTarget, replies chan reply, timer *time.Timer, deadline time.Time) int {
 	waiting := 0
 	for i := range targets {
 		t := &targets[i]
@@ -447,16 +494,16 @@ func statsPass(ctx context.Context, targets []statsTarget, replies chan reply, t
 		case r := <-replies:
 			t := inFlight(targets, r)
 			if t == nil {
-				continue // answer to a request an earlier pass gave up on
+				continue // answer to an attempt the round gave up on
 			}
 			waiting--
-			t.token = 0
+			t.sw = nil
 			msg, err := r.conn.answer(r.msg)
 			if err == nil {
-				if sr, ok := msg.(StatsReply); ok {
-					out[t.id] = sr
+				if msg.Type() == t.want {
+					t.reply = msg
 				} else {
-					err = fmt.Errorf("got %v, want StatsReply", msg.Type())
+					err = fmt.Errorf("got %v, want %v", msg.Type(), t.want)
 				}
 			}
 			t.settle(err)
@@ -478,52 +525,51 @@ func statsPass(ctx context.Context, targets []statsTarget, replies chan reply, t
 }
 
 // post re-resolves the target's switch — the agent may have reconnected —
-// and writes it a StatsReq answering on ch.
-func (t *statsTarget) post(ch chan<- reply, deadline time.Time) error {
+// and writes it the request, answering on ch.
+func (t *rpcTarget) post(ch chan<- reply, deadline time.Time) error {
 	sw, err := t.c.lookup(t.id)
 	if err != nil {
 		return err
 	}
-	token := t.c.nextToken()
-	if err := sw.post(token, StatsReq{Token: token}, ch, deadline); err != nil {
+	if err := sw.post(t.token, t.req, ch, deadline); err != nil {
 		return err
 	}
-	t.sw, t.token = sw, token
+	t.sw = sw
 	return nil
 }
 
 // settle records an attempt's outcome: a reply or a final error closes
 // the target, a retryable error leaves it open.
-func (t *statsTarget) settle(err error) {
+func (t *rpcTarget) settle(err error) {
 	t.err = err
 	t.open = err != nil && retryable(err)
 }
 
-// inFlight finds the target whose request r answers, or nil.
-func inFlight(targets []statsTarget, r reply) *statsTarget {
+// inFlight finds the target whose attempt r answers, or nil.
+func inFlight(targets []rpcTarget, r reply) *rpcTarget {
 	for i := range targets {
-		if t := &targets[i]; t.token == r.token && t.sw == r.conn {
+		if t := &targets[i]; t.sw == r.conn && t.token == r.token {
 			return t
 		}
 	}
 	return nil
 }
 
-// expire withdraws every request still in flight when the pass deadline
+// expire withdraws every attempt still in flight when the pass deadline
 // or the caller's context ends the pass.
-func expire(ctx context.Context, targets []statsTarget) {
+func expire(ctx context.Context, targets []rpcTarget) {
 	for i := range targets {
 		t := &targets[i]
-		if t.token == 0 {
+		if t.sw == nil {
 			continue
 		}
-		t.sw.deliver(t.token, nil)
-		t.token = 0
+		t.sw.withdraw(t.token)
 		if err := ctx.Err(); err != nil {
 			t.settle(err) // the caller's context won, not the pass deadline
 		} else {
-			t.settle(t.sw.timedOut(MsgStatsReq))
+			t.settle(t.sw.timedOut(t.req.Type()))
 		}
+		t.sw = nil
 	}
 }
 

@@ -317,15 +317,14 @@ func TestAgentRejectsStaleEpoch(t *testing.T) {
 	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 2 * time.Second})
 	managedAgent(t, rs, 0, "sw0", &recDatapath{})
 	waitSwitches(t, rs, 1)
-	sw, err := seat.lookup(0)
-	if err != nil {
+	if _, err := seat.lookup(0); err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
-	if _, err := seat.request(context.Background(), sw, 1, FlowMod{Generation: 1, Epoch: 5}); err != nil {
+	if _, err := seatRPC(seat, 0, 1, FlowMod{Generation: 1, Epoch: 5}, MsgFlowModAck); err != nil {
 		t.Fatalf("install at epoch 5: %v", err)
 	}
 	// A deposed replica's write (older epoch) must be fenced off.
-	_, err = seat.request(context.Background(), sw, 2, FlowMod{Generation: 2, Epoch: 3})
+	_, err := seatRPC(seat, 0, 2, FlowMod{Generation: 2, Epoch: 3}, MsgFlowModAck)
 	if err == nil {
 		t.Fatal("stale-epoch FlowMod accepted")
 	}
@@ -334,7 +333,7 @@ func TestAgentRejectsStaleEpoch(t *testing.T) {
 		t.Fatalf("want ErrCodeStale, got: %v", err)
 	}
 	// Equal epoch is fine (same election term).
-	if _, err := seat.request(context.Background(), sw, 3, FlowMod{Generation: 3, Epoch: 5}); err != nil {
+	if _, err := seatRPC(seat, 0, 3, FlowMod{Generation: 3, Epoch: 5}, MsgFlowModAck); err != nil {
 		t.Fatalf("same-epoch install rejected: %v", err)
 	}
 }

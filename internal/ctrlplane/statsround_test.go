@@ -8,19 +8,24 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fubar/internal/flowmodel"
+	"fubar/internal/topology"
+	"fubar/internal/traffic"
 )
 
 // statsNet starts a replica set of seats seats with n managed agents on
-// loopback, switch stalled (if in range) on a slowDatapath, the rest on
-// recDatapaths. The slowDatapath is released before the agents close.
-func statsNet(t *testing.T, seats, n int, stalled uint32, cfg ControllerConfig) (*ReplicaSet, map[uint32]*ManagedAgent, *slowDatapath) {
+// loopback, every switch on a recDatapath, switch stalled's (if in range)
+// behind a slowDatapath holding its installs (onInstall) or its stats
+// polls. The slowDatapath is released before the agents close.
+func statsNet(t *testing.T, seats, n int, stalled uint32, onInstall bool, cfg ControllerConfig) (*ReplicaSet, map[uint32]*ManagedAgent, *slowDatapath) {
 	t.Helper()
 	rs, err := NewReplicaSet(seats, cfg)
 	if err != nil {
 		t.Fatalf("NewReplicaSet: %v", err)
 	}
 	t.Cleanup(func() { rs.Close() })
-	slow := newSlowDatapath()
+	slow := newSlowDatapath(&recDatapath{}, onInstall)
 	agents := make(map[uint32]*ManagedAgent, n)
 	for id := uint32(0); id < uint32(n); id++ {
 		var dp Datapath = &recDatapath{}
@@ -55,7 +60,7 @@ func pendingTokens(rs *ReplicaSet) int {
 // goroutine per seat or per switch while it waits.
 func TestStatsRoundStalledSwitch(t *testing.T) {
 	const n, stalled = 6, 5
-	rs, _, slow := statsNet(t, 3, n, stalled, ControllerConfig{RequestTimeout: 100 * time.Millisecond})
+	rs, _, slow := statsNet(t, 3, n, stalled, false, ControllerConfig{RequestTimeout: 100 * time.Millisecond})
 	before := runtime.NumGoroutine()
 	retries := rs.Stats().RPCRetries
 
@@ -95,7 +100,7 @@ func TestStatsRoundStalledSwitch(t *testing.T) {
 // returns the context's error at once, retries nothing, and withdraws the
 // request still in flight from its connection.
 func TestStatsRoundCancelled(t *testing.T) {
-	rs, _, slow := statsNet(t, 3, 6, 2, ControllerConfig{RequestTimeout: 10 * time.Second})
+	rs, _, slow := statsNet(t, 3, 6, 2, false, ControllerConfig{RequestTimeout: 10 * time.Second})
 	retries := rs.Stats().RPCRetries
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -139,7 +144,7 @@ func TestStatsRoundCancelled(t *testing.T) {
 // pass re-resolves it, finds it deregistered and ends on ErrNoSuchSwitch.
 func TestStatsRoundDeregistered(t *testing.T) {
 	const gone = 1
-	rs, agents, slow := statsNet(t, 3, 3, gone, ControllerConfig{RequestTimeout: 10 * time.Second})
+	rs, agents, slow := statsNet(t, 3, 3, gone, false, ControllerConfig{RequestTimeout: 10 * time.Second})
 	retries := rs.Stats().RPCRetries
 	done := make(chan error, 1)
 	go func() {
@@ -175,6 +180,160 @@ func TestStatsRoundDeregistered(t *testing.T) {
 	}
 	slow.Release()
 	<-closed
+}
+
+// ingressBundles is an allocation over mat: one bundle per aggregate,
+// with no links, so every switch has a table that a fabric accepts.
+func ingressBundles(mat *traffic.Matrix) []flowmodel.Bundle {
+	var bs []flowmodel.Bundle
+	for _, a := range mat.Aggregates() {
+		bs = append(bs, flowmodel.Bundle{Agg: a.ID, Flows: a.Flows})
+	}
+	return bs
+}
+
+// TestInstallRoundStalledSwitch: an install over six switches on three
+// seats, one of them stalled, acks and caches the other five tables,
+// fails the stalled one with ErrTimeout after all three attempts (two
+// retries) and drops its cache entry, and runs no goroutine per seat or
+// per switch while it waits.
+func TestInstallRoundStalledSwitch(t *testing.T) {
+	const n, stalled = 6, 5
+	rs, _, slow := statsNet(t, 3, n, stalled, true, ControllerConfig{RequestTimeout: 100 * time.Millisecond})
+	_, truth, _ := newTestFabric(t, 1)
+	bundles := ingressBundles(truth)
+	rs.tables.set(stalled, []Rule{{Agg: 0, Flows: 1}}) // the entry the failed install must drop
+	before := runtime.NumGoroutine()
+	retries := rs.Stats().RPCRetries
+
+	out, err := rs.InstallAllocationDiff(context.Background(), truth, bundles, 7)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("want ErrTimeout for the stalled switch, got: %v", err)
+	}
+	if want := fmt.Sprintf("switch sw%d(%d): ", stalled, stalled); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error does not name the stalled switch %q: %v", want, err)
+	}
+	if out.Targeted != n || out.FlowMods != n || out.Acks != n-1 {
+		t.Fatalf("outcome %+v, want %d targeted, %d FlowMods, %d acks", out, n, n, n-1)
+	}
+	tables := allocationTables(truth, bundles)
+	for id := uint32(0); id < n; id++ {
+		cached, ok := rs.tables.get(id)
+		switch {
+		case id == stalled && ok:
+			t.Fatalf("stalled switch keeps a cache entry: %v", cached)
+		case id != stalled && (!ok || !rulesEqual(cached, tables[id])):
+			t.Fatalf("switch %d: cached %v (present %v), want its acked table %v", id, cached, ok, tables[id])
+		}
+	}
+	if got := rs.Stats().RPCRetries - retries; got != retryAttempts-1 {
+		t.Fatalf("RPCRetries grew by %d, want %d", got, retryAttempts-1)
+	}
+	// The stalled datapath sampled the goroutine count while the install
+	// waited on it: the round's own goroutine is the test's.
+	select {
+	case during := <-slow.entered:
+		if during > before {
+			t.Fatalf("%d goroutines while the install waited, %d before: the install spawned %d",
+				during, before, during-before)
+		}
+	default:
+		t.Fatal("the stalled switch never received a FlowMod")
+	}
+	if p := pendingTokens(rs); p != 0 {
+		t.Fatalf("%d tokens left pending after the install", p)
+	}
+}
+
+// TestInstallRoundCancelled: cancelling the caller's context mid-install
+// returns the context's error at once, retries nothing, leaves the
+// stalled switch uncached and withdraws the FlowMod still in flight.
+func TestInstallRoundCancelled(t *testing.T) {
+	const stalled = 2
+	rs, _, slow := statsNet(t, 3, 6, stalled, true, ControllerConfig{RequestTimeout: 10 * time.Second})
+	_, truth, _ := newTestFabric(t, 1)
+	retries := rs.Stats().RPCRetries
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type result struct {
+		out InstallOutcome
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := rs.InstallAllocationDiff(ctx, truth, ingressBundles(truth), 7)
+		done <- result{out, err}
+	}()
+	select {
+	case <-slow.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stalled switch never received a FlowMod")
+	}
+	cancel()
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the install did not return after its context was cancelled")
+	}
+	if !errors.Is(res.err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got: %v", res.err)
+	}
+	if _, ok := rs.tables.get(stalled); ok || res.out.Acks > 5 {
+		t.Fatalf("%d acks, the stalled switch cached: %v", res.out.Acks, ok)
+	}
+	if got := rs.Stats().RPCRetries; got != retries {
+		t.Fatalf("RPCRetries grew by %d after a cancel, want 0", got-retries)
+	}
+	if p := pendingTokens(rs); p != 0 {
+		t.Fatalf("%d tokens left pending after a cancelled install", p)
+	}
+}
+
+// TestInstallRetryAppliesOnce: a switch whose first InstallRules outlasts
+// RequestTimeout is sent the FlowMod again under the same generation. It
+// applies the FlowMod once and acks the copies, so the install counts one
+// FlowMod and the fabric's ledger grows by exactly that one.
+func TestInstallRetryAppliesOnce(t *testing.T) {
+	const slowID = 2
+	topo, truth, fabric := newTestFabric(t, 1)
+	rs, _ := oneSeat(t, ControllerConfig{RequestTimeout: 100 * time.Millisecond})
+	slow := newSlowDatapath(fabric.Datapath(slowID), true)
+	for node := 0; node < topo.NumNodes(); node++ {
+		id := topology.NodeID(node)
+		dp := fabric.Datapath(id)
+		if node == slowID {
+			dp = slow
+		}
+		managedAgent(t, rs, uint32(node), topo.NodeName(id), dp)
+	}
+	t.Cleanup(slow.Release) // runs before the agents' Close, which waits on it
+	waitSwitches(t, rs, topo.NumNodes())
+	bundles := ingressBundles(truth)
+	// Every other switch already holds its table: the install writes one
+	// FlowMod.
+	for id, rules := range allocationTables(truth, bundles) {
+		if id != slowID {
+			rs.tables.set(id, rules)
+		}
+	}
+	acked := fabric.AckedFlowMods()
+	retries := rs.Stats().RPCRetries
+
+	time.AfterFunc(250*time.Millisecond, slow.Release)
+	out, err := rs.InstallAllocationDiff(context.Background(), truth, bundles, 7)
+	if err != nil {
+		t.Fatalf("InstallAllocationDiff: %v", err)
+	}
+	if out.FlowMods != 1 || out.Acks != 1 {
+		t.Fatalf("outcome %+v, want 1 FlowMod and 1 ack", out)
+	}
+	if rs.Stats().RPCRetries == retries {
+		t.Fatal("the install was never retried: the stall did not outlast RequestTimeout")
+	}
+	if got := fabric.AckedFlowMods() - acked; got != out.FlowMods {
+		t.Fatalf("the switch applied the FlowMod %d times, the install counted %d", got, out.FlowMods)
+	}
 }
 
 // BenchmarkStatsRound times one stats round (one op) over three seats and

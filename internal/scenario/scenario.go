@@ -242,8 +242,8 @@ type Options struct {
 	// negative disables). Deterministic per seed.
 	DemandJitter float64
 	// Replicas is the controller replica count (default 1). Switch
-	// ownership shards across replicas by rendezvous hashing, installs
-	// fan out and merge, and ControllerFail events need at least 2 to
+	// ownership shards across replicas by rendezvous hashing, an install
+	// reaches every replica's switches in one round, and ControllerFail events need at least 2 to
 	// have any effect.
 	Replicas int
 	// RuleLease is the rule hard-timeout advertised to the switch

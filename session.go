@@ -142,8 +142,8 @@ func WithColdStart() SessionOption {
 
 // WithReplicas sets the controller replica count of the closed-loop
 // control plane (default 1). Switch ownership shards across replicas by
-// rendezvous hashing, installs fan out across the set and merge, and
-// ControllerFail / ControllerRecover scenario events kill and re-seat
+// rendezvous hashing, an install reaches every replica's switches in one
+// round, and ControllerFail / ControllerRecover scenario events kill and re-seat
 // individual replicas — a lone replica (the default) turns those events
 // into deterministic no-ops. Takes effect when ReplayClosedLoop builds
 // the control plane on first use.
