@@ -281,13 +281,15 @@ func BenchmarkPathGenAlternatives(b *testing.B) {
 // nodes they settled, candidates scored, bundles skipped because a failed
 // step had refuted them — by a link earlier in the same pass, by the
 // escalation level below at an unchanged move size — committed steps,
-// escalations, and builds of the optimizer's bundle list (one per run plus
+// escalations, builds of the optimizer's bundle list (one per run plus
 // one per step whose collection appended a path: every other step patches
-// it in place). The two benchmarks below report them per operation;
+// it in place), and the sub-problem re-runs flowmodel's delta scoring made
+// (a lazy hit that widened the sub-problem, or a load check that promoted
+// a link; a lazy hit that widens nothing continues in place). The two benchmarks below report them per operation;
 // TestWorkCountsPinned compares them with testdata/work_counts.golden over
 // the same operations.
 type workCounts struct {
-	searches, settled, candidates, refutedLink, refutedLevel, steps, escalations, builds int64
+	searches, settled, candidates, refutedLink, refutedLevel, steps, escalations, builds, reruns int64
 }
 
 func (w *workCounts) add(o workCounts) {
@@ -299,12 +301,13 @@ func (w *workCounts) add(o workCounts) {
 	w.steps += o.steps
 	w.escalations += o.escalations
 	w.builds += o.builds
+	w.reruns += o.reruns
 }
 
 func (w workCounts) sub(o workCounts) workCounts {
 	return workCounts{w.searches - o.searches, w.settled - o.settled, w.candidates - o.candidates,
 		w.refutedLink - o.refutedLink, w.refutedLevel - o.refutedLevel, w.steps - o.steps, w.escalations - o.escalations,
-		w.builds - o.builds}
+		w.builds - o.builds, w.reruns - o.reruns}
 }
 
 // report prints the per-operation counts beside a benchmark's times.
@@ -315,6 +318,7 @@ func (w workCounts) report(b *testing.B, ops int, per string) {
 	b.ReportMetric(float64(w.refutedLink)/float64(ops), "refuted-link/"+per)
 	b.ReportMetric(float64(w.refutedLevel)/float64(ops), "refuted-level/"+per)
 	b.ReportMetric(float64(w.builds)/float64(ops), "builds/"+per)
+	b.ReportMetric(float64(w.reruns)/float64(ops), "reruns/"+per)
 }
 
 // solutionWork reads one optimization's counts off its Solution.
@@ -328,6 +332,7 @@ func solutionWork(sol *Solution) workCounts {
 		steps:        int64(sol.Steps),
 		escalations:  int64(sol.Escalations),
 		builds:       int64(sol.ListBuilds),
+		reruns:       sol.Delta.Expansions,
 	}
 }
 
@@ -343,6 +348,7 @@ func telemetryWork(tel *Telemetry) workCounts {
 		steps:        c["fubar_core_steps_total"],
 		escalations:  c["fubar_core_escalations_total"],
 		builds:       c["fubar_core_list_builds_total"],
+		reruns:       c["fubar_eval_delta_expansions_total"],
 	}
 }
 

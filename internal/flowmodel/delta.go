@@ -30,9 +30,11 @@
 //
 // Both halves of that rule are optimistic, and both are verified:
 //
-//   - The fill loop aborts the moment a link event reaches a bundle the
-//     closure treated lazily (e.subFill); that bundle is promoted to
-//     eager and the sub-problem re-runs wider.
+//   - The moment a link event reaches a bundle the closure treated lazily,
+//     the fill promotes the link's lazy crossers to eager (widen). If that
+//     admits no link into the sub-problem the fill goes on in place — a
+//     re-run would replay it event for event — and otherwise it aborts and
+//     the sub-problem re-runs wider.
 //
 //   - In the water-filling every bundle's instantaneous rate is
 //     non-decreasing until it freezes, so a link's load is non-decreasing
@@ -131,8 +133,10 @@ type DeltaStats struct {
 	// broke the contract: no base, a list of another length, a changed
 	// index out of range or naming a bundle of another aggregate.
 	Fallbacks int64
-	// Expansions counts optimistic-closure retries: a lazily-treated
-	// bundle got truncated by the candidate, forcing a wider re-solve.
+	// Expansions counts sub-problem re-runs, not calls: a link event that
+	// reached a lazily-treated bundle whose promotion admitted a new
+	// sub-problem link, or a load check that promoted a touched link. A
+	// promotion that widens nothing continues in place and is not counted.
 	Expansions int64
 	// AffectedBundles accumulates the affected-set sizes of non-fallback
 	// calls; AffectedBundles/(Calls-Fallbacks) is the mean sub-problem.
@@ -714,24 +718,20 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 				e.events.update(l, (m.capacity[l]-e.linkFrozen[l])/e.linkW[l])
 			}
 		}
-		e.subFill = true
-		abortLink := e.fill(bundles, active, res)
-		e.subFill = false
-		if abortLink >= 0 {
-			// Optimistic closure missed: the aborting link truncates
-			// bundles assumed to stay demand-frozen. Promote every lazy
-			// crosser of that link and re-run wider: the next setup pass
+		e.events.start()
+		e.sub = base
+		widened := e.fill(bundles, active, res)
+		e.sub = nil
+		if widened {
+			// Optimistic closure missed: a link event truncates bundles
+			// assumed to stay demand-frozen, and widen's promotion of them
+			// admitted new sub-problem links. Re-run wider: the fixpoint
+			// takes in the new links' crossers, the next setup pass
 			// rewrites every affected bundle's entries, the sub reset
 			// re-zeroes every sub link (including freshly promoted ones,
 			// whose res bookkeeping still holds untouched base values),
 			// and loads are only written after the loop — nothing needs
 			// restoring.
-			for _, bi := range base.linkBun[abortLink] {
-				if d.eagerMark[bi] != d.epoch {
-					d.eagerMark[bi] = d.epoch
-					d.propagate(base, bundles[bi].Edges)
-				}
-			}
 			e.stats.Expansions++
 			continue
 		}
@@ -810,6 +810,35 @@ func (e *Eval) deltaRate(res *Result, base *Base, bi int32) float64 {
 		return res.BundleRate[bi]
 	}
 	return base.rate[bi]
+}
+
+// widen promotes every lazy crosser of link l, whose saturation event has
+// reached a bundle the closure treated lazily, to eager: their influence now
+// propagates (propagate), and reports whether that admitted a link into the
+// sub-problem. If it did not, the fill goes on in place: a re-run would set
+// up the same links, bundles, parameters and demand order — the fixpoint has
+// nothing new to close over, and the links the promotion touched are only
+// load-checked after the fill — so it would replay this fill event for event
+// up to this one and then freeze l's crossers as the fill is about to. The
+// promotion is the one the re-run would start from, so a fill that aborts
+// later leaves its re-run what an abort here would have. Only the eager
+// marks, not the frozen state, feed the promotion, so the crossers an event
+// froze before reaching the lazy one do not change it.
+func (e *Eval) widen(bundles []Bundle, l int32) bool {
+	d := &e.delta
+	n := len(d.subLinks)
+	for _, bi := range e.sub.linkBun[l] {
+		if d.eagerMark[bi] != d.epoch {
+			d.eagerMark[bi] = d.epoch
+			d.propagate(e.sub, bundles[bi].Edges)
+		}
+	}
+	if len(d.subLinks) > n {
+		e.aborted++
+		return true
+	}
+	e.continued++
+	return false
 }
 
 // activeWeight returns the filling weight (flows/RTT) a bundle

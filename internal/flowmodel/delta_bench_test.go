@@ -29,7 +29,7 @@ func heLikeInstance(tb testing.TB) (*Model, []Bundle) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return denseAllocation(tb, topo, mat)
+	return denseAllocation(tb, topo, mat, 3)
 }
 
 // heCrisisInstance is the replay benchmark's HE-31 at the onset of its
@@ -114,21 +114,42 @@ func ringTenantList(tb testing.TB, load float64, placeholders bool) (*Model, []B
 	return startAllocation(tb, topo, mat, pathgen.Policy{}, placeholders)
 }
 
-// scaleSInstance is the scale-s preset (internal/scenario, which this
-// package cannot import): a 100-node Waxman topology under 1500 sparse
-// aggregates, ≈8× heLikeInstance's bundle list. What a candidate perturbs
-// does not grow with the list, so neither should the cost of scoring it.
+// scaleSInstance is the scale-s preset under denseAllocation: ≈8×
+// heLikeInstance's bundle list. What a candidate perturbs does not grow
+// with the list, so neither should the cost of scoring it.
 func scaleSInstance(tb testing.TB) (*Model, []Bundle) {
+	return scalePresets[0].instance(tb, 3)
+}
+
+// scalePreset mirrors one of internal/scenario's scale presets, which this
+// package cannot import: a Waxman topology under sparse aggregates.
+type scalePreset struct {
+	name        string
+	nodes, aggs int
+	alpha       float64
+	capacity    unit.Bandwidth
+}
+
+var scalePresets = []scalePreset{
+	{"scale-s", 100, 1500, 0.25, 16 * unit.Mbps},
+	{"scale-m", 300, 4000, 0.1, 24 * unit.Mbps},
+	{"scale-l", 1000, 12000, 0.03, 32 * unit.Mbps},
+}
+
+// instance draws the preset's seed-1 instance, as ScalePreset.Instance(1)
+// does, and splits every aggregate's flows across its paths lowest-delay
+// paths (denseAllocation); paths = 1 is the lowest-delay list.
+func (p scalePreset) instance(tb testing.TB, paths int) (*Model, []Bundle) {
 	tb.Helper()
-	topo, err := topology.Waxman(100, 0.25, 0.15, 16*unit.Mbps, 50*unit.Millisecond, 1)
+	topo, err := topology.Waxman(p.nodes, p.alpha, 0.15, p.capacity, 50*unit.Millisecond, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mat, err := traffic.Sparse(topo, benchGenConfig(2), 1500)
+	mat, err := traffic.Sparse(topo, benchGenConfig(2), p.aggs)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return denseAllocation(tb, topo, mat)
+	return denseAllocation(tb, topo, mat, paths)
 }
 
 func benchGenConfig(seed int64) traffic.GenConfig {
@@ -139,9 +160,9 @@ func benchGenConfig(seed int64) traffic.GenConfig {
 	return cfg
 }
 
-// denseAllocation splits every aggregate's flows across its 3
+// denseAllocation splits every aggregate's flows across its k
 // lowest-delay paths, some entries zero.
-func denseAllocation(tb testing.TB, topo *topology.Topology, mat *traffic.Matrix) (*Model, []Bundle) {
+func denseAllocation(tb testing.TB, topo *topology.Topology, mat *traffic.Matrix, k int) (*Model, []Bundle) {
 	tb.Helper()
 	m, err := New(topo, mat)
 	if err != nil {
@@ -158,7 +179,7 @@ func denseAllocation(tb testing.TB, topo *topology.Topology, mat *traffic.Matrix
 			bundles = append(bundles, Bundle{Agg: a.ID, Flows: a.Flows})
 			continue
 		}
-		paths := gen.KLowestDelay(a.Src, a.Dst, 3)
+		paths := gen.KLowestDelay(a.Src, a.Dst, k)
 		if len(paths) == 0 {
 			tb.Fatalf("no path for aggregate %d", a.ID)
 		}

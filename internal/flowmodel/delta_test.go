@@ -272,10 +272,11 @@ func TestDeltaFallbacks(t *testing.T) {
 // EvaluateDelta, EvaluateDeltaUtility and CommitDelta must equal a full
 // Evaluate bit for bit without falling back — and the test counts that
 // closures past half the list (on both topologies), closures of the whole
-// list and calls re-run three times or more all occurred.
+// list, calls whose closure widened three times or more (in place or by a
+// re-run) and calls that re-ran at all occurred.
 func TestDeltaMatchesFullWhenMostOfTheListIsAffected(t *testing.T) {
 	var overHalf [2]int // calls affecting more than half the list: ring, HE crisis
-	whole, rerun3, calls := 0, 0, 0
+	whole, widened3, reran, calls := 0, 0, 0, 0
 	for _, c := range []struct {
 		name         string
 		ring         bool
@@ -301,7 +302,7 @@ func TestDeltaMatchesFullWhenMostOfTheListIsAffected(t *testing.T) {
 				cand[mv[1]].Flows += n
 				changed := []int{min(mv[0], mv[1]), max(mv[0], mv[1])}
 				want := full.Evaluate(cand)
-				before := delta.DeltaStats()
+				before, continuedBefore := delta.DeltaStats(), delta.continued
 				requireIdentical(t, c.name+": delta", want, delta.EvaluateDelta(&base, cand, changed))
 				after := delta.DeltaStats()
 				if u, fellBack := score.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); u != want.NetworkUtility || fellBack {
@@ -309,6 +310,9 @@ func TestDeltaMatchesFullWhenMostOfTheListIsAffected(t *testing.T) {
 				}
 				calls++
 				affected, reruns := after.AffectedBundles-before.AffectedBundles, after.Expansions-before.Expansions
+				if reruns > 0 {
+					reran++
+				}
 				hit := false
 				if 2*affected > int64(len(cand)) {
 					hit = true
@@ -317,9 +321,9 @@ func TestDeltaMatchesFullWhenMostOfTheListIsAffected(t *testing.T) {
 				if affected == int64(len(cand)) {
 					whole++
 				}
-				if reruns >= 3 {
+				if reruns+delta.continued-continuedBefore >= 3 {
 					hit = true
-					rerun3++
+					widened3++
 				}
 				if hit {
 					// Fold the move into a fresh copy of the capture: the
@@ -343,10 +347,103 @@ func TestDeltaMatchesFullWhenMostOfTheListIsAffected(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d calls: %d (ring) + %d (HE crisis) affected more than half the list, %d all of it, %d re-ran three times or more",
-		calls, overHalf[0], overHalf[1], whole, rerun3)
-	if overHalf[0] == 0 || overHalf[1] == 0 || whole == 0 || rerun3 == 0 {
+	t.Logf("%d calls: %d (ring) + %d (HE crisis) affected more than half the list, %d all of it, %d widened three times or more, %d re-ran",
+		calls, overHalf[0], overHalf[1], whole, widened3, reran)
+	if overHalf[0] == 0 || overHalf[1] == 0 || whole == 0 || widened3 == 0 || reran == 0 {
 		t.Fatal("a case this test exists for did not occur")
+	}
+}
+
+// TestDeltaContinuesInPlace drives sub-fills on the HE-31 crisis and
+// tenant-ring lists through both outcomes of a lazy hit — a link event
+// reaching a bundle the closure left demand-frozen. A promotion that admits
+// no sub-problem link lets the fill continue in place; one that admits some
+// aborts the fill and re-runs it wider, from eager marks that in-place
+// promotions earlier in the same call may already have set. The lists walk
+// as an optimizer walks them — score congestion-relieving and random moves,
+// commit the best — since lazy hits that widen come with a base that has
+// moved away from its start. Each outcome must occur on both lists, and a
+// call with both on one, and every candidate's EvaluateDelta and
+// EvaluateDeltaUtility must equal a full Evaluate, and its rates,
+// satisfaction and congestion flags the plain fill on the eager reference
+// heap, bit for bit.
+func TestDeltaContinuesInPlace(t *testing.T) {
+	both := 0 // calls that continued in place and then re-ran wider
+	for _, c := range []struct {
+		name   string
+		build  func(testing.TB) (*Model, []Bundle)
+		rounds int
+	}{{"he-crisis", heCrisisInstance, 60}, {"ring", ringTenantInstance, 20}} {
+		m, bundles := c.build(t)
+		var base Base
+		full, delta, score := m.NewEval(), m.NewEval(), m.NewEval()
+		delta.EvaluateBase(bundles, &base)
+		cand := append([]Bundle(nil), bundles...)
+		inPlace, rerunWider := 0, 0
+		for round := 0; round < c.rounds; round++ {
+			moves := append(relievingMoves(m, cand, 100), moveCandidates(cand, 64, int64(round))...)
+			bestU, best, bestN := base.NetworkUtility(), -1, 0
+			for k, mv := range moves {
+				for _, n := range []int{1 + cand[mv[0]].Flows/2, cand[mv[0]].Flows} {
+					if n == 0 {
+						continue
+					}
+					cand[mv[0]].Flows -= n
+					cand[mv[1]].Flows += n
+					changed := []int{min(mv[0], mv[1]), max(mv[0], mv[1])}
+					continued, aborted := delta.continued, delta.aborted
+					got := delta.EvaluateDelta(&base, cand, changed)
+					continued, aborted = delta.continued-continued, delta.aborted-aborted
+					requireIdentical(t, c.name+": delta", full.Evaluate(cand), got)
+					if u, _ := score.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); u != got.NetworkUtility {
+						t.Fatalf("%s: utility-only %v, delta %v", c.name, u, got.NetworkUtility)
+					}
+					if continued+aborted > 0 {
+						rate, sat, cong := eagerFill(m, cand)
+						for i := range cand {
+							if got.BundleRate[i] != rate[i] || got.BundleSatisfied[i] != sat[i] {
+								t.Fatalf("%s: bundle %d at (%v, %v), eager reference (%v, %v)",
+									c.name, i, got.BundleRate[i], got.BundleSatisfied[i], rate[i], sat[i])
+							}
+						}
+						for l := range cong {
+							if got.IsCongested[l] != cong[l] {
+								t.Fatalf("%s: link %d congested %v, eager reference %v", c.name, l, got.IsCongested[l], cong[l])
+							}
+						}
+					}
+					switch {
+					case aborted > 0:
+						rerunWider++
+						if continued > 0 {
+							both++
+						}
+					case continued > 0:
+						inPlace++
+					}
+					if got.NetworkUtility > bestU {
+						bestU, best, bestN = got.NetworkUtility, k, n
+					}
+					cand[mv[0]].Flows += n
+					cand[mv[1]].Flows -= n
+				}
+			}
+			if best < 0 {
+				break // no move improves: the walk is over
+			}
+			mv := moves[best]
+			cand[mv[0]].Flows -= bestN
+			cand[mv[1]].Flows += bestN
+			delta.CommitDelta(&base, cand, []int{min(mv[0], mv[1]), max(mv[0], mv[1])})
+		}
+		t.Logf("%s: %d calls continued in place, %d re-ran wider", c.name, inPlace, rerunWider)
+		if inPlace == 0 || rerunWider == 0 {
+			t.Errorf("%s: an outcome of a lazy hit did not occur", c.name)
+		}
+	}
+	t.Logf("%d calls continued in place and then re-ran wider", both)
+	if both == 0 {
+		t.Error("no call re-ran wider after continuing in place")
 	}
 }
 

@@ -164,18 +164,23 @@ type Eval struct {
 	// stallClears counts residual-float-weight stall-guard activations
 	// (the linkW-dust branch of the fill loop), for tests.
 	stallClears int64
-	// subFill marks the running fill as a delta sub-problem: freezing a
-	// lazily-treated bundle at a link event aborts the fill so the delta
-	// path can widen the sub-problem and re-run, and freezeBundle releases
-	// a bundle from the sub-problem links recorded for it (delta.incHead),
-	// not from its path's, most of which hold another fill's scratch.
-	subFill bool
+	// sub is the base of the running fill when it is a delta sub-problem,
+	// nil in a full fill. A link event about to freeze a bundle the delta
+	// closure treated lazily first promotes the link's lazy crossers
+	// (widen): the fill goes on in place unless that admits a link into the
+	// sub-problem, when it aborts so the delta path can re-run wider. And
+	// freezeBundle releases a bundle from the sub-problem links recorded
+	// for it (delta.incHead), not from its path's, most of which hold
+	// another fill's scratch.
+	sub *Base
 
 	delta deltaScratch
 	stats DeltaStats
-	// For tests and benchmarks: scores returned from their interval, and
-	// load-check links re-summed because theirs straddled the threshold.
-	bounded, resummed int64
+	// For tests and benchmarks: scores returned from their interval,
+	// load-check links re-summed because theirs straddled the threshold, and
+	// lazy hits whose promotion let the fill continue in place or widened
+	// the sub-problem and aborted it.
+	bounded, resummed, continued, aborted int64
 	// remapInv is RemapBase's old-index → new-index scratch.
 	remapInv []int32
 	res      Result
@@ -289,6 +294,7 @@ func (e *Eval) Evaluate(bundles []Bundle) *Result {
 			e.events.update(int32(l), (m.capacity[l]-e.linkFrozen[l])/e.linkW[l])
 		}
 	}
+	e.events.start()
 
 	e.fill(bundles, active, res)
 
@@ -366,12 +372,13 @@ func (e *Eval) buildDemandOrder() {
 
 // fill runs the progressive water-filling event loop until every active
 // bundle froze. Demand events come from e.order; saturation events from
-// the e.events heap. Both full and delta evaluations share this loop —
-// only the set of participating bundles and links differs. When
-// e.subFill is set and a link event is about to freeze a bundle the
-// delta closure treated lazily, the fill aborts and returns that link so
-// the caller can widen the sub-problem; otherwise returns -1.
-func (e *Eval) fill(bundles []Bundle, active int, res *Result) int32 {
+// the e.events queue. Both full and delta evaluations share this loop —
+// only the set of participating bundles and links differs. In a delta
+// sub-fill (e.sub set), a link event about to freeze a bundle the delta
+// closure treated lazily widens the closure first; when that admits a
+// sub-problem link the fill aborts and reports true, so the caller re-runs
+// wider.
+func (e *Eval) fill(bundles []Bundle, active int, res *Result) bool {
 	next := 0 // index into order of the earliest pending demand event
 	for active > 0 {
 		// Earliest pending demand event.
@@ -405,11 +412,12 @@ func (e *Eval) fill(bundles []Bundle, active int, res *Result) int32 {
 				if e.frozen[bi] {
 					continue
 				}
-				if e.subFill && e.delta.eagerMark[bi] != e.delta.epoch {
+				if e.sub != nil && e.delta.eagerMark[bi] != e.delta.epoch && e.widen(bundles, link) {
 					// Optimistic closure missed: a link event reached a
-					// bundle assumed to stay demand-frozen. Abort so the
-					// delta path can promote it and re-solve wider.
-					return link
+					// bundle assumed to stay demand-frozen, and promoting
+					// it reached past the sub-problem. Abort so the delta
+					// path re-solves wider.
+					return true
 				}
 				rate := e.weight[bi] * t
 				// Floating-point tie: a bundle reaching its demand at the
@@ -450,20 +458,20 @@ func (e *Eval) fill(bundles []Bundle, active int, res *Result) int32 {
 			panic("flowmodel: stalled filling")
 		}
 	}
-	return -1
+	return false
 }
 
 // freezeBundle fixes bundle i at the given rate and removes its weight
 // from the links it fills — its path's in a full fill, the sub-problem's
 // share of them in a delta fill — rescheduling their saturation events.
 // Visit order is immaterial: each link's arithmetic is its own, and the
-// event heap's order is total, so the next peek depends only on the keys.
+// event queue's order is total, so the next peek depends only on the keys.
 func (e *Eval) freezeBundle(bundles []Bundle, i int, rate float64, satisfied bool, res *Result) {
 	e.frozen[i] = true
 	res.BundleRate[i] = rate
 	res.BundleSatisfied[i] = satisfied
 	w := e.weight[i]
-	if e.subFill {
+	if e.sub != nil {
 		d := &e.delta
 		for k := d.incHead[i]; k >= 0; k = d.inc[k].next {
 			e.release(d.inc[k].link, w, rate)

@@ -84,7 +84,7 @@ func (t *Telemetry) Core() *CoreMetrics {
 		DeltaCalls:          r.Counter("fubar_eval_delta_calls_total", "Full-result incremental (delta) evaluations."),
 		UtilityOnlyCalls:    r.Counter("fubar_eval_utility_only_calls_total", "Utility-only incremental evaluations."),
 		DeltaFallbacks:      r.Counter("fubar_eval_delta_fallbacks_total", "Delta evaluations that broke their contract (no base, a list the base does not describe) and ran a full recompute; 0 in a correct run."),
-		DeltaExpansions:     r.Counter("fubar_eval_delta_expansions_total", "Delta evaluations whose affected set expanded."),
+		DeltaExpansions:     r.Counter("fubar_eval_delta_expansions_total", "Delta sub-problem re-runs: fills thrown away and solved again wider."),
 		PathMemoHits:        r.Counter(`fubar_pathgen_lookups_total{result="memo"}`, pathLookupsHelp),
 		PathDonated:         r.Counter(`fubar_pathgen_lookups_total{result="donor"}`, pathLookupsHelp),
 		PathTreeAnswers:     r.Counter(`fubar_pathgen_lookups_total{result="tree"}`, pathLookupsHelp),

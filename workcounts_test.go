@@ -19,15 +19,18 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // the HE-31 crisis replay, 70 of the closed-loop soak ring, the eight cold
 // scale-s matrices once each — and compares the totals of candidates scored,
 // bundles refuted by link and by level, committed steps, escalations, path
-// searches, the nodes those searches settled and the builds of the
-// optimizer's bundle list with testdata/work_counts.golden. Steps and
+// searches, the nodes those searches settled, the builds of the
+// optimizer's bundle list and the re-runs of delta sub-problems with
+// testdata/work_counts.golden. Steps and
 // escalations move only if the optimizer walks another trajectory (the
 // determinism tests will say so too); candidates, refuted bundles, searches
 // and settled nodes are what the pass loop asks of flowmodel and pathgen on
 // the way, so a change there is a change in cost that no solution shows.
 // Builds are one per run plus one per step whose collection appended a
 // path; a step that rebuilt its list regardless would show here as a count
-// near the steps scored, not as a few percent of time. The open-loop leg's
+// near the steps scored, not as a few percent of time. Re-runs are the
+// scoring passes a sub-fill threw away and started over wider; one that
+// re-ran where it could have continued in place shows here. The open-loop leg's
 // row also carries the heap objects those epochs allocated (runtime.MemStats.Mallocs):
 // exact per commit bar the runtime's own, so the gate is a ceiling — the
 // recorded count plus 5% — where every other column is an equality.
@@ -36,8 +39,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 func TestWorkCountsPinned(t *testing.T) {
 	var buf bytes.Buffer
 	row := func(name string, ops int, w workCounts, tail string) {
-		fmt.Fprintf(&buf, "%-12s %3d  candidates %6d  refuted_link %5d  refuted_level %5d  steps %5d  escalations %4d  searches %5d  settled %7d  builds %5d%s\n",
-			name, ops, w.candidates, w.refutedLink, w.refutedLevel, w.steps, w.escalations, w.searches, w.settled, w.builds, tail)
+		fmt.Fprintf(&buf, "%-12s %3d  candidates %6d  refuted_link %5d  refuted_level %5d  steps %5d  escalations %4d  searches %5d  settled %7d  builds %5d  reruns %5d%s\n",
+			name, ops, w.candidates, w.refutedLink, w.refutedLevel, w.steps, w.escalations, w.searches, w.settled, w.builds, w.reruns, tail)
 	}
 	for _, leg := range replayLegs {
 		var work, mark workCounts
