@@ -49,10 +49,11 @@ const benchBudget = 15 * time.Second
 // metrics.
 func runExperiment(b *testing.B, cfg experiment.Config) *experiment.RunResult {
 	b.Helper()
-	cfg.Options.Deadline = benchBudget
 	var last *experiment.RunResult
 	for i := 0; i < b.N; i++ {
-		r, err := experiment.Run(context.Background(), cfg)
+		ctx, cancel := context.WithTimeout(context.Background(), benchBudget)
+		r, err := experiment.Run(ctx, cfg)
+		cancel()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,10 +117,12 @@ func BenchmarkFig6DelayRelaxation(b *testing.B) {
 // sweep (Fig 7 uses 100 seeds; each bench iteration runs 3).
 func BenchmarkFig7Repeatability(b *testing.B) {
 	cfg := experiment.Provisioned(1)
-	cfg.Options.Deadline = 5 * time.Second
 	var last *experiment.RepeatabilityResult
 	for i := 0; i < b.N; i++ {
-		r, err := experiment.Repeatability(context.Background(), cfg, 3)
+		// 5 s for each of the 3 runs.
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		r, err := experiment.Repeatability(ctx, cfg, 3)
+		cancel()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +188,7 @@ func BenchmarkTrafficModelHE961(b *testing.B) {
 			bundles = append(bundles, flowmodel.Bundle{Agg: a.ID, Flows: a.Flows})
 			continue
 		}
-		p, ok := graph.ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
+		p, ok := new(graph.Searcher).ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
 		if !ok {
 			b.Fatal("no path")
 		}
@@ -528,28 +531,6 @@ func BenchmarkBaselineShortestPath(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselineECMP measures the ECMP comparator.
-func BenchmarkBaselineECMP(b *testing.B) {
-	m := benchModel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := baseline.ECMP(m, pathgen.Policy{}, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBaselineGreedyCSPF measures the CSPF-style comparator.
-func BenchmarkBaselineGreedyCSPF(b *testing.B) {
-	m := benchModel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := baseline.GreedyCSPF(m, pathgen.Policy{}, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkUpperBound measures the §3 isolation bound at paper scale.
 func BenchmarkUpperBound(b *testing.B) {
 	topo, err := topology.HurricaneElectric(100 * unit.Mbps)
@@ -680,7 +661,7 @@ func BenchmarkQueueAvoidance(b *testing.B) {
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, _, _, err := netsim.Compare(topo, model, sp.Bundles, sol.Bundles, netsim.Config{})
+		r, _, _, err := netsim.Compare(topo, model, sp.Bundles, sol.Bundles)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -135,7 +135,6 @@ func run(args []string) int {
 		strings.Join(experimentNames(true), "|")+" (explicit only; it writes -soak-out)")
 	fs.Int64Var(&bf.seed, "seed", 1, "base random seed")
 	fs.IntVar(&bf.runs, "runs", 100, "number of runs for fig7")
-	fs.DurationVar(&bf.opts.Deadline, "deadline", 10*time.Minute, "per-run optimization deadline")
 	fs.BoolVar(&bf.csv, "csv", false, "emit CSV after each chart")
 	fs.IntVar(&bf.opts.Workers, "workers", 0, "parallel candidate evaluators per step (0 = GOMAXPROCS)")
 	fs.IntVar(&bf.soakN, "soak-epochs", 1_000_000, "plain-replay epoch count for -exp soak (the closed-loop leg runs a tenth of it)")
@@ -555,7 +554,7 @@ func queues(seed int64, opts core.Options) error {
 		if err != nil {
 			return err
 		}
-		ratio, before, after, err := netsim.Compare(r.Topology, model, sp.Bundles, r.Solution.Bundles, netsim.Config{})
+		ratio, before, after, err := netsim.Compare(r.Topology, model, sp.Bundles, r.Solution.Bundles)
 		if err != nil {
 			return err
 		}

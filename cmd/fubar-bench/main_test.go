@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fubar/internal/unit"
 )
 
 // TestExtensionExperimentsSmoke runs the fast extension experiments end
@@ -46,8 +48,12 @@ func TestBenchInstance(t *testing.T) {
 	if topo.NumNodes() == 0 || mat.NumAggregates() == 0 {
 		t.Fatal("empty instance")
 	}
-	if mat.TotalDemand() <= topo.TotalCapacity()/10 {
-		t.Fatalf("instance too idle: demand %v vs capacity %v", mat.TotalDemand(), topo.TotalCapacity())
+	var capacity unit.Bandwidth
+	for _, l := range topo.Links() {
+		capacity += l.Capacity
+	}
+	if mat.TotalDemand() <= capacity/10 {
+		t.Fatalf("instance too idle: demand %v vs capacity %v", mat.TotalDemand(), capacity)
 	}
 }
 

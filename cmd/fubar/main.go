@@ -57,7 +57,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "traffic matrix seed")
 		largeWeight = flag.Float64("large-weight", 1, "utility weight multiplier for large aggregates")
 		delayScale  = flag.Float64("delay-scale", 1, "delay-curve stretch for small aggregates")
-		deadline    = flag.Duration("deadline", 5*time.Minute, "optimization deadline")
 		maxPaths    = flag.Int("max-paths", 15, "path-set limit per aggregate")
 		workers     = flag.Int("workers", 0, "parallel candidate evaluators per step (0 = GOMAXPROCS)")
 		verbose     = flag.Bool("v", false, "trace progress every 100 steps")
@@ -67,7 +66,7 @@ func main() {
 		epochs      = flag.Int("epochs", 12, "scenario replay epoch count")
 		cold        = flag.Bool("cold", false, "disable warm starts in the scenario replay")
 		ctrlplane   = flag.Bool("ctrlplane", false, "drive the scenario replay through the SDN control plane (simulated switches over TCP, counted wire FlowMods)")
-		budget      = flag.Duration("budget", 0, "wall-clock bound on each optimization: the single run, or every replay epoch's re-optimization, open loop or -ctrlplane (0 = none)")
+		budget      = flag.Duration("budget", 5*time.Minute, "wall-clock bound on each optimization: the single run, or every replay epoch's re-optimization, open loop or -ctrlplane (0 = none)")
 		replicas    = flag.Int("replicas", 1, "controller replica count for -ctrlplane replays (>=2 lets controller-fail events bite; see -scenario ctrlstorm)")
 		lease       = flag.Duration("lease", 0, "switch rule hard-timeout for -ctrlplane replays: an orphaned agent applies -lease-policy after this long without a controller (0 = no lease)")
 		leasePolicy = flag.String("lease-policy", "static", "orphaned-agent lease policy: static (keep forwarding on the stale table) or closed (wipe it)")
@@ -81,7 +80,7 @@ func main() {
 	cfg := runConfig{
 		topoPath: *topoPath, capStr: *capacity, seed: *seed,
 		largeWeight: *largeWeight, delayScale: *delayScale,
-		deadline: *deadline, maxPaths: *maxPaths, workers: *workers,
+		maxPaths: *maxPaths, workers: *workers,
 		verbose: *verbose, showPaths: *showPaths, jsonOut: *jsonOut,
 		scenName: *scenName, epochs: *epochs, cold: *cold,
 		ctrlplane: *ctrlplane, budget: *budget, listen: *listen,
@@ -97,7 +96,6 @@ type runConfig struct {
 	topoPath, capStr        string
 	seed                    int64
 	largeWeight, delayScale float64
-	deadline                time.Duration
 	maxPaths, workers       int
 	verbose, showPaths      bool
 	jsonOut                 bool
@@ -157,7 +155,6 @@ func run(ctx context.Context, rc runConfig) error {
 	tel := fubar.NewTelemetry()
 	opts := []fubar.SessionOption{
 		fubar.WithOptions(fubar.Options{
-			Deadline:             rc.deadline,
 			MaxPathsPerAggregate: rc.maxPaths,
 			Workers:              rc.workers,
 		}),

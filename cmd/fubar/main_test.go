@@ -15,12 +15,12 @@ import (
 
 // runArgs builds a runConfig for the table-driven smoke tests.
 func runArgs(topoPath, capStr string, seed int64, largeWeight, delayScale float64,
-	deadline time.Duration, maxPaths, workers int, verbose, showPaths bool,
+	maxPaths, workers int, verbose, showPaths bool,
 	scenName string, epochs int, cold, ctrlplane bool, budget time.Duration) runConfig {
 	return runConfig{
 		topoPath: topoPath, capStr: capStr, seed: seed,
 		largeWeight: largeWeight, delayScale: delayScale,
-		deadline: deadline, maxPaths: maxPaths, workers: workers,
+		maxPaths: maxPaths, workers: workers,
 		verbose: verbose, showPaths: showPaths,
 		scenName: scenName, epochs: epochs, cold: cold,
 		ctrlplane: ctrlplane, budget: budget,
@@ -42,7 +42,7 @@ link B D 2Mbps 9ms
 	if err := os.WriteFile(path, []byte(topo), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), runArgs(path, "2Mbps", 3, 1, 1, 5*time.Second, 15, 2, false, true, "", 0, false, false, 0)); err != nil {
+	if err := run(context.Background(), runArgs(path, "2Mbps", 3, 1, 1, 15, 2, false, true, "", 0, false, false, 5*time.Second)); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
@@ -60,10 +60,10 @@ link B D 2Mbps 9ms
 	if err := os.WriteFile(path, []byte(topo), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), runArgs(path, "2Mbps", 3, 1, 1, 5*time.Second, 15, 1, false, false, "diurnal", 3, false, false, 0)); err != nil {
+	if err := run(context.Background(), runArgs(path, "2Mbps", 3, 1, 1, 15, 1, false, false, "diurnal", 3, false, false, 5*time.Second)); err != nil {
 		t.Fatalf("scenario replay: %v", err)
 	}
-	if err := run(context.Background(), runArgs(path, "2Mbps", 3, 1, 1, 5*time.Second, 15, 1, false, false, "bogus", 3, false, false, 0)); err == nil {
+	if err := run(context.Background(), runArgs(path, "2Mbps", 3, 1, 1, 15, 1, false, false, "bogus", 3, false, false, 5*time.Second)); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }
@@ -81,20 +81,20 @@ link B D 2Mbps 9ms
 	if err := os.WriteFile(path, []byte(topo), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), runArgs(path, "2Mbps", 3, 1, 1, 5*time.Second, 15, 1, false, false, "maintenance", 3, false, true, time.Minute)); err != nil {
+	if err := run(context.Background(), runArgs(path, "2Mbps", 3, 1, 1, 15, 1, false, false, "maintenance", 3, false, true, 5*time.Second)); err != nil {
 		t.Fatalf("closed-loop replay: %v", err)
 	}
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run(context.Background(), runArgs("", "notarate", 1, 1, 1, time.Second, 15, 0, false, false, "", 0, false, false, 0)); err == nil {
+	if err := run(context.Background(), runArgs("", "notarate", 1, 1, 1, 15, 0, false, false, "", 0, false, false, time.Second)); err == nil {
 		t.Error("bad capacity accepted")
 	}
-	if err := run(context.Background(), runArgs("/nonexistent/file.topo", "10Mbps", 1, 1, 1, time.Second, 15, 0, false, false, "", 0, false, false, 0)); err == nil {
+	if err := run(context.Background(), runArgs("/nonexistent/file.topo", "10Mbps", 1, 1, 1, 15, 0, false, false, "", 0, false, false, time.Second)); err == nil {
 		t.Error("missing topology file accepted")
 	}
 	// A bad -lease-policy is an error even with no -lease to apply it to.
-	rc := runArgs("", "10Mbps", 1, 1, 1, time.Second, 15, 0, false, false, "", 0, false, false, 0)
+	rc := runArgs("", "10Mbps", 1, 1, 1, 15, 0, false, false, "", 0, false, false, time.Second)
 	rc.leasePolicy = "bogus"
 	if err := run(context.Background(), rc); err == nil || !strings.Contains(err.Error(), "lease-policy") {
 		t.Errorf("-lease-policy bogus without -lease: err = %v, want it rejected", err)
@@ -112,7 +112,7 @@ link A C 1Mbps 15ms
 	if err := os.WriteFile(path, []byte(topo), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), runArgs(path, "1Mbps", 2, 8, 2, 5*time.Second, 10, 4, true, false, "", 0, false, false, 0)); err != nil {
+	if err := run(context.Background(), runArgs(path, "1Mbps", 2, 8, 2, 10, 4, true, false, "", 0, false, false, 5*time.Second)); err != nil {
 		t.Fatalf("run with knobs: %v", err)
 	}
 }
@@ -128,7 +128,7 @@ link A C 2Mbps 12ms
 	if err := os.WriteFile(path, []byte(topo), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rc := runArgs(path, "2Mbps", 3, 1, 1, 5*time.Second, 15, 1, false, false, "", 0, false, false, 0)
+	rc := runArgs(path, "2Mbps", 3, 1, 1, 15, 1, false, false, "", 0, false, false, 5*time.Second)
 	rc.jsonOut = true
 	if err := run(context.Background(), rc); err != nil {
 		t.Fatalf("json run: %v", err)
@@ -136,7 +136,7 @@ link A C 2Mbps 12ms
 	// The scenario leg streams JSONL: one epoch object per line as it
 	// completes, then one summary line. Capture stdout to check the
 	// framing.
-	rc = runArgs(path, "2Mbps", 3, 1, 1, 5*time.Second, 15, 1, false, false, "diurnal", 3, false, false, 0)
+	rc = runArgs(path, "2Mbps", 3, 1, 1, 15, 1, false, false, "diurnal", 3, false, false, 5*time.Second)
 	rc.jsonOut = true
 	out := captureStdout(t, func() {
 		if err := run(context.Background(), rc); err != nil {

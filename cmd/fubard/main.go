@@ -22,10 +22,6 @@
 // at their next epoch boundary via context cancellation, streams flush
 // a final error line, tenants' control planes are released, and the
 // listener closes.
-//
-// -smoke runs a self-contained end-to-end check (ephemeral port, two
-// tenants, streamed replay verified bit-identical to an in-process
-// Session, per-tenant metrics scrape) and exits; CI uses it.
 package main
 
 import (
@@ -51,7 +47,6 @@ func main() {
 		defaultWorkers = flag.Int("default-workers", 1, "worker budget of tenants that don't request one")
 		drain          = flag.Duration("drain", 30*time.Second, "max wait for in-flight work on shutdown")
 		quiet          = flag.Bool("quiet", false, "suppress progress logging")
-		smoke          = flag.Bool("smoke", false, "run the end-to-end self check and exit")
 	)
 	flag.Parse()
 
@@ -68,15 +63,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fubard: %v\n", err)
 		os.Exit(1)
-	}
-
-	if *smoke {
-		if err := runSmoke(srv, logger); err != nil {
-			fmt.Fprintf(os.Stderr, "fubard: smoke: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("fubard smoke: OK")
-		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

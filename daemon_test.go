@@ -156,10 +156,12 @@ func daemonScrape(t *testing.T, url string) string {
 }
 
 // TestDaemonTwoConcurrentTenants is the daemon's acceptance test: two
-// tenants optimize and closed-loop replay concurrently over HTTP, every
-// streamed epoch is bit-identical (Elapsed aside) to the same replay
-// run in-process, each tenant's /metrics registry is isolated, and each
-// tenant's wire-FlowMod ledger reconciles with its acks.
+// tenants optimize and closed-loop replay concurrently over HTTP, no
+// optimize ends below its initial utility, every streamed epoch is
+// bit-identical (Elapsed aside) to the same replay run in-process, each
+// tenant's /metrics registry is isolated, each tenant's wire-FlowMod
+// ledger reconciles with its acks, and deleting both tenants empties the
+// registry.
 func TestDaemonTwoConcurrentTenants(t *testing.T) {
 	_, ts := newDaemonServer(t)
 	const epochs = 4
@@ -188,10 +190,15 @@ func TestDaemonTwoConcurrentTenants(t *testing.T) {
 				return
 			}
 			var sum struct {
-				Utility float64 `json:"utility"`
+				Utility        float64 `json:"utility"`
+				InitialUtility float64 `json:"initial_utility"`
 			}
 			if err := json.Unmarshal(raw, &sum); err != nil || sum.Utility <= 0 {
 				errs <- fmt.Errorf("optimize %s: unusable summary %s", id, raw)
+				return
+			}
+			if sum.Utility < sum.InitialUtility {
+				errs <- fmt.Errorf("optimize %s: utility %g below initial %g", id, sum.Utility, sum.InitialUtility)
 				return
 			}
 			rresp, err := http.Get(fmt.Sprintf("%s/v1/tenants/%s/replay?scenario=diurnal&epochs=%d&mode=closed", ts.URL, id, epochs))
@@ -249,6 +256,33 @@ func TestDaemonTwoConcurrentTenants(t *testing.T) {
 	}
 	if v := daemonMetricValue(daemonBody, "fubar_daemon_optimizes_total"); v != 2 {
 		t.Errorf("daemon optimizes %g, want 2", v)
+	}
+
+	for id := range seeds {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/tenants/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("delete %s: status %d", id, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/tenants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct {
+		Tenants []fubar.TenantInfo `json:"tenants"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil || len(list.Tenants) != 0 {
+		t.Errorf("after deletes: tenants %+v (decode err %v), want none", list.Tenants, err)
+	}
+	if v := daemonMetricValue(daemonScrape(t, ts.URL+"/metrics"), "fubar_daemon_tenants"); v != 0 {
+		t.Errorf("daemon tenants gauge %g after deletes, want 0", v)
 	}
 }
 

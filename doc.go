@@ -236,7 +236,7 @@
 // in-flight streams flush a final error line, every tenant's control
 // plane is released, then the listener closes. The streamed epochs are
 // bit-identical to an in-process Session replay of the same instance
-// (Elapsed aside); `fubard -smoke` asserts exactly that end to end.
+// (Elapsed aside); TestDaemonTwoConcurrentTenants asserts exactly that.
 // WithTrajectory(points) makes any session fold its replay stream into
 // a fixed-size Trajectory (daemon tenants get this automatically, at
 // /v1/tenants/{id}/trajectory), and WriteEpochsJSONL is the shared

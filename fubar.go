@@ -491,6 +491,6 @@ func TelemetryHandler(t *Telemetry) http.Handler { return telemetry.Handler(t) }
 
 // CheckExposition validates a Prometheus text-format scrape (as served
 // by /metrics) — HELP/TYPE ordering, naming, parseable samples —
-// returning the first violation. Scrape checks in CI and the fubard
-// smoke use it.
+// returning the first violation. Scrape checks in tests, examples
+// and the benchmark use it.
 func CheckExposition(body string) error { return telemetry.CheckExposition(body) }

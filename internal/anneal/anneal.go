@@ -25,49 +25,27 @@ import (
 	"fubar/internal/traffic"
 )
 
-// Options tunes a simulated-annealing run. The zero value is usable:
-// every field has a sensible default applied by withDefaults.
+// The schedule's constants. The geometric cooling factor is derived from
+// them so the schedule reaches minTemp exactly at Options.MaxIterations,
+// whatever the iteration budget.
+const (
+	// pathsPerAggregate is how many lowest-delay candidate paths to
+	// pre-generate per aggregate (Yen's algorithm).
+	pathsPerAggregate = 8
+	// initialTemp is the starting temperature in utility units, a few
+	// times the typical utility delta of a single move.
+	initialTemp float64 = 0.02
+	// minTemp terminates the schedule.
+	minTemp float64 = 1e-5
+)
+
+// Options tunes a simulated-annealing run. The zero value is usable. A
+// run's time bound is its context.
 type Options struct {
 	// Seed drives all randomness; runs are deterministic given a seed.
 	Seed int64
-	// PathsPerAggregate is how many lowest-delay candidate paths to
-	// pre-generate per aggregate (Yen's algorithm). Default 8.
-	PathsPerAggregate int
-	// InitialTemp is the starting temperature in utility units. Default
-	// 0.02, a few times the typical utility delta of a single move.
-	InitialTemp float64
-	// Cooling is the geometric cooling factor applied every iteration.
-	// When unset it is derived so the schedule reaches MinTemp exactly at
-	// MaxIterations, whatever the iteration budget.
-	Cooling float64
-	// MinTemp terminates the schedule. Default 1e-5.
-	MinTemp float64
 	// MaxIterations caps the number of proposed moves. Default 200000.
 	MaxIterations int
-	// Deadline stops the run early when positive.
-	Deadline time.Duration
-	// Policy restricts candidate paths, as for the FUBAR optimizer.
-	Policy pathgen.Policy
-}
-
-func (o Options) withDefaults() Options {
-	if o.PathsPerAggregate <= 0 {
-		o.PathsPerAggregate = 8
-	}
-	if o.InitialTemp <= 0 {
-		o.InitialTemp = 0.02
-	}
-	if o.MinTemp <= 0 {
-		o.MinTemp = 1e-5
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 200000
-	}
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		// Cool from InitialTemp to MinTemp over the iteration budget.
-		o.Cooling = math.Pow(o.MinTemp/o.InitialTemp, 1/float64(o.MaxIterations))
-	}
-	return o
 }
 
 // Solution is the outcome of a simulated-annealing run.
@@ -112,6 +90,9 @@ type Annealer struct {
 	eval *flowmodel.Eval
 	mat  *traffic.Matrix
 	opts Options
+	// cooling is the geometric cooling factor applied every iteration:
+	// initialTemp to minTemp over opts.MaxIterations.
+	cooling float64
 
 	aggs      []aggState
 	movable   []int // aggregate ids with >1 candidate path
@@ -124,13 +105,16 @@ func New(model *flowmodel.Model, opts Options) (*Annealer, error) {
 	if model == nil {
 		return nil, fmt.Errorf("anneal: nil model")
 	}
-	opts = opts.withDefaults()
-	gen, err := pathgen.New(model.Topology(), opts.Policy)
+	if opts.MaxIterations <= 0 {
+		opts.MaxIterations = 200000
+	}
+	gen, err := pathgen.New(model.Topology(), pathgen.Policy{})
 	if err != nil {
 		return nil, err
 	}
 	mat := model.Matrix()
-	a := &Annealer{model: model, eval: model.NewEval(), mat: mat, opts: opts}
+	a := &Annealer{model: model, eval: model.NewEval(), mat: mat, opts: opts,
+		cooling: math.Pow(minTemp/initialTemp, 1/float64(opts.MaxIterations))}
 	nA := mat.NumAggregates()
 	a.aggs = make([]aggState, nA)
 	for i := 0; i < nA; i++ {
@@ -144,7 +128,7 @@ func New(model *flowmodel.Model, opts Options) (*Annealer, error) {
 			st.flows = []int{agg.Flows}
 			continue
 		}
-		paths := gen.KLowestDelay(agg.Src, agg.Dst, opts.PathsPerAggregate)
+		paths := gen.KLowestDelay(agg.Src, agg.Dst, pathsPerAggregate)
 		if len(paths) == 0 {
 			return nil, fmt.Errorf("anneal: no path for aggregate %d (%d->%d)", i, agg.Src, agg.Dst)
 		}
@@ -186,25 +170,15 @@ func (a *Annealer) Run(ctx context.Context) *Solution {
 	best := cur
 	bestFlows := a.snapshotFlows()
 
-	temp := a.opts.InitialTemp
-	deadline := time.Time{}
-	if a.opts.Deadline > 0 {
-		deadline = start.Add(a.opts.Deadline)
-	}
-
-	for it := 0; it < a.opts.MaxIterations && temp > a.opts.MinTemp && len(a.movable) > 0; it++ {
-		if it%256 == 0 {
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				break
-			}
-			if ctx.Err() != nil {
-				break
-			}
+	temp := initialTemp
+	for it := 0; it < a.opts.MaxIterations && temp > minTemp && len(a.movable) > 0; it++ {
+		if it%256 == 0 && ctx.Err() != nil {
+			break
 		}
 		sol.Iterations++
 		ai, from, to, n := a.propose(rng)
 		if n == 0 {
-			temp *= a.opts.Cooling
+			temp *= a.cooling
 			continue
 		}
 		st := &a.aggs[ai]
@@ -229,7 +203,7 @@ func (a *Annealer) Run(ctx context.Context) *Solution {
 			st.flows[from] += n
 			st.flows[to] -= n
 		}
-		temp *= a.opts.Cooling
+		temp *= a.cooling
 	}
 
 	a.restoreFlows(bestFlows)

@@ -2,6 +2,7 @@ package anneal
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -137,8 +138,10 @@ func TestProposePreservesInvariants(t *testing.T) {
 
 func TestDeadlineStopsRun(t *testing.T) {
 	_, _, model := testInstance(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	sol, err := Run(context.Background(), model, Options{Seed: 2, MaxIterations: 1 << 30, Deadline: 50 * time.Millisecond})
+	sol, err := Run(ctx, model, Options{Seed: 2, MaxIterations: 1 << 30})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -151,16 +154,20 @@ func TestDeadlineStopsRun(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.PathsPerAggregate <= 0 || o.InitialTemp <= 0 || o.MinTemp <= 0 ||
-		o.Cooling <= 0 || o.Cooling >= 1 || o.MaxIterations <= 0 {
-		t.Fatalf("defaults not applied: %+v", o)
-	}
-	// Explicit values survive.
-	o = Options{PathsPerAggregate: 3, InitialTemp: 0.2, Cooling: 0.5, MinTemp: 0.01, MaxIterations: 10}.withDefaults()
-	if o.PathsPerAggregate != 3 || o.InitialTemp != 0.2 || o.Cooling != 0.5 ||
-		o.MinTemp != 0.01 || o.MaxIterations != 10 {
-		t.Fatalf("explicit options clobbered: %+v", o)
+	_, _, model := testInstance(t, 2)
+	for _, tc := range []struct{ set, want int }{{0, 200000}, {10, 10}} {
+		a, err := New(model, Options{MaxIterations: tc.set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.opts.MaxIterations != tc.want {
+			t.Fatalf("MaxIterations %d: got %d, want %d", tc.set, a.opts.MaxIterations, tc.want)
+		}
+		// The derived schedule reaches minTemp at the iteration budget.
+		end := initialTemp * math.Pow(a.cooling, float64(tc.want))
+		if math.Abs(end-minTemp) > 1e-9*minTemp {
+			t.Fatalf("MaxIterations %d: schedule ends at %g, want %g", tc.want, end, minTemp)
+		}
 	}
 }
 

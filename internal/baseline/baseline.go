@@ -4,21 +4,13 @@
 //   - shortest-path routing (the paper's lower bound — FUBAR's starting
 //     allocation);
 //   - the isolation upper bound ("upper bound" curves): each aggregate's
-//     utility if it were alone in the network;
-//   - ECMP, which splits flows evenly across equal-lowest-delay paths
-//     (RFC 2992-style, an extended comparator);
-//   - a CSPF-style greedy comparator that places aggregates on the
-//     candidate path minimizing the worst link utilization, the classic
-//     throughput-only traffic engineering objective FUBAR's related-work
-//     section contrasts with.
+//     utility if it were alone in the network.
 package baseline
 
 import (
 	"fmt"
-	"sort"
 
 	"fubar/internal/flowmodel"
-	"fubar/internal/graph"
 	"fubar/internal/pathgen"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
@@ -153,126 +145,4 @@ func isolatedUtility(topo *topology.Topology, gen *pathgen.Generator, a traffic.
 		}
 	}
 	return utilSum / float64(a.Flows), nil
-}
-
-// ECMP splits each aggregate's flows evenly across every minimum-delay
-// policy-compliant path (up to maxPaths, RFC 2992 style) and evaluates
-// the model.
-func ECMP(model *flowmodel.Model, policy pathgen.Policy, maxPaths int) (*Outcome, error) {
-	if model == nil {
-		return nil, fmt.Errorf("baseline: nil model")
-	}
-	if maxPaths <= 0 {
-		maxPaths = 4
-	}
-	topo := model.Topology()
-	gen, err := pathgen.New(topo, policy)
-	if err != nil {
-		return nil, err
-	}
-	mat := model.Matrix()
-	var bundles []flowmodel.Bundle
-	for _, a := range mat.Aggregates() {
-		if a.IsSelfPair() {
-			bundles = append(bundles, flowmodel.Bundle{Agg: a.ID, Flows: a.Flows})
-			continue
-		}
-		paths := gen.KLowestDelay(a.Src, a.Dst, maxPaths)
-		if len(paths) == 0 {
-			return nil, fmt.Errorf("baseline: no compliant path for aggregate %d", a.ID)
-		}
-		// Keep only paths tied with the minimum delay.
-		minDelay := topo.PathDelay(paths[0])
-		equal := paths[:1]
-		for _, p := range paths[1:] {
-			if topo.PathDelay(p)-minDelay < unit.Delay(1e-9) {
-				equal = append(equal, p)
-			}
-		}
-		per := a.Flows / len(equal)
-		rem := a.Flows % len(equal)
-		for i, p := range equal {
-			f := per
-			if i < rem {
-				f++
-			}
-			if f == 0 {
-				continue
-			}
-			bundles = append(bundles, flowmodel.NewBundle(topo, a.ID, f, p))
-		}
-	}
-	return evaluate(model, bundles), nil
-}
-
-// GreedyCSPF places aggregates one at a time — largest demand first — on
-// whichever of their k lowest-delay paths minimizes the worst resulting
-// link utilization (demand-based), the classic constrained-shortest-path
-// TE heuristic. Unlike FUBAR it never revisits a decision and optimizes
-// throughput, not utility.
-func GreedyCSPF(model *flowmodel.Model, policy pathgen.Policy, k int) (*Outcome, error) {
-	if model == nil {
-		return nil, fmt.Errorf("baseline: nil model")
-	}
-	if k <= 0 {
-		k = 4
-	}
-	topo := model.Topology()
-	gen, err := pathgen.New(topo, policy)
-	if err != nil {
-		return nil, err
-	}
-	mat := model.Matrix()
-	aggs := mat.Aggregates()
-	order := make([]int, len(aggs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		dx, dy := aggs[order[x]].Demand(), aggs[order[y]].Demand()
-		if dx != dy {
-			return dx > dy
-		}
-		return order[x] < order[y]
-	})
-
-	load := make([]float64, topo.NumLinks())
-	bundles := make([]flowmodel.Bundle, 0, len(aggs))
-	for _, idx := range order {
-		a := aggs[idx]
-		if a.IsSelfPair() {
-			bundles = append(bundles, flowmodel.Bundle{Agg: a.ID, Flows: a.Flows})
-			continue
-		}
-		paths := gen.KLowestDelay(a.Src, a.Dst, k)
-		if len(paths) == 0 {
-			return nil, fmt.Errorf("baseline: no compliant path for aggregate %d", a.ID)
-		}
-		demand := float64(a.Demand())
-		bestPath := paths[0]
-		bestWorst := worstUtilization(topo, load, paths[0], demand)
-		for _, p := range paths[1:] {
-			if w := worstUtilization(topo, load, p, demand); w < bestWorst-1e-12 {
-				bestWorst, bestPath = w, p
-			}
-		}
-		for _, e := range bestPath.Edges {
-			load[e] += demand
-		}
-		bundles = append(bundles, flowmodel.NewBundle(topo, a.ID, a.Flows, bestPath))
-	}
-	// Restore aggregate order for readability of the bundle list.
-	sort.Slice(bundles, func(i, j int) bool { return bundles[i].Agg < bundles[j].Agg })
-	return evaluate(model, bundles), nil
-}
-
-func worstUtilization(topo *topology.Topology, load []float64, p graph.Path, add float64) float64 {
-	worst := 0.0
-	for _, e := range p.Edges {
-		u := (load[e] + add) / float64(topo.Capacity(e))
-		if u > worst {
-			worst = u
-		}
-	}
-	return worst
 }

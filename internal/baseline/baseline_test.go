@@ -141,123 +141,7 @@ func TestUpperBoundDominatesShortestPath(t *testing.T) {
 	}
 }
 
-func TestECMPSplitsTies(t *testing.T) {
-	// Grid topologies have equal-delay parallel routes.
-	topo, err := topology.Grid(3, 3, 10*unit.Mbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corner1, _ := topo.NodeByName("g00_00")
-	corner2, _ := topo.NodeByName("g02_02")
-	mat, err := traffic.NewMatrix(topo, []traffic.Aggregate{
-		{Src: corner1, Dst: corner2, Class: utility.ClassBulk, Flows: 9, Fn: utility.Bulk()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := flowmodel.New(topo, mat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ECMP(m, pathgen.Policy{}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Bundles) < 2 {
-		t.Errorf("ECMP produced %d bundles, want a split across equal-delay paths", len(out.Bundles))
-	}
-	total := 0
-	for _, b := range out.Bundles {
-		total += b.Flows
-	}
-	if total != 9 {
-		t.Errorf("flows = %d, want 9", total)
-	}
-}
-
-func TestECMPEqualsShortestPathWithoutTies(t *testing.T) {
-	topo := twoPath(t, 1*unit.Mbps)
-	aggs := []traffic.Aggregate{
-		{Src: 0, Dst: 1, Class: utility.ClassBulk, Flows: 10, Fn: utility.Bulk()},
-	}
-	m1 := mustModel(t, topo, aggs)
-	sp, err := ShortestPath(m1, pathgen.Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := mustModel(t, topo, aggs)
-	ec, err := ECMP(m2, pathgen.Policy{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sp.Utility-ec.Utility) > 1e-9 {
-		t.Errorf("ECMP %v != shortest path %v on tie-free topology", ec.Utility, sp.Utility)
-	}
-}
-
-func TestGreedyCSPFSpreadsLoad(t *testing.T) {
-	// Direct and detour both 2 Mbps: two 2 Mbps aggregates can only avoid
-	// congestion by taking different paths. Shortest-path stacks both on
-	// the direct link; CSPF's min-max-utilization objective must split.
-	b := topology.NewBuilder("balanced")
-	b.AddLink("A", "B", 2*unit.Mbps, 10*unit.Millisecond)
-	b.AddLink("A", "C", 2*unit.Mbps, 15*unit.Millisecond)
-	b.AddLink("C", "B", 2*unit.Mbps, 15*unit.Millisecond)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggs := []traffic.Aggregate{
-		{Src: 0, Dst: 1, Class: utility.ClassBulk, Flows: 10, Fn: utility.Bulk()},
-		{Src: 0, Dst: 1, Class: utility.ClassBulk, Flows: 10, Fn: utility.Bulk()},
-	}
-	m1 := mustModel(t, topo, aggs)
-	sp, err := ShortestPath(m1, pathgen.Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := mustModel(t, topo, aggs)
-	cspf, err := GreedyCSPF(m2, pathgen.Policy{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cspf.Utility <= sp.Utility {
-		t.Errorf("CSPF %v did not improve on shortest path %v", cspf.Utility, sp.Utility)
-	}
-	// Bundles must use two distinct paths.
-	delays := map[unit.Delay]bool{}
-	for _, b := range cspf.Bundles {
-		delays[b.Delay] = true
-	}
-	if len(delays) < 2 {
-		t.Error("CSPF left both aggregates on one path")
-	}
-}
-
-// CSPF ignores delay, so on a delay-critical workload FUBAR-style
-// shortest-path can actually beat it — here we only require that it does
-// not crash and yields a valid utility for a real-time workload.
-func TestGreedyCSPFRealTime(t *testing.T) {
-	topo := twoPath(t, 1*unit.Mbps)
-	m := mustModel(t, topo, []traffic.Aggregate{
-		{Src: 0, Dst: 1, Class: utility.ClassRealTime, Flows: 30, Fn: utility.RealTime()},
-	})
-	out, err := GreedyCSPF(m, pathgen.Policy{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Utility < 0 || out.Utility > 1 {
-		t.Errorf("utility = %v", out.Utility)
-	}
-}
-
 func TestBaselineNilModel(t *testing.T) {
-	if _, err := ECMP(nil, pathgen.Policy{}, 2); err == nil {
-		t.Error("ECMP nil model accepted")
-	}
-	if _, err := GreedyCSPF(nil, pathgen.Policy{}, 2); err == nil {
-		t.Error("GreedyCSPF nil model accepted")
-	}
 	if _, err := UpperBound(nil, nil, pathgen.Policy{}); err == nil {
 		t.Error("UpperBound nil args accepted")
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // TestConcurrentCallersShareOneModel runs the one-shot evaluators — the
-// three baselines and netsim.Evaluate — from goroutines of their own over
+// shortest-path baseline and netsim.Evaluate — from goroutines of their own over
 // one shared Model, several rounds each, and requires every outcome to
 // equal the same call made serially. A Model holds no evaluation scratch,
 // so under -race the callers share nothing they write.
@@ -40,9 +40,7 @@ func TestConcurrentCallersShareOneModel(t *testing.T) {
 		run  func() (any, error)
 	}{
 		{"ShortestPath", func() (any, error) { return ShortestPath(m, pathgen.Policy{}) }},
-		{"ECMP", func() (any, error) { return ECMP(m, pathgen.Policy{}, 4) }},
-		{"GreedyCSPF", func() (any, error) { return GreedyCSPF(m, pathgen.Policy{}, 4) }},
-		{"netsim.Evaluate", func() (any, error) { return netsim.Evaluate(topo, m, sp.Bundles, netsim.Config{}) }},
+		{"netsim.Evaluate", func() (any, error) { return netsim.Evaluate(topo, m, sp.Bundles) }},
 	}
 	want := make([]any, len(calls))
 	for i, c := range calls {

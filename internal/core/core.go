@@ -28,8 +28,8 @@
 // (patch-and-revert), instead of copying the whole list per candidate or
 // per step. Move selection replays the candidates in collection
 // order, so the committed move sequence — and thus the whole Solution —
-// is identical for any worker count (unless a wall-clock Options.Deadline
-// truncates the run; see Options.Workers).
+// is identical for any worker count (unless a context deadline truncates
+// the run; see Options.Workers).
 //
 // # Incremental candidate evaluation
 //
@@ -164,13 +164,11 @@ type Options struct {
 	// Workers is the number of goroutines evaluating candidate moves per
 	// step, each with a private flowmodel.Eval arena. Default GOMAXPROCS;
 	// 1 evaluates serially on the calling goroutine. Any value commits
-	// the exact move sequence of Workers=1 — except when a wall-clock
-	// Deadline truncates the run, since faster workers then fit more
-	// steps before the cutoff (a Deadline makes even two Workers=1 runs
+	// the exact move sequence of Workers=1 — except when the run's
+	// context deadline truncates it, since faster workers then fit more
+	// steps before the cutoff (a deadline makes even two Workers=1 runs
 	// machine-dependent).
 	Workers int
-	// Deadline bounds wall-clock optimization time; 0 means unbounded.
-	Deadline time.Duration
 	// AltMode restricts the alternative trio (ablation only).
 	AltMode AltMode
 	// DeltaEval selects how candidate moves are evaluated. The zero
@@ -183,16 +181,6 @@ type Options struct {
 	// DisableEscalation turns off §2.5 escalation (ablation only): the
 	// optimizer then terminates at the first local optimum.
 	DisableEscalation bool
-	// InitialBundles warm-starts the optimizer from an existing
-	// allocation instead of Listing 1 line 1's all-on-lowest-delay
-	// placement — the incremental re-optimization an offline controller
-	// runs when demand or topology shifts under an installed solution.
-	// Bundles must cover every aggregate's flows exactly. Paths are
-	// accepted as-is (they are installed state, even if the current
-	// Policy would no longer generate them); new alternatives remain
-	// policy-compliant, so non-compliant warm-start paths can only
-	// drain.
-	InitialBundles []flowmodel.Bundle
 	// Trace, if set, receives a snapshot after the initial evaluation and
 	// after every committed move. Snapshots share the optimizer's result
 	// storage: copy anything retained beyond the callback. Trace is
@@ -244,7 +232,7 @@ const (
 	StopLocalOptimum
 	// StopMaxSteps: Options.MaxSteps reached.
 	StopMaxSteps
-	// StopDeadline: Options.Deadline or the context's deadline reached.
+	// StopDeadline: the run's context deadline reached.
 	StopDeadline
 	// StopCancelled: the run's context was cancelled. The partial
 	// solution is still returned — deterministic up to the cancellation
@@ -580,15 +568,30 @@ func (o *Optimizer) Rebind(model *flowmodel.Model, opts Options) error {
 	return nil
 }
 
-// Run executes Listing 1 and returns the solution. The context is
-// honored at candidate-batch granularity: it is checked before every
-// step's candidate evaluation, never inside one, so the committed move
-// sequence is deterministic up to the cancellation point. A context
-// whose deadline expired stops the run with StopDeadline (best-so-far
-// solution published, like Options.Deadline); a cancelled context stops
-// it with StopCancelled. Neither is an error — the partial solution is
-// returned either way.
+// Run executes Listing 1 from the all-on-lowest-delay placement and
+// returns the solution; it is RunWarm(ctx, nil).
 func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
+	return o.RunWarm(ctx, nil)
+}
+
+// RunWarm executes Listing 1 warm-started from initial instead of Listing
+// 1 line 1's all-on-lowest-delay placement (nil) — the incremental
+// re-optimization an offline controller runs when demand or topology
+// shifts under an installed solution. initial must cover every
+// aggregate's flows exactly. Its paths are accepted as-is (they are
+// installed state, even if the current Policy would no longer generate
+// them); new alternatives remain policy-compliant, so non-compliant
+// warm-start paths can only drain. The worker arenas, path generator and
+// scratch persist across calls — the shape a long-lived Session keeps.
+//
+// The context is the run's only time bound, honored at candidate-batch
+// granularity: it is checked before every step's candidate evaluation,
+// never inside one, so the committed move sequence is deterministic up to
+// the cancellation point. A context whose deadline expired stops the run
+// with StopDeadline (best-so-far solution published); a cancelled context
+// stops it with StopCancelled. Neither is an error — the partial solution
+// is returned either way.
+func (o *Optimizer) RunWarm(ctx context.Context, initial []flowmodel.Bundle) (*Solution, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -601,7 +604,7 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	for _, col := range o.collectors {
 		col.gen.ResetStats()
 	}
-	if err := o.initAllocation(); err != nil {
+	if err := o.initAllocation(initial); err != nil {
 		return nil, err
 	}
 	o.baseStats = BaseStats{}
@@ -631,7 +634,7 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	} else {
 		res = o.baseEval.Evaluate(o.buildStepBundles())
 	}
-	initial := res.NetworkUtility
+	initialUtility := res.NetworkUtility
 	steps, escal := 0, 0
 	fraction := moveFraction
 	escLevel := 0
@@ -671,10 +674,6 @@ loop:
 		}
 		if o.opts.MaxSteps > 0 && steps >= o.opts.MaxSteps {
 			stop = StopMaxSteps
-			break
-		}
-		if o.opts.Deadline > 0 && time.Since(start) >= o.opts.Deadline {
-			stop = StopDeadline
 			break
 		}
 		if stop = ctxStop(); stop != 0 {
@@ -790,7 +789,7 @@ loop:
 		Bundles:        bundles,
 		Result:         final.Clone(),
 		Utility:        final.NetworkUtility,
-		InitialUtility: initial,
+		InitialUtility: initialUtility,
 		Steps:          steps,
 		Escalations:    escal,
 		Elapsed:        time.Since(start),
@@ -820,11 +819,11 @@ loop:
 }
 
 // initAllocation puts every aggregate's flows on its lowest-delay path
-// (Listing 1 line 1), or restores the warm-start allocation when
-// Options.InitialBundles is set. The per-aggregate storage — path set, flow
+// (Listing 1 line 1), or restores the warm-start allocation initial when
+// it is not nil. The per-aggregate storage — path set, flow
 // split, delays — is the last run's, rewritten from empty: a re-bound
 // optimizer whose matrix moved grows it by the aggregates that are new.
-func (o *Optimizer) initAllocation() error {
+func (o *Optimizer) initAllocation(initial []flowmodel.Bundle) error {
 	n := o.mat.NumAggregates()
 	if n > cap(o.aggs) {
 		grown := make([]aggState, n)
@@ -858,8 +857,8 @@ func (o *Optimizer) initAllocation() error {
 		st.flows = append(st.flows, a.Flows)
 		st.delays = append(st.delays, o.model.Topology().PathDelay(p))
 	}
-	if o.opts.InitialBundles != nil {
-		return o.applyWarmStart(o.opts.InitialBundles)
+	if initial != nil {
+		return o.applyWarmStart(initial)
 	}
 	return nil
 }
@@ -1674,7 +1673,7 @@ func (o *Optimizer) pathStats() pathgen.Stats {
 }
 
 // Run is the package-level convenience: build an optimizer over model with
-// opts and run it under ctx (see Optimizer.Run for the cancellation and
+// opts and run it under ctx (see Optimizer.RunWarm for the cancellation and
 // deadline semantics).
 func Run(ctx context.Context, model *flowmodel.Model, opts Options) (*Solution, error) {
 	o, err := New(model, opts)
@@ -1682,17 +1681,4 @@ func Run(ctx context.Context, model *flowmodel.Model, opts Options) (*Solution, 
 		return nil, err
 	}
 	return o.Run(ctx)
-}
-
-// RunWarm reuses a prepared optimizer for a fresh run warm-started from
-// initial (nil restarts from the shortest-path placement): the worker
-// arenas, path generator and scratch persist across calls — the shape a
-// long-lived Session keeps. The warm-start contract is
-// Options.InitialBundles'.
-func (o *Optimizer) RunWarm(ctx context.Context, initial []flowmodel.Bundle) (*Solution, error) {
-	saved := o.opts.InitialBundles
-	o.opts.InitialBundles = initial
-	sol, err := o.Run(ctx)
-	o.opts.InitialBundles = saved
-	return sol, err
 }

@@ -239,8 +239,10 @@ func TestDeadlineStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	sol, err := Run(context.Background(), m, Options{Deadline: 50 * time.Millisecond})
+	sol, err := Run(ctx, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,9 +435,7 @@ func TestPolicyRespected(t *testing.T) {
 	topo := twoPath(t, 1*unit.Mbps)
 	// Forbid the C-leg: optimizer must keep everything on the direct link
 	// even though it is congested.
-	aIdx, _ := topo.NodeByName("A")
-	cIdx, _ := topo.NodeByName("C")
-	ac, _ := topo.Graph().EdgeBetween(aIdx, cIdx)
+	const ac = 2 // twoPath's A->C: link IDs follow build order
 	forbidden := make([]bool, topo.NumLinks())
 	forbidden[ac] = true
 	m := mustModel(t, topo, []traffic.Aggregate{

@@ -35,9 +35,6 @@ type CandidateBenchResult struct {
 	Delta flowmodel.DeltaStats
 }
 
-// Candidates returns the number of timed candidate evaluations.
-func (r *CandidateBenchResult) Candidates() int { return len(r.FullNs) }
-
 // MedianDeltaNs and MedianUtilNs are the medians of the two incremental
 // strategies' per-candidate times.
 func (r *CandidateBenchResult) MedianDeltaNs() int64 { return medianNs(r.DeltaNs) }

@@ -36,7 +36,7 @@ func benchOptimizer(b *testing.B, workers int) (*Optimizer, float64, []graph.Edg
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := o.initAllocation(); err != nil {
+	if err := o.initAllocation(nil); err != nil {
 		b.Fatal(err)
 	}
 	o.baseEval, o.base = o.model.NewEval(), &flowmodel.Base{}

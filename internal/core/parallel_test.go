@@ -148,20 +148,20 @@ func TestCandidateBenchDifferential(t *testing.T) {
 	if !r.Identical {
 		t.Fatal("delta candidate utilities diverged from full evaluations")
 	}
-	if r.Candidates() < 1000 {
-		t.Fatalf("bench exercised only %d candidates, want >= 1000", r.Candidates())
+	if len(r.FullNs) < 1000 {
+		t.Fatalf("bench exercised only %d candidates, want >= 1000", len(r.FullNs))
 	}
 	// Each candidate makes one full-result delta call and one utility-only
 	// delta call (both count toward Calls; only the latter toward
 	// UtilityOnlyCalls).
-	if r.Delta.Calls != 2*int64(r.Candidates()) {
-		t.Fatalf("delta calls %d != 2x candidates %d", r.Delta.Calls, r.Candidates())
+	if r.Delta.Calls != 2*int64(len(r.FullNs)) {
+		t.Fatalf("delta calls %d != 2x candidates %d", r.Delta.Calls, len(r.FullNs))
 	}
-	if r.Delta.UtilityOnlyCalls != int64(r.Candidates()) {
-		t.Fatalf("utility-only delta calls %d != candidates %d", r.Delta.UtilityOnlyCalls, r.Candidates())
+	if r.Delta.UtilityOnlyCalls != int64(len(r.FullNs)) {
+		t.Fatalf("utility-only delta calls %d != candidates %d", r.Delta.UtilityOnlyCalls, len(r.FullNs))
 	}
-	if len(r.UtilNs) != r.Candidates() {
-		t.Fatalf("utility timings %d != candidates %d", len(r.UtilNs), r.Candidates())
+	if len(r.UtilNs) != len(r.FullNs) {
+		t.Fatalf("utility timings %d != candidates %d", len(r.UtilNs), len(r.FullNs))
 	}
 	// The probe replaces only the scoring call: the run keeps its
 	// persistent base, so the three-way check above ran against remapped

@@ -211,7 +211,7 @@ func TestWarmStartMatchesInstalledState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: first Run: %v", seed, err)
 		}
-		second, err := Run(context.Background(), model, Options{InitialBundles: first.Bundles})
+		second, err := runWarm(context.Background(), model, Options{}, first.Bundles)
 		if err != nil {
 			t.Fatalf("seed %d: warm Run: %v", seed, err)
 		}
@@ -244,13 +244,13 @@ func TestWarmStartRejectsBadCoverage(t *testing.T) {
 		}
 		trimmed = append(trimmed, b)
 	}
-	if _, err := Run(context.Background(), model, Options{InitialBundles: trimmed}); err == nil {
+	if _, err := runWarm(context.Background(), model, Options{}, trimmed); err == nil {
 		t.Fatal("under-covering warm start accepted")
 	}
 	// Unknown aggregate.
 	bad := append([]flowmodel.Bundle(nil), sol.Bundles...)
 	bad[0].Agg = traffic.AggregateID(mat.NumAggregates())
-	if _, err := Run(context.Background(), model, Options{InitialBundles: bad}); err == nil {
+	if _, err := runWarm(context.Background(), model, Options{}, bad); err == nil {
 		t.Fatal("unknown aggregate in warm start accepted")
 	}
 	// Invalid path for its endpoints.
@@ -258,7 +258,7 @@ func TestWarmStartRejectsBadCoverage(t *testing.T) {
 	for i := range bad2 {
 		if len(bad2[i].Edges) > 1 {
 			bad2[i].Edges = bad2[i].Edges[:1] // truncated path: wrong endpoint
-			if _, err := Run(context.Background(), model, Options{InitialBundles: bad2}); err == nil {
+			if _, err := runWarm(context.Background(), model, Options{}, bad2); err == nil {
 				t.Fatal("broken warm-start path accepted")
 			}
 			break

@@ -201,9 +201,8 @@ func TestOptionsFieldSet(t *testing.T) {
 		want []string
 	}{
 		{reflect.TypeOf(core.Options{}), []string{
-			"Policy", "MaxPathsPerAggregate", "MaxSteps", "Workers", "Deadline",
-			"AltMode", "DeltaEval", "DisableEscalation", "InitialBundles", "Trace",
-			"Telemetry",
+			"Policy", "MaxPathsPerAggregate", "MaxSteps", "Workers", "AltMode",
+			"DeltaEval", "DisableEscalation", "Trace", "Telemetry",
 		}},
 		{reflect.TypeOf(scenario.Options{}), []string{
 			"Core", "ColdStart", "Budget", "DemandJitter", "Replicas", "RuleLease",

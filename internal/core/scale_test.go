@@ -101,13 +101,16 @@ func TestScaleWorkerDeterminism(t *testing.T) {
 // aggregates.
 func TestCollectionVisitsInertCrossers(t *testing.T) {
 	flat := utility.MustCurve(utility.Point{X: 0, Y: 1})
+	// The real-time class's delay curve: moving an inert bundle still
+	// changes its utility.
+	delay := utility.MustCurve(utility.Point{X: 30, Y: 1}, utility.Point{X: 100, Y: 0})
 	type move struct{ agg, from, to, n int }
 	inert := 0 // zero-demand candidates DeltaOff collected
 	for seed := int64(1); seed <= 6; seed++ {
 		topo, mat := waxmanScaleInstance(t, seed)
 		aggs := mat.Aggregates()
 		for i := 0; i < len(aggs); i += 7 {
-			aggs[i].Fn = utility.MustFunction("flat", flat, aggs[i].Fn.DelayComponent())
+			aggs[i].Fn = utility.MustFunction("flat", flat, delay)
 		}
 		mat, err := traffic.NewMatrix(topo, aggs)
 		if err != nil {

@@ -105,7 +105,7 @@ func TestRunContextCancelled(t *testing.T) {
 }
 
 // TestRunContextDeadline proves an expired context deadline reads as
-// StopDeadline, matching Options.Deadline semantics.
+// StopDeadline.
 func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()

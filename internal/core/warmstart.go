@@ -33,12 +33,9 @@ type RepairStats struct {
 	RescaledAggregates int
 }
 
-// Zero reports whether the repair was a no-op.
-func (s RepairStats) Zero() bool { return s == RepairStats{} }
-
 // RepairWarmStart makes an installed allocation a valid warm start for a
-// new (topology, matrix) instance, so Options.InitialBundles never fails
-// validation after a demand or topology event. It generalizes the
+// new (topology, matrix) instance, so RunWarm's initial allocation never
+// fails validation after a demand or topology event. It generalizes the
 // failover recovery logic: bundles whose paths cross a forbidden link
 // (policy.ForbiddenLinks — typically failed links) or no longer validate
 // on the new graph are dropped and their flows moved to the aggregate's

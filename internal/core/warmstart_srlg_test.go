@@ -71,7 +71,7 @@ func TestRepairWarmStartSRLGCorrelatedFailure(t *testing.T) {
 		}
 	}
 	// And it is a valid warm start for a run under the same policy.
-	sol, err := Run(context.Background(), m, Options{Policy: policy, InitialBundles: repaired, Workers: 1})
+	sol, err := runWarm(context.Background(), m, Options{Policy: policy, Workers: 1}, repaired)
 	if err != nil {
 		t.Fatalf("warm-started Run after SRLG repair: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestRepairWarmStartMaintenanceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore repair: %v", err)
 	}
-	if !stats.Zero() {
+	if stats != (RepairStats{}) {
 		t.Errorf("restore repair did work: %+v", stats)
 	}
 	if !reflect.DeepEqual(restored, drained) {
@@ -159,7 +159,7 @@ func TestRepairWarmStartMaintenanceRoundTrip(t *testing.T) {
 	// use the returned link again and must not lose utility.
 	m := mustModel(t, topo, fanAggs(9))
 	stale := m.NewEval().Evaluate(restored).NetworkUtility
-	sol, err := Run(context.Background(), m, Options{InitialBundles: restored, Workers: 1})
+	sol, err := runWarm(context.Background(), m, Options{Workers: 1}, restored)
 	if err != nil {
 		t.Fatalf("warm-started Run after maintenance: %v", err)
 	}

@@ -47,6 +47,16 @@ func fanBundle(topo *topology.Topology, agg traffic.AggregateID, flows int, edge
 	return flowmodel.NewBundle(topo, agg, flows, graph.Path{Edges: edges})
 }
 
+// runWarm builds an optimizer over model with opts and runs it warm-started
+// from initial.
+func runWarm(ctx context.Context, model *flowmodel.Model, opts Options, initial []flowmodel.Bundle) (*Solution, error) {
+	o, err := New(model, opts)
+	if err != nil {
+		return nil, err
+	}
+	return o.RunWarm(ctx, initial)
+}
+
 // TestWarmStartValidationErrors exercises every applyWarmStart error
 // path directly: unknown aggregate, negative flows, path-set-limit
 // overflow and flow-count mismatch.
@@ -100,8 +110,7 @@ func TestWarmStartValidationErrors(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		tc.opts.InitialBundles = tc.bundles
-		_, err := Run(context.Background(), m, tc.opts)
+		_, err := runWarm(context.Background(), m, tc.opts, tc.bundles)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -124,10 +133,10 @@ func TestRepairWarmStartNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Zero() {
+	if stats != (RepairStats{}) {
 		t.Fatalf("no-op repair reported changes: %+v", stats)
 	}
-	if _, err := Run(context.Background(), m, Options{InitialBundles: repaired}); err != nil {
+	if _, err := runWarm(context.Background(), m, Options{}, repaired); err != nil {
 		t.Fatalf("repaired warm start rejected: %v", err)
 	}
 }
@@ -162,7 +171,7 @@ func TestRepairWarmStartForbiddenLink(t *testing.T) {
 	if total != 9 {
 		t.Fatalf("repaired total = %d, want 9", total)
 	}
-	sol, err := Run(context.Background(), m, Options{Policy: pol, InitialBundles: repaired})
+	sol, err := runWarm(context.Background(), m, Options{Policy: pol}, repaired)
 	if err != nil {
 		t.Fatalf("warm start after repair rejected: %v", err)
 	}
@@ -210,7 +219,7 @@ func TestRepairWarmStartRemovedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), model, Options{InitialBundles: repaired}); err != nil {
+	if _, err := runWarm(context.Background(), model, Options{}, repaired); err != nil {
 		t.Fatalf("warm start after link removal rejected: %v", err)
 	}
 }
@@ -250,7 +259,7 @@ func TestRepairWarmStartRescalesDemand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(context.Background(), model, Options{InitialBundles: repaired}); err != nil {
+		if _, err := runWarm(context.Background(), model, Options{}, repaired); err != nil {
 			t.Fatalf("flows=%d: warm start rejected: %v", newFlows, err)
 		}
 	}
@@ -278,7 +287,7 @@ func TestRepairWarmStartPathCap(t *testing.T) {
 	if repaired[0].Flows != 12 || stats.MovedFlows != 6 {
 		t.Fatalf("fold wrong: %+v, stats %+v", repaired, stats)
 	}
-	if _, err := Run(context.Background(), m, Options{MaxPathsPerAggregate: 2, InitialBundles: repaired}); err != nil {
+	if _, err := runWarm(context.Background(), m, Options{MaxPathsPerAggregate: 2}, repaired); err != nil {
 		t.Fatalf("capped warm start rejected: %v", err)
 	}
 
@@ -294,7 +303,7 @@ func TestRepairWarmStartPathCap(t *testing.T) {
 	if stats.ReroutedAggregates != 1 || stats.MovedFlows != 12 {
 		t.Fatalf("maxPaths=1 stats = %+v", stats)
 	}
-	if _, err := Run(context.Background(), m, Options{MaxPathsPerAggregate: 1, InitialBundles: repaired}); err != nil {
+	if _, err := runWarm(context.Background(), m, Options{MaxPathsPerAggregate: 1}, repaired); err != nil {
 		t.Fatalf("maxPaths=1 warm start rejected: %v", err)
 	}
 }
@@ -318,7 +327,7 @@ func TestRepairWarmStartDropsUnknownAggregates(t *testing.T) {
 	if len(repaired) != 1 || repaired[0].Agg != 0 || repaired[0].Flows != 9 {
 		t.Fatalf("repaired = %+v, want aggregate 0 fully on lowest-delay path", repaired)
 	}
-	if _, err := Run(context.Background(), m, Options{InitialBundles: repaired}); err != nil {
+	if _, err := runWarm(context.Background(), m, Options{}, repaired); err != nil {
 		t.Fatalf("warm start rejected: %v", err)
 	}
 }

@@ -153,7 +153,7 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 	rs, _ := oneSeat(t, ControllerConfig{})
 	dir.set(rs.DialOrder(id)...)
 	release()
-	waitCond(t, "agent connected", func() bool { return ma.Connects() == 1 })
+	waitCond(t, "agent connected", func() bool { return ma.connects.Load() == 1 })
 
 	// Kill the controller: the serve loop returns, and the redial
 	// schedule must restart at ReconnectBase — with the jitter stream
@@ -168,7 +168,7 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 		}
 		release()
 	}
-	if ma.Redials() < 9 {
-		t.Fatalf("counted %d redial rounds, want at least 9", ma.Redials())
+	if ma.redials.Load() < 9 {
+		t.Fatalf("counted %d redial rounds, want at least 9", ma.redials.Load())
 	}
 }

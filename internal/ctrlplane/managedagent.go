@@ -76,6 +76,8 @@ type ManagedAgent struct {
 	leaseMs     atomic.Uint32 // last controller-advertised lease
 	failsafeGen atomic.Uint64
 
+	// connects counts successful controller handshakes (reconnects
+	// included), redials the dial rounds that reached no controller.
 	connects     atomic.Int64
 	redials      atomic.Int64
 	expiries     atomic.Int64
@@ -247,13 +249,6 @@ func (ma *ManagedAgent) Connected() bool {
 	defer ma.mu.Unlock()
 	return ma.cur != nil
 }
-
-// Connects counts successful controller handshakes over the agent's
-// lifetime (reconnects included).
-func (ma *ManagedAgent) Connects() int64 { return ma.connects.Load() }
-
-// Redials counts dial rounds in which no controller was reachable.
-func (ma *ManagedAgent) Redials() int64 { return ma.redials.Load() }
 
 // Expiries counts rule-lease expirations.
 func (ma *ManagedAgent) Expiries() int64 { return ma.expiries.Load() }

@@ -293,7 +293,7 @@ func TestManagedAgentReconnectsWithBackoff(t *testing.T) {
 		t.Fatalf("NewManagedAgent: %v", err)
 	}
 	defer ma.Close()
-	waitCond(t, "first connect", func() bool { return ma.Connects() == 1 })
+	waitCond(t, "first connect", func() bool { return ma.connects.Load() == 1 })
 
 	// Take the only replica down: the agent must cycle through failed
 	// redials (backoff), then reconnect once the seat returns.
@@ -304,11 +304,11 @@ func TestManagedAgentReconnectsWithBackoff(t *testing.T) {
 	rs.mu.Lock()
 	rs.slots[0].ctrl = nil
 	rs.mu.Unlock()
-	waitCond(t, "redials while down", func() bool { return ma.Redials() >= 2 })
+	waitCond(t, "redials while down", func() bool { return ma.redials.Load() >= 2 })
 	if err := rs.Recover(0); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	waitCond(t, "reconnect", func() bool { return ma.Connects() >= 2 })
+	waitCond(t, "reconnect", func() bool { return ma.connects.Load() >= 2 })
 	// Registration resyncs the cached table onto the reconnected agent.
 	waitCond(t, "post-reconnect resync", func() bool { return len(dp.table()) == 1 })
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -241,6 +242,45 @@ func TestOptimizeSerializedPerTenant(t *testing.T) {
 	}
 	if m := (*fakes)[0].maxFlight.Load(); m != 1 {
 		t.Fatalf("controller saw %d concurrent calls, want 1", m)
+	}
+}
+
+// TestOptimizeChunkedEmptyBody sends an optimize whose body is chunked
+// and empty — one zero-length chunk, so the request's length is unknown
+// rather than zero — as a raw request: it is an empty request, not a bad
+// body.
+func TestOptimizeChunkedEmptyBody(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{MaxWorkers: 8}, nil)
+	mustPost(t, ts.URL+"/v1/tenants", CreateTenantRequest{ID: "a", Topology: testTopology}, http.StatusCreated)
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	raw := "POST /v1/tenants/a/optimize HTTP/1.1\r\nHost: daemon\r\n" +
+		"Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n" +
+		"Connection: close\r\n\r\n0\r\n\r\n"
+	if _, err := io.WriteString(conn, raw); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("chunked empty optimize: status %d: %s", resp.StatusCode, body)
+	}
+	// A truncated body is still refused.
+	bad, err := http.Post(ts.URL+"/v1/tenants/a/optimize", "application/json", strings.NewReader(`{"timeout_ms":`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("truncated optimize body: status %d, want %d", bad.StatusCode, http.StatusBadRequest)
 	}
 }
 

@@ -135,12 +135,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	// An empty body, sent with a zero length or chunked, is an empty
+	// request: the decoder reports it as io.EOF.
 	var req OptimizeRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad optimize body: %w", err))
-			return
-		}
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil && err != io.EOF {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad optimize body: %w", err))
+		return
 	}
 	ctx, stop := workCtx(r.Context(), t)
 	defer stop()

@@ -56,7 +56,7 @@ func TestRunProducesAllSeries(t *testing.T) {
 	if r.LargeUtility.Len() == 0 {
 		t.Error("no large-flow series (instance has large aggregates)")
 	}
-	first, _ := r.Utility.First()
+	first := r.Utility.Samples()[0]
 	if first.V != r.ShortestPath {
 		t.Errorf("series starts at %v, shortest-path is %v", first.V, r.ShortestPath)
 	}
@@ -203,8 +203,10 @@ func TestRuntimeTableSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale runtime table")
 	}
-	// Use tiny deadlines: this only checks plumbing, not convergence.
-	rows, err := RuntimeTable(context.Background(), 1, core.Options{Deadline: 2 * time.Second})
+	// Use a tiny deadline: this only checks plumbing, not convergence.
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
+	defer cancel()
+	rows, err := RuntimeTable(ctx, 1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,9 +113,12 @@ func Failover(ctx context.Context, topo *topology.Topology, mat *traffic.Matrix,
 	}
 	res.RepairedFlows = stats.MovedFlows
 	res.Stale = deadEval.Evaluate(repaired).NetworkUtility
-	recOpts.InitialBundles = repaired
 	start := time.Now()
-	rec, err := core.Run(ctx, deadModel, recOpts)
+	recOpt, err := core.New(deadModel, recOpts)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: recovery optimization: %w", err)
+	}
+	rec, err := recOpt.RunWarm(ctx, repaired)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: recovery optimization: %w", err)
 	}

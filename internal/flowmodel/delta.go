@@ -114,10 +114,6 @@ type Base struct {
 	netUtility      float64
 }
 
-// NumBundles returns the length of the captured bundle list (0 before the
-// first capture).
-func (b *Base) NumBundles() int { return len(b.bundles) }
-
 // Crossers returns the captured list's active crossers of link l, in
 // ascending bundle index: every bundle with flows and a nonzero demand
 // whose path uses l. Inert bundles — zero flows, or an aggregate whose

@@ -36,7 +36,7 @@ func benchModel(b *testing.B) (*Model, []Bundle) {
 			bundles = append(bundles, Bundle{Agg: a.ID, Flows: a.Flows})
 			continue
 		}
-		p, ok := graph.ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
+		p, ok := new(graph.Searcher).ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
 		if !ok {
 			b.Fatalf("no path for aggregate %d", a.ID)
 		}

@@ -37,7 +37,7 @@ func evalInstance(t *testing.T) (*Model, [][]Bundle) {
 			base = append(base, Bundle{Agg: a.ID, Flows: a.Flows})
 			continue
 		}
-		p, ok := graph.ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
+		p, ok := new(graph.Searcher).ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
 		if !ok {
 			t.Fatalf("no path for aggregate %d", a.ID)
 		}

@@ -3,6 +3,7 @@ package flowmodel
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fubar/internal/graph"
@@ -27,19 +28,27 @@ func line(t *testing.T, cap unit.Bandwidth) *topology.Topology {
 
 func pathBetween(t *testing.T, topo *topology.Topology, src, dst string) graph.Path {
 	t.Helper()
-	s, ok := topo.NodeByName(src)
-	if !ok {
-		t.Fatalf("node %s", src)
+	s, d := graph.NodeID(slices.Index(topo.NodeNames(), src)), graph.NodeID(slices.Index(topo.NodeNames(), dst))
+	if s < 0 || d < 0 {
+		t.Fatalf("node %s or %s", src, dst)
 	}
-	d, ok := topo.NodeByName(dst)
-	if !ok {
-		t.Fatalf("node %s", dst)
-	}
-	p, ok := graph.ShortestPath(topo.Graph(), s, d, graph.Constraints{})
+	p, ok := new(graph.Searcher).ShortestPath(topo.Graph(), s, d, graph.Constraints{})
 	if !ok {
 		t.Fatalf("no path %s->%s", src, dst)
 	}
 	return p
+}
+
+// linkBetween returns the link from node from to node to, by name.
+func linkBetween(t *testing.T, topo *topology.Topology, from, to string) graph.EdgeID {
+	t.Helper()
+	for _, l := range topo.Links() {
+		if topo.NodeName(l.From) == from && topo.NodeName(l.To) == to {
+			return l.ID
+		}
+	}
+	t.Fatalf("no link %s->%s", from, to)
+	return -1
 }
 
 func mustMatrix(t *testing.T, topo *topology.Topology, aggs []traffic.Aggregate) *traffic.Matrix {
@@ -257,13 +266,8 @@ func TestSplitAggregateUtilityIsFlowWeighted(t *testing.T) {
 	})
 	m, _ := New(topo, mat)
 	fast := pathBetween(t, topo, "A", "B")
-	aIdx, _ := topo.NodeByName("A")
-	cIdx, _ := topo.NodeByName("C")
-	bIdx, _ := topo.NodeByName("B")
-	e1, _ := topo.Graph().EdgeBetween(aIdx, cIdx)
-	e2, _ := topo.Graph().EdgeBetween(cIdx, bIdx)
-	slow := graph.Path{Edges: []graph.EdgeID{e1, e2}, Weight: 205}
-	if err := slow.Validate(topo.Graph(), aIdx, bIdx); err != nil {
+	slow := graph.Path{Edges: []graph.EdgeID{linkBetween(t, topo, "A", "C"), linkBetween(t, topo, "C", "B")}, Weight: 205}
+	if err := slow.Validate(topo.Graph(), 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	res := m.NewEval().Evaluate([]Bundle{
@@ -307,9 +311,7 @@ func TestSharedLinkFreezesAllCrossers(t *testing.T) {
 		t.Errorf("A->B rate = %v, want ~667", r2)
 	}
 	// B--C never saturated: 333 < 500.
-	bIdx, _ := topo.NodeByName("B")
-	cIdx, _ := topo.NodeByName("C")
-	bc, _ := topo.Graph().EdgeBetween(bIdx, cIdx)
+	bc := linkBetween(t, topo, "B", "C")
 	if res.IsCongested[bc] {
 		t.Error("B->C reported congested at 333/500 kbps")
 	}
@@ -412,7 +414,7 @@ func TestEvaluateIsRepeatable(t *testing.T) {
 			bundles = append(bundles, Bundle{Agg: a.ID, Flows: a.Flows})
 			continue
 		}
-		p, ok := graph.ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
+		p, ok := new(graph.Searcher).ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
 		if !ok {
 			t.Fatalf("no path for aggregate %d", a.ID)
 		}
@@ -462,7 +464,7 @@ func TestModelInvariants(t *testing.T) {
 				bundles = append(bundles, Bundle{Agg: a.ID, Flows: a.Flows})
 				continue
 			}
-			paths := graph.KShortestPaths(topo.Graph(), a.Src, a.Dst, 2, graph.Constraints{})
+			paths := new(graph.Searcher).KShortestPaths(topo.Graph(), a.Src, a.Dst, 2, graph.Constraints{})
 			if len(paths) == 0 {
 				t.Fatalf("no path for aggregate %d", a.ID)
 			}

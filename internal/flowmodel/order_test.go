@@ -41,7 +41,7 @@ func TestEvaluateOrderIndependence(t *testing.T) {
 			bundles = append(bundles, Bundle{Agg: a.ID, Flows: a.Flows})
 			continue
 		}
-		paths := graph.KShortestPaths(topo.Graph(), a.Src, a.Dst, 2, graph.Constraints{})
+		paths := new(graph.Searcher).KShortestPaths(topo.Graph(), a.Src, a.Dst, 2, graph.Constraints{})
 		if len(paths) > 1 && a.Flows > 1 {
 			k := a.Flows / 2
 			bundles = append(bundles,
@@ -115,7 +115,7 @@ func TestEvaluateBundleMergeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := graph.ShortestPath(topo.Graph(), 0, 1, graph.Constraints{})
+	p, _ := new(graph.Searcher).ShortestPath(topo.Graph(), 0, 1, graph.Constraints{})
 	merged := m.NewEval().Evaluate([]Bundle{NewBundle(topo, 0, 10, p)}).Clone()
 	split := m.NewEval().Evaluate([]Bundle{
 		NewBundle(topo, 0, 6, p),

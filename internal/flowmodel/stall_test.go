@@ -54,11 +54,11 @@ func stallInstance(t *testing.T) (*Model, []Bundle) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, ok := graph.ShortestPath(topo.Graph(), 0, 1, graph.Constraints{})
+	ab, ok := new(graph.Searcher).ShortestPath(topo.Graph(), 0, 1, graph.Constraints{})
 	if !ok {
 		t.Fatal("no A->B path")
 	}
-	cd, ok := graph.ShortestPath(topo.Graph(), 2, 3, graph.Constraints{})
+	cd, ok := new(graph.Searcher).ShortestPath(topo.Graph(), 2, 3, graph.Constraints{})
 	if !ok {
 		t.Fatal("no C->D path")
 	}

@@ -382,20 +382,6 @@ func (s *Searcher) boundedPath(g *Graph, src, dst NodeID, cons Constraints) (Pat
 	return Path{Edges: edges, Weight: end.dist}, true
 }
 
-// ShortestPath is Searcher.ShortestPath on a throwaway Searcher: the
-// convenience form for one-off searches. Code that searches repeatedly
-// should own a Searcher and reuse it.
-func ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
-	var s Searcher
-	return s.ShortestPath(g, src, dst, cons)
-}
-
-// ShortestPathTree is Searcher.ShortestPathTree on a throwaway Searcher.
-func ShortestPathTree(g *Graph, src NodeID, cons Constraints) Tree {
-	var s Searcher
-	return s.ShortestPathTree(g, src, cons)
-}
-
 // heapItem is a min-heap entry: a node (Dijkstra) or candidate index
 // (Yen) keyed by its distance.
 type heapItem struct {

@@ -6,8 +6,8 @@
 // one-way delays; every shortest-path routine below minimizes total weight
 // and supports excluding arbitrary edge and node sets, which is how the
 // §2.4 "avoid congested links" alternatives are produced. The routines are
-// methods of Searcher, a reusable kernel that owns its scratch; the free
-// functions of the same names serve one-off callers.
+// methods of Searcher, a reusable kernel that owns its scratch (its zero
+// value is ready to use).
 package graph
 
 import (
@@ -72,37 +72,6 @@ func (g *Graph) AddEdge(from, to NodeID, weight float64) (EdgeID, error) {
 
 // Edge returns the edge with the given identifier.
 func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
-
-// OutEdges returns the identifiers of edges leaving n. The returned slice
-// is owned by the graph and must not be modified.
-func (g *Graph) OutEdges(n NodeID) []EdgeID { return g.out[n] }
-
-// EdgeBetween returns the minimum-weight edge from one node to another, or
-// false if none exists.
-func (g *Graph) EdgeBetween(from, to NodeID) (EdgeID, bool) {
-	best, found := EdgeID(-1), false
-	for _, id := range g.out[from] {
-		if g.edges[id].To != to {
-			continue
-		}
-		if !found || g.edges[id].Weight < g.edges[best].Weight {
-			best, found = id, true
-		}
-	}
-	return best, found
-}
-
-// SetWeight changes the weight of an existing edge.
-func (g *Graph) SetWeight(id EdgeID, weight float64) error {
-	if int(id) < 0 || int(id) >= len(g.edges) {
-		return fmt.Errorf("graph: edge %d out of range", id)
-	}
-	if weight < 0 {
-		return fmt.Errorf("graph: negative weight %v", weight)
-	}
-	g.edges[id].Weight = weight
-	return nil
-}
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -50,45 +53,11 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 }
 
-func TestEdgeBetween(t *testing.T) {
-	g := New(3)
-	mustEdge(t, g, 0, 1, 5)
-	cheap := mustEdge(t, g, 0, 1, 2) // parallel edge, cheaper
-	mustEdge(t, g, 1, 2, 1)
-
-	id, ok := g.EdgeBetween(0, 1)
-	if !ok || id != cheap {
-		t.Errorf("EdgeBetween(0,1) = %d,%v; want %d,true", id, ok, cheap)
-	}
-	if _, ok := g.EdgeBetween(2, 0); ok {
-		t.Error("EdgeBetween(2,0) found a phantom edge")
-	}
-}
-
-func TestSetWeight(t *testing.T) {
-	g := New(2)
-	id := mustEdge(t, g, 0, 1, 1)
-	if err := g.SetWeight(id, 9); err != nil {
-		t.Fatalf("SetWeight: %v", err)
-	}
-	if got := g.Edge(id).Weight; got != 9 {
-		t.Errorf("weight = %v, want 9", got)
-	}
-	if err := g.SetWeight(id, -1); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if err := g.SetWeight(99, 1); err == nil {
-		t.Error("out-of-range edge accepted")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := New(2)
 	id := mustEdge(t, g, 0, 1, 1)
 	c := g.Clone()
-	if err := g.SetWeight(id, 7); err != nil {
-		t.Fatal(err)
-	}
+	g.edges[id].Weight = 7
 	if c.Edge(id).Weight != 1 {
 		t.Error("clone shares edge storage with original")
 	}
@@ -115,7 +84,7 @@ func TestConnected(t *testing.T) {
 
 func TestShortestPathBasic(t *testing.T) {
 	g := diamond(t)
-	p, ok := ShortestPath(g, 0, 3, Constraints{})
+	p, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{})
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -139,7 +108,7 @@ func TestShortestPathBasic(t *testing.T) {
 
 func TestShortestPathSameNode(t *testing.T) {
 	g := diamond(t)
-	p, ok := ShortestPath(g, 2, 2, Constraints{})
+	p, ok := new(Searcher).ShortestPath(g, 2, 2, Constraints{})
 	if !ok || !p.Empty() || p.Weight != 0 {
 		t.Errorf("src==dst: got %+v ok=%v, want empty path", p, ok)
 	}
@@ -148,13 +117,13 @@ func TestShortestPathSameNode(t *testing.T) {
 func TestShortestPathNoRoute(t *testing.T) {
 	g := New(3)
 	mustEdge(t, g, 0, 1, 1)
-	if _, ok := ShortestPath(g, 1, 0, Constraints{}); ok {
+	if _, ok := new(Searcher).ShortestPath(g, 1, 0, Constraints{}); ok {
 		t.Error("found path against edge direction")
 	}
-	if _, ok := ShortestPath(g, 0, 2, Constraints{}); ok {
+	if _, ok := new(Searcher).ShortestPath(g, 0, 2, Constraints{}); ok {
 		t.Error("found path to isolated node")
 	}
-	if _, ok := ShortestPath(g, 0, 99, Constraints{}); ok {
+	if _, ok := new(Searcher).ShortestPath(g, 0, 99, Constraints{}); ok {
 		t.Error("found path to out-of-range node")
 	}
 }
@@ -164,7 +133,7 @@ func TestShortestPathExcludeEdge(t *testing.T) {
 	// Exclude edge 0 (0->1): forces the 0->2->3 route, weight 4.
 	ex := make([]bool, g.NumEdges())
 	ex[0] = true
-	p, ok := ShortestPath(g, 0, 3, Constraints{ExcludeEdges: ex})
+	p, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{ExcludeEdges: ex})
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -173,7 +142,7 @@ func TestShortestPathExcludeEdge(t *testing.T) {
 	}
 	// Exclude both two-hop routes: only the direct link remains.
 	ex[0], ex[2] = true, true
-	p, ok = ShortestPath(g, 0, 3, Constraints{ExcludeEdges: ex})
+	p, ok = new(Searcher).ShortestPath(g, 0, 3, Constraints{ExcludeEdges: ex})
 	if !ok || p.Weight != 5 || p.Len() != 1 {
 		t.Errorf("got %+v ok=%v, want the direct 0->3 link", p, ok)
 	}
@@ -183,7 +152,7 @@ func TestShortestPathExcludeNode(t *testing.T) {
 	g := diamond(t)
 	exn := make([]bool, g.NumNodes())
 	exn[1] = true
-	p, ok := ShortestPath(g, 0, 3, Constraints{ExcludeNodes: exn})
+	p, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{ExcludeNodes: exn})
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -196,7 +165,7 @@ func TestShortestPathExcludeNode(t *testing.T) {
 
 func TestShortestPathMaxHops(t *testing.T) {
 	g := diamond(t)
-	p, ok := ShortestPath(g, 0, 3, Constraints{MaxHops: 1})
+	p, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{MaxHops: 1})
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -207,7 +176,7 @@ func TestShortestPathMaxHops(t *testing.T) {
 
 func TestShortestPathTree(t *testing.T) {
 	g := diamond(t)
-	tree := ShortestPathTree(g, 0, Constraints{})
+	tree := new(Searcher).ShortestPathTree(g, 0, Constraints{})
 	want := []float64{0, 1, 2, 2}
 	for i, w := range want {
 		p, ok := tree.Path(g, NodeID(i))
@@ -218,17 +187,17 @@ func TestShortestPathTree(t *testing.T) {
 			t.Errorf("path to %d: %v", i, err)
 		}
 	}
-	if _, ok := ShortestPathTree(g, 3, Constraints{}).Path(g, 0); ok {
+	if _, ok := new(Searcher).ShortestPathTree(g, 3, Constraints{}).Path(g, 0); ok {
 		t.Error("node 0 is unreachable from the sink")
 	}
-	if _, ok := ShortestPathTree(g, 99, Constraints{}).Path(g, 0); ok {
+	if _, ok := new(Searcher).ShortestPathTree(g, 99, Constraints{}).Path(g, 0); ok {
 		t.Error("a tree from a node outside the graph reaches nothing")
 	}
 }
 
 func TestKShortestPathsDiamond(t *testing.T) {
 	g := diamond(t)
-	paths := KShortestPaths(g, 0, 3, 5, Constraints{})
+	paths := new(Searcher).KShortestPaths(g, 0, 3, 5, Constraints{})
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths, want 3", len(paths))
 	}
@@ -253,7 +222,7 @@ func TestKShortestPathsDiamond(t *testing.T) {
 
 func TestKShortestPathsRespectsK(t *testing.T) {
 	g := diamond(t)
-	paths := KShortestPaths(g, 0, 3, 2, Constraints{})
+	paths := new(Searcher).KShortestPaths(g, 0, 3, 2, Constraints{})
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2", len(paths))
 	}
@@ -264,13 +233,13 @@ func TestKShortestPathsRespectsK(t *testing.T) {
 
 func TestKShortestPathsEdgeCases(t *testing.T) {
 	g := diamond(t)
-	if p := KShortestPaths(g, 0, 3, 0, Constraints{}); p != nil {
+	if p := new(Searcher).KShortestPaths(g, 0, 3, 0, Constraints{}); p != nil {
 		t.Error("k=0 should return nil")
 	}
-	if p := KShortestPaths(g, 1, 1, 3, Constraints{}); p != nil {
+	if p := new(Searcher).KShortestPaths(g, 1, 1, 3, Constraints{}); p != nil {
 		t.Error("src==dst should return nil")
 	}
-	if p := KShortestPaths(g, 3, 0, 3, Constraints{}); p != nil {
+	if p := new(Searcher).KShortestPaths(g, 3, 0, 3, Constraints{}); p != nil {
 		t.Error("unreachable dst should return nil")
 	}
 }
@@ -279,7 +248,7 @@ func TestKShortestPathsWithConstraints(t *testing.T) {
 	g := diamond(t)
 	ex := make([]bool, g.NumEdges())
 	ex[4] = true // drop direct 0->3
-	paths := KShortestPaths(g, 0, 3, 5, Constraints{ExcludeEdges: ex})
+	paths := new(Searcher).KShortestPaths(g, 0, 3, 5, Constraints{ExcludeEdges: ex})
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2", len(paths))
 	}
@@ -316,7 +285,7 @@ func TestShortestPathProperty(t *testing.T) {
 		g := randomGraph(rng, n, n*2)
 		src := NodeID(rng.Intn(n))
 		dst := NodeID(rng.Intn(n))
-		p, ok := ShortestPath(g, src, dst, Constraints{})
+		p, ok := new(Searcher).ShortestPath(g, src, dst, Constraints{})
 		if src == dst {
 			if !ok || !p.Empty() {
 				t.Fatal("src==dst must give the empty path")
@@ -329,7 +298,7 @@ func TestShortestPathProperty(t *testing.T) {
 		if err := p.Validate(g, src, dst); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		tp, ok := ShortestPathTree(g, src, Constraints{}).Path(g, dst)
+		tp, ok := new(Searcher).ShortestPathTree(g, src, Constraints{}).Path(g, dst)
 		if !ok || tp.Weight != p.Weight || !tp.Equal(p) {
 			t.Fatalf("trial %d: tree path %v (%v) != searched path %v (%v)", trial, tp.Edges, tp.Weight, p.Edges, p.Weight)
 		}
@@ -345,11 +314,11 @@ func TestKShortestPathsProperty(t *testing.T) {
 		g := randomGraph(rng, n, n*3)
 		src := NodeID(rng.Intn(n))
 		dst := NodeID((int(src) + 1 + rng.Intn(n-1)) % n)
-		paths := KShortestPaths(g, src, dst, 6, Constraints{})
+		paths := new(Searcher).KShortestPaths(g, src, dst, 6, Constraints{})
 		if len(paths) == 0 {
 			t.Fatalf("trial %d: no paths in connected graph", trial)
 		}
-		sp, _ := ShortestPath(g, src, dst, Constraints{})
+		sp, _ := new(Searcher).ShortestPath(g, src, dst, Constraints{})
 		if paths[0].Weight-sp.Weight > 1e-9 {
 			t.Fatalf("trial %d: first K-path weight %v > shortest %v", trial, paths[0].Weight, sp.Weight)
 		}
@@ -380,7 +349,7 @@ func TestExclusionMonotonicity(t *testing.T) {
 		g := randomGraph(rng, n, n*2)
 		src := NodeID(rng.Intn(n))
 		dst := NodeID((int(src) + 1) % n)
-		p, ok := ShortestPath(g, src, dst, Constraints{})
+		p, ok := new(Searcher).ShortestPath(g, src, dst, Constraints{})
 		if !ok {
 			return true
 		}
@@ -388,7 +357,7 @@ func TestExclusionMonotonicity(t *testing.T) {
 		for _, e := range p.Edges {
 			ex[e] = true
 		}
-		q, ok := ShortestPath(g, src, dst, Constraints{ExcludeEdges: ex})
+		q, ok := new(Searcher).ShortestPath(g, src, dst, Constraints{ExcludeEdges: ex})
 		return !ok || q.Weight >= p.Weight-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -398,7 +367,7 @@ func TestExclusionMonotonicity(t *testing.T) {
 
 func TestPathHelpers(t *testing.T) {
 	g := diamond(t)
-	p, _ := ShortestPath(g, 0, 3, Constraints{})
+	p, _ := new(Searcher).ShortestPath(g, 0, 3, Constraints{})
 	if !p.Contains(p.Edges[0]) {
 		t.Error("Contains(first edge) = false")
 	}
@@ -408,7 +377,7 @@ func TestPathHelpers(t *testing.T) {
 	if !p.Equal(p) {
 		t.Error("path not Equal to itself")
 	}
-	q, _ := ShortestPath(g, 0, 2, Constraints{})
+	q, _ := new(Searcher).ShortestPath(g, 0, 2, Constraints{})
 	if p.Equal(q) {
 		t.Error("distinct paths reported Equal")
 	}
@@ -422,7 +391,7 @@ func TestPathHelpers(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := diamond(t)
-	p, _ := ShortestPath(g, 0, 3, Constraints{})
+	p, _ := new(Searcher).ShortestPath(g, 0, 3, Constraints{})
 	bad := Path{Edges: []EdgeID{p.Edges[1], p.Edges[0]}} // reversed order
 	if err := bad.Validate(g, 0, 3); err == nil {
 		t.Error("reversed edge order validated")
@@ -432,5 +401,59 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 	if err := (Path{}).Validate(g, 2, 2); err != nil {
 		t.Errorf("empty path for src==dst rejected: %v", err)
+	}
+}
+
+func TestPathKey(t *testing.T) {
+	for _, c := range []struct {
+		edges []EdgeID
+		want  string
+	}{
+		{nil, ""},
+		{[]EdgeID{7}, "7"},
+		{[]EdgeID{1, 23}, "1,23"},
+		{[]EdgeID{12, 3}, "12,3"},
+	} {
+		if got := (Path{Edges: c.edges}).Key(); got != c.want {
+			t.Errorf("Key(%v) = %q, want %q", c.edges, got, c.want)
+		}
+	}
+	// A key longer than the stack buffer is still the whole sequence.
+	var long Path
+	var parts []string
+	for i := 0; i < 40; i++ {
+		long.Edges = append(long.Edges, EdgeID(1000+i))
+		parts = append(parts, strconv.Itoa(1000+i))
+	}
+	if got, want := long.Key(), strings.Join(parts, ","); got != want {
+		t.Errorf("long Key = %q, want %q", got, want)
+	}
+}
+
+func TestValidateRejectsLoopsAndWrongEnd(t *testing.T) {
+	g := New(3)
+	ab := mustEdge(t, g, 0, 1, 1)
+	ba := mustEdge(t, g, 1, 0, 1)
+	bc := mustEdge(t, g, 1, 2, 1)
+	if err := (Path{Edges: []EdgeID{ab, bc}}).Validate(g, 0, 2); err != nil {
+		t.Fatalf("simple path rejected: %v", err)
+	}
+	if err := (Path{Edges: []EdgeID{ab, ba, ab, bc}}).Validate(g, 0, 2); err == nil {
+		t.Error("path through a loop validated")
+	}
+	if err := (Path{Edges: []EdgeID{ab, ba}}).Validate(g, 0, 0); err == nil {
+		t.Error("cycle back to the source validated")
+	}
+	if err := (Path{Edges: []EdgeID{ab}}).Validate(g, 0, 2); err == nil {
+		t.Error("path ending short of dst validated")
+	}
+	if err := (Path{Edges: []EdgeID{bc}}).Validate(g, 0, 2); err == nil {
+		t.Error("path not starting at src validated")
+	}
+	if got := (Path{Edges: []EdgeID{ab, bc}}).Nodes(g); !slices.Equal(got, []NodeID{0, 1, 2}) {
+		t.Errorf("Nodes = %v, want [0 1 2]", got)
+	}
+	if got := (Path{}).Nodes(g); got != nil {
+		t.Errorf("empty path Nodes = %v, want nil", got)
 	}
 }

@@ -45,7 +45,7 @@ func oracleShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool
 		if cons.MaxHops > 0 && hops[v] >= cons.MaxHops {
 			continue
 		}
-		for _, id := range g.OutEdges(v) {
+		for _, id := range g.out[v] {
 			if cons.edgeExcluded(id) {
 				continue
 			}
@@ -244,17 +244,17 @@ func TestShortestPathMaxHopsFindsHeavierShorterRoute(t *testing.T) {
 	mustEdge(t, g, 1, 2, 1)
 	last := mustEdge(t, g, 2, 3, 1)
 	direct := mustEdge(t, g, 0, 2, 5)
-	p, ok := ShortestPath(g, 0, 3, Constraints{MaxHops: 2})
+	p, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{MaxHops: 2})
 	if !ok {
 		t.Fatal("no path within 2 hops, but 0->2->3 exists")
 	}
 	if want := (Path{Edges: []EdgeID{direct, last}}); !p.Equal(want) || p.Weight != 6 {
 		t.Errorf("got %v w=%v, want %v w=6", p.Edges, p.Weight, want.Edges)
 	}
-	if p, ok := ShortestPath(g, 0, 3, Constraints{MaxHops: 3}); !ok || p.Weight != 3 {
+	if p, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{MaxHops: 3}); !ok || p.Weight != 3 {
 		t.Errorf("MaxHops 3: got w=%v ok=%v, want the 3-hop route of weight 3", p.Weight, ok)
 	}
-	if _, ok := ShortestPath(g, 0, 3, Constraints{MaxHops: 1}); ok {
+	if _, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{MaxHops: 1}); ok {
 		t.Error("MaxHops 1: found a path, none exists")
 	}
 }
@@ -274,7 +274,7 @@ func bruteForceBounded(g *Graph, src, dst NodeID, cons Constraints) float64 {
 			return
 		}
 		onPath[at] = true
-		for _, id := range g.OutEdges(at) {
+		for _, id := range g.out[at] {
 			e := g.Edge(id)
 			if cons.edgeExcluded(id) || onPath[e.To] || (e.To != dst && cons.nodeExcluded(e.To)) {
 				continue

@@ -2,12 +2,6 @@ package graph
 
 import "sort"
 
-// KShortestPaths is Searcher.KShortestPaths on a throwaway Searcher.
-func KShortestPaths(g *Graph, src, dst NodeID, k int, cons Constraints) []Path {
-	var s Searcher
-	return s.KShortestPaths(g, src, dst, k, cons)
-}
-
 // KShortestPaths returns up to k loop-free paths from src to dst in
 // non-decreasing weight order using Yen's algorithm, subject to the given
 // base constraints. It returns fewer than k paths when the graph does not

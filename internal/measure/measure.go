@@ -121,13 +121,6 @@ func (e *Estimator) Observe(stats *sdnsim.EpochStats) error {
 	return nil
 }
 
-// PeakEstimate returns the inferred per-flow demand of an aggregate and
-// whether any uncongested observation informed it.
-func (e *Estimator) PeakEstimate(id traffic.AggregateID) (unit.Bandwidth, bool) {
-	st := e.state[id]
-	return unit.Bandwidth(st.peakKbps), st.havePeak
-}
-
 // CongestedFraction reports the fraction of observed epochs in which the
 // aggregate crossed a congested link.
 func (e *Estimator) CongestedFraction(id traffic.AggregateID) float64 {

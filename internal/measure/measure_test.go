@@ -66,7 +66,7 @@ func TestPeakInferenceUncongested(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	peak, ok := est.PeakEstimate(0)
+	peak, ok := peakEstimate(est, 0)
 	if !ok {
 		t.Fatal("no peak inferred on an uncongested path")
 	}
@@ -110,7 +110,7 @@ func TestNoPeakInferenceWhenCongested(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := est.PeakEstimate(0); ok {
+	if _, ok := peakEstimate(est, 0); ok {
 		t.Error("peak inferred from congested-only observations")
 	}
 	if est.CongestedFraction(0) != 1 {
@@ -170,7 +170,7 @@ func TestEWMAConvergesUnderJitter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	peak, ok := est.PeakEstimate(0)
+	peak, ok := peakEstimate(est, 0)
 	if !ok {
 		t.Fatal("no peak inferred")
 	}
@@ -236,5 +236,105 @@ func TestClosedLoopImprovesTrueUtility(t *testing.T) {
 	}
 	if stats.TrueUtility <= before {
 		t.Errorf("closed loop did not improve: %v -> %v", before, stats.TrueUtility)
+	}
+}
+
+// peakEstimate returns the inferred per-flow demand of an aggregate and
+// whether any uncongested observation informed it.
+func peakEstimate(e *Estimator, id traffic.AggregateID) (unit.Bandwidth, bool) {
+	st := e.state[id]
+	return unit.Bandwidth(st.peakKbps), st.havePeak
+}
+
+func TestKeysFromMatrix(t *testing.T) {
+	topo := lineTopo(t, 100*unit.Mbps)
+	truth := mustTruth(t, topo, []traffic.Aggregate{
+		{Src: 0, Dst: 2, Class: utility.ClassBulk, Flows: 3, Fn: utility.Bulk()},
+		{Src: 2, Dst: 1, Class: utility.ClassRealTime, Flows: 5, Fn: utility.RealTime()},
+	})
+	keys := KeysFromMatrix(truth)
+	want := []AggregateKey{
+		{Src: 0, Dst: 2, Class: utility.ClassBulk},
+		{Src: 2, Dst: 1, Class: utility.ClassRealTime},
+	}
+	if len(keys) != len(want) || keys[0] != want[0] || keys[1] != want[1] {
+		t.Fatalf("keys = %+v, want %+v", keys, want)
+	}
+	est := NewEstimator(keys)
+	if est.NumAggregates() != 2 {
+		t.Fatalf("NumAggregates = %d, want 2", est.NumAggregates())
+	}
+	// The estimator keeps its own copy of the keys.
+	keys[0].Dst = 1
+	if err := est.Observe(&sdnsim.EpochStats{Duration: time.Second, Rules: []sdnsim.RuleCounter{
+		{Agg: 0, Flows: 1, Bytes: 125}, {Agg: 1, Flows: 1, Bytes: 125},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	mat, err := est.Matrix(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range want {
+		a := mat.Aggregate(traffic.AggregateID(i))
+		if a.Src != k.Src || a.Dst != k.Dst || a.Class != k.Class {
+			t.Errorf("estimated aggregate %d = %d->%d %v, want %+v", i, a.Src, a.Dst, a.Class, k)
+		}
+	}
+}
+
+// TestObserveFoldsCounters feeds hand-built counters: an aggregate's
+// rules are summed, uncongested epochs fold into the EWMA peak,
+// congested ones only count, and rules without flows are not an
+// observation.
+func TestObserveFoldsCounters(t *testing.T) {
+	topo := lineTopo(t, 100*unit.Mbps)
+	est := NewEstimator([]AggregateKey{
+		{Src: 0, Dst: 2, Class: utility.ClassBulk},
+		{Src: 2, Dst: 0, Class: utility.ClassBulk},
+	})
+	// bytes for n flows at k kbps over a 1 s epoch
+	bytes := func(n int, k float64) float64 { return float64(n) * k * 125 }
+	epochs := [][]sdnsim.RuleCounter{
+		{
+			{Agg: 0, Flows: 3, Bytes: bytes(3, 100)},
+			{Agg: 0, Flows: 1, Bytes: bytes(1, 100)},
+			{Agg: 1, Flows: 2, Bytes: bytes(2, 50), Congested: true},
+		},
+		{
+			{Agg: 0, Flows: 4, Bytes: bytes(4, 200)},
+			{Agg: 1, Flows: 2, Bytes: bytes(2, 300)},
+		},
+		{
+			{Agg: 0, Flows: 0, Bytes: bytes(1, 900)},
+		},
+	}
+	for i, rules := range epochs {
+		if err := est.Observe(&sdnsim.EpochStats{Epoch: i, Duration: time.Second, Rules: rules}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		id        traffic.AggregateID
+		peak      float64
+		congested float64
+	}{
+		{0, 0.7*100 + 0.3*200, 0}, // EWMA with the default Alpha 0.3
+		{1, 300, 0.5},             // the congested epoch's 50 kbps is no peak
+	} {
+		peak, ok := peakEstimate(est, c.id)
+		if !ok || math.Abs(float64(peak)-c.peak) > 1e-9 {
+			t.Errorf("aggregate %d peak %v (ok %v), want %v", c.id, float64(peak), ok, c.peak)
+		}
+		if got := est.CongestedFraction(c.id); got != c.congested {
+			t.Errorf("aggregate %d congested fraction %v, want %v", c.id, got, c.congested)
+		}
+	}
+	mat, err := est.Matrix(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := mat.Aggregate(0); a.Flows != 4 || math.Abs(float64(a.DemandPerFlow())-130) > 1e-6 {
+		t.Errorf("aggregate 0 estimated as %d flows at %v, want 4 at 130kbps", a.Flows, a.DemandPerFlow())
 	}
 }

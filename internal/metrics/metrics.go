@@ -48,14 +48,6 @@ func (s *Series) Last() (Sample, bool) {
 	return s.samples[len(s.samples)-1], true
 }
 
-// First returns the earliest sample, or false when empty.
-func (s *Series) First() (Sample, bool) {
-	if len(s.samples) == 0 {
-		return Sample{}, false
-	}
-	return s.samples[0], true
-}
-
 // At linearly interpolates the series value at time t, clamping outside
 // the observed range. Returns false when the series is empty.
 func (s *Series) At(t time.Duration) (float64, bool) {
@@ -76,27 +68,6 @@ func (s *Series) At(t time.Duration) (float64, bool) {
 	}
 	frac := float64(t-a.T) / float64(b.T-a.T)
 	return a.V + frac*(b.V-a.V), true
-}
-
-// Resample produces n evenly spaced samples across the series' time span
-// (inclusive of both ends), for plotting.
-func (s *Series) Resample(n int) []Sample {
-	if n <= 0 || len(s.samples) == 0 {
-		return nil
-	}
-	first, last := s.samples[0].T, s.samples[len(s.samples)-1].T
-	out := make([]Sample, n)
-	for i := 0; i < n; i++ {
-		var t time.Duration
-		if n == 1 {
-			t = last
-		} else {
-			t = first + time.Duration(float64(last-first)*float64(i)/float64(n-1))
-		}
-		v, _ := s.At(t)
-		out[i] = Sample{T: t, V: v}
-	}
-	return out
 }
 
 // CDF is an empirical cumulative distribution over float64 values.

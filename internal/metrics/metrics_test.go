@@ -16,16 +16,13 @@ func TestSeriesBasics(t *testing.T) {
 	if _, ok := s.Last(); ok {
 		t.Error("Last on empty series")
 	}
-	if _, ok := s.First(); ok {
-		t.Error("First on empty series")
-	}
 	s.Add(0, 0.5)
 	s.Add(time.Second, 0.7)
 	s.Add(2*time.Second, 0.9)
 	if s.Len() != 3 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	first, _ := s.First()
+	first := s.Samples()[0]
 	last, _ := s.Last()
 	if first.V != 0.5 || last.V != 0.9 {
 		t.Errorf("first/last = %v/%v", first.V, last.V)
@@ -56,28 +53,6 @@ func TestSeriesAt(t *testing.T) {
 	empty := NewSeries("e")
 	if _, ok := empty.At(0); ok {
 		t.Error("At on empty series returned ok")
-	}
-}
-
-func TestSeriesResample(t *testing.T) {
-	s := NewSeries("x")
-	s.Add(0, 0)
-	s.Add(4*time.Second, 4)
-	rs := s.Resample(5)
-	if len(rs) != 5 {
-		t.Fatalf("len = %d", len(rs))
-	}
-	for i, want := range []float64{0, 1, 2, 3, 4} {
-		if math.Abs(rs[i].V-want) > 1e-9 {
-			t.Errorf("rs[%d] = %v, want %v", i, rs[i].V, want)
-		}
-	}
-	if got := s.Resample(0); got != nil {
-		t.Error("Resample(0) != nil")
-	}
-	one := s.Resample(1)
-	if len(one) != 1 || one[0].V != 4 {
-		t.Errorf("Resample(1) = %v", one)
 	}
 }
 
@@ -272,5 +247,48 @@ func TestEdgeCases(t *testing.T) {
 			}()
 			WeightedMean(make([]float64, lens[0]), make([]float64, lens[1]))
 		}()
+	}
+}
+
+// TestSeriesAtStep pins At across a step: two samples at one instant
+// read as the earlier value at that instant and the later one after it.
+func TestSeriesAtStep(t *testing.T) {
+	s := NewSeries("step")
+	s.Add(0, 0)
+	s.Add(5*time.Second, 1)
+	s.Add(5*time.Second, 3)
+	s.Add(10*time.Second, 3)
+	for _, c := range []struct {
+		t    time.Duration
+		want float64
+	}{
+		{2500 * time.Millisecond, 0.5},
+		{5 * time.Second, 1},
+		{5*time.Second + time.Nanosecond, 3},
+		{7500 * time.Millisecond, 3},
+	} {
+		if got, ok := s.At(c.t); !ok || math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("At(%v) = %v,%v want %v", c.t, got, ok, c.want)
+		}
+	}
+	if last, _ := s.Last(); last.T != 10*time.Second || last.V != 3 {
+		t.Errorf("Last = %+v", last)
+	}
+}
+
+func TestCDFOwnsItsValues(t *testing.T) {
+	in := []float64{3, 1, 2}
+	c := NewCDF(in)
+	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
+		t.Errorf("NewCDF sorted the caller's slice: %v", in)
+	}
+	in[0] = -100
+	if c.Quantile(0) != 1 || c.P(0) != 0 {
+		t.Errorf("NewCDF aliases the caller's slice: Q(0)=%v P(0)=%v", c.Quantile(0), c.P(0))
+	}
+	vals := c.Values()
+	vals[0] = 50
+	if c.Median() != 2 || c.Quantile(0) != 1 {
+		t.Errorf("Values aliases the CDF: median %v Q(0) %v", c.Median(), c.Quantile(0))
 	}
 }

@@ -118,21 +118,6 @@ func (db *LSPDB) Get(id LSPID) (LSP, bool) {
 // Events returns the accumulated event log. The caller owns the slice.
 func (db *LSPDB) Events() []Event { return append([]Event(nil), db.events...) }
 
-// Reserved reports the bandwidth reserved on a link at and above the
-// given hold priority (i.e. what admission at that setup priority sees).
-func (db *LSPDB) Reserved(l topology.LinkID, p Priority) unit.Bandwidth {
-	return unit.Bandwidth(db.reserved[p][l])
-}
-
-// Available reports a link's headroom for admission at setup priority p.
-func (db *LSPDB) Available(l topology.LinkID, p Priority) unit.Bandwidth {
-	free := float64(db.topo.Capacity(l)) - db.reserved[p][l]
-	if free < 0 {
-		free = 0
-	}
-	return unit.Bandwidth(free)
-}
-
 // admitEps is the admission tolerance in kbps: allocations produced by
 // the traffic model fill links to exactly capacity, so tunnel-by-tunnel
 // re-reservation accumulates float dust that must not reject the last

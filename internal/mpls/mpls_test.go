@@ -2,6 +2,8 @@ package mpls
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"fubar/internal/core"
@@ -43,11 +45,22 @@ func mustDB(t *testing.T, topo *topology.Topology) *LSPDB {
 
 func node(t *testing.T, topo *topology.Topology, name string) topology.NodeID {
 	t.Helper()
-	id, ok := topo.NodeByName(name)
-	if !ok {
+	id := slices.Index(topo.NodeNames(), name)
+	if id < 0 {
 		t.Fatalf("no node %q", name)
 	}
-	return id
+	return topology.NodeID(id)
+}
+
+// reserved reports the bandwidth reserved on a link at and above hold
+// priority p.
+func reserved(db *LSPDB, l topology.LinkID, p Priority) unit.Bandwidth {
+	return unit.Bandwidth(db.reserved[p][l])
+}
+
+// available reports a link's headroom for admission at setup priority p.
+func available(db *LSPDB, l topology.LinkID, p Priority) unit.Bandwidth {
+	return max(0, db.topo.Capacity(l)-reserved(db, l, p))
 }
 
 func TestAdmitCSPFUsesShortestWithHeadroom(t *testing.T) {
@@ -91,10 +104,10 @@ func TestReservationAccounting(t *testing.T) {
 	}
 	l, _ := db.Get(id)
 	for _, e := range l.Path.Edges {
-		if got := db.Reserved(e, 7); got != 250 {
+		if got := reserved(db, e, 7); got != 250 {
 			t.Fatalf("link %d reserved %v, want 250", e, got)
 		}
-		if got := db.Available(e, 7); got != 750 {
+		if got := available(db, e, 7); got != 750 {
 			t.Fatalf("link %d available %v, want 750", e, got)
 		}
 	}
@@ -102,7 +115,7 @@ func TestReservationAccounting(t *testing.T) {
 		t.Fatalf("Release: %v", err)
 	}
 	for _, e := range l.Path.Edges {
-		if got := db.Reserved(e, 7); got != 0 {
+		if got := reserved(db, e, 7); got != 0 {
 			t.Fatalf("link %d still reserves %v after release", e, got)
 		}
 	}
@@ -143,7 +156,7 @@ func TestPreemptionEvictsWeakerTunnel(t *testing.T) {
 	}
 	// Total reservation must respect capacity on every link.
 	for l := 0; l < topo.NumLinks(); l++ {
-		if got := float64(db.Reserved(topology.LinkID(l), 7)); got > float64(topo.Capacity(topology.LinkID(l)))+1e-6 {
+		if got := float64(reserved(db, topology.LinkID(l), 7)); got > float64(topo.Capacity(topology.LinkID(l)))+1e-6 {
 			t.Fatalf("link %d over-reserved: %v", l, got)
 		}
 	}
@@ -195,12 +208,12 @@ func TestRerouteMakeBeforeBreak(t *testing.T) {
 	}
 	// Old path links fully freed, new path reserved.
 	for _, e := range before.Path.Edges {
-		if got := db.Reserved(e, 7); got != 0 {
+		if got := reserved(db, e, 7); got != 0 {
 			t.Fatalf("old link %d still reserves %v", e, got)
 		}
 	}
 	for _, e := range after.Path.Edges {
-		if got := db.Reserved(e, 7); got != 600 {
+		if got := reserved(db, e, 7); got != 600 {
 			t.Fatalf("new link %d reserves %v, want 600", e, got)
 		}
 	}
@@ -266,7 +279,7 @@ func TestRerouteRollsBackOnFailure(t *testing.T) {
 		t.Fatal("tunnel moved despite failed reroute")
 	}
 	for _, e := range before.Path.Edges {
-		if got := db.Reserved(e, 7); got != 600 {
+		if got := reserved(db, e, 7); got != 600 {
 			t.Fatalf("reservation damaged by failed reroute: link %d has %v", e, got)
 		}
 	}
@@ -364,7 +377,7 @@ func TestSyncSolutionInstallsAndReconciles(t *testing.T) {
 			spBundles = append(spBundles, flowmodel.Bundle{Agg: a.ID, Flows: a.Flows})
 			continue
 		}
-		p, ok := graph.ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
+		p, ok := new(graph.Searcher).ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
 		if !ok {
 			t.Fatalf("no path for aggregate %d", a.ID)
 		}
@@ -425,4 +438,182 @@ func findPath(t *testing.T, topo *topology.Topology, names ...string) graph.Path
 		}
 	}
 	return graph.Path{Edges: edges}
+}
+
+func TestLSPsSortedCopies(t *testing.T) {
+	topo := diamond(t)
+	db := mustDB(t, topo)
+	a, d := node(t, topo, "a"), node(t, topo, "d")
+	var ids []LSPID
+	for _, name := range []string{"t1", "t2", "t3"} {
+		id, err := db.Admit(LSP{Name: name, Ingress: a, Egress: d, Bandwidth: 100, Setup: 7, Hold: 7})
+		if err != nil {
+			t.Fatalf("Admit %s: %v", name, err)
+		}
+		ids = append(ids, id)
+	}
+	if err := db.Release(ids[1]); err != nil {
+		t.Fatalf("Release: %v", err)
+	}
+	got := db.LSPs()
+	if len(got) != 2 || got[0].ID != ids[0] || got[1].ID != ids[2] {
+		t.Fatalf("LSPs = %+v, want t1 then t3", got)
+	}
+	if got[0].Name != "t1" || got[1].Name != "t3" || got[0].Bandwidth != 100 {
+		t.Errorf("LSPs lost fields: %+v", got)
+	}
+	// The values are copies: editing them leaves the database alone.
+	got[0].Bandwidth = 999
+	if l, _ := db.Get(ids[0]); l.Bandwidth != 100 {
+		t.Errorf("LSPs aliases the stored bandwidth: %v", l.Bandwidth)
+	}
+	if got := db.Topology(); got != topo {
+		t.Error("Topology is not the database's topology")
+	}
+}
+
+// TestReservationOccupiesHoldAndWeakerLevels pins the per-priority
+// booking: an LSP held at priority h is counted at every level p >= h
+// and invisible below, so only a setup priority stronger than h sees
+// through it.
+func TestReservationOccupiesHoldAndWeakerLevels(t *testing.T) {
+	topo := diamond(t)
+	db := mustDB(t, topo)
+	a, d := node(t, topo, "a"), node(t, topo, "d")
+	id, err := db.Admit(LSP{Name: "mid", Ingress: a, Egress: d, Bandwidth: 400, Setup: 3, Hold: 3})
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	l, _ := db.Get(id)
+	for _, e := range l.Path.Edges {
+		for p := Priority(0); p < NumPriorities; p++ {
+			want := unit.Bandwidth(0)
+			if p >= 3 {
+				want = 400
+			}
+			if got := reserved(db, e, p); got != want {
+				t.Errorf("link %d level %d reserves %v, want %v", e, p, got, want)
+			}
+		}
+	}
+	short := l.Path
+	if p, ok := db.CSPF(a, d, 1000, 2); !ok || !p.Equal(short) {
+		t.Errorf("setup 2 CSPF for 1000 = %v (ok %v), want the short path through the hold-3 LSP", p, ok)
+	}
+	if p, ok := db.CSPF(a, d, 1000, 3); !ok || p.Equal(short) {
+		t.Errorf("setup 3 CSPF for 1000 = %v (ok %v), want the detour", p, ok)
+	}
+	if _, ok := db.CSPF(a, d, 1001, 0); ok {
+		t.Error("CSPF found room for more than any link's capacity")
+	}
+}
+
+func TestUtilizationCountsEveryPriority(t *testing.T) {
+	topo := diamond(t)
+	db := mustDB(t, topo)
+	a, d := node(t, topo, "a"), node(t, topo, "d")
+	short := findPath(t, topo, "a", "b", "d")
+	strong, err := db.Admit(LSP{Name: "strong", Ingress: a, Egress: d, Bandwidth: 300, Setup: 0, Hold: 0, Path: short})
+	if err != nil {
+		t.Fatalf("Admit strong: %v", err)
+	}
+	if _, err := db.Admit(LSP{Name: "weak", Ingress: a, Egress: d, Bandwidth: 200, Setup: 7, Hold: 7, Path: short}); err != nil {
+		t.Fatalf("Admit weak: %v", err)
+	}
+	check := func(want float64) {
+		t.Helper()
+		for l, u := range db.Utilization() {
+			w := 0.0
+			if short.Contains(graph.EdgeID(l)) {
+				w = want
+			}
+			if math.Abs(u-w) > 1e-12 {
+				t.Errorf("link %s utilization %v, want %v", topo.LinkName(topology.LinkID(l)), u, w)
+			}
+		}
+	}
+	check(0.5)
+	if err := db.Release(strong); err != nil {
+		t.Fatalf("Release: %v", err)
+	}
+	check(0.2)
+}
+
+// TestRerouteRecomputesWithOwnReservation checks a CSPF reroute (empty
+// path): the tunnel's own reservation is discounted, so a tunnel whose
+// path has no room for a second copy of itself stays where it is, and
+// a rejected reroute leaves the tunnel and its reservation in place.
+func TestRerouteRecomputesWithOwnReservation(t *testing.T) {
+	topo := diamond(t)
+	db := mustDB(t, topo)
+	a, d := node(t, topo, "a"), node(t, topo, "d")
+	short, detour := findPath(t, topo, "a", "b", "d"), findPath(t, topo, "a", "c", "d")
+	if _, err := db.Admit(LSP{Name: "blocker", Ingress: a, Egress: d, Bandwidth: 1000, Setup: 7, Hold: 7, Path: detour}); err != nil {
+		t.Fatalf("Admit blocker: %v", err)
+	}
+	id, err := db.Admit(LSP{Name: "t", Ingress: a, Egress: d, Bandwidth: 600, Setup: 7, Hold: 7})
+	if err != nil {
+		t.Fatalf("Admit t: %v", err)
+	}
+	if err := db.Reroute(id, graph.Path{}); err != nil {
+		t.Fatalf("CSPF reroute with the own reservation discounted failed: %v", err)
+	}
+	check := func(what string) {
+		t.Helper()
+		l, ok := db.Get(id)
+		if !ok || !l.Path.Equal(short) {
+			t.Fatalf("%s: tunnel %v (ok %v), want it on the short path", what, l.Path, ok)
+		}
+		for _, e := range short.Edges {
+			if got := reserved(db, e, 7); got != 600 {
+				t.Fatalf("%s: link %d reserves %v, want 600", what, e, got)
+			}
+		}
+	}
+	check("CSPF reroute")
+	// A path that does not join the tunnel's endpoints is refused.
+	if err := db.Reroute(id, findPath(t, topo, "a", "c")); err == nil {
+		t.Fatal("reroute onto a path ending at c accepted")
+	}
+	check("refused reroute")
+	if err := db.Reroute(id+100, graph.Path{}); err == nil {
+		t.Fatal("reroute of an unknown LSP accepted")
+	}
+	if n := len(db.LSPs()); n != 2 {
+		t.Fatalf("%d LSPs after the reroutes, want 2", n)
+	}
+}
+
+func TestEventLogRecordsLifecycle(t *testing.T) {
+	topo := diamond(t)
+	db := mustDB(t, topo)
+	a, d := node(t, topo, "a"), node(t, topo, "d")
+	id, err := db.Admit(LSP{Name: "t", Ingress: a, Egress: d, Bandwidth: 100, Setup: 7, Hold: 7})
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	if err := db.Reroute(id, findPath(t, topo, "a", "c", "d")); err != nil {
+		t.Fatalf("Reroute: %v", err)
+	}
+	if err := db.Release(id); err != nil {
+		t.Fatalf("Release: %v", err)
+	}
+	// A refused request logs nothing.
+	if err := db.Release(id); err == nil {
+		t.Fatal("double release succeeded")
+	}
+	events := db.Events()
+	want := []string{"admit", "reroute", "release"}
+	if len(events) != len(want) {
+		t.Fatalf("events = %+v, want kinds %v", events, want)
+	}
+	for i, e := range events {
+		if e.Kind != want[i] || e.LSP != id || e.Detail == "" {
+			t.Errorf("event %d = %+v, want %s of LSP %d with a detail", i, e, want[i], id)
+		}
+	}
+	events[0].Kind = "edited"
+	if db.Events()[0].Kind != "admit" {
+		t.Error("Events aliases the database's log")
+	}
 }

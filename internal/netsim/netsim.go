@@ -8,7 +8,7 @@
 // queueing estimate on top: a link carrying load rho = load/capacity holds
 // an expected queue of rho/(1-rho) packets, each adding one packet
 // serialization time; links driven at or beyond capacity are assigned a
-// configurable saturation queue. The absolute numbers are rough — that is
+// fixed saturation queue. The absolute numbers are rough — that is
 // inherent to the approximation — but they order allocations correctly:
 // an allocation that leaves links saturated shows orders-of-magnitude
 // larger queueing delay than one that spreads the load.
@@ -20,32 +20,18 @@ import (
 
 	"fubar/internal/flowmodel"
 	"fubar/internal/topology"
-	"fubar/internal/unit"
 )
 
-// Config tunes the queue model.
-type Config struct {
-	// PacketBits is the mean packet size in bits (default 12000 = 1500B).
-	PacketBits float64
-	// MaxQueuePackets caps the per-link expected queue, standing in for a
-	// router's finite buffer (default 1000 packets).
-	MaxQueuePackets float64
-	// UtilizationCap treats rho above it as saturated (default 0.999).
-	UtilizationCap float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.PacketBits <= 0 {
-		c.PacketBits = 12000
-	}
-	if c.MaxQueuePackets <= 0 {
-		c.MaxQueuePackets = 1000
-	}
-	if c.UtilizationCap <= 0 || c.UtilizationCap >= 1 {
-		c.UtilizationCap = 0.999
-	}
-	return c
-}
+// The queue model's constants.
+const (
+	// packetBits is the mean packet size in bits (1500 B).
+	packetBits = 12000
+	// maxQueuePackets caps the per-link expected queue, standing in for a
+	// router's finite buffer.
+	maxQueuePackets = 1000
+	// utilizationCap treats rho above it as saturated.
+	utilizationCap = 0.999
+)
 
 // Result reports queueing estimates for one allocation.
 type Result struct {
@@ -65,11 +51,10 @@ type Result struct {
 
 // Evaluate runs the traffic model over the bundles and derives queueing
 // estimates from the resulting link loads.
-func Evaluate(topo *topology.Topology, model *flowmodel.Model, bundles []flowmodel.Bundle, cfg Config) (*Result, error) {
+func Evaluate(topo *topology.Topology, model *flowmodel.Model, bundles []flowmodel.Bundle) (*Result, error) {
 	if topo == nil || model == nil {
 		return nil, fmt.Errorf("netsim: nil topology or model")
 	}
-	cfg = cfg.withDefaults()
 	res := model.NewEval().Evaluate(bundles)
 
 	nL := topo.NumLinks()
@@ -82,15 +67,10 @@ func Evaluate(topo *topology.Topology, model *flowmodel.Model, bundles []flowmod
 			continue
 		}
 		rho := load / capKbps
-		if rho > cfg.UtilizationCap {
-			rho = cfg.UtilizationCap
+		if rho > utilizationCap {
 			out.SaturatedLinks++
 		}
-		// M/M/1 expected queue length rho/(1-rho), each packet adding
-		// one serialization time packetBits/capacity.
-		queuePackets := math.Min(rho/(1-rho), cfg.MaxQueuePackets)
-		perPacketMs := cfg.PacketBits / (capKbps * 1000) * 1000 // kbps -> bits/ms
-		q := queuePackets * perPacketMs
+		q := queueDelay(capKbps, rho)
 		out.LinkQueueMs[l] = q
 		if q > out.MaxQueueMs {
 			out.MaxQueueMs = q
@@ -120,12 +100,12 @@ func Evaluate(topo *topology.Topology, model *flowmodel.Model, bundles []flowmod
 // Compare evaluates two allocations over the same model and reports the
 // ratio of their mean queueing delays (before/after), the figure of merit
 // for the §3 claim. Ratios above 1 mean the second allocation queues less.
-func Compare(topo *topology.Topology, model *flowmodel.Model, before, after []flowmodel.Bundle, cfg Config) (ratio float64, b, a *Result, err error) {
-	b, err = Evaluate(topo, model, before, cfg)
+func Compare(topo *topology.Topology, model *flowmodel.Model, before, after []flowmodel.Bundle) (ratio float64, b, a *Result, err error) {
+	b, err = Evaluate(topo, model, before)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	a, err = Evaluate(topo, model, after, cfg)
+	a, err = Evaluate(topo, model, after)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -140,18 +120,17 @@ func Compare(topo *topology.Topology, model *flowmodel.Model, before, after []fl
 	return ratio, b, a, nil
 }
 
-// QueueDelay returns the expected M/M/1 queueing delay in milliseconds
-// for a single link at the given utilization — exposed for tests and for
-// operators exploring the model.
-func QueueDelay(capacity unit.Bandwidth, rho float64, cfg Config) float64 {
-	cfg = cfg.withDefaults()
-	if rho <= 0 || capacity <= 0 {
+// queueDelay returns the expected M/M/1 queueing delay in milliseconds
+// for a link of capKbps at utilization rho: an expected queue of
+// rho/(1-rho) packets, rho capped at utilizationCap and the queue at
+// maxQueuePackets, each packet adding one serialization time
+// packetBits/capacity.
+func queueDelay(capKbps, rho float64) float64 {
+	if rho <= 0 || capKbps <= 0 {
 		return 0
 	}
-	if rho > cfg.UtilizationCap {
-		rho = cfg.UtilizationCap
-	}
-	queuePackets := math.Min(rho/(1-rho), cfg.MaxQueuePackets)
-	perPacketMs := cfg.PacketBits / (float64(capacity) * 1000) * 1000
+	rho = math.Min(rho, utilizationCap)
+	queuePackets := math.Min(rho/(1-rho), maxQueuePackets)
+	perPacketMs := packetBits / (capKbps * 1000) * 1000 // kbps -> bits/ms
 	return queuePackets * perPacketMs
 }

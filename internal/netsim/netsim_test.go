@@ -26,34 +26,33 @@ func lineTopo(t *testing.T, cap unit.Bandwidth) *topology.Topology {
 }
 
 func TestQueueDelayShape(t *testing.T) {
-	cfg := Config{}
-	cap := 1000 * unit.Kbps
+	cap := float64(1000 * unit.Kbps)
 	// Monotone in rho.
 	prev := -1.0
 	for _, rho := range []float64{0.1, 0.3, 0.5, 0.7, 0.9, 0.99} {
-		q := QueueDelay(cap, rho, cfg)
+		q := queueDelay(cap, rho)
 		if q <= prev {
 			t.Errorf("queue delay not increasing at rho=%v: %v <= %v", rho, q, prev)
 		}
 		prev = q
 	}
 	// Zero load and zero capacity yield zero.
-	if QueueDelay(cap, 0, cfg) != 0 {
+	if queueDelay(cap, 0) != 0 {
 		t.Error("rho=0 should queue nothing")
 	}
-	if QueueDelay(0, 0.5, cfg) != 0 {
+	if queueDelay(0, 0.5) != 0 {
 		t.Error("capacity=0 should queue nothing")
 	}
 	// Saturated utilization capped by the buffer bound.
-	q1 := QueueDelay(cap, 1.5, cfg)
-	q2 := QueueDelay(cap, 0.9999, cfg)
+	q1 := queueDelay(cap, 1.5)
+	q2 := queueDelay(cap, 0.9999)
 	if q1 != q2 {
 		t.Errorf("above-cap utilizations should clamp: %v vs %v", q1, q2)
 	}
 	// M/M/1 spot value: rho=0.5 -> 1 packet of 12000 bits at 1 Mbps =
 	// 12 ms.
-	if got := QueueDelay(cap, 0.5, cfg); math.Abs(got-12) > 1e-9 {
-		t.Errorf("QueueDelay(1Mbps, 0.5) = %v ms, want 12", got)
+	if got := queueDelay(cap, 0.5); math.Abs(got-12) > 1e-9 {
+		t.Errorf("queueDelay(1Mbps, 0.5) = %v ms, want 12", got)
 	}
 }
 
@@ -70,17 +69,17 @@ func TestEvaluateLowVsHighLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, _ := graph.ShortestPath(topo.Graph(), 0, 1, graph.Constraints{})
+		p, _ := new(graph.Searcher).ShortestPath(topo.Graph(), 0, 1, graph.Constraints{})
 		return m, []flowmodel.Bundle{flowmodel.NewBundle(topo, 0, flows, p)}
 	}
 
 	mLow, bLow := mkModel(1) // 200 kbps on 1 Mbps: rho 0.2
-	low, err := Evaluate(topo, mLow, bLow, Config{})
+	low, err := Evaluate(topo, mLow, bLow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mHigh, bHigh := mkModel(20) // 4 Mbps demand: saturated
-	high, err := Evaluate(topo, mHigh, bHigh, Config{})
+	high, err := Evaluate(topo, mHigh, bHigh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestEvaluateLowVsHighLoad(t *testing.T) {
 }
 
 func TestEvaluateValidation(t *testing.T) {
-	if _, err := Evaluate(nil, nil, nil, Config{}); err == nil {
+	if _, err := Evaluate(nil, nil, nil); err == nil {
 		t.Error("nil args accepted")
 	}
 }
@@ -134,14 +133,14 @@ func TestFubarReducesQueues(t *testing.T) {
 			spBundles = append(spBundles, flowmodel.Bundle{Agg: a.ID, Flows: a.Flows})
 			continue
 		}
-		p, _ := graph.ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
+		p, _ := new(graph.Searcher).ShortestPath(topo.Graph(), a.Src, a.Dst, graph.Constraints{})
 		spBundles = append(spBundles, flowmodel.NewBundle(topo, a.ID, a.Flows, p))
 	}
 	sol, err := core.Run(context.Background(), model, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio, before, after, err := Compare(topo, model, spBundles, sol.Bundles, Config{})
+	ratio, before, after, err := Compare(topo, model, spBundles, sol.Bundles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestCompareDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := []flowmodel.Bundle{{Agg: 0, Flows: 1}}
-	ratio, _, _, err := Compare(topo, m, empty, empty, Config{})
+	ratio, _, _, err := Compare(topo, m, empty, empty)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,8 @@ func minimumPaths(topo *topology.Topology, src, dst graph.NodeID, avoid []graph.
 			return
 		}
 		onPath[at] = true
-		for _, id := range gr.OutEdges(at) {
-			if e := gr.Edge(id); !onPath[e.To] && !slices.Contains(avoid, id) {
+		for id := range graph.EdgeID(gr.NumEdges()) {
+			if e := gr.Edge(id); e.From == at && !onPath[e.To] && !slices.Contains(avoid, id) {
 				walk(e.To, w+e.Weight)
 			}
 		}

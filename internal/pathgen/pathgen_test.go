@@ -1,6 +1,7 @@
 package pathgen
 
 import (
+	"slices"
 	"testing"
 
 	"fubar/internal/graph"
@@ -28,20 +29,22 @@ func fourSquare(t *testing.T) *topology.Topology {
 
 func nodeID(t *testing.T, topo *topology.Topology, name string) graph.NodeID {
 	t.Helper()
-	id, ok := topo.NodeByName(name)
-	if !ok {
+	id := slices.Index(topo.NodeNames(), name)
+	if id < 0 {
 		t.Fatalf("node %q", name)
 	}
-	return id
+	return graph.NodeID(id)
 }
 
 func linkID(t *testing.T, topo *topology.Topology, from, to string) graph.EdgeID {
 	t.Helper()
-	id, ok := topo.Graph().EdgeBetween(nodeID(t, topo, from), nodeID(t, topo, to))
-	if !ok {
-		t.Fatalf("link %s->%s", from, to)
+	for _, l := range topo.Links() {
+		if topo.NodeName(l.From) == from && topo.NodeName(l.To) == to {
+			return l.ID
+		}
 	}
-	return id
+	t.Fatalf("link %s->%s", from, to)
+	return -1
 }
 
 func TestNewValidation(t *testing.T) {

@@ -93,7 +93,7 @@ func TestRetargetWalkMatchesFreshGenerator(t *testing.T) {
 					}
 				}
 				policy := Policy{MaxHops: tc.hops, ForbiddenLinks: ForbidLinks(topo, down...)}
-				epochTopo, err := topo.WithScaledCapacity(1 + float64(epoch)/100)
+				epochTopo, err := scaledCapacity(topo, 1+float64(epoch)/100)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,4 +240,13 @@ func TestTrimBoundsWhatAGeneratorKeeps(t *testing.T) {
 	if _, ok := g.LowestDelay(0, 1); !ok || g.forbidSet != 0 {
 		t.Errorf("flush lost the policy's own exclusion set (id %d)", g.forbidSet)
 	}
+}
+
+// scaledCapacity returns a copy of topo with every capacity multiplied by f.
+func scaledCapacity(topo *topology.Topology, f float64) (*topology.Topology, error) {
+	caps := make([]unit.Bandwidth, topo.NumLinks())
+	for i, l := range topo.Links() {
+		caps[i] = unit.Bandwidth(float64(l.Capacity) * f)
+	}
+	return topo.WithCapacities(caps)
 }

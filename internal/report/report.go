@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -86,31 +85,6 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// CSV writes the table as comma-separated values (no escaping beyond
-// replacing commas; all our cells are numeric or simple words).
-func (t *Table) CSV(w io.Writer) error {
-	var b strings.Builder
-	clean := func(s string) string { return strings.ReplaceAll(s, ",", ";") }
-	for i, h := range t.headers {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(clean(h))
-	}
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(clean(c))
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // LineChart plots one or more named series against time in ASCII, the
 // textual analogue of the paper's Fig 3–5 panels.
 type LineChart struct {
@@ -118,9 +92,6 @@ type LineChart struct {
 	width  int
 	height int
 	series []chartSeries
-	yMin   float64
-	yMax   float64
-	fixedY bool
 }
 
 type chartSeries struct {
@@ -139,11 +110,6 @@ func NewLineChart(title string, width, height int) *LineChart {
 		height = 5
 	}
 	return &LineChart{title: title, width: width, height: height}
-}
-
-// SetYRange fixes the Y axis range instead of auto-scaling.
-func (c *LineChart) SetYRange(min, max float64) {
-	c.yMin, c.yMax, c.fixedY = min, max, true
 }
 
 var markers = []byte{'*', '+', 'o', 'x', '#', '@'}
@@ -173,9 +139,6 @@ func (c *LineChart) Render(w io.Writer) error {
 				yMax = p.V
 			}
 		}
-	}
-	if c.fixedY {
-		yMin, yMax = c.yMin, c.yMax
 	}
 	if math.IsInf(yMin, 1) { // no data at all
 		yMin, yMax = 0, 1
@@ -387,16 +350,6 @@ func Sparkline(values []float64) string {
 		b.WriteRune(blocks[idx])
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys sorted, for stable report iteration.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func max(a, b int) int {

@@ -32,22 +32,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("t", "a", "b")
-	tb.AddRow("x,with,commas", 1.5)
-	var buf bytes.Buffer
-	if err := tb.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("CSV header wrong: %q", out)
-	}
-	if strings.Contains(strings.Split(out, "\n")[1], "x,with,commas") {
-		t.Error("commas not sanitized in CSV cell")
-	}
-}
-
 func TestLineChartRender(t *testing.T) {
 	s := metrics.NewSeries("utility")
 	for i := 0; i <= 10; i++ {
@@ -84,7 +68,7 @@ func TestLineChartRender(t *testing.T) {
 	}
 }
 
-func TestLineChartMultipleSeriesAndFixedRange(t *testing.T) {
+func TestLineChartMultipleSeries(t *testing.T) {
 	s1 := metrics.NewSeries("a")
 	s2 := metrics.NewSeries("b")
 	s1.Add(0, 0.2)
@@ -92,7 +76,6 @@ func TestLineChartMultipleSeriesAndFixedRange(t *testing.T) {
 	s2.Add(0, 0.9)
 	s2.Add(time.Second, 0.1)
 	c := NewLineChart("two", 30, 6)
-	c.SetYRange(0, 1)
 	c.AddSeries(s1)
 	c.AddSeries(s2)
 	var buf bytes.Buffer
@@ -103,8 +86,8 @@ func TestLineChartMultipleSeriesAndFixedRange(t *testing.T) {
 	if !strings.Contains(out, "*") || !strings.Contains(out, "+") {
 		t.Error("second series marker missing")
 	}
-	if !strings.Contains(out, "1.000") || !strings.Contains(out, "0.000") {
-		t.Error("fixed Y labels missing")
+	if !strings.Contains(out, "0.900") || !strings.Contains(out, "0.100") {
+		t.Error("Y labels do not span both series")
 	}
 }
 
@@ -197,13 +180,47 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]float64{"c": 1, "a": 2, "b": 3}
-	got := SortedKeys(m)
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedKeys = %v", got)
-		}
+func TestTableRenderAligned(t *testing.T) {
+	tb := NewTable("t", "name", "v")
+	tb.AddRow("a", 1.5)
+	tb.AddRow("long-name", 3*time.Second+456789*time.Microsecond)
+	var buf bytes.Buffer
+	if err := tb.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "== t ==\n" +
+		"name       v     \n" +
+		"---------  ------\n" +
+		"a          1.5000\n" +
+		"long-name  3.456s\n"
+	if got := buf.String(); got != want {
+		t.Errorf("Render =\n%q\nwant\n%q", got, want)
+	}
+	// No title, no title line.
+	untitled := NewTable("", "x")
+	untitled.AddRow(7)
+	buf.Reset()
+	if err := untitled.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "x\n-\n7\n" {
+		t.Errorf("untitled Render = %q", got)
+	}
+}
+
+func TestSeriesCSVEmptySeries(t *testing.T) {
+	s := metrics.NewSeries("u")
+	s.Add(0, 0)
+	s.Add(2*time.Second, 2)
+	var buf bytes.Buffer
+	if err := SeriesCSV(&buf, 3, s, metrics.NewSeries("none")); err != nil {
+		t.Fatal(err)
+	}
+	want := "t_seconds,u,none\n" +
+		"0.000,0.000000,\n" +
+		"1.000,1.000000,\n" +
+		"2.000,2.000000,\n"
+	if got := buf.String(); got != want {
+		t.Errorf("SeriesCSV =\n%q\nwant\n%q", got, want)
 	}
 }

@@ -66,13 +66,10 @@ type ControlPlane struct {
 // AckedFlowMods returns the fabric's cumulative acked-FlowMod ledger —
 // the switches' own count of installs they applied and acknowledged,
 // which the install path cross-checks every wire push against.
-// `fubard -smoke` and benchmark/replay.go check the same equality from
-// outside, on the fubar_ctrlplane_* counters and the epoch rows.
+// TestDaemonTwoConcurrentTenants and benchmark/replay.go check the same
+// equality from outside, on the fubar_ctrlplane_* counters and the epoch
+// rows.
 func (cp *ControlPlane) AckedFlowMods() int { return cp.fabric.AckedFlowMods() }
-
-// HAStats snapshots the control plane's cumulative high-availability
-// counters: failovers, RPC retries, verified rule-table handoffs.
-func (cp *ControlPlane) HAStats() ctrlplane.HAStats { return cp.rs.Stats() }
 
 // ExpiredRules sums the rules caught in agent lease expiries across all
 // switches since the control plane started.

@@ -689,7 +689,6 @@ func (en *engine) materialize() (*epochInstance, error) {
 		}
 	}
 	coreOpts.Policy.ForbiddenLinks = forb
-	coreOpts.InitialBundles = nil
 	return &epochInstance{topo: topoE, mat: matE, keys: keys, opts: coreOpts}, nil
 }
 

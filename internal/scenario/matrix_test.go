@@ -49,7 +49,7 @@ type matrixCell struct {
 // matrixCells enumerates the policy dimension every generator is run
 // against: warm/cold start, incremental/full candidate evaluation,
 // 1-vs-3-replica control plane, and a wall-clock budget cell. Budgeted
-// cells are machine-dependent by construction (see core.Options.Deadline)
+// cells are machine-dependent by construction (see core.Options.Workers)
 // and are checked for invariants only, never determinism.
 func matrixCells() []matrixCell {
 	return []matrixCell{

@@ -31,7 +31,7 @@ type ScalePreset struct {
 	MaxDelay unit.Delay
 }
 
-// scalePresets is the single registry ScalePresets, ScalePresetByName
+// scalePresets is the single registry ScalePresetNames, ScalePresetByName
 // and ScaleInstance derive from. scale-xs is the CI smoke size; scale-s
 // through scale-l are roughly 10x, 30x and 100x the thinned HE-31
 // benchmark instance by aggregate count.
@@ -40,11 +40,6 @@ var scalePresets = []ScalePreset{
 	{Name: "scale-s", Nodes: 100, Aggregates: 1500, Alpha: 0.25, Beta: 0.15, Capacity: 16 * unit.Mbps, MaxDelay: 50 * unit.Millisecond},
 	{Name: "scale-m", Nodes: 300, Aggregates: 4000, Alpha: 0.1, Beta: 0.15, Capacity: 24 * unit.Mbps, MaxDelay: 50 * unit.Millisecond},
 	{Name: "scale-l", Nodes: 1000, Aggregates: 12000, Alpha: 0.03, Beta: 0.15, Capacity: 32 * unit.Mbps, MaxDelay: 50 * unit.Millisecond},
-}
-
-// ScalePresets lists the large-instance presets smallest first.
-func ScalePresets() []ScalePreset {
-	return append([]ScalePreset(nil), scalePresets...)
 }
 
 // ScalePresetNames lists the preset names in registry order, for help

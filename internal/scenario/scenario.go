@@ -214,9 +214,9 @@ func (s Scenario) Validate() error {
 // measurement cadence is closedloop.go's measureEpochs and simEpoch:
 // constants, not fields.
 type Options struct {
-	// Core configures each epoch's optimizer run. InitialBundles and
-	// Policy.ForbiddenLinks are managed by the engine (warm start and
-	// failed links); anything set there is overridden or merged.
+	// Core configures each epoch's optimizer run. Policy.ForbiddenLinks
+	// is managed by the engine (failed links): anything set there is
+	// merged.
 	Core core.Options
 	// ColdStart disables warm starting: every epoch optimizes from the
 	// shortest-path placement. The stale-allocation utility is still
@@ -231,7 +231,7 @@ type Options struct {
 	// cost of the early publish is Utility vs StaleUtility, and on the
 	// simulated network TrueUtility vs StaleTrueUtility). 0 means
 	// unbounded. A real budget makes replays machine-dependent (see
-	// core.Options.Deadline); leave it 0 when checking determinism.
+	// core.Options.Workers); leave it 0 when checking determinism.
 	Budget time.Duration
 
 	// The fields below are read by NewControlPlane and by replays handed

@@ -44,7 +44,7 @@ func TestTableGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.WriteByte('\n')
-	if err := SampleTrajectory("crisis", res, 2).Table().Render(&buf); err != nil {
+	if err := sampleTrajectory("crisis", res, 2).Table().Render(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,4 +65,14 @@ func TestTableGolden(t *testing.T) {
 		t.Errorf("rendered tables diverged from %s:\n--- got ---\n%s\n--- want ---\n%s",
 			golden, buf.Bytes(), want)
 	}
+}
+
+// sampleTrajectory downsamples a collected replay into a trajectory of at
+// most points buckets, as a streaming TrajectoryRecorder would have.
+func sampleTrajectory(family string, res *Result, points int) Trajectory {
+	rec := NewTrajectoryRecorder(family, len(res.Epochs), points)
+	for i := range res.Epochs {
+		rec.Observe(&res.Epochs[i])
+	}
+	return rec.Trajectory()
 }

@@ -115,17 +115,6 @@ func (r *TrajectoryRecorder) Trajectory() Trajectory {
 	return tr
 }
 
-// SampleTrajectory downsamples a collected replay into a trajectory of
-// at most points buckets — the non-streaming convenience over
-// TrajectoryRecorder.
-func SampleTrajectory(family string, res *Result, points int) Trajectory {
-	rec := NewTrajectoryRecorder(family, len(res.Epochs), points)
-	for i := range res.Epochs {
-		rec.Observe(&res.Epochs[i])
-	}
-	return rec.Trajectory()
-}
-
 // Table renders the trajectory as a report table: one row per bucket
 // with the mean utilities, optimizer effort, churn and deadline-miss
 // rate — the per-family view the bench and CLI front ends share.

@@ -74,7 +74,7 @@ func TestInstallValidatesCoverage(t *testing.T) {
 		{Src: 0, Dst: 2, Class: utility.ClassBulk, Flows: 4, Fn: utility.Bulk()},
 	})
 	s, _ := New(topo, truth, Config{Seed: 1})
-	p, _ := graph.ShortestPath(topo.Graph(), 0, 2, graph.Constraints{})
+	p, _ := new(graph.Searcher).ShortestPath(topo.Graph(), 0, 2, graph.Constraints{})
 	// Wrong flow count.
 	if err := s.Install([]flowmodel.Bundle{flowmodel.NewBundle(topo, 0, 3, p)}); err == nil {
 		t.Error("partial coverage accepted")

@@ -7,7 +7,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 
 	"fubar/internal/graph"
 	"fubar/internal/unit"
@@ -47,7 +46,6 @@ type SRLG struct {
 type Topology struct {
 	name  string
 	nodes []string
-	index map[string]NodeID
 	links []Link
 	srlgs []SRLG
 	g     *graph.Graph
@@ -79,12 +77,6 @@ func (t *Topology) NodeName(id NodeID) string { return t.nodes[id] }
 
 // NodeNames returns all node names in ID order. The caller owns the slice.
 func (t *Topology) NodeNames() []string { return append([]string(nil), t.nodes...) }
-
-// NodeByName resolves a node name.
-func (t *Topology) NodeByName(name string) (NodeID, bool) {
-	id, ok := t.index[name]
-	return id, ok
-}
 
 // Link returns the directed link with the given ID.
 func (t *Topology) Link(id LinkID) Link { return t.links[id] }
@@ -138,7 +130,7 @@ func (t *Topology) WithSRLGs(groups []SRLG) (*Topology, error) {
 	for i, g := range groups {
 		cp[i] = SRLG{Name: g.Name, Links: append([]LinkID(nil), g.Links...)}
 	}
-	return &Topology{name: t.name, nodes: t.nodes, index: t.index, links: t.links, srlgs: cp, g: t.g}, nil
+	return &Topology{name: t.name, nodes: t.nodes, links: t.links, srlgs: cp, g: t.g}, nil
 }
 
 // Capacity returns the capacity of a directed link.
@@ -175,15 +167,6 @@ func (t *Topology) PathBottleneck(p graph.Path) unit.Bandwidth {
 	return min
 }
 
-// TotalCapacity sums the capacity over all directed links.
-func (t *Topology) TotalCapacity() unit.Bandwidth {
-	var sum unit.Bandwidth
-	for _, l := range t.links {
-		sum += l.Capacity
-	}
-	return sum
-}
-
 // WithUniformCapacity returns a copy of the topology with every link's
 // capacity replaced. This is how the paper's provisioned (100 Mbps) and
 // underprovisioned (75 Mbps) variants are derived from one topology.
@@ -198,23 +181,10 @@ func (t *Topology) WithUniformCapacity(c unit.Bandwidth) (*Topology, error) {
 	return &Topology{
 		name:  t.name,
 		nodes: t.nodes,
-		index: t.index,
 		links: links,
 		srlgs: t.srlgs,
 		g:     t.g,
 	}, nil
-}
-
-// WithScaledCapacity returns a copy with every capacity multiplied by f.
-func (t *Topology) WithScaledCapacity(f float64) (*Topology, error) {
-	if f <= 0 {
-		return nil, fmt.Errorf("topology: non-positive capacity scale %v", f)
-	}
-	links := append([]Link(nil), t.links...)
-	for i := range links {
-		links[i].Capacity = unit.Bandwidth(float64(links[i].Capacity) * f)
-	}
-	return &Topology{name: t.name, nodes: t.nodes, index: t.index, links: links, srlgs: t.srlgs, g: t.g}, nil
 }
 
 // WithLinkCapacity returns a copy with one physical link's capacity
@@ -234,7 +204,7 @@ func (t *Topology) WithLinkCapacity(id LinkID, c unit.Bandwidth) (*Topology, err
 	if r := links[id].Reverse; r >= 0 {
 		links[r].Capacity = c
 	}
-	return &Topology{name: t.name, nodes: t.nodes, index: t.index, links: links, srlgs: t.srlgs, g: t.g}, nil
+	return &Topology{name: t.name, nodes: t.nodes, links: links, srlgs: t.srlgs, g: t.g}, nil
 }
 
 // WithCapacities returns a copy with every directed link's capacity
@@ -253,7 +223,7 @@ func (t *Topology) WithCapacities(caps []unit.Bandwidth) (*Topology, error) {
 		}
 		links[i].Capacity = caps[i]
 	}
-	return &Topology{name: t.name, nodes: t.nodes, index: t.index, links: links, srlgs: t.srlgs, g: t.g}, nil
+	return &Topology{name: t.name, nodes: t.nodes, links: links, srlgs: t.srlgs, g: t.g}, nil
 }
 
 // LinkName renders a directed link as "A->B".
@@ -357,11 +327,7 @@ func (b *Builder) Build() (*Topology, error) {
 	t := &Topology{
 		name:  b.name,
 		nodes: append([]string(nil), b.nodes...),
-		index: make(map[string]NodeID, len(b.index)),
 		g:     graph.New(len(b.nodes)),
-	}
-	for k, v := range b.index {
-		t.index[k] = v
 	}
 	for _, s := range b.specs {
 		// Negated so that NaN, which fails every comparison, is refused too.
@@ -371,7 +337,7 @@ func (b *Builder) Build() (*Topology, error) {
 		if !(s.delay >= 0) {
 			return nil, fmt.Errorf("topology: link %s-%s delay must be non-negative, got %v", s.a, s.b, s.delay)
 		}
-		from, to := t.index[s.a], t.index[s.b]
+		from, to := b.index[s.a], b.index[s.b]
 		fid, err := t.g.AddEdge(from, to, float64(s.delay))
 		if err != nil {
 			return nil, fmt.Errorf("topology: link %s-%s: %v", s.a, s.b, err)
@@ -396,12 +362,4 @@ func (b *Builder) Build() (*Topology, error) {
 func (t *Topology) Summary() string {
 	return fmt.Sprintf("%s: %d nodes, %d bidirectional links (%d directed)",
 		t.name, t.NumNodes(), t.NumBidirectionalLinks(), t.NumLinks())
-}
-
-// SortedNodeNames returns node names sorted lexicographically (useful for
-// stable reporting).
-func (t *Topology) SortedNodeNames() []string {
-	names := t.NodeNames()
-	sort.Strings(names)
-	return names
 }

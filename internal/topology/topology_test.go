@@ -3,6 +3,7 @@ package topology
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,12 +34,6 @@ func TestBuilderBasics(t *testing.T) {
 	}
 	if topo.NumBidirectionalLinks() != 3 {
 		t.Errorf("NumBidirectionalLinks = %d, want 3", topo.NumBidirectionalLinks())
-	}
-	if _, ok := topo.NodeByName("B"); !ok {
-		t.Error("NodeByName(B) not found")
-	}
-	if _, ok := topo.NodeByName("Z"); ok {
-		t.Error("NodeByName(Z) found phantom node")
 	}
 	if got := topo.Summary(); !strings.Contains(got, "tri") {
 		t.Errorf("Summary = %q", got)
@@ -128,9 +123,7 @@ func TestOneWayLink(t *testing.T) {
 
 func TestPathMetrics(t *testing.T) {
 	topo := triangle(t)
-	a, _ := topo.NodeByName("A")
-	c, _ := topo.NodeByName("C")
-	p, ok := graph.ShortestPath(topo.Graph(), a, c, graph.Constraints{})
+	p, ok := new(graph.Searcher).ShortestPath(topo.Graph(), 0, 2, graph.Constraints{}) // A->C
 	if !ok {
 		t.Fatal("no path A->C")
 	}
@@ -169,25 +162,105 @@ func TestWithUniformCapacity(t *testing.T) {
 	}
 }
 
-func TestWithScaledCapacity(t *testing.T) {
-	topo := triangle(t)
-	s, err := topo.WithScaledCapacity(0.5)
+func TestWithLinkCapacity(t *testing.T) {
+	b := NewBuilder("ow")
+	b.AddLink("A", "B", 10*unit.Mbps, 1*unit.Millisecond)
+	b.AddOneWayLink("B", "C", 10*unit.Mbps, 1*unit.Millisecond)
+	b.AddOneWayLink("C", "A", 10*unit.Mbps, 1*unit.Millisecond)
+	topo, err := b.Build()
 	if err != nil {
-		t.Fatalf("WithScaledCapacity: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	if got := s.Link(0).Capacity; got != 50*unit.Mbps {
-		t.Errorf("scaled capacity = %v, want 50Mbps", got)
+	// A bidirectional link changes in both directions; zero models a
+	// failure and is accepted.
+	rev := topo.Link(0).Reverse
+	if rev < 0 {
+		t.Fatal("link 0 has no reverse")
 	}
-	if _, err := topo.WithScaledCapacity(-1); err == nil {
-		t.Error("negative scale accepted")
+	failed, err := topo.WithLinkCapacity(0, 0)
+	if err != nil {
+		t.Fatalf("WithLinkCapacity(0, 0): %v", err)
+	}
+	for _, l := range failed.Links() {
+		want := 10 * unit.Mbps
+		if l.ID == 0 || l.ID == rev {
+			want = 0
+		}
+		if l.Capacity != want {
+			t.Errorf("link %s capacity %v, want %v", failed.LinkName(l.ID), l.Capacity, want)
+		}
+	}
+	// A one-way link changes alone.
+	var oneWay LinkID = -1
+	for _, l := range topo.Links() {
+		if l.Reverse < 0 {
+			oneWay = l.ID
+			break
+		}
+	}
+	halved, err := topo.WithLinkCapacity(oneWay, 5*unit.Mbps)
+	if err != nil {
+		t.Fatalf("WithLinkCapacity(%d): %v", oneWay, err)
+	}
+	for _, l := range halved.Links() {
+		want := 10 * unit.Mbps
+		if l.ID == oneWay {
+			want = 5 * unit.Mbps
+		}
+		if l.Capacity != want {
+			t.Errorf("link %s capacity %v, want %v", halved.LinkName(l.ID), l.Capacity, want)
+		}
+	}
+	// Edge IDs and the graph stay shared; the original is untouched.
+	if halved.Graph() != topo.Graph() || halved.NumLinks() != topo.NumLinks() {
+		t.Error("WithLinkCapacity changed the link set")
+	}
+	if topo.Capacity(0) != 10*unit.Mbps || topo.Capacity(rev) != 10*unit.Mbps {
+		t.Error("WithLinkCapacity mutated the original")
+	}
+	if _, err := topo.WithLinkCapacity(0, -1); err == nil {
+		t.Error("negative capacity accepted")
+	}
+	for _, id := range []LinkID{-1, LinkID(topo.NumLinks())} {
+		if _, err := topo.WithLinkCapacity(id, unit.Mbps); err == nil {
+			t.Errorf("link %d outside the topology accepted", id)
+		}
 	}
 }
 
-func TestTotalCapacity(t *testing.T) {
+func TestWithCapacities(t *testing.T) {
 	topo := triangle(t)
-	want := unit.Bandwidth(2 * (100 + 100 + 50) * 1000) // both directions, kbps
-	if got := topo.TotalCapacity(); got != want {
-		t.Errorf("TotalCapacity = %v, want %v", got, want)
+	caps := make([]unit.Bandwidth, topo.NumLinks())
+	for i := range caps {
+		caps[i] = unit.Bandwidth(i) * unit.Mbps // link 0 fails
+	}
+	c, err := topo.WithCapacities(caps)
+	if err != nil {
+		t.Fatalf("WithCapacities: %v", err)
+	}
+	for i, want := range caps {
+		if got := c.Capacity(LinkID(i)); got != want {
+			t.Errorf("link %d capacity %v, want %v", i, got, want)
+		}
+	}
+	// Directions are set independently, not mirrored as in
+	// WithLinkCapacity.
+	if r := c.Link(1).Reverse; r >= 0 && c.Capacity(r) == c.Capacity(1) {
+		t.Errorf("link 1 and its reverse %d both %v", r, c.Capacity(1))
+	}
+	caps[2] = 99 * unit.Mbps
+	if c.Capacity(2) != 2*unit.Mbps {
+		t.Error("WithCapacities aliases the caller's slice")
+	}
+	if topo.Capacity(0) != 100*unit.Mbps {
+		t.Error("WithCapacities mutated the original")
+	}
+	if _, err := topo.WithCapacities(caps[:len(caps)-1]); err == nil {
+		t.Error("short capacity list accepted")
+	}
+	caps[3] = -unit.Mbps
+	if _, err := topo.WithCapacities(caps); err == nil {
+		t.Error("negative capacity accepted")
 	}
 }
 
@@ -212,7 +285,7 @@ func TestHurricaneElectricShape(t *testing.T) {
 	g := topo.Graph()
 	var maxDelay unit.Delay
 	for src := 0; src < topo.NumNodes(); src++ {
-		tree := graph.ShortestPathTree(g, graph.NodeID(src), graph.Constraints{})
+		tree := new(graph.Searcher).ShortestPathTree(g, graph.NodeID(src), graph.Constraints{})
 		for dst := 0; dst < topo.NumNodes(); dst++ {
 			p, ok := tree.Path(g, graph.NodeID(dst))
 			if !ok {
@@ -323,13 +396,13 @@ func TestDumbbellGenerator(t *testing.T) {
 	if topo.NumNodes() != 8 {
 		t.Errorf("nodes = %d, want 8", topo.NumNodes())
 	}
-	hl, _ := topo.NodeByName("hubL")
-	hr, _ := topo.NodeByName("hubR")
-	id, ok := topo.Graph().EdgeBetween(hl, hr)
-	if !ok {
+	id := slices.IndexFunc(topo.Links(), func(l Link) bool {
+		return topo.NodeName(l.From) == "hubL" && topo.NodeName(l.To) == "hubR"
+	})
+	if id < 0 {
 		t.Fatal("no bottleneck link")
 	}
-	if got := topo.Capacity(id); got != 10*unit.Mbps {
+	if got := topo.Capacity(LinkID(id)); got != 10*unit.Mbps {
 		t.Errorf("bottleneck capacity = %v, want 10Mbps", got)
 	}
 	if _, err := Dumbbell(0, 1, 1); err == nil {
@@ -450,7 +523,6 @@ func TestSRLGs(t *testing.T) {
 	}
 	for name, derive := range map[string]func() (*Topology, error){
 		"WithUniformCapacity": func() (*Topology, error) { return st.WithUniformCapacity(unit.Mbps) },
-		"WithScaledCapacity":  func() (*Topology, error) { return st.WithScaledCapacity(0.5) },
 		"WithLinkCapacity":    func() (*Topology, error) { return st.WithLinkCapacity(0, unit.Mbps) },
 		"WithCapacities":      func() (*Topology, error) { return st.WithCapacities(caps) },
 	} {

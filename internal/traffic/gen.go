@@ -226,26 +226,3 @@ func RandomAggregate(rng *rand.Rand, cfg GenConfig) (Aggregate, error) {
 	}
 	return drawAggregate(rng, cfg), nil
 }
-
-// Uniform builds a deterministic all-pairs matrix in which every aggregate
-// has the same class and flow count — handy for tests and capacity
-// planning sanity checks.
-func Uniform(topo *topology.Topology, class utility.Class, flows int) (*Matrix, error) {
-	if flows <= 0 {
-		return nil, fmt.Errorf("traffic: flows must be positive, got %d", flows)
-	}
-	n := topo.NumNodes()
-	var aggs []Aggregate
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			aggs = append(aggs, Aggregate{
-				Src: topology.NodeID(src), Dst: topology.NodeID(dst),
-				Class: class, Flows: flows, Fn: utility.ForClass(class), Weight: 1,
-			})
-		}
-	}
-	return NewMatrix(topo, aggs)
-}

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"fubar/internal/topology"
@@ -291,30 +292,189 @@ func TestGenConfigValidation(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
+func TestSummaryMentionsComposition(t *testing.T) {
 	topo := testTopo(t)
-	m, err := Uniform(topo, utility.ClassBulk, 4)
+	m, err := NewMatrix(topo, []Aggregate{
+		{Src: 0, Dst: 1, Class: utility.ClassRealTime, Flows: 2, Fn: utility.RealTime(), Weight: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumAggregates() != 6 {
-		t.Errorf("aggregates = %d, want 6", m.NumAggregates())
-	}
-	for _, a := range m.Aggregates() {
-		if a.Flows != 4 || a.Class != utility.ClassBulk {
-			t.Errorf("aggregate %+v not uniform", a)
-		}
-	}
-	if _, err := Uniform(topo, utility.ClassBulk, 0); err == nil {
-		t.Error("zero flows accepted")
-	}
-}
-
-func TestSummaryMentionsComposition(t *testing.T) {
-	topo := testTopo(t)
-	m, _ := Uniform(topo, utility.ClassRealTime, 2)
 	s := m.Summary()
 	if s == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+func TestSubset(t *testing.T) {
+	topo := testTopo(t)
+	m, err := NewMatrix(topo, []Aggregate{
+		{Src: 0, Dst: 1, Class: utility.ClassBulk, Flows: 5, Fn: utility.Bulk(), Weight: 2},
+		{Src: 1, Dst: 2, Class: utility.ClassRealTime, Flows: 3, Fn: utility.RealTime()},
+		{Src: 2, Dst: 0, Class: utility.ClassBulk, Flows: 7, Fn: utility.Bulk(), Weight: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk, err := m.Subset(func(a Aggregate) bool { return a.Class == utility.ClassBulk })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bulk.NumAggregates() != 2 || bulk.Topology() != topo {
+		t.Fatalf("subset has %d aggregates over %v, want 2 over the same topology",
+			bulk.NumAggregates(), bulk.Topology())
+	}
+	// Kept aggregates keep their fields, in order, under dense new IDs.
+	for i, want := range []Aggregate{m.Aggregate(0), m.Aggregate(2)} {
+		got := bulk.Aggregate(AggregateID(i))
+		if got.ID != AggregateID(i) {
+			t.Errorf("kept aggregate %d has ID %d", i, got.ID)
+		}
+		if got.Src != want.Src || got.Dst != want.Dst || got.Flows != want.Flows || got.Weight != want.Weight {
+			t.Errorf("kept aggregate %d = %+v, want the fields of %+v", i, got, want)
+		}
+	}
+	if m.NumAggregates() != 3 || m.Aggregate(2).ID != 2 {
+		t.Error("Subset mutated the original")
+	}
+	if _, err := m.Subset(func(Aggregate) bool { return false }); err == nil {
+		t.Error("empty subset accepted")
+	}
+}
+
+func TestSparseShape(t *testing.T) {
+	topo, err := topology.HurricaneElectric(100 * unit.Mbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultGenConfig(4)
+	cfg.GravitySkew = 0 // assert the raw class flow ranges
+	m, err := Sparse(topo, cfg, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.NumAggregates(); got != 200 {
+		t.Fatalf("aggregates = %d, want 200", got)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	srcs := map[topology.NodeID]bool{}
+	for _, a := range m.Aggregates() {
+		if a.IsSelfPair() {
+			t.Fatalf("aggregate %d is a self pair", a.ID)
+		}
+		srcs[a.Src] = true
+		var lo, hi int
+		switch a.Class {
+		case utility.ClassRealTime:
+			lo, hi = cfg.RealTimeFlows[0], cfg.RealTimeFlows[1]
+		case utility.ClassBulk:
+			lo, hi = cfg.BulkFlows[0], cfg.BulkFlows[1]
+		case utility.ClassLargeFile:
+			lo, hi = cfg.LargeFlows[0], cfg.LargeFlows[1]
+		}
+		if a.Flows < lo || a.Flows > hi {
+			t.Fatalf("aggregate %d class %v flows %d outside [%d,%d]", a.ID, a.Class, a.Flows, lo, hi)
+		}
+	}
+	// 200 uniform draws over 31 sources miss hardly any of them.
+	if len(srcs) < 25 {
+		t.Errorf("only %d of 31 nodes source an aggregate", len(srcs))
+	}
+	if rt, bulk := m.CountClass(utility.ClassRealTime), m.CountClass(utility.ClassBulk); rt < 60 || bulk < 60 {
+		t.Errorf("rt=%d bulk=%d, want roughly balanced", rt, bulk)
+	}
+}
+
+func TestSparseDeterminism(t *testing.T) {
+	topo, err := topology.HurricaneElectric(100 * unit.Mbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := func(seed int64) []Aggregate {
+		m, err := Sparse(topo, DefaultGenConfig(seed), 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Aggregates()
+	}
+	a, b := draw(9), draw(9)
+	for i := range a {
+		if a[i].Src != b[i].Src || a[i].Dst != b[i].Dst || a[i].Class != b[i].Class || a[i].Flows != b[i].Flows {
+			t.Fatalf("same seed, aggregate %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+	c := draw(10)
+	same := true
+	for i := range a {
+		same = same && a[i].Src == c[i].Src && a[i].Dst == c[i].Dst && a[i].Flows == c[i].Flows
+	}
+	if same {
+		t.Error("different seeds produced identical sparse matrices (suspicious)")
+	}
+}
+
+func TestSparseRejectsBadArguments(t *testing.T) {
+	topo := testTopo(t)
+	for _, n := range []int{0, -3} {
+		if _, err := Sparse(topo, DefaultGenConfig(1), n); err == nil {
+			t.Errorf("aggregate count %d accepted", n)
+		}
+	}
+	bad := DefaultGenConfig(1)
+	bad.RealTimeFraction = 2
+	if _, err := Sparse(topo, bad, 5); err == nil {
+		t.Error("invalid config accepted")
+	}
+	b := topology.NewBuilder("one")
+	b.AddNode("A")
+	single, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sparse(single, DefaultGenConfig(1), 5); err == nil {
+		t.Error("single-node topology accepted")
+	}
+}
+
+// TestRandomAggregateFollowsGenerateStream draws aggregates one at a time
+// from the seed's stream and expects exactly the classes and flow counts
+// Generate assigns to the pairs in order (no gravity: Generate then draws
+// nothing else from the stream).
+func TestRandomAggregateFollowsGenerateStream(t *testing.T) {
+	topo := testTopo(t)
+	cfg := DefaultGenConfig(11)
+	cfg.GravitySkew = 0
+	cfg.LargeProbability = 0.3 // exercise the large class on a small matrix
+	m, err := Generate(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	large := 0
+	for _, want := range m.Aggregates() {
+		got, err := RandomAggregate(rng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Class != want.Class || got.Flows != want.Flows || got.Demand() != want.Demand() || got.Weight != 1 {
+			t.Fatalf("draw %d = %v/%d flows/%v, Generate gave %v/%d flows/%v",
+				want.ID, got.Class, got.Flows, got.Demand(), want.Class, want.Flows, want.Demand())
+		}
+		if got.Src != 0 || got.Dst != 0 {
+			t.Fatalf("draw %d set endpoints %d->%d", want.ID, got.Src, got.Dst)
+		}
+		if got.Class == utility.ClassLargeFile {
+			large++
+		}
+	}
+	if large == 0 {
+		t.Error("no large aggregate drawn; the class check covered two classes only")
+	}
+	bad := cfg
+	bad.LargePeaks = nil
+	if _, err := RandomAggregate(rng, bad); err == nil {
+		t.Error("large probability without peaks accepted")
 	}
 }

@@ -34,12 +34,6 @@ func (b Bandwidth) Mbps() float64 { return float64(b) / 1000 }
 // Gbps reports the bandwidth in gigabits per second.
 func (b Bandwidth) Gbps() float64 { return float64(b) / 1e6 }
 
-// BitsPerSecond reports the bandwidth in bits per second.
-func (b Bandwidth) BitsPerSecond() float64 { return float64(b) * 1000 }
-
-// IsZero reports whether the bandwidth is exactly zero.
-func (b Bandwidth) IsZero() bool { return b == 0 }
-
 // String formats the bandwidth with an auto-selected unit suffix.
 func (b Bandwidth) String() string {
 	abs := math.Abs(float64(b))
@@ -96,20 +90,12 @@ const (
 	Second      Delay = 1000 * Millisecond
 )
 
-// Milliseconds reports the delay in milliseconds.
-func (d Delay) Milliseconds() float64 { return float64(d) }
-
 // Seconds reports the delay in seconds.
 func (d Delay) Seconds() float64 { return float64(d) / 1000 }
 
 // Duration converts the delay to a time.Duration.
 func (d Delay) Duration() time.Duration {
 	return time.Duration(float64(d) * float64(time.Millisecond))
-}
-
-// DelayFromDuration converts a time.Duration to a Delay.
-func DelayFromDuration(d time.Duration) Delay {
-	return Delay(float64(d) / float64(time.Millisecond))
 }
 
 // String formats the delay in milliseconds (or seconds above one second).

@@ -18,9 +18,6 @@ func TestBandwidthConversions(t *testing.T) {
 	if got := (2 * Gbps).Mbps(); got != 2000 {
 		t.Errorf("Gbps->Mbps = %v, want 2000", got)
 	}
-	if got := (1 * Kbps).BitsPerSecond(); got != 1000 {
-		t.Errorf("BitsPerSecond = %v, want 1000", got)
-	}
 }
 
 func TestBandwidthString(t *testing.T) {
@@ -101,9 +98,6 @@ func TestDelayConversions(t *testing.T) {
 	if got := d.Duration(); got != 250*time.Millisecond {
 		t.Errorf("Duration() = %v, want 250ms", got)
 	}
-	if got := DelayFromDuration(1200 * time.Millisecond); got != 1200*Millisecond {
-		t.Errorf("DelayFromDuration = %v, want 1200ms", got)
-	}
 }
 
 func TestDelayString(t *testing.T) {
@@ -155,9 +149,7 @@ func TestParseDelayErrors(t *testing.T) {
 
 func TestDelayDurationRoundTrip(t *testing.T) {
 	f := func(ms uint16) bool {
-		d := Delay(ms)
-		back := DelayFromDuration(d.Duration())
-		return math.Abs(float64(back-d)) < 1e-6
+		return Delay(ms).Duration() == time.Duration(ms)*time.Millisecond
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

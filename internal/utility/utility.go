@@ -185,12 +185,6 @@ func (f Function) Name() string { return f.name }
 // Valid reports whether the function was properly constructed.
 func (f Function) Valid() bool { return f.bandwidth.Valid() && f.delay.Valid() }
 
-// BandwidthComponent returns the bandwidth curve.
-func (f Function) BandwidthComponent() Curve { return f.bandwidth }
-
-// DelayComponent returns the delay curve.
-func (f Function) DelayComponent() Curve { return f.delay }
-
 // Eval computes the utility of a flow receiving per-flow bandwidth bw over
 // a path with one-way delay d.
 func (f Function) Eval(bw unit.Bandwidth, d unit.Delay) float64 {

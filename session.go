@@ -82,10 +82,12 @@ func WithWorkers(n int) SessionOption {
 
 // WithBudget bounds each optimization's wall-clock time: every Optimize
 // call and every replay epoch's re-optimization runs under a
-// context.WithTimeout of d layered beneath the caller's context. A
-// truncated run publishes its best-so-far solution with StopDeadline
-// (DeadlineMiss on closed-loop epochs). Wall-clock budgets make runs
-// machine-dependent; leave unset when checking determinism.
+// context.WithTimeout of d layered beneath the caller's context. It is
+// the session's only wall-clock bound besides the caller's own context:
+// an optimizer run has no time limit of its own. A truncated run
+// publishes its best-so-far solution with StopDeadline (DeadlineMiss on
+// closed-loop epochs). Wall-clock budgets make runs machine-dependent;
+// leave unset when checking determinism.
 func WithBudget(d time.Duration) SessionOption {
 	return func(c *sessionConfig) { c.Budget = d }
 }
@@ -285,7 +287,7 @@ func (s *Session) Optimize(ctx context.Context) (*Solution, error) {
 		}
 		s.lent = false
 	}
-	initial := s.cfg.Core.InitialBundles
+	var initial []flowmodel.Bundle
 	if s.last != nil && !s.cfg.ColdStart {
 		initial = s.last.Bundles
 	}

@@ -87,7 +87,7 @@ func TestFacadeScenarioMatrixAcceptance(t *testing.T) {
 					t.Errorf("epoch %d: ground-truth utility %v (black hole?)", e.Epoch, e.TrueUtility)
 				}
 			}
-			tr := scenario.SampleTrajectory(name, res, 2)
+			tr := sampleTrajectory(name, res, 2)
 			covered := 0
 			for _, p := range tr.Points {
 				covered += p.Epochs
@@ -124,7 +124,7 @@ func TestFacadeSoakScenario(t *testing.T) {
 	if len(res.Epochs) != 200 {
 		t.Fatalf("replayed %d epochs, want 200", len(res.Epochs))
 	}
-	tr := scenario.SampleTrajectory("soak", res, 8)
+	tr := sampleTrajectory("soak", res, 8)
 	if len(tr.Points) != 8 {
 		t.Fatalf("trajectory has %d points, want 8", len(tr.Points))
 	}
@@ -144,4 +144,14 @@ func TestFacadeSoakScenario(t *testing.T) {
 			t.Fatalf("composite events out of epoch order at %d", i)
 		}
 	}
+}
+
+// sampleTrajectory downsamples a collected replay into a trajectory of at
+// most points buckets, as a streaming TrajectoryRecorder would have.
+func sampleTrajectory(family string, res *scenario.Result, points int) scenario.Trajectory {
+	rec := scenario.NewTrajectoryRecorder(family, len(res.Epochs), points)
+	for i := range res.Epochs {
+		rec.Observe(&res.Epochs[i])
+	}
+	return rec.Trajectory()
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -163,5 +164,121 @@ func TestExportedSurfacePinned(t *testing.T) {
 		if !kept {
 			t.Errorf("%s %s has no importer in any non-test file under cmd/, examples/ or benchmark/", d.kind, d.name)
 		}
+	}
+}
+
+// callerless lists the exported functions and methods a caller check may
+// not flag although no non-test file names them, each with its reason.
+// A bare name covers that method on every type.
+var callerless = map[string]string{
+	"String":                     "called through fmt.Stringer",
+	"Error":                      "called through the error interface",
+	"MarshalJSON":                "called through json.Marshaler",
+	"MarshalText":                "called through encoding.TextMarshaler",
+	"scenario.Result.Equivalent": "the determinism oracle the replay tests compare against",
+}
+
+// TestInternalExportsHaveCallers extends TestExportedSurfacePinned's rule
+// to internal/: every exported function and method there is named by some
+// non-test file of the module, benchmark/ included, or is in callerless.
+// Only go/parser is used, so the check is by name: a function is called
+// when a file that imports its package selects it (or its own package
+// names it), a method when any file selects a field or method of its name.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	funcs := map[string]bool{}   // "fubar/internal/pkg.F" selected through an import
+	idents := map[string]bool{}  // "internal/pkg.F" named inside its package
+	methods := map[string]bool{} // ".M" selected on anything but a package
+	type export struct{ dir, recv, name string }
+	var exports []export
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if n := e.Name(); p != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			ip := strings.Trim(imp.Path.Value, `"`)
+			local := path.Base(ip)
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = ip
+		}
+		// skip holds the identifiers that name nothing in this package: the
+		// functions' own names and every selector's right-hand side.
+		skip := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			skip[d.Name] = true
+			if !strings.HasPrefix(dir, "internal/") || !d.Name.IsExported() {
+				continue
+			}
+			recv := ""
+			if d.Recv != nil {
+				typ := d.Recv.List[0].Type
+				if st, ok := typ.(*ast.StarExpr); ok {
+					typ = st.X
+				}
+				switch ix := typ.(type) {
+				case *ast.IndexExpr:
+					typ = ix.X
+				case *ast.IndexListExpr:
+					typ = ix.X
+				}
+				recv = typ.(*ast.Ident).Name
+			}
+			exports = append(exports, export{dir, recv, d.Name.Name})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				skip[x.Sel] = true
+				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					funcs[imports[id.Name]+"."+x.Sel.Name] = true
+				} else {
+					methods[x.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if !skip[x] {
+					idents[dir+"."+x.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range exports {
+		pkg := path.Base(x.dir)
+		if x.recv == "" {
+			if funcs["fubar/"+x.dir+"."+x.name] || idents[x.dir+"."+x.name] || callerless[pkg+"."+x.name] != "" {
+				continue
+			}
+			t.Errorf("%s.%s is exported but no non-test file calls it: delete it", pkg, x.name)
+			continue
+		}
+		if methods[x.name] || callerless[x.name] != "" || callerless[pkg+"."+x.recv+"."+x.name] != "" {
+			continue
+		}
+		t.Errorf("%s.%s.%s is exported but no non-test file calls it: delete it", pkg, x.recv, x.name)
 	}
 }
