@@ -422,7 +422,6 @@ func BenchmarkColdOptimizeScaleS(b *testing.B) {
 // timelines of epochs epochs each.
 type replayLeg struct {
 	name     string
-	closed   bool
 	epochs   int // per timeline
 	instance func() (*Topology, *Matrix, error)
 	opts     []SessionOption
@@ -430,11 +429,11 @@ type replayLeg struct {
 }
 
 var replayLegs = []replayLeg{
-	{"he-crisis", false, 8, func() (*Topology, *Matrix, error) { return scenario.HEBenchInstance(5) }, nil,
+	{"he-crisis", 8, func() (*Topology, *Matrix, error) { return scenario.HEBenchInstance(5) }, nil,
 		func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
 			return s.Replay(context.Background(), CrisisScenario(seed, 8, 1.3, 3))
 		}},
-	{"ring-soak", true, 200, func() (*Topology, *Matrix, error) {
+	{"ring-soak", 200, func() (*Topology, *Matrix, error) {
 		topo, err := RingTopology(6, 3, 600*Kbps, 1)
 		if err != nil {
 			return nil, nil, err
@@ -492,9 +491,9 @@ func (leg replayLeg) warmEpochs(tb testing.TB, n int, begin, end func(*Telemetry
 // what a per-epoch rebuild of the optimizer, its path memo or its arenas
 // would bring back, the candidates and refuted bundles what the pass loop
 // asked flowmodel to score and what it skipped. At a fixed -benchtime the
-// open loop's allocs and work counts are exact per commit and its bytes
-// repeat to well under a percent (map buckets); the closed loop's
-// allocations carry its control plane's goroutines too.
+// work counts are exact per commit, and allocs and bytes repeat to well
+// under a percent (map buckets) on both legs, the closed loop's control
+// plane goroutines included.
 func BenchmarkReplayEpoch(b *testing.B) {
 	for _, leg := range replayLegs {
 		b.Run(leg.name, func(b *testing.B) {

@@ -344,7 +344,8 @@ type (
 	Sim = sdnsim.Sim
 	// SimConfig tunes the simulator.
 	SimConfig = sdnsim.Config
-	// EpochStats is one epoch of switch counters.
+	// EpochStats is one epoch of switch counters. A Sim's RunEpoch
+	// returns its own, valid until its next RunEpoch.
 	EpochStats = sdnsim.EpochStats
 	// Estimator reconstructs the traffic matrix from counters (§2.2).
 	Estimator = measure.Estimator

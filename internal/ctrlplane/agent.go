@@ -98,6 +98,9 @@ type Agent struct {
 	closed bool
 	wbuf   []byte // frame buffer every write reuses, under mu
 
+	// counters is every stats poll's batch, only ever touched by Serve.
+	counters CounterBatch
+
 	// fence is the FlowMod state the managed agent keeps across
 	// reconnects.
 	fence *flowModFence
@@ -233,8 +236,8 @@ func (a *Agent) handleFlowMod(m FlowMod) {
 
 // handleStatsReq snapshots counters and replies.
 func (a *Agent) handleStatsReq(m StatsReq) {
-	batch, err := a.dp.ReadCounters()
-	if err != nil {
+	batch := &a.counters
+	if err := a.dp.ReadCounters(batch); err != nil {
 		_ = a.write(ErrorMsg{Token: m.Token, Code: ErrCodeCounters, Text: err.Error()})
 		return
 	}

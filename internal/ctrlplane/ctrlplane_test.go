@@ -233,6 +233,7 @@ func TestClosedLoopImprovesUtility(t *testing.T) {
 	spUtility, _ := n.fabric.TrueUtility()
 
 	est := measure.NewEstimator(measure.KeysFromMatrix(n.truth))
+	var merged sdnsim.EpochStats
 	installs := 0
 	for epoch := 0; epoch < 6; epoch++ {
 		if err := n.fabric.RunEpoch(); err != nil {
@@ -242,7 +243,8 @@ func TestClosedLoopImprovesUtility(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CollectStats epoch %d: %v", epoch, err)
 		}
-		if err := est.Observe(MergeStats(n.topo, replies)); err != nil {
+		MergeStats(n.topo, replies, &merged)
+		if err := est.Observe(&merged); err != nil {
 			t.Fatalf("Observe epoch %d: %v", epoch, err)
 		}
 		if (epoch+1)%3 != 0 {
@@ -435,8 +437,8 @@ func TestAgentDialErrors(t *testing.T) {
 type nopDatapath struct{}
 
 func (nopDatapath) InstallRules(uint64, []Rule) error { return nil }
-func (nopDatapath) ReadCounters() (CounterBatch, error) {
-	return CounterBatch{}, fmt.Errorf("no counters")
+func (nopDatapath) ReadCounters(*CounterBatch) error {
+	return fmt.Errorf("no counters")
 }
 
 func TestStatsErrorPropagates(t *testing.T) {
@@ -471,7 +473,8 @@ func TestMergeStats(t *testing.T) {
 			{Agg: 1, Flows: 1, Bytes: 50, Links: []uint32{1}},
 		}},
 	}
-	stats := MergeStats(topo, replies)
+	stats := new(sdnsim.EpochStats)
+	MergeStats(topo, replies, stats)
 	if stats.Epoch != 3 || stats.Duration != 10*time.Second {
 		t.Fatalf("epoch metadata wrong: %+v", stats)
 	}
@@ -486,5 +489,45 @@ func TestMergeStats(t *testing.T) {
 	}
 	if stats.LinkCongested[2] {
 		t.Fatal("unrelated link marked congested")
+	}
+}
+
+// TestMergeStatsIsOrderFree merges one six-switch reply map fifty times,
+// into a fresh EpochStats and into a reused one: the merged rules must
+// come out in ascending switch ID every time, and each link's byte sum —
+// of terms whose float sum depends on their order — must keep its bits.
+// A merge that follows the map's iteration order fails both.
+func TestMergeStatsIsOrderFree(t *testing.T) {
+	topo, err := topology.Ring(6, 0, 1000*unit.Kbps, 1)
+	if err != nil {
+		t.Fatalf("Ring: %v", err)
+	}
+	bytes := []float64{1e16, 1, -1e16, 0.1, 3e-3, 7e15}
+	replies := make(map[uint32]StatsReply)
+	for sw := uint32(0); sw < 6; sw++ {
+		replies[sw] = StatsReply{Epoch: 2, DurationMs: 10000, Counters: []CounterRec{
+			{Agg: int32(2 * sw), Flows: 1, Bytes: bytes[sw], Links: []uint32{0, sw + 1}},
+			{Agg: int32(2*sw + 1), Flows: 2, Bytes: bytes[(sw+3)%6], Congested: sw == 4, Links: []uint32{1}},
+		}}
+	}
+	var want string
+	reused := new(sdnsim.EpochStats)
+	for i := 0; i < 50; i++ {
+		stats := reused
+		if i%2 == 0 {
+			stats = new(sdnsim.EpochStats)
+		}
+		MergeStats(topo, replies, stats)
+		for r := 1; r < len(stats.Rules); r++ {
+			if stats.Rules[r].Agg < stats.Rules[r-1].Agg {
+				t.Fatalf("merge %d: rules out of switch order: %+v", i, stats.Rules)
+			}
+		}
+		got := fmt.Sprintf("%+v", *stats)
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("merge %d differs from the first:\n%s\n%s", i, got, want)
+		}
 	}
 }

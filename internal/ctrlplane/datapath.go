@@ -26,8 +26,10 @@ type CounterBatch struct {
 type Datapath interface {
 	// InstallRules replaces the switch's rule table.
 	InstallRules(generation uint64, rules []Rule) error
-	// ReadCounters snapshots the most recent epoch's counters.
-	ReadCounters() (CounterBatch, error)
+	// ReadCounters snapshots the most recent epoch's counters into
+	// batch, which the caller owns: it may reuse batch.Counters and each
+	// record's Links, and must not retain any of them past the call.
+	ReadCounters(batch *CounterBatch) error
 }
 
 // Fabric adapts the repository's SDN measurement simulator
@@ -43,9 +45,7 @@ type Datapath interface {
 // atomic at epoch granularity.
 type Fabric struct {
 	mu        sync.Mutex
-	sim       *sdnsim.Sim
-	topo      *topology.Topology
-	truth     *traffic.Matrix
+	sim       *sdnsim.Sim // the network; its topology and truth are the fabric's
 	perSwitch map[uint32][]Rule
 	last      *sdnsim.EpochStats
 	installs  int
@@ -60,8 +60,6 @@ type Fabric struct {
 func NewFabric(sim *sdnsim.Sim) *Fabric {
 	return &Fabric{
 		sim:       sim,
-		topo:      sim.Topology(),
-		truth:     sim.Truth(),
 		perSwitch: make(map[uint32][]Rule),
 	}
 }
@@ -102,23 +100,25 @@ func (f *Fabric) AckedFlowMods() int {
 	return f.acked
 }
 
-// Retarget points the fabric at a new simulated network — the next
-// epoch of a scenario replay — while preserving every switch's
-// installed rule table: hardware state survives environment changes.
-// When the carried tables still cover the new ground truth exactly
-// (quiescent epoch) the routing activates immediately; otherwise the
-// union stays pending until the controller reconciles the stale
-// switches, exactly as a real network keeps forwarding on old rules
-// until the controller reacts.
-func (f *Fabric) Retarget(sim *sdnsim.Sim) {
+// Retarget points the fabric's simulator at a new network — the next
+// epoch of a scenario replay: its topology, ground truth and simulator
+// config (sdnsim.Sim.Reset) — while preserving every switch's installed
+// rule table: hardware state survives environment changes. When the
+// carried tables still cover the new ground truth exactly (quiescent
+// epoch) the routing activates immediately; otherwise the union stays
+// pending until the controller reconciles the stale switches, exactly as
+// a real network keeps forwarding on old rules until the controller
+// reacts. On error nothing changes.
+func (f *Fabric) Retarget(topo *topology.Topology, truth *traffic.Matrix, cfg sdnsim.Config) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.sim = sim
-	f.topo = sim.Topology()
-	f.truth = sim.Truth()
+	if err := f.sim.Reset(topo, truth, cfg); err != nil {
+		return err
+	}
 	f.last = nil
 	f.pending = true
 	_ = f.tryActivate()
+	return nil
 }
 
 // TrueUtility reports the ground-truth utility of the last epoch
@@ -137,16 +137,16 @@ func (f *Fabric) TrueUtility() (float64, bool) {
 func (f *Fabric) install(node uint32, rules []Rule) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	nA := f.truth.NumAggregates()
+	nA := f.sim.Truth().NumAggregates()
 	for _, r := range rules {
 		if int(r.Agg) < 0 || int(r.Agg) >= nA {
 			return fmt.Errorf("fabric: rule references unknown aggregate %d", r.Agg)
 		}
-		if f.truth.Aggregate(traffic.AggregateID(r.Agg)).Src != topology.NodeID(node) {
+		if f.sim.Truth().Aggregate(traffic.AggregateID(r.Agg)).Src != topology.NodeID(node) {
 			return fmt.Errorf("fabric: switch %d installing rule for aggregate %d not entering there", node, r.Agg)
 		}
 		for _, l := range r.Links {
-			if int(l) >= f.topo.NumLinks() {
+			if int(l) >= f.sim.Topology().NumLinks() {
 				return fmt.Errorf("fabric: rule references unknown link %d", l)
 			}
 		}
@@ -170,8 +170,8 @@ func (f *Fabric) tryActivate() error {
 	if !f.pending {
 		return nil
 	}
-	nA := f.truth.NumAggregates()
-	nL := f.topo.NumLinks()
+	nA := f.sim.Truth().NumAggregates()
+	nL := f.sim.Topology().NumLinks()
 	if cap(f.covered) < nA {
 		f.covered = make([]int, nA)
 	}
@@ -183,7 +183,7 @@ func (f *Fabric) tryActivate() error {
 			if int(r.Agg) < 0 || int(r.Agg) >= nA {
 				return nil // stale table: stay pending
 			}
-			if f.truth.Aggregate(traffic.AggregateID(r.Agg)).Src != topology.NodeID(node) {
+			if f.sim.Truth().Aggregate(traffic.AggregateID(r.Agg)).Src != topology.NodeID(node) {
 				return nil // aggregate re-indexed away from this ingress
 			}
 			for _, l := range r.Links {
@@ -196,7 +196,7 @@ func (f *Fabric) tryActivate() error {
 		total += len(rules)
 	}
 	for i, c := range covered {
-		if c != f.truth.Aggregate(traffic.AggregateID(i)).Flows {
+		if c != f.sim.Truth().Aggregate(traffic.AggregateID(i)).Flows {
 			return nil // incomplete: stay pending, keep the old routing
 		}
 	}
@@ -211,7 +211,7 @@ func (f *Fabric) tryActivate() error {
 	bundles := make([]flowmodel.Bundle, 0, total)
 	for _, node := range nodes {
 		for _, r := range f.perSwitch[node] {
-			bundles = append(bundles, ruleToBundle(f.topo, r))
+			bundles = append(bundles, ruleToBundle(f.sim.Topology(), r))
 		}
 	}
 	if err := f.sim.Install(bundles); err != nil {
@@ -242,27 +242,30 @@ func (p *fabricPath) InstallRules(_ uint64, rules []Rule) error {
 	return p.f.install(p.node, rules)
 }
 
-// ReadCounters implements Datapath: it returns the last epoch's counters
-// for aggregates entering at this switch.
-func (p *fabricPath) ReadCounters() (CounterBatch, error) {
+// ReadCounters implements Datapath: it fills batch with the last epoch's
+// counters for aggregates entering at this switch.
+func (p *fabricPath) ReadCounters(batch *CounterBatch) error {
 	p.f.mu.Lock()
 	defer p.f.mu.Unlock()
-	if p.f.last == nil {
-		return CounterBatch{}, fmt.Errorf("fabric: no epoch has run")
+	last := p.f.last
+	if last == nil {
+		return fmt.Errorf("fabric: no epoch has run")
 	}
-	batch := CounterBatch{
-		Epoch:    uint32(p.f.last.Epoch),
-		Duration: p.f.last.Duration,
-	}
-	for _, rc := range p.f.last.Rules {
-		if p.f.truth.Aggregate(rc.Agg).Src != topology.NodeID(p.node) {
+	batch.Epoch = uint32(last.Epoch)
+	batch.Duration = last.Duration
+	recs := batch.Counters[:0]
+	for _, rc := range last.Rules {
+		if p.f.sim.Truth().Aggregate(rc.Agg).Src != topology.NodeID(p.node) {
 			continue
 		}
-		links := make([]uint32, len(rc.Edges))
-		for i, e := range rc.Edges {
-			links[i] = uint32(e)
+		var links []uint32
+		if len(recs) < cap(recs) { // the slot keeps an earlier read's Links
+			links = recs[:len(recs)+1][len(recs)].Links[:0]
 		}
-		batch.Counters = append(batch.Counters, CounterRec{
+		for _, e := range rc.Edges {
+			links = append(links, uint32(e))
+		}
+		recs = append(recs, CounterRec{
 			Agg:       int32(rc.Agg),
 			Flows:     uint32(rc.Flows),
 			Bytes:     rc.Bytes,
@@ -270,5 +273,6 @@ func (p *fabricPath) ReadCounters() (CounterBatch, error) {
 			Links:     links,
 		})
 	}
-	return batch, nil
+	batch.Counters = recs
+	return nil
 }

@@ -45,11 +45,11 @@ func (d *slowDatapath) InstallRules(generation uint64, rules []Rule) error {
 	return d.Datapath.InstallRules(generation, rules)
 }
 
-func (d *slowDatapath) ReadCounters() (CounterBatch, error) {
+func (d *slowDatapath) ReadCounters(batch *CounterBatch) error {
 	if !d.onInstall {
 		d.hold()
 	}
-	return d.Datapath.ReadCounters()
+	return d.Datapath.ReadCounters(batch)
 }
 
 func (d *slowDatapath) Release() { d.once.Do(func() { close(d.release) }) }

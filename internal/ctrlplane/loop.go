@@ -1,6 +1,7 @@
 package ctrlplane
 
 import (
+	"slices"
 	"time"
 
 	"fubar/internal/graph"
@@ -9,15 +10,28 @@ import (
 	"fubar/internal/traffic"
 )
 
-// MergeStats folds per-switch stats replies into the single EpochStats
-// view the estimator consumes, reconstructing per-link byte counts from
-// rule paths.
-func MergeStats(topo *topology.Topology, replies map[uint32]StatsReply) *sdnsim.EpochStats {
-	stats := &sdnsim.EpochStats{
-		LinkBytes:     make([]float64, topo.NumLinks()),
-		LinkCongested: make([]bool, topo.NumLinks()),
+// MergeStats folds per-switch stats replies into stats, the single
+// EpochStats view the estimator consumes, reconstructing per-link byte
+// counts from rule paths. Replies merge in ascending switch ID: the
+// merged Rules order and every LinkBytes float sum follow the merge
+// order, and a map's is random. stats is overwritten in place — its
+// slices, each rule's Edges included, are reused when large enough — so
+// whoever owns it must not retain any of them past the next merge.
+func MergeStats(topo *topology.Topology, replies map[uint32]StatsReply, stats *sdnsim.EpochStats) {
+	var idBuf [64]uint32 // a merge of up to 64 switches allocates no order
+	ids := idBuf[:0]
+	for id := range replies {
+		ids = append(ids, id)
 	}
-	for _, r := range replies {
+	slices.Sort(ids)
+	nL := topo.NumLinks()
+	rules := stats.Rules[:0]
+	*stats = sdnsim.EpochStats{
+		LinkBytes:     append(stats.LinkBytes[:0], make([]float64, nL)...),
+		LinkCongested: append(stats.LinkCongested[:0], make([]bool, nL)...),
+	}
+	for _, id := range ids {
+		r := replies[id]
 		if int(r.Epoch) > stats.Epoch {
 			stats.Epoch = int(r.Epoch)
 		}
@@ -25,11 +39,14 @@ func MergeStats(topo *topology.Topology, replies map[uint32]StatsReply) *sdnsim.
 			stats.Duration = d
 		}
 		for _, cr := range r.Counters {
-			edges := make([]graph.EdgeID, len(cr.Links))
-			for i, l := range cr.Links {
-				edges[i] = graph.EdgeID(l)
+			var edges []graph.EdgeID
+			if len(rules) < cap(rules) { // the slot keeps an earlier merge's Edges
+				edges = rules[:len(rules)+1][len(rules)].Edges[:0]
 			}
-			stats.Rules = append(stats.Rules, sdnsim.RuleCounter{
+			for _, l := range cr.Links {
+				edges = append(edges, graph.EdgeID(l))
+			}
+			rules = append(rules, sdnsim.RuleCounter{
 				Agg:       traffic.AggregateID(cr.Agg),
 				Flows:     int(cr.Flows),
 				Edges:     edges,
@@ -37,7 +54,7 @@ func MergeStats(topo *topology.Topology, replies map[uint32]StatsReply) *sdnsim.
 				Congested: cr.Congested,
 			})
 			for _, e := range edges {
-				if int(e) < len(stats.LinkBytes) {
+				if int(e) < nL {
 					stats.LinkBytes[e] += cr.Bytes
 					if cr.Congested {
 						stats.LinkCongested[e] = true
@@ -46,5 +63,5 @@ func MergeStats(topo *topology.Topology, replies map[uint32]StatsReply) *sdnsim.
 			}
 		}
 	}
-	return stats
+	stats.Rules = rules
 }

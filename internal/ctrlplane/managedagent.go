@@ -46,7 +46,9 @@ func (g *guardedDatapath) InstallRules(generation uint64, rules []Rule) error {
 }
 
 // ReadCounters forwards to the wrapped datapath.
-func (g *guardedDatapath) ReadCounters() (CounterBatch, error) { return g.inner.ReadCounters() }
+func (g *guardedDatapath) ReadCounters(batch *CounterBatch) error {
+	return g.inner.ReadCounters(batch)
+}
 
 func (g *guardedDatapath) ruleCount() int {
 	g.mu.Lock()

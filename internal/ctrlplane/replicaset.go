@@ -60,6 +60,7 @@ type ReplicaSet struct {
 
 	mu    sync.Mutex
 	slots []replicaSlot
+	spare []rpcTarget // the last finished round's targets, for the next to refill
 }
 
 // NewReplicaSet listens n controller replicas on loopback ephemeral
@@ -328,6 +329,7 @@ func (rs *ReplicaSet) InstallAllocationDiff(ctx context.Context, mat *traffic.Ma
 		}
 		return FlowMod{Generation: generation, Epoch: epoch, Rules: perSwitch[id]}, generation
 	})
+	defer rs.recycle(targets)
 	if err := runRound(ctx, targets, retryAttempts, rs.cfg.RequestTimeout, rs.stats); err != nil {
 		errs = append(errs, err)
 	}
@@ -357,6 +359,7 @@ func (rs *ReplicaSet) CollectStats(ctx context.Context) (map[uint32]StatsReply, 
 		token := c.nextToken()
 		return StatsReq{Token: token}, token
 	})
+	defer rs.recycle(targets)
 	if err := runRound(ctx, targets, retryAttempts, rs.cfg.RequestTimeout, rs.stats); err != nil {
 		errs = append(errs, err)
 	}
@@ -378,12 +381,16 @@ func (rs *ReplicaSet) CollectStats(ctx context.Context) (map[uint32]StatsReply, 
 // targets builds a round's targets across the live seats: one for every
 // homed switch that req gives a request (nil skips it), with the token its
 // reply carries, answered by a want reply. It also reports how many
-// switches are homed, and ErrClosed for a seat found closed.
+// switches are homed, and ErrClosed for a seat found closed. The slice
+// is the last round's, refilled; the caller hands it back with recycle.
 func (rs *ReplicaSet) targets(want MsgType, req func(c *Controller, id uint32) (Message, uint64)) (ts []rpcTarget, homed int, errs []error) {
 	ctrls := rs.live()
 	if len(ctrls) == 0 {
 		return nil, 0, []error{ErrClosed}
 	}
+	rs.mu.Lock()
+	ts, rs.spare = rs.spare[:0], nil // a concurrent round grows its own
+	rs.mu.Unlock()
 	for _, c := range ctrls {
 		c.mu.Lock()
 		if c.closed {
@@ -399,6 +406,15 @@ func (rs *ReplicaSet) targets(want MsgType, req func(c *Controller, id uint32) (
 		c.mu.Unlock()
 	}
 	return ts, homed, errs
+}
+
+// recycle keeps a finished round's targets for the next round, dropping
+// the requests and replies they hold. Nothing may use ts afterwards.
+func (rs *ReplicaSet) recycle(ts []rpcTarget) {
+	clear(ts)
+	rs.mu.Lock()
+	rs.spare = ts
+	rs.mu.Unlock()
 }
 
 // rpcTarget is one switch's slot in an RPC round: the request every

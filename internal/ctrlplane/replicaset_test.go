@@ -24,8 +24,9 @@ func (d *recDatapath) InstallRules(_ uint64, rules []Rule) error {
 	return nil
 }
 
-func (d *recDatapath) ReadCounters() (CounterBatch, error) {
-	return CounterBatch{Epoch: 1, Duration: time.Second}, nil
+func (d *recDatapath) ReadCounters(batch *CounterBatch) error {
+	*batch = CounterBatch{Epoch: 1, Duration: time.Second, Counters: batch.Counters[:0]}
+	return nil
 }
 
 func (d *recDatapath) table() []Rule {

@@ -24,7 +24,10 @@ type AggregateKey struct {
 	Class    utility.Class
 }
 
-// Estimator accumulates epoch observations into demand estimates.
+// Estimator accumulates epoch observations into demand estimates. A
+// long-lived owner re-points one estimator at each matrix with Reset: it
+// keeps its buffers, Observe's accumulators and Matrix's aggregates
+// among them.
 type Estimator struct {
 	// Alpha is the EWMA smoothing factor for uncongested-rate estimates
 	// in (0, 1]; higher reacts faster. Default 0.3.
@@ -32,6 +35,19 @@ type Estimator struct {
 
 	keys  []AggregateKey
 	state []aggEstimate
+	accs  []aggObservation    // Observe's per-aggregate fold
+	aggs  []traffic.Aggregate // Matrix's staging buffer (NewMatrix copies it)
+}
+
+// defaultAlpha is a new estimator's Alpha.
+const defaultAlpha = 0.3
+
+// aggObservation is one aggregate's share of one epoch's counters.
+type aggObservation struct {
+	bytes     float64
+	flows     int
+	congested bool
+	haveTraf  bool
 }
 
 type aggEstimate struct {
@@ -47,18 +63,32 @@ type aggEstimate struct {
 // installed rules for, in aggregate-ID order.
 func NewEstimator(keys []AggregateKey) *Estimator {
 	return &Estimator{
-		Alpha: 0.3,
+		Alpha: defaultAlpha,
 		keys:  append([]AggregateKey(nil), keys...),
 		state: make([]aggEstimate, len(keys)),
 	}
 }
 
+// Reset makes the estimator the one NewEstimator(KeysFromMatrix(mat))
+// builds, on the buffers it already has. The zero Estimator is ready for
+// it.
+func (e *Estimator) Reset(mat *traffic.Matrix) {
+	e.Alpha = defaultAlpha
+	e.keys = appendKeys(e.keys[:0], mat)
+	e.state = append(e.state[:0], make([]aggEstimate, len(e.keys))...)
+}
+
 // KeysFromMatrix extracts estimator keys from a matrix (the controller
 // knows who talks to whom — it set up the rules).
 func KeysFromMatrix(mat *traffic.Matrix) []AggregateKey {
-	keys := make([]AggregateKey, mat.NumAggregates())
-	for _, a := range mat.Aggregates() {
-		keys[a.ID] = AggregateKey{Src: a.Src, Dst: a.Dst, Class: a.Class}
+	return appendKeys(make([]AggregateKey, 0, mat.NumAggregates()), mat)
+}
+
+// appendKeys appends mat's aggregate keys to keys in aggregate-ID order.
+func appendKeys(keys []AggregateKey, mat *traffic.Matrix) []AggregateKey {
+	for i := range mat.NumAggregates() {
+		a := mat.Aggregate(traffic.AggregateID(i))
+		keys = append(keys, AggregateKey{Src: a.Src, Dst: a.Dst, Class: a.Class})
 	}
 	return keys
 }
@@ -77,13 +107,8 @@ func (e *Estimator) Observe(stats *sdnsim.EpochStats) error {
 	}
 	// Aggregate per-aggregate: total bytes, flows, and whether every rule
 	// carrying it was uncongested.
-	type acc struct {
-		bytes     float64
-		flows     int
-		congested bool
-		haveTraf  bool
-	}
-	accs := make([]acc, len(e.keys))
+	e.accs = append(e.accs[:0], make([]aggObservation, len(e.keys))...)
+	accs := e.accs
 	for _, r := range stats.Rules {
 		if int(r.Agg) < 0 || int(r.Agg) >= len(accs) {
 			return fmt.Errorf("measure: rule references unknown aggregate %d", r.Agg)
@@ -136,7 +161,8 @@ func (e *Estimator) CongestedFraction(id traffic.AggregateID) float64 {
 // observed uncongested fall back to the larger of the class default and
 // the last measured rate — a congested flow wants at least what it got.
 func (e *Estimator) Matrix(topo *topology.Topology) (*traffic.Matrix, error) {
-	aggs := make([]traffic.Aggregate, len(e.keys))
+	e.aggs = append(e.aggs[:0], make([]traffic.Aggregate, len(e.keys))...)
+	aggs := e.aggs
 	for i, k := range e.keys {
 		st := e.state[i]
 		if st.epochs == 0 {

@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -336,5 +337,66 @@ func TestObserveFoldsCounters(t *testing.T) {
 	}
 	if a := mat.Aggregate(0); a.Flows != 4 || math.Abs(float64(a.DemandPerFlow())-130) > 1e-6 {
 		t.Errorf("aggregate 0 estimated as %d flows at %v, want 4 at 130kbps", a.Flows, a.DemandPerFlow())
+	}
+}
+
+// TestResetMatchesNewEstimator holds one Estimator, Reset onto every
+// epoch's matrix, to a new one per epoch over the same counters: across
+// networks of changing size and congestion, and an epoch whose matrix
+// lost aggregates, the estimated matrices and congested fractions must
+// be equal.
+func TestResetMatchesNewEstimator(t *testing.T) {
+	var kept Estimator // the zero Estimator is ready for Reset
+	for e := 0; e < 20; e++ {
+		topo, err := topology.Ring(4+e%3, e%2, unit.Bandwidth(200+300*(e%4))*unit.Kbps, int64(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth, err := traffic.Generate(topo, traffic.DefaultGenConfig(int64(e)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e%5 == 4 { // fewer aggregates than the epoch before
+			if truth, err = truth.Subset(func(a traffic.Aggregate) bool { return a.ID%2 == 0 }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sim, err := sdnsim.New(topo, truth, sdnsim.Config{Seed: int64(e), DemandJitter: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.InstallShortestPaths(); err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewEstimator(KeysFromMatrix(truth))
+		kept.Reset(truth)
+		for m := 0; m < 3; m++ {
+			stats, err := sim.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, est := range []*Estimator{fresh, &kept} {
+				if err := est.Observe(stats); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want, err := fresh.Matrix(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := kept.Matrix(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Aggregates(), want.Aggregates()) {
+			t.Fatalf("epoch %d: reset estimator's matrix differs from a new one's", e)
+		}
+		for i := 0; i < truth.NumAggregates(); i++ {
+			id := traffic.AggregateID(i)
+			if g, w := kept.CongestedFraction(id), fresh.CongestedFraction(id); g != w {
+				t.Fatalf("epoch %d aggregate %d: congested fraction %v, want %v", e, i, g, w)
+			}
+		}
 	}
 }

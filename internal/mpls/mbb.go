@@ -1,8 +1,8 @@
 package mpls
 
 import (
-	"sort"
-	"strconv"
+	"cmp"
+	"slices"
 
 	"fubar/internal/graph"
 	"fubar/internal/topology"
@@ -61,72 +61,62 @@ type TransitionStats struct {
 // PlanTransition computes the transient cost of moving an installed
 // allocation to a new one make-before-break on the given topology.
 // It is a pure planning function — no LSPDB state changes — so a
-// control loop can price a transition before pushing it.
+// control loop can price a transition before pushing it. A caller that
+// prices one transition after another keeps a Planner instead.
 func PlanTransition(topo *topology.Topology, old, next []ReservedPath) TransitionStats {
-	perKeyLoads := func(rs []ReservedPath) map[int64]map[graph.EdgeID]float64 {
-		by := make(map[int64]map[graph.EdgeID]float64)
-		for _, r := range rs {
-			if len(r.Edges) == 0 {
-				continue
-			}
-			m := by[r.Key]
-			if m == nil {
-				m = make(map[graph.EdgeID]float64)
-				by[r.Key] = m
-			}
-			for _, e := range r.Edges {
-				m[e] += r.Rate
-			}
-		}
-		return by
-	}
-	pairRates := func(rs []ReservedPath) map[string]float64 {
-		m := make(map[string]float64)
-		for _, r := range rs {
-			if len(r.Edges) == 0 {
-				continue
-			}
-			m[reservationKey(r)] += r.Rate
-		}
-		return m
-	}
+	return new(Planner).Plan(topo, old, next)
+}
 
-	oldBy, newBy := perKeyLoads(old), perKeyLoads(next)
+// Planner prices make-before-break transitions (PlanTransition) on
+// scratch it keeps from one Plan to the next. The zero value is ready.
+// Not safe for concurrent use; it never writes its inputs.
+type Planner struct {
+	loads             [2][]keyLoad      // per (key, link) load of old and next
+	pairs             [2][]ReservedPath // distinct non-empty (key, path) pairs
+	transient, steady []float64
+}
+
+// keyLoad is one reservation's rate on one link, then, once folded, one
+// key's summed rate on that link.
+type keyLoad struct {
+	key  int64
+	edge graph.EdgeID
+	rate float64
+}
+
+// Plan is PlanTransition on the planner's scratch.
+func (p *Planner) Plan(topo *topology.Topology, old, next []ReservedPath) TransitionStats {
+	o, n := p.keyLoads(0, old), p.keyLoads(1, next)
 	nL := topo.NumLinks()
-	transient := make([]float64, nL)
-	steady := make([]float64, nL)
-	addMax := func(key int64) {
-		o, n := oldBy[key], newBy[key]
-		for e, lo := range o {
-			ln := n[e]
-			if lo > ln {
-				transient[e] += lo
-			} else {
-				transient[e] += ln
+	p.transient = append(p.transient[:0], make([]float64, nL)...)
+	p.steady = append(p.steady[:0], make([]float64, nL)...)
+	transient, steady := p.transient, p.steady
+	// Merge the two (key, link)-sorted lists. Each (key, link) adds once
+	// to its link, in ascending key order, so the float sums do not
+	// depend on the order the reservations came in. A session's common
+	// links count max(old, new) (shared explicit); the rest count as is.
+	for i, j := 0, 0; i < len(o) || j < len(n); {
+		c := 1 // old exhausted: next only
+		if i < len(o) {
+			c = -1 // next exhausted: old only
+			if j < len(n) {
+				c = compareLoads(o[i], n[j])
 			}
 		}
-		for e, ln := range n {
-			if _, shared := o[e]; !shared {
-				transient[e] += ln
-			}
-			steady[e] += ln
+		switch {
+		case c < 0:
+			transient[o[i].edge] += larger(o[i].rate, 0)
+			i++
+		case c > 0:
+			transient[n[j].edge] += n[j].rate
+			steady[n[j].edge] += n[j].rate
+			j++
+		default:
+			transient[o[i].edge] += larger(o[i].rate, n[j].rate)
+			steady[n[j].edge] += n[j].rate
+			i++
+			j++
 		}
-	}
-	// Accumulate per key in sorted order so the float sums are
-	// reproducible (each (key, link) contributes exactly once, so only
-	// the cross-key order matters).
-	keys := make([]int64, 0, len(oldBy)+len(newBy))
-	for key := range oldBy {
-		keys = append(keys, key)
-	}
-	for key := range newBy {
-		if _, seen := oldBy[key]; !seen {
-			keys = append(keys, key)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
-		addMax(key)
 	}
 
 	var st TransitionStats
@@ -151,28 +141,85 @@ func PlanTransition(topo *topology.Topology, old, next []ReservedPath) Transitio
 	}
 	st.MinHeadroomFrac = 1 - st.PeakTransientUtil
 
-	oldPairs, newPairs := pairRates(old), pairRates(next)
-	for k := range oldPairs {
-		if _, ok := newPairs[k]; ok {
-			st.Kept++
-		} else {
+	op, np := p.distinctPairs(0, old), p.distinctPairs(1, next)
+	i, j := 0, 0
+	for i < len(op) && j < len(np) {
+		switch c := comparePairs(op[i], np[j]); {
+		case c < 0:
 			st.Teardowns++
-		}
-	}
-	for k := range newPairs {
-		if _, ok := oldPairs[k]; !ok {
+			i++
+		case c > 0:
 			st.Setups++
+			j++
+		default:
+			st.Kept++
+			i++
+			j++
 		}
 	}
+	st.Teardowns += len(op) - i
+	st.Setups += len(np) - j
 	return st
 }
 
-// reservationKey renders a (key, path) pair as a map key.
-func reservationKey(r ReservedPath) string {
-	b := strconv.AppendInt(nil, r.Key, 10)
-	for _, e := range r.Edges {
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(e), 10)
+// keyLoads folds rs into one load per (key, link), sorted by key then
+// link: a key's rates on a link sum in input order.
+func (p *Planner) keyLoads(side int, rs []ReservedPath) []keyLoad {
+	loads := p.loads[side][:0]
+	for _, r := range rs {
+		for _, e := range r.Edges {
+			loads = append(loads, keyLoad{key: r.Key, edge: e, rate: r.Rate})
+		}
 	}
-	return string(b)
+	slices.SortStableFunc(loads, compareLoads)
+	folded := loads[:0]
+	for i := 0; i < len(loads); {
+		l := keyLoad{key: loads[i].key, edge: loads[i].edge}
+		for ; i < len(loads) && loads[i].key == l.key && loads[i].edge == l.edge; i++ {
+			l.rate += loads[i].rate
+		}
+		folded = append(folded, l)
+	}
+	p.loads[side] = folded
+	return folded
+}
+
+// distinctPairs returns rs's distinct (key, path) pairs with a non-empty
+// path, sorted by key then path.
+func (p *Planner) distinctPairs(side int, rs []ReservedPath) []ReservedPath {
+	pairs := p.pairs[side][:0]
+	for _, r := range rs {
+		if len(r.Edges) > 0 {
+			pairs = append(pairs, r)
+		}
+	}
+	slices.SortFunc(pairs, comparePairs)
+	pairs = slices.CompactFunc(pairs, func(a, b ReservedPath) bool { return comparePairs(a, b) == 0 })
+	p.pairs[side] = pairs
+	return pairs
+}
+
+// compareLoads orders loads by key, then link.
+func compareLoads(a, b keyLoad) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.edge, b.edge)
+}
+
+// comparePairs orders reservations by key, then path.
+func comparePairs(a, b ReservedPath) int {
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Edges, b.Edges)
+}
+
+// larger is lo when lo > ln, else ln: the shared-explicit charge of a
+// link an old reservation at lo and a new one at ln have in common.
+func larger(lo, ln float64) float64 {
+	if lo > ln {
+		return lo
+	}
+	return ln
 }

@@ -2,6 +2,9 @@ package mpls
 
 import (
 	"math"
+	"math/rand"
+	"sort"
+	"strconv"
 	"testing"
 
 	"fubar/internal/graph"
@@ -123,4 +126,191 @@ func TestPlanTransitionZeroCapacityLink(t *testing.T) {
 	if st.Setups != 0 || st.PeakTransientUtil != 0 {
 		t.Fatalf("edgeless reservation counted: %+v", st)
 	}
+}
+
+// planTransitionMaps is the map-based planner PlanTransition replaced,
+// kept as its reference: per-key link loads in maps, summed key by key in
+// ascending key order, and (key, path) pairs matched by their rendering.
+func planTransitionMaps(topo *topology.Topology, old, next []ReservedPath) TransitionStats {
+	perKeyLoads := func(rs []ReservedPath) map[int64]map[graph.EdgeID]float64 {
+		by := make(map[int64]map[graph.EdgeID]float64)
+		for _, r := range rs {
+			if len(r.Edges) == 0 {
+				continue
+			}
+			m := by[r.Key]
+			if m == nil {
+				m = make(map[graph.EdgeID]float64)
+				by[r.Key] = m
+			}
+			for _, e := range r.Edges {
+				m[e] += r.Rate
+			}
+		}
+		return by
+	}
+	pairs := func(rs []ReservedPath) map[string]bool {
+		m := make(map[string]bool)
+		for _, r := range rs {
+			if len(r.Edges) == 0 {
+				continue
+			}
+			b := strconv.AppendInt(nil, r.Key, 10)
+			for _, e := range r.Edges {
+				b = append(b, '|')
+				b = strconv.AppendInt(b, int64(e), 10)
+			}
+			m[string(b)] = true
+		}
+		return m
+	}
+
+	oldBy, newBy := perKeyLoads(old), perKeyLoads(next)
+	nL := topo.NumLinks()
+	transient := make([]float64, nL)
+	steady := make([]float64, nL)
+	keys := make([]int64, 0, len(oldBy)+len(newBy))
+	for key := range oldBy {
+		keys = append(keys, key)
+	}
+	for key := range newBy {
+		if _, seen := oldBy[key]; !seen {
+			keys = append(keys, key)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for _, key := range keys {
+		o, n := oldBy[key], newBy[key]
+		for e, lo := range o {
+			ln := n[e]
+			if lo > ln {
+				transient[e] += lo
+			} else {
+				transient[e] += ln
+			}
+		}
+		for e, ln := range n {
+			if _, shared := o[e]; !shared {
+				transient[e] += ln
+			}
+			steady[e] += ln
+		}
+	}
+
+	var st TransitionStats
+	const eps = 1e-9
+	for l := 0; l < nL; l++ {
+		c := float64(topo.Capacity(topology.LinkID(l)))
+		if c <= 0 {
+			if transient[l] > eps {
+				st.OverCommittedLinks++
+			}
+			continue
+		}
+		if u := transient[l] / c; u > st.PeakTransientUtil {
+			st.PeakTransientUtil = u
+		}
+		if transient[l] > c+eps {
+			st.OverCommittedLinks++
+		}
+		if u := steady[l] / c; u > st.SteadyPeakUtil {
+			st.SteadyPeakUtil = u
+		}
+	}
+	st.MinHeadroomFrac = 1 - st.PeakTransientUtil
+
+	oldPairs, newPairs := pairs(old), pairs(next)
+	for k := range oldPairs {
+		if newPairs[k] {
+			st.Kept++
+		} else {
+			st.Teardowns++
+		}
+	}
+	for k := range newPairs {
+		if !oldPairs[k] {
+			st.Setups++
+		}
+	}
+	return st
+}
+
+// TestPlannerMatchesMapReference holds one reused Planner to the map-based
+// reference, bit for bit, on random transitions of growing and shrinking
+// size: repeated keys, repeated (key, path) pairs, empty paths, rates
+// spread over many magnitudes (so a changed summation order shows in the
+// last bits) and links of zero capacity.
+func TestPlannerMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	ring, err := topology.Ring(8, 4, 10*unit.Mbps, 36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := make([]unit.Bandwidth, ring.NumLinks())
+	for l := range caps {
+		if rng.Intn(6) > 0 {
+			caps[l] = unit.Bandwidth(1 + rng.Intn(20000))
+		}
+	}
+	topo, err := ring.WithCapacities(caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nL := topo.NumLinks()
+	rate := func() float64 {
+		if rng.Intn(10) == 0 {
+			return 0
+		}
+		return rng.Float64() * math.Pow(10, float64(rng.Intn(10)-3))
+	}
+	path := func() []graph.EdgeID {
+		p := make([]graph.EdgeID, rng.Intn(5)) // empty one time in five
+		for i := range p {
+			p[i] = graph.EdgeID(rng.Intn(nL))
+		}
+		return p
+	}
+	reservations := func(n int, from []ReservedPath) []ReservedPath {
+		rs := make([]ReservedPath, n)
+		for i := range rs {
+			switch {
+			case len(from) > 0 && rng.Intn(2) == 0: // a kept or resized pair
+				rs[i] = from[rng.Intn(len(from))]
+				rs[i].Rate = rate()
+			case i > 0 && rng.Intn(6) == 0: // a repeated pair
+				rs[i] = rs[rng.Intn(i)]
+			default:
+				rs[i] = ReservedPath{Key: int64(rng.Intn(9) - 3), Edges: path(), Rate: rate()}
+			}
+		}
+		return rs
+	}
+	var p Planner
+	for call := 0; call < 400; call++ {
+		size := 1 + call%50 // grows to 50, then starts small again
+		if call%2 == 1 {
+			size = 50 - call%50
+		}
+		old := reservations(rng.Intn(size+1), nil)
+		next := reservations(rng.Intn(size+1), old)
+		got, want := p.Plan(topo, old, next), planTransitionMaps(topo, old, next)
+		if !sameTransition(got, want) {
+			t.Fatalf("call %d (%d -> %d reservations): planner %+v, map reference %+v", call, len(old), len(next), got, want)
+		}
+		if call == 0 {
+			if got := PlanTransition(topo, old, next); !sameTransition(got, want) {
+				t.Fatalf("PlanTransition %+v, map reference %+v", got, want)
+			}
+		}
+	}
+}
+
+// sameTransition compares transition stats with floats bit for bit.
+func sameTransition(a, b TransitionStats) bool {
+	bits := math.Float64bits
+	return a.Setups == b.Setups && a.Teardowns == b.Teardowns && a.Kept == b.Kept &&
+		a.OverCommittedLinks == b.OverCommittedLinks &&
+		bits(a.PeakTransientUtil) == bits(b.PeakTransientUtil) &&
+		bits(a.MinHeadroomFrac) == bits(b.MinHeadroomFrac) &&
+		bits(a.SteadyPeakUtil) == bits(b.SteadyPeakUtil)
 }

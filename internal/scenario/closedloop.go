@@ -200,6 +200,13 @@ type closedLoop struct {
 	// cm holds the control-plane metric handles (nil when telemetry is
 	// off); the engine's tm/tracer cover the scenario-level ones.
 	cm *telemetry.CtrlplaneMetrics
+
+	// Buffers kept from epoch to epoch (DESIGN.md "Closed-loop replay").
+	oldRates []float64              // pushRepair's stale rates, read by publish
+	est      measure.Estimator      // estimate's, Reset to each epoch's keys
+	merged   sdnsim.EpochStats      // one stats round's replies, merged
+	reserved [2][]mpls.ReservedPath // publish's MBB input: repaired, re-optimized
+	planner  mpls.Planner
 }
 
 // settle reconciles a possible failover before the epoch's own work:
@@ -256,31 +263,30 @@ func (l *closedLoop) settle(ctx context.Context, er *EpochResult) error {
 
 // pushRepair is the failover reaction. It evaluates the repaired
 // allocation on truth, the epoch's ground-truth arena — the stale utility,
-// and the old paths' rates make-before-break pricing reserves, copied out
-// and returned — stands the epoch's fresh simulated network up under the
-// carried switch tables, and pushes the repair over the wire, restoring a
-// valid routing before anything else.
-func (l *closedLoop) pushRepair(ctx context.Context, epoch int, inst *epochInstance, truth *flowmodel.Eval, repaired []flowmodel.Bundle, er *EpochResult) ([]float64, error) {
+// and the old paths' rates make-before-break pricing reserves, copied to
+// oldRates for publish — re-points the control plane's simulated network
+// at the epoch's instance under the carried switch tables, and pushes the
+// repair over the wire, restoring a valid routing before anything else.
+func (l *closedLoop) pushRepair(ctx context.Context, epoch int, inst *epochInstance, truth *flowmodel.Eval, repaired []flowmodel.Bundle, er *EpochResult) error {
 	staleRes := truth.Evaluate(repaired)
 	er.StaleUtility = staleRes.NetworkUtility
-	oldRates := append([]float64(nil), staleRes.BundleRate...)
-	sim, err := sdnsim.New(inst.topo, inst.mat, sdnsim.Config{
+	l.oldRates = append(l.oldRates[:0], staleRes.BundleRate...)
+	if err := l.cp.fabric.Retarget(inst.topo, inst.mat, sdnsim.Config{
 		Seed:         epochSeed(l.seed, epoch) ^ simSeedSalt,
 		Epoch:        simEpoch,
 		DemandJitter: l.opts.DemandJitter,
-	})
-	if err != nil {
-		return nil, err
+	}); err != nil {
+		return err
 	}
-	l.cp.fabric.Retarget(sim)
-	return oldRates, l.install(ctx, epoch, "repair", inst.mat, repaired, er)
+	return l.install(ctx, epoch, "repair", inst.mat, repaired, er)
 }
 
 // estimate is the measurement loop: advance the network, poll counters
 // over the wire, fold them into the matrix estimate, and return the model
 // of that estimate — what the controller believes the demand to be.
 func (l *closedLoop) estimate(ctx context.Context, inst *epochInstance, er *EpochResult) (*flowmodel.Model, error) {
-	est := measure.NewEstimator(measure.KeysFromMatrix(inst.mat))
+	est := &l.est
+	est.Reset(inst.mat)
 	for m := 0; m < measureEpochs; m++ {
 		if err := l.cp.fabric.RunEpoch(); err != nil {
 			return nil, err
@@ -289,7 +295,8 @@ func (l *closedLoop) estimate(ctx context.Context, inst *epochInstance, er *Epoc
 		if err != nil {
 			return nil, err
 		}
-		if err := est.Observe(ctrlplane.MergeStats(inst.topo, replies)); err != nil {
+		ctrlplane.MergeStats(inst.topo, replies, &l.merged)
+		if err := est.Observe(&l.merged); err != nil {
 			return nil, err
 		}
 	}
@@ -305,10 +312,10 @@ func (l *closedLoop) estimate(ctx context.Context, inst *epochInstance, er *Epoc
 // re-optimized one make-before-break, pushes it, and advances the network
 // one more epoch to record what the published allocation actually
 // delivers.
-func (l *closedLoop) publish(ctx context.Context, epoch int, inst *epochInstance, repaired []flowmodel.Bundle, oldRates []float64, sol *core.Solution, er *EpochResult) error {
-	plan := mpls.PlanTransition(inst.topo,
-		reservedPaths(repaired, oldRates, inst.keys),
-		reservedPaths(sol.Bundles, sol.Result.BundleRate, inst.keys))
+func (l *closedLoop) publish(ctx context.Context, epoch int, inst *epochInstance, repaired []flowmodel.Bundle, sol *core.Solution, er *EpochResult) error {
+	l.reserved[0] = reservedPaths(l.reserved[0][:0], repaired, l.oldRates, inst.keys)
+	l.reserved[1] = reservedPaths(l.reserved[1][:0], sol.Bundles, sol.Result.BundleRate, inst.keys)
+	plan := l.planner.Plan(inst.topo, l.reserved[0], l.reserved[1])
 	er.MBBHeadroom = plan.MinHeadroomFrac
 	er.MBBTeardowns = plan.Teardowns
 	er.MBBSetups = plan.Setups
@@ -377,11 +384,10 @@ func (l *closedLoop) install(ctx context.Context, epoch int, phase string, mat *
 	return nil
 }
 
-// reservedPaths converts an allocation plus its evaluated bundle rates
-// into MBB planner input, keyed by the scenario's stable aggregate
+// reservedPaths appends to out an allocation plus its evaluated bundle
+// rates as MBB planner input, keyed by the scenario's stable aggregate
 // keys.
-func reservedPaths(bundles []flowmodel.Bundle, rates []float64, keys []int64) []mpls.ReservedPath {
-	out := make([]mpls.ReservedPath, 0, len(bundles))
+func reservedPaths(out []mpls.ReservedPath, bundles []flowmodel.Bundle, rates []float64, keys []int64) []mpls.ReservedPath {
 	for i, b := range bundles {
 		if len(b.Edges) == 0 || b.Flows <= 0 {
 			continue

@@ -809,7 +809,6 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 	carried := repaired != nil
 	warm := carried && !en.opts.ColdStart
 	coldCarried := carried && en.opts.ColdStart
-	var oldRates []float64
 	if cl != nil {
 		if !carried {
 			// Nothing installed yet: repairing an empty allocation yields
@@ -819,7 +818,7 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 				return nil, err
 			}
 		}
-		if oldRates, err = cl.pushRepair(ctx, epoch, inst, en.truthOn(model), repaired, er); err != nil {
+		if err := cl.pushRepair(ctx, epoch, inst, en.truthOn(model), repaired, er); err != nil {
 			return nil, err
 		}
 		estModel, err := cl.estimate(ctx, inst, er)
@@ -872,7 +871,7 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 	er.StopReason = sol.Stop.String()
 	er.Elapsed = sol.Elapsed
 	if cl != nil {
-		if err := cl.publish(ctx, epoch, inst, repaired, oldRates, sol, er); err != nil {
+		if err := cl.publish(ctx, epoch, inst, repaired, sol, er); err != nil {
 			return nil, err
 		}
 	}

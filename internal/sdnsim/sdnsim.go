@@ -81,36 +81,55 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Sim is the simulated network. Not safe for concurrent use.
+// Sim is the simulated network. Not safe for concurrent use. It keeps its
+// buffers from epoch to epoch, so a long-lived owner re-points one Sim at
+// each new network with Reset instead of building another.
 type Sim struct {
-	topo      *topology.Topology
-	truth     *traffic.Matrix
-	cfg       Config
-	rng       *rand.Rand
+	topo   *topology.Topology
+	truth  *traffic.Matrix
+	cfg    Config
+	rng    *rand.Rand
+	routed bool // Install succeeded since the last Reset
+	epoch  int
+	eval   *flowmodel.Eval     // every RunEpoch's arena, rebound to its model
+	stats  EpochStats          // RunEpoch's result, overwritten by the next one
+	counts []int               // Install's per-aggregate flow tally
+	aggs   []traffic.Aggregate // jitteredMatrix's staging buffer
+	// installed is Install's copy of the routing.
 	installed []flowmodel.Bundle
-	epoch     int
-	eval      *flowmodel.Eval // every RunEpoch's arena, rebound to its model
 }
 
 // New builds a simulator over a ground-truth matrix. The initial routing
 // is empty: call Install before RunEpoch.
 func New(topo *topology.Topology, truth *traffic.Matrix, cfg Config) (*Sim, error) {
+	s := new(Sim)
+	if err := s.Reset(topo, truth, cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset points the simulator at a new network and ground truth: it is
+// then the simulator New(topo, truth, cfg) would build — epoch 0, no
+// routing installed, the same jitter draws — on the buffers it already
+// has. On error the simulator is unchanged.
+func (s *Sim) Reset(topo *topology.Topology, truth *traffic.Matrix, cfg Config) error {
 	if topo == nil || truth == nil {
-		return nil, fmt.Errorf("sdnsim: nil topology or matrix")
+		return fmt.Errorf("sdnsim: nil topology or matrix")
 	}
 	if truth.Topology() != topo {
-		return nil, fmt.Errorf("sdnsim: matrix bound to a different topology")
+		return fmt.Errorf("sdnsim: matrix bound to a different topology")
 	}
 	cfg = cfg.withDefaults()
 	if cfg.DemandJitter >= 1 {
-		return nil, fmt.Errorf("sdnsim: DemandJitter %v must be < 1", cfg.DemandJitter)
+		return fmt.Errorf("sdnsim: DemandJitter %v must be < 1", cfg.DemandJitter)
 	}
-	return &Sim{
-		topo:  topo,
-		truth: truth,
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}, nil
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	s.rng.Seed(cfg.Seed) // what a fresh source draws, on the one it has
+	s.topo, s.truth, s.cfg, s.routed, s.epoch = topo, truth, cfg, false, 0
+	return nil
 }
 
 // Topology returns the simulated topology.
@@ -122,7 +141,8 @@ func (s *Sim) Truth() *traffic.Matrix { return s.truth }
 // Install replaces the routing with the given bundles (the controller's
 // path assignment). Bundles must cover every aggregate's flows exactly.
 func (s *Sim) Install(bundles []flowmodel.Bundle) error {
-	counts := make([]int, s.truth.NumAggregates())
+	counts := append(s.counts[:0], make([]int, s.truth.NumAggregates())...)
+	s.counts = counts
 	for _, b := range bundles {
 		if int(b.Agg) < 0 || int(b.Agg) >= len(counts) {
 			return fmt.Errorf("sdnsim: bundle references unknown aggregate %d", b.Agg)
@@ -138,8 +158,8 @@ func (s *Sim) Install(bundles []flowmodel.Bundle) error {
 			return fmt.Errorf("sdnsim: aggregate %d covers %d flows, want %d", i, c, want)
 		}
 	}
-	s.installed = make([]flowmodel.Bundle, len(bundles))
-	copy(s.installed, bundles)
+	s.installed = append(s.installed[:0], bundles...)
+	s.routed = true
 	return nil
 }
 
@@ -163,9 +183,12 @@ func (s *Sim) InstallShortestPaths() error {
 }
 
 // RunEpoch advances the simulation one measurement epoch and returns the
-// counters a controller would read.
+// counters a controller would read. The stats belong to the simulator
+// and are valid until the next RunEpoch, which overwrites them in place:
+// a caller that keeps them longer copies them. Each rule's Edges is the
+// installed bundle's own path.
 func (s *Sim) RunEpoch() (*EpochStats, error) {
-	if s.installed == nil {
+	if !s.routed {
 		return nil, fmt.Errorf("sdnsim: no routing installed")
 	}
 	// Jitter the true demands for this epoch.
@@ -184,12 +207,13 @@ func (s *Sim) RunEpoch() (*EpochStats, error) {
 	res := s.eval.Evaluate(s.installed)
 
 	secs := s.cfg.Epoch.Seconds()
-	stats := &EpochStats{
+	stats := &s.stats
+	*stats = EpochStats{
 		Epoch:         s.epoch,
 		Duration:      s.cfg.Epoch,
-		Rules:         make([]RuleCounter, len(s.installed)),
-		LinkBytes:     make([]float64, s.topo.NumLinks()),
-		LinkCongested: append([]bool(nil), res.IsCongested...),
+		Rules:         append(stats.Rules[:0], make([]RuleCounter, len(s.installed))...),
+		LinkBytes:     append(stats.LinkBytes[:0], make([]float64, s.topo.NumLinks())...),
+		LinkCongested: append(stats.LinkCongested[:0], res.IsCongested...),
 		TrueUtility:   res.NetworkUtility,
 	}
 	for i, b := range s.installed {
@@ -217,20 +241,21 @@ func (s *Sim) RunEpoch() (*EpochStats, error) {
 	return stats, nil
 }
 
-// jitteredMatrix rescales each aggregate's demand by this epoch's draw.
+// jitteredMatrix rescales each aggregate's demand by this epoch's draw,
+// staging the aggregates in the simulator's buffer (NewMatrix copies it).
 func (s *Sim) jitteredMatrix() (*traffic.Matrix, error) {
-	aggs := s.truth.Aggregates()
-	for i := range aggs {
+	s.aggs = s.aggs[:0]
+	for i := range s.truth.NumAggregates() {
+		a := s.truth.Aggregate(traffic.AggregateID(i))
 		j := 1 + s.cfg.DemandJitter*(2*s.rng.Float64()-1)
-		peak := unit.Bandwidth(float64(aggs[i].Fn.PeakBandwidth()) * j)
-		if peak <= 0 {
-			continue
+		if peak := unit.Bandwidth(float64(a.Fn.PeakBandwidth()) * j); peak > 0 {
+			fn, err := a.Fn.WithPeakBandwidth(peak)
+			if err != nil {
+				return nil, err
+			}
+			a.Fn = fn
 		}
-		fn, err := aggs[i].Fn.WithPeakBandwidth(peak)
-		if err != nil {
-			return nil, err
-		}
-		aggs[i].Fn = fn
+		s.aggs = append(s.aggs, a)
 	}
-	return traffic.NewMatrix(s.topo, aggs)
+	return traffic.NewMatrix(s.topo, s.aggs)
 }

@@ -1,6 +1,7 @@
 package sdnsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -227,5 +228,61 @@ func TestSelfPairEpoch(t *testing.T) {
 	}
 	if stats.TrueUtility != 1 {
 		t.Errorf("self-pair utility = %v, want 1", stats.TrueUtility)
+	}
+}
+
+// TestResetMatchesNew holds one Sim, re-pointed and re-seeded by Reset at
+// every epoch of a changing network — ring sizes, chords, capacities,
+// matrices and jitter settings (default, 0.3 and none) — to a fresh New
+// per epoch: every EpochStats must print the same, floats to the last
+// bit, and a re-pointed Sim must refuse to run before a routing is
+// installed on it.
+func TestResetMatchesNew(t *testing.T) {
+	line := lineTopo(t, 10*unit.Mbps)
+	kept, err := New(line, mustTruth(t, line, nil), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 24; e++ {
+		topo, err := topology.Ring(4+e%4, e%3, unit.Bandwidth(300+150*(e%5))*unit.Kbps, int64(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth, err := traffic.Generate(topo, traffic.DefaultGenConfig(int64(e)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Seed: int64(e) * 7919, DemandJitter: []float64{0, 0.3, -1}[e%3]}
+		fresh, err := New(topo, truth, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := kept.Reset(line, truth, cfg); err == nil {
+			t.Fatal("Reset accepted a matrix of another topology")
+		}
+		if err := kept.Reset(topo, truth, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := kept.RunEpoch(); err == nil {
+			t.Fatalf("epoch %d: a re-pointed Sim ran on the last network's routing", e)
+		}
+		for _, s := range []*Sim{fresh, kept} {
+			if err := s.InstallShortestPaths(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for m := 0; m < 3; m++ {
+			want, err := fresh.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := kept.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := fmt.Sprintf("%+v", *got), fmt.Sprintf("%+v", *want); g != w {
+				t.Fatalf("epoch %d, measurement %d:\nreset %s\nnew   %s", e, m, g, w)
+			}
+		}
 	}
 }

@@ -56,11 +56,7 @@ func TestWorkCountsPinned(t *testing.T) {
 				mallocs += after.Mallocs - before.Mallocs
 				work.add(telemetryWork(tel).sub(mark))
 			})
-		tail := ""
-		if !leg.closed { // a control plane's goroutines allocate on their own clock
-			tail = fmt.Sprintf("%s%d", mallocsColumn, mallocs)
-		}
-		row(leg.name, 70, work, tail)
+		row(leg.name, 70, work, fmt.Sprintf("%s%d", mallocsColumn, mallocs))
 	}
 	topo, mats := coldScaleS(t)
 	var cold workCounts
