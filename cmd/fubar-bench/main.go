@@ -34,7 +34,6 @@ import (
 	"fubar/internal/flowmodel"
 	"fubar/internal/metrics"
 	"fubar/internal/mpls"
-	"fubar/internal/netsim"
 	"fubar/internal/pathgen"
 	"fubar/internal/report"
 	"fubar/internal/telemetry"
@@ -82,12 +81,11 @@ var experiments = []struct {
 	}},
 	{"fig6", "fig6: delay CDF, relaxed delay", false, func(f *benchFlags) error { return fig6(f.seed, f.opts) }},
 	{"fig7", "fig7: repeatability CDF", false, func(f *benchFlags) error { return fig7(f.seed, f.runs, f.opts) }},
-	{"queues", "queues: queueing before/after (§3 avoiding congestion)", false, func(f *benchFlags) error { return queues(f.seed, f.opts) }},
 	{"runtime", "runtime: running-time table", false, func(f *benchFlags) error { return runtimeTable(f.seed, f.opts) }},
 	{"ablation", "ablation: path trio and escalation", false, func(f *benchFlags) error { return ablation(f.seed, f.opts) }},
 	{"anneal", "anneal: FUBAR vs naive simulated annealing (§2.5)", false, func(f *benchFlags) error { return annealCompare(f.seed) }},
 	{"validate", "validate: analytic model vs dynamic AIMD simulation (§2.3)", false, func(f *benchFlags) error { return validate(f.seed) }},
-	{"dqueues", "dqueues: simulated drop-tail queues, SP vs FUBAR (§3)", false, func(f *benchFlags) error { return dynamicQueues(f.seed) }},
+	{"queues", "queues: simulated drop-tail queues, SP vs FUBAR (§3)", false, func(f *benchFlags) error { return queues(f.seed) }},
 	{"mpls", "mpls: allocation as reserved MPLS-TE tunnels (§5)", false, func(f *benchFlags) error { return mplsSync(f.seed) }},
 	{"failover", "failover: link failure and warm-start recovery", false, func(f *benchFlags) error { return failover(f.seed) }},
 	{"soak", "soak: million-epoch streaming replay, O(1) memory", true, func(f *benchFlags) error {
@@ -341,9 +339,9 @@ func validate(seed int64) error {
 	return t.Render(os.Stdout)
 }
 
-// dynamicQueues re-runs the §3 queue-avoidance claim on simulated
-// drop-tail queues.
-func dynamicQueues(seed int64) error {
+// queues re-runs the §3 queue-avoidance claim on simulated drop-tail
+// queues.
+func queues(seed int64) error {
 	topo, mat, err := benchInstance(seed)
 	if err != nil {
 		return err
@@ -524,50 +522,6 @@ func fig6(seed int64, opts core.Options) error {
 	}
 	fmt.Printf("median delay shift: %+.1f ms, p99 shift: %+.1f ms\n",
 		cdfRel.Quantile(0.5)-cdfBase.Quantile(0.5), cdfRel.Quantile(0.99)-cdfBase.Quantile(0.99))
-	return nil
-}
-
-// queues compares queueing of shortest-path routing against the
-// optimized allocation in both capacity regimes. The §3 claim is about
-// *long* queues: in the provisioned case FUBAR eliminates saturated
-// links outright; when capacity is short it deliberately runs more links
-// at moderate load (higher mean) while still shrinking the saturated
-// hot-spot set.
-func queues(seed int64, opts core.Options) error {
-	for _, tc := range []struct {
-		name string
-		cfg  experiment.Config
-	}{
-		{"provisioned", experiment.Provisioned(seed)},
-		{"underprovisioned", experiment.Underprovisioned(seed)},
-	} {
-		tc.cfg.Options = opts
-		r, err := experiment.Run(benchCtx, tc.cfg)
-		if err != nil {
-			return err
-		}
-		model, err := flowmodel.New(r.Topology, r.Matrix)
-		if err != nil {
-			return err
-		}
-		sp, err := baseline.ShortestPath(model, opts.Policy)
-		if err != nil {
-			return err
-		}
-		ratio, before, after, err := netsim.Compare(r.Topology, model, sp.Bundles, r.Solution.Bundles)
-		if err != nil {
-			return err
-		}
-		t := report.NewTable(tc.name+": queueing (M/M/1 estimate)",
-			"allocation", "mean queue (ms)", "max queue (ms)", "saturated links")
-		t.AddRow("shortest path", before.MeanQueueMs, before.MaxQueueMs, before.SaturatedLinks)
-		t.AddRow("FUBAR", after.MeanQueueMs, after.MaxQueueMs, after.SaturatedLinks)
-		if err := t.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("mean queueing ratio (before/after): %.2fx, saturated links %d -> %d\n",
-			ratio, before.SaturatedLinks, after.SaturatedLinks)
-	}
 	return nil
 }
 

@@ -24,7 +24,7 @@ func TestExtensionExperimentsSmoke(t *testing.T) {
 	}{
 		{"fig12", fig12},
 		{"validate", func() error { return validate(1) }},
-		{"dqueues", func() error { return dynamicQueues(1) }},
+		{"queues", func() error { return queues(1) }},
 		{"mpls", func() error { return mplsSync(1) }},
 		{"failover", func() error { return failover(1) }},
 	}
@@ -60,9 +60,10 @@ func TestBenchInstance(t *testing.T) {
 // TestSelectExperiments pins the -exp lookup run dispatches on: a typo and
 // each retired mode are errors (run returns 2 on them) that name the
 // valid experiments, "all" leaves out the explicit-only ones, and every
-// listed name selects exactly itself.
+// listed name selects exactly itself. "dqueues" is retired with no alias:
+// the drop-tail queue experiment is "queues" now.
 func TestSelectExperiments(t *testing.T) {
-	for _, bad := range []string{"fig33", "", "corebench", "evalbench", "scale", "obs", "scenario", "ctrlloop"} {
+	for _, bad := range []string{"fig33", "", "corebench", "evalbench", "scale", "obs", "scenario", "ctrlloop", "dqueues"} {
 		if code := run([]string{"-exp", bad}); code != 2 {
 			t.Errorf("run -exp %q = %d, want exit code 2", bad, code)
 		}

@@ -237,7 +237,7 @@ func (c *Controller) acceptLoop() {
 func (c *Controller) handleConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	_ = conn.SetDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
-	msg, err := ReadMessage(br)
+	msg, err := readMessage(br, maxHello)
 	if err != nil {
 		c.cfg.Logger.Warn("controller: handshake read failed", "remote", conn.RemoteAddr().String(), "err", err)
 		conn.Close()

@@ -3,6 +3,7 @@ package ctrlplane
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"runtime"
@@ -328,5 +329,111 @@ func TestEchoFromAgentSide(t *testing.T) {
 	reply, ok := msg.(EchoReply)
 	if !ok || reply.Token != 1234 {
 		t.Fatalf("want EchoReply{1234}, got %#v", msg)
+	}
+}
+
+// TestRogueHeaderCostsNoMemory sends frame headers that claim maxPayload
+// bytes and then no payload: eight on fresh connections, where the
+// handshake refuses any first frame longer than the largest valid Hello,
+// and eight on registered switches' connections, where the read loop reads
+// a payload as it arrives. The controller must drop every connection — a
+// rogue Hello at once, not at the handshake deadline — having allocated
+// well under 1 MiB for all sixteen; a buffer sized by the header would
+// cost 16 MiB each.
+func TestRogueHeaderCostsNoMemory(t *testing.T) {
+	rs, seat := oneSeat(t, ControllerConfig{HandshakeTimeout: 10 * time.Second})
+	header := func(t MsgType) []byte {
+		return binary.BigEndian.AppendUint32([]byte{0xFB, 0xAE, wireVersion, byte(t)}, maxPayload)
+	}
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", rs.DialOrder(0)[0])
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	const clients = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	for i := 0; i < clients; i++ {
+		conn := dial()
+		if _, err := conn.Write(header(MsgHello)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+		var ne net.Error
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Fatal("controller answered a rogue Hello header")
+		} else if errors.As(err, &ne) && ne.Timeout() {
+			t.Errorf("controller still holds a connection whose first frame claims %d bytes", maxPayload)
+		}
+	}
+	for i := 0; i < clients; i++ {
+		conn := dial()
+		if err := WriteMessage(conn, Hello{DatapathID: uint32(i), NodeName: "rogue"}); err != nil {
+			t.Fatalf("hello: %v", err)
+		}
+		if _, err := ReadMessage(bufio.NewReader(conn)); err != nil {
+			t.Fatalf("hello ack: %v", err)
+		}
+		waitSwitches(t, rs, 1)
+		if _, err := conn.Write(header(MsgStatsReply)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		conn.Close()
+		awaitDeregistered(t, seat)
+	}
+
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d rogue headers: %d bytes allocated", 2*clients, got)
+	if got >= 1<<20 {
+		t.Fatalf("%d rogue headers cost the controller %d bytes, want < 1 MiB", 2*clients, got)
+	}
+}
+
+// TestHandshakeHelloLimitIsTight pins maxHello to the Hello encoding: a
+// Hello with a maxString-byte name is exactly maxHello bytes and registers,
+// and a first frame one byte longer is dropped at once.
+func TestHandshakeHelloLimitIsTight(t *testing.T) {
+	rs, _ := oneSeat(t, ControllerConfig{HandshakeTimeout: 10 * time.Second})
+	longest := Hello{DatapathID: 9, NodeName: strings.Repeat("n", maxString)}
+	if n := len(longest.appendPayload(nil)); n != maxHello {
+		t.Fatalf("longest Hello payload %d bytes, want maxHello (%d)", n, maxHello)
+	}
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", rs.DialOrder(0)[0])
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+
+	conn := dial()
+	if err := WriteMessage(conn, longest); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	if msg, err := ReadMessage(bufio.NewReader(conn)); err != nil {
+		t.Fatalf("longest Hello refused: %v", err)
+	} else if _, ok := msg.(HelloAck); !ok {
+		t.Fatalf("longest Hello answered with %T, want HelloAck", msg)
+	}
+	waitSwitches(t, rs, 1)
+
+	frame := binary.BigEndian.AppendUint32([]byte{0xFB, 0xAE, wireVersion, byte(MsgHello)}, maxHello+1)
+	frame = append(frame, make([]byte, maxHello+1)...)
+	conn = dial()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	var ne net.Error
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("controller answered a first frame one byte over maxHello")
+	} else if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("controller still holds a connection whose first frame is one byte over maxHello")
 	}
 }

@@ -44,6 +44,12 @@ const (
 	maxPayload = 16 << 20
 	// maxString bounds names and error texts.
 	maxString = 4096
+	// maxHello is the largest valid Hello payload: a datapath ID and a
+	// length-prefixed name.
+	maxHello = 4 + 2 + maxString
+	// payloadStep is the largest payload read into one allocation made
+	// before its bytes arrive.
+	payloadStep = 64 << 10
 	// maxRules bounds rules or counters per message.
 	maxRules = 1 << 20
 	// maxPathLen bounds links per rule.
@@ -543,7 +549,12 @@ func WriteMessage(w io.Writer, m Message) error {
 }
 
 // ReadMessage reads and decodes one message.
-func ReadMessage(r *bufio.Reader) (Message, error) {
+func ReadMessage(r *bufio.Reader) (Message, error) { return readMessage(r, maxPayload) }
+
+// readMessage is ReadMessage for a frame whose payload may not exceed limit
+// bytes: the controller's handshake reads its first frame with the largest
+// valid Hello's length as the limit.
+func readMessage(r *bufio.Reader, limit uint32) (Message, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for orderly close detection
@@ -556,11 +567,11 @@ func ReadMessage(r *bufio.Reader) (Message, error) {
 	}
 	t := MsgType(hdr[3])
 	n := binary.BigEndian.Uint32(hdr[4:])
-	if n > maxPayload {
-		return nil, fmt.Errorf("ctrlplane: payload %d exceeds %d", n, maxPayload)
+	if n > limit {
+		return nil, fmt.Errorf("ctrlplane: %v payload %d exceeds %d", t, n, limit)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: read %v payload: %w", t, err)
 	}
 	switch t {
@@ -590,6 +601,23 @@ func ReadMessage(r *bufio.Reader) (Message, error) {
 	default:
 		return nil, fmt.Errorf("ctrlplane: unknown message type %d", hdr[3])
 	}
+}
+
+// readPayload reads an n-byte payload. One up to payloadStep bytes — every
+// frame of a small network — is read into one allocation. A longer one grows
+// with the bytes that arrive, so a header that claims maxPayload and sends
+// nothing after it costs a few hundred bytes, not 16 MiB.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= payloadStep {
+		payload := make([]byte, n)
+		_, err := io.ReadFull(r, payload)
+		return payload, err
+	}
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(payload) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return payload, err
 }
 
 // retm adapts a typed (msg, err) pair to the Message interface.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -331,6 +333,50 @@ func TestReadMessageRejectsTruncatedPayload(t *testing.T) {
 	_, err := ReadMessage(bufio.NewReader(bytes.NewReader(raw)))
 	if err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+}
+
+// TestReadMessageLargePayload reads a frame longer than payloadStep, which
+// grows as its bytes arrive instead of being allocated whole up front: it
+// round-trips, and cut one byte short it fails as a truncated payload.
+func TestReadMessageLargePayload(t *testing.T) {
+	mod := FlowMod{Generation: 1}
+	for a := int32(0); a < 4000; a++ {
+		mod.Rules = append(mod.Rules, Rule{Agg: a, Flows: uint32(a%40 + 1), Links: []uint32{uint32(a % 56), uint32(a+7) % 56}})
+	}
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, mod); err != nil {
+		t.Fatal(err)
+	}
+	if n := buf.Len() - frameHeaderLen; n <= payloadStep {
+		t.Fatalf("payload %d bytes, want > payloadStep (%d)", n, payloadStep)
+	}
+	raw := buf.Bytes()
+	got, err := ReadMessage(bufio.NewReader(bytes.NewReader(raw)))
+	if err != nil || !reflect.DeepEqual(normalize(got), normalize(mod)) {
+		t.Fatalf("large FlowMod round trip: %v", err)
+	}
+	if _, err := ReadMessage(bufio.NewReader(bytes.NewReader(raw[:len(raw)-1]))); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("large payload one byte short: got %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestReadMessageRogueLengthAllocatesLittle reads a header that claims
+// maxPayload bytes and is followed by only a few: the read fails as a
+// truncated payload having allocated for the bytes that came, not for the
+// 16 MiB the header claimed.
+func TestReadMessageRogueLengthAllocatesLittle(t *testing.T) {
+	frame := binary.BigEndian.AppendUint32([]byte{0xFB, 0xAE, wireVersion, byte(MsgFlowMod)}, maxPayload)
+	frame = append(frame, make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMessage(bufio.NewReader(bytes.NewReader(frame)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header claiming %d bytes, 100 sent: got %v, want io.ErrUnexpectedEOF", maxPayload, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("header claiming %d bytes cost %d bytes allocated, want < 1 MiB", maxPayload, got)
 	}
 }
 

@@ -404,3 +404,27 @@ func TestDeadLinkStarvesBundle(t *testing.T) {
 		t.Fatalf("utility %.3f over a dead network", res.NetworkUtility)
 	}
 }
+
+// TestSamePOPBundleQueuesNothing simulates only a same-POP aggregate: its
+// edge-less bundle runs at its demand from the start, no link carries load
+// or queues, and its utility is 1.
+func TestSamePOPBundleQueuesNothing(t *testing.T) {
+	topo, mat := singleLink(t, 1000*unit.Kbps, []traffic.Aggregate{
+		{Src: 0, Dst: 0, Class: utility.ClassBulk, Flows: 4, Fn: bulkAt(t, 200*unit.Kbps), Weight: 1},
+	})
+	res, err := Simulate(topo, mat, []flowmodel.Bundle{{Agg: 0, Flows: 4}}, Config{})
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	demand := float64(mat.Aggregate(0).DemandPerFlow()) * 4
+	if got := res.Bundles[0].MeanRate; math.Abs(got-demand) > 1e-9*demand {
+		t.Errorf("same-POP bundle mean rate %.3f kbps, want its demand %.3f", got, demand)
+	}
+	if res.MeanQueueMs != 0 || res.MaxQueueMs != 0 || res.Bundles[0].MeanQueueMs != 0 {
+		t.Errorf("same-POP traffic queued: mean %v ms, max %v ms, bundle %v ms",
+			res.MeanQueueMs, res.MaxQueueMs, res.Bundles[0].MeanQueueMs)
+	}
+	if res.NetworkUtility != 1 {
+		t.Errorf("network utility %v, want 1", res.NetworkUtility)
+	}
+}
