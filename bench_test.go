@@ -234,11 +234,13 @@ func BenchmarkColdOptimizeScaleS(b *testing.B) {
 	b.ReportMetric(float64(donated)/float64(b.N), "donated/op")
 }
 
-// replayLeg is one of benchmark/'s two replay operations under go test: an
-// open-loop crisis replay on the HE-31 benchmark instance (replay-he-crisis)
-// and a closed-loop soak replay on the 6-node ring at three controller
-// replicas (closedloop-ring-soak), both at WithWorkers(1) over fixed
-// timelines of epochs epochs each.
+// replayLeg is one of benchmark/'s replay operations under go test: an
+// open-loop crisis replay on the HE-31 benchmark instance (replay-he-crisis),
+// a closed-loop soak replay on the 6-node ring at three controller replicas
+// (closedloop-ring-soak), and the open-loop diurnal replay a daemon-mixed
+// tenant streams — the same ring under the daemon's default matrix for
+// tenant seed 1, eight epochs of the "diurnal" timeline — all at
+// WithWorkers(1) over fixed timelines of epochs epochs each.
 type replayLeg struct {
 	name     string
 	epochs   int // per timeline
@@ -265,6 +267,18 @@ var replayLegs = []replayLeg{
 	}, []SessionOption{WithReplicas(3)},
 		func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
 			return s.ReplayClosedLoop(context.Background(), SoakScenario(seed, 200, 5))
+		}},
+	{"diurnal-ring", 8, func() (*Topology, *Matrix, error) {
+		topo, err := RingTopology(6, 3, 600*Kbps, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		mat, err := GenerateTraffic(topo, DefaultGenConfig(1))
+		return topo, mat, err
+	}, nil,
+		func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
+			// ScenarioByName's "diurnal", what the daemon's replay query names.
+			return s.Replay(context.Background(), DiurnalScenario(seed, 8, 0.4, 0.15))
 		}},
 }
 

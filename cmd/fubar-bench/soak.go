@@ -125,13 +125,14 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string, tel
 		return err
 	}
 
+	var replays scenario.Replayer
 	const trajPoints = 64
 	plainTraj := scenario.NewTrajectoryRecorder(sc.Name, epochs, trajPoints)
 	interval := epochs / 16
 	var plainSamples []uint64
 	n := 0
 	start := time.Now()
-	for er, err := range scenario.Stream(benchCtx, opt, nil, topo, mat, sc, opts) {
+	for er, err := range replays.Stream(benchCtx, opt, nil, topo, mat, sc, opts) {
 		if err != nil {
 			return err
 		}
@@ -162,7 +163,7 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string, tel
 		return err
 	}
 	defer cp.Close()
-	for er, err := range scenario.Stream(benchCtx, opt, cp, topo, mat, clSc, opts) {
+	for er, err := range replays.Stream(benchCtx, opt, cp, topo, mat, clSc, opts) {
 		if err != nil {
 			return err
 		}

@@ -383,6 +383,10 @@ type Optimizer struct {
 	base     *flowmodel.Base
 	// oldIdxBuf is the remap-translation scratch.
 	oldIdxBuf []int
+	// repair is RepairWarmStart's scratch, its output list included;
+	// covered is applyWarmStart's per-aggregate flow tally.
+	repair    repairScratch
+	covered   []int
 	baseStats BaseStats
 
 	// denseGen counts buildStepBundles calls — layouts; workers compare it
@@ -592,6 +596,28 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 // stops it with StopCancelled. Neither is an error — the partial solution
 // is returned either way.
 func (o *Optimizer) RunWarm(ctx context.Context, initial []flowmodel.Bundle) (*Solution, error) {
+	sol := new(Solution)
+	if err := o.run(ctx, initial, sol, true); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// RunWarmInto is RunWarm writing the solution into sol, whose storage it
+// reuses: Bundles and Result's slices are rebuilt in place, so what a
+// previous run left there is overwritten. Bundles' Edges are not copied:
+// they share the optimizer's path sets, read-only like every path the
+// generator hands out and never rewritten, so they stay valid however long
+// they are kept. What a replay epoch runs: the engine keeps one Solution
+// for all of its epochs and hands none of it out.
+func (o *Optimizer) RunWarmInto(ctx context.Context, initial []flowmodel.Bundle, sol *Solution) error {
+	return o.run(ctx, initial, sol, false)
+}
+
+// run is the one run path behind RunWarm and RunWarmInto: Listing 1 from
+// initial, its solution written into sol — with Edges of its own when own
+// is set, sharing the path sets' otherwise.
+func (o *Optimizer) run(ctx context.Context, initial []flowmodel.Bundle, sol *Solution, own bool) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -605,7 +631,7 @@ func (o *Optimizer) RunWarm(ctx context.Context, initial []flowmodel.Bundle) (*S
 		col.gen.ResetStats()
 	}
 	if err := o.initAllocation(initial); err != nil {
-		return nil, err
+		return err
 	}
 	o.baseStats = BaseStats{}
 	for _, w := range o.workers {
@@ -784,10 +810,14 @@ loop:
 	}
 
 	final := o.finalResult()
-	bundles := o.compact(final)
-	sol := &Solution{
+	bundles := o.compact(final, sol.Bundles, own)
+	kept := sol.Result
+	if kept == nil {
+		kept = new(flowmodel.Result)
+	}
+	*sol = Solution{
 		Bundles:        bundles,
-		Result:         final.Clone(),
+		Result:         final.CloneInto(kept),
 		Utility:        final.NetworkUtility,
 		InitialUtility: initialUtility,
 		Steps:          steps,
@@ -815,7 +845,7 @@ loop:
 	if nonSelf > 0 {
 		sol.PathsPerAggregate = float64(totalPaths) / float64(nonSelf)
 	}
-	return sol, nil
+	return nil
 }
 
 // initAllocation puts every aggregate's flows on its lowest-delay path
@@ -869,7 +899,8 @@ func (o *Optimizer) initAllocation(initial []flowmodel.Bundle) error {
 // set (possibly at zero flows) so the trio search behaves as usual.
 func (o *Optimizer) applyWarmStart(bundles []flowmodel.Bundle) error {
 	topo := o.model.Topology()
-	covered := make([]int, len(o.aggs))
+	o.covered = append(o.covered[:0], make([]int, len(o.aggs))...)
+	covered := o.covered
 	// Zero the default placement before overlaying.
 	for i := range o.aggs {
 		st := &o.aggs[i]
@@ -981,12 +1012,14 @@ func (o *Optimizer) finalResult() *flowmodel.Result {
 	return o.baseEval.Evaluate(o.denseBuf)
 }
 
-// compact deep-copies the final allocation — its positive entries and its
-// self-pairs, in list order, at exact capacity — and moves res's per-bundle
-// rates and satisfaction, laid out by denseSeg, onto the same indices, so
-// res is the evaluation of the returned list: placeholders are inert, and
-// dropping them changes no other field.
-func (o *Optimizer) compact(res *flowmodel.Result) []flowmodel.Bundle {
+// compact copies the final allocation — its positive entries and its
+// self-pairs, in list order — and moves res's per-bundle rates and
+// satisfaction, laid out by denseSeg, onto the same indices, so res is the
+// evaluation of the returned list: placeholders are inert, and dropping
+// them changes no other field. With own set the list is new, at exact
+// capacity, each path's Edges cloned: the deep copy a Solution's caller
+// owns. Otherwise it is rebuilt over dst, Edges shared with the path sets.
+func (o *Optimizer) compact(res *flowmodel.Result, dst []flowmodel.Bundle, own bool) []flowmodel.Bundle {
 	seg := o.denseSeg
 	n := 0
 	for i := range o.aggs {
@@ -999,7 +1032,12 @@ func (o *Optimizer) compact(res *flowmodel.Result) []flowmodel.Bundle {
 			}
 		}
 	}
-	out := make([]flowmodel.Bundle, 0, n)
+	var out []flowmodel.Bundle
+	if own {
+		out = make([]flowmodel.Bundle, 0, n)
+	} else {
+		out = slices.Grow(dst[:0], n)
+	}
 	keep := func(j int, b flowmodel.Bundle) {
 		res.BundleRate[len(out)], res.BundleSatisfied[len(out)] = res.BundleRate[j], res.BundleSatisfied[j]
 		out = append(out, b)
@@ -1011,10 +1049,14 @@ func (o *Optimizer) compact(res *flowmodel.Result) []flowmodel.Bundle {
 		}
 		for pi, f := range st.flows {
 			if f > 0 {
+				edges := st.set.Path(pi).Edges
+				if own {
+					edges = slices.Clone(edges)
+				}
 				keep(seg[i]+pi, flowmodel.Bundle{
 					Agg:   traffic.AggregateID(i),
 					Flows: f,
-					Edges: slices.Clone(st.set.Path(pi).Edges),
+					Edges: edges,
 					Delay: st.delays[pi],
 				})
 			}

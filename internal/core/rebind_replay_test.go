@@ -11,7 +11,7 @@ import (
 	"fubar/internal/traffic"
 )
 
-// newOptimizer builds the optimizer a scenario.Stream borrows, bound to the
+// newOptimizer builds the optimizer a scenario.Replayer.Stream borrows, bound to the
 // start instance.
 func newOptimizer(t *testing.T, topo *topology.Topology, mat *traffic.Matrix, opts core.Options) *core.Optimizer {
 	t.Helper()
@@ -55,9 +55,10 @@ func TestRebindBoundsPathMemoAcrossReplays(t *testing.T) {
 	opt = newOptimizer(t, topo, mat, opts.Core)
 	const maxPaths = 15 // core.Options' default MaxPathsPerAggregate
 	atEnd, flushes, peak := 0, 0, 0
+	var rp scenario.Replayer
 	for seed := int64(1); seed <= int64(replays); seed++ {
 		sc := scenario.Crisis(seed, 3, 1.3, 3)
-		for er, err := range scenario.Stream(context.Background(), opt, nil, topo, mat, sc, opts) {
+		for er, err := range rp.Stream(context.Background(), opt, nil, topo, mat, sc, opts) {
 			if err != nil {
 				t.Fatalf("replay %d: %v", seed, err)
 			}

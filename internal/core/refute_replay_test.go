@@ -96,7 +96,7 @@ func TestRefutationMatchesFullEnumerationReplay(t *testing.T) {
 							defer cp.Close()
 						}
 						res, err := scenario.Run(lg.topo, lg.sc, opts, lg.closed,
-							scenario.Stream(context.Background(), newOptimizer(t, lg.topo, lg.mat, opts.Core), cp, lg.topo, lg.mat, lg.sc, opts))
+							new(scenario.Replayer).Stream(context.Background(), newOptimizer(t, lg.topo, lg.mat, opts.Core), cp, lg.topo, lg.mat, lg.sc, opts))
 						if err != nil {
 							t.Fatal(err)
 						}

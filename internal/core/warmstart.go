@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fubar/internal/flowmodel"
 	"fubar/internal/graph"
@@ -60,33 +61,63 @@ func RepairWarmStart(topo *topology.Topology, mat *traffic.Matrix, bundles []flo
 	if err != nil {
 		return nil, RepairStats{}, err
 	}
-	return repairWarmStart(gen, topo, mat, bundles, policy, maxPaths)
+	var r repairScratch
+	return r.run(gen, topo, mat, bundles, policy, maxPaths)
 }
 
 // RepairWarmStart is the package function on the instance the optimizer is
 // bound to, asking the optimizer's own path generator — what a replay
 // calls between Rebind and RunWarm, so the lowest-delay paths the repair
-// looks up are the ones the run's first step finds memoised.
+// looks up are the ones the run's first step finds memoised. It repairs
+// into scratch the optimizer keeps: the returned list is valid until the
+// next RepairWarmStart on this optimizer, which overwrites it. bundles may
+// be that list — the repair reads all of its input before it writes any
+// output.
 func (o *Optimizer) RepairWarmStart(bundles []flowmodel.Bundle) ([]flowmodel.Bundle, RepairStats, error) {
-	return repairWarmStart(o.gen, o.model.Topology(), o.mat, bundles, o.opts.Policy, o.opts.MaxPathsPerAggregate)
+	return o.repair.run(o.gen, o.model.Topology(), o.mat, bundles, o.opts.Policy, o.opts.MaxPathsPerAggregate)
 }
 
-// repairWarmStart repairs against gen, a generator over topo and policy.
-func repairWarmStart(gen *pathgen.Generator, topo *topology.Topology, mat *traffic.Matrix, bundles []flowmodel.Bundle,
+// keptPath is one surviving installed path of an aggregate, with the flows
+// the repair leaves on it.
+type keptPath struct {
+	edges []graph.EdgeID
+	delay unit.Delay
+	flows int
+}
+
+// repairRem is one kept path's remainder in the largest-remainder rescale.
+type repairRem struct{ idx, rem int }
+
+// repairScratch is what one repair rewrites from empty: the surviving paths
+// of every aggregate, the flows displaced from each, the rescale's
+// remainders, and the repaired list itself. The package function repairs
+// into a zero scratch, so its list is the caller's; an optimizer keeps one
+// (Optimizer.repair), so its list lives until the next repair.
+type repairScratch struct {
+	kept      [][]keptPath
+	displaced []int
+	rems      []repairRem
+	out       []flowmodel.Bundle
+}
+
+// run repairs against gen, a generator over topo and policy.
+func (r *repairScratch) run(gen *pathgen.Generator, topo *topology.Topology, mat *traffic.Matrix, bundles []flowmodel.Bundle,
 	policy pathgen.Policy, maxPaths int) ([]flowmodel.Bundle, RepairStats, error) {
 
 	if maxPaths <= 0 {
 		maxPaths = Options{}.withDefaults().MaxPathsPerAggregate
 	}
 
-	type keptPath struct {
-		edges []graph.EdgeID
-		delay unit.Delay
-		flows int
-	}
 	n := mat.NumAggregates()
-	kept := make([][]keptPath, n)
-	displaced := make([]int, n)
+	if len(r.kept) < n {
+		r.kept = append(r.kept, make([][]keptPath, n-len(r.kept))...)
+	}
+	kept := r.kept[:n]
+	for i := range kept {
+		kept[i] = kept[i][:0]
+	}
+	r.displaced = append(r.displaced[:0], make([]int, n)...)
+	displaced := r.displaced
 	var stats RepairStats
 	forb := policy.ForbiddenLinks
 	nLinks := topo.NumLinks()
@@ -134,7 +165,7 @@ func repairWarmStart(gen *pathgen.Generator, topo *topology.Topology, mat *traff
 		}
 	}
 
-	out := make([]flowmodel.Bundle, 0, len(bundles))
+	out := slices.Grow(r.out[:0], len(bundles))
 	for i := 0; i < n; i++ {
 		a := mat.Aggregate(traffic.AggregateID(i))
 		if a.IsSelfPair() {
@@ -166,7 +197,7 @@ func repairWarmStart(gen *pathgen.Generator, topo *topology.Topology, mat *traff
 		// Cap surviving paths so the warm start plus the always-present
 		// lowest-delay path fits the run's path-set limit. Largest
 		// carriers win; the tail's flows fold into the largest.
-		sort.SliceStable(ks, func(x, y int) bool { return ks[x].flows > ks[y].flows })
+		slices.SortStableFunc(ks, func(x, y keptPath) int { return cmp.Compare(y.flows, x.flows) })
 		limit := maxPaths
 		lp, lok := gen.LowestDelay(a.Src, a.Dst)
 		if lok {
@@ -213,16 +244,16 @@ func repairWarmStart(gen *pathgen.Generator, topo *topology.Topology, mat *traff
 			// Largest-remainder proportional rescale, all in integers so
 			// the result is exact and deterministic.
 			stats.RescaledAggregates++
-			type rem struct{ idx, rem int }
-			rems := make([]rem, len(ks))
+			rems := r.rems[:0]
 			assigned := 0
 			for j := range ks {
 				num := target * ks[j].flows
 				ks[j].flows = num / total
-				rems[j] = rem{idx: j, rem: num % total}
+				rems = append(rems, repairRem{idx: j, rem: num % total})
 				assigned += ks[j].flows
 			}
-			sort.SliceStable(rems, func(x, y int) bool { return rems[x].rem > rems[y].rem })
+			r.rems = rems
+			slices.SortStableFunc(rems, func(x, y repairRem) int { return cmp.Compare(y.rem, x.rem) })
 			for j := 0; assigned < target; j++ {
 				ks[rems[j%len(rems)].idx].flows++
 				assigned++
@@ -237,5 +268,6 @@ func repairWarmStart(gen *pathgen.Generator, topo *topology.Topology, mat *traff
 			})
 		}
 	}
+	r.out = out
 	return out, stats, nil
 }

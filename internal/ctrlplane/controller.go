@@ -2,6 +2,7 @@ package ctrlplane
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"log/slog"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -493,11 +493,11 @@ func allocationTables(mat *traffic.Matrix, bundles []flowmodel.Bundle) map[uint3
 		})
 	}
 	for _, rules := range perSwitch {
-		sort.Slice(rules, func(i, j int) bool {
-			if rules[i].Agg != rules[j].Agg {
-				return rules[i].Agg < rules[j].Agg
+		slices.SortFunc(rules, func(a, b Rule) int {
+			if c := cmp.Compare(a.Agg, b.Agg); c != 0 {
+				return c
 			}
-			return slices.Compare(rules[i].Links, rules[j].Links) < 0
+			return slices.Compare(a.Links, b.Links)
 		})
 	}
 	return perSwitch

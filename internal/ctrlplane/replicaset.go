@@ -1,10 +1,11 @@
 package ctrlplane
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,11 +170,11 @@ func (rs *ReplicaSet) seatOrder(datapathID uint32) []int {
 		order[i] = i
 		scores[i] = mix64(rendezvousSalt ^ uint64(datapathID)<<16 ^ uint64(i))
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if scores[order[a]] != scores[order[b]] {
-			return scores[order[a]] > scores[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	return order
 }

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -350,6 +351,34 @@ func TestReplayStreamAndDisconnect(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query %q: status %d, want 400", q, resp.StatusCode)
 		}
+	}
+}
+
+// TestReplayEpochsBounded: a replay asking for more than maxReplayEpochs
+// epochs is refused with 400 before its timeline is built — diurnal's two
+// events per epoch made epochs=5000000 allocate 3.7 GiB before the bound —
+// so the handler allocates next to nothing and the controller is never
+// entered.
+func TestReplayEpochsBounded(t *testing.T) {
+	srv, ts, fakes := newTestServer(t, Config{}, nil)
+	mustPost(t, ts.URL+"/v1/tenants", CreateTenantRequest{ID: "a", Topology: testTopology}, http.StatusCreated)
+	h := srv.Handler()
+	for _, n := range []int{maxReplayEpochs + 1, 1000000000} {
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/tenants/a/replay?scenario=diurnal&epochs=%d", n), nil)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("epochs=%d: status %d, want 400: %s", n, rec.Code, rec.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("epochs=%d: the refused request allocated %d bytes, want under 1 MiB", n, alloc)
+		}
+	}
+	if f := (*fakes)[0]; f.maxFlight.Load() != 0 {
+		t.Error("a refused replay reached the controller")
 	}
 }
 

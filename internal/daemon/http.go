@@ -175,6 +175,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sol.Summary())
 }
 
+// maxReplayEpochs bounds one replay request's epochs. A timeline is built
+// whole before the tenant lock and the scheduler admit the request — two
+// events per epoch for diurnal — so the bound is what keeps one query
+// string from allocating gigabytes: 1<<18 epochs is a ≈34 MB timeline, room
+// for a day of 1-second epochs and then some. Longer runs are several
+// requests.
+const maxReplayEpochs = 1 << 18
+
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	t, release, ok := s.acquire(r.PathValue("id"))
 	if !ok {
@@ -186,8 +194,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	epochs := 16
 	if v := q.Get("epochs"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad epochs %q", v))
+		if err != nil || n < 1 || n > maxReplayEpochs {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad epochs %q (want 1 to %d)", v, maxReplayEpochs))
 			return
 		}
 		epochs = n

@@ -109,19 +109,25 @@ type Result struct {
 
 // Clone deep-copies the result (used when a caller needs to retain one
 // evaluation while its arena keeps running).
-func (r *Result) Clone() *Result {
-	return &Result{
-		BundleRate:          append([]float64(nil), r.BundleRate...),
-		BundleSatisfied:     append([]bool(nil), r.BundleSatisfied...),
-		LinkLoad:            append([]float64(nil), r.LinkLoad...),
-		LinkDemand:          append([]float64(nil), r.LinkDemand...),
-		Congested:           append([]graph.EdgeID(nil), r.Congested...),
-		IsCongested:         append([]bool(nil), r.IsCongested...),
-		AggUtility:          append([]float64(nil), r.AggUtility...),
+func (r *Result) Clone() *Result { return r.CloneInto(new(Result)) }
+
+// CloneInto deep-copies the result into dst, reusing dst's slices, and
+// returns dst: what a caller that keeps one result from run to run copies
+// into.
+func (r *Result) CloneInto(dst *Result) *Result {
+	*dst = Result{
+		BundleRate:          append(dst.BundleRate[:0], r.BundleRate...),
+		BundleSatisfied:     append(dst.BundleSatisfied[:0], r.BundleSatisfied...),
+		LinkLoad:            append(dst.LinkLoad[:0], r.LinkLoad...),
+		LinkDemand:          append(dst.LinkDemand[:0], r.LinkDemand...),
+		Congested:           append(dst.Congested[:0], r.Congested...),
+		IsCongested:         append(dst.IsCongested[:0], r.IsCongested...),
+		AggUtility:          append(dst.AggUtility[:0], r.AggUtility...),
 		NetworkUtility:      r.NetworkUtility,
 		ActualUtilization:   r.ActualUtilization,
 		DemandedUtilization: r.DemandedUtilization,
 	}
+	return dst
 }
 
 // Model holds the immutable half of an evaluation: topology, traffic

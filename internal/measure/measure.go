@@ -36,7 +36,10 @@ type Estimator struct {
 	keys  []AggregateKey
 	state []aggEstimate
 	accs  []aggObservation    // Observe's per-aggregate fold
-	aggs  []traffic.Aggregate // Matrix's staging buffer (NewMatrix copies it)
+	aggs  []traffic.Aggregate // the estimate's staging buffer (traffic.Rebuild copies it)
+	// pts holds the rescaled bandwidth curves of the last RebuildMatrix's
+	// matrix; the next one overwrites them.
+	pts []utility.Point
 }
 
 // defaultAlpha is a new estimator's Alpha.
@@ -160,13 +163,35 @@ func (e *Estimator) CongestedFraction(id traffic.AggregateID) float64 {
 // shapes rescaled to the inferred per-flow demand peaks. Aggregates never
 // observed uncongested fall back to the larger of the class default and
 // the last measured rate — a congested flow wants at least what it got.
+// The matrix is new and the caller's.
 func (e *Estimator) Matrix(topo *topology.Topology) (*traffic.Matrix, error) {
+	m := new(traffic.Matrix)
+	if _, err := e.build(m, nil, topo); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// RebuildMatrix is e.Matrix(topo) rebuilt into m, a matrix the caller owns
+// (traffic.Rebuild), with the rescaled curves' vertices in storage the
+// estimator keeps: m is valid until the next RebuildMatrix on e overwrites
+// them. What a closed loop that estimates every epoch calls, so no epoch
+// allocates a matrix.
+func RebuildMatrix(m *traffic.Matrix, e *Estimator, topo *topology.Topology) error {
+	pts, err := e.build(m, e.pts[:0], topo)
+	e.pts = pts
+	return err
+}
+
+// build rebuilds m into the estimate, appending the rescaled bandwidth
+// curves' vertices to pts, which it returns grown.
+func (e *Estimator) build(m *traffic.Matrix, pts []utility.Point, topo *topology.Topology) ([]utility.Point, error) {
 	e.aggs = append(e.aggs[:0], make([]traffic.Aggregate, len(e.keys))...)
 	aggs := e.aggs
 	for i, k := range e.keys {
 		st := e.state[i]
 		if st.epochs == 0 {
-			return nil, fmt.Errorf("measure: aggregate %d never observed", i)
+			return pts, fmt.Errorf("measure: aggregate %d never observed", i)
 		}
 		fn := utility.ForClass(k.Class)
 		peak := float64(fn.PeakBandwidth())
@@ -177,11 +202,10 @@ func (e *Estimator) Matrix(topo *topology.Topology) (*traffic.Matrix, error) {
 			peak = st.lastKbps
 		}
 		if peak > 0 {
-			scaled, err := fn.WithPeakBandwidth(unit.Bandwidth(peak))
-			if err != nil {
-				return nil, fmt.Errorf("measure: aggregate %d: %v", i, err)
+			var err error
+			if fn, pts, err = utility.AppendPeakBandwidth(pts, fn, unit.Bandwidth(peak)); err != nil {
+				return pts, fmt.Errorf("measure: aggregate %d: %v", i, err)
 			}
-			fn = scaled
 		}
 		flows := st.flows
 		if flows <= 0 {
@@ -192,5 +216,5 @@ func (e *Estimator) Matrix(topo *topology.Topology) (*traffic.Matrix, error) {
 			Flows: flows, Fn: fn, Weight: 1,
 		}
 	}
-	return traffic.NewMatrix(topo, aggs)
+	return pts, traffic.Rebuild(m, topo, aggs)
 }

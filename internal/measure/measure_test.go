@@ -344,9 +344,17 @@ func TestObserveFoldsCounters(t *testing.T) {
 // epoch's matrix, to a new one per epoch over the same counters: across
 // networks of changing size and congestion, and an epoch whose matrix
 // lost aggregates, the estimated matrices and congested fractions must
-// be equal.
+// be equal — the kept estimator's Matrix, and its estimate rebuilt into one
+// matrix kept across all the epochs (RebuildMatrix), alike. Each epoch's
+// new matrix is the caller's: later estimates leave it as it was.
 func TestResetMatchesNewEstimator(t *testing.T) {
 	var kept Estimator // the zero Estimator is ready for Reset
+	var keptMat traffic.Matrix
+	type held struct {
+		mat  *traffic.Matrix
+		aggs []traffic.Aggregate
+	}
+	var earlier []held
 	for e := 0; e < 20; e++ {
 		topo, err := topology.Ring(4+e%3, e%2, unit.Bandwidth(200+300*(e%4))*unit.Kbps, int64(e))
 		if err != nil {
@@ -391,6 +399,18 @@ func TestResetMatchesNewEstimator(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Aggregates(), want.Aggregates()) {
 			t.Fatalf("epoch %d: reset estimator's matrix differs from a new one's", e)
+		}
+		if err := RebuildMatrix(&keptMat, &kept, topo); err != nil {
+			t.Fatal(err)
+		}
+		if keptMat.Topology() != topo || !reflect.DeepEqual(keptMat.Aggregates(), want.Aggregates()) {
+			t.Fatalf("epoch %d: the estimate rebuilt into the kept matrix differs from a new one", e)
+		}
+		earlier = append(earlier, held{got, got.Aggregates()})
+		for i, h := range earlier {
+			if !reflect.DeepEqual(h.mat.Aggregates(), h.aggs) {
+				t.Fatalf("epoch %d: the matrix Matrix returned at epoch %d has changed", e, i)
+			}
 		}
 		for i := 0; i < truth.NumAggregates(); i++ {
 			id := traffic.AggregateID(i)

@@ -204,6 +204,7 @@ type closedLoop struct {
 	// Buffers kept from epoch to epoch (DESIGN.md "Closed-loop replay").
 	oldRates []float64              // pushRepair's stale rates, read by publish
 	est      measure.Estimator      // estimate's, Reset to each epoch's keys
+	estMat   traffic.Matrix         // est's matrix, rebuilt by each estimate
 	merged   sdnsim.EpochStats      // one stats round's replies, merged
 	reserved [2][]mpls.ReservedPath // publish's MBB input: repaired, re-optimized
 	planner  mpls.Planner
@@ -301,8 +302,13 @@ func (l *closedLoop) estimate(ctx context.Context, inst *epochInstance, er *Epoc
 		}
 	}
 	er.StaleTrueUtility, _ = l.cp.fabric.TrueUtility()
-	matEst, err := est.Matrix(inst.topo)
-	if err != nil {
+	matEst := &l.estMat
+	if freshOptimizer != nil {
+		var err error
+		if matEst, err = est.Matrix(inst.topo); err != nil {
+			return nil, err
+		}
+	} else if err := measure.RebuildMatrix(matEst, est, inst.topo); err != nil {
 		return nil, err
 	}
 	return flowmodel.New(inst.topo, matEst)

@@ -76,11 +76,26 @@ type engine struct {
 	// open-loop epoch never touches it.
 	truth *flowmodel.Eval
 
+	// The epoch instance, rebuilt in place every epoch (DESIGN.md "Replay
+	// instance storage"): the two epoch matrices materialize alternates
+	// between — a closed loop's simulator still holds the last epoch's
+	// while the next is built — the instance that points at one, and the
+	// solution every epoch's run writes.
+	mats    [2]traffic.Matrix
+	matNext int
+	inst    epochInstance
+	sol     core.Solution
+	// loop is the closed loop's stage state cl points at, buffers kept
+	// from replay to replay.
+	loop closedLoop
+
 	// Scratch an epoch rewrites from empty rather than re-growing: the
-	// epoch RNG (re-seeded per epoch), materialize's aggregate and key
-	// lists, repairInstalled's key index and remapped list, and the spare
-	// pair recordChurn builds the next installed lists in.
+	// epoch RNG (re-seeded per epoch), materialize's capacities and
+	// aggregate and key lists, repairInstalled's key index and remapped
+	// list, and the spare pair recordChurn builds the next installed lists
+	// in.
 	rng                *rand.Rand
+	capBuf             []unit.Bandwidth
 	aggBuf             []traffic.Aggregate
 	keyBuf             []int64
 	keyToID            map[int64]traffic.AggregateID
@@ -94,61 +109,54 @@ type engine struct {
 	tracer *telemetry.Tracer
 }
 
-// newEngine validates the instance and scenario and builds the replay
-// state around the borrowed optimizer; a non-nil cp puts that control plane
-// in the loop.
-func newEngine(opt *core.Optimizer, cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) (*engine, error) {
+// reset validates the instance and scenario and makes en the replay state
+// around the borrowed optimizer — a non-nil cp puts that control plane in
+// the loop — on the storage en already has: every field a replay reads is
+// rewritten, and what it only writes into — buffers, the arena, the epoch
+// instance — is kept, so a reset engine replays exactly as a new one does.
+// On error en must not replay until the next successful reset.
+func (en *engine) reset(opt *core.Optimizer, cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) error {
 	if opt == nil {
-		return nil, fmt.Errorf("scenario: nil optimizer")
+		return fmt.Errorf("scenario: nil optimizer")
 	}
 	if topo == nil || mat == nil {
-		return nil, fmt.Errorf("scenario: nil topology or matrix")
+		return fmt.Errorf("scenario: nil topology or matrix")
 	}
 	if mat.Topology() != topo {
-		return nil, fmt.Errorf("scenario: matrix bound to a different topology")
+		return fmt.Errorf("scenario: matrix bound to a different topology")
 	}
 	if err := sc.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	nL := topo.NumLinks()
 	for _, e := range sc.Events {
 		switch e.Kind {
 		case LinkFail, LinkRecover, CapacityScale, MaintenanceStart, MaintenanceEnd:
 			if int(e.Link) >= nL {
-				return nil, fmt.Errorf("scenario: event targets link %d, topology has %d", e.Link, nL)
+				return fmt.Errorf("scenario: event targets link %d, topology has %d", e.Link, nL)
 			}
 		case SRLGFail, SRLGRecover:
 			if e.Group != "" {
 				if _, ok := topo.SRLGByName(e.Group); !ok {
-					return nil, fmt.Errorf("scenario: event targets undeclared SRLG %q", e.Group)
+					return fmt.Errorf("scenario: event targets undeclared SRLG %q", e.Group)
 				}
 			}
 		}
 	}
-	en := &engine{
-		base:      topo,
-		baseCaps:  make([]unit.Bandwidth, nL),
-		capFactor: make([]float64, nL),
-		failed:    make([]bool, nL),
-		outAdj:    make([][]topology.LinkID, topo.NumNodes()),
-		inAdj:     make([][]topology.LinkID, topo.NumNodes()),
-		scale:     1,
-		sc:        sc,
-		opts:      opts,
-		arrivals:  traffic.DefaultGenConfig(sc.Seed),
-		opt:       opt,
-		rng:       rand.New(rand.NewSource(0)),
-		keyToID:   make(map[int64]traffic.AggregateID, mat.NumAggregates()),
+	if cp != nil && cp.rs == nil {
+		return fmt.Errorf("scenario: closed control plane")
 	}
-	if t := opts.Core.Telemetry; t != nil {
-		en.tm = t.Scenario()
-		en.tracer = t.Tracer
-	}
-	if cp != nil {
-		if cp.rs == nil {
-			return nil, fmt.Errorf("scenario: closed control plane")
-		}
-		en.cl = &closedLoop{cp: cp, opts: opts.withDefaults(), seed: sc.Seed, cm: opts.Core.Telemetry.Ctrlplane()}
+	en.base, en.sc, en.opts, en.opt = topo, sc, opts, opt
+	en.arrivals = traffic.DefaultGenConfig(sc.Seed)
+	en.baseCaps = resize(en.baseCaps, nL)
+	en.capFactor = resize(en.capFactor, nL)
+	en.failed = resize(en.failed, nL)
+	clear(en.failed)
+	en.failedOrder, en.maintOrder = en.failedOrder[:0], en.maintOrder[:0]
+	en.outAdj = resize(en.outAdj, topo.NumNodes())
+	en.inAdj = resize(en.inAdj, topo.NumNodes())
+	for v := range en.outAdj {
+		en.outAdj[v], en.inAdj[v] = en.outAdj[v][:0], en.inAdj[v][:0]
 	}
 	for i := 0; i < nL; i++ {
 		l := topo.Link(topology.LinkID(i))
@@ -157,14 +165,43 @@ func newEngine(opt *core.Optimizer, cp *ControlPlane, topo *topology.Topology, m
 		en.outAdj[l.From] = append(en.outAdj[l.From], l.ID)
 		en.inAdj[l.To] = append(en.inAdj[l.To], l.ID)
 	}
-	for _, a := range mat.Aggregates() {
+	en.aggs, en.nextKey, en.scale = en.aggs[:0], 0, 1
+	for i := range mat.NumAggregates() {
+		a := mat.Aggregate(traffic.AggregateID(i))
 		en.aggs = append(en.aggs, scenAgg{
 			key: en.nextKey, src: a.Src, dst: a.Dst, class: a.Class,
 			fn: a.Fn, weight: a.Weight, baseFlows: a.Flows, mult: 1, active: true,
 		})
 		en.nextKey++
 	}
-	return en, nil
+	en.installed, en.installedSorted = en.installed[:0], en.installedSorted[:0]
+	en.tm, en.tracer = nil, nil
+	if t := opts.Core.Telemetry; t != nil {
+		en.tm = t.Scenario()
+		en.tracer = t.Tracer
+	}
+	en.loop.cp, en.loop.opts, en.loop.seed = cp, opts.withDefaults(), sc.Seed
+	en.loop.cm = opts.Core.Telemetry.Ctrlplane()
+	en.cl = nil
+	if cp != nil {
+		en.cl = &en.loop
+	}
+	if en.rng == nil {
+		en.rng = rand.New(rand.NewSource(0))
+	}
+	if en.keyToID == nil {
+		en.keyToID = make(map[int64]traffic.AggregateID, mat.NumAggregates())
+	}
+	return nil
+}
+
+// resize returns s at length n, reusing its storage when it has room.
+// Contents are unspecified: the caller rewrites every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // timeline is the replay's event cursor: the scenario's events sorted
@@ -213,11 +250,26 @@ func (en *engine) applyEpochEvents(byEpoch *timeline, epoch int, rng *rand.Rand)
 	return events, nil
 }
 
-// freshOptimizer, when set, builds the optimizer every epoch of every replay
-// runs on, in place of the one the stream was lent. Nothing outside
+// freshOptimizer, when set, rebuilds every epoch of every replay from
+// nothing: the optimizer it builds runs the epoch in place of the one the
+// stream was lent, the epoch's matrices (materialize's and the closed
+// loop's estimate) are built new, its solution is a deep copy of its own
+// (Optimizer.RunWarm), and every stream builds its engine. Nothing outside
 // export_test.go sets it: it is how the tests express the differential
-// oracle "a fresh optimizer every epoch" over this one loop.
+// oracle "a fresh optimizer and instance every epoch" over this one loop.
 var freshOptimizer func(*flowmodel.Model, core.Options) (*core.Optimizer, error)
+
+// Replayer is a replay's storage kept from one stream to the next by
+// whoever lends the streams their optimizer — a Session keeps one: the
+// engine, with its epoch instance (matrices, solution, warm-start remap),
+// scratch, ground-truth arena, closed-loop buffers and RNG. The zero
+// Replayer is empty. A stream takes the storage when it starts and hands it
+// back when it ends, however it ends, so two streams pulled in turn each run
+// on storage of their own, and nothing a stream yields points into it. Not
+// safe for concurrent use.
+type Replayer struct {
+	spare *engine
+}
 
 // Stream replays the scenario over the start instance, yielding one
 // EpochResult per epoch as it completes — million-epoch timelines run in
@@ -266,13 +318,26 @@ var freshOptimizer func(*flowmodel.Model, core.Options) (*core.Optimizer, error)
 // one differs exactly as real re-used hardware would. Cancelling ctx stops
 // the stream at the next epoch (or candidate-batch) boundary with a final
 // yielded error; the epochs already yielded stand.
-func Stream(ctx context.Context, opt *core.Optimizer, cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) iter.Seq2[EpochResult, error] {
+//
+// The replay runs on the replayer's storage (see Replayer): what the last
+// stream left there is rewritten, never read.
+func (r *Replayer) Stream(ctx context.Context, opt *core.Optimizer, cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) iter.Seq2[EpochResult, error] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	return func(yield func(EpochResult, error) bool) {
-		en, err := newEngine(opt, cp, topo, mat, sc, opts)
-		if err != nil {
+		en := r.spare
+		r.spare = nil
+		if en == nil || freshOptimizer != nil {
+			en = new(engine)
+		}
+		defer func() {
+			// Keep the storage, not the timeline: a soak's runs to millions
+			// of events, and nothing reads it once its stream has ended.
+			en.sc = Scenario{}
+			r.spare = en
+		}()
+		if err := en.reset(opt, cp, topo, mat, sc, opts); err != nil {
 			yield(EpochResult{}, err)
 			return
 		}
@@ -490,7 +555,7 @@ func (en *engine) apply(e Event, rng *rand.Rand) (string, error) {
 // declaration order so the choice is deterministic.
 func (en *engine) pickSRLG(name string, rng *rand.Rand, wantDown bool) (topology.SRLG, bool) {
 	if name != "" {
-		return en.base.SRLGByName(name) // existence pre-checked by newEngine
+		return en.base.SRLGByName(name) // existence pre-checked by reset
 	}
 	var cands []topology.SRLG
 	for _, g := range en.base.SRLGs() {
@@ -643,13 +708,18 @@ func (en *engine) downLinks() []topology.LinkID {
 // base capacities under the accumulated factors with out-of-service
 // links at zero, the active aggregates under the demand state, and the
 // epoch policy.
+//
+// The instance is the engine's, rebuilt by the next materialize: its
+// matrix is one of the engine's two, the one the last epoch did not use,
+// rebuilt in place.
 func (en *engine) materialize() (*epochInstance, error) {
-	caps := make([]unit.Bandwidth, len(en.baseCaps))
+	caps := resize(en.capBuf, len(en.baseCaps))
+	en.capBuf = caps
 	for i := range caps {
-		if en.failed[i] {
-			continue // zero
+		caps[i] = 0
+		if !en.failed[i] {
+			caps[i] = unit.Bandwidth(float64(en.baseCaps[i]) * en.capFactor[i])
 		}
-		caps[i] = unit.Bandwidth(float64(en.baseCaps[i]) * en.capFactor[i])
 	}
 	topoE, err := en.base.WithCapacities(caps)
 	if err != nil {
@@ -673,11 +743,15 @@ func (en *engine) materialize() (*epochInstance, error) {
 		})
 		keys = append(keys, a.key)
 	}
-	en.aggBuf, en.keyBuf = aggs, keys // NewMatrix copies; keys are read within the epoch only
-	matE, err := traffic.NewMatrix(topoE, aggs)
-	if err != nil {
+	en.aggBuf, en.keyBuf = aggs, keys // Rebuild copies; keys are read within the epoch only
+	matE := &en.mats[en.matNext]
+	if freshOptimizer != nil {
+		matE = new(traffic.Matrix)
+	}
+	if err := traffic.Rebuild(matE, topoE, aggs); err != nil {
 		return nil, err
 	}
+	en.matNext ^= 1
 
 	// Epoch policy: the user's policy with every out-of-service link
 	// forbidden in both directions.
@@ -689,7 +763,8 @@ func (en *engine) materialize() (*epochInstance, error) {
 		}
 	}
 	coreOpts.Policy.ForbiddenLinks = forb
-	return &epochInstance{topo: topoE, mat: matE, keys: keys, opts: coreOpts}, nil
+	en.inst = epochInstance{topo: topoE, mat: matE, keys: keys, opts: coreOpts}
+	return &en.inst, nil
 }
 
 // repairInstalled remaps the carried installed allocation onto the epoch
@@ -850,7 +925,12 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 		runCtx, cancel = context.WithTimeout(ctx, en.opts.Budget)
 		defer cancel()
 	}
-	sol, err := opt.RunWarm(runCtx, initial)
+	sol := &en.sol
+	if freshOptimizer != nil {
+		sol, err = opt.RunWarm(runCtx, initial)
+	} else {
+		err = opt.RunWarmInto(runCtx, initial, sol)
+	}
 	if err != nil {
 		return nil, err
 	}

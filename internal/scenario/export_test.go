@@ -20,7 +20,17 @@ func newOptimizer(topo *topology.Topology, mat *traffic.Matrix, opts Options) (*
 	return core.New(model, opts.Core)
 }
 
-// stream is Stream on an optimizer of the replay's own.
+// newEngine is the engine a stream's first reset builds, for tests that
+// drive its stages directly.
+func newEngine(opt *core.Optimizer, cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) (*engine, error) {
+	en := new(engine)
+	if err := en.reset(opt, cp, topo, mat, sc, opts); err != nil {
+		return nil, err
+	}
+	return en, nil
+}
+
+// stream is Replayer.Stream on an optimizer and storage of the replay's own.
 func stream(ctx context.Context, cp *ControlPlane, topo *topology.Topology, mat *traffic.Matrix, sc Scenario, opts Options) iter.Seq2[EpochResult, error] {
 	return func(yield func(EpochResult, error) bool) {
 		opt, err := newOptimizer(topo, mat, opts)
@@ -28,7 +38,7 @@ func stream(ctx context.Context, cp *ControlPlane, topo *topology.Topology, mat 
 			yield(EpochResult{}, err)
 			return
 		}
-		Stream(ctx, opt, cp, topo, mat, sc, opts)(yield)
+		new(Replayer).Stream(ctx, opt, cp, topo, mat, sc, opts)(yield)
 	}
 }
 
@@ -58,10 +68,13 @@ func runClosedLoop(ctx context.Context, topo *topology.Topology, mat *traffic.Ma
 
 // withFreshOptimizerPerEpoch runs f with every replay epoch building a
 // fresh optimizer — generators, arenas, base, scratch — as each epoch's
-// core.Run used to, in place of the one its stream was lent. It is the
-// oracle the kept optimizer is compared against: nothing an epoch computes
-// may depend on what the optimizer did before, in this replay or any other.
-// The switch is process-wide, so not for parallel tests.
+// core.Run used to, in place of the one its stream was lent, and a fresh
+// instance: new matrices, its repair in the new optimizer's empty scratch,
+// a solution of its own, a new engine per stream. It is the oracle the kept
+// optimizer and storage are compared against: nothing an epoch computes
+// may depend on what the optimizer or the storage held before, in this
+// replay or any other. The switch is process-wide, so not for parallel
+// tests.
 func withFreshOptimizerPerEpoch(f func()) {
 	freshOptimizer = core.New
 	defer func() { freshOptimizer = nil }()

@@ -16,12 +16,14 @@ import (
 )
 
 // TestKeptOptimizerMatchesPerEpochRebuild is the replay-level gate for the
-// engine keeping one optimizer: on timelines that grow and shrink the
-// matrix, fail and drain links and shared-risk groups, and kill controller
-// seats mid-replay, open loop and closed, at Workers {1, 4} and DeltaEval
-// {Auto, Off}, the replay — every EpochResult bar Elapsed, and the install
-// sequence — is the one a fresh optimizer per epoch produces. So are replays
-// run back to back, and two pulled in turn, on one optimizer.
+// engine keeping one optimizer and rebuilding its epoch instance in place:
+// on timelines that grow and shrink the matrix, fail and drain links and
+// shared-risk groups, and kill controller seats mid-replay, open loop and
+// closed, at Workers {1, 4} and DeltaEval {Auto, Off}, the replay — every
+// EpochResult bar Elapsed, and the install sequence — is the one a fresh
+// optimizer and a fresh instance per epoch produce: new matrices, a
+// repair into new scratch, a caller-owned solution. So are replays run back
+// to back, and two pulled in turn, on one optimizer and one Replayer.
 func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 	ring, ringMat := matrixInstance(t)
 	he, heMat, err := HEBenchInstance(5)
@@ -156,13 +158,15 @@ func lendingReplays(t *testing.T, topo *topology.Topology, workers int) []struct
 }
 
 // lentOptimizerMatchesFreshAcrossReplays is the gate for an optimizer
-// that outlives its replays, the way a Session's does: lendingReplays run
-// back to back on one optimizer — open loop, and closed over one control
-// plane — yield, epoch for epoch and field for field, what they yield on an
-// optimizer built for each replay, and on one built for each epoch (the
+// and replay storage that outlive their replays, the way a Session's do:
+// lendingReplays run back to back on one optimizer and one Replayer — open
+// loop, and closed over one control plane — yield, epoch for epoch and
+// field for field, what they yield on an optimizer and storage built for
+// each replay, and on ones built for each epoch (the
 // withFreshOptimizerPerEpoch oracle). Whatever a replay leaves in the
 // optimizer — memo, trees, arenas, per-aggregate path sets sized for another
-// matrix — the next one must not be able to tell.
+// matrix — or in the storage — matrices, solution, scratch — the next one
+// must not be able to tell.
 func lentOptimizerMatchesFreshAcrossReplays(t *testing.T) {
 	topo, mat := matrixInstance(t)
 	for _, closed := range []bool{false, true} {
@@ -182,6 +186,7 @@ func lentOptimizerMatchesFreshAcrossReplays(t *testing.T) {
 						defer cp.Close()
 					}
 					var opt *core.Optimizer
+					var rp *Replayer
 					var out []*Result
 					for i, r := range replays {
 						if opt == nil || !lend {
@@ -189,8 +194,9 @@ func lentOptimizerMatchesFreshAcrossReplays(t *testing.T) {
 							if opt, err = newOptimizer(topo, mat, r.opts); err != nil {
 								t.Fatal(err)
 							}
+							rp = new(Replayer)
 						}
-						res, err := Run(topo, r.sc, r.opts, closed, Stream(context.Background(), opt, cp, topo, mat, r.sc, r.opts))
+						res, err := Run(topo, r.sc, r.opts, closed, rp.Stream(context.Background(), opt, cp, topo, mat, r.sc, r.opts))
 						if err != nil {
 							t.Fatalf("replay %d (%s): %v", i, r.sc.Name, err)
 						}
@@ -225,10 +231,12 @@ func lentOptimizerMatchesFreshAcrossReplays(t *testing.T) {
 }
 
 // alternatingStreamsShareOneOptimizer: two streams lent the same
-// optimizer and pulled in turn, an epoch of one between every two epochs of
-// the other, each yield what they yield alone. Nothing of a stream lives in
-// the optimizer between its epochs, so whoever holds it may lend it again
-// before the first borrower is done.
+// optimizer and started on the same Replayer, pulled in turn, an epoch of
+// one between every two epochs of the other, each yield what they yield
+// alone. Nothing of a stream lives in the optimizer between its epochs, and
+// the second stream finds the replayer's storage taken and builds its own,
+// so whoever holds them may lend them again before the first borrower is
+// done.
 func alternatingStreamsShareOneOptimizer(t *testing.T) {
 	topo, mat := matrixInstance(t)
 	replays := lendingReplays(t, topo, 1)[:2]
@@ -238,11 +246,12 @@ func alternatingStreamsShareOneOptimizer(t *testing.T) {
 	}
 	var alone [2]*Result
 	var next [2]func() (EpochResult, error, bool)
+	var rp Replayer
 	for i, r := range replays {
 		if alone[i], err = run(context.Background(), topo, mat, r.sc, r.opts); err != nil {
 			t.Fatal(err)
 		}
-		pull, stop := iter.Pull2(Stream(context.Background(), opt, nil, topo, mat, r.sc, r.opts))
+		pull, stop := iter.Pull2(rp.Stream(context.Background(), opt, nil, topo, mat, r.sc, r.opts))
 		defer stop()
 		next[i] = pull
 	}
@@ -304,14 +313,16 @@ func TestOpenAndClosedLoopShareTheTimeline(t *testing.T) {
 
 // TestWarmEpochAllocationCeiling keeps the rebuilds from creeping back: a
 // warm epoch of benchmark/'s HE-31 crisis replay at Workers 1 allocates
-// ≈0.14 MB on an optimizer lent from replay to replay with the engine's
-// scratch kept from epoch to epoch, ≈0.21 MB when each replay builds its own
-// optimizer, ≈0.45 MB when every epoch re-grows its lists and maps as well,
-// and ≈0.95 MB when the optimizer, its path memo and its arenas are built
-// anew each epoch. Bytes allocated are a count, not a time — the same on any
-// machine, a few percent apart between seeds.
+// ≈69 KiB on an optimizer and a Replayer lent from replay to replay, the
+// epoch instance — matrix, warm-start repair, solution — rebuilt in place;
+// ≈0.14 MB when every epoch allocates its instance anew, ≈0.21 MB when each
+// replay builds its own optimizer too, ≈0.45 MB when every epoch re-grows
+// its lists and maps as well, and ≈0.95 MB when the optimizer, its path
+// memo and its arenas are built anew each epoch. Bytes allocated are a
+// count, not a time — the same on any machine, a few percent apart between
+// seeds.
 func TestWarmEpochAllocationCeiling(t *testing.T) {
-	const ceiling = 180 << 10 // bytes per warm epoch
+	const ceiling = 90 << 10 // bytes per warm epoch
 	topo, mat, err := HEBenchInstance(5)
 	if err != nil {
 		t.Fatal(err)
@@ -323,10 +334,11 @@ func TestWarmEpochAllocationCeiling(t *testing.T) {
 	}
 	var bytes uint64
 	epochs := 0
+	var rp Replayer
 	for seed := int64(41); seed < 44; seed++ {
 		sc := Crisis(seed, 8, 1.3, 3)
 		var before, after runtime.MemStats
-		for er, err := range Stream(context.Background(), opt, nil, topo, mat, sc, opts) {
+		for er, err := range rp.Stream(context.Background(), opt, nil, topo, mat, sc, opts) {
 			if err != nil {
 				t.Fatal(err)
 			}

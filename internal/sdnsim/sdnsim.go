@@ -21,6 +21,7 @@ import (
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
+	"fubar/internal/utility"
 )
 
 // RuleCounter is one flow rule's per-epoch accounting, as a switch would
@@ -91,10 +92,15 @@ type Sim struct {
 	rng    *rand.Rand
 	routed bool // Install succeeded since the last Reset
 	epoch  int
-	eval   *flowmodel.Eval     // every RunEpoch's arena, rebound to its model
-	stats  EpochStats          // RunEpoch's result, overwritten by the next one
-	counts []int               // Install's per-aggregate flow tally
-	aggs   []traffic.Aggregate // jitteredMatrix's staging buffer
+	eval   *flowmodel.Eval // every RunEpoch's arena, rebound to its model
+	stats  EpochStats      // RunEpoch's result, overwritten by the next one
+	counts []int           // Install's per-aggregate flow tally
+	// jitteredMatrix's epoch matrix, rebuilt in place by each RunEpoch (only
+	// that epoch's model reads it), its staging buffer, and the vertex
+	// buffer its rescaled bandwidth curves share.
+	jittered traffic.Matrix
+	aggs     []traffic.Aggregate
+	pts      []utility.Point
 	// installed is Install's copy of the routing.
 	installed []flowmodel.Bundle
 }
@@ -241,21 +247,25 @@ func (s *Sim) RunEpoch() (*EpochStats, error) {
 	return stats, nil
 }
 
-// jitteredMatrix rescales each aggregate's demand by this epoch's draw,
-// staging the aggregates in the simulator's buffer (NewMatrix copies it).
+// jitteredMatrix rescales each aggregate's demand by this epoch's draw and
+// rebuilds the simulator's own epoch matrix from them: the last epoch's
+// matrix, its curves and its staging buffer are overwritten, never the
+// truth's.
 func (s *Sim) jitteredMatrix() (*traffic.Matrix, error) {
-	s.aggs = s.aggs[:0]
+	s.aggs, s.pts = s.aggs[:0], s.pts[:0]
 	for i := range s.truth.NumAggregates() {
 		a := s.truth.Aggregate(traffic.AggregateID(i))
 		j := 1 + s.cfg.DemandJitter*(2*s.rng.Float64()-1)
 		if peak := unit.Bandwidth(float64(a.Fn.PeakBandwidth()) * j); peak > 0 {
-			fn, err := a.Fn.WithPeakBandwidth(peak)
-			if err != nil {
+			var err error
+			if a.Fn, s.pts, err = utility.AppendPeakBandwidth(s.pts, a.Fn, peak); err != nil {
 				return nil, err
 			}
-			a.Fn = fn
 		}
 		s.aggs = append(s.aggs, a)
 	}
-	return traffic.NewMatrix(s.topo, s.aggs)
+	if err := traffic.Rebuild(&s.jittered, s.topo, s.aggs); err != nil {
+		return nil, err
+	}
+	return &s.jittered, nil
 }

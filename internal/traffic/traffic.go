@@ -46,7 +46,10 @@ func (a Aggregate) Demand() unit.Bandwidth {
 // (such aggregates never enter the backbone and always have utility 1).
 func (a Aggregate) IsSelfPair() bool { return a.Src == a.Dst }
 
-// Matrix is a traffic matrix bound to a topology.
+// Matrix is a traffic matrix bound to a topology. A matrix has one owner:
+// whoever built it. Every Matrix handed out — a Session's, a generator's,
+// one returned by a method — is immutable; only its owner may Rebuild it,
+// and then only once nothing else reads it.
 type Matrix struct {
 	topo *topology.Topology
 	aggs []Aggregate
@@ -54,19 +57,32 @@ type Matrix struct {
 
 // NewMatrix builds a matrix over the topology from the given aggregates,
 // assigning dense IDs in order. Aggregates must reference valid nodes and
-// have positive flow counts and weights.
+// have positive flow counts and weights. It is Rebuild on a new Matrix.
 func NewMatrix(topo *topology.Topology, aggs []Aggregate) (*Matrix, error) {
-	m := &Matrix{topo: topo, aggs: append([]Aggregate(nil), aggs...)}
+	m := new(Matrix)
+	if err := Rebuild(m, topo, aggs); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Rebuild rewrites m, a matrix the caller owns, into the one
+// NewMatrix(topo, aggs) builds, reusing m's aggregate storage: what a replay
+// epoch's owner — the scenario engine, a simulator, an estimator — does
+// with the matrix it rebuilds every epoch. Nothing may still read m: a
+// Model or a simulator bound to it sees the new contents. On error m is
+// invalid until the next successful Rebuild. It is a function and not a
+// method so that no holder of a *Matrix can rewrite one it does not own.
+func Rebuild(m *Matrix, topo *topology.Topology, aggs []Aggregate) error {
+	m.topo = topo
+	m.aggs = append(m.aggs[:0], aggs...)
 	for i := range m.aggs {
 		m.aggs[i].ID = AggregateID(i)
 		if m.aggs[i].Weight == 0 {
 			m.aggs[i].Weight = 1
 		}
 	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m.Validate()
 }
 
 // Topology returns the topology the matrix is bound to.

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fubar/internal/topology"
@@ -52,6 +53,54 @@ func TestNewMatrixAssignsIDsAndWeights(t *testing.T) {
 	}
 	if m.TotalFlows() != 8 {
 		t.Errorf("TotalFlows = %d, want 8", m.TotalFlows())
+	}
+}
+
+// TestRebuildMatchesNewMatrix holds one matrix rebuilt over a sequence of
+// instances — growing, shrinking, on another topology, with unset and set
+// weights — to the matrix NewMatrix builds from the same aggregates:
+// aggregate for aggregate, topology and validation alike. A refused
+// aggregate list fails both, and the next rebuild recovers. The rebuilt
+// matrix keeps no reference to the caller's list.
+func TestRebuildMatchesNewMatrix(t *testing.T) {
+	var kept Matrix
+	for i := 0; i < 24; i++ {
+		topo, err := topology.Ring(4+i%4, i%2, 500*unit.Kbps, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultGenConfig(int64(i))
+		cfg.IncludeSelfPairs = i%3 == 0
+		gen, err := Generate(topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggs := gen.Aggregates()
+		aggs = aggs[:1+(i*7)%len(aggs)]
+		for j := range aggs {
+			aggs[j].ID = AggregateID(100 + j) // NewMatrix re-densifies
+			if j%2 == 0 {
+				aggs[j].Weight = 0 // NewMatrix defaults it
+			}
+		}
+		if i%5 == 4 {
+			aggs[len(aggs)-1].Flows = 0 // refused by both
+		}
+		want, wantErr := NewMatrix(topo, aggs)
+		gotErr := Rebuild(&kept, topo, aggs)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("instance %d: Rebuild error %v, NewMatrix error %v", i, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if kept.Topology() != want.Topology() || !reflect.DeepEqual(kept.Aggregates(), want.Aggregates()) {
+			t.Fatalf("instance %d: the rebuilt matrix differs from NewMatrix's", i)
+		}
+		aggs[0].Flows++
+		if kept.Aggregate(0).Flows != want.Aggregate(0).Flows {
+			t.Fatalf("instance %d: the rebuilt matrix shares the caller's aggregate list", i)
+		}
 	}
 }
 

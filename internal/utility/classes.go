@@ -28,25 +28,29 @@ func (c Class) String() string {
 	}
 }
 
-// RealTime reproduces Figure 1: utility grows linearly to 1 at 50 kbps of
-// per-flow bandwidth; the delay component holds at 1 up to 30 ms one-way
-// and collapses to 0 at 100 ms — an interactive flow is useless past that.
-func RealTime() Function {
-	return MustFunction("real-time",
+// The class defaults, built once: a Function is immutable, so every caller
+// may share one.
+var (
+	realTime = MustFunction("real-time",
 		MustCurve(Point{X: 0, Y: 0}, Point{X: 50, Y: 1}),
 		MustCurve(Point{X: 30, Y: 1}, Point{X: 100, Y: 0}),
 	)
-}
+	bulk = MustFunction("bulk",
+		MustCurve(Point{X: 0, Y: 0}, Point{X: 200, Y: 1}),
+		MustCurve(Point{X: 100, Y: 1}, Point{X: 2000, Y: 0}),
+	)
+	largeFile = LargeFile(1000 * unit.Kbps)
+)
+
+// RealTime reproduces Figure 1: utility grows linearly to 1 at 50 kbps of
+// per-flow bandwidth; the delay component holds at 1 up to 30 ms one-way
+// and collapses to 0 at 100 ms — an interactive flow is useless past that.
+func RealTime() Function { return realTime }
 
 // Bulk reproduces Figure 2: a bulk-transfer flow needs more bandwidth
 // (peak 200 kbps) but tolerates delay, decaying slowly to 0 at 2 s — the
 // "default delay curve" of §2.2.
-func Bulk() Function {
-	return MustFunction("bulk",
-		MustCurve(Point{X: 0, Y: 0}, Point{X: 200, Y: 1}),
-		MustCurve(Point{X: 100, Y: 1}, Point{X: 2000, Y: 0}),
-	)
-}
+func Bulk() Function { return bulk }
 
 // LargeFile is the §3 large file-transfer class: the bulk delay curve with
 // a much higher bandwidth peak (the paper draws 1 or 2 Mbps).
@@ -66,7 +70,7 @@ func ForClass(c Class) Function {
 	case ClassBulk:
 		return Bulk()
 	case ClassLargeFile:
-		return LargeFile(1000 * unit.Kbps)
+		return largeFile
 	default:
 		return Bulk()
 	}

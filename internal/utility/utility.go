@@ -114,14 +114,21 @@ func (c Curve) Inflection() float64 {
 // Scaling a delay curve by 2 "relaxes" it (Fig 6); scaling a bandwidth
 // curve rescales the flow's demand.
 func (c Curve) ScaleX(f float64) (Curve, error) {
+	scaled, _, err := appendScaleX(nil, c, f)
+	return scaled, err
+}
+
+// appendScaleX is ScaleX building the scaled vertices at the end of pts,
+// which it returns grown; the curve shares them.
+func appendScaleX(pts []Point, c Curve, f float64) (Curve, []Point, error) {
 	if f <= 0 {
-		return Curve{}, fmt.Errorf("utility: non-positive X scale %v", f)
+		return Curve{}, pts, fmt.Errorf("utility: non-positive X scale %v", f)
 	}
-	pts := make([]Point, len(c.pts))
-	for i, p := range c.pts {
-		pts[i] = Point{X: p.X * f, Y: p.Y}
+	start := len(pts)
+	for _, p := range c.pts {
+		pts = append(pts, Point{X: p.X * f, Y: p.Y})
 	}
-	return Curve{pts: pts}, nil
+	return Curve{pts: pts[start:len(pts):len(pts)]}, pts, nil
 }
 
 // NonDecreasing reports whether the curve never decreases (required of
@@ -222,16 +229,29 @@ func (f Function) WithDelayScaled(factor float64) (Function, error) {
 // its inflection point sits at the given rate. Used when measurement infers
 // a different demand than the class default (§2.2's continuous scaling).
 func (f Function) WithPeakBandwidth(peak unit.Bandwidth) (Function, error) {
+	scaled, _, err := AppendPeakBandwidth(nil, f, peak)
+	return scaled, err
+}
+
+// AppendPeakBandwidth is f.WithPeakBandwidth(peak) building the rescaled
+// bandwidth vertices at the end of pts, a buffer the caller owns, instead
+// of in storage of their own, and returning pts grown by them. The function
+// shares those vertices: it is valid until the caller overwrites that part
+// of pts. An owner that rescales every aggregate every epoch — a
+// simulator's demand jitter, an estimator's inferred peaks — truncates one
+// buffer and refills it, rebuilding the matrix that holds the functions
+// (traffic.Rebuild) at the same time.
+func AppendPeakBandwidth(pts []Point, f Function, peak unit.Bandwidth) (Function, []Point, error) {
 	cur := f.PeakBandwidth()
 	if cur <= 0 {
-		return Function{}, fmt.Errorf("utility: function %q has zero peak; cannot rescale", f.name)
+		return Function{}, pts, fmt.Errorf("utility: function %q has zero peak; cannot rescale", f.name)
 	}
 	if peak <= 0 {
-		return Function{}, fmt.Errorf("utility: non-positive peak %v", peak)
+		return Function{}, pts, fmt.Errorf("utility: non-positive peak %v", peak)
 	}
-	b, err := f.bandwidth.ScaleX(float64(peak) / float64(cur))
+	b, pts, err := appendScaleX(pts, f.bandwidth, float64(peak)/float64(cur))
 	if err != nil {
-		return Function{}, err
+		return Function{}, pts, err
 	}
-	return Function{name: f.name, bandwidth: b, delay: f.delay}, nil
+	return Function{name: f.name, bandwidth: b, delay: f.delay}, pts, nil
 }

@@ -2,6 +2,7 @@ package utility
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -222,6 +223,42 @@ func TestWithPeakBandwidth(t *testing.T) {
 	}
 	if _, err := f.WithPeakBandwidth(0); err == nil {
 		t.Error("zero peak accepted")
+	}
+}
+
+// TestAppendPeakBandwidthMatchesWithPeakBandwidth: functions rescaled into
+// one vertex buffer, truncated and refilled round after round, equal the
+// ones WithPeakBandwidth builds in storage of their own; a function built
+// earlier in a round reads the same after the buffer grows under it, and
+// a refused rescale leaves the buffer as it was.
+func TestAppendPeakBandwidthMatchesWithPeakBandwidth(t *testing.T) {
+	classes := []Function{RealTime(), Bulk(), LargeFile(1000), LargeFile(2000)}
+	var pts []Point
+	for round := 0; round < 5; round++ {
+		pts = pts[:0]
+		var got, want []Function
+		for i := 0; i < 3+round*4; i++ {
+			f := classes[(i+round)%len(classes)]
+			peak := unit.Bandwidth(10 + 37*(i+1)*(round+1))
+			w, err := f.WithPeakBandwidth(peak)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var g Function
+			if g, pts, err = AppendPeakBandwidth(pts, f, peak); err != nil {
+				t.Fatal(err)
+			}
+			got, want = append(got, g), append(want, w)
+		}
+		n := len(pts)
+		if _, pts2, err := AppendPeakBandwidth(pts, Bulk(), 0); err == nil || len(pts2) != n {
+			t.Fatalf("round %d: a zero peak was accepted (%v) or grew the buffer to %d", round, err, len(pts2))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("round %d function %d: %+v, want %+v", round, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -21,8 +21,11 @@ import (
 // state a real online controller holds between re-optimizations; Replay
 // and ReplayClosedLoop borrow the optimizer, re-binding it to each epoch's
 // topology and matrix, so what it has built outlives the epoch and the
-// replay; and closed-loop replays keep the control-plane wiring (switches,
-// install generations, ack ledgers) alive across calls.
+// replay, and rebuild each epoch's instance — matrices, warm start,
+// solution — in storage the session keeps from replay to replay
+// (scenario.Replayer), never in anything the session hands out; and
+// closed-loop replays keep the control-plane wiring (switches, install
+// generations, ack ledgers) alive across calls.
 //
 // The lending contract: Optimize, Replay and ReplayClosedLoop on one
 // Session may be interleaved freely — an Optimize between two epochs of a
@@ -56,9 +59,11 @@ type Session struct {
 	// lent is set while a replay may have left opt bound to an epoch's
 	// instance; Optimize re-binds to the session's own and clears it.
 	lent bool
-	cp   *scenario.ControlPlane
-	last *Solution
-	traj *scenario.TrajectoryRecorder
+	// replays keeps a replay's epoch instance and scratch for the next one.
+	replays scenario.Replayer
+	cp      *scenario.ControlPlane
+	last    *Solution
+	traj    *scenario.TrajectoryRecorder
 }
 
 // sessionConfig is the assembled option state: the one replay options
@@ -331,7 +336,7 @@ func (s *Session) Replay(ctx context.Context, sc Scenario) iter.Seq2[EpochRecord
 // and the next epoch takes it back. Under WithTrajectory each yielded epoch
 // is folded into a fresh per-replay recorder before the caller sees it.
 func (s *Session) replay(ctx context.Context, cp *scenario.ControlPlane, sc Scenario) iter.Seq2[EpochRecord, error] {
-	seq := scenario.Stream(ctx, s.opt, cp, s.topo, s.mat, sc, s.cfg.Options)
+	seq := s.replays.Stream(ctx, s.opt, cp, s.topo, s.mat, sc, s.cfg.Options)
 	var rec *scenario.TrajectoryRecorder
 	if s.cfg.trajPoints > 0 {
 		rec = scenario.NewTrajectoryRecorder(sc.Name, sc.Epochs, s.cfg.trajPoints)

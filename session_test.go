@@ -68,7 +68,7 @@ func TestSessionOptimizeMatchesFreeFunction(t *testing.T) {
 	}
 }
 
-// streamOptimizer builds the optimizer a scenario.Stream outside any
+// streamOptimizer builds the optimizer a scenario.Replayer.Stream outside any
 // Session borrows.
 func streamOptimizer(t *testing.T, topo *fubar.Topology, mat *fubar.Matrix, opts scenario.Options) *core.Optimizer {
 	t.Helper()
@@ -90,7 +90,7 @@ func TestSessionReplayStreamsAndMatches(t *testing.T) {
 	day := fubar.DiurnalScenario(7, 5, 0.4, 0.15)
 	opts := scenario.Options{Core: core.Options{Workers: 1}}
 	old, err := scenario.Run(topo, day, opts, false,
-		scenario.Stream(context.Background(), streamOptimizer(t, topo, mat, opts), nil, topo, mat, day, opts))
+		new(scenario.Replayer).Stream(context.Background(), streamOptimizer(t, topo, mat, opts), nil, topo, mat, day, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSessionReplayStreamsAndMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equivalent(old) {
-		t.Fatalf("session replay diverged from scenario.Stream:\n new=%+v\n old=%+v", got.Epochs, old.Epochs)
+		t.Fatalf("session replay diverged from scenario.Replayer.Stream:\n new=%+v\n old=%+v", got.Epochs, old.Epochs)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestSessionClosedLoopMatchesFreeFunction(t *testing.T) {
 	}
 	defer cp.Close()
 	old, err := scenario.Run(topo, sc, opts, true,
-		scenario.Stream(context.Background(), streamOptimizer(t, topo, mat, opts), cp, topo, mat, sc, opts))
+		new(scenario.Replayer).Stream(context.Background(), streamOptimizer(t, topo, mat, opts), cp, topo, mat, sc, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSessionClosedLoopMatchesFreeFunction(t *testing.T) {
 		old.Epochs[i].Installs = nil
 	}
 	if !got.Equivalent(old) {
-		t.Fatalf("session closed loop diverged from scenario.Stream:\n new=%+v\n old=%+v\n installs new=%+v old=%+v",
+		t.Fatalf("session closed loop diverged from scenario.Replayer.Stream:\n new=%+v\n old=%+v\n installs new=%+v old=%+v",
 			got.Epochs, old.Epochs, got.Installs, old.Installs)
 	}
 }

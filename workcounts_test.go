@@ -16,7 +16,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // TestWorkCountsPinned is the CI gate on what is exact about the optimizer's
 // work: it runs the operations BenchmarkReplayEpoch and
 // BenchmarkColdOptimizeScaleS run at CI's bench times — 70 warm epochs of
-// the HE-31 crisis replay, 70 of the closed-loop soak ring, the eight cold
+// the HE-31 crisis replay, 70 of the closed-loop soak ring, 70 of the
+// open-loop diurnal ring a daemon-mixed tenant replays, the eight cold
 // scale-s matrices once each — and compares the totals of candidates scored,
 // bundles refuted by link and by level, committed steps, escalations, path
 // searches, the nodes those searches settled, the builds of the
@@ -30,9 +31,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // path; a step that rebuilt its list regardless would show here as a count
 // near the steps scored, not as a few percent of time. Re-runs are the
 // scoring passes a sub-fill threw away and started over wider; one that
-// re-ran where it could have continued in place shows here. The open-loop leg's
-// row also carries the heap objects those epochs allocated (runtime.MemStats.Mallocs):
-// exact per commit bar the runtime's own, so the gate is a ceiling — the
+// re-ran where it could have continued in place shows here. Each replay
+// leg's row also carries the heap objects those epochs allocated
+// (runtime.MemStats.Mallocs): exact per commit bar the runtime's own and the
+// closed loop's control-plane goroutines, so the gate is a ceiling — the
 // recorded count plus 5% — where every other column is an equality.
 // Regenerate with `go test . -run TestWorkCountsPinned -update` and say why
 // in the commit.
