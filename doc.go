@@ -146,8 +146,9 @@
 // evaluations (rates, loads, congested set, utilities), so the
 // committed move sequence is the same as under full evaluation at any
 // worker count; only the cost changes. Full evaluation per candidate is
-// not a mode an operator can pick: it survives as the differential
-// oracle of the internal test suites (core.Options.DeltaEval).
+// not a mode an operator can pick: Options has no field for it, and it
+// survives as the differential oracle of internal/core's tests, behind an
+// unexported switch only they set (core.WithFullEvaluation).
 //
 // Every evaluation a run makes is of one list, an entry per path-set
 // entry with zero-flow placeholders, and the base persists across steps:

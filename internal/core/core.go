@@ -18,9 +18,9 @@
 // water-filling over all bundles. Both halves of the step pipeline fan
 // out over Options.Workers goroutines (default GOMAXPROCS). Collection
 // visits only the aggregates that can have a bundle on the stepped link —
-// under DeltaAuto, the base's crossers of it — and shards their §2.4
-// alternative enumeration in fixed chunks with an index-ordered merge, so
-// the candidate list is the serial scan's at any worker count. Evaluation
+// the base's crossers of it — and shards their §2.4 alternative
+// enumeration in fixed chunks with an index-ordered merge, so the
+// candidate list is the serial scan's at any worker count. Evaluation
 // then fans the candidates out over workers, each owning a private
 // flowmodel.Eval arena and a persistent trial buffer, copied from the dense
 // committed list once per layout and patched with it on every commit: a
@@ -35,10 +35,9 @@
 //
 // A run evaluates one list: one bundle per (aggregate, path-set entry),
 // zero-flow placeholders included, so a candidate is a two-entry flow
-// patch at fixed indices. With Options.DeltaEval left at DeltaAuto (the
-// default), a run evaluates the committed allocation in full once
-// (flowmodel.Eval.EvaluateBase on the optimizer's base arena), keeps that
-// base current across steps (CommitDelta on a commit, RemapBase when
+// patch at fixed indices. A run evaluates the committed allocation in full
+// once (flowmodel.Eval.EvaluateBase on the optimizer's base arena), keeps
+// that base current across steps (CommitDelta on a commit, RemapBase when
 // collection grows a path set), and scores every candidate against the
 // shared read-only base: only the sub-problem the move actually perturbs is
 // re-filled, whatever share of the list that is. Scoring needs one float
@@ -46,9 +45,9 @@
 // utility-only delta mode (EvaluateDeltaUtility — no Result finalization,
 // no fold for a certain loser), while the committed move always gets a full
 // result. Delta results are bit-identical to full evaluations of the same
-// list, so DeltaAuto and DeltaOff — the differential oracle, a full
-// evaluation of the same patched list — commit the exact same move
-// sequence at any worker count.
+// list, so the run commits the exact move sequence of the differential
+// oracle, which scores every candidate with a full evaluation of the same
+// patched list (fullEvaluation; only tests select it), at any worker count.
 package core
 
 import (
@@ -74,6 +73,14 @@ import (
 // Run): an optimizer bound while it is set enumerates and scores refuted
 // bundles as before the rules existed. Only tests set it (export_test.go).
 var refutationOff atomic.Bool
+
+// fullEvaluation is the differential oracle for incremental scoring: an
+// optimizer bound while it is set keeps no delta base, scores every
+// candidate with a full water-filling of its patched list, evaluates each
+// commit and the final allocation in full, and walks every aggregate in
+// collection. It commits the exact move sequence incremental scoring does.
+// Only tests set it (export_test.go).
+var fullEvaluation atomic.Bool
 
 // The search parameters, which the paper states as design values, not
 // tunables (§2.5).
@@ -123,32 +130,6 @@ func (m AltMode) String() string {
 	}
 }
 
-// DeltaMode selects the candidate-evaluation strategy.
-type DeltaMode uint8
-
-// Candidate-evaluation strategies.
-const (
-	// DeltaAuto (default): evaluate every candidate incrementally against
-	// a base snapshot of the committed allocation. Bit-identical results
-	// to DeltaOff, usually much faster.
-	DeltaAuto DeltaMode = iota
-	// DeltaOff: every candidate runs a full water-filling — the
-	// differential oracle the incremental path is tested against.
-	DeltaOff
-)
-
-// String names the mode.
-func (m DeltaMode) String() string {
-	switch m {
-	case DeltaAuto:
-		return "auto"
-	case DeltaOff:
-		return "off"
-	default:
-		return "unknown"
-	}
-}
-
 // Options tunes the optimizer. The zero value is usable: every field has a
 // sensible default applied by Run. The §2.5 search parameters (move
 // fraction, small-aggregate threshold, escalation factor, minimum gain) are
@@ -171,13 +152,6 @@ type Options struct {
 	Workers int
 	// AltMode restricts the alternative trio (ablation only).
 	AltMode AltMode
-	// DeltaEval selects how candidate moves are evaluated. The zero
-	// value, DeltaAuto, evaluates each candidate incrementally against
-	// the run's persistent base snapshot — exact (bit-identical to full
-	// evaluation) but proportional to the move's affected sub-problem
-	// instead of the whole network. DeltaOff runs full per-candidate
-	// evaluations.
-	DeltaEval DeltaMode
 	// DisableEscalation turns off §2.5 escalation (ablation only): the
 	// optimizer then terminates at the first local optimum.
 	DisableEscalation bool
@@ -282,16 +256,15 @@ type Solution struct {
 	PathsPerAggregate float64
 	// Delta aggregates the incremental-evaluation counters of every
 	// worker arena: calls, expansions and affected-set sizes (Fallbacks
-	// counts contract violations: 0 in a correct run). All zero when
-	// Options.DeltaEval is DeltaOff.
+	// counts contract violations: 0 in a correct run).
 	Delta flowmodel.DeltaStats
 	// Base counts how each step's delta base was obtained — the
-	// persistent-base bookkeeping. All zero under DeltaOff.
+	// persistent-base bookkeeping.
 	Base BaseStats
 	// ListBuilds counts how often the run built its bundle list: once for
 	// the initial evaluation, then once per step whose collection appended
 	// a path to a set. Every other step, and every commit, patches the list
-	// in place. Identical at any Workers and DeltaEval.
+	// in place. Identical at any Workers.
 	ListBuilds int
 	// Paths counts how the run's path lookups were answered — memo,
 	// donor, tree or search — summed over the collection shards'
@@ -330,7 +303,7 @@ type BaseStats struct {
 	Recaptures int `json:"recaptures"`
 	// FinalFromBase counts final-allocation evaluations materialized
 	// from the live base (Eval.ResultFromBase) instead of a fresh full
-	// evaluation: 1 on every DeltaAuto run.
+	// evaluation: 1 on every run.
 	FinalFromBase int `json:"final_from_base"`
 }
 
@@ -373,10 +346,10 @@ type Optimizer struct {
 	listBuilds int
 	// baseEval is the arena of the optimizer's own full evaluations and of
 	// its delta base; base is the captured snapshot the candidate deltas
-	// splice from, read-only while workers run. Under DeltaAuto the base
-	// captures the committed allocation from Run's initial evaluation to
-	// its last step, over denseSeg's layout: committed moves are folded in
-	// with CommitDelta and the paths collection appends are inserted with
+	// splice from, read-only while workers run. The base captures the
+	// committed allocation from Run's initial evaluation to its last step,
+	// over denseSeg's layout: committed moves are folded in with
+	// CommitDelta and the paths collection appends are inserted with
 	// RemapBase, so a step pays a full base evaluation only when RemapBase
 	// refuses.
 	baseEval *flowmodel.Eval
@@ -428,6 +401,10 @@ type Optimizer struct {
 	// selected — on an oracle optimizer, the refuted bundles' among them.
 	skipRefuted  bool
 	afterScoring func(cands []candidate, bound float64)
+	// fullEval is set only under the test-only differential oracle for
+	// incremental scoring (fullEvaluation): the run keeps no base and
+	// evaluates every candidate, commit and final allocation in full.
+	fullEval bool
 	// candidates, refutedLink and refutedLevel are the run's totals of
 	// candidates collected and of bundles skipped as refuted, by either rule.
 	candidates   int
@@ -448,7 +425,8 @@ type Optimizer struct {
 	// probe, when set (RunCandidateBench), replaces the candidate scoring
 	// call so instrumentation can time/verify the evaluation strategies on
 	// the exact trial lists and base the optimizer produces (base is nil
-	// under DeltaOff); bound is the one the candidate would be scored
+	// under the full-evaluation oracle); bound is the one the candidate
+	// would be scored
 	// against.
 	probe func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, bound float64) float64
 
@@ -563,6 +541,7 @@ func (o *Optimizer) Rebind(model *flowmodel.Model, opts Options) error {
 		o.refutedStamp = make([]uint32, topo.NumLinks())
 	}
 	o.skipRefuted = !refutationOff.Load()
+	o.fullEval = fullEvaluation.Load()
 	o.model, o.mat, o.opts = model, mat, opts
 	o.tm, o.tracer = nil, nil
 	if opts.Telemetry != nil {
@@ -644,7 +623,7 @@ func (o *Optimizer) run(ctx context.Context, initial []flowmodel.Bundle, sol *So
 	if o.tm != nil {
 		o.tm.Runs.Inc()
 	}
-	// Under DeltaAuto the initial evaluation doubles as the base capture:
+	// The initial evaluation doubles as the base capture:
 	// EvaluateBase returns exactly what Evaluate would (the capture is a
 	// copy-out, not different math), and every step then carries it over
 	// instead of paying its own EvaluateBase — so a run's capture count is
@@ -655,7 +634,7 @@ func (o *Optimizer) run(ctx context.Context, initial []flowmodel.Bundle, sol *So
 		o.baseEval, o.base = o.model.NewEval(), &flowmodel.Base{}
 	}
 	var res *flowmodel.Result
-	if o.opts.DeltaEval == DeltaAuto {
+	if !o.fullEval {
 		res = o.captureBase(o.buildStepBundles())
 	} else {
 		res = o.baseEval.Evaluate(o.buildStepBundles())
@@ -999,13 +978,14 @@ func (o *Optimizer) buildStepBundles() []flowmodel.Bundle {
 }
 
 // finalResult evaluates the final allocation, the run's list — with the
-// placeholders of any path appended after the last commit. Under DeltaAuto
-// the base captures it, so the Result materializes from the base with no
-// water-filling at all. Under DeltaOff it is a full evaluation of the list
+// placeholders of any path appended after the last commit. The base
+// captures it, so the Result materializes from the base with no
+// water-filling at all. Under the full-evaluation oracle it is a full
+// evaluation of the list
 // on the base arena. Both are bit-identical by the CommitDelta/RemapBase
 // contract.
 func (o *Optimizer) finalResult() *flowmodel.Result {
-	if o.opts.DeltaEval == DeltaAuto {
+	if !o.fullEval {
 		o.baseStats.FinalFromBase++
 		return o.baseEval.ResultFromBase(o.base)
 	}
@@ -1099,9 +1079,10 @@ type candidate struct {
 // arena, valid until its next use), or nil when no move improved utility.
 //
 // Both modes score the same list, the dense one every candidate patches at
-// two entries. Under DeltaAuto the persistent base is carried onto it and
-// every candidate is an incremental delta against that shared snapshot;
-// under DeltaOff each candidate is a full evaluation of the patched list.
+// two entries. The persistent base is carried onto it and every candidate
+// is an incremental delta against that shared snapshot; under the
+// full-evaluation oracle each candidate is a full evaluation of the
+// patched list.
 // Both produce bit-identical candidate utilities.
 //
 // Selection replays the candidates in collection order with the same
@@ -1153,9 +1134,10 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 	return res
 }
 
-// prepareBase brings the run's list, and under DeltaAuto the base that
-// captures the committed allocation, onto the layout collection left, and
-// returns the base candidates are scored against (nil under DeltaOff). The
+// prepareBase brings the run's list, and the base that captures the
+// committed allocation, onto the layout collection left, and returns the
+// base candidates are scored against (nil under the full-evaluation
+// oracle). The
 // layout changed only if collection appended a path (grew): the list is
 // rebuilt and the new entries' placeholders are inserted into the base,
 // which only failing that is re-captured by a full EvaluateBase. Every
@@ -1164,7 +1146,7 @@ func (o *Optimizer) prepareBase(grew bool) *flowmodel.Base {
 	if grew {
 		o.buildStepBundles()
 	}
-	if o.opts.DeltaEval != DeltaAuto {
+	if o.fullEval {
 		return nil
 	}
 	switch {
@@ -1288,17 +1270,17 @@ func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeI
 }
 
 // walkAggs lists, ascending, the aggregates collection visits for link: an
-// ordered superset of those crossingPaths accepts a bundle of. Under
-// DeltaAuto these are the aggregates of the base's active crossers of the
-// link — in the dense layout ascending bundle index is ascending aggregate —
+// ordered superset of those crossingPaths accepts a bundle of: the
+// aggregates of the base's active crossers of the link — in the dense layout ascending bundle index is ascending aggregate —
 // merged with the run's routed aggregates whose per-flow demand is 0
 // (inertAggs): their bundles are inert in the fill, so on no crosser list,
-// yet moving one still changes its delay utility. DeltaOff has no base and
-// walks every aggregate: the differential oracle for the walk. The list is
+// yet moving one still changes its delay utility. The full-evaluation
+// oracle has no base and walks every aggregate: the differential oracle for
+// the walk. The list is
 // the optimizer's scratch, valid until the next call.
 func (o *Optimizer) walkAggs(link graph.EdgeID) []int32 {
 	o.walk = o.walk[:0]
-	if o.opts.DeltaEval != DeltaAuto {
+	if o.fullEval {
 		for ai := range o.aggs {
 			o.walk = append(o.walk, int32(ai))
 		}
@@ -1452,7 +1434,8 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, dense []flowmodel.Bund
 // (from, to, n) flow patch at two fixed indices — the delta's changed set.
 // With a base the evaluation is incremental and utility-only (scoring needs
 // one float, not a finalized Result, and needs it exact only above bound);
-// without one (DeltaOff) it is a full water-filling, exact at any bound.
+// without one (the full-evaluation oracle) it is a full water-filling,
+// exact at any bound.
 // The patch is reverted after the evaluation, so the buffer mirrors the
 // dense list again for the worker's next candidate.
 func (o *Optimizer) evalCandidate(w *worker, c *candidate, dense []flowmodel.Bundle, base *flowmodel.Base, bound float64) float64 {

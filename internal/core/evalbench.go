@@ -59,7 +59,6 @@ func medianNs(ns []int64) int64 {
 // contend for the CPU.
 func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchResult, error) {
 	opts.Workers = benchWorkers
-	opts.DeltaEval = DeltaAuto
 	o, err := New(model, opts)
 	if err != nil {
 		return nil, err

@@ -12,6 +12,31 @@ func WithoutRefutation(f func()) {
 	f()
 }
 
+// WithFullEvaluation runs f under the differential oracle for incremental
+// scoring: every optimizer bound (New, Rebind) inside f keeps no delta base
+// and scores every candidate with a full water-filling, until it is bound
+// again. Exported to this package's tests only — the external test package
+// drives whole replays through internal/scenario with it. The switch is
+// process-wide, so not for parallel tests.
+func WithFullEvaluation(f func()) {
+	fullEvaluation.Store(true)
+	defer fullEvaluation.Store(false)
+	f()
+}
+
+// evalName names a test leg by how its optimizers score candidates.
+var evalName = map[bool]string{false: "incremental", true: "full"}
+
+// Evaluating runs f under the full-evaluation oracle when full is set and
+// as production scores otherwise, for the tests that run both.
+func Evaluating(full bool, f func()) {
+	if full {
+		WithFullEvaluation(f)
+		return
+	}
+	f()
+}
+
 // PathEntries reports what the optimizer's path generators hold on to
 // (pathgen.Generator.Entries), the largest of them — the count Rebind's
 // Trim bounds. For the external test package, which replays through

@@ -51,16 +51,17 @@ func benchOptimizer(b *testing.B, workers int) (*Optimizer, float64, []graph.Edg
 
 // BenchmarkStepCandidates measures one step's candidate fan-out — collect
 // plus evaluation over the most congested link — at several worker counts
-// and both candidate-evaluation strategies. This is the optimizer's hot
-// path; delta=auto vs delta=off is the headline algorithmic speedup, the
-// worker scaling the concurrency one (it saturates at the core count).
+// and both candidate-evaluation strategies, incremental scoring and the
+// full-evaluation oracle. This is the optimizer's hot path; incremental vs
+// full is the headline algorithmic speedup, the worker scaling the
+// concurrency one (it saturates at the core count).
 func BenchmarkStepCandidates(b *testing.B) {
-	for _, delta := range []DeltaMode{DeltaAuto, DeltaOff} {
+	for _, full := range []bool{false, true} {
 		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("delta=%s/workers=%d", delta, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("eval=%s/workers=%d", evalName[full], workers), func(b *testing.B) {
 				o, u, congested, links := benchOptimizer(b, workers)
-				o.opts.DeltaEval = delta
-				if delta == DeltaAuto {
+				o.fullEval = full
+				if !full {
 					// Run's initial evaluation is the base capture.
 					o.captureBase(o.buildStepBundles())
 				}

@@ -89,22 +89,26 @@ func TestWorkersDeterminism(t *testing.T) {
 
 // TestDeltaEvalDeterminism asserts the incremental-evaluation acceptance
 // criterion: the committed move sequence — step count, per-step utility
-// trajectory, final bundles, stop reason — is identical with DeltaEval on
-// and off, at one and at several workers, bit for bit.
+// trajectory, final bundles, stop reason — is the full-evaluation oracle's,
+// at one and at several workers, bit for bit.
 func TestDeltaEvalDeterminism(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		topo, mat := congestedInstance(t, seed)
-		ref, refTrace := runWithOptions(t, topo, mat, Options{Workers: 1, DeltaEval: DeltaOff})
+		var ref *Solution
+		var refTrace []float64
+		WithFullEvaluation(func() { ref, refTrace = runWithOptions(t, topo, mat, Options{Workers: 1}) })
 		if ref.Steps == 0 {
 			t.Fatalf("seed %d: reference run committed no moves", seed)
 		}
 		for _, workers := range []int{1, 4} {
-			for _, mode := range []DeltaMode{DeltaAuto, DeltaOff} {
-				if workers == 1 && mode == DeltaOff {
+			for _, full := range []bool{false, true} {
+				if workers == 1 && full {
 					continue // that's the reference itself
 				}
-				sol, trace := runWithOptions(t, topo, mat, Options{Workers: workers, DeltaEval: mode})
-				tag := fmt.Sprintf("seed %d workers=%d delta=%s", seed, workers, mode)
+				var sol *Solution
+				var trace []float64
+				Evaluating(full, func() { sol, trace = runWithOptions(t, topo, mat, Options{Workers: workers}) })
+				tag := fmt.Sprintf("seed %d workers=%d full=%v", seed, workers, full)
 				if sol.Steps != ref.Steps {
 					t.Errorf("%s: steps = %d, want %d", tag, sol.Steps, ref.Steps)
 				}
@@ -120,11 +124,11 @@ func TestDeltaEvalDeterminism(t *testing.T) {
 				if !reflect.DeepEqual(trace, refTrace) {
 					t.Errorf("%s: per-step utility trajectory differs from reference", tag)
 				}
-				if mode == DeltaAuto && sol.Delta.Calls == 0 {
-					t.Errorf("%s: DeltaAuto run made no delta evaluations", tag)
+				if !full && sol.Delta.Calls == 0 {
+					t.Errorf("%s: incremental run made no delta evaluations", tag)
 				}
-				if mode == DeltaOff && sol.Delta.Calls != 0 {
-					t.Errorf("%s: DeltaOff run made %d delta evaluations", tag, sol.Delta.Calls)
+				if full && sol.Delta.Calls != 0 {
+					t.Errorf("%s: full-evaluation run made %d delta evaluations", tag, sol.Delta.Calls)
 				}
 			}
 		}

@@ -92,22 +92,24 @@ func (e rebindEpoch) model(t *testing.T) *flowmodel.Model {
 func TestRebindMatchesFreshOptimizer(t *testing.T) {
 	ctx := context.Background()
 	for _, workers := range []int{1, 3} {
-		for _, mode := range []DeltaMode{DeltaAuto, DeltaOff} {
-			t.Run(fmt.Sprintf("workers-%d/delta-%v", workers, mode), func(t *testing.T) {
+		for _, full := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers-%d/%s", workers, evalName[full]), func(t *testing.T) {
 				var kept *Optimizer
 				var installed []flowmodel.Bundle
 				for _, ep := range rebindEpochs(t) {
-					opts := Options{Workers: workers, DeltaEval: mode, Policy: ep.policy}
+					opts := Options{Workers: workers, Policy: ep.policy}
+					var fresh *Optimizer
 					var err error
-					if kept == nil {
-						kept, err = New(ep.model(t), opts)
-					} else {
-						err = kept.Rebind(ep.model(t), opts)
-					}
-					if err != nil {
-						t.Fatalf("%s: %v", ep.name, err)
-					}
-					fresh, err := New(ep.model(t), opts)
+					Evaluating(full, func() {
+						if kept == nil {
+							kept, err = New(ep.model(t), opts)
+						} else {
+							err = kept.Rebind(ep.model(t), opts)
+						}
+						if err == nil {
+							fresh, err = New(ep.model(t), opts)
+						}
+					})
 					if err != nil {
 						t.Fatalf("%s: %v", ep.name, err)
 					}

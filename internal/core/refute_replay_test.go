@@ -1,9 +1,9 @@
 package core_test
 
-// The replay- and preset-level differential for the failed-step rule. It
-// lives in core's external test package because it needs both the
-// unexported oracle switch (export_test.go) and internal/scenario, which
-// imports core.
+// The replay- and preset-level differentials for the failed-step rule and
+// for incremental scoring. They live in core's external test package
+// because they need both the unexported oracle switches (export_test.go)
+// and internal/scenario, which imports core.
 
 import (
 	"context"
@@ -44,12 +44,53 @@ func srlgRing(t *testing.T) (*topology.Topology, *traffic.Matrix) {
 	return topo, mat
 }
 
+// evalName names a leg by how its optimizers score candidates.
+var evalName = map[bool]string{false: "incremental", true: "full"}
+
+// replay runs sc over topo and mat on an optimizer of its own, open loop or
+// closed over a control plane of its own, and collects its Result.
+func replay(t *testing.T, topo *topology.Topology, mat *traffic.Matrix, sc scenario.Scenario, opts scenario.Options, closed bool) *scenario.Result {
+	t.Helper()
+	var cp *scenario.ControlPlane
+	if closed {
+		var err error
+		if cp, err = scenario.NewControlPlane(topo, mat, opts); err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Close()
+	}
+	res, err := scenario.Run(topo, sc, opts, closed,
+		new(scenario.Replayer).Stream(context.Background(), newOptimizer(t, topo, mat, opts.Core), cp, topo, mat, sc, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// requireEquivalent fails the test at the first epoch row (bar Elapsed) or
+// install record two replays of one timeline differ in.
+func requireEquivalent(t *testing.T, aName string, a *scenario.Result, bName string, b *scenario.Result) {
+	t.Helper()
+	if a.Equivalent(b) {
+		return
+	}
+	for i := range min(len(a.Epochs), len(b.Epochs)) {
+		x, y := a.Epochs[i], b.Epochs[i]
+		x.Elapsed, y.Elapsed = 0, 0
+		if !reflect.DeepEqual(x, y) {
+			t.Fatalf("epoch %d differs:\n %s %+v\n %s %+v", i, aName, x, bName, y)
+		}
+	}
+	t.Fatalf("%d vs %d epochs, or install sequences differ:\n %s %+v\n %s %+v",
+		len(a.Epochs), len(b.Epochs), aName, a.Installs, bName, b.Installs)
+}
+
 // TestRefutationMatchesFullEnumerationReplay: with the rule on and with the
 // oracle enumerating every bundle, a replay is the same replay — every
 // EpochResult bar Elapsed, and the install sequence — on the SRLG ring open
 // and closed loop (3 replicas) over crisis and link-failure soak timelines,
-// warm and cold, at Workers {1, 4} × DeltaEval {Auto, Off}, and on
-// benchmark/'s HE-31 crisis timelines.
+// warm and cold, at Workers {1, 4}, scoring incrementally and under the
+// full-evaluation oracle, and on benchmark/'s HE-31 crisis timelines.
 func TestRefutationMatchesFullEnumerationReplay(t *testing.T) {
 	ring, ringMat := srlgRing(t)
 	he, heMat, err := scenario.HEBenchInstance(5)
@@ -79,42 +120,18 @@ func TestRefutationMatchesFullEnumerationReplay(t *testing.T) {
 		leg{"open/he-crisis-cold", he, heMat, scenario.Crisis(43, 3, 1.3, 3), false, true})
 	for _, lg := range legs {
 		for _, workers := range []int{1, 4} {
-			for _, mode := range []core.DeltaMode{core.DeltaAuto, core.DeltaOff} {
-				if lg.topo == he && mode != core.DeltaAuto {
-					continue // full fills on HE cost seconds under -race; the ring legs cover DeltaOff
+			for _, fullEval := range []bool{false, true} {
+				if lg.topo == he && fullEval {
+					continue // full fills on HE cost seconds under -race; the ring legs cover the oracle
 				}
-				t.Run(fmt.Sprintf("%s/workers-%d/delta-%v", lg.name, workers, mode), func(t *testing.T) {
-					coreOpts := core.Options{Workers: workers, DeltaEval: mode}
-					replay := func() *scenario.Result {
-						opts := scenario.Options{Core: coreOpts, Replicas: 3, ColdStart: lg.cold}
-						var cp *scenario.ControlPlane
-						if lg.closed {
-							var err error
-							if cp, err = scenario.NewControlPlane(lg.topo, lg.mat, opts); err != nil {
-								t.Fatal(err)
-							}
-							defer cp.Close()
-						}
-						res, err := scenario.Run(lg.topo, lg.sc, opts, lg.closed,
-							new(scenario.Replayer).Stream(context.Background(), newOptimizer(t, lg.topo, lg.mat, opts.Core), cp, lg.topo, lg.mat, lg.sc, opts))
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
-					}
-					rule := replay()
-					var full *scenario.Result
-					core.WithoutRefutation(func() { full = replay() })
-					if !rule.Equivalent(full) {
-						for i := range rule.Epochs {
-							a, b := rule.Epochs[i], full.Epochs[i]
-							a.Elapsed, b.Elapsed = 0, 0
-							if !reflect.DeepEqual(a, b) {
-								t.Fatalf("epoch %d differs:\n rule %+v\n full %+v", i, a, b)
-							}
-						}
-						t.Fatalf("install sequences differ:\n rule %+v\n full %+v", rule.Installs, full.Installs)
-					}
+				t.Run(fmt.Sprintf("%s/workers-%d/%s", lg.name, workers, evalName[fullEval]), func(t *testing.T) {
+					opts := scenario.Options{Core: core.Options{Workers: workers}, Replicas: 3, ColdStart: lg.cold}
+					var rule, oracle *scenario.Result
+					core.Evaluating(fullEval, func() {
+						rule = replay(t, lg.topo, lg.mat, lg.sc, opts, lg.closed)
+						core.WithoutRefutation(func() { oracle = replay(t, lg.topo, lg.mat, lg.sc, opts, lg.closed) })
+					})
+					requireEquivalent(t, "rule", rule, "full enumeration", oracle)
 					steps := 0
 					for _, e := range rule.Epochs {
 						steps += e.Steps
@@ -130,7 +147,8 @@ func TestRefutationMatchesFullEnumerationReplay(t *testing.T) {
 
 // TestRefutationMatchesFullEnumerationCold: cold optimizations of the
 // scale-xs and scale-s presets commit the same solution with the rule on
-// and under the oracle, at Workers {1, 4} × DeltaEval {Auto, Off}; the rule
+// and under the oracle, at Workers {1, 4}, scoring incrementally and under
+// the full-evaluation oracle; the rule
 // scores no more candidates than the full enumeration — the same ones
 // exactly when it skipped nothing — and reports the same RefutedBundles and
 // Delta at either worker count.
@@ -152,17 +170,19 @@ func TestRefutationMatchesFullEnumerationCold(t *testing.T) {
 			}
 			return sol
 		}
-		for _, mode := range []core.DeltaMode{core.DeltaAuto, core.DeltaOff} {
-			if preset == "scale-s" && mode == core.DeltaOff {
-				continue // ~1500 aggregates of full fills per candidate: scale-xs covers DeltaOff
+		for _, fullEval := range []bool{false, true} {
+			if preset == "scale-s" && fullEval {
+				continue // ~1500 aggregates of full fills per candidate: scale-xs covers the oracle
 			}
 			var atOne *core.Solution
 			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/workers-%d/delta-%v", preset, workers, mode), func(t *testing.T) {
-					opts := core.Options{Workers: workers, DeltaEval: mode}
-					rule := run(t, opts)
-					var full *core.Solution
-					core.WithoutRefutation(func() { full = run(t, opts) })
+				t.Run(fmt.Sprintf("%s/workers-%d/%s", preset, workers, evalName[fullEval]), func(t *testing.T) {
+					opts := core.Options{Workers: workers}
+					var rule, full *core.Solution
+					core.Evaluating(fullEval, func() {
+						rule = run(t, opts)
+						core.WithoutRefutation(func() { full = run(t, opts) })
+					})
 					if rule.Utility != full.Utility || rule.Steps != full.Steps || rule.Escalations != full.Escalations ||
 						rule.Stop != full.Stop || !reflect.DeepEqual(rule.Bundles, full.Bundles) || !reflect.DeepEqual(rule.Result, full.Result) {
 						t.Fatalf("rule: utility %v, %d steps, %d escalations, %v; full enumeration: %v, %d, %d, %v",
@@ -177,7 +197,7 @@ func TestRefutationMatchesFullEnumerationCold(t *testing.T) {
 						t.Errorf("the rule skipped %d bundles and scored %d candidates, the full enumeration %d",
 							rule.RefutedBundles, rule.Delta.Calls, full.Delta.Calls)
 					}
-					if preset == "scale-xs" && mode == core.DeltaAuto && rule.RefutedBundles == 0 {
+					if preset == "scale-xs" && !fullEval && rule.RefutedBundles == 0 {
 						t.Error("no bundle was refuted on scale-xs; the comparison proves little")
 					}
 					if atOne == nil {
@@ -202,7 +222,7 @@ func TestOptionsFieldSet(t *testing.T) {
 	}{
 		{reflect.TypeOf(core.Options{}), []string{
 			"Policy", "MaxPathsPerAggregate", "MaxSteps", "Workers", "AltMode",
-			"DeltaEval", "DisableEscalation", "Trace", "Telemetry",
+			"DisableEscalation", "Trace", "Telemetry",
 		}},
 		{reflect.TypeOf(scenario.Options{}), []string{
 			"Core", "ColdStart", "Budget", "DemandJitter", "Replicas", "RuleLease",

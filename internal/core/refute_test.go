@@ -40,23 +40,24 @@ func sameOutcome(t *testing.T, what string, got, want *Solution) {
 // of re-binds — arrivals, an SRLG failure, departures, a hop bound, a
 // topology with another link count (so another stamp array) and back —
 // warm-started from what the previous epoch committed, and commit the same
-// solution every epoch at Workers {1, 4} × DeltaEval {Auto, Off}. The
-// rule's own counters must not depend on the worker count either.
+// solution every epoch at Workers {1, 4}, scoring incrementally and under
+// the full-evaluation oracle. The rule's own counters must not depend on
+// the worker count either.
 func TestRefutationAcrossRebind(t *testing.T) {
 	ctx := context.Background()
 	type counts struct {
 		refuted int
 		delta   flowmodel.DeltaStats
 	}
-	perWorkers := map[DeltaMode]map[int][]counts{DeltaAuto: {}, DeltaOff: {}}
+	perWorkers := map[bool]map[int][]counts{false: {}, true: {}}
 	for _, workers := range []int{1, 4} {
-		for _, mode := range []DeltaMode{DeltaAuto, DeltaOff} {
-			t.Run(fmt.Sprintf("workers-%d/delta-%v", workers, mode), func(t *testing.T) {
+		for _, full := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers-%d/%s", workers, evalName[full]), func(t *testing.T) {
 				var rule, oracle *Optimizer
 				var installed []flowmodel.Bundle
 				skipped := 0
 				for _, ep := range rebindEpochs(t) {
-					opts := Options{Workers: workers, DeltaEval: mode, Policy: ep.policy}
+					opts := Options{Workers: workers, Policy: ep.policy}
 					bind := func(o **Optimizer) {
 						var err error
 						if *o == nil {
@@ -68,8 +69,10 @@ func TestRefutationAcrossRebind(t *testing.T) {
 							t.Fatalf("%s: %v", ep.name, err)
 						}
 					}
-					bind(&rule)
-					WithoutRefutation(func() { bind(&oracle) })
+					Evaluating(full, func() {
+						bind(&rule)
+						WithoutRefutation(func() { bind(&oracle) })
+					})
 					warm, _, err := rule.RepairWarmStart(installed)
 					if err != nil {
 						t.Fatalf("%s: repair: %v", ep.name, err)
@@ -90,7 +93,7 @@ func TestRefutationAcrossRebind(t *testing.T) {
 						t.Fatalf("%s: the rule scored %d candidates, the full enumeration %d", ep.name, got.Delta.Calls, want.Delta.Calls)
 					}
 					skipped += got.RefutedBundles
-					perWorkers[mode][workers] = append(perWorkers[mode][workers], counts{got.RefutedBundles, got.Delta})
+					perWorkers[full][workers] = append(perWorkers[full][workers], counts{got.RefutedBundles, got.Delta})
 					installed = got.Bundles
 				}
 				if skipped == 0 {
@@ -99,9 +102,9 @@ func TestRefutationAcrossRebind(t *testing.T) {
 			})
 		}
 	}
-	for mode, byWorkers := range perWorkers {
+	for full, byWorkers := range perWorkers {
 		if !reflect.DeepEqual(byWorkers[1], byWorkers[4]) {
-			t.Errorf("delta-%v: RefutedBundles / Delta per epoch depend on the worker count:\n 1: %+v\n 4: %+v", mode, byWorkers[1], byWorkers[4])
+			t.Errorf("%s: RefutedBundles / Delta per epoch depend on the worker count:\n 1: %+v\n 4: %+v", evalName[full], byWorkers[1], byWorkers[4])
 		}
 	}
 }

@@ -40,14 +40,14 @@ func waxmanScaleInstance(t *testing.T, seed int64) (*topology.Topology, *traffic
 // TestScaleWorkerDeterminism asserts the scale-out pipeline's acceptance
 // criterion on a ~200-node instance: the committed move sequence —
 // per-step utility trajectory, final bundles, utility, stop reason — is
-// bit-identical across worker counts and DeltaEval on/off.
+// bit-identical across worker counts and under the full-evaluation oracle.
 func TestScaleWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second 200-node determinism matrix")
 	}
 	topo, mat := waxmanScaleInstance(t, 3)
 	const maxSteps = 12
-	base := Options{Workers: 1, DeltaEval: DeltaAuto, MaxSteps: maxSteps}
+	base := Options{Workers: 1, MaxSteps: maxSteps}
 	ref, refTrace := runWithOptions(t, topo, mat, base)
 	if ref.Steps == 0 {
 		t.Fatal("reference run committed no moves; instance not congested")
@@ -58,20 +58,23 @@ func TestScaleWorkerDeterminism(t *testing.T) {
 	}
 	variants := []struct {
 		name string
+		full bool
 		mod  func(*Options)
 	}{
-		{"workers=1 delta off", func(o *Options) { o.DeltaEval = DeltaOff }},
-		{"workers=4", func(o *Options) { o.Workers = 4 }},
-		{"workers=4 delta off", func(o *Options) { o.Workers = 4; o.DeltaEval = DeltaOff }},
+		{"workers=1 full evaluation", true, func(*Options) {}},
+		{"workers=4", false, func(o *Options) { o.Workers = 4 }},
+		{"workers=4 full evaluation", true, func(o *Options) { o.Workers = 4 }},
 		// Telemetry must observe without perturbing: instrumented runs
 		// commit the identical move sequence (ISSUE 7 acceptance).
-		{"workers=1 telemetry", func(o *Options) { o.Telemetry = telemetry.New() }},
-		{"workers=4 telemetry", func(o *Options) { o.Workers = 4; o.Telemetry = telemetry.New() }},
+		{"workers=1 telemetry", false, func(o *Options) { o.Telemetry = telemetry.New() }},
+		{"workers=4 telemetry", false, func(o *Options) { o.Workers = 4; o.Telemetry = telemetry.New() }},
 	}
 	for _, v := range variants {
 		opts := base
 		v.mod(&opts)
-		sol, trace := runWithOptions(t, topo, mat, opts)
+		var sol *Solution
+		var trace []float64
+		Evaluating(v.full, func() { sol, trace = runWithOptions(t, topo, mat, opts) })
 		if sol.Steps != ref.Steps {
 			t.Errorf("%s: steps = %d, want %d", v.name, sol.Steps, ref.Steps)
 		}
@@ -90,13 +93,14 @@ func TestScaleWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestCollectionVisitsInertCrossers holds the DeltaAuto crosser walk to
-// DeltaOff's scan of every aggregate where a base's crosser lists miss
+// TestCollectionVisitsInertCrossers holds the incremental crosser walk to
+// the full-evaluation oracle's scan of every aggregate where a base's
+// crosser lists miss
 // bundles: every 7th aggregate of these instances wants no bandwidth (a flat
 // bandwidth curve, per-flow demand 0), so its bundles are inert in the fill
 // and cross no link of the base, yet they carry flows over congested links
 // and moving them changes their delay utility. Every step's candidate list
-// — aggregate, from, to, move size, in order — must be DeltaOff's at
+// — aggregate, from, to, move size, in order — must be the oracle's at
 // Workers 1 and 4; it is not when walkAggs leaves out the run's zero-demand
 // aggregates.
 func TestCollectionVisitsInertCrossers(t *testing.T) {
@@ -105,7 +109,7 @@ func TestCollectionVisitsInertCrossers(t *testing.T) {
 	// changes its utility.
 	delay := utility.MustCurve(utility.Point{X: 30, Y: 1}, utility.Point{X: 100, Y: 0})
 	type move struct{ agg, from, to, n int }
-	inert := 0 // zero-demand candidates DeltaOff collected
+	inert := 0 // zero-demand candidates the oracle collected
 	for seed := int64(1); seed <= 6; seed++ {
 		topo, mat := waxmanScaleInstance(t, seed)
 		aggs := mat.Aggregates()
@@ -120,8 +124,10 @@ func TestCollectionVisitsInertCrossers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps := func(mode DeltaMode, workers int) [][]move {
-			o, err := New(model, Options{Workers: workers, DeltaEval: mode, MaxSteps: 12})
+		steps := func(full bool, workers int) [][]move {
+			var o *Optimizer
+			var err error
+			Evaluating(full, func() { o, err = New(model, Options{Workers: workers, MaxSteps: 12}) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +145,7 @@ func TestCollectionVisitsInertCrossers(t *testing.T) {
 			return out
 		}
 		for _, workers := range []int{1, 4} {
-			want := steps(DeltaOff, workers)
+			want := steps(true, workers)
 			for _, ms := range want {
 				for _, m := range ms {
 					if m.agg%7 == 0 {
@@ -147,13 +153,13 @@ func TestCollectionVisitsInertCrossers(t *testing.T) {
 					}
 				}
 			}
-			got := steps(DeltaAuto, workers)
+			got := steps(false, workers)
 			if len(got) != len(want) {
-				t.Fatalf("seed %d workers=%d: %d scored steps under DeltaAuto, %d under DeltaOff", seed, workers, len(got), len(want))
+				t.Fatalf("seed %d workers=%d: %d scored steps incrementally, %d under the oracle", seed, workers, len(got), len(want))
 			}
 			for k := range want {
 				if !slices.Equal(got[k], want[k]) {
-					t.Fatalf("seed %d workers=%d step %d: DeltaAuto collected %d candidates, DeltaOff %d",
+					t.Fatalf("seed %d workers=%d step %d: incremental collection found %d candidates, the oracle %d",
 						seed, workers, k, len(got[k]), len(want[k]))
 				}
 			}
@@ -162,7 +168,7 @@ func TestCollectionVisitsInertCrossers(t *testing.T) {
 	if inert == 0 {
 		t.Fatal("no zero-demand aggregate was ever a candidate: the instances test nothing")
 	}
-	t.Logf("%d zero-demand candidates, each collected under DeltaAuto too", inert)
+	t.Logf("%d zero-demand candidates, each collected incrementally too", inert)
 }
 
 // TestPatchRevertInvariant drives a real optimization with an
@@ -170,27 +176,27 @@ func TestCollectionVisitsInertCrossers(t *testing.T) {
 // contract: every candidate's trial buffer equals the step's committed
 // dense layout except at exactly the candidate's two patched indices,
 // with the aggregate's total flow count preserved. Any failed revert
-// leaves a stale entry that the next candidate's comparison catches. Both
-// DeltaEval modes patch and revert the same buffer; DeltaOff hands the
-// probe no base. The list and the buffers are maintained, not rebuilt, so
+// leaves a stale entry that the next candidate's comparison catches.
+// Incremental scoring and the full-evaluation oracle patch and revert the
+// same buffer; the oracle hands the probe no base. The list and the buffers are maintained, not rebuilt, so
 // after the initial evaluation and every commit the list must equal a
 // fresh build from the aggregates' states, and every worker buffer synced
 // to its layout must equal it entry for entry.
 func TestPatchRevertInvariant(t *testing.T) {
-	for _, mode := range []DeltaMode{DeltaAuto, DeltaOff} {
+	for _, full := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
-			testPatchRevert(t, mode, workers)
+			testPatchRevert(t, full, workers)
 		}
 	}
 }
 
-func testPatchRevert(t *testing.T, mode DeltaMode, workers int) {
+func testPatchRevert(t *testing.T, full bool, workers int) {
 	topo, mat := congestedInstance(t, 5)
 	model, err := flowmodel.New(topo, mat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag := fmt.Sprintf("delta=%s workers=%d", mode, workers)
+	tag := fmt.Sprintf("full=%v workers=%d", full, workers)
 	var o *Optimizer
 	snapshots, synced := 0, 0
 	trace := func(s Snapshot) {
@@ -208,7 +214,7 @@ func testPatchRevert(t *testing.T, mode DeltaMode, workers int) {
 			}
 		}
 	}
-	o, err = New(model, Options{Workers: workers, MaxSteps: 20, DeltaEval: mode, Trace: trace})
+	Evaluating(full, func() { o, err = New(model, Options{Workers: workers, MaxSteps: 20, Trace: trace}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +227,8 @@ func testPatchRevert(t *testing.T, mode DeltaMode, workers int) {
 				t.Errorf("%s candidate %d: %s", tag, candidates.Load(), fmt.Sprintf(format, args...))
 			}
 		}
-		if (base == nil) != (mode == DeltaOff) {
-			fail("probe got base %p under DeltaEval %s", base, mode)
+		if (base == nil) != full {
+			fail("probe got base %p", base)
 		}
 		if len(buf) != len(o.denseBuf) {
 			fail("trial buffer length %d != dense layout %d", len(buf), len(o.denseBuf))

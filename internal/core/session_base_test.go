@@ -10,8 +10,8 @@ import (
 // TestPersistentBaseBitIdentical proves the persistent delta base —
 // remapped across step layouts and patched on commit instead of
 // re-captured — commits the exact solution of full per-candidate
-// evaluation (DeltaOff, the oracle), on many seeded instances, and that
-// the reuse machinery actually engages.
+// evaluation (WithFullEvaluation, the oracle), on many seeded instances,
+// and that the reuse machinery actually engages.
 func TestPersistentBaseBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		_, _, m1 := propInstance(t, seed)
@@ -20,17 +20,18 @@ func TestPersistentBaseBitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: reuse run: %v", seed, err)
 		}
 		_, _, m2 := propInstance(t, seed)
-		full, err := Run(context.Background(), m2, Options{Workers: 1, DeltaEval: DeltaOff})
+		var full *Solution
+		WithFullEvaluation(func() { full, err = Run(context.Background(), m2, Options{Workers: 1}) })
 		if err != nil {
 			t.Fatalf("seed %d: full run: %v", seed, err)
 		}
 		if reuse.Utility != full.Utility || reuse.Steps != full.Steps ||
 			!reflect.DeepEqual(reuse.Bundles, full.Bundles) {
-			t.Fatalf("seed %d: persistent base diverged from delta off: utility %v vs %v, steps %d vs %d",
+			t.Fatalf("seed %d: persistent base diverged from full evaluation: utility %v vs %v, steps %d vs %d",
 				seed, reuse.Utility, full.Utility, reuse.Steps, full.Steps)
 		}
 		if full.Base != (BaseStats{}) {
-			t.Fatalf("seed %d: DeltaOff touched a base: %+v", seed, full.Base)
+			t.Fatalf("seed %d: full evaluation touched a base: %+v", seed, full.Base)
 		}
 		if reuse.Steps == 0 {
 			continue // uncongested instance: nothing to assert about reuse

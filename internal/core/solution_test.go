@@ -37,12 +37,14 @@ func TestSolutionResultEvaluatesBundles(t *testing.T) {
 	}
 	grown := 0
 	for _, in := range insts {
-		for _, mode := range []DeltaMode{DeltaAuto, DeltaOff} {
+		for _, full := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
-				tag := fmt.Sprintf("%s delta=%s workers=%d", in.name, mode, workers)
+				tag := fmt.Sprintf("%s full=%v workers=%d", in.name, full, workers)
 				committedLen := 0 // the list length the last snapshot was taken over
 				trace := func(s Snapshot) { committedLen = len(s.Result.BundleRate) }
-				o, err := New(in.model, Options{Workers: workers, DeltaEval: mode, Trace: trace})
+				var o *Optimizer
+				var err error
+				Evaluating(full, func() { o, err = New(in.model, Options{Workers: workers, Trace: trace}) })
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -26,11 +26,6 @@ var (
 	// caller's context). Transient: the reply may simply be slow, so a
 	// retry with backoff is reasonable.
 	ErrTimeout = errors.New("ctrlplane: request timed out")
-	// ErrStaleEpoch reports a FlowMod rejected by an agent because it
-	// carried an election epoch older than one the agent has already
-	// seen — the fencing that stops a deposed controller replica from
-	// overwriting a successor's rule tables.
-	ErrStaleEpoch = errors.New("ctrlplane: stale controller epoch")
 )
 
 // retryable reports whether an RPC error is transient — worth another

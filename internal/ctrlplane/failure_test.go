@@ -218,7 +218,7 @@ func TestSentinelClassification(t *testing.T) {
 	if !retryable(ErrSwitchDead) || !retryable(ErrTimeout) {
 		t.Fatal("transient sentinels not classified retryable")
 	}
-	if retryable(ErrClosed) || retryable(ErrNoSuchSwitch) || retryable(ErrStaleEpoch) {
+	if retryable(ErrClosed) || retryable(ErrNoSuchSwitch) {
 		t.Fatal("fatal sentinels classified retryable")
 	}
 }

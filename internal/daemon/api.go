@@ -29,7 +29,8 @@ type CreateTenantRequest struct {
 	CapacityMbps float64 `json:"capacity_mbps,omitempty"`
 	// Aggregates bounds the generated matrix of an inline topology to
 	// a sparse sample of that many aggregates; 0 generates the full
-	// all-pairs matrix.
+	// all-pairs matrix. Either may hold at most 65,536 aggregates: a
+	// negative count, or a larger sample or full matrix, is a 400.
 	Aggregates int `json:"aggregates,omitempty"`
 	// Seed drives the tenant's traffic generation (and preset
 	// materialization). Tenants with equal instance inputs and seeds

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -108,7 +109,7 @@ link a c 10Mbps 3ms
 
 // newTestServer builds a Server whose factory hands out fakes (recorded
 // in order) and an httptest front end.
-func newTestServer(t *testing.T, cfg Config, mk func() *fakeController) (*Server, *httptest.Server, *[]*fakeController) {
+func newTestServer(t testing.TB, cfg Config, mk func() *fakeController) (*Server, *httptest.Server, *[]*fakeController) {
 	t.Helper()
 	var fakes []*fakeController
 	if mk == nil {
@@ -380,6 +381,89 @@ func TestReplayEpochsBounded(t *testing.T) {
 	if f := (*fakes)[0]; f.maxFlight.Load() != 0 {
 		t.Error("a refused replay reached the controller")
 	}
+}
+
+// TestCreateInstanceBounded: a create body whose matrix would exceed
+// maxAggregates — a sample that large, or a topology whose full matrix is —
+// or that asks for a negative count is a 400 before anything is generated:
+// the handler allocates under 1 MiB and the factory never runs.
+func TestCreateInstanceBounded(t *testing.T) {
+	srv, _, fakes := newTestServer(t, Config{}, nil)
+	var line strings.Builder // a 257-node chain: 66,049 aggregates in full
+	line.WriteString("topology line\n")
+	for i := range 256 {
+		fmt.Fprintf(&line, "link n%d n%d 10Mbps 1ms\n", i, i+1)
+	}
+	for _, req := range []CreateTenantRequest{
+		{Topology: testTopology, Aggregates: maxAggregates + 1},
+		{Topology: testTopology, Aggregates: 2000000000},
+		{Topology: line.String()},
+		{Topology: testTopology, Aggregates: -1},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants", bytes.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("aggregates=%d, %d-byte topology: status %d, want 400: %s", req.Aggregates, len(req.Topology), rec.Code, rec.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("aggregates=%d, %d-byte topology: the refused request allocated %d bytes, want under 1 MiB", req.Aggregates, len(req.Topology), alloc)
+		}
+	}
+	if len(*fakes) != 0 {
+		t.Errorf("a refused create reached the factory %d times", len(*fakes))
+	}
+	// benchmark/'s daemon tenants: 6-node rings, 36 aggregates in full.
+	ring := "topology ring\n"
+	for i := range 6 {
+		ring += fmt.Sprintf("link r%d r%d 10Mbps 1ms\n", i, (i+1)%6)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants", strings.NewReader(`{"topology": `+strconv.Quote(ring)+`}`)))
+	var info TenantInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); rec.Code != http.StatusCreated || err != nil || info.Aggregates != 36 {
+		t.Errorf("6-node ring: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// FuzzCreateRequest posts arbitrary bodies to the create handler: each is
+// answered 201 or 4xx, never with a panic or a 5xx. A tenant it creates is
+// deleted again.
+func FuzzCreateRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"topology": ` + strconv.Quote(testTopology) + `, "aggregates": 65537}`,
+		`{"topology": ` + strconv.Quote(testTopology) + `, "aggregates": 2000000000}`,
+		`{"topology": ` + strconv.Quote(testTopology) + `, "aggregates": -1}`,
+		`{"topology": ` + strconv.Quote(testTopology) + `, "preset": "provisioned"}`,
+		`{"topology": "topology broken\nlink a 10Mbps"}`,
+		`{"preset": "no-such-preset"}`,
+		`{"topology": ` + strconv.Quote(testTopology) + `, "aggregates": 4, "capacity_mbps": 1e300, "workers": -3}`,
+	} {
+		f.Add([]byte(body))
+	}
+	srv, _, _ := newTestServer(f, Config{}, nil)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants", bytes.NewReader(body)))
+		switch {
+		case rec.Code == http.StatusCreated:
+			var info TenantInfo
+			if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+				t.Fatalf("201 with body %q: %v", rec.Body, err)
+			}
+			if err := srv.remove(info.ID); err != nil {
+				t.Fatal(err)
+			}
+		case rec.Code < 400 || rec.Code >= 500:
+			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+	})
 }
 
 func TestShutdownDrainsInFlight(t *testing.T) {

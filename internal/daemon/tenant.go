@@ -106,6 +106,14 @@ func validID(id string) bool {
 	return true
 }
 
+// maxAggregates bounds an inline instance's traffic matrix. The matrix is
+// generated whole when the tenant is created, 96 bytes an aggregate, so
+// the bound is what keeps one create body from asking for gigabytes: 1<<16
+// aggregates is ≈6 MiB, five times scale-l's 12,000, the largest preset. A
+// topology too large for its full matrix can still ask for a sparse sample
+// of it.
+const maxAggregates = 1 << 16
+
 // materialize turns a create request into its (topology, matrix)
 // instance: an inline plain-text topology with a generated matrix, or
 // one of the canned presets.
@@ -113,6 +121,9 @@ func materialize(req *CreateTenantRequest) (*topology.Topology, *traffic.Matrix,
 	if req.Topology != "" {
 		if req.Preset != "" {
 			return nil, nil, fmt.Errorf("daemon: set preset or topology, not both")
+		}
+		if req.Aggregates < 0 || req.Aggregates > maxAggregates {
+			return nil, nil, fmt.Errorf("daemon: bad aggregates %d (want 0 for the full matrix, or 1 to %d)", req.Aggregates, maxAggregates)
 		}
 		topo, err := topology.Parse(strings.NewReader(req.Topology))
 		if err != nil {
@@ -125,6 +136,9 @@ func materialize(req *CreateTenantRequest) (*topology.Topology, *traffic.Matrix,
 			}
 		}
 		cfg := traffic.DefaultGenConfig(req.Seed)
+		if n := topo.NumNodes(); req.Aggregates == 0 && n*n > maxAggregates {
+			return nil, nil, fmt.Errorf("daemon: a %d-node topology's full matrix is %d aggregates, over %d: ask for a sparse sample (aggregates)", n, n*n, maxAggregates)
+		}
 		var mat *traffic.Matrix
 		if req.Aggregates > 0 {
 			mat, err = traffic.Sparse(topo, cfg, req.Aggregates)

@@ -10,36 +10,30 @@ import (
 // TestClosedLoopHAKillStormDeterminism is the HA acceptance run: the
 // canned controller-kill storm over a 3-replica control plane must
 // yield a bit-identical epoch table (including per-epoch Failovers and
-// ResyncFlowMods) at Workers ∈ {1, 4} and DeltaEval on/off, complete
-// every epoch with the fabric ledger reconciled to ±0 (settle() and
-// install() fail the replay otherwise), and actually exercise failover:
-// every seat is killed once, so every switch is orphaned at some point
-// and survivors must resync the cached rule tables.
+// ResyncFlowMods) at Workers ∈ {1, 4} (internal/core's
+// TestClosedLoopHAKillStormOracle holds it to the full-evaluation
+// oracle), complete every epoch with the fabric ledger reconciled to ±0
+// (settle() and install() fail the replay otherwise), and actually
+// exercise failover: every seat is killed once, so every switch is
+// orphaned at some point and survivors must resync the cached rule
+// tables.
 func TestClosedLoopHAKillStormDeterminism(t *testing.T) {
 	topo, mat := ringInstance(t, 13)
 	sc := ControllerKillStorm(29, 6, 3)
 	var results []*Result
-	for _, cfg := range []struct {
-		workers int
-		delta   core.DeltaMode
-	}{
-		{1, core.DeltaAuto},
-		{4, core.DeltaAuto},
-		{1, core.DeltaOff},
-		{4, core.DeltaOff},
-	} {
+	for _, workers := range []int{1, 4} {
 		res, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
-			Core:     core.Options{Workers: cfg.workers, DeltaEval: cfg.delta},
+			Core:     core.Options{Workers: workers},
 			Replicas: 3,
 		})
 		if err != nil {
-			t.Fatalf("Workers=%d DeltaEval=%v: %v", cfg.workers, cfg.delta, err)
+			t.Fatalf("Workers=%d: %v", workers, err)
 		}
 		results = append(results, res)
 	}
 	for i, res := range results[1:] {
 		if !results[0].Equivalent(res) {
-			t.Fatalf("config %d diverged from Workers=1/DeltaAuto:\n a=%+v\n b=%+v",
+			t.Fatalf("config %d diverged from Workers=1:\n a=%+v\n b=%+v",
 				i+1, results[0].Epochs, res.Epochs)
 		}
 	}

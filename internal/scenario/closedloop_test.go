@@ -28,14 +28,14 @@ func mixedScenario(seed int64) Scenario {
 
 // TestClosedLoopDeterminism extends the worker-invariance suite to the
 // full loop: same seed ⇒ identical epoch table, counted FlowMods and
-// install sequence at Workers ∈ {1, 4} and DeltaEval on/off — on the small
-// ring every other closed-loop test replays and, outside -short, at
-// Workers ∈ {1, 4} on the thinned HE-31 instance (31 switches) with two
-// shared-risk conduits declared.
+// install sequence at Workers ∈ {1, 4} — on the small ring every other
+// closed-loop test replays and, outside -short, on the thinned HE-31
+// instance (31 switches) with two shared-risk conduits declared. The
+// ring's full-evaluation legs are internal/core's
+// TestClosedLoopDeterminismOracle.
 func TestClosedLoopDeterminism(t *testing.T) {
 	type config struct {
 		workers   int
-		delta     core.DeltaMode
 		telemetry bool
 	}
 	type input struct {
@@ -47,14 +47,12 @@ func TestClosedLoopDeterminism(t *testing.T) {
 	}
 	ringTopo, ringMat := ringInstance(t, 13)
 	inputs := []input{{"ring", ringTopo, ringMat, mixedScenario(21), []config{
-		{1, core.DeltaAuto, false},
-		{4, core.DeltaAuto, false},
-		{1, core.DeltaOff, false},
-		{4, core.DeltaOff, false},
+		{1, false},
+		{4, false},
 		// Telemetry-instrumented loops must yield the bit-identical
 		// epoch table and install sequence (ISSUE 7 acceptance).
-		{1, core.DeltaAuto, true},
-		{4, core.DeltaAuto, true},
+		{1, true},
+		{4, true},
 	}}}
 	if !testing.Short() {
 		heTopo, heMat := heInstance(t)
@@ -69,26 +67,26 @@ func TestClosedLoopDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		inputs = append(inputs, input{"he-31", heTopo, heMat, Diurnal(1, 4, 0.4, 0.15), []config{
-			{1, core.DeltaAuto, false},
-			{4, core.DeltaAuto, false},
+			{1, false},
+			{4, false},
 		}})
 	}
 	for _, in := range inputs {
 		var results []*Result
 		for _, cfg := range in.configs {
-			opts := Options{Core: core.Options{Workers: cfg.workers, DeltaEval: cfg.delta}}
+			opts := Options{Core: core.Options{Workers: cfg.workers}}
 			if cfg.telemetry {
 				opts.Core.Telemetry = telemetry.New()
 			}
 			res, err := runClosedLoop(context.Background(), in.topo, in.mat, in.sc, opts)
 			if err != nil {
-				t.Fatalf("%s Workers=%d DeltaEval=%v telemetry=%v: %v", in.name, cfg.workers, cfg.delta, cfg.telemetry, err)
+				t.Fatalf("%s Workers=%d telemetry=%v: %v", in.name, cfg.workers, cfg.telemetry, err)
 			}
 			results = append(results, res)
 		}
 		for i, res := range results[1:] {
 			if !results[0].Equivalent(res) {
-				t.Fatalf("%s config %d diverged from Workers=1/DeltaAuto:\n a=%+v\n b=%+v\n installs a=%+v\n installs b=%+v",
+				t.Fatalf("%s config %d diverged from Workers=1:\n a=%+v\n b=%+v\n installs a=%+v\n installs b=%+v",
 					in.name, i+1, results[0].Epochs, res.Epochs, results[0].Installs, res.Installs)
 			}
 		}

@@ -312,10 +312,10 @@ type Replayer struct {
 // estimates; each epoch's install records ride on EpochResult.Installs.
 //
 // With no Budget a replay is deterministic for a given (scenario, seed)
-// at any Core.Workers count and either DeltaEval mode; only
-// EpochResult.Elapsed varies. A control plane carries its switch tables
-// from one replay into the next, so the first repair push over a reused
-// one differs exactly as real re-used hardware would. Cancelling ctx stops
+// at any Core.Workers count, and equal to the full-evaluation oracle's
+// replay; only EpochResult.Elapsed varies. A control plane carries its
+// switch tables from one replay into the next, so the first repair push
+// over a reused one differs exactly as real re-used hardware would. Cancelling ctx stops
 // the stream at the next epoch (or candidate-batch) boundary with a final
 // yielded error; the epochs already yielded stand.
 //

@@ -41,23 +41,22 @@ func matrixInstance(t *testing.T) (*topology.Topology, *traffic.Matrix) {
 type matrixCell struct {
 	name     string
 	cold     bool
-	delta    core.DeltaMode
 	replicas int
 	budget   time.Duration
 }
 
 // matrixCells enumerates the policy dimension every generator is run
-// against: warm/cold start, incremental/full candidate evaluation,
-// 1-vs-3-replica control plane, and a wall-clock budget cell. Budgeted
-// cells are machine-dependent by construction (see core.Options.Workers)
-// and are checked for invariants only, never determinism.
+// against: warm/cold start, 1-vs-3-replica control plane, and a wall-clock
+// budget cell. Budgeted cells are machine-dependent by construction (see
+// core.Options.Workers) and are checked for invariants only, never
+// determinism. The full-evaluation cell is internal/core's
+// TestScenarioMatrixOracle: only core's tests can select the oracle.
 func matrixCells() []matrixCell {
 	return []matrixCell{
-		{name: "warm-delta-r1", delta: core.DeltaAuto, replicas: 1},
-		{name: "cold-delta-r1", cold: true, delta: core.DeltaAuto, replicas: 1},
-		{name: "warm-full-r1", delta: core.DeltaOff, replicas: 1},
-		{name: "warm-delta-r3", delta: core.DeltaAuto, replicas: 3},
-		{name: "warm-delta-r1-budget", delta: core.DeltaAuto, replicas: 1, budget: 250 * time.Millisecond},
+		{name: "warm-delta-r1", replicas: 1},
+		{name: "cold-delta-r1", cold: true, replicas: 1},
+		{name: "warm-delta-r3", replicas: 3},
+		{name: "warm-delta-r1-budget", replicas: 1, budget: 250 * time.Millisecond},
 	}
 }
 
@@ -97,8 +96,8 @@ func checkMatrixInvariants(t *testing.T, label string, res *Result) {
 // each deterministic cell must replay bit-identically at Workers 1 and
 // 4, and every cell — budgeted ones included — must reconcile its wire
 // ledger and never black-hole. This is the kube-ovn-style feature
-// matrix for the soak layer: generators × {warm/cold, delta on/off,
-// replicas 1/3, budget} × worker counts.
+// matrix for the soak layer: generators × {warm/cold, replicas 1/3,
+// budget} × worker counts.
 func TestScenarioMatrix(t *testing.T) {
 	topo, mat := matrixInstance(t)
 	const epochs = 5
@@ -119,7 +118,7 @@ func TestScenarioMatrix(t *testing.T) {
 				var ref *Result
 				for _, workers := range workerCounts {
 					opts := Options{
-						Core:      core.Options{Workers: workers, DeltaEval: c.delta},
+						Core:      core.Options{Workers: workers},
 						ColdStart: c.cold,
 						Replicas:  c.replicas,
 						Budget:    c.budget,
@@ -141,47 +140,5 @@ func TestScenarioMatrix(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestEpochWarmBaseBitIdentity pins the epoch-warm delta-Base replay
-// against the oracle: a replay whose epochs recycle one persistent Base
-// (the default) must produce the bit-identical epoch table to one that
-// scores every candidate with a full evaluation and keeps no base
-// (core.DeltaOff) — plain and closed-loop alike.
-func TestEpochWarmBaseBitIdentity(t *testing.T) {
-	topo, mat := matrixInstance(t)
-	ctx := context.Background()
-	for _, name := range []string{"diurnal", "crisis", "storm"} {
-		sc, err := ByName(name, 23, 6)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		t.Run("plain/"+name, func(t *testing.T) {
-			warm, err := run(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := run(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2, DeltaEval: core.DeltaOff}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !warm.Equivalent(full) {
-				t.Fatalf("epoch-warm base diverged from DeltaOff:\n warm=%+v\n full=%+v", warm.Epochs, full.Epochs)
-			}
-		})
-		t.Run("closedloop/"+name, func(t *testing.T) {
-			warm, err := runClosedLoop(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := runClosedLoop(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2, DeltaEval: core.DeltaOff}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !warm.Equivalent(full) {
-				t.Fatalf("epoch-warm base diverged from DeltaOff:\n warm=%+v\n full=%+v", warm.Epochs, full.Epochs)
-			}
-		})
 	}
 }

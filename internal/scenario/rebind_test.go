@@ -19,11 +19,13 @@ import (
 // engine keeping one optimizer and rebuilding its epoch instance in place:
 // on timelines that grow and shrink the matrix, fail and drain links and
 // shared-risk groups, and kill controller seats mid-replay, open loop and
-// closed, at Workers {1, 4} and DeltaEval {Auto, Off}, the replay — every
+// closed, at Workers {1, 4}, the replay — every
 // EpochResult bar Elapsed, and the install sequence — is the one a fresh
 // optimizer and a fresh instance per epoch produce: new matrices, a
 // repair into new scratch, a caller-owned solution. So are replays run back
 // to back, and two pulled in turn, on one optimizer and one Replayer.
+// internal/core's TestKeptOptimizerOracle holds the ring timelines to the
+// full-evaluation oracle.
 func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 	ring, ringMat := matrixInstance(t)
 	he, heMat, err := HEBenchInstance(5)
@@ -59,38 +61,36 @@ func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 	legs = append(legs, leg{"open/he-crisis", he, heMat, Crisis(41, 8, 1.3, 3), false})
 	for _, lg := range legs {
 		for _, workers := range []int{1, 4} {
-			for _, mode := range []core.DeltaMode{core.DeltaAuto, core.DeltaOff} {
-				if lg.topo == he && (workers != 1 || mode != core.DeltaAuto) {
-					continue // HE replays cost seconds under -race; the ring legs cover the matrix
-				}
-				t.Run(fmt.Sprintf("%s/workers-%d/delta-%v", lg.name, workers, mode), func(t *testing.T) {
-					coreOpts := core.Options{Workers: workers, DeltaEval: mode}
-					replay := func() (*Result, error) {
-						if lg.closed {
-							return runClosedLoop(context.Background(), lg.topo, lg.mat, lg.sc,
-								Options{Core: coreOpts, Replicas: 3})
-						}
-						return run(context.Background(), lg.topo, lg.mat, lg.sc, Options{Core: coreOpts})
-					}
-					kept, err := replay()
-					if err != nil {
-						t.Fatal(err)
-					}
-					var rebuilt *Result
-					withFreshOptimizerPerEpoch(func() { rebuilt, err = replay() })
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireEquivalent(t, "kept", kept, "rebuilt", rebuilt)
-					steps := 0
-					for _, e := range kept.Epochs {
-						steps += e.Steps
-					}
-					if steps == 0 {
-						t.Error("replay committed no move; the comparison proves little")
-					}
-				})
+			if lg.topo == he && workers != 1 {
+				continue // HE replays cost seconds under -race; the ring legs cover the matrix
 			}
+			t.Run(fmt.Sprintf("%s/workers-%d", lg.name, workers), func(t *testing.T) {
+				coreOpts := core.Options{Workers: workers}
+				replay := func() (*Result, error) {
+					if lg.closed {
+						return runClosedLoop(context.Background(), lg.topo, lg.mat, lg.sc,
+							Options{Core: coreOpts, Replicas: 3})
+					}
+					return run(context.Background(), lg.topo, lg.mat, lg.sc, Options{Core: coreOpts})
+				}
+				kept, err := replay()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rebuilt *Result
+				withFreshOptimizerPerEpoch(func() { rebuilt, err = replay() })
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireEquivalent(t, "kept", kept, "rebuilt", rebuilt)
+				steps := 0
+				for _, e := range kept.Epochs {
+					steps += e.Steps
+				}
+				if steps == 0 {
+					t.Error("replay committed no move; the comparison proves little")
+				}
+			})
 		}
 	}
 	// The same gate one level up: the optimizer outlives not the epoch but

@@ -167,8 +167,9 @@ func TestExportedSurfacePinned(t *testing.T) {
 	}
 }
 
-// callerless lists the exported functions and methods a caller check may
-// not flag although no non-test file names them, each with its reason.
+// callerless lists the exported functions, methods and variables a caller
+// check may not flag although no non-test file names them, each with its
+// reason.
 // A bare name covers that method on every type.
 var callerless = map[string]string{
 	"String":                     "called through fmt.Stringer",
@@ -179,11 +180,12 @@ var callerless = map[string]string{
 }
 
 // TestInternalExportsHaveCallers extends TestExportedSurfacePinned's rule
-// to internal/: every exported function and method there is named by some
-// non-test file of the module, benchmark/ included, or is in callerless.
-// Only go/parser is used, so the check is by name: a function is called
-// when a file that imports its package selects it (or its own package
-// names it), a method when any file selects a field or method of its name.
+// to internal/: every exported function, method and package-level variable
+// there is named by some non-test file of the module, benchmark/ included,
+// or is in callerless. Only go/parser is used, so the check is by name: a
+// function or variable is used when a file that imports its package
+// selects it (or its own package names it), a method when any file selects
+// a field or method of its name.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	funcs := map[string]bool{}   // "fubar/internal/pkg.F" selected through an import
 	idents := map[string]bool{}  // "internal/pkg.F" named inside its package
@@ -219,9 +221,20 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			imports[local] = ip
 		}
 		// skip holds the identifiers that name nothing in this package: the
-		// functions' own names and every selector's right-hand side.
+		// functions' and package-level variables' own names and every
+		// selector's right-hand side.
 		skip := map[*ast.Ident]bool{}
 		for _, decl := range f.Decls {
+			if g, ok := decl.(*ast.GenDecl); ok && g.Tok == token.VAR {
+				for _, spec := range g.Specs {
+					for _, name := range spec.(*ast.ValueSpec).Names {
+						skip[name] = true
+						if strings.HasPrefix(dir, "internal/") && name.IsExported() {
+							exports = append(exports, export{dir, "", name.Name})
+						}
+					}
+				}
+			}
 			d, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
@@ -273,12 +286,12 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			if funcs["fubar/"+x.dir+"."+x.name] || idents[x.dir+"."+x.name] || callerless[pkg+"."+x.name] != "" {
 				continue
 			}
-			t.Errorf("%s.%s is exported but no non-test file calls it: delete it", pkg, x.name)
+			t.Errorf("%s.%s is exported but no non-test file uses it: delete it", pkg, x.name)
 			continue
 		}
 		if methods[x.name] || callerless[x.name] != "" || callerless[pkg+"."+x.recv+"."+x.name] != "" {
 			continue
 		}
-		t.Errorf("%s.%s.%s is exported but no non-test file calls it: delete it", pkg, x.recv, x.name)
+		t.Errorf("%s.%s.%s is exported but no non-test file uses it: delete it", pkg, x.recv, x.name)
 	}
 }
