@@ -56,7 +56,6 @@ type benchFlags struct {
 	csv      bool
 	opts     core.Options
 	soakN    int
-	soakP    int
 	soakOut  string
 	soakBase string
 }
@@ -89,7 +88,7 @@ var experiments = []struct {
 	{"mpls", "mpls: allocation as reserved MPLS-TE tunnels (§5)", false, func(f *benchFlags) error { return mplsSync(f.seed) }},
 	{"failover", "failover: link failure and warm-start recovery", false, func(f *benchFlags) error { return failover(f.seed) }},
 	{"soak", "soak: million-epoch streaming replay, O(1) memory", true, func(f *benchFlags) error {
-		return soakBench(f.seed, f.soakN, f.soakP, f.soakOut, f.soakBase, f.opts.Telemetry)
+		return soakBench(f.seed, f.soakN, f.soakOut, f.soakBase, f.opts.Telemetry)
 	}},
 }
 
@@ -136,7 +135,6 @@ func run(args []string) int {
 	fs.BoolVar(&bf.csv, "csv", false, "emit CSV after each chart")
 	fs.IntVar(&bf.opts.Workers, "workers", 0, "parallel candidate evaluators per step (0 = GOMAXPROCS)")
 	fs.IntVar(&bf.soakN, "soak-epochs", 1_000_000, "plain-replay epoch count for -exp soak (the closed-loop leg runs a tenth of it)")
-	fs.IntVar(&bf.soakP, "soak-period", 25, "soak timeline event period in epochs")
 	fs.StringVar(&bf.soakOut, "soak-out", "BENCH_soak.json", "output file for the soak record")
 	fs.StringVar(&bf.soakBase, "soak-baseline", "", "baseline soak record to diff against: the run fails on any deterministic-envelope regression (trajectory divergence, heap-bound or wire-ledger flags)")
 	listen := fs.String("listen", "", "serve live telemetry on this address: Prometheus /metrics, /debug/pprof/, JSONL /trace")
@@ -310,7 +308,7 @@ func validate(seed int64) error {
 	eval := model.NewEval()
 	addCase := func(name string, bundles []flowmodel.Bundle) error {
 		res := eval.Evaluate(bundles)
-		simRes, err := dsim.Simulate(topo, mat, bundles, dsim.Config{Seed: seed})
+		simRes, err := dsim.Simulate(topo, mat, bundles, seed)
 		if err != nil {
 			return err
 		}
@@ -363,7 +361,7 @@ func queues(seed int64) error {
 		name    string
 		bundles []flowmodel.Bundle
 	}{{"shortest paths", sp.Bundles}, {"FUBAR", sol.Bundles}} {
-		simRes, err := dsim.Simulate(topo, mat, c.bundles, dsim.Config{Seed: seed})
+		simRes, err := dsim.Simulate(topo, mat, c.bundles, seed)
 		if err != nil {
 			return err
 		}

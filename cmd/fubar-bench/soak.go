@@ -17,6 +17,10 @@ import (
 	"fubar/internal/unit"
 )
 
+// soakPeriod is the soak timeline's event period in epochs, the one
+// BENCH_soak_baseline.json was recorded at.
+const soakPeriod = 25
+
 // soakBenchRecord is the JSON record `-exp soak` writes: a long sparse
 // soak timeline streamed through the plain replay (and a tenth of it
 // through the full closed loop), with forced-GC heap watermarks sampled
@@ -105,7 +109,7 @@ func soakBounded(samples []uint64) bool {
 // the checked-in baseline (see soakDiff) and envelope regressions fail
 // the run. With tel (-listen) both legs report live; nil leaves them
 // uninstrumented.
-func soakBench(seed int64, epochs, period int, outPath, baselinePath string, tel *telemetry.Telemetry) error {
+func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *telemetry.Telemetry) error {
 	if epochs < 160 {
 		return fmt.Errorf("soak: need at least 160 epochs, got %d", epochs)
 	}
@@ -113,7 +117,7 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string, tel
 	if err != nil {
 		return err
 	}
-	sc := scenario.Soak(seed+5, epochs, period)
+	sc := scenario.Soak(seed+5, epochs, soakPeriod)
 	opts := scenario.Options{Core: core.Options{Workers: 2, Telemetry: tel}}
 	// One optimizer for both legs: a stream only borrows it.
 	model, err := flowmodel.New(topo, mat)
@@ -151,7 +155,7 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string, tel
 	}
 
 	clEpochs := epochs / 10
-	clSc := scenario.Soak(seed+7, clEpochs, period)
+	clSc := scenario.Soak(seed+7, clEpochs, soakPeriod)
 	clTraj := scenario.NewTrajectoryRecorder(clSc.Name, clEpochs, trajPoints)
 	clInterval := clEpochs / 16
 	var clSamples []uint64
@@ -190,7 +194,7 @@ func soakBench(seed int64, epochs, period int, outPath, baselinePath string, tel
 		Seed:                seed,
 		Topology:            topo.Summary(),
 		Aggregates:          mat.NumAggregates(),
-		Period:              period,
+		Period:              soakPeriod,
 		GOMAXPROCS:          runtime.GOMAXPROCS(0),
 		PlainEpochs:         epochs,
 		PlainElapsedNs:      plainT.Nanoseconds(),
@@ -269,7 +273,7 @@ func soakDiff(rec *soakBenchRecord, baselinePath string) error {
 		base.PlainEpochs != rec.PlainEpochs || base.ClosedEpochs != rec.ClosedEpochs ||
 		base.Period != rec.Period || base.Topology != rec.Topology ||
 		base.Aggregates != rec.Aggregates {
-		return fmt.Errorf("soak: baseline %s describes a different instance (scenario %s seed %d %d/%d epochs period %d) than this run (%s seed %d %d/%d epochs period %d) — regenerate it with the same -seed/-soak-epochs/-soak-period",
+		return fmt.Errorf("soak: baseline %s describes a different instance (scenario %s seed %d %d/%d epochs period %d) than this run (%s seed %d %d/%d epochs period %d) — regenerate it with the same -seed/-soak-epochs",
 			baselinePath, base.Scenario, base.Seed, base.PlainEpochs, base.ClosedEpochs, base.Period,
 			rec.Scenario, rec.Seed, rec.PlainEpochs, rec.ClosedEpochs, rec.Period)
 	}

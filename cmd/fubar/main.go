@@ -4,15 +4,17 @@
 // Usage:
 //
 //	fubar -topology net.topo -seed 7            # random §3-style workload
-//	fubar -he -capacity 75Mbps -seed 1 -v       # HE-31 underprovisioned
-//	fubar -he -large-weight 8                   # prioritize large flows
+//	fubar -capacity 75Mbps -seed 1 -v           # HE-31 underprovisioned
+//	fubar -large-weight 8                       # HE-31, large flows prioritized
 //	fubar -scenario diurnal -epochs 12          # replay a demand/topology timeline
 //	fubar -scenario storm -ctrlplane -budget 1s # drive the control plane end to end
 //	fubar -json                                 # machine-readable output
 //	                                            # (with -scenario: JSONL epoch stream)
 //	fubar -listen :9090                         # live /metrics, /trace, /debug/pprof
 //
-// Without -topology the HE-31 substitute is used. The traffic matrix is
+// Without -topology the HE-31 substitute is used, at 100 Mbps unless
+// -capacity says otherwise; a -topology file keeps its declared link
+// capacities unless -capacity overrides them all. The traffic matrix is
 // always generated from -seed with the paper's class mix.
 //
 // With -scenario the instance becomes epoch 0 of a canned scenario (see
@@ -53,7 +55,7 @@ import (
 func main() {
 	var (
 		topoPath    = flag.String("topology", "", "topology file (text format); empty = HE-31 substitute")
-		capacity    = flag.String("capacity", "100Mbps", "uniform link capacity override")
+		capacity    = flag.String("capacity", "", "uniform link capacity override (empty: a -topology file keeps its declared capacities, HE-31 is built at 100Mbps)")
 		seed        = flag.Int64("seed", 1, "traffic matrix seed")
 		largeWeight = flag.Float64("large-weight", 1, "utility weight multiplier for large aggregates")
 		delayScale  = flag.Float64("delay-scale", 1, "delay-curve stretch for small aggregates")
@@ -110,9 +112,14 @@ type runConfig struct {
 }
 
 func run(ctx context.Context, rc runConfig) error {
-	cap, err := fubar.ParseBandwidth(rc.capStr)
-	if err != nil {
-		return err
+	var cap fubar.Bandwidth // 0 keeps a -topology file's capacities
+	var err error
+	if rc.capStr != "" {
+		if cap, err = fubar.ParseBandwidth(rc.capStr); err != nil {
+			return err
+		}
+	} else if rc.topoPath == "" {
+		cap = 100 * fubar.Mbps
 	}
 	var policy fubar.FailPolicy
 	switch rc.leasePolicy {

@@ -117,6 +117,50 @@ link A C 1Mbps 15ms
 	}
 }
 
+// TestRunKeepsTopologyCapacities: without -capacity a -topology file keeps
+// its declared link capacities, so a congested 1 Mbps triangle optimizes
+// exactly as it does with -capacity 1Mbps spelled out, not as an idle
+// 100 Mbps one.
+func TestRunKeepsTopologyCapacities(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tri.topo")
+	topo := `topology tri
+link A B 1Mbps 5ms
+link B C 1Mbps 5ms
+link A C 1Mbps 15ms
+`
+	if err := os.WriteFile(path, []byte(topo), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	type summary struct {
+		Solution struct {
+			Utility float64 `json:"utility"`
+			Steps   int     `json:"steps"`
+			Stop    string  `json:"stop"`
+		} `json:"solution"`
+	}
+	optimize := func(capStr string) summary {
+		rc := runArgs(path, capStr, 2, 1, 1, 15, 1, false, false, "", 0, false, false, 0)
+		rc.jsonOut = true
+		out := captureStdout(t, func() {
+			if err := run(context.Background(), rc); err != nil {
+				t.Errorf("-capacity %q: %v", capStr, err)
+			}
+		})
+		var s summary
+		if err := json.Unmarshal([]byte(out), &s); err != nil {
+			t.Fatalf("-capacity %q: %v: %s", capStr, err, out)
+		}
+		return s
+	}
+	declared, explicit := optimize(""), optimize("1Mbps")
+	if declared != explicit {
+		t.Errorf("without -capacity: %+v; with -capacity 1Mbps: %+v", declared.Solution, explicit.Solution)
+	}
+	if declared.Solution.Stop == string(fubar.StopNoCongestion) {
+		t.Errorf("the 1 Mbps triangle stopped %q: its capacities were overridden", declared.Solution.Stop)
+	}
+}
+
 func TestRunJSONOutput(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "net.topo")

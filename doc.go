@@ -76,8 +76,8 @@
 //     the canned names), and the large-instance presets
 //     (ScalePresetByName, ScaleInstance)
 //   - the SDN measurement substrate (§2.1–2.2): NewSim, NewEstimator
-//   - traffic classification (§1): NewClassifier
-//   - dynamic model validation: SimulateDynamics, ValidateModel
+//   - traffic classification (§1): NewClassifier(overrides…)
+//   - dynamic model validation: SimulateDynamics(…, seed), ValidateModel
 //   - the online SDN control plane over TCP (§5): Session.ReplayClosedLoop,
 //     shaped by WithReplicas and WithRuleLease (FailStatic, FailClosed)
 //   - the MPLS-TE deployment substrate (§5): NewLSPDB, SyncToMPLS

@@ -61,7 +61,7 @@ func main() {
 		}
 	}
 
-	cl, err := fubar.NewClassifier(fubar.ClassifierOptions{})
+	cl, err := fubar.NewClassifier()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func main() {
 
 	// Operator knowledge: every aggregate into POP "n03" is a video
 	// conferencing hub, whatever its rate looks like.
-	cl2, err := fubar.NewClassifier(fubar.ClassifierOptions{},
+	cl2, err := fubar.NewClassifier(
 		fubar.ClassifierOverride{DstName: "n03", Class: fubar.ClassRealTime})
 	if err != nil {
 		log.Fatal(err)

@@ -38,11 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := fubar.NewSim(topo, truth, fubar.SimConfig{
-		Seed:         5,
-		Epoch:        10 * time.Second,
-		DemandJitter: 0.1,
-	})
+	sim, err := fubar.NewSim(topo, truth, fubar.SimConfig{Seed: 5, DemandJitter: 0.1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spSim, err := fubar.SimulateDynamics(topo, mat, sp.Bundles, fubar.DynConfig{})
+	spSim, err := fubar.SimulateDynamics(topo, mat, sp.Bundles, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fuSim, err := fubar.SimulateDynamics(topo, mat, sol.Bundles, fubar.DynConfig{})
+	fuSim, err := fubar.SimulateDynamics(topo, mat, sol.Bundles, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

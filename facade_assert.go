@@ -87,12 +87,10 @@ var (
 	_ anneal.RestartsResult = AnnealRestartsResult{}
 
 	_ classify.Classifier = Classifier{}
-	_ classify.Options    = ClassifierOptions{}
 	_ classify.Override   = ClassifierOverride{}
 	_ classify.Features   = FlowFeatures{}
 	_ classify.Decision   = ClassDecision{}
 
-	_ dsim.Config     = DynConfig{}
 	_ dsim.Result     = DynResult{}
 	_ dsim.Validation = ModelValidation{}
 

@@ -389,8 +389,6 @@ type (
 type (
 	// Classifier assigns utility classes to aggregates.
 	Classifier = classify.Classifier
-	// ClassifierOptions tunes the behavioural classification tier.
-	ClassifierOptions = classify.Options
 	// ClassifierOverride is one operator-knowledge rule.
 	ClassifierOverride = classify.Override
 	// FlowFeatures is what the measurement plane observes about an
@@ -401,8 +399,8 @@ type (
 )
 
 // NewClassifier builds a classifier with operator overrides.
-func NewClassifier(opts ClassifierOptions, overrides ...ClassifierOverride) (*Classifier, error) {
-	return classify.New(opts, overrides...)
+func NewClassifier(overrides ...ClassifierOverride) (*Classifier, error) {
+	return classify.New(overrides...)
 }
 
 // FlowFeaturesFromRates derives behavioural features from per-epoch rate
@@ -413,17 +411,16 @@ func FlowFeaturesFromRates(rates []float64, flows int, congestedFraction float64
 
 // Dynamic simulation (model validation and §3 queue avoidance).
 type (
-	// DynConfig tunes the time-stepped AIMD fluid simulator.
-	DynConfig = dsim.Config
 	// DynResult is a completed dynamic simulation.
 	DynResult = dsim.Result
 	// ModelValidation compares analytic predictions with simulated rates.
 	ModelValidation = dsim.Validation
 )
 
-// SimulateDynamics runs the AIMD fluid simulation of an allocation.
-func SimulateDynamics(topo *Topology, mat *Matrix, bundles []Bundle, cfg DynConfig) (*DynResult, error) {
-	return dsim.Simulate(topo, mat, bundles, cfg)
+// SimulateDynamics runs the AIMD fluid simulation of an allocation; the
+// seed staggers the bundles' start phases.
+func SimulateDynamics(topo *Topology, mat *Matrix, bundles []Bundle, seed int64) (*DynResult, error) {
+	return dsim.Simulate(topo, mat, bundles, seed)
 }
 
 // ValidateModel compares a traffic-model evaluation against a dynamic

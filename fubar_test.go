@@ -10,7 +10,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"fubar/internal/core"
 	"fubar/internal/experiment"
@@ -201,7 +200,7 @@ func TestFacadeSDNLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSim(topo, truth, SimConfig{Seed: 2, Epoch: 5 * time.Second})
+	sim, err := NewSim(topo, truth, SimConfig{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +293,7 @@ func TestFacadeAnneal(t *testing.T) {
 }
 
 func TestFacadeClassifier(t *testing.T) {
-	cl, err := NewClassifier(ClassifierOptions{}, ClassifierOverride{
+	cl, err := NewClassifier(ClassifierOverride{
 		DstName: "lon", Class: ClassRealTime,
 	})
 	if err != nil {
@@ -313,7 +312,7 @@ func TestFacadeClassifier(t *testing.T) {
 func TestFacadeDynamicsAndValidation(t *testing.T) {
 	topo, mat := testRingInstance(t, 13)
 	sol := optimizeOnce(t, topo, mat)
-	sim, err := SimulateDynamics(topo, mat, sol.Bundles, DynConfig{DurationMs: 10000})
+	sim, err := SimulateDynamics(topo, mat, sol.Bundles, 0)
 	if err != nil {
 		t.Fatalf("SimulateDynamics: %v", err)
 	}

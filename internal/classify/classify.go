@@ -121,33 +121,19 @@ func (o Override) matches(f Features) bool {
 	return true
 }
 
-// Options tunes the behavioural tier.
-type Options struct {
-	// RealTimeMaxRate is the per-flow rate ceiling below which a steady
-	// flow looks like a real-time stream. Default 100 kbps (twice the
-	// Fig 1 peak).
-	RealTimeMaxRate unit.Bandwidth
-	// RealTimeMaxCV is the rate-variation ceiling for the real-time
-	// heuristic. Default 0.3.
-	RealTimeMaxCV float64
-	// LargeFileMinRate is the per-flow rate floor above which a flow
-	// looks like a large transfer. Default 500 kbps (half the smallest
-	// §3 large-aggregate peak).
-	LargeFileMinRate unit.Bandwidth
-}
-
-func (o Options) withDefaults() Options {
-	if o.RealTimeMaxRate <= 0 {
-		o.RealTimeMaxRate = 100 * unit.Kbps
-	}
-	if o.RealTimeMaxCV <= 0 {
-		o.RealTimeMaxCV = 0.3
-	}
-	if o.LargeFileMinRate <= 0 {
-		o.LargeFileMinRate = 500 * unit.Kbps
-	}
-	return o
-}
+// The behavioural tier's thresholds.
+const (
+	// realTimeMaxRate is the per-flow rate ceiling below which a steady
+	// flow looks like a real-time stream: twice the Fig 1 peak.
+	realTimeMaxRate = 100 * unit.Kbps
+	// realTimeMaxCV is the rate-variation ceiling for the real-time
+	// heuristic.
+	realTimeMaxCV = 0.3
+	// largeFileMinRate is the per-flow rate floor above which a flow
+	// looks like a large transfer: half the smallest §3 large-aggregate
+	// peak.
+	largeFileMinRate = 500 * unit.Kbps
+)
 
 // wellKnownPorts maps transport ports with a strong class signal. Web
 // ports are deliberately absent: web traffic is the bulk default.
@@ -173,14 +159,13 @@ var wellKnownPorts = map[int]utility.Class{
 // Classifier decides aggregate classes. It is immutable after
 // construction and safe for concurrent use.
 type Classifier struct {
-	opts      Options
 	overrides []Override
 }
 
 // New builds a classifier with the given operator overrides; earlier
 // overrides win. An error reports an override whose port range is
 // inverted or whose custom function is present on an invalid range.
-func New(opts Options, overrides ...Override) (*Classifier, error) {
+func New(overrides ...Override) (*Classifier, error) {
 	for i, o := range overrides {
 		if o.PortLo < 0 || o.PortHi < 0 || o.PortLo > 65535 || o.PortHi > 65535 {
 			return nil, fmt.Errorf("classify: override %d: port bound outside [0,65535]", i)
@@ -189,10 +174,7 @@ func New(opts Options, overrides ...Override) (*Classifier, error) {
 			return nil, fmt.Errorf("classify: override %d: inverted port range [%d,%d]", i, o.PortLo, o.PortHi)
 		}
 	}
-	return &Classifier{
-		opts:      opts.withDefaults(),
-		overrides: append([]Override(nil), overrides...),
-	}, nil
+	return &Classifier{overrides: append([]Override(nil), overrides...)}, nil
 }
 
 // Classify decides the class for one aggregate's features.
@@ -218,9 +200,9 @@ func (c *Classifier) Classify(f Features) Decision {
 	conf := 0.7 * (1 - clamp01(f.CongestedFraction))
 	if f.MeanRatePerFlow > 0 {
 		switch {
-		case f.MeanRatePerFlow >= c.opts.LargeFileMinRate:
+		case f.MeanRatePerFlow >= largeFileMinRate:
 			return Decision{Class: utility.ClassLargeFile, Fn: utility.ForClass(utility.ClassLargeFile), Confidence: conf, Source: SourceBehaviour}
-		case f.MeanRatePerFlow <= c.opts.RealTimeMaxRate && f.RateCV >= 0 && f.RateCV <= c.opts.RealTimeMaxCV:
+		case f.MeanRatePerFlow <= realTimeMaxRate && f.RateCV >= 0 && f.RateCV <= realTimeMaxCV:
 			return Decision{Class: utility.ClassRealTime, Fn: utility.ForClass(utility.ClassRealTime), Confidence: conf, Source: SourceBehaviour}
 		}
 	}

@@ -9,9 +9,9 @@ import (
 	"fubar/internal/utility"
 )
 
-func mustNew(t *testing.T, opts Options, ovs ...Override) *Classifier {
+func mustNew(t *testing.T, ovs ...Override) *Classifier {
 	t.Helper()
-	c, err := New(opts, ovs...)
+	c, err := New(ovs...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -19,7 +19,7 @@ func mustNew(t *testing.T, opts Options, ovs ...Override) *Classifier {
 }
 
 func TestOverrideWinsOverEverything(t *testing.T) {
-	c := mustNew(t, Options{}, Override{
+	c := mustNew(t, Override{
 		DstName: "lon",
 		PortLo:  8000, PortHi: 9000,
 		Class: utility.ClassRealTime,
@@ -37,7 +37,7 @@ func TestOverrideCustomFunction(t *testing.T) {
 	bw := utility.MustCurve(utility.Point{}, utility.Point{X: 64, Y: 1})
 	dl := utility.MustCurve(utility.Point{Y: 1}, utility.Point{X: 50, Y: 0})
 	fn := utility.MustFunction("strict-rtc", bw, dl)
-	c := mustNew(t, Options{}, Override{PortLo: 5004, PortHi: 5004, Class: utility.ClassRealTime, Fn: &fn})
+	c := mustNew(t, Override{PortLo: 5004, PortHi: 5004, Class: utility.ClassRealTime, Fn: &fn})
 	d := c.Classify(Features{Port: 5004})
 	if d.Fn.Name() != "strict-rtc" {
 		t.Fatalf("custom function not attached: got %q", d.Fn.Name())
@@ -49,7 +49,7 @@ func TestOverrideCustomFunction(t *testing.T) {
 }
 
 func TestOverridePriorityOrder(t *testing.T) {
-	c := mustNew(t, Options{},
+	c := mustNew(t,
 		Override{DstName: "ams", Class: utility.ClassLargeFile},
 		Override{Class: utility.ClassRealTime}, // catch-all, second
 	)
@@ -62,7 +62,7 @@ func TestOverridePriorityOrder(t *testing.T) {
 }
 
 func TestPortTier(t *testing.T) {
-	c := mustNew(t, Options{})
+	c := mustNew(t)
 	cases := []struct {
 		port int
 		want utility.Class
@@ -82,7 +82,7 @@ func TestPortTier(t *testing.T) {
 }
 
 func TestBehaviourTier(t *testing.T) {
-	c := mustNew(t, Options{})
+	c := mustNew(t)
 	// Steady, slow: real-time.
 	d := c.Classify(Features{MeanRatePerFlow: 40 * unit.Kbps, RateCV: 0.1})
 	if d.Class != utility.ClassRealTime || d.Source != SourceBehaviour {
@@ -106,7 +106,7 @@ func TestBehaviourTier(t *testing.T) {
 }
 
 func TestCongestionErodesBehaviourConfidence(t *testing.T) {
-	c := mustNew(t, Options{})
+	c := mustNew(t)
 	clear := c.Classify(Features{MeanRatePerFlow: 900 * unit.Kbps, CongestedFraction: 0})
 	jammed := c.Classify(Features{MeanRatePerFlow: 900 * unit.Kbps, CongestedFraction: 0.8})
 	if jammed.Confidence >= clear.Confidence {
@@ -115,13 +115,13 @@ func TestCongestionErodesBehaviourConfidence(t *testing.T) {
 }
 
 func TestNewValidatesOverrides(t *testing.T) {
-	if _, err := New(Options{}, Override{PortLo: 100, PortHi: 10}); err == nil {
+	if _, err := New(Override{PortLo: 100, PortHi: 10}); err == nil {
 		t.Fatal("inverted port range accepted")
 	}
-	if _, err := New(Options{}, Override{PortLo: -1, PortHi: 10}); err == nil {
+	if _, err := New(Override{PortLo: -1, PortHi: 10}); err == nil {
 		t.Fatal("negative port accepted")
 	}
-	if _, err := New(Options{}, Override{PortLo: 1, PortHi: 70000}); err == nil {
+	if _, err := New(Override{PortLo: 1, PortHi: 70000}); err == nil {
 		t.Fatal("port > 65535 accepted")
 	}
 }
@@ -158,7 +158,7 @@ func TestFeaturesFromRates(t *testing.T) {
 // features: some decision always comes back, with a known source, a
 // confidence in [0,1], and a usable utility function.
 func TestDecisionAlwaysValid(t *testing.T) {
-	c := mustNew(t, Options{}, Override{DstName: "x", Class: utility.ClassRealTime})
+	c := mustNew(t, Override{DstName: "x", Class: utility.ClassRealTime})
 	prop := func(port uint16, ratePerFlow float64, cv float64, congested float64, dst uint8) bool {
 		f := Features{
 			Port:              int(port),

@@ -211,30 +211,3 @@ func TestRefutationMatchesFullEnumerationCold(t *testing.T) {
 		}
 	}
 }
-
-// TestOptionsFieldSet pins the exported field sets of core.Options and
-// scenario.Options: every field is a configuration the tests and the
-// benchmark must cover, so adding one is an edit to this list too.
-func TestOptionsFieldSet(t *testing.T) {
-	for _, tc := range []struct {
-		typ  reflect.Type
-		want []string
-	}{
-		{reflect.TypeOf(core.Options{}), []string{
-			"Policy", "MaxPathsPerAggregate", "MaxSteps", "Workers", "AltMode",
-			"DisableEscalation", "Trace", "Telemetry",
-		}},
-		{reflect.TypeOf(scenario.Options{}), []string{
-			"Core", "ColdStart", "Budget", "DemandJitter", "Replicas", "RuleLease",
-			"LeasePolicy", "Logger",
-		}},
-	} {
-		var got []string
-		for _, f := range reflect.VisibleFields(tc.typ) {
-			got = append(got, f.Name)
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%v fields:\n got  %v\n want %v", tc.typ, got, tc.want)
-		}
-	}
-}

@@ -39,12 +39,21 @@ func (p FailPolicy) String() string {
 	}
 }
 
+// A switch agent's fixed timings.
+const (
+	// writeTimeout bounds each outgoing message.
+	writeTimeout = 10 * time.Second
+	// reconnectBase is a managed agent's first redial backoff; it
+	// doubles (with jitter) per consecutive failure.
+	reconnectBase = 2 * time.Millisecond
+	// reconnectMax caps the redial backoff.
+	reconnectMax = 250 * time.Millisecond
+)
+
 // AgentConfig tunes a switch agent.
 type AgentConfig struct {
 	// HandshakeTimeout bounds the Hello/HelloAck exchange. Default 5s.
 	HandshakeTimeout time.Duration
-	// WriteTimeout bounds each outgoing message. Default 10s.
-	WriteTimeout time.Duration
 	// RuleLease is the rule hard-timeout: how long a managed agent that
 	// has lost all controller contact keeps trusting its installed
 	// table before FailAction applies. A nonzero lease advertised by
@@ -54,11 +63,6 @@ type AgentConfig struct {
 	// FailAction is what happens to the rule table when the lease
 	// expires. Default FailStatic.
 	FailAction FailPolicy
-	// ReconnectBase is a managed agent's first redial backoff; it
-	// doubles (with jitter) per consecutive failure. Default 10ms.
-	ReconnectBase time.Duration
-	// ReconnectMax caps the redial backoff. Default 1s.
-	ReconnectMax time.Duration
 	// Logger receives structured diagnostic records; nil discards them.
 	Logger *slog.Logger
 }
@@ -66,15 +70,6 @@ type AgentConfig struct {
 func (c AgentConfig) withDefaults() AgentConfig {
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.ReconnectBase <= 0 {
-		c.ReconnectBase = 10 * time.Millisecond
-	}
-	if c.ReconnectMax <= 0 {
-		c.ReconnectMax = time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -256,7 +251,7 @@ func (a *Agent) write(m Message) error {
 	if a.closed {
 		return net.ErrClosed
 	}
-	_ = a.conn.SetWriteDeadline(time.Now().Add(a.cfg.WriteTimeout))
+	_ = a.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	var err error
 	a.wbuf, err = writeFrame(a.conn, a.wbuf, m)
 	return err

@@ -76,21 +76,22 @@ func (d *mutableDirectory) set(addrs ...string) {
 // exactly under a fake clock: the jitter rng is seeded per switch, so
 // the test replays the same PCG stream and asserts every redial delay
 // bit for bit — delay_i = b_i/2 + jitter in [0, b_i/2], with b_i
-// doubling from ReconnectBase up to the ReconnectMax cap — and that a
-// successful connect resets the schedule to ReconnectBase while the
+// doubling from reconnectBase up to the reconnectMax cap — and that a
+// successful connect resets the schedule to reconnectBase while the
 // jitter stream keeps advancing.
 func TestManagedAgentBackoffSchedule(t *testing.T) {
 	const (
 		id   = uint32(6)
-		base = 8 * time.Millisecond
-		max  = 64 * time.Millisecond
+		base = reconnectBase
+		max  = reconnectMax
+		// Nine failed rounds walk the full schedule: 2, 4, …, 128 ms,
+		// then the 250 ms cap twice, pre-jitter.
+		rounds = 9
 	)
 	clk := newFakeClock()
 	dir := &mutableDirectory{} // empty: every dial round fails
 	ma, err := newManagedAgentClock(id, "sw6", &recDatapath{}, dir, AgentConfig{
 		HandshakeTimeout: time.Second,
-		ReconnectBase:    base,
-		ReconnectMax:     max,
 	}, clk.Now, clk.After)
 	if err != nil {
 		t.Fatalf("newManagedAgentClock: %v", err)
@@ -128,10 +129,9 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 		}
 	}
 
-	// Six failed rounds walk the full schedule: 8, 16, 32, 64, 64, 64 ms
-	// pre-jitter, each delay in [b/2, b] and equal to the replayed rng.
+	// Each delay is in [b/2, b] and equal to the replayed rng.
 	bounds := backoff
-	for i := 0; i < 6; i++ {
+	for i := 0; i < rounds; i++ {
 		want := nextWant()
 		got := recv("initial")
 		if got != want {
@@ -143,12 +143,12 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 		if bounds *= 2; bounds > max {
 			bounds = max
 		}
-		if i < 5 {
+		if i < rounds-1 {
 			release()
 		}
 	}
 
-	// The loop is parked in its sixth sleep: point the directory at a
+	// The loop is parked in its last sleep: point the directory at a
 	// live controller, then release it, so the next dial succeeds.
 	rs, _ := oneSeat(t, ControllerConfig{})
 	dir.set(rs.DialOrder(id)...)
@@ -156,7 +156,7 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 	waitCond(t, "agent connected", func() bool { return ma.connects.Load() == 1 })
 
 	// Kill the controller: the serve loop returns, and the redial
-	// schedule must restart at ReconnectBase — with the jitter stream
+	// schedule must restart at reconnectBase — with the jitter stream
 	// continuing where it left off, not reseeded.
 	rs.Close()
 	backoff = base
@@ -168,7 +168,7 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 		}
 		release()
 	}
-	if ma.redials.Load() < 9 {
-		t.Fatalf("counted %d redial rounds, want at least 9", ma.redials.Load())
+	if ma.redials.Load() < rounds+3 {
+		t.Fatalf("counted %d redial rounds, want at least %d", ma.redials.Load(), rounds+3)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fubar/internal/flowmodel"
+	"fubar/internal/sdnsim"
 	"fubar/internal/traffic"
 )
 
@@ -33,13 +34,13 @@ const (
 	retryMaxBackoff = 500 * time.Millisecond
 )
 
+// controllerName is advertised in HelloAck, suffixed with the seat
+// ("fubar-closedloop-0"); the measurement epoch beside it is
+// sdnsim.MeasurementInterval.
+const controllerName = "fubar-closedloop"
+
 // ControllerConfig tunes the replica set's controllers.
 type ControllerConfig struct {
-	// Name is advertised in HelloAck. Default "fubar-controller".
-	Name string
-	// EpochMs is the measurement epoch advertised to agents.
-	// Default 10000.
-	EpochMs uint32
 	// RuleLease is the rule hard-timeout advertised to agents in
 	// HelloAck (LeaseMs): how long an agent may forward on its
 	// installed table after losing all controller contact before its
@@ -57,12 +58,6 @@ type ControllerConfig struct {
 }
 
 func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.Name == "" {
-		c.Name = "fubar-controller"
-	}
-	if c.EpochMs == 0 {
-		c.EpochMs = 10000
-	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
 	}
@@ -175,8 +170,9 @@ type haStats struct {
 // of a set share one differential-install cache, election epoch and HA
 // counters, so any replica can install to — and hand off — any switch.
 type Controller struct {
-	cfg ControllerConfig
-	ln  net.Listener
+	name string
+	cfg  ControllerConfig
+	ln   net.Listener
 
 	tables *tableCache
 	epoch  *atomic.Uint64 // election epoch stamped on FlowMods
@@ -193,13 +189,14 @@ type Controller struct {
 
 // listen starts a controller on addr; a replica set passes the same
 // cache, epoch, counters and signal to every replica.
-func listen(addr string, cfg ControllerConfig, tables *tableCache, epoch *atomic.Uint64, stats *haStats, notify *signal) (*Controller, error) {
+func listen(addr, name string, cfg ControllerConfig, tables *tableCache, epoch *atomic.Uint64, stats *haStats, notify *signal) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: listen %s: %w", addr, err)
 	}
 	c := &Controller{
+		name:     name,
 		cfg:      cfg,
 		ln:       ln,
 		tables:   tables,
@@ -250,8 +247,8 @@ func (c *Controller) handleConn(conn net.Conn) {
 		return
 	}
 	ack := HelloAck{
-		ControllerName: c.cfg.Name,
-		EpochMs:        c.cfg.EpochMs,
+		ControllerName: c.name,
+		EpochMs:        uint32(sdnsim.MeasurementInterval / time.Millisecond),
 		LeaseMs:        uint32(c.cfg.RuleLease / time.Millisecond),
 	}
 	if err := WriteMessage(conn, ack); err != nil {

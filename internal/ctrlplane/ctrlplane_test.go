@@ -388,6 +388,16 @@ func TestPartialInstallAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestHelloAckAdvertisesMeasurementInterval: the interval an agent learns
+// in the handshake is the simulator's, the one owner of that value.
+func TestHelloAckAdvertisesMeasurementInterval(t *testing.T) {
+	rs, _ := oneSeat(t, ControllerConfig{})
+	a, _ := bareAgent(t, rs.DialOrder(0)[0], 0, "sw0", nopDatapath{})
+	if want := uint32(sdnsim.MeasurementInterval / time.Millisecond); a.EpochMs != want {
+		t.Errorf("agent learned a %d ms epoch, want %d", a.EpochMs, want)
+	}
+}
+
 func TestDuplicateRegistrationReplacesOld(t *testing.T) {
 	rs, seat := oneSeat(t, ControllerConfig{})
 	addr := rs.DialOrder(0)[0]

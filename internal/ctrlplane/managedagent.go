@@ -137,7 +137,7 @@ func (ma *ManagedAgent) run() {
 	// Jitter only desynchronizes redial stampedes; it never touches
 	// rule content, so a per-switch seed keeps runs reproducible.
 	rng := rand.New(rand.NewPCG(uint64(ma.id), 0x9e3779b97f4a7c15))
-	backoff := ma.cfg.ReconnectBase
+	backoff := reconnectBase
 	lastContact := ma.now()
 	expired := false
 	for {
@@ -146,7 +146,7 @@ func (ma *ManagedAgent) run() {
 		}
 		agent, err := ma.dialAny()
 		if err == nil {
-			backoff = ma.cfg.ReconnectBase
+			backoff = reconnectBase
 			expired = false
 			ma.setCurrent(agent)
 			ma.connects.Add(1)
@@ -168,8 +168,8 @@ func (ma *ManagedAgent) run() {
 			return
 		case <-ma.after(delay):
 		}
-		if backoff *= 2; backoff > ma.cfg.ReconnectMax {
-			backoff = ma.cfg.ReconnectMax
+		if backoff *= 2; backoff > reconnectMax {
+			backoff = reconnectMax
 		}
 	}
 }

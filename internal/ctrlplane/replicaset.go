@@ -91,9 +91,7 @@ func NewReplicaSet(n int, cfg ControllerConfig) (*ReplicaSet, error) {
 
 // listenSeat starts a controller for seat i with the shared state.
 func (rs *ReplicaSet) listenSeat(i int) (*Controller, error) {
-	cfg := rs.cfg
-	cfg.Name = fmt.Sprintf("%s-%d", rs.cfg.Name, i)
-	return listen("127.0.0.1:0", cfg, rs.tables, rs.epoch, rs.stats, rs.notify)
+	return listen("127.0.0.1:0", fmt.Sprintf("%s-%d", controllerName, i), rs.cfg, rs.tables, rs.epoch, rs.stats, rs.notify)
 }
 
 // Size returns the number of seats (live or not).

@@ -41,14 +41,10 @@ func (d *recDatapath) installCount() int {
 	return d.installs
 }
 
-// fastAgentCfg keeps redial backoff short so failover tests settle in
-// milliseconds.
+// fastAgentCfg bounds the handshake at a second so a failover test that
+// dials a dying seat moves on quickly.
 func fastAgentCfg() AgentConfig {
-	return AgentConfig{
-		HandshakeTimeout: time.Second,
-		ReconnectBase:    5 * time.Millisecond,
-		ReconnectMax:     50 * time.Millisecond,
-	}
+	return AgentConfig{HandshakeTimeout: time.Second}
 }
 
 func waitCond(t *testing.T, what string, cond func() bool) {

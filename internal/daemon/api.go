@@ -25,7 +25,8 @@ type CreateTenantRequest struct {
 	// to Preset. The traffic matrix is generated from Seed.
 	Topology string `json:"topology,omitempty"`
 	// CapacityMbps overrides every link capacity of an inline
-	// topology; 0 keeps the declared capacities.
+	// topology; 0 keeps the declared capacities, and a negative value
+	// is a 400.
 	CapacityMbps float64 `json:"capacity_mbps,omitempty"`
 	// Aggregates bounds the generated matrix of an inline topology to
 	// a sparse sample of that many aggregates; 0 generates the full

@@ -432,6 +432,29 @@ func TestCreateInstanceBounded(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesNegativeCapacity: a negative capacity_mbps is a 400,
+// with an inline topology or a preset, and never reaches the factory.
+func TestCreateRefusesNegativeCapacity(t *testing.T) {
+	srv, _, fakes := newTestServer(t, Config{}, nil)
+	for _, req := range []CreateTenantRequest{
+		{Topology: testTopology, CapacityMbps: -1},
+		{Preset: "provisioned", CapacityMbps: -0.5},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants", bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("capacity_mbps %v, preset %q: status %d, want 400: %s", req.CapacityMbps, req.Preset, rec.Code, rec.Body)
+		}
+	}
+	if len(*fakes) != 0 {
+		t.Errorf("a refused create reached the factory %d times", len(*fakes))
+	}
+}
+
 // FuzzCreateRequest posts arbitrary bodies to the create handler: each is
 // answered 201 or 4xx, never with a panic or a 5xx. A tenant it creates is
 // deleted again.

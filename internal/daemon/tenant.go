@@ -118,6 +118,9 @@ const maxAggregates = 1 << 16
 // instance: an inline plain-text topology with a generated matrix, or
 // one of the canned presets.
 func materialize(req *CreateTenantRequest) (*topology.Topology, *traffic.Matrix, error) {
+	if req.CapacityMbps < 0 {
+		return nil, nil, fmt.Errorf("daemon: negative capacity_mbps %v (0 keeps the declared capacities)", req.CapacityMbps)
+	}
 	if req.Topology != "" {
 		if req.Preset != "" {
 			return nil, nil, fmt.Errorf("daemon: set preset or topology, not both")

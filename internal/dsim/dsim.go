@@ -14,8 +14,8 @@
 //   - §3 "Avoiding congestion": a FUBAR allocation should build visibly
 //     shorter queues than the same traffic on shortest paths.
 //
-// The simulation is deterministic given its configuration: start phases
-// are seeded, and the tick loop contains no other randomness.
+// The simulation is deterministic given its seed: start phases are
+// seeded, and the tick loop contains no other randomness.
 package dsim
 
 import (
@@ -29,52 +29,26 @@ import (
 	"fubar/internal/unit"
 )
 
-// Config tunes a simulation. The zero value is usable; every field has a
-// default applied by withDefaults.
-type Config struct {
-	// TickMs is the simulation step in milliseconds. Default 5.
-	TickMs float64
-	// DurationMs is total simulated time. Default 30000 (30 s).
-	DurationMs float64
-	// WarmupMs excludes the initial transient from all averages.
-	// Default DurationMs/3.
-	WarmupMs float64
-	// IncreaseGain scales additive increase: a bundle grows by
-	// IncreaseGain * flows / RTT(ms) kbps per millisecond when its path
+// The simulation's design values, fixed for every run.
+const (
+	// tickMs is the simulation step in milliseconds.
+	tickMs = 5.0
+	// durationMs is total simulated time (30 s).
+	durationMs = 30000.0
+	// warmupMs excludes the initial transient from all averages.
+	warmupMs = durationMs / 3
+	// increaseGain scales additive increase: a bundle grows by
+	// increaseGain * flows / RTT(ms) kbps per millisecond when its path
 	// is unloaded — the same flows/RTT growth law the analytical model
-	// assumes. Default 8.
-	IncreaseGain float64
-	// DecreaseFactor is the multiplicative backoff applied when a path
-	// link is overloaded, at most once per RTT. Default 0.7.
-	DecreaseFactor float64
-	// QueueLimitMs bounds each link's queue, expressed as milliseconds
-	// of buffering at link capacity (drop-tail beyond it). Default 100.
-	QueueLimitMs float64
-	// Seed randomizes bundle start phases so sawtooths desynchronize.
-	Seed int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.TickMs <= 0 {
-		c.TickMs = 5
-	}
-	if c.DurationMs <= 0 {
-		c.DurationMs = 30000
-	}
-	if c.WarmupMs <= 0 || c.WarmupMs >= c.DurationMs {
-		c.WarmupMs = c.DurationMs / 3
-	}
-	if c.IncreaseGain <= 0 {
-		c.IncreaseGain = 8
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.7
-	}
-	if c.QueueLimitMs <= 0 {
-		c.QueueLimitMs = 100
-	}
-	return c
-}
+	// assumes.
+	increaseGain = 8.0
+	// decreaseFactor is the multiplicative backoff applied when a path
+	// link is overloaded, at most once per RTT.
+	decreaseFactor = 0.7
+	// queueLimitMs bounds each link's queue, expressed as milliseconds
+	// of buffering at link capacity (drop-tail beyond it).
+	queueLimitMs = 100.0
+)
 
 // LinkStats aggregates one directed link's behaviour after warmup.
 type LinkStats struct {
@@ -121,7 +95,6 @@ type Result struct {
 
 // sim carries the tick-loop state.
 type sim struct {
-	cfg     Config
 	topo    *topology.Topology
 	mat     *traffic.Matrix
 	bundles []flowmodel.Bundle
@@ -151,19 +124,18 @@ type sim struct {
 	samples   int
 }
 
-// Simulate runs the fluid simulation of the given allocation.
-func Simulate(topo *topology.Topology, mat *traffic.Matrix, bundles []flowmodel.Bundle, cfg Config) (*Result, error) {
+// Simulate runs the fluid simulation of the given allocation. The seed
+// randomizes bundle start phases so sawtooths desynchronize.
+func Simulate(topo *topology.Topology, mat *traffic.Matrix, bundles []flowmodel.Bundle, seed int64) (*Result, error) {
 	if topo == nil || mat == nil {
 		return nil, fmt.Errorf("dsim: nil topology or matrix")
 	}
 	if len(bundles) == 0 {
 		return nil, fmt.Errorf("dsim: empty allocation")
 	}
-	cfg = cfg.withDefaults()
 	nL := topo.NumLinks()
 	nB := len(bundles)
 	s := &sim{
-		cfg:      cfg,
 		topo:     topo,
 		mat:      mat,
 		bundles:  bundles,
@@ -190,9 +162,9 @@ func Simulate(topo *topology.Topology, mat *traffic.Matrix, bundles []flowmodel.
 	for l := 0; l < nL; l++ {
 		c := float64(topo.Capacity(topology.LinkID(l)))
 		s.capacity[l] = c
-		s.queueCap[l] = c * cfg.QueueLimitMs / 1000 // kbit
+		s.queueCap[l] = c * queueLimitMs / 1000 // kbit
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	for i, b := range bundles {
 		agg := mat.Aggregate(b.Agg)
 		if b.Flows < 0 {
@@ -214,10 +186,9 @@ func Simulate(topo *topology.Topology, mat *traffic.Matrix, bundles []flowmodel.
 
 // run executes the tick loop.
 func (s *sim) run() {
-	cfg := s.cfg
-	dt := cfg.TickMs
-	for now := 0.0; now < cfg.DurationMs; now += dt {
-		measuring := now >= cfg.WarmupMs
+	dt := tickMs
+	for now := 0.0; now < durationMs; now += dt {
+		measuring := now >= warmupMs
 
 		// Offered load per link from current rates.
 		for l := range s.load {
@@ -279,13 +250,13 @@ func (s *sim) run() {
 					}
 				}
 				if congested && now >= s.nextDecr[i] {
-					s.rate[i] *= cfg.DecreaseFactor
+					s.rate[i] *= decreaseFactor
 					s.nextDecr[i] = now + s.rttMs[i]
 					if measuring {
 						s.backoffs[i]++
 					}
 				} else if !congested {
-					s.rate[i] += cfg.IncreaseGain * float64(b.Flows) / s.rttMs[i] * dt
+					s.rate[i] += increaseGain * float64(b.Flows) / s.rttMs[i] * dt
 					if s.rate[i] > s.demand[i] {
 						s.rate[i] = s.demand[i]
 					}
@@ -331,7 +302,7 @@ func (s *sim) collect() *Result {
 	res := &Result{
 		Bundles: make([]BundleStats, len(s.bundles)),
 		Links:   make([]LinkStats, len(s.capacity)),
-		Ticks:   int(s.cfg.DurationMs / s.cfg.TickMs),
+		Ticks:   int(durationMs / tickMs),
 	}
 	for i := range s.bundles {
 		min := s.rateMin[i]

@@ -68,7 +68,7 @@ func TestUncongestedReachesDemand(t *testing.T) {
 		{Src: 0, Dst: 1, Class: utility.ClassBulk, Flows: 5, Fn: bulkAt(t, 200*unit.Kbps), Weight: 1},
 	})
 	bundles := []flowmodel.Bundle{flowmodel.NewBundle(topo, 0, 5, pathAB(topo))}
-	res, err := Simulate(topo, mat, bundles, Config{})
+	res, err := Simulate(topo, mat, bundles, 0)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestCongestedConvergesNearCapacity(t *testing.T) {
 		{Src: 0, Dst: 1, Class: utility.ClassBulk, Flows: 10, Fn: bulkAt(t, 500*unit.Kbps), Weight: 1},
 	})
 	bundles := []flowmodel.Bundle{flowmodel.NewBundle(topo, 0, 10, pathAB(topo))}
-	res, err := Simulate(topo, mat, bundles, Config{})
+	res, err := Simulate(topo, mat, bundles, 0)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestRTTBiasMatchesModelAssumption(t *testing.T) {
 		flowmodel.NewBundle(topo, 0, 4, p0),
 		flowmodel.NewBundle(topo, 1, 4, p1),
 	}
-	res, err := Simulate(topo, mat, bundles, Config{})
+	res, err := Simulate(topo, mat, bundles, 0)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestValidateAgainstModelOnRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("core.Run: %v", err)
 	}
-	simRes, err := Simulate(topo, mat, sol.Bundles, Config{})
+	simRes, err := Simulate(topo, mat, sol.Bundles, 0)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestFUBARQueuesLessThanShortestPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
 	}
-	spSim, err := Simulate(topo, mat, sp.Bundles, Config{})
+	spSim, err := Simulate(topo, mat, sp.Bundles, 0)
 	if err != nil {
 		t.Fatalf("Simulate(sp): %v", err)
 	}
@@ -230,7 +230,7 @@ func TestFUBARQueuesLessThanShortestPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("core.Run: %v", err)
 	}
-	fuSim, err := Simulate(topo, mat, sol.Bundles, Config{})
+	fuSim, err := Simulate(topo, mat, sol.Bundles, 0)
 	if err != nil {
 		t.Fatalf("Simulate(fubar): %v", err)
 	}
@@ -251,11 +251,11 @@ func TestSimulateDeterministic(t *testing.T) {
 		{Src: 0, Dst: 1, Class: utility.ClassBulk, Flows: 6, Fn: bulkAt(t, 300*unit.Kbps), Weight: 1},
 	})
 	bundles := []flowmodel.Bundle{flowmodel.NewBundle(topo, 0, 6, pathAB(topo))}
-	a, err := Simulate(topo, mat, bundles, Config{Seed: 9})
+	a, err := Simulate(topo, mat, bundles, 9)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
-	b2, err := Simulate(topo, mat, bundles, Config{Seed: 9})
+	b2, err := Simulate(topo, mat, bundles, 9)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestSimulateInvariants(t *testing.T) {
 		flowmodel.NewBundle(topo, 0, 3, p),
 		flowmodel.NewBundle(topo, 1, 8, p),
 	}
-	res, err := Simulate(topo, mat, bundles, Config{})
+	res, err := Simulate(topo, mat, bundles, 0)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -309,12 +309,12 @@ func TestQueueBoundedByLimit(t *testing.T) {
 		{Src: 0, Dst: 1, Class: utility.ClassBulk, Flows: 20, Fn: bulkAt(t, 500*unit.Kbps), Weight: 1},
 	})
 	bundles := []flowmodel.Bundle{flowmodel.NewBundle(topo, 0, 20, pathAB(topo))}
-	res, err := Simulate(topo, mat, bundles, Config{QueueLimitMs: 40})
+	res, err := Simulate(topo, mat, bundles, 0)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
-	if res.MaxQueueMs > 40*1.01 {
-		t.Fatalf("queue %.1f ms exceeded 40 ms drop-tail limit", res.MaxQueueMs)
+	if res.MaxQueueMs > queueLimitMs*1.01 {
+		t.Fatalf("queue %.1f ms exceeded the %v ms drop-tail limit", res.MaxQueueMs, queueLimitMs)
 	}
 }
 
@@ -322,17 +322,17 @@ func TestSimulateErrors(t *testing.T) {
 	topo, mat := singleLink(t, 1000*unit.Kbps, []traffic.Aggregate{
 		{Src: 0, Dst: 1, Class: utility.ClassBulk, Flows: 2, Fn: bulkAt(t, 100*unit.Kbps), Weight: 1},
 	})
-	if _, err := Simulate(nil, mat, nil, Config{}); err == nil {
+	if _, err := Simulate(nil, mat, nil, 0); err == nil {
 		t.Fatal("nil topology accepted")
 	}
-	if _, err := Simulate(topo, nil, nil, Config{}); err == nil {
+	if _, err := Simulate(topo, nil, nil, 0); err == nil {
 		t.Fatal("nil matrix accepted")
 	}
-	if _, err := Simulate(topo, mat, nil, Config{}); err == nil {
+	if _, err := Simulate(topo, mat, nil, 0); err == nil {
 		t.Fatal("empty allocation accepted")
 	}
 	bad := []flowmodel.Bundle{{Agg: 0, Flows: 2, Edges: []graph.EdgeID{99}}}
-	if _, err := Simulate(topo, mat, bad, Config{}); err == nil {
+	if _, err := Simulate(topo, mat, bad, 0); err == nil {
 		t.Fatal("out-of-range link accepted")
 	}
 }
@@ -363,19 +363,6 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.TickMs <= 0 || c.DurationMs <= 0 || c.WarmupMs <= 0 || c.WarmupMs >= c.DurationMs ||
-		c.IncreaseGain <= 0 || c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 || c.QueueLimitMs <= 0 {
-		t.Fatalf("defaults not applied: %+v", c)
-	}
-	c = Config{TickMs: 1, DurationMs: 1000, WarmupMs: 100, IncreaseGain: 2, DecreaseFactor: 0.5, QueueLimitMs: 10}.withDefaults()
-	if c.TickMs != 1 || c.DurationMs != 1000 || c.WarmupMs != 100 || c.IncreaseGain != 2 ||
-		c.DecreaseFactor != 0.5 || c.QueueLimitMs != 10 {
-		t.Fatalf("explicit config clobbered: %+v", c)
-	}
-}
-
 func TestDeadLinkStarvesBundle(t *testing.T) {
 	// A zero-capacity link models a failure the routing has not reacted
 	// to: bundles crossing it must starve, not divide by zero.
@@ -391,7 +378,7 @@ func TestDeadLinkStarvesBundle(t *testing.T) {
 		t.Fatalf("NewMatrix: %v", err)
 	}
 	bundles := []flowmodel.Bundle{flowmodel.NewBundle(dead, 0, 3, pathAB(dead))}
-	res, err := Simulate(dead, deadMat, bundles, Config{DurationMs: 5000})
+	res, err := Simulate(dead, deadMat, bundles, 0)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -412,7 +399,7 @@ func TestSamePOPBundleQueuesNothing(t *testing.T) {
 	topo, mat := singleLink(t, 1000*unit.Kbps, []traffic.Aggregate{
 		{Src: 0, Dst: 0, Class: utility.ClassBulk, Flows: 4, Fn: bulkAt(t, 200*unit.Kbps), Weight: 1},
 	})
-	res, err := Simulate(topo, mat, []flowmodel.Bundle{{Agg: 0, Flows: 4}}, Config{})
+	res, err := Simulate(topo, mat, []flowmodel.Bundle{{Agg: 0, Flows: 4}}, 0)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}

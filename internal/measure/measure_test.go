@@ -50,7 +50,7 @@ func TestPeakInferenceUncongested(t *testing.T) {
 	truth := mustTruth(t, topo, []traffic.Aggregate{
 		{Src: 0, Dst: 2, Class: utility.ClassBulk, Flows: 10, Fn: fn},
 	})
-	sim, err := sdnsim.New(topo, truth, sdnsim.Config{Seed: 3, Epoch: 10 * time.Second, DemandJitter: 0.05})
+	sim, err := sdnsim.New(topo, truth, sdnsim.Config{Seed: 3, DemandJitter: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

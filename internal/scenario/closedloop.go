@@ -21,16 +21,11 @@ import (
 // RNG stream derived from the same (seed, epoch).
 const simSeedSalt = 0x73696d5f657063 // "sim_epc"
 
-// The closed loop's measurement cadence (§2.1–2.2: the controller
-// re-optimizes on periodically polled switch counters).
-const (
-	// measureEpochs is how many simulator measurement epochs are polled and
-	// folded into the traffic-matrix estimate before each re-optimization.
-	measureEpochs = 2
-	// simEpoch is the simulated measurement interval, advertised to the
-	// switch agents in the handshake (scales byte counters only).
-	simEpoch = 10 * time.Second
-)
+// measureEpochs is the closed loop's measurement cadence (§2.1–2.2: the
+// controller re-optimizes on periodically polled switch counters): how
+// many simulator measurement epochs are polled and folded into the
+// traffic-matrix estimate before each re-optimization.
+const measureEpochs = 2
 
 // ControlPlane is the persistent half of a closed-loop replay: a
 // controller replica set, one fail-safe switch agent per POP over
@@ -95,8 +90,7 @@ func (cp *ControlPlane) expiries() int64 {
 // per topology node over loopback TCP, agents and controllers logging to
 // opts.Logger. Agents home onto replicas by the set's rendezvous dial
 // order, which shards install load and defines failover succession;
-// simEpoch is the measurement interval advertised to them in the
-// handshake, opts.RuleLease and opts.LeasePolicy their fail-safe. The
+// opts.RuleLease and opts.LeasePolicy are their fail-safe. The
 // matrix seeds the placeholder simulator the fabric starts against (each
 // replay epoch retargets it). The caller owns the result and closes it.
 func NewControlPlane(topo *topology.Topology, mat *traffic.Matrix, opts Options) (*ControlPlane, error) {
@@ -107,8 +101,6 @@ func NewControlPlane(topo *topology.Topology, mat *traffic.Matrix, opts Options)
 	}
 	fabric := ctrlplane.NewFabric(simBase)
 	rs, err := ctrlplane.NewReplicaSet(opts.Replicas, ctrlplane.ControllerConfig{
-		Name:           "fubar-closedloop",
-		EpochMs:        uint32(simEpoch / time.Millisecond),
 		RuleLease:      opts.RuleLease,
 		RequestTimeout: 30 * time.Second,
 		Logger:         opts.Logger,
@@ -126,11 +118,9 @@ func NewControlPlane(topo *topology.Topology, mat *traffic.Matrix, opts Options)
 	for node := 0; node < topo.NumNodes(); node++ {
 		agent, err := ctrlplane.NewManagedAgent(uint32(node), topo.NodeName(topology.NodeID(node)),
 			fabric.Datapath(topology.NodeID(node)), rs, ctrlplane.AgentConfig{
-				RuleLease:     opts.RuleLease,
-				FailAction:    opts.LeasePolicy,
-				ReconnectBase: 2 * time.Millisecond,
-				ReconnectMax:  250 * time.Millisecond,
-				Logger:        opts.Logger,
+				RuleLease:  opts.RuleLease,
+				FailAction: opts.LeasePolicy,
+				Logger:     opts.Logger,
 			})
 		if err != nil {
 			cp.Close()
@@ -273,9 +263,7 @@ func (l *closedLoop) pushRepair(ctx context.Context, epoch int, inst *epochInsta
 	er.StaleUtility = staleRes.NetworkUtility
 	l.oldRates = append(l.oldRates[:0], staleRes.BundleRate...)
 	if err := l.cp.fabric.Retarget(inst.topo, inst.mat, sdnsim.Config{
-		Seed:         epochSeed(l.seed, epoch) ^ simSeedSalt,
-		Epoch:        simEpoch,
-		DemandJitter: l.opts.DemandJitter,
+		Seed: epochSeed(l.seed, epoch) ^ simSeedSalt,
 	}); err != nil {
 		return err
 	}

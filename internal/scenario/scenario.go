@@ -211,8 +211,8 @@ func (s Scenario) Validate() error {
 // Options tunes a replay, open loop or closed, and the control plane a
 // closed one runs over. The zero value is usable. Arriving aggregates
 // always draw from traffic.DefaultGenConfig, and the closed loop's
-// measurement cadence is closedloop.go's measureEpochs and simEpoch:
-// constants, not fields.
+// measurement cadence is closedloop.go's measureEpochs and
+// sdnsim.MeasurementInterval: constants, not fields.
 type Options struct {
 	// Core configures each epoch's optimizer run. Policy.ForbiddenLinks
 	// is managed by the engine (failed links): anything set there is
@@ -237,10 +237,6 @@ type Options struct {
 	// The fields below are read by NewControlPlane and by replays handed
 	// the control plane it built; an open-loop replay ignores them.
 
-	// DemandJitter is the simulator's per-epoch true-demand variation,
-	// invisible to the controller except through counters (default 0.1;
-	// negative disables). Deterministic per seed.
-	DemandJitter float64
 	// Replicas is the controller replica count (default 1). Switch
 	// ownership shards across replicas by rendezvous hashing, an install
 	// reaches every replica's switches in one round, and ControllerFail events need at least 2 to

@@ -58,12 +58,15 @@ type EpochStats struct {
 	TrueUtility float64
 }
 
+// MeasurementInterval is the length of one measurement epoch: the
+// interval a RunEpoch's counters cover, and the one the controller
+// advertises to its switch agents.
+const MeasurementInterval = 10 * time.Second
+
 // Config tunes the simulator.
 type Config struct {
 	// Seed drives demand jitter.
 	Seed int64
-	// Epoch is the measurement interval (default 10s).
-	Epoch time.Duration
 	// DemandJitter is the relative per-epoch demand variation: each
 	// epoch an aggregate's true demand is scaled by a factor drawn
 	// uniformly from [1-j, 1+j]. Default 0.1.
@@ -71,9 +74,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Epoch <= 0 {
-		c.Epoch = 10 * time.Second
-	}
 	if c.DemandJitter < 0 {
 		c.DemandJitter = 0
 	} else if c.DemandJitter == 0 {
@@ -212,11 +212,11 @@ func (s *Sim) RunEpoch() (*EpochStats, error) {
 	s.eval.Rebind(model)
 	res := s.eval.Evaluate(s.installed)
 
-	secs := s.cfg.Epoch.Seconds()
+	secs := MeasurementInterval.Seconds()
 	stats := &s.stats
 	*stats = EpochStats{
 		Epoch:         s.epoch,
-		Duration:      s.cfg.Epoch,
+		Duration:      MeasurementInterval,
 		Rules:         append(stats.Rules[:0], make([]RuleCounter, len(s.installed))...),
 		LinkBytes:     append(stats.LinkBytes[:0], make([]float64, s.topo.NumLinks())...),
 		LinkCongested: append(stats.LinkCongested[:0], res.IsCongested...),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"fubar/internal/flowmodel"
 	"fubar/internal/graph"
@@ -94,7 +93,7 @@ func TestEpochCountersUncongested(t *testing.T) {
 	truth := mustTruth(t, topo, []traffic.Aggregate{
 		{Src: 0, Dst: 2, Class: utility.ClassBulk, Flows: 10, Fn: utility.Bulk()}, // 2 Mbps demand
 	})
-	s, _ := New(topo, truth, Config{Seed: 1, Epoch: 10 * time.Second, DemandJitter: 0.1})
+	s, _ := New(topo, truth, Config{Seed: 1, DemandJitter: 0.1})
 	if err := s.InstallShortestPaths(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,10 @@ func TestEpochCountersUncongested(t *testing.T) {
 		t.Error("uncongested network reported congested")
 	}
 	// Bytes ~ demand (2 Mbps +-10%) * 10s / 8 * 1000: 2.5 MB nominal.
-	kbps := r.Bytes / 125 / 10
+	if stats.Duration != MeasurementInterval {
+		t.Errorf("epoch duration = %v, want %v", stats.Duration, MeasurementInterval)
+	}
+	kbps := r.Bytes / 125 / MeasurementInterval.Seconds()
 	if kbps < 1700 || kbps > 2300 {
 		t.Errorf("measured rate = %v kbps, want ~2000 within jitter", kbps)
 	}

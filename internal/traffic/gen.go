@@ -10,22 +10,32 @@ import (
 	"fubar/internal/utility"
 )
 
+// The §3 workload's class mix and gravity, fixed for every matrix.
+const (
+	// realTimeFraction is the probability a non-large aggregate is
+	// real-time (paper: 0.5).
+	realTimeFraction = 0.5
+	// largeProbability is the chance an aggregate is a large file
+	// transfer (paper: 0.02).
+	largeProbability = 0.02
+	// gravitySkew makes the matrix gravity-like, as real-world TMs are:
+	// each node draws a lognormal mass with this sigma and an aggregate's
+	// flow count scales with sqrt(mass_src*mass_dst) (normalized to keep
+	// total demand roughly constant).
+	gravitySkew = 0.8
+)
+
+// largePeaks are the candidate bandwidth peaks for large aggregates
+// (paper: 1 or 2 Mbps), chosen uniformly.
+var largePeaks = [...]unit.Bandwidth{1000 * unit.Kbps, 2000 * unit.Kbps}
+
 // GenConfig parameterizes the §3 random traffic matrix: every ordered POP
 // pair becomes an aggregate whose class is drawn at random — real-time or
-// bulk with equal probability by default, with a small chance of a large
+// bulk with equal probability, with a small chance of a large
 // file-transfer aggregate with a higher bandwidth peak.
 type GenConfig struct {
 	// Seed drives all randomness; equal seeds give equal matrices.
 	Seed int64
-	// RealTimeFraction is the probability a non-large aggregate is
-	// real-time (paper: 0.5).
-	RealTimeFraction float64
-	// LargeProbability is the chance an aggregate is a large file
-	// transfer (paper: 0.02).
-	LargeProbability float64
-	// LargePeaks are the candidate bandwidth peaks for large aggregates
-	// (paper: 1 or 2 Mbps), chosen uniformly.
-	LargePeaks []unit.Bandwidth
 	// Flow-count ranges per class, inclusive. Flow counts are drawn
 	// uniformly. These are the knobs that calibrate total demand to the
 	// provisioned / underprovisioned regimes.
@@ -36,11 +46,6 @@ type GenConfig struct {
 	// count matches the paper's 31x31 = 961 accounting. Self-pairs carry
 	// no backbone demand.
 	IncludeSelfPairs bool
-	// GravitySkew makes the matrix gravity-like, as real-world TMs are:
-	// each node draws a lognormal mass with this sigma and an aggregate's
-	// flow count scales with sqrt(mass_src*mass_dst) (normalized to keep
-	// total demand roughly constant). 0 disables.
-	GravitySkew float64
 }
 
 // DefaultGenConfig mirrors the paper's workload on the HE-31 topology:
@@ -50,36 +55,20 @@ type GenConfig struct {
 func DefaultGenConfig(seed int64) GenConfig {
 	return GenConfig{
 		Seed:             seed,
-		RealTimeFraction: 0.5,
-		LargeProbability: 0.02,
-		LargePeaks:       []unit.Bandwidth{1000 * unit.Kbps, 2000 * unit.Kbps},
 		RealTimeFlows:    [2]int{10, 50},
 		BulkFlows:        [2]int{3, 15},
 		LargeFlows:       [2]int{2, 4},
 		IncludeSelfPairs: true,
-		GravitySkew:      0.8,
 	}
 }
 
 // Validate checks the generation parameters; the zero value is invalid
 // (flow ranges must be positive).
 func (c GenConfig) Validate() error {
-	if c.RealTimeFraction < 0 || c.RealTimeFraction > 1 {
-		return fmt.Errorf("traffic: RealTimeFraction %v outside [0,1]", c.RealTimeFraction)
-	}
-	if c.LargeProbability < 0 || c.LargeProbability > 1 {
-		return fmt.Errorf("traffic: LargeProbability %v outside [0,1]", c.LargeProbability)
-	}
-	if c.LargeProbability > 0 && len(c.LargePeaks) == 0 {
-		return fmt.Errorf("traffic: LargeProbability > 0 but no LargePeaks")
-	}
 	for _, r := range [][2]int{c.RealTimeFlows, c.BulkFlows, c.LargeFlows} {
 		if r[0] <= 0 || r[1] < r[0] {
 			return fmt.Errorf("traffic: bad flow range %v", r)
 		}
-	}
-	if c.GravitySkew < 0 || c.GravitySkew > 3 {
-		return fmt.Errorf("traffic: GravitySkew %v outside [0,3]", c.GravitySkew)
 	}
 	return nil
 }
@@ -92,7 +81,7 @@ func Generate(topo *topology.Topology, cfg GenConfig) (*Matrix, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := topo.NumNodes()
-	masses := nodeMasses(rng, n, cfg.GravitySkew)
+	masses := nodeMasses(rng, n)
 	var aggs []Aggregate
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
@@ -102,33 +91,21 @@ func Generate(topo *topology.Topology, cfg GenConfig) (*Matrix, error) {
 			a := drawAggregate(rng, cfg)
 			a.Src = topology.NodeID(src)
 			a.Dst = topology.NodeID(dst)
-			if cfg.GravitySkew > 0 {
-				g := math.Sqrt(masses[src] * masses[dst])
-				a.Flows = int(math.Round(float64(a.Flows) * g))
-				if a.Flows < 1 {
-					a.Flows = 1
-				}
-			}
+			a.Flows = gravityFlows(a.Flows, masses[src], masses[dst])
 			aggs = append(aggs, a)
 		}
 	}
 	return NewMatrix(topo, aggs)
 }
 
-// nodeMasses draws per-node gravity masses: lognormal with the given
-// sigma, normalized to mean 1 so total demand stays comparable across
-// skews.
-func nodeMasses(rng *rand.Rand, n int, skew float64) []float64 {
+// nodeMasses draws per-node gravity masses: lognormal with sigma
+// gravitySkew, normalized to mean 1 so total demand stays comparable to
+// an ungravitated matrix's.
+func nodeMasses(rng *rand.Rand, n int) []float64 {
 	masses := make([]float64, n)
-	if skew <= 0 {
-		for i := range masses {
-			masses[i] = 1
-		}
-		return masses
-	}
 	var sum float64
 	for i := range masses {
-		masses[i] = math.Exp(rng.NormFloat64() * skew)
+		masses[i] = math.Exp(rng.NormFloat64() * gravitySkew)
 		sum += masses[i]
 	}
 	mean := sum / float64(n)
@@ -138,28 +115,30 @@ func nodeMasses(rng *rand.Rand, n int, skew float64) []float64 {
 	return masses
 }
 
+// gravityFlows scales a drawn flow count by the geometric mean of its
+// endpoints' masses, keeping at least one flow.
+func gravityFlows(flows int, massSrc, massDst float64) int {
+	return max(1, int(math.Round(float64(flows)*math.Sqrt(massSrc*massDst))))
+}
+
 func drawAggregate(rng *rand.Rand, cfg GenConfig) Aggregate {
 	// Draw in a fixed order so the stream of random numbers, and hence
 	// the matrix, is stable for a given seed regardless of outcomes.
 	classRoll := rng.Float64()
 	rtRoll := rng.Float64()
 	flowRoll := rng.Float64()
-	peakIdx := 0
-	if len(cfg.LargePeaks) > 0 {
-		peakIdx = rng.Intn(len(cfg.LargePeaks))
-	}
+	peakIdx := rng.Intn(len(largePeaks))
 	uniform := func(lo, hi int) int { return lo + int(flowRoll*float64(hi-lo+1)) }
 
 	switch {
-	case classRoll < cfg.LargeProbability:
-		peak := cfg.LargePeaks[peakIdx]
+	case classRoll < largeProbability:
 		return Aggregate{
 			Class:  utility.ClassLargeFile,
 			Flows:  uniform(cfg.LargeFlows[0], cfg.LargeFlows[1]),
-			Fn:     utility.LargeFile(peak),
+			Fn:     utility.LargeFile(largePeaks[peakIdx]),
 			Weight: 1,
 		}
-	case rtRoll < cfg.RealTimeFraction:
+	case rtRoll < realTimeFraction:
 		return Aggregate{
 			Class:  utility.ClassRealTime,
 			Flows:  uniform(cfg.RealTimeFlows[0], cfg.RealTimeFlows[1]),
@@ -195,7 +174,7 @@ func Sparse(topo *topology.Topology, cfg GenConfig, aggregates int) (*Matrix, er
 		return nil, fmt.Errorf("traffic: aggregate count must be positive, got %d", aggregates)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	masses := nodeMasses(rng, n, cfg.GravitySkew)
+	masses := nodeMasses(rng, n)
 	aggs := make([]Aggregate, 0, aggregates)
 	for len(aggs) < aggregates {
 		src := rng.Intn(n)
@@ -203,13 +182,7 @@ func Sparse(topo *topology.Topology, cfg GenConfig, aggregates int) (*Matrix, er
 		a := drawAggregate(rng, cfg)
 		a.Src = topology.NodeID(src)
 		a.Dst = topology.NodeID(dst)
-		if cfg.GravitySkew > 0 {
-			g := math.Sqrt(masses[src] * masses[dst])
-			a.Flows = int(math.Round(float64(a.Flows) * g))
-			if a.Flows < 1 {
-				a.Flows = 1
-			}
-		}
+		a.Flows = gravityFlows(a.Flows, masses[src], masses[dst])
 		aggs = append(aggs, a)
 	}
 	return NewMatrix(topo, aggs)

@@ -195,7 +195,6 @@ func TestGenerateShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultGenConfig(1)
-	cfg.GravitySkew = 0 // assert the raw class flow ranges
 	m, err := Generate(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -217,19 +216,28 @@ func TestGenerateShape(t *testing.T) {
 	if rt < 350 || bulk < 350 {
 		t.Errorf("rt=%d bulk=%d, want roughly balanced", rt, bulk)
 	}
-	// All flow counts within configured ranges.
-	for _, a := range m.Aggregates() {
-		var lo, hi int
+	checkDrawRanges(t, cfg, 961)
+}
+
+// checkDrawRanges draws n aggregates straight from cfg's class mix and
+// fails on a flow count outside its class's range. Generate and Sparse
+// scale every drawn count by gravity, so their matrices cannot show this.
+func checkDrawRanges(t *testing.T, cfg GenConfig, n int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for i := 0; i < n; i++ {
+		a := drawAggregate(rng, cfg)
+		var r [2]int
 		switch a.Class {
 		case utility.ClassRealTime:
-			lo, hi = 10, 50
+			r = cfg.RealTimeFlows
 		case utility.ClassBulk:
-			lo, hi = 3, 15
+			r = cfg.BulkFlows
 		case utility.ClassLargeFile:
-			lo, hi = 2, 4
+			r = cfg.LargeFlows
 		}
-		if a.Flows < lo || a.Flows > hi {
-			t.Fatalf("aggregate %d class %v flows %d outside [%d,%d]", a.ID, a.Class, a.Flows, lo, hi)
+		if a.Flows < r[0] || a.Flows > r[1] {
+			t.Fatalf("draw %d class %v flows %d outside %v", i, a.Class, a.Flows, r)
 		}
 	}
 }
@@ -239,15 +247,23 @@ func TestGravitySkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := DefaultGenConfig(2)
-	flat.GravitySkew = 0
-	mFlat, err := Generate(topo, flat)
+	cfg := DefaultGenConfig(2)
+	mSkew, err := Generate(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed := DefaultGenConfig(2)
-	skewed.GravitySkew = 1.0
-	mSkew, err := Generate(topo, skewed)
+	// The flat matrix draws the same class mix over the same pairs with
+	// no gravity.
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var flat []Aggregate
+	for src := 0; src < topo.NumNodes(); src++ {
+		for dst := 0; dst < topo.NumNodes(); dst++ {
+			a := drawAggregate(rng, cfg)
+			a.Src, a.Dst = topology.NodeID(src), topology.NodeID(dst)
+			flat = append(flat, a)
+		}
+	}
+	mFlat, err := NewMatrix(topo, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +292,6 @@ func TestGravitySkew(t *testing.T) {
 	if spread(mSkew) <= spread(mFlat) {
 		t.Errorf("gravity did not increase demand spread: %.2f vs %.2f",
 			spread(mSkew), spread(mFlat))
-	}
-	// Out-of-range skew rejected.
-	bad := DefaultGenConfig(2)
-	bad.GravitySkew = -1
-	if _, err := Generate(topo, bad); err == nil {
-		t.Error("negative skew accepted")
 	}
 }
 
@@ -328,11 +338,9 @@ func TestGenerateExcludeSelfPairs(t *testing.T) {
 func TestGenConfigValidation(t *testing.T) {
 	topo := testTopo(t)
 	bad := []GenConfig{
-		{RealTimeFraction: -0.1, RealTimeFlows: [2]int{1, 2}, BulkFlows: [2]int{1, 2}, LargeFlows: [2]int{1, 2}},
-		{RealTimeFraction: 0.5, LargeProbability: 2, RealTimeFlows: [2]int{1, 2}, BulkFlows: [2]int{1, 2}, LargeFlows: [2]int{1, 2}},
-		{RealTimeFraction: 0.5, LargeProbability: 0.5, RealTimeFlows: [2]int{1, 2}, BulkFlows: [2]int{1, 2}, LargeFlows: [2]int{1, 2}}, // no peaks
-		{RealTimeFraction: 0.5, RealTimeFlows: [2]int{0, 2}, BulkFlows: [2]int{1, 2}, LargeFlows: [2]int{1, 2}},
-		{RealTimeFraction: 0.5, RealTimeFlows: [2]int{5, 2}, BulkFlows: [2]int{1, 2}, LargeFlows: [2]int{1, 2}},
+		{RealTimeFlows: [2]int{0, 2}, BulkFlows: [2]int{1, 2}, LargeFlows: [2]int{1, 2}},
+		{RealTimeFlows: [2]int{5, 2}, BulkFlows: [2]int{1, 2}, LargeFlows: [2]int{1, 2}},
+		{RealTimeFlows: [2]int{1, 2}, BulkFlows: [2]int{1, 2}, LargeFlows: [2]int{-1, 2}},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(topo, cfg); err == nil {
@@ -397,7 +405,6 @@ func TestSparseShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultGenConfig(4)
-	cfg.GravitySkew = 0 // assert the raw class flow ranges
 	m, err := Sparse(topo, cfg, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -414,18 +421,6 @@ func TestSparseShape(t *testing.T) {
 			t.Fatalf("aggregate %d is a self pair", a.ID)
 		}
 		srcs[a.Src] = true
-		var lo, hi int
-		switch a.Class {
-		case utility.ClassRealTime:
-			lo, hi = cfg.RealTimeFlows[0], cfg.RealTimeFlows[1]
-		case utility.ClassBulk:
-			lo, hi = cfg.BulkFlows[0], cfg.BulkFlows[1]
-		case utility.ClassLargeFile:
-			lo, hi = cfg.LargeFlows[0], cfg.LargeFlows[1]
-		}
-		if a.Flows < lo || a.Flows > hi {
-			t.Fatalf("aggregate %d class %v flows %d outside [%d,%d]", a.ID, a.Class, a.Flows, lo, hi)
-		}
 	}
 	// 200 uniform draws over 31 sources miss hardly any of them.
 	if len(srcs) < 25 {
@@ -434,6 +429,7 @@ func TestSparseShape(t *testing.T) {
 	if rt, bulk := m.CountClass(utility.ClassRealTime), m.CountClass(utility.ClassBulk); rt < 60 || bulk < 60 {
 		t.Errorf("rt=%d bulk=%d, want roughly balanced", rt, bulk)
 	}
+	checkDrawRanges(t, cfg, 200)
 }
 
 func TestSparseDeterminism(t *testing.T) {
@@ -472,7 +468,7 @@ func TestSparseRejectsBadArguments(t *testing.T) {
 		}
 	}
 	bad := DefaultGenConfig(1)
-	bad.RealTimeFraction = 2
+	bad.BulkFlows = [2]int{0, 3}
 	if _, err := Sparse(topo, bad, 5); err == nil {
 		t.Error("invalid config accepted")
 	}
@@ -488,28 +484,31 @@ func TestSparseRejectsBadArguments(t *testing.T) {
 }
 
 // TestRandomAggregateFollowsGenerateStream draws aggregates one at a time
-// from the seed's stream and expects exactly the classes and flow counts
-// Generate assigns to the pairs in order (no gravity: Generate then draws
-// nothing else from the stream).
+// from the seed's stream, after the node masses Generate draws first, and
+// expects exactly the classes and per-flow demands Generate assigns to the
+// pairs in order, and its flow counts once gravity scales them.
 func TestRandomAggregateFollowsGenerateStream(t *testing.T) {
-	topo := testTopo(t)
+	topo, err := topology.HurricaneElectric(100 * unit.Mbps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := DefaultGenConfig(11)
-	cfg.GravitySkew = 0
-	cfg.LargeProbability = 0.3 // exercise the large class on a small matrix
 	m, err := Generate(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	masses := nodeMasses(rng, topo.NumNodes())
 	large := 0
 	for _, want := range m.Aggregates() {
 		got, err := RandomAggregate(rng, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Class != want.Class || got.Flows != want.Flows || got.Demand() != want.Demand() || got.Weight != 1 {
-			t.Fatalf("draw %d = %v/%d flows/%v, Generate gave %v/%d flows/%v",
-				want.ID, got.Class, got.Flows, got.Demand(), want.Class, want.Flows, want.Demand())
+		flows := gravityFlows(got.Flows, masses[want.Src], masses[want.Dst])
+		if got.Class != want.Class || flows != want.Flows || got.DemandPerFlow() != want.DemandPerFlow() || got.Weight != 1 {
+			t.Fatalf("draw %d = %v/%d flows/%v per flow, Generate gave %v/%d flows/%v per flow",
+				want.ID, got.Class, flows, got.DemandPerFlow(), want.Class, want.Flows, want.DemandPerFlow())
 		}
 		if got.Src != 0 || got.Dst != 0 {
 			t.Fatalf("draw %d set endpoints %d->%d", want.ID, got.Src, got.Dst)
@@ -522,8 +521,8 @@ func TestRandomAggregateFollowsGenerateStream(t *testing.T) {
 		t.Error("no large aggregate drawn; the class check covered two classes only")
 	}
 	bad := cfg
-	bad.LargePeaks = nil
+	bad.LargeFlows = [2]int{3, 2}
 	if _, err := RandomAggregate(rng, bad); err == nil {
-		t.Error("large probability without peaks accepted")
+		t.Error("inverted large flow range accepted")
 	}
 }

@@ -8,9 +8,16 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"fubar/internal/core"
+	"fubar/internal/ctrlplane"
+	"fubar/internal/scenario"
+	"fubar/internal/sdnsim"
+	"fubar/internal/traffic"
 )
 
 // exportedDecl is one exported top-level declaration: its kind ("const",
@@ -167,6 +174,45 @@ func TestExportedSurfacePinned(t *testing.T) {
 	}
 }
 
+// moduleFile is one parsed non-test Go file of the module and its
+// slash-separated directory.
+type moduleFile struct {
+	f   *ast.File
+	dir string
+}
+
+// moduleFiles parses every non-test Go file of the module, benchmark/
+// included, skipping hidden and testdata directories.
+func moduleFiles(t *testing.T) []moduleFile {
+	t.Helper()
+	var out []moduleFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if n := e.Name(); p != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		out = append(out, moduleFile{f, filepath.ToSlash(filepath.Dir(p))})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // callerless lists the exported functions, methods and variables a caller
 // check may not flag although no non-test file names them, each with its
 // reason.
@@ -192,25 +238,8 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	methods := map[string]bool{} // ".M" selected on anything but a package
 	type export struct{ dir, recv, name string }
 	var exports []export
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(p string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if e.IsDir() {
-			if n := e.Name(); p != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, 0)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(p))
+	for _, mf := range moduleFiles(t) {
+		f, dir := mf.f, mf.dir
 		imports := map[string]string{}
 		for _, imp := range f.Imports {
 			ip := strings.Trim(imp.Path.Value, `"`)
@@ -275,10 +304,6 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, x := range exports {
 		pkg := path.Base(x.dir)
@@ -293,5 +318,118 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			continue
 		}
 		t.Errorf("%s.%s.%s is exported but no non-test file uses it: delete it", pkg, x.recv, x.name)
+	}
+}
+
+// unsetConfigFields lists the exported config fields a setter check may
+// not flag although no non-test file outside their package names them,
+// each with its reason.
+var unsetConfigFields = map[string]string{
+	"ctrlplane.AgentConfig.HandshakeTimeout":      "tests exercise the handshake-timeout path at sub-second values",
+	"ctrlplane.ControllerConfig.HandshakeTimeout": "tests exercise the handshake-timeout path at sub-second values",
+	"experiment.Config.Traffic":                   "tests shrink the §3 workload",
+}
+
+// TestConfigFieldsHaveSetters holds configuration to the rule
+// TestInternalExportsHaveCallers holds functions to: every exported field
+// of a struct in internal/ whose name ends in Options, Config or Policy is
+// named — selected, or a key in a composite literal — by some non-test
+// file of the module outside its own package, or is in unsetConfigFields.
+// A field that only its own package and tests set is a constant with
+// extra steps. The check is by name, like the caller check.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	namedIn := map[string]map[string]bool{} // field name -> dirs of the files naming it
+	name := func(n, dir string) {
+		if namedIn[n] == nil {
+			namedIn[n] = map[string]bool{}
+		}
+		namedIn[n][dir] = true
+	}
+	type field struct{ dir, typ, name string }
+	var fields []field
+	for _, mf := range moduleFiles(t) {
+		ast.Inspect(mf.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := x.Type.(*ast.StructType)
+				typ := x.Name.Name
+				if !ok || !strings.HasPrefix(mf.dir, "internal/") ||
+					!(strings.HasSuffix(typ, "Options") || strings.HasSuffix(typ, "Config") || strings.HasSuffix(typ, "Policy")) {
+					return true
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							fields = append(fields, field{mf.dir, typ, id.Name})
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				name(x.Sel.Name, mf.dir)
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok {
+					name(id.Name, mf.dir)
+				}
+			}
+			return true
+		})
+	}
+	t.Logf("%d exported config fields", len(fields))
+	allowed := map[string]bool{}
+	for _, f := range fields {
+		key := path.Base(f.dir) + "." + f.typ + "." + f.name
+		outside := false
+		for dir := range namedIn[f.name] {
+			outside = outside || dir != f.dir
+		}
+		switch {
+		case outside:
+		case unsetConfigFields[key] != "":
+			allowed[key] = true
+		default:
+			t.Errorf("%s is set only by its own package or by tests: make it a constant", key)
+		}
+	}
+	for key := range unsetConfigFields {
+		if !allowed[key] {
+			t.Errorf("unsetConfigFields lists %s, which is gone or now set outside its package: drop the entry", key)
+		}
+	}
+}
+
+// TestOptionsFieldSet pins the exported field sets of the optimizer's,
+// the replay's, the control plane's, the simulator's and the workload's
+// configuration: every field is a configuration the tests and the
+// benchmark must cover, so adding one is an edit to this list too.
+func TestOptionsFieldSet(t *testing.T) {
+	for _, tc := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf(core.Options{}), []string{
+			"Policy", "MaxPathsPerAggregate", "MaxSteps", "Workers", "AltMode",
+			"DisableEscalation", "Trace", "Telemetry",
+		}},
+		{reflect.TypeOf(scenario.Options{}), []string{
+			"Core", "ColdStart", "Budget", "Replicas", "RuleLease", "LeasePolicy", "Logger",
+		}},
+		{reflect.TypeOf(ctrlplane.ControllerConfig{}), []string{
+			"RuleLease", "HandshakeTimeout", "RequestTimeout", "Logger",
+		}},
+		{reflect.TypeOf(ctrlplane.AgentConfig{}), []string{
+			"HandshakeTimeout", "RuleLease", "FailAction", "Logger",
+		}},
+		{reflect.TypeOf(sdnsim.Config{}), []string{"Seed", "DemandJitter"}},
+		{reflect.TypeOf(traffic.GenConfig{}), []string{
+			"Seed", "RealTimeFlows", "BulkFlows", "LargeFlows", "IncludeSelfPairs",
+		}},
+	} {
+		var got []string
+		for _, f := range reflect.VisibleFields(tc.typ) {
+			got = append(got, f.Name)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v fields:\n got  %v\n want %v", tc.typ, got, tc.want)
+		}
 	}
 }
