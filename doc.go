@@ -26,7 +26,7 @@
 // WithBudget, WithObserver, WithColdStart, WithLogger, WithTelemetry,
 // and WithOptions for every other optimizer knob (path policy included)
 // — and expose the optimizer (Optimize), the annealing comparator
-// (Anneal, AnnealRestarts) and scenario replays. A second Optimize call
+// (Anneal) and scenario replays. A second Optimize call
 // warm-starts from the previous solution: re-optimizing an unchanged
 // instance is a cheap no-op, exactly the idempotence a periodic
 // controller wants.
@@ -158,9 +158,7 @@
 // optimization runs no per-step full evaluations at all — Solution.Base
 // counts captures vs remaps vs rebases, and Solution.Delta the
 // candidate-level counters (benchmark/'s flowmodel.* metrics time the
-// same calls per candidate). The same arena anatomy powers parallel annealing
-// restarts: AnnealRestarts fans best-of-n seed-indexed restarts across
-// workers with per-restart arenas, worker-count-invariant.
+// same calls per candidate).
 //
 // # Scenario replay
 //

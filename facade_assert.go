@@ -82,9 +82,8 @@ var (
 
 	_ metrics.CDF = CDF{}
 
-	_ anneal.Options        = AnnealOptions{}
-	_ anneal.Solution       = AnnealSolution{}
-	_ anneal.RestartsResult = AnnealRestartsResult{}
+	_ anneal.Options  = AnnealOptions{}
+	_ anneal.Solution = AnnealSolution{}
 
 	_ classify.Classifier = Classifier{}
 	_ classify.Override   = ClassifierOverride{}

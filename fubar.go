@@ -380,8 +380,6 @@ type (
 	AnnealOptions = anneal.Options
 	// AnnealSolution is a simulated-annealing outcome.
 	AnnealSolution = anneal.Solution
-	// AnnealRestartsResult is a parallel best-of-n restarts outcome.
-	AnnealRestartsResult = anneal.RestartsResult
 )
 
 // Traffic classification (§1 "crude heuristics supplemented by operator

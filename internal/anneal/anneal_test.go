@@ -208,80 +208,6 @@ func TestComparableToFUBAR(t *testing.T) {
 		fub.Utility, fub.Steps, sa.Utility, sa.Evaluations)
 }
 
-// TestRunRestartsWorkerInvariance asserts the parallel-restart contract:
-// per-restart solutions are indexed by seed and identical at any worker
-// count, the best pick is tie-stable, and restarts genuinely explore
-// (seeds differ).
-func TestRunRestartsWorkerInvariance(t *testing.T) {
-	_, _, model := testInstance(t, 9)
-	const restarts = 6
-	opts := Options{Seed: 100, MaxIterations: 1200}
-	serial, err := RunRestarts(context.Background(), model, opts, restarts, 1)
-	if err != nil {
-		t.Fatalf("RunRestarts(workers=1): %v", err)
-	}
-	if len(serial.Solutions) != restarts {
-		t.Fatalf("got %d solutions, want %d", len(serial.Solutions), restarts)
-	}
-	for _, workers := range []int{4, 9} {
-		par, err := RunRestarts(context.Background(), model, opts, restarts, workers)
-		if err != nil {
-			t.Fatalf("RunRestarts(workers=%d): %v", workers, err)
-		}
-		if par.BestIndex != serial.BestIndex || par.Best.Utility != serial.Best.Utility {
-			t.Fatalf("workers=%d: best (%d, %v) != serial best (%d, %v)",
-				workers, par.BestIndex, par.Best.Utility, serial.BestIndex, serial.Best.Utility)
-		}
-		for i := range serial.Solutions {
-			a, b := serial.Solutions[i], par.Solutions[i]
-			if a.Utility != b.Utility || a.Iterations != b.Iterations || a.Accepted != b.Accepted || a.Uphill != b.Uphill {
-				t.Fatalf("workers=%d restart %d diverged: %+v vs %+v", workers, i, a, b)
-			}
-		}
-	}
-	// Restarts must not be clones of one another.
-	distinct := false
-	for i := 1; i < restarts; i++ {
-		if serial.Solutions[i].Utility != serial.Solutions[0].Utility ||
-			serial.Solutions[i].Accepted != serial.Solutions[0].Accepted {
-			distinct = true
-		}
-	}
-	if !distinct {
-		t.Error("all restarts produced identical runs; seeds not fanned")
-	}
-	// Best is genuinely the max.
-	for i, s := range serial.Solutions {
-		if s.Utility > serial.Best.Utility {
-			t.Fatalf("restart %d utility %v beats Best %v", i, s.Utility, serial.Best.Utility)
-		}
-	}
-}
-
-// TestRunRestartsMatchesSingle checks restart i reproduces a lone Run at
-// the same seed, and the argument validation.
-func TestRunRestartsMatchesSingle(t *testing.T) {
-	_, _, model := testInstance(t, 13)
-	opts := Options{Seed: 21, MaxIterations: 800}
-	r, err := RunRestarts(context.Background(), model, opts, 3, 2)
-	if err != nil {
-		t.Fatalf("RunRestarts: %v", err)
-	}
-	lone, err := Run(context.Background(), model, Options{Seed: 22, MaxIterations: 800})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if r.Solutions[1].Utility != lone.Utility || r.Solutions[1].Accepted != lone.Accepted {
-		t.Fatalf("restart 1 (seed 22) %+v != lone run %+v", r.Solutions[1], lone)
-	}
-	if _, err := RunRestarts(context.Background(), nil, opts, 3, 2); err == nil {
-		t.Error("RunRestarts(nil model) succeeded")
-	}
-	if _, err := RunRestarts(context.Background(), model, opts, 0, 2); err == nil {
-		t.Error("RunRestarts(0 restarts) succeeded")
-	}
-}
-
 func TestSelfPairsStayHome(t *testing.T) {
 	topo, err := topology.Ring(5, 2, 1000*unit.Kbps, 1)
 	if err != nil {

@@ -60,7 +60,6 @@ func rebindEpochs(t *testing.T) []rebindEpoch {
 		{"arrivals", topo, more, pathgen.Policy{}},
 		{"srlg-fail", failed, more, pathgen.Policy{ForbiddenLinks: mask}},
 		{"departures", topo, base[:len(base)/2], pathgen.Policy{}},
-		{"hop-bound", topo, base, pathgen.Policy{MaxHops: 4}},
 		{"other-graph", other, onOther, pathgen.Policy{}},
 		{"back", topo, more, pathgen.Policy{}},
 	}
@@ -170,8 +169,8 @@ func TestRebindRejectsBadInstance(t *testing.T) {
 	if err := o.Rebind(nil, Options{}); err == nil {
 		t.Error("Rebind(nil) succeeded")
 	}
-	if err := o.Rebind(m, Options{Policy: pathgen.Policy{MaxHops: -1}}); err == nil {
-		t.Error("Rebind with a negative hop bound succeeded")
+	if err := o.Rebind(m, Options{Policy: pathgen.Policy{ForbiddenLinks: make([]bool, m.Topology().NumLinks()+1)}}); err == nil {
+		t.Error("Rebind with an oversized forbidden-link mask succeeded")
 	}
 	got, err := o.Run(context.Background())
 	if err != nil {

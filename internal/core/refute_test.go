@@ -37,12 +37,12 @@ func sameOutcome(t *testing.T, what string, got, want *Solution) {
 // TestRefutationAcrossRebind is the optimizer-level differential for the
 // failed-step rule: two optimizers, one skipping refuted bundles and one
 // (the oracle) enumerating everything, walk the same replay-like sequence
-// of re-binds — arrivals, an SRLG failure, departures, a hop bound, a
-// topology with another link count (so another stamp array) and back —
-// warm-started from what the previous epoch committed, and commit the same
-// solution every epoch at Workers {1, 4}, scoring incrementally and under
-// the full-evaluation oracle. The rule's own counters must not depend on
-// the worker count either.
+// of re-binds — arrivals, an SRLG failure, departures, a topology with
+// another link count (so another stamp array) and back — warm-started from
+// what the previous epoch committed, and commit the same solution every
+// epoch at Workers {1, 4}, scoring incrementally and under the
+// full-evaluation oracle. The rule's own counters must not depend on the
+// worker count either.
 func TestRefutationAcrossRebind(t *testing.T) {
 	ctx := context.Background()
 	type counts struct {

@@ -23,39 +23,6 @@ type DialDirectory interface {
 // generation space and the resync range.
 const failsafeGenerationBase = uint64(3) << 62
 
-// guardedDatapath wraps the agent's Datapath to track the size of the
-// installed table, so lease expiry can report how many rules it
-// affected.
-type guardedDatapath struct {
-	inner Datapath
-
-	mu    sync.Mutex
-	rules int
-}
-
-// InstallRules forwards to the wrapped datapath and records the new
-// table size.
-func (g *guardedDatapath) InstallRules(generation uint64, rules []Rule) error {
-	if err := g.inner.InstallRules(generation, rules); err != nil {
-		return err
-	}
-	g.mu.Lock()
-	g.rules = len(rules)
-	g.mu.Unlock()
-	return nil
-}
-
-// ReadCounters forwards to the wrapped datapath.
-func (g *guardedDatapath) ReadCounters(batch *CounterBatch) error {
-	return g.inner.ReadCounters(batch)
-}
-
-func (g *guardedDatapath) ruleCount() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.rules
-}
-
 // ManagedAgent is the fail-safe agent: it owns the connect→serve→redial
 // lifecycle of its Agent connections. It dials the directory's addresses
 // in order, serves until the connection dies, and redials with jittered
@@ -72,7 +39,7 @@ type ManagedAgent struct {
 	id   uint32
 	name string
 	dir  DialDirectory
-	dp   *guardedDatapath
+	dp   Datapath
 
 	fence       flowModFence
 	leaseMs     atomic.Uint32 // last controller-advertised lease
@@ -121,7 +88,7 @@ func newManagedAgentClock(datapathID uint32, nodeName string, dp Datapath, dir D
 		id:    datapathID,
 		name:  nodeName,
 		dir:   dir,
-		dp:    &guardedDatapath{inner: dp},
+		dp:    dp,
 		now:   now,
 		after: after,
 		done:  make(chan struct{}),
@@ -204,23 +171,29 @@ func (ma *ManagedAgent) lease() time.Duration {
 	return ma.cfg.RuleLease
 }
 
-// expireTable applies the fail-safe policy to the installed table.
+// expireTable applies the fail-safe policy to the installed table, the
+// rules of the FlowMod the fence last recorded as applied.
 func (ma *ManagedAgent) expireTable() {
-	n := ma.dp.ruleCount()
-	ma.expiries.Add(1)
-	ma.expiredRules.Add(int64(n))
-	switch ma.cfg.FailAction {
-	case FailClosed:
-		gen := failsafeGenerationBase | ma.failsafeGen.Add(1)
+	closed := ma.cfg.FailAction == FailClosed
+	ma.fence.mu.Lock()
+	n := 0
+	if ma.fence.last != nil {
+		n = len(ma.fence.last.Rules)
+	}
+	if closed {
 		// The wiped table is no longer the last FlowMod's: a re-send of
 		// that FlowMod must be applied again.
-		ma.fence.mu.Lock()
 		ma.fence.last = nil
-		ma.fence.mu.Unlock()
+	}
+	ma.fence.mu.Unlock()
+	ma.expiries.Add(1)
+	ma.expiredRules.Add(int64(n))
+	// Fail-closed wipes the table; fail-static keeps forwarding on it.
+	if closed {
+		gen := failsafeGenerationBase | ma.failsafeGen.Add(1)
 		if err := ma.dp.InstallRules(gen, nil); err != nil {
 			ma.cfg.Logger.Warn("agent: fail-closed wipe failed", "agent", ma.name, "err", err)
 		}
-	default: // FailStatic: keep forwarding on the stale table.
 	}
 	ma.cfg.Logger.Warn("agent: rule lease expired", "agent", ma.name,
 		"datapath", ma.id, "policy", ma.cfg.FailAction.String(), "rules", n)

@@ -278,6 +278,43 @@ func TestManagedAgentLeaseExpiry(t *testing.T) {
 	}
 }
 
+// TestExpireTableCountsTheLastAppliedFlowMod: lease expiry reports the
+// rules of the FlowMod the fence last recorded as applied — none before
+// the first install, none after a fail-closed wipe — and only fail-closed
+// touches the datapath or forgets that FlowMod.
+func TestExpireTableCountsTheLastAppliedFlowMod(t *testing.T) {
+	for _, tc := range []struct {
+		policy    FailPolicy
+		wantRules []int64 // ExpiredRules after each of three expiries
+	}{
+		{FailStatic, []int64{0, 3, 6}},
+		{FailClosed, []int64{0, 3, 3}},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			dp := &recDatapath{}
+			ma := &ManagedAgent{cfg: AgentConfig{FailAction: tc.policy}.withDefaults(), name: "sw1", dp: dp}
+			for i, want := range tc.wantRules {
+				if i == 1 {
+					ma.fence.last = &FlowMod{Rules: make([]Rule, 3)}
+				}
+				ma.expireTable()
+				if got := ma.ExpiredRules(); got != want {
+					t.Fatalf("expiry %d: ExpiredRules = %d, want %d", i+1, got, want)
+				}
+				if got := ma.Expiries(); got != int64(i+1) {
+					t.Fatalf("expiry %d: Expiries = %d", i+1, got)
+				}
+				if forgot := ma.fence.last == nil; i > 0 && forgot != (tc.policy == FailClosed) {
+					t.Fatalf("expiry %d: fence forgot the last FlowMod: %v under %v", i+1, forgot, tc.policy)
+				}
+			}
+			if wipes := dp.installCount(); (wipes > 0) != (tc.policy == FailClosed) || len(dp.table()) != 0 {
+				t.Fatalf("%v: %d datapath installs, table %v", tc.policy, wipes, dp.table())
+			}
+		})
+	}
+}
+
 func TestManagedAgentReconnectsWithBackoff(t *testing.T) {
 	rs, err := NewReplicaSet(1, ControllerConfig{})
 	if err != nil {

@@ -120,7 +120,7 @@ func (s *Server) create(req *CreateTenantRequest) (TenantInfo, error) {
 		tm.Workers.Set(float64(workers))
 		tm.Seed.Set(float64(req.Seed))
 	}
-	ctrl, err := s.cfg.Factory(topo, mat, TenantConfig{Workers: workers, Seed: req.Seed, Telemetry: tel})
+	ctrl, err := s.cfg.Factory(topo, mat, TenantConfig{Workers: workers, Telemetry: tel})
 	if err != nil {
 		return TenantInfo{}, err
 	}

@@ -37,9 +37,6 @@ type TenantConfig struct {
 	// daemon's global cap; the Controller should size its candidate
 	// fan-out to it.
 	Workers int
-	// Seed is the tenant's instance seed (for controllers that derive
-	// further randomness; the matrix is already generated from it).
-	Seed int64
 	// Telemetry is the tenant's isolated registry+tracer: everything
 	// the Controller records lands in this tenant's /metrics only.
 	Telemetry *telemetry.Telemetry

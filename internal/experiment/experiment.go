@@ -7,13 +7,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"fubar/internal/baseline"
 	"fubar/internal/core"
 	"fubar/internal/flowmodel"
 	"fubar/internal/metrics"
-	"fubar/internal/par"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
@@ -261,19 +262,29 @@ func Repeatability(ctx context.Context, base Config, runs int) (*RepeatabilityRe
 	sp := make([]float64, runs)
 	ub := make([]float64, runs)
 	errs := make([]error, runs)
-	par.ForEach(runs, width, func(i int) {
-		cfg := base
-		cfg.Seed = base.Seed + int64(i)
-		cfg.Options.Workers = perRun
-		r, err := Run(ctx, cfg)
-		if err != nil {
-			errs[i] = fmt.Errorf("experiment: seed %d: %v", cfg.Seed, err)
-			return
-		}
-		fub[i] = r.Solution.Utility
-		sp[i] = r.ShortestPath
-		ub[i] = r.UpperBound
-	})
+	// width goroutines claim seed indices in order from one counter.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range width {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < runs; i = int(next.Add(1)) - 1 {
+				cfg := base
+				cfg.Seed = base.Seed + int64(i)
+				cfg.Options.Workers = perRun
+				r, err := Run(ctx, cfg)
+				if err != nil {
+					errs[i] = fmt.Errorf("experiment: seed %d: %v", cfg.Seed, err)
+					continue
+				}
+				fub[i] = r.Solution.Utility
+				sp[i] = r.ShortestPath
+				ub[i] = r.UpperBound
+			}
+		}()
+	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

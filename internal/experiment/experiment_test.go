@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -196,6 +198,21 @@ func TestRepeatabilityWorkerCountInvariant(t *testing.T) {
 				t.Fatalf("%s: value %d differs across worker counts: %v vs %v", name, j, a[j], b[j])
 			}
 		}
+	}
+}
+
+// TestRepeatabilityReportsTheFirstSeedsError: when runs fail, the error
+// returned is the lowest seed's, whichever run failed first in time.
+func TestRepeatabilityReportsTheFirstSeedsError(t *testing.T) {
+	cfg := ringCfg(t, 2000*unit.Kbps)
+	cfg.Options.Workers = 3
+	cfg.Options.Policy.ForbiddenLinks = make([]bool, cfg.Topology.NumLinks()+1) // refused by every run
+	rep, err := Repeatability(context.Background(), cfg, 6)
+	if err == nil {
+		t.Fatalf("an invalid policy ran: %+v", rep)
+	}
+	if want := fmt.Sprintf("experiment: seed %d: ", cfg.Seed); !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q, want one starting %q", err, want)
 	}
 }
 

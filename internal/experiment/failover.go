@@ -96,11 +96,7 @@ func Failover(ctx context.Context, topo *topology.Topology, mat *traffic.Matrix,
 
 	// Recovery: the next offline cycle knows the link is down.
 	recOpts := opts
-	recOpts.Policy = pathgen.Policy{
-		MaxHops:        opts.Policy.MaxHops,
-		MaxDelay:       opts.Policy.MaxDelay,
-		ForbiddenLinks: pathgen.ForbidLinks(dead, worst),
-	}
+	recOpts.Policy = pathgen.Policy{ForbiddenLinks: pathgen.ForbidLinks(dead, worst)}
 	// Warm-start from the installed allocation, repaired so no bundle
 	// still crosses the dead link: recovery adjusts the installed
 	// routing rather than recomputing the network from scratch, so it

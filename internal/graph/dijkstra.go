@@ -12,8 +12,6 @@ type Constraints struct {
 	// ExcludeNodes, if non-nil, marks nodes the path must not visit.
 	// Source and destination are always allowed.
 	ExcludeNodes []bool
-	// MaxHops bounds the number of edges in the path; 0 means unbounded.
-	MaxHops int
 }
 
 func (c Constraints) edgeExcluded(id EdgeID) bool {
@@ -37,20 +35,15 @@ type Searcher struct {
 	heap  minHeap
 	// settled counts the non-stale heap pops of every search so far.
 	settled int64
-
-	// Hop-bounded search only (see boundedPath).
-	labels         []hopLabel
-	frontier, next []frontierItem
 }
 
-// nodeState is one node's tentative distance and predecessor edge (and,
-// in a hop-bounded search, hop count), valid only while seen equals the
-// Searcher's epoch. tied records that the node's shortest path has a
-// rival: a relaxation over another edge reached the same distance.
+// nodeState is one node's tentative distance and predecessor edge, valid
+// only while seen equals the Searcher's epoch. tied records that the
+// node's shortest path has a rival: a relaxation over another edge reached
+// the same distance.
 type nodeState struct {
 	dist float64
 	prev EdgeID
-	hops int32
 	seen uint32
 	tied bool
 }
@@ -73,8 +66,7 @@ func (s *Searcher) begin(n int) {
 
 // ShortestPath returns the minimum-weight path from src to dst subject to
 // the constraints, and whether one exists. src==dst yields the empty path.
-// With MaxHops > 0 it is the minimum-weight path among those within the
-// hop bound. The returned edge list is freshly allocated.
+// The returned edge list is freshly allocated.
 func (s *Searcher) ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
 	p, _, ok := s.ShortestPathUnique(g, src, dst, cons, nil)
 	return p, ok
@@ -88,8 +80,7 @@ func (s *Searcher) ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Pa
 // path node there tied it here, where every node as near as dst was
 // settled and relaxed (see dijkstra). With zero weights a tie may be a
 // detour round a zero-weight cycle, so false can be a missed proof; true
-// is never a wrong one. A hop-bounded answer carries none (the layered
-// search keeps no such record), nor does the empty path.
+// is never a wrong one. The empty path carries none.
 //
 // A non-nil potential h steers the search toward dst (A*) and changes
 // nothing in the answer. h must be a consistent lower bound on the
@@ -106,10 +97,6 @@ func (s *Searcher) ShortestPathUnique(g *Graph, src, dst NodeID, cons Constraint
 	n := g.NumNodes()
 	if int(src) < 0 || int(src) >= n || int(dst) < 0 || int(dst) >= n {
 		return Path{}, false, false
-	}
-	if cons.MaxHops > 0 {
-		p, ok = s.boundedPath(g, src, dst, cons)
-		return p, false, ok
 	}
 	s.dijkstra(g, src, dst, cons, h)
 	hops, unique, ok := s.trace(g, src, dst)
@@ -162,10 +149,9 @@ type Tree struct {
 }
 
 // ShortestPathTree settles every node reachable from src under the edge
-// and node exclusions (MaxHops is ignored) and returns the predecessor
-// tree. It is the search ShortestPath runs, minus the early exit at a
-// destination, so one tree answers every destination the way its own
-// search would (see Tree.Path).
+// and node exclusions and returns the predecessor tree. It is the search
+// ShortestPath runs, minus the early exit at a destination, so one tree
+// answers every destination the way its own search would (see Tree.Path).
 func (s *Searcher) ShortestPathTree(g *Graph, src NodeID, cons Constraints) Tree {
 	n := g.NumNodes()
 	t := Tree{src: src}
@@ -290,96 +276,6 @@ func (s *Searcher) dijkstra(g *Graph, src, dst NodeID, cons Constraints, h []flo
 			}
 		}
 	}
-}
-
-// hopLabel records one strict improvement of a node's distance during a
-// hop-bounded search: the edge that produced it and the label of the
-// edge's tail it extended (-1 at the source). nodeState.prev indexes a
-// node's latest label, nodeState.hops the layer that wrote it.
-type hopLabel struct {
-	edge   EdgeID
-	parent int32
-}
-
-// frontierItem snapshots a node improved in one layer — its distance and
-// label as of that layer — so the next layer extends exactly those
-// values even while it lowers the node's state further.
-type frontierItem struct {
-	node  NodeID
-	label int32
-	dist  float64
-}
-
-// boundedPath finds the minimum-weight path of at most cons.MaxHops edges
-// by layered relaxation: layer h extends the nodes layer h-1 improved, so
-// after it every node holds its best distance over walks of at most h
-// edges, in O(MaxHops·E) overall. Settling on distance alone — what an
-// unlayered Dijkstra does — loses a heavier route with fewer hops the
-// moment a lighter, longer one reaches the same node. Only strict
-// improvements are recorded, which makes the result loop-free (weights
-// are non-negative, so re-entering a node never improves it) and breaks
-// ties toward fewer hops.
-func (s *Searcher) boundedPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
-	s.begin(g.NumNodes())
-	s.labels = s.labels[:0]
-	s.nodes[src] = nodeState{prev: -1, seen: s.epoch}
-	frontier := append(s.frontier[:0], frontierItem{node: src, label: -1})
-	next := s.next[:0]
-	end := &s.nodes[dst]
-	for h := int32(1); int(h) <= cons.MaxHops && len(frontier) > 0; h++ {
-		for _, f := range frontier {
-			for _, id := range g.out[f.node] {
-				if cons.edgeExcluded(id) {
-					continue
-				}
-				e := &g.edges[id]
-				if e.To != dst && cons.nodeExcluded(e.To) {
-					continue
-				}
-				nd := f.dist + e.Weight
-				// Nothing at or beyond dst's distance can still improve it.
-				if end.seen == s.epoch && nd >= end.dist {
-					continue
-				}
-				to := &s.nodes[e.To]
-				seen := to.seen == s.epoch
-				if seen && nd >= to.dist {
-					continue
-				}
-				if seen && to.hops == h {
-					// Second improvement within this layer: nothing refers
-					// to the layer's label yet, so overwrite it.
-					s.labels[to.prev] = hopLabel{edge: id, parent: f.label}
-					to.dist = nd
-					continue
-				}
-				*to = nodeState{dist: nd, prev: EdgeID(len(s.labels)), hops: h, seen: s.epoch}
-				s.labels = append(s.labels, hopLabel{edge: id, parent: f.label})
-				if e.To != dst {
-					next = append(next, frontierItem{node: e.To})
-				}
-			}
-		}
-		for i := range next {
-			st := &s.nodes[next[i].node]
-			next[i].label, next[i].dist = int32(st.prev), st.dist
-		}
-		frontier, next = next, frontier[:0]
-	}
-	s.frontier, s.next = frontier[:0], next[:0]
-	if end.seen != s.epoch {
-		return Path{}, false
-	}
-	count := 0
-	for l := int32(end.prev); l >= 0; l = s.labels[l].parent {
-		count++
-	}
-	edges := make([]EdgeID, count)
-	for l := int32(end.prev); l >= 0; l = s.labels[l].parent {
-		count--
-		edges[count] = s.labels[l].edge
-	}
-	return Path{Edges: edges, Weight: end.dist}, true
 }
 
 // heapItem is a min-heap entry: a node (Dijkstra) or candidate index

@@ -163,17 +163,6 @@ func TestShortestPathExcludeNode(t *testing.T) {
 	}
 }
 
-func TestShortestPathMaxHops(t *testing.T) {
-	g := diamond(t)
-	p, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{MaxHops: 1})
-	if !ok {
-		t.Fatal("no path found")
-	}
-	if p.Len() != 1 || p.Weight != 5 {
-		t.Errorf("got %d hops w=%v, want the direct link", p.Len(), p.Weight)
-	}
-}
-
 func TestShortestPathTree(t *testing.T) {
 	g := diamond(t)
 	tree := new(Searcher).ShortestPathTree(g, 0, Constraints{})
@@ -338,6 +327,84 @@ func TestKShortestPathsProperty(t *testing.T) {
 			last = p.Weight
 		}
 	}
+}
+
+// Property: searching under Constraints answers as searching a graph from
+// which the excluded edges, and every edge at an excluded node, were
+// removed — for one shortest path and for Yen's K, whose spur searches
+// stack their own exclusions on the caller's.
+func TestConstraintsMatchPrunedGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type trial struct {
+		g, pruned *Graph
+		orig      []EdgeID // pruned edge -> g's edge
+		cons      Constraints
+		src, dst  NodeID
+	}
+	var trials []trial
+	for len(trials) < 40 {
+		n := 6 + rng.Intn(10)
+		g := randomGraph(rng, n, n*3)
+		src := NodeID(rng.Intn(n))
+		dst := NodeID((int(src) + 1 + rng.Intn(n-1)) % n)
+		cons := Constraints{ExcludeEdges: make([]bool, g.NumEdges()), ExcludeNodes: make([]bool, n)}
+		for e := range cons.ExcludeEdges {
+			cons.ExcludeEdges[e] = rng.Intn(5) == 0
+		}
+		for v := range cons.ExcludeNodes {
+			cons.ExcludeNodes[v] = NodeID(v) != src && NodeID(v) != dst && rng.Intn(8) == 0
+		}
+		pruned, orig := New(n), []EdgeID(nil)
+		for e := range g.NumEdges() {
+			ed := g.Edge(EdgeID(e))
+			if !cons.ExcludeEdges[e] && !cons.ExcludeNodes[ed.From] && !cons.ExcludeNodes[ed.To] {
+				mustEdge(t, pruned, ed.From, ed.To, ed.Weight)
+				orig = append(orig, EdgeID(e))
+			}
+		}
+		trials = append(trials, trial{g, pruned, orig, cons, src, dst})
+	}
+	same := func(p, q Path, orig []EdgeID) bool {
+		if p.Weight != q.Weight || len(p.Edges) != len(q.Edges) {
+			return false
+		}
+		for i, e := range q.Edges {
+			if p.Edges[i] != orig[e] {
+				return false
+			}
+		}
+		return true
+	}
+	t.Run("shortest-path", func(t *testing.T) {
+		unreachable := 0
+		for i, tr := range trials {
+			p, ok := new(Searcher).ShortestPath(tr.g, tr.src, tr.dst, tr.cons)
+			q, qok := new(Searcher).ShortestPath(tr.pruned, tr.src, tr.dst, Constraints{})
+			if ok != qok || ok && !same(p, q, tr.orig) {
+				t.Fatalf("trial %d: constrained %v/%v, pruned %v/%v", i, p, ok, q, qok)
+			}
+			if !ok {
+				unreachable++
+			}
+		}
+		if unreachable == len(trials) {
+			t.Fatal("no trial had a path")
+		}
+	})
+	t.Run("k-shortest", func(t *testing.T) {
+		for i, tr := range trials {
+			ps := new(Searcher).KShortestPaths(tr.g, tr.src, tr.dst, 6, tr.cons)
+			qs := new(Searcher).KShortestPaths(tr.pruned, tr.src, tr.dst, 6, Constraints{})
+			if len(ps) != len(qs) {
+				t.Fatalf("trial %d: %d constrained paths, %d pruned", i, len(ps), len(qs))
+			}
+			for j := range ps {
+				if !same(ps[j], qs[j], tr.orig) {
+					t.Fatalf("trial %d path %d: constrained %v, pruned %v", i, j, ps[j], qs[j])
+				}
+			}
+		}
+	})
 }
 
 // Property (testing/quick): excluding the edges of the shortest path yields

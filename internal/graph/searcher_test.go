@@ -42,9 +42,6 @@ func oracleShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool
 		if v == dst {
 			break
 		}
-		if cons.MaxHops > 0 && hops[v] >= cons.MaxHops {
-			continue
-		}
 		for _, id := range g.out[v] {
 			if cons.edgeExcluded(id) {
 				continue
@@ -235,116 +232,13 @@ func TestMinHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// The hop-bound counter-example: distance-only settling reaches node 2 by
-// the light three-hop route first and then refuses to expand it, so the
-// heavier two-hop route through 0->2 was never tried.
-func TestShortestPathMaxHopsFindsHeavierShorterRoute(t *testing.T) {
-	g := New(4)
-	mustEdge(t, g, 0, 1, 1)
-	mustEdge(t, g, 1, 2, 1)
-	last := mustEdge(t, g, 2, 3, 1)
-	direct := mustEdge(t, g, 0, 2, 5)
-	p, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{MaxHops: 2})
-	if !ok {
-		t.Fatal("no path within 2 hops, but 0->2->3 exists")
-	}
-	if want := (Path{Edges: []EdgeID{direct, last}}); !p.Equal(want) || p.Weight != 6 {
-		t.Errorf("got %v w=%v, want %v w=6", p.Edges, p.Weight, want.Edges)
-	}
-	if p, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{MaxHops: 3}); !ok || p.Weight != 3 {
-		t.Errorf("MaxHops 3: got w=%v ok=%v, want the 3-hop route of weight 3", p.Weight, ok)
-	}
-	if _, ok := new(Searcher).ShortestPath(g, 0, 3, Constraints{MaxHops: 1}); ok {
-		t.Error("MaxHops 1: found a path, none exists")
-	}
-}
-
-// bruteForceBounded enumerates every loop-free path from src to dst of at
-// most maxHops edges and returns the least weight, or +Inf.
-func bruteForceBounded(g *Graph, src, dst NodeID, cons Constraints) float64 {
-	best := math.Inf(1)
-	onPath := make([]bool, g.NumNodes())
-	var walk func(at NodeID, hops int, w float64)
-	walk = func(at NodeID, hops int, w float64) {
-		if at == dst {
-			best = math.Min(best, w)
-			return
-		}
-		if hops == cons.MaxHops {
-			return
-		}
-		onPath[at] = true
-		for _, id := range g.out[at] {
-			e := g.Edge(id)
-			if cons.edgeExcluded(id) || onPath[e.To] || (e.To != dst && cons.nodeExcluded(e.To)) {
-				continue
-			}
-			walk(e.To, hops+1, w+e.Weight)
-		}
-		onPath[at] = false
-	}
-	walk(src, 0, 0)
-	return best
-}
-
-// Property: under a hop bound the search returns a valid path within the
-// bound whose weight is the minimum over all such paths.
-func TestShortestPathMaxHopsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	var s Searcher
-	found, missing := 0, 0
-	for trial := 0; trial < 400; trial++ {
-		n := 3 + rng.Intn(7)
-		g := tieGraph(rng, n, rng.Intn(2*n), 1+rng.Intn(6))
-		cons := Constraints{MaxHops: 1 + rng.Intn(n)}
-		if rng.Intn(2) == 0 {
-			cons.ExcludeEdges = randomMask(rng, g.NumEdges(), 0.2)
-		}
-		if rng.Intn(3) == 0 {
-			cons.ExcludeNodes = randomMask(rng, n, 0.2)
-		}
-		src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-		if src == dst {
-			continue
-		}
-		want := bruteForceBounded(g, src, dst, cons)
-		p, ok := s.ShortestPath(g, src, dst, cons)
-		if !ok {
-			if !math.IsInf(want, 1) {
-				t.Fatalf("trial %d: no path, brute force found weight %v", trial, want)
-			}
-			missing++
-			continue
-		}
-		found++
-		if err := p.Validate(g, src, dst); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if p.Len() > cons.MaxHops {
-			t.Fatalf("trial %d: %d hops exceeds bound %d", trial, p.Len(), cons.MaxHops)
-		}
-		for _, id := range p.Edges {
-			if e := g.Edge(id); cons.edgeExcluded(id) || (e.To != dst && cons.nodeExcluded(e.To)) {
-				t.Fatalf("trial %d: path uses excluded edge or node", trial)
-			}
-		}
-		if p.Weight != want || pathWeight(g, p.Edges) != want {
-			t.Fatalf("trial %d: weight %v (edges sum %v), brute force %v",
-				trial, p.Weight, pathWeight(g, p.Edges), want)
-		}
-	}
-	if found < 100 || missing < 10 {
-		t.Fatalf("weak coverage: %d found, %d infeasible", found, missing)
-	}
-}
-
 // A warm Searcher allocates only the returned edge list.
 func TestSearcherAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := tieGraph(rng, 80, 160, 5)
 	exclude := randomMask(rng, g.NumEdges(), 0.1)
 	var s Searcher
-	for _, cons := range []Constraints{{}, {ExcludeEdges: exclude}, {MaxHops: 6}} {
+	for _, cons := range []Constraints{{}, {ExcludeEdges: exclude}} {
 		src := 0
 		search := func() {
 			src = (src + 7) % 80
@@ -354,7 +248,7 @@ func TestSearcherAllocations(t *testing.T) {
 			search() // warm the scratch on every pair the measurement visits
 		}
 		if avg := testing.AllocsPerRun(200, search); avg > 1 {
-			t.Errorf("MaxHops %d: %.2f allocations per search on a warm Searcher, want <= 1", cons.MaxHops, avg)
+			t.Errorf("excluded edges %v: %.2f allocations per search on a warm Searcher, want <= 1", cons.ExcludeEdges != nil, avg)
 		}
 	}
 }

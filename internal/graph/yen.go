@@ -50,18 +50,7 @@ func (s *Searcher) KShortestPaths(g *Graph, src, dst NodeID, k int, cons Constra
 				excludeNodes[prevNodes[j]] = true
 			}
 
-			spurCons := Constraints{
-				ExcludeEdges: excludeEdges,
-				ExcludeNodes: excludeNodes,
-			}
-			if cons.MaxHops > 0 {
-				remaining := cons.MaxHops - len(rootEdges)
-				if remaining <= 0 {
-					continue
-				}
-				spurCons.MaxHops = remaining
-			}
-			spur, ok := s.ShortestPath(g, spurNode, dst, spurCons)
+			spur, ok := s.ShortestPath(g, spurNode, dst, Constraints{ExcludeEdges: excludeEdges, ExcludeNodes: excludeNodes})
 			if !ok {
 				continue
 			}

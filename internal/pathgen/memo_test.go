@@ -162,7 +162,7 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 			"open":      {Policy{}, true},
 			"forbidden": {Policy{ForbiddenLinks: ForbidLinks(topo, link(3), link(11), link(40))}, true},
 			"half":      {Policy{ForbiddenLinks: oneWay}, false},
-			"bounded":   {Policy{MaxHops: 5, MaxDelay: 60 * unit.Millisecond, ForbiddenLinks: ForbidLinks(topo, link(8))[:nL/2]}, true},
+			"short":     {Policy{ForbiddenLinks: ForbidLinks(topo, link(8))[:nL/2]}, true},
 		}
 		const steps = 60
 		for name, pc := range policies {
@@ -175,7 +175,7 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 						t.Fatal(err)
 					}
 					long.noTrees, long.noPotentials = treeAfter == never, noPotentials
-					if goal := tc.symmetric && pc.closed && policy.MaxHops == 0; long.goal != goal {
+					if goal := tc.symmetric && pc.closed; long.goal != goal {
 						t.Fatalf("potentials admissible: %v, want %v", long.goal, goal)
 					}
 					fresh := func() *Generator {
@@ -241,7 +241,7 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 					if sets, keys := len(long.setLinks), len(long.memo); keys >= steps*len(pairs) || sets >= keys {
 						t.Errorf("memo did not dedupe: %d sets, %d keys for %d requests", sets, keys, steps*len(pairs)*3)
 					}
-					grows := treeAfter != never && policy.MaxHops == 0
+					grows := treeAfter != never
 					if trees := len(long.trees); grows != (trees > 0) || trees != len(long.sources) {
 						t.Errorf("%d trees over %d (src, forbidden set) pairs; trees expected: %v", trees, len(long.sources), grows)
 					}
@@ -249,7 +249,7 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 					if st.Lookups != st.MemoHits+st.Donated+st.TreeAnswers+st.Searches || st.TreesBuilt != int64(len(long.trees)) {
 						t.Errorf("counters do not add up: %+v with %d trees", st, len(long.trees))
 					}
-					if policy.MaxHops == 0 && st.Donated == 0 {
+					if st.Donated == 0 {
 						t.Errorf("no lookup was answered by a donor: %+v", st)
 					}
 					// Only a path that nothing ties may ever be handed on:
@@ -261,9 +261,6 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 							continue
 						}
 						proofs++
-						if policy.MaxHops > 0 {
-							t.Fatalf("%v: a hop-bounded answer claims uniqueness", key)
-						}
 						if !tc.tied {
 							continue
 						}
@@ -272,7 +269,7 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 								key, long.setLinks[key.set], a.path.Edges, n)
 						}
 					}
-					if policy.MaxHops == 0 && proofs == 0 {
+					if proofs == 0 {
 						t.Error("no answer carries a uniqueness proof")
 					}
 					return st
@@ -281,8 +278,8 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 					var on, off Stats
 					t.Run("potentials-on", func(t *testing.T) { on = run(t, false) })
 					t.Run("potentials-off", func(t *testing.T) { off = run(t, true) })
-					goal := tc.symmetric && pc.closed && policy.MaxHops == 0 && treeAfter != never
-					if (on.Settled != off.Settled) != goal || on.Settled == 0 && policy.MaxHops == 0 {
+					goal := tc.symmetric && pc.closed && treeAfter != never
+					if (on.Settled != off.Settled) != goal || on.Settled == 0 {
 						t.Errorf("settled %d with potentials, %d without; potentials expected: %v", on.Settled, off.Settled, goal)
 					}
 					on.Settled, off.Settled = 0, 0

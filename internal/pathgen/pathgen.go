@@ -12,8 +12,7 @@
 //     congested link the aggregate uses (lowest delay, may still hit
 //     congestion elsewhere).
 //
-// All searches honor an operator Policy (hop bound, forbidden links,
-// optional delay ceiling).
+// All searches honor an operator Policy: links no path may use.
 package pathgen
 
 import (
@@ -22,20 +21,14 @@ import (
 
 	"fubar/internal/graph"
 	"fubar/internal/topology"
-	"fubar/internal/unit"
 )
 
 // Policy restricts which paths are acceptable to the operator (§2.4's
 // "policy compliant"). The zero value permits everything.
 type Policy struct {
-	// MaxHops bounds path length in links; 0 means unbounded.
-	MaxHops int
 	// ForbiddenLinks marks links no path may use (administratively down
 	// or excluded); indexed by LinkID, may be shorter than NumLinks.
 	ForbiddenLinks []bool
-	// MaxDelay rejects paths whose one-way delay exceeds it; 0 means
-	// unbounded.
-	MaxDelay unit.Delay
 }
 
 // ForbidLinks returns a ForbiddenLinks mask over the topology with each
@@ -62,9 +55,9 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 // consecutive optimizer steps relieving the same link do — costs a map
 // lookup. A hit returns precisely what the search would compute: the key
 // holds the whole exclusion set, the policy's forbidden links included and
-// not a digest of it, and everything else a search depends on — the graph,
-// the hop bound, the delay ceiling — is fixed for as long as the memo lives
-// (Retarget drops it when one of them changes).
+// not a digest of it, and the only other thing a search depends on, the
+// graph, is fixed for as long as the memo lives (Retarget drops it when the
+// graph changes).
 //
 // A miss is answered, in order of cost, by a donor, a tree or a search.
 // The §2.4 trio's exclusion sets are nested — link-local ⊆ local ⊆ global
@@ -73,16 +66,14 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 // alone — LowestDelay's — runs the search to the end instead, keeps the
 // tree, and reads every later destination's path off it — the search's
 // path edge for edge (graph.Tree.Path) — and the tree steers every search
-// toward that node (see potential). A hop bound needs the layered search,
-// which has neither a tree nor a uniqueness proof to donate.
+// toward that node (see potential).
 //
 // Returned paths share their Edges with the memo and with every other
 // caller handed the same answer; treat them as read-only. Memo and trees
 // live until a Retarget or Trim drops them. Not safe for concurrent use:
 // give each goroutine its own.
 type Generator struct {
-	topo   *topology.Topology
-	policy Policy
+	topo *topology.Topology
 	// forbidden lists the policy's forbidden links in ascending order;
 	// forbidSet is its exclusion set, what LowestDelay searches under.
 	forbidden []graph.EdgeID
@@ -173,27 +164,20 @@ func New(topo *topology.Topology, policy Policy) (*Generator, error) {
 // Retarget points the generator at another topology and policy — what a
 // long-lived optimizer does when an epoch fails a link or scales a capacity.
 // Memo and trees survive when the topology shares the generator's graph
-// (topology.Topology.WithCapacities and its kin carry it over) and MaxHops
-// and MaxDelay are unchanged: every kept answer is keyed by its search's
-// full exclusion set, forbidden links included, over that very graph, so a
-// new forbidden mask only changes which set LowestDelay asks about.
-// Anything else flushes. On error the generator is left as it was.
+// (topology.Topology.WithCapacities and its kin carry it over): every kept
+// answer is keyed by its search's full exclusion set, forbidden links
+// included, over that very graph, so a new forbidden mask only changes
+// which set LowestDelay asks about. Another graph flushes. On error the
+// generator is left as it was.
 func (g *Generator) Retarget(topo *topology.Topology, policy Policy) error {
 	if topo == nil {
 		return fmt.Errorf("pathgen: nil topology")
 	}
-	if policy.MaxHops < 0 {
-		return fmt.Errorf("pathgen: negative MaxHops %d", policy.MaxHops)
-	}
-	if policy.MaxDelay < 0 {
-		return fmt.Errorf("pathgen: negative MaxDelay %v", policy.MaxDelay)
-	}
 	if len(policy.ForbiddenLinks) > topo.NumLinks() {
 		return fmt.Errorf("pathgen: ForbiddenLinks longer than link count")
 	}
-	keep := g.topo != nil && topo.Graph() == g.topo.Graph() &&
-		policy.MaxHops == g.policy.MaxHops && policy.MaxDelay == g.policy.MaxDelay
-	g.topo, g.policy = topo, policy
+	keep := g.topo != nil && topo.Graph() == g.topo.Graph()
+	g.topo = topo
 	g.forbidden = g.forbidden[:0]
 	for i, bad := range policy.ForbiddenLinks {
 		if bad {
@@ -206,9 +190,9 @@ func (g *Generator) Retarget(topo *topology.Topology, policy Policy) error {
 		g.exclude = make([]bool, topo.NumLinks())
 		g.flush()
 	}
-	// No hop bound, every link has a reverse of equal delay, and the
-	// reverse of a forbidden link is forbidden.
-	g.goal = policy.MaxHops == 0
+	// Every link has a reverse of equal delay, and the reverse of a
+	// forbidden link is forbidden.
+	g.goal = true
 	for id, gr := 0, topo.Graph(); id < topo.NumLinks() && g.goal; id++ {
 		r := topo.Link(topology.LinkID(id)).Reverse
 		g.goal = r >= 0 && gr.Edge(graph.EdgeID(id)).Weight == gr.Edge(r).Weight
@@ -276,8 +260,8 @@ func (g *Generator) lookup(src, dst graph.NodeID, set int32, donor answer, donor
 // donate reports whether the answer to a pair under exclusion set from is
 // also the pair's answer under set to, so that no search need run. It must
 // be the answer to a narrower problem: from ⊆ to, checked, not assumed.
-// Then "no path" is final — excluding more links creates no path, and
-// lengthens none past a MaxDelay it already broke — and a path stands if
+// Then "no path" is final — excluding more links creates no path — and a
+// path stands if
 // it avoids the wider set and carries the searcher's proof of uniqueness
 // (graph.Searcher.ShortestPathUnique): the wider search runs on a subgraph
 // that still holds it. A tied path is refused, because which of two equal
@@ -331,17 +315,13 @@ func (g *Generator) search(key memoKey) answer {
 		g.mark(links, false)
 	}
 	g.stats.Settled += g.searcher.Settled() - settled
-	if a.ok && g.policy.MaxDelay > 0 && g.topo.PathDelay(a.path) > g.policy.MaxDelay {
-		a = answer{}
-	}
 	return a
 }
 
 // tree returns key's source's shortest-path tree under the forbidden set,
-// building it on the first miss; nil under any other set, and always under
-// a hop bound, which a tree cannot honor.
+// building it on the first miss; nil under any other set.
 func (g *Generator) tree(key memoKey) *graph.Tree {
-	if key.set != g.forbidSet || g.policy.MaxHops > 0 || key.src == key.dst || g.noTrees {
+	if key.set != g.forbidSet || key.src == key.dst || g.noTrees {
 		return nil
 	}
 	source := sourceKey{src: key.src, set: key.set}
@@ -426,9 +406,9 @@ func (g *Generator) mark(links []graph.EdgeID, excluded bool) {
 	}
 }
 
-// constraints is the policy plus the current exclusion mask.
+// constraints is the current exclusion mask.
 func (g *Generator) constraints() graph.Constraints {
-	return graph.Constraints{ExcludeEdges: g.exclude, MaxHops: g.policy.MaxHops}
+	return graph.Constraints{ExcludeEdges: g.exclude}
 }
 
 // Alternatives is the §2.4 trio. Each member may be absent (Has* false)
@@ -505,14 +485,5 @@ func (g *Generator) KLowestDelay(src, dst graph.NodeID, k int) []graph.Path {
 	g.mark(g.forbidden, true)
 	paths := g.searcher.KShortestPaths(g.topo.Graph(), src, dst, k, g.constraints())
 	g.mark(g.forbidden, false)
-	if g.policy.MaxDelay <= 0 {
-		return paths
-	}
-	out := paths[:0]
-	for _, p := range paths {
-		if g.topo.PathDelay(p) <= g.policy.MaxDelay {
-			out = append(out, p)
-		}
-	}
-	return out
+	return paths
 }

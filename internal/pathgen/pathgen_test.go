@@ -52,12 +52,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, Policy{}); err == nil {
 		t.Error("nil topology accepted")
 	}
-	if _, err := New(topo, Policy{MaxHops: -1}); err == nil {
-		t.Error("negative MaxHops accepted")
-	}
-	if _, err := New(topo, Policy{MaxDelay: -1}); err == nil {
-		t.Error("negative MaxDelay accepted")
-	}
 	if _, err := New(topo, Policy{ForbiddenLinks: make([]bool, 100)}); err == nil {
 		t.Error("oversized ForbiddenLinks accepted")
 	}
@@ -189,35 +183,6 @@ func forbidden2id(f []bool) graph.EdgeID {
 	return -1
 }
 
-func TestPolicyMaxHops(t *testing.T) {
-	topo := fourSquare(t)
-	g, _ := New(topo, Policy{MaxHops: 1})
-	a, d := nodeID(t, topo, "A"), nodeID(t, topo, "D")
-	p, ok := g.LowestDelay(a, d)
-	if !ok {
-		t.Fatal("no path")
-	}
-	if p.Len() != 1 {
-		t.Errorf("hops = %d, want 1 (direct only)", p.Len())
-	}
-}
-
-func TestPolicyMaxDelay(t *testing.T) {
-	topo := fourSquare(t)
-	g, _ := New(topo, Policy{MaxDelay: 30 * unit.Millisecond})
-	a, d := nodeID(t, topo, "A"), nodeID(t, topo, "D")
-	// Lowest is 20ms: fine.
-	if _, ok := g.LowestDelay(a, d); !ok {
-		t.Fatal("20ms path rejected")
-	}
-	// Avoid A->B: cheapest compliant would be 40ms, above ceiling.
-	avoid := make([]bool, topo.NumLinks())
-	avoid[linkID(t, topo, "A", "B")] = true
-	if alts := g.Alternatives(Request{Src: a, Dst: d, CongestedAll: avoid, MostCongested: -1}); alts.HasGlobal {
-		t.Error("40ms path accepted above 30ms ceiling")
-	}
-}
-
 func TestMostCongestedOutOfRange(t *testing.T) {
 	topo := fourSquare(t)
 	g, _ := New(topo, Policy{})
@@ -246,11 +211,39 @@ func TestKLowestDelay(t *testing.T) {
 			t.Errorf("path %d delay = %v, want %v ms", i, got, wantDelays[i])
 		}
 	}
-	// With a delay ceiling the 50ms direct path disappears.
-	g2, _ := New(topo, Policy{MaxDelay: 45 * unit.Millisecond})
-	paths2 := g2.KLowestDelay(a, d, 5)
-	if len(paths2) != 2 {
-		t.Errorf("ceiling: got %d paths, want 2", len(paths2))
+}
+
+// TestKLowestDelayAvoidsForbiddenLinks: the policy's forbidden links
+// bound the K lowest-delay paths as they bound every other lookup, and a
+// retarget to another policy moves that bound.
+func TestKLowestDelayAvoidsForbiddenLinks(t *testing.T) {
+	topo := fourSquare(t)
+	ab := linkID(t, topo, "A", "B")
+	forbidden := make([]bool, topo.NumLinks())
+	forbidden[ab] = true
+	g, err := New(topo, Policy{ForbiddenLinks: forbidden})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, d := nodeID(t, topo, "A"), nodeID(t, topo, "D")
+	delays := func(avoid bool) []unit.Delay {
+		var out []unit.Delay
+		for _, p := range g.KLowestDelay(a, d, 5) {
+			if avoid && p.Contains(ab) {
+				t.Errorf("%v uses the forbidden link A->B", p)
+			}
+			out = append(out, topo.PathDelay(p)/unit.Millisecond)
+		}
+		return out
+	}
+	if got := delays(true); !slices.Equal(got, []unit.Delay{40, 50}) {
+		t.Errorf("forbidden A->B: delays %v ms, want [40 50]", got)
+	}
+	if err := g.Retarget(topo, Policy{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := delays(false); !slices.Equal(got, []unit.Delay{20, 40, 50}) {
+		t.Errorf("open policy: delays %v ms, want [20 40 50]", got)
 	}
 }
 

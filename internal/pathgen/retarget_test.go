@@ -50,9 +50,8 @@ func sameLookups(t *testing.T, long, fresh *Generator, pairs [][2]graph.NodeID, 
 // random walk of forbidden masks — links failing and recovering under a
 // live memo, capacities rescaled into a new Topology over the same graph —
 // answers every epoch's questions exactly as a generator built for that
-// epoch does, while keeping what it learned; and anything a search depends
-// on besides the exclusion set — the graph, the hop bound, the delay
-// ceiling — starts it over.
+// epoch does, while keeping what it learned; and the one thing a search
+// depends on besides the exclusion set — the graph — starts it over.
 func TestRetargetWalkMatchesFreshGenerator(t *testing.T) {
 	ring, err := topology.Ring(6, 0, 100*unit.Mbps, 1)
 	if err != nil {
@@ -61,8 +60,7 @@ func TestRetargetWalkMatchesFreshGenerator(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		topo *topology.Topology
-		hops int
-	}{{"he31", heTopo(t), 0}, {"ring-tied", ring, 0}, {"he31-bounded", heTopo(t), 6}} {
+	}{{"he31", heTopo(t)}, {"ring-tied", ring}, {"one-way", oneWayWaxman(t)}} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := tc.topo
 			nL, nN := topo.NumLinks(), topo.NumNodes()
@@ -74,7 +72,7 @@ func TestRetargetWalkMatchesFreshGenerator(t *testing.T) {
 					pairs = append(pairs, [2]graph.NodeID{src, graph.NodeID(rng.Intn(nN))})
 				}
 			}
-			long, err := New(topo, Policy{MaxHops: tc.hops})
+			long, err := New(topo, Policy{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +90,7 @@ func TestRetargetWalkMatchesFreshGenerator(t *testing.T) {
 						down = append(down, topology.LinkID(rng.Intn(nL)))
 					}
 				}
-				policy := Policy{MaxHops: tc.hops, ForbiddenLinks: ForbidLinks(topo, down...)}
+				policy := Policy{ForbiddenLinks: ForbidLinks(topo, down...)}
 				epochTopo, err := scaledCapacity(topo, 1+float64(epoch)/100)
 				if err != nil {
 					t.Fatal(err)
@@ -129,41 +127,32 @@ func TestRetargetWalkMatchesFreshGenerator(t *testing.T) {
 				t.Errorf("only %d of 40 epochs drew on answers of earlier ones", kept)
 			}
 
-			// What must start the generator over.
+			// Another graph starts the generator over.
 			other, err := topology.HurricaneElectric(100 * unit.Mbps) // equal, but another graph
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, target := range map[string]struct {
-				topo   *topology.Topology
-				policy Policy
-			}{
-				"another graph": {other, Policy{MaxHops: tc.hops}},
-				"hop bound":     {topo, Policy{MaxHops: tc.hops + 1}},
-				"delay ceiling": {topo, Policy{MaxHops: tc.hops, MaxDelay: 40 * unit.Millisecond}},
-			} {
-				g, err := New(topo, Policy{MaxHops: tc.hops})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, pr := range pairs {
-					g.LowestDelay(pr[0], pr[1])
-				}
-				if g.Entries() < 10 {
-					t.Fatalf("%s: only %d entries to lose", name, g.Entries())
-				}
-				if err := g.Retarget(target.topo, target.policy); err != nil {
-					t.Fatal(err)
-				}
-				if g.Entries() != 1 { // the policy's own exclusion set
-					t.Errorf("%s: %d entries survived the retarget, want the forbidden-only set alone", name, g.Entries())
-				}
-				fresh, err := New(target.topo, target.policy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameLookups(t, g, fresh, pairs, nil, nil, -1)
+			g, err := New(topo, Policy{})
+			if err != nil {
+				t.Fatal(err)
 			}
+			for _, pr := range pairs {
+				g.LowestDelay(pr[0], pr[1])
+			}
+			if g.Entries() < 10 {
+				t.Fatalf("only %d entries to lose", g.Entries())
+			}
+			if err := g.Retarget(other, Policy{}); err != nil {
+				t.Fatal(err)
+			}
+			if g.Entries() != 1 { // the policy's own exclusion set
+				t.Errorf("%d entries survived the retarget, want the forbidden-only set alone", g.Entries())
+			}
+			fresh, err := New(other, Policy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameLookups(t, g, fresh, pairs, nil, nil, -1)
 		})
 	}
 }
@@ -176,14 +165,8 @@ func TestRetargetRefusesBadPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := g.LowestDelay(0, 2)
-	for name, bad := range map[string]Policy{
-		"hops":  {MaxHops: -1},
-		"delay": {MaxDelay: -1},
-		"mask":  {ForbiddenLinks: make([]bool, topo.NumLinks()+1)},
-	} {
-		if err := g.Retarget(topo, bad); err == nil {
-			t.Errorf("%s: Retarget accepted %+v", name, bad)
-		}
+	if err := g.Retarget(topo, Policy{ForbiddenLinks: make([]bool, topo.NumLinks()+1)}); err == nil {
+		t.Error("Retarget accepted an oversized ForbiddenLinks")
 	}
 	if err := g.Retarget(nil, Policy{}); err == nil {
 		t.Error("Retarget accepted a nil topology")

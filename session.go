@@ -313,13 +313,6 @@ func (s *Session) Anneal(ctx context.Context, opts AnnealOptions) (*AnnealSoluti
 	return anneal.Run(ctx, s.model, opts)
 }
 
-// AnnealRestarts runs n independent annealing restarts (seeds
-// opts.Seed..opts.Seed+n-1) across the session's worker budget, each on
-// a private arena; results are identical at any worker count.
-func (s *Session) AnnealRestarts(ctx context.Context, opts AnnealOptions, n int) (*AnnealRestartsResult, error) {
-	return anneal.RunRestarts(ctx, s.model, opts, n, s.cfg.Core.Workers)
-}
-
 // Replay replays a scenario timeline over the session instance through
 // repeated warm-started re-optimization, yielding one EpochRecord per
 // epoch as it completes — constant memory however long the timeline.

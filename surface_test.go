@@ -2,8 +2,10 @@ package fubar
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -15,6 +17,7 @@ import (
 
 	"fubar/internal/core"
 	"fubar/internal/ctrlplane"
+	"fubar/internal/pathgen"
 	"fubar/internal/scenario"
 	"fubar/internal/sdnsim"
 	"fubar/internal/traffic"
@@ -182,11 +185,10 @@ type moduleFile struct {
 }
 
 // moduleFiles parses every non-test Go file of the module, benchmark/
-// included, skipping hidden and testdata directories.
-func moduleFiles(t *testing.T) []moduleFile {
+// included, into fset, skipping hidden and testdata directories.
+func moduleFiles(t *testing.T, fset *token.FileSet) []moduleFile {
 	t.Helper()
 	var out []moduleFile
-	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -238,7 +240,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	methods := map[string]bool{} // ".M" selected on anything but a package
 	type export struct{ dir, recv, name string }
 	var exports []export
-	for _, mf := range moduleFiles(t) {
+	for _, mf := range moduleFiles(t, token.NewFileSet()) {
 		f, dir := mf.f, mf.dir
 		imports := map[string]string{}
 		for _, imp := range f.Imports {
@@ -330,64 +332,139 @@ var unsetConfigFields = map[string]string{
 	"experiment.Config.Traffic":                   "tests shrink the §3 workload",
 }
 
+// typedPackage is one non-test package of the module, type-checked.
+type typedPackage struct {
+	pkg   *types.Package
+	dir   string
+	files []*ast.File
+	info  *types.Info
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// typeCheckModule type-checks every non-test package of the module,
+// benchmark/ (module fubar/benchmark) included, from source, and the
+// standard library from its export data.
+func typeCheckModule(t *testing.T) []typedPackage {
+	t.Helper()
+	fset := token.NewFileSet()
+	byPath := map[string][]moduleFile{}
+	for _, mf := range moduleFiles(t, fset) {
+		ip := "fubar"
+		if mf.dir != "." {
+			ip += "/" + mf.dir
+		}
+		byPath[ip] = append(byPath[ip], mf)
+	}
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	var out []typedPackage
+	var imp importerFunc
+	imp = func(ip string) (*types.Package, error) {
+		mfs, ours := byPath[ip]
+		if !ours {
+			return std.Import(ip)
+		}
+		if p := checked[ip]; p != nil {
+			return p, nil
+		}
+		tp := typedPackage{dir: mfs[0].dir, info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		}}
+		for _, mf := range mfs {
+			tp.files = append(tp.files, mf.f)
+		}
+		var err error
+		conf := types.Config{Importer: imp}
+		if tp.pkg, err = conf.Check(ip, fset, tp.files, tp.info); err != nil {
+			return nil, err
+		}
+		checked[ip] = tp.pkg
+		out = append(out, tp)
+		return tp.pkg, nil
+	}
+	for ip := range byPath {
+		if _, err := imp(ip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // TestConfigFieldsHaveSetters holds configuration to the rule
 // TestInternalExportsHaveCallers holds functions to: every exported field
 // of a struct in internal/ whose name ends in Options, Config or Policy is
 // named — selected, or a key in a composite literal — by some non-test
 // file of the module outside its own package, or is in unsetConfigFields.
 // A field that only its own package and tests set is a constant with
-// extra steps. The check is by name, like the caller check.
+// extra steps. The check is type-aware: a name counts only where it refers
+// to that very field, and a same-field copy (F: x.F, or y.F = x.F) counts
+// for neither side, since it passes on a value without choosing one.
 func TestConfigFieldsHaveSetters(t *testing.T) {
-	namedIn := map[string]map[string]bool{} // field name -> dirs of the files naming it
-	name := func(n, dir string) {
-		if namedIn[n] == nil {
-			namedIn[n] = map[string]bool{}
-		}
-		namedIn[n][dir] = true
+	type field struct {
+		key string
+		obj types.Object
 	}
-	type field struct{ dir, typ, name string }
 	var fields []field
-	for _, mf := range moduleFiles(t) {
-		ast.Inspect(mf.f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.TypeSpec:
-				st, ok := x.Type.(*ast.StructType)
-				typ := x.Name.Name
-				if !ok || !strings.HasPrefix(mf.dir, "internal/") ||
-					!(strings.HasSuffix(typ, "Options") || strings.HasSuffix(typ, "Config") || strings.HasSuffix(typ, "Policy")) {
-					return true
-				}
-				for _, fl := range st.Fields.List {
-					for _, id := range fl.Names {
-						if id.IsExported() {
-							fields = append(fields, field{mf.dir, typ, id.Name})
+	named := map[types.Object]bool{}
+	for _, tp := range typeCheckModule(t) {
+		copies := map[*ast.Ident]bool{}
+		copied := func(dst *ast.Ident, src ast.Expr) {
+			sel, ok := ast.Unparen(src).(*ast.SelectorExpr)
+			if v, isVar := tp.info.Uses[dst].(*types.Var); ok && isVar && v.IsField() && tp.info.Uses[sel.Sel] == v {
+				copies[dst], copies[sel.Sel] = true, true
+			}
+		}
+		for _, f := range tp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := x.Type.(*ast.StructType)
+					typ := x.Name.Name
+					if !ok || !strings.HasPrefix(tp.dir, "internal/") ||
+						!(strings.HasSuffix(typ, "Options") || strings.HasSuffix(typ, "Config") || strings.HasSuffix(typ, "Policy")) {
+						return true
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								fields = append(fields, field{path.Base(tp.dir) + "." + typ + "." + id.Name, tp.info.Defs[id]})
+							}
+						}
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := x.Key.(*ast.Ident); ok {
+						copied(id, x.Value)
+					}
+				case *ast.AssignStmt:
+					for i := range x.Lhs {
+						if sel, ok := x.Lhs[i].(*ast.SelectorExpr); ok && len(x.Lhs) == len(x.Rhs) {
+							copied(sel.Sel, x.Rhs[i])
 						}
 					}
 				}
-			case *ast.SelectorExpr:
-				name(x.Sel.Name, mf.dir)
-			case *ast.KeyValueExpr:
-				if id, ok := x.Key.(*ast.Ident); ok {
-					name(id.Name, mf.dir)
-				}
+				return true
+			})
+		}
+		for id, obj := range tp.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != tp.pkg && !copies[id] {
+				named[v.Origin()] = true
 			}
-			return true
-		})
+		}
 	}
 	t.Logf("%d exported config fields", len(fields))
 	allowed := map[string]bool{}
 	for _, f := range fields {
-		key := path.Base(f.dir) + "." + f.typ + "." + f.name
-		outside := false
-		for dir := range namedIn[f.name] {
-			outside = outside || dir != f.dir
-		}
 		switch {
-		case outside:
-		case unsetConfigFields[key] != "":
-			allowed[key] = true
+		case named[f.obj]:
+		case unsetConfigFields[f.key] != "":
+			allowed[f.key] = true
 		default:
-			t.Errorf("%s is set only by its own package or by tests: make it a constant", key)
+			t.Errorf("%s is set only by its own package or by tests: make it a constant", f.key)
 		}
 	}
 	for key := range unsetConfigFields {
@@ -420,6 +497,7 @@ func TestOptionsFieldSet(t *testing.T) {
 			"HandshakeTimeout", "RuleLease", "FailAction", "Logger",
 		}},
 		{reflect.TypeOf(sdnsim.Config{}), []string{"Seed", "DemandJitter"}},
+		{reflect.TypeOf(pathgen.Policy{}), []string{"ForbiddenLinks"}},
 		{reflect.TypeOf(traffic.GenConfig{}), []string{
 			"Seed", "RealTimeFlows", "BulkFlows", "LargeFlows", "IncludeSelfPairs",
 		}},
