@@ -428,7 +428,7 @@ type Optimizer struct {
 	// under the full-evaluation oracle); bound is the one the candidate
 	// would be scored
 	// against.
-	probe func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, bound float64) float64
+	probe func(w *worker, buf []flowmodel.Bundle, changed []int, sc *flowmodel.Closure, bound float64) float64
 
 	// tm/tracer are the live-metrics handles built from
 	// Options.Telemetry (nil when telemetry is off); pubDelta is the
@@ -1102,7 +1102,7 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		return nil // collection appends a path only beside a candidate
 	}
 	base := o.prepareBase(grew)
-	o.evaluateCandidates(cands, o.denseBuf, base, uInit)
+	o.evaluateCandidates(cands, o.denseBuf, o.stepClosure(base, link, len(cands)), uInit)
 
 	if o.afterScoring != nil {
 		o.afterScoring(cands, uInit+minGain)
@@ -1158,6 +1158,22 @@ func (o *Optimizer) prepareBase(grew bool) *flowmodel.Base {
 		o.captureBase(o.denseBuf)
 	}
 	return o.base
+}
+
+// stepClosure computes, on the base arena, the sub-problem every candidate
+// of the step shares: the closure of its link, whose bundles every move
+// changes one of (flowmodel.Closure). The base arena is idle until the
+// commit, so the closure lives in its scratch. A step of one candidate
+// shares nothing, and gets the empty closure; under the full-evaluation
+// oracle (no base) there is none.
+func (o *Optimizer) stepClosure(base *flowmodel.Base, link graph.EdgeID, candidates int) *flowmodel.Closure {
+	switch {
+	case base == nil:
+		return nil
+	case candidates < 2:
+		return o.baseEval.Closure(base)
+	}
+	return o.baseEval.Closure(base, link)
 }
 
 // captureBase evaluates the dense list in full on the base arena and
@@ -1383,14 +1399,14 @@ func (o *Optimizer) growCollectors(n int) {
 
 // evaluateCandidates fills each candidate's utility, fanning the work out
 // over up to Options.Workers goroutines. dense is the step's committed list
-// (o.denseSeg offsets); base carries its captured evaluation for the delta
-// path, and is nil when every candidate runs a full evaluation. Workers only
-// read dense, base and the aggregate states. A score is exact only above
-// its bound (EvaluateDeltaUtility), so no bound may exceed step's selection
-// threshold at its candidate: serially it is that threshold, bestU +
-// minGain; in parallel the first one, uInit + minGain. minGain is compared
-// nowhere but in that loop.
-func (o *Optimizer) evaluateCandidates(cands []candidate, dense []flowmodel.Bundle, base *flowmodel.Base, uInit float64) {
+// (o.denseSeg offsets); sc is the step closure, which carries its captured
+// evaluation for the delta path, and is nil when every candidate runs a
+// full evaluation. Workers only read dense, sc and the aggregate states. A
+// score is exact only above its bound (EvaluateDeltaUtility), so no bound
+// may exceed step's selection threshold at its candidate: serially it is
+// that threshold, bestU + minGain; in parallel the first one, uInit +
+// minGain. minGain is compared nowhere but in that loop.
+func (o *Optimizer) evaluateCandidates(cands []candidate, dense []flowmodel.Bundle, sc *flowmodel.Closure, uInit float64) {
 	if o.tm != nil {
 		o.tm.CandidatesEvaluated.Add(int64(len(cands)))
 	}
@@ -1403,7 +1419,7 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, dense []flowmodel.Bund
 		w := o.workers[0]
 		bestU := uInit
 		for i := range cands {
-			cands[i].utility = o.evalCandidate(w, &cands[i], dense, base, bestU+minGain)
+			cands[i].utility = o.evalCandidate(w, &cands[i], dense, sc, bestU+minGain)
 			if cands[i].utility > bestU+minGain {
 				bestU = cands[i].utility
 			}
@@ -1422,7 +1438,7 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, dense []flowmodel.Bund
 				if i >= len(cands) {
 					return
 				}
-				cands[i].utility = o.evalCandidate(w, &cands[i], dense, base, uInit+minGain)
+				cands[i].utility = o.evalCandidate(w, &cands[i], dense, sc, uInit+minGain)
 			}
 		}()
 	}
@@ -1432,22 +1448,22 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, dense []flowmodel.Bund
 // evalCandidate scores one trial move on the worker's private arena. The
 // trial list is the worker's persistent copy of the dense list with the
 // (from, to, n) flow patch at two fixed indices — the delta's changed set.
-// With a base the evaluation is incremental and utility-only (scoring needs
-// one float, not a finalized Result, and needs it exact only above bound);
-// without one (the full-evaluation oracle) it is a full water-filling,
-// exact at any bound.
+// With a step closure the evaluation is incremental, extends the closure,
+// and is utility-only (scoring needs one float, not a finalized Result, and
+// needs it exact only above bound); without one (the full-evaluation
+// oracle) it is a full water-filling, exact at any bound.
 // The patch is reverted after the evaluation, so the buffer mirrors the
 // dense list again for the worker's next candidate.
-func (o *Optimizer) evalCandidate(w *worker, c *candidate, dense []flowmodel.Bundle, base *flowmodel.Base, bound float64) float64 {
+func (o *Optimizer) evalCandidate(w *worker, c *candidate, dense []flowmodel.Bundle, sc *flowmodel.Closure, bound float64) float64 {
 	buf := o.patchCandidate(w, c, dense)
 	var u float64
 	switch {
 	case o.probe != nil:
-		u = o.probe(w, buf, w.changed[:], base, bound)
-	case base == nil:
+		u = o.probe(w, buf, w.changed[:], sc, bound)
+	case sc == nil:
 		u = w.eval.Evaluate(buf).NetworkUtility
 	default:
-		u, _ = w.eval.EvaluateDeltaUtility(base, buf, w.changed[:], bound)
+		u, _ = w.eval.EvaluateDeltaUtility(sc, buf, w.changed[:], bound)
 	}
 	o.revertCandidate(w, c)
 	return u

@@ -65,7 +65,7 @@ func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchRes
 	}
 	r := &CandidateBenchResult{Identical: true}
 	full := model.NewEval()
-	o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, _ float64) float64 {
+	o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, sc *flowmodel.Closure, _ float64) float64 {
 		// Rotate the measurement order per candidate: whichever path runs
 		// later sees caches its predecessors warmed, so a fixed order
 		// would systematically bias the comparison.
@@ -78,12 +78,12 @@ func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchRes
 		}
 		runDelta := func() {
 			t := time.Now()
-			uDelta = w.eval.EvaluateDelta(base, buf, changed).NetworkUtility
+			uDelta = w.eval.EvaluateDelta(sc, buf, changed).NetworkUtility
 			tDelta = time.Since(t)
 		}
 		runUtil := func() {
 			t := time.Now()
-			uUtil, _ = w.eval.EvaluateDeltaUtility(base, buf, changed, math.Inf(-1))
+			uUtil, _ = w.eval.EvaluateDeltaUtility(sc, buf, changed, math.Inf(-1))
 			tUtil = time.Since(t)
 		}
 		switch len(r.FullNs) % 3 {

@@ -73,9 +73,9 @@ func BenchmarkStepCandidates(b *testing.B) {
 						b.Fatal("no candidates collected")
 					}
 					// Mirror step(): both paths patch the dense list, the
-					// delta one against the carried-over base.
+					// delta one against the carried-over base's step closure.
 					base := o.prepareBase(grew)
-					o.evaluateCandidates(cands, o.denseBuf, base, u)
+					o.evaluateCandidates(cands, o.denseBuf, o.stepClosure(base, links[0], len(cands)), u)
 					// Selection without commit keeps every iteration identical.
 					best := u
 					for j := range cands {

@@ -175,6 +175,47 @@ func TestCandidateBenchDifferential(t *testing.T) {
 	}
 }
 
+// TestStepClosureWorkersMatchSerial scores every candidate exactly against
+// its step's one shared closure, built on the base arena and extended by
+// every worker's arena at once: at Workers 4 each step must collect the
+// candidates Workers 1 collects and score them bit for bit the same. Under
+// -race this is where a worker writing the base arena's closure would show.
+func TestStepClosureWorkersMatchSerial(t *testing.T) {
+	topo, mat := congestedInstance(t, 3)
+	model, err := flowmodel.New(topo, mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) [][]candidate {
+		o, err := New(model, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.probe = exactScore
+		var steps [][]candidate
+		o.afterScoring = func(cands []candidate, _ float64) {
+			steps = append(steps, append([]candidate(nil), cands...))
+		}
+		if _, err := o.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return steps
+	}
+	serial, parallel := run(1), run(4)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("Workers 4 scored %d steps unlike Workers 1's %d", len(parallel), len(serial))
+	}
+	shared := 0
+	for _, cands := range serial {
+		if len(cands) > 1 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no step had two candidates to share a closure")
+	}
+}
+
 // TestWorkersRace exercises the parallel trial-move engine with more
 // workers than cores; run under -race this verifies the Eval arenas and
 // the read-only sharing of optimizer state.

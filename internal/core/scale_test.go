@@ -178,7 +178,7 @@ func TestCollectionVisitsInertCrossers(t *testing.T) {
 // with the aggregate's total flow count preserved. Any failed revert
 // leaves a stale entry that the next candidate's comparison catches.
 // Incremental scoring and the full-evaluation oracle patch and revert the
-// same buffer; the oracle hands the probe no base. The list and the buffers are maintained, not rebuilt, so
+// same buffer; the oracle hands the probe no step closure. The list and the buffers are maintained, not rebuilt, so
 // after the initial evaluation and every commit the list must equal a
 // fresh build from the aggregates' states, and every worker buffer synced
 // to its layout must equal it entry for entry.
@@ -220,15 +220,15 @@ func testPatchRevert(t *testing.T, full bool, workers int) {
 	}
 	var candidates atomic.Int64
 	var failures atomic.Int64
-	o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, bound float64) float64 {
+	o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, sc *flowmodel.Closure, bound float64) float64 {
 		candidates.Add(1)
 		fail := func(format string, args ...any) {
 			if failures.Add(1) <= 5 { // cap the error spam
 				t.Errorf("%s candidate %d: %s", tag, candidates.Load(), fmt.Sprintf(format, args...))
 			}
 		}
-		if (base == nil) != full {
-			fail("probe got base %p", base)
+		if (sc == nil) != full {
+			fail("probe got step closure %p", sc)
 		}
 		if len(buf) != len(o.denseBuf) {
 			fail("trial buffer length %d != dense layout %d", len(buf), len(o.denseBuf))
@@ -250,10 +250,10 @@ func testPatchRevert(t *testing.T, full bool, workers int) {
 		if patched != committed {
 			fail("patch does not conserve flows: %d vs %d", patched, committed)
 		}
-		if base == nil {
+		if sc == nil {
 			return w.eval.Evaluate(buf).NetworkUtility
 		}
-		u, _ := w.eval.EvaluateDeltaUtility(base, buf, changed, bound)
+		u, _ := w.eval.EvaluateDeltaUtility(sc, buf, changed, bound)
 		return u
 	}
 	sol, err := o.Run(t.Context())

@@ -16,8 +16,8 @@ import (
 // exactScore is a probe that scores every candidate exactly (bound −Inf):
 // the scores the selection loop would see if no comparison were settled
 // from an interval.
-func exactScore(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, _ float64) float64 {
-	u, _ := w.eval.EvaluateDeltaUtility(base, buf, changed, math.Inf(-1))
+func exactScore(w *worker, buf []flowmodel.Bundle, changed []int, sc *flowmodel.Closure, _ float64) float64 {
+	u, _ := w.eval.EvaluateDeltaUtility(sc, buf, changed, math.Inf(-1))
 	return u
 }
 
@@ -73,9 +73,9 @@ func TestBoundedScoresKeepTheContract(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base, bound float64) float64 {
-				got, _ := w.eval.EvaluateDeltaUtility(base, buf, changed, bound)
-				exact := exactScore(w, buf, changed, base, bound)
+			o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, sc *flowmodel.Closure, bound float64) float64 {
+				got, _ := w.eval.EvaluateDeltaUtility(sc, buf, changed, bound)
+				exact := exactScore(w, buf, changed, sc, bound)
 				scored[wi].Add(1)
 				switch {
 				case exact > bound:

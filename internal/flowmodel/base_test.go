@@ -133,7 +133,7 @@ func TestBaseStaysCaptured(t *testing.T) {
 				}
 				// Scoring the move first, as a step does, must leave
 				// nothing behind that skews the commit.
-				arena.EvaluateDeltaUtility(base, cand, changed, base.NetworkUtility()+1e-6)
+				arena.EvaluateDeltaUtility(arena.Closure(base), cand, changed, base.NetworkUtility()+1e-6)
 				_, patched := arena.CommitDelta(base, cand, changed)
 				list = cand
 				commits++
@@ -216,10 +216,12 @@ func TestRemapBaseRefuses(t *testing.T) {
 	}
 }
 
-// A warm arena scores a candidate without allocating, folded or bounded:
-// every scratch the delta path touches — marks, worklists, the rank bitset,
-// the crosser merge buffers, the load check's sums — is sized on first use
-// and reused.
+// A warm arena scores a candidate without allocating, folded or bounded,
+// alone or extending a step closure, and a warm base arena builds the
+// closure without allocating: every scratch the delta path touches — marks,
+// worklists, the rank bitset, the crosser merge buffers, the load check's
+// sums, the closure's chains and demand keys — is sized on first use and
+// reused.
 func TestEvaluateDeltaUtilityAllocatesNothing(t *testing.T) {
 	m, list := heLikeInstance(t)
 	arena := m.NewEval()
@@ -236,7 +238,7 @@ func TestEvaluateDeltaUtilityAllocatesNothing(t *testing.T) {
 			if k%2 == 0 {
 				bound = base.NetworkUtility() + 1e-6
 			}
-			if _, fellBack := arena.EvaluateDeltaUtility(&base, cand, mv[:], bound); fellBack {
+			if _, fellBack := arena.EvaluateDeltaUtility(arena.Closure(&base), cand, mv[:], bound); fellBack {
 				t.Fatal("in-contract candidate fell back to a full evaluation")
 			}
 			cand[mv[0]].Flows += n
@@ -246,5 +248,29 @@ func TestEvaluateDeltaUtilityAllocatesNothing(t *testing.T) {
 	score() // warm every scratch
 	if avg := testing.AllocsPerRun(20, score); avg != 0 {
 		t.Errorf("%.2f allocations per %d warm EvaluateDeltaUtility calls, want 0", avg, len(moves))
+	}
+
+	builder := m.NewEval()
+	link, off := bestSharedLink(m, list, &base)
+	if len(off) < 2 {
+		t.Fatalf("link %d has %d moves, want a step with several", link, len(off))
+	}
+	step := func() {
+		c := builder.Closure(&base, link)
+		for k, mv := range off {
+			changed := mv.apply(cand)
+			bound := math.Inf(-1)
+			if k%2 == 0 {
+				bound = base.NetworkUtility() + 1e-6
+			}
+			if _, fellBack := arena.EvaluateDeltaUtility(c, cand, changed, bound); fellBack {
+				t.Fatal("in-contract candidate fell back to a full evaluation")
+			}
+			mv.undo(cand)
+		}
+	}
+	step()
+	if avg := testing.AllocsPerRun(20, step); avg != 0 {
+		t.Errorf("%.2f allocations per closure build and %d warm candidates scored against it, want 0", avg, len(off))
 	}
 }

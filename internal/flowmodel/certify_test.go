@@ -74,7 +74,7 @@ func TestLoadCheckResumsWhatItCannotDecide(t *testing.T) {
 				break
 			}
 			want := full.Evaluate(cand).NetworkUtility
-			if got, _ := arena.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); got != want {
+			if got, _ := arena.EvaluateDeltaUtility(arena.Closure(&base), cand, changed, math.Inf(-1)); got != want {
 				t.Fatalf("seed %d move %d: utility-only %v != full %v", seed, move, got, want)
 			}
 			calls++

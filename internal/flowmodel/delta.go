@@ -67,6 +67,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"fubar/internal/graph"
 )
@@ -276,8 +277,9 @@ func (d *deltaScratch) bump() {
 // bundle takes its base rate off its base path and puts its new rate on
 // its new one. A touched or touched-seed link's candidate load is then its
 // base load plus wDelta, with Σ|change| in dDelta for loadVersus's bound.
-func (e *Eval) sumMoves(base *Base, bundles []Bundle, res *Result) {
+func (e *Eval) sumMoves(c *Closure, bundles []Bundle, res *Result) {
 	d := &e.delta
+	base := c.base
 	d.bumpMoved()
 	for _, i := range d.affected {
 		r, r0 := res.BundleRate[i], base.rate[i]
@@ -294,6 +296,13 @@ func (e *Eval) sumMoves(base *Base, bundles []Bundle, res *Result) {
 				}
 			}
 		case r != r0:
+			for _, eid := range bundles[i].Edges {
+				d.addMove(eid, r-r0, r+r0)
+			}
+		}
+	}
+	for _, i := range c.affected {
+		if r, r0 := res.BundleRate[i], base.rate[i]; r != r0 && d.chMark[i] != d.epoch {
 			for _, eid := range bundles[i].Edges {
 				d.addMove(eid, r-r0, r+r0)
 			}
@@ -423,51 +432,171 @@ func (b *Base) indexAggs(nA int) {
 	}
 }
 
-// EvaluateDelta evaluates a candidate bundle list incrementally against a
-// captured base. The candidate list must have the same length as the
-// base's list; every index not in changed must hold a bundle identical to
-// the base's at that index, and changed bundles must keep their base
-// aggregate (Flows, Edges and Delay may differ freely). changed lists the
-// indices that may differ and may safely over-approximate. The result —
-// rates, satisfaction, link loads and demands, congested set, utilities —
-// is bit-identical to Evaluate(bundles), however much of the list the move
-// affects; only the work is smaller. A call that breaks the contract where
-// that is cheap to see — base never captured, another list length, a
-// changed index out of range or of another aggregate — runs a full
-// Evaluate instead.
-func (e *Eval) EvaluateDelta(base *Base, bundles []Bundle, changed []int) *Result {
-	res, _ := e.evaluateDelta(base, bundles, changed, false, math.Inf(-1))
+// Closure is the part of one optimizer step's scoring sub-problem that the
+// step's candidates share: the affected-set fixpoint seeded at the stepped
+// link — a candidate's changed bundles all cross it, so every candidate's
+// closure contains it — with its eager marks, touched links, per-link weight
+// and demand folds, crosser lists (the base's), incidence chains and slice
+// of the base's demand order. A candidate scored against it
+// (EvaluateDeltaUtility, EvaluateDelta) extends it read-only: its own marks are
+// its epoch stamps OR the closure's, its fixpoint runs only over links the
+// closure lacks, and it re-folds only the closure links a changed bundle
+// crosses. The closure is a least fixpoint of monotone rules, so extending
+// it reaches the very sets a candidate computes alone, and the score is the
+// same bit for bit. The closure of no seed link is empty and shares
+// nothing.
+//
+// A closure lives in the scratch of the arena that built it (Eval.Closure):
+// it is valid until that arena's next evaluation or closure, any number of
+// other arenas may score against it concurrently, and the building arena
+// itself may score only against an empty one.
+type Closure struct {
+	base  *Base
+	owner *Eval
+	// gen names this build for the arenas that prime their fill parameters
+	// from it (Eval.prime); unique across arenas and builds.
+	gen   uint64
+	epoch uint32 // the stamp of the marks below
+	// Per bundle or link, stamped epoch: affected, eager, in the
+	// sub-problem, touched.
+	bunMark, eagerMark, linkMark, tchMark []uint32
+	// affected bundles, sub-problem links and touched links, discovery order.
+	affected, subLinks, touched []int32
+	// incHead[i] heads affected bundle i's chain of sub-problem links in inc.
+	incHead []int32
+	inc     []incidence
+	// linkW and linkDem hold each sub-problem link's weight and demand
+	// folds over its base crossers, in index order.
+	linkW, linkDem []float64
+	// order is the affected bundles' demand keys, ascending: the slice of
+	// the base's order a candidate merges its own keys into.
+	order []uint64
+}
+
+// closureGen numbers closure builds across every arena.
+var closureGen atomic.Uint64
+
+// Closure computes on arena e the closure of the seed links over base: the
+// sub-problem every candidate scored against it shares. A seed link that
+// does not bind in the base seeds nothing — a candidate admits it only from
+// its own demand shift — so the closure of a non-binding link, like the
+// closure of no link, is empty. Candidates scored against the closure must
+// each change a bundle that crosses every binding seed link in the base,
+// which is what makes the closure part of theirs; an optimizer step's moves
+// off its link do. The closure is written into e's delta scratch and fill
+// arrays, which a base arena leaves idle while the step's candidates are
+// scored on other arenas, and is valid until e's next evaluation or closure.
+func (e *Eval) Closure(base *Base, seeds ...graph.EdgeID) *Closure {
+	c := &e.closure
+	if base == nil {
+		*c = Closure{owner: e}
+		return c
+	}
+	d := &e.delta
+	d.grow(len(base.bundles), e.m.topo.NumLinks(), e.m.mat.NumAggregates())
+	d.bump()
+	*c = Closure{
+		base: base, owner: e, gen: closureGen.Add(1), epoch: d.epoch,
+		bunMark: d.bunMark, eagerMark: d.eagerMark, linkMark: d.linkMark, tchMark: d.tchMark,
+		incHead: d.incHead, linkW: e.linkW, linkDem: e.res.LinkDemand,
+	}
+	// The closure's own marks are its outer layer too: every test of the
+	// fixpoint reads them twice.
+	for _, l := range seeds {
+		if base.binding[l] {
+			d.addSubLink(c, int32(l))
+		}
+	}
+	d.closeOver(c, base, base.bundles, 0)
+	d.inc = d.inc[:0]
+	for _, i := range d.affected {
+		d.incHead[i] = -1
+		rank := base.orderPos[i] // crossers are active: every one has a demand event
+		d.rankBits[rank>>6] |= 1 << (rank & 63)
+	}
+	for _, l := range d.subLinks {
+		var w, dem float64
+		for _, bi := range base.linkBun[l] {
+			w += base.weight[bi]
+			dem += base.demand[bi]
+			d.chain(bi, l)
+		}
+		e.linkW[l], e.res.LinkDemand[l] = w, dem
+	}
+	e.order = d.takeRanks(base, e.order[:0], nil, nil)
+	c.affected, c.subLinks, c.touched, c.inc, c.order = d.affected, d.subLinks, d.touched, d.inc, e.order
+	return c
+}
+
+// prime copies the closure's bundles' fill parameters from its base into
+// the arena, once per closure: a candidate scored against it then writes
+// only its changed bundles', and puts those back when it is done.
+func (e *Eval) prime(c *Closure) {
+	for _, i := range c.affected {
+		e.primeBundle(c.base, i)
+	}
+	e.primed, e.primedGen = c, c.gen
+}
+
+func (e *Eval) primeBundle(base *Base, i int32) {
+	e.weight[i], e.demand[i], e.tDemand[i] = base.weight[i], base.demand[i], base.tDemand[i]
+}
+
+// EvaluateDelta evaluates a candidate bundle list incrementally against the
+// base a closure carries, extending the closure's shared sub-problem. The
+// candidate list must have the same length as the base's list; every index
+// not in changed must hold a bundle identical to the base's at that index,
+// and changed bundles must keep their base aggregate (Flows, Edges and
+// Delay may differ freely). changed lists the indices that may differ and
+// may safely over-approximate. The result — rates, satisfaction, link loads
+// and demands, congested set, utilities — is bit-identical to
+// Evaluate(bundles), however much of the list the move affects and
+// whatever closure it extends; only the work is smaller. A call that breaks
+// the contract where that is cheap to see — base never captured, another
+// list length, a changed index out of range or of another aggregate, no
+// closure, the closure's own arena scoring against its non-empty closure —
+// runs a full Evaluate instead.
+func (e *Eval) EvaluateDelta(c *Closure, bundles []Bundle, changed []int) *Result {
+	res, _ := e.evaluateDelta(c, bundles, changed, false, math.Inf(-1))
 	return res
 }
 
-// EvaluateDeltaUtility scores a candidate list incrementally against a
-// captured base and returns only its NetworkUtility, skipping Result
-// finalization entirely: no base-rate splice into the Result arrays, no
-// per-link load summation, no Congested rebuild, no utilization metrics.
-// A score that cannot exceed bound is not folded either. With u the
-// utility EvaluateDelta(base, bundles, changed).NetworkUtility: if u >
-// bound the result is u bit for bit; otherwise it lies in [u, bound]. So
-// "result > bound" is "u > bound", and math.Inf(-1) asks for u every time.
-// The cost is proportional to the affected sub-problem alone, plus one
-// index-order fold over the aggregates when the bound cannot decide. The
-// bool reports whether the call fell back to a full Evaluate (same
-// contract as EvaluateDelta; the utility is exact then). The arena's
-// Result is left partially written and must not be read.
-func (e *Eval) EvaluateDeltaUtility(base *Base, bundles []Bundle, changed []int, bound float64) (float64, bool) {
-	res, fellBack := e.evaluateDelta(base, bundles, changed, true, bound)
+// EvaluateDeltaUtility scores a candidate list like EvaluateDelta and
+// returns only its NetworkUtility, skipping Result finalization entirely:
+// no base-rate splice into the Result arrays, no per-link load summation,
+// no Congested rebuild, no utilization metrics. A score that cannot exceed
+// bound is not folded either. With u the utility EvaluateDelta(c, bundles,
+// changed).NetworkUtility: if u > bound the result is u bit for bit;
+// otherwise it lies in [u, bound]. So "result > bound" is "u > bound", and
+// math.Inf(-1) asks for u every time. The cost is proportional to the
+// affected sub-problem less what the closure shares, plus one index-order
+// fold over the aggregates when the bound cannot decide. The bool reports
+// whether the call fell back to a full Evaluate (same contract as
+// EvaluateDelta; the utility is exact then). The arena's Result is left
+// partially written and must not be read.
+func (e *Eval) EvaluateDeltaUtility(c *Closure, bundles []Bundle, changed []int, bound float64) (float64, bool) {
+	res, fellBack := e.evaluateDelta(c, bundles, changed, true, bound)
 	return res.NetworkUtility, fellBack
 }
 
 // evaluateDelta is EvaluateDelta plus a flag reporting whether the call
 // fell back to a full Evaluate (in which case the arena holds a complete
-// full-evaluation state for the list, capturable by captureState).
+// full-evaluation state for the list, capturable by captureState), against
+// the base a closure carries and extending the closure.
 // utilityOnly elides every Result field except NetworkUtility: the
 // base-rate/satisfaction splice, per-link load/demand/congestion copies
 // and finalization are skipped, and reads of unaffected bundles' rates go
 // to the base directly (deltaRate). The affected sub-problem's solve —
 // fill, lazy guard, load checks — is identical in both modes; bound is
 // EvaluateDeltaUtility's.
-func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilityOnly bool, bound float64) (*Result, bool) {
+//
+// Every set the solve reads is the two layers' union: the closure's
+// affected bundles, eager bundles, sub-problem and touched links, and the
+// candidate's own, stamped in its scratch. A closure link the candidate
+// also seeds is load-checked once, as touched-seed, and the closure's
+// chains, folds and crosser lists stand for every bundle and link the
+// candidate did not change.
+func (e *Eval) evaluateDelta(c *Closure, bundles []Bundle, changed []int, utilityOnly bool, bound float64) (*Result, bool) {
 	e.stats.Calls++
 	if utilityOnly {
 		e.stats.UtilityOnlyCalls++
@@ -476,8 +605,12 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 		e.stats.Fallbacks++
 		return e.Evaluate(bundles), true
 	}
+	if c == nil || c.base == nil || c.owner == e && len(c.subLinks) > 0 {
+		return fallback()
+	}
+	base := c.base
 	nB := len(bundles)
-	if base == nil || len(base.bundles) != nB || nB == 0 {
+	if len(base.bundles) != nB || nB == 0 {
 		return fallback()
 	}
 	for _, i := range changed {
@@ -490,6 +623,10 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 	d := &e.delta
 	d.grow(nB, nL, m.mat.NumAggregates())
 	d.bump()
+	e.grow(nB)
+	if e.primed != c || e.primedGen != c.gen {
+		e.prime(c)
+	}
 
 	// Seeds: the changed bundles (eager) and every link they cross in
 	// either list, with d.wDelta/d.dDelta accumulating each seed link's
@@ -537,8 +674,8 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 	for _, l := range d.seedLinks {
 		if base.binding[l] ||
 			base.linkLoad[l]+max(d.dDelta[l], 0) >= m.capacity[l]*(1-bindingSlack) {
-			d.addSubLink(l)
-		} else if d.tsMark[l] != d.epoch {
+			d.addSubLink(c, l)
+		} else {
 			d.tsMark[l] = d.epoch
 			d.tchSeed = append(d.tchSeed, l)
 		}
@@ -549,22 +686,22 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 	// demand-frozen crossers. Promoting those crossers to eager up front
 	// usually saves the verify-expand-rerun cycle; the in-fill guard
 	// still catches the cases this heuristic misses.
-	for _, l := range d.subLinks {
-		if d.wDelta[l] > 0 {
-			for _, bi := range base.linkBun[l] {
-				if d.bunMark[bi] != d.epoch {
-					d.bunMark[bi] = d.epoch
-					d.affected = append(d.affected, bi)
-				}
-				if d.eagerMark[bi] != d.epoch {
-					d.eagerMark[bi] = d.epoch
-					d.propagate(base, bundles[bi].Edges)
-				}
+	for _, l := range d.seedLinks {
+		if d.tsMark[l] == d.epoch || d.wDelta[l] <= 0 {
+			continue
+		}
+		for _, bi := range base.linkBun[l] {
+			if !d.affects(c, bi) {
+				d.bunMark[bi] = d.epoch
+				d.affected = append(d.affected, bi)
+			}
+			if !d.eager(c, bi) {
+				d.eagerMark[bi] = d.epoch
+				d.propagate(c, base, bundles[bi].Edges)
 			}
 		}
 	}
 
-	e.grow(nB)
 	res := &e.res
 	if utilityOnly {
 		// Scoring only: leave the Result arrays stale. Affected bundles'
@@ -586,32 +723,31 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 	// Optimistic closure + sub-problem fill, re-run after promoting any
 	// lazily-treated bundle the candidate truncated.
 	closed := 0 // d.subLinks prefix already processed by the fixpoint
+	shared := 0 // the closure's affected bundles the candidate did not change
 	for {
-		// Fixpoint: crossers of sub-problem links are affected; eager
-		// bundles recruit their congestible links into the sub-problem
-		// and mark their slack links touched; demand-frozen bundles stay
-		// lazy. d.subLinks doubles as the worklist.
-		for ; closed < len(d.subLinks); closed++ {
-			l := d.subLinks[closed]
-			for _, bi := range base.linkBun[l] {
-				if d.bunMark[bi] == d.epoch {
-					continue
-				}
-				d.bunMark[bi] = d.epoch
-				d.affected = append(d.affected, bi)
-				if base.byDemand[bi] {
-					continue // lazy: transmits nothing while it stays demand-frozen
-				}
-				d.eagerMark[bi] = d.epoch
-				d.propagate(base, bundles[bi].Edges)
-			}
-		}
+		// Fixpoint over the links the closure lacks: crossers of
+		// sub-problem links are affected; eager bundles recruit their
+		// congestible links into the sub-problem and mark their slack links
+		// touched; demand-frozen bundles stay lazy.
+		closed = d.closeOver(c, base, bundles, closed)
 
 		// Per-bundle fill parameters, in no particular order: nothing here
-		// accumulates. Changed bundles compute theirs; the rest splice the
-		// base's (bit-identical by definition) and flag their demand event
-		// by its rank in the base's order.
+		// accumulates. The closure's bundles hold theirs since prime; the
+		// candidate's changed bundles compute theirs; the rest of its own
+		// splice the base's (bit-identical by definition) and flag their
+		// demand event by its rank in the base's order. Every active bundle
+		// freezes in the fill, which writes its rate then.
 		active := 0
+		shared = 0
+		for _, i := range c.affected {
+			if d.chMark[i] == d.epoch {
+				continue
+			}
+			shared++
+			d.incHead[i] = -1
+			e.frozen[i] = false
+		}
+		active += shared // the closure's bundles are active crossers
 		for _, i := range d.affected {
 			d.incHead[i] = -1
 			if d.chMark[i] == d.epoch {
@@ -650,56 +786,30 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 		// walking it adds the same weights and demands, in the same order,
 		// as a pass over the sorted affected set would. Each crossing is
 		// also chained onto its bundle, which is what lets freezeBundle
-		// leave affected bundles' slack links alone.
+		// leave affected bundles' slack links alone. A closure link keeps
+		// its folds, crossers and chains unless a changed bundle crosses
+		// it; then it is re-folded, and only the changed crossings chained.
 		d.inc = d.inc[:0]
-		for _, l := range d.subLinks {
-			var ch []int32 // changed bundles crossing l: seed links only
+		for _, l := range c.subLinks {
 			if d.seedMark[l] == d.epoch {
-				ch = e.changedCrossers(bundles, l, changed)
-			}
-			var w, dem float64
-			lb := e.linkBun[l][:0]
-			add := func(bi int32, bw, bd float64) {
-				w += bw
-				dem += bd
-				lb = append(lb, bi)
-				d.inc = append(d.inc, incidence{link: l, next: d.incHead[bi]})
-				d.incHead[bi] = int32(len(d.inc) - 1)
-			}
-			k := 0
-			for _, bi := range base.linkBun[l] {
-				if d.chMark[bi] == d.epoch {
-					continue // old membership; merged back below if still crossing
-				}
-				for ; k < len(ch) && ch[k] < bi; k++ {
-					add(ch[k], e.weight[ch[k]], e.demand[ch[k]])
-				}
-				add(bi, base.weight[bi], base.demand[bi])
-			}
-			for ; k < len(ch); k++ {
-				add(ch[k], e.weight[ch[k]], e.demand[ch[k]])
-			}
-			e.linkW[l] = w
-			e.linkFrozen[l] = 0
-			e.linkBun[l] = lb
-			res.LinkDemand[l] = dem
-			res.IsCongested[l] = false
-		}
-
-		// Demand events: the flagged ranks, ascending, are the base's
-		// sorted order restricted to the active unchanged affected bundles;
-		// then merge in the (few) changed ones — same keys, same relative
-		// order as a fresh sort.
-		e.order = e.order[:0]
-		for wi, word := range d.rankBits[:(len(base.order)+63)/64] {
-			if word == 0 {
+				e.foldLink(base, bundles, l, changed, true)
 				continue
 			}
-			d.rankBits[wi] = 0
-			for ; word != 0; word &= word - 1 {
-				e.order = append(e.order, base.order[wi<<6|bits.TrailingZeros64(word)])
-			}
+			e.linkW[l] = c.linkW[l]
+			e.linkFrozen[l] = 0
+			res.LinkDemand[l] = c.linkDem[l]
+			res.IsCongested[l] = false
 		}
+		for _, l := range d.subLinks {
+			e.foldLink(base, bundles, l, changed, false)
+		}
+
+		// Demand events: the closure's sorted keys less the changed
+		// bundles', merged with the flagged ranks — the base's sorted order
+		// restricted to the candidate's own active unchanged affected
+		// bundles; then merge in the (few) changed ones — same keys, same
+		// relative order as a fresh sort.
+		e.order = d.takeRanks(base, e.order[:0], c.order, d.chMark)
 		for _, ci := range changed {
 			if !e.frozen[ci] {
 				k := uint64(math.Float32bits(float32(e.tDemand[ci])))<<32 | uint64(uint32(ci))
@@ -709,13 +819,15 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 			}
 		}
 		e.events.reset()
-		for _, l := range d.subLinks {
-			if e.linkW[l] > 0 {
-				e.events.update(l, (m.capacity[l]-e.linkFrozen[l])/e.linkW[l])
+		for _, links := range [2][]int32{c.subLinks, d.subLinks} {
+			for _, l := range links {
+				if e.linkW[l] > 0 {
+					e.events.update(l, (m.capacity[l]-e.linkFrozen[l])/e.linkW[l])
+				}
 			}
 		}
 		e.events.start()
-		e.sub = base
+		e.sub = c
 		widened := e.fill(bundles, active, res)
 		e.sub = nil
 		if widened {
@@ -741,22 +853,23 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 		// rate changes (loadVersus). Only a load whose interval straddles
 		// the threshold is re-summed over its crossers in canonical order.
 		promoted := false
-		if len(d.touched)+len(d.tchSeed) > 0 {
-			e.sumMoves(base, bundles, res)
+		if len(c.touched)+len(d.touched)+len(d.tchSeed) > 0 {
+			e.sumMoves(c, bundles, res)
 		}
-		for _, links := range [2][]int32{d.touched, d.tchSeed} {
+		for li, links := range [3][]int32{c.touched, d.touched, d.tchSeed} {
 			for _, l := range links {
-				if d.linkMark[l] == d.epoch {
-					continue // already promoted into the sub-problem
+				if d.linkMark[l] == d.epoch || li == 0 && d.tsMark[l] == d.epoch {
+					continue // promoted into the sub-problem, or checked as touched-seed
 				}
+				e.checked++
 				thr := m.capacity[l] * (1 - bindingSlack)
 				reaches := d.loadVersus(l, base.linkLoad[l], nB, thr)
 				if reaches == 0 {
 					e.resummed++
-					reaches = cmp.Compare(e.resumTouched(base, bundles, l, changed, res), thr)
+					reaches = cmp.Compare(e.resumTouched(c, bundles, l, changed, res), thr)
 				}
 				if reaches >= 0 {
-					d.addSubLink(l)
+					d.addSubLink(c, l)
 					promoted = true
 				}
 			}
@@ -766,7 +879,7 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 		}
 		e.stats.Expansions++
 	}
-	e.stats.AffectedBundles += int64(len(d.affected))
+	e.stats.AffectedBundles += int64(len(d.affected) + shared)
 	e.stats.ListBundles += int64(nB)
 
 	// Finalize the loads in canonical order: sub-problem links from their
@@ -775,23 +888,152 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 	// spliced base values. Utility-only scoring skips all of it: nothing
 	// downstream reads link loads or the congested list.
 	if !utilityOnly {
-		for _, l := range d.subLinks {
-			res.LinkLoad[l] = e.linkLoadOf(res, e.linkBun[l], m.capacity[l])
-		}
-		for _, links := range [2][]int32{d.touched, d.tchSeed} {
+		for _, links := range [2][]int32{c.subLinks, d.subLinks} {
 			for _, l := range links {
-				if d.linkMark[l] != d.epoch && d.movedMark[l] == d.movedEpoch {
-					e.resumTouched(base, bundles, l, changed, res)
+				res.LinkLoad[l] = e.linkLoadOf(res, e.crossers(c, l), m.capacity[l])
+			}
+		}
+		for li, links := range [3][]int32{c.touched, d.touched, d.tchSeed} {
+			for _, l := range links {
+				if d.linkMark[l] != d.epoch && (li > 0 || d.tsMark[l] != d.epoch) && d.movedMark[l] == d.movedEpoch {
+					e.resumTouched(c, bundles, l, changed, res)
 				}
 			}
 		}
 		e.rebuildCongested(res)
 	}
-	e.deltaUtility(base, bundles, changed, res, bound)
+	e.deltaUtility(c, bundles, changed, res, bound)
 	if !utilityOnly {
 		e.computeUtilization(res)
 	}
+	// Put back the closure bundles' fill parameters the candidate changed.
+	for _, ci := range changed {
+		if c.bunMark[ci] == c.epoch {
+			e.primeBundle(base, int32(ci))
+		}
+	}
 	return res, false
+}
+
+// foldLink sets up sub-problem link l for the fill: its crossing weight and
+// demand, folded in index order over the base's crossers with the changed
+// bundles' membership adjusted, and its crosser list in the arena's own
+// storage — never the base's, which Evaluate's reuse of linkBun would write
+// into. Each crossing is chained onto its bundle; on a closure link
+// (shared) only the changed bundles' are, the closure chaining the rest.
+func (e *Eval) foldLink(base *Base, bundles []Bundle, l int32, changed []int, shared bool) {
+	d := &e.delta
+	var ch []int32 // changed bundles crossing l: seed links only
+	if d.seedMark[l] == d.epoch {
+		ch = e.changedCrossers(bundles, l, changed)
+	}
+	var w, dem float64
+	lb := e.linkBun[l][:0]
+	k := 0
+	for _, bi := range base.linkBun[l] {
+		if d.chMark[bi] == d.epoch {
+			continue // old membership; merged back below if still crossing
+		}
+		for ; k < len(ch) && ch[k] < bi; k++ {
+			w += e.weight[ch[k]]
+			dem += e.demand[ch[k]]
+			lb = append(lb, ch[k])
+			d.chain(ch[k], l)
+		}
+		w += base.weight[bi]
+		dem += base.demand[bi]
+		lb = append(lb, bi)
+		if !shared {
+			d.chain(bi, l)
+		}
+	}
+	for ; k < len(ch); k++ {
+		w += e.weight[ch[k]]
+		dem += e.demand[ch[k]]
+		lb = append(lb, ch[k])
+		d.chain(ch[k], l)
+	}
+	e.linkW[l] = w
+	e.linkFrozen[l] = 0
+	e.linkBun[l] = lb
+	e.res.LinkDemand[l] = dem
+	e.res.IsCongested[l] = false
+}
+
+// chain records that affected bundle bi crosses sub-problem link l.
+func (d *deltaScratch) chain(bi, l int32) {
+	d.inc = append(d.inc, incidence{link: l, next: d.incHead[bi]})
+	d.incHead[bi] = int32(len(d.inc) - 1)
+}
+
+// takeRanks appends to order, ascending, the base's demand keys at the
+// ranks flagged in rankBits, clearing the flags, merged with shared, a
+// sorted key list, less its keys of bundles stamped in skip (nil: none).
+func (d *deltaScratch) takeRanks(base *Base, order, shared []uint64, skip []uint32) []uint64 {
+	j := 0
+	take := func(below uint64) {
+		for ; j < len(shared) && shared[j] < below; j++ {
+			if k := shared[j]; skip == nil || skip[uint32(k)] != d.epoch {
+				order = append(order, k)
+			}
+		}
+	}
+	for wi, word := range d.rankBits[:(len(base.order)+63)/64] {
+		if word == 0 {
+			continue
+		}
+		d.rankBits[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			k := base.order[wi<<6|bits.TrailingZeros64(word)]
+			take(k)
+			order = append(order, k)
+		}
+	}
+	take(math.MaxUint64) // no key reaches it: float32 bits of a time stay below 2³²−1
+	return order
+}
+
+// crossers returns sub-problem link l's candidate crossers under closure c:
+// the base's list for a closure link no changed bundle crosses, the
+// arena's rebuilt one otherwise.
+func (e *Eval) crossers(c *Closure, l int32) []int32 {
+	if c.linkMark[l] == c.epoch && e.delta.seedMark[l] != e.delta.epoch {
+		return c.base.linkBun[l]
+	}
+	return e.linkBun[l]
+}
+
+// affects and eager read a bundle's two-layer marks: the candidate's own
+// stamps OR the closure's.
+func (d *deltaScratch) affects(c *Closure, bi int32) bool {
+	return d.bunMark[bi] == d.epoch || c.bunMark[bi] == c.epoch
+}
+
+func (d *deltaScratch) eager(c *Closure, bi int32) bool {
+	return d.eagerMark[bi] == d.epoch || c.eagerMark[bi] == c.epoch
+}
+
+// closeOver runs the affected-set fixpoint over d.subLinks from index from,
+// the worklist, to its end, extending closure c, and returns the new end:
+// crossers of a sub-problem link are affected; those the base froze at a
+// link event propagate eagerly; demand-frozen ones stay lazy.
+func (d *deltaScratch) closeOver(c *Closure, base *Base, bundles []Bundle, from int) int {
+	for ; from < len(d.subLinks); from++ {
+		l := d.subLinks[from]
+		for _, bi := range base.linkBun[l] {
+			if d.affects(c, bi) {
+				continue
+			}
+			d.bunMark[bi] = d.epoch
+			d.affected = append(d.affected, bi)
+			if base.byDemand[bi] {
+				continue // lazy: transmits nothing while it stays demand-frozen
+			}
+			d.eagerMark[bi] = d.epoch
+			d.propagate(c, base, bundles[bi].Edges)
+		}
+	}
+	return from
 }
 
 // deltaRate reads a bundle's candidate rate: affected bundles' rates are
@@ -801,11 +1043,11 @@ func (e *Eval) evaluateDelta(base *Base, bundles []Bundle, changed []int, utilit
 // res are stale and the base is authoritative. Either way the value is
 // the one a full evaluation would produce, so accumulations built from
 // deltaRate stay bit-identical across modes.
-func (e *Eval) deltaRate(res *Result, base *Base, bi int32) float64 {
-	if e.delta.bunMark[bi] == e.delta.epoch {
+func (e *Eval) deltaRate(res *Result, c *Closure, bi int32) float64 {
+	if e.delta.affects(c, bi) {
 		return res.BundleRate[bi]
 	}
-	return base.rate[bi]
+	return c.base.rate[bi]
 }
 
 // widen promotes every lazy crosser of link l, whose saturation event has
@@ -822,11 +1064,12 @@ func (e *Eval) deltaRate(res *Result, base *Base, bi int32) float64 {
 // froze before reaching the lazy one do not change it.
 func (e *Eval) widen(bundles []Bundle, l int32) bool {
 	d := &e.delta
+	c := e.sub
 	n := len(d.subLinks)
-	for _, bi := range e.sub.linkBun[l] {
-		if d.eagerMark[bi] != d.epoch {
+	for _, bi := range c.base.linkBun[l] {
+		if !d.eager(c, bi) {
 			d.eagerMark[bi] = d.epoch
-			d.propagate(e.sub, bundles[bi].Edges)
+			d.propagate(c, c.base, bundles[bi].Edges)
 		}
 	}
 	if len(d.subLinks) > n {
@@ -846,9 +1089,10 @@ func activeWeight(m *Model, b Bundle) float64 {
 	return float64(b.Flows) / b.RTT()
 }
 
-// addSubLink admits a link into the sub-problem (idempotent).
-func (d *deltaScratch) addSubLink(eid int32) {
-	if d.linkMark[eid] != d.epoch {
+// addSubLink admits a link into the sub-problem unless it is there already,
+// in either layer.
+func (d *deltaScratch) addSubLink(c *Closure, eid int32) {
+	if d.linkMark[eid] != d.epoch && c.linkMark[eid] != c.epoch {
 		d.linkMark[eid] = d.epoch
 		d.subLinks = append(d.subLinks, eid)
 	}
@@ -868,15 +1112,15 @@ func (d *deltaScratch) addSeedLink(eid int32) {
 // propagate routes an eager bundle's influence: binding links join the
 // sub-problem, all other links are only touched — their loads are
 // recomputed (and load-checked) at finalize. Touched-seed links already
-// have their own recompute path.
-func (d *deltaScratch) propagate(base *Base, edges []graph.EdgeID) {
+// have their own recompute path. Either layer's marks count.
+func (d *deltaScratch) propagate(c *Closure, base *Base, edges []graph.EdgeID) {
 	for _, eid := range edges {
-		if d.linkMark[eid] == d.epoch || d.tsMark[eid] == d.epoch {
+		if d.linkMark[eid] == d.epoch || c.linkMark[eid] == c.epoch || d.tsMark[eid] == d.epoch {
 			continue
 		}
 		if base.binding[eid] {
-			d.addSubLink(int32(eid))
-		} else if d.tchMark[eid] != d.epoch {
+			d.addSubLink(c, int32(eid))
+		} else if d.tchMark[eid] != d.epoch && c.tchMark[eid] != c.epoch {
 			d.tchMark[eid] = d.epoch
 			d.touched = append(d.touched, int32(eid))
 		}
@@ -908,8 +1152,9 @@ func (e *Eval) changedCrossers(bundles []Bundle, l int32, changed []int) []int32
 // crossers) — in bundle-index order, matching the full evaluation's
 // accumulation bit for bit: a full Result's finalize, and the load check's
 // when loadVersus cannot decide. Returns the clamped load.
-func (e *Eval) resumTouched(base *Base, bundles []Bundle, l int32, changed []int, res *Result) float64 {
+func (e *Eval) resumTouched(c *Closure, bundles []Bundle, l int32, changed []int, res *Result) float64 {
 	d := &e.delta
+	base := c.base
 	var ch []int32
 	if d.seedMark[l] == d.epoch {
 		ch = e.changedCrossers(bundles, l, changed)
@@ -929,7 +1174,7 @@ func (e *Eval) resumTouched(base *Base, bundles []Bundle, l int32, changed []int
 			k++
 		}
 		dem += base.demand[bi]
-		load += e.deltaRate(res, base, bi)
+		load += e.deltaRate(res, c, bi)
 	}
 	for ; k < len(ch); k++ {
 		take(ch[k])
@@ -953,9 +1198,10 @@ func (e *Eval) resumTouched(base *Base, bundles []Bundle, l int32, changed []int
 // valid in utility-only mode too (where res was never spliced); in
 // full-result mode the base values equal the spliced res values, so both
 // modes fold the identical numbers.
-func (e *Eval) deltaUtility(base *Base, bundles []Bundle, changed []int, res *Result, bound float64) {
+func (e *Eval) deltaUtility(c *Closure, bundles []Bundle, changed []int, res *Result, bound float64) {
 	m := e.m
 	d := &e.delta
+	base := c.base
 	markAgg := func(a int32) {
 		if d.aggMark[a] != d.epoch {
 			d.aggMark[a] = d.epoch
@@ -965,12 +1211,14 @@ func (e *Eval) deltaUtility(base *Base, bundles []Bundle, changed []int, res *Re
 	for _, i := range changed {
 		markAgg(int32(bundles[i].Agg))
 	}
-	for _, i := range d.affected {
-		// A verified-unchanged outcome contributes the identical utility
-		// term; only rate or satisfaction changes dirty the aggregate.
-		// (Affected entries of res are always valid, in both modes.)
-		if res.BundleRate[i] != base.rate[i] || res.BundleSatisfied[i] != base.sat[i] {
-			markAgg(int32(bundles[i].Agg))
+	for _, affected := range [2][]int32{d.affected, c.affected} {
+		for _, i := range affected {
+			// A verified-unchanged outcome contributes the identical utility
+			// term; only rate or satisfaction changes dirty the aggregate.
+			// (Affected entries of res are always valid, in both modes.)
+			if res.BundleRate[i] != base.rate[i] || res.BundleSatisfied[i] != base.sat[i] {
+				markAgg(int32(bundles[i].Agg))
+			}
 		}
 	}
 	for _, a := range d.dirtyAggs {
@@ -980,7 +1228,7 @@ func (e *Eval) deltaUtility(base *Base, bundles []Bundle, changed []int, res *Re
 			if b.Flows <= 0 {
 				continue
 			}
-			sum += m.utilityTerm(b, e.deltaRate(res, base, bi))
+			sum += m.utilityTerm(b, e.deltaRate(res, c, bi))
 		}
 		if f := float64(m.aggFlows[a]); f > 0 {
 			sum /= f

@@ -374,9 +374,9 @@ func BenchmarkEvaluateDeltaCandidate(b *testing.B) {
 				b.ResetTimer()
 				each(b.N, func(changed []int) {
 					if mode == "result" {
-						arena.EvaluateDelta(&base, buf, changed)
+						arena.EvaluateDelta(arena.Closure(&base), buf, changed)
 					} else {
-						arena.EvaluateDeltaUtility(&base, buf, changed, bound)
+						arena.EvaluateDeltaUtility(arena.Closure(&base), buf, changed, bound)
 					}
 				})
 				b.StopTimer()

@@ -190,7 +190,7 @@ func TestDeltaDifferential(t *testing.T) {
 				break
 			}
 			want := fullArena.Evaluate(cand)
-			got := deltaArena.EvaluateDelta(&base, cand, changed)
+			got := deltaArena.EvaluateDelta(deltaArena.Closure(&base), cand, changed)
 			requireIdentical(t, "delta vs full", want, got)
 			evals++
 			// Commit every other move and periodically refresh the base.
@@ -225,7 +225,7 @@ func TestDeltaStackedMoves(t *testing.T) {
 		}
 		changed = append(changed, ch...)
 		want := fullArena.Evaluate(cand)
-		got := deltaArena.EvaluateDelta(&base, cand, changed)
+		got := deltaArena.EvaluateDelta(deltaArena.Closure(&base), cand, changed)
 		requireIdentical(t, "stacked", want, got)
 	}
 }
@@ -245,7 +245,7 @@ func TestDeltaFallbacks(t *testing.T) {
 		t.Helper()
 		want := m.NewEval().Evaluate(list).Clone()
 		before := arena.DeltaStats().Fallbacks
-		got := arena.EvaluateDelta(base, list, changed)
+		got := arena.EvaluateDelta(arena.Closure(base), list, changed)
 		if arena.DeltaStats().Fallbacks != before+1 {
 			t.Fatalf("%s: expected a fallback", tag)
 		}
@@ -258,7 +258,7 @@ func TestDeltaFallbacks(t *testing.T) {
 	check("index out of range", &base, bundles, []int{len(bundles)})
 	swapped := append([]Bundle(nil), bundles...)
 	swapped[0].Agg = swapped[len(swapped)-1].Agg
-	res := arena.EvaluateDelta(&base, swapped, []int{0})
+	res := arena.EvaluateDelta(arena.Closure(&base), swapped, []int{0})
 	if res.NetworkUtility != m.NewEval().Evaluate(swapped).NetworkUtility {
 		t.Fatalf("aggregate-swap fallback returned a wrong result")
 	}
@@ -303,9 +303,9 @@ func TestDeltaMatchesFullWhenMostOfTheListIsAffected(t *testing.T) {
 				changed := []int{min(mv[0], mv[1]), max(mv[0], mv[1])}
 				want := full.Evaluate(cand)
 				before, continuedBefore := delta.DeltaStats(), delta.continued
-				requireIdentical(t, c.name+": delta", want, delta.EvaluateDelta(&base, cand, changed))
+				requireIdentical(t, c.name+": delta", want, delta.EvaluateDelta(delta.Closure(&base), cand, changed))
 				after := delta.DeltaStats()
-				if u, fellBack := score.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); u != want.NetworkUtility || fellBack {
+				if u, fellBack := score.EvaluateDeltaUtility(score.Closure(&base), cand, changed, math.Inf(-1)); u != want.NetworkUtility || fellBack {
 					t.Fatalf("%s: utility-only %v (fell back: %v), full %v", c.name, u, fellBack, want.NetworkUtility)
 				}
 				calls++
@@ -392,10 +392,10 @@ func TestDeltaContinuesInPlace(t *testing.T) {
 					cand[mv[1]].Flows += n
 					changed := []int{min(mv[0], mv[1]), max(mv[0], mv[1])}
 					continued, aborted := delta.continued, delta.aborted
-					got := delta.EvaluateDelta(&base, cand, changed)
+					got := delta.EvaluateDelta(delta.Closure(&base), cand, changed)
 					continued, aborted = delta.continued-continued, delta.aborted-aborted
 					requireIdentical(t, c.name+": delta", full.Evaluate(cand), got)
-					if u, _ := score.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); u != got.NetworkUtility {
+					if u, _ := score.EvaluateDeltaUtility(score.Closure(&base), cand, changed, math.Inf(-1)); u != got.NetworkUtility {
 						t.Fatalf("%s: utility-only %v, delta %v", c.name, u, got.NetworkUtility)
 					}
 					if continued+aborted > 0 {
@@ -477,7 +477,7 @@ func TestDeltaBaseSharedAcrossArenas(t *testing.T) {
 			arena := m.NewEval()
 			for rep := 0; rep < 25; rep++ {
 				c := cases[(g+rep)%len(cases)]
-				got := arena.EvaluateDelta(&base, c.cand, c.changed)
+				got := arena.EvaluateDelta(arena.Closure(&base), c.cand, c.changed)
 				if got.NetworkUtility != c.want.NetworkUtility {
 					done <- errDelta
 					return
@@ -545,11 +545,11 @@ func FuzzEvaluateDelta(f *testing.F) {
 			if changed == nil {
 				return
 			}
-			got := deltaArena.EvaluateDelta(&base, cand, changed)
+			got := deltaArena.EvaluateDelta(deltaArena.Closure(&base), cand, changed)
 			requireIdentical(t, "fuzz", fullArena.Evaluate(cand), got)
 			exact := got.NetworkUtility
 			b := scoringBounds(exact, base.NetworkUtility())[bound%6]
-			score, _ := deltaArena.EvaluateDeltaUtility(&base, cand, changed, b)
+			score, _ := deltaArena.EvaluateDeltaUtility(deltaArena.Closure(&base), cand, changed, b)
 			requireScore(t, "fuzz", score, exact, b)
 			bundles = cand
 			m.NewEval().EvaluateBase(bundles, &base)
@@ -586,7 +586,7 @@ func TestDeltaUtilityDifferential(t *testing.T) {
 			want := fullArena.Evaluate(cand).NetworkUtility
 			for _, bound := range scoringBounds(want, base.NetworkUtility()) {
 				before := arena.bounded
-				got, _ := arena.EvaluateDeltaUtility(&base, cand, changed, bound)
+				got, _ := arena.EvaluateDeltaUtility(arena.Closure(&base), cand, changed, bound)
 				requireScore(t, fmt.Sprintf("seed %d move %d bound %v", seed, move, bound), got, want, bound)
 				if arena.bounded > before {
 					settled++
@@ -598,7 +598,7 @@ func TestDeltaUtilityDifferential(t *testing.T) {
 			// Interleave a full-result delta of the same candidate on the
 			// same arena: scoring must leave no state behind that skews a
 			// subsequent full evaluation.
-			full := arena.EvaluateDelta(&base, cand, changed)
+			full := arena.EvaluateDelta(arena.Closure(&base), cand, changed)
 			requireIdentical(t, "full after utility-only", fullArena.Evaluate(cand), full)
 			if move%2 == 0 {
 				bundles = cand
@@ -628,15 +628,15 @@ func TestDeltaUtilityStats(t *testing.T) {
 	if changed == nil {
 		t.Fatal("no movable pair")
 	}
-	if _, fellBack := arena.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); fellBack {
+	if _, fellBack := arena.EvaluateDeltaUtility(arena.Closure(&base), cand, changed, math.Inf(-1)); fellBack {
 		t.Fatal("unexpected fallback on an in-contract candidate")
 	}
-	if u, fellBack := arena.EvaluateDeltaUtility(nil, cand, changed, math.Inf(1)); !fellBack {
+	if u, fellBack := arena.EvaluateDeltaUtility(arena.Closure(nil), cand, changed, math.Inf(1)); !fellBack {
 		t.Fatal("nil base must fall back")
 	} else if want := m.NewEval().Evaluate(cand).NetworkUtility; u != want {
 		t.Fatalf("fallback utility %v != full %v", u, want)
 	}
-	arena.EvaluateDelta(&base, cand, changed)
+	arena.EvaluateDelta(arena.Closure(&base), cand, changed)
 
 	s := arena.DeltaStats()
 	if s.Calls != 3 || s.UtilityOnlyCalls != 2 {
@@ -694,11 +694,11 @@ func TestDeltaSubProblemWalk(t *testing.T) {
 				break
 			}
 			want := fullArena.Evaluate(cand)
-			if got, _ := arena.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); got != want.NetworkUtility {
+			if got, _ := arena.EvaluateDeltaUtility(arena.Closure(&base), cand, changed, math.Inf(-1)); got != want.NetworkUtility {
 				t.Fatalf("seed %d move %d: utility-only %v != full %v", seed, move, got, want.NetworkUtility)
 			}
 			fallbacks := arena.DeltaStats().Fallbacks
-			requireIdentical(t, "delta vs full", want, arena.EvaluateDelta(&base, cand, changed))
+			requireIdentical(t, "delta vs full", want, arena.EvaluateDelta(arena.Closure(&base), cand, changed))
 			evals++
 			// What the solve exercised, read off its scratch (which after a
 			// fallback describes no solve).

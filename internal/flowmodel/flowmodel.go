@@ -170,23 +170,31 @@ type Eval struct {
 	// stallClears counts residual-float-weight stall-guard activations
 	// (the linkW-dust branch of the fill loop), for tests.
 	stallClears int64
-	// sub is the base of the running fill when it is a delta sub-problem,
-	// nil in a full fill. A link event about to freeze a bundle the delta
-	// closure treated lazily first promotes the link's lazy crossers
-	// (widen): the fill goes on in place unless that admits a link into the
-	// sub-problem, when it aborts so the delta path can re-run wider. And
-	// freezeBundle releases a bundle from the sub-problem links recorded
-	// for it (delta.incHead), not from its path's, most of which hold
-	// another fill's scratch.
-	sub *Base
+	// sub is the closure of the running fill when it is a delta
+	// sub-problem, nil in a full fill. A link event about to freeze a bundle
+	// the delta closure treated lazily first promotes the link's lazy
+	// crossers (widen): the fill goes on in place unless that admits a link
+	// into the sub-problem, when it aborts so the delta path can re-run
+	// wider. And freezeBundle releases a bundle from the sub-problem links
+	// recorded for it (its incidence chains), not from its path's, most of
+	// which hold another fill's scratch.
+	sub *Closure
 
 	delta deltaScratch
-	stats DeltaStats
+	// closure is the last step closure this arena built (Eval.Closure):
+	// its marks, lists and chains live in delta, its folds in linkW and
+	// res.LinkDemand, its demand keys in order. primed and primedGen name
+	// the closure whose bundles' fill parameters weight, demand and tDemand
+	// hold (prime).
+	closure   Closure
+	primed    *Closure
+	primedGen uint64
+	stats     DeltaStats
 	// For tests and benchmarks: scores returned from their interval,
-	// load-check links re-summed because theirs straddled the threshold, and
-	// lazy hits whose promotion let the fill continue in place or widened
-	// the sub-problem and aborted it.
-	bounded, resummed, continued, aborted int64
+	// load-check links decided and those re-summed because theirs straddled
+	// the threshold, and lazy hits whose promotion let the fill continue in
+	// place or widened the sub-problem and aborted it.
+	bounded, checked, resummed, continued, aborted int64
 	// remapInv is RemapBase's old-index → new-index scratch.
 	remapInv []int32
 	res      Result
@@ -272,6 +280,7 @@ func (e *Eval) Evaluate(bundles []Bundle) *Result {
 	nB := len(bundles)
 	nL := m.topo.NumLinks()
 	e.grow(nB)
+	e.primed = nil // every bundle's fill parameters are rewritten
 	res := &e.res
 	res.BundleRate = res.BundleRate[:nB]
 	res.BundleSatisfied = res.BundleSatisfied[:nB]
@@ -414,11 +423,15 @@ func (e *Eval) fill(bundles []Bundle, active int, res *Result) bool {
 				t = 0 // link already over capacity from frozen load
 			}
 			froze, truncated := 0, 0
-			for _, bi := range e.linkBun[linkIdx] {
+			crossers := e.linkBun[linkIdx]
+			if e.sub != nil {
+				crossers = e.crossers(e.sub, link)
+			}
+			for _, bi := range crossers {
 				if e.frozen[bi] {
 					continue
 				}
-				if e.sub != nil && e.delta.eagerMark[bi] != e.delta.epoch && e.widen(bundles, link) {
+				if e.sub != nil && !e.delta.eager(e.sub, bi) && e.widen(bundles, link) {
 					// Optimistic closure missed: a link event reached a
 					// bundle assumed to stay demand-frozen, and promoting
 					// it reached past the sub-problem. Abort so the delta
@@ -469,18 +482,25 @@ func (e *Eval) fill(bundles []Bundle, active int, res *Result) bool {
 
 // freezeBundle fixes bundle i at the given rate and removes its weight
 // from the links it fills — its path's in a full fill, the sub-problem's
-// share of them in a delta fill — rescheduling their saturation events.
-// Visit order is immaterial: each link's arithmetic is its own, and the
-// event queue's order is total, so the next peek depends only on the keys.
+// share of them in a delta fill: the candidate's incidence chain, then,
+// unless the candidate changed the bundle, the step closure's —
+// rescheduling their saturation events. Visit order is immaterial: each
+// link's arithmetic is its own, and the event queue's order is total, so
+// the next peek depends only on the keys.
 func (e *Eval) freezeBundle(bundles []Bundle, i int, rate float64, satisfied bool, res *Result) {
 	e.frozen[i] = true
 	res.BundleRate[i] = rate
 	res.BundleSatisfied[i] = satisfied
 	w := e.weight[i]
-	if e.sub != nil {
+	if c := e.sub; c != nil {
 		d := &e.delta
 		for k := d.incHead[i]; k >= 0; k = d.inc[k].next {
 			e.release(d.inc[k].link, w, rate)
+		}
+		if c.bunMark[i] == c.epoch && d.chMark[i] != d.epoch {
+			for k := c.incHead[i]; k >= 0; k = c.inc[k].next {
+				e.release(c.inc[k].link, w, rate)
+			}
 		}
 		return
 	}
@@ -614,6 +634,9 @@ func (e *Eval) computeUtilization(res *Result) {
 // grow resizes the per-bundle scratch slices (contents dropped when one
 // re-allocates: every evaluation writes what it reads).
 func (e *Eval) grow(nB int) {
+	if cap(e.weight) < nB {
+		e.primed = nil // the fill parameters re-allocate below
+	}
 	e.weight = resize(e.weight, nB)
 	e.demand = resize(e.demand, nB)
 	e.tDemand = resize(e.tDemand, nB)

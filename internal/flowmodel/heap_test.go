@@ -399,7 +399,7 @@ func TestLazyHeapFillDifferential(t *testing.T) {
 				cand[mv[1]].Flows += n
 				changed := []int{min(mv[0], mv[1]), max(mv[0], mv[1])}
 				requireFill("full fill of a candidate", 0, full, cand, full.Evaluate(cand))
-				requireFill("sub-fill", 1, sub, cand, sub.EvaluateDelta(&base, cand, changed))
+				requireFill("sub-fill", 1, sub, cand, sub.EvaluateDelta(sub.Closure(&base), cand, changed))
 				if k%4 == 0 { // keep the move: later sub-fills run against a patched base
 					res, _ := sub.CommitDelta(&base, cand, changed)
 					requireFill("committed sub-fill", 1, sub, cand, res)

@@ -36,7 +36,7 @@ import (
 // fell back to a full evaluation and recapture (false — same outcome,
 // full cost). The same contract as EvaluateDelta applies to changed.
 func (e *Eval) CommitDelta(base *Base, bundles []Bundle, changed []int) (*Result, bool) {
-	res, fellBack := e.evaluateDelta(base, bundles, changed, false, math.Inf(-1))
+	res, fellBack := e.evaluateDelta(e.Closure(base), bundles, changed, false, math.Inf(-1))
 	if fellBack {
 		e.captureState(bundles, res, base)
 		return res, false

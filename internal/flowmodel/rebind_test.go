@@ -51,8 +51,8 @@ func TestEvalRebindMatchesFreshArena(t *testing.T) {
 				continue
 			}
 			want := fresh.Evaluate(cand)
-			requireIdentical(t, tag+" delta", want, kept.EvaluateDelta(&base, cand, changed))
-			if u, fell := kept.EvaluateDeltaUtility(&base, cand, changed, math.Inf(-1)); u != want.NetworkUtility || fell {
+			requireIdentical(t, tag+" delta", want, kept.EvaluateDelta(kept.Closure(&base), cand, changed))
+			if u, fell := kept.EvaluateDeltaUtility(kept.Closure(&base), cand, changed, math.Inf(-1)); u != want.NetworkUtility || fell {
 				t.Fatalf("%s: utility-only %v (fallback %v), full %v", tag, u, fell, want.NetworkUtility)
 			}
 			if k%5 == 0 {

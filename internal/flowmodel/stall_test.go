@@ -119,6 +119,7 @@ func TestStallGuardDelta(t *testing.T) {
 	cand[0].Flows = 0
 	cand[1].Flows = 3 // unchanged count, but listed as changed
 	want := m.NewEval().Evaluate(cand).Clone()
-	got := m.NewEval().EvaluateDelta(&base, cand, []int{0, 1})
+	arena := m.NewEval()
+	got := arena.EvaluateDelta(arena.Closure(&base), cand, []int{0, 1})
 	requireIdentical(t, "stall delta", want, got)
 }
