@@ -424,7 +424,7 @@ func TestStepEventCountsWhatTheRuleSkips(t *testing.T) {
 		t.Errorf("fubar_core_candidates_collected_total = %d, candidates scored = %d", got, sol.Delta.Calls)
 	}
 	step, candidates, refuted, proofs := 0, 0, 0, 0
-	for _, ev := range tel.Tracer.Recent() {
+	for _, ev := range traceEvents(tel) {
 		switch ev.Name {
 		case "core.step":
 			step++
@@ -458,7 +458,7 @@ func TestStepEventCountsWhatTheRuleSkips(t *testing.T) {
 		t.Errorf("stop %v: %d core.proof events, %d fubar_core_proof_seconds observations, want one of each", sol.Stop, proofs, n)
 	}
 	sol, tel, _, _ = run(1)
-	for _, ev := range tel.Tracer.Recent() {
+	for _, ev := range traceEvents(tel) {
 		if ev.Name == "core.proof" {
 			t.Errorf("stop %v: a core.proof event %v", sol.Stop, ev.Fields)
 		}
@@ -466,4 +466,11 @@ func TestStepEventCountsWhatTheRuleSkips(t *testing.T) {
 	if n := tel.Snapshot().Histograms["fubar_core_proof_seconds"].Count; sol.Stop != StopMaxSteps || n != 0 {
 		t.Errorf("stop %v: %d fubar_core_proof_seconds observations", sol.Stop, n)
 	}
+}
+
+// traceEvents is every event tel's tracer holds, oldest first.
+func traceEvents(tel *telemetry.Telemetry) []telemetry.Event {
+	recent, _, cancel := tel.Tracer.Subscribe()
+	cancel()
+	return recent
 }

@@ -286,6 +286,21 @@ func TestOptimizeChunkedEmptyBody(t *testing.T) {
 	}
 }
 
+// TestOptimizeTimeoutBounded: a negative timeout_ms, or one whose
+// milliseconds overflow a time.Duration, is a 400 that never reaches the
+// controller; the largest one a time.Duration holds is a deadline.
+func TestOptimizeTimeoutBounded(t *testing.T) {
+	_, ts, fakes := newTestServer(t, Config{}, nil)
+	mustPost(t, ts.URL+"/v1/tenants", CreateTenantRequest{ID: "a", Topology: testTopology}, http.StatusCreated)
+	for _, ms := range []int64{-1, 9223372036855, 10000000000000} {
+		mustPost(t, ts.URL+"/v1/tenants/a/optimize", OptimizeRequest{TimeoutMs: ms}, http.StatusBadRequest)
+	}
+	if (*fakes)[0].maxFlight.Load() != 0 {
+		t.Fatalf("a refused optimize reached the controller")
+	}
+	mustPost(t, ts.URL+"/v1/tenants/a/optimize", OptimizeRequest{TimeoutMs: 9223372036854}, http.StatusOK)
+}
+
 func TestReplayStreamAndDisconnect(t *testing.T) {
 	_, ts, fakes := newTestServer(t, Config{}, func() *fakeController {
 		return &fakeController{epochDelay: 2 * time.Millisecond}

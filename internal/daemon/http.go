@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -128,6 +129,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// maxTimeoutMs is the largest timeout_ms a time.Duration holds.
+const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
+
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	t, release, ok := s.acquire(r.PathValue("id"))
 	if !ok {
@@ -140,6 +144,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil && err != io.EOF {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad optimize body: %w", err))
+		return
+	}
+	if req.TimeoutMs < 0 || req.TimeoutMs > maxTimeoutMs {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("daemon: timeout_ms %d outside [0, %d] (0 sets no deadline)", req.TimeoutMs, maxTimeoutMs))
 		return
 	}
 	ctx, stop := workCtx(r.Context(), t)

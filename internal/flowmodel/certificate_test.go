@@ -107,3 +107,15 @@ func TestMaxMinCertificate(t *testing.T) {
 		t.Fatalf("only %d commits certified", commits)
 	}
 }
+
+// TestMaxMinCertificateScalePresets holds the full fill of the scale
+// presets' lowest-delay lists — 538, 1,694 and 5,480 seeded links, the
+// largest fills any instance here runs — to the same certificate.
+func TestMaxMinCertificateScalePresets(t *testing.T) {
+	for _, p := range scalePresets {
+		m, list := p.instance(t, 1)
+		if v := maxMinViolation(m.Topology(), m.Matrix(), list, m.NewEval().Evaluate(list).BundleRate, 1e-9); v != "" {
+			t.Fatalf("%s: %s", p.name, v)
+		}
+	}
+}

@@ -81,12 +81,8 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 }
 
 // BenchmarkEvaluateFull times a full Evaluate of the scale presets'
-// lowest-delay lists (every aggregate's flows on its lowest-delay path) in
-// each mode of the saturation-event queue: auto, the mode Evaluate picks —
-// scan up to scanMaxLinks seeded links, the heap above — and scan and heap
-// forced. links is the number of links the fill seeds; scan against heap
-// per preset is the measurement scanMaxLinks is set from, and auto must
-// keep every preset at or under the heap.
+// lowest-delay lists (every aggregate's flows on its lowest-delay path).
+// links is the number of links the fill seeds.
 func BenchmarkEvaluateFull(b *testing.B) {
 	for _, p := range scalePresets {
 		m, bundles := p.instance(b, 1)
@@ -96,19 +92,15 @@ func BenchmarkEvaluateFull(b *testing.B) {
 				seeded++
 			}
 		}
-		for _, mode := range append([]queueMode{{"auto", scanMaxLinks}}, queueModes...) {
-			b.Run(p.name+"/"+mode.name, func(b *testing.B) {
-				defer func(k int) { scanMaxLinks = k }(scanMaxLinks)
-				scanMaxLinks = mode.max
-				arena := m.NewEval()
+		b.Run(p.name, func(b *testing.B) {
+			arena := m.NewEval()
+			arena.Evaluate(bundles)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				arena.Evaluate(bundles)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					arena.Evaluate(bundles)
-				}
-				b.ReportMetric(float64(seeded), "links")
-			})
-		}
+			}
+			b.ReportMetric(float64(seeded), "links")
+		})
 	}
 }

@@ -166,7 +166,7 @@ type Eval struct {
 	linkW      []float64
 	linkFrozen []float64
 	linkBun    [][]int32 // per link: bundles crossing it
-	events     linkHeap  // pending link-saturation events
+	events     linkQueue // pending link-saturation events
 	// stallClears counts residual-float-weight stall-guard activations
 	// (the linkW-dust branch of the fill loop), for tests.
 	stallClears int64

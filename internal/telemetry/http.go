@@ -43,9 +43,9 @@ func TraceHandler(t *Telemetry) http.Handler {
 		}
 		enc := json.NewEncoder(w)
 		flusher, _ := w.(http.Flusher)
-		ch, cancel := t.Tracer.Subscribe()
+		recent, ch, cancel := t.Tracer.Subscribe()
 		defer cancel()
-		for _, ev := range t.Tracer.Recent() {
+		for _, ev := range recent {
 			if enc.Encode(ev) != nil {
 				return
 			}

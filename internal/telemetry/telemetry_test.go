@@ -155,13 +155,14 @@ func TestConcurrentUpdates(t *testing.T) {
 
 func TestTracerRingAndSubscribe(t *testing.T) {
 	tr := NewTracer()
-	ch, cancel := tr.Subscribe()
+	_, ch, cancel := tr.Subscribe()
 	defer cancel()
 	start := time.Now()
 	for i := 0; i < traceRingSize+10; i++ {
 		tr.Emit("core.step", start, map[string]any{"step": i})
 	}
-	recent := tr.Recent()
+	recent, _, cancelLate := tr.Subscribe()
+	cancelLate()
 	if len(recent) != traceRingSize {
 		t.Fatalf("recent = %d events, want %d", len(recent), traceRingSize)
 	}
@@ -176,6 +177,39 @@ func TestTracerRingAndSubscribe(t *testing.T) {
 	}
 	cancel()
 	cancel() // double-cancel must not panic
+}
+
+// TestSubscribeSeam: an event emitted before Subscribe is in its snapshot
+// and not on its channel, one emitted after is on the channel and not in
+// the snapshot — /trace, which writes both, sends every event once.
+func TestSubscribeSeam(t *testing.T) {
+	tr := NewTracer()
+	start := time.Now()
+	for i := 0; i < 3; i++ {
+		tr.Emit("before", start, map[string]any{"i": i})
+	}
+	recent, ch, cancel := tr.Subscribe()
+	for i := 0; i < 3; i++ {
+		tr.Emit("after", start, map[string]any{"i": i})
+	}
+	cancel()
+	var live []Event
+	for ev := range ch {
+		live = append(live, ev)
+	}
+	for _, got := range []struct {
+		name   string
+		events []Event
+	}{{"before", recent}, {"after", live}} {
+		if len(got.events) != 3 {
+			t.Fatalf("%d events %s subscribing, want 3: %+v", len(got.events), got.name, got.events)
+		}
+		for i, ev := range got.events {
+			if ev.Name != got.name || ev.Fields["i"] != i {
+				t.Fatalf("event %d %s subscribing = %+v", i, got.name, ev)
+			}
+		}
+	}
 }
 
 func TestHandlerMetricsAndTrace(t *testing.T) {

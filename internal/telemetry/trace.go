@@ -69,23 +69,19 @@ func (t *Tracer) Emit(name string, start time.Time, fields map[string]any) {
 	t.mu.Unlock()
 }
 
-// Recent returns the buffered events, oldest first.
-func (t *Tracer) Recent() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Event
-	if t.full {
-		out = append(out, t.ring[t.next:]...)
-	}
-	out = append(out, t.ring[:t.next]...)
-	return out
-}
-
-// Subscribe registers a channel that receives every event emitted after
-// the call. The returned cancel function unregisters and closes it.
-func (t *Tracer) Subscribe() (<-chan Event, func()) {
+// Subscribe returns the buffered events, oldest first, and registers a
+// channel that receives every event emitted after them: the snapshot and
+// the registration share one critical section, so each event is in exactly
+// one of the two. The returned cancel function unregisters and closes the
+// channel.
+func (t *Tracer) Subscribe() ([]Event, <-chan Event, func()) {
 	ch := make(chan Event, 256)
 	t.mu.Lock()
+	var recent []Event
+	if t.full {
+		recent = append(recent, t.ring[t.next:]...)
+	}
+	recent = append(recent, t.ring[:t.next]...)
 	t.subs[ch] = struct{}{}
 	t.mu.Unlock()
 	cancel := func() {
@@ -96,5 +92,5 @@ func (t *Tracer) Subscribe() (<-chan Event, func()) {
 		}
 		t.mu.Unlock()
 	}
-	return ch, cancel
+	return recent, ch, cancel
 }
