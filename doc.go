@@ -121,9 +121,9 @@
 // goroutines can evaluate one model concurrently as long as each owns its
 // arena. The optimizer exploits this: WithWorkers (default
 // GOMAXPROCS) sets how many goroutines evaluate each step's candidate
-// moves in parallel, each on a private arena. Candidate collection is
-// sharded across the same worker count (per-shard path generators,
-// index-ordered merge), and each worker scores candidates by
+// moves in parallel, each on a private arena. Candidate collection runs
+// on the optimizer's goroutine and its one path generator, and each
+// worker scores candidates by
 // patch-and-revert on a persistent trial buffer — two entries written
 // and reverted per candidate, no per-candidate list copy. Move
 // selection replays candidates in a fixed order, so every worker count

@@ -11,17 +11,16 @@
 // aggregates — to escape local optima (§2.5, "Escaping local optima");
 // when even whole-aggregate moves cannot improve utility, it terminates.
 //
-// # Parallel candidate collection and evaluation
+// # Serial candidate collection, parallel evaluation
 //
 // Trial evaluations dominate the runtime: every step tests each
 // (aggregate × crossing-bundle × alternative) candidate with a
-// water-filling over all bundles. Both halves of the step pipeline fan
-// out over Options.Workers goroutines (default GOMAXPROCS). Collection
-// visits only the aggregates that can have a bundle on the stepped link —
-// the base's crossers of it — and shards their §2.4 alternative
-// enumeration in fixed chunks with an index-ordered merge, so the
-// candidate list is the serial scan's at any worker count. Evaluation
-// then fans the candidates out over workers, each owning a private
+// water-filling over all bundles. Collection runs on the calling goroutine
+// and the optimizer's one path generator: it visits, in ascending order,
+// only the aggregates that can have a bundle on the stepped link — the
+// base's crossers of it — and lists their §2.4 alternatives. Evaluation
+// then fans the candidates out over Options.Workers goroutines (default
+// GOMAXPROCS), each owning a private
 // flowmodel.Eval arena and a persistent trial buffer, copied from the dense
 // committed list once per layout and patched with it on every commit: a
 // candidate writes its two patched entries, evaluates, and reverts them
@@ -142,9 +141,10 @@ type Options struct {
 	MaxPathsPerAggregate int
 	// MaxSteps bounds committed moves; 0 means unbounded.
 	MaxSteps int
-	// Workers is the number of goroutines evaluating candidate moves per
-	// step, each with a private flowmodel.Eval arena. Default GOMAXPROCS;
-	// 1 evaluates serially on the calling goroutine. Any value commits
+	// Workers is the number of goroutines scoring candidate moves per
+	// step, each with a private flowmodel.Eval arena; collection runs on
+	// the calling goroutine at any value. Default GOMAXPROCS; 1 scores
+	// serially on the calling goroutine too. Any value commits
 	// the exact move sequence of Workers=1 — except when the run's
 	// context deadline truncates it, since faster workers then fit more
 	// steps before the cutoff (a deadline makes even two Workers=1 runs
@@ -162,7 +162,7 @@ type Options struct {
 	// so a callback may read plain (non-atomic) state it owns.
 	Trace func(Snapshot)
 	// Telemetry, if set, receives live metrics (step/candidate counters,
-	// delta-evaluation activity, shard-merge and step wall time) and
+	// delta-evaluation activity, step and proof wall time) and
 	// step span events. Instrumentation is atomic-counter cheap, never
 	// influences control flow, and is skipped entirely when nil.
 	Telemetry *telemetry.Telemetry
@@ -267,8 +267,8 @@ type Solution struct {
 	// in place. Identical at any Workers.
 	ListBuilds int
 	// Paths counts how the run's path lookups were answered — memo,
-	// donor, tree or search — summed over the collection shards'
-	// generators.
+	// donor, tree or search — by the optimizer's one generator. Identical
+	// at any Workers.
 	Paths pathgen.Stats
 	// RefutedBundles counts the (step, bundle) pairs collection did not
 	// enumerate because a failed step had already scored the bundle's
@@ -318,7 +318,7 @@ type aggState struct {
 
 // Optimizer runs FUBAR on one topology + traffic matrix. Construct with
 // New; every Run restarts from scratch, and Rebind moves the optimizer —
-// generators, arenas, base and scratch — to the next instance.
+// generator, arenas, base and scratch — to the next instance.
 type Optimizer struct {
 	model *flowmodel.Model
 	gen   *pathgen.Generator
@@ -372,20 +372,31 @@ type Optimizer struct {
 	// scratch
 	// congAsc is the step's congested links in ascending order — the form
 	// the path generator keys exclusion sets by — sorted once per
-	// collection; collection workers only read it.
+	// collection.
 	congAsc []graph.EdgeID
 	cands   []candidate
 	// walk is the step's aggregates to collect from, ascending (walkAggs).
 	walk []int32
+	// usedStamp[e] == usedEpoch marks links the aggregate alternativesFor
+	// looks up uses; bumping the epoch invalidates all marks without an
+	// O(numLinks) clear. congUsed is that aggregate's congested ∩ used
+	// links, ascending, and alts its de-duplicated alternatives; crossBuf is
+	// crossingPaths' answer. Each is valid until the call that fills it runs
+	// again.
+	usedStamp []uint32
+	usedEpoch uint32
+	congUsed  []graph.EdgeID
+	alts      []graph.Path
+	crossBuf  []int
 
 	// refutedStamp[l] == passEpoch marks link l as one whose step failed in
 	// the current pass: every candidate of every positive-flow bundle
 	// crossing it scored at most uInit + minGain against the allocation the
 	// pass still holds (see Run). One stamp per link, no per-candidate
 	// storage; bumping the epoch per pass invalidates all of them without an
-	// O(numLinks) clear. Written by Run between steps only, so collection
-	// shards read it freely. refutedAny says whether the pass has stamped a
-	// link yet — the first step of every pass skips the check entirely.
+	// O(numLinks) clear. Written by Run between steps only. refutedAny says
+	// whether the pass has stamped a link yet — the first step of every pass
+	// skips the check entirely.
 	refutedStamp []uint32
 	passEpoch    uint32
 	refutedAny   bool
@@ -411,13 +422,6 @@ type Optimizer struct {
 	refutedLink  int
 	refutedLevel int
 
-	// collectors are the persistent candidate-collection shards, one per
-	// collection goroutine: a private path generator plus the per-link
-	// scratch alternativesFor needs, grown on demand up to
-	// Options.Workers. collectors[0] shares the optimizer's generator
-	// (and so the memo initAllocation's lowest-delay searches filled).
-	collectors []*collector
-
 	// workers are the persistent trial evaluators, one arena + bundle
 	// buffer each, grown on demand up to Options.Workers.
 	workers []*worker
@@ -434,7 +438,7 @@ type Optimizer struct {
 	// Options.Telemetry (nil when telemetry is off); pubDelta is the
 	// portion of the workers' cumulative DeltaStats already folded into
 	// the registry, so each step publishes only the diff; pubPaths
-	// likewise for the generators' lookup counters.
+	// likewise for the generator's lookup counters.
 	tm       *telemetry.CoreMetrics
 	tracer   *telemetry.Tracer
 	pubDelta flowmodel.DeltaStats
@@ -452,35 +456,6 @@ type worker struct {
 	buf     []flowmodel.Bundle
 	syncGen uint64
 	changed [2]int // delta changed-index scratch (from, to dense indices)
-}
-
-// collector is one candidate-collection shard: a private path generator
-// (pathgen.Generator is not concurrency-safe) plus the scratch
-// crossingPaths and alternativesFor mutate per aggregate.
-type collector struct {
-	gen *pathgen.Generator
-	// usedStamp[e] == usedEpoch marks links the current aggregate uses;
-	// bumping the epoch invalidates all marks without an O(numLinks)
-	// clear.
-	usedStamp []uint32
-	usedEpoch uint32
-	// congUsed is the current aggregate's congested ∩ used links,
-	// ascending; alts its de-duplicated alternatives. Both are valid until
-	// the next alternativesFor.
-	congUsed []graph.EdgeID
-	alts     []graph.Path
-	crossBuf []int
-	// refutedLink and refutedLevel count the crossing bundles this shard
-	// skipped as refuted, by either rule, in the current collection; grew
-	// says whether it appended a path to a set, which re-lays the list out.
-	refutedLink, refutedLevel int
-	grew                      bool
-	// cands accumulates this shard's candidates; chunkEnd[k] is the end
-	// offset of the shard's k-th owned chunk, in claim order, so the
-	// index-ordered merge can interleave shards back into global
-	// aggregate order.
-	cands    []candidate
-	chunkEnd []int
 }
 
 // New builds an optimizer.
@@ -501,7 +476,7 @@ func New(model *flowmodel.Model, opts Options) (*Optimizer, error) {
 
 // Rebind points the optimizer at another instance — the next epoch of a
 // replay, whose links failed or recovered and whose matrix moved — keeping
-// what New and the runs since built: the path generators with their memos
+// what New and the runs since built: the path generator with its memo
 // and trees (pathgen.Generator.Retarget), the worker and base arenas
 // (flowmodel.Eval.Rebind), the base and every scratch list. The next
 // Run starts from the new model exactly as a fresh optimizer's would: none
@@ -521,16 +496,6 @@ func (o *Optimizer) Rebind(model *flowmodel.Model, opts Options) error {
 		return err
 	}
 	o.gen.Trim(keep)
-	for _, col := range o.collectors {
-		if col.gen != o.gen {
-			// Retarget validated this exact topology and policy just above.
-			_ = col.gen.Retarget(topo, opts.Policy)
-			col.gen.Trim(keep)
-		}
-		if len(col.usedStamp) != topo.NumLinks() {
-			col.usedStamp = make([]uint32, topo.NumLinks())
-		}
-	}
 	for _, w := range o.workers {
 		w.eval.Rebind(model)
 	}
@@ -539,6 +504,7 @@ func (o *Optimizer) Rebind(model *flowmodel.Model, opts Options) error {
 	}
 	if len(o.refutedStamp) != topo.NumLinks() {
 		o.refutedStamp = make([]uint32, topo.NumLinks())
+		o.usedStamp = make([]uint32, topo.NumLinks())
 	}
 	o.skipRefuted = !refutationOff.Load()
 	o.fullEval = fullEvaluation.Load()
@@ -603,12 +569,9 @@ func (o *Optimizer) run(ctx context.Context, initial []flowmodel.Bundle, sol *So
 	start := time.Now()
 	// Run restarts from scratch, including when a Session reuses this
 	// optimizer: the initial evaluation re-captures the base, and the
-	// per-run counters must not accumulate across calls (the generators'
-	// memos may).
+	// per-run counters must not accumulate across calls (the generator's
+	// memo may).
 	o.gen.ResetStats()
-	for _, col := range o.collectors {
-		col.gen.ResetStats()
-	}
 	if err := o.initAllocation(initial); err != nil {
 		return err
 	}
@@ -811,7 +774,7 @@ loop:
 		sol.Delta.Add(w.eval.DeltaStats())
 	}
 	sol.Base = o.baseStats
-	sol.Paths = o.pathStats()
+	sol.Paths = o.gen.Stats()
 	var totalPaths int
 	nonSelf := 0
 	for _, a := range o.aggs {
@@ -1089,14 +1052,13 @@ type candidate struct {
 // improve-by-minGain rule the serial mutate-evaluate-revert loop used, so
 // any worker count commits the identical move.
 func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.EdgeID, fraction float64) *flowmodel.Result {
-	cands, byLink, byLevel, grew := o.collectCandidates(link, congested, fraction)
+	byLink, byLevel := o.refutedLink, o.refutedLevel
+	cands, grew := o.collectCandidates(link, congested, fraction)
 	o.candidates += len(cands)
-	o.refutedLink += byLink
-	o.refutedLevel += byLevel
 	if o.tm != nil {
 		o.tm.CandidatesCollected.Add(int64(len(cands)))
-		o.tm.RefutedByLink.Add(int64(byLink))
-		o.tm.RefutedByLevel.Add(int64(byLevel))
+		o.tm.RefutedByLink.Add(int64(o.refutedLink - byLink))
+		o.tm.RefutedByLevel.Add(int64(o.refutedLevel - byLevel))
 	}
 	if len(cands) == 0 {
 		return nil // collection appends a path only beside a candidate
@@ -1203,86 +1165,63 @@ func (o *Optimizer) remapBase() bool {
 	return o.baseEval.RemapBase(o.base, o.denseBuf, oldIdx)
 }
 
-// collectChunk is the sharded collection's work granule: contiguous runs
-// of this many walked aggregates are assigned to collection goroutines
-// round-robin. Small enough to balance skewed instances (the expensive
-// aggregates cluster), large enough that the merge bookkeeping stays
-// negligible.
-const collectChunk = 16
-
 // collectCandidates enumerates the step's trial moves without evaluating
-// any of them, over the aggregates walkAggs lists, sharding the
-// per-aggregate enumeration across up to Options.Workers goroutines.
-// Chunks of collectChunk walked aggregates are assigned to shards
-// statically (chunk c → shard c mod workers) and the shard outputs are
-// merged back in global chunk order, so the candidate list — and every
-// path-set mutation, which only ever touches the aggregate being
-// enumerated — is identical to the serial scan's at any worker count.
-// Genuinely new alternative paths are added to their aggregate's path set
-// here (with zero flows — path sets only grow, §2.4), exactly as the serial
-// trial loop did, so enumeration order and the path-set cap behave
-// identically too; grew reports whether any was.
-func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeID, fraction float64) (cands []candidate, byLink, byLevel int, grew bool) {
+// any of them, over the aggregates walkAggs lists, in that order, on the
+// optimizer's generator. Genuinely new alternative paths are added to their
+// aggregate's path set here (with zero flows — path sets only grow, §2.4);
+// grew reports whether any was, which re-lays the list out. The bundles
+// crossingPaths refutes are added to the run's refuted totals.
+func (o *Optimizer) collectCandidates(link graph.EdgeID, congested []graph.EdgeID, fraction float64) (cands []candidate, grew bool) {
 	o.cands = o.cands[:0]
 	o.congAsc = append(o.congAsc[:0], congested...)
 	slices.Sort(o.congAsc)
-	walk := o.walkAggs(link)
-	nChunks := (len(walk) + collectChunk - 1) / collectChunk
-	nw := o.opts.Workers
-	if nw > nChunks {
-		nw = nChunks
-	}
-	if nw <= 1 {
-		o.growCollectors(1)
-		col := o.collectors[0]
-		col.cands = o.cands
-		o.collectAggs(col, walk, link, congested, fraction)
-		o.cands = col.cands
-		col.cands = nil
-	} else {
-		o.growCollectors(nw)
-		var wg sync.WaitGroup
-		for wi := 0; wi < nw; wi++ {
-			col := o.collectors[wi]
-			col.cands = col.cands[:0]
-			col.chunkEnd = col.chunkEnd[:0]
-			wg.Add(1)
-			go func(wi int, col *collector) {
-				defer wg.Done()
-				for c := wi; c < nChunks; c += nw {
-					lo := c * collectChunk
-					hi := min(lo+collectChunk, len(walk))
-					o.collectAggs(col, walk[lo:hi], link, congested, fraction)
-					col.chunkEnd = append(col.chunkEnd, len(col.cands))
-				}
-			}(wi, col)
+	for _, a := range o.walkAggs(link) {
+		ai := int(a)
+		st := &o.aggs[ai]
+		if st.self {
+			continue
 		}
-		wg.Wait()
-		// Index-ordered merge: global chunk order, whichever shard ran
-		// each chunk.
-		var mergeStart time.Time
-		if o.tm != nil {
-			mergeStart = time.Now()
+		// Find this aggregate's bundles crossing the link that neither an
+		// earlier link of the pass nor the level below refuted; with none
+		// left, no path is looked up.
+		crossing := o.crossingPaths(st, link, fraction)
+		if len(crossing) == 0 {
+			continue
 		}
-		for c := 0; c < nChunks; c++ {
-			col := o.collectors[c%nw]
-			k := c / nw
-			lo := 0
-			if k > 0 {
-				lo = col.chunkEnd[k-1]
+		alts := o.alternativesFor(o.gen, ai, st, congested)
+		if len(alts) == 0 {
+			continue
+		}
+		agg := o.mat.Aggregate(traffic.AggregateID(ai))
+		for _, from := range crossing {
+			n := moveSize(agg.Flows, st.flows[from], fraction)
+			if n <= 0 {
+				continue
 			}
-			o.cands = append(o.cands, col.cands[lo:col.chunkEnd[k]]...)
-		}
-		if o.tm != nil {
-			o.tm.CollectMergeSeconds.Observe(time.Since(mergeStart).Seconds())
+			for _, alt := range alts {
+				if alt.Equal(st.set.Path(from)) {
+					continue
+				}
+				ti := st.set.IndexOf(alt)
+				if ti < 0 {
+					// Respect the path-set cap for genuinely new paths.
+					if o.opts.MaxPathsPerAggregate > 0 &&
+						st.set.Len() >= o.opts.MaxPathsPerAggregate {
+						continue
+					}
+					if !st.set.Add(alt) {
+						continue
+					}
+					ti = st.set.Len() - 1
+					st.flows = append(st.flows, 0)
+					st.delays = append(st.delays, o.model.Topology().PathDelay(alt))
+					grew = true
+				}
+				o.cands = append(o.cands, candidate{agg: ai, from: from, to: ti, n: n})
+			}
 		}
 	}
-	for _, col := range o.collectors { // shards that sat this step out hold 0
-		byLink, byLevel = byLink+col.refutedLink, byLevel+col.refutedLevel
-		grew = grew || col.grew
-		col.refutedLink, col.refutedLevel, col.grew = 0, 0, false
-	}
-	return o.cands, byLink, byLevel, grew
+	return o.cands, grew
 }
 
 // walkAggs lists, ascending, the aggregates collection visits for link: an
@@ -1316,85 +1255,6 @@ func (o *Optimizer) walkAggs(link graph.EdgeID) []int32 {
 	}
 	o.walk = append(o.walk, o.inertAggs[k:]...)
 	return o.walk
-}
-
-// collectAggs enumerates candidates for the given aggregates, in order,
-// into the collector's list. Mutations are confined to the aggregates
-// being enumerated (path-set growth) and the collector's own scratch;
-// shared optimizer state — congAsc, the matrix, the options — is
-// read-only, so disjoint lists may run concurrently.
-func (o *Optimizer) collectAggs(col *collector, aggs []int32, link graph.EdgeID, congested []graph.EdgeID, fraction float64) {
-	for _, a := range aggs {
-		ai := int(a)
-		st := &o.aggs[ai]
-		if st.self {
-			continue
-		}
-		// Find this aggregate's bundles crossing the link that neither an
-		// earlier link of the pass nor the level below refuted; with none
-		// left, no path is looked up.
-		crossing := o.crossingPaths(col, st, link, fraction)
-		if len(crossing) == 0 {
-			continue
-		}
-		alts := o.alternativesFor(col, ai, st, congested)
-		if len(alts) == 0 {
-			continue
-		}
-		agg := o.mat.Aggregate(traffic.AggregateID(ai))
-		for _, from := range crossing {
-			n := moveSize(agg.Flows, st.flows[from], fraction)
-			if n <= 0 {
-				continue
-			}
-			for _, alt := range alts {
-				if alt.Equal(st.set.Path(from)) {
-					continue
-				}
-				ti := st.set.IndexOf(alt)
-				if ti < 0 {
-					// Respect the path-set cap for genuinely new paths.
-					if o.opts.MaxPathsPerAggregate > 0 &&
-						st.set.Len() >= o.opts.MaxPathsPerAggregate {
-						continue
-					}
-					if !st.set.Add(alt) {
-						continue
-					}
-					ti = st.set.Len() - 1
-					st.flows = append(st.flows, 0)
-					st.delays = append(st.delays, o.model.Topology().PathDelay(alt))
-					col.grew = true
-				}
-				col.cands = append(col.cands, candidate{agg: ai, from: from, to: ti, n: n})
-			}
-		}
-	}
-}
-
-// growCollectors ensures at least n collection shards exist. Shard 0
-// reuses the optimizer's generator; the rest get private ones
-// (pathgen.Generator is not concurrency-safe).
-func (o *Optimizer) growCollectors(n int) {
-	if n < 1 {
-		n = 1
-	}
-	nL := o.model.Topology().NumLinks()
-	for len(o.collectors) < n {
-		gen := o.gen
-		if len(o.collectors) > 0 {
-			g, err := pathgen.New(o.model.Topology(), o.opts.Policy)
-			if err != nil {
-				// New already validated this exact topology and policy.
-				panic("core: pathgen.New failed for collection shard: " + err.Error())
-			}
-			gen = g
-		}
-		o.collectors = append(o.collectors, &collector{
-			gen:       gen,
-			usedStamp: make([]uint32, nL),
-		})
-	}
 }
 
 // evaluateCandidates fills each candidate's utility, fanning the work out
@@ -1518,11 +1378,11 @@ func (o *Optimizer) growWorkers(n int) {
 // crossingPaths returns the path indices of st whose path uses the link,
 // currently carries flows and is not refuted — bundles a failed step of
 // this pass already scored, and bundles the pass below scored at the move
-// size they still have at fraction, are counted on the collector and left
-// out. The returned slice is the collector's scratch, valid until the next
-// call.
-func (o *Optimizer) crossingPaths(col *collector, st *aggState, link graph.EdgeID, fraction float64) []int {
-	col.crossBuf = col.crossBuf[:0]
+// size they still have at fraction, are added to the run's refuted totals
+// and left out. The returned slice is the optimizer's scratch, valid until
+// the next call.
+func (o *Optimizer) crossingPaths(st *aggState, link graph.EdgeID, fraction float64) []int {
+	o.crossBuf = o.crossBuf[:0]
 	for pi, f := range st.flows {
 		if f <= 0 {
 			continue
@@ -1532,16 +1392,16 @@ func (o *Optimizer) crossingPaths(col *collector, st *aggState, link graph.EdgeI
 			continue
 		}
 		if o.refutedAny && o.skipRefuted && o.refuted(p) {
-			col.refutedLink++
+			o.refutedLink++
 			continue
 		}
 		if o.prevFraction > 0 && o.skipRefuted && moveSize(st.total, f, o.prevFraction) == moveSize(st.total, f, fraction) {
-			col.refutedLevel++
+			o.refutedLevel++
 			continue
 		}
-		col.crossBuf = append(col.crossBuf, pi)
+		o.crossBuf = append(o.crossBuf, pi)
 	}
-	return col.crossBuf
+	return o.crossBuf
 }
 
 // refuted reports whether the path crosses a link whose step failed in the
@@ -1557,27 +1417,28 @@ func (o *Optimizer) refuted(p graph.Path) bool {
 
 // alternativesFor computes the §2.4 trio for an aggregate given the
 // current congestion set (by decreasing oversubscription; o.congAsc holds
-// the same links ascending), on the given collection shard's generator
-// and scratch. The result is the collector's, valid until its next call.
+// the same links ascending), on gen — o.gen in a run; a test compares it
+// against a fresh generator. The result is the optimizer's scratch, valid
+// until the next call.
 //
 // It must not depend on the link being stepped: Run's pass loop skips a
 // bundle at one link because its candidates lost at another, which holds
 // only while the aggregate's alternatives are the same at both.
-func (o *Optimizer) alternativesFor(col *collector, ai int, st *aggState, congested []graph.EdgeID) []graph.Path {
+func (o *Optimizer) alternativesFor(gen *pathgen.Generator, ai int, st *aggState, congested []graph.EdgeID) []graph.Path {
 	// Mark the links the aggregate currently uses: a fresh epoch
 	// invalidates the previous aggregate's marks, so the cost scales with
 	// the aggregate's path lengths, not the topology size.
-	col.usedEpoch++
-	if col.usedEpoch == 0 { // epoch wrapped: old stamps would alias it
-		clear(col.usedStamp)
-		col.usedEpoch = 1
+	o.usedEpoch++
+	if o.usedEpoch == 0 { // epoch wrapped: old stamps would alias it
+		clear(o.usedStamp)
+		o.usedEpoch = 1
 	}
 	for pi, f := range st.flows {
 		if f <= 0 {
 			continue
 		}
 		for _, e := range st.set.Path(pi).Edges {
-			col.usedStamp[e] = col.usedEpoch
+			o.usedStamp[e] = o.usedEpoch
 		}
 	}
 	// The most oversubscribed used link is the first used one in
@@ -1585,31 +1446,31 @@ func (o *Optimizer) alternativesFor(col *collector, ai int, st *aggState, conges
 	// already in the order the generator wants.
 	most := graph.EdgeID(-1)
 	for _, l := range congested {
-		if col.usedStamp[l] == col.usedEpoch {
+		if o.usedStamp[l] == o.usedEpoch {
 			most = l
 			break
 		}
 	}
-	col.congUsed = col.congUsed[:0]
+	o.congUsed = o.congUsed[:0]
 	for _, l := range o.congAsc {
-		if col.usedStamp[l] == col.usedEpoch {
-			col.congUsed = append(col.congUsed, l)
+		if o.usedStamp[l] == o.usedEpoch {
+			o.congUsed = append(o.congUsed, l)
 		}
 	}
 	agg := o.mat.Aggregate(traffic.AggregateID(ai))
-	alts := col.gen.AlternativesAvoiding(agg.Src, agg.Dst, o.congAsc, col.congUsed, most)
+	alts := gen.AlternativesAvoiding(agg.Src, agg.Dst, o.congAsc, o.congUsed, most)
 
-	col.alts = col.alts[:0]
+	o.alts = o.alts[:0]
 	add := func(p graph.Path, ok bool) {
 		if !ok {
 			return
 		}
-		for _, q := range col.alts {
+		for _, q := range o.alts {
 			if q.Equal(p) {
 				return
 			}
 		}
-		col.alts = append(col.alts, p)
+		o.alts = append(o.alts, p)
 	}
 	switch o.opts.AltMode {
 	case AltGlobalOnly:
@@ -1623,7 +1484,7 @@ func (o *Optimizer) alternativesFor(col *collector, ai int, st *aggState, conges
 		add(alts.Local, alts.HasLocal)
 		add(alts.LinkLocal, alts.HasLinkLocal)
 	}
-	return col.alts
+	return o.alts
 }
 
 // moveSize computes N (Listing 2 line 3): whole bundles for small
@@ -1678,7 +1539,7 @@ func (o *Optimizer) trace(s Snapshot) {
 }
 
 // publishDeltaStats folds the workers' cumulative incremental-evaluation
-// counters and the generators' lookup counters into the live registry,
+// counters and the generator's lookup counters into the live registry,
 // adding only the growth since the previous publish. Called once per committed step and once at run end;
 // only reads worker state, so it never perturbs the move sequence.
 func (o *Optimizer) publishDeltaStats() {
@@ -1691,7 +1552,7 @@ func (o *Optimizer) publishDeltaStats() {
 	o.tm.DeltaFallbacks.Add(s.Fallbacks - o.pubDelta.Fallbacks)
 	o.tm.DeltaExpansions.Add(s.Expansions - o.pubDelta.Expansions)
 	o.pubDelta = s
-	p := o.pathStats()
+	p := o.gen.Stats()
 	o.tm.PathMemoHits.Add(p.MemoHits - o.pubPaths.MemoHits)
 	o.tm.PathDonated.Add(p.Donated - o.pubPaths.Donated)
 	o.tm.PathTreeAnswers.Add(p.TreeAnswers - o.pubPaths.TreeAnswers)
@@ -1699,18 +1560,6 @@ func (o *Optimizer) publishDeltaStats() {
 	o.tm.PathTreesBuilt.Add(p.TreesBuilt - o.pubPaths.TreesBuilt)
 	o.tm.PathSettled.Add(p.Settled - o.pubPaths.Settled)
 	o.pubPaths = p
-}
-
-// pathStats sums the lookup counters of the run's generators: the
-// optimizer's own, which collection shard 0 shares, and the other shards'.
-func (o *Optimizer) pathStats() pathgen.Stats {
-	s := o.gen.Stats()
-	for _, col := range o.collectors {
-		if col.gen != o.gen {
-			s.Add(col.gen.Stats())
-		}
-	}
-	return s
 }
 
 // Run is the package-level convenience: build an optimizer over model with

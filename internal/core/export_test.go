@@ -37,14 +37,9 @@ func Evaluating(full bool, f func()) {
 	f()
 }
 
-// PathEntries reports what the optimizer's path generators hold on to
-// (pathgen.Generator.Entries), the largest of them — the count Rebind's
-// Trim bounds. For the external test package, which replays through
-// internal/scenario.
+// PathEntries reports what the optimizer's path generator holds on to
+// (pathgen.Generator.Entries) — the count Rebind's Trim bounds. For the
+// external test package, which replays through internal/scenario.
 func (o *Optimizer) PathEntries() int {
-	n := o.gen.Entries()
-	for _, col := range o.collectors {
-		n = max(n, col.gen.Entries())
-	}
-	return n
+	return o.gen.Entries()
 }

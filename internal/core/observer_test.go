@@ -62,21 +62,24 @@ func TestTraceObserverSingleGoroutine(t *testing.T) {
 }
 
 // TestPathStatsPublished pins the path-lookup counters: Solution.Paths
-// accounts for every lookup of the run whatever the shard count, the
-// registry's fubar_pathgen_lookups_total family, trees built and nodes
-// settled end the run equal to it,
-// a second run on the same optimizer counts afresh over the warm memo,
-// and none of it changes the solution.
+// accounts for every lookup of the run, and is the same whatever the
+// worker count, since collection runs on the optimizer's one generator and
+// only scoring fans out; the registry's fubar_pathgen_lookups_total
+// family, trees built and nodes settled end the run equal to it; a second
+// run on the same optimizer counts afresh over the warm memo; and none of
+// it changes the solution. The instance runs to a local optimum, long
+// enough that a collection split over the workers would search on memos
+// of its own.
 func TestPathStatsPublished(t *testing.T) {
-	topo, mat := congestedInstance(t, 5)
-	plain, _ := runWithOptions(t, topo, mat, Options{Workers: 1, MaxSteps: 15})
+	topo, mat := congestedInstance(t, 3)
+	plain, _ := runWithOptions(t, topo, mat, Options{Workers: 1})
 	for _, workers := range []int{1, 4} {
 		model, err := flowmodel.New(topo, mat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tel := telemetry.New()
-		o, err := New(model, Options{Workers: workers, MaxSteps: 15, Telemetry: tel})
+		o, err := New(model, Options{Workers: workers, Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +95,8 @@ func TestPathStatsPublished(t *testing.T) {
 		if p.Lookups == 0 || p.Lookups != p.MemoHits+p.Donated+p.TreeAnswers+p.Searches {
 			t.Errorf("workers=%d: lookups do not add up: %+v", workers, p)
 		}
-		if p.Lookups != plain.Paths.Lookups {
-			t.Errorf("workers=%d: %d lookups, the serial run made %d", workers, p.Lookups, plain.Paths.Lookups)
+		if p != plain.Paths {
+			t.Errorf("workers=%d: paths %+v, the serial run %+v", workers, p, plain.Paths)
 		}
 		counters := tel.Snapshot().Counters
 		for result, want := range map[string]int64{"memo": p.MemoHits, "donor": p.Donated, "tree": p.TreeAnswers, "search": p.Searches} {

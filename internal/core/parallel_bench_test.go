@@ -68,7 +68,7 @@ func BenchmarkStepCandidates(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cands, _, _, grew := o.collectCandidates(links[0], congested, moveFraction)
+					cands, grew := o.collectCandidates(links[0], congested, moveFraction)
 					if len(cands) == 0 {
 						b.Fatal("no candidates collected")
 					}

@@ -18,14 +18,14 @@ func TestPathMemoExactOnHEOptimization(t *testing.T) {
 	model := heBenchModel(t, 5)
 	topo := model.Topology()
 
-	newCollector := func() *collector {
+	newGenerator := func() *pathgen.Generator {
 		gen, err := pathgen.New(topo, pathgen.Policy{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &collector{gen: gen, usedStamp: make([]uint32, topo.NumLinks())}
+		return gen
 	}
-	long := newCollector()
+	long := newGenerator()
 	var o *Optimizer
 	requests, steps := 0, 0
 	o, err := New(model, Options{Workers: 1, Trace: func(s Snapshot) {
@@ -40,7 +40,7 @@ func TestPathMemoExactOnHEOptimization(t *testing.T) {
 			}
 			requests++
 			got := slices.Clone(o.alternativesFor(long, ai, st, congested))
-			want := o.alternativesFor(newCollector(), ai, st, congested)
+			want := o.alternativesFor(newGenerator(), ai, st, congested)
 			if len(got) != len(want) {
 				t.Fatalf("step %d aggregate %d: %d alternatives, fresh generator %d", s.Step, ai, len(got), len(want))
 			}

@@ -39,8 +39,8 @@ type CreateTenantRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Workers is this tenant's worker budget: how many of the daemon's
 	// global worker tokens one of its optimize/replay calls may hold.
-	// 0 takes the daemon default; values above the global cap are
-	// clamped to it.
+	// 0 takes the daemon default, a negative value is a 400, and values
+	// above the global cap are clamped to it.
 	Workers int `json:"workers,omitempty"`
 }
 

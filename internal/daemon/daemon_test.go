@@ -448,12 +448,14 @@ func TestCreateInstanceBounded(t *testing.T) {
 }
 
 // TestCreateRefusesNegativeCapacity: a negative capacity_mbps is a 400,
-// with an inline topology or a preset, and never reaches the factory.
+// with an inline topology or a preset, and so is a negative worker budget;
+// neither reaches the factory.
 func TestCreateRefusesNegativeCapacity(t *testing.T) {
 	srv, _, fakes := newTestServer(t, Config{}, nil)
 	for _, req := range []CreateTenantRequest{
 		{Topology: testTopology, CapacityMbps: -1},
 		{Preset: "provisioned", CapacityMbps: -0.5},
+		{Topology: testTopology, Workers: -3},
 	} {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -462,7 +464,7 @@ func TestCreateRefusesNegativeCapacity(t *testing.T) {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants", bytes.NewReader(body)))
 		if rec.Code != http.StatusBadRequest {
-			t.Errorf("capacity_mbps %v, preset %q: status %d, want 400: %s", req.CapacityMbps, req.Preset, rec.Code, rec.Body)
+			t.Errorf("capacity_mbps %v, preset %q, workers %d: status %d, want 400: %s", req.CapacityMbps, req.Preset, req.Workers, rec.Code, rec.Body)
 		}
 	}
 	if len(*fakes) != 0 {

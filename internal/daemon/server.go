@@ -106,8 +106,11 @@ func (s *Server) create(req *CreateTenantRequest) (TenantInfo, error) {
 	if req.ID != "" && !validID(req.ID) {
 		return TenantInfo{}, fmt.Errorf("daemon: invalid tenant id %q (want [A-Za-z0-9._-]{1,64})", req.ID)
 	}
+	if req.Workers < 0 {
+		return TenantInfo{}, fmt.Errorf("daemon: negative workers %d (0 takes the daemon default)", req.Workers)
+	}
 	workers := req.Workers
-	if workers <= 0 {
+	if workers == 0 {
 		workers = s.cfg.DefaultWorkers
 	}
 	workers = s.sched.clamp(workers)

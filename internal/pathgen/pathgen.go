@@ -130,17 +130,6 @@ type Stats struct {
 	Settled     int64 `json:"settled"`
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Lookups += other.Lookups
-	s.MemoHits += other.MemoHits
-	s.Donated += other.Donated
-	s.TreeAnswers += other.TreeAnswers
-	s.Searches += other.Searches
-	s.TreesBuilt += other.TreesBuilt
-	s.Settled += other.Settled
-}
-
 // Stats returns the generator's cumulative lookup counters.
 func (g *Generator) Stats() Stats { return g.stats }
 

@@ -41,7 +41,6 @@ type CoreMetrics struct {
 	CandidatesEvaluated *Counter
 	TrialResyncs        *Counter
 	ListBuilds          *Counter
-	CollectMergeSeconds *Histogram
 	StepSeconds         *Histogram
 	ProofSeconds        *Histogram
 
@@ -72,13 +71,12 @@ func (t *Telemetry) Core() *CoreMetrics {
 		Runs:                r.Counter("fubar_core_runs_total", "Optimizer runs started."),
 		Steps:               r.Counter("fubar_core_steps_total", "Committed optimization moves."),
 		Escalations:         r.Counter("fubar_core_escalations_total", "Move-size escalations: local optima at which no candidate improved utility and the optimizer retried with a larger move."),
-		CandidatesCollected: r.Counter("fubar_core_candidates_collected_total", "Candidate moves produced by sharded collection."),
+		CandidatesCollected: r.Counter("fubar_core_candidates_collected_total", "Candidate moves collected over the bundles crossing the stepped link."),
 		RefutedByLink:       r.Counter(`fubar_core_refuted_bundles_total{rule="link"}`, refutedBundlesHelp),
 		RefutedByLevel:      r.Counter(`fubar_core_refuted_bundles_total{rule="level"}`, refutedBundlesHelp),
 		CandidatesEvaluated: r.Counter("fubar_core_candidates_evaluated_total", "Candidate moves scored by workers."),
 		TrialResyncs:        r.Counter("fubar_core_trial_resyncs_total", "Worker trial buffers resynced with a full copy of the bundle list; only a layout change (fubar_core_list_builds_total) calls for one, as commits patch synced buffers in place."),
 		ListBuilds:          r.Counter("fubar_core_list_builds_total", "Builds of an optimizer run's bundle list: one per run, plus one per step whose collection appended a path to a set."),
-		CollectMergeSeconds: r.Histogram("fubar_core_collect_merge_seconds", "Wall time of the index-ordered candidate shard merge.", SecondsBuckets),
 		StepSeconds:         r.Histogram("fubar_core_step_seconds", "Wall time of one optimizer step.", SecondsBuckets),
 		ProofSeconds:        r.Histogram("fubar_core_proof_seconds", "Wall time of the commit-free passes that ended a run at a local optimum.", SecondsBuckets),
 		DeltaCalls:          r.Counter("fubar_eval_delta_calls_total", "Full-result incremental (delta) evaluations."),

@@ -147,8 +147,8 @@ func TestSessionClosedLoopMatchesFreeFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strip the per-epoch install copies (streaming detail carried by
-	// both collectors) before the table comparison — the sequence logs
+	// Strip the per-epoch install copies (streaming detail both results
+	// carry) before the table comparison — the sequence logs
 	// are compared via Result.Installs below.
 	for i := range got.Epochs {
 		if len(got.Epochs[i].Installs) == 0 {
