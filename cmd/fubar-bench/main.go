@@ -41,6 +41,7 @@ import (
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
 	"fubar/internal/utility"
+	"fubar/internal/verify"
 )
 
 // benchCtx is the run's root context, cancelled by SIGINT/SIGTERM so
@@ -294,7 +295,8 @@ func annealCompare(seed int64) error {
 }
 
 // validate compares the analytic model's bundle rates with the dynamic
-// simulation's time averages, for both shortest-path and FUBAR routing.
+// simulation's time averages, for both shortest-path and FUBAR routing,
+// once internal/verify has certified each allocation and its rates.
 func validate(seed int64) error {
 	topo, mat, err := benchInstance(seed)
 	if err != nil {
@@ -308,6 +310,12 @@ func validate(seed int64) error {
 	eval := model.NewEval()
 	addCase := func(name string, bundles []flowmodel.Bundle) error {
 		res := eval.Evaluate(bundles)
+		if err := verify.Allocation(topo, mat, bundles, nil); err != nil {
+			return fmt.Errorf("validate: %s: %w", name, err)
+		}
+		if err := verify.MaxMin(topo, mat, bundles, res.BundleRate, 1e-9); err != nil {
+			return fmt.Errorf("validate: %s: %w", name, err)
+		}
 		simRes, err := dsim.Simulate(topo, mat, bundles, seed)
 		if err != nil {
 			return err

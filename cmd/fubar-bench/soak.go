@@ -102,8 +102,9 @@ func soakBounded(samples []uint64) bool {
 // soakBench streams a soak timeline of epochs epochs through the plain
 // replay and epochs/10 through the closed loop, sampling forced-GC heap
 // watermarks sixteen times per leg, recording downsampled trajectories,
-// and failing loudly if either leg's watermark grows or the closed
-// loop's wire ledger stops reconciling. This is the nightly
+// and failing loudly if either leg's watermark grows or an epoch fails
+// scenario.EpochResult.Check (the closed loop's wire ledger stops
+// reconciling, or an epoch black-holes). This is the nightly
 // million-epoch job; the PR smoke leg runs it with -soak-epochs 50000.
 // With a baselinePath the fresh record is additionally diffed against
 // the checked-in baseline (see soakDiff) and envelope regressions fail
@@ -140,8 +141,8 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 		if err != nil {
 			return err
 		}
-		if er.Utility <= 0 {
-			return fmt.Errorf("soak: epoch %d black-holed (utility %v)", er.Epoch, er.Utility)
+		if err := er.Check(); err != nil {
+			return fmt.Errorf("soak: %w", err)
 		}
 		plainTraj.Observe(&er)
 		n++
@@ -159,7 +160,6 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 	clTraj := scenario.NewTrajectoryRecorder(clSc.Name, clEpochs, trajPoints)
 	clInterval := clEpochs / 16
 	var clSamples []uint64
-	reconciled := true
 	n = 0
 	start = time.Now()
 	cp, err := scenario.NewControlPlane(topo, mat, opts)
@@ -171,11 +171,8 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 		if err != nil {
 			return err
 		}
-		if er.WireFlowMods != er.InstallAcks {
-			reconciled = false
-		}
-		if er.TrueUtility <= 0 {
-			return fmt.Errorf("soak: closed-loop epoch %d black-holed (true utility %v)", er.Epoch, er.TrueUtility)
+		if err := er.Check(); err != nil {
+			return fmt.Errorf("soak: closed loop: %w", err)
 		}
 		clTraj.Observe(&er)
 		n++
@@ -206,7 +203,7 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 		ClosedEpochsPerSec:  float64(clEpochs) / clT.Seconds(),
 		ClosedHeapSamples:   clSamples,
 		ClosedHeapBounded:   soakBounded(clSamples),
-		WireReconciled:      reconciled,
+		WireReconciled:      true, // every closed-loop epoch passed Check, whose ledger rule this reports
 		Trajectory:          plainTraj.Trajectory(),
 		ClosedLoopTrajector: clTraj.Trajectory(),
 	}
@@ -238,9 +235,6 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 	if !rec.ClosedHeapBounded {
 		return fmt.Errorf("soak: closed-loop replay heap watermark grew: %v", clSamples)
 	}
-	if !reconciled {
-		return fmt.Errorf("soak: closed-loop wire ledger stopped reconciling")
-	}
 	if baselinePath != "" {
 		if err := soakDiff(&rec, baselinePath); err != nil {
 			return err
@@ -254,8 +248,8 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 // and fails on any regression of the deterministic envelope: the
 // downsampled trajectories of both legs must match point for point
 // (replays are bit-identical per seed at any worker count, so a
-// divergence is a behavior change, not noise), and the heap-bounded and
-// wire-reconciled flags must not flip off. Machine-dependent fields —
+// divergence is a behavior change, not noise), and the heap-bounded
+// flags must not flip off. Machine-dependent fields —
 // wall times, epochs/sec, heap magnitudes — are ignored. The baseline's
 // instance key (scenario, seed, epoch counts, period, topology) must
 // match, otherwise the comparison is meaningless and the run fails with
@@ -282,9 +276,6 @@ func soakDiff(rec *soakBenchRecord, baselinePath string) error {
 	}
 	if base.ClosedHeapBounded && !rec.ClosedHeapBounded {
 		return fmt.Errorf("soak: regression vs %s: closed-loop heap no longer bounded", baselinePath)
-	}
-	if base.WireReconciled && !rec.WireReconciled {
-		return fmt.Errorf("soak: regression vs %s: wire ledger no longer reconciles", baselinePath)
 	}
 	if err := soakTrajDiff("plain", base.Trajectory, rec.Trajectory); err != nil {
 		return fmt.Errorf("soak: regression vs %s: %w", baselinePath, err)

@@ -18,6 +18,7 @@ import (
 	"fubar/internal/scenario"
 	"fubar/internal/topology"
 	"fubar/internal/utility"
+	"fubar/internal/verify"
 )
 
 // optimizeOnce runs one cold optimization through a throwaway Session.
@@ -343,11 +344,8 @@ func TestFacadeControlPlane(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ReplayClosedLoop: %v", err)
 		}
-		if er.InstallAcks != er.WireFlowMods {
-			t.Fatalf("epoch %d: %d acks for %d wire FlowMods", er.Epoch, er.InstallAcks, er.WireFlowMods)
-		}
-		if er.TrueUtility <= 0 {
-			t.Fatalf("epoch %d: true utility %v", er.Epoch, er.TrueUtility)
+		if err := er.Check(); err != nil {
+			t.Fatal(err)
 		}
 		epochs++
 		flowMods += er.WireFlowMods
@@ -416,21 +414,25 @@ func TestFacadeScenarioReplay(t *testing.T) {
 	if cres.Epochs[1].FailedLinks != 1 || cres.Epochs[2].FailedLinks != 0 {
 		t.Fatalf("failure timeline not reflected: %+v", cres.Epochs)
 	}
-	// Warm-start repair of a session solution around a forbidden link.
+	// The session's solution, on the optimizer those replays borrowed, is a
+	// certified max-min allocation of its matrix; its warm-start repair
+	// around a forbidden link is an allocation under that policy.
 	sol, err := s.Optimize(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := verify.Allocation(topo, mat, sol.Bundles, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.MaxMin(topo, mat, sol.Bundles, sol.Result.BundleRate, 1e-9); err != nil {
+		t.Fatalf("%d steps: %v", sol.Steps, err)
 	}
 	forb := pathgen.ForbidLinks(topo, 0)
 	repaired, _, err := core.RepairWarmStart(topo, mat, sol.Bundles, Policy{ForbiddenLinks: forb}, 0)
 	if err != nil {
 		t.Fatalf("RepairWarmStart: %v", err)
 	}
-	for _, b := range repaired {
-		for _, e := range b.Edges {
-			if forb[e] {
-				t.Fatalf("repaired bundle crosses forbidden link: %+v", b)
-			}
-		}
+	if err := verify.Allocation(topo, mat, repaired, forb); err != nil {
+		t.Fatalf("repaired: %v", err)
 	}
 }

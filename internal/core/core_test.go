@@ -7,12 +7,12 @@ import (
 	"time"
 
 	"fubar/internal/flowmodel"
-	"fubar/internal/graph"
 	"fubar/internal/pathgen"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
 	"fubar/internal/utility"
+	"fubar/internal/verify"
 )
 
 // twoPath builds a topology where the lowest-delay path is too small for
@@ -150,14 +150,8 @@ func TestFlowConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[traffic.AggregateID]int{}
-	for _, b := range sol.Bundles {
-		got[b.Agg] += b.Flows
-	}
-	for i, a := range aggs {
-		if got[traffic.AggregateID(i)] != a.Flows {
-			t.Errorf("aggregate %d: %d flows allocated, want %d", i, got[traffic.AggregateID(i)], a.Flows)
-		}
+	if err := verify.Allocation(topo, m.Matrix(), sol.Bundles, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -277,23 +271,14 @@ func TestOptimizerInvariantsOnRing(t *testing.T) {
 	if sol.Utility < sol.InitialUtility-1e-9 {
 		t.Errorf("final %v below shortest-path %v", sol.Utility, sol.InitialUtility)
 	}
-	for l := 0; l < topo.NumLinks(); l++ {
-		if sol.Result.LinkLoad[l] > float64(topo.Capacity(graph.EdgeID(l)))*(1+1e-9) {
-			t.Errorf("link %d over capacity", l)
-		}
-	}
 	if sol.PathsPerAggregate < 1 {
 		t.Errorf("paths per aggregate = %v, want >= 1", sol.PathsPerAggregate)
 	}
-	// All flows conserved.
-	got := map[traffic.AggregateID]int{}
-	for _, b := range sol.Bundles {
-		got[b.Agg] += b.Flows
+	if err := verify.Allocation(topo, mat, sol.Bundles, nil); err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range mat.Aggregates() {
-		if got[a.ID] != a.Flows {
-			t.Fatalf("aggregate %d flow count %d != %d", a.ID, got[a.ID], a.Flows)
-		}
+	if err := verify.MaxMin(topo, mat, sol.Bundles, sol.Result.BundleRate, 1e-9); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -445,12 +430,8 @@ func TestPolicyRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range sol.Bundles {
-		for _, e := range b.Edges {
-			if e == ac {
-				t.Error("solution uses forbidden link")
-			}
-		}
+	if err := verify.Allocation(topo, m.Matrix(), sol.Bundles, forbidden); err != nil {
+		t.Error(err)
 	}
 	if sol.Stop != StopLocalOptimum {
 		t.Errorf("stop = %v, want local-optimum (congestion unavoidable)", sol.Stop)

@@ -36,7 +36,9 @@ func requireOracle(t *testing.T, topo *topology.Topology, mat *traffic.Matrix, s
 		opts.Core.Workers = w
 		got := replay(t, topo, mat, sc, opts, closed)
 		for i, want := range oracles {
-			requireEquivalent(t, fmt.Sprintf("workers-%d", w), got, fmt.Sprintf("full evaluation at workers-%d", oracleWorkers[i]), want)
+			if err := got.Equivalent(want); err != nil {
+				t.Fatalf("workers-%d vs full evaluation at workers-%d: %v", w, oracleWorkers[i], err)
+			}
 		}
 	}
 }

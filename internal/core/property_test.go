@@ -11,6 +11,7 @@ import (
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
+	"fubar/internal/verify"
 )
 
 // propInstance builds one seeded congested instance.
@@ -98,27 +99,22 @@ func TestPropertyUtilityMonotoneAcrossSteps(t *testing.T) {
 	}
 }
 
-// TestPropertyFlowConservation verifies every aggregate's flows are
-// fully allocated in the final bundle set, across seeds.
+// TestPropertyFlowConservation verifies, across seeds, that the final
+// bundle set places every aggregate's flows exactly once over valid paths
+// and that its rates — carried through every CommitDelta and RemapBase of
+// the run — are certified max-min fair.
 func TestPropertyFlowConservation(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		_, mat, model := propInstance(t, seed)
+		topo, mat, model := propInstance(t, seed)
 		sol, err := Run(context.Background(), model, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: Run: %v", seed, err)
 		}
-		got := make([]int, mat.NumAggregates())
-		for _, b := range sol.Bundles {
-			if b.Flows <= 0 {
-				t.Fatalf("seed %d: bundle with %d flows", seed, b.Flows)
-			}
-			got[b.Agg] += b.Flows
+		if err := verify.Allocation(topo, mat, sol.Bundles, nil); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for i, n := range got {
-			want := mat.Aggregate(traffic.AggregateID(i)).Flows
-			if n != want {
-				t.Fatalf("seed %d: aggregate %d allocates %d flows, want %d", seed, i, n, want)
-			}
+		if err := verify.MaxMin(topo, mat, sol.Bundles, sol.Result.BundleRate, 1e-9); err != nil {
+			t.Fatalf("seed %d, %d steps: %v", seed, sol.Steps, err)
 		}
 	}
 }

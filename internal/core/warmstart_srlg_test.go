@@ -9,6 +9,7 @@ import (
 	"fubar/internal/pathgen"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
+	"fubar/internal/verify"
 )
 
 // srlgPolicy forbids the given physical links, as the scenario engine
@@ -53,13 +54,8 @@ func TestRepairWarmStartSRLGCorrelatedFailure(t *testing.T) {
 	if want := []topology.LinkID{10, 12}; !reflect.DeepEqual(repaired[0].Edges, want) {
 		t.Fatalf("rehomed onto %v, want lowest-delay fallback %v", repaired[0].Edges, want)
 	}
-	forb := policy.ForbiddenLinks
-	for _, b := range repaired {
-		for _, e := range b.Edges {
-			if forb[e] {
-				t.Fatalf("repaired bundle still crosses forbidden link %d", e)
-			}
-		}
+	if err := verify.Allocation(topo, mat, repaired, policy.ForbiddenLinks); err != nil {
+		t.Fatal(err)
 	}
 	// No black hole: the repaired allocation evaluates with every flow
 	// carried at a positive rate.
@@ -124,7 +120,8 @@ func TestRepairWarmStartMaintenanceRoundTrip(t *testing.T) {
 	}
 
 	// Drain the direct link for maintenance.
-	drained, stats, err := RepairWarmStart(topo, mat, installed, srlgPolicy(topo, 0), 0)
+	drain := srlgPolicy(topo, 0)
+	drained, stats, err := RepairWarmStart(topo, mat, installed, drain, 0)
 	if err != nil {
 		t.Fatalf("drain repair: %v", err)
 	}
@@ -134,12 +131,8 @@ func TestRepairWarmStartMaintenanceRoundTrip(t *testing.T) {
 	if len(drained) != 1 || drained[0].Flows != 9 {
 		t.Fatalf("drained = %+v, want one 9-flow bundle on the survivor", drained)
 	}
-	for _, b := range drained {
-		for _, e := range b.Edges {
-			if e == 0 || e == 1 {
-				t.Fatalf("drained allocation still uses the link under maintenance")
-			}
-		}
+	if err := verify.Allocation(topo, mat, drained, drain.ForbiddenLinks); err != nil {
+		t.Fatalf("drained: %v", err)
 	}
 
 	// Maintenance ends: with nothing forbidden the drained allocation is

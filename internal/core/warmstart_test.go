@@ -12,6 +12,7 @@ import (
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
 	"fubar/internal/utility"
+	"fubar/internal/verify"
 )
 
 // fanTopo builds A->B with three parallel two-hop detours:
@@ -159,28 +160,15 @@ func TestRepairWarmStartForbiddenLink(t *testing.T) {
 	if stats.DroppedBundles != 1 || stats.MovedFlows != 6 {
 		t.Fatalf("stats = %+v, want 1 dropped bundle / 6 moved flows", stats)
 	}
-	total := 0
-	for _, b := range repaired {
-		total += b.Flows
-		for _, e := range b.Edges {
-			if e == 0 || e == 1 {
-				t.Fatalf("repaired bundle still crosses forbidden link: %+v", b)
-			}
-		}
-	}
-	if total != 9 {
-		t.Fatalf("repaired total = %d, want 9", total)
+	if err := verify.Allocation(topo, m.Matrix(), repaired, pol.ForbiddenLinks); err != nil {
+		t.Fatalf("repaired: %v", err)
 	}
 	sol, err := runWarm(context.Background(), m, Options{Policy: pol}, repaired)
 	if err != nil {
 		t.Fatalf("warm start after repair rejected: %v", err)
 	}
-	for _, b := range sol.Bundles {
-		for _, e := range b.Edges {
-			if e == 0 || e == 1 {
-				t.Fatalf("solution routed over forbidden link: %+v", b)
-			}
-		}
+	if err := verify.Allocation(topo, m.Matrix(), sol.Bundles, pol.ForbiddenLinks); err != nil {
+		t.Fatalf("solution: %v", err)
 	}
 }
 
@@ -245,15 +233,8 @@ func TestRepairWarmStartRescalesDemand(t *testing.T) {
 		if stats.RescaledAggregates != 1 {
 			t.Fatalf("flows=%d: stats = %+v, want 1 rescaled aggregate", newFlows, stats)
 		}
-		total := 0
-		for _, b := range repaired {
-			if b.Flows <= 0 {
-				t.Fatalf("flows=%d: non-positive bundle %+v", newFlows, b)
-			}
-			total += b.Flows
-		}
-		if total != newFlows {
-			t.Fatalf("flows=%d: repaired total %d", newFlows, total)
+		if err := verify.Allocation(topo, mat, repaired, nil); err != nil {
+			t.Fatalf("flows=%d: %v", newFlows, err)
 		}
 		model, err := flowmodel.New(topo, mat)
 		if err != nil {

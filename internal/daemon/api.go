@@ -26,12 +26,15 @@ type CreateTenantRequest struct {
 	Topology string `json:"topology,omitempty"`
 	// CapacityMbps overrides every link capacity of an inline
 	// topology; 0 keeps the declared capacities, and a negative value
-	// is a 400.
+	// is a 400. A preset keeps its own capacities: any nonzero value
+	// with a preset is a 400.
 	CapacityMbps float64 `json:"capacity_mbps,omitempty"`
 	// Aggregates bounds the generated matrix of an inline topology to
 	// a sparse sample of that many aggregates; 0 generates the full
 	// all-pairs matrix. Either may hold at most 65,536 aggregates: a
-	// negative count, or a larger sample or full matrix, is a 400.
+	// negative count, or a larger sample or full matrix, is a 400. A
+	// preset brings its own matrix: any nonzero count with a preset is
+	// a 400.
 	Aggregates int `json:"aggregates,omitempty"`
 	// Seed drives the tenant's traffic generation (and preset
 	// materialization). Tenants with equal instance inputs and seeds

@@ -448,14 +448,18 @@ func TestCreateInstanceBounded(t *testing.T) {
 }
 
 // TestCreateRefusesNegativeCapacity: a negative capacity_mbps is a 400,
-// with an inline topology or a preset, and so is a negative worker budget;
-// neither reaches the factory.
+// with an inline topology or a preset, and so is a negative worker budget,
+// and so is any aggregates or capacity_mbps with a preset, which brings its
+// own matrix and capacities; none reaches the factory.
 func TestCreateRefusesNegativeCapacity(t *testing.T) {
 	srv, _, fakes := newTestServer(t, Config{}, nil)
 	for _, req := range []CreateTenantRequest{
 		{Topology: testTopology, CapacityMbps: -1},
 		{Preset: "provisioned", CapacityMbps: -0.5},
 		{Topology: testTopology, Workers: -3},
+		{Preset: "provisioned", Aggregates: -5},
+		{Preset: "provisioned", Aggregates: 10},
+		{Preset: "provisioned", CapacityMbps: 50},
 	} {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -464,7 +468,7 @@ func TestCreateRefusesNegativeCapacity(t *testing.T) {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenants", bytes.NewReader(body)))
 		if rec.Code != http.StatusBadRequest {
-			t.Errorf("capacity_mbps %v, preset %q, workers %d: status %d, want 400: %s", req.CapacityMbps, req.Preset, req.Workers, rec.Code, rec.Body)
+			t.Errorf("%s: status %d, want 400: %s", body, rec.Code, rec.Body)
 		}
 	}
 	if len(*fakes) != 0 {
@@ -483,6 +487,7 @@ func FuzzCreateRequest(f *testing.F) {
 		`{"topology": ` + strconv.Quote(testTopology) + `, "preset": "provisioned"}`,
 		`{"topology": "topology broken\nlink a 10Mbps"}`,
 		`{"preset": "no-such-preset"}`,
+		`{"preset": "provisioned", "aggregates": -5, "capacity_mbps": 50}`,
 		`{"topology": ` + strconv.Quote(testTopology) + `, "aggregates": 4, "capacity_mbps": 1e300, "workers": -3}`,
 	} {
 		f.Add([]byte(body))

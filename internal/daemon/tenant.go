@@ -150,9 +150,13 @@ func materialize(req *CreateTenantRequest) (*topology.Topology, *traffic.Matrix,
 		}
 		return topo, mat, nil
 	}
-	switch req.Preset {
-	case "":
+	if req.Preset == "" {
 		return nil, nil, fmt.Errorf("daemon: create request needs a preset or an inline topology")
+	}
+	if req.Aggregates != 0 || req.CapacityMbps != 0 {
+		return nil, nil, fmt.Errorf("daemon: aggregates and capacity_mbps shape an inline topology's instance; preset %q brings its own", req.Preset)
+	}
+	switch req.Preset {
 	case "provisioned":
 		return experiment.Instance(experiment.Provisioned(req.Seed))
 	case "underprovisioned":

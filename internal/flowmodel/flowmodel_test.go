@@ -2,7 +2,6 @@ package flowmodel
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -421,117 +420,8 @@ func TestEvaluateIsRepeatable(t *testing.T) {
 		bundles = append(bundles, NewBundle(topo, a.ID, a.Flows, p))
 	}
 	arena := m.NewEval()
-	r1 := arena.Evaluate(bundles).Clone()
-	r2 := arena.Evaluate(bundles)
-	if r1.NetworkUtility != r2.NetworkUtility {
-		t.Errorf("utility differs across evaluations: %v vs %v", r1.NetworkUtility, r2.NetworkUtility)
-	}
-	if len(r1.Congested) != len(r2.Congested) {
-		t.Errorf("congested count differs: %d vs %d", len(r1.Congested), len(r2.Congested))
-	}
-	for i := range r1.BundleRate {
-		if r1.BundleRate[i] != r2.BundleRate[i] {
-			t.Fatalf("bundle %d rate differs", i)
-		}
-	}
-}
-
-// Property suite over random topologies and splits: capacity respected,
-// rates within demand, utility within [0,1], and satisfied bundles exactly
-// at demand.
-func TestModelInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		topo, err := topology.Ring(6+rng.Intn(6), 4, unit.Bandwidth(500+rng.Intn(2000)), rng.Int63())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := traffic.DefaultGenConfig(rng.Int63())
-		cfg.RealTimeFlows = [2]int{1, 10}
-		cfg.BulkFlows = [2]int{1, 5}
-		cfg.LargeFlows = [2]int{1, 2}
-		mat, err := traffic.Generate(topo, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := New(topo, mat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bundles []Bundle
-		for _, a := range mat.Aggregates() {
-			if a.IsSelfPair() {
-				bundles = append(bundles, Bundle{Agg: a.ID, Flows: a.Flows})
-				continue
-			}
-			paths := new(graph.Searcher).KShortestPaths(topo.Graph(), a.Src, a.Dst, 2, graph.Constraints{})
-			if len(paths) == 0 {
-				t.Fatalf("no path for aggregate %d", a.ID)
-			}
-			// Randomly split flows across up to two paths.
-			if len(paths) > 1 && rng.Intn(2) == 0 && a.Flows > 1 {
-				k := 1 + rng.Intn(a.Flows-1)
-				bundles = append(bundles,
-					NewBundle(topo, a.ID, k, paths[0]),
-					NewBundle(topo, a.ID, a.Flows-k, paths[1]))
-			} else {
-				bundles = append(bundles, NewBundle(topo, a.ID, a.Flows, paths[0]))
-			}
-		}
-		res := m.NewEval().Evaluate(bundles)
-
-		// Capacity respected on every link.
-		for l := 0; l < topo.NumLinks(); l++ {
-			if res.LinkLoad[l] > float64(topo.Capacity(graph.EdgeID(l)))*(1+1e-9) {
-				t.Fatalf("trial %d: link %d load %v exceeds capacity %v",
-					trial, l, res.LinkLoad[l], topo.Capacity(graph.EdgeID(l)))
-			}
-		}
-		// Rates within demand; satisfied bundles exactly at demand.
-		for i, b := range bundles {
-			demand := float64(mat.Aggregate(b.Agg).DemandPerFlow()) * float64(b.Flows)
-			if res.BundleRate[i] > demand*(1+1e-9) {
-				t.Fatalf("trial %d: bundle %d rate %v exceeds demand %v", trial, i, res.BundleRate[i], demand)
-			}
-			if res.BundleSatisfied[i] && math.Abs(res.BundleRate[i]-demand) > demand*1e-9+1e-9 {
-				t.Fatalf("trial %d: satisfied bundle %d at %v, demand %v", trial, i, res.BundleRate[i], demand)
-			}
-			if !res.BundleSatisfied[i] && len(b.Edges) > 0 {
-				// Must be limited by some congested link on its path.
-				found := false
-				for _, e := range b.Edges {
-					if res.IsCongested[e] {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("trial %d: unsatisfied bundle %d has no congested link on path", trial, i)
-				}
-			}
-		}
-		// Utilities in range.
-		if res.NetworkUtility < 0 || res.NetworkUtility > 1 {
-			t.Fatalf("trial %d: network utility %v", trial, res.NetworkUtility)
-		}
-		for i, u := range res.AggUtility {
-			if u < -1e-12 || u > 1+1e-12 {
-				t.Fatalf("trial %d: aggregate %d utility %v", trial, i, u)
-			}
-		}
-		// Link load equals the sum of crossing bundle rates.
-		loads := make([]float64, topo.NumLinks())
-		for i, b := range bundles {
-			for _, e := range b.Edges {
-				loads[e] += res.BundleRate[i]
-			}
-		}
-		for l, want := range loads {
-			if math.Abs(res.LinkLoad[l]-want) > 1e-6+want*1e-9 {
-				t.Fatalf("trial %d: link %d load %v, bundles sum %v", trial, l, res.LinkLoad[l], want)
-			}
-		}
-	}
+	first := arena.Evaluate(bundles).Clone()
+	requireIdentical(t, "second evaluation", first, arena.Evaluate(bundles))
 }
 
 func TestNewModelValidation(t *testing.T) {

@@ -1,8 +1,10 @@
 package flowmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,9 +69,13 @@ func randomInstance(t *testing.T, seed int64) (*topology.Topology, *traffic.Matr
 	return topo, mat, bundles
 }
 
-// TestPropertyCapacityRespected checks that no link ever carries more
-// than its capacity, over many random instances.
-func TestPropertyCapacityRespected(t *testing.T) {
+// TestPropertyResultAgreesWithRates checks that a Result's own fields agree
+// with its bundle rates, over many random instances: a satisfied bundle
+// sits at its demand, an unsatisfied backbone bundle crosses a congested
+// link, and a link's load is the sum of its crossers' rates. That the rates
+// themselves are max-min fair, within capacity and demand, is
+// TestMaxMinCertificate's.
+func TestPropertyResultAgreesWithRates(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		topo, mat, bundles := randomInstance(t, seed)
 		model, err := New(topo, mat)
@@ -77,45 +83,24 @@ func TestPropertyCapacityRespected(t *testing.T) {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
 		res := model.NewEval().Evaluate(bundles)
-		// Link loads reconstructed from bundle rates (the Result's
-		// LinkLoad is clamped; the raw sum must respect capacity too,
-		// within float dust).
-		raw := make([]float64, topo.NumLinks())
-		for i, b := range bundles {
-			for _, e := range b.Edges {
-				raw[e] += res.BundleRate[i]
-			}
-		}
-		for l := range raw {
-			cap := float64(topo.Capacity(graph.EdgeID(l)))
-			if raw[l] > cap*(1+1e-6)+1e-6 {
-				t.Fatalf("seed %d: link %d carries %.6f > capacity %.0f", seed, l, raw[l], cap)
-			}
-		}
-	}
-}
-
-// TestPropertyDemandCap checks no bundle exceeds its demand and
-// satisfied bundles sit exactly at it.
-func TestPropertyDemandCap(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		topo, mat, bundles := randomInstance(t, seed)
-		model, err := New(topo, mat)
-		if err != nil {
-			t.Fatalf("seed %d: New: %v", seed, err)
-		}
-		res := model.NewEval().Evaluate(bundles)
+		loads := make([]float64, topo.NumLinks())
 		for i, b := range bundles {
 			demand := float64(mat.Aggregate(b.Agg).DemandPerFlow()) * float64(b.Flows)
 			rate := res.BundleRate[i]
-			if rate < 0 {
-				t.Fatalf("seed %d: bundle %d negative rate %.6f", seed, i, rate)
+			if res.BundleSatisfied[i] && math.Abs(rate-demand) > demand*1e-9+1e-9 {
+				t.Fatalf("seed %d: bundle %d satisfied at %v, demand %v", seed, i, rate, demand)
 			}
-			if rate > demand*(1+1e-9)+1e-9 {
-				t.Fatalf("seed %d: bundle %d rate %.6f > demand %.6f", seed, i, rate, demand)
+			congested := func(e graph.EdgeID) bool { return res.IsCongested[e] }
+			if !res.BundleSatisfied[i] && len(b.Edges) > 0 && !slices.ContainsFunc(b.Edges, congested) {
+				t.Fatalf("seed %d: unsatisfied bundle %d crosses no congested link", seed, i)
 			}
-			if res.BundleSatisfied[i] && math.Abs(rate-demand) > demand*1e-6+1e-6 {
-				t.Fatalf("seed %d: bundle %d satisfied at %.6f, demand %.6f", seed, i, rate, demand)
+			for _, e := range b.Edges {
+				loads[e] += rate
+			}
+		}
+		for l, want := range loads {
+			if math.Abs(res.LinkLoad[l]-want) > 1e-6+want*1e-9 {
+				t.Fatalf("seed %d: link %d load %v, its crossers' rates sum to %v", seed, l, res.LinkLoad[l], want)
 			}
 		}
 	}
@@ -153,23 +138,16 @@ func TestPropertyCapacityMonotonicity(t *testing.T) {
 		}
 		base := model.NewEval().Evaluate(bundles).NetworkUtility
 
-		// Rebuild the same instance at 2x capacity. Topology generators
-		// are deterministic per seed, so only capacity differs.
-		big := topology.NewBuilder(topo.Name() + "-2x")
-		for n := 0; n < topo.NumNodes(); n++ {
-			big.AddNode(topo.NodeName(topology.NodeID(n)))
+		// The same instance at 2x capacity.
+		caps := make([]unit.Bandwidth, topo.NumLinks())
+		for l := range caps {
+			caps[l] = 2 * topo.Capacity(topology.LinkID(l))
 		}
-		for _, l := range topo.Links() {
-			if l.Reverse >= 0 && l.Reverse < l.ID {
-				continue // one AddLink per physical link
-			}
-			big.AddLink(topo.NodeName(l.From), topo.NodeName(l.To), 2*l.Capacity, l.Delay)
-		}
-		bigTopo, err := big.Build()
+		bigTopo, err := topo.WithCapacities(caps)
 		if err != nil {
-			t.Fatalf("seed %d: Build: %v", seed, err)
+			t.Fatalf("seed %d: WithCapacities: %v", seed, err)
 		}
-		bigMat, err := traffic.NewMatrix(bigTopo, remapAggs(mat))
+		bigMat, err := traffic.NewMatrix(bigTopo, mat.Aggregates())
 		if err != nil {
 			t.Fatalf("seed %d: NewMatrix: %v", seed, err)
 		}
@@ -177,21 +155,11 @@ func TestPropertyCapacityMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: New(big): %v", seed, err)
 		}
-		bigBundles := make([]Bundle, len(bundles))
-		for i, b := range bundles {
-			bigBundles[i] = Bundle{Agg: b.Agg, Flows: b.Flows, Edges: b.Edges, Delay: b.Delay}
-		}
-		grown := bigModel.NewEval().Evaluate(bigBundles).NetworkUtility
+		grown := bigModel.NewEval().Evaluate(bundles).NetworkUtility
 		if grown < base-1e-9 {
 			t.Fatalf("seed %d: doubling capacity lowered utility %.6f -> %.6f", seed, base, grown)
 		}
 	}
-}
-
-// remapAggs copies a matrix's aggregates (IDs are reassigned in order,
-// which NewMatrix does anyway).
-func remapAggs(mat *traffic.Matrix) []traffic.Aggregate {
-	return mat.Aggregates()
 }
 
 // TestPropertyRTTFairShare property-checks the §2.3 claim on a single
@@ -278,16 +246,6 @@ func TestPropertyEvaluateDeterministic(t *testing.T) {
 			perturbed = perturbed[:len(perturbed)-1]
 		}
 		arena.Evaluate(perturbed)
-
-		again := arena.Evaluate(bundles)
-		if again.NetworkUtility != first.NetworkUtility {
-			t.Fatalf("iteration %d: utility %.12f != %.12f", i, again.NetworkUtility, first.NetworkUtility)
-		}
-		for j := range first.BundleRate {
-			if again.BundleRate[j] != first.BundleRate[j] {
-				t.Fatalf("iteration %d: bundle %d rate %.9f != %.9f",
-					i, j, again.BundleRate[j], first.BundleRate[j])
-			}
-		}
+		requireIdentical(t, fmt.Sprintf("iteration %d", i), first, arena.Evaluate(bundles))
 	}
 }

@@ -31,11 +31,8 @@ func TestClosedLoopHAKillStormDeterminism(t *testing.T) {
 		}
 		results = append(results, res)
 	}
-	for i, res := range results[1:] {
-		if !results[0].Equivalent(res) {
-			t.Fatalf("config %d diverged from Workers=1:\n a=%+v\n b=%+v",
-				i+1, results[0].Epochs, res.Epochs)
-		}
+	if err := results[0].Equivalent(results[1]); err != nil {
+		t.Fatalf("Workers 1 vs 4: %v", err)
 	}
 
 	res := results[0]
@@ -43,13 +40,10 @@ func TestClosedLoopHAKillStormDeterminism(t *testing.T) {
 	for _, e := range res.Epochs {
 		failovers += e.Failovers
 		resyncs += e.ResyncFlowMods
-		// Zero black-holed epochs: every epoch still forwarded traffic
-		// and published an allocation.
-		if e.TrueUtility <= 0 {
-			t.Errorf("epoch %d: true utility %v after failover — traffic black-holed", e.Epoch, e.TrueUtility)
-		}
-		if e.WireFlowMods != e.InstallAcks {
-			t.Errorf("epoch %d: %d wire FlowMods but %d acks", e.Epoch, e.WireFlowMods, e.InstallAcks)
+		// Zero black-holed epochs: every epoch still forwarded traffic,
+		// published an allocation and reconciled its wire ledger.
+		if err := e.Check(); err != nil {
+			t.Error(err)
 		}
 	}
 	// The storm kills seats 0, 1 and 2 once each (epochs 1, 3, 5), and
@@ -86,8 +80,8 @@ func TestClosedLoopHANoopOnSingleReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Equivalent(b) {
-		t.Fatal("single-replica kill-storm replay diverged across worker counts")
+	if err := a.Equivalent(b); err != nil {
+		t.Fatalf("single-replica kill storm, Workers 1 vs 4: %v", err)
 	}
 	for _, e := range a.Epochs {
 		if e.Failovers != 0 || e.ResyncFlowMods != 0 {

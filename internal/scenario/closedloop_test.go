@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,9 +87,8 @@ func TestClosedLoopDeterminism(t *testing.T) {
 			results = append(results, res)
 		}
 		for i, res := range results[1:] {
-			if !results[0].Equivalent(res) {
-				t.Fatalf("%s config %d diverged from Workers=1:\n a=%+v\n b=%+v\n installs a=%+v\n installs b=%+v",
-					in.name, i+1, results[0].Epochs, res.Epochs, results[0].Installs, res.Installs)
+			if err := results[0].Equivalent(res); err != nil {
+				t.Fatalf("%s config %d vs Workers=1: %v", in.name, i+1, err)
 			}
 		}
 		res := results[0]
@@ -119,22 +120,16 @@ func TestClosedLoopCountsWireFlowMods(t *testing.T) {
 	}
 	nodes := topo.NumNodes()
 	for _, e := range res.Epochs {
-		if e.WireFlowMods != e.InstallAcks {
-			t.Errorf("epoch %d: %d wire FlowMods but %d acks", e.Epoch, e.WireFlowMods, e.InstallAcks)
+		if err := e.Check(); err != nil {
+			t.Error(err)
 		}
 		if e.WireFlowMods > 2*nodes {
 			t.Errorf("epoch %d: %d wire FlowMods exceeds two full pushes over %d switches", e.Epoch, e.WireFlowMods, nodes)
-		}
-		if e.TrueUtility <= 0 || e.TrueUtility > 1 {
-			t.Errorf("epoch %d: implausible true utility %v", e.Epoch, e.TrueUtility)
 		}
 	}
 	byPhase := map[[2]any]InstallRecord{}
 	for _, in := range res.Installs {
 		byPhase[[2]any{in.Epoch, in.Phase}] = in
-		if in.FlowMods != in.Acks {
-			t.Errorf("install %+v: FlowMods != Acks", in)
-		}
 	}
 	// Epoch 0 installs the initial routing: the repair push must reach
 	// every switch owning rules.
@@ -155,6 +150,52 @@ func TestClosedLoopCountsWireFlowMods(t *testing.T) {
 	}
 }
 
+// TestEquivalentAndCheckNameWhatBroke plants one difference at a time into
+// a second run of a closed-loop replay: Equivalent must name the epoch and
+// field (or the install) it sits in, and ignore the wall clock; Check must
+// refuse an epoch that counts an ack twice, in its total or on an install.
+func TestEquivalentAndCheckNameWhatBroke(t *testing.T) {
+	topo, mat := ringInstance(t, 5)
+	replay := func() *Result {
+		res, err := runClosedLoop(context.Background(), topo, mat, mixedScenario(3), Options{Core: core.Options{Workers: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := replay()
+	for _, c := range []struct {
+		plant func(*Result)
+		want  string
+	}{
+		{func(*Result) {}, ""}, // Elapsed differs, and only Elapsed
+		{func(r *Result) { r.Epochs[2].Steps++ }, "replays differ at Epochs[2].Steps: "},
+		{func(r *Result) { r.Epochs[1].Installs[1].Acks++ }, "replays differ at Epochs[1].Installs[1].Acks: "},
+		{func(r *Result) { r.Installs[3].Acks++ }, "replays differ at Installs[3].Acks: "},
+	} {
+		b := replay()
+		c.plant(b)
+		if err := res.Equivalent(b); (err == nil) != (c.want == "") || !strings.HasPrefix(fmt.Sprint(err), c.want) {
+			t.Errorf("Equivalent = %v, want %q", err, c.want)
+		}
+	}
+	for _, e := range res.Epochs {
+		if err := e.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := res.Epochs[1]
+	e.InstallAcks++
+	if e.Check() == nil {
+		t.Error("Check passed an epoch with one ack counted twice in InstallAcks")
+	}
+	e = res.Epochs[1]
+	e.Installs[0].Acks++
+	if e.Check() == nil {
+		t.Error("Check passed an install with one ack counted twice")
+	}
+}
+
 // TestClosedLoopDeadlineBudget: an unmeetable per-epoch budget records
 // misses on every congested epoch while the loop keeps publishing the
 // best-so-far solution.
@@ -172,16 +213,16 @@ func TestClosedLoopDeadlineBudget(t *testing.T) {
 		t.Fatal("1ns budget missed no deadlines (instance must be congested)")
 	}
 	for _, e := range res.Epochs {
+		// Every epoch, a missed one too, still published a solution that
+		// achieved something on the real network.
+		if err := e.Check(); err != nil {
+			t.Error(err)
+		}
 		if !e.DeadlineMiss {
 			continue
 		}
 		if e.Steps != 0 {
 			t.Errorf("epoch %d: missed the deadline after %d steps, want 0 with a 1ns budget", e.Epoch, e.Steps)
-		}
-		// The best-so-far solution was still published and achieved
-		// something on the real network.
-		if e.TrueUtility <= 0 {
-			t.Errorf("epoch %d: no utility achieved despite publish", e.Epoch)
 		}
 		if e.StopReason != "deadline" {
 			t.Errorf("epoch %d: stop %q, want deadline", e.Epoch, e.StopReason)
@@ -289,8 +330,8 @@ func TestScenarioSRLGEventsPlainReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Equivalent(b) {
-		t.Fatal("SRLG replay diverged across worker counts")
+	if err := a.Equivalent(b); err != nil {
+		t.Fatalf("SRLG replay, Workers 1 vs 2: %v", err)
 	}
 	if a.Epochs[1].FailedLinks != 2 {
 		t.Errorf("SRLG failure downed %d links, want 2", a.Epochs[1].FailedLinks)

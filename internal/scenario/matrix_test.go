@@ -60,44 +60,13 @@ func matrixCells() []matrixCell {
 	}
 }
 
-// checkMatrixInvariants asserts the per-epoch closed-loop contract every
-// matrix cell must hold regardless of policy: the wire ledger reconciles
-// (FlowMod messages written == fabric acks received, per epoch and per
-// install), and no epoch black-holes traffic — the installed allocation
-// always delivers positive ground-truth utility over a live network.
-func checkMatrixInvariants(t *testing.T, label string, res *Result) {
-	t.Helper()
-	if len(res.Epochs) == 0 {
-		t.Fatalf("%s: no epochs", label)
-	}
-	for _, e := range res.Epochs {
-		if e.WireFlowMods != e.InstallAcks {
-			t.Errorf("%s epoch %d: %d wire FlowMods vs %d acks", label, e.Epoch, e.WireFlowMods, e.InstallAcks)
-		}
-		if e.TrueUtility <= 0 {
-			t.Errorf("%s epoch %d: ground-truth utility %v (black hole?)", label, e.Epoch, e.TrueUtility)
-		}
-		if e.Utility <= 0 || e.StaleUtility <= 0 {
-			t.Errorf("%s epoch %d: utility %v stale %v", label, e.Epoch, e.Utility, e.StaleUtility)
-		}
-		if e.Aggregates < 1 || e.Flows < 1 {
-			t.Errorf("%s epoch %d: %d aggregates / %d flows", label, e.Epoch, e.Aggregates, e.Flows)
-		}
-	}
-	for _, in := range res.Installs {
-		if in.FlowMods != in.Acks {
-			t.Errorf("%s install %s@%d: %d FlowMods vs %d acks", label, in.Phase, in.Epoch, in.FlowMods, in.Acks)
-		}
-	}
-}
-
 // TestScenarioMatrix enumerates every canned generator (composites
 // included) against the policy/budget cells, closed loop end to end:
 // each deterministic cell must replay bit-identically at Workers 1 and
-// 4, and every cell — budgeted ones included — must reconcile its wire
-// ledger and never black-hole. This is the kube-ovn-style feature
-// matrix for the soak layer: generators × {warm/cold, replicas 1/3,
-// budget} × worker counts.
+// 4, and every epoch of every cell — budgeted ones included — must pass
+// EpochResult.Check: a reconciled wire ledger and no black hole. This is
+// the kube-ovn-style feature matrix for the soak layer: generators ×
+// {warm/cold, replicas 1/3, budget} × worker counts.
 func TestScenarioMatrix(t *testing.T) {
 	topo, mat := matrixInstance(t)
 	const epochs = 5
@@ -127,15 +96,21 @@ func TestScenarioMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Workers=%d: %v", workers, err)
 					}
-					checkMatrixInvariants(t, c.name, res)
+					if len(res.Epochs) != epochs {
+						t.Fatalf("Workers=%d: %d epochs, want %d", workers, len(res.Epochs), epochs)
+					}
+					for _, e := range res.Epochs {
+						if err := e.Check(); err != nil {
+							t.Errorf("Workers=%d: %v", workers, err)
+						}
+					}
 					if c.budget > 0 {
 						continue
 					}
 					if ref == nil {
 						ref = res
-					} else if !ref.Equivalent(res) {
-						t.Fatalf("Workers=%d diverged from Workers=%d:\n a=%+v\n b=%+v",
-							workers, workerCounts[0], ref.Epochs, res.Epochs)
+					} else if err := ref.Equivalent(res); err != nil {
+						t.Fatalf("Workers=%d diverged from Workers=%d: %v", workers, workerCounts[0], err)
 					}
 				}
 			})

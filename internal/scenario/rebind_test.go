@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -82,12 +81,10 @@ func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireEquivalent(t, "kept", kept, "rebuilt", rebuilt)
-				steps := 0
-				for _, e := range kept.Epochs {
-					steps += e.Steps
+				if err := kept.Equivalent(rebuilt); err != nil {
+					t.Fatalf("kept vs rebuilt: %v", err)
 				}
-				if steps == 0 {
+				if kept.TotalSteps() == 0 {
 					t.Error("replay committed no move; the comparison proves little")
 				}
 			})
@@ -97,24 +94,6 @@ func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 	// the replay, as a Session's does.
 	t.Run("across-replays", lentOptimizerMatchesFreshAcrossReplays)
 	t.Run("alternating-streams", alternatingStreamsShareOneOptimizer)
-}
-
-// requireEquivalent fails the test at the first epoch row (bar Elapsed) or
-// install record two replays of one timeline differ in.
-func requireEquivalent(t *testing.T, aName string, a *Result, bName string, b *Result) {
-	t.Helper()
-	if a.Equivalent(b) {
-		return
-	}
-	for i := range min(len(a.Epochs), len(b.Epochs)) {
-		x, y := a.Epochs[i], b.Epochs[i]
-		x.Elapsed, y.Elapsed = 0, 0
-		if fmt.Sprintf("%+v", x) != fmt.Sprintf("%+v", y) {
-			t.Fatalf("epoch %d differs:\n %s %+v\n %s %+v", i, aName, x, bName, y)
-		}
-	}
-	t.Fatalf("%d vs %d epochs, or install sequences differ:\n %s %+v\n %s %+v",
-		len(a.Epochs), len(b.Epochs), aName, a.Installs, bName, b.Installs)
 }
 
 // lendingReplays is what one owner runs back to back on the optimizer it
@@ -209,8 +188,12 @@ func lentOptimizerMatchesFreshAcrossReplays(t *testing.T) {
 				withFreshOptimizerPerEpoch(func() { rebuilt = sequence(true) })
 				steps := 0
 				for i := range replays {
-					requireEquivalent(t, "lent", lent[i], "fresh", fresh[i])
-					requireEquivalent(t, "lent", lent[i], "rebuilt", rebuilt[i])
+					if err := lent[i].Equivalent(fresh[i]); err != nil {
+						t.Fatalf("replay %d, lent vs fresh: %v", i, err)
+					}
+					if err := lent[i].Equivalent(rebuilt[i]); err != nil {
+						t.Fatalf("replay %d, lent vs rebuilt: %v", i, err)
+					}
 					lo, hi := lent[i].Epochs[0].Aggregates, lent[i].Epochs[0].Aggregates
 					for _, e := range lent[i].Epochs {
 						lo, hi = min(lo, e.Aggregates), max(hi, e.Aggregates)
@@ -218,9 +201,7 @@ func lentOptimizerMatchesFreshAcrossReplays(t *testing.T) {
 					if lo == hi {
 						t.Errorf("replay %d (%s) holds %d aggregates throughout: the matrix never moved", i, replays[i].sc.Name, lo)
 					}
-					for _, e := range lent[i].Epochs {
-						steps += e.Steps
-					}
+					steps += lent[i].TotalSteps()
 				}
 				if steps == 0 {
 					t.Error("no replay committed a move; the comparison proves little")
@@ -255,17 +236,19 @@ func alternatingStreamsShareOneOptimizer(t *testing.T) {
 		defer stop()
 		next[i] = pull
 	}
+	var alternated [2]Result
 	for epoch := 0; epoch < replays[0].sc.Epochs; epoch++ {
 		for i := range replays {
 			er, err, ok := next[i]()
 			if !ok || err != nil {
 				t.Fatalf("stream %d epoch %d: ok=%v err=%v", i, epoch, ok, err)
 			}
-			want := alone[i].Epochs[epoch]
-			er.Elapsed, want.Elapsed = 0, 0
-			if !reflect.DeepEqual(er, want) {
-				t.Fatalf("stream %d epoch %d differs:\n alternated %+v\n alone      %+v", i, epoch, er, want)
-			}
+			alternated[i].Epochs = append(alternated[i].Epochs, er)
+		}
+	}
+	for i := range replays {
+		if err := (&Result{Epochs: alone[i].Epochs}).Equivalent(&alternated[i]); err != nil {
+			t.Fatalf("stream %d, alternated vs alone: %v", i, err)
 		}
 	}
 }

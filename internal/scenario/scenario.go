@@ -27,6 +27,7 @@ import (
 	"log/slog"
 	"math"
 	"reflect"
+	"strings"
 	"time"
 
 	"fubar/internal/core"
@@ -379,6 +380,36 @@ type EpochResult struct {
 	Installs []InstallRecord `json:"-"`
 }
 
+// Check returns nil when the epoch holds what every replayed epoch holds by
+// construction, or an error naming the first rule it breaks: its matrix has
+// an aggregate and a flow, and its utilities are finite and in (0, 1]. An
+// epoch that carries Installs ran closed loop, and also balances its wire
+// ledger — every install's FlowMods acked, WireFlowMods equal to
+// InstallAcks — and delivered a ground-truth utility in (0, 1].
+func (e *EpochResult) Check() error {
+	if e.Aggregates < 1 || e.Flows < 1 {
+		return fmt.Errorf("epoch %d: %d aggregates, %d flows", e.Epoch, e.Aggregates, e.Flows)
+	}
+	for _, in := range e.Installs {
+		if in.FlowMods != in.Acks {
+			return fmt.Errorf("epoch %d: %s install generation %d: %d FlowMods, %d acks", e.Epoch, in.Phase, in.Generation, in.FlowMods, in.Acks)
+		}
+	}
+	if e.WireFlowMods != e.InstallAcks {
+		return fmt.Errorf("epoch %d: %d wire FlowMods, %d install acks", e.Epoch, e.WireFlowMods, e.InstallAcks)
+	}
+	names := [...]string{"utility", "stale utility", "true utility", "stale true utility"}
+	for i, u := range [...]float64{e.Utility, e.StaleUtility, e.TrueUtility, e.StaleTrueUtility} {
+		if i == 2 && len(e.Installs) == 0 {
+			break // no ground truth outside a closed loop
+		}
+		if !(u > 0 && u <= 1+1e-9) { // NaN fails too
+			return fmt.Errorf("epoch %d: %s %v outside (0, 1]", e.Epoch, names[i], u)
+		}
+	}
+	return nil
+}
+
 // Result is a completed replay.
 type Result struct {
 	// Name and Seed identify the scenario run.
@@ -530,25 +561,52 @@ func (r *Result) MinUtility() float64 {
 	return m
 }
 
-// Equivalent reports whether two replays produced the same epoch table,
-// ignoring wall-clock fields — the determinism contract checked by tests
-// and the bench harness.
-func (r *Result) Equivalent(o *Result) bool {
-	if r.Name != o.Name || r.Seed != o.Seed || r.ColdStart != o.ColdStart ||
-		r.ClosedLoop != o.ClosedLoop || len(r.Epochs) != len(o.Epochs) {
-		return false
+// Equivalent returns nil when two replays produced the same epoch table
+// and install sequence, ignoring wall-clock fields — the determinism
+// contract checked by tests and the bench harness — or an error naming the
+// first difference: a header field, an epoch's field (Epochs[3].Utility),
+// or an install (Installs[5].Acks).
+func (r *Result) Equivalent(o *Result) error {
+	if d := firstDiff(reflect.ValueOf(*r), reflect.ValueOf(*o)); d != "" {
+		return fmt.Errorf("replays differ at %s", strings.TrimPrefix(d, "."))
 	}
-	if !reflect.DeepEqual(r.Installs, o.Installs) {
-		return false
-	}
-	for i := range r.Epochs {
-		a, b := r.Epochs[i], o.Epochs[i]
-		a.Elapsed, b.Elapsed = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			return false
+	return nil
+}
+
+// firstDiff returns the path (".Field", "[i]") to the first place, depth
+// first, in which two values of one type differ — wall-clock Elapsed and
+// the Topology summary aside — followed by both values, or "".
+func firstDiff(a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := range a.NumField() {
+			name := a.Type().Field(i).Name
+			if name == "Elapsed" || name == "Topology" {
+				continue
+			}
+			if d := firstDiff(a.Field(i), b.Field(i)); d != "" {
+				return "." + name + d
+			}
 		}
+		return ""
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf(": %d vs %d entries", a.Len(), b.Len())
+		}
+		if a.IsNil() != b.IsNil() {
+			return fmt.Sprintf(": nil %v vs nil %v", a.IsNil(), b.IsNil())
+		}
+		for i := range a.Len() {
+			if d := firstDiff(a.Index(i), b.Index(i)); d != "" {
+				return fmt.Sprintf("[%d]%s", i, d)
+			}
+		}
+		return ""
 	}
-	return true
+	if !reflect.DeepEqual(a.Interface(), b.Interface()) {
+		return fmt.Sprintf(": %v vs %v", a, b)
+	}
+	return ""
 }
 
 // keyedBundle is one installed (aggregate, path) entry carried between

@@ -59,8 +59,8 @@ func TestDiurnalHEReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm Workers=4: %v", err)
 	}
-	if !warm1.Equivalent(warm4) {
-		t.Fatalf("epoch tables differ across worker counts:\n w1=%+v\n w4=%+v", warm1.Epochs, warm4.Epochs)
+	if err := warm1.Equivalent(warm4); err != nil {
+		t.Fatalf("Workers 1 vs 4: %v", err)
 	}
 	cold, err := run(context.Background(), topo, mat, sc, Options{ColdStart: true, Core: core.Options{Workers: 1}})
 	if err != nil {
@@ -102,8 +102,8 @@ func TestReplayDeterminismSmall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !a.Equivalent(b) {
-			t.Errorf("%s: tables differ for identical seed", name)
+		if err := a.Equivalent(b); err != nil {
+			t.Errorf("%s: identical seed: %v", name, err)
 		}
 	}
 }

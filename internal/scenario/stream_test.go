@@ -51,8 +51,8 @@ func TestStreamMatchesRun(t *testing.T) {
 		t.Fatalf("stream yielded %d epochs, Run returned %d", len(got), len(ref.Epochs))
 	}
 	stream := &Result{Name: ref.Name, Seed: ref.Seed, Topology: ref.Topology, Epochs: got}
-	if !stream.Equivalent(ref) {
-		t.Fatal("streamed epochs diverged from collected Run")
+	if err := stream.Equivalent(ref); err != nil {
+		t.Fatalf("streamed epochs vs collected Run: %v", err)
 	}
 }
 

@@ -102,8 +102,8 @@ func TestSessionReplayStreamsAndMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equivalent(old) {
-		t.Fatalf("session replay diverged from scenario.Replayer.Stream:\n new=%+v\n old=%+v", got.Epochs, old.Epochs)
+	if err := got.Equivalent(old); err != nil {
+		t.Fatalf("session replay vs scenario.Replayer.Stream: %v", err)
 	}
 }
 
@@ -147,21 +147,11 @@ func TestSessionClosedLoopMatchesFreeFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strip the per-epoch install copies (streaming detail both results
-	// carry) before the table comparison — the sequence logs
-	// are compared via Result.Installs below.
-	for i := range got.Epochs {
-		if len(got.Epochs[i].Installs) == 0 {
-			t.Fatalf("epoch %d carried no install records", i)
-		}
-		got.Epochs[i].Installs = nil
+	if len(got.Installs) == 0 {
+		t.Fatal("the session's closed loop recorded no install")
 	}
-	for i := range old.Epochs {
-		old.Epochs[i].Installs = nil
-	}
-	if !got.Equivalent(old) {
-		t.Fatalf("session closed loop diverged from scenario.Replayer.Stream:\n new=%+v\n old=%+v\n installs new=%+v old=%+v",
-			got.Epochs, old.Epochs, got.Installs, old.Installs)
+	if err := got.Equivalent(old); err != nil {
+		t.Fatalf("session closed loop vs scenario.Replayer.Stream: %v", err)
 	}
 }
 
@@ -342,21 +332,22 @@ func TestOptimizeUnchangedByLending(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := session(t)
+				interleaved := *alone
+				interleaved.Epochs = nil
 				for er, err := range s.Replay(context.Background(), crisis) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := alone.Epochs[er.Epoch]
-					er.Elapsed, want.Elapsed = 0, 0
-					if !reflect.DeepEqual(er, want) {
-						t.Fatalf("epoch %d of a replay with Optimize calls between its epochs differs:\n got  %+v\n want %+v", er.Epoch, er, want)
-					}
+					interleaved.Epochs = append(interleaved.Epochs, er)
 					switch er.Epoch {
 					case 1:
 						same(t, "cold", optimize(t, s), cold)
 					case 4:
 						same(t, "warm", optimize(t, s), warm)
 					}
+				}
+				if err := alone.Equivalent(&interleaved); err != nil {
+					t.Fatalf("a replay with Optimize calls between its epochs: %v", err)
 				}
 			})
 		}

@@ -80,11 +80,8 @@ func TestFacadeScenarioMatrixAcceptance(t *testing.T) {
 				t.Fatalf("replayed %d epochs, want %d", len(res.Epochs), epochs)
 			}
 			for _, e := range res.Epochs {
-				if e.WireFlowMods != e.InstallAcks {
-					t.Errorf("epoch %d: %d wire FlowMods vs %d acks", e.Epoch, e.WireFlowMods, e.InstallAcks)
-				}
-				if e.TrueUtility <= 0 {
-					t.Errorf("epoch %d: ground-truth utility %v (black hole?)", e.Epoch, e.TrueUtility)
+				if err := e.Check(); err != nil {
+					t.Error(err)
 				}
 			}
 			tr := sampleTrajectory(name, res, 2)
