@@ -83,22 +83,6 @@ func soakHeapWatermark() uint64 {
 	return ms.HeapAlloc
 }
 
-// soakBounded reports whether every sample after the first stays within
-// a constant envelope of it (1.5x plus 8 MiB of slack): a leak
-// proportional to epochs blows through it at soak epoch counts.
-func soakBounded(samples []uint64) bool {
-	if len(samples) < 3 {
-		return false
-	}
-	limit := samples[0] + samples[0]/2 + 8<<20
-	for _, s := range samples[1:] {
-		if s > limit {
-			return false
-		}
-	}
-	return true
-}
-
 // soakBench streams a soak timeline of epochs epochs through the plain
 // replay and epochs/10 through the closed loop, sampling forced-GC heap
 // watermarks sixteen times per leg, recording downsampled trajectories,
@@ -185,6 +169,7 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 		return fmt.Errorf("soak: closed-loop replay streamed %d epochs, want %d", n, clEpochs)
 	}
 
+	plainBounded, clBounded := scenario.HeapBounded(plainSamples), scenario.HeapBounded(clSamples)
 	rec := soakBenchRecord{
 		Benchmark:           "soak: streaming scenario replay, O(1) memory in epochs",
 		Scenario:            sc.Name,
@@ -197,12 +182,12 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 		PlainElapsedNs:      plainT.Nanoseconds(),
 		PlainEpochsPerSec:   float64(epochs) / plainT.Seconds(),
 		PlainHeapSamples:    plainSamples,
-		PlainHeapBounded:    soakBounded(plainSamples),
+		PlainHeapBounded:    plainBounded == nil,
 		ClosedEpochs:        clEpochs,
 		ClosedElapsedNs:     clT.Nanoseconds(),
 		ClosedEpochsPerSec:  float64(clEpochs) / clT.Seconds(),
 		ClosedHeapSamples:   clSamples,
-		ClosedHeapBounded:   soakBounded(clSamples),
+		ClosedHeapBounded:   clBounded == nil,
 		WireReconciled:      true, // every closed-loop epoch passed Check, whose ledger rule this reports
 		Trajectory:          plainTraj.Trajectory(),
 		ClosedLoopTrajector: clTraj.Trajectory(),
@@ -229,11 +214,11 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 		return err
 	}
 	fmt.Printf("soak record written to %s\n", outPath)
-	if !rec.PlainHeapBounded {
-		return fmt.Errorf("soak: plain replay heap watermark grew: %v", plainSamples)
+	if plainBounded != nil {
+		return fmt.Errorf("soak: plain replay: %w (samples %v)", plainBounded, plainSamples)
 	}
-	if !rec.ClosedHeapBounded {
-		return fmt.Errorf("soak: closed-loop replay heap watermark grew: %v", clSamples)
+	if clBounded != nil {
+		return fmt.Errorf("soak: closed-loop replay: %w (samples %v)", clBounded, clSamples)
 	}
 	if baselinePath != "" {
 		if err := soakDiff(&rec, baselinePath); err != nil {

@@ -309,7 +309,7 @@ type BaseStats struct {
 
 // aggState tracks one aggregate's path set and flow split.
 type aggState struct {
-	set    *pathgen.PathSet
+	set    pathgen.PathSet
 	flows  []int // parallel to set.Paths()
 	delays []unit.Delay
 	total  int // total flows (invariant: sum(flows) == total)
@@ -572,6 +572,10 @@ func (o *Optimizer) run(ctx context.Context, initial []flowmodel.Bundle, sol *So
 	// per-run counters must not accumulate across calls (the generator's
 	// memo may).
 	o.gen.ResetStats()
+	// A cold run asks for about two answers an aggregate: its lowest-delay
+	// path and, for the congested, alternatives. Sized by the first run,
+	// not by New, so that building a session stays cheap.
+	o.gen.Reserve(2 * o.mat.NumAggregates())
 	if err := o.initAllocation(initial); err != nil {
 		return err
 	}
@@ -800,6 +804,7 @@ func (o *Optimizer) initAllocation(initial []flowmodel.Bundle) error {
 	if n > cap(o.aggs) {
 		grown := make([]aggState, n)
 		copy(grown, o.aggs[:cap(o.aggs)])
+		carveAggs(grown[cap(o.aggs):], o.opts.MaxPathsPerAggregate)
 		o.aggs = grown
 	}
 	o.aggs = o.aggs[:n]
@@ -820,11 +825,7 @@ func (o *Optimizer) initAllocation(initial []flowmodel.Bundle) error {
 			return fmt.Errorf("core: no policy-compliant path for aggregate %d (%s->%s)",
 				a.ID, o.model.Topology().NodeName(a.Src), o.model.Topology().NodeName(a.Dst))
 		}
-		if st.set == nil {
-			st.set = pathgen.NewPathSet(o.opts.MaxPathsPerAggregate)
-		} else {
-			st.set.Reset(o.opts.MaxPathsPerAggregate)
-		}
+		st.set.Reset(o.opts.MaxPathsPerAggregate)
 		st.set.Add(p)
 		st.flows = append(st.flows, a.Flows)
 		st.delays = append(st.delays, o.model.Topology().PathDelay(p))
@@ -833,6 +834,22 @@ func (o *Optimizer) initAllocation(initial []flowmodel.Bundle) error {
 		return o.applyWarmStart(initial)
 	}
 	return nil
+}
+
+// carveAggs gives each new aggregate state its first path, flow and delay
+// in three arrays shared by all of them — four in five aggregates of a cold
+// scale-s run never hold a second path — so that a fresh optimizer's
+// per-aggregate state is three allocations, not a few per aggregate. Each
+// window ends at its capacity: a state that outgrows it appends into an
+// array of its own and never into its neighbour's.
+func carveAggs(fresh []aggState, limit int) {
+	paths := make([]graph.Path, len(fresh))
+	flows := make([]int, len(fresh))
+	delays := make([]unit.Delay, len(fresh))
+	for i := range fresh {
+		fresh[i].set = pathgen.NewPathSet(limit, paths[i:i:i+1])
+		fresh[i].flows, fresh[i].delays = flows[i:i:i+1], delays[i:i:i+1]
+	}
 }
 
 // applyWarmStart overlays an existing allocation on the freshly
@@ -906,6 +923,19 @@ func (o *Optimizer) applyWarmStart(bundles []flowmodel.Bundle) error {
 // to exactly what its positive entries alone would. The layout it replaces
 // moves to o.prevSeg, for remapBase.
 func (o *Optimizer) buildStepBundles() []flowmodel.Bundle {
+	n := 0
+	for i := range o.aggs {
+		if o.aggs[i].self {
+			n++
+		} else {
+			n += len(o.aggs[i].flows)
+		}
+	}
+	if cap(o.denseBuf) < n {
+		// The base's per-bundle arrays take the same headroom, so both
+		// re-allocate at the same list length, every few dozen steps.
+		o.denseBuf = make([]flowmodel.Bundle, 0, flowmodel.GrowCap(n))
+	}
 	o.denseBuf = o.denseBuf[:0]
 	o.prevSeg, o.denseSeg = o.denseSeg, o.prevSeg
 	if cap(o.denseSeg) < len(o.aggs)+1 {
@@ -960,24 +990,30 @@ func (o *Optimizer) finalResult() *flowmodel.Result {
 // satisfaction, laid out by denseSeg, onto the same indices, so res is the
 // evaluation of the returned list: placeholders are inert, and dropping
 // them changes no other field. With own set the list is new, at exact
-// capacity, each path's Edges cloned: the deep copy a Solution's caller
-// owns. Otherwise it is rebuilt over dst, Edges shared with the path sets.
+// capacity, each path's Edges copied into one array of the list's own, cut
+// so that each ends at its capacity: the deep copy a Solution's caller owns,
+// whose appending to one bundle's Edges cannot write into the next one's.
+// Otherwise it is rebuilt over dst, Edges shared with the path sets.
 func (o *Optimizer) compact(res *flowmodel.Result, dst []flowmodel.Bundle, own bool) []flowmodel.Bundle {
 	seg := o.denseSeg
-	n := 0
+	n, hops := 0, 0
 	for i := range o.aggs {
-		if o.aggs[i].self {
+		st := &o.aggs[i]
+		if st.self {
 			n++
 		}
-		for _, f := range o.aggs[i].flows {
+		for pi, f := range st.flows {
 			if f > 0 {
 				n++
+				hops += st.set.Path(pi).Len()
 			}
 		}
 	}
 	var out []flowmodel.Bundle
+	var edgeBuf []graph.EdgeID
 	if own {
 		out = make([]flowmodel.Bundle, 0, n)
+		edgeBuf = make([]graph.EdgeID, 0, hops)
 	} else {
 		out = slices.Grow(dst[:0], n)
 	}
@@ -994,7 +1030,9 @@ func (o *Optimizer) compact(res *flowmodel.Result, dst []flowmodel.Bundle, own b
 			if f > 0 {
 				edges := st.set.Path(pi).Edges
 				if own {
-					edges = slices.Clone(edges)
+					at := len(edgeBuf)
+					edgeBuf = append(edgeBuf, edges...)
+					edges = edgeBuf[at:len(edgeBuf):len(edgeBuf)]
 				}
 				keep(seg[i]+pi, flowmodel.Bundle{
 					Agg:   traffic.AggregateID(i),
@@ -1151,7 +1189,9 @@ func (o *Optimizer) captureBase(dense []flowmodel.Bundle) *flowmodel.Result {
 // a's old entry p is new entry p, and every entry beyond its old segment
 // is a new placeholder.
 func (o *Optimizer) remapBase() bool {
-	o.oldIdxBuf = slices.Grow(o.oldIdxBuf[:0], len(o.denseBuf))
+	if cap(o.oldIdxBuf) < len(o.denseBuf) {
+		o.oldIdxBuf = make([]int, cap(o.denseBuf)) // the list's own headroom
+	}
 	oldIdx := o.oldIdxBuf[:len(o.denseBuf)]
 	for a := range o.aggs {
 		n := o.prevSeg[a+1] - o.prevSeg[a]
@@ -1339,6 +1379,9 @@ func (o *Optimizer) evalCandidate(w *worker, c *candidate, dense []flowmodel.Bun
 // one.
 func (o *Optimizer) patchCandidate(w *worker, c *candidate, dense []flowmodel.Bundle) []flowmodel.Bundle {
 	if w.syncGen != o.denseGen {
+		if cap(w.buf) < len(dense) {
+			w.buf = make([]flowmodel.Bundle, 0, cap(dense)) // the list's own headroom
+		}
 		w.buf = append(w.buf[:0], dense...)
 		w.syncGen = o.denseGen
 		if o.tm != nil {

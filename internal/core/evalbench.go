@@ -18,7 +18,7 @@ const benchWorkers = 1
 // per-candidate wall times of the full, incremental (full-Result) and
 // utility-only evaluation strategies over one real optimization run, plus
 // the differential verdict (every triple must produce bit-identical
-// utility).
+// utility, and the full-Result delta the full evaluation's Result).
 type CandidateBenchResult struct {
 	// Solution is the completed run (committed with the delta utilities,
 	// which equal the full ones bit for bit).
@@ -29,8 +29,11 @@ type CandidateBenchResult struct {
 	DeltaNs []int64
 	UtilNs  []int64
 	// Identical reports whether every candidate's three utilities matched
-	// exactly.
+	// exactly and its full-Result delta equaled its full evaluation field
+	// by field; Mismatch is the first candidate's difference, nil when
+	// there is none.
 	Identical bool
+	Mismatch  error
 	// Delta is the run's incremental-evaluation counters.
 	Delta flowmodel.DeltaStats
 }
@@ -53,7 +56,8 @@ func medianNs(ns []int64) int64 {
 // evaluated three ways — a full water-filling on a separate arena, a
 // full-Result incremental delta, and an exact utility-only delta (bound
 // −Inf; it drives the run) — timing each and asserting all three agree bit
-// for bit. Only the scoring call is replaced: the run keeps its persistent
+// for bit, the two full Results field by field (flowmodel.Result.Diff,
+// outside the timed sections). Only the scoring call is replaced: the run keeps its persistent
 // base like any other, so the differential also covers remapped and
 // rebased bases. Workers is forced to benchWorkers so the timings don't
 // contend for the CPU.
@@ -65,6 +69,8 @@ func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchRes
 	}
 	r := &CandidateBenchResult{Identical: true}
 	full := model.NewEval()
+	var fullRes *flowmodel.Result
+	deltaRes := new(flowmodel.Result) // the delta's Result, kept from its arena's next call
 	o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, sc *flowmodel.Closure, _ float64) float64 {
 		// Rotate the measurement order per candidate: whichever path runs
 		// later sees caches its predecessors warmed, so a fixed order
@@ -73,13 +79,16 @@ func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchRes
 		var tFull, tDelta, tUtil time.Duration
 		runFull := func() {
 			t := time.Now()
-			uFull = full.Evaluate(buf).NetworkUtility
+			fullRes = full.Evaluate(buf)
 			tFull = time.Since(t)
+			uFull = fullRes.NetworkUtility
 		}
 		runDelta := func() {
 			t := time.Now()
-			uDelta = w.eval.EvaluateDelta(sc, buf, changed).NetworkUtility
+			res := w.eval.EvaluateDelta(sc, buf, changed)
 			tDelta = time.Since(t)
+			uDelta = res.NetworkUtility
+			res.CloneInto(deltaRes)
 		}
 		runUtil := func() {
 			t := time.Now()
@@ -105,6 +114,10 @@ func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchRes
 		r.UtilNs = append(r.UtilNs, tUtil.Nanoseconds())
 		if uFull != uDelta || uFull != uUtil {
 			r.Identical = false
+		}
+		if err := deltaRes.Diff(fullRes); err != nil && r.Mismatch == nil {
+			r.Identical = false
+			r.Mismatch = fmt.Errorf("candidate %d: %w", len(r.FullNs)-1, err)
 		}
 		return uUtil
 	}

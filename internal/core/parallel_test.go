@@ -137,7 +137,8 @@ func TestDeltaEvalDeterminism(t *testing.T) {
 
 // TestCandidateBenchDifferential replays a real optimization with every
 // candidate evaluated through all three strategies (core.RunCandidateBench),
-// asserting bit-identical utilities across well over 1000 recorded
+// asserting bit-identical utilities, and full-Result deltas identical to
+// the full evaluations field by field, across well over 1000 recorded
 // optimizer candidates, scored against the run's persistent base.
 func TestCandidateBenchDifferential(t *testing.T) {
 	topo, mat := congestedInstance(t, 1)
@@ -150,7 +151,7 @@ func TestCandidateBenchDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !r.Identical {
-		t.Fatal("delta candidate utilities diverged from full evaluations")
+		t.Fatalf("delta candidate scores diverged from full evaluations: %v", r.Mismatch)
 	}
 	if len(r.FullNs) < 1000 {
 		t.Fatalf("bench exercised only %d candidates, want >= 1000", len(r.FullNs))

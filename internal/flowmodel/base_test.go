@@ -59,7 +59,7 @@ func requireBase(t *testing.T, tag string, m *Model, got *Base, list []Bundle) {
 	same("order", slices.Equal(got.order, want.order))
 	same("orderPos", slices.Equal(got.orderPos, want.orderPos))
 	same("linkBun", slices.EqualFunc(got.linkBun, want.linkBun, slices.Equal[[]int32]))
-	same("aggBun", slices.EqualFunc(got.aggBun, want.aggBun, slices.Equal[[]int32]))
+	same("aggBun", slices.Equal(got.aggBun, want.aggBun) && slices.Equal(got.aggOff, want.aggOff))
 	same("linkLoad", slices.Equal(got.linkLoad, want.linkLoad))
 	same("linkDem", slices.Equal(got.linkDem, want.linkDem))
 	same("isCong", slices.Equal(got.isCong, want.isCong))

@@ -92,8 +92,15 @@ type Base struct {
 	// event — so the pick costs the affected set, not the list.
 	order    []uint64
 	orderPos []int32
-	linkBun  [][]int32 // per link: active crossing bundles, index order
-	aggBun   [][]int32 // per aggregate: its bundle indices, index order
+	// linkBun lists each link's active crossing bundles in index order. A
+	// capture cuts every list from linkArr, with crosserSlack entries of
+	// room; patchBase moves one that outgrows them to an array of its own.
+	linkBun [][]int32
+	linkArr []int32
+	// aggBun[aggOff[a]:aggOff[a+1]] are aggregate a's bundle indices, in
+	// index order (aggBundles).
+	aggBun   []int32
+	aggOff   []int32
 	linkLoad []float64
 	linkDem  []float64
 	isCong   []bool
@@ -381,14 +388,18 @@ func (e *Eval) EvaluateBase(bundles []Bundle, base *Base) *Result {
 // captureState copies the arena's post-Evaluate state into base. The
 // arena must hold a complete full evaluation of bundles (every per-bundle
 // and per-link array valid), which is true immediately after Evaluate.
+//
+// The per-bundle arrays are copied with GrowCap's headroom, which the
+// placeholders RemapBase inserts then grow into in place.
 func (e *Eval) captureState(bundles []Bundle, res *Result, base *Base) {
-	base.bundles = append(base.bundles[:0], bundles...)
-	base.rate = append(base.rate[:0], res.BundleRate...)
-	base.sat = append(base.sat[:0], res.BundleSatisfied...)
-	base.byDemand = append(base.byDemand[:0], e.byDemand[:len(bundles)]...)
-	base.weight = append(base.weight[:0], e.weight[:len(bundles)]...)
-	base.demand = append(base.demand[:0], e.demand[:len(bundles)]...)
-	base.tDemand = append(base.tDemand[:0], e.tDemand[:len(bundles)]...)
+	nB := len(bundles)
+	base.bundles = refill(base.bundles, bundles)
+	base.rate = refill(base.rate, res.BundleRate)
+	base.sat = refill(base.sat, res.BundleSatisfied)
+	base.byDemand = refill(base.byDemand, e.byDemand[:nB])
+	base.weight = refill(base.weight, e.weight[:nB])
+	base.demand = refill(base.demand, e.demand[:nB])
+	base.tDemand = refill(base.tDemand, e.tDemand[:nB])
 	base.order = append(base.order[:0], e.order...)
 	base.indexOrder()
 	base.linkLoad = append(base.linkLoad[:0], res.LinkLoad...)
@@ -410,26 +421,49 @@ func (e *Eval) captureState(bundles []Bundle, res *Result, base *Base) {
 		base.binding = make([]bool, nL)
 	}
 	base.binding = base.binding[:nL]
+	crossings := nL * crosserSlack
 	for l := 0; l < nL; l++ {
-		base.linkBun[l] = append(base.linkBun[l][:0], e.linkBun[l]...)
+		crossings += len(e.linkBun[l])
+	}
+	base.linkArr = resize(base.linkArr, crossings)
+	at := 0
+	for l := 0; l < nL; l++ {
+		n := copy(base.linkArr[at:], e.linkBun[l])
+		base.linkBun[l] = base.linkArr[at : at+n : at+n+crosserSlack]
+		at += n + crosserSlack
 		base.binding[l] = res.IsCongested[l] || res.LinkLoad[l] >= e.m.capacity[l]*bindingEagerFrac
 	}
 	base.indexAggs(e.m.mat.NumAggregates())
 }
 
-// indexAggs rebuilds aggBun, each of nA aggregates' bundle indices, from
-// the captured list.
+// indexAggs rebuilds aggBun and aggOff, each of nA aggregates' bundle
+// indices, from the captured list: a count per aggregate, then every
+// bundle placed at its aggregate's next slot.
 func (b *Base) indexAggs(nA int) {
-	if cap(b.aggBun) < nA {
-		b.aggBun = make([][]int32, nA)
+	b.aggOff = resize(b.aggOff, nA+1)
+	off := b.aggOff
+	clear(off)
+	for _, bd := range b.bundles {
+		off[bd.Agg+1]++
 	}
-	b.aggBun = b.aggBun[:nA]
-	for a := range b.aggBun {
-		b.aggBun[a] = b.aggBun[a][:0]
+	for a := 1; a <= nA; a++ {
+		off[a] += off[a-1]
 	}
+	b.aggBun = resize(b.aggBun, len(b.bundles))
 	for i, bd := range b.bundles {
-		b.aggBun[bd.Agg] = append(b.aggBun[bd.Agg], int32(i))
+		b.aggBun[off[bd.Agg]] = int32(i)
+		off[bd.Agg]++
 	}
+	// Each aggregate's offset now points where the next one's begins.
+	copy(off[1:], off[:nA])
+	off[0] = 0
+}
+
+// aggBundles returns aggregate a's bundle indices in the captured list,
+// read-only: cut to end at its capacity, like every window of one array.
+func (b *Base) aggBundles(a int32) []int32 {
+	lo, hi := b.aggOff[a], b.aggOff[a+1]
+	return b.aggBun[lo:hi:hi]
 }
 
 // Closure is the part of one optimizer step's scoring sub-problem that the
@@ -1223,8 +1257,8 @@ func (e *Eval) deltaUtility(c *Closure, bundles []Bundle, changed []int, res *Re
 	}
 	for _, a := range d.dirtyAggs {
 		var sum float64
-		for _, bi := range base.aggBun[a] {
-			b := bundles[bi]
+		for _, bi := range base.aggBundles(a) {
+			b := &bundles[bi]
 			if b.Flows <= 0 {
 				continue
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"fubar/internal/graph"
@@ -122,48 +123,55 @@ func perturb(rng *rand.Rand, bundles []Bundle) []int {
 	return nil
 }
 
-// requireIdentical asserts two results agree bit for bit on every field
-// the differential contract covers.
+// requireIdentical fails the test unless got is want bit for bit
+// (Result.Diff).
 func requireIdentical(t *testing.T, tag string, want, got *Result) {
 	t.Helper()
-	if want.NetworkUtility != got.NetworkUtility {
-		t.Fatalf("%s: NetworkUtility %v != %v", tag, got.NetworkUtility, want.NetworkUtility)
+	if err := got.Diff(want); err != nil {
+		t.Fatalf("%s: %v", tag, err)
 	}
-	for i := range want.BundleRate {
-		if want.BundleRate[i] != got.BundleRate[i] {
-			t.Fatalf("%s: BundleRate[%d] %v != %v", tag, i, got.BundleRate[i], want.BundleRate[i])
-		}
-		if want.BundleSatisfied[i] != got.BundleSatisfied[i] {
-			t.Fatalf("%s: BundleSatisfied[%d] %v != %v", tag, i, got.BundleSatisfied[i], want.BundleSatisfied[i])
-		}
+}
+
+// TestResultDiffNamesTheField plants one difference in each field of a
+// cloned evaluation and expects Diff to name that field, and the index in
+// a slice; a clone itself, an empty slice against nil included, differs
+// nowhere.
+func TestResultDiffNamesTheField(t *testing.T) {
+	topo, mat, bundles := randomInstance(t, 3)
+	m, err := New(topo, mat)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for l := range want.LinkLoad {
-		if want.LinkLoad[l] != got.LinkLoad[l] {
-			t.Fatalf("%s: LinkLoad[%d] %v != %v", tag, l, got.LinkLoad[l], want.LinkLoad[l])
-		}
-		if want.LinkDemand[l] != got.LinkDemand[l] {
-			t.Fatalf("%s: LinkDemand[%d] %v != %v", tag, l, got.LinkDemand[l], want.LinkDemand[l])
-		}
-		if want.IsCongested[l] != got.IsCongested[l] {
-			t.Fatalf("%s: IsCongested[%d] %v != %v", tag, l, got.IsCongested[l], want.IsCongested[l])
-		}
+	want := m.NewEval().Evaluate(bundles).Clone()
+	if err := want.Clone().Diff(want); err != nil {
+		t.Fatalf("a clone differs: %v", err)
 	}
-	for a := range want.AggUtility {
-		if want.AggUtility[a] != got.AggUtility[a] {
-			t.Fatalf("%s: AggUtility[%d] %v != %v", tag, a, got.AggUtility[a], want.AggUtility[a])
+	empty, none := want.Clone(), want.Clone()
+	empty.Congested, none.Congested = []graph.EdgeID{}, nil
+	if err := empty.Diff(none); err != nil {
+		t.Fatalf("an empty slice differs from nil: %v", err)
+	}
+	for _, c := range []struct {
+		plant func(*Result)
+		names string
+	}{
+		{func(r *Result) { r.BundleRate[1]++ }, "BundleRate[1]"},
+		{func(r *Result) { r.BundleSatisfied[2] = !r.BundleSatisfied[2] }, "BundleSatisfied[2]"},
+		{func(r *Result) { r.LinkLoad[3]++ }, "LinkLoad[3]"},
+		{func(r *Result) { r.LinkDemand[0]++ }, "LinkDemand[0]"},
+		{func(r *Result) { r.Congested = append(r.Congested, 0) }, "Congested has"},
+		{func(r *Result) { r.IsCongested[1] = !r.IsCongested[1] }, "IsCongested[1]"},
+		{func(r *Result) { r.AggUtility[4]++ }, "AggUtility[4]"},
+		{func(r *Result) { r.AggUtility = r.AggUtility[:1] }, "AggUtility has"},
+		{func(r *Result) { r.NetworkUtility++ }, "NetworkUtility"},
+		{func(r *Result) { r.ActualUtilization++ }, "ActualUtilization"},
+		{func(r *Result) { r.DemandedUtilization++ }, "DemandedUtilization"},
+	} {
+		got := want.Clone()
+		c.plant(got)
+		if err := got.Diff(want); err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("planted %s: Diff = %v", c.names, err)
 		}
-	}
-	if len(want.Congested) != len(got.Congested) {
-		t.Fatalf("%s: Congested %v != %v", tag, got.Congested, want.Congested)
-	}
-	for i := range want.Congested {
-		if want.Congested[i] != got.Congested[i] {
-			t.Fatalf("%s: Congested %v != %v", tag, got.Congested, want.Congested)
-		}
-	}
-	if want.ActualUtilization != got.ActualUtilization || want.DemandedUtilization != got.DemandedUtilization {
-		t.Fatalf("%s: utilization (%v,%v) != (%v,%v)", tag,
-			got.ActualUtilization, got.DemandedUtilization, want.ActualUtilization, want.DemandedUtilization)
 	}
 }
 

@@ -130,6 +130,48 @@ func (r *Result) CloneInto(dst *Result) *Result {
 	return dst
 }
 
+// Diff returns nil when r is want bit for bit — every per-bundle, per-link
+// and per-aggregate slice of want's length and contents (an empty slice
+// equal to a nil one), the three scalars equal — and otherwise an error
+// naming the first field, and index, where they differ: the one statement
+// of what makes two evaluations identical, shared by every differential
+// check of an incremental evaluation against a full one.
+func (r *Result) Diff(want *Result) error {
+	return cmp.Or(
+		diffField("BundleRate", r.BundleRate, want.BundleRate),
+		diffField("BundleSatisfied", r.BundleSatisfied, want.BundleSatisfied),
+		diffField("LinkLoad", r.LinkLoad, want.LinkLoad),
+		diffField("LinkDemand", r.LinkDemand, want.LinkDemand),
+		diffField("Congested", r.Congested, want.Congested),
+		diffField("IsCongested", r.IsCongested, want.IsCongested),
+		diffField("AggUtility", r.AggUtility, want.AggUtility),
+		diffValue("NetworkUtility", r.NetworkUtility, want.NetworkUtility),
+		diffValue("ActualUtilization", r.ActualUtilization, want.ActualUtilization),
+		diffValue("DemandedUtilization", r.DemandedUtilization, want.DemandedUtilization),
+	)
+}
+
+// diffField is Diff for one slice field.
+func diffField[T comparable](field string, got, want []T) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("flowmodel: %s has %d entries, want %d", field, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("flowmodel: %s[%d] %v, want %v", field, i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// diffValue is Diff for one scalar field.
+func diffValue(field string, got, want float64) error {
+	if got != want {
+		return fmt.Errorf("flowmodel: %s %v, want %v", field, got, want)
+	}
+	return nil
+}
+
 // Model holds the immutable half of an evaluation: topology, traffic
 // matrix, link capacities and per-aggregate demand. It never changes
 // after New, holds no evaluation scratch, and is safe for concurrent use
@@ -165,8 +207,12 @@ type Eval struct {
 	order      []uint64 // demand events: float32(tDemand) bits << 32 | index
 	linkW      []float64
 	linkFrozen []float64
-	linkBun    [][]int32 // per link: bundles crossing it
-	events     linkQueue // pending link-saturation events
+	// linkBun lists each link's crossing bundles. A full fill cuts every
+	// list from linkArr, at linkOff[l]:linkOff[l+1] (layCrossers).
+	linkBun [][]int32
+	linkArr []int32
+	linkOff []int32
+	events  linkQueue // pending link-saturation events
 	// stallClears counts residual-float-weight stall-guard activations
 	// (the linkW-dust branch of the fill loop), for tests.
 	stallClears int64
@@ -248,6 +294,7 @@ func (m *Model) NewEval() *Eval {
 		linkW:      make([]float64, nL),
 		linkFrozen: make([]float64, nL),
 		linkBun:    make([][]int32, nL),
+		linkOff:    make([]int32, nL+1),
 	}
 	e.events.init(nL)
 	e.res.LinkLoad = make([]float64, nL)
@@ -288,16 +335,22 @@ func (e *Eval) Evaluate(bundles []Bundle) *Result {
 	for i := 0; i < nL; i++ {
 		e.linkW[i] = 0
 		e.linkFrozen[i] = 0
-		e.linkBun[i] = e.linkBun[i][:0]
 		res.LinkLoad[i] = 0
 		res.LinkDemand[i] = 0
 		res.IsCongested[i] = false
 	}
 
-	// Set up per-bundle filling parameters.
+	// Set up per-bundle filling parameters, then accumulate the active
+	// bundles onto their links, in index order.
 	active := 0
 	for i := range bundles {
-		active += e.setupBundle(bundles, i, res)
+		active += e.setupParams(bundles, i, res)
+	}
+	e.layCrossers(bundles)
+	for i := range bundles {
+		if !e.frozen[i] {
+			e.addCrossings(bundles, i, res)
+		}
 	}
 
 	e.buildDemandOrder()
@@ -325,20 +378,45 @@ func (e *Eval) Evaluate(bundles []Bundle) *Result {
 	return res
 }
 
-// setupBundle initializes bundle i's filling parameters and accumulates
-// its weight and demand onto the links it crosses. Returns 1 when the
-// bundle enters the filling as active, 0 when it freezes immediately.
-func (e *Eval) setupBundle(bundles []Bundle, i int, res *Result) int {
-	if e.setupParams(bundles, i, res) == 0 {
-		return 0
+// crosserSlack is the room a crosser list cut from one array keeps past
+// its count: a commit's two changed bundles add at most two crossers to a
+// link, which then fit in place.
+const crosserSlack = 2
+
+// layCrossers cuts every link's crosser list for the active bundles out of
+// linkArr, with room for the link's count of them and crosserSlack more:
+// one array, re-allocated only when the lists outgrow it, instead of one
+// per link. Each list ends at its capacity, so a delta fill that appends
+// past it (foldLink) moves the list to an array of its own and never
+// writes into the next link's.
+func (e *Eval) layCrossers(bundles []Bundle) {
+	off := e.linkOff
+	clear(off)
+	for i := range bundles {
+		if !e.frozen[i] {
+			for _, eid := range bundles[i].Edges {
+				off[eid+1]++
+			}
+		}
 	}
+	for l := 1; l < len(off); l++ {
+		off[l] += off[l-1] + crosserSlack
+	}
+	e.linkArr = resize(e.linkArr, int(off[len(off)-1]))
+	for l := range e.linkBun {
+		e.linkBun[l] = e.linkArr[off[l]:off[l]:off[l+1]]
+	}
+}
+
+// addCrossings accumulates active bundle i's weight and demand onto the
+// links it crosses and lists it among their crossers.
+func (e *Eval) addCrossings(bundles []Bundle, i int, res *Result) {
 	w, d := e.weight[i], e.demand[i]
 	for _, eid := range bundles[i].Edges {
 		e.linkW[eid] += w
 		e.linkBun[eid] = append(e.linkBun[eid], int32(i))
 		res.LinkDemand[eid] += d
 	}
-	return 1
 }
 
 // setupParams initializes bundle i's filling parameters and rate, touching
@@ -564,7 +642,8 @@ func (e *Eval) computeUtility(bundles []Bundle, res *Result) {
 	}
 	// Flows not covered by any bundle contribute zero utility, so track
 	// covered flow counts for safety in partial allocations.
-	for bi, b := range bundles {
+	for bi := range bundles {
+		b := &bundles[bi]
 		if b.Flows <= 0 {
 			continue
 		}
@@ -599,13 +678,13 @@ func (m *Model) networkTerm(a int, util float64) float64 {
 // round-trip time. The full and delta paths both sum aggregates from
 // this helper, keeping their arithmetic identical term for term — the
 // bit-identity contract of EvaluateDelta depends on that.
-func (m *Model) utilityTerm(b Bundle, rate float64) float64 {
+func (m *Model) utilityTerm(b *Bundle, rate float64) float64 {
 	perFlow := unit.Bandwidth(rate / float64(b.Flows))
 	var u float64
 	if len(b.Edges) == 0 {
 		u = 1 // same-POP traffic never crosses the backbone
 	} else {
-		u = m.mat.Aggregate(b.Agg).Fn.Eval(perFlow, 2*b.Delay) // delay curves are RTT
+		u = m.mat.Utility(b.Agg, perFlow, 2*b.Delay) // delay curves are RTT
 	}
 	return u * float64(b.Flows)
 }

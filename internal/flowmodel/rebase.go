@@ -214,7 +214,7 @@ func (e *Eval) RemapBase(base *Base, bundles []Bundle, oldIdx []int) bool {
 			base.weight[j], base.demand[j], base.tDemand[j] = 0, 0, 0
 		}
 	}
-	base.bundles = append(base.bundles[:0], bundles...)
+	base.bundles = refill(base.bundles, bundles)
 	for i, k := range base.order {
 		base.order[i] = k&^uint64(math.MaxUint32) | uint64(uint32(inv[uint32(k)]))
 	}
@@ -270,24 +270,37 @@ func (e *Eval) ResultFromBase(base *Base) *Result {
 	return res
 }
 
-// growCap is the capacity a scratch array gets when it must hold n
-// entries: a quarter over, so a bundle list that gains a few placeholders a
-// step re-allocates every few dozen steps, not every one.
-func growCap(n int) int { return n + n/4 }
+// GrowCap is the capacity a per-bundle array gets when it must hold n
+// entries: half again as many. An optimizer's list starts at one entry an
+// aggregate and gains a placeholder for every path collection appends — a
+// third more by the end of a cold scale-s run (1,500 → up to 2,001) — so
+// that the arrays sized for its first build hold it to the end, and one
+// that must still grow re-allocates every few dozen steps, not every one.
+// The list itself takes the same, so that it and a Base capturing it
+// re-allocate together.
+func GrowCap(n int) int { return n + n/2 }
 
 // extend returns s with length n ≥ len(s), its contents kept.
 func extend[T any](s []T, n int) []T {
 	if cap(s) < n {
-		s = append(make([]T, 0, growCap(n)), s...)
+		s = append(make([]T, 0, GrowCap(n)), s...)
 	}
 	return s[:n]
+}
+
+// refill returns dst holding a copy of src, re-allocated with GrowCap's
+// headroom when its capacity falls short.
+func refill[T any](dst, src []T) []T {
+	dst = resize(dst, len(src))
+	copy(dst, src)
+	return dst
 }
 
 // resize returns s with length n, re-allocating (contents dropped) only
 // when its capacity falls short.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n, growCap(n))
+		return make([]T, n, GrowCap(n))
 	}
 	return s[:n]
 }

@@ -24,9 +24,9 @@ func (c Constraints) nodeExcluded(n NodeID) bool {
 
 // Searcher is the shortest-path kernel: it owns the scratch every search
 // needs, so a warm Searcher allocates nothing per search but the returned
-// edge list. The zero value is ready to use and adapts to graphs of any
-// size. A Searcher is not safe for concurrent use; give each goroutine
-// its own.
+// edge list, and not that when the caller supplies room for it. The zero
+// value is ready to use and adapts to graphs of any size. A Searcher is
+// not safe for concurrent use; give each goroutine its own.
 type Searcher struct {
 	// epoch stamps the node states the current search has written;
 	// bumping it invalidates them all without an O(nodes) reset.
@@ -68,7 +68,7 @@ func (s *Searcher) begin(n int) {
 // the constraints, and whether one exists. src==dst yields the empty path.
 // The returned edge list is freshly allocated.
 func (s *Searcher) ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
-	p, _, ok := s.ShortestPathUnique(g, src, dst, cons, nil)
+	p, _, ok := s.ShortestPathUnique(g, src, dst, cons, nil, nil)
 	return p, ok
 }
 
@@ -90,7 +90,10 @@ func (s *Searcher) ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Pa
 // relaxed, as without h, so an untied answer is the plain search's; a
 // tied one is searched again without h, since which of two equal paths a
 // search keeps depends on its pop order.
-func (s *Searcher) ShortestPathUnique(g *Graph, src, dst NodeID, cons Constraints, h []float64) (p Path, unique, ok bool) {
+//
+// The path's edges are stored in room when its capacity holds them (see
+// pathEdges), in a fresh array otherwise.
+func (s *Searcher) ShortestPathUnique(g *Graph, src, dst NodeID, cons Constraints, h []float64, room []EdgeID) (p Path, unique, ok bool) {
 	if src == dst {
 		return Path{}, false, true
 	}
@@ -107,7 +110,7 @@ func (s *Searcher) ShortestPathUnique(g *Graph, src, dst NodeID, cons Constraint
 	if !ok {
 		return Path{}, false, false
 	}
-	edges := make([]EdgeID, hops)
+	edges := pathEdges(room, hops)
 	for at, i := dst, hops-1; i >= 0; i-- {
 		edges[i] = s.nodes[at].prev
 		at = g.edges[edges[i]].From
@@ -186,14 +189,15 @@ func (t Tree) Dist() []float64 { return t.dist }
 // distance the search reached dst at. The returned edge list is freshly
 // allocated.
 func (t Tree) Path(g *Graph, dst NodeID) (Path, bool) {
-	p, _, ok := t.PathUnique(g, dst)
+	p, _, ok := t.PathUnique(g, dst, nil)
 	return p, ok
 }
 
 // PathUnique is Path plus ShortestPathUnique's proof, read off the tie
 // flags the tree kept — the flags the early-exit search raises on the
-// path's nodes, whenever every edge lengthens its path.
-func (t Tree) PathUnique(g *Graph, dst NodeID) (p Path, unique, ok bool) {
+// path's nodes, whenever every edge lengthens its path. Its edges are
+// stored in room as ShortestPathUnique's are.
+func (t Tree) PathUnique(g *Graph, dst NodeID, room []EdgeID) (p Path, unique, ok bool) {
 	if dst == t.src {
 		return Path{}, false, true
 	}
@@ -206,13 +210,25 @@ func (t Tree) PathUnique(g *Graph, dst NodeID) (p Path, unique, ok bool) {
 		unique = unique && !t.tied[at]
 		hops++
 	}
-	edges := make([]EdgeID, hops)
+	edges := pathEdges(room, hops)
 	for at, i := dst, hops-1; i >= 0; i-- {
 		id := EdgeID(t.prev[at])
 		edges[i] = id
 		at = g.edges[id].From
 	}
 	return Path{Edges: edges, Weight: t.dist[dst]}, unique, true
+}
+
+// pathEdges returns the array a path of hops edges is written to: the
+// first hops entries of room when its capacity holds them, cut so that its
+// capacity ends with it — appending to the path cannot write into the rest
+// of room, which a caller hands out to later paths — and a fresh array
+// otherwise.
+func pathEdges(room []EdgeID, hops int) []EdgeID {
+	if cap(room) < hops {
+		return make([]EdgeID, hops)
+	}
+	return room[:hops:hops]
 }
 
 // dijkstra settles nodes in distance order from src until dst is settled

@@ -77,9 +77,9 @@ func checkGoalDirected(g *Graph, rng *rand.Rand, queries int, st *goalDirectedSt
 		h := potentials[dst]
 
 		before := plain.Settled()
-		want, wantUnique, wantOK := plain.ShortestPathUnique(g, src, dst, cons, nil)
+		want, wantUnique, wantOK := plain.ShortestPathUnique(g, src, dst, cons, nil, nil)
 		st.settledPlain += plain.Settled() - before
-		got, gotUnique, gotOK := s.ShortestPathUnique(g, src, dst, cons, h)
+		got, gotUnique, gotOK := s.ShortestPathUnique(g, src, dst, cons, h, nil)
 		if gotOK != wantOK || gotUnique != wantUnique || !got.Equal(want) ||
 			math.Float64bits(got.Weight) != math.Float64bits(want.Weight) {
 			return fmt.Errorf("%d->%d (n=%d): goal-directed %v w=%v unique=%v ok=%v, plain %v w=%v unique=%v ok=%v",

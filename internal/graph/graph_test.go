@@ -505,6 +505,16 @@ func TestValidateRejectsLoopsAndWrongEnd(t *testing.T) {
 	if err := (Path{Edges: []EdgeID{ab, bc}}).Validate(g, 0, 2); err != nil {
 		t.Fatalf("simple path rejected: %v", err)
 	}
+	// Warm-start repair validates every installed bundle of every epoch,
+	// some longer than a small map's stack-held first bucket.
+	line := New(12)
+	var long Path
+	for v := NodeID(0); v < 11; v++ {
+		long.Edges = append(long.Edges, mustEdge(t, line, v, v+1, 1))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = long.Validate(line, 0, 11) }); allocs != 0 {
+		t.Errorf("Validate of an 11-hop path allocates %v times, want 0", allocs)
+	}
 	if err := (Path{Edges: []EdgeID{ab, ba, ab, bc}}).Validate(g, 0, 2); err == nil {
 		t.Error("path through a loop validated")
 	}

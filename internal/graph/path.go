@@ -79,17 +79,21 @@ func (p Path) Validate(g *Graph, src, dst NodeID) error {
 		}
 		return nil
 	}
-	seen := map[NodeID]bool{src: true}
 	at := src
 	for i, id := range p.Edges {
 		e := g.Edge(id)
 		if e.From != at {
 			return fmt.Errorf("graph: edge %d at hop %d starts at %d, expected %d", id, i, e.From, at)
 		}
-		if seen[e.To] {
+		// The nodes walked so far are src and the earlier hops' heads: a
+		// scan of them allocates nothing, and paths are a few hops long.
+		revisits := e.To == src
+		for _, prev := range p.Edges[:i] {
+			revisits = revisits || g.edges[prev].To == e.To
+		}
+		if revisits {
 			return fmt.Errorf("graph: path revisits node %d", e.To)
 		}
-		seen[e.To] = true
 		at = e.To
 	}
 	if at != dst {

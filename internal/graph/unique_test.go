@@ -101,8 +101,8 @@ func TestUniqueFlagMatchesBruteForce(t *testing.T) {
 						continue // a tree does not admit an excluded destination
 					}
 					best, count := minimumPaths(g, src, dst, cons)
-					p, unique, ok := s.ShortestPathUnique(g, src, dst, cons, nil)
-					tp, tunique, tok := tree.PathUnique(g, dst)
+					p, unique, ok := s.ShortestPathUnique(g, src, dst, cons, nil, nil)
+					tp, tunique, tok := tree.PathUnique(g, dst, nil)
 					pairs++
 					if ok != (count > 0) || tok != ok {
 						t.Fatalf("trial %d %d->%d: search ok=%v, tree ok=%v, %d paths exist", trial, src, dst, ok, tok, count)
@@ -167,9 +167,9 @@ func TestUniqueAnswerSurvivesWiderExclusion(t *testing.T) {
 			if dst == src || narrow.nodeExcluded(dst) {
 				continue
 			}
-			p, unique, ok := s.ShortestPathUnique(g, src, dst, narrow, nil)
+			p, unique, ok := s.ShortestPathUnique(g, src, dst, narrow, nil, nil)
 			if q%2 == 1 {
-				p, unique, ok = tree.PathUnique(g, dst)
+				p, unique, ok = tree.PathUnique(g, dst, nil)
 			}
 			// Widen: everything narrow excludes, plus random edges off p.
 			wider := Constraints{ExcludeEdges: append([]bool(nil), narrow.ExcludeEdges...), ExcludeNodes: narrow.ExcludeNodes}

@@ -256,7 +256,8 @@ func TestMemoAnswersMatchFreshGenerator(t *testing.T) {
 					// on the equal-delay topologies, count the minimum
 					// paths behind every answer that carries the proof.
 					proofs := 0
-					for key, a := range long.memo {
+					for key, i := range long.memo {
+						a := long.answers[i]
 						if !a.unique {
 							continue
 						}
@@ -358,7 +359,7 @@ func TestPathSetMembershipAllocatesNothing(t *testing.T) {
 	if len(paths) < 3 {
 		t.Fatalf("only %d paths", len(paths))
 	}
-	s := NewPathSet(0)
+	s := NewPathSet(0, nil)
 	for _, p := range paths[1:] {
 		s.Add(p)
 	}

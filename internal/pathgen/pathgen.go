@@ -69,9 +69,10 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 // toward that node (see potential).
 //
 // Returned paths share their Edges with the memo and with every other
-// caller handed the same answer; treat them as read-only. Memo and trees
-// live until a Retarget or Trim drops them. Not safe for concurrent use:
-// give each goroutine its own.
+// caller handed the same answer; treat them as read-only. The edge lists
+// are cut from chunks the generator fills in order and never rewrites, each
+// ending at its capacity. Memo and trees live until a Retarget or Trim
+// drops them. Not safe for concurrent use: give each goroutine its own.
 type Generator struct {
 	topo *topology.Topology
 	// forbidden lists the policy's forbidden links in ascending order;
@@ -83,7 +84,10 @@ type Generator struct {
 	goal, noTrees, noPotentials bool
 
 	searcher graph.Searcher
-	memo     map[memoKey]answer
+	// memo maps a lookup's key to its answer's index in answers: a table
+	// of 16-byte slots, where the answers themselves are 40 bytes each.
+	memo    map[memoKey]int32
+	answers []answer
 	// sources maps (src, forbidden set) to the index of its tree in trees.
 	sources map[sourceKey]int32
 	trees   []graph.Tree
@@ -92,6 +96,10 @@ type Generator struct {
 	sets     map[uint64][]int32
 	setLinks [][]graph.EdgeID
 	stats    Stats
+	// edges is the chunk answers' edge lists are cut from: each answer
+	// takes the next len(path) entries, so the chunk's length only grows,
+	// and a full chunk is replaced, never reused (keepEdges).
+	edges []graph.EdgeID
 
 	links     []graph.EdgeID // scratch: a link list merged with forbidden
 	all, used []graph.EdgeID // scratch: a Request's masks as link lists
@@ -140,7 +148,7 @@ func (g *Generator) ResetStats() { g.stats = Stats{} }
 // New builds a generator for the topology under the policy.
 func New(topo *topology.Topology, policy Policy) (*Generator, error) {
 	g := &Generator{
-		memo:    make(map[memoKey]answer),
+		memo:    make(map[memoKey]int32),
 		sources: make(map[sourceKey]int32),
 		sets:    make(map[uint64][]int32),
 	}
@@ -193,6 +201,17 @@ func (g *Generator) Retarget(topo *topology.Topology, policy Policy) error {
 	return nil
 }
 
+// Reserve sizes the memo of a generator that has held no answer yet to
+// hold about n without growing — a fresh optimizer expects a few per
+// aggregate. Any other memo is left as it is: a flushed one keeps the
+// room it grew.
+func (g *Generator) Reserve(n int) {
+	if g.answers == nil {
+		g.memo = make(map[memoKey]int32, n)
+		g.answers = make([]answer, 0, n)
+	}
+}
+
 // Entries counts what the generator holds on to: memoised answers,
 // interned exclusion sets and trees.
 func (g *Generator) Entries() int { return len(g.memo) + len(g.setLinks) + len(g.trees) }
@@ -209,10 +228,13 @@ func (g *Generator) Trim(max int) {
 // flush forgets every answer, tree and exclusion set but the policy's own.
 func (g *Generator) flush() {
 	clear(g.memo)
+	clear(g.answers) // drops their paths' edges
+	g.answers = g.answers[:0]
 	clear(g.sources)
 	clear(g.sets)
 	g.trees = g.trees[:0]
 	g.setLinks = g.setLinks[:0]
+	g.edges = nil
 	g.forbidSet = g.intern(fingerprint(g.forbidden), g.forbidden)
 }
 
@@ -232,9 +254,9 @@ func (g *Generator) LowestDelay(src, dst graph.NodeID) (graph.Path, bool) {
 func (g *Generator) lookup(src, dst graph.NodeID, set int32, donor answer, donorSet int32) answer {
 	g.stats.Lookups++
 	key := memoKey{src: src, dst: dst, set: set}
-	if a, hit := g.memo[key]; hit {
+	if i, hit := g.memo[key]; hit {
 		g.stats.MemoHits++
-		return a
+		return g.answers[i]
 	}
 	a, donated := donor, donorSet >= 0 && g.donate(donor, donorSet, set)
 	if donated {
@@ -242,7 +264,8 @@ func (g *Generator) lookup(src, dst graph.NodeID, set int32, donor answer, donor
 	} else {
 		a = g.search(key)
 	}
-	g.memo[key] = a
+	g.memo[key] = int32(len(g.answers))
+	g.answers = append(g.answers, a)
 	return a
 }
 
@@ -293,18 +316,40 @@ func (g *Generator) search(key memoKey) answer {
 	gr := g.topo.Graph()
 	var a answer
 	settled := g.searcher.Settled()
+	room := g.edges[len(g.edges):]
 	if tree := g.tree(key); tree != nil {
 		g.stats.TreeAnswers++
-		a.path, a.unique, a.ok = tree.PathUnique(gr, key.dst)
+		a.path, a.unique, a.ok = tree.PathUnique(gr, key.dst, room)
 	} else {
 		g.stats.Searches++
 		links := g.setLinks[key.set]
 		g.mark(links, true)
-		a.path, a.unique, a.ok = g.searcher.ShortestPathUnique(gr, key.src, key.dst, g.constraints(), g.potential(key.dst))
+		a.path, a.unique, a.ok = g.searcher.ShortestPathUnique(gr, key.src, key.dst, g.constraints(), g.potential(key.dst), room)
 		g.mark(links, false)
 	}
+	g.keepEdges(len(a.path.Edges), cap(room))
 	g.stats.Settled += g.searcher.Settled() - settled
 	return a
+}
+
+// edgeChunk is the length of the chunks answers' edge lists are cut from:
+// about a dozen paths each. A path can outlive its memo by many epochs —
+// installed, it is carried from warm start to warm start — and keeps its
+// whole chunk alive, so a chunk must cost little more than the path: at
+// 64 edges a he-crisis replay's live heap stays where one array a path
+// left it, and at 1,024 it grew by about a third.
+const edgeChunk = 64
+
+// keepEdges accounts for an answer of hops edges written to a room of the
+// given capacity: the room holds it and the chunk's length moves past it,
+// or the answer got an array of its own (graph.pathEdges) and the next one
+// starts a fresh chunk.
+func (g *Generator) keepEdges(hops, room int) {
+	if hops <= room {
+		g.edges = g.edges[:len(g.edges)+hops]
+	} else {
+		g.edges = make([]graph.EdgeID, 0, edgeChunk)
+	}
 }
 
 // tree returns key's source's shortest-path tree under the forbidden set,

@@ -253,7 +253,7 @@ func TestPathSetDedupAndLimit(t *testing.T) {
 	a, d := nodeID(t, topo, "A"), nodeID(t, topo, "D")
 	paths := g.KLowestDelay(a, d, 3)
 
-	s := NewPathSet(2)
+	s := NewPathSet(2, nil)
 	if !s.Add(paths[0]) {
 		t.Error("first Add failed")
 	}
@@ -279,7 +279,7 @@ func TestPathSetDedupAndLimit(t *testing.T) {
 		t.Error("IndexOf of absent path != -1")
 	}
 	// Unlimited set takes all.
-	u := NewPathSet(0)
+	u := NewPathSet(0, nil)
 	for _, p := range paths {
 		u.Add(p)
 	}
@@ -288,6 +288,16 @@ func TestPathSetDedupAndLimit(t *testing.T) {
 	}
 	if got := u.Path(1); !got.Equal(paths[1]) {
 		t.Error("Path(1) mismatch")
+	}
+	// Sets carved from one array: the one that outgrows its room moves
+	// out and leaves its neighbour's path where it was.
+	shared := make([]graph.Path, 2)
+	first, second := NewPathSet(0, shared[0:0:1]), NewPathSet(0, shared[1:1:2])
+	first.Add(paths[0])
+	second.Add(paths[2])
+	first.Add(paths[1])
+	if first.Len() != 2 || !first.Path(1).Equal(paths[1]) || !second.Path(0).Equal(paths[2]) || !shared[1].Equal(paths[2]) {
+		t.Error("a set outgrowing its room wrote into its neighbour's")
 	}
 }
 

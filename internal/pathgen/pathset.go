@@ -13,9 +13,13 @@ type PathSet struct {
 }
 
 // NewPathSet returns an empty set. limit bounds the number of stored
-// paths (0 = unbounded); once full, Add refuses new paths.
-func NewPathSet(limit int) *PathSet {
-	return &PathSet{limit: limit}
+// paths (0 = unbounded); once full, Add refuses new paths. The set's first
+// cap(room) paths are stored in room, so sets carved from one shared array
+// fill without an allocation each; room must end at its capacity, where the
+// next set's begins, and a set that outgrows it moves to an array of its
+// own. nil room stores every path in the set's own array.
+func NewPathSet(limit int, room []graph.Path) PathSet {
+	return PathSet{paths: room[:0], limit: limit}
 }
 
 // Reset empties the set under a new limit, keeping its storage: the set an

@@ -10,6 +10,14 @@ import (
 	"fubar/internal/unit"
 )
 
+// memoized is the memo's answer under key; the zero answer if none.
+func (g *Generator) memoized(key memoKey) answer {
+	if i, ok := g.memo[key]; ok {
+		return g.answers[i]
+	}
+	return answer{}
+}
+
 // sameLookups asks both generators one optimizer's worth of questions —
 // every pair's lowest-delay path, then its trio under the congestion lists
 // — and requires the long-lived one to answer as the fresh one does in
@@ -19,8 +27,8 @@ func sameLookups(t *testing.T, long, fresh *Generator, pairs [][2]graph.NodeID, 
 	t.Helper()
 	same := func(what string, pr [2]graph.NodeID, links []graph.EdgeID) {
 		t.Helper()
-		a := long.memo[memoKey{pr[0], pr[1], long.internWith(links)}]
-		b := fresh.memo[memoKey{pr[0], pr[1], fresh.internWith(links)}]
+		a := long.memoized(memoKey{pr[0], pr[1], long.internWith(links)})
+		b := fresh.memoized(memoKey{pr[0], pr[1], fresh.internWith(links)})
 		if !sameAnswer(a.path, a.ok, b.path, b.ok) || a.unique != b.unique {
 			t.Fatalf("%v %s avoiding %v (forbidden %v): long-lived %v/%v/%v, fresh %v/%v/%v",
 				pr, what, links, long.forbidden, a.path, a.ok, a.unique, b.path, b.ok, b.unique)

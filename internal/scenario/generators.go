@@ -288,6 +288,27 @@ func Soak(seed int64, epochs, period int) Scenario {
 	return sc
 }
 
+// HeapBounded returns nil when a soak replay's heap stayed O(1) in epochs:
+// every forced-GC watermark after the first — taken once the replay reached
+// steady state — within a constant envelope of it, 1.5 times it plus 8 MiB
+// of slack. A leak proportional to epochs (collected results, per-epoch
+// buffers kept alive, an unbounded base history) blows through it at soak
+// epoch counts. Otherwise the error names the first sample past the
+// envelope, or too few samples to tell.
+func HeapBounded(samples []uint64) error {
+	if len(samples) < 3 {
+		return fmt.Errorf("scenario: %d heap samples, need at least 3", len(samples))
+	}
+	limit := samples[0] + samples[0]/2 + 8<<20
+	for i, s := range samples[1:] {
+		if s > limit {
+			return fmt.Errorf("scenario: heap watermark grew: sample 0 = %d bytes, sample %d = %d bytes (limit %d)",
+				samples[0], i+1, s, limit)
+		}
+	}
+	return nil
+}
+
 // canned maps each canned-scenario name to its default shape for an
 // epoch count — the single registry ByName and Names derive from, so
 // the lookup and its error can never drift apart.

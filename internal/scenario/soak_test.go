@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"fubar/internal/core"
@@ -19,24 +20,20 @@ func heapWatermark() uint64 {
 	return ms.HeapAlloc
 }
 
-// checkBounded asserts the sampled heap watermarks stay O(1) in epochs:
-// every sample after the first (taken once the replay reached steady
-// state) must stay within a generous constant envelope of it. A leak
-// proportional to epochs — collected results, per-epoch buffers kept
-// alive, an unbounded base history — blows through the envelope at
-// these epoch counts.
-func checkBounded(t *testing.T, samples []uint64) {
-	t.Helper()
-	if len(samples) < 3 {
-		t.Fatalf("only %d heap samples", len(samples))
+// TestHeapBoundedNamesTheSample pins the soak envelope both soak legs
+// share: up to 1.5 times the first watermark plus 8 MiB passes, one byte
+// more is named by its sample, and fewer than three samples prove nothing.
+func TestHeapBoundedNamesTheSample(t *testing.T) {
+	const mib = 1 << 20
+	if err := HeapBounded([]uint64{20 * mib, 38 * mib, 30 * mib}); err != nil {
+		t.Errorf("samples at the envelope: %v", err)
 	}
-	early := samples[0]
-	limit := early + early/2 + 8<<20
-	for i, s := range samples[1:] {
-		if s > limit {
-			t.Fatalf("heap watermark grew: sample 0 = %d bytes, sample %d = %d bytes (limit %d) — replay is not O(1) in epochs",
-				early, i+1, s, limit)
-		}
+	err := HeapBounded([]uint64{20 * mib, 30 * mib, 38*mib + 1, 50 * mib})
+	if err == nil || !strings.Contains(err.Error(), "sample 2 =") {
+		t.Errorf("a sample one byte past the envelope: %v", err)
+	}
+	if HeapBounded([]uint64{1, 2}) == nil {
+		t.Error("two samples passed")
 	}
 }
 
@@ -71,7 +68,9 @@ func TestSoakStreamBoundedMemory(t *testing.T) {
 	if n != epochs {
 		t.Fatalf("streamed %d epochs, want %d", n, epochs)
 	}
-	checkBounded(t, samples)
+	if err := HeapBounded(samples); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSoakClosedLoopBoundedMemory is the closed-loop variant: the full
@@ -104,7 +103,9 @@ func TestSoakClosedLoopBoundedMemory(t *testing.T) {
 	if n != epochs {
 		t.Fatalf("streamed %d epochs, want %d", n, epochs)
 	}
-	checkBounded(t, samples)
+	if err := HeapBounded(samples); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSoakRecyclesOneBase pins the storage half of the epoch-warm Base

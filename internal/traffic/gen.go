@@ -82,7 +82,11 @@ func Generate(topo *topology.Topology, cfg GenConfig) (*Matrix, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := topo.NumNodes()
 	masses := nodeMasses(rng, n)
-	var aggs []Aggregate
+	pairs := n * n
+	if !cfg.IncludeSelfPairs {
+		pairs -= n
+	}
+	aggs := make([]Aggregate, 0, pairs)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst && !cfg.IncludeSelfPairs {
@@ -95,7 +99,7 @@ func Generate(topo *topology.Topology, cfg GenConfig) (*Matrix, error) {
 			aggs = append(aggs, a)
 		}
 	}
-	return NewMatrix(topo, aggs)
+	return adopt(topo, aggs)
 }
 
 // nodeMasses draws per-node gravity masses: lognormal with sigma
@@ -185,7 +189,7 @@ func Sparse(topo *topology.Topology, cfg GenConfig, aggregates int) (*Matrix, er
 		a.Flows = gravityFlows(a.Flows, masses[src], masses[dst])
 		aggs = append(aggs, a)
 	}
-	return NewMatrix(topo, aggs)
+	return adopt(topo, aggs)
 }
 
 // RandomAggregate draws one aggregate's class, flow count, utility

@@ -74,8 +74,25 @@ func NewMatrix(topo *topology.Topology, aggs []Aggregate) (*Matrix, error) {
 // invalid until the next successful Rebuild. It is a function and not a
 // method so that no holder of a *Matrix can rewrite one it does not own.
 func Rebuild(m *Matrix, topo *topology.Topology, aggs []Aggregate) error {
-	m.topo = topo
 	m.aggs = append(m.aggs[:0], aggs...)
+	return m.bind(topo)
+}
+
+// adopt builds the matrix NewMatrix(topo, aggs) builds on aggs itself: the
+// generators hand over the slice they just drew, which nothing else holds,
+// instead of having it copied.
+func adopt(topo *topology.Topology, aggs []Aggregate) (*Matrix, error) {
+	m := &Matrix{aggs: aggs}
+	if err := m.bind(topo); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// bind binds m's aggregates to topo, assigning dense IDs in order and the
+// default weight, and validates the result.
+func (m *Matrix) bind(topo *topology.Topology) error {
+	m.topo = topo
 	for i := range m.aggs {
 		m.aggs[i].ID = AggregateID(i)
 		if m.aggs[i].Weight == 0 {
@@ -93,6 +110,14 @@ func (m *Matrix) NumAggregates() int { return len(m.aggs) }
 
 // Aggregate returns the aggregate with the given ID.
 func (m *Matrix) Aggregate(id AggregateID) Aggregate { return m.aggs[id] }
+
+// Utility evaluates aggregate id's utility function (Aggregate.Fn) at
+// per-flow bandwidth bw and delay d where the matrix keeps it: what a loop
+// over bundles calls instead of copying the whole Aggregate out with
+// Aggregate.
+func (m *Matrix) Utility(id AggregateID, bw unit.Bandwidth, d unit.Delay) float64 {
+	return m.aggs[id].Fn.Eval(bw, d)
+}
 
 // Aggregates returns all aggregates in ID order. The caller owns the slice.
 func (m *Matrix) Aggregates() []Aggregate { return append([]Aggregate(nil), m.aggs...) }
@@ -203,7 +228,7 @@ func (m *Matrix) Subset(keep func(Aggregate) bool) (*Matrix, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("traffic: Subset kept no aggregates")
 	}
-	return NewMatrix(m.topo, aggs)
+	return adopt(m.topo, aggs)
 }
 
 // Summary renders a one-line description of the matrix composition.

@@ -31,11 +31,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 // path; a step that rebuilt its list regardless would show here as a count
 // near the steps scored, not as a few percent of time. Re-runs are the
 // scoring passes a sub-fill threw away and started over wider; one that
-// re-ran where it could have continued in place shows here. Each replay
-// leg's row also carries the heap objects those epochs allocated
-// (runtime.MemStats.Mallocs): exact per commit bar the runtime's own and the
-// closed loop's control-plane goroutines, so the gate is a ceiling — the
-// recorded count plus 5% — where every other column is an equality.
+// re-ran where it could have continued in place shows here. Every row also
+// carries the heap objects its operations allocated
+// (runtime.MemStats.Mallocs) — the replay legs' epochs, and the cold
+// optimizations with their fresh sessions: exact per commit bar the
+// runtime's own and the closed loop's control-plane goroutines, so the
+// gate is a ceiling — the recorded count plus 5% — where every other
+// column is an equality.
 // Regenerate with `go test . -run TestWorkCountsPinned -update` and say why
 // in the commit.
 func TestWorkCountsPinned(t *testing.T) {
@@ -62,10 +64,13 @@ func TestWorkCountsPinned(t *testing.T) {
 	}
 	topo, mats := coldScaleS(t)
 	var cold workCounts
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for _, mat := range mats {
 		cold.add(solutionWork(coldOptimize(t, topo, mat)))
 	}
-	row("cold-scale-s", len(mats), cold, "")
+	runtime.ReadMemStats(&after)
+	row("cold-scale-s", len(mats), cold, fmt.Sprintf("%s%d", mallocsColumn, after.Mallocs-before.Mallocs))
 
 	golden := filepath.Join("testdata", "work_counts.golden")
 	if *updateGolden {
