@@ -12,9 +12,6 @@ import (
 	"fubar/internal/report"
 	"fubar/internal/scenario"
 	"fubar/internal/telemetry"
-	"fubar/internal/topology"
-	"fubar/internal/traffic"
-	"fubar/internal/unit"
 )
 
 // soakPeriod is the soak timeline's event period in epochs, the one
@@ -50,31 +47,6 @@ type soakBenchRecord struct {
 	ClosedLoopTrajector scenario.Trajectory `json:"closed_trajectory"`
 }
 
-// soakInstance is the soak bench's small ring — the same shape the
-// scenario-matrix tests replay, sized so a million plain epochs fit a
-// nightly budget (~1.2 ms/epoch).
-func soakInstance(seed int64) (*topology.Topology, *traffic.Matrix, error) {
-	topo, err := topology.Ring(6, 3, 600*unit.Kbps, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	topoS, err := topo.WithSRLGs([]topology.SRLG{
-		{Name: "ga", Links: []topology.LinkID{0, 2}},
-		{Name: "gb", Links: []topology.LinkID{4}},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := traffic.DefaultGenConfig(seed + 6)
-	cfg.RealTimeFlows = [2]int{1, 4}
-	cfg.BulkFlows = [2]int{1, 3}
-	mat, err := traffic.Generate(topoS, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return topoS, mat, nil
-}
-
 // soakHeapWatermark forces a collection and returns the retained heap.
 func soakHeapWatermark() uint64 {
 	runtime.GC()
@@ -98,7 +70,7 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 	if epochs < 160 {
 		return fmt.Errorf("soak: need at least 160 epochs, got %d", epochs)
 	}
-	topo, mat, err := soakInstance(seed)
+	topo, mat, err := scenario.SoakInstance(seed)
 	if err != nil {
 		return err
 	}

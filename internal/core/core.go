@@ -936,6 +936,7 @@ func (o *Optimizer) buildStepBundles() []flowmodel.Bundle {
 		// re-allocate at the same list length, every few dozen steps.
 		o.denseBuf = make([]flowmodel.Bundle, 0, flowmodel.GrowCap(n))
 	}
+	clear(o.denseBuf[min(n, len(o.denseBuf)):]) // a shorter list keeps no dropped path alive
 	o.denseBuf = o.denseBuf[:0]
 	o.prevSeg, o.denseSeg = o.denseSeg, o.prevSeg
 	if cap(o.denseSeg) < len(o.aggs)+1 {

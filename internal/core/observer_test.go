@@ -62,60 +62,55 @@ func TestTraceObserverSingleGoroutine(t *testing.T) {
 }
 
 // TestPathStatsPublished pins the path-lookup counters: Solution.Paths
-// accounts for every lookup of the run, and is the same whatever the
-// worker count, since collection runs on the optimizer's one generator and
-// only scoring fans out; the registry's fubar_pathgen_lookups_total
-// family, trees built and nodes settled end the run equal to it; a second
-// run on the same optimizer counts afresh over the warm memo; and none of
-// it changes the solution. The instance runs to a local optimum, long
-// enough that a collection split over the workers would search on memos
-// of its own.
+// accounts for every lookup of the run and is an uninstrumented run's; the
+// registry's fubar_pathgen_lookups_total family, trees built and nodes
+// settled end the run equal to it; a second run on the same optimizer
+// counts afresh over the warm memo; and none of it changes the solution.
+// The instance runs to a local optimum.
 func TestPathStatsPublished(t *testing.T) {
 	topo, mat := congestedInstance(t, 3)
 	plain, _ := runWithOptions(t, topo, mat, Options{Workers: 1})
-	for _, workers := range []int{1, 4} {
-		model, err := flowmodel.New(topo, mat)
-		if err != nil {
-			t.Fatal(err)
+	model, err := flowmodel.New(topo, mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New()
+	o, err := New(model, Options{Workers: 1, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := o.Run(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Utility != plain.Utility || sol.Steps != plain.Steps {
+		t.Errorf("instrumented run reached %v in %d steps, plain run %v in %d",
+			sol.Utility, sol.Steps, plain.Utility, plain.Steps)
+	}
+	p := sol.Paths
+	if p.Lookups == 0 || p.Lookups != p.MemoHits+p.Donated+p.TreeAnswers+p.Searches {
+		t.Errorf("lookups do not add up: %+v", p)
+	}
+	if p != plain.Paths {
+		t.Errorf("paths %+v, the uninstrumented run %+v", p, plain.Paths)
+	}
+	counters := tel.Snapshot().Counters
+	for result, want := range map[string]int64{"memo": p.MemoHits, "donor": p.Donated, "tree": p.TreeAnswers, "search": p.Searches} {
+		if got := counters[`fubar_pathgen_lookups_total{result="`+result+`"}`]; got != want {
+			t.Errorf("registry counts %d %s lookups, solution %d", got, result, want)
 		}
-		tel := telemetry.New()
-		o, err := New(model, Options{Workers: workers, Telemetry: tel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := o.Run(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Utility != plain.Utility || sol.Steps != plain.Steps {
-			t.Errorf("workers=%d: instrumented run reached %v in %d steps, plain run %v in %d",
-				workers, sol.Utility, sol.Steps, plain.Utility, plain.Steps)
-		}
-		p := sol.Paths
-		if p.Lookups == 0 || p.Lookups != p.MemoHits+p.Donated+p.TreeAnswers+p.Searches {
-			t.Errorf("workers=%d: lookups do not add up: %+v", workers, p)
-		}
-		if p != plain.Paths {
-			t.Errorf("workers=%d: paths %+v, the serial run %+v", workers, p, plain.Paths)
-		}
-		counters := tel.Snapshot().Counters
-		for result, want := range map[string]int64{"memo": p.MemoHits, "donor": p.Donated, "tree": p.TreeAnswers, "search": p.Searches} {
-			if got := counters[`fubar_pathgen_lookups_total{result="`+result+`"}`]; got != want {
-				t.Errorf("workers=%d: registry counts %d %s lookups, solution %d", workers, got, result, want)
-			}
-		}
-		if got := counters["fubar_pathgen_trees_built_total"]; got != p.TreesBuilt {
-			t.Errorf("workers=%d: registry counts %d trees, solution %d", workers, got, p.TreesBuilt)
-		}
-		if got := counters["fubar_pathgen_settled_total"]; got != p.Settled || got == 0 {
-			t.Errorf("workers=%d: registry counts %d nodes settled, solution %d", workers, got, p.Settled)
-		}
-		again, err := o.Run(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a := again.Paths; a.Lookups != p.Lookups || a.MemoHits <= p.MemoHits {
-			t.Errorf("workers=%d: rerun over the warm memo counted %+v, first run %+v", workers, a, p)
-		}
+	}
+	if got := counters["fubar_pathgen_trees_built_total"]; got != p.TreesBuilt {
+		t.Errorf("registry counts %d trees, solution %d", got, p.TreesBuilt)
+	}
+	if got := counters["fubar_pathgen_settled_total"]; got != p.Settled || got == 0 {
+		t.Errorf("registry counts %d nodes settled, solution %d", got, p.Settled)
+	}
+	again, err := o.Run(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := again.Paths; a.Lookups != p.Lookups || a.MemoHits <= p.MemoHits {
+		t.Errorf("rerun over the warm memo counted %+v, first run %+v", a, p)
 	}
 }

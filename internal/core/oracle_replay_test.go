@@ -5,7 +5,7 @@ package core_test
 // replay — every EpochResult bar Elapsed, and the install sequence.
 // internal/scenario keeps the production legs of the same gates
 // (TestScenarioMatrix, TestClosedLoopDeterminism,
-// TestClosedLoopHAKillStormDeterminism,
+// TestClosedLoopHAKillStorm,
 // TestKeptOptimizerMatchesPerEpochRebuild); only this package can select
 // the oracle (export_test.go).
 
@@ -45,7 +45,7 @@ func requireOracle(t *testing.T, topo *topology.Topology, mat *traffic.Matrix, s
 
 // TestScenarioMatrixOracle is TestScenarioMatrix's full-evaluation cell:
 // every canned generator, warm, closed loop over one replica, replayed
-// under the oracle at Workers 1 and in production at Workers 1 and 4.
+// under the oracle and in production.
 func TestScenarioMatrixOracle(t *testing.T) {
 	topo, mat := srlgRing(t)
 	for _, name := range scenario.Names() {
@@ -54,7 +54,7 @@ func TestScenarioMatrixOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			requireOracle(t, topo, mat, sc, scenario.Options{Replicas: 1}, true, []int{1}, []int{1, 4})
+			requireOracle(t, topo, mat, sc, scenario.Options{Replicas: 1}, true, []int{1}, []int{1})
 		})
 	}
 }
@@ -97,9 +97,9 @@ func eightNodeRing(t *testing.T, seed int64) (*topology.Topology, *traffic.Matri
 }
 
 // TestClosedLoopDeterminismOracle is TestClosedLoopDeterminism's
-// full-evaluation legs: the mixed demand-and-topology timeline on the
+// full-evaluation leg: the mixed demand-and-topology timeline on the
 // 8-node ring, closed loop, yields production's epoch table, counted
-// FlowMods and install sequence under the oracle at Workers 1 and 4.
+// FlowMods and install sequence under the oracle.
 func TestClosedLoopDeterminismOracle(t *testing.T) {
 	topo, mat := eightNodeRing(t, 13)
 	sc := scenario.Scenario{
@@ -112,16 +112,16 @@ func TestClosedLoopDeterminismOracle(t *testing.T) {
 			{Epoch: 3, Kind: scenario.LinkRecover, Link: 0},
 		},
 	}
-	requireOracle(t, topo, mat, sc, scenario.Options{}, true, []int{1, 4}, []int{1})
+	requireOracle(t, topo, mat, sc, scenario.Options{}, true, []int{1}, []int{1})
 }
 
-// TestClosedLoopHAKillStormOracle is TestClosedLoopHAKillStormDeterminism's
-// full-evaluation legs: the controller-kill storm over three replicas
+// TestClosedLoopHAKillStormOracle is TestClosedLoopHAKillStorm's
+// full-evaluation leg: the controller-kill storm over three replicas
 // yields production's epoch table, Failovers and ResyncFlowMods included,
-// under the oracle at Workers 1 and 4.
+// under the oracle.
 func TestClosedLoopHAKillStormOracle(t *testing.T) {
 	topo, mat := eightNodeRing(t, 13)
-	requireOracle(t, topo, mat, scenario.ControllerKillStorm(29, 6, 3), scenario.Options{Replicas: 3}, true, []int{1, 4}, []int{1})
+	requireOracle(t, topo, mat, scenario.ControllerKillStorm(29, 6, 3), scenario.Options{Replicas: 3}, true, []int{1}, []int{1})
 }
 
 // TestKeptOptimizerOracle is TestKeptOptimizerMatchesPerEpochRebuild's

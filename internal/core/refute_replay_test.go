@@ -16,28 +16,13 @@ import (
 	"fubar/internal/scenario"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
-	"fubar/internal/unit"
 )
 
 // srlgRing is the scenario tests' 6-node ring with two shared-risk groups —
-// the closed-loop soak workload's topology.
+// the closed-loop soak workload's instance.
 func srlgRing(t *testing.T) (*topology.Topology, *traffic.Matrix) {
 	t.Helper()
-	topo, err := topology.Ring(6, 3, 600*unit.Kbps, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err = topo.WithSRLGs([]topology.SRLG{
-		{Name: "ga", Links: []topology.LinkID{0, 2}},
-		{Name: "gb", Links: []topology.LinkID{4}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := traffic.DefaultGenConfig(7)
-	cfg.RealTimeFlows = [2]int{1, 4}
-	cfg.BulkFlows = [2]int{1, 3}
-	mat, err := traffic.Generate(topo, cfg)
+	topo, mat, err := scenario.SoakInstance(1)
 	if err != nil {
 		t.Fatal(err)
 	}

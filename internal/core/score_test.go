@@ -46,68 +46,69 @@ func coldScaleS(t *testing.T) *flowmodel.Model {
 }
 
 // TestBoundedScoresKeepTheContract states the scoring contract at the
-// optimizer, trusting nothing about how a score was reached: on 300 random
-// sparse instances (Workers 1 and 4 alternating, as the refutation property
-// does) and on cold scale-s at both, every candidate's stored score is its
-// exact utility bit for bit when that beats the bound it was scored
-// against, and otherwise lies between the two; and the run commits what a
-// run scoring every candidate exactly commits. Both kinds of score must
+// optimizer, trusting nothing about how a score was reached: on the 150
+// even seeds of the refutation property's random sparse instances at
+// Workers 1, and on cold scale-s at Workers 1 and 4, every candidate's
+// stored score is its exact utility bit for bit when that beats the bound
+// it was scored against, and otherwise lies between the two; and the run
+// commits what a run scoring every candidate exactly commits. Both kinds of score must
 // occur, and on scale-s the serial bound — the selection threshold at each
 // candidate — must settle more scores than the parallel one.
 func TestBoundedScoresKeepTheContract(t *testing.T) {
 	ctx := context.Background()
 	var scored, above, settled [2]atomic.Int64 // by Workers 1, 4
 	var scaleS [2]float64                      // share settled on scale-s, by Workers 1, 4
-	for seed := int64(1); seed <= 301; seed++ {
-		name := fmt.Sprintf("sparse seed %d", seed)
-		model := func() *flowmodel.Model { return sparseInstance(t, seed) }
-		workerCounts := []int{1 + int(seed%2)*3}
-		if seed == 301 {
-			name, model = "cold scale-s", func() *flowmodel.Model { return coldScaleS(t) }
-			workerCounts = []int{1, 4}
+	// run scores one instance at one worker count, returning the share of
+	// its scores the bound settled.
+	run := func(t *testing.T, name string, model func() *flowmodel.Model, workers int) float64 {
+		wi := workers / 4
+		scoredBefore, settledBefore := scored[wi].Load(), settled[wi].Load()
+		o, err := New(model(), Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for _, workers := range workerCounts {
-			wi := workers / 4
-			scoredBefore, settledBefore := scored[wi].Load(), settled[wi].Load()
-			o, err := New(model(), Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, sc *flowmodel.Closure, bound float64) float64 {
-				got, _ := w.eval.EvaluateDeltaUtility(sc, buf, changed, bound)
-				exact := exactScore(w, buf, changed, sc, bound)
-				scored[wi].Add(1)
-				switch {
-				case exact > bound:
-					above[wi].Add(1)
-					if math.Float64bits(got) != math.Float64bits(exact) {
-						t.Errorf("%s, workers %d: utility %v beats the bound %v, scored %v", name, workers, exact, bound, got)
-					}
-				case got < exact || got > bound:
-					t.Errorf("%s, workers %d: score %v outside [%v, %v] (utility, bound)", name, workers, got, exact, bound)
-				case got != exact:
-					settled[wi].Add(1)
+		o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, sc *flowmodel.Closure, bound float64) float64 {
+			got, _ := w.eval.EvaluateDeltaUtility(sc, buf, changed, bound)
+			exact := exactScore(w, buf, changed, sc, bound)
+			scored[wi].Add(1)
+			switch {
+			case exact > bound:
+				above[wi].Add(1)
+				if math.Float64bits(got) != math.Float64bits(exact) {
+					t.Errorf("%s: utility %v beats the bound %v, scored %v", name, exact, bound, got)
 				}
-				return got
+			case got < exact || got > bound:
+				t.Errorf("%s: score %v outside [%v, %v] (utility, bound)", name, got, exact, bound)
+			case got != exact:
+				settled[wi].Add(1)
 			}
-			got, err := o.Run(ctx)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			ref, err := New(model(), Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			ref.probe = exactScore
-			want, err := ref.Run(ctx)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			sameOutcome(t, fmt.Sprintf("%s, workers %d", name, workers), got, want)
-			if seed == 301 {
-				scaleS[wi] = float64(settled[wi].Load()-settledBefore) / float64(scored[wi].Load()-scoredBefore)
-			}
+			return got
 		}
+		got, err := o.Run(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ref, err := New(model(), Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ref.probe = exactScore
+		want, err := ref.Run(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameOutcome(t, name, got, want)
+		return float64(settled[wi].Load()-settledBefore) / float64(scored[wi].Load()-scoredBefore)
+	}
+	t.Run("sparse", func(t *testing.T) {
+		for seed := int64(2); seed <= 300; seed += 2 {
+			run(t, fmt.Sprintf("sparse seed %d", seed), func() *flowmodel.Model { return sparseInstance(t, seed) }, 1)
+		}
+	})
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("scale-s/workers-%d", workers), func(t *testing.T) {
+			scaleS[workers/4] = run(t, "cold scale-s", func() *flowmodel.Model { return coldScaleS(t) }, workers)
+		})
 	}
 	t.Logf("workers 1: %d scores, %d above their bound, %d settled by it; workers 4: %d, %d, %d; on scale-s %.1f%% and %.1f%% settled",
 		scored[0].Load(), above[0].Load(), settled[0].Load(), scored[1].Load(), above[1].Load(), settled[1].Load(), 100*scaleS[0], 100*scaleS[1])

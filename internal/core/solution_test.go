@@ -37,49 +37,43 @@ func TestSolutionResultEvaluatesBundles(t *testing.T) {
 	}
 	grown := 0
 	for _, in := range insts {
-		for _, full := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				tag := fmt.Sprintf("%s full=%v workers=%d", in.name, full, workers)
-				committedLen := 0 // the list length the last snapshot was taken over
-				trace := func(s Snapshot) { committedLen = len(s.Result.BundleRate) }
-				var o *Optimizer
-				var err error
-				Evaluating(full, func() { o, err = New(in.model, Options{Workers: workers, Trace: trace}) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				sol, err := o.Run(context.Background())
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				got, want := sol.Result, in.model.NewEval().Evaluate(sol.Bundles)
-				for _, f := range []struct {
-					name string
-					ok   bool
-				}{
-					{"BundleRate", sameBits(got.BundleRate, want.BundleRate)},
-					{"BundleSatisfied", slices.Equal(got.BundleSatisfied, want.BundleSatisfied)},
-					{"LinkLoad", sameBits(got.LinkLoad, want.LinkLoad)},
-					{"LinkDemand", sameBits(got.LinkDemand, want.LinkDemand)},
-					{"Congested", slices.Equal(got.Congested, want.Congested)},
-					{"IsCongested", slices.Equal(got.IsCongested, want.IsCongested)},
-					{"AggUtility", sameBits(got.AggUtility, want.AggUtility)},
-					{"NetworkUtility", sameBits([]float64{got.NetworkUtility}, []float64{want.NetworkUtility})},
-					{"ActualUtilization", sameBits([]float64{got.ActualUtilization}, []float64{want.ActualUtilization})},
-					{"DemandedUtilization", sameBits([]float64{got.DemandedUtilization}, []float64{want.DemandedUtilization})},
-				} {
-					if !f.ok {
-						t.Errorf("%s: Solution.Result.%s is not the evaluation of Solution.Bundles", tag, f.name)
-					}
-				}
-				if len(o.buildStepBundles()) > committedLen {
-					grown++
-				}
+		tag := in.name
+		committedLen := 0 // the list length the last snapshot was taken over
+		trace := func(s Snapshot) { committedLen = len(s.Result.BundleRate) }
+		o, err := New(in.model, Options{Workers: 1, Trace: trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := o.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		got, want := sol.Result, in.model.NewEval().Evaluate(sol.Bundles)
+		for _, f := range []struct {
+			name string
+			ok   bool
+		}{
+			{"BundleRate", sameBits(got.BundleRate, want.BundleRate)},
+			{"BundleSatisfied", slices.Equal(got.BundleSatisfied, want.BundleSatisfied)},
+			{"LinkLoad", sameBits(got.LinkLoad, want.LinkLoad)},
+			{"LinkDemand", sameBits(got.LinkDemand, want.LinkDemand)},
+			{"Congested", slices.Equal(got.Congested, want.Congested)},
+			{"IsCongested", slices.Equal(got.IsCongested, want.IsCongested)},
+			{"AggUtility", sameBits(got.AggUtility, want.AggUtility)},
+			{"NetworkUtility", sameBits([]float64{got.NetworkUtility}, []float64{want.NetworkUtility})},
+			{"ActualUtilization", sameBits([]float64{got.ActualUtilization}, []float64{want.ActualUtilization})},
+			{"DemandedUtilization", sameBits([]float64{got.DemandedUtilization}, []float64{want.DemandedUtilization})},
+		} {
+			if !f.ok {
+				t.Errorf("%s: Solution.Result.%s is not the evaluation of Solution.Bundles", tag, f.name)
 			}
+		}
+		if len(o.buildStepBundles()) > committedLen {
+			grown++
 		}
 	}
 	if grown == 0 {
 		t.Error("no run appended a path after its last commit: compacting a list with fresh placeholders went untested")
 	}
-	t.Logf("%d of %d runs appended a path after their last commit", grown, 4*len(insts))
+	t.Logf("%d of %d runs appended a path after their last commit", grown, len(insts))
 }

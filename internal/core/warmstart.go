@@ -112,10 +112,11 @@ func (r *repairScratch) run(gen *pathgen.Generator, topo *topology.Topology, mat
 	if len(r.kept) < n {
 		r.kept = append(r.kept, make([][]keptPath, n-len(r.kept))...)
 	}
-	kept := r.kept[:n]
-	for i := range kept {
-		kept[i] = kept[i][:0]
+	for i := range r.kept { // rows past n too: they keep no dropped path alive
+		clear(r.kept[i])
+		r.kept[i] = r.kept[i][:0]
 	}
+	kept := r.kept[:n]
 	r.displaced = append(r.displaced[:0], make([]int, n)...)
 	displaced := r.displaced
 	var stats RepairStats

@@ -163,44 +163,6 @@ func TestRepeatability(t *testing.T) {
 	}
 }
 
-// TestRepeatabilityWorkerCountInvariant: the parallel seed fan-out must
-// produce bit-identical distributions at any worker count (results are
-// collected by seed index, runs share nothing).
-func TestRepeatabilityWorkerCountInvariant(t *testing.T) {
-	cfg := ringCfg(t, 2000*unit.Kbps)
-	var got []*RepeatabilityResult
-	for _, workers := range []int{1, 4} {
-		c := cfg
-		c.Options.Workers = workers
-		rep, err := Repeatability(context.Background(), c, 5)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got = append(got, rep)
-	}
-	for i, name := range []string{"fubar", "shortest-path", "upper-bound"} {
-		pick := func(r *RepeatabilityResult) []float64 {
-			switch i {
-			case 0:
-				return r.Fubar.Values()
-			case 1:
-				return r.ShortestPath.Values()
-			default:
-				return r.UpperBound.Values()
-			}
-		}
-		a, b := pick(got[0]), pick(got[1])
-		if len(a) != len(b) {
-			t.Fatalf("%s: lengths differ: %d vs %d", name, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("%s: value %d differs across worker counts: %v vs %v", name, j, a[j], b[j])
-			}
-		}
-	}
-}
-
 // TestRepeatabilityReportsTheFirstSeedsError: when runs fail, the error
 // returned is the lowest seed's, whichever run failed first in time.
 func TestRepeatabilityReportsTheFirstSeedsError(t *testing.T) {

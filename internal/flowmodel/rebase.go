@@ -291,6 +291,7 @@ func extend[T any](s []T, n int) []T {
 // refill returns dst holding a copy of src, re-allocated with GrowCap's
 // headroom when its capacity falls short.
 func refill[T any](dst, src []T) []T {
+	clear(dst[min(len(src), len(dst)):]) // a shorter list keeps no dropped path alive
 	dst = resize(dst, len(src))
 	copy(dst, src)
 	return dst

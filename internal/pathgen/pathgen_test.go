@@ -289,6 +289,13 @@ func TestPathSetDedupAndLimit(t *testing.T) {
 	if got := u.Path(1); !got.Equal(paths[1]) {
 		t.Error("Path(1) mismatch")
 	}
+	// A reset set keeps no path past its length alive.
+	u.Reset(0)
+	for i, p := range u.paths[:cap(u.paths)] {
+		if p.Edges != nil {
+			t.Errorf("entry %d keeps %d edges after Reset", i, len(p.Edges))
+		}
+	}
 	// Sets carved from one array: the one that outgrows its room moves
 	// out and leaves its neighbour's path where it was.
 	shared := make([]graph.Path, 2)

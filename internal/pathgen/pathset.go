@@ -23,8 +23,10 @@ func NewPathSet(limit int, room []graph.Path) PathSet {
 }
 
 // Reset empties the set under a new limit, keeping its storage: the set an
-// optimizer's next run fills again.
+// optimizer's next run fills again. The dropped paths are cleared, so their
+// edges are not kept alive by the storage.
 func (s *PathSet) Reset(limit int) {
+	clear(s.paths)
 	s.paths = s.paths[:0]
 	s.limit = limit
 }

@@ -5,37 +5,26 @@ import (
 	"testing"
 
 	"fubar/internal/core"
+	"fubar/internal/unit"
 )
 
-// TestClosedLoopHAKillStormDeterminism is the HA acceptance run: the
-// canned controller-kill storm over a 3-replica control plane must
-// yield a bit-identical epoch table (including per-epoch Failovers and
-// ResyncFlowMods) at Workers ∈ {1, 4} (internal/core's
-// TestClosedLoopHAKillStormOracle holds it to the full-evaluation
-// oracle), complete every epoch with the fabric ledger reconciled to ±0
-// (settle() and install() fail the replay otherwise), and actually
-// exercise failover: every seat is killed once, so every switch is
-// orphaned at some point and survivors must resync the cached rule
-// tables.
-func TestClosedLoopHAKillStormDeterminism(t *testing.T) {
-	topo, mat := ringInstance(t, 13)
-	sc := ControllerKillStorm(29, 6, 3)
-	var results []*Result
-	for _, workers := range []int{1, 4} {
-		res, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
-			Core:     core.Options{Workers: workers},
-			Replicas: 3,
-		})
-		if err != nil {
-			t.Fatalf("Workers=%d: %v", workers, err)
-		}
-		results = append(results, res)
+// TestClosedLoopHAKillStorm is the HA acceptance run: the canned
+// controller-kill storm over a 3-replica control plane (internal/core's
+// TestClosedLoopHAKillStormOracle holds its epoch table, Failovers and
+// ResyncFlowMods included, to the full-evaluation oracle) must complete
+// every epoch with the fabric ledger reconciled to ±0 (settle() and
+// install() fail the replay otherwise), and actually exercise failover:
+// every seat is killed once, so every switch is orphaned at some point and
+// survivors must resync the cached rule tables.
+func TestClosedLoopHAKillStorm(t *testing.T) {
+	topo, mat := ringInstance(t, 800*unit.Kbps, 13, 13)
+	res, err := runClosedLoop(context.Background(), topo, mat, ControllerKillStorm(29, 6, 3), Options{
+		Core:     core.Options{Workers: 1},
+		Replicas: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := results[0].Equivalent(results[1]); err != nil {
-		t.Fatalf("Workers 1 vs 4: %v", err)
-	}
-
-	res := results[0]
 	var failovers, resyncs int
 	for _, e := range res.Epochs {
 		failovers += e.Failovers
@@ -66,7 +55,7 @@ func TestClosedLoopHAKillStormDeterminism(t *testing.T) {
 // deterministic. This is the degenerate leg the HA bench compares
 // against.
 func TestClosedLoopHANoopOnSingleReplica(t *testing.T) {
-	topo, mat := ringInstance(t, 13)
+	topo, mat := ringInstance(t, 800*unit.Kbps, 13, 13)
 	sc := ControllerKillStorm(29, 4, 3)
 	a, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
 		Core: core.Options{Workers: 1},

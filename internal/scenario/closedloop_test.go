@@ -11,6 +11,7 @@ import (
 	"fubar/internal/telemetry"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
+	"fubar/internal/unit"
 )
 
 // mixedScenario exercises demand and topology events in one closed-loop
@@ -47,7 +48,7 @@ func TestClosedLoopDeterminism(t *testing.T) {
 		sc      Scenario
 		configs []config
 	}
-	ringTopo, ringMat := ringInstance(t, 13)
+	ringTopo, ringMat := ringInstance(t, 800*unit.Kbps, 13, 13)
 	inputs := []input{{"ring", ringTopo, ringMat, mixedScenario(21), []config{
 		{1, false},
 		{4, false},
@@ -107,7 +108,7 @@ func TestClosedLoopDeterminism(t *testing.T) {
 // controller count == fabric ledger), a quiescent epoch's repair push
 // writes no messages at all, and a topology event forces real ones.
 func TestClosedLoopCountsWireFlowMods(t *testing.T) {
-	topo, mat := ringInstance(t, 5)
+	topo, mat := ringInstance(t, 800*unit.Kbps, 5, 5)
 	sc := Scenario{
 		Name: "quiet-then-fail", Seed: 3, Epochs: 4,
 		Events: []Event{{Epoch: 2, Kind: LinkFail, Link: 0}},
@@ -155,7 +156,7 @@ func TestClosedLoopCountsWireFlowMods(t *testing.T) {
 // field (or the install) it sits in, and ignore the wall clock; Check must
 // refuse an epoch that counts an ack twice, in its total or on an install.
 func TestEquivalentAndCheckNameWhatBroke(t *testing.T) {
-	topo, mat := ringInstance(t, 5)
+	topo, mat := ringInstance(t, 800*unit.Kbps, 5, 5)
 	replay := func() *Result {
 		res, err := runClosedLoop(context.Background(), topo, mat, mixedScenario(3), Options{Core: core.Options{Workers: 1}})
 		if err != nil {
@@ -200,7 +201,7 @@ func TestEquivalentAndCheckNameWhatBroke(t *testing.T) {
 // misses on every congested epoch while the loop keeps publishing the
 // best-so-far solution.
 func TestClosedLoopDeadlineBudget(t *testing.T) {
-	topo, mat := ringInstance(t, 7)
+	topo, mat := ringInstance(t, 800*unit.Kbps, 7, 7)
 	sc := Diurnal(9, 3, 0.3, 0)
 	res, err := runClosedLoop(context.Background(), topo, mat, sc, Options{
 		Core:   core.Options{Workers: 1},
@@ -245,7 +246,7 @@ func TestClosedLoopDeadlineBudget(t *testing.T) {
 // declared on it.
 func srlgRing(t *testing.T, seed int64) (*topology.Topology, *traffic.Matrix) {
 	t.Helper()
-	topo, mat := ringInstance(t, seed)
+	topo, mat := ringInstance(t, 800*unit.Kbps, seed, seed)
 	// Group the first two ring links as one conduit, the next two as
 	// another (forward IDs; either direction names the physical link).
 	st, err := topo.WithSRLGs([]topology.SRLG{
@@ -349,7 +350,7 @@ func TestScenarioSRLGEventsPlainReplay(t *testing.T) {
 	if _, err := run(context.Background(), topo, mat, bad, Options{}); err == nil {
 		t.Error("undeclared SRLG accepted")
 	}
-	plainTopo, plainMat := ringInstance(t, 15)
+	plainTopo, plainMat := ringInstance(t, 800*unit.Kbps, 15, 15)
 	noop := Scenario{Name: "noop", Seed: 1, Epochs: 2, Events: []Event{{Epoch: 1, Kind: SRLGFail}}}
 	rn, err := run(context.Background(), plainTopo, plainMat, noop, Options{Core: core.Options{Workers: 1}})
 	if err != nil {

@@ -37,6 +37,33 @@ func HEBenchInstance(seed int64) (*topology.Topology, *traffic.Matrix, error) {
 	return topo, mat, nil
 }
 
+// SoakInstance is the soak bench's small ring and the scenario matrix's:
+// six nodes at 600 kbps per link with two shared-risk groups, so every
+// canned generator has real events to play, and a light all-pairs matrix
+// drawn at seed+6 — sized so a million plain epochs fit a nightly budget
+// (~1.2 ms/epoch).
+func SoakInstance(seed int64) (*topology.Topology, *traffic.Matrix, error) {
+	topo, err := topology.Ring(6, 3, 600*unit.Kbps, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	topo, err = topo.WithSRLGs([]topology.SRLG{
+		{Name: "ga", Links: []topology.LinkID{0, 2}},
+		{Name: "gb", Links: []topology.LinkID{4}},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := traffic.DefaultGenConfig(seed + 6)
+	cfg.RealTimeFlows = [2]int{1, 4}
+	cfg.BulkFlows = [2]int{1, 3}
+	mat, err := traffic.Generate(topo, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return topo, mat, nil
+}
+
 // Diurnal returns a day-long demand curve: every epoch sets the global
 // demand factor from a sinusoid starting at the overnight trough
 // (1-amplitude), peaking mid-timeline (1+amplitude) and returning to the

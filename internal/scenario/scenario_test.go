@@ -14,14 +14,17 @@ import (
 	"fubar/internal/unit"
 )
 
-// ringInstance is a small congested instance for fast replay tests.
-func ringInstance(t *testing.T, seed int64) (*topology.Topology, *traffic.Matrix) {
+// ringInstance is a small congested instance for fast replay tests: an
+// 8-node ring with 4 chords at the given capacity, drawn at topoSeed, and a
+// full matrix of 2–8 real-time and 1–4 bulk flows per aggregate drawn at
+// trafficSeed.
+func ringInstance(t *testing.T, capacity unit.Bandwidth, topoSeed, trafficSeed int64) (*topology.Topology, *traffic.Matrix) {
 	t.Helper()
-	topo, err := topology.Ring(8, 4, 800*unit.Kbps, seed)
+	topo, err := topology.Ring(8, 4, capacity, topoSeed)
 	if err != nil {
 		t.Fatalf("Ring: %v", err)
 	}
-	cfg := traffic.DefaultGenConfig(seed)
+	cfg := traffic.DefaultGenConfig(trafficSeed)
 	cfg.RealTimeFlows = [2]int{2, 8}
 	cfg.BulkFlows = [2]int{1, 4}
 	mat, err := traffic.Generate(topo, cfg)
@@ -88,7 +91,7 @@ func TestDiurnalHEReplay(t *testing.T) {
 // TestReplayDeterminismSmall: every canned scenario replays to an
 // identical table for the same seed, on a small ring instance.
 func TestReplayDeterminismSmall(t *testing.T) {
-	topo, mat := ringInstance(t, 3)
+	topo, mat := ringInstance(t, 800*unit.Kbps, 3, 3)
 	for _, name := range []string{"diurnal", "storm", "flashcrowd"} {
 		sc, err := ByName(name, 11, 6)
 		if err != nil {
@@ -112,7 +115,7 @@ func TestReplayDeterminismSmall(t *testing.T) {
 // is already optimal — zero steps, zero churn, stale utility equal to
 // the previous epoch's utility (self-pairs included in the stale eval).
 func TestQuiescentEpochIsFree(t *testing.T) {
-	topo, mat := ringInstance(t, 5)
+	topo, mat := ringInstance(t, 800*unit.Kbps, 5, 5)
 	res, err := run(context.Background(), topo, mat, Scenario{Name: "quiet", Seed: 1, Epochs: 3}, Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +137,7 @@ func TestQuiescentEpochIsFree(t *testing.T) {
 // TestExplicitFailureEpisode: failing and recovering a named link drives
 // the failed-link count, forces repair work, and recovers utility.
 func TestExplicitFailureEpisode(t *testing.T) {
-	topo, mat := ringInstance(t, 7)
+	topo, mat := ringInstance(t, 800*unit.Kbps, 7, 7)
 	sc := Scenario{
 		Name: "one-failure", Seed: 2, Epochs: 5,
 		Events: []Event{
@@ -182,7 +185,7 @@ func TestScenarioValidate(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	topo, mat := ringInstance(t, 1)
+	topo, mat := ringInstance(t, 800*unit.Kbps, 1, 1)
 	bad := Scenario{Epochs: 1, Events: []Event{{Kind: LinkFail, Link: topology.LinkID(topo.NumLinks())}}}
 	if _, err := run(context.Background(), topo, mat, bad, Options{}); err == nil {
 		t.Error("out-of-range link accepted")

@@ -10,31 +10,13 @@ import (
 	"time"
 
 	"fubar/internal/core"
-	"fubar/internal/topology"
-	"fubar/internal/traffic"
 	"fubar/internal/unit"
 )
-
-func streamInstance(t *testing.T) (*topology.Topology, *traffic.Matrix) {
-	t.Helper()
-	topo, err := topology.Ring(8, 4, 1200*unit.Kbps, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := traffic.DefaultGenConfig(11)
-	cfg.RealTimeFlows = [2]int{2, 8}
-	cfg.BulkFlows = [2]int{1, 4}
-	mat, err := traffic.Generate(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return topo, mat
-}
 
 // TestStreamMatchesRun proves the streaming replay yields exactly the
 // epochs the collected Run returns.
 func TestStreamMatchesRun(t *testing.T) {
-	topo, mat := streamInstance(t)
+	topo, mat := ringInstance(t, 1200*unit.Kbps, 3, 11)
 	sc := Diurnal(5, 6, 0.4, 0.15)
 	ref, err := run(context.Background(), topo, mat, sc, Options{Core: coreOpts1()})
 	if err != nil {
@@ -60,7 +42,7 @@ func TestStreamMatchesRun(t *testing.T) {
 // mid-scenario: the epochs yielded before the cancel stand, and the
 // stream ends with the context's error.
 func TestStreamCancel(t *testing.T) {
-	topo, mat := streamInstance(t)
+	topo, mat := ringInstance(t, 1200*unit.Kbps, 3, 11)
 	sc := Diurnal(5, 8, 0.4, 0.15)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -87,7 +69,7 @@ func TestStreamCancel(t *testing.T) {
 // TestStreamEarlyBreak proves a consumer can stop a replay by breaking
 // out of the loop.
 func TestStreamEarlyBreak(t *testing.T) {
-	topo, mat := streamInstance(t)
+	topo, mat := ringInstance(t, 1200*unit.Kbps, 3, 11)
 	sc := Diurnal(5, 8, 0.4, 0.15)
 	n := 0
 	for _, err := range stream(context.Background(), nil, topo, mat, sc, Options{Core: coreOpts1()}) {
@@ -143,7 +125,7 @@ func coreOpts1() core.Options {
 // plain (non-closed-loop) replay: with an absurdly small budget every
 // epoch publishes its best-so-far solution and records DeadlineMiss.
 func TestPlainReplayBudget(t *testing.T) {
-	topo, mat := streamInstance(t)
+	topo, mat := ringInstance(t, 1200*unit.Kbps, 3, 11)
 	sc := Diurnal(5, 3, 0.4, 0)
 	res, err := run(context.Background(), topo, mat, sc, Options{Core: coreOpts1(), Budget: time.Nanosecond})
 	if err != nil {

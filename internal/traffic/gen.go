@@ -26,8 +26,13 @@ const (
 )
 
 // largePeaks are the candidate bandwidth peaks for large aggregates
-// (paper: 1 or 2 Mbps), chosen uniformly.
-var largePeaks = [...]unit.Bandwidth{1000 * unit.Kbps, 2000 * unit.Kbps}
+// (paper: 1 or 2 Mbps), chosen uniformly; largeFns holds each peak's
+// function, built once and shared like utility.RealTime() and
+// utility.Bulk().
+var (
+	largePeaks = [...]unit.Bandwidth{1000 * unit.Kbps, 2000 * unit.Kbps}
+	largeFns   = [len(largePeaks)]utility.Function{utility.LargeFile(largePeaks[0]), utility.LargeFile(largePeaks[1])}
+)
 
 // GenConfig parameterizes the §3 random traffic matrix: every ordered POP
 // pair becomes an aggregate whose class is drawn at random — real-time or
@@ -139,7 +144,7 @@ func drawAggregate(rng *rand.Rand, cfg GenConfig) Aggregate {
 		return Aggregate{
 			Class:  utility.ClassLargeFile,
 			Flows:  uniform(cfg.LargeFlows[0], cfg.LargeFlows[1]),
-			Fn:     utility.LargeFile(largePeaks[peakIdx]),
+			Fn:     largeFns[peakIdx],
 			Weight: 1,
 		}
 	case rtRoll < realTimeFraction:

@@ -242,6 +242,35 @@ func checkDrawRanges(t *testing.T, cfg GenConfig, n int) {
 	}
 }
 
+// TestLargeAggregatesShareTheirFunction: two large-file aggregates drawn
+// with the same peak hold one function, so a matrix builds no curve per
+// aggregate.
+func TestLargeAggregatesShareTheirFunction(t *testing.T) {
+	storage := func(fn utility.Function) uintptr {
+		return reflect.ValueOf(fn).FieldByName("bandwidth").FieldByName("pts").Pointer()
+	}
+	byPeak := map[unit.Bandwidth]uintptr{}
+	rng := rand.New(rand.NewSource(1))
+	shared := 0
+	for i := 0; i < 5000; i++ {
+		a := drawAggregate(rng, DefaultGenConfig(1))
+		if a.Class != utility.ClassLargeFile {
+			continue
+		}
+		peak := a.Fn.PeakBandwidth()
+		if p, ok := byPeak[peak]; !ok {
+			byPeak[peak] = storage(a.Fn)
+		} else if p != storage(a.Fn) {
+			t.Fatalf("draw %d: a large aggregate with peak %v built its own curves", i, peak)
+		} else {
+			shared++
+		}
+	}
+	if len(byPeak) != len(largePeaks) || shared == 0 {
+		t.Fatalf("%d peaks drawn, %d shared functions: the draws test nothing", len(byPeak), shared)
+	}
+}
+
 func TestGravitySkew(t *testing.T) {
 	topo, err := topology.HurricaneElectric(100 * unit.Mbps)
 	if err != nil {
