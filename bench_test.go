@@ -15,8 +15,8 @@ import (
 	"testing"
 
 	"fubar/internal/graph"
+	"fubar/internal/instance"
 	"fubar/internal/pathgen"
-	"fubar/internal/scenario"
 	"fubar/internal/topology"
 	"fubar/internal/unit"
 )
@@ -175,7 +175,7 @@ func telemetryWork(tel *Telemetry) workCounts {
 }
 
 // coldScaleS is benchmark/'s cold-scale-s instance set: the scale-s Waxman
-// topology (seed 1) and eight fixed 1500-aggregate matrices.
+// topology (seed 1) and its first eight 1500-aggregate matrices.
 func coldScaleS(tb testing.TB) (*Topology, []*Matrix) {
 	tb.Helper()
 	preset, err := ScalePresetByName("scale-s")
@@ -188,11 +188,7 @@ func coldScaleS(tb testing.TB) (*Topology, []*Matrix) {
 	}
 	mats := make([]*Matrix, 8)
 	for i := range mats {
-		cfg := DefaultGenConfig(int64(i + 1))
-		cfg.RealTimeFlows = [2]int{2, 10}
-		cfg.BulkFlows = [2]int{1, 4}
-		cfg.IncludeSelfPairs = false
-		if mats[i], err = SparseTraffic(topo, cfg, preset.Aggregates); err != nil {
+		if mats[i], err = preset.Matrix(topo, int64(i+1)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -250,7 +246,7 @@ type replayLeg struct {
 }
 
 var replayLegs = []replayLeg{
-	{"he-crisis", 8, func() (*Topology, *Matrix, error) { return scenario.HEBenchInstance(5) }, nil,
+	{"he-crisis", 8, func() (*Topology, *Matrix, error) { return instance.HEBench(5) }, nil,
 		func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
 			return s.Replay(context.Background(), CrisisScenario(seed, 8, 1.3, 3))
 		}},

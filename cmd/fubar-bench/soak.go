@@ -9,6 +9,7 @@ import (
 
 	"fubar/internal/core"
 	"fubar/internal/flowmodel"
+	"fubar/internal/instance"
 	"fubar/internal/report"
 	"fubar/internal/scenario"
 	"fubar/internal/telemetry"
@@ -70,7 +71,7 @@ func soakBench(seed int64, epochs int, outPath, baselinePath string, tel *teleme
 	if epochs < 160 {
 		return fmt.Errorf("soak: need at least 160 epochs, got %d", epochs)
 	}
-	topo, mat, err := scenario.SoakInstance(seed)
+	topo, mat, err := instance.Soak(seed)
 	if err != nil {
 		return err
 	}

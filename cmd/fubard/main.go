@@ -16,7 +16,7 @@
 //	GET    /v1/tenants/{id}/metrics     the tenant's Prometheus exposition
 //	GET    /v1/tenants/{id}/trace       the tenant's span stream
 //	DELETE /v1/tenants/{id}             release the tenant
-//	GET    /metrics, /trace, /debug/pprof/*, /healthz — daemon-level
+//	GET    /metrics, /debug/pprof/*, /healthz — daemon-level
 //
 // SIGINT/SIGTERM drains: in-flight optimizations and replay streams end
 // at their next epoch boundary via context cancellation, streams flush

@@ -160,8 +160,9 @@ func daemonScrape(t *testing.T, url string) string {
 // optimize ends below its initial utility, every streamed epoch is
 // bit-identical (Elapsed aside) to the same replay run in-process, each
 // tenant's /metrics registry is isolated, each tenant's wire-FlowMod
-// ledger reconciles with its acks, and deleting both tenants empties the
-// registry.
+// ledger reconciles with its acks, a tenant's /trace carries its replay's
+// spans while the daemon has no /trace, and deleting both tenants empties
+// the registry.
 func TestDaemonTwoConcurrentTenants(t *testing.T) {
 	_, ts := newDaemonServer(t)
 	const epochs = 4
@@ -250,6 +251,29 @@ func TestDaemonTwoConcurrentTenants(t *testing.T) {
 			t.Errorf("tenant %s: wire ledger %g flowmods vs %g acks", id, mods, acks)
 		}
 	}
+	// Every span is a tenant's: alpha's /trace sends its replay's epoch
+	// spans, and the daemon serves no span stream of its own.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/tenants/alpha/trace", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev struct{ Name string }
+	for dec := json.NewDecoder(resp.Body); ev.Name != "scenario.epoch"; {
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("alpha's trace ended before a scenario.epoch event: %v", err)
+		}
+	}
+	resp.Body.Close()
+	if resp, err = http.Get(ts.URL + "/trace"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /trace: status %d, want 404", resp.StatusCode)
+	}
 	daemonBody := daemonScrape(t, ts.URL+"/metrics")
 	if v := daemonMetricValue(daemonBody, "fubar_daemon_tenants"); v != 2 {
 		t.Errorf("daemon tenants gauge %g, want 2", v)
@@ -269,8 +293,7 @@ func TestDaemonTwoConcurrentTenants(t *testing.T) {
 			t.Fatalf("delete %s: status %d", id, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/tenants")
-	if err != nil {
+	if resp, err = http.Get(ts.URL + "/v1/tenants"); err != nil {
 		t.Fatal(err)
 	}
 	var list struct {

@@ -14,6 +14,7 @@ import (
 	"fubar/internal/core"
 	"fubar/internal/experiment"
 	"fubar/internal/flowmodel"
+	"fubar/internal/instance"
 	"fubar/internal/metrics"
 	"fubar/internal/pathgen"
 	"fubar/internal/topology"
@@ -30,10 +31,10 @@ func ringConfig(t testing.TB, capacity unit.Bandwidth) experiment.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := traffic.DefaultGenConfig(33)
-	tc.RealTimeFlows = [2]int{2, 10}
+	tc := instance.Calibration(33)
 	tc.BulkFlows = [2]int{1, 5}
 	tc.LargeFlows = [2]int{1, 2}
+	tc.IncludeSelfPairs = true
 	return experiment.Config{Topology: topo, Seed: 33, Traffic: &tc}
 }
 

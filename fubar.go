@@ -13,6 +13,7 @@ import (
 	"fubar/internal/experiment"
 	"fubar/internal/flowmodel"
 	"fubar/internal/graph"
+	"fubar/internal/instance"
 	"fubar/internal/measure"
 	"fubar/internal/metrics"
 	"fubar/internal/mpls"
@@ -314,21 +315,21 @@ func ScenarioNames() []string { return scenario.Names() }
 // topology plus a sparse random traffic matrix sized by aggregate
 // count), used to benchmark the optimizer 10-100x beyond the HE-31
 // evaluation instance.
-type ScalePreset = scenario.ScalePreset
+type ScalePreset = instance.ScalePreset
 
 // ScalePresetNames lists the preset names (scale-xs .. scale-l) in
 // registry order, for help text.
-func ScalePresetNames() []string { return scenario.ScalePresetNames() }
+func ScalePresetNames() []string { return instance.ScalePresetNames() }
 
 // ScalePresetByName resolves a large-instance preset by its CLI name;
 // an unknown name's error enumerates the valid ones.
-func ScalePresetByName(name string) (ScalePreset, error) { return scenario.ScalePresetByName(name) }
+func ScalePresetByName(name string) (ScalePreset, error) { return instance.ScalePresetByName(name) }
 
 // ScaleInstance generates a preset's topology and traffic matrix for a
 // seed — deterministic, so benchmark instances are reproducible from the
 // preset name and seed alone.
 func ScaleInstance(name string, seed int64) (*Topology, *Matrix, error) {
-	return scenario.ScaleInstance(name, seed)
+	return instance.Scale(name, seed)
 }
 
 // SparseTraffic draws a sparse random traffic matrix: aggregates over

@@ -692,7 +692,11 @@ loop:
 			if stop = ctxStop(); stop != 0 {
 				break loop
 			}
-			if committed = o.step(link, uCur, links, fraction); committed != nil {
+			var err error
+			if committed, err = o.step(link, uCur, links, fraction); err != nil {
+				return err
+			}
+			if committed != nil {
 				break
 			}
 			o.refutedStamp[link] = o.passEpoch
@@ -1090,7 +1094,7 @@ type candidate struct {
 // Selection replays the candidates in collection order with the same
 // improve-by-minGain rule the serial mutate-evaluate-revert loop used, so
 // any worker count commits the identical move.
-func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.EdgeID, fraction float64) *flowmodel.Result {
+func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.EdgeID, fraction float64) (*flowmodel.Result, error) {
 	byLink, byLevel := o.refutedLink, o.refutedLevel
 	cands, grew := o.collectCandidates(link, congested, fraction)
 	o.candidates += len(cands)
@@ -1100,7 +1104,7 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		o.tm.RefutedByLevel.Add(int64(o.refutedLevel - byLevel))
 	}
 	if len(cands) == 0 {
-		return nil // collection appends a path only beside a candidate
+		return nil, nil // collection appends a path only beside a candidate
 	}
 	base := o.prepareBase(grew)
 	o.evaluateCandidates(cands, o.denseBuf, o.stepClosure(base, link, len(cands)), uInit)
@@ -1117,22 +1121,32 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		}
 	}
 	if bestIdx < 0 {
-		return nil
+		return nil, nil
 	}
 	changed := o.commit(cands[bestIdx])
+	var res *flowmodel.Result
 	if base == nil {
-		return o.baseEval.Evaluate(o.denseBuf)
-	}
-	// Fold the committed move into the base, whose delta result is the
-	// committed allocation's evaluation: no post-commit full evaluation,
-	// no next-step recapture.
-	res, patched := o.baseEval.CommitDelta(o.base, o.denseBuf, changed[:])
-	if patched {
-		o.baseStats.Rebases++
+		res = o.baseEval.Evaluate(o.denseBuf)
 	} else {
-		o.baseStats.Recaptures++
+		// Fold the committed move into the base, whose delta result is the
+		// committed allocation's evaluation: no post-commit full
+		// evaluation, no next-step recapture.
+		var patched bool
+		res, patched = o.baseEval.CommitDelta(o.base, o.denseBuf, changed[:])
+		if patched {
+			o.baseStats.Rebases++
+		} else {
+			o.baseStats.Recaptures++
+		}
 	}
-	return res
+	// The winner scored above its bound, so its score is its exact
+	// utility (EvaluateDeltaUtility): an evaluation of the committed list
+	// that differs by a bit means scoring and commit disagree on what the
+	// move is, and a run that went on would chase phantom gains.
+	if math.Float64bits(res.NetworkUtility) != math.Float64bits(bestU) {
+		return nil, fmt.Errorf("core: committed move on link %d evaluates to utility %v, scored %v", link, res.NetworkUtility, bestU)
+	}
+	return res, nil
 }
 
 // prepareBase brings the run's list, and the base that captures the

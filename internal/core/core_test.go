@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fubar/internal/flowmodel"
+	"fubar/internal/instance"
 	"fubar/internal/pathgen"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
@@ -252,10 +253,10 @@ func TestOptimizerInvariantsOnRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := traffic.DefaultGenConfig(17)
-	cfg.RealTimeFlows = [2]int{2, 10}
+	cfg := instance.Calibration(17)
 	cfg.BulkFlows = [2]int{1, 6}
 	cfg.LargeFlows = [2]int{1, 2}
+	cfg.IncludeSelfPairs = true
 	mat, err := traffic.Generate(topo, cfg)
 	if err != nil {
 		t.Fatal(err)

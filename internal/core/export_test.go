@@ -24,6 +24,10 @@ func WithFullEvaluation(f func()) {
 	f()
 }
 
+// PropInstance is the property tests' congested 8-node ring, which the
+// external test package's closed-loop oracles replay.
+var PropInstance = propInstance
+
 // evalName names a test leg by how its optimizers score candidates.
 var evalName = map[bool]string{false: "incremental", true: "full"}
 

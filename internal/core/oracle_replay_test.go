@@ -17,7 +17,6 @@ import (
 	"fubar/internal/scenario"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
-	"fubar/internal/unit"
 )
 
 // requireOracle replays sc under the full-evaluation oracle at each of
@@ -79,29 +78,12 @@ func TestEpochWarmBaseBitIdentity(t *testing.T) {
 	}
 }
 
-// eightNodeRing is internal/scenario's closed-loop determinism instance.
-func eightNodeRing(t *testing.T, seed int64) (*topology.Topology, *traffic.Matrix) {
-	t.Helper()
-	topo, err := topology.Ring(8, 4, 800*unit.Kbps, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := traffic.DefaultGenConfig(seed)
-	cfg.RealTimeFlows = [2]int{2, 8}
-	cfg.BulkFlows = [2]int{1, 4}
-	mat, err := traffic.Generate(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return topo, mat
-}
-
 // TestClosedLoopDeterminismOracle is TestClosedLoopDeterminism's
 // full-evaluation leg: the mixed demand-and-topology timeline on the
 // 8-node ring, closed loop, yields production's epoch table, counted
 // FlowMods and install sequence under the oracle.
 func TestClosedLoopDeterminismOracle(t *testing.T) {
-	topo, mat := eightNodeRing(t, 13)
+	topo, mat, _ := core.PropInstance(t, 13)
 	sc := scenario.Scenario{
 		Name: "mixed", Seed: 21, Epochs: 4,
 		Events: []scenario.Event{
@@ -120,7 +102,7 @@ func TestClosedLoopDeterminismOracle(t *testing.T) {
 // yields production's epoch table, Failovers and ResyncFlowMods included,
 // under the oracle.
 func TestClosedLoopHAKillStormOracle(t *testing.T) {
-	topo, mat := eightNodeRing(t, 13)
+	topo, mat, _ := core.PropInstance(t, 13)
 	requireOracle(t, topo, mat, scenario.ControllerKillStorm(29, 6, 3), scenario.Options{Replicas: 3}, true, []int{1}, []int{1})
 }
 

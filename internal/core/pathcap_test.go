@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fubar/internal/flowmodel"
+	"fubar/internal/instance"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
@@ -58,9 +59,9 @@ func TestPathCapMonotonicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := traffic.DefaultGenConfig(33)
-	cfg.RealTimeFlows = [2]int{2, 10}
+	cfg := instance.Calibration(33)
 	cfg.BulkFlows = [2]int{1, 5}
+	cfg.IncludeSelfPairs = true
 	mat, err := traffic.Generate(topo, cfg)
 	if err != nil {
 		t.Fatal(err)

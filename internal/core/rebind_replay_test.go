@@ -6,6 +6,7 @@ import (
 
 	"fubar/internal/core"
 	"fubar/internal/flowmodel"
+	"fubar/internal/instance"
 	"fubar/internal/scenario"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
@@ -39,7 +40,7 @@ func TestRebindBoundsPathMemoAcrossReplays(t *testing.T) {
 	if testing.Short() {
 		replays = 20
 	}
-	topo, mat, err := scenario.HEBenchInstance(5)
+	topo, mat, err := instance.HEBench(5)
 	if err != nil {
 		t.Fatal(err)
 	}

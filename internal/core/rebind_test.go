@@ -92,6 +92,9 @@ func TestRebindMatchesFreshOptimizer(t *testing.T) {
 	ctx := context.Background()
 	for _, workers := range []int{1, 3} {
 		for _, full := range []bool{false, true} {
+			if workers > 1 && full {
+				continue // caught no planted bug the other legs miss (testdata/mutants)
+			}
 			t.Run(fmt.Sprintf("workers-%d/%s", workers, evalName[full]), func(t *testing.T) {
 				var kept *Optimizer
 				var installed []flowmodel.Bundle

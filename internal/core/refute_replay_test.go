@@ -13,16 +13,17 @@ import (
 
 	"fubar/internal/core"
 	"fubar/internal/flowmodel"
+	"fubar/internal/instance"
 	"fubar/internal/scenario"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 )
 
-// srlgRing is the scenario tests' 6-node ring with two shared-risk groups —
-// the closed-loop soak workload's instance.
+// srlgRing is the catalogue's soak ring: six nodes with two shared-risk
+// groups, the closed-loop soak workload's instance.
 func srlgRing(t *testing.T) (*topology.Topology, *traffic.Matrix) {
 	t.Helper()
-	topo, mat, err := scenario.SoakInstance(1)
+	topo, mat, err := instance.Soak(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func replay(t *testing.T, topo *topology.Topology, mat *traffic.Matrix, sc scena
 // full-evaluation oracle, and on benchmark/'s HE-31 crisis timelines.
 func TestRefutationMatchesFullEnumerationReplay(t *testing.T) {
 	ring, ringMat := srlgRing(t)
-	he, heMat, err := scenario.HEBenchInstance(5)
+	he, heMat, err := instance.HEBench(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestRefutationMatchesFullEnumerationReplay(t *testing.T) {
 // Delta at either worker count.
 func TestRefutationMatchesFullEnumerationCold(t *testing.T) {
 	for _, preset := range []string{"scale-xs", "scale-s"} {
-		topo, mat, err := scenario.ScaleInstance(preset, 1)
+		topo, mat, err := instance.Scale(preset, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"fubar/internal/flowmodel"
+	"fubar/internal/instance"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
@@ -15,21 +17,17 @@ import (
 )
 
 // waxmanScaleInstance builds a ~200-node Waxman instance with a sparse
-// random matrix — the test-local analogue of the scenario package's
-// scale presets (core tests cannot import scenario: it imports core).
-// Calibrated so shortest-path routing is congested but the congestion is
-// localized (delta evaluations rarely fall back).
+// random matrix under the benchmark calibration, between the catalogue's
+// scale-s and scale-m presets in size. Calibrated so shortest-path routing
+// is congested but the congestion is localized (delta evaluations rarely
+// fall back).
 func waxmanScaleInstance(t *testing.T, seed int64) (*topology.Topology, *traffic.Matrix) {
 	t.Helper()
 	topo, err := topology.Waxman(200, 0.15, 0.15, 20*unit.Mbps, 50*unit.Millisecond, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := traffic.DefaultGenConfig(seed + 1)
-	cfg.RealTimeFlows = [2]int{2, 10}
-	cfg.BulkFlows = [2]int{1, 4}
-	cfg.IncludeSelfPairs = false
-	mat, err := traffic.Sparse(topo, cfg, 1200)
+	mat, err := traffic.Sparse(topo, instance.Calibration(seed+1), 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,4 +213,28 @@ func freshList(aggs []aggState) []flowmodel.Bundle {
 		}
 	}
 	return list
+}
+
+// TestScalePresetCongested runs the optimizer briefly on the smoke
+// preset: the capacity calibration must leave shortest-path routing
+// congested enough that the optimizer commits improving moves.
+func TestScalePresetCongested(t *testing.T) {
+	topo, mat, err := instance.Scale("scale-xs", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := flowmodel.New(topo, mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := Run(context.Background(), model, Options{Workers: 1, MaxSteps: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Steps == 0 {
+		t.Fatal("scale-xs instance not congested: optimizer committed no moves")
+	}
+	if sol.Utility <= sol.InitialUtility {
+		t.Errorf("utility %v did not improve over initial %v", sol.Utility, sol.InitialUtility)
+	}
 }

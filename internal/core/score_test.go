@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"fubar/internal/flowmodel"
-	"fubar/internal/topology"
-	"fubar/internal/traffic"
-	"fubar/internal/unit"
+	"fubar/internal/instance"
 )
 
 // exactScore is a probe that scores every candidate exactly (bound −Inf):
@@ -21,20 +20,19 @@ func exactScore(w *worker, buf []flowmodel.Bundle, changed []int, sc *flowmodel.
 	return u
 }
 
-// coldScaleS is benchmark/'s first cold-scale-s instance (the scale-s
-// preset of internal/scenario, which imports this package): the 100-node
-// Waxman topology of seed 1 under its first 1500-aggregate matrix.
+// coldScaleS is benchmark/'s first cold-scale-s instance: the catalogue's
+// scale-s topology of seed 1 under its first 1500-aggregate matrix.
 func coldScaleS(t *testing.T) *flowmodel.Model {
 	t.Helper()
-	topo, err := topology.Waxman(100, 0.25, 0.15, 16*unit.Mbps, 50*unit.Millisecond, 1)
+	p, err := instance.ScalePresetByName("scale-s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := traffic.DefaultGenConfig(1)
-	cfg.RealTimeFlows = [2]int{2, 10}
-	cfg.BulkFlows = [2]int{1, 4}
-	cfg.IncludeSelfPairs = false
-	mat, err := traffic.Sparse(topo, cfg, 1500)
+	topo, err := p.Topology(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := p.Matrix(topo, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,5 +112,27 @@ func TestBoundedScoresKeepTheContract(t *testing.T) {
 		scored[0].Load(), above[0].Load(), settled[0].Load(), scored[1].Load(), above[1].Load(), settled[1].Load(), 100*scaleS[0], 100*scaleS[1])
 	if above[0].Load() == 0 || above[1].Load() == 0 || settled[0].Load() == 0 || settled[1].Load() == 0 || scaleS[0] <= scaleS[1] {
 		t.Error("an outcome the contract covers did not occur, or the serial bound settled no more than the parallel one")
+	}
+}
+
+// TestCommitNotAsScoredEndsTheRun: a committed candidate scored above its
+// bound, so its score is its exact utility, and an evaluation of the
+// committed list that differs by one bit ends the run with an error. A
+// probe that scores every move one ulp above its utility plants the
+// mismatch, which nothing else in the run would notice.
+func TestCommitNotAsScoredEndsTheRun(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, _, m := propInstance(t, 5)
+		o, err := New(m, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.probe = func(w *worker, buf []flowmodel.Bundle, changed []int, sc *flowmodel.Closure, bound float64) float64 {
+			return math.Nextafter(exactScore(w, buf, changed, sc, bound), math.Inf(1))
+		}
+		sol, err := o.Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "committed move") {
+			t.Fatalf("workers %d: run with mis-scored commits returned %v, %v", workers, sol, err)
+		}
 	}
 }

@@ -43,24 +43,6 @@ func TestPersistentBaseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPersistentBaseParallelWorkers verifies the persistent base keeps
-// the worker-count determinism contract.
-func TestPersistentBaseParallelWorkers(t *testing.T) {
-	_, _, m1 := propInstance(t, 5)
-	w1, err := Run(context.Background(), m1, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, m4 := propInstance(t, 5)
-	w4, err := Run(context.Background(), m4, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w1.Utility != w4.Utility || w1.Steps != w4.Steps || !reflect.DeepEqual(w1.Bundles, w4.Bundles) {
-		t.Fatalf("workers diverged: utility %v vs %v, steps %d vs %d", w1.Utility, w4.Utility, w1.Steps, w4.Steps)
-	}
-}
-
 // TestRunContextCancelled proves a cancelled context stops the run at a
 // candidate-batch boundary with the partial solution published under
 // StopCancelled, and that the committed prefix matches an uninterrupted

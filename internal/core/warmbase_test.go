@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fubar/internal/flowmodel"
+	"fubar/internal/instance"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
@@ -107,25 +108,12 @@ func TestEpochWarmSingleCapture(t *testing.T) {
 	}
 }
 
-// heBenchModel is internal/scenario's HEBenchInstance (which this package
-// cannot import): HE-31 at 6 Mbps under every fifth aggregate of the §3
-// workload — tightly coupled enough that a third of its candidates affect
-// more than half the bundle list.
+// heBenchModel is the catalogue's HE-bench instance: HE-31 at 6 Mbps under
+// every fifth aggregate of the §3 workload — tightly coupled enough that a
+// third of its candidates affect more than half the bundle list.
 func heBenchModel(t *testing.T, seed int64) *flowmodel.Model {
 	t.Helper()
-	topo, err := topology.HurricaneElectric(6 * unit.Mbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := traffic.DefaultGenConfig(seed)
-	cfg.RealTimeFlows = [2]int{2, 10}
-	cfg.BulkFlows = [2]int{1, 4}
-	cfg.IncludeSelfPairs = false
-	full, err := traffic.Generate(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := full.Subset(func(a traffic.Aggregate) bool { return a.ID%5 == 0 })
+	topo, mat, err := instance.HEBench(seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ type CreateTenantRequest struct {
 	// Preset names a canned instance: "provisioned",
 	// "underprovisioned", "prioritized", "relaxed-delay" (the paper's
 	// §3 configurations on the HE backbone), "hebench" (the benchmark
-	// HE instance), or any scale preset (metro/regional/...; see
-	// scenario.ScalePresetByName).
+	// HE instance), or any scale preset (scale-xs .. scale-l; see
+	// instance.ScalePresetByName).
 	Preset string `json:"preset,omitempty"`
 	// Topology is an inline topology in the plain-text format
 	// ("topology name\nlink A B 100Mbps 5ms\n..."), as an alternative

@@ -28,7 +28,6 @@ import (
 //	GET    /v1/tenants/{id}/metrics     the tenant's registry (Prometheus)
 //	GET    /v1/tenants/{id}/trace       the tenant's span stream (JSONL)
 //	GET    /metrics                     the daemon's own registry
-//	GET    /trace                       the daemon's own span stream
 //	       /debug/pprof/*               runtime profiles
 //	GET    /healthz                     liveness
 //
@@ -48,7 +47,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/tenants/{id}/metrics", s.tenantTelemetry(telemetry.MetricsHandler))
 	mux.HandleFunc("GET /v1/tenants/{id}/trace", s.tenantTelemetry(telemetry.TraceHandler))
 	mux.Handle("GET /metrics", telemetry.MetricsHandler(s.tel))
-	mux.Handle("GET /trace", telemetry.TraceHandler(s.tel))
 	telemetry.PprofMux(mux)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

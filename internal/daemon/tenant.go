@@ -9,6 +9,7 @@ import (
 
 	"fubar/internal/core"
 	"fubar/internal/experiment"
+	"fubar/internal/instance"
 	"fubar/internal/scenario"
 	"fubar/internal/telemetry"
 	"fubar/internal/topology"
@@ -166,10 +167,10 @@ func materialize(req *CreateTenantRequest) (*topology.Topology, *traffic.Matrix,
 	case "relaxed-delay":
 		return experiment.Instance(experiment.RelaxedDelay(req.Seed))
 	case "hebench":
-		return scenario.HEBenchInstance(req.Seed)
+		return instance.HEBench(req.Seed)
 	default:
 		// Fall through to the scale presets; their error enumerates
 		// the valid names.
-		return scenario.ScaleInstance(req.Preset, req.Seed)
+		return instance.Scale(req.Preset, req.Seed)
 	}
 }

@@ -49,10 +49,10 @@ func TestMaxMinCertificate(t *testing.T) {
 // presets' lowest-delay lists — 538, 1,694 and 5,480 seeded links, the
 // largest fills any instance here runs — to the same certificate.
 func TestMaxMinCertificateScalePresets(t *testing.T) {
-	for _, p := range flowmodel.ScalePresets {
-		m, list := p.Instance(t, 1)
+	for _, name := range flowmodel.ScalePresets {
+		m, list := flowmodel.PresetInstance(t, name, 1)
 		if err := verify.MaxMin(m.Topology(), m.Matrix(), list, m.NewEval().Evaluate(list).BundleRate, 1e-9); err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

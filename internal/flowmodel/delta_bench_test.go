@@ -7,25 +7,18 @@ import (
 	"testing"
 	"time"
 
+	"fubar/internal/instance"
 	"fubar/internal/pathgen"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
 )
 
-// heLikeInstance builds a HE-31-shaped congested instance with a dense
+// heLikeInstance is the catalogue's HE-bench instance (seed 5) with a dense
 // allocation — the list shape core's trial-move engine evaluates.
 func heLikeInstance(tb testing.TB) (*Model, []Bundle) {
 	tb.Helper()
-	topo, err := topology.HurricaneElectric(6 * unit.Mbps)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	full, err := traffic.Generate(topo, benchGenConfig(5))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	mat, err := full.Subset(func(a traffic.Aggregate) bool { return a.ID%5 == 0 })
+	topo, mat, err := instance.HEBench(5)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -47,7 +40,7 @@ func heCrisisInstance(tb testing.TB) (*Model, []Bundle) {
 // covers a quarter of the active bundles and is widened by re-runs.
 func heCrisisList(tb testing.TB, spike float64, placeholders bool) (*Model, []Bundle) {
 	tb.Helper()
-	topo, err := topology.HurricaneElectric(6 * unit.Mbps)
+	topo, he, err := instance.HEBench(5)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -61,16 +54,9 @@ func heCrisisList(tb testing.TB, spike float64, placeholders bool) (*Model, []Bu
 	if topo, err = topo.WithCapacities(caps); err != nil {
 		tb.Fatal(err)
 	}
-	full, err := traffic.Generate(topo, benchGenConfig(5))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var aggs []traffic.Aggregate
-	for _, a := range full.Aggregates() {
-		if a.ID%5 == 0 {
-			a.Flows = int(math.Round(float64(a.Flows) * spike))
-			aggs = append(aggs, a)
-		}
+	aggs := he.Aggregates()
+	for i := range aggs {
+		aggs[i].Flows = int(math.Round(float64(aggs[i].Flows) * spike))
 	}
 	mat, err := traffic.NewMatrix(topo, aggs)
 	if err != nil {
@@ -114,50 +100,19 @@ func ringTenantList(tb testing.TB, load float64, placeholders bool) (*Model, []B
 	return startAllocation(tb, topo, mat, pathgen.Policy{}, placeholders)
 }
 
-// scaleSInstance is the scale-s preset under denseAllocation: ≈8×
-// heLikeInstance's bundle list. What a candidate perturbs does not grow
-// with the list, so neither should the cost of scoring it.
-func scaleSInstance(tb testing.TB) (*Model, []Bundle) {
-	return scalePresets[0].instance(tb, 3)
-}
+// scalePresets are the catalogue's presets above the smoke size.
+var scalePresets = []string{"scale-s", "scale-m", "scale-l"}
 
-// scalePreset mirrors one of internal/scenario's scale presets, which this
-// package cannot import: a Waxman topology under sparse aggregates.
-type scalePreset struct {
-	name        string
-	nodes, aggs int
-	alpha       float64
-	capacity    unit.Bandwidth
-}
-
-var scalePresets = []scalePreset{
-	{"scale-s", 100, 1500, 0.25, 16 * unit.Mbps},
-	{"scale-m", 300, 4000, 0.1, 24 * unit.Mbps},
-	{"scale-l", 1000, 12000, 0.03, 32 * unit.Mbps},
-}
-
-// instance draws the preset's seed-1 instance, as ScalePreset.Instance(1)
-// does, and splits every aggregate's flows across its paths lowest-delay
-// paths (denseAllocation); paths = 1 is the lowest-delay list.
-func (p scalePreset) instance(tb testing.TB, paths int) (*Model, []Bundle) {
+// presetInstance draws the named preset's seed-1 instance and splits every
+// aggregate's flows across its paths lowest-delay paths (denseAllocation);
+// paths = 1 is the lowest-delay list.
+func presetInstance(tb testing.TB, name string, paths int) (*Model, []Bundle) {
 	tb.Helper()
-	topo, err := topology.Waxman(p.nodes, p.alpha, 0.15, p.capacity, 50*unit.Millisecond, 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	mat, err := traffic.Sparse(topo, benchGenConfig(2), p.aggs)
+	topo, mat, err := instance.Scale(name, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return denseAllocation(tb, topo, mat, paths)
-}
-
-func benchGenConfig(seed int64) traffic.GenConfig {
-	cfg := traffic.DefaultGenConfig(seed)
-	cfg.RealTimeFlows = [2]int{2, 10}
-	cfg.BulkFlows = [2]int{1, 4}
-	cfg.IncludeSelfPairs = false
-	return cfg
 }
 
 // denseAllocation splits every aggregate's flows across its k
@@ -341,7 +296,9 @@ func BenchmarkEvaluateDeltaCandidate(b *testing.B) {
 		name      string
 		build     func(testing.TB) (*Model, []Bundle)
 		relieving bool
-	}{{"he", heLikeInstance, false}, {"scale-s", scaleSInstance, false}, {"he-crisis", heCrisisInstance, true}, {"ring", ringTenantInstance, true}} {
+	}{{"he", heLikeInstance, false},
+		{"scale-s", func(tb testing.TB) (*Model, []Bundle) { return presetInstance(tb, "scale-s", 3) }, false},
+		{"he-crisis", heCrisisInstance, true}, {"ring", ringTenantInstance, true}} {
 		m, bundles := inst.build(b)
 		moves := moveCandidates(bundles, 256, 3)
 		if inst.relieving {

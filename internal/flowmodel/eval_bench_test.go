@@ -84,15 +84,15 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 // lowest-delay lists (every aggregate's flows on its lowest-delay path).
 // links is the number of links the fill seeds.
 func BenchmarkEvaluateFull(b *testing.B) {
-	for _, p := range scalePresets {
-		m, bundles := p.instance(b, 1)
+	for _, name := range scalePresets {
+		m, bundles := presetInstance(b, name, 1)
 		seeded := 0 // links with an active crosser
 		for _, dem := range m.NewEval().Evaluate(bundles).LinkDemand {
 			if dem > 0 {
 				seeded++
 			}
 		}
-		b.Run(p.name, func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			arena := m.NewEval()
 			arena.Evaluate(bundles)
 			b.ReportAllocs()

@@ -321,7 +321,7 @@ func TestFillMatchesEagerReference(t *testing.T) {
 		name  string
 		build func(testing.TB) (*Model, []Bundle)
 	}{{"he", heLikeInstance}, {"he-crisis", heCrisisInstance}, {"ring", ringTenantInstance},
-		{"scale-m", func(tb testing.TB) (*Model, []Bundle) { return scalePresets[1].instance(tb, 3) }}}
+		{"scale-m", func(tb testing.TB) (*Model, []Bundle) { return presetInstance(tb, "scale-m", 3) }}}
 	for _, inst := range instances {
 		m, bundles := inst.build(t)
 		var fills [2]int // full fills, sub-fills

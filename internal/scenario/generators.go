@@ -6,62 +6,15 @@ import (
 	"slices"
 	"strings"
 
+	"fubar/internal/instance"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
-	"fubar/internal/unit"
 )
 
-// HEBenchInstance is the canonical replay-benchmark instance shared by
-// the acceptance tests, benchmark/ and the daemon's "hebench" preset: the
-// Hurricane Electric 31-POP substitute at 6 Mbps per link with a
-// deterministic every-5th-pair thinning of the §3 workload — HE's
-// spatial structure at a fifth of the optimization cost, so a 20-epoch
-// replay finishes in seconds.
+// HEBenchInstance is instance.HEBench, kept for benchmark/'s replay
+// workload, which calls it by this name.
 func HEBenchInstance(seed int64) (*topology.Topology, *traffic.Matrix, error) {
-	topo, err := topology.HurricaneElectric(6 * unit.Mbps)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := traffic.DefaultGenConfig(seed)
-	cfg.RealTimeFlows = [2]int{2, 10}
-	cfg.BulkFlows = [2]int{1, 4}
-	cfg.IncludeSelfPairs = false
-	full, err := traffic.Generate(topo, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	mat, err := full.Subset(func(a traffic.Aggregate) bool { return a.ID%5 == 0 })
-	if err != nil {
-		return nil, nil, err
-	}
-	return topo, mat, nil
-}
-
-// SoakInstance is the soak bench's small ring and the scenario matrix's:
-// six nodes at 600 kbps per link with two shared-risk groups, so every
-// canned generator has real events to play, and a light all-pairs matrix
-// drawn at seed+6 — sized so a million plain epochs fit a nightly budget
-// (~1.2 ms/epoch).
-func SoakInstance(seed int64) (*topology.Topology, *traffic.Matrix, error) {
-	topo, err := topology.Ring(6, 3, 600*unit.Kbps, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	topo, err = topo.WithSRLGs([]topology.SRLG{
-		{Name: "ga", Links: []topology.LinkID{0, 2}},
-		{Name: "gb", Links: []topology.LinkID{4}},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := traffic.DefaultGenConfig(seed + 6)
-	cfg.RealTimeFlows = [2]int{1, 4}
-	cfg.BulkFlows = [2]int{1, 3}
-	mat, err := traffic.Generate(topo, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return topo, mat, nil
+	return instance.HEBench(seed)
 }
 
 // Diurnal returns a day-long demand curve: every epoch sets the global

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fubar/internal/core"
+	"fubar/internal/instance"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 )
@@ -15,7 +16,7 @@ import (
 // SRLG-driven composites — real events to play.
 func matrixInstance(t *testing.T) (*topology.Topology, *traffic.Matrix) {
 	t.Helper()
-	topo, mat, err := SoakInstance(1)
+	topo, mat, err := instance.Soak(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,7 @@ import (
 // full-evaluation oracle.
 func TestKeptOptimizerMatchesPerEpochRebuild(t *testing.T) {
 	ring, ringMat := matrixInstance(t)
-	he, heMat, err := HEBenchInstance(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	he, heMat := heInstance(t)
 	crisis, err := ByName("crisis", 23, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -306,10 +303,7 @@ func TestOpenAndClosedLoopShareTheTimeline(t *testing.T) {
 // seeds.
 func TestWarmEpochAllocationCeiling(t *testing.T) {
 	const ceiling = 90 << 10 // bytes per warm epoch
-	topo, mat, err := HEBenchInstance(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo, mat := heInstance(t)
 	opts := Options{Core: core.Options{Workers: 1}}
 	opt, err := newOptimizer(topo, mat, opts)
 	if err != nil {

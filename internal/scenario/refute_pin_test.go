@@ -18,10 +18,7 @@ import (
 // them has stopped firing.
 func TestRefutationKeepsFiring(t *testing.T) {
 	const parentWarmCandidates = 11335 // at 658c7af; 8569 (−24%) with the link rule, 7808 (−31%) with both
-	topo, mat, err := HEBenchInstance(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo, mat := heInstance(t)
 	tel := telemetry.New()
 	counters := func() [3]int64 { // candidates, bundles refuted by link, by level
 		c := tel.Snapshot().Counters

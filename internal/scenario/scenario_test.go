@@ -9,6 +9,7 @@ import (
 
 	"fubar/internal/core"
 	"fubar/internal/graph"
+	"fubar/internal/instance"
 	"fubar/internal/topology"
 	"fubar/internal/traffic"
 	"fubar/internal/unit"
@@ -34,13 +35,13 @@ func ringInstance(t *testing.T, capacity unit.Bandwidth, topoSeed, trafficSeed i
 	return topo, mat
 }
 
-// heInstance is the acceptance instance: HEBenchInstance at the seed
+// heInstance is the acceptance instance: instance.HEBench at the seed
 // DESIGN.md's warm-vs-cold and MBB-headroom findings were measured on.
 func heInstance(t *testing.T) (*topology.Topology, *traffic.Matrix) {
 	t.Helper()
-	topo, mat, err := HEBenchInstance(5)
+	topo, mat, err := instance.HEBench(5)
 	if err != nil {
-		t.Fatalf("HEBenchInstance: %v", err)
+		t.Fatalf("HEBench: %v", err)
 	}
 	return topo, mat
 }

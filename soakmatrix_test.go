@@ -14,10 +14,7 @@ import (
 // to play at the facade level.
 func srlgRingInstance(t *testing.T, seed int64) (*Topology, *Matrix) {
 	t.Helper()
-	topo, err := RingTopology(8, 4, 800*Kbps, seed)
-	if err != nil {
-		t.Fatalf("RingTopology: %v", err)
-	}
+	topo, mat := testRingInstance(t, seed)
 	st, err := topo.WithSRLGs([]SRLG{
 		{Name: "ga", Links: []LinkID{0, 2}},
 		{Name: "gb", Links: []LinkID{4}},
@@ -25,12 +22,8 @@ func srlgRingInstance(t *testing.T, seed int64) (*Topology, *Matrix) {
 	if err != nil {
 		t.Fatalf("WithSRLGs: %v", err)
 	}
-	cfg := DefaultGenConfig(seed)
-	cfg.RealTimeFlows = [2]int{2, 8}
-	cfg.BulkFlows = [2]int{1, 4}
-	mat, err := GenerateTraffic(st, cfg)
-	if err != nil {
-		t.Fatalf("GenerateTraffic: %v", err)
+	if mat, err = NewMatrix(st, mat.Aggregates()); err != nil {
+		t.Fatalf("NewMatrix: %v", err)
 	}
 	return st, mat
 }

@@ -31,9 +31,9 @@ import (
 
 // mutant is one planted bug: old, which must occur exactly once in file
 // (relative to the module root), replaced by new. The tests in kills —
-// top-level names or subtest paths of pkg's tests — must each fail with it
-// in place. An entry reads name, file, pkg and kills on its first line, then
-// old and new.
+// top-level names or subtest paths of the tests of pkg, one package or
+// several separated by spaces — must each fail with it in place. An entry
+// reads name, file, pkg and kills on its first line, then old and new.
 type mutant struct {
 	name, file, pkg string
 	kills           []string
@@ -41,21 +41,32 @@ type mutant struct {
 }
 
 var catalogue = []mutant{
+	// The shortest-path kernel against its container/heap reference (graph).
+	{"heap-pop-prefers-right-on-tie", "internal/graph/dijkstra.go", "./internal/graph", []string{"TestSearcherMatchesHeapOracle"},
+		"if r := j + 1; r < n && a[r].dist < a[j].dist {",
+		"if r := j + 1; r < n && a[r].dist <= a[j].dist {"},
+	// Make-before-break pricing against its map reference (mpls).
+	{"planner-sums-out-of-input-order", "internal/mpls/mbb.go", "./internal/mpls", []string{"TestPlannerMatchesMapReference"},
+		"slices.SortStableFunc(loads, compareLoads)",
+		"slices.SortFunc(loads, compareLoads)"},
 	// Incremental scoring against the step closure (flowmodel).
-	{"freeze-skips-closure-chain", "internal/flowmodel/flowmodel.go", "./internal/flowmodel", []string{"TestStepClosureScoresMatchPerCandidate"},
+	{"freeze-skips-closure-chain", "internal/flowmodel/flowmodel.go", "./internal/flowmodel ./internal/core", []string{"TestStepClosureScoresMatchPerCandidate",
+		"TestRebindMatchesFreshOptimizer/workers-1/incremental", "TestRebindMatchesFreshOptimizer/workers-3/incremental"},
 		"if c.bunMark[i] == c.epoch && d.chMark[i] != d.epoch {",
 		"if false && c.bunMark[i] == c.epoch && d.chMark[i] != d.epoch {"},
 	{"touched-seed-checked-twice", "internal/flowmodel/delta.go", "./internal/flowmodel", []string{"TestStepClosureScoresMatchPerCandidate"},
 		"if d.linkMark[l] == d.epoch || li == 0 && d.tsMark[l] == d.epoch {",
 		"if d.linkMark[l] == d.epoch || li < 0 && d.tsMark[l] == d.epoch {"},
-	{"patch-base-skips-first-changed", "internal/flowmodel/rebase.go", "./internal/flowmodel", []string{"TestBaseStaysCaptured"},
+	{"patch-base-skips-first-changed", "internal/flowmodel/rebase.go", "./internal/flowmodel ./internal/core", []string{"TestBaseStaysCaptured",
+		"TestRebindMatchesFreshOptimizer/workers-1/incremental", "TestRebindMatchesFreshOptimizer/workers-3/incremental"},
 		"for _, ci := range changed {\n\t\tbase.bundles[ci] = bundles[ci]",
 		"for _, ci := range changed[1:] {\n\t\tbase.bundles[ci] = bundles[ci]"},
 	// The fill (flowmodel).
 	{"weight-over-rtt-plus-one", "internal/flowmodel/flowmodel.go", "./internal/flowmodel", []string{"TestMaxMinCertificate", "TestMaxMinCertificateScalePresets"},
 		"w := float64(b.Flows) / b.RTT()",
 		"w := float64(b.Flows) / (b.RTT() + 1)"},
-	{"queue-keeps-risen-minimum", "internal/flowmodel/queue.go", "./internal/flowmodel", []string{"TestFillMatchesEagerReference", "TestLinkQueueMatchesEagerReference"},
+	{"queue-keeps-risen-minimum", "internal/flowmodel/queue.go", "./internal/flowmodel ./internal/core", []string{"TestFillMatchesEagerReference", "TestLinkQueueMatchesEagerReference",
+		"TestRebindMatchesFreshOptimizer/workers-1/incremental", "TestRebindMatchesFreshOptimizer/workers-3/incremental"},
 		"} else if l == q.min && t > q.time[l] {",
 		"} else if false && l == q.min && t > q.time[l] {"},
 	{"queue-tie-break-reversed", "internal/flowmodel/queue.go", "./internal/flowmodel", []string{"TestLinkQueueMatchesEagerReference"},
@@ -63,16 +74,20 @@ var catalogue = []mutant{
 		"return ta < tb || ta == tb && a > b"},
 	// Windows of one shared array, each cut to end at its capacity
 	// (flowmodel, core, pathgen).
-	{"base-crosser-window-two-index", "internal/flowmodel/delta.go", "./internal/flowmodel", []string{"TestBaseStaysCaptured"},
+	{"base-crosser-window-two-index", "internal/flowmodel/delta.go", "./internal/flowmodel ./internal/core", []string{"TestBaseStaysCaptured",
+		"TestRebindMatchesFreshOptimizer/workers-1/incremental"},
 		"base.linkBun[l] = base.linkArr[at : at+n : at+n+crosserSlack]",
 		"base.linkBun[l] = base.linkArr[at : at+n]"},
-	{"arena-crosser-window-two-index", "internal/flowmodel/flowmodel.go", "./internal/flowmodel", []string{"TestDeltaContinuesInPlace"},
+	{"arena-crosser-window-two-index", "internal/flowmodel/flowmodel.go", "./internal/flowmodel ./internal/core", []string{"TestDeltaContinuesInPlace",
+		"TestRebindMatchesFreshOptimizer/workers-1/incremental", "TestRebindMatchesFreshOptimizer/workers-3/incremental"},
 		"e.linkBun[l] = e.linkArr[off[l]:off[l]:off[l+1]]",
 		"e.linkBun[l] = e.linkArr[off[l]:off[l]]"},
-	{"path-set-window-two-index", "internal/core/core.go", "./internal/core", []string{"TestOptimizerInvariantsOnRing"},
+	{"path-set-window-two-index", "internal/core/core.go", "./internal/core", []string{"TestOptimizerInvariantsOnRing",
+		"TestRebindMatchesFreshOptimizer/workers-1/incremental", "TestRebindMatchesFreshOptimizer/workers-1/full", "TestRebindMatchesFreshOptimizer/workers-3/incremental"},
 		"fresh[i].set = pathgen.NewPathSet(limit, paths[i:i:i+1])",
 		"fresh[i].set = pathgen.NewPathSet(limit, paths[i:i])"},
-	{"edge-chunk-not-advanced", "internal/pathgen/pathgen.go", "./internal/pathgen", []string{"TestMemoAnswersMatchFreshGenerator"},
+	{"edge-chunk-not-advanced", "internal/pathgen/pathgen.go", "./internal/pathgen ./internal/core", []string{"TestMemoAnswersMatchFreshGenerator",
+		"TestRebindMatchesFreshOptimizer/workers-1/incremental", "TestRebindMatchesFreshOptimizer/workers-1/full", "TestRebindMatchesFreshOptimizer/workers-3/incremental"},
 		"g.edges = g.edges[:len(g.edges)+hops]",
 		"g.edges = g.edges[:len(g.edges)]"},
 	// The path generator's memo, donors, trees and potentials (pathgen).
@@ -85,7 +100,8 @@ var catalogue = []mutant{
 	{"potentials-on-open-forbidden-set", "internal/pathgen/pathgen.go", "./internal/pathgen", []string{"TestMemoAnswersMatchFreshGenerator"},
 		"g.goal = g.goal && closed",
 		"g.goal = g.goal || closed"},
-	{"tree-answers-any-set", "internal/pathgen/pathgen.go", "./internal/pathgen", []string{"TestMemoAnswersMatchFreshGenerator"},
+	{"tree-answers-any-set", "internal/pathgen/pathgen.go", "./internal/pathgen ./internal/core", []string{"TestMemoAnswersMatchFreshGenerator",
+		"TestRebindMatchesFreshOptimizer/workers-1/incremental", "TestRebindMatchesFreshOptimizer/workers-1/full", "TestRebindMatchesFreshOptimizer/workers-3/incremental"},
 		"if key.set != g.forbidSet || key.src == key.dst || g.noTrees {",
 		"if key.src == key.dst || g.noTrees {"},
 	{"trees-never-built", "internal/pathgen/pathgen.go", "./internal/pathgen", []string{"TestMemoAnswersMatchFreshGenerator"},
@@ -95,7 +111,8 @@ var catalogue = []mutant{
 		"if !g.goal || g.noPotentials {",
 		"if true || !g.goal || g.noPotentials {"},
 	// The failed-step rule and the scoring fan-out (core).
-	{"link-rule-reads-old-passes", "internal/core/core.go", "./internal/core", []string{"TestRefutationMatchesFullEnumerationReplay", "TestRefutationMatchesFullEnumerationCold", "TestRefutationAcrossRebind"},
+	{"link-rule-reads-old-passes", "internal/core/core.go", "./internal/core", []string{"TestRefutationMatchesFullEnumerationReplay", "TestRefutationMatchesFullEnumerationCold", "TestRefutationAcrossRebind",
+		"TestRebindMatchesFreshOptimizer/workers-1/incremental", "TestRebindMatchesFreshOptimizer/workers-1/full", "TestRebindMatchesFreshOptimizer/workers-3/incremental"},
 		"if o.refutedStamp[e] == o.passEpoch {",
 		"if o.refutedStamp[e] != 0 {"},
 	{"level-rule-survives-commit", "internal/core/core.go", "./internal/core", []string{"TestRefutationMatchesFullEnumerationReplay/open/crisis-cold/workers-1/incremental", "TestRefutedCandidatesNeverBeatTheBound"},
@@ -107,7 +124,7 @@ var catalogue = []mutant{
 	{"parallel-scoring-skips-last-candidate", "internal/core/core.go", "./internal/core", []string{"TestWorkersDeterminism", "TestStepClosureWorkersMatchSerial"},
 		"if i >= len(cands) {",
 		"if i >= len(cands)-1 {"},
-	{"rebind-skips-later-workers", "internal/core/core.go", "./internal/core", []string{"TestEpochWarmBaseBitIdentity/plain/diurnal"},
+	{"rebind-skips-later-workers", "internal/core/core.go", "./internal/core", []string{"TestRebindMatchesFreshOptimizer/workers-3/incremental"},
 		"for _, w := range o.workers {\n\t\tw.eval.Rebind(model)",
 		"for _, w := range o.workers[:min(1, len(o.workers))] {\n\t\tw.eval.Rebind(model)"},
 	// What a right answer is (verify).
@@ -202,8 +219,9 @@ func runMutant(t *testing.T, root string, m mutant) map[string]bool {
 		tops = append(tops, top)
 	}
 	run := "^(" + strings.Join(tops, "|") + ")$"
-	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "test", "-json", "-count=1", "-vet=off", "-timeout=2m",
-		"-overlay", overlayFile, "-run", run, m.pkg)
+	args := append([]string{"test", "-json", "-count=1", "-vet=off", "-timeout=2m",
+		"-overlay", overlayFile, "-run", run}, strings.Fields(m.pkg)...)
+	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), args...)
 	cmd.Dir = root
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -221,9 +239,13 @@ func runMutant(t *testing.T, root string, m mutant) map[string]bool {
 			t.Fatalf("the mutant does not build:\n%s", stderr.String())
 		}
 		// A test that never ends is caught too: the timeout's panic lists
-		// the tests still running, one per tab-indented line.
+		// the tests still running, one per tab-indented line. Any other
+		// panic ends the binary with no fail event; its output is
+		// attributed to the test that was running.
 		if strings.HasPrefix(ev.Output, "panic: test timed out") {
 			timedOut = true
+		} else if strings.HasPrefix(ev.Output, "panic: ") && ev.Test != "" {
+			failed[ev.Test] = true
 		} else if running, ok := strings.CutPrefix(ev.Output, "\t\t"); ok && timedOut {
 			name, _, _ := strings.Cut(running, " ")
 			failed[name] = true
