@@ -98,3 +98,26 @@ func TestScalePresetRegistry(t *testing.T) {
 		t.Fatal("unknown preset name did not error")
 	}
 }
+
+// TestScaleInstanceDeterministic draws scale-xs twice at a seed no digest
+// pins: the two draws must agree bit for bit, carry the preset's 400
+// aggregates, and differ from the next seed's draw.
+func TestScaleInstanceDeterministic(t *testing.T) {
+	draw := func(seed int64) (string, int) {
+		topo, mat, err := Scale("scale-xs", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest(topo, mat), len(mat.Aggregates())
+	}
+	a, n := draw(7)
+	if n != 400 {
+		t.Fatalf("scale-xs seed 7: %d aggregates, want 400", n)
+	}
+	if b, _ := draw(7); b != a {
+		t.Errorf("scale-xs seed 7 drew %s then %s", a, b)
+	}
+	if c, _ := draw(8); c == a {
+		t.Error("scale-xs seeds 7 and 8 drew the same instance")
+	}
+}
