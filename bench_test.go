@@ -233,7 +233,8 @@ func BenchmarkColdOptimizeScaleS(b *testing.B) {
 // replayLeg is one of benchmark/'s replay operations under go test: an
 // open-loop crisis replay on the HE-31 benchmark instance (replay-he-crisis),
 // a closed-loop soak replay on the 6-node ring at three controller replicas
-// (closedloop-ring-soak), and the open-loop diurnal replay a daemon-mixed
+// (closedloop-ring-soak: the catalogue's soak ring, instance.Soak(1)), and
+// the open-loop diurnal replay a daemon-mixed
 // tenant streams — the same ring under the daemon's default matrix for
 // tenant seed 1, eight epochs of the "diurnal" timeline — all at
 // WithWorkers(1) over fixed timelines of epochs epochs each.
@@ -250,17 +251,7 @@ var replayLegs = []replayLeg{
 		func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
 			return s.Replay(context.Background(), CrisisScenario(seed, 8, 1.3, 3))
 		}},
-	{"ring-soak", 200, func() (*Topology, *Matrix, error) {
-		topo, err := RingTopology(6, 3, 600*Kbps, 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg := DefaultGenConfig(7)
-		cfg.RealTimeFlows = [2]int{1, 4}
-		cfg.BulkFlows = [2]int{1, 3}
-		mat, err := GenerateTraffic(topo, cfg)
-		return topo, mat, err
-	}, []SessionOption{WithReplicas(3)},
+	{"ring-soak", 200, func() (*Topology, *Matrix, error) { return instance.Soak(1) }, []SessionOption{WithReplicas(3)},
 		func(s *Session, seed int64) iter.Seq2[EpochRecord, error] {
 			return s.ReplayClosedLoop(context.Background(), SoakScenario(seed, 200, 5))
 		}},
@@ -278,18 +269,17 @@ var replayLegs = []replayLeg{
 		}},
 }
 
-// warmEpochs replays the leg's timelines (seeds 1, 2, …) on one telemetered
-// session until n warm epochs have run, calling begin right before each and
-// end right after it with the session's telemetry. An epoch is warm when its
+// warmEpochs replays the leg's timelines (seeds 1, 2, …) on one session
+// with telemetry tel (nil: none) until n warm epochs have run, calling
+// begin right before each and end right after it. An epoch is warm when its
 // replay already ran one: epoch 0 of every timeline — a cold optimization on
 // a fresh optimizer — is replayed but falls outside every begin/end pair.
-func (leg replayLeg) warmEpochs(tb testing.TB, n int, begin, end func(*Telemetry)) {
+func (leg replayLeg) warmEpochs(tb testing.TB, n int, tel *Telemetry, begin, end func()) {
 	tb.Helper()
 	topo, mat, err := leg.instance()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tel := NewTelemetry()
 	s, err := NewSession(topo, mat, append(leg.opts, WithWorkers(1), WithTelemetry(tel))...)
 	if err != nil {
 		tb.Fatal(err)
@@ -302,14 +292,14 @@ func (leg replayLeg) warmEpochs(tb testing.TB, n int, begin, end func(*Telemetry
 				tb.Fatal(err)
 			}
 			if er.Epoch > 0 {
-				end(tel)
+				end()
 				epochs++
 			}
 			if epochs == n {
 				break
 			}
 			if er.Epoch < leg.epochs-1 {
-				begin(tel)
+				begin()
 			}
 		}
 	}
@@ -330,11 +320,12 @@ func BenchmarkReplayEpoch(b *testing.B) {
 			var bytes, mallocs uint64
 			var work, mark workCounts
 			b.StopTimer()
-			leg.warmEpochs(b, b.N, func(tel *Telemetry) {
+			tel := NewTelemetry()
+			leg.warmEpochs(b, b.N, tel, func() {
 				mark = telemetryWork(tel)
 				runtime.ReadMemStats(&before)
 				b.StartTimer()
-			}, func(tel *Telemetry) {
+			}, func() {
 				b.StopTimer()
 				runtime.ReadMemStats(&after)
 				bytes += after.TotalAlloc - before.TotalAlloc

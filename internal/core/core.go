@@ -587,8 +587,12 @@ func (o *Optimizer) run(ctx context.Context, initial []flowmodel.Bundle, sol *So
 	o.pubPaths = pathgen.Stats{}
 	o.candidates, o.refutedLink, o.refutedLevel, o.prevFraction = 0, 0, 0, 0
 	o.listBuilds = 0
+	// parent is the span this run's step and proof spans hang under: the
+	// replay epoch's, or a Session.Optimize's root.
+	var parent telemetry.Span
 	if o.tm != nil {
 		o.tm.Runs.Inc()
+		parent = telemetry.SpanOf(ctx)
 	}
 	// The initial evaluation doubles as the base capture:
 	// EvaluateBase returns exactly what Evaluate would (the capture is a
@@ -718,13 +722,13 @@ loop:
 				o.publishDeltaStats()
 				// candidates and refuted are the committing pass's, failed
 				// links included — what the span's wall time paid for.
-				o.tracer.Emit("core.step", pass.at, map[string]any{
-					"step": steps, "utility": uCur, "congested": len(links),
-					"escalation":    committedAt,
-					"candidates":    o.candidates - pass.cands,
-					"refuted":       o.refutedLink - pass.link + o.refutedLevel - pass.level,
-					"refuted_level": o.refutedLevel - pass.level,
-				})
+				o.tracer.Emit("core.step", pass.at, parent.Child(o.tracer.NewID()),
+					telemetry.Int(telemetry.KeyStep, steps), telemetry.Float(telemetry.KeyUtility, uCur),
+					telemetry.Int(telemetry.KeyCongested, len(links)),
+					telemetry.Int(telemetry.KeyEscalation, committedAt),
+					telemetry.Int(telemetry.KeyCandidates, o.candidates-pass.cands),
+					telemetry.Int(telemetry.KeyRefuted, o.refutedLink-pass.link+o.refutedLevel-pass.level),
+					telemetry.Int(telemetry.KeyRefutedLevel, o.refutedLevel-pass.level))
 			}
 			continue
 		}
@@ -752,10 +756,11 @@ loop:
 			// The passes that proved the optimum committed nothing, so no
 			// core.step covers them: all of a quiet epoch's optimizer time.
 			o.tm.ProofSeconds.Observe(time.Since(stuck.at).Seconds())
-			o.tracer.Emit("core.proof", stuck.at, map[string]any{
-				"passes": escLevel + 1, "candidates": o.candidates - stuck.cands,
-				"refuted_link": o.refutedLink - stuck.link, "refuted_level": o.refutedLevel - stuck.level,
-			})
+			o.tracer.Emit("core.proof", stuck.at, parent.Child(o.tracer.NewID()),
+				telemetry.Int(telemetry.KeyPasses, escLevel+1),
+				telemetry.Int(telemetry.KeyCandidates, o.candidates-stuck.cands),
+				telemetry.Int(telemetry.KeyRefutedLink, o.refutedLink-stuck.link),
+				telemetry.Int(telemetry.KeyRefutedLevel, o.refutedLevel-stuck.level))
 		}
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -426,27 +427,28 @@ func TestStepEventCountsWhatTheRuleSkips(t *testing.T) {
 	}
 	step, candidates, refuted, proofs := 0, 0, 0, 0
 	for _, ev := range traceEvents(tel) {
+		f := spanFieldsOf(t, ev)
 		switch ev.Name {
 		case "core.step":
 			step++
-			if ev.Fields["step"] != step || ev.Fields["escalation"] != levels[step] {
-				t.Errorf("core.step event %d: step %v at level %v, the snapshot said level %d", step, ev.Fields["step"], ev.Fields["escalation"], levels[step])
+			if f.Step != step || f.Escalation != levels[step] {
+				t.Errorf("core.step event %d: step %v at level %v, the snapshot said level %d", step, f.Step, f.Escalation, levels[step])
 			}
-			if ev.Fields["refuted_level"].(int) > ev.Fields["refuted"].(int) {
-				t.Errorf("core.step event %d: %v bundles refuted by level of %v in all", step, ev.Fields["refuted_level"], ev.Fields["refuted"])
+			if f.RefutedLevel > f.Refuted {
+				t.Errorf("core.step event %d: %v bundles refuted by level of %v in all", step, f.RefutedLevel, f.Refuted)
 			}
-			candidates += ev.Fields["candidates"].(int)
-			refuted += ev.Fields["refuted"].(int)
+			candidates += f.Candidates
+			refuted += f.Refuted
 		case "core.proof":
 			proofs++
 			// A proof is every level's pass, and ends at the first level
 			// that cannot escalate: this run's last move is a base-level one.
-			if step != sol.Steps || ev.Fields["passes"] != 3 || int64(ev.Fields["candidates"].(int)) != sol.Delta.Calls-int64(atLastCommit) ||
-				ev.Fields["refuted_link"].(int) == 0 || ev.Fields["refuted_level"].(int) == 0 {
-				t.Errorf("core.proof after %d of %d steps: %v; the run scored %d candidates after its last commit", step, sol.Steps, ev.Fields, sol.Delta.Calls-int64(atLastCommit))
+			if step != sol.Steps || f.Passes != 3 || int64(f.Candidates) != sol.Delta.Calls-int64(atLastCommit) ||
+				f.RefutedLink == 0 || f.RefutedLevel == 0 {
+				t.Errorf("core.proof after %d of %d steps: %+v; the run scored %d candidates after its last commit", step, sol.Steps, f, sol.Delta.Calls-int64(atLastCommit))
 			}
-			candidates += ev.Fields["candidates"].(int)
-			refuted += ev.Fields["refuted_link"].(int) + ev.Fields["refuted_level"].(int)
+			candidates += f.Candidates
+			refuted += f.RefutedLink + f.RefutedLevel
 		}
 	}
 	if step != sol.Steps {
@@ -461,12 +463,32 @@ func TestStepEventCountsWhatTheRuleSkips(t *testing.T) {
 	sol, tel, _, _ = run(1)
 	for _, ev := range traceEvents(tel) {
 		if ev.Name == "core.proof" {
-			t.Errorf("stop %v: a core.proof event %v", sol.Stop, ev.Fields)
+			t.Errorf("stop %v: a core.proof event %+v", sol.Stop, ev)
 		}
 	}
 	if n := tel.Snapshot().Histograms["fubar_core_proof_seconds"].Count; sol.Stop != StopMaxSteps || n != 0 {
 		t.Errorf("stop %v: %d fubar_core_proof_seconds observations", sol.Stop, n)
 	}
+}
+
+// spanFields are the integer attributes of core's spans, read as /trace
+// writes them: an attribute of another type fails the decode.
+type spanFields struct {
+	Step, Escalation, Candidates, Refuted, Passes int
+	RefutedLevel                                  int `json:"refuted_level"`
+	RefutedLink                                   int `json:"refuted_link"`
+}
+
+func spanFieldsOf(t *testing.T, ev telemetry.Event) (f spanFields) {
+	t.Helper()
+	b, err := json.Marshal(ev.Attrs)
+	if err == nil {
+		err = json.Unmarshal(b, &f)
+	}
+	if err != nil {
+		t.Fatalf("%s event fields %s: %v", ev.Name, b, err)
+	}
+	return f
 }
 
 // traceEvents is every event tel's tracer holds, oldest first.

@@ -7,26 +7,17 @@ import (
 
 	"fubar/internal/flowmodel"
 	"fubar/internal/instance"
-	"fubar/internal/topology"
-	"fubar/internal/traffic"
-	"fubar/internal/unit"
 )
 
-// mildInstance builds a lightly loaded ring (the scenario matrix's
-// shape): a handful of steps, every one scored incrementally, the run
-// finishing with the base live and the final result materialized from it.
+// mildInstance builds the catalogue's lightly loaded soak ring
+// (instance.Soak(1)): a handful of steps, every one scored incrementally,
+// the run finishing with the base live and the final result materialized
+// from it.
 func mildInstance(t *testing.T) *flowmodel.Model {
 	t.Helper()
-	topo, err := topology.Ring(6, 3, 600*unit.Kbps, 1)
+	topo, mat, err := instance.Soak(1)
 	if err != nil {
-		t.Fatalf("Ring: %v", err)
-	}
-	cfg := traffic.DefaultGenConfig(7)
-	cfg.RealTimeFlows = [2]int{1, 4}
-	cfg.BulkFlows = [2]int{1, 3}
-	mat, err := traffic.Generate(topo, cfg)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("instance.Soak: %v", err)
 	}
 	m, err := flowmodel.New(topo, mat)
 	if err != nil {

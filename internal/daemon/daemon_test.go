@@ -502,7 +502,7 @@ func FuzzCreateRequest(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
 				t.Fatalf("201 with body %q: %v", rec.Body, err)
 			}
-			if err := srv.remove(info.ID); err != nil {
+			if err := srv.remove(info.ID, 0); err != nil {
 				t.Fatal(err)
 			}
 		case rec.Code < 400 || rec.Code >= 500:

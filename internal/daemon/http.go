@@ -9,6 +9,7 @@ import (
 	"iter"
 	"math"
 	"net/http"
+	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -56,6 +57,7 @@ func (s *Server) routes() http.Handler {
 		if s.met != nil {
 			s.met.Requests.Inc()
 		}
+		r = r.WithContext(telemetry.WithSpan(r.Context(), telemetry.Span{Req: s.reqs.Add(1)}))
 		s.mu.Lock()
 		closed := s.closed
 		s.mu.Unlock()
@@ -79,6 +81,9 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
+// reqID is the ID routes gave request r.
+func reqID(r *http.Request) uint64 { return telemetry.SpanOf(r.Context()).Req }
+
 // statusFor maps a work error to an HTTP status: cancellation of the
 // server/tenant context reads as 503 (shutting down), everything else
 // as a client-visible 4xx/5xx.
@@ -97,7 +102,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad create body: %w", err))
 		return
 	}
-	info, err := s.create(&req)
+	info, err := s.create(&req, reqID(r))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -120,7 +125,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if err := s.remove(r.PathValue("id")); err != nil {
+	if err := s.remove(r.PathValue("id"), reqID(r)); err != nil {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
@@ -166,6 +171,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.sched.release(held)
+	// CPU profiles label the run with its tenant and kind.
+	t.labels[runOptimize].Enter()
+	defer pprof.SetGoroutineLabels(r.Context())
 	start := time.Now()
 	sol, err := t.ctrl.Optimize(ctx)
 	if err != nil {
@@ -176,7 +184,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.met.Optimizes.Inc()
 		s.met.OptimizeSecs.Observe(time.Since(start).Seconds())
 	}
-	s.log.Info("optimize done", "tenant", t.info.ID,
+	s.log.Info("optimize done", "req", reqID(r), "tenant", t.info.ID,
 		"utility", sol.Utility, "steps", sol.Steps, "elapsed", time.Since(start))
 	writeJSON(w, http.StatusOK, sol.Summary())
 }
@@ -246,6 +254,15 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
 	w.Header().Set("X-Fubar-Scenario", sc.Name)
+	// CPU profiles label the run with its tenant and kind, and its epochs
+	// with their phases.
+	labels := t.labels[runReplay]
+	if closed {
+		labels = t.labels[runClosedLoop]
+	}
+	labels.Enter()
+	defer pprof.SetGoroutineLabels(r.Context())
+	ctx = telemetry.WithProfileLabels(ctx, labels)
 	var seq iter.Seq2[scenario.EpochResult, error]
 	if closed {
 		seq = t.ctrl.ReplayClosedLoop(ctx, sc)
@@ -258,7 +275,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		s.met.Replays.Inc()
 		s.met.StreamEpochs.Add(int64(n))
 	}
-	s.log.Info("replay stream ended", "tenant", t.info.ID, "scenario", sc.Name,
+	s.log.Info("replay stream ended", "req", reqID(r), "tenant", t.info.ID, "scenario", sc.Name,
 		"epochs_streamed", n, "elapsed", time.Since(start), "err", err)
 }
 

@@ -19,6 +19,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"fubar/internal/telemetry"
 )
@@ -62,6 +63,10 @@ type Server struct {
 	tenants map[string]*tenant
 	nextID  int
 	closed  bool
+
+	// reqs numbers the requests served; a request's number is the
+	// request ID its slog records and spans carry.
+	reqs atomic.Uint64
 }
 
 // New builds a Server from cfg. The returned server is ready to serve;
@@ -101,8 +106,8 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // MaxWorkers reports the effective global worker cap.
 func (s *Server) MaxWorkers() int { return s.sched.capacity }
 
-// create registers a new tenant built from req.
-func (s *Server) create(req *CreateTenantRequest) (TenantInfo, error) {
+// create registers a new tenant built from req, for request rid.
+func (s *Server) create(req *CreateTenantRequest, rid uint64) (TenantInfo, error) {
 	if req.ID != "" && !validID(req.ID) {
 		return TenantInfo{}, fmt.Errorf("daemon: invalid tenant id %q (want [A-Za-z0-9._-]{1,64})", req.ID)
 	}
@@ -162,6 +167,9 @@ func (s *Server) create(req *CreateTenantRequest) (TenantInfo, error) {
 		tel:  tel,
 		gate: make(chan struct{}, 1),
 	}
+	for k, kind := range runKinds {
+		t.labels[k] = telemetry.NewProfileLabels("tenant", id, "kind", kind)
+	}
 	t.ctx, t.cancel = context.WithCancel(s.baseCtx)
 	s.tenants[id] = t
 	n := len(s.tenants)
@@ -171,7 +179,7 @@ func (s *Server) create(req *CreateTenantRequest) (TenantInfo, error) {
 		s.met.TenantsCreated.Inc()
 		s.met.Tenants.Set(float64(n))
 	}
-	s.log.Info("tenant created", "id", id, "topology", t.info.Topology,
+	s.log.Info("tenant created", "req", rid, "id", id, "topology", t.info.Topology,
 		"nodes", t.info.Nodes, "aggregates", t.info.Aggregates, "workers", workers)
 	return t.info, nil
 }
@@ -201,10 +209,10 @@ func (s *Server) list() []TenantInfo {
 	return out
 }
 
-// remove deletes a tenant: unregister, cancel its context (ending
-// in-flight calls at their next epoch boundary), wait for them to
-// return, then release the control plane.
-func (s *Server) remove(id string) error {
+// remove deletes a tenant for request rid: unregister, cancel its
+// context (ending in-flight calls at their next epoch boundary), wait for
+// them to return, then release the control plane.
+func (s *Server) remove(id string, rid uint64) error {
 	s.mu.Lock()
 	t, ok := s.tenants[id]
 	if ok {
@@ -222,7 +230,7 @@ func (s *Server) remove(id string) error {
 		s.met.TenantsDeleted.Inc()
 		s.met.Tenants.Set(float64(n))
 	}
-	s.log.Info("tenant deleted", "id", id)
+	s.log.Info("tenant deleted", "req", rid, "id", id)
 	return err
 }
 

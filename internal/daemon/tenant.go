@@ -68,7 +68,20 @@ type tenant struct {
 	// wg counts in-flight HTTP calls touching this tenant; delete and
 	// shutdown wait on it before releasing the control plane.
 	wg sync.WaitGroup
+
+	// labels are the CPU-profile labels of each kind of run, built at
+	// create (see runKinds).
+	labels [len(runKinds)]*telemetry.ProfileLabels
 }
+
+// The kinds of tenant run, as the kind profile label names them.
+const (
+	runOptimize = iota
+	runReplay
+	runClosedLoop
+)
+
+var runKinds = [...]string{runOptimize: "optimize", runReplay: "replay", runClosedLoop: "closed-loop"}
 
 // lock acquires the tenant's serialization gate, giving up when ctx is
 // done (client disconnect, tenant delete, daemon shutdown).

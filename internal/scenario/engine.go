@@ -104,9 +104,15 @@ type engine struct {
 
 	// tm/tracer are the scenario-level live-metrics handles derived from
 	// Options.Core.Telemetry (nil when telemetry is off). The core-level
-	// handles ride into each epoch with the copied core options.
+	// handles ride into each epoch with the copied core options. span is
+	// the span the replay runs under, labels the profile labels its epochs
+	// switch between (nil when the replay's context carries none), and
+	// runCtx the context an epoch hands the optimizer its span in.
 	tm     *telemetry.ScenarioMetrics
 	tracer *telemetry.Tracer
+	span   telemetry.Span
+	labels *telemetry.ProfileLabels
+	runCtx telemetry.SpanContext
 }
 
 // reset validates the instance and scenario and makes en the replay state
@@ -334,13 +340,14 @@ func (r *Replayer) Stream(ctx context.Context, opt *core.Optimizer, cp *ControlP
 		defer func() {
 			// Keep the storage, not the timeline: a soak's runs to millions
 			// of events, and nothing reads it once its stream has ended.
-			en.sc = Scenario{}
+			en.sc, en.runCtx = Scenario{}, telemetry.SpanContext{}
 			r.spare = en
 		}()
 		if err := en.reset(opt, cp, topo, mat, sc, opts); err != nil {
 			yield(EpochResult{}, err)
 			return
 		}
+		en.span, en.labels = telemetry.SpanOf(ctx), telemetry.ProfileLabelsOf(ctx)
 		byEpoch := en.timeline()
 		for epoch := 0; epoch < sc.Epochs; epoch++ {
 			if err := ctx.Err(); err != nil {
@@ -354,6 +361,7 @@ func (r *Replayer) Stream(ctx context.Context, opt *core.Optimizer, cp *ControlP
 				return
 			}
 			er, err := en.runEpoch(ctx, epoch, events)
+			en.labels.Enter()
 			if err != nil {
 				yield(EpochResult{}, fmt.Errorf("scenario: epoch %d: %w", epoch, err))
 				return
@@ -838,12 +846,15 @@ func (en *engine) truthOn(model *flowmodel.Model) *flowmodel.Eval {
 // discarded) and surfaces the context's error.
 func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*EpochResult, error) {
 	var epochStart time.Time
+	var span telemetry.Span
 	if en.tm != nil {
 		epochStart = time.Now()
+		span = en.span.Child(en.tracer.NewID())
 	}
 	cl := en.cl
 	er := &EpochResult{Epoch: epoch, Events: events}
 	if cl != nil {
+		en.labels.Phase(telemetry.PhaseSettle)
 		// The epoch's events (just applied) may have killed or recovered
 		// controller replicas: settle the failover before touching the
 		// environment, while the fabric still holds the ground truth the
@@ -853,6 +864,7 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 			return nil, err
 		}
 	}
+	en.labels.Phase(telemetry.PhaseRepair)
 	inst, err := en.materialize()
 	if err != nil {
 		return nil, err
@@ -896,6 +908,7 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 		if err := cl.pushRepair(ctx, epoch, inst, en.truthOn(model), repaired, er); err != nil {
 			return nil, err
 		}
+		en.labels.Phase(telemetry.PhaseEstimate)
 		estModel, err := cl.estimate(ctx, inst, er)
 		if err != nil {
 			return nil, err
@@ -919,11 +932,17 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 
 	// The budget is a context deadline under the replay's context, so an
 	// outer cancellation or deadline still wins.
+	en.labels.Phase(telemetry.PhaseOptimize)
 	runCtx := ctx
 	if en.opts.Budget > 0 {
 		var cancel context.CancelFunc
 		runCtx, cancel = context.WithTimeout(ctx, en.opts.Budget)
 		defer cancel()
+	}
+	if en.tm != nil {
+		// The optimizer's spans name the epoch's as their parent.
+		en.runCtx = telemetry.SpanContext{Context: runCtx, Span: span}
+		runCtx = &en.runCtx
 	}
 	sol := &en.sol
 	if freshOptimizer != nil {
@@ -950,6 +969,7 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 	er.Stop = sol.Stop
 	er.StopReason = sol.Stop.String()
 	er.Elapsed = sol.Elapsed
+	en.labels.Phase(telemetry.PhasePublish)
 	if cl != nil {
 		if err := cl.publish(ctx, epoch, inst, repaired, sol, er); err != nil {
 			return nil, err
@@ -958,14 +978,14 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 	// Estimated churn (bundle-list diff; a closed loop also has the counted
 	// wire mods to compare it with), and carry the installed state forward.
 	en.recordChurn(er, inst, sol.Bundles)
-	en.recordEpochMetrics(er, epochStart)
+	en.recordEpochMetrics(er, epochStart, span)
 	return er, nil
 }
 
 // recordEpochMetrics folds one finished epoch row into the live
 // registry and emits its span event. No-op when telemetry is off; never
 // reads back from the registry, so it cannot perturb the replay.
-func (en *engine) recordEpochMetrics(er *EpochResult, start time.Time) {
+func (en *engine) recordEpochMetrics(er *EpochResult, start time.Time, span telemetry.Span) {
 	if en.tm == nil {
 		return
 	}
@@ -978,10 +998,10 @@ func (en *engine) recordEpochMetrics(er *EpochResult, start time.Time) {
 	en.tm.RepairMovedFlows.Add(int64(er.RepairMovedFlows))
 	en.tm.PathsChanged.Add(int64(er.PathsChanged))
 	en.tm.FlowsMoved.Add(int64(er.FlowsMoved))
-	en.tracer.Emit("scenario.epoch", start, map[string]any{
-		"epoch": er.Epoch, "utility": er.Utility, "steps": er.Steps,
-		"flow_mods": er.FlowMods, "warm_start": er.WarmStart,
-	})
+	en.tracer.Emit("scenario.epoch", start, span,
+		telemetry.Int(telemetry.KeyEpoch, er.Epoch), telemetry.Float(telemetry.KeyUtility, er.Utility),
+		telemetry.Int(telemetry.KeySteps, er.Steps), telemetry.Int(telemetry.KeyFlowMods, er.FlowMods),
+		telemetry.Bool(telemetry.KeyWarmStart, er.WarmStart))
 }
 
 // compareKeyed orders installed entries by (aggregate key, path).

@@ -1,5 +1,7 @@
 package telemetry
 
+import "sync"
+
 // Telemetry bundles the metrics registry and the span tracer that are
 // threaded through the optimizer, the scenario engine and the control
 // plane. The zero value is not usable; call New. A nil *Telemetry is a
@@ -8,6 +10,23 @@ package telemetry
 type Telemetry struct {
 	Registry *Registry
 	Tracer   *Tracer
+
+	// The handle bundles, each built by the first call that asks for it.
+	core      once[CoreMetrics]
+	scenario  once[ScenarioMetrics]
+	ctrlplane once[CtrlplaneMetrics]
+}
+
+// once is a handle bundle built on first use, safely for concurrent
+// callers.
+type once[T any] struct {
+	once sync.Once
+	v    *T
+}
+
+func (o *once[T]) get(build func() *T) *T {
+	o.once.Do(func() { o.v = build() })
+	return o.v
 }
 
 // New returns a fresh telemetry bundle with an empty registry and an
@@ -59,13 +78,18 @@ type CoreMetrics struct {
 	PathSettled     *Counter
 }
 
-// Core builds (idempotently) the core-subsystem handles. Returns nil
+// Core returns the core-subsystem handles, built once per Telemetry: an
+// optimizer re-bound every epoch asks for them every epoch. Returns nil
 // when t is nil, and every handle method tolerates a nil receiver via
 // the guards at call sites (callers check the bundle pointer once).
 func (t *Telemetry) Core() *CoreMetrics {
 	if t == nil || t.Registry == nil {
 		return nil
 	}
+	return t.core.get(t.buildCore)
+}
+
+func (t *Telemetry) buildCore() *CoreMetrics {
 	r := t.Registry
 	return &CoreMetrics{
 		Runs:                r.Counter("fubar_core_runs_total", "Optimizer runs started."),
@@ -107,11 +131,16 @@ type ScenarioMetrics struct {
 	FlowsMoved       *Counter
 }
 
-// Scenario builds the scenario-subsystem handles; nil-safe.
+// Scenario returns the scenario-subsystem handles, built once per
+// Telemetry; nil-safe.
 func (t *Telemetry) Scenario() *ScenarioMetrics {
 	if t == nil || t.Registry == nil {
 		return nil
 	}
+	return t.scenario.get(t.buildScenario)
+}
+
+func (t *Telemetry) buildScenario() *ScenarioMetrics {
 	r := t.Registry
 	return &ScenarioMetrics{
 		Epochs:           r.Counter("fubar_scenario_epochs_total", "Scenario epochs optimized."),
@@ -141,11 +170,16 @@ type CtrlplaneMetrics struct {
 	TrueUtility    *Gauge
 }
 
-// Ctrlplane builds the control-plane handles; nil-safe.
+// Ctrlplane returns the control-plane handles, built once per
+// Telemetry; nil-safe.
 func (t *Telemetry) Ctrlplane() *CtrlplaneMetrics {
 	if t == nil || t.Registry == nil {
 		return nil
 	}
+	return t.ctrlplane.get(t.buildCtrlplane)
+}
+
+func (t *Telemetry) buildCtrlplane() *CtrlplaneMetrics {
 	r := t.Registry
 	return &CtrlplaneMetrics{
 		Installs:       r.Counter("fubar_ctrlplane_installs_total", "Differential allocation installs pushed to the fabric."),

@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -159,20 +161,20 @@ func TestTracerRingAndSubscribe(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	for i := 0; i < traceRingSize+10; i++ {
-		tr.Emit("core.step", start, map[string]any{"step": i})
+		tr.Emit("core.step", start, Span{ID: tr.NewID()}, Int(KeyStep, i))
 	}
 	recent, _, cancelLate := tr.Subscribe()
 	cancelLate()
 	if len(recent) != traceRingSize {
 		t.Fatalf("recent = %d events, want %d", len(recent), traceRingSize)
 	}
-	if got := recent[len(recent)-1].Fields["step"]; got != traceRingSize+9 {
+	if got, _ := intAttr(recent[len(recent)-1], KeyStep); got != traceRingSize+9 {
 		t.Fatalf("last ring event step = %v, want %d", got, traceRingSize+9)
 	}
 	// The subscriber channel holds 256 and then drops; it must have
 	// received the first 256 events without blocking Emit.
 	ev := <-ch
-	if ev.Name != "core.step" || ev.Fields["step"] != 0 {
+	if step, _ := intAttr(ev, KeyStep); ev.Name != "core.step" || step != 0 || ev.ID != 1 {
 		t.Fatalf("first subscribed event = %+v", ev)
 	}
 	cancel()
@@ -186,11 +188,11 @@ func TestSubscribeSeam(t *testing.T) {
 	tr := NewTracer()
 	start := time.Now()
 	for i := 0; i < 3; i++ {
-		tr.Emit("before", start, map[string]any{"i": i})
+		tr.Emit("before", start, Span{}, Int(KeyStep, i))
 	}
 	recent, ch, cancel := tr.Subscribe()
 	for i := 0; i < 3; i++ {
-		tr.Emit("after", start, map[string]any{"i": i})
+		tr.Emit("after", start, Span{}, Int(KeyStep, i))
 	}
 	cancel()
 	var live []Event
@@ -205,7 +207,7 @@ func TestSubscribeSeam(t *testing.T) {
 			t.Fatalf("%d events %s subscribing, want 3: %+v", len(got.events), got.name, got.events)
 		}
 		for i, ev := range got.events {
-			if ev.Name != got.name || ev.Fields["i"] != i {
+			if step, _ := intAttr(ev, KeyStep); ev.Name != got.name || step != i {
 				t.Fatalf("event %d %s subscribing = %+v", i, got.name, ev)
 			}
 		}
@@ -215,7 +217,7 @@ func TestSubscribeSeam(t *testing.T) {
 func TestHandlerMetricsAndTrace(t *testing.T) {
 	tel := New()
 	tel.Registry.Counter("fubar_h_total", "h").Add(7)
-	tel.Tracer.Emit("scenario.epoch", time.Now(), map[string]any{"epoch": 1})
+	tel.Tracer.Emit("scenario.epoch", time.Now(), Span{ID: 1}, Int(KeyEpoch, 1))
 	srv := httptest.NewServer(Handler(tel))
 	defer srv.Close()
 
@@ -263,4 +265,150 @@ func TestTelemetryServerBounded(t *testing.T) {
 	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
 		t.Fatalf("telemetry server would cut a stream: write %v, read %v", srv.WriteTimeout, srv.ReadTimeout)
 	}
+}
+
+// TestEmitAllocatesNothing: an emit copies a fixed-size record into the
+// ring and onto each subscriber's channel, and takes no allocation for
+// its attributes — what lets a traced replay epoch cost what an
+// untraced one does.
+func TestEmitAllocatesNothing(t *testing.T) {
+	tr := NewTracer()
+	_, _, cancel := tr.Subscribe()
+	defer cancel()
+	start := time.Now()
+	parent := Span{ID: tr.NewID(), Req: 7}
+	allocs := testing.AllocsPerRun(2000, func() {
+		tr.Emit("core.step", start, parent.Child(tr.NewID()),
+			Int(KeyStep, 1), Float(KeyUtility, 0.5), Int(KeyCongested, 2), Int(KeyEscalation, 0),
+			Int(KeyCandidates, 9), Int(KeyRefuted, 3), Int(KeyRefutedLevel, 1), Bool(KeyWarmStart, true))
+	})
+	if allocs != 0 {
+		t.Fatalf("Emit allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// TestEventJSON pins the /trace line of an event: the keys ts, name and
+// dur, the span's id, parent and req, and fields as an object in key
+// order, integers, floats and booleans as JSON numbers and booleans; an
+// event without attributes has no fields key.
+func TestEventJSON(t *testing.T) {
+	ev := Event{TimeUnixNano: 1700000000000000000, Name: "scenario.epoch", DurNano: 1500, Span: Span{ID: 3, Parent: 2, Req: 9}}
+	for i, a := range []Attr{Int(KeyEpoch, 4), Float(KeyUtility, 0.8125), Int(KeySteps, -1), Bool(KeyWarmStart, false), Int(KeyFlowMods, 12)} {
+		ev.Attrs.keys[i], ev.Attrs.bits[i] = a.key, a.bits
+	}
+	got, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"ts":1700000000000000000,"name":"scenario.epoch","dur":1500,"id":3,"parent":2,"req":9,"fields":{"epoch":4,"flow_mods":12,"steps":-1,"utility":0.8125,"warm_start":false}}`
+	if string(got) != want {
+		t.Errorf("event JSON\n got %s\nwant %s", got, want)
+	}
+	bare, err := json.Marshal(Event{Name: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"ts":0,"name":"x","dur":0,"id":0,"parent":0,"req":0}`; string(bare) != want {
+		t.Errorf("attribute-less event JSON\n got %s\nwant %s", bare, want)
+	}
+}
+
+// TestSpanContext: a SpanContext answers SpanOf with its span and every
+// other key, deadline and cancellation from the context it wraps, and
+// rebinding it allocates nothing.
+func TestSpanContext(t *testing.T) {
+	if got := SpanOf(context.Background()); got != (Span{}) {
+		t.Fatalf("SpanOf(Background) = %+v", got)
+	}
+	type key struct{}
+	outer := WithSpan(context.WithValue(context.Background(), key{}, "v"), Span{ID: 5, Req: 2})
+	if got := SpanOf(outer); got != (Span{ID: 5, Req: 2}) {
+		t.Fatalf("SpanOf(WithSpan) = %+v", got)
+	}
+	inner, cancel := context.WithCancel(outer)
+	var sc SpanContext
+	allocs := testing.AllocsPerRun(100, func() {
+		sc = SpanContext{Context: inner, Span: SpanOf(inner).Child(6)}
+		if SpanOf(&sc).ID != 6 {
+			t.Fatal("rebound span not seen")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("rebinding a SpanContext allocates %v objects", allocs)
+	}
+	if got := SpanOf(&sc); got != (Span{ID: 6, Parent: 5, Req: 2}) {
+		t.Errorf("SpanOf(SpanContext) = %+v", got)
+	}
+	if sc.Value(key{}) != "v" {
+		t.Error("SpanContext hides its context's values")
+	}
+	cancel()
+	if sc.Err() == nil {
+		t.Error("SpanContext does not see its context's cancellation")
+	}
+}
+
+// TestHandlesBuiltOnce: every caller of Core, Scenario and Ctrlplane —
+// concurrent ones included — gets the same handles, and asking again
+// allocates nothing.
+func TestHandlesBuiltOnce(t *testing.T) {
+	tel := New()
+	var wg sync.WaitGroup
+	cores := make([]*CoreMetrics, 8)
+	scens := make([]*ScenarioMetrics, 8)
+	cps := make([]*CtrlplaneMetrics, 8)
+	for i := range cores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cores[i], scens[i], cps[i] = tel.Core(), tel.Scenario(), tel.Ctrlplane()
+		}()
+	}
+	wg.Wait()
+	for i := range cores {
+		if cores[i] == nil || cores[i] != tel.Core() || scens[i] != tel.Scenario() || cps[i] != tel.Ctrlplane() {
+			t.Fatalf("caller %d got other handles", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tel.Core(); tel.Scenario(); tel.Ctrlplane() }); allocs != 0 {
+		t.Errorf("asking for built handles allocates %v objects", allocs)
+	}
+	var off *Telemetry
+	if off.Core() != nil || off.Scenario() != nil || off.Ctrlplane() != nil {
+		t.Error("a nil Telemetry hands out handles")
+	}
+}
+
+// TestProfileLabels: each phase's label set carries the run's labels and
+// the phase, and switching to one allocates nothing.
+func TestProfileLabels(t *testing.T) {
+	l := NewProfileLabels("tenant", "a", "kind", "replay")
+	for p, name := range phaseNames {
+		ctx := l.phases[p]
+		for k, want := range map[string]string{"tenant": "a", "kind": "replay", "phase": name} {
+			if got, _ := pprof.Label(ctx, k); got != want {
+				t.Errorf("phase %s: label %s = %q, want %q", name, k, got, want)
+			}
+		}
+	}
+	if got := ProfileLabelsOf(WithProfileLabels(context.Background(), l)); got != l {
+		t.Error("ProfileLabelsOf does not return the labels WithProfileLabels stored")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.Phase(PhaseOptimize); l.Enter() }); allocs != 0 {
+		t.Errorf("switching labels allocates %v objects", allocs)
+	}
+	pprof.SetGoroutineLabels(context.Background())
+	var none *ProfileLabels
+	none.Enter()
+	none.Phase(PhaseSettle)
+}
+
+// intAttr returns ev's integer attribute k and whether ev carries it.
+func intAttr(ev Event, k IntKey) (int, bool) {
+	for i, key := range ev.Attrs.keys {
+		if key == slot(kindInt, uint8(k)) {
+			return int(int64(ev.Attrs.bits[i])), true
+		}
+	}
+	return 0, false
 }

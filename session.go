@@ -11,6 +11,7 @@ import (
 	"fubar/internal/core"
 	"fubar/internal/flowmodel"
 	"fubar/internal/scenario"
+	"fubar/internal/telemetry"
 )
 
 // Session is the library's long-lived, context-first handle for one
@@ -296,9 +297,26 @@ func (s *Session) Optimize(ctx context.Context) (*Solution, error) {
 	if s.last != nil && !s.cfg.ColdStart {
 		initial = s.last.Bundles
 	}
+	// With telemetry on, the run's step and proof spans hang under one
+	// session.optimize root span.
+	var tracer *telemetry.Tracer
+	if t := s.cfg.Core.Telemetry; t != nil {
+		tracer = t.Tracer
+	}
+	var root telemetry.Span
+	var start time.Time
+	if tracer != nil {
+		start = time.Now()
+		root = telemetry.SpanOf(ctx).Child(tracer.NewID())
+		ctx = telemetry.WithSpan(ctx, root)
+	}
 	sol, err := s.opt.RunWarm(ctx, initial)
 	if err != nil {
 		return nil, err
+	}
+	if tracer != nil {
+		tracer.Emit("session.optimize", start, root,
+			telemetry.Float(telemetry.KeyUtility, sol.Utility), telemetry.Int(telemetry.KeySteps, sol.Steps))
 	}
 	s.last = sol
 	s.cfg.Logger.Info("optimize: done",

@@ -13,6 +13,7 @@ import (
 	"fubar/internal/core"
 	"fubar/internal/flowmodel"
 	"fubar/internal/scenario"
+	"fubar/internal/telemetry"
 )
 
 func sessionInstance(t *testing.T) (*fubar.Topology, *fubar.Matrix) {
@@ -351,5 +352,65 @@ func TestOptimizeUnchangedByLending(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOptimizeRootSpan: with telemetry on, each Session.Optimize emits one
+// session.optimize span, under the span and in the request its context
+// carries, and every core.step and core.proof span of the run names it as
+// parent; the run's solution is what it would be untraced.
+func TestOptimizeRootSpan(t *testing.T) {
+	topo, mat := sessionInstance(t)
+	tel := fubar.NewTelemetry()
+	s, err := fubar.NewSession(topo, mat, fubar.WithWorkers(1), fubar.WithTelemetry(tel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := fubar.NewSession(topo, mat, fubar.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := telemetry.WithSpan(context.Background(), telemetry.Span{ID: 900, Req: 8})
+	roots := map[uint64]bool{}
+	for call := 0; call < 2; call++ {
+		sol, err := s.Optimize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.Optimize(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Utility != want.Utility || sol.Steps != want.Steps || !reflect.DeepEqual(sol.Bundles, want.Bundles) {
+			t.Fatalf("call %d: traced Optimize differs from untraced: utility %v vs %v, %d vs %d steps", call, sol.Utility, want.Utility, sol.Steps, want.Steps)
+		}
+	}
+	events, _, cancel := tel.Tracer.Subscribe()
+	cancel()
+	var children []fubar.TraceEvent
+	for _, ev := range events {
+		if ev.Req != 8 {
+			t.Errorf("%s span %+v outside the request", ev.Name, ev.Span)
+		}
+		switch ev.Name {
+		case "session.optimize":
+			if ev.Parent != 900 || roots[ev.ID] {
+				t.Errorf("optimize root %+v: want a fresh ID under span 900", ev.Span)
+			}
+			for _, c := range children {
+				if c.Parent != ev.ID {
+					t.Errorf("%s span %+v not under its optimize root %d", c.Name, c.Span, ev.ID)
+				}
+			}
+			children = children[:0]
+			roots[ev.ID] = true
+		case "core.step", "core.proof":
+			children = append(children, ev)
+		default:
+			t.Errorf("unexpected span %q", ev.Name)
+		}
+	}
+	if len(roots) != 2 || len(children) != 0 {
+		t.Errorf("%d optimize roots for 2 calls, %d spans after the last", len(roots), len(children))
 	}
 }

@@ -50,12 +50,13 @@ func TestWorkCountsPinned(t *testing.T) {
 		var work, mark workCounts
 		var before, after runtime.MemStats
 		var mallocs uint64
-		leg.warmEpochs(t, 70,
-			func(tel *Telemetry) {
+		tel := NewTelemetry()
+		leg.warmEpochs(t, 70, tel,
+			func() {
 				mark = telemetryWork(tel)
 				runtime.ReadMemStats(&before)
 			},
-			func(tel *Telemetry) {
+			func() {
 				runtime.ReadMemStats(&after)
 				mallocs += after.Mallocs - before.Mallocs
 				work.add(telemetryWork(tel).sub(mark))
@@ -103,3 +104,32 @@ func TestWorkCountsPinned(t *testing.T) {
 // mallocsColumn introduces the one column of work_counts.golden that is a
 // ceiling and not an equality.
 const mallocsColumn = "  mallocs "
+
+// TestTelemetryCostsNoMallocs is the gate on what telemetry costs a warm
+// replay epoch: each replayLeg's epochs, replayed with telemetry on and
+// off, may take at most one heap object more per epoch on. Spans are
+// fixed-size records copied into the tracer's ring and the metric handles
+// are built once per Telemetry, so an epoch's counters, histograms and
+// spans allocate nothing; a per-event map or per-epoch handle rebuild
+// shows here as tens of objects an epoch.
+func TestTelemetryCostsNoMallocs(t *testing.T) {
+	const epochs = 70
+	for _, leg := range replayLegs {
+		perEpoch := func(tel *Telemetry) float64 {
+			var before, after runtime.MemStats
+			var mallocs uint64
+			leg.warmEpochs(t, epochs, tel,
+				func() { runtime.ReadMemStats(&before) },
+				func() {
+					runtime.ReadMemStats(&after)
+					mallocs += after.Mallocs - before.Mallocs
+				})
+			return float64(mallocs) / epochs
+		}
+		off, on := perEpoch(nil), perEpoch(NewTelemetry())
+		t.Logf("%s: %.1f mallocs per warm epoch with telemetry off, %.1f on", leg.name, off, on)
+		if on > off+1 {
+			t.Errorf("%s: telemetry costs %.1f mallocs per warm epoch (%.1f on, %.1f off), want at most 1", leg.name, on-off, on, off)
+		}
+	}
+}
