@@ -87,14 +87,18 @@ type Agent struct {
 	dp   Datapath
 
 	conn net.Conn
-	br   *bufio.Reader
+	dec  decoder // the connection's frames, read only by dial and Serve
 
 	mu     sync.Mutex // serializes writes and Close
 	closed bool
 	wbuf   []byte // frame buffer every write reuses, under mu
 
-	// counters is every stats poll's batch, only ever touched by Serve.
+	// Serve's scratch, only ever touched by Serve: the FlowMod each install
+	// decodes into, every stats poll's batch, and the replies it writes.
+	mod      FlowMod
 	counters CounterBatch
+	stats    StatsReply
+	ack      FlowModAck
 
 	// fence is the FlowMod state the managed agent keeps across
 	// reconnects.
@@ -111,13 +115,17 @@ type Agent struct {
 // flowModFence is what a switch remembers of the FlowMods it was sent,
 // kept across reconnects. floor is the highest election epoch seen; older
 // epochs are fenced off with ErrCodeStale, so a deposed replica cannot
-// roll the table back after a failover. last is the FlowMod last applied:
-// a controller that retries an install re-sends it under the same token,
+// roll the table back after a failover. The last FlowMod applied, when
+// applied is set, is its generation, epoch and a copy of its rules: a
+// controller that retries an install re-sends it under the same token,
 // and a copy is acked without being applied twice.
 type flowModFence struct {
-	mu    sync.Mutex
-	floor uint64
-	last  *FlowMod
+	mu         sync.Mutex
+	floor      uint64
+	applied    bool
+	generation uint64
+	epoch      uint64
+	rules      ruleTable
 }
 
 // dial connects to the controller at addr, performs the handshake and
@@ -135,7 +143,7 @@ func dial(addr string, datapathID uint32, nodeName string, dp Datapath, cfg Agen
 		name:  nodeName,
 		dp:    dp,
 		conn:  conn,
-		br:    bufio.NewReader(conn),
+		dec:   decoder{r: bufio.NewReader(conn)},
 		fence: fence,
 	}
 	deadline := time.Now().Add(cfg.HandshakeTimeout)
@@ -144,15 +152,18 @@ func dial(addr string, datapathID uint32, nodeName string, dp Datapath, cfg Agen
 		conn.Close()
 		return nil, err
 	}
-	msg, err := ReadMessage(a.br)
+	t, p, err := a.dec.next(maxPayload)
+	if err == nil && t != MsgHelloAck {
+		conn.Close()
+		return nil, fmt.Errorf("ctrlplane: handshake: got %v, want HelloAck", t)
+	}
+	var ack HelloAck
+	if err == nil {
+		ack, err = parseHelloAck(p)
+	}
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("ctrlplane: handshake: %w", err)
-	}
-	ack, ok := msg.(HelloAck)
-	if !ok {
-		conn.Close()
-		return nil, fmt.Errorf("ctrlplane: handshake: got %v, want HelloAck", msg.Type())
 	}
 	a.EpochMs = ack.EpochMs
 	a.LeaseMs = ack.LeaseMs
@@ -167,31 +178,58 @@ func dial(addr string, datapathID uint32, nodeName string, dp Datapath, cfg Agen
 // nil.
 func (a *Agent) Serve() error {
 	for {
-		msg, err := ReadMessage(a.br)
+		t, p, err := a.dec.next(maxPayload)
+		if err == nil {
+			err = a.handle(t, p)
+		}
 		if err != nil {
 			if errors.Is(err, io.EOF) || a.isClosed() {
 				return nil
 			}
 			return err
 		}
-		switch m := msg.(type) {
-		case Echo:
-			if err := a.write(EchoReply{Token: m.Token}); err != nil {
-				return err
-			}
-		case FlowMod:
-			a.handleFlowMod(m)
-		case StatsReq:
-			a.handleStatsReq(m)
-		case Bye:
-			a.cfg.Logger.Info("agent: controller said Bye", "agent", a.name)
-			return nil
-		case ErrorMsg:
-			a.cfg.Logger.Warn("agent: controller error", "agent", a.name, "err", error(m))
-		default:
-			_ = a.write(ErrorMsg{Code: ErrCodeUnsupported, Text: fmt.Sprintf("unexpected %v", msg.Type())})
-		}
 	}
+}
+
+// handle decodes and acts on one frame; io.EOF ends Serve in order.
+func (a *Agent) handle(t MsgType, p []byte) error {
+	switch t {
+	case MsgEchoReq:
+		m, err := parseEcho(p)
+		if err != nil {
+			return err
+		}
+		return a.write(EchoReply{Token: m.Token})
+	case MsgFlowMod:
+		if err := a.mod.decode(p); err != nil {
+			return err
+		}
+		a.handleFlowMod(&a.mod)
+	case MsgStatsReq:
+		m, err := parseStatsReq(p)
+		if err != nil {
+			return err
+		}
+		a.handleStatsReq(m)
+	case MsgBye:
+		if err := parseBye(p); err != nil {
+			return err
+		}
+		a.cfg.Logger.Info("agent: controller said Bye", "agent", a.name)
+		return io.EOF
+	case MsgError:
+		m, err := parseErrorMsg(p)
+		if err != nil {
+			return err
+		}
+		a.cfg.Logger.Warn("agent: controller error", "agent", a.name, "err", error(m))
+	default:
+		if _, err := decodeMessage(t, p); err != nil {
+			return err
+		}
+		_ = a.write(ErrorMsg{Code: ErrCodeUnsupported, Text: fmt.Sprintf("unexpected %v", t)})
+	}
+	return nil
 }
 
 // handleFlowMod applies an install and acks or reports failure. Epoch
@@ -200,14 +238,14 @@ func (a *Agent) Serve() error {
 // with ErrCodeStale before it can touch the datapath. A re-sent copy of
 // the FlowMod last applied — same epoch, generation and rules — is acked
 // without applying it again, so a retried install is applied once.
-func (a *Agent) handleFlowMod(m FlowMod) {
+func (a *Agent) handleFlowMod(m *FlowMod) {
 	f := a.fence
 	f.mu.Lock()
 	floor := f.floor
 	if m.Epoch >= floor {
 		f.floor = m.Epoch
 	}
-	last := f.last
+	again := f.applied && f.epoch == m.Epoch && f.generation == m.Generation && rulesEqual(f.rules.rules, m.Rules)
 	f.mu.Unlock()
 	if m.Epoch < floor {
 		a.cfg.Logger.Warn("agent: rejected stale-epoch FlowMod",
@@ -216,17 +254,19 @@ func (a *Agent) handleFlowMod(m FlowMod) {
 			Text: fmt.Sprintf("stale controller epoch %d < %d", m.Epoch, floor)})
 		return
 	}
-	if last == nil || last.Epoch != m.Epoch || last.Generation != m.Generation || !rulesEqual(last.Rules, m.Rules) {
+	if !again {
 		if err := a.dp.InstallRules(m.Generation, m.Rules); err != nil {
 			a.cfg.Logger.Warn("agent: install failed", "agent", a.name, "generation", m.Generation, "err", err)
 			_ = a.write(ErrorMsg{Token: m.Generation, Code: ErrCodeInstall, Text: err.Error()})
 			return
 		}
 		f.mu.Lock()
-		f.last = &m
+		f.applied, f.generation, f.epoch = true, m.Generation, m.Epoch
+		f.rules.set(m.Rules)
 		f.mu.Unlock()
 	}
-	_ = a.write(FlowModAck{Generation: m.Generation, Installed: uint32(len(m.Rules))})
+	a.ack = FlowModAck{Generation: m.Generation, Installed: uint32(len(m.Rules))}
+	_ = a.write(&a.ack)
 }
 
 // handleStatsReq snapshots counters and replies.
@@ -236,12 +276,13 @@ func (a *Agent) handleStatsReq(m StatsReq) {
 		_ = a.write(ErrorMsg{Token: m.Token, Code: ErrCodeCounters, Text: err.Error()})
 		return
 	}
-	_ = a.write(StatsReply{
+	a.stats = StatsReply{
 		Token:      m.Token,
 		Epoch:      batch.Epoch,
 		DurationMs: uint32(batch.Duration / time.Millisecond),
 		Counters:   batch.Counters,
-	})
+	}
+	_ = a.write(&a.stats)
 }
 
 // write sends one message under the write lock with a deadline.

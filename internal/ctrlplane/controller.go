@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -79,19 +80,35 @@ type swConn struct {
 	writeMu sync.Mutex // serializes writes
 	wbuf    []byte     // frame buffer every write reuses, under writeMu
 
+	// straggler is what the read loop decodes a StatsReply into when no
+	// request waits on its token: checked, then dropped.
+	straggler StatsReply
+
 	mu      sync.Mutex
-	pending map[uint64]chan<- reply
+	pending map[uint64]waiter
 	dead    error
 }
 
+// waiter is a registered request: the channel its reply goes to and, for
+// a stats poll, the StatsReply the read loop decodes the reply into. A
+// registration is claimed once — by the read loop that delivers its reply,
+// by fail, or by the withdraw that gives up on it — so a channel with room
+// for every registration made on it never blocks a sender, and into is
+// written only by the claimer that sends on ch after writing.
+type waiter struct {
+	ch   chan<- reply
+	into *StatsReply
+}
+
 // reply routes one answer to the request that registered its token on
-// conn. msg is nil when the connection died. A registration is delivered
-// at most once, so a channel with room for every registration made on it
-// never blocks a sender.
+// conn: the reply's type, or 0 when the connection died; err is a peer's
+// ErrorMsg, or a reply frame that failed to decode. A StatsReply is
+// already in the waiter's into.
 type reply struct {
 	conn  *swConn
 	token uint64
-	msg   Message
+	typ   MsgType
+	err   error
 }
 
 // signal is a broadcast condition: waiters grab the current channel and
@@ -123,32 +140,90 @@ func (s *signal) broadcast() {
 // tables a dead peer pushed, and resync an orphaned switch from the
 // handoff state on re-registration. A missing entry means "unknown or
 // empty table": the next differential install pushes the full table.
+// Each switch's table lives in storage that switch's entry owns, copied
+// in by set and kept when the entry is dropped, so a switch whose table
+// changes costs a copy, not an allocation.
 type tableCache struct {
 	mu     sync.Mutex
-	tables map[uint32][]Rule
+	tables map[uint32]*cachedTable
+}
+
+// cachedTable is one switch's entry: its table, and whether it is known.
+type cachedTable struct {
+	ruleTable
+	known bool
 }
 
 func newTableCache() *tableCache {
-	return &tableCache{tables: make(map[uint32][]Rule)}
+	return &tableCache{tables: make(map[uint32]*cachedTable)}
 }
 
+// get returns a copy of the switch's cached table, which the caller owns.
 func (tc *tableCache) get(id uint32) ([]Rule, bool) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	rules, ok := tc.tables[id]
-	return rules, ok
+	e := tc.tables[id]
+	if e == nil || !e.known {
+		return nil, false
+	}
+	var cp ruleTable
+	cp.set(e.rules)
+	return cp.rules, true
 }
 
+// equal reports whether the switch's cached table is known and equal to
+// rules.
+func (tc *tableCache) equal(id uint32, rules []Rule) bool {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	e := tc.tables[id]
+	return e != nil && e.known && rulesEqual(rules, e.rules)
+}
+
+// set copies rules in as the switch's cached table.
 func (tc *tableCache) set(id uint32, rules []Rule) {
 	tc.mu.Lock()
-	tc.tables[id] = rules
+	e := tc.tables[id]
+	if e == nil {
+		e = new(cachedTable)
+		tc.tables[id] = e
+	}
+	e.set(rules)
+	e.known = true
 	tc.mu.Unlock()
 }
 
 func (tc *tableCache) drop(id uint32) {
 	tc.mu.Lock()
-	delete(tc.tables, id)
+	if e := tc.tables[id]; e != nil {
+		e.known = false
+	}
 	tc.mu.Unlock()
+}
+
+// ruleTable is a rule table in storage its owner keeps: set copies a
+// table in, every rule's links into one array, reusing what the last set
+// left. Only the owner may read it, and nothing it hands out survives the
+// next set.
+type ruleTable struct {
+	rules []Rule
+	links []uint32
+}
+
+// set makes t a deep copy of rules.
+func (t *ruleTable) set(rules []Rule) {
+	n := 0
+	for _, r := range rules {
+		n += len(r.Links)
+	}
+	t.links = resize(t.links, n)
+	t.rules = t.rules[:0]
+	off := 0
+	for _, r := range rules {
+		links := t.links[off : off+len(r.Links) : off+len(r.Links)]
+		off += copy(links, r.Links)
+		t.rules = append(t.rules, Rule{Agg: r.Agg, Flows: r.Flows, Links: links})
+	}
 }
 
 // haStats are the HA counters of a replica set, which hands every
@@ -232,17 +307,20 @@ func (c *Controller) acceptLoop() {
 // handleConn performs the handshake and runs the read loop for one
 // switch.
 func (c *Controller) handleConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
+	d := &decoder{r: bufio.NewReader(conn)}
 	_ = conn.SetDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
-	msg, err := readMessage(br, maxHello)
-	if err != nil {
-		c.cfg.Logger.Warn("controller: handshake read failed", "remote", conn.RemoteAddr().String(), "err", err)
+	t, p, err := d.next(maxHello)
+	if err == nil && t != MsgHello {
+		c.cfg.Logger.Warn("controller: message before Hello", "remote", conn.RemoteAddr().String(), "type", t.String())
 		conn.Close()
 		return
 	}
-	hello, ok := msg.(Hello)
-	if !ok {
-		c.cfg.Logger.Warn("controller: message before Hello", "remote", conn.RemoteAddr().String(), "type", msg.Type().String())
+	var hello Hello
+	if err == nil {
+		hello, err = parseHello(p)
+	}
+	if err != nil {
+		c.cfg.Logger.Warn("controller: handshake read failed", "remote", conn.RemoteAddr().String(), "err", err)
 		conn.Close()
 		return
 	}
@@ -261,7 +339,7 @@ func (c *Controller) handleConn(conn net.Conn) {
 		id:      hello.DatapathID,
 		name:    hello.NodeName,
 		conn:    conn,
-		pending: make(map[uint64]chan<- reply),
+		pending: make(map[uint64]waiter),
 	}
 	// Verified rule-table handoff: a (re)registering switch whose last
 	// acked table is in the shared cache gets it re-pushed, so a switch
@@ -303,7 +381,7 @@ func (c *Controller) handleConn(conn net.Conn) {
 		}()
 	}
 
-	err = c.readLoop(sw, br)
+	err = c.readLoop(sw, d)
 	sw.fail(err)
 	c.mu.Lock()
 	if c.switches[sw.id] == sw {
@@ -328,9 +406,9 @@ const resyncGenerationBase = uint64(1) << 62
 // next differential install must push its full table rather than skip it.
 func (c *Controller) resync(sw *swConn, rules []Rule) {
 	gen := resyncGenerationBase | c.nextToken()
-	t := []rpcTarget{{c: c, id: sw.id, name: sw.name, token: gen, want: MsgFlowModAck,
-		req: FlowMod{Generation: gen, Epoch: c.epoch.Load(), Rules: rules}}}
-	if err := runRound(context.Background(), t, 1, c.cfg.RequestTimeout, c.stats); err != nil {
+	r := &round{targets: []rpcTarget{{c: c, id: sw.id, name: sw.name, token: gen, want: MsgFlowModAck,
+		req: FlowMod{Generation: gen, Epoch: c.epoch.Load(), Rules: rules}}}}
+	if err := r.run(context.Background(), 1, c.cfg.RequestTimeout, c.stats); err != nil {
 		c.tables.drop(sw.id)
 		c.cfg.Logger.Warn("controller: rule-table resync failed",
 			"switch", sw.name, "datapath", sw.id, "err", err)
@@ -341,47 +419,86 @@ func (c *Controller) resync(sw *swConn, rules []Rule) {
 		"switch", sw.name, "datapath", sw.id, "rules", len(rules))
 }
 
-// readLoop dispatches replies to their pending requests.
-func (c *Controller) readLoop(sw *swConn, br *bufio.Reader) error {
+// readLoop dispatches replies to their pending requests, decoding each
+// frame off the connection's one decoder.
+func (c *Controller) readLoop(sw *swConn, d *decoder) error {
 	for {
-		msg, err := ReadMessage(br)
+		t, p, err := d.next(maxPayload)
 		if err != nil {
 			return err
 		}
-		switch m := msg.(type) {
-		case EchoReply:
-			sw.deliver(m.Token, m)
-		case FlowModAck:
-			sw.deliver(m.Generation, m)
-		case StatsReply:
-			sw.deliver(m.Token, m)
-		case ErrorMsg:
-			if m.Token != 0 {
-				sw.deliver(m.Token, m)
-			} else {
-				c.cfg.Logger.Warn("controller: switch error", "switch", sw.name, "err", error(m))
+		switch t {
+		case MsgEchoReply, MsgFlowModAck, MsgStatsReply, MsgError:
+			if err := sw.deliver(t, p, c.cfg.Logger); err != nil {
+				return err
 			}
-		case Echo:
+		case MsgEchoReq:
+			m, err := parseEcho(p)
+			if err != nil {
+				return err
+			}
 			if err := sw.send(EchoReply{Token: m.Token}, time.Now().Add(c.cfg.RequestTimeout)); err != nil {
 				return err
 			}
-		case Bye:
+		case MsgBye:
+			if err := parseBye(p); err != nil {
+				return err
+			}
 			return io.EOF
 		default:
-			c.cfg.Logger.Warn("controller: unexpected message", "switch", sw.name, "type", msg.Type().String())
+			if _, err := decodeMessage(t, p); err != nil {
+				return err
+			}
+			c.cfg.Logger.Warn("controller: unexpected message", "switch", sw.name, "type", t.String())
 		}
 	}
 }
 
-// deliver hands a reply to the waiting request, dropping stragglers.
-func (s *swConn) deliver(token uint64, m Message) {
+// deliver decodes a reply frame — every reply type carries its request's
+// token first — and hands it to the request that registered the token: a
+// StatsReply is decoded straight into the waiter's storage, claimed from
+// pending first, so a withdraw that finds the token gone knows the reply
+// is on its way. A reply nobody waits on is decoded into the connection's
+// scratch and dropped, an unsolicited ErrorMsg logged. A frame that fails
+// to decode ends the connection, its waiter told so.
+func (s *swConn) deliver(t MsgType, p []byte, log *slog.Logger) error {
+	var token uint64
+	if len(p) >= 8 {
+		token = binary.BigEndian.Uint64(p)
+	}
 	s.mu.Lock()
-	ch := s.pending[token]
+	w, claimed := s.pending[token]
 	delete(s.pending, token)
 	s.mu.Unlock()
-	if ch != nil {
-		ch <- reply{conn: s, token: token, msg: m} // buffered: never blocks
+	r := reply{conn: s, token: token, typ: t}
+	var err error
+	switch t {
+	case MsgEchoReply:
+		_, err = parseEchoReply(p)
+	case MsgFlowModAck:
+		_, err = parseFlowModAck(p)
+	case MsgStatsReply:
+		into := &s.straggler
+		if claimed && w.into != nil {
+			into = w.into
+		}
+		err = into.decode(p)
+	case MsgError:
+		var em ErrorMsg
+		if em, err = parseErrorMsg(p); err == nil {
+			r.err = em
+			if token == 0 {
+				log.Warn("controller: switch error", "switch", s.name, "err", error(em))
+			}
+		}
 	}
+	if err != nil {
+		r.typ, r.err = 0, fmt.Errorf("%w: %v", ErrSwitchDead, err)
+	}
+	if claimed {
+		w.ch <- r // buffered: never blocks
+	}
+	return err
 }
 
 // fail wakes all pending requests with a connection-lost error.
@@ -394,9 +511,9 @@ func (s *swConn) fail(err error) {
 	if s.dead == nil {
 		s.dead = fmt.Errorf("%w: %v", ErrSwitchDead, err)
 	}
-	for tok, ch := range s.pending {
+	for tok, w := range s.pending {
 		delete(s.pending, tok)
-		ch <- reply{conn: s, token: tok}
+		w.ch <- reply{conn: s, token: tok}
 	}
 }
 
@@ -412,41 +529,48 @@ func (s *swConn) send(m Message, deadline time.Time) error {
 }
 
 // withdraw unregisters a token nobody waits on any more: a reply that
-// arrives for it later is dropped.
-func (s *swConn) withdraw(token uint64) {
+// arrives for it later is dropped. It reports false when the token was
+// already claimed — its reply is decoded or being decoded, and will be
+// sent on the waiter's channel — so the caller must receive that reply
+// before it may reuse the waiter's storage.
+func (s *swConn) withdraw(token uint64) bool {
 	s.mu.Lock()
+	_, ok := s.pending[token]
 	delete(s.pending, token)
 	s.mu.Unlock()
+	return ok
 }
 
-// post registers token to answer on ch, then writes m. A write that fails
-// withdraws the token again.
-func (s *swConn) post(token uint64, m Message, ch chan<- reply, deadline time.Time) error {
+// post registers token to answer through w, then writes m. A write that
+// fails withdraws the token again; when the token was claimed meanwhile
+// (the connection died and fail answered it) the request counts as posted,
+// its answer on the way.
+func (s *swConn) post(token uint64, m Message, w waiter, deadline time.Time) error {
 	s.mu.Lock()
 	if s.dead != nil {
 		s.mu.Unlock()
 		return s.dead
 	}
-	s.pending[token] = ch
+	s.pending[token] = w
 	s.mu.Unlock()
-	if err := s.send(m, deadline); err != nil {
-		s.withdraw(token)
+	if err := s.send(m, deadline); err != nil && s.withdraw(token) {
 		return fmt.Errorf("ctrlplane: write %v to switch %s(%d): %w (%v)", m.Type(), s.name, s.id, ErrSwitchDead, err)
 	}
 	return nil
 }
 
 // answer turns a delivered reply into the request's result: a lost
-// connection (fail delivers nil after marking the switch dead) is its
-// ErrSwitchDead, and a peer ErrorMsg an error.
-func (s *swConn) answer(m Message) (Message, error) {
-	if m == nil {
-		return nil, s.deadErr()
+// connection (fail delivers no type after marking the switch dead) is its
+// ErrSwitchDead, and a peer ErrorMsg or a reply that failed to decode an
+// error.
+func (s *swConn) answer(r reply) (MsgType, error) {
+	if r.err != nil {
+		return 0, r.err
 	}
-	if em, isErr := m.(ErrorMsg); isErr {
-		return nil, em
+	if r.typ == 0 {
+		return 0, s.deadErr()
 	}
-	return m, nil
+	return r.typ, nil
 }
 
 // timedOut is the error of a request whose reply missed its deadline.
@@ -468,40 +592,76 @@ func (c *Controller) SwitchCount() int {
 	return len(c.switches)
 }
 
-// allocationTables converts a bundle allocation into per-switch rule
-// tables: each bundle becomes a rule on the switch at its aggregate's
-// ingress POP. Tables are canonically ordered (by aggregate, then path)
-// so two allocations carrying the same rules produce identical tables
-// regardless of bundle-list order — which is what lets differential
-// installs recognize an unchanged switch.
-func allocationTables(mat *traffic.Matrix, bundles []flowmodel.Bundle) map[uint32][]Rule {
-	perSwitch := make(map[uint32][]Rule)
-	for _, b := range bundles {
-		agg := mat.Aggregate(b.Agg)
-		links := make([]uint32, len(b.Edges))
-		for i, e := range b.Edges {
+// tableBuilder converts a bundle allocation into per-switch rule tables:
+// each bundle becomes a rule on the switch at its aggregate's ingress POP.
+// Tables are canonically ordered (by aggregate, then path) so two
+// allocations carrying the same rules produce identical tables regardless
+// of bundle-list order — which is what lets differential installs
+// recognize an unchanged switch. The builder keeps its storage from build
+// to build: every table is a run of one rule slice, every rule's links a
+// window of one array, and what a build hands out is valid until the next.
+type tableBuilder struct {
+	links  []uint32 // every rule's links, in bundle order
+	staged []Rule   // one rule per bundle, in bundle order
+	rules  []Rule   // the tables, switch after switch
+	start  []int    // switch v's table is rules[start[v]:start[v+1]]
+	next   []int    // placement cursor per switch
+}
+
+// build makes the builder's tables those of the allocation.
+func (b *tableBuilder) build(mat *traffic.Matrix, bundles []flowmodel.Bundle) {
+	n, nN := 0, 0 // links, and switches up to the highest ingress
+	for _, bu := range bundles {
+		n += len(bu.Edges)
+		nN = max(nN, int(mat.Aggregate(bu.Agg).Src)+1)
+	}
+	b.links = resize(b.links, n)
+	b.start = resize(b.start, nN+1)
+	clear(b.start)
+	b.staged = b.staged[:0]
+	off := 0
+	for _, bu := range bundles {
+		links := b.links[off : off+len(bu.Edges) : off+len(bu.Edges)]
+		for i, e := range bu.Edges {
 			links[i] = uint32(e)
 		}
-		ingress := uint32(agg.Src)
-		perSwitch[ingress] = append(perSwitch[ingress], Rule{
-			Agg:   int32(b.Agg),
-			Flows: uint32(b.Flows),
-			Links: links,
-		})
+		off += len(links)
+		b.staged = append(b.staged, Rule{Agg: int32(bu.Agg), Flows: uint32(bu.Flows), Links: links})
+		b.start[mat.Aggregate(bu.Agg).Src+1]++
 	}
-	for _, rules := range perSwitch {
-		slices.SortFunc(rules, func(a, b Rule) int {
+	for v := range nN {
+		b.start[v+1] += b.start[v]
+	}
+	// Place the rules switch by switch, each switch's in bundle order, then
+	// sort each table: the order a table built alone in bundle order sorts to.
+	b.next = append(b.next[:0], b.start[:nN]...)
+	b.rules = resize(b.rules, len(b.staged))
+	for i, r := range b.staged {
+		v := mat.Aggregate(bundles[i].Agg).Src
+		b.rules[b.next[v]] = r
+		b.next[v]++
+	}
+	for v := range nN {
+		slices.SortFunc(b.rules[b.start[v]:b.start[v+1]], func(a, b Rule) int {
 			if c := cmp.Compare(a.Agg, b.Agg); c != 0 {
 				return c
 			}
 			return slices.Compare(a.Links, b.Links)
 		})
 	}
-	return perSwitch
+}
+
+// table returns switch id's table from the last build, nil when it has no
+// rules.
+func (b *tableBuilder) table(id uint32) []Rule {
+	if int(id)+1 >= len(b.start) || b.start[id] == b.start[id+1] {
+		return nil
+	}
+	return b.rules[b.start[id]:b.start[id+1]]
 }
 
 // rulesEqual compares two rule tables entry by entry. The comparison is
-// order-sensitive, which is why allocationTables canonically sorts
+// order-sensitive, which is why tableBuilder canonically sorts
 // every table it builds — without that sort, equal tables in different
 // bundle order would be re-pushed and inflate the counted FlowMods.
 func rulesEqual(a, b []Rule) bool {

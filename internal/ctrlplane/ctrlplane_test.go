@@ -37,7 +37,7 @@ func oneSeat(t *testing.T, cfg ControllerConfig) (*ReplicaSet, *Controller) {
 		t.Fatalf("NewReplicaSet: %v", err)
 	}
 	t.Cleanup(func() { rs.Close() })
-	return rs, rs.live()[0]
+	return rs, rs.live(nil)[0]
 }
 
 // waitSwitches blocks until n switches are registered across rs.
@@ -79,11 +79,24 @@ func bareAgent(t *testing.T, addr string, id uint32, name string, dp Datapath) (
 
 // seatRPC sends req, answered by a want reply under token, to switch
 // id through the seat in a one-target, one-attempt RPC round, and returns
-// the reply or the attempt's error.
-func seatRPC(seat *Controller, id uint32, token uint64, req Message, want MsgType) (Message, error) {
-	ts := []rpcTarget{{c: seat, id: id, req: req, token: token, want: want}}
-	runRound(context.Background(), ts, 1, seat.cfg.RequestTimeout, seat.stats)
-	return ts[0].reply, ts[0].err
+// whether the want reply came, or the attempt's error.
+func seatRPC(seat *Controller, id uint32, token uint64, req Message, want MsgType) (bool, error) {
+	r := &round{targets: []rpcTarget{{c: seat, id: id, req: req, token: token, want: want}}}
+	r.run(context.Background(), 1, seat.cfg.RequestTimeout, seat.stats)
+	return r.targets[0].ok, r.targets[0].err
+}
+
+// allocationTables is an allocation's per-switch rule tables, built alone.
+func allocationTables(mat *traffic.Matrix, bundles []flowmodel.Bundle) map[uint32][]Rule {
+	var b tableBuilder
+	b.build(mat, bundles)
+	out := make(map[uint32][]Rule)
+	for id := range uint32(max(len(b.start)-1, 0)) {
+		if t := b.table(id); t != nil {
+			out[id] = t
+		}
+	}
+	return out
 }
 
 // echo round-trips an Echo to switch id through the seat: the
@@ -94,12 +107,9 @@ func echo(t *testing.T, seat *Controller, id uint32) {
 		t.Fatalf("lookup %d: %v", id, err)
 	}
 	token := seat.nextToken()
-	reply, err := seatRPC(seat, id, token, Echo{Token: token}, MsgEchoReply)
-	if err != nil {
-		t.Fatalf("echo to switch %d: %v", id, err)
-	}
-	if r, ok := reply.(EchoReply); !ok || r.Token != token {
-		t.Fatalf("echo to switch %d: got %#v", id, reply)
+	ok, err := seatRPC(seat, id, token, Echo{Token: token}, MsgEchoReply)
+	if err != nil || !ok {
+		t.Fatalf("echo to switch %d: answered %v, %v", id, ok, err)
 	}
 }
 
@@ -385,6 +395,72 @@ func TestPartialInstallAllocatesNothing(t *testing.T) {
 	}
 	if got := fabric.AckedFlowMods(); got != len(ids) {
 		t.Fatalf("%d acked FlowMods, want %d", got, len(ids))
+	}
+}
+
+// TestFabricKeepsNoRuleStorage: a datapath may not keep the rules it is
+// given — the agent decodes every FlowMod into the same storage — so the
+// fabric copies each table, links and all. Tables of two allocations are
+// installed switch by switch, the caller's rules scribbled over after each
+// call; the fabric's tables, and the counters of the union it routes on,
+// must still be the tables installed.
+func TestFabricKeepsNoRuleStorage(t *testing.T) {
+	topo, truth, fabric := newTestFabric(t, 7)
+	model, err := flowmodel.New(topo, truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := core.Run(context.Background(), model, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble := func(rules []Rule) {
+		for i := range rules {
+			for j := range rules[i].Links {
+				rules[i].Links[j] = ^uint32(0)
+			}
+			rules[i].Agg, rules[i].Flows = -1, 0
+		}
+	}
+	for _, bundles := range [][]flowmodel.Bundle{sol.Bundles, ingressBundles(truth)} {
+		tables := allocationTables(truth, bundles)
+		want := make(map[uint32][]Rule, len(tables))
+		for id, rules := range tables {
+			var kept ruleTable
+			kept.set(rules)
+			want[id] = kept.rules
+		}
+		installs := fabric.Installs()
+		for _, id := range slices.Sorted(maps.Keys(tables)) {
+			if err := fabric.Datapath(topology.NodeID(id)).InstallRules(1, tables[id]); err != nil {
+				t.Fatalf("InstallRules(switch %d): %v", id, err)
+			}
+			scribble(tables[id])
+		}
+		if fabric.Installs() == installs {
+			t.Fatal("the allocation's tables never activated")
+		}
+		for id, rules := range want {
+			if got := fabric.perSwitch[id].rules; !rulesEqual(got, rules) {
+				t.Fatalf("switch %d: the fabric holds %v, want %v", id, got, rules)
+			}
+		}
+		if err := fabric.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		for id, rules := range want {
+			var batch CounterBatch
+			if err := fabric.Datapath(topology.NodeID(id)).ReadCounters(&batch); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]Rule, len(batch.Counters))
+			for i, c := range batch.Counters {
+				got[i] = Rule{Agg: c.Agg, Flows: c.Flows, Links: c.Links}
+			}
+			if !rulesEqual(got, rules) {
+				t.Fatalf("switch %d: the union routes %v, want %v", id, got, rules)
+			}
+		}
 	}
 }
 

@@ -24,7 +24,10 @@ type CounterBatch struct {
 // rules and counts bytes. Implementations must be safe for concurrent
 // use; the agent may install and read from different goroutines.
 type Datapath interface {
-	// InstallRules replaces the switch's rule table.
+	// InstallRules replaces the switch's rule table. The rules, and each
+	// rule's Links, are the caller's: the agent decodes every FlowMod into
+	// the same storage, so a datapath copies what it keeps and must not
+	// retain any of them past the call.
 	InstallRules(generation uint64, rules []Rule) error
 	// ReadCounters snapshots the most recent epoch's counters into
 	// batch, which the caller owns: it may reuse batch.Counters and each
@@ -45,13 +48,26 @@ type Datapath interface {
 // atomic at epoch granularity.
 type Fabric struct {
 	mu        sync.Mutex
-	sim       *sdnsim.Sim // the network; its topology and truth are the fabric's
-	perSwitch map[uint32][]Rule
+	sim       *sdnsim.Sim           // the network; its topology and truth are the fabric's
+	perSwitch map[uint32]*ruleTable // each switch's table, copied in by install
 	last      *sdnsim.EpochStats
 	installs  int
 	acked     int
 	pending   bool
-	covered   []int // tryActivate's per-aggregate flow tally, reused
+
+	// tryActivate's storage, reused: the per-aggregate flow tally, the
+	// union's switches and bundles (the simulator copies the bundles), and
+	// the edge arrays the bundles' paths are windows of. The simulator
+	// keeps reading the paths of the union it routes on, and RunEpoch's
+	// counters those of the union they were measured on, so a union is
+	// built in an edge slot neither of those is: routed and counted name
+	// theirs, -1 for none.
+	covered []int
+	nodes   []uint32
+	bundles []flowmodel.Bundle
+	edges   [3][]graph.EdgeID
+	routed  int
+	counted int
 }
 
 // NewFabric wraps a simulator whose routing will be driven through
@@ -60,7 +76,9 @@ type Fabric struct {
 func NewFabric(sim *sdnsim.Sim) *Fabric {
 	return &Fabric{
 		sim:       sim,
-		perSwitch: make(map[uint32][]Rule),
+		perSwitch: make(map[uint32]*ruleTable),
+		routed:    -1,
+		counted:   -1,
 	}
 }
 
@@ -78,7 +96,7 @@ func (f *Fabric) RunEpoch() error {
 	if err != nil {
 		return err
 	}
-	f.last = stats
+	f.last, f.counted = stats, f.routed
 	return nil
 }
 
@@ -115,7 +133,7 @@ func (f *Fabric) Retarget(topo *topology.Topology, truth *traffic.Matrix, cfg sd
 	if err := f.sim.Reset(topo, truth, cfg); err != nil {
 		return err
 	}
-	f.last = nil
+	f.last, f.counted = nil, -1
 	f.pending = true
 	_ = f.tryActivate()
 	return nil
@@ -151,7 +169,12 @@ func (f *Fabric) install(node uint32, rules []Rule) error {
 			}
 		}
 	}
-	f.perSwitch[node] = append([]Rule(nil), rules...)
+	t := f.perSwitch[node]
+	if t == nil {
+		t = new(ruleTable)
+		f.perSwitch[node] = t
+	}
+	t.set(rules)
 	f.acked++
 	f.pending = true
 	return f.tryActivate()
@@ -177,9 +200,9 @@ func (f *Fabric) tryActivate() error {
 	}
 	covered := f.covered[:nA]
 	clear(covered)
-	total := 0
-	for node, rules := range f.perSwitch {
-		for _, r := range rules {
+	links := 0
+	for node, t := range f.perSwitch {
+		for _, r := range t.rules {
 			if int(r.Agg) < 0 || int(r.Agg) >= nA {
 				return nil // stale table: stay pending
 			}
@@ -193,7 +216,7 @@ func (f *Fabric) tryActivate() error {
 			}
 			covered[r.Agg] += int(r.Flows)
 		}
-		total += len(rules)
+		links += len(t.links)
 	}
 	for i, c := range covered {
 		if c != f.sim.Truth().Aggregate(traffic.AggregateID(i)).Flows {
@@ -203,32 +226,36 @@ func (f *Fabric) tryActivate() error {
 	// Walk switches in ID order: the union's bundle order — and thus the
 	// float summation order of every downstream evaluation — must not
 	// depend on map iteration.
-	nodes := make([]uint32, 0, len(f.perSwitch))
+	f.nodes = f.nodes[:0]
 	for node := range f.perSwitch {
-		nodes = append(nodes, node)
+		f.nodes = append(f.nodes, node)
 	}
-	slices.Sort(nodes)
-	bundles := make([]flowmodel.Bundle, 0, total)
-	for _, node := range nodes {
-		for _, r := range f.perSwitch[node] {
-			bundles = append(bundles, ruleToBundle(f.sim.Topology(), r))
+	slices.Sort(f.nodes)
+	slot := 0
+	for slot == f.routed || slot == f.counted {
+		slot++
+	}
+	edges := resize(f.edges[slot], links)
+	f.edges[slot] = edges
+	f.bundles = f.bundles[:0]
+	topo := f.sim.Topology()
+	for _, node := range f.nodes {
+		for _, r := range f.perSwitch[node].rules {
+			path := edges[:len(r.Links):len(r.Links)]
+			edges = edges[len(r.Links):]
+			for i, l := range r.Links {
+				path[i] = graph.EdgeID(l)
+			}
+			f.bundles = append(f.bundles, flowmodel.NewBundle(topo, traffic.AggregateID(r.Agg), int(r.Flows), graph.Path{Edges: path}))
 		}
 	}
-	if err := f.sim.Install(bundles); err != nil {
+	if err := f.sim.Install(f.bundles); err != nil {
 		return fmt.Errorf("fabric: install: %w", err)
 	}
+	f.routed = slot
 	f.pending = false
 	f.installs++
 	return nil
-}
-
-// ruleToBundle converts a wire rule to a model bundle.
-func ruleToBundle(topo *topology.Topology, r Rule) flowmodel.Bundle {
-	edges := make([]graph.EdgeID, len(r.Links))
-	for i, l := range r.Links {
-		edges[i] = graph.EdgeID(l)
-	}
-	return flowmodel.NewBundle(topo, traffic.AggregateID(r.Agg), int(r.Flows), graph.Path{Edges: edges})
 }
 
 // fabricPath is one switch's view of the fabric.

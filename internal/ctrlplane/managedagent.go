@@ -177,13 +177,13 @@ func (ma *ManagedAgent) expireTable() {
 	closed := ma.cfg.FailAction == FailClosed
 	ma.fence.mu.Lock()
 	n := 0
-	if ma.fence.last != nil {
-		n = len(ma.fence.last.Rules)
+	if ma.fence.applied {
+		n = len(ma.fence.rules.rules)
 	}
 	if closed {
 		// The wiped table is no longer the last FlowMod's: a re-send of
 		// that FlowMod must be applied again.
-		ma.fence.last = nil
+		ma.fence.applied = false
 	}
 	ma.fence.mu.Unlock()
 	ma.expiries.Add(1)

@@ -61,7 +61,7 @@ type ReplicaSet struct {
 
 	mu    sync.Mutex
 	slots []replicaSlot
-	spare []rpcTarget // the last finished round's targets, for the next to refill
+	spare *round // the last finished round's storage, for the next to refill
 }
 
 // NewReplicaSet listens n controller replicas on loopback ephemeral
@@ -127,17 +127,16 @@ func (rs *ReplicaSet) Stats() HAStats {
 	}
 }
 
-// live snapshots the live controllers in seat order.
-func (rs *ReplicaSet) live() []*Controller {
+// live appends the live controllers, in seat order, to dst.
+func (rs *ReplicaSet) live(dst []*Controller) []*Controller {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	out := make([]*Controller, 0, len(rs.slots))
 	for _, s := range rs.slots {
 		if s.ctrl != nil {
-			out = append(out, s.ctrl)
+			dst = append(dst, s.ctrl)
 		}
 	}
-	return out
+	return dst
 }
 
 // mix64 is splitmix64's finalizer — the rendezvous hash.
@@ -265,7 +264,7 @@ func (rs *ReplicaSet) Recover(i int) error {
 // SwitchCount sums registered switches across live replicas.
 func (rs *ReplicaSet) SwitchCount() int {
 	n := 0
-	for _, c := range rs.live() {
+	for _, c := range rs.live(nil) {
 		n += c.SwitchCount()
 	}
 	return n
@@ -320,24 +319,27 @@ func (rs *ReplicaSet) QuiesceResyncs(ctx context.Context) error {
 // measures real install churn rather than estimating it from bundle
 // diffs. Only a set with no switches at all errors for want of one.
 func (rs *ReplicaSet) InstallAllocationDiff(ctx context.Context, mat *traffic.Matrix, bundles []flowmodel.Bundle, generation uint64) (InstallOutcome, error) {
-	perSwitch := allocationTables(mat, bundles)
+	r := rs.round()
+	defer rs.recycle(r)
+	r.tables.build(mat, bundles)
 	epoch := rs.epoch.Load()
-	targets, homed, errs := rs.targets(MsgFlowModAck, func(_ *Controller, id uint32) (Message, uint64) {
-		if last, ok := rs.tables.get(id); ok && rulesEqual(perSwitch[id], last) {
-			return nil, 0
-		}
-		return FlowMod{Generation: generation, Epoch: epoch, Rules: perSwitch[id]}, generation
+	homed, errs := rs.targets(r, MsgFlowModAck, func(_ *Controller, id uint32) (uint64, bool) {
+		return generation, !rs.tables.equal(id, r.tables.table(id))
 	})
-	defer rs.recycle(targets)
-	if err := runRound(ctx, targets, retryAttempts, rs.cfg.RequestTimeout, rs.stats); err != nil {
+	for i := range r.targets {
+		t := &r.targets[i]
+		t.mod = FlowMod{Generation: generation, Epoch: epoch, Rules: r.tables.table(t.id)}
+		t.req = &t.mod
+	}
+	if err := r.run(ctx, retryAttempts, rs.cfg.RequestTimeout, rs.stats); err != nil {
 		errs = append(errs, err)
 	}
-	out := InstallOutcome{Generation: generation, Targeted: homed, FlowMods: len(targets)}
-	for _, t := range targets {
-		out.Rules += len(perSwitch[t.id])
-		if t.reply != nil {
+	out := InstallOutcome{Generation: generation, Targeted: homed, FlowMods: len(r.targets)}
+	for _, t := range r.targets {
+		out.Rules += len(t.mod.Rules)
+		if t.ok {
 			out.Acks++
-			rs.tables.set(t.id, perSwitch[t.id])
+			rs.tables.set(t.id, t.mod.Rules)
 		} else {
 			rs.tables.drop(t.id)
 		}
@@ -352,20 +354,31 @@ func (rs *ReplicaSet) InstallAllocationDiff(ctx context.Context, mat *traffic.Ma
 }
 
 // CollectStats polls every switch across live replicas in one RPC round
-// and merges the replies by datapath ID.
+// and merges the replies by datapath ID. The map and the replies' counters
+// are the set's, rewritten by its next CollectStats: a caller that keeps
+// them longer copies them.
 func (rs *ReplicaSet) CollectStats(ctx context.Context) (map[uint32]StatsReply, error) {
-	targets, _, errs := rs.targets(MsgStatsReply, func(c *Controller, _ uint32) (Message, uint64) {
-		token := c.nextToken()
-		return StatsReq{Token: token}, token
+	r := rs.round()
+	defer rs.recycle(r)
+	_, errs := rs.targets(r, MsgStatsReply, func(c *Controller, _ uint32) (uint64, bool) {
+		return c.nextToken(), true
 	})
-	defer rs.recycle(targets)
-	if err := runRound(ctx, targets, retryAttempts, rs.cfg.RequestTimeout, rs.stats); err != nil {
+	for i := range r.targets {
+		t := &r.targets[i]
+		t.poll = StatsReq{Token: t.token}
+		t.req = &t.poll
+	}
+	if err := r.run(ctx, retryAttempts, rs.cfg.RequestTimeout, rs.stats); err != nil {
 		errs = append(errs, err)
 	}
-	out := make(map[uint32]StatsReply, len(targets))
-	for _, t := range targets {
-		if sr, ok := t.reply.(StatsReply); ok {
-			out[t.id] = sr
+	if r.replies == nil {
+		r.replies = make(map[uint32]StatsReply, len(r.targets))
+	}
+	out := r.replies
+	clear(out)
+	for _, t := range r.targets {
+		if t.ok {
+			out[t.id] = t.stats
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
@@ -377,43 +390,72 @@ func (rs *ReplicaSet) CollectStats(ctx context.Context) (map[uint32]StatsReply, 
 	return out, nil
 }
 
-// targets builds a round's targets across the live seats: one for every
-// homed switch that req gives a request (nil skips it), with the token its
-// reply carries, answered by a want reply. It also reports how many
-// switches are homed, and ErrClosed for a seat found closed. The slice
-// is the last round's, refilled; the caller hands it back with recycle.
-func (rs *ReplicaSet) targets(want MsgType, req func(c *Controller, id uint32) (Message, uint64)) (ts []rpcTarget, homed int, errs []error) {
-	ctrls := rs.live()
-	if len(ctrls) == 0 {
-		return nil, 0, []error{ErrClosed}
-	}
+// round is the storage of one RPC round, kept by the set from round to
+// round (ReplicaSet.spare): the live seats, the targets with the replies
+// decoded into them, the channel the replies arrive on and the timer every
+// pass arms, the install tables and CollectStats' reply map. A round that
+// finds the spare taken — a concurrent one — builds its own.
+type round struct {
+	ctrls   []*Controller
+	targets []rpcTarget
+	ch      chan reply
+	timer   *time.Timer
+	tables  tableBuilder
+	replies map[uint32]StatsReply
+}
+
+// round takes the set's spare round storage, or makes new.
+func (rs *ReplicaSet) round() *round {
 	rs.mu.Lock()
-	ts, rs.spare = rs.spare[:0], nil // a concurrent round grows its own
+	r := rs.spare
+	rs.spare = nil
 	rs.mu.Unlock()
-	for _, c := range ctrls {
+	if r == nil {
+		r = new(round)
+	}
+	return r
+}
+
+// recycle keeps a finished round's storage for the next round. Nothing
+// may use r afterwards but what CollectStats handed out.
+func (rs *ReplicaSet) recycle(r *round) {
+	rs.mu.Lock()
+	rs.spare = r
+	rs.mu.Unlock()
+}
+
+// targets fills r's targets across the live seats: one for every homed
+// switch that send gives a request (with the token its reply carries),
+// answered by a want reply; the caller then sets each target's request. It
+// reports how many switches are homed, and ErrClosed for a seat found
+// closed.
+func (rs *ReplicaSet) targets(r *round, want MsgType, send func(c *Controller, id uint32) (uint64, bool)) (homed int, errs []error) {
+	r.ctrls = rs.live(r.ctrls[:0])
+	r.targets = r.targets[:0]
+	if len(r.ctrls) == 0 {
+		return 0, []error{ErrClosed}
+	}
+	for _, c := range r.ctrls {
 		c.mu.Lock()
 		if c.closed {
 			errs = append(errs, ErrClosed)
 		} else {
 			homed += len(c.switches)
 			for _, sw := range c.switches {
-				if m, token := req(c, sw.id); m != nil {
-					ts = append(ts, rpcTarget{c: c, id: sw.id, name: sw.name, req: m, token: token, want: want})
+				token, ok := send(c, sw.id)
+				if !ok {
+					continue
 				}
+				var kept StatsReply // the counters an earlier round decoded into the slot
+				if n := len(r.targets); n < cap(r.targets) {
+					kept = r.targets[:n+1][n].stats
+				}
+				r.targets = append(r.targets, rpcTarget{c: c, id: sw.id, name: sw.name, token: token, want: want, stats: kept})
 			}
 		}
 		c.mu.Unlock()
 	}
-	return ts, homed, errs
-}
-
-// recycle keeps a finished round's targets for the next round, dropping
-// the requests and replies they hold. Nothing may use ts afterwards.
-func (rs *ReplicaSet) recycle(ts []rpcTarget) {
-	clear(ts)
-	rs.mu.Lock()
-	rs.spare = ts
-	rs.mu.Unlock()
+	return homed, errs
 }
 
 // rpcTarget is one switch's slot in an RPC round: the request every
@@ -427,15 +469,20 @@ type rpcTarget struct {
 	token uint64  // a FlowMod's Generation, a StatsReq's or Echo's Token
 	want  MsgType // the reply type that answers req
 
-	reply Message // the answer, once in
-	err   error   // the last attempt's error
+	// The requests a set's rounds send, for req to point at.
+	mod  FlowMod
+	poll StatsReq
+
+	ok    bool       // answered by a want reply
+	stats StatsReply // a StatsReply answer, decoded in by the read loop
+	err   error      // the last attempt's error
 	// open marks a target still to be sent: not yet answered, and its
 	// last attempt's error, if any, retryable.
 	open bool
 	sw   *swConn // connection of the attempt in flight; nil when none
 }
 
-// runRound runs one RPC round over targets: every controller→switch
+// run runs one RPC round over r's targets: every controller→switch
 // request — stats polls, installs, resyncs — goes through it. A pass
 // writes every open target's request back to back, then collects the
 // replies off one channel, matched by connection and token, under one
@@ -443,18 +490,26 @@ type rpcTarget struct {
 // failed retryably go again together as a further pass after the
 // backoff, for at most attempts passes; each retried target counts once
 // in stats.retries. A reply, a final error or a dead ctx ends a target's
-// part of the round. The round starts no goroutine and arms one timer.
-// It returns the error of every target left unanswered, naming its
-// switch.
-func runRound(ctx context.Context, targets []rpcTarget, attempts int, timeout time.Duration, stats *haStats) error {
+// part of the round. The round starts no goroutine, and arms the one timer
+// and channel r keeps. It returns the error of every target left
+// unanswered, naming its switch.
+func (r *round) run(ctx context.Context, attempts int, timeout time.Duration, stats *haStats) error {
+	targets := r.targets
 	for i := range targets {
-		targets[i].open = true
+		t := &targets[i]
+		t.ok, t.err, t.open, t.sw = false, nil, true, nil
 	}
-	// Each registration of a token is answered at most once, so room for
-	// every attempt of every target never blocks a connection's read loop.
-	replies := make(chan reply, attempts*len(targets))
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	// A pass receives every reply it registered before it ends, so room
+	// for one per target never blocks a connection's read loop.
+	if cap(r.ch) < len(targets) {
+		r.ch = make(chan reply, len(targets))
+	}
+	if r.timer == nil {
+		r.timer = time.NewTimer(timeout)
+	} else {
+		r.timer.Reset(timeout)
+	}
+	defer r.timer.Stop()
 	backoff := retryBaseBackoff
 round:
 	for attempt := 1; ; attempt++ {
@@ -462,22 +517,22 @@ round:
 		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 			deadline = d
 		}
-		retry := runPass(ctx, targets, replies, timer, deadline)
+		retry := runPass(ctx, targets, r.ch, r.timer, deadline)
 		if retry == 0 || attempt >= attempts || ctx.Err() != nil {
 			break
 		}
 		stats.retries.Add(int64(retry))
 		// Reset never leaves a stale expiry in timer.C (Go ≥ 1.23 timers).
-		timer.Reset(backoff)
+		r.timer.Reset(backoff)
 		select {
-		case <-timer.C:
+		case <-r.timer.C:
 		case <-ctx.Done():
 			break round
 		}
 		if backoff *= 2; backoff > retryMaxBackoff {
 			backoff = retryMaxBackoff
 		}
-		timer.Reset(timeout)
+		r.timer.Reset(timeout)
 	}
 	var errs []error
 	for _, t := range targets {
@@ -490,7 +545,9 @@ round:
 
 // runPass is one pass of a round: every open target's request back to
 // back, then the replies, until every one is in, timer fires or ctx is
-// done. It returns how many targets stay open for another pass.
+// done. Once the pass gives up, it still receives every reply whose token
+// a read loop had claimed, so none arrives after the round. It returns how
+// many targets stay open for another pass.
 func runPass(ctx context.Context, targets []rpcTarget, replies chan reply, timer *time.Timer, deadline time.Time) int {
 	waiting := 0
 	for i := range targets {
@@ -504,31 +561,37 @@ func runPass(ctx context.Context, targets []rpcTarget, replies chan reply, timer
 		}
 		waiting++
 	}
+	expired := false
 	for waiting > 0 {
-		select {
-		case r := <-replies:
-			t := inFlight(targets, r)
-			if t == nil {
-				continue // answer to an attempt the round gave up on
+		var r reply
+		if expired {
+			r = <-replies
+		} else {
+			select {
+			case r = <-replies:
+			case <-timer.C:
+				waiting, expired = expire(ctx, targets), true
+				continue
+			case <-ctx.Done():
+				waiting, expired = expire(ctx, targets), true
+				continue
 			}
-			waiting--
-			t.sw = nil
-			msg, err := r.conn.answer(r.msg)
-			if err == nil {
-				if msg.Type() == t.want {
-					t.reply = msg
-				} else {
-					err = fmt.Errorf("got %v, want %v", msg.Type(), t.want)
-				}
-			}
-			t.settle(err)
-		case <-timer.C:
-			expire(ctx, targets)
-			waiting = 0
-		case <-ctx.Done():
-			expire(ctx, targets)
-			waiting = 0
 		}
+		t := inFlight(targets, r)
+		if t == nil {
+			continue // answer to an attempt the round gave up on
+		}
+		waiting--
+		t.sw = nil
+		typ, err := r.conn.answer(r)
+		if err == nil {
+			if typ == t.want {
+				t.ok = true
+			} else {
+				err = fmt.Errorf("got %v, want %v", typ, t.want)
+			}
+		}
+		t.settle(err)
 	}
 	open := 0
 	for _, t := range targets {
@@ -541,12 +604,16 @@ func runPass(ctx context.Context, targets []rpcTarget, replies chan reply, timer
 
 // post re-resolves the target's switch — the agent may have reconnected —
 // and writes it the request, answering on ch.
-func (t *rpcTarget) post(ch chan<- reply, deadline time.Time) error {
+func (t *rpcTarget) post(ch chan reply, deadline time.Time) error {
 	sw, err := t.c.lookup(t.id)
 	if err != nil {
 		return err
 	}
-	if err := sw.post(t.token, t.req, ch, deadline); err != nil {
+	w := waiter{ch: ch}
+	if t.want == MsgStatsReply {
+		w.into = &t.stats
+	}
+	if err := sw.post(t.token, t.req, w, deadline); err != nil {
 		return err
 	}
 	t.sw = sw
@@ -571,14 +638,19 @@ func inFlight(targets []rpcTarget, r reply) *rpcTarget {
 }
 
 // expire withdraws every attempt still in flight when the pass deadline
-// or the caller's context ends the pass.
-func expire(ctx context.Context, targets []rpcTarget) {
+// or the caller's context ends the pass, and returns how many it could
+// not: their tokens were claimed, their replies already on the way, and
+// they stay in flight until those arrive.
+func expire(ctx context.Context, targets []rpcTarget) (claimed int) {
 	for i := range targets {
 		t := &targets[i]
 		if t.sw == nil {
 			continue
 		}
-		t.sw.withdraw(t.token)
+		if !t.sw.withdraw(t.token) {
+			claimed++
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			t.settle(err) // the caller's context won, not the pass deadline
 		} else {
@@ -586,6 +658,7 @@ func expire(ctx context.Context, targets []rpcTarget) {
 		}
 		t.sw = nil
 	}
+	return claimed
 }
 
 // Close shuts down every live replica.

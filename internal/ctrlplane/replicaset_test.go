@@ -20,7 +20,9 @@ func (d *recDatapath) InstallRules(_ uint64, rules []Rule) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.installs++
-	d.rules = rules
+	var kept ruleTable // the rules are the agent's: keep a copy
+	kept.set(rules)
+	d.rules = kept.rules
 	return nil
 }
 
@@ -295,7 +297,8 @@ func TestExpireTableCountsTheLastAppliedFlowMod(t *testing.T) {
 			ma := &ManagedAgent{cfg: AgentConfig{FailAction: tc.policy}.withDefaults(), name: "sw1", dp: dp}
 			for i, want := range tc.wantRules {
 				if i == 1 {
-					ma.fence.last = &FlowMod{Rules: make([]Rule, 3)}
+					ma.fence.applied = true
+					ma.fence.rules.set(make([]Rule, 3))
 				}
 				ma.expireTable()
 				if got := ma.ExpiredRules(); got != want {
@@ -304,7 +307,7 @@ func TestExpireTableCountsTheLastAppliedFlowMod(t *testing.T) {
 				if got := ma.Expiries(); got != int64(i+1) {
 					t.Fatalf("expiry %d: Expiries = %d", i+1, got)
 				}
-				if forgot := ma.fence.last == nil; i > 0 && forgot != (tc.policy == FailClosed) {
+				if forgot := !ma.fence.applied; i > 0 && forgot != (tc.policy == FailClosed) {
 					t.Fatalf("expiry %d: fence forgot the last FlowMod: %v under %v", i+1, forgot, tc.policy)
 				}
 			}

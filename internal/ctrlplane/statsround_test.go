@@ -1,9 +1,11 @@
 package ctrlplane
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -42,7 +44,7 @@ func statsNet(t *testing.T, seats, n int, stalled uint32, onInstall bool, cfg Co
 // pendingTokens counts tokens registered on every connection of rs.
 func pendingTokens(rs *ReplicaSet) int {
 	n := 0
-	for _, c := range rs.live() {
+	for _, c := range rs.live(nil) {
 		c.mu.Lock()
 		for _, sw := range c.switches {
 			sw.mu.Lock()
@@ -364,5 +366,89 @@ func BenchmarkStatsRound(b *testing.B) {
 		if err != nil || len(replies) != 6 {
 			b.Fatalf("round %d: %d replies, err %v", i, len(replies), err)
 		}
+	}
+}
+
+// TestStragglerCannotWriteRecycledTarget: the read loop decodes a stats
+// reply straight into the target that registered its token, so a reply
+// that races its round's deadline must never land in a target after the
+// round handed it back for the next round to refill. A raw switch answers
+// every poll late, by delays drifting across the deadline, with a reply
+// whose every field is tagged with its token. Every reply a round returns
+// must carry that round's token throughout, no token may stay registered,
+// and under -race a decode into recycled storage is a reported race.
+func TestStragglerCannotWriteRecycledTarget(t *testing.T) {
+	const timeout = 4 * time.Millisecond
+	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: timeout})
+	conn, err := net.Dial("tcp", rs.DialOrder(1)[0])
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := WriteMessage(conn, Hello{DatapathID: 1, NodeName: "late"}); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	d := decoder{r: bufio.NewReader(conn)}
+	if _, _, err := d.next(maxPayload); err != nil {
+		t.Fatalf("hello ack: %v", err)
+	}
+	waitSwitches(t, rs, 1)
+
+	delays := []time.Duration{0, timeout / 2, timeout - 200*time.Microsecond, timeout, timeout + 200*time.Microsecond, 2 * timeout}
+	go func() {
+		var wbuf []byte
+		for i := 0; ; i++ {
+			typ, p, err := d.next(maxPayload)
+			if err != nil {
+				return
+			}
+			if typ != MsgStatsReq {
+				continue
+			}
+			req, err := parseStatsReq(p)
+			if err != nil {
+				return
+			}
+			time.Sleep(delays[i%len(delays)])
+			tag := uint32(req.Token)
+			reply := StatsReply{Token: req.Token, Epoch: tag, DurationMs: tag}
+			for c := range 4 + i%5 {
+				reply.Counters = append(reply.Counters, CounterRec{Agg: int32(tag), Flows: tag, Bytes: float64(tag),
+					Links: []uint32{tag, tag, tag}[:1+c%3]})
+			}
+			if wbuf, err = writeFrame(conn, wbuf, &reply); err != nil {
+				return
+			}
+		}
+	}()
+
+	answered := 0
+	for round := 0; round < 60; round++ {
+		replies, _ := rs.CollectStats(context.Background())
+		token := seat.token.Load()
+		if r, ok := replies[1]; ok {
+			answered++
+			tag := uint32(token)
+			if r.Token != token || r.Epoch != tag || r.DurationMs != tag {
+				t.Fatalf("round %d: reply tagged %d/%d/%d, want token %d", round, r.Token, r.Epoch, r.DurationMs, token)
+			}
+			for _, c := range r.Counters {
+				if c.Agg != int32(tag) || c.Flows != tag || c.Bytes != float64(tag) {
+					t.Fatalf("round %d: counter %+v, want every field tagged %d", round, c, tag)
+				}
+				for _, l := range c.Links {
+					if l != tag {
+						t.Fatalf("round %d: counter links %v, want every link tagged %d", round, c.Links, tag)
+					}
+				}
+			}
+		}
+		if p := pendingTokens(rs); p != 0 {
+			t.Fatalf("round %d: %d tokens left pending", round, p)
+		}
+	}
+	t.Logf("%d of 60 rounds answered in time", answered)
+	if answered == 0 {
+		t.Fatal("no round was answered in time: the delays never beat the deadline")
 	}
 }

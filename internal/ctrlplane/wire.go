@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Framing constants.
@@ -334,24 +335,27 @@ func (r *reader) str(what string) string {
 	return s
 }
 
-func (r *reader) u32Slice(what string, limit int) []uint32 {
+// u32Slice decodes a count-prefixed []uint32 into dst's storage, which it
+// reuses when large enough, and returns it.
+func (r *reader) u32Slice(what string, limit int, dst []uint32) []uint32 {
 	n := int(r.u32(what))
 	if r.err != nil {
-		return nil
+		return dst[:0]
 	}
 	if n > limit {
 		r.err = fmt.Errorf("ctrlplane: %s count %d exceeds %d", what, n, limit)
-		return nil
+		return dst[:0]
 	}
 	if n == 0 {
-		return nil
+		return dst[:0]
 	}
-	out := make([]uint32, n)
+	if r.off+4*n > len(r.buf) {
+		r.fail(what)
+		return dst[:0]
+	}
+	out := resize(dst, n)
 	for i := range out {
 		out[i] = r.u32(what)
-	}
-	if r.err != nil {
-		return nil
 	}
 	return out
 }
@@ -419,25 +423,30 @@ func (m FlowMod) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func parseFlowMod(p []byte) (FlowMod, error) {
+// decode decodes a FlowMod payload into m, reusing m's rules and each
+// rule's links: what m held before is overwritten.
+func (m *FlowMod) decode(p []byte) error {
 	r := reader{buf: p}
-	m := FlowMod{Generation: r.u64("generation"), Epoch: r.u64("epoch")}
+	m.Generation, m.Epoch = r.u64("generation"), r.u64("epoch")
+	rules := m.Rules[:0]
 	n := int(r.u32("rule count"))
 	if r.err == nil && n > maxRules {
-		return m, fmt.Errorf("ctrlplane: rule count %d exceeds %d", n, maxRules)
+		m.Rules = rules
+		return fmt.Errorf("ctrlplane: rule count %d exceeds %d", n, maxRules)
 	}
-	if r.err == nil && n > 0 {
-		m.Rules = make([]Rule, 0, min(n, 4096))
-		for i := 0; i < n && r.err == nil; i++ {
-			ru := Rule{
-				Agg:   int32(r.u32("rule agg")),
-				Flows: r.u32("rule flows"),
-				Links: r.u32Slice("rule links", maxPathLen),
-			}
-			m.Rules = append(m.Rules, ru)
+	for i := 0; i < n && r.err == nil; i++ {
+		var links []uint32
+		if len(rules) < cap(rules) { // the slot keeps an earlier decode's Links
+			links = rules[:len(rules)+1][len(rules)].Links
 		}
+		rules = append(rules, Rule{
+			Agg:   int32(r.u32("rule agg")),
+			Flows: r.u32("rule flows"),
+			Links: r.u32Slice("rule links", maxPathLen, links),
+		})
 	}
-	return m, r.done(MsgFlowMod)
+	m.Rules = rules
+	return r.done(MsgFlowMod)
 }
 
 func (m FlowModAck) appendPayload(dst []byte) []byte {
@@ -474,31 +483,32 @@ func (m StatsReply) appendPayload(dst []byte) []byte {
 	return dst
 }
 
-func parseStatsReply(p []byte) (StatsReply, error) {
+// decode decodes a StatsReply payload into m, reusing m's counters and
+// each counter's links: what m held before is overwritten.
+func (m *StatsReply) decode(p []byte) error {
 	r := reader{buf: p}
-	m := StatsReply{
-		Token:      r.u64("token"),
-		Epoch:      r.u32("epoch"),
-		DurationMs: r.u32("duration"),
-	}
+	m.Token, m.Epoch, m.DurationMs = r.u64("token"), r.u32("epoch"), r.u32("duration")
+	recs := m.Counters[:0]
 	n := int(r.u32("counter count"))
 	if r.err == nil && n > maxRules {
-		return m, fmt.Errorf("ctrlplane: counter count %d exceeds %d", n, maxRules)
+		m.Counters = recs
+		return fmt.Errorf("ctrlplane: counter count %d exceeds %d", n, maxRules)
 	}
-	if r.err == nil && n > 0 {
-		m.Counters = make([]CounterRec, 0, min(n, 4096))
-		for i := 0; i < n && r.err == nil; i++ {
-			c := CounterRec{
-				Agg:       int32(r.u32("counter agg")),
-				Flows:     r.u32("counter flows"),
-				Bytes:     r.f64("counter bytes"),
-				Congested: r.boolean("counter congested"),
-				Links:     r.u32Slice("counter links", maxPathLen),
-			}
-			m.Counters = append(m.Counters, c)
+	for i := 0; i < n && r.err == nil; i++ {
+		var links []uint32
+		if len(recs) < cap(recs) { // the slot keeps an earlier decode's Links
+			links = recs[:len(recs)+1][len(recs)].Links
 		}
+		recs = append(recs, CounterRec{
+			Agg:       int32(r.u32("counter agg")),
+			Flows:     r.u32("counter flows"),
+			Bytes:     r.f64("counter bytes"),
+			Congested: r.boolean("counter congested"),
+			Links:     r.u32Slice("counter links", maxPathLen, links),
+		})
 	}
-	return m, r.done(MsgStatsReply)
+	m.Counters = recs
+	return r.done(MsgStatsReply)
 }
 
 func (m ErrorMsg) appendPayload(dst []byte) []byte {
@@ -548,76 +558,121 @@ func WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadMessage reads and decodes one message.
-func ReadMessage(r *bufio.Reader) (Message, error) { return readMessage(r, maxPayload) }
+// ReadMessage reads and decodes one message into a new value: the frame
+// decoder a connection keeps (decoder), on a payload buffer of its own.
+func ReadMessage(r *bufio.Reader) (Message, error) {
+	d := decoder{r: r}
+	t, p, err := d.next(maxPayload)
+	if err != nil {
+		return nil, err
+	}
+	return decodeMessage(t, p)
+}
 
-// readMessage is ReadMessage for a frame whose payload may not exceed limit
-// bytes: the controller's handshake reads its first frame with the largest
-// valid Hello's length as the limit.
-func readMessage(r *bufio.Reader, limit uint32) (Message, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF passes through for orderly close detection
+// decoder reads one connection's frames into a payload buffer it keeps, so
+// a connection's frames cost no allocation once the buffer has grown to
+// the largest. What a frame decodes into is the caller's: a payload is
+// valid until the next frame, and nothing decoded from it aliases it.
+type decoder struct {
+	r   *bufio.Reader
+	hdr [frameHeaderLen]byte
+	buf []byte
+}
+
+// next reads one frame whose payload may not exceed limit bytes — the
+// controller's handshake reads its first frame with the largest valid
+// Hello's length as the limit — and returns its type and payload.
+func (d *decoder) next(limit uint32) (MsgType, []byte, error) {
+	hdr := d.hdr[:]
+	if _, err := io.ReadFull(d.r, hdr); err != nil {
+		return 0, nil, err // io.EOF passes through for orderly close detection
 	}
 	if got := binary.BigEndian.Uint16(hdr[0:]); got != wireMagic {
-		return nil, fmt.Errorf("ctrlplane: bad magic %#04x", got)
+		return 0, nil, fmt.Errorf("ctrlplane: bad magic %#04x", got)
 	}
 	if hdr[2] != wireVersion {
-		return nil, fmt.Errorf("ctrlplane: unsupported version %d", hdr[2])
+		return 0, nil, fmt.Errorf("ctrlplane: unsupported version %d", hdr[2])
 	}
 	t := MsgType(hdr[3])
 	n := binary.BigEndian.Uint32(hdr[4:])
 	if n > limit {
-		return nil, fmt.Errorf("ctrlplane: %v payload %d exceeds %d", t, n, limit)
+		return 0, nil, fmt.Errorf("ctrlplane: %v payload %d exceeds %d", t, n, limit)
 	}
-	payload, err := readPayload(r, int(n))
+	p, err := d.payload(int(n))
 	if err != nil {
-		return nil, fmt.Errorf("ctrlplane: read %v payload: %w", t, err)
+		return 0, nil, fmt.Errorf("ctrlplane: read %v payload: %w", t, err)
 	}
+	return t, p, nil
+}
+
+// payload reads an n-byte payload into the decoder's buffer. One that fits
+// the buffer, or up to payloadStep bytes — every frame of a small network
+// — is read into it whole, growing it once. A longer one grows the buffer
+// with the bytes that arrive, so a header that claims maxPayload and sends
+// nothing after it costs a few hundred bytes, not 16 MiB.
+func (d *decoder) payload(n int) ([]byte, error) {
+	if n <= max(cap(d.buf), payloadStep) {
+		d.buf = resize(d.buf, n)
+		_, err := io.ReadFull(d.r, d.buf)
+		return d.buf, err
+	}
+	p := d.buf[:0]
+	for len(p) < n {
+		if len(p) == cap(p) {
+			p = slices.Grow(p, min(n-len(p), max(len(p), 512)))
+		}
+		k, err := d.r.Read(p[len(p):min(cap(p), n)])
+		p = p[:len(p)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			d.buf = p
+			return p, err
+		}
+	}
+	d.buf = p
+	return p, nil
+}
+
+// decodeMessage decodes a frame's payload into a new message of type t.
+func decodeMessage(t MsgType, p []byte) (Message, error) {
 	switch t {
 	case MsgHello:
-		return retm(parseHello(payload))
+		return retm(parseHello(p))
 	case MsgHelloAck:
-		return retm(parseHelloAck(payload))
+		return retm(parseHelloAck(p))
 	case MsgEchoReq:
-		return retm(parseEcho(payload))
+		return retm(parseEcho(p))
 	case MsgEchoReply:
-		return retm(parseEchoReply(payload))
+		return retm(parseEchoReply(p))
 	case MsgFlowMod:
-		return retm(parseFlowMod(payload))
+		var m FlowMod
+		err := m.decode(p)
+		return retm(m, err)
 	case MsgFlowModAck:
-		return retm(parseFlowModAck(payload))
+		return retm(parseFlowModAck(p))
 	case MsgStatsReq:
-		return retm(parseStatsReq(payload))
+		return retm(parseStatsReq(p))
 	case MsgStatsReply:
-		return retm(parseStatsReply(payload))
+		var m StatsReply
+		err := m.decode(p)
+		return retm(m, err)
 	case MsgError:
-		return retm(parseErrorMsg(payload))
+		return retm(parseErrorMsg(p))
 	case MsgBye:
-		if len(payload) != 0 {
-			return nil, fmt.Errorf("ctrlplane: Bye carries %d payload bytes", len(payload))
-		}
-		return Bye{}, nil
+		return retm(Bye{}, parseBye(p))
 	default:
-		return nil, fmt.Errorf("ctrlplane: unknown message type %d", hdr[3])
+		return nil, fmt.Errorf("ctrlplane: unknown message type %d", uint8(t))
 	}
 }
 
-// readPayload reads an n-byte payload. One up to payloadStep bytes — every
-// frame of a small network — is read into one allocation. A longer one grows
-// with the bytes that arrive, so a header that claims maxPayload and sends
-// nothing after it costs a few hundred bytes, not 16 MiB.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	if n <= payloadStep {
-		payload := make([]byte, n)
-		_, err := io.ReadFull(r, payload)
-		return payload, err
+// parseBye checks that a Bye carries no payload.
+func parseBye(p []byte) error {
+	if len(p) != 0 {
+		return fmt.Errorf("ctrlplane: Bye carries %d payload bytes", len(p))
 	}
-	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
-	if err == nil && len(payload) < n {
-		err = io.ErrUnexpectedEOF
-	}
-	return payload, err
+	return nil
 }
 
 // retm adapts a typed (msg, err) pair to the Message interface.
@@ -626,4 +681,13 @@ func retm[M Message](m M, err error) (Message, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// resize returns s at length n, reusing its storage when it has room.
+// Contents are unspecified: the caller rewrites every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -45,9 +45,9 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("POST /v1/tenants/{id}/optimize", s.handleOptimize)
 	mux.HandleFunc("GET /v1/tenants/{id}/replay", s.handleReplay)
 	mux.HandleFunc("GET /v1/tenants/{id}/trajectory", s.handleTrajectory)
-	mux.HandleFunc("GET /v1/tenants/{id}/metrics", s.tenantTelemetry(telemetry.MetricsHandler))
-	mux.HandleFunc("GET /v1/tenants/{id}/trace", s.tenantTelemetry(telemetry.TraceHandler))
-	mux.Handle("GET /metrics", telemetry.MetricsHandler(s.tel))
+	mux.HandleFunc("GET /v1/tenants/{id}/metrics", s.tenantTelemetry(tenantMetrics))
+	mux.HandleFunc("GET /v1/tenants/{id}/trace", s.tenantTelemetry(tenantTrace))
+	mux.Handle("GET /metrics", s.metricsHandler())
 	telemetry.PprofMux(mux)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -115,12 +115,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	t, release, ok := s.acquire(r.PathValue("id"))
+	p, ok := s.acquire(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("daemon: no tenant %q", r.PathValue("id")))
 		return
 	}
-	defer release()
+	defer p.release()
+	t := p.t
 	writeJSON(w, http.StatusOK, t.info)
 }
 
@@ -136,12 +137,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	t, release, ok := s.acquire(r.PathValue("id"))
+	p, ok := s.acquire(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("daemon: no tenant %q", r.PathValue("id")))
 		return
 	}
-	defer release()
+	defer p.release()
+	t := p.t
 	// An empty body, sent with a zero length or chunked, is an empty
 	// request: the decoder reports it as io.EOF.
 	var req OptimizeRequest
@@ -198,12 +200,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 const maxReplayEpochs = 1 << 18
 
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	t, release, ok := s.acquire(r.PathValue("id"))
+	p, ok := s.acquire(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("daemon: no tenant %q", r.PathValue("id")))
 		return
 	}
-	defer release()
+	defer p.release()
+	t := p.t
 	q := r.URL.Query()
 	epochs := 16
 	if v := q.Get("epochs"); v != "" {
@@ -280,12 +283,13 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
-	t, release, ok := s.acquire(r.PathValue("id"))
+	p, ok := s.acquire(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("daemon: no tenant %q", r.PathValue("id")))
 		return
 	}
-	defer release()
+	defer p.release()
+	t := p.t
 	// Snapshot under the tenant gate so a concurrent replay's recorder
 	// swap cannot race; bail out rather than block behind a long replay.
 	select {
@@ -299,16 +303,27 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, traj)
 }
 
-// tenantTelemetry adapts a per-registry telemetry handler constructor
-// (MetricsHandler, TraceHandler) into a per-tenant route.
-func (s *Server) tenantTelemetry(h func(*telemetry.Telemetry) http.Handler) http.HandlerFunc {
+// tenantMetrics serves a tenant's registry, the age of its oldest request
+// in flight read first.
+func tenantMetrics(t *tenant) http.Handler {
+	now := time.Now()
+	t.met.OldestRequest.Set(age(t.inflight.oldest(), now))
+	return telemetry.MetricsHandler(t.tel)
+}
+
+// tenantTrace serves a tenant's span stream.
+func tenantTrace(t *tenant) http.Handler { return telemetry.TraceHandler(t.tel) }
+
+// tenantTelemetry adapts a per-tenant telemetry handler constructor
+// (tenantMetrics, tenantTrace) into a route.
+func (s *Server) tenantTelemetry(h func(*tenant) http.Handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		t, release, ok := s.acquire(r.PathValue("id"))
+		p, ok := s.acquire(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("daemon: no tenant %q", r.PathValue("id")))
 			return
 		}
-		defer release()
-		h(t.tel).ServeHTTP(w, r)
+		defer p.release()
+		h(p.t).ServeHTTP(w, r)
 	}
 }

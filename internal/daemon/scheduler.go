@@ -100,6 +100,13 @@ func (s *scheduler) release(n int) {
 	}
 }
 
+// queued reports how many calls wait for tokens.
+func (s *scheduler) queued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.waiters)
+}
+
 // drop removes a cancelled waiter so release doesn't close a channel
 // nobody reads (closing is harmless, but the slice would grow).
 func (s *scheduler) drop(ch chan struct{}) {

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"fubar/internal/telemetry"
 )
@@ -51,6 +52,7 @@ type Server struct {
 	tel     *telemetry.Telemetry
 	met     *telemetry.DaemonMetrics
 	sched   *scheduler
+	health  *health
 	log     *slog.Logger
 	handler http.Handler
 
@@ -92,6 +94,7 @@ func New(cfg Config) (*Server, error) {
 		tel:     tel,
 		met:     met,
 		sched:   newScheduler(cfg.MaxWorkers, met),
+		health:  newHealth(),
 		log:     log,
 		tenants: make(map[string]*tenant),
 	}
@@ -124,10 +127,9 @@ func (s *Server) create(req *CreateTenantRequest, rid uint64) (TenantInfo, error
 		return TenantInfo{}, err
 	}
 	tel := telemetry.New()
-	if tm := tel.Tenant(); tm != nil {
-		tm.Workers.Set(float64(workers))
-		tm.Seed.Set(float64(req.Seed))
-	}
+	tm := tel.Tenant()
+	tm.Workers.Set(float64(workers))
+	tm.Seed.Set(float64(req.Seed))
 	ctrl, err := s.cfg.Factory(topo, mat, TenantConfig{Workers: workers, Telemetry: tel})
 	if err != nil {
 		return TenantInfo{}, err
@@ -165,6 +167,7 @@ func (s *Server) create(req *CreateTenantRequest, rid uint64) (TenantInfo, error
 		},
 		ctrl: ctrl,
 		tel:  tel,
+		met:  tm,
 		gate: make(chan struct{}, 1),
 	}
 	for k, kind := range runKinds {
@@ -184,17 +187,29 @@ func (s *Server) create(req *CreateTenantRequest, rid uint64) (TenantInfo, error
 	return t.info, nil
 }
 
-// acquire looks a tenant up and pins it against deletion: the caller
-// must invoke the returned release (which undoes the pin) when done.
-func (s *Server) acquire(id string) (*tenant, func(), bool) {
+// acquire looks a tenant up and pins it against deletion, counting the
+// request in flight on it: the caller must release the pin when done.
+func (s *Server) acquire(id string) (pin, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tenants[id]
 	if !ok {
-		return nil, nil, false
+		return pin{}, false
 	}
 	t.wg.Add(1)
-	return t, t.wg.Done, true
+	return pin{t: t, slot: t.inflight.begin(time.Now())}, true
+}
+
+// pin is one request's hold on a tenant (acquire).
+type pin struct {
+	t    *tenant
+	slot int
+}
+
+// release ends the request and undoes the pin.
+func (p pin) release() {
+	p.t.inflight.end(p.slot)
+	p.t.wg.Done()
 }
 
 // list snapshots the registry sorted by id.

@@ -53,6 +53,10 @@ type tenant struct {
 	info TenantInfo
 	ctrl Controller
 	tel  *telemetry.Telemetry
+	met  *telemetry.TenantMetrics
+
+	// inflight times the requests in flight on the tenant.
+	inflight inflight
 
 	// gate serializes all Controller access — Session methods must not
 	// run concurrently. Buffered size 1: send acquires, receive

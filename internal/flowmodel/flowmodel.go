@@ -19,7 +19,8 @@
 // # Concurrency: Model vs Eval
 //
 // A Model is immutable after New — topology, matrix, capacities and
-// per-aggregate demand never change — and may be shared freely between
+// per-aggregate demand never change, except when the one owner that built
+// it rebuilds it in place (Rebuild) — and may be shared freely between
 // goroutines. Every evaluation runs on an Eval arena the caller owns,
 // obtained from Model.NewEval (or re-pointed at the Model by Eval.Rebind).
 // Arenas are independent: any number of goroutines may call Evaluate
@@ -173,9 +174,9 @@ func diffValue(field string, got, want float64) error {
 }
 
 // Model holds the immutable half of an evaluation: topology, traffic
-// matrix, link capacities and per-aggregate demand. It never changes
-// after New, holds no evaluation scratch, and is safe for concurrent use
-// by any number of Eval arenas.
+// matrix, link capacities and per-aggregate demand. It never changes after
+// New, or between two Rebuilds by its owner, holds no evaluation scratch,
+// and is safe for concurrent use by any number of Eval arenas.
 type Model struct {
 	topo *topology.Topology
 	mat  *traffic.Matrix
@@ -246,24 +247,38 @@ type Eval struct {
 	res      Result
 }
 
-// New builds a model for the topology and matrix.
+// New builds a model for the topology and matrix: Rebuild on a new Model.
 func New(topo *topology.Topology, mat *traffic.Matrix) (*Model, error) {
+	m := new(Model)
+	if err := Rebuild(m, topo, mat); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Rebuild makes m the model New(topo, mat) builds, on the storage m already
+// has: the owner of a model that meets a new matrix every epoch rebuilds it
+// in place instead of building another, as traffic.Rebuild does for a
+// matrix. Only the owner may: every arena bound to m reads the rebuilt
+// model from then on, so nothing may evaluate on m, or keep what it read
+// from it, across the rebuild. On error m is unchanged.
+func Rebuild(m *Model, topo *topology.Topology, mat *traffic.Matrix) error {
 	if topo == nil || mat == nil {
-		return nil, fmt.Errorf("flowmodel: nil topology or matrix")
+		return fmt.Errorf("flowmodel: nil topology or matrix")
 	}
 	if mat.Topology() != topo {
-		return nil, fmt.Errorf("flowmodel: matrix bound to a different topology")
+		return fmt.Errorf("flowmodel: matrix bound to a different topology")
 	}
 	nL := topo.NumLinks()
 	nA := mat.NumAggregates()
-	m := &Model{
-		topo:      topo,
-		mat:       mat,
-		capacity:  make([]float64, nL),
-		demandPer: make([]float64, nA),
-		aggFlows:  make([]int, nA),
-		aggWeight: make([]float64, nA),
-	}
+	// Sized as New always sized them, exactly: no resize headroom on a
+	// fresh model.
+	m.topo, m.mat = topo, mat
+	m.capacity = slices.Grow(m.capacity[:0], nL)[:nL]
+	m.demandPer = slices.Grow(m.demandPer[:0], nA)[:nA]
+	m.aggFlows = slices.Grow(m.aggFlows[:0], nA)[:nA]
+	m.aggWeight = slices.Grow(m.aggWeight[:0], nA)[:nA]
+	m.totalWeight = 0
 	for i := 0; i < nL; i++ {
 		m.capacity[i] = float64(topo.Capacity(graph.EdgeID(i)))
 	}
@@ -274,7 +289,7 @@ func New(topo *topology.Topology, mat *traffic.Matrix) (*Model, error) {
 		m.aggWeight[i] = a.Weight
 		m.totalWeight += a.Weight * float64(a.Flows)
 	}
-	return m, nil
+	return nil
 }
 
 // Topology returns the model's topology.

@@ -195,6 +195,7 @@ type closedLoop struct {
 	oldRates []float64              // pushRepair's stale rates, read by publish
 	est      measure.Estimator      // estimate's, Reset to each epoch's keys
 	estMat   traffic.Matrix         // est's matrix, rebuilt by each estimate
+	estModel flowmodel.Model        // the model over estMat the optimizer runs on
 	merged   sdnsim.EpochStats      // one stats round's replies, merged
 	reserved [2][]mpls.ReservedPath // publish's MBB input: repaired, re-optimized
 	planner  mpls.Planner
@@ -290,16 +291,20 @@ func (l *closedLoop) estimate(ctx context.Context, inst *epochInstance, er *Epoc
 		}
 	}
 	er.StaleTrueUtility, _ = l.cp.fabric.TrueUtility()
-	matEst := &l.estMat
 	if freshOptimizer != nil {
-		var err error
-		if matEst, err = est.Matrix(inst.topo); err != nil {
+		matEst, err := est.Matrix(inst.topo)
+		if err != nil {
 			return nil, err
 		}
-	} else if err := measure.RebuildMatrix(matEst, est, inst.topo); err != nil {
+		return flowmodel.New(inst.topo, matEst)
+	}
+	if err := measure.RebuildMatrix(&l.estMat, est, inst.topo); err != nil {
 		return nil, err
 	}
-	return flowmodel.New(inst.topo, matEst)
+	if err := flowmodel.Rebuild(&l.estModel, inst.topo, &l.estMat); err != nil {
+		return nil, err
+	}
+	return &l.estModel, nil
 }
 
 // publish prices the transition from the repaired allocation to the

@@ -79,9 +79,11 @@ type engine struct {
 	// The epoch instance, rebuilt in place every epoch (DESIGN.md "Replay
 	// instance storage"): the two epoch matrices materialize alternates
 	// between — a closed loop's simulator still holds the last epoch's
-	// while the next is built — the instance that points at one, and the
-	// solution every epoch's run writes.
+	// while the next is built — with the ground-truth model over each, the
+	// instance that points at one pair, and the solution every epoch's run
+	// writes.
 	mats    [2]traffic.Matrix
+	models  [2]flowmodel.Model
 	matNext int
 	inst    epochInstance
 	sol     core.Solution
@@ -90,7 +92,7 @@ type engine struct {
 	loop closedLoop
 
 	// Scratch an epoch rewrites from empty rather than re-growing: the
-	// epoch RNG (re-seeded per epoch), materialize's capacities and
+	// epoch RNG (re-seeded on each epoch that has events), materialize's capacities and
 	// aggregate and key lists, repairInstalled's key index and remapped
 	// list, and the spare pair recordChurn builds the next installed lists
 	// in.
@@ -243,11 +245,17 @@ func (tl *timeline) at(epoch int) []Event {
 }
 
 // applyEpochEvents applies epoch e's events under its deterministic RNG
-// and returns the event descriptions.
-func (en *engine) applyEpochEvents(byEpoch *timeline, epoch int, rng *rand.Rand) ([]string, error) {
+// and returns the event descriptions. Only the events draw from the RNG,
+// so an epoch without any leaves it unseeded.
+func (en *engine) applyEpochEvents(byEpoch *timeline, epoch int) ([]string, error) {
+	evs := byEpoch.at(epoch)
+	if len(evs) == 0 {
+		return nil, nil
+	}
+	en.rng.Seed(epochSeed(en.sc.Seed, epoch))
 	var events []string
-	for _, e := range byEpoch.at(epoch) {
-		desc, err := en.apply(e, rng)
+	for _, e := range evs {
+		desc, err := en.apply(e, en.rng)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: epoch %d: %w", epoch, err)
 		}
@@ -354,8 +362,7 @@ func (r *Replayer) Stream(ctx context.Context, opt *core.Optimizer, cp *ControlP
 				yield(EpochResult{}, err)
 				return
 			}
-			en.rng.Seed(epochSeed(sc.Seed, epoch))
-			events, err := en.applyEpochEvents(byEpoch, epoch, en.rng)
+			events, err := en.applyEpochEvents(byEpoch, epoch)
 			if err != nil {
 				yield(EpochResult{}, err)
 				return
@@ -694,14 +701,15 @@ func (en *engine) reaches(adj [][]topology.LinkID, next func(topology.LinkID) to
 }
 
 // epochInstance is one epoch's materialized optimization input: the
-// epoch topology and matrix, the stable scenario key of each dense
-// matrix index, and the optimizer options with every out-of-service
-// link folded into the forbidden mask.
+// epoch topology and matrix, the ground-truth model over them, the stable
+// scenario key of each dense matrix index, and the optimizer options with
+// every out-of-service link folded into the forbidden mask.
 type epochInstance struct {
-	topo *topology.Topology
-	mat  *traffic.Matrix
-	keys []int64
-	opts core.Options
+	topo  *topology.Topology
+	mat   *traffic.Matrix
+	model *flowmodel.Model
+	keys  []int64
+	opts  core.Options
 }
 
 // downLinks lists the forward IDs of every out-of-service physical link
@@ -718,8 +726,8 @@ func (en *engine) downLinks() []topology.LinkID {
 // epoch policy.
 //
 // The instance is the engine's, rebuilt by the next materialize: its
-// matrix is one of the engine's two, the one the last epoch did not use,
-// rebuilt in place.
+// matrix and model are one of the engine's two pairs, the one the last
+// epoch did not use, rebuilt in place.
 func (en *engine) materialize() (*epochInstance, error) {
 	caps := resize(en.capBuf, len(en.baseCaps))
 	en.capBuf = caps
@@ -752,11 +760,14 @@ func (en *engine) materialize() (*epochInstance, error) {
 		keys = append(keys, a.key)
 	}
 	en.aggBuf, en.keyBuf = aggs, keys // Rebuild copies; keys are read within the epoch only
-	matE := &en.mats[en.matNext]
+	matE, model := &en.mats[en.matNext], &en.models[en.matNext]
 	if freshOptimizer != nil {
-		matE = new(traffic.Matrix)
+		matE, model = new(traffic.Matrix), new(flowmodel.Model)
 	}
 	if err := traffic.Rebuild(matE, topoE, aggs); err != nil {
+		return nil, err
+	}
+	if err := flowmodel.Rebuild(model, topoE, matE); err != nil {
 		return nil, err
 	}
 	en.matNext ^= 1
@@ -771,7 +782,7 @@ func (en *engine) materialize() (*epochInstance, error) {
 		}
 	}
 	coreOpts.Policy.ForbiddenLinks = forb
-	en.inst = epochInstance{topo: topoE, mat: matE, keys: keys, opts: coreOpts}
+	en.inst = epochInstance{topo: topoE, mat: matE, model: model, keys: keys, opts: coreOpts}
 	return &en.inst, nil
 }
 
@@ -854,6 +865,7 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 	cl := en.cl
 	er := &EpochResult{Epoch: epoch, Events: events}
 	if cl != nil {
+		er.Installs = make([]InstallRecord, 0, 2) // the repair push and the re-optimized one
 		en.labels.Phase(telemetry.PhaseSettle)
 		// The epoch's events (just applied) may have killed or recovered
 		// controller replicas: settle the failover before touching the
@@ -876,10 +888,7 @@ func (en *engine) runEpoch(ctx context.Context, epoch int, events []string) (*Ep
 	er.MaintenanceLinks = len(en.maintOrder)
 	// model is the epoch's ground truth: what an open loop optimizes, and
 	// what a closed loop only ever sees through counters.
-	model, err := flowmodel.New(inst.topo, inst.mat)
-	if err != nil {
-		return nil, err
-	}
+	model := inst.model
 	if freshOptimizer != nil {
 		if en.opt, err = freshOptimizer(model, inst.opts); err != nil {
 			return nil, err

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"math/rand"
 	"testing"
 
 	"fubar/internal/topology"
@@ -149,8 +148,7 @@ func FuzzScenarioApply(f *testing.F) {
 		}
 		byEpoch := en.timeline()
 		for epoch := 0; epoch < epochs; epoch++ {
-			rng := rand.New(rand.NewSource(epochSeed(seed, epoch)))
-			if _, err := en.applyEpochEvents(byEpoch, epoch, rng); err != nil {
+			if _, err := en.applyEpochEvents(byEpoch, epoch); err != nil {
 				t.Fatalf("epoch %d: apply: %v", epoch, err)
 			}
 			inst, err := en.materialize()

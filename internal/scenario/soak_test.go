@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -127,8 +126,7 @@ func TestSoakRecyclesOneBase(t *testing.T) {
 	}
 	tl := en.timeline()
 	for epoch := 0; epoch < sc.Epochs; epoch++ {
-		rng := rand.New(rand.NewSource(epochSeed(sc.Seed, epoch)))
-		events, err := en.applyEpochEvents(tl, epoch, rng)
+		events, err := en.applyEpochEvents(tl, epoch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,7 +92,8 @@ type Sim struct {
 	rng    *rand.Rand
 	routed bool // Install succeeded since the last Reset
 	epoch  int
-	eval   *flowmodel.Eval // every RunEpoch's arena, rebound to its model
+	model  flowmodel.Model // every RunEpoch's model, rebuilt in place by the next
+	eval   *flowmodel.Eval // every RunEpoch's arena, bound to model
 	stats  EpochStats      // RunEpoch's result, overwritten by the next one
 	counts []int           // Install's per-aggregate flow tally
 	// jitteredMatrix's epoch matrix, rebuilt in place by each RunEpoch (only
@@ -202,14 +203,13 @@ func (s *Sim) RunEpoch() (*EpochStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := flowmodel.New(s.topo, jittered)
-	if err != nil {
+	if err := flowmodel.Rebuild(&s.model, s.topo, jittered); err != nil {
 		return nil, err
 	}
 	if s.eval == nil {
-		s.eval = model.NewEval()
+		s.eval = s.model.NewEval()
 	}
-	s.eval.Rebind(model)
+	s.eval.Rebind(&s.model)
 	res := s.eval.Evaluate(s.installed)
 
 	secs := MeasurementInterval.Seconds()

@@ -9,7 +9,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -100,6 +99,7 @@ type Registry struct {
 	counts map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
+	prom   []byte // WriteProm's exposition buffer, under mu
 }
 
 // NewRegistry returns an empty registry.
@@ -227,10 +227,13 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // WriteProm writes the registry in Prometheus text exposition format
-// (version 0.0.4), in registration order.
+// (version 0.0.4), in registration order, with one Write. The exposition
+// is appended into a buffer the registry keeps under its lock, so a scrape
+// allocates nothing once the buffer has grown to the exposition's size.
 func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	b := r.prom[:0]
 	family := ""
 	for _, name := range r.order {
 		if c, ok := r.counts[name]; ok {
@@ -238,60 +241,56 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			// family, registered in a row, share one header.
 			if f, _, _ := strings.Cut(name, "{"); f != family {
 				family = f
-				if err := promHeader(w, f, c.help, "counter"); err != nil {
-					return err
-				}
+				b = appendPromHeader(b, f, c.help, "counter")
 			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", name, c.Value()); err != nil {
-				return err
-			}
+			b = append(append(b, name...), ' ')
+			b = append(strconv.AppendInt(b, c.Value(), 10), '\n')
 			continue
 		}
 		if g, ok := r.gauges[name]; ok {
-			if err := promHeader(w, name, g.help, "gauge"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %s\n", name, promFloat(g.Value())); err != nil {
-				return err
-			}
+			b = appendPromHeader(b, name, g.help, "gauge")
+			b = append(append(b, name...), ' ')
+			b = append(appendPromFloat(b, g.Value()), '\n')
 			continue
 		}
 		if h, ok := r.hists[name]; ok {
-			if err := promHeader(w, name, h.help, "histogram"); err != nil {
-				return err
-			}
+			b = appendPromHeader(b, name, h.help, "histogram")
 			var cum int64
-			for i, b := range h.bounds {
+			for i, bound := range h.bounds {
 				cum += h.counts[i].Load()
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, promFloat(b), cum); err != nil {
-					return err
-				}
+				// A float's digits, sign, point and exponent need no
+				// escaping: quoting is the two quotes.
+				b = append(append(b, name...), "_bucket{le=\""...)
+				b = append(appendPromFloat(b, bound), "\"} "...)
+				b = append(strconv.AppendInt(b, cum, 10), '\n')
 			}
 			cum += h.counts[len(h.bounds)].Load()
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(h.Sum())); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count()); err != nil {
-				return err
-			}
+			b = append(append(b, name...), "_bucket{le=\"+Inf\"} "...)
+			b = append(strconv.AppendInt(b, cum, 10), '\n')
+			b = append(append(b, name...), "_sum "...)
+			b = append(appendPromFloat(b, h.Sum()), '\n')
+			b = append(append(b, name...), "_count "...)
+			b = append(strconv.AppendInt(b, h.Count(), 10), '\n')
 		}
 	}
-	return nil
-}
-
-func promHeader(w io.Writer, name, help, kind string) error {
-	if help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
+	r.prom = b
+	_, err := w.Write(b)
 	return err
 }
 
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// appendPromHeader appends a family's HELP (when it has one) and TYPE
+// lines.
+func appendPromHeader(b []byte, name, help, kind string) []byte {
+	if help != "" {
+		b = append(append(append(append(b, "# HELP "...), name...), ' '), help...)
+		b = append(b, '\n')
+	}
+	b = append(append(append(append(b, "# TYPE "...), name...), ' '), kind...)
+	return append(b, '\n')
+}
+
+// appendPromFloat appends v as the exposition writes every float: the
+// shortest representation that reads back as v.
+func appendPromFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

@@ -199,8 +199,9 @@ func (t *Telemetry) buildCtrlplane() *CtrlplaneMetrics {
 }
 
 // DaemonMetrics are the controller-daemon metrics: tenant lifecycle,
-// request traffic, the worker-budget scheduler, and streamed epochs.
-// They live in the daemon's own registry, not the per-tenant ones.
+// request traffic, the worker-budget scheduler, streamed epochs, and the
+// process's health, read when the daemon's /metrics is scraped. They live
+// in the daemon's own registry, not the per-tenant ones.
 type DaemonMetrics struct {
 	Tenants        *Gauge
 	TenantsCreated *Counter
@@ -212,6 +213,15 @@ type DaemonMetrics struct {
 	WorkersInUse   *Gauge
 	WorkerWaits    *Counter
 	OptimizeSecs   *Histogram
+
+	// Health, set at each scrape: from runtime/metrics, the scheduler's
+	// queue, and every tenant's requests in flight.
+	Goroutines    *Gauge
+	HeapLive      *Gauge
+	GCCPUFraction *Gauge
+	SchedLatency  *Gauge
+	QueueDepth    *Gauge
+	OldestRequest *Gauge
 }
 
 // Daemon builds (idempotently) the daemon-subsystem handles; nil-safe.
@@ -231,6 +241,12 @@ func (t *Telemetry) Daemon() *DaemonMetrics {
 		WorkersInUse:   r.Gauge("fubar_daemon_workers_in_use", "Worker-budget tokens currently held by tenant work."),
 		WorkerWaits:    r.Counter("fubar_daemon_worker_waits_total", "Admissions that had to wait for worker-budget tokens."),
 		OptimizeSecs:   r.Histogram("fubar_daemon_optimize_seconds", "Wall time of one tenant optimize call.", SecondsBuckets),
+		Goroutines:     r.Gauge("fubar_daemon_goroutines", "Goroutines in the daemon process."),
+		HeapLive:       r.Gauge("fubar_daemon_heap_live_bytes", "Heap bytes marked live by the last garbage collection; 0 before the first."),
+		GCCPUFraction:  r.Gauge("fubar_daemon_gc_cpu_fraction", "Share of the process's CPU time spent in the garbage collector since it started."),
+		SchedLatency:   r.Gauge("fubar_daemon_sched_latency_p99_seconds", "99th percentile of the time goroutines waited runnable before running, since the process started."),
+		QueueDepth:     r.Gauge("fubar_daemon_queue_depth", "Tenant calls waiting for worker-budget tokens."),
+		OldestRequest:  r.Gauge("fubar_daemon_oldest_request_seconds", "Age of the oldest tenant request in flight across every tenant; 0 when none is."),
 	}
 }
 
@@ -240,6 +256,8 @@ func (t *Telemetry) Daemon() *DaemonMetrics {
 type TenantMetrics struct {
 	Workers *Gauge
 	Seed    *Gauge
+	// OldestRequest is set when the tenant's /metrics is scraped.
+	OldestRequest *Gauge
 }
 
 // Tenant builds (idempotently) the per-tenant identity handles;
@@ -250,7 +268,8 @@ func (t *Telemetry) Tenant() *TenantMetrics {
 	}
 	r := t.Registry
 	return &TenantMetrics{
-		Workers: r.Gauge("fubar_tenant_workers", "This tenant's worker budget."),
-		Seed:    r.Gauge("fubar_tenant_seed", "This tenant's instance seed."),
+		Workers:       r.Gauge("fubar_tenant_workers", "This tenant's worker budget."),
+		Seed:          r.Gauge("fubar_tenant_seed", "This tenant's instance seed."),
+		OldestRequest: r.Gauge("fubar_tenant_oldest_request_seconds", "Age of this tenant's oldest request in flight; 0 when none is."),
 	}
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"runtime/pprof"
 	"strings"
@@ -411,4 +412,88 @@ func intAttr(ev Event, k IntKey) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// promFixture is a registry with every kind of series the exposition
+// writes: labelled counter families, a counter and gauges alone, gauges at
+// awkward values and a histogram with observations in every bucket.
+func promFixture() *Registry {
+	r := NewRegistry()
+	r.Counter(`fubar_fix_requests_total{kind="optimize"}`, "requests by kind").Add(12)
+	r.Counter(`fubar_fix_requests_total{kind="replay"}`, "requests by kind").Add(3)
+	r.Counter("fubar_fix_plain_total", "").Inc()
+	r.Gauge("fubar_fix_ratio", "a ratio").Set(0.3)
+	r.Gauge("fubar_fix_big", "a large gauge").Set(1.5e21)
+	r.Gauge("fubar_fix_tiny", "").Set(-3e-7)
+	h := r.Histogram("fubar_fix_seconds", "a histogram", []float64{0.0001, 0.25, 1, 30})
+	for _, v := range []float64{0.00005, 0.1, 0.2, 0.5, 2, 45, 1e6} {
+		h.Observe(v)
+	}
+	r.Counter(`fubar_fix_hits_total{result="hit",tier="a"}`, "hits").Add(7)
+	r.Gauge("fubar_fix_zero", "a gauge at zero")
+	return r
+}
+
+// TestWritePromPinned pins the exposition of promFixture byte for byte.
+func TestWritePromPinned(t *testing.T) {
+	const want = `# HELP fubar_fix_requests_total requests by kind
+# TYPE fubar_fix_requests_total counter
+fubar_fix_requests_total{kind="optimize"} 12
+fubar_fix_requests_total{kind="replay"} 3
+# TYPE fubar_fix_plain_total counter
+fubar_fix_plain_total 1
+# HELP fubar_fix_ratio a ratio
+# TYPE fubar_fix_ratio gauge
+fubar_fix_ratio 0.3
+# HELP fubar_fix_big a large gauge
+# TYPE fubar_fix_big gauge
+fubar_fix_big 1.5e+21
+# TYPE fubar_fix_tiny gauge
+fubar_fix_tiny -3e-07
+# HELP fubar_fix_seconds a histogram
+# TYPE fubar_fix_seconds histogram
+fubar_fix_seconds_bucket{le="0.0001"} 1
+fubar_fix_seconds_bucket{le="0.25"} 3
+fubar_fix_seconds_bucket{le="1"} 4
+fubar_fix_seconds_bucket{le="30"} 5
+fubar_fix_seconds_bucket{le="+Inf"} 7
+fubar_fix_seconds_sum 1.00004780005e+06
+fubar_fix_seconds_count 7
+# HELP fubar_fix_hits_total hits
+# TYPE fubar_fix_hits_total counter
+fubar_fix_hits_total{result="hit",tier="a"} 7
+# HELP fubar_fix_zero a gauge at zero
+# TYPE fubar_fix_zero gauge
+fubar_fix_zero 0
+`
+	var b strings.Builder
+	if err := promFixture().WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != want {
+		t.Fatalf("exposition changed:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if err := CheckExposition(want); err != nil {
+		t.Fatalf("pinned exposition fails CheckExposition: %v", err)
+	}
+}
+
+// TestWarmScrapeAllocatesNothing: a scrape appends its exposition into the
+// buffer the registry keeps, so once one scrape has grown it, the next —
+// of a tenant's registry, with every handle bundle a tenant takes, or of
+// promFixture — allocates nothing.
+func TestWarmScrapeAllocatesNothing(t *testing.T) {
+	tenant := New()
+	tenant.Core()
+	tenant.Scenario()
+	tenant.Ctrlplane()
+	tenant.Tenant()
+	for name, r := range map[string]*Registry{"tenant": tenant.Registry, "fixture": promFixture()} {
+		if err := r.WriteProm(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = r.WriteProm(io.Discard) }); allocs != 0 {
+			t.Errorf("%s: a warm scrape allocated %.1f objects, want 0", name, allocs)
+		}
+	}
 }

@@ -59,6 +59,7 @@ func TestReplayStorageAliasesNothingHandedOut(t *testing.T) {
 				m := s.Matrix()
 				return fmt.Sprintf("%p %+v %+v", m, m.Topology(), m.Aggregates())
 			})
+			installsOf := make(map[*fubar.InstallRecord]string) // each epoch's first install record
 			replay := func(sc fubar.Scenario) []fubar.EpochRecord {
 				seq := s.Replay(ctx, sc)
 				if closed {
@@ -74,6 +75,19 @@ func TestReplayStorageAliasesNothingHandedOut(t *testing.T) {
 				for i := range out {
 					er := &out[i]
 					hold(fmt.Sprintf("%s epoch %d", sc.Name, i), func() string { return fmt.Sprintf("%+v", *er) })
+					if !closed {
+						continue
+					}
+					// A closed-loop epoch hands out its install records: each
+					// epoch's are its own, never storage a later epoch refills.
+					if len(er.Installs) == 0 {
+						t.Fatalf("%s epoch %d: a closed-loop epoch with no install records", sc.Name, i)
+					}
+					if prev, ok := installsOf[&er.Installs[0]]; ok {
+						t.Fatalf("%s epoch %d: install records share storage with %s", sc.Name, i, prev)
+					}
+					installsOf[&er.Installs[0]] = fmt.Sprintf("%s epoch %d", sc.Name, i)
+					hold(fmt.Sprintf("%s epoch %d installs", sc.Name, i), func() string { return fmt.Sprintf("%+v", er.Installs) })
 				}
 				return out
 			}

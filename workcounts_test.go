@@ -107,11 +107,12 @@ const mallocsColumn = "  mallocs "
 
 // TestTelemetryCostsNoMallocs is the gate on what telemetry costs a warm
 // replay epoch: each replayLeg's epochs, replayed with telemetry on and
-// off, may take at most one heap object more per epoch on. Spans are
-// fixed-size records copied into the tracer's ring and the metric handles
-// are built once per Telemetry, so an epoch's counters, histograms and
-// spans allocate nothing; a per-event map or per-epoch handle rebuild
-// shows here as tens of objects an epoch.
+// off, may take at most telemetryMallocSlack heap objects more per epoch
+// on. Spans are fixed-size records copied into the tracer's ring and the
+// metric handles are built once per Telemetry, so an epoch's counters,
+// histograms and spans allocate nothing; a per-event map shows here as
+// tens of objects an epoch, a handle bundle rebuilt per Core() call as
+// one.
 func TestTelemetryCostsNoMallocs(t *testing.T) {
 	const epochs = 70
 	for _, leg := range replayLegs {
@@ -128,8 +129,24 @@ func TestTelemetryCostsNoMallocs(t *testing.T) {
 		}
 		off, on := perEpoch(nil), perEpoch(NewTelemetry())
 		t.Logf("%s: %.1f mallocs per warm epoch with telemetry off, %.1f on", leg.name, off, on)
-		if on > off+1 {
-			t.Errorf("%s: telemetry costs %.1f mallocs per warm epoch (%.1f on, %.1f off), want at most 1", leg.name, on-off, on, off)
+		if slack := telemetryMallocSlack(); on > off+slack {
+			t.Errorf("%s: telemetry costs %.2f mallocs per warm epoch (%.1f on, %.1f off), want at most %v",
+				leg.name, on-off, on, off, slack)
 		}
 	}
+}
+
+// telemetryMallocSlack is the per-epoch allowance of
+// TestTelemetryCostsNoMallocs: above a normal build's on − off noise (at
+// most 0.1 an epoch on every leg), below the one object an epoch of the
+// smallest cost it must catch. A race-detector build allocates
+// nondeterministically — its sync.Pools, fmt's printer cache among them,
+// drop what they are given at random — by up to ±0.9 an epoch here, so
+// under -race the allowance stays at one object, and the normal builds'
+// runs of the gate catch the one-object costs.
+func telemetryMallocSlack() float64 {
+	if raceBuild {
+		return 1
+	}
+	return 0.25
 }
