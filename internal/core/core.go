@@ -867,8 +867,9 @@ func carveAggs(fresh []aggState, limit int) {
 // set (possibly at zero flows) so the trio search behaves as usual.
 func (o *Optimizer) applyWarmStart(bundles []flowmodel.Bundle) error {
 	topo := o.model.Topology()
-	o.covered = append(o.covered[:0], make([]int, len(o.aggs))...)
+	o.covered = slices.Grow(o.covered[:0], len(o.aggs))[:len(o.aggs)]
 	covered := o.covered
+	clear(covered)
 	// Zero the default placement before overlaying.
 	for i := range o.aggs {
 		st := &o.aggs[i]

@@ -117,8 +117,9 @@ func (r *repairScratch) run(gen *pathgen.Generator, topo *topology.Topology, mat
 		r.kept[i] = r.kept[i][:0]
 	}
 	kept := r.kept[:n]
-	r.displaced = append(r.displaced[:0], make([]int, n)...)
+	r.displaced = slices.Grow(r.displaced[:0], n)[:n]
 	displaced := r.displaced
+	clear(displaced)
 	var stats RepairStats
 	forb := policy.ForbiddenLinks
 	nLinks := topo.NumLinks()

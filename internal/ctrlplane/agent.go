@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -50,38 +49,11 @@ const (
 	reconnectMax = 250 * time.Millisecond
 )
 
-// AgentConfig tunes a switch agent.
-type AgentConfig struct {
-	// HandshakeTimeout bounds the Hello/HelloAck exchange. Default 5s.
-	HandshakeTimeout time.Duration
-	// RuleLease is the rule hard-timeout: how long a managed agent that
-	// has lost all controller contact keeps trusting its installed
-	// table before FailAction applies. A nonzero lease advertised by
-	// the controller (HelloAck.LeaseMs) overrides it. 0 means no lease:
-	// the table never expires.
-	RuleLease time.Duration
-	// FailAction is what happens to the rule table when the lease
-	// expires. Default FailStatic.
-	FailAction FailPolicy
-	// Logger receives structured diagnostic records; nil discards them.
-	Logger *slog.Logger
-}
-
-func (c AgentConfig) withDefaults() AgentConfig {
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 5 * time.Second
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.DiscardHandler)
-	}
-	return c
-}
-
 // Agent is one controller connection of a ManagedAgent — the switch
 // side of the control protocol: it registers with a controller, applies
 // FlowMods to its Datapath and answers stats polls from it.
 type Agent struct {
-	cfg  AgentConfig
+	cfg  Config
 	id   uint32
 	name string
 	dp   Datapath
@@ -131,8 +103,7 @@ type flowModFence struct {
 // dial connects to the controller at addr, performs the handshake and
 // returns a ready agent on fence, which the managed agent threads through
 // every reconnect. Call Serve to process controller messages.
-func dial(addr string, datapathID uint32, nodeName string, dp Datapath, cfg AgentConfig, fence *flowModFence) (*Agent, error) {
-	cfg = cfg.withDefaults()
+func dial(addr string, datapathID uint32, nodeName string, dp Datapath, cfg Config, fence *flowModFence) (*Agent, error) {
 	conn, err := net.DialTimeout("tcp", addr, cfg.HandshakeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: dial %s: %w", addr, err)

@@ -90,7 +90,7 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 	)
 	clk := newFakeClock()
 	dir := &mutableDirectory{} // empty: every dial round fails
-	ma, err := newManagedAgentClock(id, "sw6", &recDatapath{}, dir, AgentConfig{
+	ma, err := newManagedAgentClock(id, "sw6", &recDatapath{}, dir, Config{
 		HandshakeTimeout: time.Second,
 	}, clk.Now, clk.After)
 	if err != nil {
@@ -150,7 +150,7 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 
 	// The loop is parked in its last sleep: point the directory at a
 	// live controller, then release it, so the next dial succeeds.
-	rs, _ := oneSeat(t, ControllerConfig{})
+	rs, _ := oneSeat(t, Config{})
 	dir.set(rs.DialOrder(id)...)
 	release()
 	waitCond(t, "agent connected", func() bool { return ma.connects.Load() == 1 })

@@ -40,15 +40,20 @@ const (
 // sdnsim.MeasurementInterval.
 const controllerName = "fubar-closedloop"
 
-// ControllerConfig tunes the replica set's controllers.
-type ControllerConfig struct {
-	// RuleLease is the rule hard-timeout advertised to agents in
-	// HelloAck (LeaseMs): how long an agent may forward on its
-	// installed table after losing all controller contact before its
-	// fail-safe policy applies. 0 (the default) disables the lease.
+// Config tunes a replica set's controllers and the managed agents homing
+// on it: NewReplicaSet and NewManagedAgent take the same value.
+type Config struct {
+	// RuleLease is the rule hard-timeout the controllers advertise to
+	// agents in HelloAck (LeaseMs), the only lease an agent applies: how
+	// long it may forward on its installed table after losing all
+	// controller contact before FailAction applies. 0 (the default)
+	// disables the lease.
 	RuleLease time.Duration
-	// HandshakeTimeout bounds the Hello exchange per connection.
-	// Default 5s.
+	// FailAction is what an agent's lease expiry does to its rule table.
+	// Default FailStatic.
+	FailAction FailPolicy
+	// HandshakeTimeout bounds the Hello exchange per connection, on
+	// either side. Default 5s.
 	HandshakeTimeout time.Duration
 	// RequestTimeout bounds each pass of an RPC round — a stats poll,
 	// an install or a resync (the per-attempt deadline, derived from the
@@ -58,7 +63,7 @@ type ControllerConfig struct {
 	Logger *slog.Logger
 }
 
-func (c ControllerConfig) withDefaults() ControllerConfig {
+func (c Config) withDefaults() Config {
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
 	}
@@ -119,8 +124,6 @@ type signal struct {
 	ch chan struct{}
 }
 
-func newSignal() *signal { return &signal{ch: make(chan struct{})} }
-
 func (s *signal) wait() <-chan struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -152,10 +155,6 @@ type tableCache struct {
 type cachedTable struct {
 	ruleTable
 	known bool
-}
-
-func newTableCache() *tableCache {
-	return &tableCache{tables: make(map[uint32]*cachedTable)}
 }
 
 // get returns a copy of the switch's cached table, which the caller owns.
@@ -216,7 +215,7 @@ func (t *ruleTable) set(rules []Rule) {
 	for _, r := range rules {
 		n += len(r.Links)
 	}
-	t.links = resize(t.links, n)
+	t.links = slices.Grow(t.links[:0], n)[:n]
 	t.rules = t.rules[:0]
 	off := 0
 	for _, r := range rules {
@@ -226,33 +225,17 @@ func (t *ruleTable) set(rules []Rule) {
 	}
 }
 
-// haStats are the HA counters of a replica set, which hands every
-// replica the same instance.
-type haStats struct {
-	// retries counts RPC attempts retried after a transient error.
-	retries atomic.Int64
-	// resyncsAcked counts verified rule-table handoffs: re-registered
-	// switches whose cached table was re-pushed and acked.
-	resyncsAcked atomic.Int64
-	// resyncInflight tracks handoffs still awaiting their ack.
-	resyncInflight atomic.Int64
-}
-
 // Controller is one seat of a ReplicaSet: it accepts switch
 // registrations, installs FUBAR's computed allocations as per-ingress
 // rule tables on the switches homed on it, and polls the counters the
-// optimizer's measurement plane (internal/measure) consumes. The seats
-// of a set share one differential-install cache, election epoch and HA
-// counters, so any replica can install to — and hand off — any switch.
+// optimizer's measurement plane (internal/measure) consumes. A seat keeps
+// no shared state of its own: the differential-install cache, election
+// epoch, HA counters and notify signal are its set's, so any replica can
+// install to — and hand off — any switch.
 type Controller struct {
 	name string
-	cfg  ControllerConfig
+	set  *ReplicaSet
 	ln   net.Listener
-
-	tables *tableCache
-	epoch  *atomic.Uint64 // election epoch stamped on FlowMods
-	stats  *haStats
-	notify *signal // registration and resync state changes
 
 	mu       sync.Mutex
 	switches map[uint32]*swConn
@@ -260,29 +243,6 @@ type Controller struct {
 
 	wg    sync.WaitGroup
 	token atomic.Uint64
-}
-
-// listen starts a controller on addr; a replica set passes the same
-// cache, epoch, counters and signal to every replica.
-func listen(addr, name string, cfg ControllerConfig, tables *tableCache, epoch *atomic.Uint64, stats *haStats, notify *signal) (*Controller, error) {
-	cfg = cfg.withDefaults()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ctrlplane: listen %s: %w", addr, err)
-	}
-	c := &Controller{
-		name:     name,
-		cfg:      cfg,
-		ln:       ln,
-		tables:   tables,
-		epoch:    epoch,
-		stats:    stats,
-		notify:   notify,
-		switches: make(map[uint32]*swConn),
-	}
-	c.wg.Add(1)
-	go c.acceptLoop()
-	return c, nil
 }
 
 // Addr returns the controller's listen address.
@@ -308,10 +268,10 @@ func (c *Controller) acceptLoop() {
 // switch.
 func (c *Controller) handleConn(conn net.Conn) {
 	d := &decoder{r: bufio.NewReader(conn)}
-	_ = conn.SetDeadline(time.Now().Add(c.cfg.HandshakeTimeout))
+	_ = conn.SetDeadline(time.Now().Add(c.set.cfg.HandshakeTimeout))
 	t, p, err := d.next(maxHello)
 	if err == nil && t != MsgHello {
-		c.cfg.Logger.Warn("controller: message before Hello", "remote", conn.RemoteAddr().String(), "type", t.String())
+		c.set.cfg.Logger.Warn("controller: message before Hello", "remote", conn.RemoteAddr().String(), "type", t.String())
 		conn.Close()
 		return
 	}
@@ -320,14 +280,14 @@ func (c *Controller) handleConn(conn net.Conn) {
 		hello, err = parseHello(p)
 	}
 	if err != nil {
-		c.cfg.Logger.Warn("controller: handshake read failed", "remote", conn.RemoteAddr().String(), "err", err)
+		c.set.cfg.Logger.Warn("controller: handshake read failed", "remote", conn.RemoteAddr().String(), "err", err)
 		conn.Close()
 		return
 	}
 	ack := HelloAck{
 		ControllerName: c.name,
 		EpochMs:        uint32(sdnsim.MeasurementInterval / time.Millisecond),
-		LeaseMs:        uint32(c.cfg.RuleLease / time.Millisecond),
+		LeaseMs:        uint32(c.set.cfg.RuleLease / time.Millisecond),
 	}
 	if err := WriteMessage(conn, ack); err != nil {
 		conn.Close()
@@ -348,17 +308,17 @@ func (c *Controller) handleConn(conn net.Conn) {
 	// handoff counts as in flight before the switch is visible: a waiter
 	// that sees every switch homed and no handoff in flight (a closed
 	// loop's settle) must never race one still to start.
-	cached, resync := c.tables.get(sw.id)
+	cached, resync := c.set.tables.get(sw.id)
 	resync = resync && len(cached) > 0
 	if resync {
-		c.stats.resyncInflight.Add(1)
+		c.set.resyncInflight.Add(1)
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		if resync {
-			c.stats.resyncInflight.Add(-1)
-			c.notify.broadcast()
+			c.set.resyncInflight.Add(-1)
+			c.set.notify.broadcast()
 		}
 		conn.Close()
 		return
@@ -368,16 +328,16 @@ func (c *Controller) handleConn(conn net.Conn) {
 	}
 	c.switches[sw.id] = sw
 	c.mu.Unlock()
-	c.notify.broadcast()
-	c.cfg.Logger.Info("controller: switch registered", "switch", sw.name, "datapath", sw.id, "remote", conn.RemoteAddr().String())
+	c.set.notify.broadcast()
+	c.set.cfg.Logger.Info("controller: switch registered", "switch", sw.name, "datapath", sw.id, "remote", conn.RemoteAddr().String())
 
 	if resync {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
 			c.resync(sw, cached)
-			c.stats.resyncInflight.Add(-1)
-			c.notify.broadcast()
+			c.set.resyncInflight.Add(-1)
+			c.set.notify.broadcast()
 		}()
 	}
 
@@ -388,10 +348,10 @@ func (c *Controller) handleConn(conn net.Conn) {
 		delete(c.switches, sw.id)
 	}
 	c.mu.Unlock()
-	c.notify.broadcast()
+	c.set.notify.broadcast()
 	conn.Close()
 	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-		c.cfg.Logger.Warn("controller: switch read loop failed", "switch", sw.name, "datapath", sw.id, "err", err)
+		c.set.cfg.Logger.Warn("controller: switch read loop failed", "switch", sw.name, "datapath", sw.id, "err", err)
 	}
 }
 
@@ -407,15 +367,15 @@ const resyncGenerationBase = uint64(1) << 62
 func (c *Controller) resync(sw *swConn, rules []Rule) {
 	gen := resyncGenerationBase | c.nextToken()
 	r := &round{targets: []rpcTarget{{c: c, id: sw.id, name: sw.name, token: gen, want: MsgFlowModAck,
-		req: FlowMod{Generation: gen, Epoch: c.epoch.Load(), Rules: rules}}}}
-	if err := r.run(context.Background(), 1, c.cfg.RequestTimeout, c.stats); err != nil {
-		c.tables.drop(sw.id)
-		c.cfg.Logger.Warn("controller: rule-table resync failed",
+		req: FlowMod{Generation: gen, Epoch: c.set.epoch.Load(), Rules: rules}}}}
+	if err := r.run(context.Background(), 1, c.set); err != nil {
+		c.set.tables.drop(sw.id)
+		c.set.cfg.Logger.Warn("controller: rule-table resync failed",
 			"switch", sw.name, "datapath", sw.id, "err", err)
 		return
 	}
-	c.stats.resyncsAcked.Add(1)
-	c.cfg.Logger.Info("controller: switch rule table resynced",
+	c.set.resyncsAcked.Add(1)
+	c.set.cfg.Logger.Info("controller: switch rule table resynced",
 		"switch", sw.name, "datapath", sw.id, "rules", len(rules))
 }
 
@@ -429,7 +389,7 @@ func (c *Controller) readLoop(sw *swConn, d *decoder) error {
 		}
 		switch t {
 		case MsgEchoReply, MsgFlowModAck, MsgStatsReply, MsgError:
-			if err := sw.deliver(t, p, c.cfg.Logger); err != nil {
+			if err := sw.deliver(t, p, c.set.cfg.Logger); err != nil {
 				return err
 			}
 		case MsgEchoReq:
@@ -437,7 +397,7 @@ func (c *Controller) readLoop(sw *swConn, d *decoder) error {
 			if err != nil {
 				return err
 			}
-			if err := sw.send(EchoReply{Token: m.Token}, time.Now().Add(c.cfg.RequestTimeout)); err != nil {
+			if err := sw.send(EchoReply{Token: m.Token}, time.Now().Add(c.set.cfg.RequestTimeout)); err != nil {
 				return err
 			}
 		case MsgBye:
@@ -449,7 +409,7 @@ func (c *Controller) readLoop(sw *swConn, d *decoder) error {
 			if _, err := decodeMessage(t, p); err != nil {
 				return err
 			}
-			c.cfg.Logger.Warn("controller: unexpected message", "switch", sw.name, "type", t.String())
+			c.set.cfg.Logger.Warn("controller: unexpected message", "switch", sw.name, "type", t.String())
 		}
 	}
 }
@@ -615,8 +575,8 @@ func (b *tableBuilder) build(mat *traffic.Matrix, bundles []flowmodel.Bundle) {
 		n += len(bu.Edges)
 		nN = max(nN, int(mat.Aggregate(bu.Agg).Src)+1)
 	}
-	b.links = resize(b.links, n)
-	b.start = resize(b.start, nN+1)
+	b.links = slices.Grow(b.links[:0], n)[:n]
+	b.start = slices.Grow(b.start[:0], nN+1)[:nN+1]
 	clear(b.start)
 	b.staged = b.staged[:0]
 	off := 0
@@ -635,7 +595,7 @@ func (b *tableBuilder) build(mat *traffic.Matrix, bundles []flowmodel.Bundle) {
 	// Place the rules switch by switch, each switch's in bundle order, then
 	// sort each table: the order a table built alone in bundle order sorts to.
 	b.next = append(b.next[:0], b.start[:nN]...)
-	b.rules = resize(b.rules, len(b.staged))
+	b.rules = slices.Grow(b.rules[:0], len(b.staged))[:len(b.staged)]
 	for i, r := range b.staged {
 		v := mat.Aggregate(bundles[i].Agg).Src
 		b.rules[b.next[v]] = r
@@ -735,7 +695,7 @@ func (c *Controller) Close() error {
 		switches = append(switches, sw)
 	}
 	c.mu.Unlock()
-	c.notify.broadcast()
+	c.set.notify.broadcast()
 
 	err := c.ln.Close()
 	for _, sw := range switches {

@@ -30,7 +30,7 @@ type testNet struct {
 
 // oneSeat starts a one-seat replica set, closed when the test ends, and
 // returns it with its seat.
-func oneSeat(t *testing.T, cfg ControllerConfig) (*ReplicaSet, *Controller) {
+func oneSeat(t *testing.T, cfg Config) (*ReplicaSet, *Controller) {
 	t.Helper()
 	rs, err := NewReplicaSet(1, cfg)
 	if err != nil {
@@ -40,13 +40,13 @@ func oneSeat(t *testing.T, cfg ControllerConfig) (*ReplicaSet, *Controller) {
 	return rs, rs.live(nil)[0]
 }
 
-// waitSwitches blocks until n switches are registered across rs.
+// waitSwitches blocks until rs settles with n switches homed.
 func waitSwitches(t *testing.T, rs *ReplicaSet, n int) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := rs.WaitForSwitchesCtx(ctx, n); err != nil {
-		t.Fatalf("WaitForSwitchesCtx: %v", err)
+	if err := rs.Settle(ctx, n); err != nil {
+		t.Fatalf("Settle: %v", err)
 	}
 }
 
@@ -67,7 +67,7 @@ func managedAgent(t *testing.T, rs *ReplicaSet, id uint32, name string, dp Datap
 // channel yields Serve's result.
 func bareAgent(t *testing.T, addr string, id uint32, name string, dp Datapath) (*Agent, <-chan error) {
 	t.Helper()
-	a, err := dial(addr, id, name, dp, AgentConfig{}, new(flowModFence))
+	a, err := dial(addr, id, name, dp, Config{}.withDefaults(), new(flowModFence))
 	if err != nil {
 		t.Fatalf("dial %d: %v", id, err)
 	}
@@ -82,7 +82,7 @@ func bareAgent(t *testing.T, addr string, id uint32, name string, dp Datapath) (
 // whether the want reply came, or the attempt's error.
 func seatRPC(seat *Controller, id uint32, token uint64, req Message, want MsgType) (bool, error) {
 	r := &round{targets: []rpcTarget{{c: seat, id: id, req: req, token: token, want: want}}}
-	r.run(context.Background(), 1, seat.cfg.RequestTimeout, seat.stats)
+	r.run(context.Background(), 1, seat.set)
 	return r.targets[0].ok, r.targets[0].err
 }
 
@@ -117,7 +117,7 @@ func echo(t *testing.T, seat *Controller, id uint32) {
 func startNet(t *testing.T, seed int64) *testNet {
 	t.Helper()
 	topo, truth, fabric := newTestFabric(t, seed)
-	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 5 * time.Second})
+	rs, seat := oneSeat(t, Config{RequestTimeout: 5 * time.Second})
 	for node := 0; node < topo.NumNodes(); node++ {
 		id := topology.NodeID(node)
 		managedAgent(t, rs, uint32(node), topo.NodeName(id), fabric.Datapath(id))
@@ -212,7 +212,7 @@ func TestInstallAllocationReachesFabric(t *testing.T) {
 	if _, err := n.rs.InstallAllocationDiff(context.Background(), n.truth, sol.Bundles, 1); err != nil {
 		t.Fatalf("InstallAllocationDiff: %v", err)
 	}
-	if got := n.fabric.Installs(); got != 1 {
+	if got := n.fabric.installCount(); got != 1 {
 		t.Fatalf("fabric saw %d installs, want 1", got)
 	}
 	// The installed routing must carry the FUBAR utility on the next
@@ -349,7 +349,7 @@ func TestPartialInstallStaysPending(t *testing.T) {
 	if err := dp.InstallRules(7, rules); err != nil {
 		t.Fatalf("InstallRules: %v", err)
 	}
-	if got := n.fabric.Installs(); got != 0 {
+	if got := n.fabric.installCount(); got != 0 {
 		t.Fatalf("partial rule set activated: %d installs", got)
 	}
 }
@@ -377,7 +377,7 @@ func TestPartialInstallAllocatesNothing(t *testing.T) {
 		if i == len(ids)-1 {
 			break
 		}
-		if got := fabric.Installs(); got != 0 {
+		if got := fabric.installCount(); got != 0 {
 			t.Fatalf("union activated after %d of %d tables", i+1, len(ids))
 		}
 		allocs := testing.AllocsPerRun(20, func() {
@@ -390,7 +390,7 @@ func TestPartialInstallAllocatesNothing(t *testing.T) {
 			t.Fatalf("tryActivate on %d of %d tables allocated %.1f objects, want 0", i+1, len(ids), allocs)
 		}
 	}
-	if got := fabric.Installs(); got != 1 {
+	if got := fabric.installCount(); got != 1 {
 		t.Fatalf("%d activations after the last table, want 1", got)
 	}
 	if got := fabric.AckedFlowMods(); got != len(ids) {
@@ -430,14 +430,14 @@ func TestFabricKeepsNoRuleStorage(t *testing.T) {
 			kept.set(rules)
 			want[id] = kept.rules
 		}
-		installs := fabric.Installs()
+		installs := fabric.installCount()
 		for _, id := range slices.Sorted(maps.Keys(tables)) {
 			if err := fabric.Datapath(topology.NodeID(id)).InstallRules(1, tables[id]); err != nil {
 				t.Fatalf("InstallRules(switch %d): %v", id, err)
 			}
 			scribble(tables[id])
 		}
-		if fabric.Installs() == installs {
+		if fabric.installCount() == installs {
 			t.Fatal("the allocation's tables never activated")
 		}
 		for id, rules := range want {
@@ -467,7 +467,7 @@ func TestFabricKeepsNoRuleStorage(t *testing.T) {
 // TestHelloAckAdvertisesMeasurementInterval: the interval an agent learns
 // in the handshake is the simulator's, the one owner of that value.
 func TestHelloAckAdvertisesMeasurementInterval(t *testing.T) {
-	rs, _ := oneSeat(t, ControllerConfig{})
+	rs, _ := oneSeat(t, Config{})
 	a, _ := bareAgent(t, rs.DialOrder(0)[0], 0, "sw0", nopDatapath{})
 	if want := uint32(sdnsim.MeasurementInterval / time.Millisecond); a.EpochMs != want {
 		t.Errorf("agent learned a %d ms epoch, want %d", a.EpochMs, want)
@@ -475,7 +475,7 @@ func TestHelloAckAdvertisesMeasurementInterval(t *testing.T) {
 }
 
 func TestDuplicateRegistrationReplacesOld(t *testing.T) {
-	rs, seat := oneSeat(t, ControllerConfig{})
+	rs, seat := oneSeat(t, Config{})
 	addr := rs.DialOrder(0)[0]
 	_, firstDone := bareAgent(t, addr, 0, "first", nopDatapath{})
 	waitSwitches(t, rs, 1)
@@ -495,7 +495,7 @@ func TestDuplicateRegistrationReplacesOld(t *testing.T) {
 }
 
 func TestCollectStatsNoSwitches(t *testing.T) {
-	rs, _ := oneSeat(t, ControllerConfig{})
+	rs, _ := oneSeat(t, Config{})
 	if _, err := rs.CollectStats(context.Background()); err == nil {
 		t.Fatal("CollectStats with no switches succeeded")
 	}
@@ -505,16 +505,16 @@ func TestCollectStatsNoSwitches(t *testing.T) {
 }
 
 func TestAgentDialErrors(t *testing.T) {
-	rs, seat := oneSeat(t, ControllerConfig{})
-	if _, err := NewManagedAgent(0, "x", nil, rs, AgentConfig{}); err == nil {
+	rs, seat := oneSeat(t, Config{})
+	if _, err := NewManagedAgent(0, "x", nil, rs, Config{}); err == nil {
 		t.Fatal("nil datapath accepted")
 	}
-	if _, err := NewManagedAgent(0, "x", nopDatapath{}, nil, AgentConfig{}); err == nil {
+	if _, err := NewManagedAgent(0, "x", nopDatapath{}, nil, Config{}); err == nil {
 		t.Fatal("nil dial directory accepted")
 	}
 	addr := rs.DialOrder(0)[0]
 	seat.Close()
-	if _, err := dial(addr, 0, "x", nopDatapath{}, AgentConfig{HandshakeTimeout: 500 * time.Millisecond}, new(flowModFence)); err == nil {
+	if _, err := dial(addr, 0, "x", nopDatapath{}, Config{HandshakeTimeout: 500 * time.Millisecond}.withDefaults(), new(flowModFence)); err == nil {
 		t.Fatal("dial to closed controller succeeded")
 	}
 }
@@ -528,7 +528,7 @@ func (nopDatapath) ReadCounters(*CounterBatch) error {
 }
 
 func TestStatsErrorPropagates(t *testing.T) {
-	rs, _ := oneSeat(t, ControllerConfig{RequestTimeout: 2 * time.Second})
+	rs, _ := oneSeat(t, Config{RequestTimeout: 2 * time.Second})
 	managedAgent(t, rs, 0, "n0", nopDatapath{})
 	waitSwitches(t, rs, 1)
 	if _, err := rs.CollectStats(context.Background()); err == nil {
@@ -537,7 +537,7 @@ func TestStatsErrorPropagates(t *testing.T) {
 }
 
 func TestControllerCloseIdempotent(t *testing.T) {
-	_, seat := oneSeat(t, ControllerConfig{})
+	_, seat := oneSeat(t, Config{})
 	if err := seat.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}

@@ -100,9 +100,9 @@ func (f *Fabric) RunEpoch() error {
 	return nil
 }
 
-// Installs reports how many complete rule-set installs reached the
+// installCount reports how many complete rule-set installs reached the
 // simulator.
-func (f *Fabric) Installs() int {
+func (f *Fabric) installCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.installs
@@ -235,7 +235,7 @@ func (f *Fabric) tryActivate() error {
 	for slot == f.routed || slot == f.counted {
 		slot++
 	}
-	edges := resize(f.edges[slot], links)
+	edges := slices.Grow(f.edges[slot][:0], links)[:links]
 	f.edges[slot] = edges
 	f.bundles = f.bundles[:0]
 	topo := f.sim.Topology()

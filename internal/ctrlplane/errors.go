@@ -22,7 +22,7 @@ var (
 	// replica set can tell which.
 	ErrNoSuchSwitch = errors.New("ctrlplane: switch not connected")
 	// ErrTimeout reports a request that ran out of its per-attempt
-	// deadline (ControllerConfig.RequestTimeout, bounded by the
+	// deadline (Config.RequestTimeout, bounded by the
 	// caller's context). Transient: the reply may simply be slow, so a
 	// retry with backoff is reasonable.
 	ErrTimeout = errors.New("ctrlplane: request timed out")

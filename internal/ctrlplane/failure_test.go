@@ -62,7 +62,7 @@ func awaitDeregistered(t *testing.T, seat *Controller) {
 }
 
 func TestAgentDeathFailsInFlightRequests(t *testing.T) {
-	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 10 * time.Second})
+	rs, seat := oneSeat(t, Config{RequestTimeout: 10 * time.Second})
 	dp := newSlowDatapath(&recDatapath{}, false)
 	defer dp.Release()
 	agent, _ := bareAgent(t, rs.DialOrder(3)[0], 3, "victim", dp)
@@ -99,7 +99,7 @@ func TestAgentDeathFailsInFlightRequests(t *testing.T) {
 }
 
 func TestRequestTimeout(t *testing.T) {
-	rs, _ := oneSeat(t, ControllerConfig{RequestTimeout: 200 * time.Millisecond})
+	rs, _ := oneSeat(t, Config{RequestTimeout: 200 * time.Millisecond})
 	dp := newSlowDatapath(&recDatapath{}, false)
 	defer dp.Release()
 	bareAgent(t, rs.DialOrder(1)[0], 1, "slow", dp)
@@ -130,7 +130,7 @@ func TestTornFrameMidInstallMarksSwitchDead(t *testing.T) {
 	// the switch dead, fail the pending install fast with ErrSwitchDead,
 	// deregister the switch, and leave no goroutine behind (Close's
 	// WaitGroup drain hangs this test if one leaks).
-	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 10 * time.Second})
+	rs, seat := oneSeat(t, Config{RequestTimeout: 10 * time.Second})
 
 	conn, err := net.Dial("tcp", rs.DialOrder(7)[0])
 	if err != nil {
@@ -189,25 +189,48 @@ func TestTornFrameMidInstallMarksSwitchDead(t *testing.T) {
 	}
 }
 
-func TestWaitForSwitchesCtxCancel(t *testing.T) {
-	rs, _ := oneSeat(t, ControllerConfig{})
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := rs.WaitForSwitchesCtx(ctx, 1)
-	if err == nil {
-		t.Fatal("WaitForSwitchesCtx returned without switches")
+// TestSettleCancelled: Settle on a set that has not settled ends with its
+// context — while a switch is missing, and while every switch is homed but
+// a handoff, held in the switch's install, is still in flight — and
+// returns nil once the handoff is acked.
+func TestSettleCancelled(t *testing.T) {
+	rs, _ := oneSeat(t, Config{})
+	settle := func(d time.Duration) error {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		return rs.Settle(ctx, 1)
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got: %v", err)
+	start := time.Now()
+	if err := settle(100 * time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("no switch homed: want DeadlineExceeded, got: %v", err)
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("cancellation took %v", el)
 	}
+
+	rs.tables.set(1, []Rule{{Agg: 1, Flows: 1}})
+	dp := newSlowDatapath(&recDatapath{}, true)
+	managedAgent(t, rs, 1, "sw1", dp)
+	t.Cleanup(dp.Release) // runs before the agent's Close, which waits on it
+	select {
+	case <-dp.entered: // the handoff's install is held: the switch is homed
+	case <-time.After(5 * time.Second):
+		t.Fatal("the registration handoff never reached the switch")
+	}
+	if err := settle(100 * time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("handoff in flight: want DeadlineExceeded, got: %v", err)
+	}
+	dp.Release()
+	if err := settle(5 * time.Second); err != nil {
+		t.Fatalf("Settle after the handoff: %v", err)
+	}
+	if got := rs.Stats().ResyncsAcked; got != 1 {
+		t.Fatalf("settled with %d handoffs acked, want 1", got)
+	}
 }
 
 func TestSentinelClassification(t *testing.T) {
-	_, seat := oneSeat(t, ControllerConfig{})
+	_, seat := oneSeat(t, Config{})
 	if _, err := seat.lookup(42); !errors.Is(err, ErrNoSuchSwitch) {
 		t.Fatalf("unknown switch: want ErrNoSuchSwitch, got %v", err)
 	}
@@ -224,7 +247,7 @@ func TestSentinelClassification(t *testing.T) {
 }
 
 func TestRogueClientGarbageRejected(t *testing.T) {
-	rs, _ := oneSeat(t, ControllerConfig{HandshakeTimeout: 500 * time.Millisecond})
+	rs, _ := oneSeat(t, Config{HandshakeTimeout: 500 * time.Millisecond})
 
 	// Raw TCP client spews garbage instead of a Hello.
 	conn, err := net.Dial("tcp", rs.DialOrder(0)[0])
@@ -247,7 +270,7 @@ func TestRogueClientGarbageRejected(t *testing.T) {
 }
 
 func TestRogueClientHalfFrame(t *testing.T) {
-	rs, _ := oneSeat(t, ControllerConfig{HandshakeTimeout: 300 * time.Millisecond})
+	rs, _ := oneSeat(t, Config{HandshakeTimeout: 300 * time.Millisecond})
 	conn, err := net.Dial("tcp", rs.DialOrder(0)[0])
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -270,7 +293,7 @@ func TestRogueClientHalfFrame(t *testing.T) {
 }
 
 func TestAgentReconnectAfterDrop(t *testing.T) {
-	rs, seat := oneSeat(t, ControllerConfig{})
+	rs, seat := oneSeat(t, Config{})
 	addr := rs.DialOrder(5)[0]
 
 	first, _ := bareAgent(t, addr, 5, "pop5", nopDatapath{})
@@ -285,7 +308,7 @@ func TestAgentReconnectAfterDrop(t *testing.T) {
 }
 
 func TestControllerCloseUnblocksAgents(t *testing.T) {
-	rs, seat := oneSeat(t, ControllerConfig{})
+	rs, seat := oneSeat(t, Config{})
 	_, done := bareAgent(t, rs.DialOrder(0)[0], 0, "n0", nopDatapath{})
 	waitSwitches(t, rs, 1)
 	if err := seat.Close(); err != nil {
@@ -304,7 +327,7 @@ func TestControllerCloseUnblocksAgents(t *testing.T) {
 
 func TestEchoFromAgentSide(t *testing.T) {
 	// The controller answers agent-initiated echoes (keepalives).
-	rs, _ := oneSeat(t, ControllerConfig{})
+	rs, _ := oneSeat(t, Config{})
 
 	conn, err := net.Dial("tcp", rs.DialOrder(9)[0])
 	if err != nil {
@@ -341,7 +364,7 @@ func TestEchoFromAgentSide(t *testing.T) {
 // well under 1 MiB for all sixteen; a buffer sized by the header would
 // cost 16 MiB each.
 func TestRogueHeaderCostsNoMemory(t *testing.T) {
-	rs, seat := oneSeat(t, ControllerConfig{HandshakeTimeout: 10 * time.Second})
+	rs, seat := oneSeat(t, Config{HandshakeTimeout: 10 * time.Second})
 	header := func(t MsgType) []byte {
 		return binary.BigEndian.AppendUint32([]byte{0xFB, 0xAE, wireVersion, byte(t)}, maxPayload)
 	}
@@ -398,7 +421,7 @@ func TestRogueHeaderCostsNoMemory(t *testing.T) {
 // Hello with a maxString-byte name is exactly maxHello bytes and registers,
 // and a first frame one byte longer is dropped at once.
 func TestHandshakeHelloLimitIsTight(t *testing.T) {
-	rs, _ := oneSeat(t, ControllerConfig{HandshakeTimeout: 10 * time.Second})
+	rs, _ := oneSeat(t, Config{HandshakeTimeout: 10 * time.Second})
 	longest := Hello{DatapathID: 9, NodeName: strings.Repeat("n", maxString)}
 	if n := len(longest.appendPayload(nil)); n != maxHello {
 		t.Fatalf("longest Hello payload %d bytes, want maxHello (%d)", n, maxHello)

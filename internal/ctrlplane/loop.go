@@ -27,9 +27,11 @@ func MergeStats(topo *topology.Topology, replies map[uint32]StatsReply, stats *s
 	nL := topo.NumLinks()
 	rules := stats.Rules[:0]
 	*stats = sdnsim.EpochStats{
-		LinkBytes:     append(stats.LinkBytes[:0], make([]float64, nL)...),
-		LinkCongested: append(stats.LinkCongested[:0], make([]bool, nL)...),
+		LinkBytes:     slices.Grow(stats.LinkBytes[:0], nL)[:nL],
+		LinkCongested: slices.Grow(stats.LinkCongested[:0], nL)[:nL],
 	}
+	clear(stats.LinkBytes)
+	clear(stats.LinkCongested)
 	for _, id := range ids {
 		r := replies[id]
 		if int(r.Epoch) > stats.Epoch {

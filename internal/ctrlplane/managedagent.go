@@ -26,23 +26,23 @@ const failsafeGenerationBase = uint64(3) << 62
 // ManagedAgent is the fail-safe agent: it owns the connect→serve→redial
 // lifecycle of its Agent connections. It dials the directory's addresses
 // in order, serves until the connection dies, and redials with jittered
-// exponential backoff. While orphaned — no
-// controller reachable — it enforces the rule lease: once the lease
-// (controller-advertised, or AgentConfig.RuleLease) elapses without
-// contact, the installed table expires under AgentConfig.FailAction
-// (fail-static keeps it, fail-closed wipes it). The FlowMod fence — the
-// election-epoch floor and the last FlowMod applied — persists across
-// reconnects, so a deposed replica can never roll the table back after
-// failover, and an install re-sent to a reconnected agent is applied once.
+// exponential backoff. While orphaned — no controller reachable — it
+// enforces the rule lease its last controller advertised (HelloAck.LeaseMs,
+// the set's Config.RuleLease; the agent has none of its own): once it
+// elapses without contact, the installed table expires under
+// Config.FailAction (fail-static keeps it, fail-closed wipes it). The
+// FlowMod fence — the election-epoch floor and the last FlowMod applied —
+// persists across reconnects, so a deposed replica can never roll the
+// table back after failover, and an install re-sent to a reconnected
+// agent is applied once.
 type ManagedAgent struct {
-	cfg  AgentConfig
+	cfg  Config
 	id   uint32
 	name string
 	dir  DialDirectory
 	dp   Datapath
 
 	fence       flowModFence
-	leaseMs     atomic.Uint32 // last controller-advertised lease
 	failsafeGen atomic.Uint64
 
 	// connects counts successful controller handshakes (reconnects
@@ -69,13 +69,13 @@ type ManagedAgent struct {
 // NewManagedAgent starts a managed agent; its connect loop runs until
 // Close. The datapath keeps whatever table it held before the first
 // successful install.
-func NewManagedAgent(datapathID uint32, nodeName string, dp Datapath, dir DialDirectory, cfg AgentConfig) (*ManagedAgent, error) {
+func NewManagedAgent(datapathID uint32, nodeName string, dp Datapath, dir DialDirectory, cfg Config) (*ManagedAgent, error) {
 	return newManagedAgentClock(datapathID, nodeName, dp, dir, cfg, time.Now, time.After)
 }
 
 // newManagedAgentClock is NewManagedAgent with an injected clock, for
 // deterministic backoff and lease tests.
-func newManagedAgentClock(datapathID uint32, nodeName string, dp Datapath, dir DialDirectory, cfg AgentConfig,
+func newManagedAgentClock(datapathID uint32, nodeName string, dp Datapath, dir DialDirectory, cfg Config,
 	now func() time.Time, after func(time.Duration) <-chan time.Time) (*ManagedAgent, error) {
 	if dp == nil {
 		return nil, fmt.Errorf("ctrlplane: nil datapath")
@@ -106,6 +106,7 @@ func (ma *ManagedAgent) run() {
 	rng := rand.New(rand.NewPCG(uint64(ma.id), 0x9e3779b97f4a7c15))
 	backoff := reconnectBase
 	lastContact := ma.now()
+	var lease time.Duration // the last controller's
 	expired := false
 	for {
 		if ma.isClosed() {
@@ -114,6 +115,7 @@ func (ma *ManagedAgent) run() {
 		agent, err := ma.dialAny()
 		if err == nil {
 			backoff = reconnectBase
+			lease = time.Duration(agent.LeaseMs) * time.Millisecond
 			expired = false
 			ma.setCurrent(agent)
 			ma.connects.Add(1)
@@ -124,7 +126,7 @@ func (ma *ManagedAgent) run() {
 			continue // lost the controller: first redial is immediate
 		}
 		ma.redials.Add(1)
-		if lease := ma.lease(); !expired && lease > 0 && ma.now().Sub(lastContact) > lease {
+		if !expired && lease > 0 && ma.now().Sub(lastContact) > lease {
 			expired = true
 			ma.expireTable()
 		}
@@ -149,7 +151,6 @@ func (ma *ManagedAgent) dialAny() (*Agent, error) {
 	for _, addr := range addrs {
 		a, err := dial(addr, ma.id, ma.name, ma.dp, ma.cfg, &ma.fence)
 		if err == nil {
-			ma.leaseMs.Store(a.LeaseMs)
 			return a, nil
 		}
 		if firstErr == nil {
@@ -160,15 +161,6 @@ func (ma *ManagedAgent) dialAny() (*Agent, error) {
 		firstErr = fmt.Errorf("ctrlplane: no controller addresses for switch %d", ma.id)
 	}
 	return nil, firstErr
-}
-
-// lease returns the effective rule lease: the controller-advertised
-// value if any, else the local config.
-func (ma *ManagedAgent) lease() time.Duration {
-	if ms := ma.leaseMs.Load(); ms > 0 {
-		return time.Duration(ms) * time.Millisecond
-	}
-	return ma.cfg.RuleLease
 }
 
 // expireTable applies the fail-safe policy to the installed table, the
@@ -217,9 +209,9 @@ func (ma *ManagedAgent) isClosed() bool {
 	return ma.closed
 }
 
-// Connected reports whether the agent currently holds a live controller
+// connected reports whether the agent currently holds a live controller
 // connection.
-func (ma *ManagedAgent) Connected() bool {
+func (ma *ManagedAgent) connected() bool {
 	ma.mu.Lock()
 	defer ma.mu.Unlock()
 	return ma.cur != nil

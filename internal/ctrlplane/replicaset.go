@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -38,9 +39,10 @@ type replicaSlot struct {
 	addr string      // listen address of the current (or last) controller
 }
 
-// ReplicaSet is a fixed-size set of controller replicas sharing one
-// differential-install cache, election epoch, and HA counters. Switch
-// ownership is sharded deterministically by rendezvous hashing over
+// ReplicaSet is a fixed-size set of controller replicas and the state
+// they share: one differential-install cache, election epoch, set of HA
+// counters and notify signal, which every seat reads through its set.
+// Switch ownership is sharded deterministically by rendezvous hashing over
 // (seat, datapath ID): the set's DialOrder ranks seats per switch, each
 // agent homes on the first live seat in its order, and an install or
 // stats round writes to every switch homed on a live replica, each over
@@ -51,14 +53,20 @@ type replicaSlot struct {
 // single-controller deployment: the set is the only way the package
 // drives switches.
 type ReplicaSet struct {
-	cfg    ControllerConfig
-	tables *tableCache
-	epoch  *atomic.Uint64
-	stats  *haStats
-	notify *signal
+	cfg    Config
+	tables tableCache
+	epoch  atomic.Uint64 // election epoch stamped on FlowMods
+	notify signal        // registration and resync state changes
 
-	failovers atomic.Int64
+	// The HA counters HAStats snapshots, and the handoffs still awaiting
+	// their ack, which Settle waits out.
+	failovers      atomic.Int64
+	retries        atomic.Int64
+	resyncsAcked   atomic.Int64
+	resyncInflight atomic.Int64
 
+	// mu guards the seats; a seat's own lock is taken under it, never the
+	// other way round.
 	mu    sync.Mutex
 	slots []replicaSlot
 	spare *round // the last finished round's storage, for the next to refill
@@ -66,16 +74,14 @@ type ReplicaSet struct {
 
 // NewReplicaSet listens n controller replicas on loopback ephemeral
 // ports.
-func NewReplicaSet(n int, cfg ControllerConfig) (*ReplicaSet, error) {
+func NewReplicaSet(n int, cfg Config) (*ReplicaSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ctrlplane: replica set needs n >= 1, got %d", n)
 	}
 	rs := &ReplicaSet{
 		cfg:    cfg.withDefaults(),
-		tables: newTableCache(),
-		epoch:  new(atomic.Uint64),
-		stats:  &haStats{},
-		notify: newSignal(),
+		tables: tableCache{tables: make(map[uint32]*cachedTable)},
+		notify: signal{ch: make(chan struct{})},
 		slots:  make([]replicaSlot, n),
 	}
 	for i := range rs.slots {
@@ -89,9 +95,21 @@ func NewReplicaSet(n int, cfg ControllerConfig) (*ReplicaSet, error) {
 	return rs, nil
 }
 
-// listenSeat starts a controller for seat i with the shared state.
+// listenSeat starts seat i's controller on a loopback ephemeral port.
 func (rs *ReplicaSet) listenSeat(i int) (*Controller, error) {
-	return listen("127.0.0.1:0", fmt.Sprintf("%s-%d", controllerName, i), rs.cfg, rs.tables, rs.epoch, rs.stats, rs.notify)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("ctrlplane: listen: %w", err)
+	}
+	c := &Controller{
+		name:     fmt.Sprintf("%s-%d", controllerName, i),
+		set:      rs,
+		ln:       ln,
+		switches: make(map[uint32]*swConn),
+	}
+	c.wg.Add(1)
+	go c.acceptLoop()
+	return c, nil
 }
 
 // Size returns the number of seats (live or not).
@@ -122,8 +140,8 @@ func (rs *ReplicaSet) Epoch() uint64 { return rs.epoch.Load() }
 func (rs *ReplicaSet) Stats() HAStats {
 	return HAStats{
 		Failovers:    rs.failovers.Load(),
-		RPCRetries:   rs.stats.retries.Load(),
-		ResyncsAcked: rs.stats.resyncsAcked.Load(),
+		RPCRetries:   rs.retries.Load(),
+		ResyncsAcked: rs.resyncsAcked.Load(),
 	}
 }
 
@@ -263,46 +281,40 @@ func (rs *ReplicaSet) Recover(i int) error {
 
 // SwitchCount sums registered switches across live replicas.
 func (rs *ReplicaSet) SwitchCount() int {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	n := 0
-	for _, c := range rs.live(nil) {
-		n += c.SwitchCount()
+	for _, s := range rs.slots {
+		if s.ctrl != nil {
+			n += s.ctrl.SwitchCount()
+		}
 	}
 	return n
 }
 
-// WaitForSwitchesCtx blocks until n switches are registered across the
-// set, every live seat is accepting, or ctx is done.
-func (rs *ReplicaSet) WaitForSwitchesCtx(ctx context.Context, n int) error {
+// Settle blocks until switches switches are homed on live seats and no
+// rule-table handoff is in flight anywhere in the set, or ctx is done. A
+// closed-loop driver calls it before reconciling wire counts against the
+// fabric ledger, so resync FlowMods are fully settled rather than racing
+// the check. Both conditions are read after taking the notify channel, the
+// switches first: a handoff counts as in flight before its switch is
+// visible, so a switch seen homed has its handoff seen too. A set already
+// settled returns nil at once, whatever ctx's state, and allocates
+// nothing.
+func (rs *ReplicaSet) Settle(ctx context.Context, switches int) error {
 	for {
 		ch := rs.notify.wait()
 		got := rs.SwitchCount()
-		if got >= n {
+		inflight := rs.resyncInflight.Load()
+		if got >= switches && inflight == 0 {
 			return nil
 		}
 		if rs.LiveReplicas() == 0 {
-			return fmt.Errorf("%w: %d/%d switches", ErrClosed, got, n)
+			return fmt.Errorf("%w: %d/%d switches", ErrClosed, got, switches)
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("ctrlplane: %d/%d switches: %w", got, n, ctx.Err())
-		case <-ch:
-		}
-	}
-}
-
-// QuiesceResyncs blocks until no rule-table handoff is in flight
-// anywhere in the set. A closed-loop driver calls this before
-// reconciling wire counts against the fabric ledger, so resync
-// FlowMods are fully settled rather than racing the check.
-func (rs *ReplicaSet) QuiesceResyncs(ctx context.Context) error {
-	for {
-		ch := rs.notify.wait()
-		if rs.stats.resyncInflight.Load() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("ctrlplane: resyncs still in flight: %w", ctx.Err())
+			return fmt.Errorf("ctrlplane: %d/%d switches, %d handoffs in flight: %w", got, switches, inflight, ctx.Err())
 		case <-ch:
 		}
 	}
@@ -331,7 +343,7 @@ func (rs *ReplicaSet) InstallAllocationDiff(ctx context.Context, mat *traffic.Ma
 		t.mod = FlowMod{Generation: generation, Epoch: epoch, Rules: r.tables.table(t.id)}
 		t.req = &t.mod
 	}
-	if err := r.run(ctx, retryAttempts, rs.cfg.RequestTimeout, rs.stats); err != nil {
+	if err := r.run(ctx, retryAttempts, rs); err != nil {
 		errs = append(errs, err)
 	}
 	out := InstallOutcome{Generation: generation, Targeted: homed, FlowMods: len(r.targets)}
@@ -368,7 +380,7 @@ func (rs *ReplicaSet) CollectStats(ctx context.Context) (map[uint32]StatsReply, 
 		t.poll = StatsReq{Token: t.token}
 		t.req = &t.poll
 	}
-	if err := r.run(ctx, retryAttempts, rs.cfg.RequestTimeout, rs.stats); err != nil {
+	if err := r.run(ctx, retryAttempts, rs); err != nil {
 		errs = append(errs, err)
 	}
 	if r.replies == nil {
@@ -486,14 +498,15 @@ type rpcTarget struct {
 // request — stats polls, installs, resyncs — goes through it. A pass
 // writes every open target's request back to back, then collects the
 // replies off one channel, matched by connection and token, under one
-// deadline: timeout, or ctx's when that is tighter. Targets whose attempt
-// failed retryably go again together as a further pass after the
-// backoff, for at most attempts passes; each retried target counts once
-// in stats.retries. A reply, a final error or a dead ctx ends a target's
+// deadline: rs's RequestTimeout, or ctx's when that is tighter. Targets
+// whose attempt failed retryably go again together as a further pass
+// after the backoff, for at most attempts passes; each retried target
+// counts once in rs.retries. A reply, a final error or a dead ctx ends a target's
 // part of the round. The round starts no goroutine, and arms the one timer
 // and channel r keeps. It returns the error of every target left
 // unanswered, naming its switch.
-func (r *round) run(ctx context.Context, attempts int, timeout time.Duration, stats *haStats) error {
+func (r *round) run(ctx context.Context, attempts int, rs *ReplicaSet) error {
+	timeout := rs.cfg.RequestTimeout
 	targets := r.targets
 	for i := range targets {
 		t := &targets[i]
@@ -521,7 +534,7 @@ round:
 		if retry == 0 || attempt >= attempts || ctx.Err() != nil {
 			break
 		}
-		stats.retries.Add(int64(retry))
+		rs.retries.Add(int64(retry))
 		// Reset never leaves a stale expiry in timer.C (Go ≥ 1.23 timers).
 		r.timer.Reset(backoff)
 		select {

@@ -45,8 +45,8 @@ func (d *recDatapath) installCount() int {
 
 // fastAgentCfg bounds the handshake at a second so a failover test that
 // dials a dying seat moves on quickly.
-func fastAgentCfg() AgentConfig {
-	return AgentConfig{HandshakeTimeout: time.Second}
+func fastAgentCfg() Config {
+	return Config{HandshakeTimeout: time.Second}
 }
 
 func waitCond(t *testing.T, what string, cond func() bool) {
@@ -61,7 +61,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 }
 
 func TestReplicaSetShardingAndDialOrder(t *testing.T) {
-	rs, err := NewReplicaSet(3, ControllerConfig{})
+	rs, err := NewReplicaSet(3, Config{})
 	if err != nil {
 		t.Fatalf("NewReplicaSet: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestReplicaSetShardingAndDialOrder(t *testing.T) {
 }
 
 func TestReplicaSetFailoverResyncsOrphans(t *testing.T) {
-	rs, err := NewReplicaSet(3, ControllerConfig{RequestTimeout: 5 * time.Second})
+	rs, err := NewReplicaSet(3, Config{RequestTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("NewReplicaSet: %v", err)
 	}
@@ -106,11 +106,7 @@ func TestReplicaSetFailoverResyncsOrphans(t *testing.T) {
 		}
 		defer ma.Close()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := rs.WaitForSwitchesCtx(ctx, nSwitches); err != nil {
-		t.Fatalf("WaitForSwitchesCtx: %v", err)
-	}
+	waitSwitches(t, rs, nSwitches)
 
 	// Hand every switch a cached table, as if a previous install pushed
 	// it, then kill a seat that owns at least one switch.
@@ -145,12 +141,7 @@ func TestReplicaSetFailoverResyncsOrphans(t *testing.T) {
 
 	// Orphans re-home onto survivors and get their tables resynced from
 	// the shared cache — the verified handoff.
-	waitCond(t, "orphans to re-home", func() bool { return rs.SwitchCount() == nSwitches })
-	qctx, qcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer qcancel()
-	if err := rs.QuiesceResyncs(qctx); err != nil {
-		t.Fatalf("QuiesceResyncs: %v", err)
-	}
+	waitSwitches(t, rs, nSwitches)
 	for _, id := range orphans {
 		waitCond(t, "resync to land", func() bool {
 			return reflect.DeepEqual(dps[id].table(), want[id])
@@ -179,37 +170,56 @@ func TestReplicaSetFailoverResyncsOrphans(t *testing.T) {
 
 // TestReplicaSetResyncCountedBeforeRegistration: a switch re-registering
 // with a cached table has its handoff counted in flight before it is
-// visible, so once every switch is homed and QuiesceResyncs returns — a
-// closed loop's settle — the table has landed. Registration is held on
+// visible, so once Settle sees every switch homed and no handoff in
+// flight — a closed loop's settle — the table has landed. Registration is held on
 // the seat's lock to open the window deterministically.
 func TestReplicaSetResyncCountedBeforeRegistration(t *testing.T) {
-	rs, seat := oneSeat(t, ControllerConfig{})
+	rs, seat := oneSeat(t, Config{})
 	rs.tables.set(3, []Rule{{Agg: 3, Flows: 1}})
 	dp := &recDatapath{}
 	seat.mu.Lock()
 	managedAgent(t, rs, 3, "sw3", dp)
 	deadline := time.Now().Add(2 * time.Second)
-	for rs.stats.resyncInflight.Load() == 0 && time.Now().Before(deadline) {
+	for rs.resyncInflight.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	inflight, visible := rs.stats.resyncInflight.Load(), len(seat.switches)
+	inflight, visible := rs.resyncInflight.Load(), len(seat.switches)
 	seat.mu.Unlock()
 	if inflight != 1 || visible != 0 {
 		t.Fatalf("before registration: %d handoffs in flight, %d switches visible; want 1 and 0", inflight, visible)
 	}
 	waitSwitches(t, rs, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := rs.QuiesceResyncs(ctx); err != nil {
-		t.Fatalf("QuiesceResyncs: %v", err)
-	}
 	if got := dp.installCount(); got != 1 {
 		t.Fatalf("settled with %d handoff installs on the switch, want 1", got)
 	}
 }
 
+// TestSettleAllocatesNothing: Settle on a settled set — the closed loop's
+// every warm epoch — returns at once and allocates nothing.
+func TestSettleAllocatesNothing(t *testing.T) {
+	rs, err := NewReplicaSet(3, Config{})
+	if err != nil {
+		t.Fatalf("NewReplicaSet: %v", err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	const n = 6
+	for id := uint32(0); id < n; id++ {
+		managedAgent(t, rs, id, "sw", &recDatapath{})
+	}
+	waitSwitches(t, rs, n)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := rs.Settle(ctx, n); err != nil {
+			t.Fatalf("Settle: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Settle on a settled set: %v allocs, want 0", allocs)
+	}
+}
+
 func TestReplicaSetRefusesFailingLastReplica(t *testing.T) {
-	rs, err := NewReplicaSet(2, ControllerConfig{})
+	rs, err := NewReplicaSet(2, Config{})
 	if err != nil {
 		t.Fatalf("NewReplicaSet: %v", err)
 	}
@@ -237,14 +247,16 @@ func TestManagedAgentLeaseExpiry(t *testing.T) {
 		{FailClosed, true},
 	} {
 		t.Run(tc.policy.String(), func(t *testing.T) {
-			rs, err := NewReplicaSet(1, ControllerConfig{})
+			// The lease is the controller's: the agent applies the one
+			// its HelloAck advertises.
+			cfg := fastAgentCfg()
+			cfg.RuleLease = 75 * time.Millisecond
+			cfg.FailAction = tc.policy
+			rs, err := NewReplicaSet(1, cfg)
 			if err != nil {
 				t.Fatalf("NewReplicaSet: %v", err)
 			}
 			dp := &recDatapath{}
-			cfg := fastAgentCfg()
-			cfg.RuleLease = 75 * time.Millisecond
-			cfg.FailAction = tc.policy
 			ma, err := NewManagedAgent(4, "sw4", dp, rs, cfg)
 			if err != nil {
 				t.Fatalf("NewManagedAgent: %v", err)
@@ -255,11 +267,7 @@ func TestManagedAgentLeaseExpiry(t *testing.T) {
 			// resync installs the table, standing in for a real install.
 			rules := []Rule{{Agg: 4, Flows: 1, Links: []uint32{9}}}
 			rs.tables.set(4, rules)
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := rs.WaitForSwitchesCtx(ctx, 1); err != nil {
-				t.Fatalf("WaitForSwitchesCtx: %v", err)
-			}
+			waitSwitches(t, rs, 1)
 			waitCond(t, "resync install", func() bool { return len(dp.table()) == 1 })
 
 			// Kill the whole control plane: the lease must expire under
@@ -273,7 +281,7 @@ func TestManagedAgentLeaseExpiry(t *testing.T) {
 				t.Fatalf("policy %v: table wiped=%v, want %v (table %v)",
 					tc.policy, wiped, tc.wantWiped, dp.table())
 			}
-			if ma.Connected() {
+			if ma.connected() {
 				t.Fatal("agent claims to be connected to a dead control plane")
 			}
 		})
@@ -294,7 +302,7 @@ func TestExpireTableCountsTheLastAppliedFlowMod(t *testing.T) {
 	} {
 		t.Run(tc.policy.String(), func(t *testing.T) {
 			dp := &recDatapath{}
-			ma := &ManagedAgent{cfg: AgentConfig{FailAction: tc.policy}.withDefaults(), name: "sw1", dp: dp}
+			ma := &ManagedAgent{cfg: Config{FailAction: tc.policy}.withDefaults(), name: "sw1", dp: dp}
 			for i, want := range tc.wantRules {
 				if i == 1 {
 					ma.fence.applied = true
@@ -319,7 +327,7 @@ func TestExpireTableCountsTheLastAppliedFlowMod(t *testing.T) {
 }
 
 func TestManagedAgentReconnectsWithBackoff(t *testing.T) {
-	rs, err := NewReplicaSet(1, ControllerConfig{})
+	rs, err := NewReplicaSet(1, Config{})
 	if err != nil {
 		t.Fatalf("NewReplicaSet: %v", err)
 	}
@@ -351,7 +359,7 @@ func TestManagedAgentReconnectsWithBackoff(t *testing.T) {
 }
 
 func TestAgentRejectsStaleEpoch(t *testing.T) {
-	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: 2 * time.Second})
+	rs, seat := oneSeat(t, Config{RequestTimeout: 2 * time.Second})
 	managedAgent(t, rs, 0, "sw0", &recDatapath{})
 	waitSwitches(t, rs, 1)
 	if _, err := seat.lookup(0); err != nil {

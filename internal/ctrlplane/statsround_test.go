@@ -20,7 +20,7 @@ import (
 // loopback, every switch on a recDatapath, switch stalled's (if in range)
 // behind a slowDatapath holding its installs (onInstall) or its stats
 // polls. The slowDatapath is released before the agents close.
-func statsNet(t *testing.T, seats, n int, stalled uint32, onInstall bool, cfg ControllerConfig) (*ReplicaSet, map[uint32]*ManagedAgent, *slowDatapath) {
+func statsNet(t *testing.T, seats, n int, stalled uint32, onInstall bool, cfg Config) (*ReplicaSet, map[uint32]*ManagedAgent, *slowDatapath) {
 	t.Helper()
 	rs, err := NewReplicaSet(seats, cfg)
 	if err != nil {
@@ -62,7 +62,7 @@ func pendingTokens(rs *ReplicaSet) int {
 // goroutine per seat or per switch while it waits.
 func TestStatsRoundStalledSwitch(t *testing.T) {
 	const n, stalled = 6, 5
-	rs, _, slow := statsNet(t, 3, n, stalled, false, ControllerConfig{RequestTimeout: 100 * time.Millisecond})
+	rs, _, slow := statsNet(t, 3, n, stalled, false, Config{RequestTimeout: 100 * time.Millisecond})
 	before := runtime.NumGoroutine()
 	retries := rs.Stats().RPCRetries
 
@@ -102,7 +102,7 @@ func TestStatsRoundStalledSwitch(t *testing.T) {
 // returns the context's error at once, retries nothing, and withdraws the
 // request still in flight from its connection.
 func TestStatsRoundCancelled(t *testing.T) {
-	rs, _, slow := statsNet(t, 3, 6, 2, false, ControllerConfig{RequestTimeout: 10 * time.Second})
+	rs, _, slow := statsNet(t, 3, 6, 2, false, Config{RequestTimeout: 10 * time.Second})
 	retries := rs.Stats().RPCRetries
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -146,7 +146,7 @@ func TestStatsRoundCancelled(t *testing.T) {
 // pass re-resolves it, finds it deregistered and ends on ErrNoSuchSwitch.
 func TestStatsRoundDeregistered(t *testing.T) {
 	const gone = 1
-	rs, agents, slow := statsNet(t, 3, 3, gone, false, ControllerConfig{RequestTimeout: 10 * time.Second})
+	rs, agents, slow := statsNet(t, 3, 3, gone, false, Config{RequestTimeout: 10 * time.Second})
 	retries := rs.Stats().RPCRetries
 	done := make(chan error, 1)
 	go func() {
@@ -201,7 +201,7 @@ func ingressBundles(mat *traffic.Matrix) []flowmodel.Bundle {
 // per switch while it waits.
 func TestInstallRoundStalledSwitch(t *testing.T) {
 	const n, stalled = 6, 5
-	rs, _, slow := statsNet(t, 3, n, stalled, true, ControllerConfig{RequestTimeout: 100 * time.Millisecond})
+	rs, _, slow := statsNet(t, 3, n, stalled, true, Config{RequestTimeout: 100 * time.Millisecond})
 	_, truth, _ := newTestFabric(t, 1)
 	bundles := ingressBundles(truth)
 	rs.tables.set(stalled, []Rule{{Agg: 0, Flows: 1}}) // the entry the failed install must drop
@@ -252,7 +252,7 @@ func TestInstallRoundStalledSwitch(t *testing.T) {
 // stalled switch uncached and withdraws the FlowMod still in flight.
 func TestInstallRoundCancelled(t *testing.T) {
 	const stalled = 2
-	rs, _, slow := statsNet(t, 3, 6, stalled, true, ControllerConfig{RequestTimeout: 10 * time.Second})
+	rs, _, slow := statsNet(t, 3, 6, stalled, true, Config{RequestTimeout: 10 * time.Second})
 	_, truth, _ := newTestFabric(t, 1)
 	retries := rs.Stats().RPCRetries
 	ctx, cancel := context.WithCancel(context.Background())
@@ -299,7 +299,7 @@ func TestInstallRoundCancelled(t *testing.T) {
 func TestInstallRetryAppliesOnce(t *testing.T) {
 	const slowID = 2
 	topo, truth, fabric := newTestFabric(t, 1)
-	rs, _ := oneSeat(t, ControllerConfig{RequestTimeout: 100 * time.Millisecond})
+	rs, _ := oneSeat(t, Config{RequestTimeout: 100 * time.Millisecond})
 	slow := newSlowDatapath(fabric.Datapath(slowID), true)
 	for node := 0; node < topo.NumNodes(); node++ {
 		id := topology.NodeID(node)
@@ -342,7 +342,7 @@ func TestInstallRetryAppliesOnce(t *testing.T) {
 // six managed agents on loopback: ns/op is ns/round, allocs/op the heap
 // objects a round costs the controller and the agents together.
 func BenchmarkStatsRound(b *testing.B) {
-	rs, err := NewReplicaSet(3, ControllerConfig{})
+	rs, err := NewReplicaSet(3, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func BenchmarkStatsRound(b *testing.B) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := rs.WaitForSwitchesCtx(ctx, 6); err != nil {
+	if err := rs.Settle(ctx, 6); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -379,7 +379,7 @@ func BenchmarkStatsRound(b *testing.B) {
 // and under -race a decode into recycled storage is a reported race.
 func TestStragglerCannotWriteRecycledTarget(t *testing.T) {
 	const timeout = 4 * time.Millisecond
-	rs, seat := oneSeat(t, ControllerConfig{RequestTimeout: timeout})
+	rs, seat := oneSeat(t, Config{RequestTimeout: timeout})
 	conn, err := net.Dial("tcp", rs.DialOrder(1)[0])
 	if err != nil {
 		t.Fatalf("dial: %v", err)

@@ -128,7 +128,7 @@ type HelloAck struct {
 	// LeaseMs advertises the rule hard-timeout: how long an agent may
 	// keep forwarding on its installed table after losing all
 	// controller contact before it must apply its fail-safe policy
-	// (AgentConfig.FailPolicy). 0 means no lease — rules never expire.
+	// (Config.FailAction). 0 means no lease — rules never expire.
 	LeaseMs uint32
 }
 
@@ -353,7 +353,7 @@ func (r *reader) u32Slice(what string, limit int, dst []uint32) []uint32 {
 		r.fail(what)
 		return dst[:0]
 	}
-	out := resize(dst, n)
+	out := slices.Grow(dst[:0], n)[:n]
 	for i := range out {
 		out[i] = r.u32(what)
 	}
@@ -612,7 +612,7 @@ func (d *decoder) next(limit uint32) (MsgType, []byte, error) {
 // nothing after it costs a few hundred bytes, not 16 MiB.
 func (d *decoder) payload(n int) ([]byte, error) {
 	if n <= max(cap(d.buf), payloadStep) {
-		d.buf = resize(d.buf, n)
+		d.buf = slices.Grow(d.buf[:0], n)[:n]
 		_, err := io.ReadFull(d.r, d.buf)
 		return d.buf, err
 	}
@@ -681,13 +681,4 @@ func retm[M Message](m M, err error) (Message, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// resize returns s at length n, reusing its storage when it has room.
-// Contents are unspecified: the caller rewrites every element.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }

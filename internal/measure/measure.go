@@ -10,6 +10,7 @@ package measure
 
 import (
 	"fmt"
+	"slices"
 
 	"fubar/internal/sdnsim"
 	"fubar/internal/topology"
@@ -78,7 +79,8 @@ func NewEstimator(keys []AggregateKey) *Estimator {
 func (e *Estimator) Reset(mat *traffic.Matrix) {
 	e.Alpha = defaultAlpha
 	e.keys = appendKeys(e.keys[:0], mat)
-	e.state = append(e.state[:0], make([]aggEstimate, len(e.keys))...)
+	e.state = slices.Grow(e.state[:0], len(e.keys))[:len(e.keys)]
+	clear(e.state)
 }
 
 // KeysFromMatrix extracts estimator keys from a matrix (the controller
@@ -110,8 +112,9 @@ func (e *Estimator) Observe(stats *sdnsim.EpochStats) error {
 	}
 	// Aggregate per-aggregate: total bytes, flows, and whether every rule
 	// carrying it was uncongested.
-	e.accs = append(e.accs[:0], make([]aggObservation, len(e.keys))...)
+	e.accs = slices.Grow(e.accs[:0], len(e.keys))[:len(e.keys)]
 	accs := e.accs
+	clear(accs)
 	for _, r := range stats.Rules {
 		if int(r.Agg) < 0 || int(r.Agg) >= len(accs) {
 			return fmt.Errorf("measure: rule references unknown aggregate %d", r.Agg)
@@ -186,8 +189,9 @@ func RebuildMatrix(m *traffic.Matrix, e *Estimator, topo *topology.Topology) err
 // build rebuilds m into the estimate, appending the rescaled bandwidth
 // curves' vertices to pts, which it returns grown.
 func (e *Estimator) build(m *traffic.Matrix, pts []utility.Point, topo *topology.Topology) ([]utility.Point, error) {
-	e.aggs = append(e.aggs[:0], make([]traffic.Aggregate, len(e.keys))...)
+	e.aggs = slices.Grow(e.aggs[:0], len(e.keys))[:len(e.keys)]
 	aggs := e.aggs
+	clear(aggs)
 	for i, k := range e.keys {
 		st := e.state[i]
 		if st.epochs == 0 {

@@ -88,9 +88,11 @@ type keyLoad struct {
 func (p *Planner) Plan(topo *topology.Topology, old, next []ReservedPath) TransitionStats {
 	o, n := p.keyLoads(0, old), p.keyLoads(1, next)
 	nL := topo.NumLinks()
-	p.transient = append(p.transient[:0], make([]float64, nL)...)
-	p.steady = append(p.steady[:0], make([]float64, nL)...)
+	p.transient = slices.Grow(p.transient[:0], nL)[:nL]
+	p.steady = slices.Grow(p.steady[:0], nL)[:nL]
 	transient, steady := p.transient, p.steady
+	clear(transient)
+	clear(steady)
 	// Merge the two (key, link)-sorted lists. Each (key, link) adds once
 	// to its link, in ascending key order, so the float sums do not
 	// depend on the order the reservations came in. A session's common

@@ -48,41 +48,28 @@ type ControlPlane struct {
 	generation uint64
 	ackedBase  int // fabric AckedFlowMods watermark
 
-	// Watermarks over the replica set's cumulative HA counters, so
-	// settle() can attribute each epoch's unsolicited fabric acks
-	// (resyncs, fail-closed wipes) and report per-epoch deltas.
-	resyncBase   int64
-	failoverBase int64
-	retryBase    int64
-	expiryBase   int64
-	expRuleBase  int64
+	// last is the ledger settle took last, which it diffs the next one
+	// against: it attributes each epoch's unsolicited fabric acks
+	// (resyncs, fail-closed wipes) and reports per-epoch deltas.
+	last ledger
 }
 
-// AckedFlowMods returns the fabric's cumulative acked-FlowMod ledger —
-// the switches' own count of installs they applied and acknowledged,
-// which the install path cross-checks every wire push against.
-// TestDaemonTwoConcurrentTenants and benchmark/replay.go check the same
-// equality from outside, on the fubar_ctrlplane_* counters and the epoch
-// rows.
-func (cp *ControlPlane) AckedFlowMods() int { return cp.fabric.AckedFlowMods() }
-
-// ExpiredRules sums the rules caught in agent lease expiries across all
-// switches since the control plane started.
-func (cp *ControlPlane) ExpiredRules() int64 {
-	var n int64
-	for _, a := range cp.agents {
-		n += a.ExpiredRules()
-	}
-	return n
+// ledger is what a settle reads of the control plane's cumulative
+// counters: the replica set's HA counters and the agents' lease expiries
+// and the rules they caught, summed over the switches.
+type ledger struct {
+	ha                     ctrlplane.HAStats
+	expiries, expiredRules int64
 }
 
-// expiries sums agent lease-expiry events.
-func (cp *ControlPlane) expiries() int64 {
-	var n int64
+// ledger reads the control plane's cumulative counters.
+func (cp *ControlPlane) ledger() ledger {
+	l := ledger{ha: cp.rs.Stats()}
 	for _, a := range cp.agents {
-		n += a.Expiries()
+		l.expiries += a.Expiries()
+		l.expiredRules += a.ExpiredRules()
 	}
-	return n
+	return l
 }
 
 // NewControlPlane starts a control plane over topo: opts.Replicas
@@ -100,11 +87,13 @@ func NewControlPlane(topo *topology.Topology, mat *traffic.Matrix, opts Options)
 		return nil, err
 	}
 	fabric := ctrlplane.NewFabric(simBase)
-	rs, err := ctrlplane.NewReplicaSet(opts.Replicas, ctrlplane.ControllerConfig{
+	cfg := ctrlplane.Config{
 		RuleLease:      opts.RuleLease,
+		FailAction:     opts.LeasePolicy,
 		RequestTimeout: 30 * time.Second,
 		Logger:         opts.Logger,
-	})
+	}
+	rs, err := ctrlplane.NewReplicaSet(opts.Replicas, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -117,11 +106,7 @@ func NewControlPlane(topo *topology.Topology, mat *traffic.Matrix, opts Options)
 	}
 	for node := 0; node < topo.NumNodes(); node++ {
 		agent, err := ctrlplane.NewManagedAgent(uint32(node), topo.NodeName(topology.NodeID(node)),
-			fabric.Datapath(topology.NodeID(node)), rs, ctrlplane.AgentConfig{
-				RuleLease:  opts.RuleLease,
-				FailAction: opts.LeasePolicy,
-				Logger:     opts.Logger,
-			})
+			fabric.Datapath(topology.NodeID(node)), rs, cfg)
 		if err != nil {
 			cp.Close()
 			return nil, fmt.Errorf("scenario: agent %d: %w", node, err)
@@ -130,7 +115,7 @@ func NewControlPlane(topo *topology.Topology, mat *traffic.Matrix, opts Options)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := rs.WaitForSwitchesCtx(ctx, topo.NumNodes()); err != nil {
+	if err := rs.Settle(ctx, topo.NumNodes()); err != nil {
 		cp.Close()
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
@@ -201,54 +186,54 @@ type closedLoop struct {
 	planner  mpls.Planner
 }
 
+// over is a context that is already done: Settle on it reports whether the
+// set is settled without waiting, arming no timer.
+var over = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
 // settle reconciles a possible failover before the epoch's own work:
 // it waits for every switch to be homed on some live replica and for
-// all rule-table handoffs to finish, then checks the fabric ledger —
-// its growth since the last install must be exactly the acked resyncs
-// plus any fail-closed lease wipes, i.e. no FlowMod reached a switch
-// unaccounted. The per-epoch failover/resync deltas land on er and the
-// telemetry counters.
+// all rule-table handoffs to finish — arming its bound only when the set
+// is not settled already — then checks the fabric ledger: its growth
+// since the last install must be exactly the acked resyncs plus any
+// fail-closed lease wipes, i.e. no FlowMod reached a switch unaccounted.
+// The per-epoch failover/resync deltas land on er and the telemetry
+// counters.
 func (l *closedLoop) settle(ctx context.Context, er *EpochResult) error {
 	cp := l.cp
-	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := cp.rs.WaitForSwitchesCtx(wctx, cp.topo.NumNodes()); err != nil {
-		return fmt.Errorf("settle: %w", err)
+	if cp.rs.Settle(over, cp.topo.NumNodes()) != nil {
+		wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		err := cp.rs.Settle(wctx, cp.topo.NumNodes())
+		cancel()
+		if err != nil {
+			return fmt.Errorf("settle: %w", err)
+		}
 	}
-	if err := cp.rs.QuiesceResyncs(wctx); err != nil {
-		return fmt.Errorf("settle: %w", err)
-	}
-	st := cp.rs.Stats()
-	resyncDelta := st.ResyncsAcked - cp.resyncBase
-	cp.resyncBase = st.ResyncsAcked
-	failoverDelta := st.Failovers - cp.failoverBase
-	cp.failoverBase = st.Failovers
-	retryDelta := st.RPCRetries - cp.retryBase
-	cp.retryBase = st.RPCRetries
-	expiries := cp.expiries()
-	var wipeDelta int64
+	now, was := cp.ledger(), cp.last
+	cp.last = now
+	resyncs := now.ha.ResyncsAcked - was.ha.ResyncsAcked
+	var wipes int64
 	if cp.leasePolicy == ctrlplane.FailClosed {
 		// Only fail-closed expiries install (an empty table) and ack.
-		wipeDelta = expiries - cp.expiryBase
+		wipes = now.expiries - was.expiries
 	}
-	cp.expiryBase = expiries
-	expRules := cp.ExpiredRules()
-	expRuleDelta := expRules - cp.expRuleBase
-	cp.expRuleBase = expRules
-
 	acked := cp.fabric.AckedFlowMods()
-	if got := int64(acked - cp.ackedBase); got != resyncDelta+wipeDelta {
+	if got := int64(acked - cp.ackedBase); got != resyncs+wipes {
 		return fmt.Errorf("settle: switches acked %d unsolicited FlowMods, want %d resyncs + %d lease wipes",
-			got, resyncDelta, wipeDelta)
+			got, resyncs, wipes)
 	}
 	cp.ackedBase = acked
-	er.Failovers = int(failoverDelta)
-	er.ResyncFlowMods = int(resyncDelta)
+	failovers := now.ha.Failovers - was.ha.Failovers
+	er.Failovers = int(failovers)
+	er.ResyncFlowMods = int(resyncs)
 	if l.cm != nil {
-		l.cm.Failovers.Add(failoverDelta)
-		l.cm.Resyncs.Add(resyncDelta)
-		l.cm.RPCRetries.Add(retryDelta)
-		l.cm.ExpiredRules.Add(expRuleDelta)
+		l.cm.Failovers.Add(failovers)
+		l.cm.Resyncs.Add(resyncs)
+		l.cm.RPCRetries.Add(now.ha.RPCRetries - was.ha.RPCRetries)
+		l.cm.ExpiredRules.Add(now.expiredRules - was.expiredRules)
 	}
 	return nil
 }

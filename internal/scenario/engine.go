@@ -156,13 +156,14 @@ func (en *engine) reset(opt *core.Optimizer, cp *ControlPlane, topo *topology.To
 	}
 	en.base, en.sc, en.opts, en.opt = topo, sc, opts, opt
 	en.arrivals = traffic.DefaultGenConfig(sc.Seed)
-	en.baseCaps = resize(en.baseCaps, nL)
-	en.capFactor = resize(en.capFactor, nL)
-	en.failed = resize(en.failed, nL)
+	en.baseCaps = slices.Grow(en.baseCaps[:0], nL)[:nL]
+	en.capFactor = slices.Grow(en.capFactor[:0], nL)[:nL]
+	en.failed = slices.Grow(en.failed[:0], nL)[:nL]
 	clear(en.failed)
 	en.failedOrder, en.maintOrder = en.failedOrder[:0], en.maintOrder[:0]
-	en.outAdj = resize(en.outAdj, topo.NumNodes())
-	en.inAdj = resize(en.inAdj, topo.NumNodes())
+	nN := topo.NumNodes()
+	en.outAdj = slices.Grow(en.outAdj[:0], nN)[:nN]
+	en.inAdj = slices.Grow(en.inAdj[:0], nN)[:nN]
 	for v := range en.outAdj {
 		en.outAdj[v], en.inAdj[v] = en.outAdj[v][:0], en.inAdj[v][:0]
 	}
@@ -201,15 +202,6 @@ func (en *engine) reset(opt *core.Optimizer, cp *ControlPlane, topo *topology.To
 		en.keyToID = make(map[int64]traffic.AggregateID, mat.NumAggregates())
 	}
 	return nil
-}
-
-// resize returns s at length n, reusing its storage when it has room.
-// Contents are unspecified: the caller rewrites every element.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // timeline is the replay's event cursor: the scenario's events sorted
@@ -729,7 +721,7 @@ func (en *engine) downLinks() []topology.LinkID {
 // matrix and model are one of the engine's two pairs, the one the last
 // epoch did not use, rebuilt in place.
 func (en *engine) materialize() (*epochInstance, error) {
-	caps := resize(en.capBuf, len(en.baseCaps))
+	caps := slices.Grow(en.capBuf[:0], len(en.baseCaps))[:len(en.baseCaps)]
 	en.capBuf = caps
 	for i := range caps {
 		caps[i] = 0

@@ -14,6 +14,7 @@ package sdnsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"fubar/internal/flowmodel"
@@ -148,7 +149,8 @@ func (s *Sim) Truth() *traffic.Matrix { return s.truth }
 // Install replaces the routing with the given bundles (the controller's
 // path assignment). Bundles must cover every aggregate's flows exactly.
 func (s *Sim) Install(bundles []flowmodel.Bundle) error {
-	counts := append(s.counts[:0], make([]int, s.truth.NumAggregates())...)
+	counts := slices.Grow(s.counts[:0], s.truth.NumAggregates())[:s.truth.NumAggregates()]
+	clear(counts)
 	s.counts = counts
 	for _, b := range bundles {
 		if int(b.Agg) < 0 || int(b.Agg) >= len(counts) {
@@ -214,14 +216,16 @@ func (s *Sim) RunEpoch() (*EpochStats, error) {
 
 	secs := MeasurementInterval.Seconds()
 	stats := &s.stats
+	nR, nL := len(s.installed), s.topo.NumLinks()
 	*stats = EpochStats{
 		Epoch:         s.epoch,
 		Duration:      MeasurementInterval,
-		Rules:         append(stats.Rules[:0], make([]RuleCounter, len(s.installed))...),
-		LinkBytes:     append(stats.LinkBytes[:0], make([]float64, s.topo.NumLinks())...),
+		Rules:         slices.Grow(stats.Rules[:0], nR)[:nR], // every rule set below
+		LinkBytes:     slices.Grow(stats.LinkBytes[:0], nL)[:nL],
 		LinkCongested: append(stats.LinkCongested[:0], res.IsCongested...),
 		TrueUtility:   res.NetworkUtility,
 	}
+	clear(stats.LinkBytes)
 	for i, b := range s.installed {
 		congested := false
 		for _, e := range b.Edges {

@@ -233,7 +233,10 @@ var callerless = map[string]string{
 // or is in callerless. Only go/parser is used, so the check is by name: a
 // function or variable is used when a file that imports its package
 // selects it (or its own package names it), a method when any file selects
-// a field or method of its name.
+// a field or method of its name. That is its blind spot: a callerless
+// method hides behind any same-named field or method in use elsewhere, as
+// a Fabric.Installs did behind EpochResult.Installs and a
+// ManagedAgent.Connected behind graph.Graph.Connected.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	funcs := map[string]bool{}   // "fubar/internal/pkg.F" selected through an import
 	idents := map[string]bool{}  // "internal/pkg.F" named inside its package
@@ -327,9 +330,8 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 // not flag although no non-test file outside their package names them,
 // each with its reason.
 var unsetConfigFields = map[string]string{
-	"ctrlplane.AgentConfig.HandshakeTimeout":      "tests exercise the handshake-timeout path at sub-second values",
-	"ctrlplane.ControllerConfig.HandshakeTimeout": "tests exercise the handshake-timeout path at sub-second values",
-	"experiment.Config.Traffic":                   "tests shrink the §3 workload",
+	"ctrlplane.Config.HandshakeTimeout": "tests exercise the handshake-timeout path at sub-second values",
+	"experiment.Config.Traffic":         "tests shrink the §3 workload",
 }
 
 // typedPackage is one non-test package of the module, type-checked.
@@ -490,11 +492,8 @@ func TestOptionsFieldSet(t *testing.T) {
 		{reflect.TypeOf(scenario.Options{}), []string{
 			"Core", "ColdStart", "Budget", "Replicas", "RuleLease", "LeasePolicy", "Logger",
 		}},
-		{reflect.TypeOf(ctrlplane.ControllerConfig{}), []string{
-			"RuleLease", "HandshakeTimeout", "RequestTimeout", "Logger",
-		}},
-		{reflect.TypeOf(ctrlplane.AgentConfig{}), []string{
-			"HandshakeTimeout", "RuleLease", "FailAction", "Logger",
+		{reflect.TypeOf(ctrlplane.Config{}), []string{
+			"RuleLease", "FailAction", "HandshakeTimeout", "RequestTimeout", "Logger",
 		}},
 		{reflect.TypeOf(sdnsim.Config{}), []string{"Seed", "DemandJitter"}},
 		{reflect.TypeOf(pathgen.Policy{}), []string{"ForbiddenLinks"}},

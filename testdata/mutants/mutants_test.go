@@ -155,6 +155,19 @@ var catalogue = []mutant{
 	{"maxmin-allows-no-bottleneck", "internal/verify/verify.go", "./internal/verify", []string{"TestChecksCatchPlantedBugs/under_demand,_no_saturated_link", "TestChecksCatchPlantedBugs/under_demand,_not_the_largest_on_its_saturated_link"},
 		"if !bottleneck {",
 		"if false && !bottleneck {"},
+	// The HA control plane (ctrlplane).
+	{"settle-ignores-handoffs", "internal/ctrlplane/replicaset.go", "./internal/ctrlplane", []string{"TestSettleCancelled"},
+		"if got >= switches && inflight == 0 {",
+		"if got >= switches {"},
+	{"handoff-counted-after-publish", "internal/ctrlplane/controller.go", "./internal/ctrlplane", []string{"TestReplicaSetResyncCountedBeforeRegistration"},
+		"\tif resync {\n\t\tc.set.resyncInflight.Add(1)\n\t}\n\tc.mu.Lock()\n\tif c.closed {\n\t\tc.mu.Unlock()\n\t\tif resync {\n\t\t\tc.set.resyncInflight.Add(-1)\n\t\t\tc.set.notify.broadcast()\n\t\t}\n\t\tconn.Close()\n\t\treturn\n\t}\n\tif old, exists := c.switches[sw.id]; exists {\n\t\told.conn.Close() // newer registration wins\n\t}\n\tc.switches[sw.id] = sw\n\tc.mu.Unlock()\n",
+		"\tc.mu.Lock()\n\tif c.closed {\n\t\tc.mu.Unlock()\n\t\tconn.Close()\n\t\treturn\n\t}\n\tif old, exists := c.switches[sw.id]; exists {\n\t\told.conn.Close() // newer registration wins\n\t}\n\tc.switches[sw.id] = sw\n\tc.mu.Unlock()\n\tif resync {\n\t\tc.set.resyncInflight.Add(1)\n\t}\n"},
+	{"fence-admits-stale-epoch", "internal/ctrlplane/agent.go", "./internal/ctrlplane", []string{"TestAgentRejectsStaleEpoch"},
+		"if m.Epoch < floor {",
+		"if false && m.Epoch < floor {"},
+	{"resent-flowmod-applied-again", "internal/ctrlplane/agent.go", "./internal/ctrlplane", []string{"TestInstallRetryAppliesOnce"},
+		"again := f.applied && f.epoch == m.Epoch",
+		"again := false && f.applied && f.epoch == m.Epoch"},
 	// A replay's own checks (scenario).
 	{"check-allows-unacked-install", "internal/scenario/scenario.go", "./internal/scenario", []string{"TestEquivalentAndCheckNameWhatBroke"},
 		"if in.FlowMods != in.Acks {",
